@@ -34,45 +34,73 @@
 //! Records are shuffled by **index** and processed through `&[&Record]`
 //! borrows; no record payload is cloned per inspection.
 //!
-//! ## Multi-query sharing
+//! ## One streaming pass
 //!
 //! Inspection amortizes (§5): many hypotheses and measures over the same
-//! model share one extraction pass. [`inspect_shared`] is the multi-request
-//! entry point the physical plans of [`crate::plan`] execute through (the
-//! engine consumes the [`InspectionRequest`]s a plan produces, never raw
-//! query ASTs): it takes N member requests that name the *same*
-//! `(extractor, dataset)` pair and runs them through a **single**
-//! streaming pass —
+//! model share one extraction pass. Every streaming execution — a
+//! standalone [`inspect`], the multi-request [`inspect_shared`], each
+//! group wave of a physical plan ([`crate::plan`]), a view build, an
+//! incremental view refresh — is the same `pub(crate)` function,
+//! `run_pass`, made of four pieces that each exist once:
 //!
-//! * unit behaviors are extracted once per block for the *union* of all
-//!   member unit columns and demuxed per group
-//!   ([`crate::extract::ColumnDemux`]);
-//! * hypothesis columns are evaluated once per block for the union of
-//!   member hypotheses (deduplicated by function identity, so Arc-shared
-//!   catalog sets collapse while same-id-different-function
-//!   registrations stay separate), and only while some unconverged
-//!   consumer still needs them;
-//! * measure states are deduplicated across members: an independent
-//!   measure shares one state per `(units, measure, hypothesis)`, a
-//!   merged measure one composite state per `(units, measure, hypothesis
-//!   list)` — the exact keys that keep every member's scores bit-identical
-//!   to a standalone [`inspect`] call;
-//! * every unique pair is emitted once into a merged [`ResultFrame`] and
-//!   member frames are reassembled from row spans
-//!   ([`ResultFrame::demux`]), with per-member rows-read/timing reported
-//!   in [`SharedOutcome`].
+//! 1. **Layout.** N member requests naming the *same* `(extractor,
+//!    dataset)` pair become one sharing structure: the *union* of member
+//!    unit columns (demuxed per group, [`crate::extract::ColumnDemux`]);
+//!    the union of member hypotheses by function identity (Arc-shared
+//!    catalog sets collapse, same-id-different-function registrations
+//!    stay separate); and deduplicated measure-state slots — one state
+//!    per `(units, measure, hypothesis)` for an independent measure, one
+//!    composite per `(units, measure, hypothesis list)` for a merged one,
+//!    the exact keys that keep every member's scores bit-identical to a
+//!    standalone [`inspect`] call.
+//! 2. **One stream per dataset segment.** A seeded shuffle of the
+//!    segment's records (segment 0 keeps the session seed), a block at a
+//!    time: unit behaviors are fetched once per block — scanned from the
+//!    segment's [`StoreSource`] and/or extracted live — hypothesis columns
+//!    are evaluated once per block, only while some unconverged slot
+//!    still consumes them, and every slot advances once.
+//! 3. **One fold** over the stream outputs in segment-index order via the
+//!    exact [`MeasureState::merge_from`], optionally seeded by the revived
+//!    fold point of a skipped prefix (an incremental view refresh). A fold
+//!    over one output is the identity.
+//! 4. **One tail**: pairs that never met epsilon are listed as pending,
+//!    every unique pair is emitted once into a merged [`ResultFrame`]
+//!    ([`MeasureState::final_scores`], on the inspection clock), member
+//!    frames are reassembled from row spans ([`ResultFrame::demux`]), and
+//!    a view pass serializes the fold point.
+//!
+//! The single-request engine is the one-member case, and the unsegmented
+//! pass the one-segment, one-stream case, of this implementation. What
+//! differs between a plain one-segment INSPECT and everything else is
+//! policy, and it is **derived, never configured**: `full_pass =
+//! segment_count > 1 || capture_states || skip_segments > 0`.
+//!
+//! * `!full_pass` (one stream): **early stopping** — a slot stops being
+//!   fed the moment its error meets epsilon and the stream ends when
+//!   every member converged (§5.2.3), persisting the streamed prefix as
+//!   resumable partial columns; **model merging** — measures that support
+//!   it (`logreg`) train one composite per hypothesis list; extraction
+//!   runs on the configured [`Device`].
+//! * `full_pass`: every block of every streamed segment is processed, so
+//!   folded scores and extractor call counts do not depend on device or
+//!   segment schedule, ε only classifies pairs as pending, and
+//!   `stored(0..k) ⊕ fresh(k..n)` equals the cold fold bit for bit — the
+//!   refresh ≡ cold invariant materialized views rely on. Measures
+//!   without [`Measure::supports_segment_merge`] are refused up front
+//!   with a typed error. Streams extract single-core and are themselves
+//!   the parallel grain: two or more fan out across the runtime pool on
+//!   [`Device::Parallel`]. Budget row/block caps apply per stream;
+//!   deadline and cancellation stay global, and the lowest-index
+//!   interruption is the pass's completion status.
 //!
 //! Sharing requires that measure ids uniquely identify their behavior
-//! within one shared pass (the catalog registers measures by id, so
-//! catalog-driven batches satisfy this by construction), and that
-//! extractors are column-wise consistent (all in-tree extractors compute
-//! full activation rows and select columns). Hypotheses need no id
-//! uniqueness — they are deduplicated by function identity — but a
-//! configured [`HypothesisCache`] keys on `(dataset id, hypothesis id,
-//! record)`, so callers must not combine a cache with same-id-different-
-//! function hypotheses (the batch scheduler detects this and withholds
-//! its implicit cache). The single-request streaming engine is the
-//! one-member special case of the same implementation.
+//! within one pass (catalog-driven batches satisfy this by construction)
+//! and that extractors are column-wise consistent (all in-tree ones
+//! compute full activation rows and select columns). A configured
+//! [`HypothesisCache`] keys on `(dataset id, hypothesis id, record)`, so
+//! callers must not combine one with same-id-different-function
+//! hypotheses (the batch scheduler detects this and withholds its
+//! implicit cache).
 
 use crate::cache::HypothesisCache;
 use crate::error::DniError;
@@ -82,7 +110,7 @@ use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
 use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
-use deepbase_store::{BehaviorStore, ColumnKey, Coverage, StoreStats};
+use deepbase_store::{BehaviorStore, ColumnKey, Coverage, StoreStats, ViewSlotState};
 use deepbase_tensor::Matrix;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -406,7 +434,7 @@ fn validate_request(req: &InspectionRequest<'_>) -> Result<(), DniError> {
 ///
 /// A configured [`RunBudget`] applies: the streaming `DeepBase` engine
 /// degrades gracefully on an interrupted run (the frame holds the current
-/// estimates; use [`inspect_shared_store`] to also observe the
+/// estimates; use [`inspect_shared`] to also observe the
 /// [`Completion`] tag), the materializing engines surface
 /// [`DniError::DeadlineExceeded`] / [`DniError::Cancelled`].
 pub fn inspect(
@@ -431,7 +459,11 @@ fn inspect_budgeted(
 
     match config.engine {
         EngineKind::Madlib => inspect_madlib(req, config, budget),
-        EngineKind::DeepBase => inspect_streaming(req, config, budget),
+        EngineKind::DeepBase => {
+            let reqs = std::slice::from_ref(req);
+            let (mut outcome, _) = run_pass(reqs, config, None, budget, &FoldOpts::default())?;
+            Ok(outcome.results.pop().expect("one member, one result"))
+        }
         _ => inspect_materialized(req, config, budget),
     }
 }
@@ -709,7 +741,7 @@ fn process_one_hypothesis(
         }
         start = end;
     }
-    (state.unit_scores(), state.group_score())
+    state.final_scores()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -741,10 +773,25 @@ fn process_hypotheses_parallel(
 }
 
 // ---------------------------------------------------------------------
-// Streaming engine: DeepBase (single-request and shared multi-request)
+// Streaming engine: DeepBase
 // ---------------------------------------------------------------------
 
-/// Outcome of a shared multi-request pass ([`inspect_shared`]).
+/// Runs several inspection requests over the **same** `(extractor,
+/// dataset)` pair through one streaming pass (see the module docs, *One
+/// streaming pass*). Member scores are bit-identical to standalone
+/// [`inspect`] calls; redundant work — unit extraction, hypothesis
+/// evaluation, measure states shared between members — is done once. For
+/// non-streaming engine kinds the members are executed individually
+/// (sharing only the configured hypothesis cache).
+pub fn inspect_shared(
+    reqs: &[InspectionRequest<'_>],
+    config: &InspectionConfig,
+) -> Result<SharedOutcome, DniError> {
+    let armed = config.budget.arm();
+    run_pass(reqs, config, None, armed.as_ref(), &FoldOpts::default()).map(|(outcome, _)| outcome)
+}
+
+/// Outcome of one streaming pass ([`inspect_shared`]).
 #[derive(Debug, Default)]
 pub struct SharedOutcome {
     /// Per-member score frames and profiles, in request order. A member's
@@ -822,9 +869,11 @@ pub struct StorePlan {
 /// the buffer pool (checksums verified per block), the rest are
 /// extracted live in a single narrowed extractor call per block and
 /// merged into the union stream. With `write` set, the live-extracted
-/// columns are buffered and persisted at the end of a fully streamed
-/// pass (a pass that early-stops has only seen a subset of the records
-/// and persists nothing). A column that fails a checksum mid-pass is
+/// columns are buffered and persisted when the stream ends: complete
+/// columns after a fully streamed pass, and after an early stop or a
+/// budget interruption the streamed prefix as *partial* columns whose
+/// watermark a later pass resumes from (written only where that extends
+/// what the store already holds). A column that fails a checksum mid-pass is
 /// quarantined and demoted to live extraction for the remaining blocks —
 /// results stay bit-identical because stored columns hold exactly what
 /// the extractor would produce.
@@ -1192,162 +1241,588 @@ impl<'s> StorePass<'s> {
     }
 }
 
-/// Identity of one deduplicated measure-state slot. Hypotheses are
-/// identified by their union column index (function identity), not id
-/// string, so same-id-different-function registrations never conflate.
-#[derive(PartialEq, Eq, Hash)]
-enum SlotKey {
-    /// `(units, measure id, hypothesis column)` — independent measures
-    /// score each pair in isolation, so any member naming the same triple
-    /// can share the state.
-    PerHyp(Vec<usize>, String, usize),
-    /// `(units, measure id, ordered hypothesis columns)` — a merged state
-    /// trains one composite model over its full hypothesis list, so the
-    /// exact list is part of the identity (anything less would change
-    /// member scores).
-    Merged(Vec<usize>, String, Vec<usize>),
+// ---------------------------------------------------------------------
+// The streaming pass: layout → per-segment streams → fold → emit
+// ---------------------------------------------------------------------
+
+/// One unique unit selection of a pass: its column demux out of the
+/// union matrix, with the identity check precomputed (a selection that
+/// covers the whole union in order — the common single-query, one-group
+/// case — borrows the union matrix instead of copying it).
+struct Selection {
+    units: Vec<usize>,
+    demux: ColumnDemux,
+    identity: bool,
 }
 
-enum SlotState {
-    PerHyp {
-        /// `None` once converged (stop feeding).
-        state: Option<Box<dyn MeasureState>>,
-        /// Column index into the union hypothesis set.
-        hyp: usize,
-        result: Option<PairResult>,
-        /// Convergence error after the last processed block
-        /// (`f32::INFINITY` before the first); reported for pairs still
-        /// pending when an interrupted pass stops.
-        last_err: f32,
-    },
-    Merged {
-        state: Box<dyn MergedState>,
-        /// Column indices into the union hypothesis set, in slot order.
-        hyps: Vec<usize>,
-        done: bool,
-        results: Vec<Option<PairResult>>,
-        /// Per-hypothesis convergence errors after the last processed
-        /// block (`f32::INFINITY` before the first).
-        last_errs: Vec<f32>,
-    },
-}
-
-struct SharedSlot {
+/// One deduplicated measure-state slot. Hypotheses are identified by
+/// their union column index (function identity), not id string, so
+/// same-id-different-function registrations never conflate. An
+/// independent measure scores each pair in isolation, so any member
+/// naming the same `(units, measure id, hypothesis column)` shares the
+/// slot; a merged composite trains one model over its full hypothesis
+/// list, so the exact ordered list is part of its identity (anything
+/// less would change member scores).
+struct Slot<'a> {
     /// Index into the unique unit-selection list.
     sel: usize,
     eps: f32,
-    measure_id: String,
+    measure: &'a dyn Measure,
     /// Canonical ids for merged-frame rows (first registrant; members
     /// rebrand during demux).
     model_id: String,
     group_id: String,
-    state: SlotState,
+    /// Union hypothesis columns the slot consumes: one for a per-pair
+    /// slot, the member's ordered list for a merged composite.
+    hyps: Vec<usize>,
+    merged: bool,
 }
 
-impl SharedSlot {
-    fn converged(&self) -> bool {
-        match &self.state {
-            SlotState::PerHyp { state, .. } => state.is_none(),
-            SlotState::Merged { done, .. } => *done,
-        }
+impl Slot<'_> {
+    /// True when a convergence error meets the slot's epsilon (never for
+    /// NaN or the `∞` a state reports before it can estimate).
+    fn met(&self, err: f32) -> bool {
+        err <= self.eps
     }
 }
 
-/// A member's handle on its (group, measure) slots, in the member's
-/// canonical emission order.
-enum MemberSlots {
-    /// One shared slot per member hypothesis, in member hypothesis order.
-    PerHyp(Vec<usize>),
-    Merged(usize),
-}
-
+/// A member's handle on the slots of one of its (group, measure)
+/// entries, in the member's canonical emission order.
 struct MemberEntry {
-    slots: MemberSlots,
+    slots: Vec<usize>,
     group_id: String,
 }
 
+/// The sharing structure of one pass, built once and read by every
+/// segment stream: union units, union hypotheses, unit selections,
+/// deduplicated slots and each member's view of them.
+struct PassLayout<'a> {
+    extractor: &'a dyn Extractor,
+    dataset: &'a Dataset,
+    /// Union of all unit columns any member needs, extracted once per block.
+    union_units: Vec<usize>,
+    /// Union of member hypotheses by function identity.
+    union_hyps: Vec<&'a dyn HypothesisFn>,
+    selections: Vec<Selection>,
+    slots: Vec<Slot<'a>>,
+    members: Vec<Vec<MemberEntry>>,
+}
+
+/// The mutable half of a slot within one stream (or the fold of several).
+enum SlotState {
+    PerHyp(Box<dyn MeasureState>),
+    Merged(Box<dyn MergedState>),
+}
+
+struct SlotRun {
+    state: SlotState,
+    /// Convergence error per slot hypothesis: what the last processed
+    /// block returned (`∞` before the first), replaced by the folded
+    /// state's own estimate after a full pass.
+    errs: Vec<f32>,
+    /// Set once every error met epsilon on an early-stopping stream; a
+    /// converged slot is no longer fed. Never set on a full pass.
+    converged: bool,
+}
+
 struct MemberRun {
-    entries: Vec<MemberEntry>,
     live: bool,
     profile: Profile,
 }
 
-fn inspect_streaming(
-    req: &InspectionRequest<'_>,
-    config: &InspectionConfig,
-    budget: Option<&ArmedBudget>,
-) -> Result<(ResultFrame, Profile), DniError> {
-    let mut outcome =
-        inspect_shared_store_armed(std::slice::from_ref(req), config, PassSource::None, budget)?;
-    Ok(outcome.results.pop().expect("one member, one result"))
+/// Everything one segment stream produces — and, folded, the whole pass.
+#[derive(Default)]
+struct StreamOutput {
+    runs: Vec<SlotRun>,
+    members: Vec<MemberRun>,
+    profile: Profile,
+    stats: StoreStats,
+    interrupted: Option<CompletionStatus>,
 }
 
-/// Runs several inspection requests over the **same** `(extractor,
-/// dataset)` pair through one shared streaming extraction pass (see the
-/// module docs, *Multi-query sharing*). Member scores are bit-identical
-/// to standalone [`inspect`] calls; redundant work — unit extraction,
-/// hypothesis evaluation, measure states shared between members — is done
-/// once. For non-streaming engine kinds the members are executed
-/// individually (sharing only the configured hypothesis cache).
-pub fn inspect_shared(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-) -> Result<SharedOutcome, DniError> {
-    inspect_shared_store(reqs, config, None)
-}
-
-/// [`inspect_shared`] with an optional persistent-store source: union
-/// unit columns available in the store are scanned instead of extracted
-/// (zero extractor forward passes when every column hits), missing
-/// columns are extracted live and — under a read-write policy — written
-/// back at the end of a fully streamed pass. Store sources only apply to
-/// the streaming `DeepBase` engine; the materializing fallbacks ignore
-/// them.
-pub fn inspect_shared_store(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    source: Option<&StoreSource>,
-) -> Result<SharedOutcome, DniError> {
-    let armed = config.budget.arm();
-    let source = match source {
-        Some(s) => PassSource::Whole(s),
-        None => PassSource::None,
-    };
-    inspect_shared_store_armed(reqs, config, source, armed.as_ref())
-}
-
-/// The store binding for one shared pass, in the shapes the two
-/// executors need: one whole-dataset source for the unsegmented pass, or
-/// one optional source **per segment** (keyed by the segment's
-/// fingerprint) for the segmented pass. `Whole` on a multi-segment
-/// dataset is ignored — the planner never produces that combination, and
-/// scanning whole-dataset columns against per-segment streams would read
-/// the wrong rows.
-#[derive(Clone, Copy)]
-pub(crate) enum PassSource<'s> {
-    /// No store bound: every block extracts live.
-    None,
-    /// One source covering the whole (single-segment) dataset.
-    Whole(&'s StoreSource),
-    /// One optional source per dataset segment, in segment-index order.
-    PerSegment(&'s [Option<StoreSource>]),
-}
-
-/// [`inspect_shared_store`] against an already armed budget: the batch
-/// scheduler arms the configured [`RunBudget`] once and shares the
-/// absolute deadline across every group and admission wave it executes.
-pub(crate) fn inspect_shared_store_armed(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    source: PassSource<'_>,
-    budget: Option<&ArmedBudget>,
-) -> Result<SharedOutcome, DniError> {
-    validate_config(config)?;
-    if reqs.is_empty() {
-        return Ok(SharedOutcome::default());
+/// Shuffle seed for one dataset segment. Segment 0 keeps the configured
+/// seed unchanged (which is what makes a one-segment dataset the
+/// one-stream case of the same pass); later segments derive theirs by
+/// hashing `(seed, segment index)` so per-segment streams decorrelate
+/// while staying deterministic across devices and processes.
+pub(crate) fn segment_seed(seed: u64, segment: usize) -> u64 {
+    if segment == 0 {
+        return seed;
     }
-    let extractor = reqs[0].extractor;
-    let dataset = reqs[0].dataset;
+    let mut h = deepbase_store::FpHasher::new();
+    h.write_str("segment-seed")
+        .write_u64(seed)
+        .write_u64(segment as u64);
+    h.finish()
+}
+
+/// View options of a pass: where the fold over segment outputs starts
+/// and whether its end point is captured.
+#[derive(Default)]
+pub(crate) struct FoldOpts<'a> {
+    /// Stream only segments `skip_segments..`; the revived `base_states`
+    /// stand in for the skipped prefix. `0` streams everything.
+    pub skip_segments: usize,
+    /// Serialized folded states covering segments `0..skip_segments` —
+    /// the durable fold point a materialized view stores — matched to
+    /// slots by `(group, measure, hypothesis)` triple.
+    pub base_states: Option<&'a [ViewSlotState]>,
+    /// Serialize the final folded states into the returned capture list
+    /// (the view-build half of the fold-point contract).
+    pub capture_states: bool,
+}
+
+impl<'a> PassLayout<'a> {
+    /// Builds the sharing structure for `reqs` (which name one
+    /// `(extractor, dataset)` pair). With `merge_models` a measure that
+    /// supports model merging gets one composite slot per member
+    /// hypothesis list; without it every slot is per-pair.
+    fn build(
+        reqs: &[InspectionRequest<'a>],
+        config: &InspectionConfig,
+        merge_models: bool,
+    ) -> Result<PassLayout<'a>, DniError> {
+        let mut union_units: Vec<usize> = reqs
+            .iter()
+            .flat_map(|r| r.groups.iter().flat_map(|g| g.units.iter().copied()))
+            .collect();
+        union_units.sort_unstable();
+        union_units.dedup();
+
+        // Hypotheses deduplicate by *function identity* (data pointer),
+        // not by id string: two different functions may be registered
+        // under the same id (nothing enforces uniqueness), and conflating
+        // them would silently diverge from standalone execution.
+        // Pointer-equal hypotheses (the catalog's Arc-shared sets) still
+        // collapse into one column.
+        let hyp_ptr = |h: &dyn HypothesisFn| h as *const dyn HypothesisFn as *const u8;
+        let mut union_hyps: Vec<&dyn HypothesisFn> = Vec::new();
+        let mut hyp_col_of: HashMap<*const u8, usize> = HashMap::new();
+        for hyp in reqs.iter().flat_map(|r| r.hypotheses.iter()) {
+            hyp_col_of.entry(hyp_ptr(*hyp)).or_insert_with(|| {
+                union_hyps.push(*hyp);
+                union_hyps.len() - 1
+            });
+        }
+
+        let mut selections: Vec<Selection> = Vec::new();
+        let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut slots: Vec<Slot<'a>> = Vec::new();
+        let mut slot_of: HashMap<(Vec<usize>, String, Vec<usize>, bool), usize> = HashMap::new();
+        // Whether a measure supports merged states, memoized per
+        // `(measure id, n_units, n_hyps)` — the exact probe inputs, since
+        // the trait lets the answer depend on the shape.
+        let mut supports_merged: HashMap<(String, usize, usize), bool> = HashMap::new();
+        let mut members = Vec::with_capacity(reqs.len());
+        for req in reqs {
+            let cols: Vec<usize> = req
+                .hypotheses
+                .iter()
+                .map(|h| hyp_col_of[&hyp_ptr(*h)])
+                .collect();
+            let mut entries = Vec::new();
+            for group in &req.groups {
+                let sel = match sel_of.get(&group.units) {
+                    Some(&sel) => sel,
+                    None => {
+                        let demux = ColumnDemux::new(&union_units, &group.units)?;
+                        selections.push(Selection {
+                            units: group.units.clone(),
+                            identity: demux.is_identity(union_units.len()),
+                            demux,
+                        });
+                        sel_of.insert(group.units.clone(), selections.len() - 1);
+                        selections.len() - 1
+                    }
+                };
+                for measure in &req.measures {
+                    let n_units = group.units.len();
+                    let merged = merge_models
+                        && *supports_merged
+                            .entry((measure.id().to_string(), n_units, cols.len()))
+                            .or_insert_with(|| {
+                                measure.new_merged_state(n_units, cols.len()).is_some()
+                            });
+                    let slot_hyps: Vec<Vec<usize>> = if merged {
+                        vec![cols.clone()]
+                    } else {
+                        cols.iter().map(|&c| vec![c]).collect()
+                    };
+                    let entry_slots = slot_hyps
+                        .into_iter()
+                        .map(|hyps| {
+                            let key = (group.units.clone(), measure.id().to_string(), hyps, merged);
+                            if let Some(&idx) = slot_of.get(&key) {
+                                return idx;
+                            }
+                            slots.push(Slot {
+                                sel,
+                                eps: epsilon_for(*measure, config),
+                                measure: *measure,
+                                model_id: req.model_id.clone(),
+                                group_id: group.id.clone(),
+                                hyps: key.2.clone(),
+                                merged,
+                            });
+                            slot_of.insert(key, slots.len() - 1);
+                            slots.len() - 1
+                        })
+                        .collect();
+                    entries.push(MemberEntry {
+                        slots: entry_slots,
+                        group_id: group.id.clone(),
+                    });
+                }
+            }
+            members.push(entries);
+        }
+        Ok(PassLayout {
+            extractor: reqs[0].extractor,
+            dataset: reqs[0].dataset,
+            union_units,
+            union_hyps,
+            selections,
+            slots,
+            members,
+        })
+    }
+
+    /// Streams one segment: a seeded shuffle of its records, one block of
+    /// the union stream at a time — fetch (store scan and/or live
+    /// extraction), demux, evaluate hypotheses, advance every slot once.
+    /// Nothing is ever marked converged on a full pass, so there the same
+    /// loop processes every block; its extraction runs single-core because
+    /// the *streams* are the parallel grain (nesting pool scopes could
+    /// starve the fixed pool; extraction output is device-independent, so
+    /// this changes schedule, never results).
+    fn stream(
+        &self,
+        seg: &crate::model::SegmentInfo,
+        source: Option<&StoreSource>,
+        config: &InspectionConfig,
+        budget: Option<&ArmedBudget>,
+        full_pass: bool,
+        t_start: Instant,
+    ) -> Result<StreamOutput, DniError> {
+        let ns = self.dataset.ns;
+        let device = if full_pass {
+            Device::SingleCore
+        } else {
+            config.device
+        };
+        // Shuffled record order, with each record's position in the
+        // segment kept alongside — stored columns are addressed by it.
+        let order = shuffled_indices(seg.len, segment_seed(config.seed, seg.index));
+        let records: Vec<&Record> = order
+            .iter()
+            .map(|&i| &self.dataset.records[seg.start + i])
+            .collect();
+        // The stream's store state: which union columns can be scanned vs
+        // must be extracted, plus write-back capture for the misses.
+        let mut store_pass = source.map(|s| StorePass::new(s, &self.union_units, seg.len, ns));
+
+        let mut runs: Vec<SlotRun> = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let n_units = self.selections[slot.sel].units.len();
+                let state = if slot.merged {
+                    let state = slot.measure.new_merged_state(n_units, slot.hyps.len());
+                    SlotState::Merged(state.expect("merged support was probed at layout time"))
+                } else {
+                    SlotState::PerHyp(slot.measure.new_state(n_units))
+                };
+                SlotRun {
+                    state,
+                    errs: vec![f32::INFINITY; slot.hyps.len()],
+                    converged: false,
+                }
+            })
+            .collect();
+        // How many unconverged slots still consume each union hypothesis
+        // column; columns with no consumers are not evaluated.
+        let mut hyp_consumers: Vec<usize> = vec![0; self.union_hyps.len()];
+        for &c in self.slots.iter().flat_map(|slot| slot.hyps.iter()) {
+            hyp_consumers[c] += 1;
+        }
+        let member_live = |entries: &[MemberEntry], runs: &[SlotRun]| {
+            entries
+                .iter()
+                .any(|e| e.slots.iter().any(|&s| !runs[s].converged))
+        };
+        let mut members: Vec<MemberRun> = self
+            .members
+            .iter()
+            .map(|entries| MemberRun {
+                live: member_live(entries, &runs),
+                profile: Profile::default(),
+            })
+            .collect();
+
+        let mut profile = Profile::default();
+        let mut interrupted: Option<CompletionStatus> = None;
+        let mut block_start = 0usize;
+        while block_start < records.len() {
+            if !members.iter().any(|m| m.live) {
+                break; // §5.2.3: stop reading the moment everything converged.
+            }
+            // Budget poll, amortized to one check per block: an unlimited
+            // run never reaches here with a budget, and an interrupted
+            // stream exits exactly like an early-stopped one — write-back
+            // commits the streamed prefix as watermark-extending partial
+            // columns and the frames carry the current estimates.
+            if let Some(b) = budget {
+                if let Some(status) = b.check(profile.records_read, profile.blocks_processed) {
+                    interrupted = Some(status);
+                    break;
+                }
+            }
+            let block_end = (block_start + config.block_records).min(records.len());
+            let block = &records[block_start..block_end];
+            profile.records_read += block.len();
+            profile.blocks_processed += 1;
+
+            // Source the union unit behaviors once, then demux the unit
+            // selections still backing an unconverged slot.
+            let t0 = Instant::now();
+            let union_behaviors = match &mut store_pass {
+                Some(pass) => pass.fetch_block(
+                    self.extractor,
+                    block,
+                    &order[block_start..block_end],
+                    &self.union_units,
+                    device,
+                    ns,
+                    seg.len,
+                ),
+                None => extract_records(self.extractor, block, &self.union_units, device, ns),
+            };
+            let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; self.selections.len()];
+            for (slot, run) in self.slots.iter().zip(&runs) {
+                let sel = &self.selections[slot.sel];
+                if !run.converged && sel_behaviors[slot.sel].is_none() && !sel.identity {
+                    sel_behaviors[slot.sel] = Some(sel.demux.apply(&union_behaviors));
+                }
+            }
+            let d0 = t0.elapsed();
+
+            // Evaluate the union hypothesis columns that still have consumers.
+            let t1 = Instant::now();
+            let mut hyp_cols: Vec<Option<Vec<f32>>> = vec![None; self.union_hyps.len()];
+            for (c, hyp) in self.union_hyps.iter().enumerate() {
+                if hyp_consumers[c] > 0 {
+                    hyp_cols[c] = Some(hypothesis_column(
+                        *hyp,
+                        block,
+                        ns,
+                        &self.dataset.id,
+                        config.cache.as_ref(),
+                    )?);
+                }
+            }
+            let d1 = t1.elapsed();
+
+            // Advance every unconverged slot exactly once, no matter how
+            // many members reference it.
+            let t2 = Instant::now();
+            for (slot, run) in self.slots.iter().zip(runs.iter_mut()) {
+                if run.converged {
+                    continue;
+                }
+                // `None` means the identity selection: use the union
+                // matrix directly.
+                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
+                let col = |c: usize| hyp_cols[c].as_ref().expect("consumed column");
+                match &mut run.state {
+                    SlotState::PerHyp(state) => {
+                        run.errs[0] = state.process_block(behaviors, col(slot.hyps[0]));
+                    }
+                    SlotState::Merged(state) => {
+                        let mut hyps_matrix = Matrix::zeros(behaviors.rows(), slot.hyps.len());
+                        for (h, &c) in slot.hyps.iter().enumerate() {
+                            for (r, &v) in col(c).iter().enumerate() {
+                                hyps_matrix.set(r, h, v);
+                            }
+                        }
+                        let errs = state.process_block(behaviors, &hyps_matrix);
+                        run.errs.copy_from_slice(&errs);
+                    }
+                }
+                if !full_pass && run.errs.iter().all(|&e| slot.met(e)) {
+                    run.converged = true; // stop feeding
+                    for &c in &slot.hyps {
+                        hyp_consumers[c] -= 1;
+                    }
+                }
+            }
+            let d2 = t2.elapsed();
+
+            profile.unit_extraction += d0;
+            profile.hypothesis_extraction += d1;
+            profile.inspection += d2;
+            // Members live at the start of the block are charged for it.
+            for (member, entries) in members.iter_mut().zip(&self.members) {
+                if !member.live {
+                    continue;
+                }
+                member.profile.records_read += block.len();
+                member.profile.blocks_processed += 1;
+                member.profile.unit_extraction += d0;
+                member.profile.hypothesis_extraction += d1;
+                member.profile.inspection += d2;
+                member.live = member_live(entries, &runs);
+                if !member.live {
+                    // The member's pairs all converged this block: its
+                    // total stops accruing here, so the per-query profile
+                    // stays consistent with its phase timings even while
+                    // the pass keeps streaming for other members.
+                    member.profile.total = t_start.elapsed();
+                }
+            }
+            block_start = block_end;
+        }
+
+        // Persist the captured columns — complete after a fully streamed
+        // segment, watermark-extending partials after an early stop or a
+        // budget interruption (the two are indistinguishable here by
+        // design: an interrupted stream resumes at its watermark like any
+        // other early-stopped one) — and detach the store accounting.
+        let stats = match &mut store_pass {
+            Some(pass) => {
+                pass.flush_writeback(seg.len, ns);
+                std::mem::take(&mut pass.stats)
+            }
+            None => StoreStats::default(),
+        };
+        Ok(StreamOutput {
+            runs,
+            members,
+            profile,
+            stats,
+            interrupted,
+        })
+    }
+
+    /// Revives the serialized fold point of a skipped segment prefix:
+    /// exactly the states the cold fold held after those segments.
+    fn revive(&self, base: &[ViewSlotState]) -> Result<Vec<SlotRun>, DniError> {
+        self.slots
+            .iter()
+            .map(|slot| {
+                let hyp_id = self.union_hyps[slot.hyps[0]].id();
+                let describe = |what: &str| {
+                    DniError::BadConfig(format!(
+                        "stored view state {what} ({}, {}, {hyp_id})",
+                        slot.group_id,
+                        slot.measure.id(),
+                    ))
+                };
+                let stored = base
+                    .iter()
+                    .find(|s| {
+                        s.group_id == slot.group_id
+                            && s.measure_id == slot.measure.id()
+                            && s.hyp_id == hyp_id
+                    })
+                    .ok_or_else(|| describe("missing slot"))?;
+                let state = slot
+                    .measure
+                    .deserialize_state(self.selections[slot.sel].units.len(), &stored.state)
+                    .ok_or_else(|| describe("does not revive for"))?;
+                Ok(SlotRun {
+                    state: SlotState::PerHyp(state),
+                    errs: vec![f32::INFINITY],
+                    converged: false,
+                })
+            })
+            .collect()
+    }
+}
+
+/// Folds stream outputs in canonical segment-index order — first error
+/// wins, states merge pairwise onto `base` (the revived prefix, if any),
+/// accounting accumulates, the lowest-index interruption is reported —
+/// and returns the folded output with the pass's extraction-pass count.
+/// A fold over one output with no base is the identity.
+fn fold_streams(
+    outputs: Vec<Option<Result<StreamOutput, DniError>>>,
+    base: Vec<SlotRun>,
+    full_pass: bool,
+) -> Result<(StreamOutput, usize), DniError> {
+    let mut folded = StreamOutput {
+        runs: base,
+        ..StreamOutput::default()
+    };
+    let mut streamed = 0usize;
+    for output in outputs {
+        let output = output.expect("every stream slot filled")?;
+        streamed += usize::from(output.profile.blocks_processed > 0);
+        folded.profile.accumulate(&output.profile);
+        folded.stats.accumulate(&output.stats);
+        folded.interrupted = folded.interrupted.or(output.interrupted);
+        if folded.members.is_empty() {
+            folded.members = output.members;
+        } else {
+            for (member, theirs) in folded.members.iter_mut().zip(&output.members) {
+                member.live |= theirs.live;
+                member.profile.accumulate(&theirs.profile);
+            }
+        }
+        if folded.runs.is_empty() {
+            folded.runs = output.runs;
+            continue;
+        }
+        for (ours, theirs) in folded.runs.iter_mut().zip(&output.runs) {
+            let merged = match (&mut ours.state, &theirs.state) {
+                (SlotState::PerHyp(a), SlotState::PerHyp(b)) => a.merge_from(b.as_ref()),
+                _ => false,
+            };
+            if !merged {
+                return Err(DniError::Internal(
+                    "measure state refused a cross-segment merge it advertised".into(),
+                ));
+            }
+        }
+    }
+    if !full_pass {
+        return Ok((folded, 1));
+    }
+    // A full pass reports per-segment streams and re-derives each pair's
+    // convergence error from the *folded* state — the estimate one pass
+    // over all the data would have reported last.
+    folded.stats.segment_passes = streamed;
+    for run in folded.runs.iter_mut() {
+        if let SlotState::PerHyp(state) = &run.state {
+            run.errs[0] = state.convergence_error();
+        }
+    }
+    Ok((folded, streamed))
+}
+
+/// The one streaming pass every INSPECT, view build and view refresh
+/// runs through (see the module docs, *One streaming pass*): layout, one
+/// stream per non-skipped segment, fold, tail. `sources` binds an
+/// optional store source to each dataset segment (its length must equal
+/// the segment count); `budget` is already armed, so every group and
+/// wave of a batch shares one absolute deadline; `opts` are the view
+/// hooks. Returns the outcome plus the captured fold point (empty unless
+/// `opts.capture_states`).
+///
+/// For non-streaming engine kinds the members are executed individually
+/// (sharing only the configured hypothesis cache); a view pass always
+/// streams, since only streams have fold points.
+pub(crate) fn run_pass(
+    reqs: &[InspectionRequest<'_>],
+    config: &InspectionConfig,
+    sources: Option<&[Option<StoreSource>]>,
+    budget: Option<&ArmedBudget>,
+    opts: &FoldOpts<'_>,
+) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
+    validate_config(config)?;
+    let Some(first) = reqs.first() else {
+        return Ok((SharedOutcome::default(), Vec::new()));
+    };
+    let (extractor, dataset) = (first.extractor, first.dataset);
     for req in reqs {
         validate_request(req)?;
         let same_extractor = std::ptr::eq(
@@ -1360,16 +1835,21 @@ pub(crate) fn inspect_shared_store_armed(
             ));
         }
     }
-    if dataset.is_empty() {
-        return Ok(SharedOutcome {
-            results: reqs
-                .iter()
-                .map(|_| (ResultFrame::default(), Profile::default()))
-                .collect(),
-            ..SharedOutcome::default()
-        });
+    let segments = dataset.segments();
+    if let Some(sources) = sources.filter(|s| s.len() != segments.len()) {
+        return Err(DniError::BadConfig(format!(
+            "{} store sources for {} segments",
+            sources.len(),
+            segments.len()
+        )));
     }
-    if config.engine != EngineKind::DeepBase {
+    if dataset.is_empty() {
+        let mut outcome = SharedOutcome::default();
+        outcome.results.resize_with(reqs.len(), Default::default);
+        return Ok((outcome, Vec::new()));
+    }
+    let needs_fold_point = opts.capture_states || opts.skip_segments > 0;
+    if config.engine != EngineKind::DeepBase && !needs_fold_point {
         // The materializing engines keep their per-request shape; members
         // still share the hypothesis cache configured by the caller.
         let mut outcome = SharedOutcome {
@@ -1382,1107 +1862,224 @@ pub(crate) fn inspect_shared_store_armed(
             outcome.results.push((frame, profile));
         }
         outcome.completion.rows_read = outcome.pass.records_read;
-        return Ok(outcome);
+        return Ok((outcome, Vec::new()));
     }
 
-    // Multi-segment datasets run the segmented executor: one shuffled
-    // stream per segment, per-segment store sources, states merged in
-    // segment order. Single-segment datasets (every pre-segmentation
-    // caller) stay on the unsegmented pass below, bit-identically.
-    if dataset.segment_count() > 1 {
-        let seg_sources = match source {
-            PassSource::PerSegment(s) => Some(s),
-            _ => None,
-        };
-        return inspect_segmented(reqs, config, seg_sources, budget);
-    }
-
-    let t_start = Instant::now();
-    let ns = dataset.ns;
-    let nd = dataset.len();
-    // Shuffled record order, with each record's dataset position kept
-    // alongside — stored columns are addressed by position.
-    let order = shuffled_indices(nd, config.seed);
-    let records: Vec<&Record> = order.iter().map(|&i| &dataset.records[i]).collect();
-
-    // Union of all unit columns any member needs, extracted once per block.
-    let mut union_units: Vec<usize> = reqs
-        .iter()
-        .flat_map(|r| r.groups.iter().flat_map(|g| g.units.iter().copied()))
-        .collect();
-    union_units.sort_unstable();
-    union_units.dedup();
-
-    // The pass's store state: which union columns can be scanned vs must
-    // be extracted, plus write-back capture for the misses.
-    let mut store_pass = match source {
-        PassSource::Whole(s) => Some(StorePass::new(s, &union_units, nd, ns)),
-        _ => None,
-    };
-
-    // Union of member hypotheses, deduplicated by *function identity*
-    // (data pointer), not by id string: two different functions may be
-    // registered under the same id (nothing enforces uniqueness), and
-    // conflating them would silently diverge from standalone execution.
-    // Pointer-equal hypotheses (the catalog's Arc-shared sets) still
-    // collapse into one column.
-    let hyp_ptr = |h: &dyn HypothesisFn| h as *const dyn HypothesisFn as *const u8;
-    let mut union_hyps: Vec<&dyn HypothesisFn> = Vec::new();
-    let mut hyp_col_of: HashMap<*const u8, usize> = HashMap::new();
-    for req in reqs {
-        for hyp in &req.hypotheses {
-            hyp_col_of.entry(hyp_ptr(*hyp)).or_insert_with(|| {
-                union_hyps.push(*hyp);
-                union_hyps.len() - 1
-            });
-        }
-    }
-
-    // Unique unit selections (one column demux each, with the identity
-    // check precomputed) and shared slots.
-    struct Selection {
-        units: Vec<usize>,
-        demux: ColumnDemux,
-        identity: bool,
-    }
-    let mut selections: Vec<Selection> = Vec::new();
-    let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut slots: Vec<SharedSlot> = Vec::new();
-    let mut slot_of: HashMap<SlotKey, usize> = HashMap::new();
-    // How many unconverged slots still consume each union hypothesis
-    // column; columns with no consumers are not evaluated.
-    let mut hyp_consumers: Vec<usize> = vec![0; union_hyps.len()];
-
-    // Whether a measure supports merged states, memoized per
-    // `(measure id, n_units, n_hyps)` — the exact probe inputs, since the
-    // trait lets the answer depend on the shape — so repeated probes never
-    // allocate a throwaway merged state (e.g. logreg weight matrices).
-    let mut supports_merged: HashMap<(String, usize, usize), bool> = HashMap::new();
-    let mut members: Vec<MemberRun> = Vec::with_capacity(reqs.len());
-    for req in reqs {
-        let mut entries = Vec::new();
-        for group in &req.groups {
-            let sel = match sel_of.get(&group.units) {
-                Some(&sel) => sel,
-                None => {
-                    let demux = ColumnDemux::new(&union_units, &group.units)?;
-                    selections.push(Selection {
-                        units: group.units.clone(),
-                        identity: demux.is_identity(union_units.len()),
-                        demux,
-                    });
-                    sel_of.insert(group.units.clone(), selections.len() - 1);
-                    selections.len() - 1
-                }
-            };
-            for measure in &req.measures {
-                let eps = epsilon_for(*measure, config);
-                let probe_key = (
-                    measure.id().to_string(),
-                    group.units.len(),
-                    req.hypotheses.len(),
-                );
-                let mut merged_ref: Option<MemberSlots> = None;
-                if supports_merged.get(&probe_key).copied() != Some(false) {
-                    let hyps: Vec<usize> = req
-                        .hypotheses
-                        .iter()
-                        .map(|h| hyp_col_of[&hyp_ptr(*h)])
-                        .collect();
-                    let key = SlotKey::Merged(group.units.clone(), measure.id().to_string(), hyps);
-                    if let Some(&idx) = slot_of.get(&key) {
-                        merged_ref = Some(MemberSlots::Merged(idx));
-                    } else if let Some(state) =
-                        measure.new_merged_state(group.units.len(), req.hypotheses.len())
-                    {
-                        supports_merged.insert(probe_key, true);
-                        let SlotKey::Merged(_, _, ref hyps) = key else {
-                            unreachable!("key built as Merged above")
-                        };
-                        let hyps = hyps.clone();
-                        for &c in &hyps {
-                            hyp_consumers[c] += 1;
-                        }
-                        slots.push(SharedSlot {
-                            sel,
-                            eps,
-                            measure_id: measure.id().to_string(),
-                            model_id: req.model_id.clone(),
-                            group_id: group.id.clone(),
-                            state: SlotState::Merged {
-                                state,
-                                results: vec![None; req.hypotheses.len()],
-                                last_errs: vec![f32::INFINITY; req.hypotheses.len()],
-                                hyps,
-                                done: false,
-                            },
-                        });
-                        slot_of.insert(key, slots.len() - 1);
-                        merged_ref = Some(MemberSlots::Merged(slots.len() - 1));
-                    } else {
-                        supports_merged.insert(probe_key, false);
-                    }
-                }
-                let slots_ref = match merged_ref {
-                    Some(slots_ref) => slots_ref,
-                    None => {
-                        let pair_slots: Vec<usize> = req
-                            .hypotheses
-                            .iter()
-                            .map(|hyp| {
-                                let col = hyp_col_of[&hyp_ptr(*hyp)];
-                                let key = SlotKey::PerHyp(
-                                    group.units.clone(),
-                                    measure.id().to_string(),
-                                    col,
-                                );
-                                *slot_of.entry(key).or_insert_with(|| {
-                                    hyp_consumers[col] += 1;
-                                    slots.push(SharedSlot {
-                                        sel,
-                                        eps,
-                                        measure_id: measure.id().to_string(),
-                                        model_id: req.model_id.clone(),
-                                        group_id: group.id.clone(),
-                                        state: SlotState::PerHyp {
-                                            state: Some(measure.new_state(group.units.len())),
-                                            hyp: col,
-                                            result: None,
-                                            last_err: f32::INFINITY,
-                                        },
-                                    });
-                                    slots.len() - 1
-                                })
-                            })
-                            .collect();
-                        MemberSlots::PerHyp(pair_slots)
-                    }
-                };
-                entries.push(MemberEntry {
-                    slots: slots_ref,
-                    group_id: group.id.clone(),
-                });
-            }
-        }
-        members.push(MemberRun {
-            entries,
-            live: false,
-            profile: Profile::default(),
-        });
-    }
-    let member_live = |member: &MemberRun, slots: &[SharedSlot]| {
-        member.entries.iter().any(|e| match &e.slots {
-            MemberSlots::PerHyp(v) => v.iter().any(|&s| !slots[s].converged()),
-            MemberSlots::Merged(s) => !slots[*s].converged(),
-        })
-    };
-    for member in members.iter_mut() {
-        member.live = member_live(member, &slots);
-    }
-
-    // The shared streaming pass: one block of the union stream at a time,
-    // until every member's pairs converged or the records run out.
-    let mut pass = Profile::default();
-    let nb = config.block_records;
-    let mut block_start = 0usize;
-    let mut interrupted: Option<CompletionStatus> = None;
-    while block_start < records.len() {
-        let live_at_start: Vec<bool> = members.iter().map(|m| m.live).collect();
-        if !live_at_start.iter().any(|&l| l) {
-            break; // §5.2.3: stop reading the moment everything converged.
-        }
-        // Budget poll, amortized to one check per block: an unlimited run
-        // never reaches here with a budget, and an interrupted run exits
-        // through exactly the early-stop path below — write-back commits
-        // the streamed prefix as watermark-extending partial columns and
-        // the frames carry the current estimates.
-        if let Some(b) = budget {
-            if let Some(status) = b.check(pass.records_read, pass.blocks_processed) {
-                interrupted = Some(status);
-                break;
-            }
-        }
-        let block_end = (block_start + nb).min(records.len());
-        let block = &records[block_start..block_end];
-        pass.records_read += block.len();
-        pass.blocks_processed += 1;
-        for (member, &live) in members.iter_mut().zip(&live_at_start) {
-            if live {
-                member.profile.records_read += block.len();
-                member.profile.blocks_processed += 1;
-            }
-        }
-
-        // Source the union unit behaviors once — scanned from the store
-        // and/or extracted live — then demux the unit selections still
-        // backing an unconverged slot. A selection that covers the whole
-        // union in order (the common single-query, one-group case)
-        // borrows the union matrix instead of copying it.
-        let t0 = Instant::now();
-        let block_positions = &order[block_start..block_end];
-        let union_behaviors = match &mut store_pass {
-            Some(pass) => pass.fetch_block(
-                extractor,
-                block,
-                block_positions,
-                &union_units,
-                config.device,
-                ns,
-                nd,
-            ),
-            None => extract_records(extractor, block, &union_units, config.device, ns),
-        };
-        let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; selections.len()];
-        for slot in &slots {
-            if !slot.converged()
-                && sel_behaviors[slot.sel].is_none()
-                && !selections[slot.sel].identity
-            {
-                sel_behaviors[slot.sel] = Some(selections[slot.sel].demux.apply(&union_behaviors));
-            }
-        }
-        let d0 = t0.elapsed();
-
-        // Evaluate the union hypothesis columns that still have consumers.
-        let t1 = Instant::now();
-        let mut hyp_cols: Vec<Option<Vec<f32>>> = vec![None; union_hyps.len()];
-        for (c, hyp) in union_hyps.iter().enumerate() {
-            if hyp_consumers[c] > 0 {
-                hyp_cols[c] = Some(hypothesis_column(
-                    *hyp,
-                    block,
-                    ns,
-                    &dataset.id,
-                    config.cache.as_ref(),
-                )?);
-            }
-        }
-        let d1 = t1.elapsed();
-
-        // Advance every live slot exactly once, no matter how many
-        // members reference it.
-        let t2 = Instant::now();
-        for slot in slots.iter_mut() {
-            match &mut slot.state {
-                SlotState::PerHyp {
-                    state: maybe_state,
-                    hyp,
-                    result,
-                    last_err,
-                } => {
-                    if let Some(state) = maybe_state {
-                        // `None` means the identity selection: use the
-                        // union matrix directly.
-                        let behaviors =
-                            sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
-                        let col = hyp_cols[*hyp].as_ref().expect("consumed column");
-                        let err = state.process_block(behaviors, col);
-                        *last_err = err;
-                        if err <= slot.eps {
-                            *result = Some((state.unit_scores(), state.group_score()));
-                            *maybe_state = None; // converged: stop feeding
-                            hyp_consumers[*hyp] -= 1;
-                        }
-                    }
-                }
-                SlotState::Merged {
-                    state,
-                    hyps,
-                    done,
-                    results,
-                    last_errs,
-                } => {
-                    if *done {
-                        continue;
-                    }
-                    let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
-                    let mut hyps_matrix = Matrix::zeros(behaviors.rows(), hyps.len());
-                    for (h, &c) in hyps.iter().enumerate() {
-                        let col = hyp_cols[c].as_ref().expect("consumed column");
-                        for (r, &v) in col.iter().enumerate() {
-                            hyps_matrix.set(r, h, v);
-                        }
-                    }
-                    let errs = state.process_block(behaviors, &hyps_matrix);
-                    last_errs.copy_from_slice(&errs);
-                    if errs.iter().all(|&e| e <= slot.eps) {
-                        *done = true;
-                        for (h, r) in results.iter_mut().enumerate() {
-                            *r = Some((state.unit_scores(h), state.group_score(h)));
-                        }
-                        for &c in hyps.iter() {
-                            hyp_consumers[c] -= 1;
-                        }
-                    }
-                }
-            }
-        }
-        let d2 = t2.elapsed();
-
-        pass.unit_extraction += d0;
-        pass.hypothesis_extraction += d1;
-        pass.inspection += d2;
-        for (member, &live) in members.iter_mut().zip(&live_at_start) {
-            if live {
-                member.profile.unit_extraction += d0;
-                member.profile.hypothesis_extraction += d1;
-                member.profile.inspection += d2;
-            }
-        }
-        for member in members.iter_mut() {
-            if member.live {
-                member.live = member_live(member, &slots);
-                if !member.live {
-                    // The member's pairs all converged this block: its
-                    // total stops accruing here, so the per-query profile
-                    // stays consistent with its phase timings even while
-                    // the shared pass keeps streaming for other members.
-                    member.profile.total = t_start.elapsed();
-                }
-            }
-        }
-        block_start = block_end;
-    }
-
-    // Persist the captured columns — complete after a fully streamed
-    // pass, watermark-extending partials after an early stop or a budget
-    // interruption (the two are indistinguishable here by design: a
-    // deadline-interrupted pass resumes at its watermark like any other
-    // early-stopped one) — and detach the pass's store accounting.
-    let store_stats = match &mut store_pass {
-        Some(pass) => {
-            pass.flush_writeback(nd, ns);
-            std::mem::take(&mut pass.stats)
-        }
-        None => StoreStats::default(),
-    };
-
-    // How the pass ended: the interruption status (if any) plus every
-    // pair whose convergence error was still above its epsilon — also
-    // populated for a naturally exhausted stream, where the scores are
-    // the full-data scores but the epsilon target was never met.
-    let mut pending: Vec<PendingPair> = Vec::new();
-    for slot in &slots {
-        let mut push_pending = |hyp_col: usize, error: f32| {
-            pending.push(PendingPair {
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure_id.clone(),
-                hyp_id: union_hyps[hyp_col].id().to_string(),
-                error,
-                epsilon: slot.eps,
-            });
-        };
-        match &slot.state {
-            SlotState::PerHyp {
-                state: Some(_),
-                hyp,
-                last_err,
-                ..
-            } => push_pending(*hyp, *last_err),
-            SlotState::Merged {
-                done: false,
-                hyps,
-                last_errs,
-                ..
-            } => {
-                for (h, &c) in hyps.iter().enumerate() {
-                    if last_errs[h] > slot.eps {
-                        push_pending(c, last_errs[h]);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let completion = Completion {
-        status: interrupted.unwrap_or(CompletionStatus::Converged),
-        rows_read: pass.records_read,
-        pending,
-    };
-
-    // Emit every unique pair once into the merged frame (converged pairs
-    // use their recorded finals, the rest their current estimates) and
-    // remember each pair's row span for the per-member demux.
-    let mut merged = ResultFrame::default();
-    let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        let units = &selections[slot.sel].units;
-        let mut slot_spans = Vec::new();
-        let mut emit = |hyp_id: &str, result: (Vec<f32>, f32), merged: &mut ResultFrame| {
-            let start = merged.rows.len();
-            debug_assert_eq!(result.0.len(), units.len());
-            for (&unit, &score) in units.iter().zip(result.0.iter()) {
-                merged.rows.push(ScoreRow {
-                    model_id: slot.model_id.clone(),
-                    group_id: slot.group_id.clone(),
-                    measure_id: slot.measure_id.clone(),
-                    hyp_id: hyp_id.to_string(),
-                    unit,
-                    unit_score: score,
-                    group_score: result.1,
-                });
-            }
-            slot_spans.push((start, units.len()));
-        };
-        match &slot.state {
-            SlotState::PerHyp {
-                state, hyp, result, ..
-            } => {
-                let result = result.clone().unwrap_or_else(|| {
-                    let state = state.as_ref().expect("unconverged pair keeps its state");
-                    (state.unit_scores(), state.group_score())
-                });
-                emit(union_hyps[*hyp].id(), result, &mut merged);
-            }
-            SlotState::Merged {
-                state,
-                hyps,
-                results,
-                ..
-            } => {
-                for (h, &c) in hyps.iter().enumerate() {
-                    let result = results[h]
-                        .clone()
-                        .unwrap_or_else(|| (state.unit_scores(h), state.group_score(h)));
-                    emit(union_hyps[c].id(), result, &mut merged);
-                }
-            }
-        }
-        spans.push(slot_spans);
-    }
-
-    // Demux the merged frame into per-member frames, in each member's
-    // canonical (group, measure, hypothesis) order.
-    let total = t_start.elapsed();
-    pass.total = total;
-    let mut results = Vec::with_capacity(members.len());
-    for (member, req) in members.iter_mut().zip(reqs) {
-        let mut member_spans: Vec<RowSpan> = Vec::new();
-        for entry in &member.entries {
-            let claim = |slot_idx: usize, span_idx: usize, member_spans: &mut Vec<RowSpan>| {
-                let (start, len) = spans[slot_idx][span_idx];
-                member_spans.push(RowSpan {
-                    start,
-                    len,
-                    model_id: req.model_id.clone(),
-                    group_id: entry.group_id.clone(),
-                });
-            };
-            match &entry.slots {
-                MemberSlots::PerHyp(pair_slots) => {
-                    for &s in pair_slots {
-                        claim(s, 0, &mut member_spans);
-                    }
-                }
-                MemberSlots::Merged(s) => {
-                    for h in 0..spans[*s].len() {
-                        claim(*s, h, &mut member_spans);
-                    }
-                }
-            }
-        }
-        if member.live {
-            // Never converged: this member consumed the whole pass.
-            member.profile.total = total;
-        }
-        // A sole member whose spans tile the merged frame in order (no
-        // dedup-induced repeats) would demux into an exact copy; move the
-        // frame instead of cloning every row — this is the standalone
-        // `inspect` hot path. Id overrides are no-ops for a sole member
-        // (every slot's canonical ids came from it).
-        let sole_member_tiles = reqs.len() == 1 && {
-            let mut cursor = 0usize;
-            member_spans.iter().all(|s| {
-                let aligned = s.start == cursor;
-                cursor += s.len;
-                aligned
-            }) && cursor == merged.len()
-        };
-        let frame = if sole_member_tiles {
-            std::mem::take(&mut merged)
-        } else {
-            merged.demux(&member_spans)
-        };
-        results.push((frame, member.profile.clone()));
-    }
-    Ok(SharedOutcome {
-        results,
-        merged,
-        pass,
-        extraction_passes: 1,
-        store: store_stats,
-        completion,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Segmented execution
-// ---------------------------------------------------------------------
-
-/// Shuffle seed for one dataset segment. Segment 0 keeps the configured
-/// seed unchanged (a one-segment dataset shuffles exactly like the
-/// unsegmented pass); later segments derive theirs by hashing
-/// `(seed, segment index)` so per-segment streams decorrelate while
-/// staying deterministic across devices and processes.
-pub(crate) fn segment_seed(seed: u64, segment: usize) -> u64 {
-    if segment == 0 {
-        return seed;
-    }
-    let mut h = deepbase_store::FpHasher::new();
-    h.write_str("segment-seed")
-        .write_u64(seed)
-        .write_u64(segment as u64);
-    h.finish()
-}
-
-/// Everything one segment stream produces: the per-slot measure states
-/// over that segment's records, profile/store accounting, and how the
-/// stream ended.
-struct SegOutput {
-    states: Vec<Box<dyn MeasureState>>,
-    profile: Profile,
-    stats: StoreStats,
-    interrupted: Option<CompletionStatus>,
-}
-
-/// One serialized merged measure state, identified by its slot triple —
-/// the durable fold point a materialized view stores and an incremental
-/// refresh revives.
-pub(crate) struct ViewStateCapture {
-    pub group_id: String,
-    pub measure_id: String,
-    pub hyp_id: String,
-    pub bytes: Vec<u8>,
-}
-
-/// View-specific options for the segmented pass.
-#[derive(Default)]
-pub(crate) struct SegmentedRunOpts<'a> {
-    /// Stream only segments `skip_segments..`; the revived `base_states`
-    /// stand in for the skipped prefix. `0` streams everything.
-    pub skip_segments: usize,
-    /// Serialized merged states covering segments `0..skip_segments`,
-    /// matched to slots by `(group, measure, hypothesis)` triple.
-    pub base_states: Option<&'a [ViewStateCapture]>,
-    /// Serialize the final merged states into the returned capture list
-    /// (the view-build half of the fold-point contract).
-    pub capture_states: bool,
-}
-
-/// The segmented streaming pass: one shuffled stream **per segment**
-/// (seeded via [`segment_seed`]), measure states computed per segment and
-/// merged in canonical segment-index order, store columns scanned per
-/// `(model fp, segment fp, unit)`. On `Device::Parallel` the segments fan
-/// across the runtime pool (intra-segment extraction then runs
-/// single-core — extraction output is device-independent, so results stay
-/// bit-identical to `Device::SingleCore`).
-///
-/// Differences from the unsegmented pass, by design:
-/// - **No early stopping.** Every block of every segment is processed, so
-///   the merged scores and the extractor call counts are independent of
-///   device and segment schedule; ε only classifies pairs as pending.
-/// - **Budget row/block caps apply per segment** (each segment stream
-///   checks its own local counts), which keeps cap semantics identical
-///   whether segments run sequentially or fanned out. The wall-clock
-///   deadline and cancellation stay global. An interrupted segment stops
-///   streaming; the others still run, and the first (lowest-index)
-///   interruption is reported as the pass's completion status.
-/// - **Per-hypothesis states only.** Merged composite states (logreg's
-///   model merging) never arise here: measures without
-///   [`Measure::supports_segment_merge`] are rejected up front with the
-///   typed error the planner also raises at bind time.
-fn inspect_segmented(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    seg_sources: Option<&[Option<StoreSource>]>,
-    budget: Option<&ArmedBudget>,
-) -> Result<SharedOutcome, DniError> {
-    inspect_segmented_with(
-        reqs,
-        config,
-        seg_sources,
-        budget,
-        &SegmentedRunOpts::default(),
-    )
-    .map(|(outcome, _)| outcome)
-}
-
-/// [`inspect_segmented`] with view hooks: an optional skipped prefix
-/// revived from serialized base states, and optional capture of the
-/// final merged states. Because the per-segment streams are seeded by
-/// true segment index and never early-stop, `stored(0..k) ⊕ fresh(k..n)`
-/// reproduces the cold fold `fresh(0..n)` bit-exactly — the refresh ≡
-/// cold invariant materialized views rely on. Callable on one-segment
-/// datasets too (view builds always come through here so their states
-/// are full-pass deterministic).
-pub(crate) fn inspect_segmented_with(
-    reqs: &[InspectionRequest<'_>],
-    config: &InspectionConfig,
-    seg_sources: Option<&[Option<StoreSource>]>,
-    budget: Option<&ArmedBudget>,
-    opts: &SegmentedRunOpts<'_>,
-) -> Result<(SharedOutcome, Option<Vec<ViewStateCapture>>), DniError> {
-    validate_config(config)?;
-    if reqs.is_empty() {
-        return Ok((SharedOutcome::default(), None));
-    }
-    for req in reqs {
-        validate_request(req)?;
-    }
-    let t_start = Instant::now();
-    let extractor = reqs[0].extractor;
-    let dataset = reqs[0].dataset;
-    let ns = dataset.ns;
-    let segments = dataset.segments();
+    let full_pass = segments.len() > 1 || needs_fold_point;
     if opts.skip_segments > 0
         && (opts.base_states.is_none() || opts.skip_segments >= segments.len())
     {
         return Err(DniError::BadConfig(format!(
-            "cannot skip {} of {} segments{}",
+            "cannot skip {} of {} segments (needs base states and a segment left to stream)",
             opts.skip_segments,
             segments.len(),
-            if opts.base_states.is_none() {
-                " without base states"
-            } else {
-                ""
-            }
         )));
     }
-
-    // Up-front typed guard: never a silently wrong cross-segment score.
-    for req in reqs {
-        for measure in &req.measures {
-            if !measure.supports_segment_merge() {
-                return Err(DniError::Query(format!(
-                    "measure {} cannot run on segmented datasets",
-                    measure.id()
-                )));
-            }
-        }
-    }
-    if let Some(sources) = seg_sources {
-        if sources.len() != segments.len() {
-            return Err(DniError::BadConfig(format!(
-                "{} store sources for {} segments",
-                sources.len(),
-                segments.len()
+    if full_pass {
+        // Up-front typed guard: never a silently wrong cross-segment score.
+        let all_measures = reqs.iter().flat_map(|r| r.measures.iter());
+        if let Some(measure) = all_measures
+            .into_iter()
+            .find(|m| !m.supports_segment_merge())
+        {
+            return Err(DniError::Query(format!(
+                "measure {} cannot run on segmented datasets",
+                measure.id()
             )));
         }
     }
 
-    // Union units, union hypotheses (by function identity), unit
-    // selections and deduplicated per-pair slots — the same sharing
-    // structure as the unsegmented pass, minus merged composites.
-    let mut union_units: Vec<usize> = reqs
-        .iter()
-        .flat_map(|r| r.groups.iter().flat_map(|g| g.units.iter().copied()))
-        .collect();
-    union_units.sort_unstable();
-    union_units.dedup();
-
-    let hyp_ptr = |h: &dyn HypothesisFn| h as *const dyn HypothesisFn as *const u8;
-    let mut union_hyps: Vec<&dyn HypothesisFn> = Vec::new();
-    let mut hyp_col_of: HashMap<*const u8, usize> = HashMap::new();
-    for req in reqs {
-        for hyp in &req.hypotheses {
-            hyp_col_of.entry(hyp_ptr(*hyp)).or_insert_with(|| {
-                union_hyps.push(*hyp);
-                union_hyps.len() - 1
-            });
-        }
-    }
-
-    struct Selection {
-        units: Vec<usize>,
-        demux: ColumnDemux,
-        identity: bool,
-    }
-    /// One deduplicated (unit selection, measure, hypothesis) pair; fresh
-    /// states are minted from `measure` per segment and merged afterward.
-    struct SegSlot<'m> {
-        sel: usize,
-        eps: f32,
-        measure: &'m dyn Measure,
-        model_id: String,
-        group_id: String,
-        hyp: usize,
-    }
-    let mut selections: Vec<Selection> = Vec::new();
-    let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
-    let mut slots: Vec<SegSlot<'_>> = Vec::new();
-    let mut slot_of: HashMap<(Vec<usize>, String, usize), usize> = HashMap::new();
-    let mut members: Vec<Vec<MemberEntry>> = Vec::with_capacity(reqs.len());
-    for req in reqs {
-        let mut entries = Vec::new();
-        for group in &req.groups {
-            let sel = match sel_of.get(&group.units) {
-                Some(&sel) => sel,
-                None => {
-                    let demux = ColumnDemux::new(&union_units, &group.units)?;
-                    selections.push(Selection {
-                        units: group.units.clone(),
-                        identity: demux.is_identity(union_units.len()),
-                        demux,
-                    });
-                    sel_of.insert(group.units.clone(), selections.len() - 1);
-                    selections.len() - 1
-                }
-            };
-            for measure in &req.measures {
-                let eps = epsilon_for(*measure, config);
-                let pair_slots: Vec<usize> = req
-                    .hypotheses
-                    .iter()
-                    .map(|hyp| {
-                        let col = hyp_col_of[&hyp_ptr(*hyp)];
-                        let key = (group.units.clone(), measure.id().to_string(), col);
-                        *slot_of.entry(key).or_insert_with(|| {
-                            slots.push(SegSlot {
-                                sel,
-                                eps,
-                                measure: *measure,
-                                model_id: req.model_id.clone(),
-                                group_id: group.id.clone(),
-                                hyp: col,
-                            });
-                            slots.len() - 1
-                        })
-                    })
-                    .collect();
-                entries.push(MemberEntry {
-                    slots: MemberSlots::PerHyp(pair_slots),
-                    group_id: group.id.clone(),
-                });
-            }
-        }
-        members.push(entries);
-    }
-
-    // Intra-segment work always runs single-core: on the parallel device
-    // the *segments* are the fan-out grain (nesting pool scopes would
-    // deadlock-prone the fixed pool), and extraction output is
-    // device-independent, so this changes schedule, never results.
-    let run_segment = |seg: &crate::model::SegmentInfo| -> Result<SegOutput, DniError> {
-        let order = shuffled_indices(seg.len, segment_seed(config.seed, seg.index));
-        let records: Vec<&Record> = order
-            .iter()
-            .map(|&i| &dataset.records[seg.start + i])
-            .collect();
-        let mut store_pass = seg_sources
-            .and_then(|s| s[seg.index].as_ref())
-            .map(|src| StorePass::new(src, &union_units, seg.len, ns));
-        let mut states: Vec<Box<dyn MeasureState>> = slots
-            .iter()
-            .map(|slot| slot.measure.new_state(selections[slot.sel].units.len()))
-            .collect();
-
-        let mut profile = Profile::default();
-        let mut interrupted = None;
-        let nb = config.block_records;
-        let mut block_start = 0usize;
-        while block_start < records.len() {
-            // Row/block caps are checked against this segment's local
-            // counts (see the function docs); deadline/cancel are global.
-            if let Some(b) = budget {
-                if let Some(status) = b.check(profile.records_read, profile.blocks_processed) {
-                    interrupted = Some(status);
-                    break;
-                }
-            }
-            let block_end = (block_start + nb).min(records.len());
-            let block = &records[block_start..block_end];
-            profile.records_read += block.len();
-            profile.blocks_processed += 1;
-
-            let t0 = Instant::now();
-            let block_positions = &order[block_start..block_end];
-            let union_behaviors = match &mut store_pass {
-                Some(pass) => pass.fetch_block(
-                    extractor,
-                    block,
-                    block_positions,
-                    &union_units,
-                    Device::SingleCore,
-                    ns,
-                    seg.len,
-                ),
-                None => extract_records(extractor, block, &union_units, Device::SingleCore, ns),
-            };
-            let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; selections.len()];
-            for slot in &slots {
-                if sel_behaviors[slot.sel].is_none() && !selections[slot.sel].identity {
-                    sel_behaviors[slot.sel] =
-                        Some(selections[slot.sel].demux.apply(&union_behaviors));
-                }
-            }
-            let d0 = t0.elapsed();
-
-            let t1 = Instant::now();
-            let mut hyp_cols: Vec<Option<Vec<f32>>> = vec![None; union_hyps.len()];
-            for (c, hyp) in union_hyps.iter().enumerate() {
-                hyp_cols[c] = Some(hypothesis_column(
-                    *hyp,
-                    block,
-                    ns,
-                    &dataset.id,
-                    config.cache.as_ref(),
-                )?);
-            }
-            let d1 = t1.elapsed();
-
-            let t2 = Instant::now();
-            for (slot, state) in slots.iter().zip(states.iter_mut()) {
-                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
-                let col = hyp_cols[slot.hyp].as_ref().expect("evaluated column");
-                // No early stopping on segment streams: the returned
-                // error only matters merged, via `convergence_error`.
-                let _ = state.process_block(behaviors, col);
-            }
-            let d2 = t2.elapsed();
-
-            profile.unit_extraction += d0;
-            profile.hypothesis_extraction += d1;
-            profile.inspection += d2;
-            block_start = block_end;
-        }
-
-        let mut stats = match &mut store_pass {
-            Some(pass) => {
-                // A fully streamed segment commits complete columns; an
-                // interrupted one commits its prefix as partials.
-                pass.flush_writeback(seg.len, ns);
-                std::mem::take(&mut pass.stats)
-            }
-            None => StoreStats::default(),
-        };
-        if profile.blocks_processed > 0 {
-            stats.segment_passes = 1;
-        }
-        Ok(SegOutput {
-            states,
-            profile,
-            stats,
-            interrupted,
-        })
+    let t_start = Instant::now();
+    let layout = PassLayout::build(reqs, config, !full_pass)?;
+    let base = match opts.base_states.filter(|_| opts.skip_segments > 0) {
+        Some(base) => layout.revive(base)?,
+        None => Vec::new(),
     };
 
-    // Stream every non-skipped segment: sequentially on the single-core
-    // device, fanned across the runtime pool on the parallel device.
-    // Either way the outputs land in segment-index order.
+    // Stream every non-skipped segment: in order on the calling thread,
+    // or — full-pass streams on the parallel device — fanned across the
+    // runtime pool. Either way the outputs land in segment-index order.
+    let run_stream = |seg: &crate::model::SegmentInfo| {
+        let source = sources.and_then(|s| s[seg.index].as_ref());
+        layout.stream(seg, source, config, budget, full_pass, t_start)
+    };
     let streamed = &segments[opts.skip_segments..];
-    let mut outputs: Vec<Option<Result<SegOutput, DniError>>> =
+    let mut outputs: Vec<Option<Result<StreamOutput, DniError>>> =
         (0..streamed.len()).map(|_| None).collect();
     if config.device.threads() <= 1 || streamed.len() < 2 {
         for (seg, out) in streamed.iter().zip(outputs.iter_mut()) {
-            *out = Some(run_segment(seg));
+            *out = Some(run_stream(seg));
         }
     } else {
-        let run_segment = &run_segment;
+        let run_stream = &run_stream;
         deepbase_runtime::global().scope(|scope| {
             for (seg, out) in streamed.iter().zip(outputs.iter_mut()) {
                 scope.spawn(move || {
-                    *out = Some(run_segment(seg));
+                    *out = Some(run_stream(seg));
                 });
             }
         });
     }
+    let (folded, extraction_passes) = fold_streams(outputs, base, full_pass)?;
+    layout.finish(
+        reqs,
+        folded,
+        extraction_passes,
+        opts.capture_states,
+        t_start,
+    )
+}
 
-    // Fold the per-segment outputs in canonical segment-index order:
-    // first error wins, states merge pairwise, accounting accumulates.
-    // With a skipped prefix the fold starts from the revived base states
-    // — exactly the state the cold fold had after the prefix.
-    let mut pass = Profile::default();
-    let mut store_stats = StoreStats::default();
-    let mut interrupted: Option<CompletionStatus> = None;
-    let mut extraction_passes = 0usize;
-    let mut merged_states: Vec<Option<Box<dyn MeasureState>>> = Vec::new();
-    if let Some(base) = opts.base_states.filter(|_| opts.skip_segments > 0) {
-        merged_states = slots
-            .iter()
-            .map(|slot| {
-                let hyp_id = union_hyps[slot.hyp].id();
-                let stored = base
-                    .iter()
-                    .find(|s| {
-                        s.group_id == slot.group_id
-                            && s.measure_id == slot.measure.id()
-                            && s.hyp_id == hyp_id
-                    })
-                    .ok_or_else(|| {
-                        DniError::BadConfig(format!(
-                            "stored view state missing slot ({}, {}, {hyp_id})",
-                            slot.group_id,
-                            slot.measure.id(),
-                        ))
-                    })?;
-                let state = slot
-                    .measure
-                    .deserialize_state(selections[slot.sel].units.len(), &stored.bytes)
-                    .ok_or_else(|| {
-                        DniError::BadConfig(format!(
-                            "stored view state for ({}, {}, {hyp_id}) does not revive",
-                            slot.group_id,
-                            slot.measure.id(),
-                        ))
-                    })?;
-                Ok(Some(state))
-            })
-            .collect::<Result<_, DniError>>()?;
-    }
-    for output in outputs {
-        let output = output.expect("every segment slot filled")?;
-        pass.records_read += output.profile.records_read;
-        pass.blocks_processed += output.profile.blocks_processed;
-        pass.unit_extraction += output.profile.unit_extraction;
-        pass.hypothesis_extraction += output.profile.hypothesis_extraction;
-        pass.inspection += output.profile.inspection;
-        store_stats.accumulate(&output.stats);
-        if output.stats.segment_passes > 0 {
-            extraction_passes += 1;
-        }
-        if interrupted.is_none() {
-            interrupted = output.interrupted;
-        }
-        if merged_states.is_empty() {
-            merged_states = output.states.into_iter().map(Some).collect();
-        } else {
-            for (base, seg_state) in merged_states.iter_mut().zip(output.states.iter()) {
-                let base = base.as_mut().expect("merged state present");
-                if !base.merge_from(seg_state.as_ref()) {
-                    return Err(DniError::Internal(
-                        "measure state refused a cross-segment merge it advertised".into(),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Pending pairs come from the *merged* states' convergence errors —
-    // the estimate one pass over all the data would have reported last.
-    let mut pending: Vec<PendingPair> = Vec::new();
-    for (slot, state) in slots.iter().zip(merged_states.iter()) {
-        let err = state
-            .as_ref()
-            .expect("merged state present")
-            .convergence_error();
-        if err > slot.eps {
-            pending.push(PendingPair {
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure.id().to_string(),
-                hyp_id: union_hyps[slot.hyp].id().to_string(),
-                error: err,
-                epsilon: slot.eps,
-            });
-        }
-    }
-    let completion = Completion {
-        status: interrupted.unwrap_or(CompletionStatus::Converged),
-        rows_read: pass.records_read,
-        pending,
-    };
-
-    // Emit each unique pair once, then demux per member — the same span
-    // machinery as the unsegmented pass, with exactly one span per slot.
-    let mut merged = ResultFrame::default();
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(slots.len());
-    for (slot, state) in slots.iter().zip(merged_states.iter()) {
-        let state = state.as_ref().expect("merged state present");
-        let units = &selections[slot.sel].units;
-        let start = merged.rows.len();
-        let unit_scores = state.unit_scores();
-        let group_score = state.group_score();
-        debug_assert_eq!(unit_scores.len(), units.len());
-        for (&unit, &score) in units.iter().zip(unit_scores.iter()) {
-            merged.rows.push(ScoreRow {
-                model_id: slot.model_id.clone(),
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure.id().to_string(),
-                hyp_id: union_hyps[slot.hyp].id().to_string(),
-                unit,
-                unit_score: score,
-                group_score,
-            });
-        }
-        spans.push((start, units.len()));
-    }
-
-    let total = t_start.elapsed();
-    pass.total = total;
-    let mut results = Vec::with_capacity(members.len());
-    for (entries, req) in members.iter().zip(reqs) {
-        let mut member_spans: Vec<RowSpan> = Vec::new();
-        for entry in entries {
-            let MemberSlots::PerHyp(pair_slots) = &entry.slots else {
-                unreachable!("segmented slots are always per-hypothesis");
-            };
-            for &s in pair_slots {
-                let (start, len) = spans[s];
-                member_spans.push(RowSpan {
-                    start,
-                    len,
-                    model_id: req.model_id.clone(),
-                    group_id: entry.group_id.clone(),
-                });
-            }
-        }
-        // Without early stopping every member consumes the full pass, so
-        // the pass profile *is* each member's profile.
-        let sole_member_tiles = reqs.len() == 1 && {
-            let mut cursor = 0usize;
-            member_spans.iter().all(|s| {
-                let aligned = s.start == cursor;
-                cursor += s.len;
-                aligned
-            }) && cursor == merged.len()
-        };
-        let frame = if sole_member_tiles {
-            std::mem::take(&mut merged)
-        } else {
-            merged.demux(&member_spans)
-        };
-        results.push((frame, pass.clone()));
-    }
-    // Serialize the fold point for view storage. An interrupted pass has
-    // partial states that would poison every later refresh, so capture
-    // refuses it with a typed error instead of persisting it.
-    let captures = if opts.capture_states {
-        if completion.status != CompletionStatus::Converged {
+impl PassLayout<'_> {
+    /// The tail of a pass: list pending pairs, emit every unique pair once
+    /// into the merged frame, serialize the fold point (view passes), and
+    /// demux the merged frame into per-member frames.
+    fn finish(
+        &self,
+        reqs: &[InspectionRequest<'_>],
+        mut folded: StreamOutput,
+        extraction_passes: usize,
+        capture_states: bool,
+        t_start: Instant,
+    ) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
+        // A fold point is only worth storing complete: an interrupted pass
+        // has partial states that would poison every later refresh, so
+        // capture refuses it with a typed error instead of persisting it.
+        if capture_states && folded.interrupted.is_some() {
             return Err(DniError::DeadlineExceeded(
                 "view materialization needs a complete pass; the run budget interrupted it".into(),
             ));
         }
-        let mut captures = Vec::with_capacity(slots.len());
-        for (slot, state) in slots.iter().zip(merged_states.iter()) {
-            let state = state.as_ref().expect("merged state present");
-            let bytes = state.serialize_state().ok_or_else(|| {
-                DniError::Query(format!(
-                    "measure {} has no durable state; it cannot back a view",
-                    slot.measure.id()
-                ))
-            })?;
-            captures.push(ViewStateCapture {
-                group_id: slot.group_id.clone(),
-                measure_id: slot.measure.id().to_string(),
-                hyp_id: union_hyps[slot.hyp].id().to_string(),
-                bytes,
-            });
+        // One walk over the unique pairs. A pair whose convergence error
+        // never met its epsilon is listed as pending — also after a
+        // naturally exhausted stream, where the scores are the full-data
+        // scores but the epsilon target was missed. Every pair is emitted
+        // once, its final scores taken from the folded state (which for a
+        // converged pair has not moved since the block it converged on),
+        // and its row span remembered for the per-member demux. Final
+        // scores can be the expensive part of a measure (a buffered state
+        // sorts its whole sample here), so the walk is charged to the
+        // inspection clock.
+        let t_emit = Instant::now();
+        let mut pending: Vec<PendingPair> = Vec::new();
+        let mut captures: Vec<ViewSlotState> = Vec::new();
+        let mut merged = ResultFrame::default();
+        let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(self.slots.len());
+        for (slot, run) in self.slots.iter().zip(&folded.runs) {
+            let units = &self.selections[slot.sel].units;
+            let measure_id = slot.measure.id();
+            let mut slot_spans = Vec::with_capacity(slot.hyps.len());
+            for (h, (&c, &error)) in slot.hyps.iter().zip(&run.errs).enumerate() {
+                let hyp_id = self.union_hyps[c].id();
+                if !slot.met(error) {
+                    pending.push(PendingPair {
+                        group_id: slot.group_id.clone(),
+                        measure_id: measure_id.to_string(),
+                        hyp_id: hyp_id.to_string(),
+                        error,
+                        epsilon: slot.eps,
+                    });
+                }
+                let (unit_scores, group_score) = match &run.state {
+                    SlotState::PerHyp(state) => state.final_scores(),
+                    SlotState::Merged(state) => (state.unit_scores(h), state.group_score(h)),
+                };
+                debug_assert_eq!(unit_scores.len(), units.len());
+                slot_spans.push((merged.rows.len(), units.len()));
+                for (&unit, &unit_score) in units.iter().zip(unit_scores.iter()) {
+                    merged.rows.push(ScoreRow {
+                        model_id: slot.model_id.clone(),
+                        group_id: slot.group_id.clone(),
+                        measure_id: measure_id.to_string(),
+                        hyp_id: hyp_id.to_string(),
+                        unit,
+                        unit_score,
+                        group_score,
+                    });
+                }
+                if capture_states {
+                    let bytes = match &run.state {
+                        SlotState::PerHyp(state) => state.serialize_state(),
+                        SlotState::Merged(_) => None,
+                    };
+                    captures.push(ViewSlotState {
+                        group_id: slot.group_id.clone(),
+                        measure_id: measure_id.to_string(),
+                        hyp_id: hyp_id.to_string(),
+                        state: bytes.ok_or_else(|| {
+                            DniError::Query(format!(
+                                "measure {measure_id} has no durable state; it cannot back a view"
+                            ))
+                        })?,
+                    });
+                }
+            }
+            spans.push(slot_spans);
         }
-        Some(captures)
-    } else {
-        None
-    };
+        let d_emit = t_emit.elapsed();
+        folded.profile.inspection += d_emit;
+        let completion = Completion {
+            status: folded.interrupted.unwrap_or(CompletionStatus::Converged),
+            rows_read: folded.profile.records_read,
+            pending,
+        };
 
-    Ok((
-        SharedOutcome {
-            results,
-            merged,
-            pass,
-            extraction_passes,
-            store: store_stats,
-            completion,
-        },
-        captures,
-    ))
+        // Demux the merged frame into per-member frames, in each member's
+        // canonical (group, measure, hypothesis) order.
+        let total = t_start.elapsed();
+        folded.profile.total = total;
+        let mut results = Vec::with_capacity(reqs.len());
+        for ((member, entries), req) in folded.members.iter_mut().zip(&self.members).zip(reqs) {
+            let mut member_spans: Vec<RowSpan> = Vec::new();
+            for entry in entries {
+                for &(start, len) in entry.slots.iter().flat_map(|&s| spans[s].iter()) {
+                    member_spans.push(RowSpan {
+                        start,
+                        len,
+                        model_id: req.model_id.clone(),
+                        group_id: entry.group_id.clone(),
+                    });
+                }
+            }
+            member.profile.inspection += d_emit;
+            if member.live {
+                // Never converged: this member consumed the whole pass.
+                member.profile.total = total;
+            } else {
+                member.profile.total += d_emit;
+            }
+            // A sole member whose spans tile the merged frame in order
+            // (no dedup-induced repeats) would demux into an exact copy;
+            // move the frame instead of cloning every row — this is the
+            // standalone `inspect` hot path. Id overrides are no-ops for a
+            // sole member (every slot's canonical ids came from it).
+            let sole_member_tiles = reqs.len() == 1 && {
+                let mut cursor = 0usize;
+                member_spans.iter().all(|s| {
+                    let aligned = s.start == cursor;
+                    cursor += s.len;
+                    aligned
+                }) && cursor == merged.len()
+            };
+            let frame = if sole_member_tiles {
+                std::mem::take(&mut merged)
+            } else {
+                merged.demux(&member_spans)
+            };
+            results.push((frame, member.profile.clone()));
+        }
+        Ok((
+            SharedOutcome {
+                results,
+                merged,
+                pass: folded.profile,
+                extraction_passes,
+                store: folded.stats,
+                completion,
+            },
+            captures,
+        ))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2637,4 +2234,35 @@ fn inspect_madlib(
     profile.madlib_stats = Some(stats);
     profile.total = t_start.elapsed();
     Ok((frame, profile))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::extract::PrecomputedExtractor;
+    use crate::measure::CorrelationMeasure;
+    use crate::model::FnHypothesis;
+
+    /// One store source per dataset segment, or a typed error — never a
+    /// silent live extraction.
+    #[test]
+    fn source_list_of_the_wrong_length_is_bad_config() {
+        let record = Record::standalone(0, vec!['a' as u32, 'b' as u32], "ab".into());
+        let dataset = Dataset::new("d", 2, vec![record]).unwrap();
+        let extractor = PrecomputedExtractor::new(Matrix::zeros(2, 1), 2);
+        let hyp = FnHypothesis::char_class("is_a", |c| c == 'a');
+        let req = InspectionRequest {
+            model_id: "m".into(),
+            extractor: &extractor,
+            groups: vec![UnitGroup::all(1)],
+            dataset: &dataset,
+            hypotheses: vec![&hyp],
+            measures: vec![&CorrelationMeasure],
+        };
+        let config = InspectionConfig::default();
+        let opts = FoldOpts::default();
+        let two_sources = [None, None];
+        let err = run_pass(&[req], &config, Some(&two_sources), None, &opts).err();
+        assert!(matches!(err, Some(DniError::BadConfig(_))), "got {err:?}");
+    }
 }

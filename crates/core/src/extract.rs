@@ -180,7 +180,7 @@ impl Extractor for PrecomputedExtractor {
 
 /// Wraps any extractor and counts forward passes: `extract` invocations
 /// and total records streamed through them. The incremental-reinspection
-/// tests and the `fig_segments` bench use this to assert *exactly* how
+/// and view tests use this to assert *exactly* how
 /// much extraction a warm run performed (e.g. "only the new segment's
 /// blocks"). Delegates `n_units` and `fingerprint` untouched, so planner
 /// and store behave as if the inner extractor ran bare.

@@ -44,9 +44,12 @@
 //! # Ok(()) }
 //! ```
 //!
-//! Lower-level entry points remain for one-shot use: [`engine::inspect`]
-//! for a single [`engine::InspectionRequest`], [`query::run_query`] /
-//! [`query::Catalog::run_batch`] as thin shims over the same pipeline.
+//! Lower-level entry points remain for one-shot use. [`engine::inspect`]
+//! hands one [`engine::InspectionRequest`] straight to the engine's one
+//! streaming pass (no plan, store or caches); [`query::run_query`] /
+//! [`query::Catalog::run_batch`] plan and execute exactly as a session
+//! would, minus everything a session remembers — which is why the session
+//! tests keep them as the reference side of their differential checks.
 //!
 //! ## Persistence
 //!
@@ -151,15 +154,21 @@
 //! plain [`model::Dataset::new`] constructor is simply the one-segment
 //! case, so every unsegmented caller behaves bit-identically.
 //!
-//! Execution follows the segment map. The streaming engine runs one
-//! pass **per segment** (per-segment shuffle seeded from `(seed,
-//! segment index)`, `Device::Parallel` fans segments across the runtime
-//! pool) and combines per-segment measure states by exact merging
-//! ([`measure::MeasureState::merge_from`], e.g. `StreamingPearson::merge`)
-//! in canonical segment order — SingleCore and Parallel stay
-//! bit-identical. Measures whose states cannot merge exactly (the
-//! order-dependent SGD probes) are rejected at bind time with a typed
-//! [`DniError::Query`], never silently mis-scored. Store columns are
+//! Execution follows the segment map, through the engine's **one
+//! streaming pass** (see [`engine`], *One streaming pass*): one shuffled
+//! stream per segment (segment 0 keeps the session seed, later ones hash
+//! `(seed, segment index)`), per-segment measure states folded in
+//! canonical segment order by exact merging
+//! ([`measure::MeasureState::merge_from`], e.g. `StreamingPearson::merge`).
+//! A one-segment dataset is the one-stream case of the same code. Only
+//! policy differs, and it is derived, never configured: with `full_pass =
+//! segment_count > 1 || a view needs the fold point`, a `!full_pass`
+//! stream stops early (§5.2.3) and trains merged `logreg` composites; a
+//! full pass processes every block, fans its streams out on
+//! `Device::Parallel` (bit-identical to SingleCore), and rejects measures
+//! whose states cannot merge exactly (the order-dependent SGD probes) at
+//! bind time with a typed [`DniError::Query`], never silently mis-scored.
+//! Store columns are
 //! keyed per **segment** fingerprint ([`model::Dataset::segment_fingerprint`]),
 //! and the optimizer makes the scan-vs-extract decision per segment
 //! ([`plan::GroupSource::Segments`]): appending records
@@ -189,16 +198,18 @@
 //! * **Unchanged inputs** — [`session::Session::read_view`] replays the
 //!   stored frame through the statement's HAVING/projection with **zero
 //!   extractor forward passes and zero store block reads**,
-//!   bit-identical to a cold execution. The optimizer makes the same
-//!   decision for plain INSPECT statements: one matching a fresh view
+//!   bit-identical to a cold **full pass**. The optimizer makes the
+//!   same decision for plain INSPECT statements over multi-segment
+//!   datasets (where a cold INSPECT is a full pass too; a one-segment
+//!   INSPECT may stop early, so it always runs live): a fresh match
 //!   short-circuits to [`plan::GroupSource::ViewReplay`] and `explain`
 //!   renders the `view: <name>, fresh` line.
 //! * **Dataset grew** — [`session::Session::refresh_view`] streams
 //!   **only the appended segments** and folds them into the stored
 //!   measure states ([`measure::MeasureState::merge_from`] over
 //!   deserialized states). Because per-segment streams are seeded by
-//!   true segment index and view passes never early-stop, the refreshed
-//!   frame is bit-identical to a full cold rebuild. Reads of a stale
+//!   true segment index and a view pass is always a full pass, the
+//!   refreshed frame is bit-identical to a full cold rebuild. Reads of a stale
 //!   view raise [`DniError::ViewStale`] instead of silently paying
 //!   extraction.
 //! * **Anything else changed** (model weights, config, mutated
@@ -314,8 +325,8 @@
 //!   `process_block` APIs and merged (multi-output) states (§4.3, §5.2).
 //! * [`engine`] — PyBase / +MM / +MM+ES / DeepBase / MADLib engines with
 //!   streaming extraction, early stopping, the parallel device (§5), and
-//!   the shared multi-request pass ([`engine::inspect_shared`]) physical
-//!   plans execute through.
+//!   the one streaming pass (public face: [`engine::inspect_shared`])
+//!   that every plan wave, view build and view refresh executes through.
 //! * [`cache`] — hypothesis-behavior LRU cache (§5.1.2, Fig. 9), shared
 //!   across every batch of a session.
 //! * `deepbase-store` (re-exported essentials in the [`prelude`]) — the
@@ -360,8 +371,8 @@ pub mod prelude {
     pub use crate::admission::{AdmissionPermit, AdmissionScheduler, SchedulerStats};
     pub use crate::cache::{CacheStats, HypothesisCache};
     pub use crate::engine::{
-        inspect, inspect_shared, inspect_shared_store, CancelToken, Device, EngineKind,
-        InspectionConfig, InspectionRequest, Profile, RunBudget, SharedOutcome, StoreSource,
+        inspect, inspect_shared, CancelToken, Device, EngineKind, InspectionConfig,
+        InspectionRequest, Profile, RunBudget, SharedOutcome, StoreSource,
     };
     pub use crate::error::DniError;
     pub use crate::extract::{

@@ -80,6 +80,14 @@ pub trait MeasureState: Send {
     /// Current group score.
     fn group_score(&self) -> f32;
 
+    /// The pair's final `(unit scores, group score)`, bit-identical to
+    /// the two calls above — the one call the engines emit result rows
+    /// from. States whose group score is a function of their unit scores
+    /// override it so the expensive half is computed once.
+    fn final_scores(&self) -> (Vec<f32>, f32) {
+        (self.unit_scores(), self.group_score())
+    }
+
     /// Self as `Any`, so sibling states of the same concrete type can
     /// downcast each other inside [`MeasureState::merge_from`].
     fn as_any(&self) -> &dyn std::any::Any;
@@ -555,7 +563,13 @@ impl MeasureState for BufferedState {
     }
 
     fn group_score(&self) -> f32 {
-        self.unit_scores().into_iter().fold(0.0, f32::max)
+        self.final_scores().1
+    }
+
+    fn final_scores(&self) -> (Vec<f32>, f32) {
+        let unit_scores = self.unit_scores();
+        let group_score = unit_scores.iter().copied().fold(0.0, f32::max);
+        (unit_scores, group_score)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -734,10 +748,17 @@ impl MeasureState for DiffMeansState {
     }
 
     fn group_score(&self) -> f32 {
-        self.unit_scores()
-            .into_iter()
+        self.final_scores().1
+    }
+
+    fn final_scores(&self) -> (Vec<f32>, f32) {
+        let unit_scores = self.unit_scores();
+        let group_score = unit_scores
+            .iter()
+            .copied()
             .map(f32::abs)
-            .fold(0.0, f32::max)
+            .fold(0.0, f32::max);
+        (unit_scores, group_score)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1641,5 +1662,31 @@ mod tests {
         assert!(ids.contains(&"logreg_l1"));
         assert!(ids.contains(&"majority_baseline"));
         assert!(ids.contains(&"random_baseline"));
+    }
+
+    /// The one call the engines emit rows from is the two documented
+    /// calls, bit for bit — empty, and after each of two blocks.
+    #[test]
+    fn final_scores_equal_unit_and_group_scores_for_every_measure() {
+        let bits = |(units, group): (Vec<f32>, f32)| {
+            (
+                units.iter().map(|s| s.to_bits()).collect::<Vec<u32>>(),
+                group.to_bits(),
+            )
+        };
+        let (units, hyp) = block(96);
+        for measure in standard_library() {
+            let mut state = measure.new_state(2);
+            for step in 0..3 {
+                let want = bits((state.unit_scores(), state.group_score()));
+                assert_eq!(
+                    bits(state.final_scores()),
+                    want,
+                    "{} step {step}",
+                    measure.id()
+                );
+                state.process_block(&units, &hyp);
+            }
+        }
     }
 }

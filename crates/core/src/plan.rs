@@ -17,7 +17,7 @@
 //!    function identity, measure-state sharing estimates, and the
 //!    **admission** decision — oversized groups are split into sequential
 //!    waves so no single pass exceeds the configured union-stream width;
-//! 4. [`PhysicalPlan::execute`] drives [`crate::engine::inspect_shared`]
+//! 4. [`PhysicalPlan::execute`] drives the engine's one streaming pass
 //!    per group/wave and assembles each query's result table, reporting
 //!    per-query profiles, per-pass accounting, cache statistics and the
 //!    plan/admission counters in [`BatchReport`].
@@ -35,9 +35,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheStats, HypothesisCache};
 use crate::engine::{
-    inspect_segmented_with, inspect_shared_store_armed, Device, EngineKind, InspectionConfig,
-    InspectionRequest, PassSource, Profile, RunBudget, SegmentedRunOpts, SharedOutcome,
-    StoreSource, ViewStateCapture,
+    run_pass, Device, EngineKind, FoldOpts, InspectionConfig, InspectionRequest, Profile,
+    RunBudget, SharedOutcome, StoreSource,
 };
 // The optimizer's per-group store decision lives next to the executor
 // that consumes it; re-exported here because it is a planning artifact.
@@ -49,7 +48,9 @@ use crate::model::{Dataset, HypothesisFn, UnitGroup};
 use crate::query::{Catalog, ColRef, Cond, InspectQuery, Literal, UnitMeta};
 use crate::result::{Completion, ResultFrame};
 use deepbase_relational::{ColType, Schema, Table, Value};
-use deepbase_store::{BehaviorStore, MaterializationPolicy, StoreStats, ViewFreshness};
+use deepbase_store::{
+    BehaviorStore, MaterializationPolicy, StoreStats, ViewFreshness, ViewSlotState,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -757,7 +758,7 @@ pub struct PhysicalPlan {
 }
 
 /// Thin-pointer identity of an `Arc<dyn T>` (data pointer, metadata
-/// discarded) — the same identity [`inspect_shared`] requires of its
+/// discarded) — the same identity the engine's shared pass requires of its
 /// members' extractors, and the one the engine uses to deduplicate
 /// hypothesis functions.
 fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
@@ -784,6 +785,39 @@ fn items_widths(
     }
     let scanned = units.iter().filter(|u| scan_hits.contains(u)).count();
     (units.len() - scanned + hyps.len(), scanned)
+}
+
+/// Probes the store for `units` under one `(model fingerprint, dataset or
+/// segment fingerprint)` key: complete columns scan, partial columns
+/// scan up to their watermark, the rest extract live (and write back
+/// under a read-write policy). The one scan-vs-extract decision both the
+/// optimizer and view passes make.
+fn probe_store(
+    binding: &StoreBinding,
+    config: &InspectionConfig,
+    units: &[usize],
+    model_fp: u64,
+    dataset_fp: u64,
+) -> StorePlan {
+    let hits = binding.store.available_units(model_fp, dataset_fp, units);
+    let partials = binding.store.partial_units(model_fp, dataset_fp, units);
+    let misses = units
+        .iter()
+        .copied()
+        .filter(|u| hits.binary_search(u).is_err() && partials.binary_search(u).is_err())
+        .collect();
+    StorePlan {
+        model_fp,
+        dataset_fp,
+        hits,
+        partials,
+        misses,
+        read: true,
+        write: binding.policy == MaterializationPolicy::ReadWrite,
+        writeback_limit_bytes: binding.writeback_limit_bytes,
+        prune: config.pushdown,
+        pruned_estimate: None,
+    }
 }
 
 /// Groups the bound queries' work items by `(extractor, dataset)`,
@@ -1041,27 +1075,13 @@ pub(crate) fn optimize_with(
         if let (true, Some(binding), Some(first)) = (streaming, binding, group.items.first()) {
             let plan = &plans[first.query];
             let model = &plan.models[first.model_pos];
+            // The plan-time pushdown estimate rides on the probe: each
+            // complete hit's prunable/total block counts from its (cached)
+            // zone table. Advisory — the scan re-decides per block.
             let probe = |dataset_fp: u64, model_fp: u64| {
-                let hits = binding
-                    .store
-                    .available_units(model_fp, dataset_fp, &group.union_units);
-                let partials =
-                    binding
-                        .store
-                        .partial_units(model_fp, dataset_fp, &group.union_units);
-                let misses: Vec<usize> = group
-                    .union_units
-                    .iter()
-                    .copied()
-                    .filter(|u| {
-                        hits.binary_search(u).is_err() && partials.binary_search(u).is_err()
-                    })
-                    .collect();
-                // Plan-time pushdown estimate: sum each complete hit's
-                // prunable/total block counts from its (cached) zone
-                // table. Advisory — the scan re-decides per block.
-                let pruned_estimate = config.pushdown.then(|| {
-                    hits.iter().fold((0usize, 0usize), |(p, t), &unit| {
+                let mut sp = probe_store(binding, config, &group.union_units, model_fp, dataset_fp);
+                sp.pruned_estimate = config.pushdown.then(|| {
+                    sp.hits.iter().fold((0usize, 0usize), |(p, t), &unit| {
                         match binding.store.zone_summary(&deepbase_store::ColumnKey {
                             model_fp,
                             dataset_fp,
@@ -1072,18 +1092,7 @@ pub(crate) fn optimize_with(
                         }
                     })
                 });
-                StorePlan {
-                    model_fp,
-                    dataset_fp,
-                    hits,
-                    partials,
-                    misses,
-                    read: true,
-                    write: binding.policy == MaterializationPolicy::ReadWrite,
-                    writeback_limit_bytes: binding.writeback_limit_bytes,
-                    prune: config.pushdown,
-                    pruned_estimate,
-                }
+                sp
             };
             group.source = match model.fingerprint() {
                 None => GroupSource::ExtractUnkeyed,
@@ -1332,35 +1341,24 @@ impl PhysicalPlan {
         // independent groups fan out across the runtime pool on the
         // parallel device.
         let run_group = |g: &PlanGroup| -> Result<Vec<SharedOutcome>, DniError> {
-            // The store source is shared by the group's waves: every wave
-            // streams the same (model, dataset), so hits apply to each
-            // wave's (sub-)union. Segmented groups carry one source per
-            // segment, handed to the engine in canonical segment order.
-            let whole: Option<StoreSource> = match (&g.source, &self.store) {
-                (GroupSource::StoreScan(sp), Some(store)) => Some(StoreSource {
+            // The store sources are shared by the group's waves: every
+            // wave streams the same (model, dataset), so hits apply to
+            // each wave's (sub-)union. One source per dataset segment, in
+            // canonical segment order — a `StoreScan` group is the
+            // one-segment list.
+            let sources: Option<Vec<Option<StoreSource>>> = self.store.as_ref().and_then(|store| {
+                let bind = |sp: &StorePlan| StoreSource {
                     store: Arc::clone(store),
                     plan: sp.clone(),
-                }),
-                _ => None,
-            };
-            let per_segment: Option<Vec<Option<StoreSource>>> = match (&g.source, &self.store) {
-                (GroupSource::Segments(segs), Some(store)) => Some(
-                    segs.iter()
-                        .map(|s| {
-                            s.plan.as_ref().map(|sp| StoreSource {
-                                store: Arc::clone(store),
-                                plan: sp.clone(),
-                            })
-                        })
-                        .collect(),
-                ),
-                _ => None,
-            };
-            let source: PassSource<'_> = match (&whole, &per_segment) {
-                (Some(s), _) => PassSource::Whole(s),
-                (None, Some(segs)) => PassSource::PerSegment(segs),
-                (None, None) => PassSource::None,
-            };
+                };
+                match &g.source {
+                    GroupSource::StoreScan(sp) => Some(vec![Some(bind(sp))]),
+                    GroupSource::Segments(segs) => {
+                        Some(segs.iter().map(|s| s.plan.as_ref().map(bind)).collect())
+                    }
+                    _ => None,
+                }
+            });
             // Contain worker panics at the group boundary: a hypothesis
             // or extractor that panics mid-stream poisons only its own
             // group's queries — the payload surfaces as
@@ -1398,7 +1396,14 @@ impl PhysicalPlan {
                                 }
                             })
                             .collect();
-                        inspect_shared_store_armed(&requests, &config, source, armed.as_ref())
+                        run_pass(
+                            &requests,
+                            &config,
+                            sources.as_deref(),
+                            armed.as_ref(),
+                            &FoldOpts::default(),
+                        )
+                        .map(|(outcome, _)| outcome)
                     })
                     .collect()
             }))
@@ -1740,11 +1745,11 @@ impl PhysicalPlan {
 // View build / refresh execution
 // ---------------------------------------------------------------------
 
-/// Runs the segmented full pass a materialized view is built from (or
-/// refreshed by): one single-model statement, always through
-/// [`inspect_segmented_with`] — even on a one-segment dataset — so the
-/// captured measure states are full-pass deterministic and valid merge
-/// bases for later incremental refreshes.
+/// Runs the full pass a materialized view is built from (or refreshed
+/// by): one single-model statement through [`run_pass`] with a fold
+/// point requested — which makes it a full pass even on a one-segment
+/// dataset — so the captured measure states are deterministic and valid
+/// merge bases for later incremental refreshes.
 ///
 /// Store-backed segments scan warm columns exactly as a regular
 /// optimized pass would; the pass holds one process-wide admission
@@ -1754,8 +1759,8 @@ pub(crate) fn run_view_pass(
     config: &InspectionConfig,
     binding: Option<&StoreBinding>,
     scheduler: Option<&Arc<AdmissionScheduler>>,
-    opts: &SegmentedRunOpts<'_>,
-) -> Result<(SharedOutcome, Vec<ViewStateCapture>), DniError> {
+    opts: &FoldOpts<'_>,
+) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
     let [model] = &plan.models[..] else {
         return Err(DniError::Query(
             "materialized views require a single-model statement".into(),
@@ -1772,36 +1777,14 @@ pub(crate) fn run_view_pass(
     // warm segments scan, cold ones extract live (and write back under a
     // read-write policy), so a view build over a warm store pays no
     // redundant forward passes.
-    let seg_sources: Option<Vec<Option<StoreSource>>> = match (binding, model.fingerprint()) {
+    let sources: Option<Vec<Option<StoreSource>>> = match (binding, model.fingerprint()) {
         (Some(b), Some(model_fp)) if config.engine == EngineKind::DeepBase => Some(
-            plan.dataset
-                .segments()
-                .into_iter()
-                .map(|seg| {
-                    let dataset_fp = plan.dataset.segment_fingerprint(seg.index);
-                    let hits = b.store.available_units(model_fp, dataset_fp, &union_units);
-                    let partials = b.store.partial_units(model_fp, dataset_fp, &union_units);
-                    let misses: Vec<usize> = union_units
-                        .iter()
-                        .copied()
-                        .filter(|u| {
-                            hits.binary_search(u).is_err() && partials.binary_search(u).is_err()
-                        })
-                        .collect();
+            (0..plan.dataset.segment_count())
+                .map(|i| {
+                    let segment_fp = plan.dataset.segment_fingerprint(i);
                     Some(StoreSource {
                         store: Arc::clone(&b.store),
-                        plan: StorePlan {
-                            model_fp,
-                            dataset_fp,
-                            hits,
-                            partials,
-                            misses,
-                            read: true,
-                            write: b.policy == MaterializationPolicy::ReadWrite,
-                            writeback_limit_bytes: b.writeback_limit_bytes,
-                            prune: config.pushdown,
-                            pruned_estimate: None,
-                        },
+                        plan: probe_store(b, config, &union_units, model_fp, segment_fp),
                     })
                 })
                 .collect(),
@@ -1821,15 +1804,8 @@ pub(crate) fn run_view_pass(
         measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
     };
     let armed = config.budget.arm();
-    let (outcome, captures) = catch_unwind(AssertUnwindSafe(|| {
-        inspect_segmented_with(
-            &[request],
-            config,
-            seg_sources.as_deref(),
-            armed.as_ref(),
-            opts,
-        )
+    catch_unwind(AssertUnwindSafe(|| {
+        run_pass(&[request], config, sources.as_deref(), armed.as_ref(), opts)
     }))
-    .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))?;
-    Ok((outcome, captures.unwrap_or_default()))
+    .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
 }

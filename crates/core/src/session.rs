@@ -30,7 +30,7 @@
 
 use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
-use crate::engine::{EngineKind, InspectionConfig, RunBudget, SegmentedRunOpts, ViewStateCapture};
+use crate::engine::{EngineKind, FoldOpts, InspectionConfig, RunBudget};
 use crate::error::DniError;
 use crate::model::{Dataset, HypothesisFn, Record};
 use crate::plan::{
@@ -41,7 +41,7 @@ use crate::result::{ResultFrame, ScoreRow};
 use deepbase_relational::Table;
 use deepbase_store::{
     BehaviorStore, MaterializationPolicy, StoreConfig, StoreError, StoreStats, ViewDoc,
-    ViewFreshness, ViewRow, ViewSlotState,
+    ViewFreshness, ViewRow,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -252,32 +252,6 @@ fn view_rows(frame: &ResultFrame) -> Vec<ViewRow> {
             unit: r.unit as u64,
             unit_score_bits: r.unit_score.to_bits(),
             group_score_bits: r.group_score.to_bits(),
-        })
-        .collect()
-}
-
-/// Captured engine states → durable slot states.
-fn slot_states(captures: Vec<ViewStateCapture>) -> Vec<ViewSlotState> {
-    captures
-        .into_iter()
-        .map(|c| ViewSlotState {
-            group_id: c.group_id,
-            measure_id: c.measure_id,
-            hyp_id: c.hyp_id,
-            state: c.bytes,
-        })
-        .collect()
-}
-
-/// Durable slot states → the engine's merge-base representation.
-fn base_states(doc: &ViewDoc) -> Vec<ViewStateCapture> {
-    doc.states
-        .iter()
-        .map(|s| ViewStateCapture {
-            group_id: s.group_id.clone(),
-            measure_id: s.measure_id.clone(),
-            hyp_id: s.hyp_id.clone(),
-            bytes: s.state.clone(),
         })
         .collect()
 }
@@ -925,10 +899,9 @@ impl Session {
             &self.config.inspection,
             self.store_binding().as_ref(),
             self.config.scheduler.as_ref(),
-            &SegmentedRunOpts {
-                skip_segments: 0,
-                base_states: None,
+            &FoldOpts {
                 capture_states: true,
+                ..FoldOpts::default()
             },
         )?;
         let doc = ViewDoc {
@@ -942,7 +915,7 @@ impl Session {
             segment_fps: (0..plan.dataset.segment_count())
                 .map(|i| plan.dataset.segment_fingerprint(i))
                 .collect(),
-            states: slot_states(captures),
+            states: captures,
             rows: view_rows(&outcome.results[0].0),
         };
         let bytes = store
@@ -957,7 +930,9 @@ impl Session {
 
     /// Replays a **fresh** view's stored frame through the statement's
     /// HAVING/projection — zero extractor forward passes, zero store
-    /// block reads, bit-identical to executing the statement cold. A
+    /// block reads, bit-identical to a cold **full pass** of the statement
+    /// (a one-segment INSPECT may stop early instead, which is why the
+    /// optimizer never replays a view for one). A
     /// stale or invalid view raises [`DniError::ViewStale`] instead of
     /// silently rebuilding: reads never pay extraction, by contract.
     pub fn read_view(&mut self, name: &str) -> Result<Table, DniError> {
@@ -997,7 +972,7 @@ impl Session {
     /// Unchanged inputs are a no-op; a dataset that only grew streams
     /// **only the appended segments** and folds them into the stored
     /// measure states (bit-identical to a full cold rebuild, by the
-    /// segmented fold-point contract); any other change rebuilds from
+    /// full-pass fold-point contract); any other change rebuilds from
     /// scratch.
     pub fn refresh_view(&mut self, name: &str) -> Result<ViewRefresh, DniError> {
         let store = self.view_store()?;
@@ -1016,15 +991,14 @@ impl Session {
                         "the behavior store is read-only; views cannot be written".into(),
                     ));
                 }
-                let base = base_states(&doc);
                 let (outcome, captures) = plan::run_view_pass(
                     &plan,
                     &self.config.inspection,
                     self.store_binding().as_ref(),
                     self.config.scheduler.as_ref(),
-                    &SegmentedRunOpts {
+                    &FoldOpts {
                         skip_segments: doc.segment_fps.len(),
-                        base_states: Some(&base),
+                        base_states: Some(&doc.states),
                         capture_states: true,
                     },
                 )?;
@@ -1032,7 +1006,7 @@ impl Session {
                     segment_fps: (0..plan.dataset.segment_count())
                         .map(|i| plan.dataset.segment_fingerprint(i))
                         .collect(),
-                    states: slot_states(captures),
+                    states: captures,
                     rows: view_rows(&outcome.results[0].0),
                     ..(*doc).clone()
                 };

@@ -396,6 +396,12 @@ proptest! {
                     calls,
                 )
             };
+            let explain = pruned.explain(Q_ALL).unwrap();
+            prop_assert!(
+                explain.contains("pruned:"),
+                "explain must render the zone-map pushdown estimate, got:\n{}",
+                explain
+            );
             let out = pruned.run_batch(&[Q_ALL]).unwrap();
             prop_assert_eq!(
                 &out.tables,

@@ -19,9 +19,10 @@
 //!   fan-out and mat-mul calls, so parallel results are always identical
 //!   to `Device::SingleCore`.
 //!
-//! See `examples/` for runnable walkthroughs and `crates/bench` for the
+//! See `examples/` for runnable walkthroughs, `crates/bench` for the
 //! harnesses that regenerate every table and figure of the paper (plus
-//! `bench_smoke`, which emits kernel timings as `BENCH_PR1.json`).
+//! `bench_smoke`, which emits kernel timings as `BENCH_PR1.json`), and
+//! `perfbench/` for the one repeatable benchmark `BENCHMARK.json` names.
 
 pub use deepbase;
 pub use deepbase_lang as lang;

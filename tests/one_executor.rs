@@ -1,0 +1,179 @@
+//! The seam of the one streaming executor, end to end through session +
+//! store + views: a one-segment dataset runs the same pass as a segmented
+//! one, and the only difference is the derived `full_pass` policy — a
+//! plain one-segment INSPECT stops early and may merge `logreg` models, a
+//! view pass or a multi-segment pass does neither.
+
+use deepbase_repro::deepbase::prelude::*;
+use deepbase_repro::deepbase::query::UnitMeta;
+use deepbase_repro::tensor::Matrix;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+// Long enough (12,288 symbols a segment) that `corr` meets its default
+// epsilon about half way through one segment.
+const NS: usize = 16;
+const UNITS: usize = 4;
+const SEG_LEN: usize = 768;
+const BLOCK: usize = 32;
+const Q: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+                 FROM models M, units U, hypotheses H, inputs D";
+const Q_LOGREG: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING logreg_l1 \
+                        OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D";
+
+/// `n` deterministic records with globally contiguous ids from `first_id`.
+fn records(first_id: usize, n: usize) -> Vec<Record> {
+    (first_id..first_id + n)
+        .map(|i| {
+            let text: String = (0..NS)
+                .map(|t| match (i * 7 + t * 3) % 5 {
+                    0 | 3 => 'a',
+                    1 => 'b',
+                    _ => 'c',
+                })
+                .collect();
+            Record::standalone(i, text.chars().map(|c| c as u32).collect(), text)
+        })
+        .collect()
+}
+
+/// A catalog over `segments` sealed segments of `SEG_LEN` records: unit 0
+/// tracks 'a', unit 1 tracks 'b', the rest are deterministic noise.
+fn catalog(segments: usize) -> (Catalog, Arc<CountingExtractor>) {
+    let total = 2 * SEG_LEN;
+    let mut behaviors = Matrix::zeros(total * NS, UNITS);
+    for rec in records(0, total) {
+        for (t, c) in rec.text.chars().enumerate() {
+            let r = rec.id * NS + t;
+            behaviors.set(r, 0, if c == 'a' { 0.8 } else { 0.1 });
+            behaviors.set(r, 1, if c == 'b' { 0.9 } else { -0.2 });
+            for u in 2..UNITS {
+                behaviors.set(r, u, ((r * (u + 13) * 31) % 97) as f32 / 97.0 - 0.5);
+            }
+        }
+    }
+    let counting = Arc::new(CountingExtractor::new(Arc::new(PrecomputedExtractor::new(
+        behaviors, NS,
+    ))));
+    let mut catalog = Catalog::new();
+    catalog.add_model_with_units(
+        "m1",
+        0,
+        Arc::<CountingExtractor>::clone(&counting),
+        (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
+    );
+    catalog.add_hypotheses(
+        "chars",
+        vec![
+            Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a')),
+            Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b')),
+        ],
+    );
+    let segs = (0..segments)
+        .map(|s| records(s * SEG_LEN, SEG_LEN))
+        .collect();
+    catalog.add_dataset(
+        "seq",
+        Arc::new(Dataset::with_segments("seq", NS, segs).unwrap()),
+    );
+    (catalog, counting)
+}
+
+fn config(device: Device, epsilon: Option<f32>) -> InspectionConfig {
+    InspectionConfig {
+        device,
+        block_records: BLOCK,
+        epsilon,
+        ..InspectionConfig::default()
+    }
+}
+
+/// A read-write store session over a fresh directory.
+fn session(
+    name: &str,
+    segments: usize,
+    inspection: InspectionConfig,
+) -> (Session, Arc<CountingExtractor>, PathBuf) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target/tmp-one-executor")
+        .join(
+            format!("{name}-{:?}-{}", inspection.device, std::process::id())
+                .replace(['(', ')'], "-"),
+        );
+    let _ = std::fs::remove_dir_all(&dir);
+    let (catalog, counting) = catalog(segments);
+    let store = StoreConfig {
+        policy: MaterializationPolicy::ReadWrite,
+        block_records: BLOCK,
+        ..StoreConfig::at(&dir)
+    };
+    let config = SessionConfig {
+        inspection,
+        store: Some(store),
+        ..SessionConfig::default()
+    };
+    (Session::with_config(catalog, config), counting, dir)
+}
+
+#[test]
+fn one_segment_view_replays_and_refreshes_like_the_cold_pass() {
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let exact = config(device, Some(1e-12));
+        let cold = |segments: usize| catalog(segments).0.run_batch(&[Q], &exact).unwrap().tables;
+        let (mut session, counting, dir) = session("replay", 1, exact.clone());
+
+        // Built over ONE segment, the view replays the cold INSPECT.
+        session.create_view("v", Q).unwrap();
+        assert_eq!(counting.calls(), SEG_LEN.div_ceil(BLOCK), "{device:?}");
+        counting.reset();
+        assert_eq!(session.read_view("v").unwrap(), cold(1)[0], "{device:?}");
+        assert_eq!(counting.calls(), 0, "replay extracts nothing ({device:?})");
+
+        // Its captured states are a valid fold base: append + refresh
+        // streams only the new segment and equals the cold two-segment run.
+        session
+            .append_records("seq", records(SEG_LEN, SEG_LEN))
+            .unwrap();
+        assert_eq!(
+            session.refresh_view("v").unwrap(),
+            ViewRefresh::Incremental { new_segments: 1 }
+        );
+        assert_eq!(counting.calls(), SEG_LEN.div_ceil(BLOCK), "{device:?}");
+        assert_eq!(session.read_view("v").unwrap(), cold(2)[0], "{device:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn one_segment_inspect_stops_early_while_the_view_build_reads_every_row() {
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let default_eps = config(device, None);
+        let (mut session, counting, dir) = session("early", 1, default_eps);
+        session.create_view("v", Q).unwrap();
+        assert_eq!(counting.records_extracted(), SEG_LEN, "{device:?}");
+
+        // Same session, same statement, a fresh view on disk: the INSPECT
+        // is not answered by replay and still stops the moment it converged.
+        let out = session.run_batch(&[Q]).unwrap();
+        let rows_read = out.report.completion.rows_read;
+        assert!(
+            0 < rows_read && rows_read < SEG_LEN,
+            "read {rows_read} of {SEG_LEN} ({device:?})"
+        );
+        assert!(out.report.completion.is_complete());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn logreg_runs_on_one_segment_and_is_refused_typed_on_two() {
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let config = config(device, None);
+        let one = catalog(1).0.run_batch(&[Q_LOGREG], &config).unwrap();
+        assert_eq!(one.tables[0].len(), 2 * UNITS, "{device:?}");
+        match catalog(2).0.run_batch(&[Q_LOGREG], &config) {
+            Err(DniError::Query(msg)) => assert!(msg.contains("logreg_l1"), "{msg}"),
+            other => panic!("expected the typed segmented-measure error, got {other:?}"),
+        }
+    }
+}
