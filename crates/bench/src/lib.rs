@@ -48,17 +48,6 @@ impl Args {
     }
 }
 
-/// Writes a harness's JSON artifact to `path` and announces it on
-/// stdout — the one emission path every figure binary shares.
-///
-/// # Panics
-/// On I/O failure: a benchmark that cannot persist its artifact should
-/// fail loudly in CI rather than upload nothing.
-pub fn emit_json(path: &str, json: &str) {
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
 /// Times a closure.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();

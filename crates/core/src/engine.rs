@@ -55,10 +55,14 @@
 //!    standalone [`inspect`] call.
 //! 2. **One stream per dataset segment.** A seeded shuffle of the
 //!    segment's records (segment 0 keeps the session seed), a block at a
-//!    time: unit behaviors are fetched once per block — scanned from the
-//!    segment's [`StoreSource`] and/or extracted live — hypothesis columns
-//!    are evaluated once per block, only while some unconverged slot
-//!    still consumes them, and every slot advances once.
+//!    time: unit behaviors are fetched once per block — extracted live,
+//!    or, when the segment has a store [`ScanPlan`], through the store's
+//!    [`ColumnPass`], which scans what it holds and calls back for the
+//!    columns it needs computed — hypothesis columns are evaluated once
+//!    per block, only while some unconverged slot still consumes them,
+//!    and every slot advances once. Scan order, watermarks, demotion
+//!    and write-back are the store crate's half of the pass; this module
+//!    only calls `fetch_block` and `finish`.
 //! 3. **One fold** over the stream outputs in segment-index order via the
 //!    exact [`MeasureState::merge_from`], optionally seeded by the revived
 //!    fold point of a skipped prefix (an incremental view refresh). A fold
@@ -110,9 +114,9 @@ use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
 use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
-use deepbase_store::{BehaviorStore, ColumnKey, Coverage, StoreStats, ViewSlotState};
+use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewSlotState};
 use deepbase_tensor::Matrix;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -818,427 +822,9 @@ pub struct SharedOutcome {
     /// How the pass ended: converged, or interrupted by its run budget
     /// (with rows read and the still-converging pairs). An interrupted
     /// pass has committed its watermark-extending partial columns (when a
-    /// writable store source was bound), so a warm re-run resumes exactly
+    /// writable scan plan was bound), so a warm re-run resumes exactly
     /// where this one stopped.
     pub completion: Completion,
-}
-
-/// The optimizer's store decision for one shared pass: the column key
-/// fingerprints, the plan-time hit/partial/miss split, and the policy
-/// flags. Produced by [`crate::plan`], carried in its
-/// `GroupSource::StoreScan`, and bound to an open store as a
-/// [`StoreSource`] at execution time.
-#[derive(Debug, Clone)]
-pub struct StorePlan {
-    /// Content fingerprint of the pass's model.
-    pub model_fp: u64,
-    /// Content fingerprint of the pass's dataset — or, on a segmented
-    /// pass, of the one **segment** this plan covers (store columns are
-    /// keyed per segment so appends leave old segments warm).
-    pub dataset_fp: u64,
-    /// Union unit columns with a *complete* stored column at plan time.
-    pub hits: Vec<usize>,
-    /// Union unit columns with a *partial* stored column (the persisted
-    /// prefix of an earlier early-stopped pass): scanned up to their
-    /// watermark, extracted live past it.
-    pub partials: Vec<usize>,
-    /// Union unit columns that will be extracted live.
-    pub misses: Vec<usize>,
-    /// Scan stored columns (off under a write-only policy).
-    pub read: bool,
-    /// Persist newly extracted columns after a fully streamed pass.
-    pub write: bool,
-    /// Skip write-back capture when the missing columns would buffer more
-    /// than this many bytes.
-    pub writeback_limit_bytes: usize,
-    /// Consult zone maps during scans and skip blocks whose exact
-    /// contents the zone entry proves (predicate pushdown). Results are
-    /// bit-identical either way; see [`InspectionConfig::pushdown`].
-    pub prune: bool,
-    /// Plan-time pushdown estimate over the complete hits:
-    /// `(prunable blocks, total blocks)`, rendered by `explain`. `None`
-    /// when pushdown is off or nothing was probed.
-    pub pruned_estimate: Option<(usize, usize)>,
-}
-
-/// A store-backed unit-behavior source for one shared pass: a
-/// [`StorePlan`] bound to its open [`BehaviorStore`].
-///
-/// The engine intersects the plan's `hits` with the pass's union unit
-/// columns: intersected units are scanned from stored columns through
-/// the buffer pool (checksums verified per block), the rest are
-/// extracted live in a single narrowed extractor call per block and
-/// merged into the union stream. With `write` set, the live-extracted
-/// columns are buffered and persisted when the stream ends: complete
-/// columns after a fully streamed pass, and after an early stop or a
-/// budget interruption the streamed prefix as *partial* columns whose
-/// watermark a later pass resumes from (written only where that extends
-/// what the store already holds). A column that fails a checksum mid-pass is
-/// quarantined and demoted to live extraction for the remaining blocks —
-/// results stay bit-identical because stored columns hold exactly what
-/// the extractor would produce.
-pub struct StoreSource {
-    /// The open store.
-    pub store: Arc<BehaviorStore>,
-    /// The optimizer's decision for this pass.
-    pub plan: StorePlan,
-}
-
-/// Per-pass mutable state of a [`StoreSource`].
-struct StorePass<'s> {
-    source: &'s StoreSource,
-    /// Union units servable from the store, in union order (complete
-    /// hits first, then partials with their validated coverage). A
-    /// partial column is scanned only for blocks whose record positions
-    /// all fall under its watermark; past it, the column extracts live
-    /// for the block (the resume-at-the-watermark path).
-    scan_order: Vec<(usize, Option<Coverage>)>,
-    /// Union units that must be extracted live on every block.
-    misses: Vec<usize>,
-    /// Hits demoted after a scan failure (corrupt columns are also
-    /// quarantined; transient I/O failures only demote for this pass).
-    demoted: HashSet<usize>,
-    /// Columns that produced at least one scanned block this pass.
-    scanned: HashSet<usize>,
-    writeback: Option<WriteBack>,
-    stats: StoreStats,
-}
-
-/// Write-back capture: one column buffer per miss or partial unit,
-/// assembled from the union stream (scanned and live-extracted blocks
-/// alike) in shuffled order. A fully streamed pass commits complete
-/// columns; an early-stopped pass commits the streamed prefix as partial
-/// columns with a watermark.
-struct WriteBack {
-    units: Vec<WbUnit>,
-    /// Which record positions the pass has streamed.
-    filled: Vec<bool>,
-    n_filled: usize,
-}
-
-struct WbUnit {
-    unit: usize,
-    /// The unit's column index in the union matrix (capture source).
-    union_col: usize,
-    /// The `nd * ns` column buffer (unstreamed positions stay 0.0).
-    col: Vec<f32>,
-    /// Coverage already durable before the pass (partial resume); `None`
-    /// for plan-time misses. An early-stopped pass only rewrites the
-    /// column when the new fill strictly extends this.
-    prior: Option<Coverage>,
-}
-
-impl<'s> StorePass<'s> {
-    fn new(source: &'s StoreSource, union_units: &[usize], nd: usize, ns: usize) -> StorePass<'s> {
-        let plan = &source.plan;
-        let (hit_plan, partial_plan): (HashSet<usize>, HashSet<usize>) = if plan.read {
-            (
-                plan.hits.iter().copied().collect(),
-                plan.partials.iter().copied().collect(),
-            )
-        } else {
-            (HashSet::new(), HashSet::new())
-        };
-        let mut stats = StoreStats::default();
-        let mut hits: Vec<usize> = Vec::new();
-        let mut partials: Vec<(usize, Coverage)> = Vec::new();
-        let mut misses: Vec<usize> = Vec::new();
-        let key = |unit: usize| ColumnKey {
-            model_fp: plan.model_fp,
-            dataset_fp: plan.dataset_fp,
-            unit,
-        };
-        for &u in union_units {
-            if hit_plan.contains(&u) {
-                hits.push(u);
-            } else if partial_plan.contains(&u) {
-                // Validate the partial's coverage up front; a column that
-                // cannot be read (or whose shape disagrees) is a miss.
-                match source.store.coverage(&key(u)) {
-                    Ok(cov) if cov.nd() != nd => {
-                        stats.record_error(format!(
-                            "unit {u} partial column covers {} records but the dataset \
-                             has {nd}, extracting live",
-                            cov.nd()
-                        ));
-                        if plan.write {
-                            source.store.quarantine(&key(u));
-                        }
-                        misses.push(u);
-                    }
-                    // Another session may have completed the column since
-                    // plan time; a full watermark scans like a hit.
-                    Ok(cov) if cov.is_complete() => hits.push(u),
-                    Ok(cov) => partials.push((u, cov)),
-                    Err(e) => {
-                        stats.record_error(format!(
-                            "unit {u} partial column unusable, extracting live: {e}"
-                        ));
-                        if plan.write && matches!(e, deepbase_store::StoreError::Corrupt(_)) {
-                            source.store.quarantine(&key(u));
-                        }
-                        misses.push(u);
-                    }
-                }
-            } else {
-                misses.push(u);
-            }
-        }
-        // Capture misses *and* partials: a fully streamed pass completes
-        // both, an early-stopped pass extends the partials' watermarks.
-        let captured: Vec<(usize, Option<Coverage>)> = union_units
-            .iter()
-            .filter_map(|&u| {
-                if misses.binary_search(&u).is_ok() {
-                    Some((u, None))
-                } else {
-                    partials
-                        .iter()
-                        .find(|(p, _)| *p == u)
-                        .map(|(_, cov)| (u, Some(cov.clone())))
-                }
-            })
-            .collect();
-        let writeback = if plan.write && !captured.is_empty() {
-            let bytes = captured.len() * nd * ns * std::mem::size_of::<f32>();
-            if bytes <= plan.writeback_limit_bytes {
-                Some(WriteBack {
-                    units: captured
-                        .into_iter()
-                        .map(|(unit, prior)| WbUnit {
-                            unit,
-                            union_col: union_units
-                                .binary_search(&unit)
-                                .expect("captured unit is in the union"),
-                            col: vec![0.0; nd * ns],
-                            prior,
-                        })
-                        .collect(),
-                    filled: vec![false; nd],
-                    n_filled: 0,
-                })
-            } else {
-                stats.record_error(format!(
-                    "write-back skipped: {} captured columns would buffer {bytes} bytes \
-                     (limit {})",
-                    captured.len(),
-                    plan.writeback_limit_bytes
-                ));
-                None
-            }
-        } else {
-            None
-        };
-        let scan_order: Vec<(usize, Option<Coverage>)> = hits
-            .iter()
-            .map(|&u| (u, None))
-            .chain(partials.iter().map(|(u, cov)| (*u, Some(cov.clone()))))
-            .collect();
-        StorePass {
-            source,
-            scan_order,
-            misses,
-            demoted: HashSet::new(),
-            scanned: HashSet::new(),
-            writeback,
-            stats,
-        }
-    }
-
-    fn key(&self, unit: usize) -> ColumnKey {
-        ColumnKey {
-            model_fp: self.source.plan.model_fp,
-            dataset_fp: self.source.plan.dataset_fp,
-            unit,
-        }
-    }
-
-    /// Produces the union behavior matrix for one streamed block: stored
-    /// columns are scanned through the pool (partial columns only while
-    /// the block stays under their watermark), the rest extracted live in
-    /// a single narrowed call and scattered into union column positions.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_block(
-        &mut self,
-        extractor: &dyn Extractor,
-        block: &[&Record],
-        positions: &[usize],
-        union_units: &[usize],
-        device: Device,
-        ns: usize,
-        nd: usize,
-    ) -> Matrix {
-        let width = union_units.len();
-        let rows = block.len() * ns;
-        let mut out = Matrix::zeros(rows, width);
-        let union_pos = |u: usize| union_units.binary_search(&u).expect("unit in union");
-
-        // Scan the still-trusted stored columns — complete hits always,
-        // partial columns only when every position of this block falls
-        // under their watermark (past it, the column goes live for the
-        // block: that is the resume point). Any scan failure demotes the
-        // column to live extraction for this and every remaining block;
-        // only *corruption* (checksum/shape disagreement) additionally
-        // quarantines the file — a transient I/O error must not destroy
-        // a valid column, and a read-only store must stay byte-identical
-        // on disk short of proven corruption.
-        let mut failed: Vec<usize> = Vec::new();
-        let mut live_this_block: Vec<usize> = Vec::new();
-        for (u, cov) in &self.scan_order {
-            let (u, is_partial) = (*u, cov.is_some());
-            if self.demoted.contains(&u) {
-                continue;
-            }
-            if let Some(cov) = cov {
-                if !cov.covers_all(positions) {
-                    live_this_block.push(u);
-                    continue;
-                }
-            }
-            let col = union_pos(u);
-            let scan = self.source.store.scan_into(
-                &self.key(u),
-                nd,
-                ns,
-                positions,
-                out.as_mut_slice(),
-                width,
-                col,
-                self.source.plan.prune,
-                &mut self.stats,
-            );
-            match scan {
-                Ok(()) => {
-                    if self.scanned.insert(u) {
-                        self.stats.columns_scanned += 1;
-                        if is_partial {
-                            self.stats.partial_columns_scanned += 1;
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.stats
-                        .record_error(format!("unit {u} column unusable, extracting live: {e}"));
-                    // Quarantine only proven corruption, and only when
-                    // the policy lets this pass touch the store at all —
-                    // a read-only store stays byte-identical on disk.
-                    if self.source.plan.write && matches!(e, deepbase_store::StoreError::Corrupt(_))
-                    {
-                        self.source.store.quarantine(&self.key(u));
-                    }
-                    failed.push(u);
-                }
-            }
-        }
-        self.demoted.extend(failed);
-
-        // One narrowed extractor call covers the misses, any demoted
-        // units, and the partial columns this block runs past.
-        // Column-wise consistency of extractors (see
-        // [`crate::extract::ColumnDemux`]) makes the merged matrix
-        // bit-identical to a full live extraction of the union.
-        let live: Vec<usize> = union_units
-            .iter()
-            .copied()
-            .filter(|u| {
-                self.demoted.contains(u)
-                    || self.misses.binary_search(u).is_ok()
-                    || live_this_block.binary_search(u).is_ok()
-            })
-            .collect();
-        if live.is_empty() {
-            self.stats.forward_passes_avoided += 1;
-        } else {
-            let live_m = extract_records(extractor, block, &live, device, ns);
-            for (li, &u) in live.iter().enumerate() {
-                let col = union_pos(u);
-                for r in 0..rows {
-                    out.set(r, col, live_m.get(r, li));
-                }
-            }
-        }
-        // Capture the streamed positions for write-back from the merged
-        // union matrix — scanned and live values alike, so partial
-        // columns can be completed (stored values are exactly what the
-        // extractor produced, so the written column stays bit-identical).
-        if let Some(wb) = &mut self.writeback {
-            for (pi, &pos) in positions.iter().enumerate() {
-                if wb.filled[pos] {
-                    continue;
-                }
-                wb.filled[pos] = true;
-                wb.n_filled += 1;
-                for wu in wb.units.iter_mut() {
-                    for t in 0..ns {
-                        wu.col[pos * ns + t] = out.get(pi * ns + t, wu.union_col);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Persists the captured columns: a fully streamed pass commits
-    /// complete columns; an early-stopped pass commits the streamed
-    /// prefix as partial columns with a watermark, but only where that
-    /// strictly extends what the store already holds. Write failures are
-    /// recorded, never fatal.
-    fn flush_writeback(&mut self, nd: usize, ns: usize) {
-        let Some(wb) = self.writeback.take() else {
-            return;
-        };
-        if wb.n_filled == 0 {
-            return;
-        }
-        for wu in &wb.units {
-            let key = self.key(wu.unit);
-            if wb.n_filled == nd {
-                // Fully streamed: commit the complete column (this also
-                // supersedes the unit's partial file, if any).
-                match self.source.store.write_column(&key, nd, ns, &wu.col) {
-                    Ok(report) => {
-                        self.stats.columns_written += 1;
-                        self.stats.blocks_written += report.blocks_written;
-                        self.stats.pool_evictions += report.pool_evictions;
-                        self.stats.raw_bytes_written += report.raw_data_bytes;
-                        self.stats.stored_bytes_written += report.stored_data_bytes;
-                    }
-                    Err(e) => self
-                        .stats
-                        .record_error(format!("unit {} write-back failed: {e}", wu.unit)),
-                }
-                continue;
-            }
-            // Early stop: persist the streamed prefix, unless the store
-            // already holds at least as much. A quarantined (demoted)
-            // column's prior file is gone, so anything streamed is a
-            // strict improvement.
-            if let (Some(prior), false) = (&wu.prior, self.demoted.contains(&wu.unit)) {
-                let extends = prior.is_subset_of_filled(&wb.filled)
-                    && wb.n_filled > prior.completed_records();
-                if !extends {
-                    continue;
-                }
-            }
-            match self
-                .source
-                .store
-                .write_partial_column(&key, nd, ns, &wu.col, &wb.filled)
-            {
-                Ok(report) if report.blocks_written > 0 => {
-                    self.stats.partial_columns_written += 1;
-                    self.stats.blocks_written += report.blocks_written;
-                    self.stats.pool_evictions += report.pool_evictions;
-                    self.stats.raw_bytes_written += report.raw_data_bytes;
-                    self.stats.stored_bytes_written += report.stored_data_bytes;
-                }
-                Ok(_) => {}
-                Err(e) => self
-                    .stats
-                    .record_error(format!("unit {} partial write-back failed: {e}", wu.unit)),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1498,7 +1084,7 @@ impl<'a> PassLayout<'a> {
     fn stream(
         &self,
         seg: &crate::model::SegmentInfo,
-        source: Option<&StoreSource>,
+        source: Option<&ScanPlan>,
         config: &InspectionConfig,
         budget: Option<&ArmedBudget>,
         full_pass: bool,
@@ -1519,7 +1105,7 @@ impl<'a> PassLayout<'a> {
             .collect();
         // The stream's store state: which union columns can be scanned vs
         // must be extracted, plus write-back capture for the misses.
-        let mut store_pass = source.map(|s| StorePass::new(s, &self.union_units, seg.len, ns));
+        let mut store_pass = source.map(|p| ColumnPass::new(p, &self.union_units, seg.len, ns));
 
         let mut runs: Vec<SlotRun> = self
             .slots
@@ -1586,15 +1172,17 @@ impl<'a> PassLayout<'a> {
             // selections still backing an unconverged slot.
             let t0 = Instant::now();
             let union_behaviors = match &mut store_pass {
-                Some(pass) => pass.fetch_block(
-                    self.extractor,
-                    block,
-                    &order[block_start..block_end],
-                    &self.union_units,
-                    device,
-                    ns,
-                    seg.len,
-                ),
+                Some(pass) => {
+                    let mut out = Matrix::zeros(block.len() * ns, self.union_units.len());
+                    pass.fetch_block(
+                        &order[block_start..block_end],
+                        out.as_mut_slice(),
+                        |units| {
+                            extract_records(self.extractor, block, units, device, ns).into_vec()
+                        },
+                    );
+                    out
+                }
                 None => extract_records(self.extractor, block, &self.union_units, device, ns),
             };
             let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; self.selections.len()];
@@ -1687,13 +1275,7 @@ impl<'a> PassLayout<'a> {
         // budget interruption (the two are indistinguishable here by
         // design: an interrupted stream resumes at its watermark like any
         // other early-stopped one) — and detach the store accounting.
-        let stats = match &mut store_pass {
-            Some(pass) => {
-                pass.flush_writeback(seg.len, ns);
-                std::mem::take(&mut pass.stats)
-            }
-            None => StoreStats::default(),
-        };
+        let stats = store_pass.map(ColumnPass::finish).unwrap_or_default();
         Ok(StreamOutput {
             runs,
             members,
@@ -1801,12 +1383,12 @@ fn fold_streams(
 
 /// The one streaming pass every INSPECT, view build and view refresh
 /// runs through (see the module docs, *One streaming pass*): layout, one
-/// stream per non-skipped segment, fold, tail. `sources` binds an
-/// optional store source to each dataset segment (its length must equal
-/// the segment count); `budget` is already armed, so every group and
-/// wave of a batch shares one absolute deadline; `opts` are the view
-/// hooks. Returns the outcome plus the captured fold point (empty unless
-/// `opts.capture_states`).
+/// stream per non-skipped segment, fold, tail. `sources` holds one store
+/// scan plan per dataset segment, in segment order (its length must equal
+/// the segment count; `None` extracts everything live); `budget` is
+/// already armed, so every group and wave of a batch shares one absolute
+/// deadline; `opts` are the view hooks. Returns the outcome plus the
+/// captured fold point (empty unless `opts.capture_states`).
 ///
 /// For non-streaming engine kinds the members are executed individually
 /// (sharing only the configured hypothesis cache); a view pass always
@@ -1814,7 +1396,7 @@ fn fold_streams(
 pub(crate) fn run_pass(
     reqs: &[InspectionRequest<'_>],
     config: &InspectionConfig,
-    sources: Option<&[Option<StoreSource>]>,
+    sources: Option<&[ScanPlan]>,
     budget: Option<&ArmedBudget>,
     opts: &FoldOpts<'_>,
 ) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
@@ -1838,7 +1420,7 @@ pub(crate) fn run_pass(
     let segments = dataset.segments();
     if let Some(sources) = sources.filter(|s| s.len() != segments.len()) {
         return Err(DniError::BadConfig(format!(
-            "{} store sources for {} segments",
+            "{} store scan plans for {} segments",
             sources.len(),
             segments.len()
         )));
@@ -1900,7 +1482,7 @@ pub(crate) fn run_pass(
     // or — full-pass streams on the parallel device — fanned across the
     // runtime pool. Either way the outputs land in segment-index order.
     let run_stream = |seg: &crate::model::SegmentInfo| {
-        let source = sources.and_then(|s| s[seg.index].as_ref());
+        let source = sources.map(|s| &s[seg.index]);
         layout.stream(seg, source, config, budget, full_pass, t_start)
     };
     let streamed = &segments[opts.skip_segments..];
@@ -2243,7 +1825,7 @@ mod tests {
     use crate::measure::CorrelationMeasure;
     use crate::model::FnHypothesis;
 
-    /// One store source per dataset segment, or a typed error — never a
+    /// One scan plan per dataset segment, or a typed error — never a
     /// silent live extraction.
     #[test]
     fn source_list_of_the_wrong_length_is_bad_config() {
@@ -2261,8 +1843,8 @@ mod tests {
         };
         let config = InspectionConfig::default();
         let opts = FoldOpts::default();
-        let two_sources = [None, None];
-        let err = run_pass(&[req], &config, Some(&two_sources), None, &opts).err();
+        let no_sources: [ScanPlan; 0] = [];
+        let err = run_pass(&[req], &config, Some(&no_sources), None, &opts).err();
         assert!(matches!(err, Some(DniError::BadConfig(_))), "got {err:?}");
     }
 }

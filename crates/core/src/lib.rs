@@ -70,10 +70,11 @@
 //! throws its extraction work away: the fully streamed prefix is
 //! persisted as a *partial column* — the valid records densely packed
 //! with a completed-record **watermark** and a checksummed coverage
-//! bitmap (`crates/store/src/format.rs`). The optimizer plans a
-//! `StoreScan` over partials, and the engine scans each streamed block
-//! from the stored prefix until it runs past the watermark, resuming
-//! live extraction exactly there — a warm re-run of a previously
+//! bitmap (`crates/store/src/format.rs`). The optimizer's per-segment
+//! [`prelude::ScanPlan`] lists partials beside complete hits, and the
+//! store's `ColumnPass` scans each streamed block from the stored prefix
+//! until it runs past the watermark, asking the engine to extract live
+//! exactly from there — a warm re-run of a previously
 //! early-stopped batch does strictly fewer forward passes and stays
 //! bit-identical. A fully streamed pass completes the column (the
 //! superseded partial file is reclaimed by compaction).
@@ -92,14 +93,14 @@
 //! and a codec tag — blocks are stored `Raw`, `Constant` (a single
 //! 4-byte bit pattern), or `Dict` (bit-packed small-alphabet indices),
 //! whichever is smallest, each checksummed over its encoded bytes. The
-//! optimizer pushes a block-prune predicate into every `StoreScan`
-//! ([`engine::InspectionConfig::pushdown`], on by default): a block the
+//! optimizer pushes a block-prune predicate into every segment's scan
+//! plan ([`engine::InspectionConfig::pushdown`], on by default): a block the
 //! zone map proves constant-and-finite is served straight from the zone
 //! entry — no read, no checksum, bit-identical values — and `explain`
-//! shows the plan-time estimate as `pruned: k/n blocks (zone-map
-//! pushdown)`. Blocks containing NaN or ±Inf are flagged and never
-//! pruned; pre-compression v2 files read back transparently and never
-//! prune. [`prelude::StoreConfig::disk_budget_bytes`] bounds the store
+//! shows the plan-time estimate, summed over segments, as `pruned: k/n
+//! blocks (zone-map pushdown)`. Blocks containing NaN or ±Inf are flagged
+//! and never pruned; files of an older format version read as corrupt and
+//! re-materialize. [`prelude::StoreConfig::disk_budget_bytes`] bounds the store
 //! on disk: compaction evicts complete columns coldest-first (by a
 //! persisted access stamp kept outside every checksum, so in-place
 //! stamp bumps cannot corrupt a file) until under budget, skipping
@@ -135,7 +136,9 @@
 //! suite (`crates/store/tests/fault_injection.rs`,
 //! `crates/core/tests/store_fault_tests.rs`). `explain` renders the
 //! chosen source per group (`store scan (k/n unit columns stored, p
-//! partial, m extracted live)`), and every [`plan::BatchReport`] carries
+//! partial, m extracted live)`, counted per union column across
+//! segments, then `segments: n sealed, w warm, p partial, c cold`), and
+//! every [`plan::BatchReport`] carries
 //! the batch's [`prelude::StoreStats`] (blocks read/written, pool
 //! hits/evictions, forward passes avoided, bytes reclaimed);
 //! [`session::Session::store_stats`] accumulates them per session.
@@ -170,8 +173,11 @@
 //! bind time with a typed [`DniError::Query`], never silently mis-scored.
 //! Store columns are
 //! keyed per **segment** fingerprint ([`model::Dataset::segment_fingerprint`]),
-//! and the optimizer makes the scan-vs-extract decision per segment
-//! ([`plan::GroupSource::Segments`]): appending records
+//! and the scan-vs-extract decision is made per segment: a store-backed
+//! group carries one scan plan per segment in segment order
+//! ([`plan::GroupSource::Segments`]; an unsegmented dataset is the
+//! one-element list), each executed by the store's `ColumnPass` inside
+//! that segment's stream. Appending records
 //! ([`session::Session::append_records`]) and re-running a query scans
 //! the old segments warm and pays forward passes **only for the new
 //! ones** — warm incremental re-inspection, bit-identical to a cold run
@@ -372,7 +378,7 @@ pub mod prelude {
     pub use crate::cache::{CacheStats, HypothesisCache};
     pub use crate::engine::{
         inspect, inspect_shared, CancelToken, Device, EngineKind, InspectionConfig,
-        InspectionRequest, Profile, RunBudget, SharedOutcome, StoreSource,
+        InspectionRequest, Profile, RunBudget, SharedOutcome,
     };
     pub use crate::error::DniError;
     pub use crate::extract::{
@@ -390,8 +396,7 @@ pub mod prelude {
     };
     pub use crate::plan::{
         bind, freshness_label, optimize, optimize_store, AdmissionConfig, BatchOutput, BatchReport,
-        GroupReport, GroupSource, LogicalPlan, PhysicalPlan, PlanStats, SegmentSource,
-        StoreBinding, StorePlan, ViewNote,
+        GroupReport, GroupSource, LogicalPlan, PhysicalPlan, PlanStats, StoreBinding, ViewNote,
     };
     pub use crate::query::{execute, execute_batch, parse, run_query, Catalog};
     pub use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, ScoreRow};
@@ -401,7 +406,7 @@ pub mod prelude {
     };
     pub use deepbase_store::{
         BehaviorStore, ColumnKey, CompactionReport, Coverage, FpHasher, MaterializationPolicy,
-        StoreConfig, StoreError, StoreStats, ViewCatalog, ViewDoc, ViewFreshness, ViewRow,
-        ViewSlotState, ERROR_RING_CAP,
+        ScanPlan, StoreConfig, StoreError, StoreStats, ViewCatalog, ViewDoc, ViewFreshness,
+        ViewRow, ViewSlotState, ERROR_RING_CAP,
     };
 }

@@ -36,11 +36,8 @@ use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheStats, HypothesisCache};
 use crate::engine::{
     run_pass, Device, EngineKind, FoldOpts, InspectionConfig, InspectionRequest, Profile,
-    RunBudget, SharedOutcome, StoreSource,
+    RunBudget, SharedOutcome,
 };
-// The optimizer's per-group store decision lives next to the executor
-// that consumes it; re-exported here because it is a planning artifact.
-pub use crate::engine::StorePlan;
 use crate::error::DniError;
 use crate::extract::Extractor;
 use crate::measure::Measure;
@@ -48,6 +45,9 @@ use crate::model::{Dataset, HypothesisFn, UnitGroup};
 use crate::query::{Catalog, ColRef, Cond, InspectQuery, Literal, UnitMeta};
 use crate::result::{Completion, ResultFrame};
 use deepbase_relational::{ColType, Schema, Table, Value};
+// The per-segment store decision is made and executed by the store crate;
+// re-exported here because it is a planning artifact.
+pub use deepbase_store::ScanPlan;
 use deepbase_store::{
     BehaviorStore, MaterializationPolicy, StoreStats, ViewFreshness, ViewSlotState,
 };
@@ -238,8 +238,6 @@ pub struct LogicalPlan {
     pub measures: Vec<Arc<dyn Measure>>,
     /// Validated output schema (column name, type), in SELECT order.
     schema: Vec<(String, ColType)>,
-    /// Lazily computed dataset content fingerprint.
-    dataset_fp: OnceLock<u64>,
 }
 
 impl LogicalPlan {
@@ -251,14 +249,6 @@ impl LogicalPlan {
                 .map(|(n, t)| (n.as_str(), *t))
                 .collect::<Vec<_>>(),
         ))
-    }
-
-    /// Content fingerprint of the bound dataset (store key). Computed on
-    /// first use and cached for the plan's lifetime.
-    pub fn dataset_fingerprint(&self) -> u64 {
-        *self
-            .dataset_fp
-            .get_or_init(|| self.dataset.content_fingerprint())
     }
 }
 
@@ -389,7 +379,6 @@ pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniE
         dataset,
         measures,
         schema,
-        dataset_fp: OnceLock::new(),
     })
 }
 
@@ -557,15 +546,15 @@ pub enum GroupSource {
     /// extractor provides no content fingerprint, so its columns cannot
     /// be keyed durably.
     ExtractUnkeyed,
-    /// Store-backed: scan the `hits`, extract the `misses`, merge into
-    /// the union stream (and write back under a read-write policy).
-    StoreScan(StorePlan),
-    /// Segmented store-backed: the dataset has sealed segments and the
-    /// scan-vs-extract decision is made *per segment*, each under its
-    /// own `(model fp, segment fp)` column key. Appending records and
-    /// re-running therefore scans the old segments warm and extracts
-    /// only the new ones.
-    Segments(Vec<SegmentSource>),
+    /// Store-backed: one [`ScanPlan`] per dataset segment, in canonical
+    /// segment order — scan the plan's `hits`, resume its `partials` at
+    /// their watermark, extract its `misses`, merge into the union stream
+    /// (and write back under a read-write policy). The decision is made
+    /// *per segment*, each under its own `(model fp, segment fp)` column
+    /// key, so appending records and re-running scans the old segments
+    /// warm and extracts only the new ones; an unsegmented dataset is the
+    /// one-element list.
+    Segments(Vec<ScanPlan>),
     /// Served by replaying a fresh materialized view's stored frame:
     /// the group schedules zero waves — zero extraction passes and zero
     /// store block reads.
@@ -605,29 +594,49 @@ pub fn freshness_label(freshness: &ViewFreshness) -> String {
     }
 }
 
-/// Per-segment source decision of a [`GroupSource::Segments`] group.
-pub struct SegmentSource {
-    /// Segment index within the dataset's canonical order.
-    pub index: usize,
-    /// First record of the segment.
-    pub start: usize,
-    /// Record count of the segment.
-    pub len: usize,
-    /// The segment's content fingerprint (the dataset-fp slot of the
-    /// store column key for this segment's scans and write-backs).
-    pub fingerprint: u64,
-    /// Store plan for this segment, `None` when the store holds nothing
-    /// for it (pure live extraction, written back under read-write).
-    pub plan: Option<StorePlan>,
-}
-
-impl SegmentSource {
-    /// Unit columns a complete stored copy serves in this segment.
-    fn scan_hits(&self) -> usize {
-        match &self.plan {
-            Some(sp) if sp.read => sp.hits.len(),
-            _ => 0,
+impl GroupSource {
+    /// The per-segment scan plans of a store-backed group.
+    fn scan_plans(&self) -> Option<&[ScanPlan]> {
+        match self {
+            GroupSource::Segments(plans) => Some(plans),
+            _ => None,
         }
+    }
+
+    /// Chooses the source of `units` of `model` over `dataset`: one store
+    /// probe per segment under the `(model fingerprint, segment
+    /// fingerprint)` key — complete columns scan, partial columns scan up
+    /// to their watermark, the rest extract live. The one scan-vs-extract
+    /// decision both the optimizer and view passes make. Only the
+    /// streaming DeepBase engine consumes scan plans — the materializing
+    /// fallbacks would silently ignore one, so theirs stay plain `Extract`
+    /// and `explain` never promises a scan that cannot happen.
+    fn choose(
+        binding: Option<&StoreBinding>,
+        config: &InspectionConfig,
+        model: &BoundModel,
+        dataset: &Dataset,
+        units: &[usize],
+    ) -> GroupSource {
+        let Some(binding) = binding.filter(|_| config.engine == EngineKind::DeepBase) else {
+            return GroupSource::Extract;
+        };
+        let Some(model_fp) = model.fingerprint() else {
+            return GroupSource::ExtractUnkeyed;
+        };
+        let plans = (0..dataset.segment_count())
+            .map(|index| {
+                binding.store.plan_scan(
+                    model_fp,
+                    dataset.segment_fingerprint(index),
+                    units,
+                    binding.policy == MaterializationPolicy::ReadWrite,
+                    binding.writeback_limit_bytes,
+                    config.pushdown,
+                )
+            })
+            .collect();
+        GroupSource::Segments(plans)
     }
 }
 
@@ -662,11 +671,46 @@ pub struct PlanGroup {
     /// Where the union unit behaviors come from (store scan vs live
     /// extraction), decided at optimize time.
     pub source: GroupSource,
+    /// Union unit columns with a complete stored copy in *every* segment,
+    /// derived from `source` at optimize time: the set credited off the
+    /// extraction budget and charged to the scan budget.
+    scan_hits: HashSet<usize>,
+    /// The widest single segment's complete-hit count (see `scan_width`).
+    scan_width: usize,
     /// The materialized view matched to this group's statement, if any.
     pub view: Option<ViewNote>,
 }
 
 impl PlanGroup {
+    /// An empty group; `optimize_with` fills in members, estimates, the
+    /// source and the admission waves.
+    fn new(
+        model_id: &str,
+        dataset: &Arc<Dataset>,
+        source: GroupSource,
+        view: Option<ViewNote>,
+    ) -> PlanGroup {
+        PlanGroup {
+            model_id: model_id.to_string(),
+            dataset_id: dataset.id.clone(),
+            dataset: Arc::clone(dataset),
+            items: Vec::new(),
+            union_units: Vec::new(),
+            requested_unit_columns: 0,
+            unique_hypotheses: 0,
+            requested_hypotheses: 0,
+            shared_measure_states: 0,
+            requested_measure_states: 0,
+            waves: Vec::new(),
+            wave_widths: Vec::new(),
+            wave_scan_widths: Vec::new(),
+            source,
+            scan_hits: HashSet::new(),
+            scan_width: 0,
+            view,
+        }
+    }
+
     /// Union-stream width of the unsplit group.
     pub fn stream_width(&self) -> usize {
         self.union_units.len() + self.unique_hypotheses
@@ -677,51 +721,18 @@ impl PlanGroup {
     /// segment, so the scan budget is charged at the widest single
     /// segment, not the sum.
     pub fn scan_width(&self) -> usize {
-        match &self.source {
-            GroupSource::StoreScan(sp) if sp.read => sp.hits.len(),
-            GroupSource::Segments(segs) => {
-                segs.iter().map(SegmentSource::scan_hits).max().unwrap_or(0)
-            }
-            _ => 0,
-        }
+        self.scan_width
     }
 
     /// Union-stream columns that require live work — unit columns
     /// without a complete stored copy (including partial columns, whose
     /// tails extract live) plus hypothesis columns (always evaluated
     /// live). This is the width `AdmissionConfig::max_stream_width`
-    /// bounds. A segmented group credits a unit column off the
-    /// extraction budget only when *every* segment can scan it
-    /// (strictly conservative: a column warm in some segments still
-    /// extracts live in the others).
+    /// bounds. A unit column is credited off the extraction budget only
+    /// when *every* segment can scan it (strictly conservative: a column
+    /// warm in some segments still extracts live in the others).
     pub fn extract_width(&self) -> usize {
-        match &self.source {
-            GroupSource::Segments(_) => self.stream_width() - self.segment_scan_hits().len(),
-            _ => self.stream_width() - self.scan_width(),
-        }
-    }
-
-    /// Unit columns with a complete stored copy in every segment (the
-    /// set credited off the extraction budget for segmented groups).
-    fn segment_scan_hits(&self) -> HashSet<usize> {
-        let GroupSource::Segments(segs) = &self.source else {
-            return HashSet::new();
-        };
-        let mut iter = segs.iter();
-        let mut common: HashSet<usize> = match iter.next() {
-            Some(s) => match &s.plan {
-                Some(sp) if sp.read => sp.hits.iter().copied().collect(),
-                _ => HashSet::new(),
-            },
-            None => HashSet::new(),
-        };
-        for s in iter {
-            match &s.plan {
-                Some(sp) if sp.read => common.retain(|u| sp.hits.binary_search(u).is_ok()),
-                _ => common.clear(),
-            }
-        }
-        common
+        self.stream_width() - self.scan_hits.len()
     }
 
     /// Estimated bytes one streamed block of this group holds.
@@ -749,8 +760,6 @@ pub struct PhysicalPlan {
     /// (execution arms the budget of the config it is given, which is
     /// normally the same one).
     budget: RunBudget,
-    /// The open store the `StoreScan` sources execute against.
-    store: Option<Arc<BehaviorStore>>,
     /// Process-wide admission scheduler: when set, every execution wave
     /// acquires a width permit before streaming, so the plan's waves
     /// share one cross-session budget instead of a private one.
@@ -787,39 +796,6 @@ fn items_widths(
     (units.len() - scanned + hyps.len(), scanned)
 }
 
-/// Probes the store for `units` under one `(model fingerprint, dataset or
-/// segment fingerprint)` key: complete columns scan, partial columns
-/// scan up to their watermark, the rest extract live (and write back
-/// under a read-write policy). The one scan-vs-extract decision both the
-/// optimizer and view passes make.
-fn probe_store(
-    binding: &StoreBinding,
-    config: &InspectionConfig,
-    units: &[usize],
-    model_fp: u64,
-    dataset_fp: u64,
-) -> StorePlan {
-    let hits = binding.store.available_units(model_fp, dataset_fp, units);
-    let partials = binding.store.partial_units(model_fp, dataset_fp, units);
-    let misses = units
-        .iter()
-        .copied()
-        .filter(|u| hits.binary_search(u).is_err() && partials.binary_search(u).is_err())
-        .collect();
-    StorePlan {
-        model_fp,
-        dataset_fp,
-        hits,
-        partials,
-        misses,
-        read: true,
-        write: binding.policy == MaterializationPolicy::ReadWrite,
-        writeback_limit_bytes: binding.writeback_limit_bytes,
-        prune: config.pushdown,
-        pruned_estimate: None,
-    }
-}
-
 /// Groups the bound queries' work items by `(extractor, dataset)`,
 /// estimates per-group sharing and stream width, and applies admission
 /// control. The resulting [`PhysicalPlan`] executes via
@@ -829,22 +805,15 @@ pub fn optimize(
     config: &InspectionConfig,
     admission: AdmissionConfig,
 ) -> PhysicalPlan {
-    optimize_with(
-        plans,
-        config,
-        admission,
-        None,
-        None,
-        &mut |_, _| None,
-        &mut |_| None,
-    )
+    optimize_store(plans, config, admission, None)
 }
 
 /// [`optimize`] with a behavior-store binding: each group's source is
-/// chosen by probing the store for the group's union unit columns under
-/// the `(model fingerprint, dataset fingerprint)` key — full hits scan
-/// everything, partial hits scan the stored columns and extract only the
-/// missing units, models without a fingerprint extract live.
+/// chosen by probing the store for the group's union unit columns,
+/// segment by segment, under the `(model fingerprint, segment
+/// fingerprint)` key — full hits scan everything, partial hits scan the
+/// stored columns and extract only the missing units, models without a
+/// fingerprint extract live.
 pub fn optimize_store(
     plans: &[Arc<LogicalPlan>],
     config: &InspectionConfig,
@@ -922,25 +891,14 @@ pub(crate) fn optimize_with(
                                 GroupSource::ViewReplay { name } if *name == hit.note.name)
                         })
                         .unwrap_or_else(|| {
-                            groups.push(PlanGroup {
-                                model_id: model.mid.clone(),
-                                dataset_id: plan.dataset.id.clone(),
-                                dataset: Arc::clone(&plan.dataset),
-                                items: Vec::new(),
-                                union_units: Vec::new(),
-                                requested_unit_columns: 0,
-                                unique_hypotheses: 0,
-                                requested_hypotheses: 0,
-                                shared_measure_states: 0,
-                                requested_measure_states: 0,
-                                waves: Vec::new(),
-                                wave_widths: Vec::new(),
-                                wave_scan_widths: Vec::new(),
-                                source: GroupSource::ViewReplay {
+                            groups.push(PlanGroup::new(
+                                &model.mid,
+                                &plan.dataset,
+                                GroupSource::ViewReplay {
                                     name: hit.note.name.clone(),
                                 },
-                                view: Some(hit.note.clone()),
-                            });
+                                Some(hit.note.clone()),
+                            ));
                             // Null key: never matches a real extractor/
                             // dataset identity, so ordinary items cannot
                             // join a replay group.
@@ -957,23 +915,12 @@ pub(crate) fn optimize_with(
             }
             let key = (thin(&model.extractor), thin(&plan.dataset));
             let gidx = group_of.iter().position(|&k| k == key).unwrap_or_else(|| {
-                groups.push(PlanGroup {
-                    model_id: model.mid.clone(),
-                    dataset_id: plan.dataset.id.clone(),
-                    dataset: Arc::clone(&plan.dataset),
-                    items: Vec::new(),
-                    union_units: Vec::new(),
-                    requested_unit_columns: 0,
-                    unique_hypotheses: 0,
-                    requested_hypotheses: 0,
-                    shared_measure_states: 0,
-                    requested_measure_states: 0,
-                    waves: Vec::new(),
-                    wave_widths: Vec::new(),
-                    wave_scan_widths: Vec::new(),
-                    source: GroupSource::Extract,
-                    view: None,
-                });
+                groups.push(PlanGroup::new(
+                    &model.mid,
+                    &plan.dataset,
+                    GroupSource::Extract,
+                    None,
+                ));
                 group_of.push(key);
                 groups.len() - 1
             });
@@ -1064,75 +1011,27 @@ pub(crate) fn optimize_with(
         group.unique_hypotheses = hyp_cols.len();
         group.shared_measure_states = state_keys.len();
 
-        // Source choice: probe the store for the union columns under the
-        // group's (model fingerprint, dataset fingerprint) key. Groups
-        // key on extractor identity, so any member yields the
-        // fingerprints. Only the streaming DeepBase engine consumes
-        // store sources — the materializing fallbacks would silently
-        // ignore one, so their groups stay plain `Extract` and `explain`
-        // never promises a scan that cannot happen.
-        let streaming = config.engine == EngineKind::DeepBase;
-        if let (true, Some(binding), Some(first)) = (streaming, binding, group.items.first()) {
+        // Source choice: probe the store for the union columns, segment
+        // by segment. Groups key on extractor identity, so any member
+        // yields the model fingerprint.
+        if let Some(first) = group.items.first() {
             let plan = &plans[first.query];
             let model = &plan.models[first.model_pos];
-            // The plan-time pushdown estimate rides on the probe: each
-            // complete hit's prunable/total block counts from its (cached)
-            // zone table. Advisory — the scan re-decides per block.
-            let probe = |dataset_fp: u64, model_fp: u64| {
-                let mut sp = probe_store(binding, config, &group.union_units, model_fp, dataset_fp);
-                sp.pruned_estimate = config.pushdown.then(|| {
-                    sp.hits.iter().fold((0usize, 0usize), |(p, t), &unit| {
-                        match binding.store.zone_summary(&deepbase_store::ColumnKey {
-                            model_fp,
-                            dataset_fp,
-                            unit,
-                        }) {
-                            Some((prunable, total)) => (p + prunable, t + total),
-                            None => (p, t),
-                        }
-                    })
-                });
-                sp
-            };
-            group.source = match model.fingerprint() {
-                None => GroupSource::ExtractUnkeyed,
-                Some(model_fp) if plan.dataset.segment_count() > 1 => {
-                    // Each sealed segment is probed under its own
-                    // fingerprint, so an append invalidates nothing:
-                    // the old segments' columns stay warm and only the
-                    // new segments extract (and write back) live.
-                    let segs = plan
-                        .dataset
-                        .segments()
-                        .into_iter()
-                        .map(|seg| {
-                            let fp = plan.dataset.segment_fingerprint(seg.index);
-                            SegmentSource {
-                                index: seg.index,
-                                start: seg.start,
-                                len: seg.len,
-                                fingerprint: fp,
-                                plan: Some(probe(fp, model_fp)),
-                            }
-                        })
-                        .collect();
-                    GroupSource::Segments(segs)
-                }
-                Some(model_fp) => {
-                    GroupSource::StoreScan(probe(plan.dataset_fingerprint(), model_fp))
-                }
-            };
+            group.source =
+                GroupSource::choose(binding, config, model, &plan.dataset, &group.union_units);
+        }
+        if let Some(scans) = group.source.scan_plans() {
+            group.scan_width = scans.iter().map(|p| p.hits.len()).max().unwrap_or(0);
+            group.scan_hits = (group.union_units.iter().copied())
+                .filter(|u| scans.iter().all(|p| p.hits.binary_search(u).is_ok()))
+                .collect();
         }
 
         // Admission: store-scanned columns are charged to the scan
         // budget, everything live to the stream width. Oversized groups
         // split into in-order waves that respect both bounds; a lone
         // item wider than a bound gets its own wave.
-        let scan_hits: HashSet<usize> = match &group.source {
-            GroupSource::StoreScan(sp) if sp.read => sp.hits.iter().copied().collect(),
-            GroupSource::Segments(_) => group.segment_scan_hits(),
-            _ => HashSet::new(),
-        };
+        let scan_hits = &group.scan_hits;
         stats.scan_charged_columns += scan_hits.len();
         let fits = |extract: usize, scan: usize| {
             admission.max_stream_width.is_none_or(|b| extract <= b)
@@ -1147,12 +1046,12 @@ pub(crate) fn optimize_with(
             while start < group.items.len() {
                 let mut end = start + 1;
                 while end < group.items.len() && {
-                    let (e, s) = items_widths(plans, &group.items[start..=end], &scan_hits);
+                    let (e, s) = items_widths(plans, &group.items[start..=end], scan_hits);
                     fits(e, s)
                 } {
                     end += 1;
                 }
-                let (e, s) = items_widths(plans, &group.items[start..end], &scan_hits);
+                let (e, s) = items_widths(plans, &group.items[start..end], scan_hits);
                 group.wave_widths.push(e);
                 group.wave_scan_widths.push(s);
                 group.waves.push(start..end);
@@ -1177,7 +1076,6 @@ pub(crate) fn optimize_with(
         block_records: config.block_records.max(1),
         admission,
         budget: config.budget.clone(),
-        store: binding.map(|b| Arc::clone(&b.store)),
         scheduler,
     }
 }
@@ -1341,24 +1239,10 @@ impl PhysicalPlan {
         // independent groups fan out across the runtime pool on the
         // parallel device.
         let run_group = |g: &PlanGroup| -> Result<Vec<SharedOutcome>, DniError> {
-            // The store sources are shared by the group's waves: every
-            // wave streams the same (model, dataset), so hits apply to
-            // each wave's (sub-)union. One source per dataset segment, in
-            // canonical segment order — a `StoreScan` group is the
-            // one-segment list.
-            let sources: Option<Vec<Option<StoreSource>>> = self.store.as_ref().and_then(|store| {
-                let bind = |sp: &StorePlan| StoreSource {
-                    store: Arc::clone(store),
-                    plan: sp.clone(),
-                };
-                match &g.source {
-                    GroupSource::StoreScan(sp) => Some(vec![Some(bind(sp))]),
-                    GroupSource::Segments(segs) => {
-                        Some(segs.iter().map(|s| s.plan.as_ref().map(bind)).collect())
-                    }
-                    _ => None,
-                }
-            });
+            // The scan plans are shared by the group's waves: every wave
+            // streams the same (model, dataset), so hits apply to each
+            // wave's (sub-)union.
+            let sources = g.source.scan_plans();
             // Contain worker panics at the group boundary: a hypothesis
             // or extractor that panics mid-stream poisons only its own
             // group's queries — the payload surfaces as
@@ -1399,7 +1283,7 @@ impl PhysicalPlan {
                         run_pass(
                             &requests,
                             &config,
-                            sources.as_deref(),
+                            sources,
                             armed.as_ref(),
                             &FoldOpts::default(),
                         )
@@ -1627,49 +1511,8 @@ impl PhysicalPlan {
                 GroupSource::ExtractUnkeyed => out.push_str(&format!(
                     "{stem}├─ source: live extract (model has no content fingerprint)\n"
                 )),
-                GroupSource::StoreScan(sp) => {
-                    let mode = if sp.write { "read-write" } else { "read-only" };
-                    let partial = if sp.partials.is_empty() {
-                        String::new()
-                    } else {
-                        format!("{} partial, ", sp.partials.len())
-                    };
-                    out.push_str(&format!(
-                        "{stem}├─ source: store scan ({}/{} unit columns stored, \
-                         {partial}{} extracted live; {mode})\n",
-                        sp.hits.len(),
-                        g.union_units.len(),
-                        sp.misses.len(),
-                    ));
-                    if let Some((pruned, total)) = sp.pruned_estimate {
-                        if total > 0 {
-                            out.push_str(&format!(
-                                "{stem}├─ pruned: {pruned}/{total} blocks (zone-map pushdown)\n"
-                            ));
-                        }
-                    }
-                }
                 GroupSource::ViewReplay { .. } => unreachable!("rendered above"),
-                GroupSource::Segments(segs) => {
-                    // A segment is warm when every union unit column has a
-                    // complete stored copy, cold when none does.
-                    let total = g.union_units.len();
-                    let warm = segs
-                        .iter()
-                        .filter(|s| total > 0 && s.scan_hits() == total)
-                        .count();
-                    let cold = segs.iter().filter(|s| s.scan_hits() == 0).count();
-                    let partial = segs.len() - warm - cold;
-                    let mode = match segs.iter().find_map(|s| s.plan.as_ref()) {
-                        Some(sp) if sp.write => "read-write",
-                        _ => "read-only",
-                    };
-                    out.push_str(&format!(
-                        "{stem}├─ segments: {} sealed, {warm} warm, {partial} partial, \
-                         {cold} cold; {mode}\n",
-                        segs.len(),
-                    ));
-                }
+                GroupSource::Segments(scans) => explain_store_source(&mut out, stem, g, scans),
             }
             if let Some(note) = &g.view {
                 out.push_str(&format!(
@@ -1741,6 +1584,52 @@ impl PhysicalPlan {
     }
 }
 
+/// Renders a store-backed group's source for [`PhysicalPlan::explain`]:
+/// the source line counts union unit columns across segments — *stored*
+/// has a complete copy in every segment, *extracted live* is missing from
+/// at least one, *partial* is the rest — so one segment reads as its own
+/// plan's hit/partial/miss split; the segments line classifies each
+/// segment (warm: every union column complete, cold: none); the pushdown
+/// estimate sums over segments.
+fn explain_store_source(out: &mut String, stem: &str, g: &PlanGroup, scans: &[ScanPlan]) {
+    let total = g.union_units.len();
+    let stored = g.scan_hits.len();
+    let live = (g.union_units.iter())
+        .filter(|u| scans.iter().any(|p| p.misses.binary_search(u).is_ok()))
+        .count();
+    let partial = match total - stored - live {
+        0 => String::new(),
+        n => format!("{n} partial, "),
+    };
+    let mode = if scans.iter().any(|p| p.write) {
+        "read-write"
+    } else {
+        "read-only"
+    };
+    out.push_str(&format!(
+        "{stem}├─ source: store scan ({stored}/{total} unit columns stored, \
+         {partial}{live} extracted live; {mode})\n"
+    ));
+    let warm = scans
+        .iter()
+        .filter(|p| total > 0 && p.hits.len() == total)
+        .count();
+    let cold = scans.iter().filter(|p| p.hits.is_empty()).count();
+    out.push_str(&format!(
+        "{stem}├─ segments: {} sealed, {warm} warm, {} partial, {cold} cold\n",
+        scans.len(),
+        scans.len() - warm - cold,
+    ));
+    let (pruned, blocks) = scans.iter().fold((0, 0), |(p, t), s| {
+        (p + s.pruned_estimate.0, t + s.pruned_estimate.1)
+    });
+    if blocks > 0 {
+        out.push_str(&format!(
+            "{stem}├─ pruned: {pruned}/{blocks} blocks (zone-map pushdown)\n"
+        ));
+    }
+}
+
 // ---------------------------------------------------------------------
 // View build / refresh execution
 // ---------------------------------------------------------------------
@@ -1773,24 +1662,11 @@ pub(crate) fn run_view_pass(
         .collect();
     union_units.sort_unstable();
     union_units.dedup();
-    // Per-segment store sources, chosen exactly as the optimizer would:
-    // warm segments scan, cold ones extract live (and write back under a
+    // Per-segment scan plans, chosen exactly as the optimizer would: warm
+    // segments scan, cold ones extract live (and write back under a
     // read-write policy), so a view build over a warm store pays no
     // redundant forward passes.
-    let sources: Option<Vec<Option<StoreSource>>> = match (binding, model.fingerprint()) {
-        (Some(b), Some(model_fp)) if config.engine == EngineKind::DeepBase => Some(
-            (0..plan.dataset.segment_count())
-                .map(|i| {
-                    let segment_fp = plan.dataset.segment_fingerprint(i);
-                    Some(StoreSource {
-                        store: Arc::clone(&b.store),
-                        plan: probe_store(b, config, &union_units, model_fp, segment_fp),
-                    })
-                })
-                .collect(),
-        ),
-        _ => None,
-    };
+    let source = GroupSource::choose(binding, config, model, &plan.dataset, &union_units);
     // One permit for the whole pass (a view pass is a single wave),
     // charged conservatively at the statement's full extraction width so
     // concurrent refreshes compose under the process-wide budget.
@@ -1805,7 +1681,13 @@ pub(crate) fn run_view_pass(
     };
     let armed = config.budget.arm();
     catch_unwind(AssertUnwindSafe(|| {
-        run_pass(&[request], config, sources.as_deref(), armed.as_ref(), opts)
+        run_pass(
+            &[request],
+            config,
+            source.scan_plans(),
+            armed.as_ref(),
+            opts,
+        )
     }))
     .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
 }

@@ -588,7 +588,8 @@ fn append_then_reinspect_extracts_only_the_new_segment() {
             .unwrap();
         let explain = session.explain(Q).unwrap();
         assert!(
-            explain.contains("segments: 3 sealed, 2 warm, 0 partial, 1 cold; read-write"),
+            explain.contains("segments: 3 sealed, 2 warm, 0 partial, 1 cold\n")
+                && explain.contains("extracted live; read-write)"),
             "got:\n{explain}"
         );
 

@@ -250,7 +250,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Differential property: pruned + compressed v3 == raw v2 == live
+// Differential property: pruned v3 == pushdown-off v3 == live
 // ---------------------------------------------------------------------
 
 /// Behaviors with a unit mix that exercises every v3 codec and the NaN
@@ -315,49 +315,10 @@ fn mixed_catalog(nd: usize, salt: u64) -> (Catalog, Arc<AtomicUsize>) {
     (catalog, calls)
 }
 
-/// Seeds complete **v2** (raw, pre-compression) column files for every
-/// unit of the mixed catalog, bypassing the store writer, exactly as a
-/// pre-upgrade deployment would have left them on disk.
-fn seed_v2_columns(dir: &Path, nd: usize, salt: u64) {
-    let m = mixed_behaviors(nd, salt);
-    let extractor = PrecomputedExtractor::new(mixed_behaviors(nd, salt), NS);
-    let model_fp = extractor.fingerprint().unwrap();
-    let dataset_fp = Dataset::new("seq", NS, records(nd))
-        .unwrap()
-        .content_fingerprint();
-    let sub = dir.join(format!("{model_fp:016x}.{dataset_fp:016x}"));
-    std::fs::create_dir_all(&sub).unwrap();
-    for unit in 0..UNITS {
-        let mut col = vec![0.0f32; nd * NS];
-        for pos in 0..nd {
-            for t in 0..NS {
-                col[pos * NS + t] = m.get(pos * NS + t, unit);
-            }
-        }
-        let meta = deepbase_store::format::ColumnMeta {
-            model_fp,
-            dataset_fp,
-            unit: unit as u64,
-            nd: nd as u64,
-            ns: NS as u64,
-            block_records: 4,
-            completed_records: nd as u64,
-        };
-        deepbase_store::format::write_column_file_v2(
-            &sub.join(format!("u{unit}.col")),
-            &sub.join(format!("u{unit}.tmp")),
-            &meta,
-            &col,
-            None,
-        )
-        .unwrap();
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
-    fn pruned_compressed_v3_scans_match_raw_v2_scans_and_live_extraction(
+    fn pruned_v3_scans_match_pushdown_off_scans_and_live_extraction(
         nd in 9usize..28,
         salt in 0u64..1_000_000,
     ) {
@@ -417,7 +378,7 @@ proptest! {
             prop_assert!(out.report.store.errors.is_empty(), "{:?}", out.report.store.errors);
             drop(pruned);
 
-            let (catalog, _) = mixed_catalog(nd, salt);
+            let (catalog, unpruned_calls) = mixed_catalog(nd, salt);
             let mut unpruned = Session::with_config(
                 catalog,
                 SessionConfig {
@@ -436,39 +397,10 @@ proptest! {
                 "pushdown-off v3 scan diverged from live extraction on {:?}",
                 device
             );
+            prop_assert_eq!(unpruned_calls.load(Ordering::SeqCst), 0, "warm hit must not extract");
             prop_assert_eq!(out.report.store.blocks_pruned, 0);
             drop(unpruned);
             let _ = std::fs::remove_dir_all(&v3_dir);
-
-            // v2 path: pre-upgrade raw files scan bit-identically and
-            // never prune (their zone maps carry no codec evidence).
-            let v2_dir = store_dir(&tag.replace("v3", "v2"));
-            seed_v2_columns(&v2_dir, nd, salt);
-            let (mut v2, v2_calls) = {
-                let (catalog, calls) = mixed_catalog(nd, salt);
-                (
-                    Session::with_config(
-                        catalog,
-                        SessionConfig {
-                            inspection: config(device),
-                            store: Some(store_config(&v2_dir)),
-                            ..SessionConfig::default()
-                        },
-                    ),
-                    calls,
-                )
-            };
-            let out = v2.run_batch(&[Q_ALL]).unwrap();
-            prop_assert_eq!(
-                &out.tables,
-                &reference,
-                "raw v2 scan diverged from live extraction on {:?}",
-                device
-            );
-            prop_assert_eq!(v2_calls.load(Ordering::SeqCst), 0, "v2 files are a warm hit");
-            prop_assert_eq!(out.report.store.blocks_pruned, 0, "v2 files must never prune");
-            prop_assert!(out.report.store.errors.is_empty(), "{:?}", out.report.store.errors);
-            let _ = std::fs::remove_dir_all(&v2_dir);
         }
     }
 }

@@ -27,7 +27,7 @@
 //! Each block is stored under the smallest of three encodings, named by
 //! the zone entry's codec tag:
 //!
-//! * [`Codec::Raw`] (0) — `rows * ns` little-endian f32, as in v2.
+//! * [`Codec::Raw`] (0) — `rows * ns` little-endian f32.
 //! * [`Codec::Constant`] (1) — every value in the block shares one bit
 //!   pattern; the payload is that single f32 (4 bytes). For a *finite*
 //!   constant the zone `min`/`max` carry the exact same bits, which is
@@ -78,14 +78,12 @@
 //! holds **only** the valid records, densely packed in ascending position
 //! order: a record's data row is its rank among the covered positions.
 //!
-//! ## Back-compat
+//! ## Other versions
 //!
-//! Version-2 files (raw f32 blocks, 16-byte zone entries without codec
-//! or flags, no access stamp) remain fully readable: their zones convert
-//! to `Codec::Raw` with `has_non_finite = true` — *conservatively*, since
-//! a v2 zone map was computed with the NaN-blind `f32::min` fold and must
-//! never drive pruning — and their access stamp reads as 0 (coldest).
-//! Version-1 files read as corrupt and re-materialize.
+//! Only version 3 is read. A file declaring any other version (the
+//! pre-codec versions 1 and 2 included) reads as corrupt, is quarantined
+//! under a read-write policy, and re-materializes from live extraction —
+//! the store is a cache of recomputable data, so there is no migration.
 
 use crate::StoreError;
 use std::fs::File;
@@ -94,43 +92,27 @@ use std::path::Path;
 
 /// File magic for behavior-column files.
 pub const MAGIC: [u8; 8] = *b"DBSBCOL\0";
-/// Current format version (3 added per-block codecs, NaN-safe zone
-/// flags and access stamps; 2 added the completed-record watermark +
-/// coverage bitmap; version-1 files read as corrupt and re-materialize).
+/// The one format version written and read (3 added per-block codecs,
+/// NaN-safe zone flags and access stamps; 2 added the completed-record
+/// watermark + coverage bitmap; files of other versions read as corrupt
+/// and re-materialize).
 pub const VERSION: u16 = 3;
-/// The previous on-disk version, still fully readable (see module docs).
-pub const VERSION_V2: u16 = 2;
 
 const HEADER_LEN: u64 = 8 + 2 + 2 + 4;
 /// The CRC-covered schema fields (7 u64).
 const SCHEMA_FIELDS_LEN: usize = 7 * 8;
-const SCHEMA_LEN_V2: u64 = SCHEMA_FIELDS_LEN as u64 + 4;
-const SCHEMA_LEN_V3: u64 = SCHEMA_FIELDS_LEN as u64 + 4 + 8;
-/// Fixed file offset of the access stamp (v3 only; after the schema CRC
-/// so the CRC-covered prefix stays contiguous).
-const ACCESS_STAMP_OFFSET: u64 = HEADER_LEN + SCHEMA_LEN_V2;
-const ZONE_ENTRY_LEN_V2: u64 = 4 + 4 + 4 + 4;
-const ZONE_ENTRY_LEN_V3: u64 = 4 + 4 + 4 + 1 + 1 + 2 + 4 + 4;
+/// The schema fields plus their checksum.
+const SCHEMA_CHECKED_LEN: u64 = SCHEMA_FIELDS_LEN as u64 + 4;
+/// The whole schema section: checked part, then the access stamp.
+const SCHEMA_LEN: u64 = SCHEMA_CHECKED_LEN + 8;
+/// Fixed file offset of the access stamp (after the schema CRC so the
+/// CRC-covered prefix stays contiguous).
+const ACCESS_STAMP_OFFSET: u64 = HEADER_LEN + SCHEMA_CHECKED_LEN;
+const ZONE_ENTRY_LEN: u64 = 4 + 4 + 4 + 1 + 1 + 2 + 4 + 4;
 /// Zone flag bit0: the block contains at least one NaN or ±Inf value.
 const ZONE_FLAG_NON_FINITE: u8 = 0x01;
 /// Largest dictionary [`Codec::Dict`] can name (a one-byte size field).
 const DICT_MAX_ENTRIES: usize = 255;
-
-fn schema_len(version: u16) -> u64 {
-    if version == VERSION_V2 {
-        SCHEMA_LEN_V2
-    } else {
-        SCHEMA_LEN_V3
-    }
-}
-
-fn zone_entry_len(version: u16) -> u64 {
-    if version == VERSION_V2 {
-        ZONE_ENTRY_LEN_V2
-    } else {
-        ZONE_ENTRY_LEN_V3
-    }
-}
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — implemented here so the crate stays
@@ -238,10 +220,10 @@ impl ColumnMeta {
         }
     }
 
-    /// The CRC-covered schema fields plus their checksum (60 bytes; a v3
+    /// The CRC-covered schema fields plus their checksum (60 bytes; the
     /// writer appends the uncovered access stamp after this).
-    fn to_bytes(self) -> [u8; SCHEMA_LEN_V2 as usize] {
-        let mut out = [0u8; SCHEMA_LEN_V2 as usize];
+    fn to_bytes(self) -> [u8; SCHEMA_CHECKED_LEN as usize] {
+        let mut out = [0u8; SCHEMA_CHECKED_LEN as usize];
         let fields = [
             self.model_fp,
             self.dataset_fp,
@@ -259,7 +241,7 @@ impl ColumnMeta {
         out
     }
 
-    fn from_bytes(bytes: &[u8; SCHEMA_LEN_V2 as usize]) -> Result<ColumnMeta, StoreError> {
+    fn from_bytes(bytes: &[u8; SCHEMA_CHECKED_LEN as usize]) -> Result<ColumnMeta, StoreError> {
         let stored_crc = u32::from_le_bytes(bytes[SCHEMA_FIELDS_LEN..].try_into().unwrap());
         if crc32(&bytes[..SCHEMA_FIELDS_LEN]) != stored_crc {
             return Err(StoreError::Corrupt("schema checksum mismatch".into()));
@@ -350,8 +332,8 @@ impl ZoneEntry {
         (self.codec == Codec::Constant && !self.has_non_finite).then_some(self.min)
     }
 
-    fn to_bytes(self) -> [u8; ZONE_ENTRY_LEN_V3 as usize] {
-        let mut out = [0u8; ZONE_ENTRY_LEN_V3 as usize];
+    fn to_bytes(self) -> [u8; ZONE_ENTRY_LEN as usize] {
+        let mut out = [0u8; ZONE_ENTRY_LEN as usize];
         out[0..4].copy_from_slice(&self.min.to_bits().to_le_bytes());
         out[4..8].copy_from_slice(&self.max.to_bits().to_le_bytes());
         out[8..12].copy_from_slice(&self.rows.to_le_bytes());
@@ -673,31 +655,6 @@ pub struct WriteSummary {
     pub stored_data_bytes: u64,
 }
 
-fn write_header<W: Write>(w: &mut W, version: u16) -> Result<(), StoreError> {
-    let mut header = Vec::with_capacity(HEADER_LEN as usize);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes()); // flags
-    let crc = crc32(&header);
-    header.extend_from_slice(&crc.to_le_bytes());
-    w.write_all(&header)?;
-    Ok(())
-}
-
-fn write_coverage<W: Write>(
-    w: &mut W,
-    meta: &ColumnMeta,
-    covered: Option<&[u8]>,
-) -> Result<(), StoreError> {
-    if let Some(bits) = covered {
-        debug_assert_eq!(bits.len(), coverage_bytes(meta.nd as usize));
-        debug_assert_eq!(coverage_popcount(bits), meta.completed_records);
-        w.write_all(bits)?;
-        w.write_all(&crc32(bits).to_le_bytes())?;
-    }
-    Ok(())
-}
-
 /// Serializes a column into `w` in the v3 format above. `data` holds the
 /// **packed** valid records in ascending position order
 /// (`data.len() == completed_records * ns`; see [`pack_rows`]). A
@@ -718,7 +675,13 @@ pub fn write_column<W: Write>(
         !meta.is_complete(),
         "coverage bitmap iff partial"
     );
-    write_header(w, VERSION)?;
+    let mut header = Vec::with_capacity(HEADER_LEN as usize);
+    header.extend_from_slice(&MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&0u16.to_le_bytes()); // flags
+    let crc = crc32(&header);
+    header.extend_from_slice(&crc.to_le_bytes());
+    w.write_all(&header)?;
     w.write_all(&meta.to_bytes())?;
     w.write_all(&access_stamp.to_le_bytes())?;
     // Encode every block first; zone entries describe the payloads.
@@ -728,7 +691,7 @@ pub fn write_column<W: Write>(
         raw_data_bytes: data.len() as u64 * 4,
         stored_data_bytes: 0,
     };
-    let mut zone_bytes = Vec::with_capacity(n_blocks * ZONE_ENTRY_LEN_V3 as usize);
+    let mut zone_bytes = Vec::with_capacity(n_blocks * ZONE_ENTRY_LEN as usize);
     let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(n_blocks);
     for b in 0..n_blocks {
         let rows = meta.rows_in_block(b);
@@ -743,57 +706,16 @@ pub fn write_column<W: Write>(
     let zone_crc = crc32(&zone_bytes);
     zone_bytes.extend_from_slice(&zone_crc.to_le_bytes());
     w.write_all(&zone_bytes)?;
-    write_coverage(w, meta, covered)?;
+    if let Some(bits) = covered {
+        debug_assert_eq!(bits.len(), coverage_bytes(meta.nd as usize));
+        debug_assert_eq!(coverage_popcount(bits), meta.completed_records);
+        w.write_all(bits)?;
+        w.write_all(&crc32(bits).to_le_bytes())?;
+    }
     for payload in &payloads {
         w.write_all(payload)?;
     }
     Ok(summary)
-}
-
-/// Serializes a column in the **v2** format (raw f32 blocks, 16-byte zone
-/// entries with the historical NaN-blind min/max fold, no access stamp).
-/// Kept for back-compat and differential tests — new columns always
-/// write v3.
-#[doc(hidden)]
-pub fn write_column_v2<W: Write>(
-    w: &mut W,
-    meta: &ColumnMeta,
-    data: &[f32],
-    covered: Option<&[u8]>,
-) -> Result<usize, StoreError> {
-    debug_assert_eq!(data.len() as u64, meta.data_records() * meta.ns);
-    write_header(w, VERSION_V2)?;
-    w.write_all(&meta.to_bytes())?;
-    let n_blocks = meta.n_blocks();
-    let mut zone_bytes = Vec::with_capacity(n_blocks * ZONE_ENTRY_LEN_V2 as usize);
-    let mut block_bytes: Vec<Vec<u8>> = Vec::with_capacity(n_blocks);
-    for b in 0..n_blocks {
-        let rows = meta.rows_in_block(b);
-        let start = b * meta.block_records as usize * meta.ns as usize;
-        let values = &data[start..start + rows * meta.ns as usize];
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        // The historical fold: NaN values are invisible to f32::min/max,
-        // which is exactly the bug v3 zone maps fix.
-        let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-            min = min.min(v);
-            max = max.max(v);
-        }
-        zone_bytes.extend_from_slice(&min.to_bits().to_le_bytes());
-        zone_bytes.extend_from_slice(&max.to_bits().to_le_bytes());
-        zone_bytes.extend_from_slice(&(rows as u32).to_le_bytes());
-        zone_bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
-        block_bytes.push(bytes);
-    }
-    let zone_crc = crc32(&zone_bytes);
-    zone_bytes.extend_from_slice(&zone_crc.to_le_bytes());
-    w.write_all(&zone_bytes)?;
-    write_coverage(w, meta, covered)?;
-    for bytes in &block_bytes {
-        w.write_all(bytes)?;
-    }
-    Ok(n_blocks)
 }
 
 /// Writes a column file atomically: serialize to `path` with a temporary
@@ -815,27 +737,10 @@ pub fn write_column_file(
     Ok(summary)
 }
 
-/// Atomic v2 writer (see [`write_column_v2`]).
-#[doc(hidden)]
-pub fn write_column_file_v2(
-    path: &Path,
-    tmp_path: &Path,
-    meta: &ColumnMeta,
-    data: &[f32],
-    covered: Option<&[u8]>,
-) -> Result<usize, StoreError> {
-    let mut file = File::create(tmp_path)?;
-    let blocks = write_column_v2(&mut file, meta, data, covered)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(tmp_path, path)?;
-    Ok(blocks)
-}
-
-/// Refreshes a v3 file's access stamp in place (an uncovered 8-byte
+/// Refreshes a column file's access stamp in place (an uncovered 8-byte
 /// write; see the module docs). Returns `Ok(false)` without touching the
-/// file when it is not a v3 column (v2 files carry no stamp). Best-effort
-/// by design: no fsync — a lost update only ages the column.
+/// file when it is not a current-version column. Best-effort by design:
+/// no fsync — a lost update only ages the column.
 pub fn write_access_stamp(path: &Path, stamp: u64) -> Result<bool, StoreError> {
     let mut file = std::fs::OpenOptions::new()
         .read(true)
@@ -846,7 +751,7 @@ pub fn write_access_stamp(path: &Path, stamp: u64) -> Result<bool, StoreError> {
         return Ok(false);
     }
     let version = u16::from_le_bytes(header[8..10].try_into().unwrap());
-    if version != VERSION || file.metadata()?.len() < HEADER_LEN + SCHEMA_LEN_V3 {
+    if version != VERSION || file.metadata()?.len() < HEADER_LEN + SCHEMA_LEN {
         return Ok(false);
     }
     file.seek(SeekFrom::Start(ACCESS_STAMP_OFFSET))?;
@@ -855,7 +760,8 @@ pub fn write_access_stamp(path: &Path, stamp: u64) -> Result<bool, StoreError> {
 }
 
 /// Reads a column file's access stamp without validating the rest of the
-/// file. `None` for non-v3 files (treated as coldest by eviction).
+/// file. `None` for files of another version (treated as coldest by
+/// eviction).
 pub fn read_access_stamp(path: &Path) -> Result<Option<u64>, StoreError> {
     let mut file = File::open(path)?;
     let mut header = [0u8; HEADER_LEN as usize];
@@ -889,9 +795,7 @@ pub struct ColumnFile {
     pub zones: Vec<ZoneEntry>,
     /// Coverage bitmap; `None` for complete columns.
     pub covered: Option<Vec<u8>>,
-    /// On-disk format version the file was read as (2 or 3).
-    pub version: u16,
-    /// Last-access stamp (ms since the Unix epoch; 0 for v2 files).
+    /// Last-access stamp (ms since the Unix epoch).
     pub access_stamp: u64,
     /// Per-block payload offsets (prefix sums of `comp_len`).
     offsets: Vec<u64>,
@@ -916,7 +820,7 @@ impl ColumnFile {
             .count()
     }
 
-    /// File byte ranges a pruning reader may never validate: the v3
+    /// File byte ranges a pruning reader may never validate: the
     /// access stamp (outside every checksum by design — a torn stamp
     /// update must not corrupt a healthy file) and the payloads of
     /// prunable blocks (reconstructed from the CRC-protected zone table
@@ -926,9 +830,7 @@ impl ColumnFile {
     /// unread" from "silently wrong".
     pub fn unvalidated_ranges(&self) -> Vec<std::ops::Range<u64>> {
         let mut out = Vec::new();
-        if self.version == VERSION {
-            out.push(ACCESS_STAMP_OFFSET..ACCESS_STAMP_OFFSET + 8);
-        }
+        out.push(ACCESS_STAMP_OFFSET..ACCESS_STAMP_OFFSET + 8);
         for (b, zone) in self.zones.iter().enumerate() {
             if zone.constant_value().is_some() {
                 if let Some(off) = self.data_offset(b) {
@@ -941,7 +843,7 @@ impl ColumnFile {
 }
 
 /// Reads and validates the header, schema, zone table and (for partial
-/// columns) coverage bitmap of a column file, v3 or v2. Any mismatch
+/// columns) coverage bitmap of a column file. Any mismatch
 /// (magic, version, checksum, truncation, watermark/bitmap disagreement)
 /// is [`StoreError::Corrupt`].
 pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
@@ -953,7 +855,7 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         return Err(StoreError::Corrupt("bad magic".into()));
     }
     let version = u16::from_le_bytes(header[8..10].try_into().unwrap());
-    if version != VERSION && version != VERSION_V2 {
+    if version != VERSION {
         return Err(StoreError::Corrupt(format!(
             "unsupported version {version}"
         )));
@@ -962,31 +864,26 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     if crc32(&header[..12]) != stored {
         return Err(StoreError::Corrupt("header checksum mismatch".into()));
     }
-    let mut schema = [0u8; SCHEMA_LEN_V2 as usize];
+    let mut schema = [0u8; SCHEMA_CHECKED_LEN as usize];
     file.read_exact(&mut schema)
         .map_err(|_| StoreError::Corrupt("file too small for schema".into()))?;
     let meta = ColumnMeta::from_bytes(&schema)?;
-    let access_stamp = if version == VERSION {
-        let mut stamp = [0u8; 8];
-        file.read_exact(&mut stamp)
-            .map_err(|_| StoreError::Corrupt("file too small for access stamp".into()))?;
-        u64::from_le_bytes(stamp)
-    } else {
-        0
-    };
+    let mut stamp = [0u8; 8];
+    file.read_exact(&mut stamp)
+        .map_err(|_| StoreError::Corrupt("file too small for access stamp".into()))?;
+    let access_stamp = u64::from_le_bytes(stamp);
     let n_blocks = meta.n_blocks();
-    let entry_len = zone_entry_len(version);
     // Bound the zone-table and coverage allocations by the actual file
     // length before trusting the declared shape: a schema whose CRC
     // happens to validate but declares an absurd `nd` must surface as
     // corruption, not as a giant allocation.
     let zone_len = (n_blocks as u64)
-        .checked_mul(entry_len)
+        .checked_mul(ZONE_ENTRY_LEN)
         .and_then(|z| z.checked_add(4))
         .ok_or_else(|| StoreError::Corrupt("zone table size overflows".into()))?;
     let sections = zone_len
         .checked_add(meta.coverage_len())
-        .and_then(|s| s.checked_add(HEADER_LEN + schema_len(version)))
+        .and_then(|s| s.checked_add(HEADER_LEN + SCHEMA_LEN))
         .ok_or_else(|| StoreError::Corrupt("section sizes overflow".into()))?;
     let file_len = file.metadata()?.len();
     if sections > file_len {
@@ -998,31 +895,16 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     let mut zone_bytes = vec![0u8; zone_len as usize];
     file.read_exact(&mut zone_bytes)
         .map_err(|_| StoreError::Corrupt("file too small for zone table".into()))?;
-    let (table, crc_bytes) = zone_bytes.split_at(n_blocks * entry_len as usize);
+    let (table, crc_bytes) = zone_bytes.split_at(n_blocks * ZONE_ENTRY_LEN as usize);
     let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
     if crc32(table) != stored {
         return Err(StoreError::Corrupt("zone table checksum mismatch".into()));
     }
-    let mut zones = Vec::with_capacity(n_blocks);
-    for b in 0..n_blocks {
-        let e = &table[b * entry_len as usize..(b + 1) * entry_len as usize];
-        if version == VERSION {
-            zones.push(ZoneEntry::from_bytes(e, b)?);
-        } else {
-            // v2 entries convert to Raw with the non-finite flag set
-            // conservatively: a v2 zone map was computed NaN-blind and
-            // must never drive pruning.
-            zones.push(ZoneEntry {
-                min: f32::from_bits(u32::from_le_bytes(e[0..4].try_into().unwrap())),
-                max: f32::from_bits(u32::from_le_bytes(e[4..8].try_into().unwrap())),
-                rows: u32::from_le_bytes(e[8..12].try_into().unwrap()),
-                codec: Codec::Raw,
-                has_non_finite: true,
-                comp_len: (meta.rows_in_block(b) * meta.ns as usize * 4) as u32,
-                crc: u32::from_le_bytes(e[12..16].try_into().unwrap()),
-            });
-        }
-    }
+    let zones = table
+        .chunks_exact(ZONE_ENTRY_LEN as usize)
+        .enumerate()
+        .map(|(b, e)| ZoneEntry::from_bytes(e, b))
+        .collect::<Result<Vec<_>, _>>()?;
     // Coverage bitmap: present exactly when the watermark is short of nd.
     let covered = if meta.is_complete() {
         None
@@ -1076,7 +958,6 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         meta,
         zones,
         covered,
-        version,
         access_stamp,
         offsets,
     })
@@ -1172,7 +1053,6 @@ mod tests {
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta, m);
-        assert_eq!(col.version, VERSION);
         assert_eq!(col.access_stamp, 42);
         assert!(col.covered.is_none(), "complete columns carry no bitmap");
         assert_eq!(col.zones.len(), 3, "10 records at 4/block = 3 blocks");
@@ -1296,35 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_read_back_and_never_prune() {
-        let m = meta();
-        // Constant data: a v3 writer would prune this, but a v2 file's
-        // zones are conservative (NaN-blind history) and must not.
-        let data = vec![0.5f32; (m.nd * m.ns) as usize];
-        let dir = test_dir("v2-compat");
-        let path = dir.join("u3.col");
-        write_column_file_v2(&path, &dir.join("u3.tmp"), &m, &data, None).unwrap();
-        let mut f = File::open(&path).unwrap();
-        let col = read_meta(&mut f).unwrap();
-        assert_eq!(col.version, VERSION_V2);
-        assert_eq!(col.meta, m);
-        assert_eq!(col.access_stamp, 0, "v2 files are coldest");
-        assert_eq!(read_access_stamp(&path).unwrap(), None);
-        for z in &col.zones {
-            assert_eq!(z.codec, Codec::Raw);
-            assert!(z.has_non_finite, "conservative: v2 zones never prune");
-            assert!(z.constant_value().is_none());
-        }
-        assert_eq!(col.prunable_blocks(), 0);
-        let mut all = Vec::new();
-        for b in 0..col.meta.n_blocks() {
-            all.extend(read_block(&mut f, &col, b).unwrap());
-        }
-        assert_eq!(all, data, "v2 data reads bit-identically");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn access_stamp_updates_in_place_without_breaking_validation() {
         let m = meta();
         let data = column_data(&m);
@@ -1365,7 +1216,7 @@ mod tests {
         let pristine = std::fs::read(&path).unwrap();
         // Flip the codec tag of block 0 (byte 12 of the first zone entry):
         // the zone-table checksum must refuse it.
-        let zone_start = (HEADER_LEN + SCHEMA_LEN_V3) as usize;
+        let zone_start = (HEADER_LEN + SCHEMA_LEN) as usize;
         let mut evil = pristine.clone();
         evil[zone_start + 12] ^= 0x01;
         std::fs::write(&path, &evil).unwrap();
@@ -1436,7 +1287,7 @@ mod tests {
         // Corrupting the bitmap (set an extra bit) is detected: either
         // the checksum disagrees or the popcount/watermark check fires.
         let mut bytes = std::fs::read(&path).unwrap();
-        let cov_offset = (HEADER_LEN + SCHEMA_LEN_V3 + ZONE_ENTRY_LEN_V3 + 4) as usize;
+        let cov_offset = (HEADER_LEN + SCHEMA_LEN + ZONE_ENTRY_LEN + 4) as usize;
         bytes[cov_offset] ^= 0x02; // flip position 1
         std::fs::write(&path, &bytes).unwrap();
         let mut f = File::open(&path).unwrap();
@@ -1457,7 +1308,7 @@ mod tests {
             completed_records: m.nd + 1,
             ..m
         };
-        bytes[HEADER_LEN as usize..(HEADER_LEN + SCHEMA_LEN_V2) as usize]
+        bytes[HEADER_LEN as usize..(HEADER_LEN + SCHEMA_CHECKED_LEN) as usize]
             .copy_from_slice(&bad.to_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let mut f = File::open(&path).unwrap();
@@ -1519,6 +1370,16 @@ mod tests {
         std::fs::write(&path, &evil).unwrap();
         let mut f = File::open(&path).unwrap();
         assert!(matches!(read_meta(&mut f), Err(StoreError::Corrupt(_))));
+        // A well-formed header of the previous format version: refused
+        // by version, exactly like version 1.
+        let mut old = bytes.clone();
+        old[8..10].copy_from_slice(&2u16.to_le_bytes());
+        let crc = crc32(&old[..12]);
+        old[12..16].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        let mut f = File::open(&path).unwrap();
+        let err = read_meta(&mut f).unwrap_err();
+        assert_eq!(err, StoreError::Corrupt("unsupported version 2".into()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,8 +15,8 @@
 //!   data block, then the per-block encoded payloads (raw f32, constant,
 //!   or bit-packed dictionary). Files are written with `std::fs` only —
 //!   no external dependencies — via a temp-file + rename so a crashed
-//!   writer never leaves a half-written column behind. v2 files (raw
-//!   data, NaN-blind zones) read back transparently and never prune.
+//!   writer never leaves a half-written column behind. A file of any
+//!   other version reads as corrupt and re-materializes.
 //! * [`pool`] — a [`BufferPool`] of decoded block pages with **pinned
 //!   pages** and **CLOCK** (second-chance) eviction under a configurable
 //!   byte budget. Scans pin the page they are copying out of; eviction
@@ -26,20 +26,32 @@
 //!   index of available columns, checksum-verified block reads through
 //!   the pool, and quarantine of corrupted files (renamed aside so the
 //!   next read-write pass re-materializes them).
+//! * [`pass`] — the store's half of a streamed inspection pass.
+//!   [`BehaviorStore::plan_scan`] decides, per dataset segment, which
+//!   unit columns scan, which resume at a partial column's watermark and
+//!   which must be computed live ([`ScanPlan`]); a [`ColumnPass`] executes
+//!   that plan block by block — scan order, demote-on-failure, quarantine
+//!   of proven corruption (only under a read-write policy), write-back
+//!   capture and the "never shrink stored coverage" rule all live there.
+//!   The caller supplies live columns through a closure, so this crate
+//!   never sees a model, an extractor or a record.
+//! * [`views`] — the materialized-view catalog under `<root>/views/`.
 //!
 //! Keys are **content fingerprints** ([`FpHasher`], FNV-1a 64): a model
 //! that changes its weights or a dataset that changes its records hashes
 //! to a different key, so stale columns are never read — invalidation is
-//! free and implicit. The engine layers in `deepbase` (the core crate)
-//! decide *when* to scan vs extract; this crate only stores bytes
-//! faithfully and says no loudly (a typed [`StoreError`]) when a checksum
-//! disagrees.
+//! free and implicit. The core crate (`deepbase`) decides *what* to
+//! inspect and turns behaviors into scores; where a column's bytes come
+//! from is decided and carried out here, and the crate says no loudly (a
+//! typed [`StoreError`]) when a checksum disagrees.
 
 pub mod format;
+pub mod pass;
 pub mod pool;
 pub mod store;
 pub mod views;
 
+pub use pass::{ColumnPass, ScanPlan};
 pub use pool::{BufferPool, PageKey, PinnedPage, PoolStats};
 pub use store::{
     BehaviorStore, ColumnKey, CompactionReport, Coverage, MaterializationPolicy, StoreConfig,

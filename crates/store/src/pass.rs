@@ -1,0 +1,465 @@
+//! The store's half of one streamed pass over one dataset segment.
+//!
+//! "Where does this segment's unit column come from — scan, scan up to
+//! the watermark, or extract live and write back" is one decision, made
+//! by [`BehaviorStore::plan_scan`] (a [`ScanPlan`], which carries its
+//! store handle so it can only execute against the store it was probed
+//! on) and carried out block by block by a [`ColumnPass`].
+//!
+//! The pass's `live` closure is the whole interface to the engine: the
+//! store never sees an extractor, a record or a device — only "these
+//! units, this block, row-major values please". Stored columns hold
+//! exactly what the extractor produced, so every mix of scanned and live
+//! columns is bit-identical to a full live extraction.
+
+use crate::store::{BehaviorStore, ColumnKey, Coverage};
+use crate::{StoreError, StoreStats};
+use std::collections::HashSet;
+use std::sync::Arc;
+
+/// The store decision for one stream: the column key fingerprints, the
+/// plan-time hit/partial/miss split of the probed unit columns, and the
+/// policy flags. Built only by [`BehaviorStore::plan_scan`]; executed by a
+/// [`ColumnPass`]. A segmented dataset gets one plan per segment (store
+/// columns are keyed per segment so appends leave old segments warm); an
+/// unsegmented one is the one-plan case.
+///
+/// `hits`, `partials` and `misses` partition the probed units and keep
+/// their (ascending) order.
+pub struct ScanPlan {
+    store: Arc<BehaviorStore>,
+    /// Content fingerprint of the pass's model.
+    pub model_fp: u64,
+    /// Content fingerprint of the dataset segment this plan covers.
+    pub dataset_fp: u64,
+    /// Unit columns with a *complete* stored column at plan time.
+    pub hits: Vec<usize>,
+    /// Unit columns with a *partial* stored column (the persisted prefix
+    /// of an earlier early-stopped pass): scanned up to their watermark,
+    /// extracted live past it.
+    pub partials: Vec<usize>,
+    /// Unit columns that will be extracted live.
+    pub misses: Vec<usize>,
+    /// Persist newly extracted columns when the stream ends, and
+    /// quarantine columns proven corrupt (a read-write policy).
+    pub write: bool,
+    /// Skip write-back capture when the missing columns would buffer more
+    /// than this many bytes.
+    pub writeback_limit_bytes: usize,
+    /// Consult zone maps during scans and skip blocks whose exact
+    /// contents the zone entry proves (predicate pushdown). Results are
+    /// bit-identical either way.
+    pub prune: bool,
+    /// Plan-time pushdown estimate over the complete hits: `(prunable
+    /// blocks, total blocks)`; `(0, 0)` when pushdown is off. Advisory —
+    /// the scan re-decides per block.
+    pub pruned_estimate: (usize, usize),
+}
+
+impl ScanPlan {
+    fn key(&self, unit: usize) -> ColumnKey {
+        ColumnKey {
+            model_fp: self.model_fp,
+            dataset_fp: self.dataset_fp,
+            unit,
+        }
+    }
+}
+
+impl BehaviorStore {
+    /// Probes the store for `units` (ascending) under one `(model
+    /// fingerprint, dataset or segment fingerprint)` key: complete
+    /// columns scan, partial columns scan up to their watermark, the rest
+    /// extract live (and write back when `write` is set). With `prune`
+    /// the plan also carries each complete hit's prunable/total block
+    /// counts from its (cached) zone table.
+    pub fn plan_scan(
+        self: &Arc<Self>,
+        model_fp: u64,
+        dataset_fp: u64,
+        units: &[usize],
+        write: bool,
+        writeback_limit_bytes: usize,
+        prune: bool,
+    ) -> ScanPlan {
+        debug_assert!(units.windows(2).all(|w| w[0] < w[1]), "units ascending");
+        let (hits, partials, misses) = self.split_units(model_fp, dataset_fp, units);
+        let mut plan = ScanPlan {
+            store: Arc::clone(self),
+            model_fp,
+            dataset_fp,
+            hits,
+            partials,
+            misses,
+            write,
+            writeback_limit_bytes,
+            prune,
+            pruned_estimate: (0, 0),
+        };
+        if prune {
+            for &unit in &plan.hits {
+                if let Some((prunable, total)) = self.zone_summary(&plan.key(unit)) {
+                    plan.pruned_estimate.0 += prunable;
+                    plan.pruned_estimate.1 += total;
+                }
+            }
+        }
+        plan
+    }
+}
+
+/// One store-servable union column of a pass.
+struct ScanColumn {
+    unit: usize,
+    /// The unit's column index in the union matrix.
+    col: usize,
+    /// Validated coverage of a partial column; `None` for a complete one.
+    partial: Option<Coverage>,
+}
+
+/// Write-back capture: one column buffer per miss or partial unit,
+/// assembled from the union stream (scanned and live-extracted blocks
+/// alike) in shuffled order. A fully streamed pass commits complete
+/// columns; an early-stopped pass commits the streamed prefix as partial
+/// columns with a watermark.
+struct WriteBack {
+    units: Vec<WbUnit>,
+    /// Which record positions the pass has streamed.
+    filled: Vec<bool>,
+    n_filled: usize,
+}
+
+struct WbUnit {
+    unit: usize,
+    /// The unit's column index in the union matrix (capture source).
+    union_col: usize,
+    /// The `nd * ns` column buffer (unstreamed positions stay 0.0).
+    col: Vec<f32>,
+    /// Coverage already durable before the pass (partial resume); `None`
+    /// for plan-time misses. An early-stopped pass only rewrites the
+    /// column when the new fill strictly extends this.
+    prior: Option<Coverage>,
+}
+
+/// Per-stream execution state of a [`ScanPlan`] over the union unit
+/// columns of one pass.
+///
+/// The pass intersects the plan's `hits` and `partials` with the union:
+/// intersected units are scanned from stored columns through the buffer
+/// pool (checksums verified per block), the rest are computed live in a
+/// single narrowed closure call per block and merged into the union
+/// stream. With `write` set, the live columns are buffered and persisted
+/// when the stream ends: complete columns after a fully streamed pass,
+/// and after an early stop or a budget interruption the streamed prefix
+/// as *partial* columns whose watermark a later pass resumes from
+/// (written only where that extends what the store already holds). A
+/// column that fails a checksum mid-pass is quarantined and demoted to
+/// live extraction for the remaining blocks — results stay bit-identical
+/// because stored columns hold exactly what the extractor would produce.
+pub struct ColumnPass<'p> {
+    plan: &'p ScanPlan,
+    union_units: &'p [usize],
+    nd: usize,
+    ns: usize,
+    /// Union units servable from the store (complete hits first, then
+    /// partials with their validated coverage). A partial column is
+    /// scanned only for blocks whose record positions all fall under its
+    /// watermark; past it, the column extracts live for the block (the
+    /// resume-at-the-watermark path).
+    scan_order: Vec<ScanColumn>,
+    /// Union units that must be extracted live on every block.
+    misses: Vec<usize>,
+    /// Hits demoted after a scan failure (corrupt columns are also
+    /// quarantined; transient I/O failures only demote for this pass).
+    demoted: HashSet<usize>,
+    /// Columns that produced at least one scanned block this pass.
+    scanned: HashSet<usize>,
+    writeback: Option<WriteBack>,
+    stats: StoreStats,
+}
+
+impl<'p> ColumnPass<'p> {
+    /// Starts a pass over a segment of `nd` records × `ns` symbols whose
+    /// union matrix carries `union_units` (ascending), one column each.
+    pub fn new(
+        plan: &'p ScanPlan,
+        union_units: &'p [usize],
+        nd: usize,
+        ns: usize,
+    ) -> ColumnPass<'p> {
+        let store = &plan.store;
+        let mut stats = StoreStats::default();
+        let mut hits: Vec<ScanColumn> = Vec::new();
+        let mut partials: Vec<ScanColumn> = Vec::new();
+        let mut misses: Vec<usize> = Vec::new();
+        for (col, &unit) in union_units.iter().enumerate() {
+            let column = |partial| ScanColumn { unit, col, partial };
+            if plan.hits.binary_search(&unit).is_ok() {
+                hits.push(column(None));
+            } else if plan.partials.binary_search(&unit).is_ok() {
+                // Validate the partial's coverage up front; a column that
+                // cannot be read (or whose shape disagrees) is a miss.
+                match store.coverage(&plan.key(unit)) {
+                    Ok(cov) if cov.nd() != nd => {
+                        stats.record_error(format!(
+                            "unit {unit} partial column covers {} records but the dataset \
+                             has {nd}, extracting live",
+                            cov.nd()
+                        ));
+                        if plan.write {
+                            store.quarantine(&plan.key(unit));
+                        }
+                        misses.push(unit);
+                    }
+                    // Another session may have completed the column since
+                    // plan time; a full watermark scans like a hit.
+                    Ok(cov) if cov.is_complete() => hits.push(column(None)),
+                    Ok(cov) => partials.push(column(Some(cov))),
+                    Err(e) => {
+                        stats.record_error(format!(
+                            "unit {unit} partial column unusable, extracting live: {e}"
+                        ));
+                        if plan.write && matches!(e, StoreError::Corrupt(_)) {
+                            store.quarantine(&plan.key(unit));
+                        }
+                        misses.push(unit);
+                    }
+                }
+            } else {
+                misses.push(unit);
+            }
+        }
+        // Capture misses *and* partials: a fully streamed pass completes
+        // both, an early-stopped pass extends the partials' watermarks.
+        let captured: Vec<(usize, usize, Option<Coverage>)> = union_units
+            .iter()
+            .enumerate()
+            .filter(|_| plan.write)
+            .filter_map(|(col, &unit)| {
+                if misses.binary_search(&unit).is_ok() {
+                    return Some((unit, col, None));
+                }
+                let prior = partials.iter().find(|p| p.unit == unit)?;
+                Some((unit, col, prior.partial.clone()))
+            })
+            .collect();
+        let bytes = captured.len() * nd * ns * std::mem::size_of::<f32>();
+        let writeback = if captured.is_empty() {
+            None
+        } else if bytes <= plan.writeback_limit_bytes {
+            Some(WriteBack {
+                units: captured
+                    .into_iter()
+                    .map(|(unit, union_col, prior)| WbUnit {
+                        unit,
+                        union_col,
+                        col: vec![0.0; nd * ns],
+                        prior,
+                    })
+                    .collect(),
+                filled: vec![false; nd],
+                n_filled: 0,
+            })
+        } else {
+            stats.record_error(format!(
+                "write-back skipped: {} captured columns would buffer {bytes} bytes \
+                 (limit {})",
+                captured.len(),
+                plan.writeback_limit_bytes
+            ));
+            None
+        };
+        hits.append(&mut partials);
+        ColumnPass {
+            plan,
+            union_units,
+            nd,
+            ns,
+            scan_order: hits,
+            misses,
+            demoted: HashSet::new(),
+            scanned: HashSet::new(),
+            writeback,
+            stats,
+        }
+    }
+
+    /// Fills `out` — the zeroed, row-major `(positions.len() * ns) ×
+    /// union width` behavior matrix of one streamed block — for the
+    /// records at `positions` of the segment: stored columns are scanned
+    /// through the pool (partial columns only while the block stays under
+    /// their watermark), the rest come from one `live(units)` call, which
+    /// must return the row-major `rows × units.len()` behaviors of exactly
+    /// those units for this block, and are scattered into their union
+    /// column positions. `live` is not called when every column scanned.
+    pub fn fetch_block(
+        &mut self,
+        positions: &[usize],
+        out: &mut [f32],
+        live: impl FnOnce(&[usize]) -> Vec<f32>,
+    ) {
+        let (plan, ns) = (self.plan, self.ns);
+        let width = self.union_units.len();
+        let rows = positions.len() * ns;
+        debug_assert_eq!(out.len(), rows * width);
+
+        // Scan the still-trusted stored columns — complete hits always,
+        // partial columns only when every position of this block falls
+        // under their watermark (past it, the column goes live for the
+        // block: that is the resume point). Any scan failure demotes the
+        // column to live extraction for this and every remaining block;
+        // only *corruption* (checksum/shape disagreement) additionally
+        // quarantines the file — a transient I/O error must not destroy
+        // a valid column, and a read-only store must stay byte-identical
+        // on disk short of proven corruption.
+        let mut live_this_block: Vec<usize> = Vec::new();
+        for sc in &self.scan_order {
+            if self.demoted.contains(&sc.unit) {
+                continue;
+            }
+            if sc
+                .partial
+                .as_ref()
+                .is_some_and(|c| !c.covers_all(positions))
+            {
+                live_this_block.push(sc.unit);
+                continue;
+            }
+            let scan = plan.store.scan_into(
+                &plan.key(sc.unit),
+                self.nd,
+                ns,
+                positions,
+                out,
+                width,
+                sc.col,
+                plan.prune,
+                &mut self.stats,
+            );
+            match scan {
+                Ok(()) => {
+                    if self.scanned.insert(sc.unit) {
+                        self.stats.columns_scanned += 1;
+                        if sc.partial.is_some() {
+                            self.stats.partial_columns_scanned += 1;
+                        }
+                    }
+                }
+                Err(e) => {
+                    self.stats.record_error(format!(
+                        "unit {} column unusable, extracting live: {e}",
+                        sc.unit
+                    ));
+                    // Quarantine only proven corruption, and only when
+                    // the policy lets this pass touch the store at all —
+                    // a read-only store stays byte-identical on disk.
+                    if plan.write && matches!(e, StoreError::Corrupt(_)) {
+                        plan.store.quarantine(&plan.key(sc.unit));
+                    }
+                    self.demoted.insert(sc.unit);
+                }
+            }
+        }
+
+        // One narrowed live call covers the misses, any demoted units,
+        // and the partial columns this block runs past. Column-wise
+        // consistency of extractors makes the merged matrix bit-identical
+        // to a full live extraction of the union.
+        let live_cols: Vec<usize> = (0..width)
+            .filter(|&col| {
+                let u = &self.union_units[col];
+                self.demoted.contains(u)
+                    || self.misses.binary_search(u).is_ok()
+                    || live_this_block.binary_search(u).is_ok()
+            })
+            .collect();
+        if live_cols.is_empty() {
+            self.stats.forward_passes_avoided += 1;
+        } else {
+            let live_units: Vec<usize> = live_cols.iter().map(|&c| self.union_units[c]).collect();
+            let values = live(&live_units);
+            assert_eq!(values.len(), rows * live_cols.len(), "live block shape");
+            for (li, &col) in live_cols.iter().enumerate() {
+                for r in 0..rows {
+                    out[r * width + col] = values[r * live_cols.len() + li];
+                }
+            }
+        }
+        // Capture the streamed positions for write-back from the merged
+        // union matrix — scanned and live values alike, so partial
+        // columns can be completed (stored values are exactly what the
+        // extractor produced, so the written column stays bit-identical).
+        if let Some(wb) = &mut self.writeback {
+            for (pi, &pos) in positions.iter().enumerate() {
+                if wb.filled[pos] {
+                    continue;
+                }
+                wb.filled[pos] = true;
+                wb.n_filled += 1;
+                for wu in wb.units.iter_mut() {
+                    for t in 0..ns {
+                        wu.col[pos * ns + t] = out[(pi * ns + t) * width + wu.union_col];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ends the pass: persists the captured columns — a fully streamed
+    /// pass commits complete columns; an early-stopped (or interrupted)
+    /// pass commits the streamed prefix as partial columns with a
+    /// watermark, but only where that strictly extends what the store
+    /// already holds — and returns the pass's accounting. Write failures
+    /// are recorded, never fatal.
+    pub fn finish(mut self) -> StoreStats {
+        let (plan, nd, ns) = (self.plan, self.nd, self.ns);
+        let Some(wb) = self.writeback.take().filter(|wb| wb.n_filled > 0) else {
+            return self.stats;
+        };
+        let complete = wb.n_filled == nd;
+        for wu in &wb.units {
+            let key = plan.key(wu.unit);
+            let written = if complete {
+                // Fully streamed: commit the complete column (this also
+                // supersedes the unit's partial file, if any).
+                plan.store.write_column(&key, nd, ns, &wu.col)
+            } else {
+                // Early stop: persist the streamed prefix, unless the
+                // store already holds at least as much. A quarantined
+                // (demoted) column's prior file is gone, so anything
+                // streamed is a strict improvement.
+                if let (Some(prior), false) = (&wu.prior, self.demoted.contains(&wu.unit)) {
+                    let extends = prior.is_subset_of_filled(&wb.filled)
+                        && wb.n_filled > prior.completed_records();
+                    if !extends {
+                        continue;
+                    }
+                }
+                plan.store
+                    .write_partial_column(&key, nd, ns, &wu.col, &wb.filled)
+            };
+            match written {
+                // A partial write the store declined (it already holds
+                // at least as much) reports zero blocks and counts nothing.
+                Ok(report) if complete || report.blocks_written > 0 => {
+                    if complete {
+                        self.stats.columns_written += 1;
+                    } else {
+                        self.stats.partial_columns_written += 1;
+                    }
+                    self.stats.blocks_written += report.blocks_written;
+                    self.stats.pool_evictions += report.pool_evictions;
+                    self.stats.raw_bytes_written += report.raw_data_bytes;
+                    self.stats.stored_bytes_written += report.stored_data_bytes;
+                }
+                Ok(_) => {}
+                Err(e) => {
+                    let what = if complete { "" } else { "partial " };
+                    self.stats
+                        .record_error(format!("unit {} {what}write-back failed: {e}", wu.unit));
+                }
+            }
+        }
+        self.stats
+    }
+}

@@ -419,37 +419,30 @@ impl BehaviorStore {
         self.index.lock().get(key) == Some(&Disposition::Complete)
     }
 
-    /// The subset of `units` with an indexed *complete* column under
-    /// `(model_fp, dataset_fp)`, in input order.
-    pub fn available_units(&self, model_fp: u64, dataset_fp: u64, units: &[usize]) -> Vec<usize> {
-        self.units_with(model_fp, dataset_fp, units, Disposition::Complete)
-    }
-
-    /// The subset of `units` with an indexed *partial* column (and no
-    /// complete one) under `(model_fp, dataset_fp)`, in input order.
-    pub fn partial_units(&self, model_fp: u64, dataset_fp: u64, units: &[usize]) -> Vec<usize> {
-        self.units_with(model_fp, dataset_fp, units, Disposition::Partial)
-    }
-
-    fn units_with(
+    /// Splits `units` by what the index holds for them under `(model_fp,
+    /// dataset_fp)` — `(complete, partial, absent)`, each in input order.
+    /// One lock acquisition, so the split is a consistent snapshot.
+    pub(crate) fn split_units(
         &self,
         model_fp: u64,
         dataset_fp: u64,
         units: &[usize],
-        want: Disposition,
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
         let index = self.index.lock();
-        units
-            .iter()
-            .copied()
-            .filter(|&unit| {
-                index.get(&ColumnKey {
-                    model_fp,
-                    dataset_fp,
-                    unit,
-                }) == Some(&want)
-            })
-            .collect()
+        let (mut complete, mut partial, mut absent) = (Vec::new(), Vec::new(), Vec::new());
+        for &unit in units {
+            let key = ColumnKey {
+                model_fp,
+                dataset_fp,
+                unit,
+            };
+            match index.get(&key) {
+                Some(Disposition::Complete) => complete.push(unit),
+                Some(Disposition::Partial) => partial.push(unit),
+                None => absent.push(unit),
+            }
+        }
+        (complete, partial, absent)
     }
 
     fn column_path(&self, key: &ColumnKey, disposition: Disposition) -> PathBuf {
@@ -642,7 +635,7 @@ impl BehaviorStore {
 
     /// Validated file info for a column, cached after the first read. A
     /// cache miss on a read-write store also freshens the file's
-    /// persisted access stamp (best-effort, v3 files only) so disk-budget
+    /// persisted access stamp (best-effort) so disk-budget
     /// eviction sees recently scanned columns as warm.
     fn column_info(&self, key: &ColumnKey) -> Result<CachedInfo, StoreError> {
         if let Some(info) = self.meta_cache.lock().get(key) {
@@ -729,8 +722,7 @@ impl BehaviorStore {
     /// or checksumming their payload, counted in `stats.blocks_pruned`.
     /// The reconstruction is bit-exact, so pruned and unpruned scans
     /// return identical bytes; blocks flagged `has_non_finite` never
-    /// qualify (their zone statistics cannot speak for NaN/Inf values),
-    /// and v2 files never prune at all.
+    /// qualify (their zone statistics cannot speak for NaN/Inf values).
     ///
     /// A validation failure is retried **once** against freshly read
     /// metadata (cached info and pooled pages dropped first): a
@@ -819,7 +811,7 @@ impl BehaviorStore {
                 // block determines every value in it, so the block is
                 // served without touching its payload (no read, no
                 // checksum, no pool traffic). `constant_value` is `None`
-                // for non-finite-flagged blocks and all v2 zones.
+                // for non-finite-flagged blocks.
                 if let Some(v) = zones[b].constant_value() {
                     if !pruned_counted[b] {
                         pruned_counted[b] = true;
@@ -899,7 +891,7 @@ impl BehaviorStore {
     /// `quarantine_retention_bytes` are kept as forensic samples). When
     /// the complete columns together exceed
     /// [`StoreConfig::disk_budget_bytes`], the coldest of them (LRU by
-    /// persisted access stamp; v2 files without a stamp count as coldest)
+    /// persisted access stamp; an unreadable stamp counts as coldest)
     /// are evicted until the rest fit — except columns whose pages a
     /// concurrent scan currently holds pinned, which are never deleted
     /// out from under the scan. No-op on a read-only store.
@@ -1258,9 +1250,9 @@ mod tests {
         })
         .unwrap();
         assert_eq!(store.columns(), 2);
-        assert_eq!(store.available_units(0x11, 0x22, &[0, 2, 5, 9]), vec![2, 5]);
+        assert_eq!(store.split_units(0x11, 0x22, &[0, 2, 5, 9]).0, vec![2, 5]);
         assert_eq!(
-            store.available_units(0x99, 0x22, &[2, 5]),
+            store.split_units(0x99, 0x22, &[2, 5]).0,
             Vec::<usize>::new()
         );
         let mut out = vec![0.0f32; nd * ns];
@@ -1298,7 +1290,7 @@ mod tests {
             .write_partial_column(&key(0), nd, ns, &partial, &filled)
             .unwrap();
         assert!(!store.contains(&key(0)), "partial is not a complete hit");
-        assert_eq!(store.partial_units(0x11, 0x22, &[0, 1]), vec![0]);
+        assert_eq!(store.split_units(0x11, 0x22, &[0, 1]).1, vec![0]);
         assert_eq!(store.partial_columns(), 1);
         let cov = store.coverage(&key(0)).unwrap();
         assert_eq!(cov.completed_records(), 8);
@@ -1335,12 +1327,12 @@ mod tests {
             ..StoreConfig::at(&dir)
         })
         .unwrap();
-        assert_eq!(store.partial_units(0x11, 0x22, &[0]), vec![0]);
+        assert_eq!(store.split_units(0x11, 0x22, &[0]).1, vec![0]);
         // Completing the column supersedes the partial: complete file
         // indexed, partial file still on disk until compaction reclaims.
         store.write_column(&key(0), nd, ns, &data).unwrap();
         assert!(store.contains(&key(0)));
-        assert_eq!(store.partial_units(0x11, 0x22, &[0]), Vec::<usize>::new());
+        assert_eq!(store.split_units(0x11, 0x22, &[0]).1, Vec::<usize>::new());
         let part_path = store.column_path(&key(0), Disposition::Partial);
         assert!(part_path.exists(), "superseded partial awaits compaction");
         let report = store.compact(u64::MAX);
@@ -1916,48 +1908,6 @@ mod tests {
             report.stored_data_bytes,
             report.raw_data_bytes
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v2_files_scan_through_the_store_but_never_prune() {
-        let (store, dir) = test_store("v2-compat", 1 << 20);
-        let (nd, ns) = (8, 2);
-        // A constant column written by the previous format version: its
-        // zone map is NaN-blind, so pruning must refuse it even though
-        // min == max.
-        let meta = ColumnMeta {
-            model_fp: 0x11,
-            dataset_fp: 0x22,
-            unit: 0,
-            nd: nd as u64,
-            ns: ns as u64,
-            block_records: 4,
-            completed_records: nd as u64,
-        };
-        let pair = dir.join("0000000000000011.0000000000000022");
-        std::fs::create_dir_all(&pair).unwrap();
-        let data = vec![2.0f32; nd * ns];
-        format::write_column_file_v2(
-            &pair.join("u0.col"),
-            &pair.join("u0.tmp.legacy"),
-            &meta,
-            &data,
-            None,
-        )
-        .unwrap();
-        drop(store);
-        let store = BehaviorStore::open(&StoreConfig {
-            block_records: 4,
-            ..StoreConfig::at(&dir)
-        })
-        .unwrap();
-        assert!(store.contains(&key(0)));
-        assert_eq!(store.zone_summary(&key(0)), Some((0, 2)));
-        let (out, _, stats) = scan_both_ways(&store, &key(0), nd, ns);
-        assert_eq!(out, data);
-        assert_eq!(stats.blocks_pruned, 0, "v2 zone maps never drive pruning");
-        assert_eq!(stats.blocks_read, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

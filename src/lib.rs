@@ -20,8 +20,7 @@
 //!   to `Device::SingleCore`.
 //!
 //! See `examples/` for runnable walkthroughs, `crates/bench` for the
-//! harnesses that regenerate every table and figure of the paper (plus
-//! `bench_smoke`, which emits kernel timings as `BENCH_PR1.json`), and
+//! harnesses that regenerate every table and figure of the paper, and
 //! `perfbench/` for the one repeatable benchmark `BENCHMARK.json` names.
 
 pub use deepbase;

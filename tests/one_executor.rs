@@ -7,7 +7,7 @@
 use deepbase_repro::deepbase::prelude::*;
 use deepbase_repro::deepbase::query::UnitMeta;
 use deepbase_repro::tensor::Matrix;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 // Long enough (12,288 symbols a segment) that `corr` meets its default
@@ -37,9 +37,15 @@ fn records(first_id: usize, n: usize) -> Vec<Record> {
         .collect()
 }
 
-/// A catalog over `segments` sealed segments of `SEG_LEN` records: unit 0
-/// tracks 'a', unit 1 tracks 'b', the rest are deterministic noise.
+/// A catalog over `segments` sealed segments of `SEG_LEN` records.
 fn catalog(segments: usize) -> (Catalog, Arc<CountingExtractor>) {
+    catalog_split(segments, SEG_LEN)
+}
+
+/// A catalog over `segments` sealed segments of `seg_len` records (at most
+/// `2 * SEG_LEN` in all): unit 0 tracks 'a', unit 1 tracks 'b', the rest
+/// are deterministic noise.
+fn catalog_split(segments: usize, seg_len: usize) -> (Catalog, Arc<CountingExtractor>) {
     let total = 2 * SEG_LEN;
     let mut behaviors = Matrix::zeros(total * NS, UNITS);
     for rec in records(0, total) {
@@ -70,7 +76,7 @@ fn catalog(segments: usize) -> (Catalog, Arc<CountingExtractor>) {
         ],
     );
     let segs = (0..segments)
-        .map(|s| records(s * SEG_LEN, SEG_LEN))
+        .map(|s| records(s * seg_len, seg_len))
         .collect();
     catalog.add_dataset(
         "seq",
@@ -91,7 +97,7 @@ fn config(device: Device, epsilon: Option<f32>) -> InspectionConfig {
 /// A read-write store session over a fresh directory.
 fn session(
     name: &str,
-    segments: usize,
+    catalog: (Catalog, Arc<CountingExtractor>),
     inspection: InspectionConfig,
 ) -> (Session, Arc<CountingExtractor>, PathBuf) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -101,18 +107,27 @@ fn session(
                 .replace(['(', ')'], "-"),
         );
     let _ = std::fs::remove_dir_all(&dir);
-    let (catalog, counting) = catalog(segments);
+    let (session, counting) = session_at(&dir, catalog, inspection);
+    (session, counting, dir)
+}
+
+/// A read-write store session over whatever `dir` already holds.
+fn session_at(
+    dir: &Path,
+    (catalog, counting): (Catalog, Arc<CountingExtractor>),
+    inspection: InspectionConfig,
+) -> (Session, Arc<CountingExtractor>) {
     let store = StoreConfig {
         policy: MaterializationPolicy::ReadWrite,
         block_records: BLOCK,
-        ..StoreConfig::at(&dir)
+        ..StoreConfig::at(dir)
     };
     let config = SessionConfig {
         inspection,
         store: Some(store),
         ..SessionConfig::default()
     };
-    (Session::with_config(catalog, config), counting, dir)
+    (Session::with_config(catalog, config), counting)
 }
 
 #[test]
@@ -120,7 +135,7 @@ fn one_segment_view_replays_and_refreshes_like_the_cold_pass() {
     for device in [Device::SingleCore, Device::Parallel(3)] {
         let exact = config(device, Some(1e-12));
         let cold = |segments: usize| catalog(segments).0.run_batch(&[Q], &exact).unwrap().tables;
-        let (mut session, counting, dir) = session("replay", 1, exact.clone());
+        let (mut session, counting, dir) = session("replay", catalog(1), exact.clone());
 
         // Built over ONE segment, the view replays the cold INSPECT.
         session.create_view("v", Q).unwrap();
@@ -148,7 +163,7 @@ fn one_segment_view_replays_and_refreshes_like_the_cold_pass() {
 fn one_segment_inspect_stops_early_while_the_view_build_reads_every_row() {
     for device in [Device::SingleCore, Device::Parallel(3)] {
         let default_eps = config(device, None);
-        let (mut session, counting, dir) = session("early", 1, default_eps);
+        let (mut session, counting, dir) = session("early", catalog(1), default_eps);
         session.create_view("v", Q).unwrap();
         assert_eq!(counting.records_extracted(), SEG_LEN, "{device:?}");
 
@@ -174,6 +189,47 @@ fn logreg_runs_on_one_segment_and_is_refused_typed_on_two() {
         match catalog(2).0.run_batch(&[Q_LOGREG], &config) {
             Err(DniError::Query(msg)) => assert!(msg.contains("logreg_l1"), "{msg}"),
             other => panic!("expected the typed segmented-measure error, got {other:?}"),
+        }
+    }
+}
+
+/// The store side of the same seam: the same records registered as one
+/// segment and as three take the same path from optimizer to scan — one
+/// scan plan per segment — so a warm re-inspection does zero forward
+/// passes, equals the store-less run of the same shape bit for bit, does
+/// the same store work per segment, and `explain` renders the same lines.
+#[test]
+fn warm_store_scans_one_segment_and_three_through_the_same_path() {
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let exact = config(device, Some(1e-12));
+        for segments in [1, 3] {
+            let shape = || catalog_split(segments, SEG_LEN / segments);
+            let reference = shape().0.run_batch(&[Q], &exact).unwrap().tables;
+
+            let name = format!("warm-{segments}");
+            let (mut cold, _, dir) = session(&name, shape(), exact.clone());
+            let out = cold.run_batch(&[Q]).unwrap();
+            assert_eq!(out.tables, reference, "{segments} segments, {device:?}");
+            assert_eq!(out.report.store.columns_written, UNITS * segments);
+            drop(cold);
+
+            let (mut warm, counting) = session_at(&dir, shape(), exact.clone());
+            let explain = warm.explain(Q).unwrap();
+            for line in [
+                format!("{UNITS}/{UNITS} unit columns stored, 0 extracted live; read-write)"),
+                format!("segments: {segments} sealed, {segments} warm, 0 partial, 0 cold"),
+                "pruned: ".to_string(),
+            ] {
+                assert!(explain.contains(&line), "no {line:?} in:\n{explain}");
+            }
+            let out = warm.run_batch(&[Q]).unwrap();
+            assert_eq!(counting.calls(), 0, "{segments} segments, {device:?}");
+            assert_eq!(out.tables, reference, "{segments} segments, {device:?}");
+            let store = &out.report.store;
+            assert_eq!(store.columns_scanned, UNITS * segments);
+            assert_eq!(store.forward_passes_avoided, SEG_LEN / BLOCK);
+            assert_eq!(store.error_count, 0, "{:?}", store.errors);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
