@@ -1145,6 +1145,10 @@ impl<'a> PassLayout<'a> {
             })
             .collect();
 
+        // The store path's union block, one buffer for the whole stream
+        // (`fetch_block` overwrites every cell; only the last, shorter
+        // block reallocates).
+        let mut scanned = Matrix::zeros(0, self.union_units.len());
         let mut profile = Profile::default();
         let mut interrupted: Option<CompletionStatus> = None;
         let mut block_start = 0usize;
@@ -1171,25 +1175,33 @@ impl<'a> PassLayout<'a> {
             // Source the union unit behaviors once, then demux the unit
             // selections still backing an unconverged slot.
             let t0 = Instant::now();
+            let extracted;
             let union_behaviors = match &mut store_pass {
                 Some(pass) => {
-                    let mut out = Matrix::zeros(block.len() * ns, self.union_units.len());
+                    let rows = block.len() * ns;
+                    if scanned.rows() != rows {
+                        scanned = Matrix::zeros(rows, self.union_units.len());
+                    }
                     pass.fetch_block(
                         &order[block_start..block_end],
-                        out.as_mut_slice(),
+                        scanned.as_mut_slice(),
                         |units| {
                             extract_records(self.extractor, block, units, device, ns).into_vec()
                         },
                     );
-                    out
+                    &scanned
                 }
-                None => extract_records(self.extractor, block, &self.union_units, device, ns),
+                None => {
+                    extracted =
+                        extract_records(self.extractor, block, &self.union_units, device, ns);
+                    &extracted
+                }
             };
             let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; self.selections.len()];
             for (slot, run) in self.slots.iter().zip(&runs) {
                 let sel = &self.selections[slot.sel];
                 if !run.converged && sel_behaviors[slot.sel].is_none() && !sel.identity {
-                    sel_behaviors[slot.sel] = Some(sel.demux.apply(&union_behaviors));
+                    sel_behaviors[slot.sel] = Some(sel.demux.apply(union_behaviors));
                 }
             }
             let d0 = t0.elapsed();
@@ -1219,7 +1231,7 @@ impl<'a> PassLayout<'a> {
                 }
                 // `None` means the identity selection: use the union
                 // matrix directly.
-                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(&union_behaviors);
+                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(union_behaviors);
                 let col = |c: usize| hyp_cols[c].as_ref().expect("consumed column");
                 match &mut run.state {
                     SlotState::PerHyp(state) => {

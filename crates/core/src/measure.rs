@@ -10,8 +10,8 @@
 //! per-hypothesis losses and parameters are independent.
 
 use deepbase_stats::{
-    baselines, corr::StreamingPearson, descriptive, mi, quantile, ConvergenceTracker, LogRegConfig,
-    MultiLogReg, Z_95,
+    baselines, corr, corr::StreamingPearson, descriptive, mi, quantile, ConvergenceTracker,
+    LogRegConfig, MultiLogReg, Z_95,
 };
 use deepbase_tensor::Matrix;
 
@@ -247,10 +247,9 @@ struct CorrState {
 
 impl MeasureState for CorrState {
     fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
-        // Hard asserts: the strided column walk below reads garbage (not
-        // merely a prefix) if the block's column count drifts from the
-        // number of accumulators, so misuse must fail loudly in release
-        // builds too.
+        // Hard asserts: the column walk below reads garbage (not merely a
+        // prefix) if the block's column count drifts from the number of
+        // accumulators, so misuse must fail loudly in release builds too.
         assert_eq!(units.rows(), hyp.len(), "corr block row mismatch");
         assert_eq!(
             units.cols(),
@@ -258,29 +257,10 @@ impl MeasureState for CorrState {
             "corr block unit-count mismatch"
         );
         // Column-wise update: the hypothesis moments are shared by every
-        // unit, so compute them once per block, then accumulate each
-        // unit's x-moments in registers over a strided column pass —
-        // instead of scattering every row across all accumulators.
-        let (mut sy, mut syy) = (0.0f64, 0.0);
-        for &h in hyp {
-            let h = h as f64;
-            sy += h;
-            syy += h * h;
-        }
-        let data = units.as_slice();
-        let stride = self.accs.len();
-        for (u, acc) in self.accs.iter_mut().enumerate() {
-            let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
-            let mut idx = u;
-            for &h in hyp {
-                let x = data[idx] as f64;
-                sx += x;
-                sxx += x * x;
-                sxy += x * h as f64;
-                idx += stride;
-            }
-            acc.accumulate(hyp.len() as u64, sx, sy, sxx, syy, sxy);
-        }
+        // unit and each unit's x-moments accumulate in registers, eight
+        // unit columns per row sweep — instead of scattering every row
+        // across all accumulators.
+        corr::accumulate_columns(&mut self.accs, units.as_slice(), hyp);
         self.convergence_error()
     }
 
@@ -1387,6 +1367,61 @@ mod tests {
         assert!(scores[0] > 0.95, "unit 0 corr {}", scores[0]);
         assert!(scores[1].abs() < 0.3, "unit 1 corr {}", scores[1]);
         assert!(state.group_score() > 0.95);
+    }
+
+    #[test]
+    fn correlation_state_equals_per_unit_accumulators_after_splits_and_merge_from() {
+        // 100 columns = twelve 8-wide tiles + a 4-column tail; the
+        // reference walks each column on its own `StreamingPearson`.
+        let (rows, width) = (90, 100);
+        let hyp: Vec<f32> = (0..rows).map(|r| ((r / 3) % 2) as f32).collect();
+        let units = Matrix::from_fn(rows, width, |r, c| match c % 3 {
+            0 => 2.0,
+            1 => ((r * 7919 + c) % 97) as f32 / 97.0,
+            _ => ((r + c) % 2) as f32 * 2.0 - 1.0,
+        });
+        let rows_of = |range: std::ops::Range<usize>| {
+            Matrix::from_fn(range.len(), width, |r, c| units.get(range.start + r, c))
+        };
+        let reference = |ranges: &[std::ops::Range<usize>]| {
+            let mut accs = vec![StreamingPearson::new(); width];
+            for range in ranges {
+                let (mut sy, mut syy) = (0.0f64, 0.0);
+                for &h in &hyp[range.clone()] {
+                    sy += h as f64;
+                    syy += h as f64 * h as f64;
+                }
+                for (c, acc) in accs.iter_mut().enumerate() {
+                    let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
+                    for r in range.clone() {
+                        let x = units.get(r, c) as f64;
+                        sx += x;
+                        sxx += x * x;
+                        sxy += x * hyp[r] as f64;
+                    }
+                    acc.accumulate(range.len() as u64, sx, sy, sxx, syy, sxy);
+                }
+            }
+            accs
+        };
+        let m = CorrelationMeasure;
+        let mut first = m.new_state(width);
+        for range in [0..7, 7..40] {
+            first.process_block(&rows_of(range.clone()), &hyp[range]);
+        }
+        let mut second = m.new_state(width);
+        for range in [40..41, 41..90] {
+            second.process_block(&rows_of(range.clone()), &hyp[range]);
+        }
+        assert!(first.merge_from(second.as_ref()));
+        let mut expect = reference(&[0..7, 7..40]);
+        for (a, b) in expect.iter_mut().zip(reference(&[40..41, 41..90])) {
+            a.merge(&b);
+        }
+        let expect = CorrState { accs: expect };
+        assert_eq!(first.serialize_state(), expect.serialize_state());
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(first.unit_scores()), bits(expect.unit_scores()));
     }
 
     #[test]

@@ -334,6 +334,64 @@ impl StreamingPearson {
     }
 }
 
+/// Unit columns [`accumulate_columns`] advances per row sweep.
+const TILE: usize = 8;
+
+/// Folds one row-major `ys.len() × accs.len()` block into per-column
+/// accumulators that share the `y` column — the block kernel of the
+/// correlation measure.
+///
+/// The `y` moments are computed once. The columns advance [`TILE`]
+/// abreast: one sweep over the rows loads `TILE` adjacent values per row
+/// (contiguous) and feeds `TILE` independent sum chains, so the sweep runs
+/// at load/multiply throughput instead of one dependent f64 add per
+/// element. Each column's own chain still adds its rows in row order, so
+/// the result is bit-identical to walking the columns one at a time; the
+/// `accs.len() % TILE` trailing columns are walked exactly that way.
+pub fn accumulate_columns(accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]) {
+    let width = accs.len();
+    assert_eq!(xs.len(), ys.len() * width, "pearson block shape mismatch");
+    if width == 0 {
+        return;
+    }
+    let n = ys.len() as u64;
+    let (mut sy, mut syy) = (0.0f64, 0.0);
+    for &y in ys {
+        let y = y as f64;
+        sy += y;
+        syy += y * y;
+    }
+    let tiled = width - width % TILE;
+    for (t, tile) in accs[..tiled].chunks_exact_mut(TILE).enumerate() {
+        let (mut sx, mut sxx, mut sxy) = ([0.0f64; TILE], [0.0f64; TILE], [0.0f64; TILE]);
+        for (row, &y) in xs.chunks_exact(width).zip(ys) {
+            let y = y as f64;
+            let row: &[f32; TILE] = row[t * TILE..(t + 1) * TILE]
+                .try_into()
+                .expect("tile is TILE wide");
+            for j in 0..TILE {
+                let x = row[j] as f64;
+                sx[j] += x;
+                sxx[j] += x * x;
+                sxy[j] += x * y;
+            }
+        }
+        for (j, acc) in tile.iter_mut().enumerate() {
+            acc.accumulate(n, sx[j], sy, sxx[j], syy, sxy[j]);
+        }
+    }
+    for (u, acc) in accs.iter_mut().enumerate().skip(tiled) {
+        let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
+        for (row, &y) in xs.chunks_exact(width).zip(ys) {
+            let x = row[u] as f64;
+            sx += x;
+            sxx += x * x;
+            sxy += x * y as f64;
+        }
+        acc.accumulate(n, sx, sy, sxx, syy, sxy);
+    }
+}
+
 /// Critical value for a 95% two-sided normal interval.
 pub const Z_95: f64 = 1.959_963_985;
 
@@ -489,6 +547,93 @@ mod tests {
         assert_eq!(strided.count(), dense.count());
         assert!((strided.correlation() - dense.correlation()).abs() < 1e-6);
         assert!((strided.fisher_half_width(Z_95) - dense.fisher_half_width(Z_95)).abs() < 1e-6);
+    }
+
+    /// The per-unit walk [`accumulate_columns`] replaced: one strided pass
+    /// per column, one dependent sum chain each.
+    fn accumulate_columns_one_by_one(accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]) {
+        let width = accs.len();
+        let (mut sy, mut syy) = (0.0f64, 0.0);
+        for &y in ys {
+            let y = y as f64;
+            sy += y;
+            syy += y * y;
+        }
+        for (u, acc) in accs.iter_mut().enumerate() {
+            let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
+            let mut idx = u;
+            for &y in ys {
+                let x = xs[idx] as f64;
+                sx += x;
+                sxx += x * x;
+                sxy += x * y as f64;
+                idx += width;
+            }
+            acc.accumulate(ys.len() as u64, sx, sy, sxx, syy, sxy);
+        }
+    }
+
+    #[test]
+    fn tiled_block_kernel_is_bit_identical_to_the_per_unit_walk() {
+        // Column kinds cycle raw / constant / ±1 / raw-with-NaN-and-Inf,
+        // so every tile (and the scalar tail) holds each of them.
+        let value = |r: usize, c: usize| -> f32 {
+            let raw = (((r * 31 + c * 17) % 97) as f32 / 97.0 - 0.4) * (1.0 + c as f32);
+            match c % 4 {
+                1 => 0.75 + c as f32,
+                2 => [-1.0, 1.0, 1.0][(r + c) % 3],
+                3 if r % 29 == 7 => f32::NAN,
+                3 if r % 31 == 11 => f32::INFINITY,
+                _ => raw,
+            }
+        };
+        let rows = 150;
+        let ys: Vec<f32> = (0..rows).map(|r| ((r * 13) % 7) as f32 - 2.0).collect();
+        let state = |accs: &[StreamingPearson]| -> Vec<[u64; 10]> {
+            accs.iter().map(|a| a.state_bits()).collect()
+        };
+        for width in [1usize, 7, 8, 9, 96, 100] {
+            let xs: Vec<f32> = (0..rows * width)
+                .map(|i| value(i / width, i % width))
+                .collect();
+            // Uneven block splits, the empty block included.
+            let mut tiled = vec![StreamingPearson::new(); width];
+            let mut walked = vec![StreamingPearson::new(); width];
+            let mut start = 0;
+            for len in [1usize, 0, 64, 3, 50, 32] {
+                let (x, y) = (
+                    &xs[start * width..(start + len) * width],
+                    &ys[start..start + len],
+                );
+                accumulate_columns(&mut tiled, x, y);
+                accumulate_columns_one_by_one(&mut walked, x, y);
+                start += len;
+            }
+            assert_eq!(start, rows);
+            assert_eq!(state(&tiled), state(&walked), "width {width}");
+            // ...and after folding a second segment's states in.
+            let mut tiled_b = vec![StreamingPearson::new(); width];
+            let mut walked_b = vec![StreamingPearson::new(); width];
+            accumulate_columns(&mut tiled_b, &xs[..40 * width], &ys[..40]);
+            accumulate_columns_one_by_one(&mut walked_b, &xs[..40 * width], &ys[..40]);
+            for (a, b) in tiled.iter_mut().zip(&tiled_b) {
+                a.merge(b);
+            }
+            for (a, b) in walked.iter_mut().zip(&walked_b) {
+                a.merge(b);
+            }
+            assert_eq!(state(&tiled), state(&walked), "width {width} merged");
+            for (a, b) in tiled.iter().zip(&walked) {
+                assert_eq!(a.correlation().to_bits(), b.correlation().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pearson block shape mismatch")]
+    fn block_kernel_rejects_a_misshapen_block() {
+        let mut accs = vec![StreamingPearson::new(); 3];
+        accumulate_columns(&mut accs, &[0.0; 7], &[0.0, 1.0]);
     }
 
     #[test]

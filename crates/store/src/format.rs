@@ -119,8 +119,12 @@ const DICT_MAX_ENTRIES: usize = 255;
 // dependency-free.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, which lets [`crc32`] fold eight input bytes per step with eight
+/// independent lookups instead of eight dependent ones.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -133,19 +137,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE) of a byte slice.
+/// CRC32 (IEEE) of a byte slice, eight bytes per step (slicing-by-8).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -738,25 +766,14 @@ pub fn write_column_file(
 }
 
 /// Refreshes a column file's access stamp in place (an uncovered 8-byte
-/// write; see the module docs). Returns `Ok(false)` without touching the
-/// file when it is not a current-version column. Best-effort by design:
-/// no fsync — a lost update only ages the column.
-pub fn write_access_stamp(path: &Path, stamp: u64) -> Result<bool, StoreError> {
-    let mut file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(path)?;
-    let mut header = [0u8; HEADER_LEN as usize];
-    if file.read_exact(&mut header).is_err() || header[..8] != MAGIC {
-        return Ok(false);
-    }
-    let version = u16::from_le_bytes(header[8..10].try_into().unwrap());
-    if version != VERSION || file.metadata()?.len() < HEADER_LEN + SCHEMA_LEN {
-        return Ok(false);
-    }
+/// write; see the module docs) through a handle the caller holds open for
+/// writing on a file [`read_meta`] has validated — the one handle a
+/// metadata read already has, so stamping costs no second open.
+/// Best-effort by design: no fsync — a lost update only ages the column.
+pub fn write_access_stamp(file: &mut File, stamp: u64) -> Result<(), StoreError> {
     file.seek(SeekFrom::Start(ACCESS_STAMP_OFFSET))?;
     file.write_all(&stamp.to_le_bytes())?;
-    Ok(true)
+    Ok(())
 }
 
 /// Reads a column file's access stamp without validating the rest of the
@@ -963,31 +980,72 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     })
 }
 
-/// Reads one data block, verifying its payload checksum against the zone
-/// entry and decoding it per the zone's codec.
+/// Reads the data blocks `blocks` (ascending, distinct) through one
+/// handle, verifying each payload's checksum against its zone entry and
+/// decoding it per the zone's codec. Runs of consecutive block indices sit
+/// back to back in the file, so each run costs one seek and one read.
+pub fn read_blocks(
+    file: &mut File,
+    col: &ColumnFile,
+    blocks: &[u32],
+) -> Result<Vec<Vec<f32>>, StoreError> {
+    debug_assert!(blocks.windows(2).all(|w| w[0] < w[1]), "blocks ascending");
+    let mut pages = Vec::with_capacity(blocks.len());
+    let mut payload = Vec::new();
+    let mut run_start = 0;
+    while run_start < blocks.len() {
+        let mut run_end = run_start + 1;
+        while run_end < blocks.len() && blocks[run_end] == blocks[run_end - 1] + 1 {
+            run_end += 1;
+        }
+        let run = &blocks[run_start..run_end];
+        let mut run_len = 0usize;
+        for &b in run {
+            let b = b as usize;
+            let zone = col
+                .zones
+                .get(b)
+                .ok_or_else(|| StoreError::Corrupt(format!("block {b} out of range")))?;
+            let rows = col.meta.rows_in_block(b);
+            if zone.rows as usize != rows {
+                return Err(StoreError::Corrupt(format!(
+                    "block {b} zone rows {} disagree with schema ({rows})",
+                    zone.rows
+                )));
+            }
+            run_len += zone.comp_len as usize;
+        }
+        // `read_meta` bounded the whole declared data region by the file
+        // length, so `run_len` cannot exceed what the file held then.
+        let first = run[0] as usize;
+        let offset = col.offsets[first];
+        payload.resize(run_len, 0);
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(&mut payload)
+            .map_err(|_| StoreError::Corrupt(format!("block {first} truncated")))?;
+        let mut at = 0;
+        for &b in run {
+            let b = b as usize;
+            let zone = &col.zones[b];
+            let bytes = &payload[at..at + zone.comp_len as usize];
+            at += zone.comp_len as usize;
+            if crc32(bytes) != zone.crc {
+                return Err(StoreError::Corrupt(format!("block {b} checksum mismatch")));
+            }
+            let n_values = col.meta.rows_in_block(b) * col.meta.ns as usize;
+            pages.push(decode_block(zone, bytes, n_values, b)?);
+        }
+        run_start = run_end;
+    }
+    Ok(pages)
+}
+
+/// Reads one data block: the one-block case of [`read_blocks`].
 pub fn read_block(file: &mut File, col: &ColumnFile, b: usize) -> Result<Vec<f32>, StoreError> {
-    let zone = col
-        .zones
-        .get(b)
-        .ok_or_else(|| StoreError::Corrupt(format!("block {b} out of range")))?;
-    let rows = col.meta.rows_in_block(b);
-    if zone.rows as usize != rows {
-        return Err(StoreError::Corrupt(format!(
-            "block {b} zone rows {} disagree with schema ({rows})",
-            zone.rows
-        )));
-    }
-    let offset = col
-        .data_offset(b)
-        .ok_or_else(|| StoreError::Corrupt(format!("block {b} has no payload offset")))?;
-    let mut payload = vec![0u8; zone.comp_len as usize];
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(&mut payload)
-        .map_err(|_| StoreError::Corrupt(format!("block {b} truncated")))?;
-    if crc32(&payload) != zone.crc {
-        return Err(StoreError::Corrupt(format!("block {b} checksum mismatch")));
-    }
-    decode_block(zone, &payload, rows * col.meta.ns as usize, b)
+    let block =
+        u32::try_from(b).map_err(|_| StoreError::Corrupt(format!("block {b} out of range")))?;
+    let mut pages = read_blocks(file, col, &[block])?;
+    Ok(pages.pop().expect("one block requested, one page read"))
 }
 
 #[cfg(test)]
@@ -1039,6 +1097,91 @@ mod tests {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The polynomial applied one bit at a time: shares no table with
+    /// [`crc32`].
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bitwise_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Every length around the 8-byte step (empty, tail only, whole
+        // steps, steps + every tail length), then block-sized buffers.
+        let lens = (0..=70).chain((0..32).map(|i| 71 + i * 257));
+        for len in lens {
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
+            // Stored checksums sit at arbitrary offsets of a read buffer.
+            for skip in 1..buf.len().min(9) {
+                assert_eq!(crc32(&buf[skip..]), crc32_bitwise(&buf[skip..]));
+            }
+        }
+    }
+
+    #[test]
+    fn read_blocks_equals_block_by_block_reads_for_any_ascending_subset() {
+        let m = ColumnMeta {
+            nd: 23,
+            completed_records: 23,
+            ..meta()
+        };
+        // Constant, small-alphabet and raw stretches, so runs cross codecs.
+        let data: Vec<f32> = (0..(m.nd * m.ns) as usize)
+            .map(|i| match i / 16 {
+                0 => 2.5,
+                1 | 2 => (i % 3) as f32,
+                _ => i as f32 * 0.37,
+            })
+            .collect();
+        let dir = test_dir("read-blocks");
+        let path = dir.join("u.col");
+        write_column_file(&path, &dir.join("u.tmp"), &m, &data, None, 7).unwrap();
+        let mut f = File::open(&path).unwrap();
+        let col = read_meta(&mut f).unwrap();
+        let n = col.meta.n_blocks();
+        assert_eq!(n, 6);
+        let single: Vec<Vec<u32>> = (0..n)
+            .map(|b| {
+                let page = read_block(&mut f, &col, b).unwrap();
+                page.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        // Every non-empty subset of the six blocks: single blocks, full
+        // runs, runs with gaps.
+        for mask in 1u32..(1 << n) {
+            let blocks: Vec<u32> = (0..n as u32).filter(|b| mask & (1 << b) != 0).collect();
+            let pages = read_blocks(&mut f, &col, &blocks).unwrap();
+            assert_eq!(pages.len(), blocks.len());
+            for (page, &b) in pages.iter().zip(&blocks) {
+                let bits: Vec<u32> = page.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, single[b as usize], "mask {mask:#b} block {b}");
+            }
+        }
+        assert!(matches!(
+            read_blocks(&mut f, &col, &[5, 6]),
+            Err(StoreError::Corrupt(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1183,7 +1326,15 @@ mod tests {
         let path = dir.join("u3.col");
         write_column_file(&path, &dir.join("u3.tmp"), &m, &data, None, 1000).unwrap();
         assert_eq!(read_access_stamp(&path).unwrap(), Some(1000));
-        assert!(write_access_stamp(&path, 2000).unwrap());
+        // Through the same read-write handle a metadata read used.
+        let mut rw = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        assert_eq!(read_meta(&mut rw).unwrap().access_stamp, 1000);
+        write_access_stamp(&mut rw, 2000).unwrap();
+        drop(rw);
         assert_eq!(read_access_stamp(&path).unwrap(), Some(2000));
         // The stamp is outside every checksum: the file still validates
         // and serves identical data after the in-place update — and even

@@ -19,8 +19,9 @@
 //!   other version reads as corrupt and re-materializes.
 //! * [`pool`] — a [`BufferPool`] of decoded block pages with **pinned
 //!   pages** and **CLOCK** (second-chance) eviction under a configurable
-//!   byte budget. Scans pin the page they are copying out of; eviction
-//!   skips pinned frames.
+//!   byte budget, keyed by column. A scan pins every page one column
+//!   fetch needs in one critical section ([`ColumnPins`]) and unpins them
+//!   in another; eviction skips pinned frames.
 //! * [`store`] — the [`BehaviorStore`]: columns keyed by
 //!   `(model fingerprint, dataset fingerprint, unit id)`, an in-memory
 //!   index of available columns, checksum-verified block reads through
@@ -52,7 +53,7 @@ pub mod store;
 pub mod views;
 
 pub use pass::{ColumnPass, ScanPlan};
-pub use pool::{BufferPool, PageKey, PinnedPage, PoolStats};
+pub use pool::{BufferPool, ColumnPins, PoolStats};
 pub use store::{
     BehaviorStore, ColumnKey, CompactionReport, Coverage, MaterializationPolicy, StoreConfig,
     WriteReport,

@@ -6,15 +6,24 @@
 //! store handle so it can only execute against the store it was probed
 //! on) and carried out block by block by a [`ColumnPass`].
 //!
+//! Per streamed block the pass makes one **column fetch** per stored
+//! column ([`BehaviorStore::scan_into`]): the positions are validated,
+//! the resident pages pinned under one pool lock, the misses loaded
+//! through one file handle and installed together, the rows gathered, and
+//! the pins dropped — **pin lifetime is one column fetch**. The pass holds
+//! no pin and no page between blocks (only its reusable index buffers), so
+//! a pool smaller than the working set evicts between fetches exactly as
+//! it would between unrelated scans, and compaction never finds a column
+//! pinned by an idle pass.
+//!
 //! The pass's `live` closure is the whole interface to the engine: the
 //! store never sees an extractor, a record or a device — only "these
 //! units, this block, row-major values please". Stored columns hold
 //! exactly what the extractor produced, so every mix of scanned and live
 //! columns is bit-identical to a full live extraction.
 
-use crate::store::{BehaviorStore, ColumnKey, Coverage};
+use crate::store::{BehaviorStore, ColumnKey, Coverage, FetchScratch};
 use crate::{StoreError, StoreStats};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The store decision for one stream: the column key fingerprints, the
@@ -115,6 +124,8 @@ struct ScanColumn {
     col: usize,
     /// Validated coverage of a partial column; `None` for a complete one.
     partial: Option<Coverage>,
+    /// Produced at least one scanned block this pass.
+    scanned: bool,
 }
 
 /// Write-back capture: one column buffer per miss or partial unit,
@@ -167,13 +178,19 @@ pub struct ColumnPass<'p> {
     /// watermark; past it, the column extracts live for the block (the
     /// resume-at-the-watermark path).
     scan_order: Vec<ScanColumn>,
-    /// Union units that must be extracted live on every block.
-    misses: Vec<usize>,
-    /// Hits demoted after a scan failure (corrupt columns are also
-    /// quarantined; transient I/O failures only demote for this pass).
-    demoted: HashSet<usize>,
-    /// Columns that produced at least one scanned block this pass.
-    scanned: HashSet<usize>,
+    /// Per union column: extracted live on every block (a plan-time miss).
+    miss: Vec<bool>,
+    /// Per union column: a hit demoted after a scan failure (corrupt
+    /// columns are also quarantined; transient I/O failures only demote
+    /// for this pass). Live for every remaining block.
+    demoted: Vec<bool>,
+    /// Per union column: a partial column the current block runs past.
+    past_watermark: Vec<bool>,
+    /// The current block's live columns and their units (buffers kept
+    /// across blocks, like `fetch`, so a block allocates nothing here).
+    live_cols: Vec<usize>,
+    live_units: Vec<usize>,
+    fetch: FetchScratch,
     writeback: Option<WriteBack>,
     stats: StoreStats,
 }
@@ -193,7 +210,12 @@ impl<'p> ColumnPass<'p> {
         let mut partials: Vec<ScanColumn> = Vec::new();
         let mut misses: Vec<usize> = Vec::new();
         for (col, &unit) in union_units.iter().enumerate() {
-            let column = |partial| ScanColumn { unit, col, partial };
+            let column = |partial| ScanColumn {
+                unit,
+                col,
+                partial,
+                scanned: false,
+            };
             if plan.hits.binary_search(&unit).is_ok() {
                 hits.push(column(None));
             } else if plan.partials.binary_search(&unit).is_ok() {
@@ -270,22 +292,30 @@ impl<'p> ColumnPass<'p> {
             None
         };
         hits.append(&mut partials);
+        let width = union_units.len();
         ColumnPass {
             plan,
             union_units,
             nd,
             ns,
             scan_order: hits,
-            misses,
-            demoted: HashSet::new(),
-            scanned: HashSet::new(),
+            miss: union_units
+                .iter()
+                .map(|unit| misses.binary_search(unit).is_ok())
+                .collect(),
+            demoted: vec![false; width],
+            past_watermark: vec![false; width],
+            live_cols: Vec::with_capacity(width),
+            live_units: Vec::with_capacity(width),
+            fetch: FetchScratch::default(),
             writeback,
             stats,
         }
     }
 
-    /// Fills `out` — the zeroed, row-major `(positions.len() * ns) ×
-    /// union width` behavior matrix of one streamed block — for the
+    /// Fills `out` — the row-major `(positions.len() * ns) × union width`
+    /// behavior matrix of one streamed block; every cell is overwritten,
+    /// so the caller may reuse one buffer across blocks — for the
     /// records at `positions` of the segment: stored columns are scanned
     /// through the pool (partial columns only while the block stays under
     /// their watermark), the rest come from one `live(units)` call, which
@@ -312,9 +342,8 @@ impl<'p> ColumnPass<'p> {
         // quarantines the file — a transient I/O error must not destroy
         // a valid column, and a read-only store must stay byte-identical
         // on disk short of proven corruption.
-        let mut live_this_block: Vec<usize> = Vec::new();
-        for sc in &self.scan_order {
-            if self.demoted.contains(&sc.unit) {
+        for sc in &mut self.scan_order {
+            if self.demoted[sc.col] {
                 continue;
             }
             if sc
@@ -322,10 +351,11 @@ impl<'p> ColumnPass<'p> {
                 .as_ref()
                 .is_some_and(|c| !c.covers_all(positions))
             {
-                live_this_block.push(sc.unit);
+                self.past_watermark[sc.col] = true;
                 continue;
             }
-            let scan = plan.store.scan_into(
+            let scan = plan.store.scan_with(
+                &mut self.fetch,
                 &plan.key(sc.unit),
                 self.nd,
                 ns,
@@ -338,7 +368,8 @@ impl<'p> ColumnPass<'p> {
             );
             match scan {
                 Ok(()) => {
-                    if self.scanned.insert(sc.unit) {
+                    if !sc.scanned {
+                        sc.scanned = true;
                         self.stats.columns_scanned += 1;
                         if sc.partial.is_some() {
                             self.stats.partial_columns_scanned += 1;
@@ -356,7 +387,7 @@ impl<'p> ColumnPass<'p> {
                     if plan.write && matches!(e, StoreError::Corrupt(_)) {
                         plan.store.quarantine(&plan.key(sc.unit));
                     }
-                    self.demoted.insert(sc.unit);
+                    self.demoted[sc.col] = true;
                 }
             }
         }
@@ -365,23 +396,24 @@ impl<'p> ColumnPass<'p> {
         // and the partial columns this block runs past. Column-wise
         // consistency of extractors makes the merged matrix bit-identical
         // to a full live extraction of the union.
-        let live_cols: Vec<usize> = (0..width)
-            .filter(|&col| {
-                let u = &self.union_units[col];
-                self.demoted.contains(u)
-                    || self.misses.binary_search(u).is_ok()
-                    || live_this_block.binary_search(u).is_ok()
-            })
-            .collect();
-        if live_cols.is_empty() {
+        self.live_cols.clear();
+        self.live_units.clear();
+        for col in 0..width {
+            if self.miss[col] || self.demoted[col] || self.past_watermark[col] {
+                self.past_watermark[col] = false;
+                self.live_cols.push(col);
+                self.live_units.push(self.union_units[col]);
+            }
+        }
+        if self.live_cols.is_empty() {
             self.stats.forward_passes_avoided += 1;
         } else {
-            let live_units: Vec<usize> = live_cols.iter().map(|&c| self.union_units[c]).collect();
-            let values = live(&live_units);
-            assert_eq!(values.len(), rows * live_cols.len(), "live block shape");
-            for (li, &col) in live_cols.iter().enumerate() {
+            let n_live = self.live_cols.len();
+            let values = live(&self.live_units);
+            assert_eq!(values.len(), rows * n_live, "live block shape");
+            for (li, &col) in self.live_cols.iter().enumerate() {
                 for r in 0..rows {
-                    out[r * width + col] = values[r * live_cols.len() + li];
+                    out[r * width + col] = values[r * n_live + li];
                 }
             }
         }
@@ -428,7 +460,7 @@ impl<'p> ColumnPass<'p> {
                 // store already holds at least as much. A quarantined
                 // (demoted) column's prior file is gone, so anything
                 // streamed is a strict improvement.
-                if let (Some(prior), false) = (&wu.prior, self.demoted.contains(&wu.unit)) {
+                if let (Some(prior), false) = (&wu.prior, self.demoted[wu.union_col]) {
                     let extends = prior.is_subset_of_filled(&wb.filled)
                         && wb.n_filled > prior.completed_records();
                     if !extends {

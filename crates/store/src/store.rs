@@ -34,7 +34,7 @@
 //! sweep, no quarantine renames, no compaction.
 
 use crate::format::{self, coverage_covers, ColumnMeta};
-use crate::pool::{BufferPool, PageKey};
+use crate::pool::BufferPool;
 use crate::{StoreError, StoreStats};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -258,6 +258,25 @@ impl Coverage {
         }
     }
 }
+
+/// Reusable buffers of one column fetch (see
+/// [`BehaviorStore::scan_with`]).
+#[derive(Default)]
+pub(crate) struct FetchScratch {
+    /// Per requested position: its stored block and its row within it.
+    rows: Vec<(usize, usize)>,
+    /// Per stored block: `BLOCK_UNTOUCHED`, `BLOCK_PRUNED`, or the block's
+    /// index in `needed`.
+    block_use: Vec<u32>,
+    /// The blocks this fetch takes through the pool, ascending.
+    needed: Vec<u32>,
+}
+
+const BLOCK_UNTOUCHED: u32 = u32::MAX;
+const BLOCK_PRUNED: u32 = u32::MAX - 1;
+/// Touched and not prunable; replaced by the index into `needed` once the
+/// positions are classified.
+const BLOCK_NEEDED: u32 = u32::MAX - 2;
 
 /// Validated column metadata: the parsed file (schema, zone table,
 /// payload offsets) with the coverage bitmap lifted into an `Arc` for
@@ -604,15 +623,14 @@ impl BehaviorStore {
         // Refresh the caches (an overwrite replaces stale state), then
         // populate the pool with the written pages so an immediate scan
         // hits memory.
-        self.pool
-            .purge_column(key.model_fp, key.dataset_fp, key.unit as u64);
+        self.pool.purge_column(key);
         let mut pool_evictions = 0;
         for b in 0..meta.n_blocks() {
             let rows = meta.rows_in_block(b);
             let start = b * self.block_records * ns;
-            pool_evictions += self
-                .pool
-                .insert(page_key(key, b), stored[start..start + rows * ns].to_vec());
+            pool_evictions +=
+                self.pool
+                    .insert(key, b as u32, stored[start..start + rows * ns].to_vec());
         }
         self.meta_cache.lock().remove(key);
         // A fresh write resurrects a disk-budget-evicted column.
@@ -651,7 +669,18 @@ impl BehaviorStore {
             return Err(StoreError::Io(format!("unit {} is not indexed", key.unit)));
         };
         let path = self.column_path(key, disposition);
-        let mut file = File::open(&path)?;
+        // One handle for the read and the stamp: a read-write store opens
+        // it writable (falling back to read-only where the file refuses —
+        // the stamp is best-effort, the read is not).
+        let mut file = if self.read_only {
+            File::open(&path)?
+        } else {
+            std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .or_else(|_| File::open(&path))?
+        };
         let mut parsed = format::read_meta(&mut file)?;
         // The file's own watermark decides completeness; the index only
         // remembers which path to open.
@@ -663,7 +692,7 @@ impl BehaviorStore {
         if !self.read_only {
             // Failure to bump the stamp never fails the read — the
             // column just stays cold in the eviction order.
-            let _ = format::write_access_stamp(&path, now_stamp());
+            let _ = format::write_access_stamp(&mut file, now_stamp());
         }
         let covered = parsed.covered.take().map(Arc::new);
         let ranks = covered
@@ -744,20 +773,63 @@ impl BehaviorStore {
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<(), StoreError> {
-        match self.scan_attempt(key, nd, ns, positions, out, stride, col, prune, stats) {
+        let mut scratch = FetchScratch::default();
+        self.scan_with(
+            &mut scratch,
+            key,
+            nd,
+            ns,
+            positions,
+            out,
+            stride,
+            col,
+            prune,
+            stats,
+        )
+    }
+
+    /// [`BehaviorStore::scan_into`] over caller-kept buffers (a
+    /// [`crate::ColumnPass`] makes thousands of fetches per pass and keeps
+    /// one [`FetchScratch`] for all of them).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scan_with(
+        &self,
+        scratch: &mut FetchScratch,
+        key: &ColumnKey,
+        nd: usize,
+        ns: usize,
+        positions: &[usize],
+        out: &mut [f32],
+        stride: usize,
+        col: usize,
+        prune: bool,
+        stats: &mut StoreStats,
+    ) -> Result<(), StoreError> {
+        match self.scan_attempt(
+            scratch, key, nd, ns, positions, out, stride, col, prune, stats,
+        ) {
             Err(StoreError::Corrupt(_)) => {
                 self.meta_cache.lock().remove(key);
-                self.pool
-                    .purge_column(key.model_fp, key.dataset_fp, key.unit as u64);
-                self.scan_attempt(key, nd, ns, positions, out, stride, col, prune, stats)
+                self.pool.purge_column(key);
+                self.scan_attempt(
+                    scratch, key, nd, ns, positions, out, stride, col, prune, stats,
+                )
             }
             other => other,
         }
     }
 
+    /// One column fetch, every cost per *column*: validate the positions
+    /// and work out which stored blocks they touch; pin the resident ones
+    /// under one pool lock; load this fetch's misses through one file
+    /// handle in ascending block order and install them under one more
+    /// lock; gather. The pins drop (one lock) when the fetch returns.
+    /// `stats` counts the fetch's pages only once they are all in hand —
+    /// a failed attempt reports its retries and nothing else.
     #[allow(clippy::too_many_arguments)]
     fn scan_attempt(
         &self,
+        scratch: &mut FetchScratch,
         key: &ColumnKey,
         nd: usize,
         ns: usize,
@@ -777,14 +849,23 @@ impl BehaviorStore {
                 meta.nd, meta.ns
             )));
         }
-        // Pin each distinct page once for the whole call (positions are
-        // shuffled, so consecutive positions land on arbitrary blocks);
-        // the pins drop together when `pages` goes out of scope. Pruned
-        // blocks are counted once per call the same way.
-        let mut pages: Vec<Option<crate::pool::PinnedPage<'_>>> =
-            (0..meta.n_blocks()).map(|_| None).collect();
-        let mut pruned_counted = vec![false; meta.n_blocks()];
-        for (i, &pos) in positions.iter().enumerate() {
+
+        // Validate every position before touching the pool, and classify
+        // each stored block the fetch touches once: served from its zone
+        // entry (pruned) or fetched. Positions are shuffled, so
+        // consecutive positions land on arbitrary blocks.
+        let FetchScratch {
+            rows,
+            block_use,
+            needed,
+        } = scratch;
+        rows.clear();
+        needed.clear();
+        block_use.clear();
+        block_use.resize(meta.n_blocks(), BLOCK_UNTOUCHED);
+        let block_records = meta.block_records as usize;
+        let mut pruned = 0;
+        for &pos in positions {
             if pos >= nd {
                 return Err(StoreError::Corrupt(format!(
                     "record position {pos} out of range (nd={nd})"
@@ -806,44 +887,69 @@ impl BehaviorStore {
                 None => pos,
             };
             let b = meta.block_of(row);
-            if prune {
+            if block_use[b] == BLOCK_UNTOUCHED {
                 // Predicate pushdown: the zone entry of a finite constant
                 // block determines every value in it, so the block is
                 // served without touching its payload (no read, no
                 // checksum, no pool traffic). `constant_value` is `None`
                 // for non-finite-flagged blocks.
-                if let Some(v) = zones[b].constant_value() {
-                    if !pruned_counted[b] {
-                        pruned_counted[b] = true;
-                        stats.blocks_pruned += 1;
-                    }
-                    for t in 0..ns {
-                        out[(i * ns + t) * stride + col] = v;
-                    }
-                    continue;
-                }
-            }
-            if pages[b].is_none() {
-                let page = retry_transient(&mut stats.io_retries, || {
-                    self.pool.get(page_key(key, b), || {
-                        let mut file = File::open(self.column_path(key, cached.disposition))?;
-                        format::read_block(&mut file, &cached.file, b)
-                    })
-                })?;
-                stats.blocks_read += 1;
-                if page.hit {
-                    stats.pool_hits += 1;
+                if prune && zones[b].constant_value().is_some() {
+                    block_use[b] = BLOCK_PRUNED;
+                    pruned += 1;
                 } else {
-                    stats.pool_misses += 1;
+                    block_use[b] = BLOCK_NEEDED;
                 }
-                stats.pool_evictions += page.evictions;
-                pages[b] = Some(page);
             }
-            let page = pages[b].as_ref().expect("pinned above");
-            let local = row - b * meta.block_records as usize;
-            let values = &page[local * ns..(local + 1) * ns];
-            for (t, &v) in values.iter().enumerate() {
-                out[(i * ns + t) * stride + col] = v;
+            rows.push((b, row - b * block_records));
+        }
+        for (b, block) in block_use.iter_mut().enumerate() {
+            if *block == BLOCK_NEEDED {
+                *block = needed.len() as u32;
+                needed.push(b as u32);
+            }
+        }
+
+        // Pin what is resident, load and install the rest. A column whose
+        // touched blocks were all pruned never enters the pool.
+        let pins = if needed.is_empty() {
+            None
+        } else {
+            let mut pins = self.pool.pin_column(key, needed);
+            let missing: Vec<usize> = pins.missing().collect();
+            if !missing.is_empty() {
+                let blocks: Vec<u32> = missing.iter().map(|&i| needed[i]).collect();
+                let path = self.column_path(key, cached.disposition);
+                let pages = retry_transient(&mut stats.io_retries, || {
+                    let mut file = File::open(&path)?;
+                    format::read_blocks(&mut file, &cached.file, &blocks)
+                })?;
+                pins.install(missing.into_iter().zip(pages));
+            }
+            stats.blocks_read += needed.len();
+            stats.pool_hits += pins.hits;
+            stats.pool_misses += needed.len() - pins.hits;
+            stats.pool_evictions += pins.evictions;
+            Some(pins)
+        };
+        stats.blocks_pruned += pruned;
+
+        // Gather: the `ns` values of position `i` go down column `col` of
+        // the row-major output, `stride` apart.
+        for (i, &(b, local)) in rows.iter().enumerate() {
+            let cells = out[i * ns * stride + col..].iter_mut().step_by(stride);
+            match block_use[b] {
+                BLOCK_PRUNED => {
+                    let v = zones[b].constant_value().expect("classified prunable");
+                    cells.take(ns).for_each(|cell| *cell = v);
+                }
+                page => {
+                    let page = pins
+                        .as_ref()
+                        .and_then(|pins| pins.page(page as usize))
+                        .expect("every needed page was pinned or installed");
+                    let values = &page[local * ns..(local + 1) * ns];
+                    cells.zip(values).for_each(|(cell, &v)| *cell = v);
+                }
             }
         }
         Ok(())
@@ -861,8 +967,7 @@ impl BehaviorStore {
         }
         let disposition = self.index.lock().remove(key);
         self.meta_cache.lock().remove(key);
-        self.pool
-            .purge_column(key.model_fp, key.dataset_fp, key.unit as u64);
+        self.pool.purge_column(key);
         let dispositions = match disposition {
             Some(d) => vec![d],
             // Not indexed (e.g. already quarantined by a racing pass):
@@ -1021,10 +1126,7 @@ impl BehaviorStore {
             // scan would read a dead path and misreport it as corruption.
             // A pinned column simply survives this sweep (it is warm by
             // definition) and the next-coldest is considered instead.
-            if self
-                .pool
-                .column_pinned(key.model_fp, key.dataset_fp, key.unit as u64)
-            {
+            if self.pool.column_pinned(&key) {
                 continue;
             }
             // De-index before deleting so a racing scan resolves to the
@@ -1032,8 +1134,7 @@ impl BehaviorStore {
             self.index.lock().remove(&key);
             self.meta_cache.lock().remove(&key);
             self.evicted.lock().insert(key);
-            self.pool
-                .purge_column(key.model_fp, key.dataset_fp, key.unit as u64);
+            self.pool.purge_column(&key);
             if std::fs::remove_file(&path).is_ok() {
                 report.columns_evicted += 1;
                 report.evicted_bytes += len;
@@ -1045,15 +1146,6 @@ impl BehaviorStore {
                 total = total.saturating_sub(len);
             }
         }
-    }
-}
-
-fn page_key(key: &ColumnKey, block: usize) -> PageKey {
-    PageKey {
-        model_fp: key.model_fp,
-        dataset_fp: key.dataset_fp,
-        unit: key.unit as u64,
-        block: block as u32,
     }
 }
 
@@ -1113,6 +1205,12 @@ mod tests {
         (0..nd * ns)
             .map(|i| (i * 7 + unit * 1000) as f32 * 0.25)
             .collect()
+    }
+
+    /// Overwrites a column file's access stamp.
+    fn set_stamp(path: &Path, stamp: u64) {
+        let mut file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        format::write_access_stamp(&mut file, stamp).unwrap();
     }
 
     /// Backdates a file past the temp-reap threshold (simulating a
@@ -1925,9 +2023,7 @@ mod tests {
         let len = std::fs::metadata(pair.join("u0.col")).unwrap().len();
         // Backdate the stamps so unit 0 is coldest, unit 2 warmest.
         for unit in 0..3u64 {
-            assert!(
-                format::write_access_stamp(&pair.join(format!("u{unit}.col")), 100 + unit).unwrap()
-            );
+            set_stamp(&pair.join(format!("u{unit}.col")), 100 + unit);
         }
         // Budget for two columns: compaction must evict exactly unit 0.
         let store = BehaviorStore::open(&StoreConfig {
@@ -2016,8 +2112,8 @@ mod tests {
         let pair = dir.join("0000000000000011.0000000000000022");
         let len = std::fs::metadata(pair.join("u0.col")).unwrap().len();
         // Unit 0 is much colder than unit 1...
-        assert!(format::write_access_stamp(&pair.join("u0.col"), 1).unwrap());
-        assert!(format::write_access_stamp(&pair.join("u1.col"), 2).unwrap());
+        set_stamp(&pair.join("u0.col"), 1);
+        set_stamp(&pair.join("u1.col"), 2);
         let store = BehaviorStore::open(&StoreConfig {
             block_records: 4,
             disk_budget_bytes: len,
@@ -2026,14 +2122,10 @@ mod tests {
         .unwrap();
         // ...but a concurrent scan holds one of unit 0's pages pinned, so
         // the budget (room for one column) evicts unit 1 instead.
-        let pin = store
-            .pool
-            .get(page_key(&key(0), 0), || {
-                let mut file = File::open(pair.join("u0.col"))?;
-                let col = format::read_meta(&mut file)?;
-                format::read_block(&mut file, &col, 0)
-            })
-            .unwrap();
+        let mut pin = store.pool.pin_column(&key(0), &[0]);
+        let mut file = File::open(pair.join("u0.col")).unwrap();
+        let col = format::read_meta(&mut file).unwrap();
+        pin.install([(0, format::read_block(&mut file, &col, 0).unwrap())]);
         let report = store.compact(u64::MAX);
         assert_eq!(report.columns_evicted, 1);
         assert!(pair.join("u0.col").exists(), "pinned column survives");

@@ -113,3 +113,299 @@ fn hits_scan_and_a_flipped_column_demotes_mid_pass_quarantined_only_under_write(
         let _ = std::fs::remove_dir_all(&config.path);
     }
 }
+
+// ---------------------------------------------------------------------
+// The column fetch against the per-page loop it replaced
+// ---------------------------------------------------------------------
+
+mod shuffled {
+    use super::*;
+    use deepbase_store::format::{self, ColumnFile};
+    use deepbase_store::BufferPool;
+    use std::fs::File;
+
+    /// Benchmark-like geometry: 24 stored blocks per column and four
+    /// streamed blocks of 48 shuffled positions, so every fetch touches
+    /// most of a column's pages.
+    const ND: usize = 192;
+    const NS: usize = 2;
+    const STORED_BLOCK: usize = 8;
+    const STREAM_BLOCK: usize = 48;
+    const UNITS: [usize; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+    const PAGE_BYTES: usize = STORED_BLOCK * NS * 4;
+
+    /// Unit 0 is constant (every block prunes), unit 1 saturates to ±1
+    /// (dictionary blocks), unit 2 is constant on its first half only, the
+    /// rest are raw.
+    fn value(unit: usize, pos: usize, t: usize) -> f32 {
+        let i = pos * NS + t;
+        match unit {
+            0 => 0.5,
+            1 => [1.0, -1.0][(i * 7 / 3) % 2],
+            2 if pos < ND / 2 => -2.0,
+            _ => (i * 7 + unit * 1000) as f32 * 0.25,
+        }
+    }
+
+    fn key(unit: usize) -> ColumnKey {
+        ColumnKey {
+            model_fp: MODEL_FP,
+            dataset_fp: DATASET_FP,
+            unit,
+        }
+    }
+
+    fn config(name: &str, pool_bytes: usize) -> StoreConfig {
+        StoreConfig {
+            block_records: STORED_BLOCK,
+            pool_bytes,
+            ..super::config(name)
+        }
+    }
+
+    fn populate(config: &StoreConfig) {
+        let store = BehaviorStore::open(config).unwrap();
+        for unit in UNITS {
+            let col: Vec<f32> = (0..ND * NS).map(|i| value(unit, i / NS, i % NS)).collect();
+            store.write_column(&key(unit), ND, NS, &col).unwrap();
+        }
+    }
+
+    /// A seeded Fisher–Yates shuffle of the segment's positions.
+    fn shuffled_positions(seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..ND).collect();
+        let mut state = seed | 1;
+        for i in (1..ND).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        order
+    }
+
+    /// The scan the column fetch replaced, rebuilt from the public pieces
+    /// over a pool of its own: one pool round trip per touched page in
+    /// first-touch order — look up, load and install on a miss, keep the
+    /// pin — and all of one column's pins dropped together at the end.
+    #[allow(clippy::too_many_arguments)]
+    fn per_page_scan(
+        pool: &BufferPool,
+        file: &mut File,
+        column: &ColumnFile,
+        key: &ColumnKey,
+        positions: &[usize],
+        out: &mut [f32],
+        stride: usize,
+        col: usize,
+        stats: &mut StoreStats,
+    ) {
+        let ids: Vec<[u32; 1]> = (0..column.meta.n_blocks() as u32).map(|b| [b]).collect();
+        let mut pages: Vec<Option<deepbase_store::ColumnPins<'_>>> =
+            ids.iter().map(|_| None).collect();
+        let mut pruned = vec![false; ids.len()];
+        for (i, &pos) in positions.iter().enumerate() {
+            let b = column.meta.block_of(pos);
+            if let Some(v) = column.zones[b].constant_value() {
+                if !pruned[b] {
+                    pruned[b] = true;
+                    stats.blocks_pruned += 1;
+                }
+                for t in 0..NS {
+                    out[(i * NS + t) * stride + col] = v;
+                }
+                continue;
+            }
+            if pages[b].is_none() {
+                let mut page = pool.pin_column(key, &ids[b]);
+                if page.hits == 0 {
+                    page.install([(0, format::read_block(file, column, b).unwrap())]);
+                    stats.pool_misses += 1;
+                } else {
+                    stats.pool_hits += 1;
+                }
+                stats.blocks_read += 1;
+                stats.pool_evictions += page.evictions;
+                pages[b] = Some(page);
+            }
+            let page = pages[b].as_ref().unwrap().page(0).unwrap();
+            let local = pos - b * STORED_BLOCK;
+            for t in 0..NS {
+                out[(i * NS + t) * stride + col] = page[local * NS + t];
+            }
+        }
+    }
+
+    /// One whole pass, every column of every streamed block, through
+    /// `ColumnPass` and through the per-page loop: same bytes, same
+    /// page accounting.
+    fn pass_matches_the_per_page_loop(name: &str, pool_bytes: usize) -> StoreStats {
+        let config = config(name, pool_bytes);
+        populate(&config);
+        let store = BehaviorStore::open(&config).unwrap();
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX, true);
+        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+
+        let reference_pool = BufferPool::new(pool_bytes);
+        let mut reference_stats = StoreStats::default();
+        let dir = config
+            .path
+            .join(format!("{MODEL_FP:016x}.{DATASET_FP:016x}"));
+        let mut files: Vec<(File, ColumnFile)> = UNITS
+            .iter()
+            .map(|unit| {
+                let mut file = File::open(dir.join(format!("u{unit}.col"))).unwrap();
+                let column = format::read_meta(&mut file).unwrap();
+                (file, column)
+            })
+            .collect();
+
+        let order = shuffled_positions(0xD1CE);
+        let width = UNITS.len();
+        // One buffer reused across blocks, never re-zeroed: the pass
+        // overwrites every cell.
+        let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
+        for positions in order.chunks(STREAM_BLOCK) {
+            pass.fetch_block(positions, &mut out, |units| {
+                panic!("every column is stored, yet {units:?} went live")
+            });
+            let mut expect = vec![0.0f32; out.len()];
+            for (col, (file, column)) in files.iter_mut().enumerate() {
+                per_page_scan(
+                    &reference_pool,
+                    file,
+                    column,
+                    &key(UNITS[col]),
+                    positions,
+                    &mut expect,
+                    width,
+                    col,
+                    &mut reference_stats,
+                );
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&expect), "{name}: block bytes");
+            for (i, &pos) in positions.iter().enumerate() {
+                for t in 0..NS {
+                    for (col, &unit) in UNITS.iter().enumerate() {
+                        assert_eq!(out[(i * NS + t) * width + col], value(unit, pos, t));
+                    }
+                }
+            }
+        }
+        let stats = pass.finish();
+        assert_eq!(
+            (
+                stats.blocks_read,
+                stats.blocks_pruned,
+                stats.pool_hits,
+                stats.pool_misses,
+                stats.pool_evictions,
+                stats.io_retries,
+            ),
+            (
+                reference_stats.blocks_read,
+                reference_stats.blocks_pruned,
+                reference_stats.pool_hits,
+                reference_stats.pool_misses,
+                reference_stats.pool_evictions,
+                0,
+            ),
+            "{name}: page accounting"
+        );
+        assert_eq!(stats.columns_scanned, UNITS.len());
+        assert_eq!(stats.forward_passes_avoided, ND / STREAM_BLOCK);
+        assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+        // Pin lifetime is one column fetch: nothing stays pinned, the
+        // pool is back under its budget, and its books balance.
+        for unit in UNITS {
+            assert!(!store.pool().column_pinned(&key(unit)));
+        }
+        assert!(store.pool().stats().resident_bytes <= pool_bytes);
+        store.pool().verify_accounting().unwrap();
+        reference_pool.verify_accounting().unwrap();
+        let _ = std::fs::remove_dir_all(&config.path);
+        stats
+    }
+
+    #[test]
+    fn a_shuffled_pass_matches_the_per_page_loop_with_the_pool_fitting() {
+        let stats = pass_matches_the_per_page_loop("shuffled-fits", 1 << 20);
+        assert_eq!(stats.pool_evictions, 0);
+        // Every stored page is loaded once; the second streamed block
+        // finds the pages the first one touched.
+        assert!(stats.pool_hits > 0 && stats.pool_misses > 0, "{stats:?}");
+        // Unit 0 prunes whole, unit 2 its first half.
+        assert!(stats.blocks_pruned > 0);
+    }
+
+    #[test]
+    fn a_shuffled_pass_matches_the_per_page_loop_at_a_quarter_of_the_working_set() {
+        let working_set = UNITS.len() * (ND / STORED_BLOCK) * PAGE_BYTES;
+        let stats = pass_matches_the_per_page_loop("shuffled-quarter", working_set / 4);
+        assert!(stats.pool_evictions > 0, "{stats:?}");
+    }
+
+    /// A checksum failure on a block in the *middle* of one fetch's run
+    /// of misses: the column demotes for the block that found it (and the
+    /// rest of the pass), is quarantined under `write`, and the aborted
+    /// fetch leaves no pin behind.
+    #[test]
+    fn a_checksum_failure_mid_fetch_demotes_quarantines_and_leaves_no_pin() {
+        let config = config("shuffled-flip", 1 << 20);
+        populate(&config);
+        let path = config
+            .path
+            .join(format!("{MODEL_FP:016x}.{DATASET_FP:016x}"))
+            .join("u5.col");
+        let mut file = File::open(&path).unwrap();
+        let column = format::read_meta(&mut file).unwrap();
+        let target = column.data_offset(3).unwrap() as usize;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[target + 3] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let store = BehaviorStore::open(&config).unwrap();
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, true, usize::MAX, true);
+        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+        let width = UNITS.len();
+        let mut asked = Vec::new();
+        // In position order, so the first streamed block (positions
+        // 0..48) reads stored blocks 0..6 of every column in one run.
+        for start in (0..ND).step_by(STREAM_BLOCK) {
+            let positions: Vec<usize> = (start..start + STREAM_BLOCK).collect();
+            let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
+            pass.fetch_block(&positions, &mut out, |units| {
+                asked.push(units.to_vec());
+                positions
+                    .iter()
+                    .flat_map(|&pos| (0..NS).map(move |t| (pos, t)))
+                    .flat_map(|(pos, t)| units.iter().map(move |&u| value(u, pos, t)))
+                    .collect()
+            });
+            for (i, &pos) in positions.iter().enumerate() {
+                for t in 0..NS {
+                    for (col, &unit) in UNITS.iter().enumerate() {
+                        assert_eq!(out[(i * NS + t) * width + col], value(unit, pos, t));
+                    }
+                }
+            }
+        }
+        assert_eq!(asked, vec![vec![5]; 4], "unit 5 live from the failure on");
+        let stats = pass.finish();
+        assert_eq!(stats.error_count, 1, "{:?}", stats.errors);
+        assert!(stats.errors[0].contains("block 3 checksum mismatch"));
+        assert_eq!(stats.columns_scanned, UNITS.len() - 1);
+        assert_eq!(stats.forward_passes_avoided, 0);
+        assert!(!path.exists(), "quarantined under write");
+        assert!(!store.contains(&key(5)));
+        assert!(!store.pool().column_pinned(&key(5)));
+        assert_eq!(store.pool().stats().resident_pages, {
+            // Units 3, 4, 6, 7 whole, unit 1 whole, unit 2's raw half;
+            // unit 5's pages were purged with the quarantine.
+            5 * (ND / STORED_BLOCK) + ND / STORED_BLOCK / 2
+        });
+        store.pool().verify_accounting().unwrap();
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+}

@@ -1,0 +1,142 @@
+//! The warm store path in Tier-1: populate a store, then a *fresh* session
+//! over the same directory answers bit-identically to the store-less run
+//! with zero extractor calls — once with the buffer pool holding the whole
+//! working set and once at a quarter of it, where every column fetch
+//! evicts. Ten unit columns (one 8-wide Pearson tile plus a 2-column tail)
+//! mix a constant column (pruned from its zone map), ±1 columns
+//! (dictionary blocks) and raw ones, and each streamed block of 32
+//! shuffled records touches most of a column's 24 stored blocks.
+
+use deepbase_repro::deepbase::prelude::*;
+use deepbase_repro::deepbase::query::UnitMeta;
+use deepbase_repro::tensor::Matrix;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+const NS: usize = 16;
+const UNITS: usize = 10;
+const RECORDS: usize = 384;
+const STREAM_BLOCK: usize = 32;
+const STORED_BLOCK: usize = 16;
+const WORKING_SET_BYTES: usize = UNITS * RECORDS * NS * 4;
+const QUERIES: [&str; 2] = [
+    "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+     FROM models M, units U, hypotheses H, inputs D",
+    "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+     FROM models M, units U, hypotheses H, inputs D WHERE H.name = 'is_a' AND U.uid < 9",
+];
+
+fn catalog() -> (Catalog, Arc<CountingExtractor>) {
+    let records: Vec<Record> = (0..RECORDS)
+        .map(|i| {
+            let text: String = (0..NS)
+                .map(|t| match (i * 7 + t * 3) % 5 {
+                    0 | 3 => 'a',
+                    1 => 'b',
+                    _ => 'c',
+                })
+                .collect();
+            Record::standalone(i, text.chars().map(|c| c as u32).collect(), text)
+        })
+        .collect();
+    let mut behaviors = Matrix::zeros(RECORDS * NS, UNITS);
+    for rec in &records {
+        for (t, c) in rec.text.chars().enumerate() {
+            let r = rec.id * NS + t;
+            behaviors.set(r, 0, 0.25);
+            behaviors.set(r, 1, if c == 'a' { 1.0 } else { -1.0 });
+            behaviors.set(r, 2, if c == 'b' { 1.0 } else { -1.0 });
+            for u in 3..UNITS {
+                behaviors.set(r, u, ((r * (u + 13) * 31) % 97) as f32 / 97.0 - 0.5);
+            }
+        }
+    }
+    let counting = Arc::new(CountingExtractor::new(Arc::new(PrecomputedExtractor::new(
+        behaviors, NS,
+    ))));
+    let mut catalog = Catalog::new();
+    catalog.add_model_with_units(
+        "m1",
+        0,
+        Arc::<CountingExtractor>::clone(&counting),
+        (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
+    );
+    catalog.add_hypotheses(
+        "is_a",
+        vec![Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'))],
+    );
+    catalog.add_hypotheses(
+        "is_b",
+        vec![Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b'))],
+    );
+    catalog.add_dataset("seq", Arc::new(Dataset::new("seq", NS, records).unwrap()));
+    (catalog, counting)
+}
+
+fn inspection() -> InspectionConfig {
+    InspectionConfig {
+        block_records: STREAM_BLOCK,
+        epsilon: Some(1e-12), // stream every record
+        ..InspectionConfig::default()
+    }
+}
+
+fn session_at(dir: &Path, pool_bytes: usize) -> (Session, Arc<CountingExtractor>) {
+    let (catalog, counting) = catalog();
+    let config = SessionConfig {
+        inspection: inspection(),
+        store: Some(StoreConfig {
+            block_records: STORED_BLOCK,
+            pool_bytes,
+            ..StoreConfig::at(dir)
+        }),
+        ..SessionConfig::default()
+    };
+    (Session::with_config(catalog, config), counting)
+}
+
+#[test]
+fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_quarter() {
+    let reference = catalog()
+        .0
+        .run_batch(&QUERIES, &inspection())
+        .unwrap()
+        .tables;
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target/tmp-warm-store")
+        .join(format!("warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (mut populate, extractor) = session_at(&dir, 64 << 20);
+    let out = populate.run_batch(&QUERIES).unwrap();
+    assert_eq!(out.tables, reference);
+    assert!(extractor.calls() > 0);
+    assert_eq!(out.report.store.columns_written, UNITS);
+    drop(populate);
+
+    for (pool_bytes, spills) in [(64 << 20, false), (WORKING_SET_BYTES / 4, true)] {
+        let (mut warm, extractor) = session_at(&dir, pool_bytes);
+        let out = warm.run_batch(&QUERIES).unwrap();
+        assert_eq!(extractor.calls(), 0, "pool {pool_bytes}");
+        assert_eq!(out.tables, reference, "pool {pool_bytes}");
+        let store = &out.report.store;
+        assert_eq!(store.error_count, 0, "{:?}", store.errors);
+        assert_eq!(store.columns_scanned, UNITS);
+        assert_eq!(store.forward_passes_avoided, RECORDS / STREAM_BLOCK);
+        assert_eq!(store.pool_hits + store.pool_misses, store.blocks_read);
+        // The constant column never enters the pool: every block of it a
+        // fetch touches is served from the zone map.
+        assert!(store.blocks_pruned >= RECORDS / STREAM_BLOCK, "{store:?}");
+        let stored_pages = (UNITS - 1) * (RECORDS / STORED_BLOCK);
+        if spills {
+            assert!(store.pool_evictions > 0, "{store:?}");
+            assert!(store.pool_misses > stored_pages, "{store:?}");
+        } else {
+            // Each stored page is loaded once; later blocks hit it.
+            assert_eq!(store.pool_evictions, 0);
+            assert_eq!(store.pool_misses, stored_pages, "{store:?}");
+            assert!(store.pool_hits > store.pool_misses, "{store:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
