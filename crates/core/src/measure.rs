@@ -13,6 +13,7 @@ use deepbase_stats::{
     baselines, corr, corr::StreamingPearson, descriptive, mi, quantile, ConvergenceTracker,
     LogRegConfig, MultiLogReg, Z_95,
 };
+use deepbase_store::durable::{ByteReader, ByteWriter};
 use deepbase_tensor::Matrix;
 
 /// Whether a measure scores units one at a time or a group jointly.
@@ -122,55 +123,6 @@ pub trait MeasureState: Send {
     }
 }
 
-// ---------------------------------------------------------------------
-// State codec helpers (little-endian, floats as raw bits)
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    put_u32(out, vs.len() as u32);
-    for &v in vs {
-        put_u32(out, v.to_bits());
-    }
-}
-
-/// Bounds-checked little-endian reader over serialized state bytes.
-struct StateCur<'a>(&'a [u8], usize);
-
-impl StateCur<'_> {
-    fn u32(&mut self) -> Option<u32> {
-        let s = self.0.get(self.1..self.1 + 4)?;
-        self.1 += 4;
-        Some(u32::from_le_bytes(s.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        let s = self.0.get(self.1..self.1 + 8)?;
-        self.1 += 8;
-        Some(u64::from_le_bytes(s.try_into().ok()?))
-    }
-    fn f32s(&mut self) -> Option<Vec<f32>> {
-        let n = self.u32()? as usize;
-        if self.0.len().saturating_sub(self.1) < n * 4 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f32::from_bits(self.u32()?));
-        }
-        Some(out)
-    }
-    fn done(&self) -> bool {
-        self.1 == self.0.len()
-    }
-}
-
 /// Incremental state shared across all hypotheses (model merging).
 pub trait MergedState: Send {
     /// Consumes a block (`rows x n_units`, `rows x n_hyps`), returning the
@@ -216,7 +168,7 @@ impl Measure for CorrelationMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = StateCur(bytes, 0);
+        let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_CORR || cur.u32()? as usize != n_units {
             return None;
         }
@@ -300,15 +252,15 @@ impl MeasureState for CorrState {
     }
 
     fn serialize_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_u32(&mut out, STATE_TAG_CORR);
-        put_u32(&mut out, self.accs.len() as u32);
+        let mut out = ByteWriter::default();
+        out.u32(STATE_TAG_CORR);
+        out.u32(self.accs.len() as u32);
         for acc in &self.accs {
             for b in acc.state_bits() {
-                put_u64(&mut out, b);
+                out.u64(b);
             }
         }
-        Some(out)
+        Some(out.0)
     }
 }
 
@@ -361,7 +313,7 @@ impl Measure for MutualInfoMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = StateCur(bytes, 0);
+        let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_BUFFERED {
             return None;
         }
@@ -424,7 +376,7 @@ impl Measure for JaccardMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = StateCur(bytes, 0);
+        let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_BUFFERED {
             return None;
         }
@@ -471,21 +423,21 @@ impl BufferedState {
     }
 
     /// Encodes the buffered sample (the entire mergeable state).
-    fn encode_buffers(&self, out: &mut Vec<u8>) {
+    fn encode_buffers(&self, out: &mut ByteWriter) {
         let (kind, param) = Self::score_bits(&self.score);
-        put_u32(out, kind);
-        put_u32(out, param);
-        put_u32(out, self.unit_buffers.len() as u32);
-        put_f32s(out, &self.hyp_buffer);
+        out.u32(kind);
+        out.u32(param);
+        out.u32(self.unit_buffers.len() as u32);
+        out.f32s(&self.hyp_buffer);
         for buf in &self.unit_buffers {
-            put_f32s(out, buf);
+            out.f32s(buf);
         }
     }
 
     /// Decodes buffers written by [`BufferedState::encode_buffers`] into
     /// a fresh state owned by a measure with `score` / `max_buffer`.
     fn decode_buffers(
-        cur: &mut StateCur,
+        cur: &mut ByteReader,
         n_units: usize,
         max_buffer: usize,
         score: BufferedScore,
@@ -573,10 +525,10 @@ impl MeasureState for BufferedState {
     }
 
     fn serialize_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_u32(&mut out, STATE_TAG_BUFFERED);
+        let mut out = ByteWriter::default();
+        out.u32(STATE_TAG_BUFFERED);
         self.encode_buffers(&mut out);
-        Some(out)
+        Some(out.0)
     }
 }
 
@@ -636,7 +588,7 @@ impl Measure for DiffMeansMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        fn side(cur: &mut StateCur, n_units: usize) -> Option<Vec<Moments>> {
+        fn side(cur: &mut ByteReader, n_units: usize) -> Option<Vec<Moments>> {
             let mut out = Vec::with_capacity(n_units);
             for _ in 0..n_units {
                 out.push(Moments {
@@ -647,7 +599,7 @@ impl Measure for DiffMeansMeasure {
             }
             Some(out)
         }
-        let mut cur = StateCur(bytes, 0);
+        let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_DIFF_MEANS || cur.u32()? as usize != n_units {
             return None;
         }
@@ -778,17 +730,17 @@ impl MeasureState for DiffMeansState {
     }
 
     fn serialize_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_u32(&mut out, STATE_TAG_DIFF_MEANS);
-        put_u32(&mut out, self.on.len() as u32);
+        let mut out = ByteWriter::default();
+        out.u32(STATE_TAG_DIFF_MEANS);
+        out.u32(self.on.len() as u32);
         for side in [&self.on, &self.off] {
             for m in side.iter() {
-                put_u64(&mut out, m.n);
-                put_u64(&mut out, m.sum.to_bits());
-                put_u64(&mut out, m.sumsq.to_bits());
+                out.u64(m.n);
+                out.u64(m.sum.to_bits());
+                out.u64(m.sumsq.to_bits());
             }
         }
-        Some(out)
+        Some(out.0)
     }
 }
 
@@ -1111,7 +1063,7 @@ fn decode_baseline(
     bytes: &[u8],
     random_seed: Option<u64>,
 ) -> Option<Box<dyn MeasureState>> {
-    let mut cur = StateCur(bytes, 0);
+    let mut cur = ByteReader::new(bytes);
     if cur.u32()? != STATE_TAG_BASELINE || cur.u32()? as usize != n_units {
         return None;
     }
@@ -1181,18 +1133,18 @@ impl MeasureState for BaselineState {
     }
 
     fn serialize_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_u32(&mut out, STATE_TAG_BASELINE);
-        put_u32(&mut out, self.n_units as u32);
+        let mut out = ByteWriter::default();
+        out.u32(STATE_TAG_BASELINE);
+        out.u32(self.n_units as u32);
         match self.random_seed {
-            None => put_u32(&mut out, 0),
+            None => out.u32(0),
             Some(seed) => {
-                put_u32(&mut out, 1);
-                put_u64(&mut out, seed);
+                out.u32(1);
+                out.u64(seed);
             }
         }
-        put_f32s(&mut out, &self.labels);
-        Some(out)
+        out.f32s(&self.labels);
+        Some(out.0)
     }
 }
 
@@ -1262,7 +1214,7 @@ impl Measure for GroupMiMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = StateCur(bytes, 0);
+        let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_GROUP_MI || cur.u32()? as usize != self.bins {
             return None;
         }
@@ -1322,11 +1274,11 @@ impl MeasureState for GroupMiState {
     }
 
     fn serialize_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_u32(&mut out, STATE_TAG_GROUP_MI);
-        put_u32(&mut out, self.bins as u32);
+        let mut out = ByteWriter::default();
+        out.u32(STATE_TAG_GROUP_MI);
+        out.u32(self.bins as u32);
         self.buffered.encode_buffers(&mut out);
-        Some(out)
+        Some(out.0)
     }
 }
 
@@ -1722,6 +1674,120 @@ mod tests {
                 );
                 state.process_block(&units, &hyp);
             }
+        }
+    }
+    // Serialized states of every mergeable measure family after
+    // `block(10)` over two units, as the parent commit's code wrote them.
+    const GOLDEN_STATE_CORR: &[u8] = &[
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99,
+        0xd9, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0x23, 0x40, 0x33, 0x33, 0x33, 0x33,
+        0x33, 0x33, 0x03, 0x40, 0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0x13, 0x40, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x40, 0x1a, 0x3d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x3d, 0x0a, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x64, 0x83, 0x7b, 0xde, 0x3f, 0x9a,
+        0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9c, 0xb6, 0x16, 0xaa, 0x3d, 0x17, 0xed,
+        0x3f, 0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0x03, 0x40, 0x00, 0x00, 0x00, 0x30, 0x92, 0x8f,
+        0xe0, 0x3f, 0xea, 0xa7, 0xa5, 0x2f, 0xa5, 0xc6, 0xff, 0x3c, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x04, 0x3d,
+    ];
+    const GOLDEN_STATE_MI: &[u8] = &[
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f,
+        0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00,
+        0xbf, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00,
+        0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0xc0, 0x3f, 0x0a,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfd, 0xa0, 0x23, 0x3f, 0xf5, 0x83, 0x8e, 0x3e,
+        0xf8, 0xe2, 0x6a, 0x3f, 0xf5, 0x83, 0x0e, 0x3f, 0xcb, 0x93, 0x48, 0x3e, 0xf0, 0xc5, 0x55,
+        0x3f, 0xdb, 0xcd, 0xf2, 0x3e, 0x57, 0x3f, 0xe8, 0x3d, 0xe8, 0xa8, 0x40, 0x3f,
+    ];
+    const GOLDEN_STATE_JACCARD: &[u8] = &[
+        0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x33, 0x33, 0x73, 0x3f, 0x02, 0x00, 0x00,
+        0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f,
+        0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00,
+        0xbf, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00,
+        0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0xc0, 0x3f, 0x0a,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfd, 0xa0, 0x23, 0x3f, 0xf5, 0x83, 0x8e, 0x3e,
+        0xf8, 0xe2, 0x6a, 0x3f, 0xf5, 0x83, 0x0e, 0x3f, 0xcb, 0x93, 0x48, 0x3e, 0xf0, 0xc5, 0x55,
+        0x3f, 0xdb, 0xcd, 0xf2, 0x3e, 0x57, 0x3f, 0xe8, 0x3d, 0xe8, 0xa8, 0x40, 0x3f,
+    ];
+    const GOLDEN_STATE_DIFF_MEANS: &[u8] = &[
+        0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x22, 0x40, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0xa6,
+        0x61, 0x03, 0x40, 0x89, 0x72, 0x4f, 0xe0, 0xa9, 0x1a, 0xfc, 0x3f, 0x06, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0xc0, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xf8, 0x3f, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0xff, 0xbd, 0xb8, 0x02, 0x40, 0xbc, 0x33, 0x53, 0xd2, 0xc4, 0xbc, 0xf6, 0x3f,
+    ];
+    const GOLDEN_STATE_MAJORITY: &[u8] = &[
+        0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f,
+    ];
+    const GOLDEN_STATE_RANDOM: &[u8] = &[
+        0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00,
+        0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x80, 0x3f,
+    ];
+    const GOLDEN_STATE_GROUP_MI: &[u8] = &[
+        0x05, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x80, 0x3f, 0x00,
+        0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x80, 0x3f, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00,
+        0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00,
+        0xc0, 0x3f, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x00, 0xbf, 0x00,
+        0x00, 0xc0, 0x3f, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfd, 0xa0, 0x23, 0x3f,
+        0xf5, 0x83, 0x8e, 0x3e, 0xf8, 0xe2, 0x6a, 0x3f, 0xf5, 0x83, 0x0e, 0x3f, 0xcb, 0x93, 0x48,
+        0x3e, 0xf0, 0xc5, 0x55, 0x3f, 0xdb, 0xcd, 0xf2, 0x3e, 0x57, 0x3f, 0xe8, 0x3d, 0xe8, 0xa8,
+        0x40, 0x3f,
+    ];
+
+    #[test]
+    fn the_serialized_state_bytes_did_not_move() {
+        let (units, hyp) = block(10);
+        let goldens: Vec<(Box<dyn Measure>, &[u8])> = vec![
+            (Box::new(CorrelationMeasure), GOLDEN_STATE_CORR),
+            (Box::new(MutualInfoMeasure::default()), GOLDEN_STATE_MI),
+            (Box::new(JaccardMeasure::default()), GOLDEN_STATE_JACCARD),
+            (Box::new(DiffMeansMeasure), GOLDEN_STATE_DIFF_MEANS),
+            (Box::new(MajorityBaselineMeasure), GOLDEN_STATE_MAJORITY),
+            (
+                Box::new(RandomBaselineMeasure { seed: 7 }),
+                GOLDEN_STATE_RANDOM,
+            ),
+            (Box::new(GroupMiMeasure::default()), GOLDEN_STATE_GROUP_MI),
+        ];
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for (measure, golden) in goldens {
+            let id = measure.id().to_string();
+            let mut live = measure.new_state(2);
+            live.process_block(&units, &hyp);
+            assert_eq!(live.serialize_state().as_deref(), Some(golden), "{id}");
+            let revived = measure
+                .deserialize_state(2, golden)
+                .expect("golden decodes");
+            assert_eq!(revived.serialize_state().as_deref(), Some(golden), "{id}");
+            assert_eq!(
+                bits(revived.unit_scores()),
+                bits(live.unit_scores()),
+                "{id}"
+            );
+            for cut in 0..golden.len() {
+                let prefix = measure.deserialize_state(2, &golden[..cut]);
+                assert!(prefix.is_none(), "{id}: prefix {cut} decoded");
+            }
+            let longer = [golden, &[0]].concat();
+            assert!(measure.deserialize_state(2, &longer).is_none(), "{id}");
         }
     }
 }

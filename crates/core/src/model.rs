@@ -10,6 +10,7 @@ use crate::error::DniError;
 use deepbase_lang::tree::ParseTree;
 use deepbase_lang::vocab::{project_behavior, Window};
 use deepbase_lang::{EarleyParser, Grammar, TreeHypothesis};
+use deepbase_store::durable::{self, ByteReader, ByteWriter};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -322,7 +323,7 @@ const SEG_MAGIC: &[u8; 8] = b"DBSEG\x01\0\0";
 /// The WAL file name inside a [`SegmentedDataset`] directory.
 const WAL_FILE: &str = "wal.log";
 
-fn io_err(what: &str, path: &std::path::Path, e: std::io::Error) -> DniError {
+fn io_err(what: &str, path: &std::path::Path, e: impl std::fmt::Display) -> DniError {
     DniError::Io(format!("{what} {}: {e}", path.display()))
 }
 
@@ -330,65 +331,30 @@ fn io_err(what: &str, path: &std::path::Path, e: std::io::Error) -> DniError {
 /// sharing between `text` and `source_text` is not preserved across a
 /// round-trip (each decoded record owns its source string), which only
 /// costs memory, never correctness.
-fn encode_record(r: &Record, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(r.id as u64).to_le_bytes());
-    out.extend_from_slice(&(r.symbols.len() as u32).to_le_bytes());
-    for &s in &r.symbols {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
-    out.extend_from_slice(&(r.text.len() as u32).to_le_bytes());
-    out.extend_from_slice(r.text.as_bytes());
-    out.extend_from_slice(&(r.source_id as u64).to_le_bytes());
-    out.extend_from_slice(&(r.source_text.len() as u32).to_le_bytes());
-    out.extend_from_slice(r.source_text.as_bytes());
-    out.extend_from_slice(&(r.offset as u64).to_le_bytes());
-    out.extend_from_slice(&(r.visible as u64).to_le_bytes());
+fn encode_record(r: &Record, out: &mut ByteWriter) {
+    out.u64(r.id as u64);
+    out.u32s(&r.symbols);
+    out.str(&r.text);
+    out.u64(r.source_id as u64);
+    out.str(&r.source_text);
+    out.u64(r.offset as u64);
+    out.u64(r.visible as u64);
 }
 
-/// Cursor-based decoder over [`encode_record`] payloads. Returns `None`
-/// on any truncation or malformed UTF-8 (callers treat that as
-/// corruption).
+/// Decodes an [`encode_record`] payload. Returns `None` on any truncation,
+/// trailing byte or malformed UTF-8 (callers treat that as corruption).
 fn decode_record(buf: &[u8]) -> Option<Record> {
-    struct Cur<'a>(&'a [u8], usize);
-    impl Cur<'_> {
-        fn bytes(&mut self, n: usize) -> Option<&[u8]> {
-            let s = self.0.get(self.1..self.1 + n)?;
-            self.1 += n;
-            Some(s)
-        }
-        fn u64(&mut self) -> Option<u64> {
-            Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
-        }
-        fn u32(&mut self) -> Option<u32> {
-            Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-        }
-    }
-    let mut c = Cur(buf, 0);
-    let id = c.u64()? as usize;
-    let n_sym = c.u32()? as usize;
-    let mut symbols = Vec::with_capacity(n_sym);
-    for _ in 0..n_sym {
-        symbols.push(c.u32()?);
-    }
-    let text_len = c.u32()? as usize;
-    let text = String::from_utf8(c.bytes(text_len)?.to_vec()).ok()?;
-    let source_id = c.u64()? as usize;
-    let source_len = c.u32()? as usize;
-    let source_text = String::from_utf8(c.bytes(source_len)?.to_vec()).ok()?;
-    let offset = c.u64()? as usize;
-    let visible = c.u64()? as usize;
-    if c.1 != buf.len() {
-        return None;
-    }
-    Some(Record {
-        id,
-        symbols,
-        text,
-        source_id,
-        source_text: Arc::new(source_text),
-        offset,
-        visible,
-    })
+    let mut c = ByteReader::new(buf);
+    let record = Record {
+        id: c.u64()? as usize,
+        symbols: c.u32s()?,
+        text: c.str()?,
+        source_id: c.u64()? as usize,
+        source_text: Arc::new(c.str()?),
+        offset: c.u64()? as usize,
+        visible: c.u64()? as usize,
+    };
+    c.done().then_some(record)
 }
 
 fn payload_checksum(payload: &[u8]) -> u64 {
@@ -401,67 +367,82 @@ fn segment_file_name(seq: u64) -> String {
     format!("segment-{seq:06}.seg")
 }
 
-/// Writes `bytes` to `path` atomically: tmp file in the same directory,
-/// flush, then rename over the destination.
-fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<(), DniError> {
-    use std::io::Write;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut f = std::fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-    f.write_all(bytes).map_err(|e| io_err("write", &tmp, e))?;
-    f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))
-}
-
 /// Parses a sealed segment file. Returns `(ns, records)` or `None` on any
 /// corruption (bad magic, truncation, checksum mismatch).
 fn parse_segment_file(bytes: &[u8]) -> Option<(usize, Vec<Record>)> {
-    if bytes.len() < 8 + 8 + 8 + 8 || &bytes[..8] != SEG_MAGIC {
+    let checked = bytes.strip_prefix(&SEG_MAGIC[..])?;
+    let (body, stored) = checked.split_at(checked.len().checked_sub(8)?);
+    if payload_checksum(body).to_le_bytes() != *stored {
         return None;
     }
-    let body = &bytes[8..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().ok()?);
-    if payload_checksum(body) != stored {
-        return None;
-    }
-    let ns = u64::from_le_bytes(body[..8].try_into().ok()?) as usize;
-    let n_records = u64::from_le_bytes(body[8..16].try_into().ok()?) as usize;
-    let mut pos = 16;
-    let mut records = Vec::with_capacity(n_records);
+    let mut c = ByteReader::new(body);
+    let ns = c.u64()? as usize;
+    let n_records = c.u64()? as usize;
+    let mut records = Vec::with_capacity(n_records.min(body.len()));
     for _ in 0..n_records {
-        let len = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        records.push(decode_record(body.get(pos..pos + len)?)?);
-        pos += len;
+        records.push(decode_record(c.blob()?)?);
     }
-    if pos != body.len() {
-        return None;
-    }
-    Some((ns, records))
+    c.done().then_some((ns, records))
 }
 
 fn build_segment_file(ns: usize, records: &[Record]) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&(ns as u64).to_le_bytes());
-    body.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    let mut payload = Vec::new();
+    let mut out = ByteWriter::default();
+    out.bytes(SEG_MAGIC);
+    out.u64(ns as u64);
+    out.u64(records.len() as u64);
     for r in records {
-        payload.clear();
+        let mut payload = ByteWriter::default();
         encode_record(r, &mut payload);
-        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&payload);
+        out.blob(&payload.0);
     }
-    let mut out = Vec::with_capacity(8 + body.len() + 8);
-    out.extend_from_slice(SEG_MAGIC);
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&payload_checksum(&body).to_le_bytes());
-    out
+    let sum = payload_checksum(&out.0[SEG_MAGIC.len()..]);
+    out.u64(sum);
+    out.0
+}
+
+/// One WAL frame: payload length, payload checksum, the record.
+fn build_wal_frame(record: &Record) -> Vec<u8> {
+    let mut payload = ByteWriter::default();
+    encode_record(record, &mut payload);
+    let mut frame = ByteWriter::default();
+    frame.u32(payload.0.len() as u32);
+    frame.u64(payload_checksum(&payload.0));
+    frame.bytes(&payload.0);
+    frame.0
+}
+
+/// The next whole, checksummed [`build_wal_frame`] frame holding a record
+/// of `ns` symbols; `None` at the end of the log or at a torn tail.
+fn read_wal_frame(c: &mut ByteReader, ns: usize) -> Option<Record> {
+    let len = c.u32()? as usize;
+    let sum = c.u64()?;
+    let payload = c.bytes(len)?;
+    if payload_checksum(payload) != sum {
+        return None;
+    }
+    decode_record(payload).filter(|r| r.symbols.len() == ns)
+}
+
+/// Makes `path` durably hold exactly `bytes` ([`durable::publish`]).
+fn publish(path: &std::path::Path, bytes: &[u8]) -> Result<(), DniError> {
+    use std::io::Write as _;
+    durable::publish(path, |f| Ok(f.write_all(bytes)?)).map_err(|e| io_err("publish", path, e))
+}
+
+/// Publishes an empty WAL (magic + the segment sequence it seals into).
+fn reset_wal(wal_path: &std::path::Path, seq: u64) -> Result<(), DniError> {
+    let mut header = ByteWriter::default();
+    header.bytes(WAL_MAGIC);
+    header.u64(seq);
+    publish(wal_path, &header.0)
 }
 
 /// A dataset that grows by streaming ingest: records append through a
 /// length-prefixed, checksummed write-ahead log and are sealed into
-/// immutable segment files (atomic tmp+rename), each carrying its own
-/// content fingerprint when snapshotted into a [`Dataset`].
+/// immutable segment files, each carrying its own content fingerprint
+/// when snapshotted into a [`Dataset`]. Files are published, stale temps
+/// reaped and corrupt segments quarantined by `deepbase_store::durable`'s
+/// one rule.
 ///
 /// Layout under `dir`: `segment-{seq:06}.seg` (sealed, immutable) plus
 /// `wal.log` (the unsealed tail). The WAL header records the segment
@@ -502,9 +483,9 @@ impl SegmentedDataset {
         id: &str,
         ns: usize,
     ) -> Result<SegmentedDataset, DniError> {
-        use std::io::Read as _;
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, e))?;
+        durable::reap_stale_temps(&dir);
         let mut errors = Vec::new();
 
         // Load sealed segments in sequence order; quarantine corrupt ones.
@@ -524,9 +505,9 @@ impl SegmentedDataset {
         seg_files.sort();
         let mut segments = Vec::new();
         let mut seg_seqs = Vec::new();
-        for (k, (seq, path)) in seg_files.iter().enumerate() {
-            let bytes = std::fs::read(path).map_err(|e| io_err("read segment", path, e))?;
-            match parse_segment_file(&bytes) {
+        for (seq, path) in &seg_files {
+            let bytes = durable::read_file(path).map_err(|e| io_err("read segment", path, e))?;
+            match bytes.and_then(|bytes| parse_segment_file(&bytes)) {
                 Some((seg_ns, records)) if seg_ns == ns => {
                     segments.push(records);
                     seg_seqs.push(*seq);
@@ -534,13 +515,8 @@ impl SegmentedDataset {
                 _ => {
                     // Quarantine: rename aside so the damage is inspectable
                     // and the slot is free for re-ingest.
-                    let aside = dir.join(format!(
-                        "{}.corrupt.{}.{}",
-                        segment_file_name(*seq),
-                        std::process::id(),
-                        k
-                    ));
-                    std::fs::rename(path, &aside).map_err(|e| io_err("quarantine", path, e))?;
+                    let aside =
+                        durable::quarantine(path).map_err(|e| io_err("quarantine", path, e))?;
                     errors.push(format!(
                         "segment {} corrupt; quarantined as {}",
                         segment_file_name(*seq),
@@ -556,13 +532,14 @@ impl SegmentedDataset {
         let mut tail = Vec::new();
         let mut wal_seq = next_seq;
         let mut need_reset = true;
-        if let Ok(mut f) = std::fs::File::open(&wal_path) {
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)
-                .map_err(|e| io_err("read wal", &wal_path, e))?;
-            drop(f);
-            if bytes.len() >= 16 && &bytes[..8] == WAL_MAGIC {
-                let header_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        let wal_bytes = durable::read_file(&wal_path);
+        if let Some(bytes) = wal_bytes.map_err(|e| io_err("read wal", &wal_path, e))? {
+            let mut c = ByteReader::new(&bytes);
+            let header_seq = c
+                .bytes(WAL_MAGIC.len())
+                .filter(|magic| magic == WAL_MAGIC)
+                .and_then(|_| c.u64());
+            if let Some(header_seq) = header_seq {
                 if seg_seqs.contains(&header_seq) {
                     // Crash between seal-rename and WAL reset: these
                     // records are already durable in the sealed segment.
@@ -574,26 +551,10 @@ impl SegmentedDataset {
                     need_reset = false;
                     // Parse frames; keep the whole-frame checksummed
                     // prefix, truncate any torn suffix.
-                    let mut pos = 16;
-                    let mut good = pos;
-                    while let Some(hdr) = bytes.get(pos..pos + 12) {
-                        let len = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
-                        let sum = u64::from_le_bytes(hdr[4..12].try_into().unwrap());
-                        let Some(payload) = bytes.get(pos + 12..pos + 12 + len) else {
-                            break;
-                        };
-                        if payload_checksum(payload) != sum {
-                            break;
-                        }
-                        let Some(r) = decode_record(payload) else {
-                            break;
-                        };
-                        if r.symbols.len() != ns {
-                            break;
-                        }
+                    let mut good = c.pos();
+                    while let Some(r) = read_wal_frame(&mut c, ns) {
                         tail.push(r);
-                        pos += 12 + len;
-                        good = pos;
+                        good = c.pos();
                     }
                     if good != bytes.len() {
                         errors.push(format!(
@@ -613,10 +574,7 @@ impl SegmentedDataset {
             }
         }
         if need_reset {
-            let mut hdr = Vec::with_capacity(16);
-            hdr.extend_from_slice(WAL_MAGIC);
-            hdr.extend_from_slice(&wal_seq.to_le_bytes());
-            atomic_write(&wal_path, &hdr)?;
+            reset_wal(&wal_path, wal_seq)?;
         }
         let wal = std::fs::OpenOptions::new()
             .append(true)
@@ -645,25 +603,19 @@ impl SegmentedDataset {
                 msg: format!("record length {} != ns {}", record.symbols.len(), self.ns),
             });
         }
-        let mut payload = Vec::new();
-        encode_record(&record, &mut payload);
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload_checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
         let wal_path = self.dir.join(WAL_FILE);
         self.wal
-            .write_all(&frame)
+            .write_all(&build_wal_frame(&record))
             .map_err(|e| io_err("append wal", &wal_path, e))?;
         self.wal
-            .flush()
-            .map_err(|e| io_err("flush wal", &wal_path, e))?;
+            .sync_data()
+            .map_err(|e| io_err("sync wal", &wal_path, e))?;
         self.tail.push(record);
         Ok(())
     }
 
-    /// Seals the WAL tail into an immutable segment file (atomic
-    /// tmp+rename), then resets the WAL for the next segment. No-op when
+    /// Seals the WAL tail into an immutable segment file (published
+    /// atomically), then resets the WAL for the next segment. No-op when
     /// the tail is empty. Crash-safe: the WAL is reset only *after* the
     /// segment rename lands, and reopen detects the in-between state by
     /// the WAL header's sequence number.
@@ -672,14 +624,11 @@ impl SegmentedDataset {
             return Ok(());
         }
         let seg_path = self.dir.join(segment_file_name(self.wal_seq));
-        atomic_write(&seg_path, &build_segment_file(self.ns, &self.tail))?;
+        publish(&seg_path, &build_segment_file(self.ns, &self.tail))?;
         // Segment durable; now reset the WAL for the next sequence.
         self.wal_seq += 1;
         let wal_path = self.dir.join(WAL_FILE);
-        let mut hdr = Vec::with_capacity(16);
-        hdr.extend_from_slice(WAL_MAGIC);
-        hdr.extend_from_slice(&self.wal_seq.to_le_bytes());
-        atomic_write(&wal_path, &hdr)?;
+        reset_wal(&wal_path, self.wal_seq)?;
         self.wal = std::fs::OpenOptions::new()
             .append(true)
             .open(&wal_path)
@@ -1099,5 +1048,122 @@ mod tests {
             let _ = h.behavior(&rec).unwrap();
         }
         assert_eq!(cache.miss_count(), 1, "one parse serves all hypotheses");
+    }
+    fn golden_records() -> Vec<Record> {
+        vec![
+            Record::standalone(0, vec![97, 98, 99], "abc".to_string()),
+            Record {
+                id: 1,
+                symbols: vec![120, 121, 122],
+                text: "xyz".to_string(),
+                source_id: 7,
+                source_text: Arc::new("wxyz!".to_string()),
+                offset: 1,
+                visible: 2,
+            },
+        ]
+    }
+
+    /// `golden_records()` sealed as `segment-000000.seg` by the parent
+    /// commit's code.
+    const GOLDEN_SEGMENT: &[u8] = &[
+        0x44, 0x42, 0x53, 0x45, 0x47, 0x01, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x00, 0x00, 0x00, 0x62,
+        0x00, 0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x62, 0x63, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x62, 0x63, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x40, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+        0x00, 0x78, 0x00, 0x00, 0x00, 0x79, 0x00, 0x00, 0x00, 0x7a, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x00, 0x00, 0x78, 0x79, 0x7a, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
+        0x00, 0x00, 0x77, 0x78, 0x79, 0x7a, 0x21, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0d, 0xd3, 0xa2, 0xbd, 0x44, 0xc9, 0x12,
+        0x45,
+    ];
+    /// The `wal.log` of segment 1 holding `golden_records()[1]`, as the
+    /// parent commit's code wrote it: 16 header bytes, then one frame.
+    const GOLDEN_WAL: &[u8] = &[
+        0x44, 0x42, 0x57, 0x41, 0x4c, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x40, 0x00, 0x00, 0x00, 0xd8, 0x6a, 0xfd, 0x88, 0x48, 0x73, 0x01, 0x63, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x78, 0x00, 0x00, 0x00, 0x79,
+        0x00, 0x00, 0x00, 0x7a, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x78, 0x79, 0x7a, 0x07,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x77, 0x78, 0x79, 0x7a,
+        0x21, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00,
+    ];
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("deepbase-model-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn the_segment_file_bytes_did_not_move() {
+        let records = golden_records();
+        assert_eq!(build_segment_file(3, &records), GOLDEN_SEGMENT);
+        let (ns, decoded) = parse_segment_file(GOLDEN_SEGMENT).expect("golden decodes");
+        assert_eq!(ns, 3);
+        assert_eq!(build_segment_file(ns, &decoded), GOLDEN_SEGMENT);
+        assert_eq!(decoded[1].source_text.as_str(), "wxyz!");
+        assert_eq!((decoded[1].offset, decoded[1].visible), (1, 2));
+        for cut in 0..GOLDEN_SEGMENT.len() {
+            assert!(
+                parse_segment_file(&GOLDEN_SEGMENT[..cut]).is_none(),
+                "prefix {cut} decoded"
+            );
+        }
+        assert!(parse_segment_file(&[GOLDEN_SEGMENT, &[0]].concat()).is_none());
+    }
+
+    #[test]
+    fn the_wal_bytes_did_not_move_and_every_torn_tail_is_cut_at_a_frame() {
+        let record = golden_records().pop().unwrap();
+        let (header, frame) = GOLDEN_WAL.split_at(16);
+        assert_eq!(build_wal_frame(&record), frame);
+        // The record payload itself: every cut and any trailing byte is
+        // refused.
+        let payload = &frame[12..];
+        assert_eq!(
+            build_wal_frame(&decode_record(payload).expect("golden decodes")),
+            frame
+        );
+        for cut in 0..payload.len() {
+            assert!(decode_record(&payload[..cut]).is_none(), "prefix {cut}");
+        }
+        assert!(decode_record(&[payload, &[0]].concat()).is_none());
+
+        // Through recovery: the golden log replays its one record; a log
+        // cut anywhere inside the frame (or grown by a byte) keeps only
+        // whole frames and is truncated there, never misread.
+        let dir = temp_dir("wal");
+        let wal = dir.join(WAL_FILE);
+        let recover = |bytes: &[u8]| {
+            std::fs::write(&wal, bytes).unwrap();
+            let ds = SegmentedDataset::open(&dir, "d", 3).unwrap();
+            (
+                ds.tail_len(),
+                ds.errors().len(),
+                std::fs::read(&wal).unwrap(),
+            )
+        };
+        assert_eq!(recover(GOLDEN_WAL), (1, 0, GOLDEN_WAL.to_vec()));
+        for cut in 17..GOLDEN_WAL.len() {
+            assert_eq!(
+                recover(&GOLDEN_WAL[..cut]),
+                (0, 1, header.to_vec()),
+                "cut {cut}"
+            );
+        }
+        let longer = [GOLDEN_WAL, &[0]].concat();
+        assert_eq!(recover(&longer), (1, 1, GOLDEN_WAL.to_vec()));
+        // A cut inside the header discards the log and starts segment 0.
+        for cut in 1..16 {
+            let (tail, notes, bytes) = recover(&GOLDEN_WAL[..cut]);
+            assert_eq!((tail, notes), (0, 1), "cut {cut}");
+            assert_eq!(bytes, [&header[..8], &[0; 8]].concat(), "cut {cut}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -532,7 +532,7 @@ enum Placement {
 pub struct StoreBinding {
     /// The open store.
     pub store: Arc<BehaviorStore>,
-    /// Materialization policy (a binding with `Off` is never built).
+    /// Materialization policy.
     pub policy: MaterializationPolicy,
     /// Write-back capture budget in bytes.
     pub writeback_limit_bytes: usize,

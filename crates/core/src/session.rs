@@ -310,7 +310,7 @@ impl Session {
         let hypothesis_cache = HypothesisCache::new(config.cache_bytes);
         let mut store_stats = StoreStats::default();
         let store = match &config.store {
-            Some(store_config) if store_config.policy != MaterializationPolicy::Off => {
+            Some(store_config) => {
                 if let Some(shared) = &config.shared_store {
                     // A serving process opens the store once and shares
                     // the handle; the per-session open below is the
@@ -329,7 +329,7 @@ impl Session {
                     }
                 }
             }
-            _ => None,
+            None => None,
         };
         Session {
             catalog,
@@ -468,9 +468,6 @@ impl Session {
 
     fn store_binding(&self) -> Option<StoreBinding> {
         let store_config = self.config.store.as_ref()?;
-        if store_config.policy == MaterializationPolicy::Off {
-            return None;
-        }
         Some(StoreBinding {
             store: Arc::clone(self.store.as_ref()?),
             policy: store_config.policy,

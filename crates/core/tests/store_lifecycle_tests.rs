@@ -722,3 +722,68 @@ fn session_error_ring_stays_capped_while_the_count_stays_exact() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Crash litter: one reap rule for columns, views and segments
+// ---------------------------------------------------------------------
+
+/// A temp file a foreign process left behind is kept while it is young
+/// (its writer may be alive) and reaped once it has aged — by `open` and
+/// by `compact`, in a pair directory, in `views/` and in a segment
+/// directory alike.
+#[test]
+fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
+    let dir = store_dir("reap");
+    let seg_dir = store_dir("reap-segments");
+    let config = store_config(&dir, MaterializationPolicy::ReadWrite);
+    let store = BehaviorStore::open(&config).unwrap();
+    let key = ColumnKey {
+        model_fp: 1,
+        dataset_fp: 2,
+        unit: 0,
+    };
+    store.write_column(&key, 4, 2, &[0.5; 8]).unwrap();
+    std::fs::create_dir_all(store.views().dir()).unwrap();
+    drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
+    let litter = [
+        dir.join("0000000000000001.0000000000000002/u7.col.tmp.99999.3"),
+        // The counter-less name older builds gave view temps.
+        store.views().dir().join("v-00.view.tmp.99999"),
+        seg_dir.join("segment-000000.seg.tmp.99999.0"),
+    ];
+    let strew = |aged: bool| {
+        for path in &litter {
+            std::fs::write(path, b"half-written").unwrap();
+            if aged {
+                let long_ago =
+                    std::time::SystemTime::now() - 2 * deepbase_store::durable::TMP_REAP_AGE;
+                let file = std::fs::File::options().write(true).open(path).unwrap();
+                file.set_modified(long_ago).unwrap();
+            }
+        }
+    };
+    let survivors = || litter.iter().filter(|p| p.exists()).count();
+
+    strew(false);
+    assert_eq!(store.compact(u64::MAX), CompactionReport::default());
+    drop(BehaviorStore::open(&config).unwrap());
+    drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
+    assert_eq!(survivors(), 3, "a young temp may be a live writer's");
+
+    strew(true);
+    let report = store.compact(u64::MAX);
+    assert_eq!(
+        (report.files_reclaimed, report.bytes_reclaimed),
+        (2, 2 * b"half-written".len() as u64),
+        "compaction reaps the pair directory and views/"
+    );
+    drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
+    assert_eq!(survivors(), 0);
+
+    strew(true);
+    drop(BehaviorStore::open(&config).unwrap());
+    assert!(!litter[0].exists() && !litter[1].exists(), "open reaps too");
+    assert!(store.contains(&key), "the real column is untouched");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&seg_dir);
+}

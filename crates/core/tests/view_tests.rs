@@ -471,6 +471,13 @@ fn crashed_refresh_leaves_the_old_entry_intact_on_reopen() {
     // its atomic rename.
     let litter = views_dir.join("v-0000000000000000.view.tmp.99999");
     std::fs::write(&litter, b"DBVIEW\x01\0half-written garbage").unwrap();
+    // Long abandoned: a young temp could be a live writer's and is kept.
+    std::fs::File::options()
+        .write(true)
+        .open(&litter)
+        .unwrap()
+        .set_modified(std::time::SystemTime::now() - 2 * deepbase_store::durable::TMP_REAP_AGE)
+        .unwrap();
 
     let (mut reopened, counting) = session_at(&dir, device, 2, MaterializationPolicy::ReadWrite);
     counting.reset();

@@ -413,7 +413,7 @@ impl InspectionServer {
             .unwrap_or_else(|| AdmissionScheduler::new(template.admission));
         template.scheduler = Some(Arc::clone(&scheduler));
         let store = match &template.store {
-            Some(cfg) if cfg.policy != MaterializationPolicy::Off => {
+            Some(cfg) => {
                 if let Some(shared) = &template.shared_store {
                     Some(Arc::clone(shared))
                 } else {
@@ -431,7 +431,7 @@ impl InspectionServer {
                     }
                 }
             }
-            _ => None,
+            None => None,
         };
         template.shared_store = store.clone();
 

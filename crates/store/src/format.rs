@@ -746,23 +746,19 @@ pub fn write_column<W: Write>(
     Ok(summary)
 }
 
-/// Writes a column file atomically: serialize to `path` with a temporary
-/// suffix, then rename into place. `covered` follows [`write_column`]'s
-/// contract (None iff the column is complete).
+/// Writes a column file atomically ([`crate::durable::publish`]).
+/// `covered` follows [`write_column`]'s contract (None iff the column is
+/// complete).
 pub fn write_column_file(
     path: &Path,
-    tmp_path: &Path,
     meta: &ColumnMeta,
     data: &[f32],
     covered: Option<&[u8]>,
     access_stamp: u64,
 ) -> Result<WriteSummary, StoreError> {
-    let mut file = File::create(tmp_path)?;
-    let summary = write_column(&mut file, meta, data, covered, access_stamp)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(tmp_path, path)?;
-    Ok(summary)
+    crate::durable::publish(path, |file| {
+        write_column(file, meta, data, covered, access_stamp)
+    })
 }
 
 /// Refreshes a column file's access stamp in place (an uncovered 8-byte
@@ -1082,7 +1078,7 @@ mod tests {
     fn write_read(name: &str, m: &ColumnMeta, data: &[f32]) -> (ColumnFile, Vec<Vec<f32>>) {
         let dir = test_dir(name);
         let path = dir.join("u.col");
-        write_column_file(&path, &dir.join("u.tmp"), m, data, None, 7).unwrap();
+        write_column_file(&path, m, data, None, 7).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         let blocks = (0..col.meta.n_blocks())
@@ -1155,7 +1151,7 @@ mod tests {
             .collect();
         let dir = test_dir("read-blocks");
         let path = dir.join("u.col");
-        write_column_file(&path, &dir.join("u.tmp"), &m, &data, None, 7).unwrap();
+        write_column_file(&path, &m, &data, None, 7).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         let n = col.meta.n_blocks();
@@ -1190,7 +1186,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("roundtrip");
         let path = dir.join("u3.col");
-        let summary = write_column_file(&path, &dir.join("u3.tmp"), &m, &data, None, 42).unwrap();
+        let summary = write_column_file(&path, &m, &data, None, 42).unwrap();
         assert_eq!(summary.n_blocks, 3);
         assert_eq!(summary.raw_data_bytes, data.len() as u64 * 4);
         let mut f = File::open(&path).unwrap();
@@ -1324,7 +1320,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("stamp");
         let path = dir.join("u3.col");
-        write_column_file(&path, &dir.join("u3.tmp"), &m, &data, None, 1000).unwrap();
+        write_column_file(&path, &m, &data, None, 1000).unwrap();
         assert_eq!(read_access_stamp(&path).unwrap(), Some(1000));
         // Through the same read-write handle a metadata read used.
         let mut rw = std::fs::OpenOptions::new()
@@ -1363,7 +1359,7 @@ mod tests {
         let data = vec![0.25f32; 8]; // constant: both blocks prunable
         let dir = test_dir("codec-flip");
         let path = dir.join("u.col");
-        write_column_file(&path, &dir.join("u.tmp"), &m, &data, None, 0).unwrap();
+        write_column_file(&path, &m, &data, None, 0).unwrap();
         let pristine = std::fs::read(&path).unwrap();
         // Flip the codec tag of block 0 (byte 12 of the first zone entry):
         // the zone-table checksum must refuse it.
@@ -1410,7 +1406,7 @@ mod tests {
         assert_eq!(packed.len(), 3 * ns, "only valid rows are stored");
         let dir = test_dir("partial");
         let path = dir.join("u3.part");
-        write_column_file(&path, &dir.join("u3.tmp"), &m, &packed, Some(&bits), 0).unwrap();
+        write_column_file(&path, &m, &packed, Some(&bits), 0).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta, m);
@@ -1452,7 +1448,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("watermark");
         let path = dir.join("u3.col");
-        write_column_file(&path, &dir.join("u3.tmp"), &m, &data, None, 0).unwrap();
+        write_column_file(&path, &m, &data, None, 0).unwrap();
         // Rewrite the schema with completed_records > nd and a valid CRC.
         let mut bytes = std::fs::read(&path).unwrap();
         let bad = ColumnMeta {
@@ -1475,7 +1471,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("corrupt");
         let path = dir.join("u3.col");
-        write_column_file(&path, &dir.join("u3.tmp"), &m, &data, None, 0).unwrap();
+        write_column_file(&path, &m, &data, None, 0).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         // Flip one byte inside block 1's payload.
@@ -1498,7 +1494,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("trunc");
         let path = dir.join("u3.col");
-        write_column_file(&path, &dir.join("u3.tmp"), &m, &data, None, 0).unwrap();
+        write_column_file(&path, &m, &data, None, 0).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         // Truncate inside the last data block: v3 validates the declared
         // data region against the file length up front.
@@ -1584,13 +1580,70 @@ mod tests {
         };
         let dir = test_dir("empty");
         let path = dir.join("u.col");
-        write_column_file(&path, &dir.join("u.tmp"), &m, &[], None, 0).unwrap();
+        write_column_file(&path, &m, &[], None, 0).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta.n_blocks(), 0);
         assert!(col.zones.is_empty());
         assert!(col.covered.is_none(), "nd == 0 is complete by definition");
         assert_eq!(col.prunable_blocks(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// A 5-of-10 partial column (positions 0, 2, 3, 7, 9; `ns` 1, 4-record
+    /// blocks, stamp 7) as the parent commit's `write_column` wrote it.
+    const GOLDEN_PARTIAL_COLUMN: &[u8] = &[
+        0x44, 0x42, 0x53, 0x42, 0x43, 0x4f, 0x4c, 0x00, 0x03, 0x00, 0x00, 0x00, 0x63, 0x59, 0xad,
+        0x1b, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xcd, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb9, 0x34, 0x09,
+        0xa8, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00,
+        0x08, 0x41, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x9a,
+        0x5f, 0x8c, 0x70, 0x00, 0x00, 0x38, 0x41, 0x00, 0x00, 0x38, 0x41, 0x01, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0xe1, 0x12, 0x00, 0x37, 0x4b, 0xe2, 0xd9,
+        0xf4, 0x8d, 0x02, 0xd5, 0x95, 0xfa, 0x21, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00, 0x80, 0x3f,
+        0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0x08, 0x41, 0x00, 0x00, 0x38, 0x41,
+    ];
+
+    #[test]
+    fn the_partial_column_bytes_did_not_move() {
+        let m = ColumnMeta {
+            ns: 1,
+            completed_records: 5,
+            ..meta()
+        };
+        let mut filled = vec![false; 10];
+        let mut full = vec![0.0f32; 10];
+        for p in [0usize, 2, 3, 7, 9] {
+            filled[p] = true;
+            full[p] = p as f32 * 1.5 - 2.0;
+        }
+        let bits = coverage_from_filled(&filled);
+        let packed = pack_rows(&full, &filled, 1);
+        let mut out = Vec::new();
+        write_column(&mut out, &m, &packed, Some(&bits), 7).unwrap();
+        assert_eq!(out, GOLDEN_PARTIAL_COLUMN);
+
+        let dir = test_dir("golden");
+        let path = dir.join("u3.part");
+        std::fs::write(&path, GOLDEN_PARTIAL_COLUMN).unwrap();
+        let mut f = File::open(&path).unwrap();
+        let col = read_meta(&mut f).unwrap();
+        assert_eq!(col.meta, m);
+        assert_eq!(col.covered.as_deref(), Some(&bits[..]));
+        assert_eq!(col.access_stamp, 7);
+        assert_eq!(read_block(&mut f, &col, 0).unwrap(), packed[..4]);
+        assert_eq!(read_block(&mut f, &col, 1).unwrap(), packed[4..]);
+        // Every truncation — header, schema, zones, coverage, data — is
+        // corruption at validation time, never a panic.
+        for cut in 0..GOLDEN_PARTIAL_COLUMN.len() {
+            std::fs::write(&path, &GOLDEN_PARTIAL_COLUMN[..cut]).unwrap();
+            let err = read_meta(&mut File::open(&path).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "prefix {cut}: {err:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

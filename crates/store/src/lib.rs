@@ -13,10 +13,14 @@
 //!   per-block **zone map** (NaN-safe min/max, row count, codec tag,
 //!   non-finite flag, encoded size) with a CRC32 checksum per encoded
 //!   data block, then the per-block encoded payloads (raw f32, constant,
-//!   or bit-packed dictionary). Files are written with `std::fs` only —
-//!   no external dependencies — via a temp-file + rename so a crashed
-//!   writer never leaves a half-written column behind. A file of any
-//!   other version reads as corrupt and re-materializes.
+//!   or bit-packed dictionary). A file of any other version reads as
+//!   corrupt and re-materializes.
+//! * [`durable`] — how bytes become durable, stated once for every
+//!   artifact (columns, views, and the core crate's dataset segments and
+//!   WAL): atomic publish through a uniquely named temp, the one rule for
+//!   which temps are crash litter, quarantine naming, retried whole-file
+//!   reads — `std::fs` only — and the little-endian `ByteWriter` /
+//!   `ByteReader` pair every variable-length payload is laid out with.
 //! * [`pool`] — a [`BufferPool`] of decoded block pages with **pinned
 //!   pages** and **CLOCK** (second-chance) eviction under a configurable
 //!   byte budget, keyed by column. A scan pins every page one column
@@ -46,6 +50,7 @@
 //! from is decided and carried out here, and the crate says no loudly (a
 //! typed [`StoreError`]) when a checksum disagrees.
 
+pub mod durable;
 pub mod format;
 pub mod pass;
 pub mod pool;

@@ -22,17 +22,18 @@
 //! Corruption handling is fail-soft: a block whose checksum disagrees
 //! surfaces a [`StoreError::Corrupt`] to the caller (who falls back to
 //! live extraction) and the store **quarantines** the file — renames it
-//! to a unique `*.corrupt.<pid>.<n>` name (collision-safe when one column
-//! is quarantined repeatedly), drops it from the index and purges its
-//! pool pages — so the next read-write pass re-materializes a clean copy.
-//! Quarantined files are forensic samples, not live data;
-//! [`BehaviorStore::compact`] deletes them past a retention budget,
-//! together with stale temporaries and superseded partials.
+//! aside, drops it from the index and purges its pool pages — so the next
+//! read-write pass re-materializes a clean copy. How files are published,
+//! which temporaries are litter and how a quarantined file is named is
+//! [`crate::durable`]'s one rule; [`BehaviorStore::compact`] deletes
+//! quarantined files past a retention budget, together with stale
+//! temporaries and superseded partials.
 //!
 //! A store opened under [`MaterializationPolicy::ReadOnly`] never touches
 //! the filesystem beyond reads: no directory creation, no temp-file
 //! sweep, no quarantine renames, no compaction.
 
+use crate::durable::{self, retry_transient};
 use crate::format::{self, coverage_covers, ColumnMeta};
 use crate::pool::BufferPool;
 use crate::{StoreError, StoreStats};
@@ -40,15 +41,12 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
 /// What a store-configured session is allowed to do with the store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum MaterializationPolicy {
-    /// The store is ignored entirely (scans and write-back both off).
-    Off,
     /// Stored columns are scanned; nothing new is persisted and nothing
     /// on disk is created, renamed or deleted.
     ReadOnly,
@@ -146,53 +144,11 @@ pub struct CompactionReport {
     pub evicted_bytes: u64,
 }
 
-/// How old a temp file must be before open/compaction reaps it. A live
-/// writer holds its temp for milliseconds (serialize + fsync + rename),
-/// so anything this old belongs to a crashed writer; a younger foreign
-/// temp may be an in-flight write of a concurrent process and is left
-/// alone.
-const TMP_REAP_AGE: std::time::Duration = std::time::Duration::from_secs(60);
-
-/// Backoff schedule for transient IO errors on the scan path: an
-/// operation failing with a retryable [`std::io::ErrorKind`] (interrupted
-/// syscall, would-block, timeout — see [`StoreError::is_transient`]) is
-/// re-attempted after each of these sleeps before the error surfaces.
-/// Bounded: at most `len + 1` attempts, ~7ms of waiting total.
-const IO_RETRY_BACKOFF: [std::time::Duration; 3] = [
-    std::time::Duration::from_millis(1),
-    std::time::Duration::from_millis(2),
-    std::time::Duration::from_millis(4),
-];
-
-/// Runs `op`, retrying transient IO failures per [`IO_RETRY_BACKOFF`] and
-/// counting each retry in `retries` (successful or not — the counter
-/// measures how often the filesystem misbehaved, not how often we gave
-/// up). Permanent IO errors and corruption surface immediately: retrying
-/// wrong bytes cannot make them right.
-fn retry_transient<T>(
-    retries: &mut usize,
-    mut op: impl FnMut() -> Result<T, StoreError>,
-) -> Result<T, StoreError> {
-    for backoff in IO_RETRY_BACKOFF {
-        match op() {
-            Err(e) if e.is_transient() => {
-                *retries += 1;
-                std::thread::sleep(backoff);
-            }
-            other => return other,
-        }
+impl CompactionReport {
+    fn reclaimed(&mut self, (files, bytes): (usize, u64)) {
+        self.files_reclaimed += files;
+        self.bytes_reclaimed += bytes;
     }
-    op()
-}
-
-/// True when the file at `path` is older than the reap threshold (an
-/// unreadable mtime counts as young — never delete what we cannot date).
-fn older_than_reap_age(path: &Path) -> bool {
-    std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-        .is_some_and(|age| age > TMP_REAP_AGE)
 }
 
 /// Which file currently backs a column key.
@@ -308,8 +264,6 @@ pub struct BehaviorStore {
     /// lookup fail with the typed [`StoreError::Evicted`] (re-extract)
     /// instead of a generic not-indexed error; cleared by the next write.
     evicted: Mutex<HashSet<ColumnKey>>,
-    /// Uniquifies temp-file and quarantine names within this process.
-    name_counter: AtomicU64,
     /// Materialized-view catalog at `<root>/views/`.
     views: crate::views::ViewCatalog,
 }
@@ -348,10 +302,12 @@ impl BehaviorStore {
             let Some((model_fp, dataset_fp)) = parse_pair_dir(&entry.file_name()) else {
                 continue;
             };
+            if !read_only {
+                durable::reap_stale_temps(&entry.path());
+            }
             for col in std::fs::read_dir(entry.path())? {
                 let col = col?;
-                let name = col.file_name();
-                if let Some((unit, disposition)) = parse_column_file(&name) {
+                if let Some((unit, disposition)) = parse_column_file(&col.file_name()) {
                     let key = ColumnKey {
                         model_fp,
                         dataset_fp,
@@ -365,15 +321,6 @@ impl BehaviorStore {
                             index.insert(key, disposition);
                         }
                     }
-                } else if !read_only
-                    && name.to_str().is_some_and(|n| n.contains(".tmp."))
-                    && older_than_reap_age(&col.path())
-                {
-                    // A writer died between create and rename: the temp
-                    // file can never be read, so sweep it on open. Young
-                    // temps may be in-flight writes of a concurrent
-                    // process and are kept.
-                    let _ = std::fs::remove_file(col.path());
                 }
             }
         }
@@ -386,7 +333,6 @@ impl BehaviorStore {
             index: Mutex::new(index),
             meta_cache: Mutex::new(HashMap::new()),
             evicted: Mutex::new(HashSet::new()),
-            name_counter: AtomicU64::new(0),
             views: crate::views::ViewCatalog::open(&config.path, read_only),
         }))
     }
@@ -472,14 +418,6 @@ impl BehaviorStore {
         self.root
             .join(format!("{:016x}.{:016x}", key.model_fp, key.dataset_fp))
             .join(file)
-    }
-
-    fn unique_suffix(&self) -> String {
-        format!(
-            "{}.{}",
-            std::process::id(),
-            self.name_counter.fetch_add(1, Ordering::Relaxed)
-        )
     }
 
     /// Persists a complete column (`data.len() == nd * ns`, record-major)
@@ -611,7 +549,6 @@ impl BehaviorStore {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let tmp = path.with_extension(format!("tmp.{}", self.unique_suffix()));
         let bitmap = filled.map(format::coverage_from_filled);
         // Partial columns store only their valid rows, densely packed in
         // ascending position order (a warm resume then reads exactly the
@@ -619,7 +556,7 @@ impl BehaviorStore {
         let packed = filled.map(|f| format::pack_rows(data, f, ns));
         let stored: &[f32] = packed.as_deref().unwrap_or(data);
         let summary =
-            format::write_column_file(&path, &tmp, &meta, stored, bitmap.as_deref(), now_stamp())?;
+            format::write_column_file(&path, &meta, stored, bitmap.as_deref(), now_stamp())?;
         // Refresh the caches (an overwrite replaces stale state), then
         // populate the pool with the written pages so an immediate scan
         // hits memory.
@@ -955,10 +892,10 @@ impl BehaviorStore {
         Ok(())
     }
 
-    /// Quarantines a column that failed validation: renames the file to a
-    /// unique `*.corrupt.<pid>.<n>` name (so repeated quarantines of one
-    /// column never collide or overwrite an earlier sample), drops it
-    /// from the index and purges its pool pages. The next read-write pass
+    /// Quarantines a column that failed validation: renames the file
+    /// aside ([`durable::quarantine`] — repeated quarantines of one column
+    /// never collide or overwrite an earlier sample), drops it from the
+    /// index and purges its pool pages. The next read-write pass
     /// re-materializes it from live extraction. No-op on a read-only
     /// store.
     pub fn quarantine(&self, key: &ColumnKey) {
@@ -975,17 +912,9 @@ impl BehaviorStore {
             None => vec![Disposition::Complete, Disposition::Partial],
         };
         for d in dispositions {
-            let path = self.column_path(key, d);
-            if !path.exists() {
-                continue;
-            }
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("column")
-                .to_string();
-            let target = path.with_file_name(format!("{name}.corrupt.{}", self.unique_suffix()));
-            let _ = std::fs::rename(&path, &target);
+            // A missing file (the other disposition, or a racing pass
+            // got there first) is nothing to move.
+            let _ = durable::quarantine(&self.column_path(key, d));
         }
     }
 
@@ -1009,7 +938,7 @@ impl BehaviorStore {
             return report;
         };
         let mut quarantined: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
-        let my_pid = std::process::id();
+        report.reclaimed(durable::reap_stale_temps(self.views.dir()));
         for entry in entries.flatten() {
             if !entry.file_type().map(|t| t.is_dir()).unwrap_or(false) {
                 continue;
@@ -1017,34 +946,19 @@ impl BehaviorStore {
             let Some((model_fp, dataset_fp)) = parse_pair_dir(&entry.file_name()) else {
                 continue;
             };
+            report.reclaimed(durable::reap_stale_temps(&entry.path()));
             let Ok(cols) = std::fs::read_dir(entry.path()) else {
                 continue;
             };
             for col in cols.flatten() {
                 let path = col.path();
-                let Some(name) = col.file_name().to_str().map(str::to_string) else {
-                    continue;
-                };
                 let len = col.metadata().map(|m| m.len()).unwrap_or(0);
-                if name.contains(".corrupt") {
+                if durable::is_quarantined(&col.file_name().to_string_lossy()) {
                     let modified = col
                         .metadata()
                         .and_then(|m| m.modified())
                         .unwrap_or(SystemTime::UNIX_EPOCH);
                     quarantined.push((path, len, modified));
-                } else if let Some(pid) = tmp_file_pid(&name) {
-                    // A stale temporary of a crashed writer can never be
-                    // renamed into place. Our own temps may be in-flight
-                    // (the writer holds them only briefly), and a young
-                    // foreign temp may belong to a live concurrent
-                    // process — only provably abandoned files go.
-                    if pid != my_pid
-                        && older_than_reap_age(&path)
-                        && std::fs::remove_file(&path).is_ok()
-                    {
-                        report.files_reclaimed += 1;
-                        report.bytes_reclaimed += len;
-                    }
                 } else if let Some((unit, Disposition::Partial)) =
                     parse_column_file(&col.file_name())
                 {
@@ -1057,8 +971,7 @@ impl BehaviorStore {
                     };
                     let superseded = self.index.lock().get(&key) == Some(&Disposition::Complete);
                     if superseded && std::fs::remove_file(&path).is_ok() {
-                        report.files_reclaimed += 1;
-                        report.bytes_reclaimed += len;
+                        report.reclaimed((1, len));
                     }
                 }
             }
@@ -1077,8 +990,7 @@ impl BehaviorStore {
                 continue;
             }
             if std::fs::remove_file(&path).is_ok() {
-                report.files_reclaimed += 1;
-                report.bytes_reclaimed += len;
+                report.reclaimed((1, len));
             }
         }
         self.enforce_disk_budget(&mut report);
@@ -1170,17 +1082,10 @@ fn parse_column_file(name: &std::ffi::OsStr) -> Option<(usize, Disposition)> {
     None
 }
 
-/// The process id embedded in a temp-file name (`*.tmp.<pid>.<n>`), if
-/// the name is a temp file.
-fn tmp_file_pid(name: &str) -> Option<u32> {
-    let (_, suffix) = name.split_once(".tmp.")?;
-    let (pid, _) = suffix.split_once('.')?;
-    pid.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::age_file;
 
     fn test_store(name: &str, pool_bytes: usize) -> (Arc<BehaviorStore>, PathBuf) {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -1211,62 +1116,6 @@ mod tests {
     fn set_stamp(path: &Path, stamp: u64) {
         let mut file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
         format::write_access_stamp(&mut file, stamp).unwrap();
-    }
-
-    /// Backdates a file past the temp-reap threshold (simulating a
-    /// crashed writer from long ago).
-    fn age_file(path: &Path) {
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .unwrap()
-            .set_modified(SystemTime::now() - 2 * TMP_REAP_AGE)
-            .unwrap();
-    }
-
-    #[test]
-    fn transient_io_is_retried_with_bounded_backoff() {
-        // Two transient failures, then success: the value comes through
-        // and both retries are counted.
-        let mut retries = 0;
-        let mut failures = 2;
-        let out = retry_transient(&mut retries, || {
-            if failures > 0 {
-                failures -= 1;
-                return Err(StoreError::TransientIo("EINTR".into()));
-            }
-            Ok(42)
-        });
-        assert_eq!(out, Ok(42));
-        assert_eq!(retries, 2);
-
-        // A persistently transient error surfaces after the full backoff
-        // schedule is spent; the final attempt's error comes through.
-        let mut retries = 0;
-        let mut attempts = 0;
-        let out: Result<(), StoreError> = retry_transient(&mut retries, || {
-            attempts += 1;
-            Err(StoreError::TransientIo("still busy".into()))
-        });
-        assert_eq!(out, Err(StoreError::TransientIo("still busy".into())));
-        assert_eq!(retries, IO_RETRY_BACKOFF.len());
-        assert_eq!(attempts, IO_RETRY_BACKOFF.len() + 1);
-
-        // Permanent errors surface immediately: no retries, one attempt.
-        for err in [
-            StoreError::Io("gone".into()),
-            StoreError::Corrupt("bad crc".into()),
-        ] {
-            let mut retries = 0;
-            let mut attempts = 0;
-            let out: Result<(), StoreError> = retry_transient(&mut retries, || {
-                attempts += 1;
-                Err(err.clone())
-            });
-            assert_eq!(out, Err(err));
-            assert_eq!(retries, 0);
-            assert_eq!(attempts, 1);
-        }
     }
 
     #[test]
@@ -2149,6 +1998,54 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out, column(nd, ns, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_instances_writing_one_key_never_share_a_temp() {
+        let (first, dir) = test_store("same-key", 1 << 20);
+        let config = StoreConfig {
+            block_records: 4,
+            ..StoreConfig::at(&dir)
+        };
+        let second = BehaviorStore::open(&config).unwrap();
+        let (nd, ns) = (8, 2);
+        let data = column(nd, ns, 0);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for store in [&first, &second] {
+                scope.spawn(|| {
+                    start.wait();
+                    for i in 0..200 {
+                        store
+                            .write_column(&key(0), nd, ns, &data)
+                            .unwrap_or_else(|e| panic!("write {i}: {e}"));
+                    }
+                });
+            }
+        });
+        let third = BehaviorStore::open(&config).unwrap();
+        let positions: Vec<usize> = (0..nd).collect();
+        let mut out = vec![0.0f32; nd * ns];
+        let mut stats = StoreStats::default();
+        third
+            .scan_into(
+                &key(0),
+                nd,
+                ns,
+                &positions,
+                &mut out,
+                1,
+                0,
+                false,
+                &mut stats,
+            )
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&data));
+        for store in [&first, &second, &third] {
+            assert_eq!(store.pool().verify_accounting(), Ok(()));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

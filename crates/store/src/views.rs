@@ -9,11 +9,11 @@
 //!
 //! The [`ViewCatalog`] owns the `<store root>/views/` directory. Each
 //! view is one self-contained file (magic + version header, body,
-//! trailing CRC32) written atomically — temp file in the same directory,
-//! fsync, rename — exactly like sealed dataset segments, so a reader
-//! concurrent with a refresh sees either the old or the new file, never
-//! a torn one, and a writer that crashes mid-refresh leaves the old
-//! entry intact (its abandoned temp file is swept on the next open).
+//! trailing CRC32) published, reaped and read by [`crate::durable`]'s one
+//! rule — exactly like column files and sealed dataset segments — so a
+//! reader concurrent with a refresh sees either the old or the new file,
+//! never a torn one, and a writer that crashes mid-refresh leaves the old
+//! entry intact.
 //!
 //! Freshness is decided by fingerprint comparison alone
 //! ([`ViewDoc::freshness`]): identical inputs replay, a dataset that
@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
+use crate::durable::{self, ByteReader, ByteWriter};
 use crate::format::crc32;
 use crate::{FpHasher, StoreError};
 
@@ -151,45 +152,61 @@ impl ViewDoc {
         ViewFreshness::Invalid
     }
 
+    /// The whole file: magic, body, CRC32 of the body.
     fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_str(&mut b, &self.name);
-        put_str(&mut b, &self.statement);
-        put_str(&mut b, &self.engine);
-        b.extend_from_slice(&self.block_records.to_le_bytes());
+        let mut b = ByteWriter::default();
+        b.bytes(VIEW_MAGIC);
+        b.str(&self.name);
+        b.str(&self.statement);
+        b.str(&self.engine);
+        b.u64(self.block_records);
         match self.epsilon_bits {
             Some(bits) => {
-                b.push(1);
-                b.extend_from_slice(&bits.to_le_bytes());
+                b.u8(1);
+                b.u32(bits);
             }
-            None => b.push(0),
+            None => b.u8(0),
         }
-        b.extend_from_slice(&self.seed.to_le_bytes());
-        put_u64s(&mut b, &self.model_fps);
-        put_u64s(&mut b, &self.segment_fps);
-        b.extend_from_slice(&(self.states.len() as u32).to_le_bytes());
+        b.u64(self.seed);
+        b.u64s(&self.model_fps);
+        b.u64s(&self.segment_fps);
+        b.u32(self.states.len() as u32);
         for s in &self.states {
-            put_str(&mut b, &s.group_id);
-            put_str(&mut b, &s.measure_id);
-            put_str(&mut b, &s.hyp_id);
-            b.extend_from_slice(&(s.state.len() as u32).to_le_bytes());
-            b.extend_from_slice(&s.state);
+            b.str(&s.group_id);
+            b.str(&s.measure_id);
+            b.str(&s.hyp_id);
+            b.blob(&s.state);
         }
-        b.extend_from_slice(&(self.rows.len() as u64).to_le_bytes());
+        b.u64(self.rows.len() as u64);
         for r in &self.rows {
-            put_str(&mut b, &r.model_id);
-            put_str(&mut b, &r.group_id);
-            put_str(&mut b, &r.measure_id);
-            put_str(&mut b, &r.hyp_id);
-            b.extend_from_slice(&r.unit.to_le_bytes());
-            b.extend_from_slice(&r.unit_score_bits.to_le_bytes());
-            b.extend_from_slice(&r.group_score_bits.to_le_bytes());
+            b.str(&r.model_id);
+            b.str(&r.group_id);
+            b.str(&r.measure_id);
+            b.str(&r.hyp_id);
+            b.u64(r.unit);
+            b.u32(r.unit_score_bits);
+            b.u32(r.group_score_bits);
         }
-        b
+        let crc = crc32(&b.0[VIEW_MAGIC.len()..]);
+        b.u32(crc);
+        b.0
     }
 
-    fn decode(body: &[u8]) -> Option<ViewDoc> {
-        let mut c = Cur(body, 0);
+    /// Validates and decodes a whole view file; `what` names it in errors.
+    fn decode(bytes: &[u8], what: &dyn std::fmt::Display) -> Result<ViewDoc, StoreError> {
+        let corrupt = |why: &str| StoreError::Corrupt(format!("view file {what} {why}"));
+        if bytes.len() < VIEW_MAGIC.len() + 4 || !bytes.starts_with(VIEW_MAGIC) {
+            return Err(corrupt("has a bad header"));
+        }
+        let (body, stored) = bytes[VIEW_MAGIC.len()..].split_at(bytes.len() - VIEW_MAGIC.len() - 4);
+        if crc32(body).to_le_bytes() != *stored {
+            return Err(corrupt("failed its checksum"));
+        }
+        Self::decode_body(body).ok_or_else(|| corrupt("body is malformed"))
+    }
+
+    fn decode_body(body: &[u8]) -> Option<ViewDoc> {
+        let mut c = ByteReader::new(body);
         let name = c.str()?;
         let statement = c.str()?;
         let engine = c.str()?;
@@ -205,16 +222,11 @@ impl ViewDoc {
         let n_states = c.u32()? as usize;
         let mut states = Vec::with_capacity(n_states.min(1024));
         for _ in 0..n_states {
-            let group_id = c.str()?;
-            let measure_id = c.str()?;
-            let hyp_id = c.str()?;
-            let len = c.u32()? as usize;
-            let state = c.bytes(len)?.to_vec();
             states.push(ViewSlotState {
-                group_id,
-                measure_id,
-                hyp_id,
-                state,
+                group_id: c.str()?,
+                measure_id: c.str()?,
+                hyp_id: c.str()?,
+                state: c.blob()?.to_vec(),
             });
         }
         let n_rows = c.u64()? as usize;
@@ -230,10 +242,7 @@ impl ViewDoc {
                 group_score_bits: c.u32()?,
             });
         }
-        if !c.done() {
-            return None;
-        }
-        Some(ViewDoc {
+        c.done().then_some(ViewDoc {
             name,
             statement,
             engine,
@@ -248,97 +257,49 @@ impl ViewDoc {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
-    out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-    for &v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Bounds-checked little-endian cursor over a view body.
-struct Cur<'a>(&'a [u8], usize);
-
-impl Cur<'_> {
-    fn bytes(&mut self, n: usize) -> Option<&[u8]> {
-        let s = self.0.get(self.1..self.1.checked_add(n)?)?;
-        self.1 += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.bytes(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
-    }
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.bytes(len)?.to_vec()).ok()
-    }
-    fn u64s(&mut self) -> Option<Vec<u64>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Some(out)
-    }
-    fn done(&self) -> bool {
-        self.1 == self.0.len()
-    }
-}
-
-/// One cached, validated view with the file identity it was read at.
-struct CachedView {
-    len: u64,
-    mtime: Option<SystemTime>,
-    doc: Arc<ViewDoc>,
-}
+/// What tells one version of a file from the next without reading it:
+/// length and mtime (a rename carries both over from the temp).
+type FileIdentity = (u64, Option<SystemTime>);
 
 /// The durable view catalog at `<store root>/views/`.
 ///
 /// Thread-safe behind one handle (the server shares it across every
 /// connection exactly like the behavior store): writes serialize through
 /// the filesystem's atomic rename, reads validate the trailing CRC and
-/// are cached in memory keyed by file identity, so the warm replay path
-/// costs one `stat` call, zero store block reads and zero extraction.
+/// are cached in memory keyed by file path and identity, so a warm replay
+/// costs one `stat` call and a warm statement probe one `read_dir` plus
+/// one `stat` per view — zero file reads, zero store block reads and zero
+/// extraction while the files are unchanged.
 pub struct ViewCatalog {
     dir: PathBuf,
     read_only: bool,
-    cache: Mutex<BTreeMap<String, CachedView>>,
+    /// Validated views by file path, with the identity each was read at.
+    cache: Mutex<BTreeMap<PathBuf, (FileIdentity, Arc<ViewDoc>)>>,
+    /// View files read and decoded so far (cache misses).
+    #[cfg(test)]
+    decodes: std::sync::atomic::AtomicUsize,
 }
 
 impl ViewCatalog {
     /// Opens the catalog under `store_root/views/`. The directory is
     /// created lazily by the first `save` — a store that never
     /// materializes a view keeps its old layout. Read-write opens of an
-    /// existing catalog sweep abandoned temp files (a crashed refresh
-    /// leaves its temp behind; the completed entry it failed to replace
-    /// is untouched). Never fails: an unreadable directory just behaves
-    /// as an empty catalog whose writes error.
+    /// existing catalog reap the temp files crashed refreshes left behind
+    /// ([`durable::reap_stale_temps`]; the completed entry a crashed
+    /// refresh failed to replace is untouched). Never fails: an
+    /// unreadable directory just behaves as an empty catalog whose writes
+    /// error.
     pub fn open(store_root: &Path, read_only: bool) -> ViewCatalog {
         let dir = store_root.join("views");
         if !read_only {
-            if let Ok(entries) = fs::read_dir(&dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    if name.contains(".tmp.") {
-                        let _ = fs::remove_file(entry.path());
-                    }
-                }
-            }
+            durable::reap_stale_temps(&dir);
         }
         ViewCatalog {
             dir,
             read_only,
             cache: Mutex::new(BTreeMap::new()),
+            #[cfg(test)]
+            decodes: Default::default(),
         }
     }
 
@@ -366,23 +327,59 @@ impl ViewCatalog {
         self.dir.join(format!("{safe}-{fp:016x}.{VIEW_EXT}"))
     }
 
-    /// Names of every view currently on disk, sorted.
-    pub fn list(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.extension().and_then(|e| e.to_str()) != Some(VIEW_EXT) {
-                    continue;
-                }
-                if let Ok(Some(doc)) = self.load_path(&path) {
-                    names.push(doc.name.clone());
-                }
+    /// The validated document in the view file at `path`, whose metadata
+    /// the caller just read: from the cache while the file identity is
+    /// unchanged, else read, validated and cached. `Ok(None)` when the
+    /// file is absent.
+    fn fetch(
+        &self,
+        path: PathBuf,
+        meta: std::io::Result<fs::Metadata>,
+    ) -> Result<Option<Arc<ViewDoc>>, StoreError> {
+        let Ok(meta) = meta else {
+            self.cache.lock().expect("view cache lock").remove(&path);
+            return Ok(None);
+        };
+        let identity = (meta.len(), meta.modified().ok());
+        if let Some((at, doc)) = self.cache.lock().expect("view cache lock").get(&path) {
+            if *at == identity {
+                return Ok(Some(Arc::clone(doc)));
             }
         }
-        names.sort();
-        names.dedup();
-        names
+        #[cfg(test)]
+        self.decodes
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(bytes) = durable::read_file(&path)? else {
+            return Ok(None);
+        };
+        let doc = Arc::new(ViewDoc::decode(&bytes, &path.display())?);
+        let cached = (identity, Arc::clone(&doc));
+        self.cache
+            .lock()
+            .expect("view cache lock")
+            .insert(path, cached);
+        Ok(Some(doc))
+    }
+
+    /// Every readable view on disk, sorted by name. Unreadable entries are
+    /// skipped — a corrupt sibling must not poison a listing or an
+    /// unrelated statement's probe.
+    fn docs(&self) -> Vec<Arc<ViewDoc>> {
+        let mut docs = Vec::new();
+        for entry in fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.extension().is_some_and(|e| e == VIEW_EXT) {
+                docs.extend(self.fetch(path, entry.metadata()).ok().flatten());
+            }
+        }
+        docs.sort_by(|a, b| a.name.cmp(&b.name));
+        docs.dedup_by(|a, b| a.name == b.name);
+        docs
+    }
+
+    /// Names of every view currently on disk, sorted.
+    pub fn list(&self) -> Vec<String> {
+        self.docs().iter().map(|doc| doc.name.clone()).collect()
     }
 
     /// True when a validated view file for `name` exists.
@@ -392,51 +389,36 @@ impl ViewCatalog {
 
     /// Finds the view materializing a given normalized statement, if
     /// any. First match in name order wins (one statement normally backs
-    /// at most one view). Unreadable entries are skipped — a corrupt
-    /// sibling must not poison an unrelated statement's probe.
+    /// at most one view).
     pub fn find_by_statement(&self, statement: &str) -> Option<Arc<ViewDoc>> {
-        for name in self.list() {
-            if let Ok(Some(doc)) = self.load(&name) {
-                if doc.statement == statement {
-                    return Some(doc);
-                }
-            }
-        }
-        None
+        self.docs()
+            .into_iter()
+            .find(|doc| doc.statement == statement)
     }
 
-    /// Persists a view atomically (temp file, fsync, rename over the
-    /// destination) and refreshes the in-memory cache. Returns the bytes
-    /// written.
+    /// Persists a view atomically ([`durable::publish`]) and refreshes the
+    /// in-memory cache. Returns the bytes written.
     pub fn save(&self, doc: &ViewDoc) -> Result<u64, StoreError> {
         if self.read_only {
             return Err(StoreError::Io(
                 "view catalog is read-only (store policy)".into(),
             ));
         }
-        let body = doc.encode();
-        let mut bytes = Vec::with_capacity(8 + body.len() + 4);
-        bytes.extend_from_slice(VIEW_MAGIC);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        let bytes = doc.encode();
         let path = self.path_of(&doc.name);
         fs::create_dir_all(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
-        let tmp = path.with_extension(format!("{VIEW_EXT}.tmp.{}", std::process::id()));
-        let mut f = fs::File::create(&tmp).map_err(|e| StoreError::Io(e.to_string()))?;
-        f.write_all(&bytes)
-            .map_err(|e| StoreError::Io(e.to_string()))?;
-        f.sync_all().map_err(|e| StoreError::Io(e.to_string()))?;
-        drop(f);
-        fs::rename(&tmp, &path).map_err(|e| StoreError::Io(e.to_string()))?;
-        let (len, mtime) = file_identity(&path);
-        self.cache.lock().expect("view cache lock").insert(
-            doc.name.clone(),
-            CachedView {
-                len,
-                mtime,
-                doc: Arc::new(doc.clone()),
-            },
-        );
+        // The identity is the written file's own (not a `stat` after the
+        // rename, which could already be a concurrent writer's file).
+        let identity = durable::publish(&path, |f| {
+            f.write_all(&bytes)?;
+            let meta = f.metadata()?;
+            Ok((meta.len(), meta.modified().ok()))
+        })?;
+        let cached = (identity, Arc::new(doc.clone()));
+        self.cache
+            .lock()
+            .expect("view cache lock")
+            .insert(path, cached);
         Ok(bytes.len() as u64)
     }
 
@@ -445,65 +427,13 @@ impl ViewCatalog {
     /// cache while the file identity (length + mtime) is unchanged.
     pub fn load(&self, name: &str) -> Result<Option<Arc<ViewDoc>>, StoreError> {
         let path = self.path_of(name);
-        if !path.exists() {
-            self.cache.lock().expect("view cache lock").remove(name);
-            return Ok(None);
-        }
-        let (len, mtime) = file_identity(&path);
-        if let Some(hit) = self.cache.lock().expect("view cache lock").get(name) {
-            if hit.len == len && hit.mtime == mtime {
-                return Ok(Some(Arc::clone(&hit.doc)));
-            }
-        }
-        match self.load_path(&path)? {
-            Some(doc) if doc.name == name => {
-                let doc = Arc::new(doc);
-                self.cache.lock().expect("view cache lock").insert(
-                    name.to_string(),
-                    CachedView {
-                        len,
-                        mtime,
-                        doc: Arc::clone(&doc),
-                    },
-                );
-                Ok(Some(doc))
-            }
-            Some(doc) => Err(StoreError::Corrupt(format!(
+        let meta = fs::metadata(&path);
+        match self.fetch(path, meta)? {
+            Some(doc) if doc.name != name => Err(StoreError::Corrupt(format!(
                 "view file for {name:?} names {:?}",
                 doc.name
             ))),
-            None => Ok(None),
-        }
-    }
-
-    /// Reads and validates one view file. `Ok(None)` when the file
-    /// vanished between listing and reading.
-    fn load_path(&self, path: &Path) -> Result<Option<ViewDoc>, StoreError> {
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(StoreError::from(e)),
-        };
-        if bytes.len() < 8 + 4 || &bytes[..8] != VIEW_MAGIC {
-            return Err(StoreError::Corrupt(format!(
-                "view file {} has a bad header",
-                path.display()
-            )));
-        }
-        let body = &bytes[8..bytes.len() - 4];
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if crc32(body) != stored {
-            return Err(StoreError::Corrupt(format!(
-                "view file {} failed its checksum",
-                path.display()
-            )));
-        }
-        match ViewDoc::decode(body) {
-            Some(doc) => Ok(Some(doc)),
-            None => Err(StoreError::Corrupt(format!(
-                "view file {} body is malformed",
-                path.display()
-            ))),
+            doc => Ok(doc),
         }
     }
 
@@ -514,20 +444,13 @@ impl ViewCatalog {
                 "view catalog is read-only (store policy)".into(),
             ));
         }
-        self.cache.lock().expect("view cache lock").remove(name);
         let path = self.path_of(name);
+        self.cache.lock().expect("view cache lock").remove(&path);
         match fs::remove_file(&path) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(StoreError::from(e)),
         }
-    }
-}
-
-fn file_identity(path: &Path) -> (u64, Option<SystemTime>) {
-    match fs::metadata(path) {
-        Ok(meta) => (meta.len(), meta.modified().ok()),
-        Err(_) => (0, None),
     }
 }
 
@@ -642,6 +565,7 @@ mod tests {
             .path_of("v")
             .with_extension(format!("{VIEW_EXT}.tmp.99999"));
         fs::write(&tmp, b"half-written garbage").unwrap();
+        durable::age_file(&tmp);
         // Reopen: the temp is swept, the old entry reads back bit-exact.
         let reopened = ViewCatalog::open(&root, false);
         assert!(!tmp.exists(), "abandoned temp must be swept on open");
@@ -762,5 +686,153 @@ mod tests {
             });
         });
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn same_name_saves_from_many_threads_never_collide() {
+        let root = temp_root("same-name");
+        let catalog = ViewCatalog::open(&root, false);
+        let docs: Vec<ViewDoc> = (1..=4u64)
+            .map(|t| sample_doc("v", &vec![t; t as usize]))
+            .collect();
+        catalog.save(&docs[0]).unwrap();
+        let start = std::sync::Barrier::new(2 * docs.len());
+        std::thread::scope(|scope| {
+            for doc in &docs {
+                scope.spawn(|| {
+                    start.wait();
+                    for i in 0..200 {
+                        catalog
+                            .save(doc)
+                            .unwrap_or_else(|e| panic!("save {i} of {:?}: {e}", doc.segment_fps));
+                    }
+                });
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        // A fresh catalog per read: every load takes the
+                        // file path, not the shared cache.
+                        let cold = ViewCatalog::open(&root, true);
+                        let seen = cold.load("v").expect("never torn").expect("present");
+                        assert!(docs.contains(&seen), "loaded a view nobody wrote");
+                        let warm = catalog.load("v").expect("never torn").expect("present");
+                        assert!(docs.contains(&warm), "cached a view nobody wrote");
+                    }
+                });
+            }
+        });
+        let litter: Vec<_> = fs::read_dir(catalog.dir())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .filter(|n| n.to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(litter.is_empty(), "temp files left behind: {litter:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn statement_probes_decode_nothing_while_the_files_are_unchanged() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let root = temp_root("probe");
+        let writer = ViewCatalog::open(&root, false);
+        let with_statement = |i: usize, segs: &[u64]| ViewDoc {
+            statement: format!("statement {i}"),
+            ..sample_doc(&format!("view {i}"), segs)
+        };
+        for i in 0..6 {
+            writer.save(&with_statement(i, &[1])).unwrap();
+        }
+        // The sixth view is set aside to come back corrupt below.
+        let broken = writer.path_of("view 5");
+        let mut bytes = fs::read(&broken).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        fs::remove_file(&broken).unwrap();
+
+        let catalog = ViewCatalog::open(&root, true);
+        assert_eq!(catalog.list().len(), 5);
+        assert_eq!(
+            catalog.decodes.load(Relaxed),
+            5,
+            "warming reads each file once"
+        );
+        for probe in 0..100 {
+            let hit = catalog.find_by_statement(&format!("statement {}", probe % 5));
+            assert_eq!(
+                hit.expect("materialized").name,
+                format!("view {}", probe % 5)
+            );
+            assert!(catalog.find_by_statement("no such statement").is_none());
+            assert!(catalog.contains("view 3"));
+        }
+        assert_eq!(catalog.list().len(), 5);
+        assert_eq!(catalog.decodes.load(Relaxed), 5, "warm probes read no file");
+        // Another process rewrites one view: exactly that file is re-read.
+        writer.save(&with_statement(2, &[1, 2])).unwrap();
+        let hit = catalog.find_by_statement("statement 2").unwrap();
+        assert_eq!(hit.segment_fps, vec![1, 2]);
+        assert!(catalog.find_by_statement("statement 4").is_some());
+        assert_eq!(catalog.decodes.load(Relaxed), 6);
+        // A corrupt sibling is skipped by listing and probes alike.
+        fs::write(&broken, &bytes).unwrap();
+        assert_eq!(catalog.list().len(), 5);
+        assert!(catalog.find_by_statement("statement 5").is_none());
+        assert!(catalog.find_by_statement("statement 0").is_some());
+        assert!(matches!(
+            catalog.load("view 5"),
+            Err(StoreError::Corrupt(_))
+        ));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// `sample_doc("my view/1", &[5, 6])` as the parent commit's
+    /// `ViewCatalog::save` wrote it.
+    const GOLDEN_VIEW: &[u8] = &[
+        0x44, 0x42, 0x56, 0x49, 0x45, 0x57, 0x01, 0x00, 0x09, 0x00, 0x00, 0x00, 0x6d, 0x79, 0x20,
+        0x76, 0x69, 0x65, 0x77, 0x2f, 0x31, 0x18, 0x00, 0x00, 0x00, 0x73, 0x65, 0x6c, 0x65, 0x63,
+        0x74, 0x20, 0x73, 0x2e, 0x75, 0x69, 0x64, 0x20, 0x69, 0x6e, 0x73, 0x70, 0x65, 0x63, 0x74,
+        0x20, 0x2e, 0x2e, 0x2e, 0x08, 0x00, 0x00, 0x00, 0x44, 0x65, 0x65, 0x70, 0x42, 0x61, 0x73,
+        0x65, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0xcd, 0xcc, 0x4c, 0x3d, 0x2a,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x6c, 0x04, 0x00,
+        0x00, 0x00, 0x63, 0x6f, 0x72, 0x72, 0x09, 0x00, 0x00, 0x00, 0x6b, 0x77, 0x3a, 0x53, 0x45,
+        0x4c, 0x45, 0x43, 0x54, 0x05, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0xff, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6d, 0x03, 0x00, 0x00, 0x00,
+        0x61, 0x6c, 0x6c, 0x04, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x72, 0x72, 0x09, 0x00, 0x00, 0x00,
+        0x6b, 0x77, 0x3a, 0x53, 0x45, 0x4c, 0x45, 0x43, 0x54, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0xc0, 0x7f, 0x00, 0x00, 0x00, 0x80, 0x16, 0xed, 0x0e, 0x56,
+    ];
+
+    #[test]
+    fn the_view_file_bytes_did_not_move() {
+        let doc = sample_doc("my view/1", &[5, 6]);
+        assert_eq!(doc.encode(), GOLDEN_VIEW);
+        assert_eq!(ViewDoc::decode(GOLDEN_VIEW, &"golden").unwrap(), doc);
+        for cut in 0..GOLDEN_VIEW.len() {
+            let err = ViewDoc::decode(&GOLDEN_VIEW[..cut], &"prefix").unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt(_)),
+                "prefix {cut}: {err:?}"
+            );
+        }
+        let longer = [GOLDEN_VIEW, &[0]].concat();
+        assert!(matches!(
+            ViewDoc::decode(&longer, &"longer"),
+            Err(StoreError::Corrupt(_))
+        ));
+        // Past the checksum, the body decoder itself refuses every cut.
+        let body = &GOLDEN_VIEW[8..GOLDEN_VIEW.len() - 4];
+        assert_eq!(ViewDoc::decode_body(body), Some(doc));
+        for cut in 0..body.len() {
+            assert_eq!(
+                ViewDoc::decode_body(&body[..cut]),
+                None,
+                "body prefix {cut}"
+            );
+        }
+        assert_eq!(ViewDoc::decode_body(&[body, &[0]].concat()), None);
     }
 }

@@ -122,7 +122,7 @@ proptest! {
         let bitmap = (k < nd).then(|| coverage_from_filled(&filled));
         let dir = test_dir("flip");
         let path = dir.join("u1.col");
-        format::write_column_file(&path, &dir.join("u1.tmp"), &meta, &data, bitmap.as_deref(), 7)
+        format::write_column_file(&path, &meta, &data, bitmap.as_deref(), 7)
             .unwrap();
         let pristine_bytes = std::fs::read(&path).unwrap();
         let pristine = read_everything(&path).expect("pristine file validates");
