@@ -58,12 +58,8 @@ impl Extractor for CharModelExtractor<'_> {
     }
 
     fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
-        if records.is_empty() {
-            return Matrix::zeros(0, unit_ids.len());
-        }
-        let inputs: Vec<Vec<u32>> = records.iter().map(|r| r.symbols.clone()).collect();
-        let full = self.model.extract_activations(&inputs);
-        select_columns(&full, unit_ids)
+        let inputs: Vec<&[u32]> = records.iter().map(|r| r.symbols.as_slice()).collect();
+        self.model.extract_units(&inputs, unit_ids)
     }
 
     fn fingerprint(&self) -> Option<u64> {
@@ -123,9 +119,9 @@ impl Extractor for Seq2SeqEncoderExtractor<'_> {
             }
             let acts = self.model.encoder_activations_all(&rec.symbols[..len]);
             for t in 0..len {
-                let dst = out.row_mut(ri * ns + t);
-                for (c, &u) in unit_ids.iter().enumerate() {
-                    dst[c] = acts.get(t, u);
+                let src = acts.row(t);
+                for (dst, &u) in out.row_mut(ri * ns + t).iter_mut().zip(unit_ids) {
+                    *dst = src[u];
                 }
             }
         }
@@ -247,8 +243,8 @@ pub fn extract_all(extractor: &dyn Extractor, dataset: &Dataset, unit_ids: &[usi
 /// matrices out of the union instead of re-running the extractor. All
 /// in-tree extractors are column-wise consistent — `extract(r, A)` column
 /// `i` equals `extract(r, B)` column `j` whenever `A[i] == B[j]`, because
-/// each computes the full activation row and selects columns — so the
-/// demuxed matrix is bit-identical to a direct extraction.
+/// each runs the whole forward pass and only then selects columns — so
+/// the demuxed matrix is bit-identical to a direct extraction.
 #[derive(Debug)]
 pub struct ColumnDemux {
     cols: Vec<usize>,

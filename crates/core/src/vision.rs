@@ -250,15 +250,13 @@ impl Extractor for CnnPixelExtractor<'_> {
     fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
         let ns = self.size * self.size;
         let mut out = Matrix::zeros(records.len() * ns, unit_ids.len());
-        for (ri, rec) in records.iter().enumerate() {
-            let Some(img) = self.images.get(rec.source_id) else {
-                continue;
-            };
-            let maps = self.cnn.unit_maps(&img.pixels);
-            for (c, &u) in unit_ids.iter().enumerate() {
-                for (p, &v) in maps[u].as_slice().iter().enumerate() {
-                    out.set(ri * ns + p, c, v);
-                }
+        if out.is_empty() {
+            return out;
+        }
+        let blocks = out.as_mut_slice().chunks_exact_mut(ns * unit_ids.len());
+        for (rec, block) in records.iter().zip(blocks) {
+            if let Some(img) = self.images.get(rec.source_id) {
+                self.cnn.unit_pixels(&img.pixels, unit_ids, block);
             }
         }
         out

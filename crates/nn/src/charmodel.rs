@@ -82,8 +82,10 @@ impl CharLstmModel {
         f(self.out.bias());
     }
 
-    /// Runs the recurrent stack over a batch of equal-length id sequences,
-    /// returning the LSTM cache (whose `hs` are the unit behaviors).
+    /// Training forward of the recurrent stack over a batch of equal-length
+    /// id sequences, returning the cache [`Lstm::backward`] consumes (for
+    /// `train_*` and the prediction heads; extraction goes through
+    /// [`Self::extract_units`]).
     pub fn run(&self, inputs: &[Vec<u32>]) -> LstmCache {
         let steps = inputs.first().map(|s| s.len()).unwrap_or(0);
         debug_assert!(inputs.iter().all(|s| s.len() == steps), "ragged batch");
@@ -99,14 +101,46 @@ impl CharLstmModel {
     /// Hidden-unit activations for a batch, flattened record-major:
     /// row `r * steps + t` holds the activations of record `r` at symbol
     /// `t`. This is the `|D|·ns x |U|` behavior matrix of paper §5.1.2.
-    pub fn extract_activations(&self, inputs: &[Vec<u32>]) -> Matrix {
-        let cache = self.run(inputs);
-        let steps = cache.len();
-        let batch = inputs.len();
-        let mut out = Matrix::zeros(batch * steps, self.hidden);
-        for (t, h) in cache.hs.iter().enumerate() {
-            for r in 0..batch {
-                out.row_mut(r * steps + t).copy_from_slice(h.row(r));
+    pub fn extract_activations<S: AsRef<[u32]>>(&self, inputs: &[S]) -> Matrix {
+        self.extract_rows(inputs, self.hidden, |dst, h| dst.copy_from_slice(h))
+    }
+
+    /// [`Self::extract_activations`] restricted to the columns `unit_ids`
+    /// (in that order): the inference forward writes only those from its
+    /// state buffer.
+    pub fn extract_units<S: AsRef<[u32]>>(&self, inputs: &[S], unit_ids: &[usize]) -> Matrix {
+        self.extract_rows(inputs, unit_ids.len(), |dst, h| {
+            for (d, &u) in dst.iter_mut().zip(unit_ids) {
+                *d = h[u];
+            }
+        })
+    }
+
+    /// Runs the inference forward over equal-length id sequences and lets
+    /// `write(dst, h)` fill each `width`-wide record-major output row from
+    /// that record's `h_t`.
+    fn extract_rows<S: AsRef<[u32]>>(
+        &self,
+        inputs: &[S],
+        width: usize,
+        write: impl Fn(&mut [f32], &[f32]),
+    ) -> Matrix {
+        let steps = inputs.first().map_or(0, |s| s.as_ref().len());
+        for (r, s) in inputs.iter().enumerate() {
+            // A longer record would be silently cut to record 0's length
+            // and its rows would stop lining up with `ns`.
+            assert!(
+                s.as_ref().len() == steps,
+                "ragged batch: record {r} has {} symbols, record 0 has {steps}",
+                s.as_ref().len()
+            );
+        }
+        let mut out = Matrix::zeros(inputs.len() * steps, width);
+        let mut state = self.lstm.forward_infer(inputs.len());
+        for t in 0..steps {
+            let h = state.step_ids(|r| inputs[r].as_ref()[t]);
+            for r in 0..inputs.len() {
+                write(out.row_mut(r * steps + t), h.row(r));
             }
         }
         out
@@ -321,6 +355,27 @@ mod tests {
         assert_eq!(acts.row(0), cache.hs[0].row(0));
         assert_eq!(acts.row(1), cache.hs[1].row(0));
         assert_eq!(acts.row(3), cache.hs[0].row(1));
+    }
+
+    #[test]
+    fn extract_units_selects_columns_in_request_order() {
+        let model = CharLstmModel::new(3, 5, OutputMode::LastStep, 6);
+        let inputs = [[0u32, 1, 2, 1], [2, 2, 0, 1]];
+        let all = model.extract_activations(&inputs);
+        let some = model.extract_units(&inputs, &[4, 0, 4]);
+        assert_eq!(some.shape(), (8, 3));
+        for r in 0..8 {
+            let row = all.row(r);
+            assert_eq!(some.row(r), &[row[4], row[0], row[4]]);
+        }
+        assert_eq!(model.extract_units(&inputs, &[]).shape(), (8, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged batch: record 1 has 3 symbols, record 0 has 2")]
+    fn ragged_batch_is_refused_in_every_build() {
+        let model = CharLstmModel::new(3, 4, OutputMode::LastStep, 7);
+        model.extract_activations(&[vec![0u32, 1], vec![2u32, 1, 0]]);
     }
 
     #[test]

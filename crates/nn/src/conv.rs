@@ -4,6 +4,15 @@
 //!
 //! Dimensions here are small (synthetic 16–32 px images), so the kernels
 //! are plain loops; clarity and correct gradients matter more than SIMD.
+//!
+//! As in [`crate::lstm`] there are two forwards. Training runs
+//! [`Conv2d::forward`] + [`relu_volume`] + [`maxpool2`], which keep the
+//! pre-activations, ReLU masks and pool argmaxes the backward pass
+//! consumes. Extraction ([`SmallCnn::unit_maps`],
+//! [`SmallCnn::unit_pixels`]) runs [`Conv2d::forward_infer`] and a
+//! max-only pool, which keep nothing — and produce the same bits: every
+//! output pixel starts from the bias and adds its in-range taps in the
+//! same `ic, ky, kx` order.
 
 use crate::adam::Adam;
 use crate::dense::Dense;
@@ -130,7 +139,8 @@ impl Conv2d {
         self.out_ch
     }
 
-    /// Forward pass (same spatial size thanks to padding).
+    /// Training forward (same spatial size thanks to padding): the
+    /// pre-activations, which [`relu_volume`] turns into output and mask.
     pub fn forward(&self, x: &Tensor3) -> Tensor3 {
         assert_eq!(x.c, self.in_ch, "conv input channels");
         let mut y = Tensor3::zeros(self.out_ch, x.h, x.w);
@@ -157,6 +167,51 @@ impl Conv2d {
                         }
                     }
                     y.set(oc, yy, xx, acc);
+                }
+            }
+        }
+        y
+    }
+
+    /// Inference forward fused with ReLU: the post-activation volume and
+    /// nothing else. An output row accumulates one tap at a time across
+    /// the whole row (a branch-free, vectorizable inner loop); a tap that
+    /// falls outside the image is left out of exactly the pixels the
+    /// range checks of [`Self::forward`] leave it out of, so each pixel
+    /// sums the same terms in the same order.
+    pub fn forward_infer(&self, x: &Tensor3) -> Tensor3 {
+        assert_eq!(x.c, self.in_ch, "conv input channels");
+        let (h, w) = (x.h, x.w);
+        let mut y = Tensor3::zeros(self.out_ch, h, w);
+        if w == 0 {
+            return y; // no pixels, and `acc[pad..]` below needs one
+        }
+        let pad = PAD as usize;
+        for oc in 0..self.out_ch {
+            let wrow = self.w.row(oc);
+            let bias = self.b.get(0, oc);
+            for yy in 0..h {
+                let acc = &mut y.data[(oc * h + yy) * w..][..w];
+                acc.fill(bias);
+                for ic in 0..self.in_ch {
+                    for ky in 0..K {
+                        // Source row `yy + ky - pad`, when it exists.
+                        let Some(sy) = (yy + ky).checked_sub(pad).filter(|&sy| sy < h) else {
+                            continue;
+                        };
+                        let src = &x.data[(ic * h + sy) * w..][..w];
+                        for kx in 0..K {
+                            let tap = wrow[(ic * K + ky) * K + kx];
+                            // Pixel `xx` reads `src[xx + kx - pad]`.
+                            let dst = &mut acc[pad.saturating_sub(kx)..];
+                            for (a, &s) in dst.iter_mut().zip(&src[kx.saturating_sub(pad)..]) {
+                                *a += tap * s;
+                            }
+                        }
+                    }
+                }
+                for a in acc {
+                    *a = if *a > 0.0 { *a } else { 0.0 };
                 }
             }
         }
@@ -263,6 +318,34 @@ pub fn maxpool2(x: &Tensor3) -> (Tensor3, Vec<usize>) {
     (y, argmax)
 }
 
+/// [`maxpool2`] without the argmax indices (inference).
+fn maxpool2_infer(x: &Tensor3) -> Tensor3 {
+    let (oh, ow) = (x.h / 2, x.w / 2);
+    let mut y = Tensor3::zeros(x.c, oh, ow);
+    for c in 0..x.c {
+        for yy in 0..oh {
+            let top = &x.data[(c * x.h + 2 * yy) * x.w..][..x.w];
+            let bottom = &x.data[(c * x.h + 2 * yy + 1) * x.w..][..x.w];
+            let out = &mut y.data[(c * oh + yy) * ow..][..ow];
+            for (xx, o) in out.iter_mut().enumerate() {
+                let mut best = f32::NEG_INFINITY;
+                for v in [
+                    top[2 * xx],
+                    top[2 * xx + 1],
+                    bottom[2 * xx],
+                    bottom[2 * xx + 1],
+                ] {
+                    if v > best {
+                        best = v;
+                    }
+                }
+                *o = best;
+            }
+        }
+    }
+    y
+}
+
 /// Backward of [`maxpool2`]: routes gradients to the argmax positions.
 pub fn maxpool2_backward(
     dy: &Tensor3,
@@ -284,10 +367,14 @@ pub fn upsample_nearest(map: &Matrix, h: usize, w: usize) -> Matrix {
     let sh = map.rows().max(1);
     let sw = map.cols().max(1);
     Matrix::from_fn(h, w, |y, x| {
-        let sy = (y * sh / h).min(sh - 1);
-        let sx = (x * sw / w).min(sw - 1);
-        map.get(sy, sx)
+        map.get(nearest_source(y, h, sh), nearest_source(x, w, sw))
     })
+}
+
+/// The source coordinate (of `src_len`) nearest-neighbour upsampling
+/// reads for destination coordinate `dst` (of `dst_len`).
+fn nearest_source(dst: usize, dst_len: usize, src_len: usize) -> usize {
+    (dst * src_len / dst_len).min(src_len - 1)
 }
 
 /// A small two-conv-block CNN classifier over `C x S x S` images.
@@ -333,15 +420,48 @@ impl SmallCnn {
         self.conv2.out_channels()
     }
 
+    /// Post-ReLU activations of the second conv layer at its own
+    /// resolution (inference forward).
+    fn unit_volume(&self, img: &Tensor3) -> Tensor3 {
+        let p1 = maxpool2_infer(&self.conv1.forward_infer(img));
+        self.conv2.forward_infer(&p1)
+    }
+
     /// Post-ReLU activation maps of the second conv layer — the "units"
     /// NetDissect inspects — upsampled to the input resolution.
     pub fn unit_maps(&self, img: &Tensor3) -> Vec<Matrix> {
-        let (a1, _) = relu_volume(&self.conv1.forward(img));
-        let (p1, _) = maxpool2(&a1);
-        let (a2, _) = relu_volume(&self.conv2.forward(&p1));
+        let a2 = self.unit_volume(img);
         (0..a2.c)
             .map(|c| upsample_nearest(&a2.channel(c), self.input_size, self.input_size))
             .collect()
+    }
+
+    /// The same upsampled maps pixel-major, for the channels `unit_ids`
+    /// only: `out` is an `S² x unit_ids.len()` row-major block whose row
+    /// `y * S + x` receives the requested channels at that pixel (one
+    /// record of a pixels-as-symbols behavior matrix).
+    pub fn unit_pixels(&self, img: &Tensor3, unit_ids: &[usize], out: &mut [f32]) {
+        let size = self.input_size;
+        assert_eq!(
+            out.len(),
+            size * size * unit_ids.len(),
+            "unit_pixels output shape"
+        );
+        if unit_ids.is_empty() {
+            return;
+        }
+        let a2 = self.unit_volume(img);
+        let mut rows = out.chunks_exact_mut(unit_ids.len());
+        for y in 0..size {
+            let sy = nearest_source(y, size, a2.h);
+            for x in 0..size {
+                let sx = nearest_source(x, size, a2.w);
+                let dst = rows.next().expect("S² rows");
+                for (d, &u) in dst.iter_mut().zip(unit_ids) {
+                    *d = a2.get(u, sy, sx);
+                }
+            }
+        }
     }
 
     /// Class probabilities for one image.
@@ -404,6 +524,7 @@ impl SmallCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parity::{bits, plant, SPECIAL_WEIGHTS};
     use deepbase_tensor::init::seeded_rng;
 
     #[test]
@@ -538,6 +659,79 @@ mod tests {
         }
         for q in 0..4 {
             assert_eq!(cnn.predict(&make(q)), q, "quadrant {q}");
+        }
+    }
+
+    /// `unit_maps` through the training forward — the reference the
+    /// inference path must reproduce.
+    fn training_unit_maps(cnn: &SmallCnn, img: &Tensor3) -> Vec<Matrix> {
+        let (a1, _) = relu_volume(&cnn.conv1.forward(img));
+        let (p1, _) = maxpool2(&a1);
+        let (a2, _) = relu_volume(&cnn.conv2.forward(&p1));
+        (0..a2.c)
+            .map(|c| upsample_nearest(&a2.channel(c), cnn.input_size, cnn.input_size))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Parity is the contract, one for all three families: conv +
+        /// ReLU agree bit for bit at every shape, including ones where
+        /// every pixel is a border pixel.
+        #[test]
+        fn conv_inference_is_the_training_forward_plus_relu(
+            seed in 0u64..10_000,
+            in_ch in 1usize..4,
+            out_ch in 1usize..4,
+            h in 0usize..8,
+            w in 0usize..8,
+            specials in proptest::collection::vec((0usize..10_000, 0usize..SPECIAL_WEIGHTS.len()), 0..16),
+        ) {
+            let mut rng = seeded_rng(seed);
+            let mut conv = Conv2d::new(in_ch, out_ch, &mut rng);
+            plant(&mut conv.w, &specials);
+            plant(&mut conv.b, &specials[..specials.len().min(2)]);
+            let img = Tensor3::from_fn(in_ch, h, w, |_, _, _| {
+                let v: f32 = rng.gen_range(-1.0..1.0);
+                // A fifth of the pixels are exact (signed) zeros.
+                if v.abs() < 0.2 { v * 0.0 } else { v }
+            });
+            let (expected, _) = relu_volume(&conv.forward(&img));
+            let got = conv.forward_infer(&img);
+            proptest::prop_assert_eq!((got.c, got.h, got.w), (out_ch, h, w));
+            proptest::prop_assert_eq!(bits(got.as_slice()), bits(expected.as_slice()));
+        }
+
+        /// The whole extraction path, at image sides where the pool
+        /// floors (odd) and down to 2x2; `unit_pixels` is the same maps
+        /// pixel-major, restricted to the requested channels.
+        #[test]
+        fn unit_maps_and_unit_pixels_are_the_training_forward(
+            seed in 0u64..10_000,
+            side in 2usize..12,
+            unit_picks in proptest::collection::vec(0usize..100, 0..7),
+            specials in proptest::collection::vec((0usize..10_000, 0usize..SPECIAL_WEIGHTS.len()), 0..16),
+        ) {
+            let mut cnn = SmallCnn::new(2, 8, 3, 5, 2, seed);
+            plant(&mut cnn.conv1.w, &specials);
+            plant(&mut cnn.conv2.w, &specials);
+            let mut rng = seeded_rng(seed ^ 0x5eed);
+            let img = Tensor3::from_fn(2, side, side, |_, _, _| rng.gen_range(-1.0..1.0));
+            let expected = training_unit_maps(&cnn, &img);
+            let maps = cnn.unit_maps(&img);
+            proptest::prop_assert_eq!(maps.len(), expected.len());
+            for (got, want) in maps.iter().zip(&expected) {
+                proptest::prop_assert_eq!(got.shape(), (8, 8));
+                proptest::prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+            }
+            let unit_ids: Vec<usize> = unit_picks.iter().map(|u| u % 5).collect();
+            let mut pixels = vec![f32::NAN; 64 * unit_ids.len()];
+            cnn.unit_pixels(&img, &unit_ids, &mut pixels);
+            for (p, row) in pixels.chunks(unit_ids.len().max(1)).enumerate() {
+                let want: Vec<f32> = unit_ids.iter().map(|&u| expected[u].as_slice()[p]).collect();
+                proptest::prop_assert_eq!(bits(row), bits(&want), "pixel {}", p);
+            }
         }
     }
 

@@ -35,12 +35,17 @@ impl Embedding {
         self.table.rows()
     }
 
+    /// The embedding of one token id (ids past the vocabulary clamp to
+    /// its last entry).
+    pub fn row(&self, id: u32) -> &[f32] {
+        self.table.row((id as usize).min(self.vocab() - 1))
+    }
+
     /// Looks up a batch of token ids, producing `B x D`.
     pub fn forward(&self, ids: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(ids.len(), self.dim());
         for (r, &id) in ids.iter().enumerate() {
-            let id = (id as usize).min(self.vocab() - 1);
-            out.row_mut(r).copy_from_slice(self.table.row(id));
+            out.row_mut(r).copy_from_slice(self.row(id));
         }
         out
     }

@@ -4,7 +4,24 @@
 //! SQL auto-completion model (one LSTM layer, §2.1), the Appendix C
 //! 16-unit specialization model, and both stacks of the OpenNMT-style
 //! encoder–decoder (§6.3). The hidden-state sequence `h_t` is exactly what
-//! DeepBase extracts as unit behaviors, so the forward pass retains it.
+//! DeepBase extracts as unit behaviors.
+//!
+//! There are two forwards, one per job:
+//!
+//! * [`Lstm::forward`] / [`Lstm::forward_from`] — the **training**
+//!   forward. It retains everything [`Lstm::backward`] consumes (inputs,
+//!   gates, cell states, `tanh(c)`) in an [`LstmCache`], and is for
+//!   `train_*`, decoding heads and tests.
+//! * [`Lstm::forward_infer`] — the **inference** forward behind every
+//!   extractor. It steps two reused state buffers and one gate buffer and
+//!   retains nothing; the caller copies each `h_t` where it wants it.
+//!
+//! The two are bit-identical per element — `z = ((x·Wx) + (h·Wh)) + b`
+//! with both products from the blocked mat-mul kernel, the same
+//! `ops::sigmoid` / `f32::tanh` calls, `c = f·c_prev + i·g`,
+//! `h = o·tanh(c)` — because stored behavior columns are keyed by the
+//! model's weights, not by which forward produced them
+//! (`tests/proptests.rs` pins it).
 //!
 //! Gate layout in the packed `4H` dimension: `[i | f | g | o]`
 //! (input, forget, candidate, output).
@@ -33,13 +50,13 @@ pub struct Lstm {
     grad_b: Matrix,
 }
 
-/// Everything the backward pass needs, plus the activations DeepBase
-/// extracts. Index `t` refers to timestep `t` (0-based).
+/// Everything the backward pass needs (the training forward's output).
+/// Index `t` refers to timestep `t` (0-based).
 #[derive(Debug, Clone)]
 pub struct LstmCache {
     /// Input at each step (`B x input_dim`).
     pub xs: Vec<Matrix>,
-    /// Hidden state after each step (`B x H`) — the unit behaviors.
+    /// Hidden state after each step (`B x H`).
     pub hs: Vec<Matrix>,
     /// Cell state after each step.
     pub cs: Vec<Matrix>,
@@ -108,7 +125,7 @@ impl Lstm {
         self.input_dim
     }
 
-    /// Runs the layer over a sequence starting from zero state.
+    /// Training forward over a sequence starting from zero state.
     /// `xs[t]` is the `B x input_dim` input at step `t`.
     pub fn forward(&self, xs: &[Matrix]) -> LstmCache {
         let batch = xs.first().map(|m| m.rows()).unwrap_or(0);
@@ -117,7 +134,7 @@ impl Lstm {
         self.forward_from(xs, h0, c0)
     }
 
-    /// Runs the layer from a given initial state (decoder use).
+    /// Training forward from a given initial state (decoder use).
     pub fn forward_from(&self, xs: &[Matrix], h0: Matrix, c0: Matrix) -> LstmCache {
         let mut cache = LstmCache {
             xs: xs.to_vec(),
@@ -174,6 +191,18 @@ impl Lstm {
             cache.hs.push(h);
         }
         cache
+    }
+
+    /// Starts an inference forward over `batch` sequences from zero
+    /// state: step it once per timestep and read `h_t` after each step.
+    pub fn forward_infer(&self, batch: usize) -> LstmInfer<'_> {
+        LstmInfer {
+            lstm: self,
+            h: Matrix::zeros(batch, self.hidden),
+            c: Matrix::zeros(batch, self.hidden),
+            z: Matrix::zeros(batch, 4 * self.hidden),
+            xz: Matrix::zeros(0, 0),
+        }
     }
 
     /// Back-propagates through time.
@@ -297,6 +326,85 @@ impl Lstm {
     #[doc(hidden)]
     pub fn grad_wh(&self) -> &Matrix {
         &self.grad_wh
+    }
+}
+
+/// An inference forward in progress ([`Lstm::forward_infer`]): the
+/// recurrent state of `B` sequences and the buffers one step reuses.
+#[derive(Debug)]
+pub struct LstmInfer<'l> {
+    lstm: &'l Lstm,
+    /// `h_t` (`B x H`), the left operand of the next step's `h·Wh`.
+    h: Matrix,
+    /// `c_t` (`B x H`).
+    c: Matrix,
+    /// `B x 4H`: `h·Wh`, then the pre-activations `z` in place.
+    z: Matrix,
+    /// `B x 4H`: `x·Wx` of a dense step (empty until the first one).
+    xz: Matrix,
+}
+
+impl LstmInfer<'_> {
+    /// One step on one-hot inputs: `id_of(r)` is the token of batch row
+    /// `r`, clamped to the last vocabulary entry like
+    /// [`crate::one_hot_batch`]. Returns `h_t`.
+    ///
+    /// A one-hot row times `Wx` is row `id` of `Wx` through the mat-mul
+    /// kernel's zero-initialised accumulator, i.e. `Wx[id][j] + 0.0` (a
+    /// `-0.0` weight comes out `+0.0`). The gather keeps that addition, so
+    /// each term equals the training forward's on its own — not only
+    /// because `h·Wh`, from the same accumulator, is never `-0.0` either.
+    pub fn step_ids(&mut self, id_of: impl Fn(usize) -> u32) -> &Matrix {
+        let lstm = self.lstm;
+        self.h.matmul_into(&lstm.wh, &mut self.z);
+        let last = lstm.input_dim.saturating_sub(1);
+        let bias = lstm.b.row(0);
+        for r in 0..self.h.rows() {
+            let x = lstm.wx.row((id_of(r) as usize).min(last));
+            for ((z, &x), &b) in self.z.row_mut(r).iter_mut().zip(x).zip(bias) {
+                *z = ((x + 0.0) + *z) + b;
+            }
+        }
+        self.gates()
+    }
+
+    /// One step on dense inputs `x` (`B x input_dim`). Returns `h_t`.
+    pub fn step_rows(&mut self, x: &Matrix) -> &Matrix {
+        let lstm = self.lstm;
+        if self.xz.shape() != self.z.shape() {
+            self.xz = Matrix::zeros(self.z.rows(), self.z.cols());
+        }
+        x.matmul_into(&lstm.wx, &mut self.xz);
+        self.h.matmul_into(&lstm.wh, &mut self.z);
+        let bias = lstm.b.row(0);
+        for r in 0..self.h.rows() {
+            let x = self.xz.row(r);
+            for ((z, &x), &b) in self.z.row_mut(r).iter_mut().zip(x).zip(bias) {
+                *z = (x + *z) + b;
+            }
+        }
+        self.gates()
+    }
+
+    /// Gate nonlinearities fused with the cell update, from `z` into the
+    /// state buffers.
+    fn gates(&mut self) -> &Matrix {
+        let hsz = self.lstm.hidden;
+        for r in 0..self.h.rows() {
+            let (zi, rest) = self.z.row(r).split_at(hsz);
+            let (zf, rest) = rest.split_at(hsz);
+            let (zg, zo) = rest.split_at(hsz);
+            let cells = self.c.row_mut(r).iter_mut().zip(self.h.row_mut(r));
+            for ((((c, h), &zi), &zf), (&zg, &zo)) in cells.zip(zi).zip(zf).zip(zg.iter().zip(zo)) {
+                let i = ops::sigmoid(zi);
+                let f = ops::sigmoid(zf);
+                let g = zg.tanh();
+                let o = ops::sigmoid(zo);
+                *c = f * *c + i * g;
+                *h = o * c.tanh();
+            }
+        }
+        &self.h
     }
 }
 

@@ -72,7 +72,8 @@ impl Seq2Seq {
         self.hidden
     }
 
-    /// Runs the encoder stack, returning both layer caches.
+    /// Training forward of the encoder stack, returning both layer caches
+    /// (for `train_pair` and the decoding heads).
     fn encode(&self, src: &[u32]) -> (LstmCache, LstmCache) {
         let xs: Vec<Matrix> = src.iter().map(|&id| self.src_emb.forward(&[id])).collect();
         let enc1 = self.enc1.forward(&xs);
@@ -80,20 +81,45 @@ impl Seq2Seq {
         (enc1, enc2)
     }
 
+    /// Inference forward of the encoder stack: both layers step in
+    /// lockstep, layer 1 reading layer 0's `h_t` from its state buffer,
+    /// and `emit(t, h0_t, h1_t)` sees each step's two hidden rows.
+    fn encode_infer(&self, src: &[u32], mut emit: impl FnMut(usize, &[f32], &[f32])) {
+        let mut l0 = self.enc1.forward_infer(1);
+        let mut l1 = self.enc2.forward_infer(1);
+        let mut x = Matrix::zeros(1, self.src_emb.dim());
+        for (t, &id) in src.iter().enumerate() {
+            x.row_mut(0).copy_from_slice(self.src_emb.row(id));
+            let h0 = l0.step_rows(&x);
+            let h1 = l1.step_rows(h0);
+            emit(t, h0.row(0), h1.row(0));
+        }
+    }
+
     /// Encoder hidden states per layer for a source sentence: two
     /// `src_len x hidden` matrices (layer 0, layer 1). These are the unit
     /// behaviors the paper's POS probes consume (§6.3.1: "trained from the
     /// encoder's hidden layer activations").
     pub fn encoder_activations(&self, src: &[u32]) -> (Matrix, Matrix) {
-        let (enc1, enc2) = self.encode(src);
-        (stack_states(&enc1.hs), stack_states(&enc2.hs))
+        let mut l0 = Matrix::zeros(src.len(), self.hidden);
+        let mut l1 = Matrix::zeros(src.len(), self.hidden);
+        self.encode_infer(src, |t, h0, h1| {
+            l0.row_mut(t).copy_from_slice(h0);
+            l1.row_mut(t).copy_from_slice(h1);
+        });
+        (l0, l1)
     }
 
     /// Both encoder layers side by side (`src_len x 2*hidden`), the "all
     /// 1000 units" view of Fig. 12.
     pub fn encoder_activations_all(&self, src: &[u32]) -> Matrix {
-        let (l0, l1) = self.encoder_activations(src);
-        l0.hstack(&l1).expect("encoder layers share src_len")
+        let mut out = Matrix::zeros(src.len(), 2 * self.hidden);
+        self.encode_infer(src, |t, h0, h1| {
+            let (left, right) = out.row_mut(t).split_at_mut(h0.len());
+            left.copy_from_slice(h0);
+            right.copy_from_slice(h1);
+        });
+        out
     }
 
     /// One training step (teacher forcing) on a sentence pair; returns the
@@ -280,15 +306,6 @@ impl Seq2Seq {
     }
 }
 
-fn stack_states(hs: &[Matrix]) -> Matrix {
-    let hidden = hs.first().map(|h| h.cols()).unwrap_or(0);
-    let mut out = Matrix::zeros(hs.len(), hidden);
-    for (t, h) in hs.iter().enumerate() {
-        out.row_mut(t).copy_from_slice(h.row(0));
-    }
-    out
-}
-
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
@@ -296,6 +313,7 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parity::{bits, plant, SPECIAL_WEIGHTS};
 
     /// Tiny copy-ish corpus: target is source shifted by a fixed mapping.
     fn toy_pairs() -> Vec<(Vec<u32>, Vec<u32>)> {
@@ -389,6 +407,67 @@ mod tests {
             !a.approx_eq(&b, 1e-3),
             "training must change encoder activations"
         );
+    }
+
+    /// The training forward's encoder states, stacked `src_len x hidden`
+    /// per layer — the reference the inference forward must reproduce.
+    fn training_encoder_activations(model: &Seq2Seq, src: &[u32]) -> (Matrix, Matrix) {
+        let stack = |hs: &[Matrix]| {
+            let mut out = Matrix::zeros(hs.len(), model.hidden);
+            for (t, h) in hs.iter().enumerate() {
+                out.row_mut(t).copy_from_slice(h.row(0));
+            }
+            out
+        };
+        let (enc1, enc2) = model.encode(src);
+        (stack(&enc1.hs), stack(&enc2.hs))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Parity is the contract, one for all three families: the
+        /// inference forward reproduces the training forward bit for bit
+        /// — on one-token sentences, on sentences that carry their
+        /// padding (id 0) and on ids past the vocabulary, with
+        /// signed-zero, denormal and huge weights.
+        #[test]
+        fn encoder_inference_is_the_training_forward(
+            seed in 0u64..10_000,
+            hidden in 1usize..8,
+            emb_dim in 1usize..7,
+            body in proptest::collection::vec(0u32..16, 1..9),
+            padding in 0usize..4,
+            specials in proptest::collection::vec(
+                (0usize..10_000, 0usize..SPECIAL_WEIGHTS.len()),
+                0..24,
+            ),
+        ) {
+            let mut model = Seq2Seq::new(12, 12, emb_dim, hidden, seed);
+            for layer in [&mut model.enc1, &mut model.enc2] {
+                plant(layer.wx_mut(), &specials);
+                plant(layer.wh_mut(), &specials);
+            }
+            let mut src = body;
+            src.resize(src.len() + padding, 0);
+            let (t0, t1) = training_encoder_activations(&model, &src);
+            let (l0, l1) = model.encoder_activations(&src);
+            proptest::prop_assert_eq!(bits(l0.as_slice()), bits(t0.as_slice()));
+            proptest::prop_assert_eq!(bits(l1.as_slice()), bits(t1.as_slice()));
+            let all = model.encoder_activations_all(&src);
+            proptest::prop_assert_eq!(all.shape(), (src.len(), 2 * hidden));
+            for t in 0..src.len() {
+                let (left, right) = all.row(t).split_at(hidden);
+                proptest::prop_assert_eq!(bits(left), bits(t0.row(t)));
+                proptest::prop_assert_eq!(bits(right), bits(t1.row(t)));
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_sentence_has_no_rows() {
+        let model = Seq2Seq::new(10, 10, 4, 3, 5);
+        assert_eq!(model.encoder_activations_all(&[]).shape(), (0, 6));
     }
 
     #[test]

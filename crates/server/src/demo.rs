@@ -36,20 +36,8 @@ impl Extractor for CountingLstmExtractor {
 
     fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
         self.forward_passes.fetch_add(1, Ordering::SeqCst);
-        if records.is_empty() {
-            return Matrix::zeros(0, unit_ids.len());
-        }
-        let inputs: Vec<Vec<u32>> = records.iter().map(|r| r.symbols.clone()).collect();
-        let full = self.model.extract_activations(&inputs);
-        let mut out = Matrix::zeros(full.rows(), unit_ids.len());
-        for r in 0..full.rows() {
-            let src = full.row(r);
-            let dst = out.row_mut(r);
-            for (c, &u) in unit_ids.iter().enumerate() {
-                dst[c] = src[u];
-            }
-        }
-        out
+        let inputs: Vec<&[u32]> = records.iter().map(|r| r.symbols.as_slice()).collect();
+        self.model.extract_units(&inputs, unit_ids)
     }
 
     fn fingerprint(&self) -> Option<u64> {

@@ -6,12 +6,18 @@
 //! mix a constant column (pruned from its zone map), ±1 columns
 //! (dictionary blocks) and raw ones, and each streamed block of 32
 //! shuffled records touches most of a column's 24 stored blocks.
+//!
+//! And the store outlives the code that filled it: columns written from
+//! the char-LSTM's *training* forward (all a store could hold before the
+//! inference forward existed), half of them partial, are scanned and
+//! resumed by today's extractor to the bit.
 
 use deepbase_repro::deepbase::prelude::*;
 use deepbase_repro::deepbase::query::UnitMeta;
+use deepbase_repro::nn::{CharLstmModel, OutputMode};
 use deepbase_repro::tensor::Matrix;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const NS: usize = 16;
 const UNITS: usize = 10;
@@ -26,8 +32,8 @@ const QUERIES: [&str; 2] = [
      FROM models M, units U, hypotheses H, inputs D WHERE H.name = 'is_a' AND U.uid < 9",
 ];
 
-fn catalog() -> (Catalog, Arc<CountingExtractor>) {
-    let records: Vec<Record> = (0..RECORDS)
+fn records() -> Vec<Record> {
+    (0..RECORDS)
         .map(|i| {
             let text: String = (0..NS)
                 .map(|t| match (i * 7 + t * 3) % 5 {
@@ -36,9 +42,14 @@ fn catalog() -> (Catalog, Arc<CountingExtractor>) {
                     _ => 'c',
                 })
                 .collect();
-            Record::standalone(i, text.chars().map(|c| c as u32).collect(), text)
+            let symbols = text.chars().map(|c| c as u32 - 'a' as u32).collect();
+            Record::standalone(i, symbols, text)
         })
-        .collect();
+        .collect()
+}
+
+fn catalog() -> (Catalog, Arc<CountingExtractor>) {
+    let records = records();
     let mut behaviors = Matrix::zeros(RECORDS * NS, UNITS);
     for rec in &records {
         for (t, c) in rec.text.chars().enumerate() {
@@ -51,15 +62,22 @@ fn catalog() -> (Catalog, Arc<CountingExtractor>) {
             }
         }
     }
-    let counting = Arc::new(CountingExtractor::new(Arc::new(PrecomputedExtractor::new(
-        behaviors, NS,
-    ))));
+    catalog_over(Arc::new(PrecomputedExtractor::new(behaviors, NS)), records)
+}
+
+fn catalog_over(
+    extractor: Arc<dyn Extractor>,
+    records: Vec<Record>,
+) -> (Catalog, Arc<CountingExtractor>) {
+    let counting = Arc::new(CountingExtractor::new(extractor));
     let mut catalog = Catalog::new();
     catalog.add_model_with_units(
         "m1",
         0,
         Arc::<CountingExtractor>::clone(&counting),
-        (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
+        (0..counting.n_units())
+            .map(|uid| UnitMeta { uid, layer: 0 })
+            .collect(),
     );
     catalog.add_hypotheses(
         "is_a",
@@ -82,9 +100,17 @@ fn inspection() -> InspectionConfig {
 }
 
 fn session_at(dir: &Path, pool_bytes: usize) -> (Session, Arc<CountingExtractor>) {
-    let (catalog, counting) = catalog();
+    session_over(catalog(), inspection(), dir, pool_bytes)
+}
+
+fn session_over(
+    (catalog, counting): (Catalog, Arc<CountingExtractor>),
+    inspection: InspectionConfig,
+    dir: &Path,
+    pool_bytes: usize,
+) -> (Session, Arc<CountingExtractor>) {
     let config = SessionConfig {
-        inspection: inspection(),
+        inspection,
         store: Some(StoreConfig {
             block_records: STORED_BLOCK,
             pool_bytes,
@@ -95,6 +121,14 @@ fn session_at(dir: &Path, pool_bytes: usize) -> (Session, Arc<CountingExtractor>
     (Session::with_config(catalog, config), counting)
 }
 
+fn store_dir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target/tmp-warm-store")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_quarter() {
     let reference = catalog()
@@ -102,10 +136,7 @@ fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_q
         .run_batch(&QUERIES, &inspection())
         .unwrap()
         .tables;
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("target/tmp-warm-store")
-        .join(format!("warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = store_dir("warm");
 
     let (mut populate, extractor) = session_at(&dir, 64 << 20);
     let out = populate.run_batch(&QUERIES).unwrap();
@@ -138,5 +169,80 @@ fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_q
             assert!(store.pool_hits > store.pool_misses, "{store:?}");
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const LSTM_UNITS: usize = 8;
+
+fn char_model() -> &'static CharLstmModel {
+    static MODEL: OnceLock<CharLstmModel> = OnceLock::new();
+    MODEL.get_or_init(|| CharLstmModel::new(3, LSTM_UNITS, OutputMode::LastStep, 17))
+}
+
+/// What filled every char-LSTM store before the inference forward
+/// existed: the training forward's hidden states, record-major, under
+/// the fingerprint of the model's weights.
+struct TrainingForwardExtractor(&'static CharLstmModel);
+
+impl Extractor for TrainingForwardExtractor {
+    fn n_units(&self) -> usize {
+        self.0.hidden()
+    }
+
+    fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
+        let inputs: Vec<Vec<u32>> = records.iter().map(|r| r.symbols.clone()).collect();
+        let hs = self.0.run(&inputs).hs;
+        Matrix::from_fn(records.len() * hs.len(), unit_ids.len(), |row, c| {
+            hs[row % hs.len()].get(row / hs.len(), unit_ids[c])
+        })
+    }
+
+    fn fingerprint(&self) -> Option<u64> {
+        Some(char_model_fingerprint(self.0))
+    }
+}
+
+#[test]
+fn a_store_filled_by_the_training_forward_is_scanned_and_resumed_by_the_inference_forward() {
+    const Q_ALL: &str = QUERIES[0];
+    let q_half = |filter: &str| format!("{Q_ALL} WHERE {filter}");
+    let old = || catalog_over(Arc::new(TrainingForwardExtractor(char_model())), records());
+    let new = || catalog_over(Arc::new(CharModelExtractor::new(char_model())), records());
+    let reference = new().0.run_batch(&[Q_ALL], &inspection()).unwrap().tables;
+    let dir = store_dir("old-store");
+
+    // The old store: units 0..4 streamed to the end (complete columns),
+    // units 4..8 interrupted after one of the twelve blocks (partial
+    // columns with a watermark).
+    let (mut full, _) = session_over(old(), inspection(), &dir, 64 << 20);
+    let out = full.run_batch(&[&q_half("U.uid < 4")]).unwrap();
+    assert_eq!(out.report.store.columns_written, LSTM_UNITS / 2);
+    drop(full);
+    let mut interrupted = inspection();
+    interrupted.budget.max_blocks = Some(1);
+    let (mut part, _) = session_over(old(), interrupted, &dir, 64 << 20);
+    let out = part.run_batch(&[&q_half("U.uid >= 4")]).unwrap();
+    assert_eq!(out.report.store.partial_columns_written, LSTM_UNITS / 2);
+    assert_eq!(out.report.store.columns_written, 0);
+    drop(part);
+
+    // Today's extractor over that store: complete columns scan, partial
+    // ones scan to the watermark and resume live — through the inference
+    // forward, whose every sum must therefore land on the training
+    // forward's bits, or the table moves.
+    let (mut warm, extractor) = session_over(new(), inspection(), &dir, 64 << 20);
+    let out = warm.run_batch(&[Q_ALL]).unwrap();
+    assert_eq!(out.tables, reference);
+    let store = &out.report.store;
+    assert_eq!(store.error_count, 0, "{:?}", store.errors);
+    assert_eq!(store.columns_scanned, LSTM_UNITS);
+    assert_eq!(store.partial_columns_scanned, LSTM_UNITS / 2);
+    assert_eq!(store.forward_passes_avoided, 1);
+    assert_eq!(extractor.calls(), RECORDS / STREAM_BLOCK - 1);
+    assert_eq!(
+        old().0.run_batch(&[Q_ALL], &inspection()).unwrap().tables,
+        reference,
+        "the two forwards answer alike without a store in between"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
