@@ -49,10 +49,11 @@
 //!    the union of member hypotheses by function identity (Arc-shared
 //!    catalog sets collapse, same-id-different-function registrations
 //!    stay separate); and deduplicated measure-state slots — one state
-//!    per `(units, measure, hypothesis)` for an independent measure, one
-//!    composite per `(units, measure, hypothesis list)` for a merged one,
-//!    the exact keys that keep every member's scores bit-identical to a
-//!    standalone [`inspect`] call.
+//!    per `(units, measure, hypothesis)` for a per-pair state, one
+//!    composite per `(units, measure, hypothesis list)` for a merged one
+//!    (measures by identity too, not by id), the exact keys that keep
+//!    every member's scores bit-identical to a standalone [`inspect`]
+//!    call.
 //! 2. **One stream per dataset segment.** A seeded shuffle of the
 //!    segment's records (segment 0 keeps the session seed), a block at a
 //!    time: unit behaviors are fetched once per block — extracted live,
@@ -82,9 +83,10 @@
 //! * `!full_pass` (one stream): **early stopping** — a slot stops being
 //!   fed the moment its error meets epsilon and the stream ends when
 //!   every member converged (§5.2.3), persisting the streamed prefix as
-//!   resumable partial columns; **model merging** — measures that support
-//!   it (`logreg`) train one composite per hypothesis list; extraction
-//!   runs on the configured [`Device`].
+//!   resumable partial columns; **merged states** — a measure that offers
+//!   one runs one composite per hypothesis list (`logreg` trains one
+//!   multi-output model, the buffered measures keep one unit sample);
+//!   extraction runs on the configured [`Device`].
 //! * `full_pass`: every block of every streamed segment is processed, so
 //!   folded scores and extractor call counts do not depend on device or
 //!   segment schedule, ε only classifies pairs as pending, and
@@ -97,10 +99,10 @@
 //!   deadline and cancellation stay global, and the lowest-index
 //!   interruption is the pass's completion status.
 //!
-//! Sharing requires that measure ids uniquely identify their behavior
-//! within one pass (catalog-driven batches satisfy this by construction)
-//! and that extractors are column-wise consistent (all in-tree ones
-//! compute full activation rows and select columns). A configured
+//! Sharing requires that extractors are column-wise consistent (all
+//! in-tree ones compute full activation rows and select columns); two
+//! measures answering to one id stay separate slots, though their result
+//! rows then differ only in position. A configured
 //! [`HypothesisCache`] keys on `(dataset id, hypothesis id, record)`, so
 //! callers must not combine one with same-id-different-function
 //! hypotheses (the batch scheduler detects this and withholds its
@@ -668,15 +670,17 @@ fn inspect_materialized(
                         }
                         start = end;
                     }
-                    for (h, hyp) in req.hypotheses.iter().enumerate() {
+                    for (hyp, (unit_scores, group_score)) in
+                        req.hypotheses.iter().zip(state.final_scores())
+                    {
                         emit_rows(
                             &mut frame,
                             req,
                             group,
                             measure.id(),
                             hyp.id(),
-                            &state.unit_scores(h),
-                            state.group_score(h),
+                            &unit_scores,
+                            group_score,
                         );
                     }
                 }
@@ -842,13 +846,16 @@ struct Selection {
 }
 
 /// One deduplicated measure-state slot. Hypotheses are identified by
-/// their union column index (function identity), not id string, so
-/// same-id-different-function registrations never conflate. An
-/// independent measure scores each pair in isolation, so any member
-/// naming the same `(units, measure id, hypothesis column)` shares the
-/// slot; a merged composite trains one model over its full hypothesis
-/// list, so the exact ordered list is part of its identity (anything
-/// less would change member scores).
+/// their union column index (function identity) and measures by
+/// [`measure_key`], not by id string, so same-id-different-function
+/// registrations never conflate. A per-pair state scores each pair in
+/// isolation, so any member naming the same `(units, measure, hypothesis
+/// column)` shares the slot. A merged composite's identity is its exact
+/// ordered hypothesis list: a logreg composite trains one model over the
+/// list (anything less would change member scores), and a buffered
+/// composite keeps one sample for the list — members naming different
+/// lists over one `(units, measure)` get one sample per distinct list,
+/// never more than one per member.
 struct Slot<'a> {
     /// Index into the unique unit-selection list.
     sel: usize,
@@ -898,6 +905,59 @@ struct PassLayout<'a> {
 enum SlotState {
     PerHyp(Box<dyn MeasureState>),
     Merged(Box<dyn MergedState>),
+}
+
+impl SlotState {
+    /// Final `(unit scores, group score)` per slot hypothesis, one call
+    /// per slot: whatever a merged state derives per unit is derived once
+    /// for the whole list.
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        match self {
+            SlotState::PerHyp(state) => vec![state.final_scores()],
+            SlotState::Merged(state) => state.final_scores(),
+        }
+    }
+}
+
+/// Identity of a measure within a pass: where it lives, plus its id. The
+/// id alone would conflate two differently configured measures answering
+/// to one name (two `JaccardMeasure` quantiles); the address alone would
+/// conflate distinct zero-sized measures, which may all sit at one
+/// dangling address. Arc-shared catalog measures still collapse.
+pub(crate) type MeasureKey = (usize, String);
+
+pub(crate) fn measure_key(measure: &dyn Measure) -> MeasureKey {
+    let address = measure as *const dyn Measure as *const u8 as usize;
+    (address, measure.id().to_string())
+}
+
+/// The one answer to "does this (measure, shape) run as a merged
+/// composite?", shared by the pass layout and the optimizer's estimate
+/// (`EXPLAIN`): only off a full pass — merged states have no
+/// `merge_from` / `serialize_state`, so folded and view passes build
+/// per-pair slots — and only if the measure offers a merged state. The
+/// probe is memoized per `(measure, n_units, n_hyps)`, its exact inputs,
+/// since the trait lets the answer depend on the shape.
+pub(crate) struct MergeProbe {
+    full_pass: bool,
+    probed: HashMap<(MeasureKey, usize, usize), bool>,
+}
+
+impl MergeProbe {
+    pub(crate) fn new(full_pass: bool) -> MergeProbe {
+        MergeProbe {
+            full_pass,
+            probed: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn merges(&mut self, measure: &dyn Measure, n_units: usize, n_hyps: usize) -> bool {
+        !self.full_pass
+            && *self
+                .probed
+                .entry((measure_key(measure), n_units, n_hyps))
+                .or_insert_with(|| measure.new_merged_state(n_units, n_hyps).is_some())
+    }
 }
 
 struct SlotRun {
@@ -958,15 +1018,27 @@ pub(crate) struct FoldOpts<'a> {
     pub capture_states: bool,
 }
 
+impl FoldOpts<'_> {
+    fn needs_fold_point(&self) -> bool {
+        self.capture_states || self.skip_segments > 0
+    }
+
+    /// The derived policy switch of a pass over `dataset` (module docs,
+    /// *One streaming pass*).
+    pub(crate) fn full_pass(&self, dataset: &Dataset) -> bool {
+        dataset.segment_count() > 1 || self.needs_fold_point()
+    }
+}
+
 impl<'a> PassLayout<'a> {
     /// Builds the sharing structure for `reqs` (which name one
-    /// `(extractor, dataset)` pair). With `merge_models` a measure that
-    /// supports model merging gets one composite slot per member
-    /// hypothesis list; without it every slot is per-pair.
+    /// `(extractor, dataset)` pair). Off a full pass a measure that offers
+    /// a merged state gets one composite slot per member hypothesis list
+    /// ([`MergeProbe`]); on one every slot is per-pair.
     fn build(
         reqs: &[InspectionRequest<'a>],
         config: &InspectionConfig,
-        merge_models: bool,
+        full_pass: bool,
     ) -> Result<PassLayout<'a>, DniError> {
         let mut union_units: Vec<usize> = reqs
             .iter()
@@ -994,11 +1066,9 @@ impl<'a> PassLayout<'a> {
         let mut selections: Vec<Selection> = Vec::new();
         let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut slots: Vec<Slot<'a>> = Vec::new();
-        let mut slot_of: HashMap<(Vec<usize>, String, Vec<usize>, bool), usize> = HashMap::new();
-        // Whether a measure supports merged states, memoized per
-        // `(measure id, n_units, n_hyps)` — the exact probe inputs, since
-        // the trait lets the answer depend on the shape.
-        let mut supports_merged: HashMap<(String, usize, usize), bool> = HashMap::new();
+        let mut slot_of: HashMap<(Vec<usize>, MeasureKey, Vec<usize>, bool), usize> =
+            HashMap::new();
+        let mut probe = MergeProbe::new(full_pass);
         let mut members = Vec::with_capacity(reqs.len());
         for req in reqs {
             let cols: Vec<usize> = req
@@ -1022,13 +1092,7 @@ impl<'a> PassLayout<'a> {
                     }
                 };
                 for measure in &req.measures {
-                    let n_units = group.units.len();
-                    let merged = merge_models
-                        && *supports_merged
-                            .entry((measure.id().to_string(), n_units, cols.len()))
-                            .or_insert_with(|| {
-                                measure.new_merged_state(n_units, cols.len()).is_some()
-                            });
+                    let merged = probe.merges(*measure, group.units.len(), cols.len());
                     let slot_hyps: Vec<Vec<usize>> = if merged {
                         vec![cols.clone()]
                     } else {
@@ -1037,7 +1101,7 @@ impl<'a> PassLayout<'a> {
                     let entry_slots = slot_hyps
                         .into_iter()
                         .map(|hyps| {
-                            let key = (group.units.clone(), measure.id().to_string(), hyps, merged);
+                            let key = (group.units.clone(), measure_key(*measure), hyps, merged);
                             if let Some(&idx) = slot_of.get(&key) {
                                 return idx;
                             }
@@ -1442,7 +1506,7 @@ pub(crate) fn run_pass(
         outcome.results.resize_with(reqs.len(), Default::default);
         return Ok((outcome, Vec::new()));
     }
-    let needs_fold_point = opts.capture_states || opts.skip_segments > 0;
+    let needs_fold_point = opts.needs_fold_point();
     if config.engine != EngineKind::DeepBase && !needs_fold_point {
         // The materializing engines keep their per-request shape; members
         // still share the hypothesis cache configured by the caller.
@@ -1459,7 +1523,7 @@ pub(crate) fn run_pass(
         return Ok((outcome, Vec::new()));
     }
 
-    let full_pass = segments.len() > 1 || needs_fold_point;
+    let full_pass = opts.full_pass(dataset);
     if opts.skip_segments > 0
         && (opts.base_states.is_none() || opts.skip_segments >= segments.len())
     {
@@ -1484,7 +1548,7 @@ pub(crate) fn run_pass(
     }
 
     let t_start = Instant::now();
-    let layout = PassLayout::build(reqs, config, !full_pass)?;
+    let layout = PassLayout::build(reqs, config, full_pass)?;
     let base = match opts.base_states.filter(|_| opts.skip_segments > 0) {
         Some(base) => layout.revive(base)?,
         None => Vec::new(),
@@ -1552,7 +1616,8 @@ impl PassLayout<'_> {
         // converged pair has not moved since the block it converged on),
         // and its row span remembered for the per-member demux. Final
         // scores can be the expensive part of a measure (a buffered state
-        // sorts its whole sample here), so the walk is charged to the
+        // reads its thresholds or bins off the whole sample here), so they
+        // are taken once per slot and the walk is charged to the
         // inspection clock.
         let t_emit = Instant::now();
         let mut pending: Vec<PendingPair> = Vec::new();
@@ -1563,7 +1628,11 @@ impl PassLayout<'_> {
             let units = &self.selections[slot.sel].units;
             let measure_id = slot.measure.id();
             let mut slot_spans = Vec::with_capacity(slot.hyps.len());
-            for (h, (&c, &error)) in slot.hyps.iter().zip(&run.errs).enumerate() {
+            let scores = run.state.final_scores();
+            debug_assert_eq!(scores.len(), slot.hyps.len());
+            for ((&c, &error), (unit_scores, group_score)) in
+                slot.hyps.iter().zip(&run.errs).zip(scores)
+            {
                 let hyp_id = self.union_hyps[c].id();
                 if !slot.met(error) {
                     pending.push(PendingPair {
@@ -1574,10 +1643,6 @@ impl PassLayout<'_> {
                         epsilon: slot.eps,
                     });
                 }
-                let (unit_scores, group_score) = match &run.state {
-                    SlotState::PerHyp(state) => state.final_scores(),
-                    SlotState::Merged(state) => (state.unit_scores(h), state.group_score(h)),
-                };
                 debug_assert_eq!(unit_scores.len(), units.len());
                 slot_spans.push((merged.rows.len(), units.len()));
                 for (&unit, &unit_score) in units.iter().zip(unit_scores.iter()) {

@@ -4,10 +4,23 @@
 //! Every measure exposes the paper's `process_block` API: feed a block of
 //! unit behaviors + hypothesis behaviors, get back an error estimate that
 //! the engine compares against the user's convergence threshold
-//! (§5.2.2, early stopping). Joint measures that train Keras-style models
-//! additionally expose a **merged** state that trains all hypotheses as
-//! one multi-output model (§5.2.1, model merging) — exact, because the
-//! per-hypothesis losses and parameters are independent.
+//! (§5.2.2, early stopping). A measure whose hypotheses share work
+//! additionally exposes a **merged** state covering a whole hypothesis
+//! list at once (§5.2.1) — exact, because what is shared does not depend
+//! on the hypothesis:
+//!
+//! * the logistic-regression probes train all hypotheses as one
+//!   multi-output model (model merging; per-hypothesis losses and
+//!   parameters are independent);
+//! * the buffered measures (`jaccard`, `mutual_info`, `group_mi`) keep the
+//!   capped unit sample **once**, next to one column per hypothesis, and
+//!   derive the per-unit half of a score — the Jaccard threshold, the MI
+//!   bin assignment — once per unit instead of once per pair.
+//!
+//! In both families the per-pair state is the merged struct with one
+//! hypothesis, so there is one implementation of each; the per-pair form
+//! is what carries `merge_from` / `serialize_state` for segmented and
+//! view passes.
 
 use deepbase_stats::{
     baselines, corr, corr::StreamingPearson, descriptive, mi, quantile, ConvergenceTracker,
@@ -123,8 +136,11 @@ pub trait MeasureState: Send {
     }
 }
 
-/// Incremental state shared across all hypotheses (model merging).
+/// Incremental state shared across all hypotheses of one list.
 pub trait MergedState: Send {
+    /// Number of hypotheses the state covers.
+    fn n_hyps(&self) -> usize;
+
     /// Consumes a block (`rows x n_units`, `rows x n_hyps`), returning the
     /// per-hypothesis error estimates.
     fn process_block(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32>;
@@ -134,6 +150,17 @@ pub trait MergedState: Send {
 
     /// Group score for one hypothesis.
     fn group_score(&self, hyp: usize) -> f32;
+
+    /// Every hypothesis's final `(unit scores, group score)`, in list
+    /// order and bit-identical to the two calls above — the one call the
+    /// engines emit result rows from. States that derive something per
+    /// unit and reuse it across hypotheses override it so that half is
+    /// computed once.
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        (0..self.n_hyps())
+            .map(|h| (self.unit_scores(h), self.group_score(h)))
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,6 +314,13 @@ impl Default for MutualInfoMeasure {
     }
 }
 
+impl MutualInfoMeasure {
+    fn sample(&self, n_units: usize, n_hyps: usize) -> BufferedSample {
+        let score = BufferedScore::Mi(self.bins);
+        BufferedSample::new(n_units, n_hyps, self.max_buffer, score)
+    }
+}
+
 impl Measure for MutualInfoMeasure {
     fn id(&self) -> &str {
         "mutual_info"
@@ -297,11 +331,11 @@ impl Measure for MutualInfoMeasure {
     }
 
     fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(BufferedState::new(
-            n_units,
-            self.max_buffer,
-            BufferedScore::Mi(self.bins),
-        ))
+        Box::new(BufferedState(self.sample(n_units, 1)))
+    }
+
+    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
+        Some(Box::new(self.sample(n_units, n_hyps)))
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -313,17 +347,7 @@ impl Measure for MutualInfoMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = ByteReader::new(bytes);
-        if cur.u32()? != STATE_TAG_BUFFERED {
-            return None;
-        }
-        let state = BufferedState::decode_buffers(
-            &mut cur,
-            n_units,
-            self.max_buffer,
-            BufferedScore::Mi(self.bins),
-        )?;
-        cur.done().then(|| Box::new(state) as Box<dyn MeasureState>)
+        BufferedState::decode(self.sample(n_units, 1), bytes)
     }
 }
 
@@ -334,6 +358,9 @@ impl Measure for MutualInfoMeasure {
 /// Jaccard coefficient between the unit's top-quantile activations and a
 /// binary hypothesis mask (NetDissect's IoU, Appendix E).
 pub struct JaccardMeasure {
+    /// Identifier — distinguishes the quantile variants: the library
+    /// registers 0.995 as `jaccard` and 0.95 as `jaccard_q95`.
+    pub name: String,
     /// Activations above this quantile count as "on" (NetDissect uses
     /// a high quantile such as 0.95–0.995).
     pub top_quantile: f32,
@@ -344,15 +371,32 @@ pub struct JaccardMeasure {
 impl Default for JaccardMeasure {
     fn default() -> Self {
         JaccardMeasure {
+            name: "jaccard_q95".into(),
             top_quantile: 0.95,
             max_buffer: 65_536,
         }
     }
 }
 
+impl JaccardMeasure {
+    /// NetDissect's own 0.995 quantile: the library's `jaccard`.
+    pub fn netdissect() -> Self {
+        JaccardMeasure {
+            name: "jaccard".into(),
+            top_quantile: 0.995,
+            ..Default::default()
+        }
+    }
+
+    fn sample(&self, n_units: usize, n_hyps: usize) -> BufferedSample {
+        let score = BufferedScore::Jaccard(self.top_quantile);
+        BufferedSample::new(n_units, n_hyps, self.max_buffer, score)
+    }
+}
+
 impl Measure for JaccardMeasure {
     fn id(&self) -> &str {
-        "jaccard"
+        &self.name
     }
 
     fn kind(&self) -> MeasureKind {
@@ -360,11 +404,11 @@ impl Measure for JaccardMeasure {
     }
 
     fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(BufferedState::new(
-            n_units,
-            self.max_buffer,
-            BufferedScore::Jaccard(self.top_quantile),
-        ))
+        Box::new(BufferedState(self.sample(n_units, 1)))
+    }
+
+    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
+        Some(Box::new(self.sample(n_units, n_hyps)))
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -376,122 +420,217 @@ impl Measure for JaccardMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = ByteReader::new(bytes);
-        if cur.u32()? != STATE_TAG_BUFFERED {
-            return None;
-        }
-        let state = BufferedState::decode_buffers(
-            &mut cur,
-            n_units,
-            self.max_buffer,
-            BufferedScore::Jaccard(self.top_quantile),
-        )?;
-        cur.done().then(|| Box::new(state) as Box<dyn MeasureState>)
+        BufferedState::decode(self.sample(n_units, 1), bytes)
     }
 }
 
+// ---------------------------------------------------------------------
+// The shared sample behind the buffered measures
+// ---------------------------------------------------------------------
+
+/// What a buffered state computes from its sample. The group score is
+/// the best unit score, except for group MI.
+#[derive(Clone, Copy, PartialEq)]
 enum BufferedScore {
+    /// Binned MI per unit, over this many quantile bins.
     Mi(usize),
+    /// [`BufferedScore::Mi`] whose group score is the multivariate MI of
+    /// the whole unit group.
+    GroupMi(usize),
+    /// IoU of the activations above this quantile with the mask.
     Jaccard(f32),
 }
 
-/// Shared buffered implementation for measures that need the sample.
-struct BufferedState {
+impl BufferedScore {
+    /// The words a serialized state opens with: family tag and score
+    /// configuration, so bytes of e.g. `jaccard@0.95` are rejected by a
+    /// `jaccard@0.995` measure (and group MI's by plain MI).
+    fn header(self) -> Vec<u32> {
+        match self {
+            BufferedScore::Mi(bins) => vec![STATE_TAG_BUFFERED, 0, bins as u32],
+            BufferedScore::Jaccard(q) => vec![STATE_TAG_BUFFERED, 1, q.to_bits()],
+            BufferedScore::GroupMi(bins) => {
+                vec![STATE_TAG_GROUP_MI, bins as u32, 0, bins as u32]
+            }
+        }
+    }
+}
+
+/// The state of every measure that needs the sample rather than moments
+/// of it: the first `max_buffer` rows of the stream, column-major — each
+/// unit's buffer held **once**, next to one buffer per hypothesis — so
+/// memory is `(units + hypotheses) × sample` and whatever a score derives
+/// from a unit alone (its Jaccard threshold, its MI bin assignment) is
+/// derived once and reused across the hypotheses. Directly, it is the
+/// [`MergedState`] of a hypothesis list; wrapped in [`BufferedState`],
+/// with one hypothesis, the per-pair state.
+struct BufferedSample {
     unit_buffers: Vec<Vec<f32>>,
-    hyp_buffer: Vec<f32>,
+    hyp_buffers: Vec<Vec<f32>>,
+    /// Rows buffered so far — the length of every buffer.
+    rows: usize,
     max_buffer: usize,
     score: BufferedScore,
 }
 
-impl BufferedState {
-    fn new(n_units: usize, max_buffer: usize, score: BufferedScore) -> Self {
-        BufferedState {
+/// Appends the first `take` rows of each column of `block` (row-major) to
+/// that column's buffer.
+fn append_columns(buffers: &mut [Vec<f32>], block: &Matrix, take: usize) {
+    // Hard assert, like `CorrState`'s: a drifted column count would
+    // silently buffer a shorter or shuffled sample.
+    assert_eq!(
+        block.cols(),
+        buffers.len(),
+        "buffered block column-count mismatch"
+    );
+    let width = buffers.len();
+    let data = &block.as_slice()[..take * width];
+    for (c, buf) in buffers.iter_mut().enumerate() {
+        buf.reserve(take);
+        buf.extend(data.iter().skip(c).step_by(width));
+    }
+}
+
+impl BufferedSample {
+    fn new(n_units: usize, n_hyps: usize, max_buffer: usize, score: BufferedScore) -> Self {
+        BufferedSample {
             unit_buffers: vec![Vec::new(); n_units],
-            hyp_buffer: Vec::new(),
+            hyp_buffers: vec![Vec::new(); n_hyps],
+            rows: 0,
             max_buffer,
             score,
         }
     }
 
-    /// Score-config discriminator bits, so serialized buffers of e.g.
-    /// `jaccard@0.95` are rejected by a `jaccard@0.995` measure.
-    fn score_bits(score: &BufferedScore) -> (u32, u32) {
-        match score {
-            BufferedScore::Mi(bins) => (0, *bins as u32),
-            BufferedScore::Jaccard(q) => (1, q.to_bits()),
+    /// How many of a block's `rows` still fit under the cap, after the
+    /// (hard) check that both halves of the block have that many.
+    fn room(&self, units: &Matrix, rows: usize) -> usize {
+        assert_eq!(units.rows(), rows, "buffered block row mismatch");
+        self.max_buffer.saturating_sub(self.rows).min(rows)
+    }
+
+    fn convergence_error(&self) -> f32 {
+        if self.rows < 8 {
+            f32::INFINITY
+        } else {
+            1.0 / (self.rows as f32).sqrt()
         }
     }
 
-    /// Encodes the buffered sample (the entire mergeable state).
-    fn encode_buffers(&self, out: &mut ByteWriter) {
-        let (kind, param) = Self::score_bits(&self.score);
-        out.u32(kind);
-        out.u32(param);
-        out.u32(self.unit_buffers.len() as u32);
-        out.f32s(&self.hyp_buffer);
-        for buf in &self.unit_buffers {
-            out.f32s(buf);
+    /// Final `(unit scores, group score)` of the hypotheses in `hyps`,
+    /// with the per-unit half computed once for all of them.
+    fn scores(&self, hyps: std::ops::Range<usize>) -> Vec<(Vec<f32>, f32)> {
+        let best = |scores: &[f32]| scores.iter().copied().fold(0.0, f32::max);
+        let hyp_buffers = &self.hyp_buffers[hyps];
+        match self.score {
+            BufferedScore::Jaccard(q) => {
+                let thresholds: Vec<f32> = (self.unit_buffers.iter())
+                    .map(|buf| quantile::quantile(buf, q))
+                    .collect();
+                let score_mask = |mask: &Vec<f32>| {
+                    let unit_scores: Vec<f32> = (self.unit_buffers.iter().zip(&thresholds))
+                        .map(|(buf, &t)| descriptive::jaccard_above(buf, mask, t))
+                        .collect();
+                    let group_score = best(&unit_scores);
+                    (unit_scores, group_score)
+                };
+                hyp_buffers.iter().map(score_mask).collect()
+            }
+            BufferedScore::Mi(bins) | BufferedScore::GroupMi(bins) => {
+                let unit_bins: Vec<Vec<usize>> = (self.unit_buffers.iter())
+                    .map(|buf| quantile::quantile_bin(buf, bins))
+                    .collect();
+                let score_hyp = |hyp: &Vec<f32>| {
+                    let hyp_bins = quantile::quantile_bin(hyp, bins);
+                    let unit_scores: Vec<f32> = (unit_bins.iter())
+                        .map(|unit| mi::mutual_information_discrete(unit, &hyp_bins))
+                        .collect();
+                    let group_score = match self.score {
+                        BufferedScore::GroupMi(_) => {
+                            mi::multivariate_mi_binned(&unit_bins, &hyp_bins, bins)
+                        }
+                        _ => best(&unit_scores),
+                    };
+                    (unit_scores, group_score)
+                };
+                hyp_buffers.iter().map(score_hyp).collect()
+            }
         }
     }
+}
 
-    /// Decodes buffers written by [`BufferedState::encode_buffers`] into
-    /// a fresh state owned by a measure with `score` / `max_buffer`.
-    fn decode_buffers(
-        cur: &mut ByteReader,
-        n_units: usize,
-        max_buffer: usize,
-        score: BufferedScore,
-    ) -> Option<BufferedState> {
-        let (kind, param) = Self::score_bits(&score);
-        if cur.u32()? != kind || cur.u32()? != param || cur.u32()? as usize != n_units {
+impl MergedState for BufferedSample {
+    fn n_hyps(&self) -> usize {
+        self.hyp_buffers.len()
+    }
+
+    fn process_block(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32> {
+        let take = self.room(units, hyps.rows());
+        append_columns(&mut self.unit_buffers, units, take);
+        append_columns(&mut self.hyp_buffers, hyps, take);
+        self.rows += take;
+        // One sample, one size: every hypothesis reports the same error.
+        vec![self.convergence_error(); self.hyp_buffers.len()]
+    }
+
+    fn unit_scores(&self, hyp: usize) -> Vec<f32> {
+        self.scores(hyp..hyp + 1).remove(0).0
+    }
+
+    fn group_score(&self, hyp: usize) -> f32 {
+        self.scores(hyp..hyp + 1)[0].1
+    }
+
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        self.scores(0..self.hyp_buffers.len())
+    }
+}
+
+/// The per-pair buffered state: a [`BufferedSample`] with one hypothesis,
+/// plus the cross-segment merge and the durable form — whose bytes hold
+/// exactly one hypothesis column, which is why these two live here and
+/// full passes build per-pair slots.
+struct BufferedState(BufferedSample);
+
+impl BufferedState {
+    /// Revives bytes written by [`MeasureState::serialize_state`] into
+    /// `empty`, the owning measure's fresh one-hypothesis sample.
+    fn decode(mut empty: BufferedSample, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
+        let mut cur = ByteReader::new(bytes);
+        for word in empty.score.header() {
+            if cur.u32()? != word {
+                return None;
+            }
+        }
+        if cur.u32()? as usize != empty.unit_buffers.len() {
             return None;
         }
         let hyp_buffer = cur.f32s()?;
-        let mut unit_buffers = Vec::with_capacity(n_units);
-        for _ in 0..n_units {
-            let buf = cur.f32s()?;
+        for buf in &mut empty.unit_buffers {
+            *buf = cur.f32s()?;
             if buf.len() != hyp_buffer.len() {
                 return None;
             }
-            unit_buffers.push(buf);
         }
-        Some(BufferedState {
-            unit_buffers,
-            hyp_buffer,
-            max_buffer,
-            score,
-        })
+        empty.rows = hyp_buffer.len();
+        empty.hyp_buffers = vec![hyp_buffer];
+        cur.done()
+            .then(|| Box::new(BufferedState(empty)) as Box<dyn MeasureState>)
     }
 }
 
 impl MeasureState for BufferedState {
     fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
-        let room = self.max_buffer.saturating_sub(self.hyp_buffer.len());
-        let take = room.min(hyp.len());
-        for (r, &h) in hyp.iter().enumerate().take(take) {
-            let row = units.row(r);
-            for (buf, &u) in self.unit_buffers.iter_mut().zip(row.iter()) {
-                buf.push(u);
-            }
-            self.hyp_buffer.push(h);
-        }
-        self.convergence_error()
+        let sample = &mut self.0;
+        let take = sample.room(units, hyp.len());
+        append_columns(&mut sample.unit_buffers, units, take);
+        sample.hyp_buffers[0].extend_from_slice(&hyp[..take]);
+        sample.rows += take;
+        sample.convergence_error()
     }
 
     fn unit_scores(&self) -> Vec<f32> {
-        self.unit_buffers
-            .iter()
-            .map(|buf| match &self.score {
-                BufferedScore::Mi(bins) => mi::mutual_information(buf, &self.hyp_buffer, *bins),
-                BufferedScore::Jaccard(q) => {
-                    if buf.is_empty() {
-                        0.0
-                    } else {
-                        descriptive::jaccard_at_quantile(buf, &self.hyp_buffer, *q)
-                    }
-                }
-            })
-            .collect()
+        self.final_scores().0
     }
 
     fn group_score(&self) -> f32 {
@@ -499,59 +638,51 @@ impl MeasureState for BufferedState {
     }
 
     fn final_scores(&self) -> (Vec<f32>, f32) {
-        let unit_scores = self.unit_scores();
-        let group_score = unit_scores.iter().copied().fold(0.0, f32::max);
-        (unit_scores, group_score)
+        self.0.scores(0..1).remove(0)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
 
+    /// Appends `other`'s buffered sample after this one's, truncated at
+    /// `max_buffer` — exactly what one pass over the concatenated stream
+    /// would have buffered, so segment merges are deterministic.
     fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
-        let Some(other) = other.as_any().downcast_ref::<BufferedState>() else {
+        let Some(BufferedState(other)) = other.as_any().downcast_ref::<BufferedState>() else {
             return false;
         };
-        self.merge_buffered(other)
+        let ours = &mut self.0;
+        if other.score != ours.score || other.unit_buffers.len() != ours.unit_buffers.len() {
+            return false;
+        }
+        let take = ours.max_buffer.saturating_sub(ours.rows).min(other.rows);
+        let theirs = other.unit_buffers.iter().chain(&other.hyp_buffers);
+        for (buf, src) in (ours.unit_buffers.iter_mut())
+            .chain(&mut ours.hyp_buffers)
+            .zip(theirs)
+        {
+            buf.extend_from_slice(&src[..take]);
+        }
+        ours.rows += take;
+        true
     }
 
     fn convergence_error(&self) -> f32 {
-        let n = self.hyp_buffer.len();
-        if n < 8 {
-            f32::INFINITY
-        } else {
-            1.0 / (n as f32).sqrt()
-        }
+        self.0.convergence_error()
     }
 
     fn serialize_state(&self) -> Option<Vec<u8>> {
         let mut out = ByteWriter::default();
-        out.u32(STATE_TAG_BUFFERED);
-        self.encode_buffers(&mut out);
+        for word in self.0.score.header() {
+            out.u32(word);
+        }
+        out.u32(self.0.unit_buffers.len() as u32);
+        out.f32s(&self.0.hyp_buffers[0]);
+        for buf in &self.0.unit_buffers {
+            out.f32s(buf);
+        }
         Some(out.0)
-    }
-}
-
-impl BufferedState {
-    /// Appends `other`'s buffered sample after this one's, truncated at
-    /// `max_buffer` — exactly what one pass over the concatenated stream
-    /// would have buffered, so segment merges are deterministic.
-    fn merge_buffered(&mut self, other: &BufferedState) -> bool {
-        let compatible = match (&self.score, &other.score) {
-            (BufferedScore::Mi(a), BufferedScore::Mi(b)) => a == b,
-            (BufferedScore::Jaccard(a), BufferedScore::Jaccard(b)) => a == b,
-            _ => false,
-        };
-        if !compatible || other.unit_buffers.len() != self.unit_buffers.len() {
-            return false;
-        }
-        let room = self.max_buffer.saturating_sub(self.hyp_buffer.len());
-        let take = room.min(other.hyp_buffer.len());
-        for (buf, src) in self.unit_buffers.iter_mut().zip(other.unit_buffers.iter()) {
-            buf.extend_from_slice(&src[..take]);
-        }
-        self.hyp_buffer.extend_from_slice(&other.hyp_buffer[..take]);
-        true
     }
 }
 
@@ -943,6 +1074,10 @@ impl LogRegMerged {
 }
 
 impl MergedState for LogRegMerged {
+    fn n_hyps(&self) -> usize {
+        self.n_hyps
+    }
+
     fn process_block(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32> {
         self.ingest(units, hyps)
     }
@@ -1149,19 +1284,17 @@ impl MeasureState for BaselineState {
 }
 
 /// The full standard library of measures (paper §4.1: 8 scores + 2 naive
-/// baselines). The 8 scores: correlation, mutual information (uni- and
-/// multivariate via group MI), Jaccard, difference of means, logistic
-/// regression with L1 and with L2, and the two quantile variants of
-/// Jaccard used by NetDissect comparisons.
+/// baselines), each under an id of its own. The 8 scores: correlation,
+/// mutual information (uni- and multivariate via group MI), difference of
+/// means, logistic regression with L1 and with L2, and the two quantile
+/// variants of Jaccard used by NetDissect comparisons — `jaccard` is
+/// NetDissect's 0.995, `jaccard_q95` the 0.95 variant.
 pub fn standard_library() -> Vec<Box<dyn Measure>> {
     vec![
         Box::new(CorrelationMeasure),
         Box::new(MutualInfoMeasure::default()),
+        Box::new(JaccardMeasure::netdissect()),
         Box::new(JaccardMeasure::default()),
-        Box::new(JaccardMeasure {
-            top_quantile: 0.995,
-            max_buffer: 65_536,
-        }),
         Box::new(DiffMeansMeasure),
         Box::new(LogRegMeasure::l1(0.01)),
         Box::new(LogRegMeasure::l2(0.01)),
@@ -1172,7 +1305,8 @@ pub fn standard_library() -> Vec<Box<dyn Measure>> {
 }
 
 /// Multivariate mutual information over the whole unit group (paper §4.3:
-/// "a multivariate implementation of mutual information").
+/// "a multivariate implementation of mutual information"). Unit scores
+/// are the per-unit MI the independent measure would report.
 pub struct GroupMiMeasure {
     /// Quantile bins.
     pub bins: usize,
@@ -1189,6 +1323,13 @@ impl Default for GroupMiMeasure {
     }
 }
 
+impl GroupMiMeasure {
+    fn sample(&self, n_units: usize, n_hyps: usize) -> BufferedSample {
+        let score = BufferedScore::GroupMi(self.bins);
+        BufferedSample::new(n_units, n_hyps, self.max_buffer, score)
+    }
+}
+
 impl Measure for GroupMiMeasure {
     fn id(&self) -> &str {
         "group_mi"
@@ -1199,10 +1340,11 @@ impl Measure for GroupMiMeasure {
     }
 
     fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(GroupMiState {
-            buffered: BufferedState::new(n_units, self.max_buffer, BufferedScore::Mi(self.bins)),
-            bins: self.bins,
-        })
+        Box::new(BufferedState(self.sample(n_units, 1)))
+    }
+
+    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
+        Some(Box::new(self.sample(n_units, n_hyps)))
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -1214,71 +1356,7 @@ impl Measure for GroupMiMeasure {
     }
 
     fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = ByteReader::new(bytes);
-        if cur.u32()? != STATE_TAG_GROUP_MI || cur.u32()? as usize != self.bins {
-            return None;
-        }
-        let buffered = BufferedState::decode_buffers(
-            &mut cur,
-            n_units,
-            self.max_buffer,
-            BufferedScore::Mi(self.bins),
-        )?;
-        cur.done().then(|| {
-            Box::new(GroupMiState {
-                buffered,
-                bins: self.bins,
-            }) as Box<dyn MeasureState>
-        })
-    }
-}
-
-struct GroupMiState {
-    buffered: BufferedState,
-    bins: usize,
-}
-
-impl MeasureState for GroupMiState {
-    fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
-        self.buffered.process_block(units, hyp)
-    }
-
-    fn unit_scores(&self) -> Vec<f32> {
-        // Per-unit MI, as the independent measure would report.
-        self.buffered.unit_scores()
-    }
-
-    fn group_score(&self) -> f32 {
-        let refs: Vec<&[f32]> = self
-            .buffered
-            .unit_buffers
-            .iter()
-            .map(|b| b.as_slice())
-            .collect();
-        mi::multivariate_mi(&refs, &self.buffered.hyp_buffer, self.bins)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
-        let Some(other) = other.as_any().downcast_ref::<GroupMiState>() else {
-            return false;
-        };
-        other.bins == self.bins && self.buffered.merge_buffered(&other.buffered)
-    }
-
-    fn convergence_error(&self) -> f32 {
-        self.buffered.convergence_error()
-    }
-
-    fn serialize_state(&self) -> Option<Vec<u8>> {
-        let mut out = ByteWriter::default();
-        out.u32(STATE_TAG_GROUP_MI);
-        out.u32(self.bins as u32);
-        self.buffered.encode_buffers(&mut out);
-        Some(out.0)
+        BufferedState::decode(self.sample(n_units, 1), bytes)
     }
 }
 
@@ -1404,6 +1482,7 @@ mod tests {
         let m = JaccardMeasure {
             top_quantile: 0.5,
             max_buffer: 10_000,
+            ..Default::default()
         };
         let mut state = m.new_state(2);
         let (units, hyp) = block(200);
@@ -1620,10 +1699,7 @@ mod tests {
         let mut j95 = JaccardMeasure::default().new_state(2);
         j95.process_block(&units, &hyp);
         let jb = j95.serialize_state().unwrap();
-        let j995 = JaccardMeasure {
-            top_quantile: 0.995,
-            max_buffer: 65_536,
-        };
+        let j995 = JaccardMeasure::netdissect();
         assert!(j995.deserialize_state(2, &jb).is_none());
         // Mismatched baseline seed rejects.
         let mut rnd = RandomBaselineMeasure { seed: 1 }.new_state(2);
@@ -1641,7 +1717,7 @@ mod tests {
     }
 
     #[test]
-    fn standard_library_has_ten_measures() {
+    fn standard_library_has_ten_measures_under_ten_ids() {
         let lib = standard_library();
         assert_eq!(lib.len(), 10);
         let ids: Vec<&str> = lib.iter().map(|m| m.id()).collect();
@@ -1649,6 +1725,287 @@ mod tests {
         assert!(ids.contains(&"logreg_l1"));
         assert!(ids.contains(&"majority_baseline"));
         assert!(ids.contains(&"random_baseline"));
+        let distinct: std::collections::BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), lib.len(), "two measures answer to one id");
+        // `jaccard` is NetDissect's 0.995, `jaccard_q95` the 0.95 variant:
+        // each revives its own quantile's states and refuses the other's.
+        let (units, hyp) = block(16);
+        let by_id = |id: &str| lib.iter().find(|m| m.id() == id).expect("registered");
+        for (id, same, other) in [
+            (
+                "jaccard",
+                JaccardMeasure::netdissect(),
+                JaccardMeasure::default(),
+            ),
+            (
+                "jaccard_q95",
+                JaccardMeasure::default(),
+                JaccardMeasure::netdissect(),
+            ),
+        ] {
+            let bytes_of = |m: &JaccardMeasure| {
+                let mut state = m.new_state(2);
+                state.process_block(&units, &hyp);
+                state.serialize_state().unwrap()
+            };
+            assert!(by_id(id).deserialize_state(2, &bytes_of(&same)).is_some());
+            assert!(by_id(id).deserialize_state(2, &bytes_of(&other)).is_none());
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The shared sample: N hypotheses over one state ≡ N per-pair states
+    // -----------------------------------------------------------------
+
+    /// The three buffered measures with a small cap, so blocks cross it.
+    fn buffered_measures(max_buffer: usize) -> Vec<Box<dyn Measure>> {
+        vec![
+            Box::new(JaccardMeasure {
+                top_quantile: 0.8,
+                max_buffer,
+                ..Default::default()
+            }),
+            Box::new(MutualInfoMeasure {
+                bins: 4,
+                max_buffer,
+            }),
+            Box::new(GroupMiMeasure {
+                bins: 3,
+                max_buffer,
+            }),
+        ]
+    }
+
+    /// ReLU-like unit columns (many exact zeros, ties) and small-integer
+    /// hypothesis columns, rows `start..start + rows` of one fixed stream.
+    fn stream_block(start: usize, rows: usize, n_units: usize, n_hyps: usize) -> (Matrix, Matrix) {
+        let units = Matrix::from_fn(rows, n_units, |r, u| {
+            let r = start + r;
+            (((r * 7919 + u * 31) % 23) as f32 - 11.0).max(0.0) * (u + 1) as f32
+        });
+        let hyps = Matrix::from_fn(rows, n_hyps, |r, h| (((start + r) / (h + 2)) % 3) as f32);
+        (units, hyps)
+    }
+
+    fn score_bits(scores: &(Vec<f32>, f32)) -> (Vec<u32>, u32) {
+        (
+            scores.0.iter().map(|s| s.to_bits()).collect(),
+            scores.1.to_bits(),
+        )
+    }
+
+    /// Feeds `blocks` (row counts) of the fixed stream to one shared state
+    /// and to one per-pair state per hypothesis, and demands equal errors
+    /// after every block and equal scores at the end, through both the
+    /// all-at-once and the per-hypothesis calls.
+    fn assert_shared_equals_per_pair(
+        measure: &dyn Measure,
+        n_units: usize,
+        n_hyps: usize,
+        blocks: &[usize],
+    ) {
+        let what = format!(
+            "{} units {n_units} hyps {n_hyps} blocks {blocks:?}",
+            measure.id()
+        );
+        let mut shared = measure
+            .new_merged_state(n_units, n_hyps)
+            .expect("buffered measures share their sample");
+        let mut pairs: Vec<_> = (0..n_hyps).map(|_| measure.new_state(n_units)).collect();
+        let mut start = 0;
+        for &rows in blocks {
+            let (units, hyps) = stream_block(start, rows, n_units, n_hyps);
+            start += rows;
+            let errs = shared.process_block(&units, &hyps);
+            for (h, pair) in pairs.iter_mut().enumerate() {
+                let err = pair.process_block(&units, &hyps.col(h));
+                assert_eq!(errs[h].to_bits(), err.to_bits(), "{what}: error of {h}");
+            }
+        }
+        assert_eq!(shared.n_hyps(), n_hyps);
+        let all = shared.final_scores();
+        assert_eq!(all.len(), n_hyps);
+        for (h, pair) in pairs.iter().enumerate() {
+            let want = score_bits(&pair.final_scores());
+            assert_eq!(score_bits(&all[h]), want, "{what}: final scores of {h}");
+            let one = (shared.unit_scores(h), shared.group_score(h));
+            assert_eq!(
+                score_bits(&one),
+                want,
+                "{what}: per-hypothesis calls of {h}"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_sample_equals_per_pair_states_on_the_edge_cases() {
+        for measure in buffered_measures(100) {
+            // 1 unit, an exact joint (≤ 3 units) and the pairwise fallback.
+            for n_units in [1, 3, 5] {
+                for blocks in [
+                    &[][..],                 // empty
+                    &[0],                    // an empty block
+                    &[1],                    // one row
+                    &[7],                    // below the error's 8-row floor
+                    &[5, 40, 17, 1, 90, 30], // crosses the cap inside block 5
+                    &[100, 1],               // fills it exactly
+                    &[250],                  // crosses it in the first block
+                ] {
+                    assert_shared_equals_per_pair(measure.as_ref(), n_units, 3, blocks);
+                }
+            }
+            assert_shared_equals_per_pair(measure.as_ref(), 2, 1, &[60, 60]);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn shared_sample_equals_per_pair_states_on_ragged_blocks(
+            blocks in proptest::collection::vec(0usize..48, 0..8),
+            max_buffer in 1usize..160,
+            n_units in 1usize..6,
+            n_hyps in 1usize..5,
+        ) {
+            for measure in buffered_measures(max_buffer) {
+                assert_shared_equals_per_pair(measure.as_ref(), n_units, n_hyps, &blocks);
+            }
+        }
+
+        /// Two per-pair states over consecutive ranges, merged, are the
+        /// state of one pass over the concatenation — cap included.
+        #[test]
+        fn buffered_merge_from_equals_one_pass_over_the_concatenation(
+            first in proptest::collection::vec(0usize..48, 0..4),
+            second in proptest::collection::vec(0usize..48, 0..4),
+            max_buffer in 1usize..160,
+        ) {
+            for measure in buffered_measures(max_buffer) {
+                let feed = |state: &mut Box<dyn MeasureState>, start: &mut usize, blocks: &[usize]| {
+                    for &rows in blocks {
+                        let (units, hyps) = stream_block(*start, rows, 3, 1);
+                        state.process_block(&units, &hyps.col(0));
+                        *start += rows;
+                    }
+                };
+                let (mut a, mut b, mut whole) =
+                    (measure.new_state(3), measure.new_state(3), measure.new_state(3));
+                let mut start = 0;
+                feed(&mut a, &mut start, &first);
+                feed(&mut b, &mut start, &second);
+                let mut start = 0;
+                feed(&mut whole, &mut start, &first);
+                feed(&mut whole, &mut start, &second);
+                proptest::prop_assert!(a.merge_from(b.as_ref()));
+                proptest::prop_assert_eq!(a.serialize_state(), whole.serialize_state());
+                proptest::prop_assert_eq!(
+                    score_bits(&a.final_scores()),
+                    score_bits(&whole.final_scores())
+                );
+                proptest::prop_assert_eq!(
+                    a.convergence_error().to_bits(),
+                    whole.convergence_error().to_bits()
+                );
+            }
+        }
+    }
+
+    /// What a buffered score *is*: the public stats routine — each pinned
+    /// to the parent's sort/`HashMap` body in `deepbase-stats` — over the
+    /// first `max_buffer` rows of the pair's two columns.
+    #[test]
+    fn buffered_scores_are_the_stats_routines_over_the_capped_sample() {
+        let (cap, n_units, n_hyps) = (90, 3, 2);
+        let (units, hyps) = stream_block(0, 130, n_units, n_hyps);
+        let capped = |col: Vec<f32>| col[..cap].to_vec();
+        let unit_cols: Vec<Vec<f32>> = (0..n_units).map(|u| capped(units.col(u))).collect();
+        let unit_refs: Vec<&[f32]> = unit_cols.iter().map(|c| c.as_slice()).collect();
+        let best = |scores: &[f32]| scores.iter().copied().fold(0.0, f32::max);
+        for measure in buffered_measures(cap) {
+            let mut shared = measure.new_merged_state(n_units, n_hyps).unwrap();
+            shared.process_block(&units.slice_rows(0, 50), &hyps.slice_rows(0, 50));
+            shared.process_block(&units.slice_rows(50, 130), &hyps.slice_rows(50, 130));
+            for (h, got) in shared.final_scores().iter().enumerate() {
+                let hyp = capped(hyps.col(h));
+                let per_unit = |score: &dyn Fn(&[f32]) -> f32| -> Vec<f32> {
+                    unit_refs.iter().map(|u| score(u)).collect()
+                };
+                let want = match measure.id() {
+                    "jaccard_q95" => {
+                        let s = per_unit(&|u| descriptive::jaccard_at_quantile(u, &hyp, 0.8));
+                        let group = best(&s);
+                        (s, group)
+                    }
+                    "mutual_info" => {
+                        let s = per_unit(&|u| mi::mutual_information(u, &hyp, 4));
+                        let group = best(&s);
+                        (s, group)
+                    }
+                    "group_mi" => (
+                        per_unit(&|u| mi::mutual_information(u, &hyp, 3)),
+                        mi::multivariate_mi(&unit_refs, &hyp, 3),
+                    ),
+                    other => unreachable!("{other}"),
+                };
+                assert_eq!(score_bits(got), score_bits(&want), "{} {h}", measure.id());
+            }
+        }
+    }
+
+    #[test]
+    fn buffered_states_of_different_measures_refuse_to_merge() {
+        let measures = buffered_measures(100);
+        let (units, hyps) = stream_block(0, 20, 2, 1);
+        for (i, ours) in measures.iter().enumerate() {
+            for (j, theirs) in measures.iter().enumerate() {
+                let mut a = ours.new_state(2);
+                let mut b = theirs.new_state(2);
+                a.process_block(&units, &hyps.col(0));
+                b.process_block(&units, &hyps.col(0));
+                assert_eq!(
+                    a.merge_from(b.as_ref()),
+                    i == j,
+                    "{} <- {}",
+                    ours.id(),
+                    theirs.id()
+                );
+            }
+            // Same measure, another unit count.
+            let mut a = ours.new_state(2);
+            assert!(!a.merge_from(ours.new_state(3).as_ref()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered block row mismatch")]
+    fn per_pair_buffered_state_rejects_a_short_hypothesis_column() {
+        let (units, hyps) = stream_block(0, 10, 2, 1);
+        let mut state = MutualInfoMeasure::default().new_state(2);
+        state.process_block(&units, &hyps.col(0)[..9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered block column-count mismatch")]
+    fn per_pair_buffered_state_rejects_a_drifted_unit_count() {
+        let (units, hyps) = stream_block(0, 10, 3, 1);
+        let mut state = JaccardMeasure::default().new_state(2);
+        state.process_block(&units, &hyps.col(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered block row mismatch")]
+    fn shared_buffered_state_rejects_mismatched_row_counts() {
+        let (units, _) = stream_block(0, 10, 2, 3);
+        let (_, hyps) = stream_block(0, 9, 2, 3);
+        let mut state = JaccardMeasure::default().new_merged_state(2, 3).unwrap();
+        state.process_block(&units, &hyps);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered block column-count mismatch")]
+    fn shared_buffered_state_rejects_a_drifted_hypothesis_count() {
+        let (units, hyps) = stream_block(0, 10, 2, 2);
+        let mut state = GroupMiMeasure::default().new_merged_state(2, 3).unwrap();
+        state.process_block(&units, &hyps);
     }
 
     /// The one call the engines emit rows from is the two documented

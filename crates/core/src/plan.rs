@@ -35,8 +35,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheStats, HypothesisCache};
 use crate::engine::{
-    run_pass, Device, EngineKind, FoldOpts, InspectionConfig, InspectionRequest, Profile,
-    RunBudget, SharedOutcome,
+    measure_key, run_pass, Device, EngineKind, FoldOpts, InspectionConfig, InspectionRequest,
+    MeasureKey, MergeProbe, Profile, RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -950,13 +950,16 @@ pub(crate) fn optimize_with(
         }
         let mut units: Vec<usize> = Vec::new();
         let mut hyp_cols: HashMap<*const u8, usize> = HashMap::new();
-        // Merged-measure support memoized per (measure id, shape), exactly
-        // as the engine probes it.
-        let mut supports_merged: HashMap<(String, usize, usize), bool> = HashMap::new();
+        // The pass's own predicate and slot keys, so the estimate counts
+        // what `PassLayout::build` will build (on a segmented dataset:
+        // per-pair slots only).
+        let full_pass = (group.items.first())
+            .is_some_and(|item| FoldOpts::default().full_pass(&plans[item.query].dataset));
+        let mut probe = MergeProbe::new(full_pass);
         #[derive(PartialEq, Eq, Hash)]
         enum StateKey {
-            PerHyp(Vec<usize>, String, usize),
-            Merged(Vec<usize>, String, Vec<usize>),
+            PerHyp(Vec<usize>, MeasureKey, usize),
+            Merged(Vec<usize>, MeasureKey, Vec<usize>),
         }
         let mut state_keys: HashSet<StateKey> = HashSet::new();
         for item in &group.items {
@@ -973,31 +976,18 @@ pub(crate) fn optimize_with(
             }
             for g in &model.groups {
                 for measure in &plan.measures {
-                    let probe = (
-                        measure.id().to_string(),
-                        g.units.len(),
-                        plan.hypotheses.len(),
-                    );
-                    let merged = *supports_merged.entry(probe).or_insert_with(|| {
-                        measure
-                            .new_merged_state(g.units.len(), plan.hypotheses.len())
-                            .is_some()
-                    });
-                    if merged {
+                    let key = measure_key(measure.as_ref());
+                    if probe.merges(measure.as_ref(), g.units.len(), plan.hypotheses.len()) {
                         group.requested_measure_states += 1;
                         let cols: Vec<usize> =
                             plan.hypotheses.iter().map(|h| hyp_cols[&thin(h)]).collect();
-                        state_keys.insert(StateKey::Merged(
-                            g.units.clone(),
-                            measure.id().to_string(),
-                            cols,
-                        ));
+                        state_keys.insert(StateKey::Merged(g.units.clone(), key, cols));
                     } else {
                         group.requested_measure_states += plan.hypotheses.len();
                         for hyp in &plan.hypotheses {
                             state_keys.insert(StateKey::PerHyp(
                                 g.units.clone(),
-                                measure.id().to_string(),
+                                key.clone(),
                                 hyp_cols[&thin(hyp)],
                             ));
                         }

@@ -281,6 +281,7 @@ pub fn deepbase_cnn_scores(
     let hypotheses = concept_hypotheses(images);
     let extractor = CnnPixelExtractor::new(cnn, images, size);
     let measure = JaccardMeasure {
+        name: "jaccard".into(),
         top_quantile,
         max_buffer: usize::MAX,
     };

@@ -1,0 +1,319 @@
+//! The buffered measures (`jaccard`, `mutual_info`, `group_mi`) score
+//! the same bits on every path: a per-pair state per hypothesis (the
+//! materializing `PyBase` engine, and every full pass: segmented folds,
+//! view build + refresh) and one shared sample per hypothesis list (the
+//! merged engines, and the streaming `DeepBase` engine on one segment).
+//! Also pinned here: measures are slot-keyed by identity, so two measures
+//! answering to one id are each scored on their own, and `EXPLAIN` counts
+//! the states the pass will build.
+
+use deepbase::prelude::*;
+use deepbase::query::UnitMeta;
+use deepbase_relational::Table;
+use deepbase_tensor::Matrix;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+const NS: usize = 6;
+const UNITS: usize = 5;
+const SEG_LEN: usize = 16;
+const BLOCK: usize = 5; // ragged: 16 = 5 + 5 + 5 + 1
+const TOTAL: usize = 3 * SEG_LEN;
+const Q: &str = "SELECT S.score_id, S.hyp_id, S.uid, S.unit_score, S.group_score \
+                 INSPECT U.uid AND H.h USING jaccard, jaccard_q95, mutual_info, group_mi \
+                 OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D";
+
+/// `n` deterministic records with globally contiguous ids from `first_id`.
+fn records(first_id: usize, n: usize) -> Vec<Record> {
+    (first_id..first_id + n)
+        .map(|i| {
+            let text: String = (0..NS)
+                .map(|t| match (i * 7 + t * 3) % 5 {
+                    0 | 3 => 'a',
+                    1 => 'b',
+                    _ => 'c',
+                })
+                .collect();
+            Record::standalone(i, text.chars().map(|c| c as u32).collect(), text)
+        })
+        .collect()
+}
+
+/// ReLU-like behaviors for record ids `0..TOTAL`: units 0 and 1 fire on
+/// 'a' and 'b' with a varying strength, the rest are rectified noise —
+/// exact zeros and ties, as a conv layer produces them.
+fn behaviors() -> Matrix {
+    let mut m = Matrix::zeros(TOTAL * NS, UNITS);
+    for rec in records(0, TOTAL) {
+        for (t, c) in rec.text.chars().enumerate() {
+            let r = rec.id * NS + t;
+            let strength = 0.5 + ((r * 13) % 7) as f32 / 10.0;
+            m.set(r, 0, if c == 'a' { strength } else { 0.0 });
+            m.set(r, 1, if c == 'b' { 2.0 * strength } else { 0.0 });
+            for u in 2..UNITS {
+                let noise = ((r * (u + 13) * 31) % 97) as f32 / 97.0 - 0.5;
+                m.set(r, u, noise.max(0.0));
+            }
+        }
+    }
+    m
+}
+
+fn hypotheses() -> Vec<Arc<dyn HypothesisFn>> {
+    vec![
+        Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a')),
+        Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b')),
+        Arc::new(FnHypothesis::char_class("is_c", |c| c == 'c')),
+    ]
+}
+
+/// The fixture's first records as consecutive segments of these lengths.
+fn catalog(segment_lens: &[usize]) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.add_model_with_units(
+        "m1",
+        0,
+        Arc::new(PrecomputedExtractor::new(behaviors(), NS)),
+        (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
+    );
+    catalog.add_hypotheses("chars", hypotheses());
+    let mut first = 0;
+    let segs = segment_lens
+        .iter()
+        .map(|&len| {
+            first += len;
+            records(first - len, len)
+        })
+        .collect();
+    catalog.add_dataset(
+        "seq",
+        Arc::new(Dataset::with_segments("seq", NS, segs).unwrap()),
+    );
+    catalog
+}
+
+fn config(engine: EngineKind) -> InspectionConfig {
+    InspectionConfig {
+        engine,
+        block_records: BLOCK,
+        epsilon: Some(1e-12), // never converge early: every row is buffered
+        ..InspectionConfig::default()
+    }
+}
+
+/// A table with its float cells as bit patterns (`Table`'s own `==`
+/// compares floats by value).
+fn bits(table: &Table) -> Vec<Vec<String>> {
+    (0..table.schema().arity())
+        .map(|c| {
+            let column = table.column_at(c);
+            match column.floats() {
+                Some(floats) => floats
+                    .iter()
+                    .map(|v| format!("{:08x}", v.to_bits()))
+                    .collect(),
+                None => (0..table.len())
+                    .map(|r| format!("{:?}", column.value(r)))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+fn run(catalog: &Catalog, engine: EngineKind) -> Table {
+    let mut tables = catalog.run_batch(&[Q], &config(engine)).unwrap().tables;
+    tables.pop().expect("one statement, one table")
+}
+
+#[test]
+fn per_pair_merged_segmented_and_view_paths_score_the_same_bits() {
+    // Per-pair states over the whole dataset in one materialized piece.
+    let reference = run(&catalog(&[TOTAL]), EngineKind::PyBase);
+    let want = bits(&reference);
+    // 4 measures x 3 hypotheses x 5 units, and nothing degenerate.
+    assert_eq!(reference.len(), 4 * 3 * UNITS);
+    let scores = reference.column_at(3).floats().unwrap();
+    assert!(scores.iter().filter(|&&s| s > 0.0).count() > reference.len() / 2);
+
+    // One shared sample per hypothesis list: the merged engines and the
+    // streaming engine on one segment.
+    for engine in [
+        EngineKind::Merged,
+        EngineKind::MergedEarlyStop,
+        EngineKind::DeepBase,
+    ] {
+        assert_eq!(bits(&run(&catalog(&[TOTAL]), engine)), want, "{engine:?}");
+    }
+
+    // Per-pair states folded across segments (even and ragged splits).
+    for lens in [&[SEG_LEN; 3][..], &[TOTAL / 2, TOTAL / 2], &[7, 40, 1]] {
+        let table = run(&catalog(lens), EngineKind::DeepBase);
+        assert_eq!(bits(&table), want, "segments {lens:?}");
+    }
+
+    // A view built over two segments, then refreshed with the third
+    // folded into its stored (per-pair, serialized) states.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/tmp-buffered-parity")
+        .join(format!("view-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut session = Session::with_config(
+        catalog(&[SEG_LEN; 2]),
+        SessionConfig {
+            inspection: config(EngineKind::DeepBase),
+            store: Some(StoreConfig {
+                block_records: BLOCK,
+                ..StoreConfig::at(&dir)
+            }),
+            ..SessionConfig::default()
+        },
+    );
+    session.create_view("v", Q).unwrap();
+    let two_segments = run(&catalog(&[SEG_LEN; 2]), EngineKind::PyBase);
+    assert_eq!(bits(&session.read_view("v").unwrap()), bits(&two_segments));
+    session
+        .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+        .unwrap();
+    assert_eq!(
+        session.refresh_view("v").unwrap(),
+        ViewRefresh::Incremental { new_segments: 1 }
+    );
+    assert_eq!(bits(&session.read_view("v").unwrap()), want, "refresh");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request over the fixture through the engine API, for the cases SQL
+/// cannot phrase (explicit hypothesis lists, same-id measures).
+fn request<'a>(
+    extractor: &'a PrecomputedExtractor,
+    dataset: &'a Dataset,
+    hyps: Vec<&'a dyn HypothesisFn>,
+    measures: Vec<&'a dyn Measure>,
+) -> InspectionRequest<'a> {
+    InspectionRequest {
+        model_id: "m1".into(),
+        extractor,
+        groups: vec![UnitGroup::all(UNITS)],
+        dataset,
+        hypotheses: hyps,
+        measures,
+    }
+}
+
+/// `(measure id, hypothesis id, unit, score bits, group score bits)` rows.
+fn frame_bits(frame: &ResultFrame) -> Vec<(String, String, usize, u32, u32)> {
+    frame
+        .rows
+        .iter()
+        .map(|r| {
+            (
+                r.measure_id.clone(),
+                r.hyp_id.clone(),
+                r.unit,
+                r.unit_score.to_bits(),
+                r.group_score.to_bits(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn batch_members_naming_different_hypothesis_lists_keep_standalone_scores() {
+    let extractor = PrecomputedExtractor::new(behaviors(), NS);
+    let dataset = Dataset::new("seq", NS, records(0, TOTAL)).unwrap();
+    let hyps = hypotheses();
+    let (a, b, c) = (hyps[0].as_ref(), hyps[1].as_ref(), hyps[2].as_ref());
+    let library = standard_library();
+    let buffered: Vec<&dyn Measure> = library
+        .iter()
+        .filter(|m| ["jaccard", "mutual_info", "group_mi"].contains(&m.id()))
+        .map(|m| m.as_ref())
+        .collect();
+    assert_eq!(buffered.len(), 3);
+    // Overlapping lists, one shared hypothesis in a different position.
+    let members = [
+        request(&extractor, &dataset, vec![a, b], buffered.clone()),
+        request(&extractor, &dataset, vec![b, c], buffered.clone()),
+    ];
+    let shared = inspect_shared(&members, &config(EngineKind::DeepBase)).unwrap();
+    assert_eq!(shared.extraction_passes, 1);
+    for (member, (frame, _)) in members.iter().zip(&shared.results) {
+        let (standalone, _) = inspect(member, &config(EngineKind::PyBase)).unwrap();
+        assert_eq!(frame_bits(frame), frame_bits(&standalone));
+        assert_eq!(frame.len(), 3 * 2 * UNITS);
+    }
+}
+
+#[test]
+fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
+    let extractor = PrecomputedExtractor::new(behaviors(), NS);
+    let dataset = Dataset::new("seq", NS, records(0, TOTAL)).unwrap();
+    let hyps = hypotheses();
+    let hyp_refs = || hyps.iter().map(|h| h.as_ref()).collect::<Vec<_>>();
+    let quantile = |top_quantile: f32| JaccardMeasure {
+        name: "jaccard".into(),
+        top_quantile,
+        max_buffer: 65_536,
+    };
+    let (low, high) = (quantile(0.5), quantile(0.9));
+    for engine in [EngineKind::PyBase, EngineKind::Merged, EngineKind::DeepBase] {
+        let alone = |measure: &JaccardMeasure| {
+            let req = request(&extractor, &dataset, hyp_refs(), vec![measure]);
+            frame_bits(&inspect(&req, &config(engine)).unwrap().0)
+        };
+        let (want_low, want_high) = (alone(&low), alone(&high));
+        assert_ne!(want_low, want_high, "the two quantiles must disagree");
+
+        // One request naming both: low's rows, then high's.
+        let both = request(&extractor, &dataset, hyp_refs(), vec![&low, &high]);
+        let got = frame_bits(&inspect(&both, &config(engine)).unwrap().0);
+        assert_eq!(
+            got,
+            [want_low.clone(), want_high.clone()].concat(),
+            "{engine:?}"
+        );
+
+        // Two batch members naming one each: no slot is shared.
+        let members = [
+            request(&extractor, &dataset, hyp_refs(), vec![&low]),
+            request(&extractor, &dataset, hyp_refs(), vec![&high]),
+        ];
+        let shared = inspect_shared(&members, &config(engine)).unwrap();
+        assert_eq!(frame_bits(&shared.results[0].0), want_low, "{engine:?}");
+        assert_eq!(frame_bits(&shared.results[1].0), want_high, "{engine:?}");
+    }
+}
+
+/// `EXPLAIN` counts the measure states `PassLayout::build` will build:
+/// one shared sample for the statement's hypothesis list on one segment,
+/// one per-pair state per hypothesis on a segmented dataset (a full pass).
+#[test]
+fn explain_counts_one_shared_sample_on_one_segment_and_pairs_on_two() {
+    const Q_JACCARD: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING jaccard \
+                             OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D";
+    let explain = |lens: &[usize]| Session::new(catalog(lens)).explain(Q_JACCARD).unwrap();
+    assert_eq!(
+        explain(&[TOTAL]),
+        "\
+PhysicalPlan: 1 query, 1 shared group, block_records=512
+└─ group[0] model='m1' dataset='seq' members=[0]
+   ├─ unit columns: 5 union (5 requested)
+   ├─ hypothesis columns: 3 deduped (3 requested)
+   ├─ measure states: 1 shared (1 requested)
+   ├─ stream width: 8 columns, 98304 bytes/block (ns=6)
+   └─ admission: 1 wave (unbounded)
+"
+    );
+    assert_eq!(
+        explain(&[SEG_LEN, 2 * SEG_LEN]),
+        "\
+PhysicalPlan: 1 query, 1 shared group, block_records=512
+└─ group[0] model='m1' dataset='seq' members=[0]
+   ├─ unit columns: 5 union (5 requested)
+   ├─ hypothesis columns: 3 deduped (3 requested)
+   ├─ measure states: 3 shared (3 requested)
+   ├─ stream width: 8 columns, 98304 bytes/block (ns=6)
+   └─ admission: 1 wave (unbounded)
+"
+    );
+}

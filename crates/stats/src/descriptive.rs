@@ -1,5 +1,10 @@
 //! Descriptive statistics, Jaccard/IoU, difference of means, and the
 //! silhouette score used by DeepBase's verification procedure (§4.4).
+//!
+//! Jaccard is one counting loop, [`jaccard_above`], that takes the
+//! behavior's threshold as an argument: a caller scoring one unit against
+//! many hypothesis masks computes the quantile threshold once and counts
+//! per mask.
 
 /// Mean of a slice (0 when empty).
 pub fn mean(xs: &[f32]) -> f32 {
@@ -53,23 +58,22 @@ pub fn difference_of_means(behavior: &[f32], hypothesis: &[f32]) -> f32 {
     (mean(&on) - mean(&off)) / pooled
 }
 
-/// Jaccard coefficient (intersection over union) between two binary masks
-/// obtained by thresholding at > 0.5. This is NetDissect's IoU measure
-/// (paper Appendix E) once activations have been binarized at a quantile
+/// Jaccard coefficient (intersection over union) between `behavior`
+/// binarized at `> threshold` and a binary mask (on where `> 0.5`) —
+/// NetDissect's IoU (paper Appendix E), counted in one sweep without
+/// materializing the binarized behavior. A NaN threshold (the quantile of
+/// an empty sample) switches every behavior off. The one Jaccard count of
+/// this crate: [`jaccard`] and [`jaccard_at_quantile`] only choose the
 /// threshold.
-pub fn jaccard(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
+pub fn jaccard_above(behavior: &[f32], mask: &[f32], threshold: f32) -> f32 {
+    assert_eq!(behavior.len(), mask.len(), "length mismatch");
     let mut inter = 0usize;
     let mut union = 0usize;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        let bx = x > 0.5;
+    for (&x, &y) in behavior.iter().zip(mask.iter()) {
+        let bx = x > threshold;
         let by = y > 0.5;
-        if bx && by {
-            inter += 1;
-        }
-        if bx || by {
-            union += 1;
-        }
+        inter += usize::from(bx && by);
+        union += usize::from(bx || by);
     }
     if union == 0 {
         0.0
@@ -78,15 +82,16 @@ pub fn jaccard(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Jaccard coefficient between two binary masks (on where `> 0.5`).
+pub fn jaccard(a: &[f32], b: &[f32]) -> f32 {
+    jaccard_above(a, b, 0.5)
+}
+
 /// Jaccard between a continuous behavior thresholded at its top-`q`
 /// quantile and a binary hypothesis mask — the full NetDissect scoring rule.
 pub fn jaccard_at_quantile(behavior: &[f32], hypothesis_mask: &[f32], top_quantile: f32) -> f32 {
-    let thresh = crate::quantile::quantile(behavior, top_quantile);
-    let binarized: Vec<f32> = behavior
-        .iter()
-        .map(|&v| if v > thresh { 1.0 } else { 0.0 })
-        .collect();
-    jaccard(&binarized, hypothesis_mask)
+    let threshold = crate::quantile::quantile(behavior, top_quantile);
+    jaccard_above(behavior, hypothesis_mask, threshold)
 }
 
 /// Mean silhouette score of points under integer cluster labels, with
@@ -216,6 +221,59 @@ mod tests {
         // Top ~1/3 of activations are exactly the two masked positions.
         let j = jaccard_at_quantile(&behavior, &mask, 0.66);
         assert!(j > 0.99, "expected ~1.0, got {j}");
+    }
+
+    /// The parent's scoring rule: sorted quantile, binarized copy, mask
+    /// Jaccard over the two.
+    fn reference_jaccard_at_quantile(behavior: &[f32], mask: &[f32], q: f32) -> f32 {
+        let thresh = crate::quantile::reference::quantile(behavior, q);
+        let binarized: Vec<f32> = behavior
+            .iter()
+            .map(|&v| if v > thresh { 1.0 } else { 0.0 })
+            .collect();
+        let (mut inter, mut union) = (0usize, 0usize);
+        for (&x, &y) in binarized.iter().zip(mask.iter()) {
+            let (bx, by) = (x > 0.5, y > 0.5);
+            if bx && by {
+                inter += 1;
+            }
+            if bx || by {
+                union += 1;
+            }
+        }
+        if union == 0 {
+            0.0
+        } else {
+            inter as f32 / union as f32
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn threshold_jaccard_is_the_binarized_jaccard_bit_for_bit(
+            codes in proptest::collection::vec((0u32..8, 0u32..1000), 0..300),
+            profile in 0usize..6,
+            zeros in 0u32..2,
+            q in 0.0f32..=1.0,
+            mask_seed in 1usize..50,
+        ) {
+            let behavior = crate::quantile::adversarial_sample(&codes, profile, zeros == 1);
+            // Masks with soft values on either side of 0.5, and NaNs.
+            let mask: Vec<f32> = (0..behavior.len())
+                .map(|i| match (i * mask_seed) % 7 {
+                    0 | 1 => 1.0,
+                    2 => 0.6,
+                    3 => 0.5,
+                    4 => f32::NAN,
+                    _ => 0.0,
+                })
+                .collect();
+            for q in [0.5, 0.95, 0.995, q] {
+                let want = reference_jaccard_at_quantile(&behavior, &mask, q);
+                let got = jaccard_at_quantile(&behavior, &mask, q);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "q {}", q);
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * [`corr`] — Pearson correlation, streaming accumulation, and
 //!   Fisher-transform confidence intervals (the early-stopping criterion).
-//! * [`mi`] — binned mutual information, univariate and multivariate.
-//! * [`quantile`] — exact and P² streaming quantiles, quantile binning
-//!   (NetDissect-style thresholds).
+//! * [`mi`] — binned mutual information, univariate and multivariate, on
+//!   dense joint tables over pre-binned columns.
+//! * [`quantile`] — exact (by selection) and P² streaming quantiles,
+//!   one-sort quantile binning (NetDissect-style thresholds).
 //! * [`descriptive`] — difference of means, Jaccard/IoU, silhouette score
 //!   (the §4.4 verification statistic).
 //! * [`classify`] — precision/recall/F1/accuracy metrics.
@@ -32,7 +33,9 @@ pub mod split;
 
 pub use classify::{f1_score, Confusion};
 pub use corr::{pearson, StreamingPearson, Z_95};
-pub use descriptive::{difference_of_means, jaccard, jaccard_at_quantile, silhouette_score};
+pub use descriptive::{
+    difference_of_means, jaccard, jaccard_above, jaccard_at_quantile, silhouette_score,
+};
 pub use logreg::{ConvergenceTracker, LogRegConfig, MultiLogReg, SoftmaxReg};
-pub use mi::{multivariate_mi, mutual_information};
+pub use mi::{multivariate_mi, multivariate_mi_binned, mutual_information};
 pub use quantile::{quantile, quantile_bin, P2Quantile};

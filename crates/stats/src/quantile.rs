@@ -2,30 +2,66 @@
 //!
 //! NetDissect-style measures (paper Appendix E) binarize activations at a
 //! top-quantile threshold; mutual information discretizes behaviors into
-//! quantile bins. Both a sorted-sample exact quantile and a streaming
-//! estimator (for the online pipeline) are provided.
+//! quantile bins. [`quantile`] reads its two order statistics by selection
+//! on one scratch copy (no full sort); [`quantile_bin`] sorts one copy and
+//! takes every boundary from it; [`P2Quantile`] is the streaming estimator
+//! for the online pipeline. Both exact routines interpolate through the
+//! same two private helpers, so a boundary is the same number whichever of
+//! them computed it.
 
-/// Exact sample quantile by sorting a copy (linear interpolation between
-/// order statistics, matching NumPy's default).
+use std::cmp::Ordering;
+
+/// `partial_cmp` for NaN-free values (callers filter NaNs out first).
+/// Spelled as two comparisons and `#[inline]` because the selection loop
+/// lives on it: `partial_cmp(..).expect(..)` here measured 2.6x slower.
+#[inline]
+fn by_value(a: &f32, b: &f32) -> Ordering {
+    if a < b {
+        Ordering::Less
+    } else if a > b {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    }
+}
+
+/// The order statistics quantile `q` of an `n`-sample interpolates
+/// between, `lo <= hi <= lo + 1`, and the weight of the upper one.
+fn order_stats(n: usize, q: f32) -> (usize, usize, f32) {
+    let pos = q as f64 * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, (pos - lo as f64) as f32)
+}
+
+/// Linear interpolation between two order statistics (NumPy's default).
+fn interpolate(lo: f32, hi: f32, frac: f32) -> f32 {
+    lo * (1.0 - frac) + hi * frac
+}
+
+/// Exact sample quantile (linear interpolation between order statistics,
+/// matching NumPy's default); NaNs are ignored, an empty or all-NaN
+/// sample yields NaN.
+///
+/// The two order statistics are found by selection on one scratch copy,
+/// which returns the values a full sort would — except that `-0.0` and
+/// `+0.0` compare equal, so when the sample holds both, which of them
+/// lands on an order statistic is unspecified. The result is then a zero
+/// of either sign: equal under `==`, and unobservable to every consumer
+/// here, which all compare `v > threshold`.
 pub fn quantile(values: &[f32], q: f32) -> f32 {
     assert!((0.0..=1.0).contains(&q), "quantile out of [0,1]");
-    if values.is_empty() {
+    let mut scratch: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+    if scratch.is_empty() {
         return f32::NAN;
     }
-    let mut sorted: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-    if sorted.is_empty() {
-        return f32::NAN;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pos = q as f64 * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let (lo, hi, frac) = order_stats(scratch.len(), q);
+    let (_, &mut lo_value, above) = scratch.select_nth_unstable_by(lo, by_value);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = (pos - lo as f64) as f32;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        return lo_value;
     }
+    // `hi == lo + 1`: the smallest value of the upper partition.
+    let hi_value = above.iter().copied().fold(f32::INFINITY, f32::min);
+    interpolate(lo_value, hi_value, frac)
 }
 
 /// Streaming quantile estimator using the P² algorithm (Jain & Chlamtac,
@@ -157,25 +193,159 @@ impl P2Quantile {
 }
 
 /// Assigns each value to one of `bins` quantile bins (0-based). Values equal
-/// to a boundary fall into the lower bin; the mapping is monotone.
+/// to a boundary fall into the lower bin; the mapping is monotone. The
+/// `bins - 1` boundaries are [`quantile`]'s values at `b / bins`, all read
+/// from one sorted copy.
 pub fn quantile_bin(values: &[f32], bins: usize) -> Vec<usize> {
     assert!(bins >= 1, "need at least one bin");
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let mut boundaries = Vec::with_capacity(bins - 1);
-    for b in 1..bins {
-        boundaries.push(quantile(values, b as f32 / bins as f32));
-    }
+    let mut sorted: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+    sorted.sort_by(by_value);
+    let boundaries: Vec<f32> = (1..bins)
+        .map(|b| {
+            if sorted.is_empty() {
+                return f32::NAN;
+            }
+            let (lo, hi, frac) = order_stats(sorted.len(), b as f32 / bins as f32);
+            if lo == hi {
+                sorted[lo]
+            } else {
+                interpolate(sorted[lo], sorted[hi], frac)
+            }
+        })
+        .collect();
     values
         .iter()
         .map(|&v| boundaries.iter().take_while(|&&b| v > b).count())
         .collect()
 }
 
+/// The parent implementations — a full sort per quantile, `bins - 1`
+/// sorts per binning — kept as the references the kernels above are
+/// pinned to, bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    pub fn quantile(values: &[f32], q: f32) -> f32 {
+        assert!((0.0..=1.0).contains(&q), "quantile out of [0,1]");
+        if values.is_empty() {
+            return f32::NAN;
+        }
+        let mut sorted: Vec<f32> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+        if sorted.is_empty() {
+            return f32::NAN;
+        }
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let pos = q as f64 * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = (pos - lo as f64) as f32;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    pub fn quantile_bin(values: &[f32], bins: usize) -> Vec<usize> {
+        assert!(bins >= 1, "need at least one bin");
+        if values.is_empty() {
+            return Vec::new();
+        }
+        let mut boundaries = Vec::with_capacity(bins - 1);
+        for b in 1..bins {
+            boundaries.push(quantile(values, b as f32 / bins as f32));
+        }
+        values
+            .iter()
+            .map(|&v| boundaries.iter().take_while(|&&b| v > b).count())
+            .collect()
+    }
+}
+
+/// Adversarial samples for the parity proptests of this crate: each
+/// element is a `(kind, raw)` code, and `profile` picks which kinds a
+/// sample may hold — all-equal, heavy ties, NaNs mixed in, ±1e30,
+/// denormals, or everything at once. Signed zeros only with `zeros`.
+#[cfg(test)]
+pub(crate) fn adversarial_sample(codes: &[(u32, u32)], profile: usize, zeros: bool) -> Vec<f32> {
+    codes
+        .iter()
+        .map(|&(kind, raw)| {
+            let spread = raw as f32 / 7.0 - 70.0;
+            let tie = (raw % 4) as f32 + 1.0;
+            let value = match (profile % 6, kind % 8) {
+                (0, _) => 3.5,
+                (1, _) => tie,
+                (2, 0..=2) => f32::NAN,
+                (3, 0) => 1e30,
+                (3, 1) => -1e30,
+                (4, 0..=3) => f32::from_bits(raw + 1),
+                (4, 4) => -f32::from_bits(raw + 1),
+                (5, 0) => f32::NAN,
+                (5, 1) => 1e30,
+                (5, 2) => -1e30,
+                (5, 3) => f32::from_bits(raw + 1),
+                (5, 4 | 5) => tie,
+                _ => spread,
+            };
+            match (zeros, kind % 8) {
+                (true, 6) => 0.0,
+                (true, 7) => -0.0,
+                _ => value,
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn codes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u32, u32)>> {
+        proptest::collection::vec((0u32..8, 0u32..1000), len)
+    }
+
+    /// The quantiles the measures use, the extremes, and a random one.
+    fn quantiles(random: f32) -> [f32; 6] {
+        [0.0, 0.5, 0.95, 0.995, 1.0, random]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn selection_quantile_is_the_sorted_quantile_bit_for_bit(
+            codes in codes(1..300), profile in 0usize..6, q in 0.0f32..=1.0,
+        ) {
+            let sample = adversarial_sample(&codes, profile, false);
+            for q in quantiles(q) {
+                let (got, want) = (quantile(&sample, q), reference::quantile(&sample, q));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "q {} of {:?}", q, sample);
+            }
+        }
+
+        #[test]
+        fn selection_quantile_with_signed_zeros_is_equal_under_eq(
+            codes in codes(1..300), profile in 0usize..6, q in 0.0f32..=1.0,
+        ) {
+            let sample = adversarial_sample(&codes, profile, true);
+            for q in quantiles(q) {
+                let (got, want) = (quantile(&sample, q), reference::quantile(&sample, q));
+                prop_assert!(
+                    got == want || (got.is_nan() && want.is_nan()),
+                    "q {}: {} vs {} of {:?}", q, got, want, sample
+                );
+            }
+        }
+
+        #[test]
+        fn one_sort_binning_assigns_the_bins_of_a_sort_per_boundary(
+            codes in codes(0..300), profile in 0usize..6, zeros in 0u32..2, bins in 1usize..10,
+        ) {
+            let sample = adversarial_sample(&codes, profile, zeros == 1);
+            prop_assert_eq!(quantile_bin(&sample, bins), reference::quantile_bin(&sample, bins));
+        }
+    }
 
     #[test]
     fn exact_quantile_median_of_odd() {
