@@ -1,18 +1,26 @@
 //! The inspection engines (paper §5): the naive design, its cumulative
 //! optimizations, and the DB-oriented MADLib baseline.
 //!
-//! | [`EngineKind`]      | materialization | logreg      | stopping      |
-//! |---------------------|-----------------|-------------|---------------|
-//! | `PyBase`            | full, up-front  | per-hyp     | none          |
-//! | `Merged`            | full, up-front  | merged (+MM)| none          |
-//! | `MergedEarlyStop`   | full, up-front  | merged      | per-pair (ES) |
-//! | `DeepBase`          | streaming blocks| merged      | ends extraction too |
-//! | `Madlib`            | dense relations | UDA per hyp | none          |
+//! | [`EngineKind`]      | materialization | states         | stopping       |
+//! |---------------------|-----------------|----------------|----------------|
+//! | `PyBase`            | full, up-front  | per pair       | none           |
+//! | `Merged`            | full, up-front  | per list (+MM) | none           |
+//! | `MergedEarlyStop`   | full, up-front  | per list       | per state (ES) |
+//! | `DeepBase`          | streaming blocks| per list       | ends extraction too |
+//! | `Madlib`            | dense relations | UDA per hyp    | none           |
+//!
+//! There is one measure-state interface ([`MeasureState`], over an ordered
+//! hypothesis list) and one function that splits a member's hypotheses
+//! into lists (`hypothesis_lists`): the whole list for a measure that
+//! [shares](Measure::shares_hypotheses) work between hypotheses (`logreg`
+//! trains one multi-output model, the buffered measures keep one unit
+//! sample), one hypothesis per state otherwise. "Per list" above is that
+//! split; `PyBase` always takes singletons.
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
 //! extraction fans record blocks across worker threads and independent
-//! measures parallelize across hypotheses (§4.3), standing in for the
-//! paper's CUDA offload.
+//! measures parallelize across hypothesis lists (§4.3), standing in for
+//! the paper's CUDA offload.
 //!
 //! ## Device → runtime mapping
 //!
@@ -23,8 +31,8 @@
 //! * [`Device::SingleCore`] executes everything inline on the calling
 //!   thread — the pool is untouched.
 //! * [`Device::Parallel(n)`] splits work into `n` deterministic chunks
-//!   (record blocks in [`Extractor`] extraction, hypothesis ranges in the
-//!   independent-measure fan-out, output-row panels inside
+//!   (record blocks in [`Extractor`] extraction, hypothesis-list ranges in
+//!   the independent-measure fan-out, output-row panels inside
 //!   `Matrix::matmul_parallel`) and dispatches the chunks onto the global
 //!   pool via its scoped `spawn` API. `n` controls the *chunking* — the
 //!   simulated device width — while the pool supplies however many OS
@@ -49,11 +57,11 @@
 //!    the union of member hypotheses by function identity (Arc-shared
 //!    catalog sets collapse, same-id-different-function registrations
 //!    stay separate); and deduplicated measure-state slots — one state
-//!    per `(units, measure, hypothesis)` for a per-pair state, one
-//!    composite per `(units, measure, hypothesis list)` for a merged one
-//!    (measures by identity too, not by id), the exact keys that keep
-//!    every member's scores bit-identical to a standalone [`inspect`]
-//!    call.
+//!    per `(units, measure, hypothesis list)`, the list being the
+//!    member's own for a measure that shares and a single hypothesis
+//!    otherwise (measures by identity too, not by id), the exact key that
+//!    keeps every member's scores bit-identical to a standalone
+//!    [`inspect`] call.
 //! 2. **One stream per dataset segment.** A seeded shuffle of the
 //!    segment's records (segment 0 keeps the session seed), a block at a
 //!    time: unit behaviors are fetched once per block — extracted live,
@@ -72,7 +80,9 @@
 //!    every unique pair is emitted once into a merged [`ResultFrame`]
 //!    ([`MeasureState::final_scores`], on the inspection clock), member
 //!    frames are reassembled from row spans ([`ResultFrame::demux`]), and
-//!    a view pass serializes the fold point.
+//!    a view pass serializes the fold point — per hypothesis, so the
+//!    stored bytes do not depend on how hypotheses were grouped into
+//!    states.
 //!
 //! The single-request engine is the one-member case, and the unsegmented
 //! pass the one-segment, one-stream case, of this implementation. What
@@ -81,13 +91,12 @@
 //! segment_count > 1 || capture_states || skip_segments > 0`.
 //!
 //! * `!full_pass` (one stream): **early stopping** — a slot stops being
-//!   fed the moment its error meets epsilon and the stream ends when
-//!   every member converged (§5.2.3), persisting the streamed prefix as
-//!   resumable partial columns; **merged states** — a measure that offers
-//!   one runs one composite per hypothesis list (`logreg` trains one
-//!   multi-output model, the buffered measures keep one unit sample);
-//!   extraction runs on the configured [`Device`].
-//! * `full_pass`: every block of every streamed segment is processed, so
+//!   fed the moment every error of its list meets epsilon and the stream
+//!   ends when every member converged (§5.2.3), persisting the streamed
+//!   prefix as resumable partial columns; extraction runs on the
+//!   configured [`Device`].
+//! * `full_pass`: the same slots over the same lists, never stopped
+//!   early: every block of every streamed segment is processed, so
 //!   folded scores and extractor call counts do not depend on device or
 //!   segment schedule, ε only classifies pairs as pending, and
 //!   `stored(0..k) ⊕ fresh(k..n)` equals the cold fold bit for bit — the
@@ -111,12 +120,12 @@
 use crate::cache::HypothesisCache;
 use crate::error::DniError;
 use crate::extract::{ColumnDemux, Extractor};
-use crate::measure::{Measure, MeasureKind, MeasureState, MergedState};
+use crate::measure::{Measure, MeasureKind, MeasureState};
 use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
 use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
-use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewSlotState};
+use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewHypState};
 use deepbase_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -552,7 +561,7 @@ fn shuffled_records(dataset: &Dataset, seed: u64) -> Vec<&Record> {
         .collect()
 }
 
-/// Emits result rows for a finished per-pair state.
+/// Emits the result rows of one scored `(group, measure, hypothesis)`.
 fn emit_rows(
     frame: &mut ResultFrame,
     req: &InspectionRequest<'_>,
@@ -633,6 +642,8 @@ fn inspect_materialized(
     let early_stop = matches!(config.engine, EngineKind::MergedEarlyStop);
     let rows_total = records.len() * ns;
     let block_rows = (config.block_records * ns).max(1);
+    let all_hyps: Vec<usize> = (0..hyp_cols.len()).collect();
+    let threads = config.device.threads();
 
     let t2 = Instant::now();
     let mut frame = ResultFrame::default();
@@ -642,80 +653,65 @@ fn inspect_materialized(
                 b.check_fatal()?;
             }
             let eps = epsilon_for(*measure, config);
-            let merged_state = if merging {
-                measure.new_merged_state(group.units.len(), req.hypotheses.len())
+            // PyBase scores every pair on its own; the merging engines hand
+            // a measure that shares the whole list (+MM).
+            let lists = if merging {
+                hypothesis_lists(*measure, &all_hyps)
             } else {
-                None
+                all_hyps.chunks(1).collect()
             };
-            match merged_state {
-                Some(mut state) => {
-                    // Merged path: one composite model for all hypotheses.
-                    // Early stopping can only stop the composite as a whole
-                    // (the paper's §5.2.1 caveat).
-                    let mut hyps_matrix = Matrix::zeros(rows_total, req.hypotheses.len());
-                    for (h, col) in hyp_cols.iter().enumerate() {
-                        for (r, &v) in col.iter().enumerate() {
-                            hyps_matrix.set(r, h, v);
-                        }
+            // One state per list, fed a block at a time. Early stopping can
+            // only stop a list as a whole (the paper's §5.2.1 caveat).
+            let score_list = |list: &[usize]| -> (Vec<PairResult>, usize) {
+                let mut state = measure.new_state(group.units.len(), list.len());
+                let mut errs = vec![f32::INFINITY; list.len()];
+                let mut block: Vec<&[f32]> = Vec::with_capacity(list.len());
+                let (mut start, mut blocks) = (0, 0);
+                while start < rows_total {
+                    let end = (start + block_rows).min(rows_total);
+                    block.clear();
+                    block.extend(list.iter().map(|&h| &hyp_cols[h][start..end]));
+                    state.process_block(&behaviors.slice_rows(start, end), &block, &mut errs);
+                    blocks += 1;
+                    if early_stop && errs.iter().all(|&e| e <= eps) {
+                        break;
                     }
-                    let mut start = 0;
-                    while start < rows_total {
-                        let end = (start + block_rows).min(rows_total);
-                        let ub = behaviors.slice_rows(start, end);
-                        let hb = hyps_matrix.slice_rows(start, end);
-                        let errs = state.process_block(&ub, &hb);
-                        profile.blocks_processed += 1;
-                        if early_stop && errs.iter().all(|&e| e <= eps) {
-                            break;
-                        }
-                        start = end;
-                    }
-                    for (hyp, (unit_scores, group_score)) in
-                        req.hypotheses.iter().zip(state.final_scores())
-                    {
-                        emit_rows(
-                            &mut frame,
-                            req,
-                            group,
-                            measure.id(),
-                            hyp.id(),
-                            &unit_scores,
-                            group_score,
-                        );
-                    }
+                    start = end;
                 }
-                None => {
-                    // Per-hypothesis path; independent measures can fan
-                    // hypotheses across threads on the parallel device.
-                    let threads = config.device.threads();
-                    let parallel_ok = threads > 1 && measure.kind() == MeasureKind::Independent;
-                    let results = if parallel_ok {
-                        process_hypotheses_parallel(
-                            behaviors, &hyp_cols, *measure, group, eps, early_stop, block_rows,
-                            rows_total, threads,
-                        )
-                    } else {
-                        hyp_cols
-                            .iter()
-                            .map(|col| {
-                                process_one_hypothesis(
-                                    behaviors, col, *measure, group, eps, early_stop, block_rows,
-                                    rows_total,
-                                )
-                            })
-                            .collect()
-                    };
-                    for (hyp, (unit_scores, group_score)) in req.hypotheses.iter().zip(results) {
-                        emit_rows(
-                            &mut frame,
-                            req,
-                            group,
-                            measure.id(),
-                            hyp.id(),
-                            &unit_scores,
-                            group_score,
-                        );
-                    }
+                (state.final_scores(), blocks)
+            };
+            // Independent measures can fan their lists across threads on
+            // the parallel device.
+            let results: Vec<(Vec<PairResult>, usize)> =
+                if threads > 1 && measure.kind() == MeasureKind::Independent {
+                    let mut results = vec![Default::default(); lists.len()];
+                    let chunk = lists.len().div_ceil(threads).max(1);
+                    let score_list = &score_list;
+                    deepbase_runtime::global().scope(|scope| {
+                        for (lists, out) in lists.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                            scope.spawn(move || {
+                                for (list, slot) in lists.iter().zip(out.iter_mut()) {
+                                    *slot = score_list(list);
+                                }
+                            });
+                        }
+                    });
+                    results
+                } else {
+                    lists.iter().map(|list| score_list(list)).collect()
+                };
+            for (list, (scores, blocks)) in lists.iter().zip(results) {
+                profile.blocks_processed += blocks;
+                for (&h, (unit_scores, group_score)) in list.iter().zip(scores) {
+                    emit_rows(
+                        &mut frame,
+                        req,
+                        group,
+                        measure.id(),
+                        req.hypotheses[h].id(),
+                        &unit_scores,
+                        group_score,
+                    );
                 }
             }
         }
@@ -726,59 +722,6 @@ fn inspect_materialized(
 }
 
 type PairResult = (Vec<f32>, f32);
-
-#[allow(clippy::too_many_arguments)]
-fn process_one_hypothesis(
-    behaviors: &Matrix,
-    hyp_col: &[f32],
-    measure: &dyn Measure,
-    group: &UnitGroup,
-    eps: f32,
-    early_stop: bool,
-    block_rows: usize,
-    rows_total: usize,
-) -> PairResult {
-    let mut state = measure.new_state(group.units.len());
-    let mut start = 0;
-    while start < rows_total {
-        let end = (start + block_rows).min(rows_total);
-        let ub = behaviors.slice_rows(start, end);
-        let err = state.process_block(&ub, &hyp_col[start..end]);
-        if early_stop && err <= eps {
-            break;
-        }
-        start = end;
-    }
-    state.final_scores()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_hypotheses_parallel(
-    behaviors: &Matrix,
-    hyp_cols: &[Vec<f32>],
-    measure: &dyn Measure,
-    group: &UnitGroup,
-    eps: f32,
-    early_stop: bool,
-    block_rows: usize,
-    rows_total: usize,
-    threads: usize,
-) -> Vec<PairResult> {
-    let mut results: Vec<PairResult> = vec![(Vec::new(), 0.0); hyp_cols.len()];
-    let chunk = hyp_cols.len().div_ceil(threads).max(1);
-    deepbase_runtime::global().scope(|scope| {
-        for (cols, out) in hyp_cols.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (col, slot) in cols.iter().zip(out.iter_mut()) {
-                    *slot = process_one_hypothesis(
-                        behaviors, col, measure, group, eps, early_stop, block_rows, rows_total,
-                    );
-                }
-            });
-        }
-    });
-    results
-}
 
 // ---------------------------------------------------------------------
 // Streaming engine: DeepBase
@@ -845,17 +788,18 @@ struct Selection {
     identity: bool,
 }
 
-/// One deduplicated measure-state slot. Hypotheses are identified by
-/// their union column index (function identity) and measures by
-/// [`measure_key`], not by id string, so same-id-different-function
-/// registrations never conflate. A per-pair state scores each pair in
-/// isolation, so any member naming the same `(units, measure, hypothesis
-/// column)` shares the slot. A merged composite's identity is its exact
-/// ordered hypothesis list: a logreg composite trains one model over the
-/// list (anything less would change member scores), and a buffered
-/// composite keeps one sample for the list — members naming different
-/// lists over one `(units, measure)` get one sample per distinct list,
-/// never more than one per member.
+/// One deduplicated measure-state slot: one state over an ordered list of
+/// union hypothesis columns ([`hypothesis_lists`] — a member's whole list
+/// for a measure that shares, one column otherwise). Hypotheses are
+/// identified by their union column index (function identity) and
+/// measures by [`measure_key`], not by id string, so
+/// same-id-different-function registrations never conflate. Any member
+/// naming the same `(units, measure, hypothesis list)` shares the slot. The
+/// exact ordered list is the identity because it is what the state sees: a
+/// logreg state trains one model over the list (anything less would change
+/// member scores), and a buffered state keeps one sample for the list —
+/// members naming different lists over one `(units, measure)` get one
+/// sample per distinct list, never more than one per member.
 struct Slot<'a> {
     /// Index into the unique unit-selection list.
     sel: usize,
@@ -865,10 +809,8 @@ struct Slot<'a> {
     /// rebrand during demux).
     model_id: String,
     group_id: String,
-    /// Union hypothesis columns the slot consumes: one for a per-pair
-    /// slot, the member's ordered list for a merged composite.
+    /// Union hypothesis columns the slot's state consumes, in list order.
     hyps: Vec<usize>,
-    merged: bool,
 }
 
 impl Slot<'_> {
@@ -876,6 +818,15 @@ impl Slot<'_> {
     /// NaN or the `∞` a state reports before it can estimate).
     fn met(&self, err: f32) -> bool {
         err <= self.eps
+    }
+
+    /// Where the column at list position `pos` was first mentioned, if
+    /// earlier: one function registered in two hypothesis sets repeats in
+    /// a member's list. A fold point stores such a column once, at its
+    /// first position — the same bytes would follow — which is also what
+    /// one-state-per-column slot dedup stores.
+    fn first_mention(&self, pos: usize) -> Option<usize> {
+        self.hyps[..pos].iter().position(|&c| c == self.hyps[pos])
     }
 }
 
@@ -901,24 +852,6 @@ struct PassLayout<'a> {
     members: Vec<Vec<MemberEntry>>,
 }
 
-/// The mutable half of a slot within one stream (or the fold of several).
-enum SlotState {
-    PerHyp(Box<dyn MeasureState>),
-    Merged(Box<dyn MergedState>),
-}
-
-impl SlotState {
-    /// Final `(unit scores, group score)` per slot hypothesis, one call
-    /// per slot: whatever a merged state derives per unit is derived once
-    /// for the whole list.
-    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        match self {
-            SlotState::PerHyp(state) => vec![state.final_scores()],
-            SlotState::Merged(state) => state.final_scores(),
-        }
-    }
-}
-
 /// Identity of a measure within a pass: where it lives, plus its id. The
 /// id alone would conflate two differently configured measures answering
 /// to one name (two `JaccardMeasure` quantiles); the address alone would
@@ -931,37 +864,23 @@ pub(crate) fn measure_key(measure: &dyn Measure) -> MeasureKey {
     (address, measure.id().to_string())
 }
 
-/// The one answer to "does this (measure, shape) run as a merged
-/// composite?", shared by the pass layout and the optimizer's estimate
-/// (`EXPLAIN`): only off a full pass — merged states have no
-/// `merge_from` / `serialize_state`, so folded and view passes build
-/// per-pair slots — and only if the measure offers a merged state. The
-/// probe is memoized per `(measure, n_units, n_hyps)`, its exact inputs,
-/// since the trait lets the answer depend on the shape.
-pub(crate) struct MergeProbe {
-    full_pass: bool,
-    probed: HashMap<(MeasureKey, usize, usize), bool>,
-}
-
-impl MergeProbe {
-    pub(crate) fn new(full_pass: bool) -> MergeProbe {
-        MergeProbe {
-            full_pass,
-            probed: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn merges(&mut self, measure: &dyn Measure, n_units: usize, n_hyps: usize) -> bool {
-        !self.full_pass
-            && *self
-                .probed
-                .entry((measure_key(measure), n_units, n_hyps))
-                .or_insert_with(|| measure.new_merged_state(n_units, n_hyps).is_some())
+/// The hypothesis lists one `(units, measure)` entry of a member is scored
+/// over, one state each: the member's whole list for a measure that
+/// [shares](Measure::shares_hypotheses), a singleton per column otherwise.
+/// The one place that decides it — the pass layout builds its slots from
+/// it, the materializing engines their states, and the optimizer's
+/// estimate (`EXPLAIN`) counts what it returns.
+pub(crate) fn hypothesis_lists<'c>(measure: &dyn Measure, cols: &'c [usize]) -> Vec<&'c [usize]> {
+    if measure.shares_hypotheses() {
+        vec![cols]
+    } else {
+        cols.chunks(1).collect()
     }
 }
 
+/// The mutable half of a slot within one stream (or the fold of several).
 struct SlotRun {
-    state: SlotState,
+    state: Box<dyn MeasureState>,
     /// Convergence error per slot hypothesis: what the last processed
     /// block returned (`∞` before the first), replaced by the folded
     /// state's own estimate after a full pass.
@@ -1010,9 +929,9 @@ pub(crate) struct FoldOpts<'a> {
     /// stand in for the skipped prefix. `0` streams everything.
     pub skip_segments: usize,
     /// Serialized folded states covering segments `0..skip_segments` —
-    /// the durable fold point a materialized view stores — matched to
-    /// slots by `(group, measure, hypothesis)` triple.
-    pub base_states: Option<&'a [ViewSlotState]>,
+    /// the durable fold point a materialized view stores — in the order
+    /// the capturing pass wrote them.
+    pub base_states: Option<&'a [ViewHypState]>,
     /// Serialize the final folded states into the returned capture list
     /// (the view-build half of the fold-point contract).
     pub capture_states: bool,
@@ -1032,13 +951,11 @@ impl FoldOpts<'_> {
 
 impl<'a> PassLayout<'a> {
     /// Builds the sharing structure for `reqs` (which name one
-    /// `(extractor, dataset)` pair). Off a full pass a measure that offers
-    /// a merged state gets one composite slot per member hypothesis list
-    /// ([`MergeProbe`]); on one every slot is per-pair.
+    /// `(extractor, dataset)` pair): one slot per distinct `(units,
+    /// measure, hypothesis list)`, the lists split by [`hypothesis_lists`].
     fn build(
         reqs: &[InspectionRequest<'a>],
         config: &InspectionConfig,
-        full_pass: bool,
     ) -> Result<PassLayout<'a>, DniError> {
         let mut union_units: Vec<usize> = reqs
             .iter()
@@ -1066,9 +983,7 @@ impl<'a> PassLayout<'a> {
         let mut selections: Vec<Selection> = Vec::new();
         let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut slots: Vec<Slot<'a>> = Vec::new();
-        let mut slot_of: HashMap<(Vec<usize>, MeasureKey, Vec<usize>, bool), usize> =
-            HashMap::new();
-        let mut probe = MergeProbe::new(full_pass);
+        let mut slot_of: HashMap<(Vec<usize>, MeasureKey, Vec<usize>), usize> = HashMap::new();
         let mut members = Vec::with_capacity(reqs.len());
         for req in reqs {
             let cols: Vec<usize> = req
@@ -1092,16 +1007,10 @@ impl<'a> PassLayout<'a> {
                     }
                 };
                 for measure in &req.measures {
-                    let merged = probe.merges(*measure, group.units.len(), cols.len());
-                    let slot_hyps: Vec<Vec<usize>> = if merged {
-                        vec![cols.clone()]
-                    } else {
-                        cols.iter().map(|&c| vec![c]).collect()
-                    };
-                    let entry_slots = slot_hyps
+                    let entry_slots = hypothesis_lists(*measure, &cols)
                         .into_iter()
                         .map(|hyps| {
-                            let key = (group.units.clone(), measure_key(*measure), hyps, merged);
+                            let key = (group.units.clone(), measure_key(*measure), hyps.to_vec());
                             if let Some(&idx) = slot_of.get(&key) {
                                 return idx;
                             }
@@ -1112,7 +1021,6 @@ impl<'a> PassLayout<'a> {
                                 model_id: req.model_id.clone(),
                                 group_id: group.id.clone(),
                                 hyps: key.2.clone(),
-                                merged,
                             });
                             slot_of.insert(key, slots.len() - 1);
                             slots.len() - 1
@@ -1176,14 +1084,8 @@ impl<'a> PassLayout<'a> {
             .iter()
             .map(|slot| {
                 let n_units = self.selections[slot.sel].units.len();
-                let state = if slot.merged {
-                    let state = slot.measure.new_merged_state(n_units, slot.hyps.len());
-                    SlotState::Merged(state.expect("merged support was probed at layout time"))
-                } else {
-                    SlotState::PerHyp(slot.measure.new_state(n_units))
-                };
                 SlotRun {
-                    state,
+                    state: slot.measure.new_state(n_units, slot.hyps.len()),
                     errs: vec![f32::INFINITY; slot.hyps.len()],
                     converged: false,
                 }
@@ -1289,6 +1191,8 @@ impl<'a> PassLayout<'a> {
             // Advance every unconverged slot exactly once, no matter how
             // many members reference it.
             let t2 = Instant::now();
+            // The slot's columns in list order; one buffer per block.
+            let mut slot_cols: Vec<&[f32]> = Vec::new();
             for (slot, run) in self.slots.iter().zip(runs.iter_mut()) {
                 if run.converged {
                     continue;
@@ -1296,22 +1200,11 @@ impl<'a> PassLayout<'a> {
                 // `None` means the identity selection: use the union
                 // matrix directly.
                 let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(union_behaviors);
-                let col = |c: usize| hyp_cols[c].as_ref().expect("consumed column");
-                match &mut run.state {
-                    SlotState::PerHyp(state) => {
-                        run.errs[0] = state.process_block(behaviors, col(slot.hyps[0]));
-                    }
-                    SlotState::Merged(state) => {
-                        let mut hyps_matrix = Matrix::zeros(behaviors.rows(), slot.hyps.len());
-                        for (h, &c) in slot.hyps.iter().enumerate() {
-                            for (r, &v) in col(c).iter().enumerate() {
-                                hyps_matrix.set(r, h, v);
-                            }
-                        }
-                        let errs = state.process_block(behaviors, &hyps_matrix);
-                        run.errs.copy_from_slice(&errs);
-                    }
-                }
+                let col = |&c: &usize| hyp_cols[c].as_deref().expect("consumed column");
+                slot_cols.clear();
+                slot_cols.extend(slot.hyps.iter().map(col));
+                run.state
+                    .process_block(behaviors, &slot_cols, &mut run.errs);
                 if !full_pass && run.errs.iter().all(|&e| slot.met(e)) {
                     run.converged = true; // stop feeding
                     for &c in &slot.hyps {
@@ -1362,38 +1255,56 @@ impl<'a> PassLayout<'a> {
     }
 
     /// Revives the serialized fold point of a skipped segment prefix:
-    /// exactly the states the cold fold held after those segments.
-    fn revive(&self, base: &[ViewSlotState]) -> Result<Vec<SlotRun>, DniError> {
-        self.slots
-            .iter()
-            .map(|slot| {
-                let hyp_id = self.union_hyps[slot.hyps[0]].id();
-                let describe = |what: &str| {
-                    DniError::BadConfig(format!(
-                        "stored view state {what} ({}, {}, {hyp_id})",
-                        slot.group_id,
-                        slot.measure.id(),
+    /// exactly the states the cold fold held after those segments. Stored
+    /// states are consumed in the order [`PassLayout::finish`] captured
+    /// them — slot order × list order, a repeated column once
+    /// ([`Slot::first_mention`]) — and each is checked against the
+    /// triple it is revived for. Matching by id alone would hand two
+    /// same-id hypotheses the same state; any mismatch, gap or leftover is
+    /// a typed error.
+    fn revive(&self, base: &[ViewHypState]) -> Result<Vec<SlotRun>, DniError> {
+        let bad = |what: String| DniError::BadConfig(format!("stored view state {what}"));
+        let mut stored = base.iter();
+        let mut runs = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let measure_id = slot.measure.id();
+            let mut blobs: Vec<&[u8]> = Vec::with_capacity(slot.hyps.len());
+            for (pos, &c) in slot.hyps.iter().enumerate() {
+                if let Some(first) = slot.first_mention(pos) {
+                    blobs.push(blobs[first]);
+                    continue;
+                }
+                let want = (slot.group_id.as_str(), measure_id, self.union_hyps[c].id());
+                let state = stored
+                    .next()
+                    .ok_or_else(|| bad(format!("missing slot {want:?}")))?;
+                let found = (&*state.group_id, &*state.measure_id, &*state.hyp_id);
+                if found != want {
+                    return Err(bad(format!("{found:?} found where {want:?} belongs")));
+                }
+                blobs.push(&state.state);
+            }
+            let n_units = self.selections[slot.sel].units.len();
+            let state = slot.measure.deserialize_state(n_units, &blobs);
+            runs.push(SlotRun {
+                state: state.ok_or_else(|| {
+                    let hyp_ids: Vec<&str> =
+                        (slot.hyps.iter().map(|&c| self.union_hyps[c].id())).collect();
+                    bad(format!(
+                        "does not revive for ({}, {measure_id}, {hyp_ids:?})",
+                        slot.group_id
                     ))
-                };
-                let stored = base
-                    .iter()
-                    .find(|s| {
-                        s.group_id == slot.group_id
-                            && s.measure_id == slot.measure.id()
-                            && s.hyp_id == hyp_id
-                    })
-                    .ok_or_else(|| describe("missing slot"))?;
-                let state = slot
-                    .measure
-                    .deserialize_state(self.selections[slot.sel].units.len(), &stored.state)
-                    .ok_or_else(|| describe("does not revive for"))?;
-                Ok(SlotRun {
-                    state: SlotState::PerHyp(state),
-                    errs: vec![f32::INFINITY],
-                    converged: false,
-                })
-            })
-            .collect()
+                })?,
+                errs: vec![f32::INFINITY; slot.hyps.len()],
+                converged: false,
+            });
+        }
+        match stored.count() {
+            0 => Ok(runs),
+            left => Err(bad(format!(
+                "list has {left} more than the statement has slots"
+            ))),
+        }
     }
 }
 
@@ -1431,11 +1342,7 @@ fn fold_streams(
             continue;
         }
         for (ours, theirs) in folded.runs.iter_mut().zip(&output.runs) {
-            let merged = match (&mut ours.state, &theirs.state) {
-                (SlotState::PerHyp(a), SlotState::PerHyp(b)) => a.merge_from(b.as_ref()),
-                _ => false,
-            };
-            if !merged {
+            if !ours.state.merge_from(theirs.state.as_ref()) {
                 return Err(DniError::Internal(
                     "measure state refused a cross-segment merge it advertised".into(),
                 ));
@@ -1450,9 +1357,7 @@ fn fold_streams(
     // over all the data would have reported last.
     folded.stats.segment_passes = streamed;
     for run in folded.runs.iter_mut() {
-        if let SlotState::PerHyp(state) = &run.state {
-            run.errs[0] = state.convergence_error();
-        }
+        run.state.convergence_errors(&mut run.errs);
     }
     Ok((folded, streamed))
 }
@@ -1475,7 +1380,7 @@ pub(crate) fn run_pass(
     sources: Option<&[ScanPlan]>,
     budget: Option<&ArmedBudget>,
     opts: &FoldOpts<'_>,
-) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
+) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
     validate_config(config)?;
     let Some(first) = reqs.first() else {
         return Ok((SharedOutcome::default(), Vec::new()));
@@ -1548,7 +1453,7 @@ pub(crate) fn run_pass(
     }
 
     let t_start = Instant::now();
-    let layout = PassLayout::build(reqs, config, full_pass)?;
+    let layout = PassLayout::build(reqs, config)?;
     let base = match opts.base_states.filter(|_| opts.skip_segments > 0) {
         Some(base) => layout.revive(base)?,
         None => Vec::new(),
@@ -1599,7 +1504,7 @@ impl PassLayout<'_> {
         extraction_passes: usize,
         capture_states: bool,
         t_start: Instant,
-    ) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
+    ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
         // A fold point is only worth storing complete: an interrupted pass
         // has partial states that would poison every later refresh, so
         // capture refuses it with a typed error instead of persisting it.
@@ -1621,7 +1526,7 @@ impl PassLayout<'_> {
         // inspection clock.
         let t_emit = Instant::now();
         let mut pending: Vec<PendingPair> = Vec::new();
-        let mut captures: Vec<ViewSlotState> = Vec::new();
+        let mut captures: Vec<ViewHypState> = Vec::new();
         let mut merged = ResultFrame::default();
         let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(self.slots.len());
         for (slot, run) in self.slots.iter().zip(&folded.runs) {
@@ -1630,8 +1535,8 @@ impl PassLayout<'_> {
             let mut slot_spans = Vec::with_capacity(slot.hyps.len());
             let scores = run.state.final_scores();
             debug_assert_eq!(scores.len(), slot.hyps.len());
-            for ((&c, &error), (unit_scores, group_score)) in
-                slot.hyps.iter().zip(&run.errs).zip(scores)
+            for (pos, ((&c, &error), (unit_scores, group_score))) in
+                slot.hyps.iter().zip(&run.errs).zip(scores).enumerate()
             {
                 let hyp_id = self.union_hyps[c].id();
                 if !slot.met(error) {
@@ -1656,16 +1561,12 @@ impl PassLayout<'_> {
                         group_score,
                     });
                 }
-                if capture_states {
-                    let bytes = match &run.state {
-                        SlotState::PerHyp(state) => state.serialize_state(),
-                        SlotState::Merged(_) => None,
-                    };
-                    captures.push(ViewSlotState {
+                if capture_states && slot.first_mention(pos).is_none() {
+                    captures.push(ViewHypState {
                         group_id: slot.group_id.clone(),
                         measure_id: measure_id.to_string(),
                         hyp_id: hyp_id.to_string(),
-                        state: bytes.ok_or_else(|| {
+                        state: run.state.serialize_state(pos).ok_or_else(|| {
                             DniError::Query(format!(
                                 "measure {measure_id} has no durable state; it cannot back a view"
                             ))

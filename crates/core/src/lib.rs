@@ -166,8 +166,8 @@
 //! A one-segment dataset is the one-stream case of the same code. Only
 //! policy differs, and it is derived, never configured: with `full_pass =
 //! segment_count > 1 || a view needs the fold point`, a `!full_pass`
-//! stream stops early (§5.2.3) and trains merged `logreg` composites; a
-//! full pass processes every block, fans its streams out on
+//! stream stops early (§5.2.3); a full pass builds the same states over
+//! the same hypothesis lists but processes every block, fans its streams out on
 //! `Device::Parallel` (bit-identical to SingleCore), and rejects measures
 //! whose states cannot merge exactly (the order-dependent SGD probes) at
 //! bind time with a typed [`DniError::Query`], never silently mis-scored.
@@ -213,7 +213,8 @@
 //! * **Dataset grew** — [`session::Session::refresh_view`] streams
 //!   **only the appended segments** and folds them into the stored
 //!   measure states ([`measure::MeasureState::merge_from`] over
-//!   deserialized states). Because per-segment streams are seeded by
+//!   states revived by [`measure::Measure::deserialize_state`], one stored
+//!   blob per hypothesis whatever list the pass runs). Because per-segment streams are seeded by
 //!   true segment index and a view pass is always a full pass, the
 //!   refreshed frame is bit-identical to a full cold rebuild. Reads of a stale
 //!   view raise [`DniError::ViewStale`] instead of silently paying
@@ -407,6 +408,6 @@ pub mod prelude {
     pub use deepbase_store::{
         BehaviorStore, ColumnKey, CompactionReport, Coverage, FpHasher, MaterializationPolicy,
         ScanPlan, StoreConfig, StoreError, StoreStats, ViewCatalog, ViewDoc, ViewFreshness,
-        ViewRow, ViewSlotState, ERROR_RING_CAP,
+        ViewHypState, ViewRow, ERROR_RING_CAP,
     };
 }

@@ -1,13 +1,14 @@
 //! Statistical affinity measures (paper §4.3) behind a uniform
 //! incremental interface.
 //!
-//! Every measure exposes the paper's `process_block` API: feed a block of
-//! unit behaviors + hypothesis behaviors, get back an error estimate that
-//! the engine compares against the user's convergence threshold
-//! (§5.2.2, early stopping). A measure whose hypotheses share work
-//! additionally exposes a **merged** state covering a whole hypothesis
-//! list at once (§5.2.1) — exact, because what is shared does not depend
-//! on the hypothesis:
+//! Every measure exposes the paper's `process_block` API through **one**
+//! state trait over an ordered hypothesis list: feed a block of unit
+//! behaviors + one behavior column per hypothesis, get back an error
+//! estimate per hypothesis that the engine compares against the user's
+//! convergence threshold (§5.2.2, early stopping). The per-pair state is
+//! the list with one member. A measure whose hypotheses share work says so
+//! ([`Measure::shares_hypotheses`], §5.2.1) and is handed a whole list at
+//! once — exact, because what is shared does not depend on the hypothesis:
 //!
 //! * the logistic-regression probes train all hypotheses as one
 //!   multi-output model (model merging; per-hypothesis losses and
@@ -17,10 +18,12 @@
 //!   derive the per-unit half of a score — the Jaccard threshold, the MI
 //!   bin assignment — once per unit instead of once per pair.
 //!
-//! In both families the per-pair state is the merged struct with one
-//! hypothesis, so there is one implementation of each; the per-pair form
-//! is what carries `merge_from` / `serialize_state` for segmented and
-//! view passes.
+//! The other measures (`corr`, `diff_means`, the baselines) score one
+//! hypothesis per state, so each pair stops early on its own.
+//! `merge_from` and the durable form are per list too; a state serializes
+//! one hypothesis at a time, to exactly the bytes a one-hypothesis state
+//! of it would write, so stored views do not depend on how hypotheses were
+//! grouped into states.
 
 use deepbase_stats::{
     baselines, corr, corr::StreamingPearson, descriptive, mi, quantile, ConvergenceTracker,
@@ -46,13 +49,17 @@ pub trait Measure: Send + Sync {
     /// Independent or joint.
     fn kind(&self) -> MeasureKind;
 
-    /// Fresh per-(unit-group, hypothesis) incremental state.
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState>;
+    /// Fresh incremental state for one unit group and an ordered list of
+    /// `n_hyps` hypotheses. Measures that do not
+    /// [share](Measure::shares_hypotheses) take exactly one.
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState>;
 
-    /// Fresh merged state covering `n_hyps` hypotheses at once, if the
-    /// measure supports model merging.
-    fn new_merged_state(&self, _n_units: usize, _n_hyps: usize) -> Option<Box<dyn MergedState>> {
-        None
+    /// True when one state over a hypothesis list does less work than one
+    /// state per hypothesis, for the same scores (model merging, §5.2.1):
+    /// a pass then builds one state per member hypothesis list instead of
+    /// one per pair.
+    fn shares_hypotheses(&self) -> bool {
+        false
     }
 
     /// Default convergence threshold ε (paper §6.2: 0.025 for correlation,
@@ -69,98 +76,92 @@ pub trait Measure: Send + Sync {
         false
     }
 
-    /// Reconstructs a state of this measure from bytes produced by
-    /// [`MeasureState::serialize_state`] — the durable half of
-    /// materialized views: a refresh revives the stored fold point and
-    /// merges only new segments into it. Bit-exact: the revived state's
-    /// scores and subsequent merges are identical to the original's.
-    /// `None` (the default, and always for non-mergeable measures) means
-    /// the bytes were not produced by this measure/shape or the measure
+    /// Reconstructs a state over `per_hyp_blobs.len()` hypotheses from the
+    /// bytes [`MeasureState::serialize_state`] produced for each, in list
+    /// order — the durable half of materialized views: a refresh revives
+    /// the stored fold point and merges only new segments into it.
+    /// Bit-exact: the revived state's scores and subsequent merges are
+    /// identical to the original's. `None` (the default, and always for
+    /// non-mergeable measures) means the bytes were not produced by this
+    /// measure/shape, the blobs do not belong to one state, or the measure
     /// does not support durable states.
-    fn deserialize_state(&self, _n_units: usize, _bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
+    fn deserialize_state(
+        &self,
+        _n_units: usize,
+        _per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
         None
     }
 }
 
-/// Incremental state for one (unit group, hypothesis) pair.
+/// Incremental state for one unit group and an ordered hypothesis list.
 pub trait MeasureState: Send {
-    /// Consumes a block (`rows x n_units` behaviors, `rows` hypothesis
-    /// values) and returns the current error estimate (∞ until estimable).
-    fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32;
+    /// Consumes a block — `rows x n_units` behaviors and one column of
+    /// `rows` values per hypothesis, in list order — and writes each
+    /// hypothesis's current error estimate to `errs` (∞ until estimable).
+    /// A block of any other shape panics ([`check_block`]).
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]);
 
-    /// Current per-unit scores.
-    fn unit_scores(&self) -> Vec<f32>;
-
-    /// Current group score.
-    fn group_score(&self) -> f32;
-
-    /// The pair's final `(unit scores, group score)`, bit-identical to
-    /// the two calls above — the one call the engines emit result rows
-    /// from. States whose group score is a function of their unit scores
-    /// override it so the expensive half is computed once.
-    fn final_scores(&self) -> (Vec<f32>, f32) {
-        (self.unit_scores(), self.group_score())
-    }
+    /// Every hypothesis's current `(unit scores, group score)`, in list
+    /// order — the one call the engines emit result rows from, so whatever
+    /// a state derives per unit is derived once for the whole list.
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)>;
 
     /// Self as `Any`, so sibling states of the same concrete type can
     /// downcast each other inside [`MeasureState::merge_from`].
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Folds another state of the **same measure and unit group** (fed a
-    /// disjoint record range, e.g. one dataset segment) into this one.
-    /// Returns `false` when the measure does not support merging (the
-    /// default) or `other` is not the expected concrete type; the engine
-    /// treats `false` on a path that requires merging as an internal
-    /// error, because the planner gates those paths on
-    /// [`Measure::supports_segment_merge`].
+    /// Folds another state of the **same measure, unit group and
+    /// hypothesis list** (fed a disjoint record range, e.g. one dataset
+    /// segment) into this one. Returns `false` when the measure does not
+    /// support merging (the default) or `other` is not the expected
+    /// concrete type and shape; the engine treats `false` on a path that
+    /// requires merging as an internal error, because the planner gates
+    /// those paths on [`Measure::supports_segment_merge`].
     fn merge_from(&mut self, _other: &dyn MeasureState) -> bool {
         false
     }
 
-    /// The current convergence-error estimate, as the last
-    /// [`MeasureState::process_block`] would have reported it — without
-    /// consuming data. Lets the engine re-derive pending pairs after
-    /// cross-segment merges. The default `∞` is only reached for states
-    /// that never merge (their per-block return value is used instead).
-    fn convergence_error(&self) -> f32 {
-        f32::INFINITY
+    /// The current convergence-error estimate of every hypothesis, as the
+    /// last [`MeasureState::process_block`] would have reported it —
+    /// without consuming data. Lets the engine re-derive pending pairs
+    /// after cross-segment merges. The default `∞` is only reached for
+    /// states that never merge (their per-block errors are used instead).
+    fn convergence_errors(&self, errs: &mut [f32]) {
+        errs.fill(f32::INFINITY);
     }
 
-    /// Serializes this state to bytes that the owning measure's
-    /// [`Measure::deserialize_state`] revives bit-exactly (floats travel
-    /// as raw bits). `None` (the default) for states without a durable
-    /// form; mergeable measures must implement it for views to cover
-    /// them.
-    fn serialize_state(&self) -> Option<Vec<u8>> {
+    /// Serializes hypothesis `hyp`'s share of this state to bytes that the
+    /// owning measure's [`Measure::deserialize_state`] revives bit-exactly
+    /// (floats travel as raw bits) — the bytes a one-hypothesis state fed
+    /// the same blocks would write. `None` (the default) for states
+    /// without a durable form; mergeable measures must implement it for
+    /// views to cover them.
+    fn serialize_state(&self, _hyp: usize) -> Option<Vec<u8>> {
         None
     }
 }
 
-/// Incremental state shared across all hypotheses of one list.
-pub trait MergedState: Send {
-    /// Number of hypotheses the state covers.
-    fn n_hyps(&self) -> usize;
-
-    /// Consumes a block (`rows x n_units`, `rows x n_hyps`), returning the
-    /// per-hypothesis error estimates.
-    fn process_block(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32>;
-
-    /// Per-unit scores for one hypothesis.
-    fn unit_scores(&self, hyp: usize) -> Vec<f32>;
-
-    /// Group score for one hypothesis.
-    fn group_score(&self, hyp: usize) -> f32;
-
-    /// Every hypothesis's final `(unit scores, group score)`, in list
-    /// order and bit-identical to the two calls above — the one call the
-    /// engines emit result rows from. States that derive something per
-    /// unit and reuse it across hypotheses override it so that half is
-    /// computed once.
-    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        (0..self.n_hyps())
-            .map(|h| (self.unit_scores(h), self.group_score(h)))
-            .collect()
+/// The one shape check every state runs before touching a block: a
+/// drifted unit count, a short hypothesis column or a list of the wrong
+/// length would otherwise shorten or shuffle the sample silently — in
+/// release builds too, hence hard asserts.
+pub fn check_block(units: &Matrix, hyps: &[&[f32]], errs: &[f32], n_units: usize, n_hyps: usize) {
+    assert_eq!(units.cols(), n_units, "block unit-count mismatch");
+    assert_eq!(
+        (hyps.len(), errs.len()),
+        (n_hyps, n_hyps),
+        "block hypothesis-count mismatch"
+    );
+    for hyp in hyps {
+        assert_eq!(hyp.len(), units.rows(), "block row mismatch");
     }
+}
+
+/// Guard of the measures that do not share: their states score exactly
+/// one hypothesis.
+fn one_hypothesis(measure: &str, n_hyps: usize) {
+    assert_eq!(n_hyps, 1, "{measure} keeps one state per hypothesis");
 }
 
 // ---------------------------------------------------------------------
@@ -180,7 +181,8 @@ impl Measure for CorrelationMeasure {
         MeasureKind::Independent
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        one_hypothesis(self.id(), n_hyps);
         Box::new(CorrState {
             accs: vec![StreamingPearson::new(); n_units],
         })
@@ -194,7 +196,12 @@ impl Measure for CorrelationMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
+        let [bytes] = per_hyp_blobs else { return None };
         let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_CORR || cur.u32()? as usize != n_units {
             return None;
@@ -225,33 +232,23 @@ struct CorrState {
 }
 
 impl MeasureState for CorrState {
-    fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
-        // Hard asserts: the column walk below reads garbage (not merely a
-        // prefix) if the block's column count drifts from the number of
-        // accumulators, so misuse must fail loudly in release builds too.
-        assert_eq!(units.rows(), hyp.len(), "corr block row mismatch");
-        assert_eq!(
-            units.cols(),
-            self.accs.len(),
-            "corr block unit-count mismatch"
-        );
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        check_block(units, hyps, errs, self.accs.len(), 1);
+        let [hyp] = hyps else {
+            unreachable!("check_block admits one hypothesis")
+        };
         // Column-wise update: the hypothesis moments are shared by every
         // unit and each unit's x-moments accumulate in registers, eight
         // unit columns per row sweep — instead of scattering every row
         // across all accumulators.
         corr::accumulate_columns(&mut self.accs, units.as_slice(), hyp);
-        self.convergence_error()
+        self.convergence_errors(errs);
     }
 
-    fn unit_scores(&self) -> Vec<f32> {
-        self.accs.iter().map(|a| a.correlation()).collect()
-    }
-
-    fn group_score(&self) -> f32 {
-        self.accs
-            .iter()
-            .map(|a| a.correlation().abs())
-            .fold(0.0, f32::max)
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        let unit_scores: Vec<f32> = self.accs.iter().map(|a| a.correlation()).collect();
+        let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
+        vec![(unit_scores, group_score)]
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -271,14 +268,15 @@ impl MeasureState for CorrState {
         true
     }
 
-    fn convergence_error(&self) -> f32 {
-        self.accs
-            .iter()
-            .map(|a| a.fisher_half_width(Z_95))
-            .fold(0.0f32, f32::max)
+    fn convergence_errors(&self, errs: &mut [f32]) {
+        let widths = self.accs.iter().map(|a| a.fisher_half_width(Z_95));
+        errs.fill(widths.fold(0.0f32, f32::max));
     }
 
-    fn serialize_state(&self) -> Option<Vec<u8>> {
+    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
+        if hyp != 0 {
+            return None;
+        }
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_CORR);
         out.u32(self.accs.len() as u32);
@@ -330,12 +328,12 @@ impl Measure for MutualInfoMeasure {
         MeasureKind::Independent
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(BufferedState(self.sample(n_units, 1)))
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        Box::new(self.sample(n_units, n_hyps))
     }
 
-    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
-        Some(Box::new(self.sample(n_units, n_hyps)))
+    fn shares_hypotheses(&self) -> bool {
+        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -346,8 +344,13 @@ impl Measure for MutualInfoMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        BufferedState::decode(self.sample(n_units, 1), bytes)
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
+        self.sample(n_units, per_hyp_blobs.len())
+            .revive(per_hyp_blobs)
     }
 }
 
@@ -403,12 +406,12 @@ impl Measure for JaccardMeasure {
         MeasureKind::Independent
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(BufferedState(self.sample(n_units, 1)))
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        Box::new(self.sample(n_units, n_hyps))
     }
 
-    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
-        Some(Box::new(self.sample(n_units, n_hyps)))
+    fn shares_hypotheses(&self) -> bool {
+        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -419,8 +422,13 @@ impl Measure for JaccardMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        BufferedState::decode(self.sample(n_units, 1), bytes)
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
+        self.sample(n_units, per_hyp_blobs.len())
+            .revive(per_hyp_blobs)
     }
 }
 
@@ -461,9 +469,7 @@ impl BufferedScore {
 /// unit's buffer held **once**, next to one buffer per hypothesis — so
 /// memory is `(units + hypotheses) × sample` and whatever a score derives
 /// from a unit alone (its Jaccard threshold, its MI bin assignment) is
-/// derived once and reused across the hypotheses. Directly, it is the
-/// [`MergedState`] of a hypothesis list; wrapped in [`BufferedState`],
-/// with one hypothesis, the per-pair state.
+/// derived once and reused across the hypotheses.
 struct BufferedSample {
     unit_buffers: Vec<Vec<f32>>,
     hyp_buffers: Vec<Vec<f32>>,
@@ -471,24 +477,6 @@ struct BufferedSample {
     rows: usize,
     max_buffer: usize,
     score: BufferedScore,
-}
-
-/// Appends the first `take` rows of each column of `block` (row-major) to
-/// that column's buffer.
-fn append_columns(buffers: &mut [Vec<f32>], block: &Matrix, take: usize) {
-    // Hard assert, like `CorrState`'s: a drifted column count would
-    // silently buffer a shorter or shuffled sample.
-    assert_eq!(
-        block.cols(),
-        buffers.len(),
-        "buffered block column-count mismatch"
-    );
-    let width = buffers.len();
-    let data = &block.as_slice()[..take * width];
-    for (c, buf) in buffers.iter_mut().enumerate() {
-        buf.reserve(take);
-        buf.extend(data.iter().skip(c).step_by(width));
-    }
 }
 
 impl BufferedSample {
@@ -502,26 +490,77 @@ impl BufferedSample {
         }
     }
 
-    /// How many of a block's `rows` still fit under the cap, after the
-    /// (hard) check that both halves of the block have that many.
-    fn room(&self, units: &Matrix, rows: usize) -> usize {
-        assert_eq!(units.rows(), rows, "buffered block row mismatch");
+    /// How many of `rows` more rows still fit under the cap.
+    fn room(&self, rows: usize) -> usize {
         self.max_buffer.saturating_sub(self.rows).min(rows)
     }
 
-    fn convergence_error(&self) -> f32 {
-        if self.rows < 8 {
-            f32::INFINITY
-        } else {
-            1.0 / (self.rows as f32).sqrt()
+    /// Fills this fresh sample (one hypothesis buffer per blob) from the
+    /// bytes [`MeasureState::serialize_state`] wrote per hypothesis. Every
+    /// blob carries the unit sample: the copies must agree bit for bit,
+    /// and in length with every hypothesis column — none is trusted over
+    /// another. A sample longer than this measure's cap was written under
+    /// a larger one (the cap is not in the header) and would score what no
+    /// pass under this cap can, so it is refused too.
+    fn revive(mut self, per_hyp_blobs: &[&[u8]]) -> Option<Box<dyn MeasureState>> {
+        let header = self.score.header();
+        let mut unit_bytes: Option<&[u8]> = None;
+        for (blob, hyp_buffer) in per_hyp_blobs.iter().zip(&mut self.hyp_buffers) {
+            let mut cur = ByteReader::new(blob);
+            for &word in &header {
+                if cur.u32()? != word {
+                    return None;
+                }
+            }
+            if cur.u32()? as usize != self.unit_buffers.len() {
+                return None;
+            }
+            *hyp_buffer = cur.f32s()?;
+            let theirs = &blob[cur.pos()..];
+            match unit_bytes {
+                None => {
+                    self.rows = hyp_buffer.len();
+                    for buf in &mut self.unit_buffers {
+                        *buf = cur.f32s()?;
+                        if buf.len() != self.rows {
+                            return None;
+                        }
+                    }
+                    if !cur.done() {
+                        return None;
+                    }
+                    unit_bytes = Some(theirs);
+                }
+                Some(first) if theirs == first && hyp_buffer.len() == self.rows => {}
+                Some(_) => return None,
+            }
         }
+        // No blob, no unit sample to revive.
+        unit_bytes?;
+        (self.rows <= self.max_buffer).then(|| Box::new(self) as Box<dyn MeasureState>)
+    }
+}
+
+impl MeasureState for BufferedSample {
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        let (n_units, n_hyps) = (self.unit_buffers.len(), self.hyp_buffers.len());
+        check_block(units, hyps, errs, n_units, n_hyps);
+        let take = self.room(units.rows());
+        let data = &units.as_slice()[..take * n_units];
+        for (u, buf) in self.unit_buffers.iter_mut().enumerate() {
+            buf.reserve(take);
+            buf.extend(data.iter().skip(u).step_by(n_units));
+        }
+        for (buf, hyp) in self.hyp_buffers.iter_mut().zip(hyps) {
+            buf.extend_from_slice(&hyp[..take]);
+        }
+        self.rows += take;
+        self.convergence_errors(errs);
     }
 
-    /// Final `(unit scores, group score)` of the hypotheses in `hyps`,
-    /// with the per-unit half computed once for all of them.
-    fn scores(&self, hyps: std::ops::Range<usize>) -> Vec<(Vec<f32>, f32)> {
+    /// The per-unit half of a score is computed once for all hypotheses.
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
         let best = |scores: &[f32]| scores.iter().copied().fold(0.0, f32::max);
-        let hyp_buffers = &self.hyp_buffers[hyps];
         match self.score {
             BufferedScore::Jaccard(q) => {
                 let thresholds: Vec<f32> = (self.unit_buffers.iter())
@@ -534,7 +573,7 @@ impl BufferedSample {
                     let group_score = best(&unit_scores);
                     (unit_scores, group_score)
                 };
-                hyp_buffers.iter().map(score_mask).collect()
+                self.hyp_buffers.iter().map(score_mask).collect()
             }
             BufferedScore::Mi(bins) | BufferedScore::GroupMi(bins) => {
                 let unit_bins: Vec<Vec<usize>> = (self.unit_buffers.iter())
@@ -553,92 +592,9 @@ impl BufferedSample {
                     };
                     (unit_scores, group_score)
                 };
-                hyp_buffers.iter().map(score_hyp).collect()
+                self.hyp_buffers.iter().map(score_hyp).collect()
             }
         }
-    }
-}
-
-impl MergedState for BufferedSample {
-    fn n_hyps(&self) -> usize {
-        self.hyp_buffers.len()
-    }
-
-    fn process_block(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32> {
-        let take = self.room(units, hyps.rows());
-        append_columns(&mut self.unit_buffers, units, take);
-        append_columns(&mut self.hyp_buffers, hyps, take);
-        self.rows += take;
-        // One sample, one size: every hypothesis reports the same error.
-        vec![self.convergence_error(); self.hyp_buffers.len()]
-    }
-
-    fn unit_scores(&self, hyp: usize) -> Vec<f32> {
-        self.scores(hyp..hyp + 1).remove(0).0
-    }
-
-    fn group_score(&self, hyp: usize) -> f32 {
-        self.scores(hyp..hyp + 1)[0].1
-    }
-
-    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        self.scores(0..self.hyp_buffers.len())
-    }
-}
-
-/// The per-pair buffered state: a [`BufferedSample`] with one hypothesis,
-/// plus the cross-segment merge and the durable form — whose bytes hold
-/// exactly one hypothesis column, which is why these two live here and
-/// full passes build per-pair slots.
-struct BufferedState(BufferedSample);
-
-impl BufferedState {
-    /// Revives bytes written by [`MeasureState::serialize_state`] into
-    /// `empty`, the owning measure's fresh one-hypothesis sample.
-    fn decode(mut empty: BufferedSample, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        let mut cur = ByteReader::new(bytes);
-        for word in empty.score.header() {
-            if cur.u32()? != word {
-                return None;
-            }
-        }
-        if cur.u32()? as usize != empty.unit_buffers.len() {
-            return None;
-        }
-        let hyp_buffer = cur.f32s()?;
-        for buf in &mut empty.unit_buffers {
-            *buf = cur.f32s()?;
-            if buf.len() != hyp_buffer.len() {
-                return None;
-            }
-        }
-        empty.rows = hyp_buffer.len();
-        empty.hyp_buffers = vec![hyp_buffer];
-        cur.done()
-            .then(|| Box::new(BufferedState(empty)) as Box<dyn MeasureState>)
-    }
-}
-
-impl MeasureState for BufferedState {
-    fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
-        let sample = &mut self.0;
-        let take = sample.room(units, hyp.len());
-        append_columns(&mut sample.unit_buffers, units, take);
-        sample.hyp_buffers[0].extend_from_slice(&hyp[..take]);
-        sample.rows += take;
-        sample.convergence_error()
-    }
-
-    fn unit_scores(&self) -> Vec<f32> {
-        self.final_scores().0
-    }
-
-    fn group_score(&self) -> f32 {
-        self.final_scores().1
-    }
-
-    fn final_scores(&self) -> (Vec<f32>, f32) {
-        self.0.scores(0..1).remove(0)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -649,37 +605,45 @@ impl MeasureState for BufferedState {
     /// `max_buffer` — exactly what one pass over the concatenated stream
     /// would have buffered, so segment merges are deterministic.
     fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
-        let Some(BufferedState(other)) = other.as_any().downcast_ref::<BufferedState>() else {
+        let Some(other) = other.as_any().downcast_ref::<BufferedSample>() else {
             return false;
         };
-        let ours = &mut self.0;
-        if other.score != ours.score || other.unit_buffers.len() != ours.unit_buffers.len() {
+        if other.score != self.score
+            || other.unit_buffers.len() != self.unit_buffers.len()
+            || other.hyp_buffers.len() != self.hyp_buffers.len()
+        {
             return false;
         }
-        let take = ours.max_buffer.saturating_sub(ours.rows).min(other.rows);
+        let take = self.room(other.rows);
         let theirs = other.unit_buffers.iter().chain(&other.hyp_buffers);
-        for (buf, src) in (ours.unit_buffers.iter_mut())
-            .chain(&mut ours.hyp_buffers)
+        for (buf, src) in (self.unit_buffers.iter_mut())
+            .chain(&mut self.hyp_buffers)
             .zip(theirs)
         {
             buf.extend_from_slice(&src[..take]);
         }
-        ours.rows += take;
+        self.rows += take;
         true
     }
 
-    fn convergence_error(&self) -> f32 {
-        self.0.convergence_error()
+    /// One sample, one size: every hypothesis reports the same error.
+    fn convergence_errors(&self, errs: &mut [f32]) {
+        errs.fill(if self.rows < 8 {
+            f32::INFINITY
+        } else {
+            1.0 / (self.rows as f32).sqrt()
+        });
     }
 
-    fn serialize_state(&self) -> Option<Vec<u8>> {
+    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
+        let hyp_buffer = self.hyp_buffers.get(hyp)?;
         let mut out = ByteWriter::default();
-        for word in self.0.score.header() {
+        for word in self.score.header() {
             out.u32(word);
         }
-        out.u32(self.0.unit_buffers.len() as u32);
-        out.f32s(&self.0.hyp_buffers[0]);
-        for buf in &self.0.unit_buffers {
+        out.u32(self.unit_buffers.len() as u32);
+        out.f32s(hyp_buffer);
+        for buf in &self.unit_buffers {
             out.f32s(buf);
         }
         Some(out.0)
@@ -703,7 +667,8 @@ impl Measure for DiffMeansMeasure {
         MeasureKind::Independent
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        one_hypothesis(self.id(), n_hyps);
         Box::new(DiffMeansState {
             on: vec![Moments::default(); n_units],
             off: vec![Moments::default(); n_units],
@@ -718,7 +683,11 @@ impl Measure for DiffMeansMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
         fn side(cur: &mut ByteReader, n_units: usize) -> Option<Vec<Moments>> {
             let mut out = Vec::with_capacity(n_units);
             for _ in 0..n_units {
@@ -730,6 +699,7 @@ impl Measure for DiffMeansMeasure {
             }
             Some(out)
         }
+        let [bytes] = per_hyp_blobs else { return None };
         let mut cur = ByteReader::new(bytes);
         if cur.u32()? != STATE_TAG_DIFF_MEANS || cur.u32()? as usize != n_units {
             return None;
@@ -778,7 +748,11 @@ struct DiffMeansState {
 }
 
 impl MeasureState for DiffMeansState {
-    fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        check_block(units, hyps, errs, self.on.len(), 1);
+        let [hyp] = hyps else {
+            unreachable!("check_block admits one hypothesis")
+        };
         for (r, &h) in hyp.iter().enumerate() {
             let row = units.row(r);
             let side = if h > 0.5 { &mut self.on } else { &mut self.off };
@@ -786,11 +760,12 @@ impl MeasureState for DiffMeansState {
                 m.push(u);
             }
         }
-        self.convergence_error()
+        self.convergence_errors(errs);
     }
 
-    fn unit_scores(&self) -> Vec<f32> {
-        self.on
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        let unit_scores: Vec<f32> = self
+            .on
             .iter()
             .zip(self.off.iter())
             .map(|(on, off)| {
@@ -807,21 +782,13 @@ impl MeasureState for DiffMeansState {
                     ((on.mean() - off.mean()) / pooled) as f32
                 }
             })
-            .collect()
-    }
-
-    fn group_score(&self) -> f32 {
-        self.final_scores().1
-    }
-
-    fn final_scores(&self) -> (Vec<f32>, f32) {
-        let unit_scores = self.unit_scores();
+            .collect();
         let group_score = unit_scores
             .iter()
             .copied()
             .map(f32::abs)
             .fold(0.0, f32::max);
-        (unit_scores, group_score)
+        vec![(unit_scores, group_score)]
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -845,22 +812,25 @@ impl MeasureState for DiffMeansState {
         true
     }
 
-    fn convergence_error(&self) -> f32 {
+    fn convergence_errors(&self, errs: &mut [f32]) {
         let n = self
             .on
             .first()
             .map(|m| m.n)
             .unwrap_or(0)
             .min(self.off.first().map(|m| m.n).unwrap_or(0));
-        if n < 4 {
+        errs.fill(if n < 4 {
             f32::INFINITY
         } else {
             // Standard-error style rate for a difference of means.
             (2.0 / n as f32).sqrt()
-        }
+        });
     }
 
-    fn serialize_state(&self) -> Option<Vec<u8>> {
+    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
+        if hyp != 0 {
+            return None;
+        }
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_DIFF_MEANS);
         out.u32(self.on.len() as u32);
@@ -940,14 +910,12 @@ impl Measure for LogRegMeasure {
         MeasureKind::Joint
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(LogRegState {
-            inner: LogRegMerged::new(n_units, 1, self),
-        })
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        Box::new(LogRegMerged::new(n_units, n_hyps, self))
     }
 
-    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
-        Some(Box::new(LogRegMerged::new(n_units, n_hyps, self)))
+    fn shares_hypotheses(&self) -> bool {
+        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -955,8 +923,8 @@ impl Measure for LogRegMeasure {
     }
 }
 
-/// Merged multi-output probe state; the single-hypothesis state reuses it
-/// with `n_hyps == 1`.
+/// Multi-output probe state: one model trained for the whole hypothesis
+/// list.
 struct LogRegMerged {
     model: MultiLogReg,
     trackers: Vec<ConvergenceTracker>,
@@ -992,14 +960,38 @@ impl LogRegMerged {
         }
     }
 
-    fn ingest(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32> {
-        debug_assert_eq!(units.rows(), hyps.rows());
+    fn validation_errs(&mut self, errs: &mut [f32]) {
+        if self.val_units.is_empty() {
+            return errs.fill(f32::INFINITY);
+        }
+        let n = self.val_units.len();
+        let mut x = Matrix::zeros(n, self.n_units);
+        for (r, row) in self.val_units.iter().enumerate() {
+            x.row_mut(r).copy_from_slice(row);
+        }
+        let probs = self.model.predict_proba(&x);
+        for (h, err) in errs.iter_mut().enumerate() {
+            let pred = probs.col(h);
+            let targ: Vec<f32> = self
+                .val_hyps
+                .iter()
+                .map(|row| if row[h] > 0.0 { 1.0 } else { 0.0 })
+                .collect();
+            let f1 = deepbase_stats::f1_score(&pred, &targ);
+            *err = self.trackers[h].push(f1);
+        }
+    }
+}
+
+impl MeasureState for LogRegMerged {
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        check_block(units, hyps, errs, self.n_units, self.n_hyps);
         // Split rows into train / validation deterministically.
         let mut train_rows = Vec::with_capacity(units.rows());
         for r in 0..units.rows() {
             if self.row_counter.is_multiple_of(5) && self.val_units.len() < VAL_CAP {
                 self.val_units.push(units.row(r).to_vec());
-                self.val_hyps.push(hyps.row(r).to_vec());
+                self.val_hyps.push(hyps.iter().map(|col| col[r]).collect());
             } else {
                 train_rows.push(r);
             }
@@ -1008,15 +1000,11 @@ impl LogRegMerged {
         if self.balance_classes {
             // Update streamed class counts and refresh the per-hypothesis
             // positive weights (clamped; identical per column regardless
-            // of merging, so merged == separate stays exact).
-            for r in 0..hyps.rows() {
-                for h in 0..self.n_hyps {
-                    if hyps.get(r, h) > 0.0 {
-                        self.pos_counts[h] += 1;
-                    }
-                }
+            // of the list, so list == singletons stays exact).
+            for (count, col) in self.pos_counts.iter_mut().zip(hyps) {
+                *count += col.iter().filter(|&&v| v > 0.0).count() as u64;
             }
-            self.total_count += hyps.rows() as u64;
+            self.total_count += units.rows() as u64;
             let weights: Vec<f32> = self
                 .pos_counts
                 .iter()
@@ -1035,78 +1023,23 @@ impl LogRegMerged {
             let mut y = Matrix::zeros(train_rows.len(), self.n_hyps);
             for (dst, &src) in train_rows.iter().enumerate() {
                 x.row_mut(dst).copy_from_slice(units.row(src));
-                for h in 0..self.n_hyps {
+                for (h, col) in hyps.iter().enumerate() {
                     // Binarize targets (>0 counts as active) so integer
                     // behaviors like nesting depth are probe-able.
-                    y.set(dst, h, if hyps.get(src, h) > 0.0 { 1.0 } else { 0.0 });
+                    y.set(dst, h, if col[src] > 0.0 { 1.0 } else { 0.0 });
                 }
             }
             for _ in 0..self.inner_epochs {
                 self.model.partial_fit(&x, &y);
             }
         }
-        self.validation_errs()
+        self.validation_errs(errs);
     }
 
-    fn validation_errs(&mut self) -> Vec<f32> {
-        if self.val_units.is_empty() {
-            return vec![f32::INFINITY; self.n_hyps];
-        }
-        let n = self.val_units.len();
-        let mut x = Matrix::zeros(n, self.n_units);
-        for (r, row) in self.val_units.iter().enumerate() {
-            x.row_mut(r).copy_from_slice(row);
-        }
-        let probs = self.model.predict_proba(&x);
-        (0..self.n_hyps)
-            .map(|h| {
-                let pred = probs.col(h);
-                let targ: Vec<f32> = self
-                    .val_hyps
-                    .iter()
-                    .map(|row| if row[h] > 0.0 { 1.0 } else { 0.0 })
-                    .collect();
-                let f1 = deepbase_stats::f1_score(&pred, &targ);
-                self.trackers[h].push(f1)
-            })
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        (self.trackers.iter().enumerate())
+            .map(|(h, tracker)| (self.model.unit_scores(h), tracker.latest().unwrap_or(0.0)))
             .collect()
-    }
-}
-
-impl MergedState for LogRegMerged {
-    fn n_hyps(&self) -> usize {
-        self.n_hyps
-    }
-
-    fn process_block(&mut self, units: &Matrix, hyps: &Matrix) -> Vec<f32> {
-        self.ingest(units, hyps)
-    }
-
-    fn unit_scores(&self, hyp: usize) -> Vec<f32> {
-        self.model.unit_scores(hyp)
-    }
-
-    fn group_score(&self, hyp: usize) -> f32 {
-        self.trackers[hyp].latest().unwrap_or(0.0)
-    }
-}
-
-struct LogRegState {
-    inner: LogRegMerged,
-}
-
-impl MeasureState for LogRegState {
-    fn process_block(&mut self, units: &Matrix, hyp: &[f32]) -> f32 {
-        let hyps = Matrix::from_vec(hyp.len(), 1, hyp.to_vec()).expect("column shape");
-        self.inner.ingest(units, &hyps)[0]
-    }
-
-    fn unit_scores(&self) -> Vec<f32> {
-        self.inner.unit_scores(0)
-    }
-
-    fn group_score(&self) -> f32 {
-        self.inner.group_score(0)
     }
 
     // No `merge_from`: SGD training is order-dependent, so cross-segment
@@ -1134,7 +1067,8 @@ impl Measure for MajorityBaselineMeasure {
         MeasureKind::Joint
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        one_hypothesis(self.id(), n_hyps);
         Box::new(BaselineState {
             labels: Vec::new(),
             n_units,
@@ -1150,8 +1084,12 @@ impl Measure for MajorityBaselineMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        decode_baseline(n_units, bytes, None)
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
+        decode_baseline(n_units, per_hyp_blobs, None)
     }
 }
 
@@ -1170,7 +1108,8 @@ impl Measure for RandomBaselineMeasure {
         MeasureKind::Joint
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        one_hypothesis(self.id(), n_hyps);
         Box::new(BaselineState {
             labels: Vec::new(),
             n_units,
@@ -1186,8 +1125,12 @@ impl Measure for RandomBaselineMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        decode_baseline(n_units, bytes, Some(self.seed))
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
+        decode_baseline(n_units, per_hyp_blobs, Some(self.seed))
     }
 }
 
@@ -1195,9 +1138,10 @@ impl Measure for RandomBaselineMeasure {
 /// match the deserializing measure's exactly.
 fn decode_baseline(
     n_units: usize,
-    bytes: &[u8],
+    per_hyp_blobs: &[&[u8]],
     random_seed: Option<u64>,
 ) -> Option<Box<dyn MeasureState>> {
+    let [bytes] = per_hyp_blobs else { return None };
     let mut cur = ByteReader::new(bytes);
     if cur.u32()? != STATE_TAG_BASELINE || cur.u32()? as usize != n_units {
         return None;
@@ -1227,21 +1171,22 @@ struct BaselineState {
 }
 
 impl MeasureState for BaselineState {
-    fn process_block(&mut self, _units: &Matrix, hyp: &[f32]) -> f32 {
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        check_block(units, hyps, errs, self.n_units, 1);
+        let [hyp] = hyps else {
+            unreachable!("check_block admits one hypothesis")
+        };
         self.labels
             .extend(hyp.iter().map(|&h| if h > 0.0 { 1.0 } else { 0.0 }));
-        self.convergence_error()
+        self.convergence_errors(errs);
     }
 
-    fn unit_scores(&self) -> Vec<f32> {
-        vec![self.group_score(); self.n_units]
-    }
-
-    fn group_score(&self) -> f32 {
-        match self.random_seed {
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        let group_score = match self.random_seed {
             Some(seed) => baselines::random_class_f1(&self.labels, seed),
             None => baselines::majority_class_f1(&self.labels),
-        }
+        };
+        vec![(vec![group_score; self.n_units], group_score)]
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1259,15 +1204,18 @@ impl MeasureState for BaselineState {
         true
     }
 
-    fn convergence_error(&self) -> f32 {
-        if self.labels.len() < 8 {
+    fn convergence_errors(&self, errs: &mut [f32]) {
+        errs.fill(if self.labels.len() < 8 {
             f32::INFINITY
         } else {
             1.0 / (self.labels.len() as f32).sqrt()
-        }
+        });
     }
 
-    fn serialize_state(&self) -> Option<Vec<u8>> {
+    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
+        if hyp != 0 {
+            return None;
+        }
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_BASELINE);
         out.u32(self.n_units as u32);
@@ -1339,12 +1287,12 @@ impl Measure for GroupMiMeasure {
         MeasureKind::Joint
     }
 
-    fn new_state(&self, n_units: usize) -> Box<dyn MeasureState> {
-        Box::new(BufferedState(self.sample(n_units, 1)))
+    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
+        Box::new(self.sample(n_units, n_hyps))
     }
 
-    fn new_merged_state(&self, n_units: usize, n_hyps: usize) -> Option<Box<dyn MergedState>> {
-        Some(Box::new(self.sample(n_units, n_hyps)))
+    fn shares_hypotheses(&self) -> bool {
+        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -1355,18 +1303,14 @@ impl Measure for GroupMiMeasure {
         true
     }
 
-    fn deserialize_state(&self, n_units: usize, bytes: &[u8]) -> Option<Box<dyn MeasureState>> {
-        BufferedState::decode(self.sample(n_units, 1), bytes)
+    fn deserialize_state(
+        &self,
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+    ) -> Option<Box<dyn MeasureState>> {
+        self.sample(n_units, per_hyp_blobs.len())
+            .revive(per_hyp_blobs)
     }
-}
-
-/// Quantile-binned behavior helper re-exported for NetDissect pipelines.
-pub fn binarize_at_quantile(values: &[f32], q: f32) -> Vec<f32> {
-    let thresh = quantile::quantile(values, q);
-    values
-        .iter()
-        .map(|&v| if v > thresh { 1.0 } else { 0.0 })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1386,17 +1330,41 @@ mod tests {
         (units, hyp)
     }
 
+    /// Feeds a one-hypothesis state one block and returns its error.
+    fn feed(state: &mut dyn MeasureState, units: &Matrix, hyp: &[f32]) -> f32 {
+        let mut err = [f32::NAN];
+        state.process_block(units, &[hyp], &mut err);
+        err[0]
+    }
+
+    /// A one-hypothesis state's `(unit scores, group score)`.
+    fn pair_scores(state: &dyn MeasureState) -> (Vec<f32>, f32) {
+        let mut scores = state.final_scores();
+        assert_eq!(scores.len(), 1, "one hypothesis, one score entry");
+        scores.remove(0)
+    }
+
+    fn errors(state: &dyn MeasureState, n_hyps: usize) -> Vec<u32> {
+        let mut errs = vec![f32::NAN; n_hyps];
+        state.convergence_errors(&mut errs);
+        errs.into_iter().map(f32::to_bits).collect()
+    }
+
+    fn refs(cols: &[Vec<f32>]) -> Vec<&[f32]> {
+        cols.iter().map(|c| c.as_slice()).collect()
+    }
+
     #[test]
     fn correlation_state_identifies_mirroring_unit() {
         let m = CorrelationMeasure;
-        let mut state = m.new_state(2);
+        let mut state = m.new_state(2, 1);
         let (units, hyp) = block(300);
-        let err = state.process_block(&units, &hyp);
+        let err = feed(state.as_mut(), &units, &hyp);
         assert!(err < 0.2, "error should be small after 300 symbols: {err}");
-        let scores = state.unit_scores();
+        let (scores, group) = pair_scores(state.as_ref());
         assert!(scores[0] > 0.95, "unit 0 corr {}", scores[0]);
         assert!(scores[1].abs() < 0.3, "unit 1 corr {}", scores[1]);
-        assert!(state.group_score() > 0.95);
+        assert!(group > 0.95);
     }
 
     #[test]
@@ -1435,13 +1403,13 @@ mod tests {
             accs
         };
         let m = CorrelationMeasure;
-        let mut first = m.new_state(width);
+        let mut first = m.new_state(width, 1);
         for range in [0..7, 7..40] {
-            first.process_block(&rows_of(range.clone()), &hyp[range]);
+            feed(first.as_mut(), &rows_of(range.clone()), &hyp[range]);
         }
-        let mut second = m.new_state(width);
+        let mut second = m.new_state(width, 1);
         for range in [40..41, 41..90] {
-            second.process_block(&rows_of(range.clone()), &hyp[range]);
+            feed(second.as_mut(), &rows_of(range.clone()), &hyp[range]);
         }
         assert!(first.merge_from(second.as_ref()));
         let mut expect = reference(&[0..7, 7..40]);
@@ -1449,20 +1417,22 @@ mod tests {
             a.merge(&b);
         }
         let expect = CorrState { accs: expect };
-        assert_eq!(first.serialize_state(), expect.serialize_state());
-        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
-        assert_eq!(bits(first.unit_scores()), bits(expect.unit_scores()));
+        assert_eq!(first.serialize_state(0), expect.serialize_state(0));
+        assert_eq!(
+            score_bits(&pair_scores(first.as_ref())),
+            score_bits(&pair_scores(&expect))
+        );
     }
 
     #[test]
     fn correlation_error_shrinks_with_blocks() {
         let m = CorrelationMeasure;
-        let mut state = m.new_state(2);
+        let mut state = m.new_state(2, 1);
         let (units, hyp) = block(64);
-        let e1 = state.process_block(&units, &hyp);
+        let e1 = feed(state.as_mut(), &units, &hyp);
         let mut e2 = e1;
         for _ in 0..10 {
-            e2 = state.process_block(&units, &hyp);
+            e2 = feed(state.as_mut(), &units, &hyp);
         }
         assert!(e2 < e1, "{e1} -> {e2}");
     }
@@ -1470,10 +1440,10 @@ mod tests {
     #[test]
     fn mutual_info_state_ranks_dependent_unit_higher() {
         let m = MutualInfoMeasure::default();
-        let mut state = m.new_state(2);
+        let mut state = m.new_state(2, 1);
         let (units, hyp) = block(400);
-        state.process_block(&units, &hyp);
-        let scores = state.unit_scores();
+        feed(state.as_mut(), &units, &hyp);
+        let (scores, _) = pair_scores(state.as_ref());
         assert!(scores[0] > scores[1], "{scores:?}");
     }
 
@@ -1484,10 +1454,10 @@ mod tests {
             max_buffer: 10_000,
             ..Default::default()
         };
-        let mut state = m.new_state(2);
+        let mut state = m.new_state(2, 1);
         let (units, hyp) = block(200);
-        state.process_block(&units, &hyp);
-        let scores = state.unit_scores();
+        feed(state.as_mut(), &units, &hyp);
+        let (scores, _) = pair_scores(state.as_ref());
         assert!(scores[0] > 0.8, "unit 0 jaccard {}", scores[0]);
         assert!(scores[0] > scores[1]);
     }
@@ -1495,13 +1465,13 @@ mod tests {
     #[test]
     fn diff_means_streaming_matches_batch() {
         let m = DiffMeansMeasure;
-        let mut state = m.new_state(2);
+        let mut state = m.new_state(2, 1);
         let (units, hyp) = block(256);
         // Feed in two chunks.
         let (u1, u2) = (units.slice_rows(0, 100), units.slice_rows(100, 256));
-        state.process_block(&u1, &hyp[..100]);
-        state.process_block(&u2, &hyp[100..]);
-        let streaming = state.unit_scores();
+        feed(state.as_mut(), &u1, &hyp[..100]);
+        feed(state.as_mut(), &u2, &hyp[100..]);
+        let (streaming, _) = pair_scores(state.as_ref());
         let batch = descriptive::difference_of_means(&units.col(0), &hyp);
         assert!(
             (streaming[0] - batch).abs() < 0.05,
@@ -1514,19 +1484,15 @@ mod tests {
     #[test]
     fn logreg_state_learns_predictable_hypothesis() {
         let m = LogRegMeasure::l2(0.0);
-        let mut state = m.new_state(2);
+        let mut state = m.new_state(2, 1);
         let (units, hyp) = block(500);
         let mut err = f32::INFINITY;
         for _ in 0..12 {
-            err = state.process_block(&units, &hyp);
+            err = feed(state.as_mut(), &units, &hyp);
         }
-        assert!(
-            state.group_score() > 0.9,
-            "probe F1 {}",
-            state.group_score()
-        );
+        let (coefs, f1) = pair_scores(state.as_ref());
+        assert!(f1 > 0.9, "probe F1 {f1}");
         assert!(err < 0.1, "converged err {err}");
-        let coefs = state.unit_scores();
         assert!(
             coefs[0] > coefs[1],
             "informative unit has larger |coef|: {coefs:?}"
@@ -1536,52 +1502,45 @@ mod tests {
     #[test]
     fn merged_logreg_matches_separate_states() {
         let measure = LogRegMeasure::l1(0.005);
+        assert!(measure.shares_hypotheses());
         let (units, hyp) = block(300);
         // Two hypotheses: the original and its complement.
         let hyp2: Vec<f32> = hyp.iter().map(|&h| 1.0 - h).collect();
-        let mut hyps = Matrix::zeros(300, 2);
-        for r in 0..300 {
-            hyps.set(r, 0, hyp[r]);
-            hyps.set(r, 1, hyp2[r]);
-        }
 
-        let mut merged = measure.new_merged_state(2, 2).unwrap();
-        let mut sep0 = measure.new_state(2);
-        let mut sep1 = measure.new_state(2);
+        let mut merged = measure.new_state(2, 2);
+        let mut sep0 = measure.new_state(2, 1);
+        let mut sep1 = measure.new_state(2, 1);
         for _ in 0..6 {
-            merged.process_block(&units, &hyps);
-            sep0.process_block(&units, &hyp);
-            sep1.process_block(&units, &hyp2);
+            merged.process_block(&units, &[&hyp, &hyp2], &mut [0.0; 2]);
+            feed(sep0.as_mut(), &units, &hyp);
+            feed(sep1.as_mut(), &units, &hyp2);
         }
+        let merged = merged.final_scores();
+        let (sep0, sep1) = (pair_scores(sep0.as_ref()), pair_scores(sep1.as_ref()));
         for u in 0..2 {
-            assert!(
-                (merged.unit_scores(0)[u] - sep0.unit_scores()[u]).abs() < 1e-4,
-                "hyp 0 unit {u}"
-            );
-            assert!(
-                (merged.unit_scores(1)[u] - sep1.unit_scores()[u]).abs() < 1e-4,
-                "hyp 1 unit {u}"
-            );
+            assert!((merged[0].0[u] - sep0.0[u]).abs() < 1e-4, "hyp 0 unit {u}");
+            assert!((merged[1].0[u] - sep1.0[u]).abs() < 1e-4, "hyp 1 unit {u}");
         }
-        assert!((merged.group_score(0) - sep0.group_score()).abs() < 1e-5);
+        assert!((merged[0].1 - sep0.1).abs() < 1e-5);
     }
 
     #[test]
     fn baselines_score_labels_only() {
         let (units, hyp) = block(100);
-        let mut maj = MajorityBaselineMeasure.new_state(2);
-        maj.process_block(&units, &hyp);
+        let mut maj = MajorityBaselineMeasure.new_state(2, 1);
+        feed(maj.as_mut(), &units, &hyp);
         let expected = baselines::majority_class_f1(
             &hyp.iter()
                 .map(|&h| if h > 0.0 { 1.0 } else { 0.0 })
                 .collect::<Vec<_>>(),
         );
-        assert!((maj.group_score() - expected).abs() < 1e-6);
-        assert_eq!(maj.unit_scores(), vec![expected; 2]);
+        let (unit_scores, group_score) = pair_scores(maj.as_ref());
+        assert!((group_score - expected).abs() < 1e-6);
+        assert_eq!(unit_scores, vec![expected; 2]);
 
-        let mut rnd = RandomBaselineMeasure { seed: 3 }.new_state(2);
-        rnd.process_block(&units, &hyp);
-        let s = rnd.group_score();
+        let mut rnd = RandomBaselineMeasure { seed: 3 }.new_state(2, 1);
+        feed(rnd.as_mut(), &units, &hyp);
+        let (_, s) = pair_scores(rnd.as_ref());
         assert!((0.0..=1.0).contains(&s));
     }
 
@@ -1605,10 +1564,9 @@ mod tests {
             bins: 2,
             max_buffer: 10_000,
         };
-        let mut state = m.new_state(2);
-        state.process_block(&units, &hyp);
-        let singles = state.unit_scores();
-        let group = state.group_score();
+        let mut state = m.new_state(2, 1);
+        feed(state.as_mut(), &units, &hyp);
+        let (singles, group) = pair_scores(state.as_ref());
         assert!(group > 0.5, "group MI {group}");
         assert!(singles.iter().all(|&s| s < 0.05), "single MIs {singles:?}");
     }
@@ -1632,43 +1590,37 @@ mod tests {
         let (tail_units, tail_hyp) = block(117);
         for m in &measures {
             assert!(m.supports_segment_merge(), "{} must merge", m.id());
-            let mut original = m.new_state(2);
-            original.process_block(&units, &hyp);
+            let mut original = m.new_state(2, 1);
+            feed(original.as_mut(), &units, &hyp);
             let bytes = original
-                .serialize_state()
+                .serialize_state(0)
                 .unwrap_or_else(|| panic!("{} state must serialize", m.id()));
+            assert!(original.serialize_state(1).is_none(), "{}", m.id());
             let mut revived = m
-                .deserialize_state(2, &bytes)
+                .deserialize_state(2, &[&bytes])
                 .unwrap_or_else(|| panic!("{} state must deserialize", m.id()));
-            let bit = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
             assert_eq!(
-                bit(revived.unit_scores()),
-                bit(original.unit_scores()),
+                score_bits(&pair_scores(revived.as_ref())),
+                score_bits(&pair_scores(original.as_ref())),
                 "{} scores changed across the round trip",
                 m.id()
             );
             // Fold the same tail segment into both; they must stay equal.
-            let mut tail_a = m.new_state(2);
-            tail_a.process_block(&tail_units, &tail_hyp);
-            let mut tail_b = m.new_state(2);
-            tail_b.process_block(&tail_units, &tail_hyp);
+            let mut tail_a = m.new_state(2, 1);
+            feed(tail_a.as_mut(), &tail_units, &tail_hyp);
+            let mut tail_b = m.new_state(2, 1);
+            feed(tail_b.as_mut(), &tail_units, &tail_hyp);
             assert!(original.merge_from(tail_a.as_ref()));
             assert!(revived.merge_from(tail_b.as_ref()));
             assert_eq!(
-                bit(revived.unit_scores()),
-                bit(original.unit_scores()),
+                score_bits(&pair_scores(revived.as_ref())),
+                score_bits(&pair_scores(original.as_ref())),
                 "{} diverged after a post-revival merge",
                 m.id()
             );
             assert_eq!(
-                revived.group_score().to_bits(),
-                original.group_score().to_bits(),
-                "{} group score diverged",
-                m.id()
-            );
-            assert_eq!(
-                revived.convergence_error().to_bits(),
-                original.convergence_error().to_bits(),
+                errors(revived.as_ref(), 1),
+                errors(original.as_ref(), 1),
                 "{} convergence error diverged",
                 m.id()
             );
@@ -1678,42 +1630,104 @@ mod tests {
     #[test]
     fn state_deserialization_rejects_foreign_or_mangled_bytes() {
         let (units, hyp) = block(64);
-        let mut corr = CorrelationMeasure.new_state(2);
-        corr.process_block(&units, &hyp);
-        let bytes = corr.serialize_state().unwrap();
+        let mut corr = CorrelationMeasure.new_state(2, 1);
+        feed(corr.as_mut(), &units, &hyp);
+        let bytes = corr.serialize_state(0).unwrap();
         // Wrong measure family.
         assert!(MutualInfoMeasure::default()
-            .deserialize_state(2, &bytes)
+            .deserialize_state(2, &[&bytes])
             .is_none());
         // Wrong unit count.
-        assert!(CorrelationMeasure.deserialize_state(3, &bytes).is_none());
+        assert!(CorrelationMeasure.deserialize_state(3, &[&bytes]).is_none());
         // Truncated.
         assert!(CorrelationMeasure
-            .deserialize_state(2, &bytes[..bytes.len() - 1])
+            .deserialize_state(2, &[&bytes[..bytes.len() - 1]])
             .is_none());
         // Trailing garbage.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(CorrelationMeasure.deserialize_state(2, &padded).is_none());
-        // Different jaccard quantile rejects the other's buffers.
-        let mut j95 = JaccardMeasure::default().new_state(2);
-        j95.process_block(&units, &hyp);
-        let jb = j95.serialize_state().unwrap();
-        let j995 = JaccardMeasure::netdissect();
-        assert!(j995.deserialize_state(2, &jb).is_none());
-        // Mismatched baseline seed rejects.
-        let mut rnd = RandomBaselineMeasure { seed: 1 }.new_state(2);
-        rnd.process_block(&units, &hyp);
-        let rb = rnd.serialize_state().unwrap();
-        assert!(RandomBaselineMeasure { seed: 2 }
-            .deserialize_state(2, &rb)
+        assert!(CorrelationMeasure
+            .deserialize_state(2, &[&padded])
             .is_none());
-        assert!(MajorityBaselineMeasure.deserialize_state(2, &rb).is_none());
+        // Different jaccard quantile rejects the other's buffers.
+        let mut j95 = JaccardMeasure::default().new_state(2, 1);
+        feed(j95.as_mut(), &units, &hyp);
+        let jb = j95.serialize_state(0).unwrap();
+        let j995 = JaccardMeasure::netdissect();
+        assert!(j995.deserialize_state(2, &[&jb]).is_none());
+        // Mismatched baseline seed rejects.
+        let mut rnd = RandomBaselineMeasure { seed: 1 }.new_state(2, 1);
+        feed(rnd.as_mut(), &units, &hyp);
+        let rb = rnd.serialize_state(0).unwrap();
+        assert!(RandomBaselineMeasure { seed: 2 }
+            .deserialize_state(2, &[&rb])
+            .is_none());
+        assert!(MajorityBaselineMeasure
+            .deserialize_state(2, &[&rb])
+            .is_none());
         // Non-mergeable logreg has no durable form at all.
         let lr = LogRegMeasure::l1(0.01);
-        let s = lr.new_state(2);
-        assert!(s.serialize_state().is_none());
-        assert!(lr.deserialize_state(2, &bytes).is_none());
+        let s = lr.new_state(2, 1);
+        assert!(s.serialize_state(0).is_none());
+        assert!(lr.deserialize_state(2, &[&bytes]).is_none());
+
+        // A measure that scores one hypothesis per state takes one blob:
+        // none and two are refused, whatever they hold.
+        for measure in standard_library() {
+            if measure.shares_hypotheses() || !measure.supports_segment_merge() {
+                continue;
+            }
+            let mut state = measure.new_state(2, 1);
+            feed(state.as_mut(), &units, &hyp);
+            let blob = state.serialize_state(0).unwrap();
+            assert!(measure.deserialize_state(2, &[&blob]).is_some());
+            assert!(measure.deserialize_state(2, &[]).is_none());
+            let two = measure.deserialize_state(2, &[&blob, &blob]);
+            assert!(two.is_none(), "{}", measure.id());
+        }
+
+        // The buffered measures revive a list from one blob per
+        // hypothesis, each carrying the unit sample.
+        for measure in buffered_measures(100) {
+            let id = measure.id();
+            let (units, cols) = stream_block(0, 40, 2, 2);
+            let mut state = measure.new_state(2, 2);
+            state.process_block(&units, &refs(&cols), &mut [0.0; 2]);
+            let blobs = [0, 1].map(|h| state.serialize_state(h).unwrap());
+            assert!(state.serialize_state(2).is_none(), "{id}");
+            let revived = measure
+                .deserialize_state(2, &[&blobs[0], &blobs[1]])
+                .expect("the state's own blobs revive");
+            assert_eq!(revived.serialize_state(1).as_ref(), Some(&blobs[1]), "{id}");
+            // No blob: no unit sample to revive a zero-hypothesis state from.
+            assert!(measure.deserialize_state(2, &[]).is_none(), "{id}");
+            // A unit sample that disagrees in one bit of one value (here
+            // its last), in either blob.
+            let mut flipped = blobs[1].clone();
+            *flipped.last_mut().unwrap() ^= 1;
+            let disagreeing = measure.deserialize_state(2, &[&blobs[0], &flipped]);
+            assert!(disagreeing.is_none(), "{id}");
+            let disagreeing = measure.deserialize_state(2, &[&flipped, &blobs[0]]);
+            assert!(disagreeing.is_none(), "{id}");
+            // A second blob from a shorter stream: its unit sample and its
+            // hypothesis column agree with each other, not with the first.
+            let mut shorter = measure.new_state(2, 1);
+            feed(shorter.as_mut(), &units.slice_rows(0, 39), &cols[1][..39]);
+            let shorter = shorter.serialize_state(0).unwrap();
+            assert!(measure.deserialize_state(2, &[&shorter]).is_some(), "{id}");
+            let ragged = measure.deserialize_state(2, &[&blobs[0], &shorter]);
+            assert!(ragged.is_none(), "{id}");
+            // A sample written under a larger cap than the measure's own.
+            let mut roomy = buffered_measures(101)
+                .into_iter()
+                .find(|m| m.id() == id)
+                .unwrap()
+                .new_state(2, 1);
+            let (units, cols) = stream_block(0, 101, 2, 1);
+            feed(roomy.as_mut(), &units, &cols[0]);
+            let over_cap = roomy.serialize_state(0).unwrap();
+            assert!(measure.deserialize_state(2, &[&over_cap]).is_none(), "{id}");
+        }
     }
 
     #[test]
@@ -1744,17 +1758,34 @@ mod tests {
             ),
         ] {
             let bytes_of = |m: &JaccardMeasure| {
-                let mut state = m.new_state(2);
-                state.process_block(&units, &hyp);
-                state.serialize_state().unwrap()
+                let mut state = m.new_state(2, 1);
+                feed(state.as_mut(), &units, &hyp);
+                state.serialize_state(0).unwrap()
             };
-            assert!(by_id(id).deserialize_state(2, &bytes_of(&same)).is_some());
-            assert!(by_id(id).deserialize_state(2, &bytes_of(&other)).is_none());
+            assert!(by_id(id)
+                .deserialize_state(2, &[&bytes_of(&same)])
+                .is_some());
+            assert!(by_id(id)
+                .deserialize_state(2, &[&bytes_of(&other)])
+                .is_none());
         }
+        // Which measures are handed a whole hypothesis list.
+        let sharing: Vec<&str> = (lib.iter().filter(|m| m.shares_hypotheses()))
+            .map(|m| m.id())
+            .collect();
+        let expect = [
+            "mutual_info",
+            "jaccard",
+            "jaccard_q95",
+            "logreg_l1",
+            "logreg_l2",
+            "group_mi",
+        ];
+        assert_eq!(sharing, expect);
     }
 
     // -----------------------------------------------------------------
-    // The shared sample: N hypotheses over one state ≡ N per-pair states
+    // One state over N hypotheses ≡ N one-hypothesis states
     // -----------------------------------------------------------------
 
     /// The three buffered measures with a small cap, so blocks cross it.
@@ -1778,12 +1809,23 @@ mod tests {
 
     /// ReLU-like unit columns (many exact zeros, ties) and small-integer
     /// hypothesis columns, rows `start..start + rows` of one fixed stream.
-    fn stream_block(start: usize, rows: usize, n_units: usize, n_hyps: usize) -> (Matrix, Matrix) {
+    fn stream_block(
+        start: usize,
+        rows: usize,
+        n_units: usize,
+        n_hyps: usize,
+    ) -> (Matrix, Vec<Vec<f32>>) {
         let units = Matrix::from_fn(rows, n_units, |r, u| {
             let r = start + r;
             (((r * 7919 + u * 31) % 23) as f32 - 11.0).max(0.0) * (u + 1) as f32
         });
-        let hyps = Matrix::from_fn(rows, n_hyps, |r, h| (((start + r) / (h + 2)) % 3) as f32);
+        let hyps = (0..n_hyps)
+            .map(|h| {
+                (start..start + rows)
+                    .map(|r| ((r / (h + 2)) % 3) as f32)
+                    .collect()
+            })
+            .collect();
         (units, hyps)
     }
 
@@ -1794,51 +1836,85 @@ mod tests {
         )
     }
 
-    /// Feeds `blocks` (row counts) of the fixed stream to one shared state
-    /// and to one per-pair state per hypothesis, and demands equal errors
-    /// after every block and equal scores at the end, through both the
-    /// all-at-once and the per-hypothesis calls.
-    fn assert_shared_equals_per_pair(
+    /// One list state next to one one-hypothesis state per member, fed the
+    /// same blocks of the fixed stream from row `start` on.
+    struct ListAndSingletons {
+        list: Box<dyn MeasureState>,
+        singles: Vec<Box<dyn MeasureState>>,
+        n_units: usize,
+        what: String,
+    }
+
+    impl ListAndSingletons {
+        fn new(measure: &dyn Measure, n_units: usize, n_hyps: usize) -> Self {
+            ListAndSingletons {
+                list: measure.new_state(n_units, n_hyps),
+                singles: (0..n_hyps).map(|_| measure.new_state(n_units, 1)).collect(),
+                n_units,
+                what: format!("{} units {n_units} hyps {n_hyps}", measure.id()),
+            }
+        }
+
+        /// Feeds `blocks` (row counts) to both sides, demanding equal
+        /// errors after every block; returns the next unread row.
+        fn feed(&mut self, mut start: usize, blocks: &[usize]) -> usize {
+            let n_hyps = self.singles.len();
+            for &rows in blocks {
+                let (units, cols) = stream_block(start, rows, self.n_units, n_hyps);
+                start += rows;
+                let mut errs = vec![f32::NAN; n_hyps];
+                self.list.process_block(&units, &refs(&cols), &mut errs);
+                for (h, single) in self.singles.iter_mut().enumerate() {
+                    let err = feed(single.as_mut(), &units, &cols[h]);
+                    let what = &self.what;
+                    assert_eq!(errs[h].to_bits(), err.to_bits(), "{what}: error of {h}");
+                }
+            }
+            start
+        }
+
+        /// Folds `other` into `self` on both sides.
+        fn merge_from(&mut self, other: &ListAndSingletons) {
+            assert!(self.list.merge_from(other.list.as_ref()), "{}", self.what);
+            for (ours, theirs) in self.singles.iter_mut().zip(&other.singles) {
+                assert!(ours.merge_from(theirs.as_ref()), "{}", self.what);
+            }
+        }
+
+        /// The list state is its singletons: scores, errors and — hypothesis
+        /// by hypothesis — serialized bytes.
+        fn assert_equal(&self, when: &str) {
+            let what = format!("{} {when}", self.what);
+            let all = self.list.final_scores();
+            assert_eq!(all.len(), self.singles.len(), "{what}");
+            let list_errors = errors(self.list.as_ref(), self.singles.len());
+            for (h, single) in self.singles.iter().enumerate() {
+                let want = score_bits(&pair_scores(single.as_ref()));
+                assert_eq!(score_bits(&all[h]), want, "{what}: final scores of {h}");
+                assert_eq!(
+                    self.list.serialize_state(h),
+                    single.serialize_state(0),
+                    "{what}: bytes of {h}"
+                );
+                let single_error = errors(single.as_ref(), 1);
+                assert_eq!(list_errors[h..h + 1], single_error[..], "{what}: {h}");
+            }
+        }
+    }
+
+    fn assert_list_equals_singletons(
         measure: &dyn Measure,
         n_units: usize,
         n_hyps: usize,
         blocks: &[usize],
     ) {
-        let what = format!(
-            "{} units {n_units} hyps {n_hyps} blocks {blocks:?}",
-            measure.id()
-        );
-        let mut shared = measure
-            .new_merged_state(n_units, n_hyps)
-            .expect("buffered measures share their sample");
-        let mut pairs: Vec<_> = (0..n_hyps).map(|_| measure.new_state(n_units)).collect();
-        let mut start = 0;
-        for &rows in blocks {
-            let (units, hyps) = stream_block(start, rows, n_units, n_hyps);
-            start += rows;
-            let errs = shared.process_block(&units, &hyps);
-            for (h, pair) in pairs.iter_mut().enumerate() {
-                let err = pair.process_block(&units, &hyps.col(h));
-                assert_eq!(errs[h].to_bits(), err.to_bits(), "{what}: error of {h}");
-            }
-        }
-        assert_eq!(shared.n_hyps(), n_hyps);
-        let all = shared.final_scores();
-        assert_eq!(all.len(), n_hyps);
-        for (h, pair) in pairs.iter().enumerate() {
-            let want = score_bits(&pair.final_scores());
-            assert_eq!(score_bits(&all[h]), want, "{what}: final scores of {h}");
-            let one = (shared.unit_scores(h), shared.group_score(h));
-            assert_eq!(
-                score_bits(&one),
-                want,
-                "{what}: per-hypothesis calls of {h}"
-            );
-        }
+        let mut both = ListAndSingletons::new(measure, n_units, n_hyps);
+        both.feed(0, blocks);
+        both.assert_equal(&format!("after blocks {blocks:?}"));
     }
 
     #[test]
-    fn shared_sample_equals_per_pair_states_on_the_edge_cases() {
+    fn a_list_state_equals_its_singletons_on_the_edge_cases() {
         for measure in buffered_measures(100) {
             // 1 unit, an exact joint (≤ 3 units) and the pairwise fallback.
             for n_units in [1, 3, 5] {
@@ -1851,61 +1927,81 @@ mod tests {
                     &[100, 1],               // fills it exactly
                     &[250],                  // crosses it in the first block
                 ] {
-                    assert_shared_equals_per_pair(measure.as_ref(), n_units, 3, blocks);
+                    assert_list_equals_singletons(measure.as_ref(), n_units, 3, blocks);
                 }
             }
-            assert_shared_equals_per_pair(measure.as_ref(), 2, 1, &[60, 60]);
+            assert_list_equals_singletons(measure.as_ref(), 2, 1, &[60, 60]);
         }
     }
 
     proptest::proptest! {
         #[test]
-        fn shared_sample_equals_per_pair_states_on_ragged_blocks(
+        fn a_list_state_equals_its_singletons_on_ragged_blocks(
             blocks in proptest::collection::vec(0usize..48, 0..8),
             max_buffer in 1usize..160,
             n_units in 1usize..6,
             n_hyps in 1usize..5,
         ) {
             for measure in buffered_measures(max_buffer) {
-                assert_shared_equals_per_pair(measure.as_ref(), n_units, n_hyps, &blocks);
+                assert_list_equals_singletons(measure.as_ref(), n_units, n_hyps, &blocks);
             }
         }
 
-        /// Two per-pair states over consecutive ranges, merged, are the
-        /// state of one pass over the concatenation — cap included.
+        /// Two states over consecutive ranges, merged, are the state of one
+        /// pass over the concatenation — cap included, crossed before,
+        /// inside or after the merge — as a list and as its singletons.
         #[test]
-        fn buffered_merge_from_equals_one_pass_over_the_concatenation(
+        fn merge_from_equals_one_pass_over_the_concatenation(
             first in proptest::collection::vec(0usize..48, 0..4),
             second in proptest::collection::vec(0usize..48, 0..4),
             max_buffer in 1usize..160,
+            n_hyps in 1usize..4,
         ) {
             for measure in buffered_measures(max_buffer) {
-                let feed = |state: &mut Box<dyn MeasureState>, start: &mut usize, blocks: &[usize]| {
-                    for &rows in blocks {
-                        let (units, hyps) = stream_block(*start, rows, 3, 1);
-                        state.process_block(&units, &hyps.col(0));
-                        *start += rows;
-                    }
+                let new = || ListAndSingletons::new(measure.as_ref(), 3, n_hyps);
+                let (mut a, mut b, mut whole) = (new(), new(), new());
+                let mid = a.feed(0, &first);
+                b.feed(mid, &second);
+                let end = whole.feed(0, &first);
+                whole.feed(end, &second);
+                a.merge_from(&b);
+                a.assert_equal("merged");
+                whole.assert_equal("in one pass");
+                for h in 0..n_hyps {
+                    proptest::prop_assert_eq!(
+                        a.list.serialize_state(h),
+                        whole.list.serialize_state(h)
+                    );
+                }
+                let scores = |s: &ListAndSingletons| -> Vec<_> {
+                    s.list.final_scores().iter().map(score_bits).collect()
                 };
-                let (mut a, mut b, mut whole) =
-                    (measure.new_state(3), measure.new_state(3), measure.new_state(3));
-                let mut start = 0;
-                feed(&mut a, &mut start, &first);
-                feed(&mut b, &mut start, &second);
-                let mut start = 0;
-                feed(&mut whole, &mut start, &first);
-                feed(&mut whole, &mut start, &second);
-                proptest::prop_assert!(a.merge_from(b.as_ref()));
-                proptest::prop_assert_eq!(a.serialize_state(), whole.serialize_state());
+                proptest::prop_assert_eq!(scores(&a), scores(&whole));
                 proptest::prop_assert_eq!(
-                    score_bits(&a.final_scores()),
-                    score_bits(&whole.final_scores())
-                );
-                proptest::prop_assert_eq!(
-                    a.convergence_error().to_bits(),
-                    whole.convergence_error().to_bits()
+                    errors(a.list.as_ref(), n_hyps),
+                    errors(whole.list.as_ref(), n_hyps)
                 );
             }
+        }
+    }
+
+    /// The cap crossed in the middle of a merge, spelled out: 60 + 60 rows
+    /// under a cap of 100 keep the first 40 rows of the second state.
+    #[test]
+    fn merge_from_truncates_at_the_cap_mid_merge() {
+        for measure in buffered_measures(100) {
+            let new = || ListAndSingletons::new(measure.as_ref(), 3, 2);
+            let (mut a, mut b, mut whole) = (new(), new(), new());
+            a.feed(0, &[60]);
+            b.feed(60, &[45, 15]);
+            whole.feed(0, &[60, 45, 15]);
+            a.merge_from(&b);
+            a.assert_equal("merged across the cap");
+            for h in 0..2 {
+                assert_eq!(a.list.serialize_state(h), whole.list.serialize_state(h));
+            }
+            // 100 rows buffered: the error is the cap's, not 120 rows'.
+            assert_eq!(errors(a.list.as_ref(), 2), [0.1f32.to_bits(); 2]);
         }
     }
 
@@ -1916,16 +2012,19 @@ mod tests {
     fn buffered_scores_are_the_stats_routines_over_the_capped_sample() {
         let (cap, n_units, n_hyps) = (90, 3, 2);
         let (units, hyps) = stream_block(0, 130, n_units, n_hyps);
-        let capped = |col: Vec<f32>| col[..cap].to_vec();
-        let unit_cols: Vec<Vec<f32>> = (0..n_units).map(|u| capped(units.col(u))).collect();
+        let capped = |col: &[f32]| col[..cap].to_vec();
+        let unit_cols: Vec<Vec<f32>> = (0..n_units).map(|u| capped(&units.col(u))).collect();
         let unit_refs: Vec<&[f32]> = unit_cols.iter().map(|c| c.as_slice()).collect();
         let best = |scores: &[f32]| scores.iter().copied().fold(0.0, f32::max);
         for measure in buffered_measures(cap) {
-            let mut shared = measure.new_merged_state(n_units, n_hyps).unwrap();
-            shared.process_block(&units.slice_rows(0, 50), &hyps.slice_rows(0, 50));
-            shared.process_block(&units.slice_rows(50, 130), &hyps.slice_rows(50, 130));
-            for (h, got) in shared.final_scores().iter().enumerate() {
-                let hyp = capped(hyps.col(h));
+            let mut list = measure.new_state(n_units, n_hyps);
+            for range in [0..50, 50..130] {
+                let cols: Vec<&[f32]> = hyps.iter().map(|c| &c[range.clone()]).collect();
+                let block = units.slice_rows(range.start, range.end);
+                list.process_block(&block, &cols, &mut [0.0; 2]);
+            }
+            for (h, got) in list.final_scores().iter().enumerate() {
+                let hyp = capped(&hyps[h]);
                 let per_unit = |score: &dyn Fn(&[f32]) -> f32| -> Vec<f32> {
                     unit_refs.iter().map(|u| score(u)).collect()
                 };
@@ -1957,10 +2056,10 @@ mod tests {
         let (units, hyps) = stream_block(0, 20, 2, 1);
         for (i, ours) in measures.iter().enumerate() {
             for (j, theirs) in measures.iter().enumerate() {
-                let mut a = ours.new_state(2);
-                let mut b = theirs.new_state(2);
-                a.process_block(&units, &hyps.col(0));
-                b.process_block(&units, &hyps.col(0));
+                let mut a = ours.new_state(2, 1);
+                let mut b = theirs.new_state(2, 1);
+                feed(a.as_mut(), &units, &hyps[0]);
+                feed(b.as_mut(), &units, &hyps[0]);
                 assert_eq!(
                     a.merge_from(b.as_ref()),
                     i == j,
@@ -1969,70 +2068,93 @@ mod tests {
                     theirs.id()
                 );
             }
-            // Same measure, another unit count.
-            let mut a = ours.new_state(2);
-            assert!(!a.merge_from(ours.new_state(3).as_ref()));
+            // Same measure, another unit count, another list length.
+            let mut a = ours.new_state(2, 1);
+            assert!(!a.merge_from(ours.new_state(3, 1).as_ref()));
+            assert!(!a.merge_from(ours.new_state(2, 2).as_ref()));
         }
     }
 
+    /// Every state of every library measure refuses a mis-shaped block
+    /// loudly — these are hard asserts, so in release builds too — instead
+    /// of accumulating a shortened or shuffled sample; and a measure that
+    /// does not share refuses to be built over a list.
     #[test]
-    #[should_panic(expected = "buffered block row mismatch")]
-    fn per_pair_buffered_state_rejects_a_short_hypothesis_column() {
-        let (units, hyps) = stream_block(0, 10, 2, 1);
-        let mut state = MutualInfoMeasure::default().new_state(2);
-        state.process_block(&units, &hyps.col(0)[..9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffered block column-count mismatch")]
-    fn per_pair_buffered_state_rejects_a_drifted_unit_count() {
-        let (units, hyps) = stream_block(0, 10, 3, 1);
-        let mut state = JaccardMeasure::default().new_state(2);
-        state.process_block(&units, &hyps.col(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "buffered block row mismatch")]
-    fn shared_buffered_state_rejects_mismatched_row_counts() {
-        let (units, _) = stream_block(0, 10, 2, 3);
-        let (_, hyps) = stream_block(0, 9, 2, 3);
-        let mut state = JaccardMeasure::default().new_merged_state(2, 3).unwrap();
-        state.process_block(&units, &hyps);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffered block column-count mismatch")]
-    fn shared_buffered_state_rejects_a_drifted_hypothesis_count() {
-        let (units, hyps) = stream_block(0, 10, 2, 2);
-        let mut state = GroupMiMeasure::default().new_merged_state(2, 3).unwrap();
-        state.process_block(&units, &hyps);
-    }
-
-    /// The one call the engines emit rows from is the two documented
-    /// calls, bit for bit — empty, and after each of two blocks.
-    #[test]
-    fn final_scores_equal_unit_and_group_scores_for_every_measure() {
-        let bits = |(units, group): (Vec<f32>, f32)| {
-            (
-                units.iter().map(|s| s.to_bits()).collect::<Vec<u32>>(),
-                group.to_bits(),
-            )
+    fn every_measure_panics_on_a_mis_shaped_block() {
+        let message = |panic: Box<dyn std::any::Any + Send>| -> String {
+            (panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| panic.downcast_ref::<&str>().unwrap().to_string())
         };
-        let (units, hyp) = block(96);
+        let (units, cols) = stream_block(0, 10, 2, 4);
+        let (wide, _) = stream_block(0, 10, 3, 0);
+        let cut = |cols: &[Vec<f32>]| -> Vec<Vec<f32>> {
+            cols.iter().map(|c| c[..c.len() - 1].to_vec()).collect()
+        };
         for measure in standard_library() {
-            let mut state = measure.new_state(2);
-            for step in 0..3 {
-                let want = bits((state.unit_scores(), state.group_score()));
-                assert_eq!(
-                    bits(state.final_scores()),
-                    want,
-                    "{} step {step}",
+            let n = if measure.shares_hypotheses() { 3 } else { 1 };
+            let mut last_short = cols[..n].to_vec();
+            last_short[n - 1].pop();
+            // (what, units, hypothesis columns, error slots, panic message)
+            let cases = [
+                (
+                    "a drifted unit count",
+                    &wide,
+                    cols[..n].to_vec(),
+                    n,
+                    "unit-count",
+                ),
+                ("short columns", &units, cut(&cols[..n]), n, "row"),
+                ("a short last column", &units, last_short, n, "row"),
+                (
+                    "a missing column",
+                    &units,
+                    cols[..n - 1].to_vec(),
+                    n,
+                    "hypothesis-count",
+                ),
+                (
+                    "an extra column",
+                    &units,
+                    cols[..n + 1].to_vec(),
+                    n,
+                    "hypothesis-count",
+                ),
+                (
+                    "a missing error slot",
+                    &units,
+                    cols[..n].to_vec(),
+                    n - 1,
+                    "hypothesis-count",
+                ),
+            ];
+            for (what, units, hyps, n_errs, expect) in cases {
+                let mut state = measure.new_state(2, n);
+                let mut errs = vec![f32::NAN; n_errs];
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    state.process_block(units, &refs(&hyps), &mut errs)
+                }));
+                let panic = outcome.expect_err(&format!("{}: {what} was taken", measure.id()));
+                let message = message(panic);
+                assert!(
+                    message.contains(&format!("block {expect} mismatch")),
+                    "{}: {what} panicked with {message:?}",
                     measure.id()
                 );
-                state.process_block(&units, &hyp);
+            }
+            let mut state = measure.new_state(2, n);
+            state.process_block(&units, &refs(&cols[..n]), &mut vec![f32::NAN; n]);
+            assert_eq!(state.final_scores().len(), n);
+
+            if !measure.shares_hypotheses() {
+                let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    measure.new_state(2, 2).final_scores()
+                }));
+                let panic = built.expect_err("a list state of a non-sharing measure");
+                assert!(message(panic).contains("keeps one state per hypothesis"));
             }
         }
     }
+
     // Serialized states of every mergeable measure family after
     // `block(10)` over two units, as the parent commit's code wrote them.
     const GOLDEN_STATE_CORR: &[u8] = &[
@@ -2124,27 +2246,26 @@ mod tests {
             ),
             (Box::new(GroupMiMeasure::default()), GOLDEN_STATE_GROUP_MI),
         ];
-        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         for (measure, golden) in goldens {
             let id = measure.id().to_string();
-            let mut live = measure.new_state(2);
-            live.process_block(&units, &hyp);
-            assert_eq!(live.serialize_state().as_deref(), Some(golden), "{id}");
+            let mut live = measure.new_state(2, 1);
+            feed(live.as_mut(), &units, &hyp);
+            assert_eq!(live.serialize_state(0).as_deref(), Some(golden), "{id}");
             let revived = measure
-                .deserialize_state(2, golden)
+                .deserialize_state(2, &[golden])
                 .expect("golden decodes");
-            assert_eq!(revived.serialize_state().as_deref(), Some(golden), "{id}");
+            assert_eq!(revived.serialize_state(0).as_deref(), Some(golden), "{id}");
             assert_eq!(
-                bits(revived.unit_scores()),
-                bits(live.unit_scores()),
+                score_bits(&pair_scores(revived.as_ref())),
+                score_bits(&pair_scores(live.as_ref())),
                 "{id}"
             );
             for cut in 0..golden.len() {
-                let prefix = measure.deserialize_state(2, &golden[..cut]);
+                let prefix = measure.deserialize_state(2, &[&golden[..cut]]);
                 assert!(prefix.is_none(), "{id}: prefix {cut} decoded");
             }
             let longer = [golden, &[0]].concat();
-            assert!(measure.deserialize_state(2, &longer).is_none(), "{id}");
+            assert!(measure.deserialize_state(2, &[&longer]).is_none(), "{id}");
         }
     }
 }

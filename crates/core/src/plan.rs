@@ -35,8 +35,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheStats, HypothesisCache};
 use crate::engine::{
-    measure_key, run_pass, Device, EngineKind, FoldOpts, InspectionConfig, InspectionRequest,
-    MeasureKey, MergeProbe, Profile, RunBudget, SharedOutcome,
+    hypothesis_lists, measure_key, run_pass, Device, EngineKind, FoldOpts, InspectionConfig,
+    InspectionRequest, MeasureKey, Profile, RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -49,7 +49,7 @@ use deepbase_relational::{ColType, Schema, Table, Value};
 // re-exported here because it is a planning artifact.
 pub use deepbase_store::ScanPlan;
 use deepbase_store::{
-    BehaviorStore, MaterializationPolicy, StoreStats, ViewFreshness, ViewSlotState,
+    BehaviorStore, MaterializationPolicy, StoreStats, ViewFreshness, ViewHypState,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -950,18 +950,9 @@ pub(crate) fn optimize_with(
         }
         let mut units: Vec<usize> = Vec::new();
         let mut hyp_cols: HashMap<*const u8, usize> = HashMap::new();
-        // The pass's own predicate and slot keys, so the estimate counts
-        // what `PassLayout::build` will build (on a segmented dataset:
-        // per-pair slots only).
-        let full_pass = (group.items.first())
-            .is_some_and(|item| FoldOpts::default().full_pass(&plans[item.query].dataset));
-        let mut probe = MergeProbe::new(full_pass);
-        #[derive(PartialEq, Eq, Hash)]
-        enum StateKey {
-            PerHyp(Vec<usize>, MeasureKey, usize),
-            Merged(Vec<usize>, MeasureKey, Vec<usize>),
-        }
-        let mut state_keys: HashSet<StateKey> = HashSet::new();
+        // The pass's own list split and slot keys, so the estimate counts
+        // what `PassLayout::build` will build.
+        let mut state_keys: HashSet<(&[usize], MeasureKey, Vec<usize>)> = HashSet::new();
         for item in &group.items {
             let plan = &plans[item.query];
             let model = &plan.models[item.model_pos];
@@ -974,23 +965,13 @@ pub(crate) fn optimize_with(
                 let next = hyp_cols.len();
                 hyp_cols.entry(thin(hyp)).or_insert(next);
             }
+            let cols: Vec<usize> = plan.hypotheses.iter().map(|h| hyp_cols[&thin(h)]).collect();
             for g in &model.groups {
                 for measure in &plan.measures {
                     let key = measure_key(measure.as_ref());
-                    if probe.merges(measure.as_ref(), g.units.len(), plan.hypotheses.len()) {
+                    for list in hypothesis_lists(measure.as_ref(), &cols) {
                         group.requested_measure_states += 1;
-                        let cols: Vec<usize> =
-                            plan.hypotheses.iter().map(|h| hyp_cols[&thin(h)]).collect();
-                        state_keys.insert(StateKey::Merged(g.units.clone(), key, cols));
-                    } else {
-                        group.requested_measure_states += plan.hypotheses.len();
-                        for hyp in &plan.hypotheses {
-                            state_keys.insert(StateKey::PerHyp(
-                                g.units.clone(),
-                                key.clone(),
-                                hyp_cols[&thin(hyp)],
-                            ));
-                        }
+                        state_keys.insert((&g.units, key.clone(), list.to_vec()));
                     }
                 }
             }
@@ -1639,7 +1620,7 @@ pub(crate) fn run_view_pass(
     binding: Option<&StoreBinding>,
     scheduler: Option<&Arc<AdmissionScheduler>>,
     opts: &FoldOpts<'_>,
-) -> Result<(SharedOutcome, Vec<ViewSlotState>), DniError> {
+) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
     let [model] = &plan.models[..] else {
         return Err(DniError::Query(
             "materialized views require a single-model statement".into(),

@@ -1,8 +1,10 @@
 //! The buffered measures (`jaccard`, `mutual_info`, `group_mi`) score
-//! the same bits on every path: a per-pair state per hypothesis (the
-//! materializing `PyBase` engine, and every full pass: segmented folds,
-//! view build + refresh) and one shared sample per hypothesis list (the
-//! merged engines, and the streaming `DeepBase` engine on one segment).
+//! the same bits on every path: a one-hypothesis state per pair (the
+//! materializing `PyBase` engine) and one state — one unit sample — per
+//! hypothesis list (the merged engines and every streaming pass: one
+//! segment, segmented folds, view build + refresh). A stored view holds
+//! each hypothesis's bytes as a one-hypothesis state would write them, so
+//! it does not depend on how the pass grouped hypotheses into states.
 //! Also pinned here: measures are slot-keyed by identity, so two measures
 //! answering to one id are each scored on their own, and `EXPLAIN` counts
 //! the states the pass will build.
@@ -10,8 +12,9 @@
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_relational::Table;
+use deepbase_store::ViewHypState;
 use deepbase_tensor::Matrix;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const NS: usize = 6;
@@ -69,6 +72,10 @@ fn hypotheses() -> Vec<Arc<dyn HypothesisFn>> {
 
 /// The fixture's first records as consecutive segments of these lengths.
 fn catalog(segment_lens: &[usize]) -> Catalog {
+    catalog_over(segment_lens, hypotheses())
+}
+
+fn catalog_over(segment_lens: &[usize], hypotheses: Vec<Arc<dyn HypothesisFn>>) -> Catalog {
     let mut catalog = Catalog::new();
     catalog.add_model_with_units(
         "m1",
@@ -76,7 +83,7 @@ fn catalog(segment_lens: &[usize]) -> Catalog {
         Arc::new(PrecomputedExtractor::new(behaviors(), NS)),
         (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
     );
-    catalog.add_hypotheses("chars", hypotheses());
+    catalog.add_hypotheses("chars", hypotheses);
     let mut first = 0;
     let segs = segment_lens
         .iter()
@@ -125,9 +132,38 @@ fn run(catalog: &Catalog, engine: EngineKind) -> Table {
     tables.pop().expect("one statement, one table")
 }
 
+fn tmp_dir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target/tmp-buffered-parity")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A streaming session over `catalog` with a store at `dir`.
+fn view_session(dir: &Path, catalog: Catalog) -> Session {
+    Session::with_config(
+        catalog,
+        SessionConfig {
+            inspection: config(EngineKind::DeepBase),
+            store: Some(StoreConfig {
+                block_records: BLOCK,
+                ..StoreConfig::at(dir)
+            }),
+            ..SessionConfig::default()
+        },
+    )
+}
+
+/// The stored fold point of view `v`.
+fn stored_states(session: &Session) -> Vec<ViewHypState> {
+    let views = session.store().unwrap().views();
+    views.load("v").unwrap().expect("view v").states.clone()
+}
+
 #[test]
-fn per_pair_merged_segmented_and_view_paths_score_the_same_bits() {
-    // Per-pair states over the whole dataset in one materialized piece.
+fn per_pair_list_segmented_and_view_paths_score_the_same_bits() {
+    // One-hypothesis states over the whole dataset in one materialized piece.
     let reference = run(&catalog(&[TOTAL]), EngineKind::PyBase);
     let want = bits(&reference);
     // 4 measures x 3 hypotheses x 5 units, and nothing degenerate.
@@ -135,7 +171,7 @@ fn per_pair_merged_segmented_and_view_paths_score_the_same_bits() {
     let scores = reference.column_at(3).floats().unwrap();
     assert!(scores.iter().filter(|&&s| s > 0.0).count() > reference.len() / 2);
 
-    // One shared sample per hypothesis list: the merged engines and the
+    // One state per hypothesis list: the merged engines and the
     // streaming engine on one segment.
     for engine in [
         EngineKind::Merged,
@@ -145,29 +181,16 @@ fn per_pair_merged_segmented_and_view_paths_score_the_same_bits() {
         assert_eq!(bits(&run(&catalog(&[TOTAL]), engine)), want, "{engine:?}");
     }
 
-    // Per-pair states folded across segments (even and ragged splits).
+    // List states folded across segments (even and ragged splits).
     for lens in [&[SEG_LEN; 3][..], &[TOTAL / 2, TOTAL / 2], &[7, 40, 1]] {
         let table = run(&catalog(lens), EngineKind::DeepBase);
         assert_eq!(bits(&table), want, "segments {lens:?}");
     }
 
     // A view built over two segments, then refreshed with the third
-    // folded into its stored (per-pair, serialized) states.
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/tmp-buffered-parity")
-        .join(format!("view-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut session = Session::with_config(
-        catalog(&[SEG_LEN; 2]),
-        SessionConfig {
-            inspection: config(EngineKind::DeepBase),
-            store: Some(StoreConfig {
-                block_records: BLOCK,
-                ..StoreConfig::at(&dir)
-            }),
-            ..SessionConfig::default()
-        },
-    );
+    // folded into its stored (serialized per hypothesis) list states.
+    let dir = tmp_dir("view");
+    let mut session = view_session(&dir, catalog(&[SEG_LEN; 2]));
     session.create_view("v", Q).unwrap();
     let two_segments = run(&catalog(&[SEG_LEN; 2]), EngineKind::PyBase);
     assert_eq!(bits(&session.read_view("v").unwrap()), bits(&two_segments));
@@ -180,6 +203,71 @@ fn per_pair_merged_segmented_and_view_paths_score_the_same_bits() {
     );
     assert_eq!(bits(&session.read_view("v").unwrap()), want, "refresh");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The stored fold point is laid out as the parent commit's per-pair
+/// slots wrote it — one state per `(measure, hypothesis)`, each the bytes
+/// of a one-hypothesis state — whatever list the pass ran: assembled here
+/// from three one-hypothesis view builds, it is byte for byte what the
+/// three-hypothesis build stores, it revives into list states, refreshes
+/// to the cold result, and re-serializes to what a fresh build writes.
+#[test]
+fn a_view_stored_as_one_hypothesis_states_revives_refreshes_and_reserializes() {
+    // The fold point of a view over one hypothesis at a time: every state
+    // in it was written by a one-hypothesis state.
+    let one_at_a_time = |segment_lens: &[usize]| -> Vec<ViewHypState> {
+        let mut per_hyp = Vec::new();
+        for (i, hyp) in hypotheses().into_iter().enumerate() {
+            let dir = tmp_dir(&format!("one-hyp-{i}-of-{}", segment_lens.len()));
+            let mut session = view_session(&dir, catalog_over(segment_lens, vec![hyp]));
+            session.create_view("v", Q).unwrap();
+            per_hyp.push(stored_states(&session));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // Per-pair slot order: measure-major, hypothesis-minor.
+        let measures = per_hyp[0].len();
+        assert_eq!(measures, 4);
+        (0..measures)
+            .flat_map(|m| per_hyp.iter().map(move |states| states[m].clone()))
+            .collect()
+    };
+
+    let dir = tmp_dir("parent-layout");
+    let mut session = view_session(&dir, catalog(&[SEG_LEN; 2]));
+    session.create_view("v", Q).unwrap();
+    let built = stored_states(&session);
+    assert_eq!(built.len(), 4 * 3);
+    assert!(built == one_at_a_time(&[SEG_LEN; 2]), "two-segment build");
+
+    // Store the assembled states (a no-op on the bytes, by the assertion
+    // above, but it is the one-hypothesis states' bytes that are revived).
+    let views = session.store().unwrap().views();
+    let mut doc = (*views.load("v").unwrap().unwrap()).clone();
+    doc.states = one_at_a_time(&[SEG_LEN; 2]);
+    views.save(&doc).unwrap();
+
+    session
+        .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+        .unwrap();
+    assert_eq!(
+        session.refresh_view("v").unwrap(),
+        ViewRefresh::Incremental { new_segments: 1 }
+    );
+    let cold = run(&catalog(&[SEG_LEN; 3]), EngineKind::PyBase);
+    assert_eq!(bits(&session.read_view("v").unwrap()), bits(&cold));
+    let refreshed = stored_states(&session);
+    assert!(
+        refreshed == one_at_a_time(&[SEG_LEN; 3]),
+        "refreshed fold point"
+    );
+
+    // A fresh three-segment build writes the same file content.
+    let fresh_dir = tmp_dir("parent-layout-fresh");
+    let mut fresh = view_session(&fresh_dir, catalog(&[SEG_LEN; 3]));
+    fresh.create_view("v", Q).unwrap();
+    assert!(refreshed == stored_states(&fresh), "refresh ≡ fresh build");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
 }
 
 /// A request over the fixture through the engine API, for the cases SQL
@@ -220,7 +308,9 @@ fn frame_bits(frame: &ResultFrame) -> Vec<(String, String, usize, u32, u32)> {
 #[test]
 fn batch_members_naming_different_hypothesis_lists_keep_standalone_scores() {
     let extractor = PrecomputedExtractor::new(behaviors(), NS);
-    let dataset = Dataset::new("seq", NS, records(0, TOTAL)).unwrap();
+    let one_segment = Dataset::new("seq", NS, records(0, TOTAL)).unwrap();
+    let halves = vec![records(0, TOTAL / 2), records(TOTAL / 2, TOTAL / 2)];
+    let two_segments = Dataset::with_segments("seq", NS, halves).unwrap();
     let hyps = hypotheses();
     let (a, b, c) = (hyps[0].as_ref(), hyps[1].as_ref(), hyps[2].as_ref());
     let library = standard_library();
@@ -230,17 +320,26 @@ fn batch_members_naming_different_hypothesis_lists_keep_standalone_scores() {
         .map(|m| m.as_ref())
         .collect();
     assert_eq!(buffered.len(), 3);
-    // Overlapping lists, one shared hypothesis in a different position.
-    let members = [
-        request(&extractor, &dataset, vec![a, b], buffered.clone()),
-        request(&extractor, &dataset, vec![b, c], buffered.clone()),
-    ];
-    let shared = inspect_shared(&members, &config(EngineKind::DeepBase)).unwrap();
-    assert_eq!(shared.extraction_passes, 1);
-    for (member, (frame, _)) in members.iter().zip(&shared.results) {
-        let (standalone, _) = inspect(member, &config(EngineKind::PyBase)).unwrap();
-        assert_eq!(frame_bits(frame), frame_bits(&standalone));
-        assert_eq!(frame.len(), 3 * 2 * UNITS);
+    // Overlapping lists, one shared hypothesis in a different position;
+    // streamed once, and folded across two segments.
+    for (dataset, passes) in [(&one_segment, 1), (&two_segments, 2)] {
+        let members = [
+            request(&extractor, dataset, vec![a, b], buffered.clone()),
+            request(&extractor, dataset, vec![b, c], buffered.clone()),
+        ];
+        let shared = inspect_shared(&members, &config(EngineKind::DeepBase)).unwrap();
+        assert_eq!(shared.extraction_passes, passes);
+        for (member, (frame, _)) in members.iter().zip(&shared.results) {
+            let standalone = request(
+                &extractor,
+                &one_segment,
+                member.hypotheses.clone(),
+                buffered.clone(),
+            );
+            let (standalone, _) = inspect(&standalone, &config(EngineKind::PyBase)).unwrap();
+            assert_eq!(frame_bits(frame), frame_bits(&standalone));
+            assert_eq!(frame.len(), 3 * 2 * UNITS);
+        }
     }
 }
 
@@ -285,35 +384,33 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
 }
 
 /// `EXPLAIN` counts the measure states `PassLayout::build` will build:
-/// one shared sample for the statement's hypothesis list on one segment,
-/// one per-pair state per hypothesis on a segmented dataset (a full pass).
+/// one per hypothesis list for a measure that shares (`jaccard`: one unit
+/// sample for the statement's three hypotheses), one per pair otherwise
+/// (`corr`) — on one segment and on a segmented dataset alike.
 #[test]
-fn explain_counts_one_shared_sample_on_one_segment_and_pairs_on_two() {
-    const Q_JACCARD: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING jaccard \
-                             OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D";
-    let explain = |lens: &[usize]| Session::new(catalog(lens)).explain(Q_JACCARD).unwrap();
-    assert_eq!(
-        explain(&[TOTAL]),
-        "\
+fn explain_counts_one_state_per_list_for_jaccard_and_per_pair_for_corr() {
+    let explain = |measure: &str, lens: &[usize]| {
+        let q = format!(
+            "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING {measure} \
+             OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D"
+        );
+        Session::new(catalog(lens)).explain(&q).unwrap()
+    };
+    let plan = |states: &str| {
+        format!(
+            "\
 PhysicalPlan: 1 query, 1 shared group, block_records=512
 └─ group[0] model='m1' dataset='seq' members=[0]
    ├─ unit columns: 5 union (5 requested)
    ├─ hypothesis columns: 3 deduped (3 requested)
-   ├─ measure states: 1 shared (1 requested)
+   ├─ measure states: {states}
    ├─ stream width: 8 columns, 98304 bytes/block (ns=6)
    └─ admission: 1 wave (unbounded)
 "
-    );
-    assert_eq!(
-        explain(&[SEG_LEN, 2 * SEG_LEN]),
-        "\
-PhysicalPlan: 1 query, 1 shared group, block_records=512
-└─ group[0] model='m1' dataset='seq' members=[0]
-   ├─ unit columns: 5 union (5 requested)
-   ├─ hypothesis columns: 3 deduped (3 requested)
-   ├─ measure states: 3 shared (3 requested)
-   ├─ stream width: 8 columns, 98304 bytes/block (ns=6)
-   └─ admission: 1 wave (unbounded)
-"
-    );
+        )
+    };
+    for lens in [&[TOTAL][..], &[SEG_LEN, 2 * SEG_LEN]] {
+        assert_eq!(explain("jaccard", lens), plan("1 shared (1 requested)"));
+        assert_eq!(explain("corr", lens), plan("3 shared (3 requested)"));
+    }
 }

@@ -77,6 +77,18 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn segmented_catalog(segments: usize) -> (Catalog, Arc<CountingExtractor>) {
+    let chars: Vec<Arc<dyn HypothesisFn>> = vec![
+        Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a')),
+        Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b')),
+    ];
+    catalog_with_sets(segments, vec![("chars", chars)])
+}
+
+/// The fixture catalog over the given hypothesis sets.
+fn catalog_with_sets(
+    segments: usize,
+    sets: Vec<(&str, Vec<Arc<dyn HypothesisFn>>)>,
+) -> (Catalog, Arc<CountingExtractor>) {
     let counting = Arc::new(CountingExtractor::new(Arc::new(PrecomputedExtractor::new(
         behaviors(TOTAL),
         NS,
@@ -88,13 +100,9 @@ fn segmented_catalog(segments: usize) -> (Catalog, Arc<CountingExtractor>) {
         Arc::<CountingExtractor>::clone(&counting),
         (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
     );
-    catalog.add_hypotheses(
-        "chars",
-        vec![
-            Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a')),
-            Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b')),
-        ],
-    );
+    for (name, hypotheses) in sets {
+        catalog.add_hypotheses(name, hypotheses);
+    }
     let segs = (0..segments)
         .map(|s| records(s * SEG_LEN, SEG_LEN))
         .collect();
@@ -120,15 +128,23 @@ fn session_at(
     policy: MaterializationPolicy,
 ) -> (Session, Arc<CountingExtractor>) {
     let (catalog, counting) = segmented_catalog(segments);
-    let session = Session::with_config(
+    (session_over(dir, device, catalog, policy), counting)
+}
+
+fn session_over(
+    dir: &PathBuf,
+    device: Device,
+    catalog: Catalog,
+    policy: MaterializationPolicy,
+) -> Session {
+    Session::with_config(
         catalog,
         SessionConfig {
             inspection: config(device, BLOCK),
             store: Some(store_config(dir, policy)),
             ..SessionConfig::default()
         },
-    );
-    (session, counting)
+    )
 }
 
 /// Cold reference tables over a fresh `segments`-segment catalog with no
@@ -304,6 +320,166 @@ fn append_staleness_and_incremental_refresh_fold_only_new_segments() {
         assert_eq!(session.refresh_view("v").unwrap(), ViewRefresh::Noop);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A table with its float cells as bit patterns (`Table`'s own `==`
+/// compares floats by value).
+fn bits(table: &Table) -> Vec<Vec<String>> {
+    (0..table.schema().arity())
+        .map(|c| {
+            let column = table.column_at(c);
+            match column.floats() {
+                Some(floats) => floats
+                    .iter()
+                    .map(|v| format!("{:08x}", v.to_bits()))
+                    .collect(),
+                None => (0..table.len())
+                    .map(|r| format!("{:?}", column.value(r)))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+/// Builds view `v` of `q` over two segments of `catalog_of(2)`, appends the
+/// third and refreshes incrementally; returns the refreshed view, its
+/// stored fold-point triples, and the cold rebuild over `catalog_of(3)`.
+fn refresh_against_cold_rebuild(
+    name: &str,
+    q: &str,
+    catalog_of: &dyn Fn(usize) -> Catalog,
+) -> (Table, Vec<(String, String)>, Table) {
+    let device = Device::SingleCore;
+    let dir = tmp_dir(name);
+    let rw = MaterializationPolicy::ReadWrite;
+    let mut session = session_over(&dir, device, catalog_of(2), rw);
+    session.create_view("v", q).unwrap();
+    session
+        .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+        .unwrap();
+    assert_eq!(
+        session.refresh_view("v").unwrap(),
+        ViewRefresh::Incremental { new_segments: 1 }
+    );
+    let refreshed = session.read_view("v").unwrap();
+    let doc = session.store().unwrap().views().load("v").unwrap().unwrap();
+    let stored = (doc.states.iter())
+        .map(|s| (s.measure_id.clone(), s.hyp_id.clone()))
+        .collect();
+    let cold = catalog_of(3).run_batch(&[q], &config(device, BLOCK));
+    let _ = std::fs::remove_dir_all(&dir);
+    (refreshed, stored, cold.unwrap().tables.remove(0))
+}
+
+const Q_CORR_JACCARD: &str = "SELECT S.score_id, S.hyp_id, S.uid, S.unit_score, S.group_score \
+                              INSPECT U.uid AND H.h USING corr, jaccard_q95 OVER D.seq AS S \
+                              FROM models M, units U, hypotheses H, inputs D";
+
+/// Two different hypothesis functions registered under one id (nothing
+/// enforces uniqueness; the pass keys by function identity for exactly
+/// this reason): a refresh must revive each slot from *its* stored state,
+/// not both from the first that carries the id.
+#[test]
+fn refreshing_a_view_over_two_same_id_hypotheses_equals_the_cold_rebuild() {
+    let catalog_of = |segments| {
+        let x = |class: char| -> Vec<Arc<dyn HypothesisFn>> {
+            vec![Arc::new(FnHypothesis::char_class("x", move |c| c == class))]
+        };
+        catalog_with_sets(segments, vec![("set_a", x('a')), ("set_b", x('b'))]).0
+    };
+    let (refreshed, stored, cold) =
+        refresh_against_cold_rebuild("same-id", Q_CORR_JACCARD, &catalog_of);
+    assert_eq!(bits(&refreshed), bits(&cold), "refresh ≡ cold rebuild");
+    assert_eq!(cold.len(), 2 * 2 * UNITS);
+    let id = |measure: &str| (measure.to_string(), "x".to_string());
+    let expect = [id("corr"), id("corr"), id("jaccard_q95"), id("jaccard_q95")];
+    assert_eq!(stored, expect);
+    // The two `x` rows differ: unit 1 *is* the second `x`.
+    let scores = cold.column_at(3).floats().unwrap();
+    assert_ne!(scores[..UNITS], scores[UNITS..2 * UNITS]);
+    assert_eq!(scores[UNITS + 1], 1.0, "corr(unit 1, is_b)");
+}
+
+/// One function registered in two hypothesis sets is one union column named
+/// twice by the statement: its state is stored once per measure, at its
+/// first position (what per-pair slot dedup has always stored), and both
+/// mentions revive from it.
+#[test]
+fn a_hypothesis_shared_by_two_sets_is_stored_once_and_refreshes_to_the_cold_rebuild() {
+    let catalog_of = |segments| {
+        let is_a: Arc<dyn HypothesisFn> = Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'));
+        let is_b: Arc<dyn HypothesisFn> = Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b'));
+        let sets = vec![
+            ("set_a", vec![Arc::clone(&is_a), is_b]),
+            ("set_b", vec![is_a]),
+        ];
+        catalog_with_sets(segments, sets).0
+    };
+    let (refreshed, stored, cold) =
+        refresh_against_cold_rebuild("arc-shared", Q_CORR_JACCARD, &catalog_of);
+    assert_eq!(bits(&refreshed), bits(&cold), "refresh ≡ cold rebuild");
+    // Three mentions per measure in the frame, two states in the fold point.
+    assert_eq!(cold.len(), 2 * 3 * UNITS);
+    let pair = |measure: &str, hyp: &str| (measure.to_string(), hyp.to_string());
+    let expect = [
+        pair("corr", "is_a"),
+        pair("corr", "is_b"),
+        pair("jaccard_q95", "is_a"),
+        pair("jaccard_q95", "is_b"),
+    ];
+    assert_eq!(stored, expect);
+}
+
+/// A stored fold point that does not line up with the statement's slots —
+/// a state missing, one too many, two out of order, or bytes the measure
+/// refuses — fails the refresh with the typed error, never a guess.
+#[test]
+fn a_fold_point_that_does_not_match_the_slots_is_refused_typed() {
+    let device = Device::SingleCore;
+    let dir = tmp_dir("tampered");
+    let (mut session, _) = session_at(&dir, device, 2, MaterializationPolicy::ReadWrite);
+    session.create_view("v", Q_CORR_JACCARD).unwrap();
+    session
+        .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+        .unwrap();
+    let views = session.store().unwrap().views();
+    let intact = (*views.load("v").unwrap().unwrap()).clone();
+    assert_eq!(intact.states.len(), 4);
+    type Tamper = fn(&mut Vec<deepbase_store::ViewHypState>);
+    let cases: [(&str, Tamper, &str); 5] = [
+        ("a missing state", |s| drop(s.pop()), "missing slot"),
+        ("a leftover state", |s| s.push(s[3].clone()), "1 more than"),
+        ("swapped states", |s| s.swap(0, 1), "found where"),
+        // A jaccard sample that disagrees between its two hypotheses.
+        (
+            "a disagreeing unit sample",
+            |s| *s[3].state.last_mut().unwrap() ^= 1,
+            "does not revive",
+        ),
+        (
+            "mangled bytes",
+            |s| s[0].state.truncate(9),
+            "does not revive",
+        ),
+    ];
+    for (what, tamper, expect) in cases {
+        let mut doc = intact.clone();
+        tamper(&mut doc.states);
+        session.store().unwrap().views().save(&doc).unwrap();
+        match session.refresh_view("v") {
+            Err(DniError::BadConfig(msg)) => assert!(
+                msg.starts_with("stored view state") && msg.contains(expect),
+                "{what}: {msg}"
+            ),
+            other => panic!("{what} must be refused typed, got {other:?}"),
+        }
+    }
+    session.store().unwrap().views().save(&intact).unwrap();
+    assert_eq!(
+        session.refresh_view("v").unwrap(),
+        ViewRefresh::Incremental { new_segments: 1 }
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Any non-append change — here the dataset's records are replaced

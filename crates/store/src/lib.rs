@@ -63,7 +63,7 @@ pub use store::{
     BehaviorStore, ColumnKey, CompactionReport, Coverage, MaterializationPolicy, StoreConfig,
     WriteReport,
 };
-pub use views::{ViewCatalog, ViewDoc, ViewFreshness, ViewRow, ViewSlotState};
+pub use views::{ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ViewRow};
 
 use std::fmt;
 

@@ -40,11 +40,13 @@ const VIEW_MAGIC: &[u8; 8] = b"DBVIEW\x01\0";
 /// View file extension.
 const VIEW_EXT: &str = "view";
 
-/// One serialized mergeable measure state, in canonical slot order. The
-/// identifying triple lets a refresh validate that the plan it re-bound
-/// still produces the same slots before folding anything.
+/// One hypothesis's share of a serialized mergeable measure state — the
+/// bytes a one-hypothesis state writes, whatever hypothesis list the pass
+/// ran its states over — in capture order. The identifying triple lets a
+/// refresh validate that the plan it re-bound still expects exactly these
+/// states, in this order, before folding anything.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ViewSlotState {
+pub struct ViewHypState {
     /// Unit-group id of the slot.
     pub group_id: String,
     /// Measure id of the slot.
@@ -113,8 +115,9 @@ pub struct ViewDoc {
     /// Per-segment dataset fingerprints, in segment order — the
     /// high-water mark incremental refresh advances.
     pub segment_fps: Vec<u64>,
-    /// Serialized mergeable measure states, in canonical slot order.
-    pub states: Vec<ViewSlotState>,
+    /// Serialized mergeable measure states, one per hypothesis of every
+    /// state, in capture order.
+    pub states: Vec<ViewHypState>,
     /// The raw (pre-projection) result frame.
     pub rows: Vec<ViewRow>,
 }
@@ -222,7 +225,7 @@ impl ViewDoc {
         let n_states = c.u32()? as usize;
         let mut states = Vec::with_capacity(n_states.min(1024));
         for _ in 0..n_states {
-            states.push(ViewSlotState {
+            states.push(ViewHypState {
                 group_id: c.str()?,
                 measure_id: c.str()?,
                 hyp_id: c.str()?,
@@ -480,7 +483,7 @@ mod tests {
             seed: 42,
             model_fps: vec![11, 22],
             segment_fps: segs.to_vec(),
-            states: vec![ViewSlotState {
+            states: vec![ViewHypState {
                 group_id: "all".into(),
                 measure_id: "corr".into(),
                 hyp_id: "kw:SELECT".into(),
