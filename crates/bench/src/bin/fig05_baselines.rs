@@ -6,118 +6,26 @@
 //! Paper shape to reproduce: DeepBase ≪ PyBase ≪ MADLib for both measures,
 //! with the gap widening along every sweep axis. Absolute ratios differ
 //! from the paper's 72×/419× because our "PyBase" is compiled Rust rather
-//! than interpreted Python (see DESIGN.md).
+//! than interpreted Python (see the `deepbase::engine` module docs, *Device →
+//! runtime mapping*, for the matching GPU substitution).
 
 use deepbase::prelude::*;
-use deepbase_bench::{hypothesis_refs, print_table, run_engine, secs, sql_bench_setup, Args};
+use deepbase_bench::{sweep_figure, Args};
 
 fn main() {
-    let args = Args::parse();
-    println!("== Figure 5: baselines vs DeepBase ==");
-
-    let engines: [(&str, EngineKind); 3] = [
-        ("MADLib", EngineKind::Madlib),
-        ("PyBase", EngineKind::PyBase),
-        ("DeepBase", EngineKind::DeepBase),
-    ];
     let corr = CorrelationMeasure;
     let logreg = LogRegMeasure::l1(0.01);
-    let measures: [(&str, &dyn Measure); 2] = [("correlation", &corr), ("logreg", &logreg)];
-
-    // Sweep 1: number of hypotheses (records/units at defaults).
-    let base_records = if args.paper { 29_696 } else { 512 };
-    let base_units = if args.paper { 512 } else { 32 };
-    let hyp_counts: Vec<usize> = if args.paper {
-        vec![48, 96, 190]
-    } else {
-        vec![4, 8, 16]
-    };
-
-    let setup = sql_bench_setup(&args, base_records, base_units);
-    for (mname, measure) in &measures {
-        println!(
-            "\n-- {mname}: sweep over #hypotheses ({base_records} records, {base_units} units) --"
-        );
-        let mut rows = Vec::new();
-        for &n_hyps in &hyp_counts {
-            let hyps = hypothesis_refs(&setup.workload, n_hyps);
-            let mut cells = vec![n_hyps.to_string()];
-            for (ename, engine) in &engines {
-                let profile = run_engine(
-                    &setup,
-                    &hyps,
-                    *measure,
-                    *engine,
-                    Device::SingleCore,
-                    None,
-                    None,
-                );
-                let _ = ename;
-                cells.push(secs(profile.total));
-            }
-            rows.push(cells);
-        }
-        print_table(&["#hyps", "MADLib", "PyBase", "DeepBase"], &rows);
-    }
-
-    // Sweep 2: number of records.
-    let record_counts: Vec<usize> = if args.paper {
-        vec![7_424, 14_848, 29_696]
-    } else {
-        vec![128, 256, 512]
-    };
-    for (mname, measure) in &measures {
-        println!("\n-- {mname}: sweep over #records ({base_units} units) --");
-        let mut rows = Vec::new();
-        for &records in &record_counts {
-            let setup = sql_bench_setup(&args, records, base_units);
-            let hyps = hypothesis_refs(&setup.workload, hyp_counts[1]);
-            let mut cells = vec![setup.workload.dataset.len().to_string()];
-            for (_, engine) in &engines {
-                let profile = run_engine(
-                    &setup,
-                    &hyps,
-                    *measure,
-                    *engine,
-                    Device::SingleCore,
-                    None,
-                    None,
-                );
-                cells.push(secs(profile.total));
-            }
-            rows.push(cells);
-        }
-        print_table(&["#records", "MADLib", "PyBase", "DeepBase"], &rows);
-    }
-
-    // Sweep 3: number of hidden units.
-    let unit_counts: Vec<usize> = if args.paper {
-        vec![128, 256, 512]
-    } else {
-        vec![16, 32, 64]
-    };
-    for (mname, measure) in &measures {
-        println!("\n-- {mname}: sweep over #hidden units ({base_records} records) --");
-        let mut rows = Vec::new();
-        for &units in &unit_counts {
-            let setup = sql_bench_setup(&args, base_records, units);
-            let hyps = hypothesis_refs(&setup.workload, hyp_counts[1]);
-            let mut cells = vec![units.to_string()];
-            for (_, engine) in &engines {
-                let profile = run_engine(
-                    &setup,
-                    &hyps,
-                    *measure,
-                    *engine,
-                    Device::SingleCore,
-                    None,
-                    None,
-                );
-                cells.push(secs(profile.total));
-            }
-            rows.push(cells);
-        }
-        print_table(&["#units", "MADLib", "PyBase", "DeepBase"], &rows);
-    }
+    sweep_figure(
+        &Args::parse(),
+        "Figure 5: baselines vs DeepBase",
+        &[("correlation", &corr), ("logreg", &logreg)],
+        &[
+            ("MADLib", EngineKind::Madlib, Device::SingleCore),
+            ("PyBase", EngineKind::PyBase, Device::SingleCore),
+            ("DeepBase", EngineKind::DeepBase, Device::SingleCore),
+        ],
+        [128, 256, 512],
+        ["#hyps", "#records", "#units"],
+    );
     println!("\n(expected ordering per row: DeepBase < PyBase < MADLib)");
 }

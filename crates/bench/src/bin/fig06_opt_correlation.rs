@@ -10,107 +10,22 @@
 //! the unit count grows (pairwise-correlation compute dominates).
 
 use deepbase::prelude::*;
-use deepbase_bench::{hypothesis_refs, print_table, run_engine, secs, sql_bench_setup, Args};
+use deepbase_bench::{sweep_figure, Args};
 
 fn main() {
-    let args = Args::parse();
-    println!("== Figure 6: optimization ablation (correlation) ==");
-    let corr = CorrelationMeasure;
-    let variants: [(&str, EngineKind); 3] = [
-        ("PyBase", EngineKind::PyBase),
-        ("+ES", EngineKind::MergedEarlyStop), // merging is a no-op for corr
-        ("DeepBase", EngineKind::DeepBase),
-    ];
-
-    let base_records = if args.paper { 29_696 } else { 768 };
-    let base_units = if args.paper { 512 } else { 32 };
-    let hyp_counts: Vec<usize> = if args.paper {
-        vec![48, 96, 190]
-    } else {
-        vec![4, 8, 16]
-    };
-    let record_counts: Vec<usize> = if args.paper {
-        vec![7_424, 14_848, 29_696]
-    } else {
-        vec![192, 384, 768]
-    };
-    let unit_counts: Vec<usize> = if args.paper {
-        vec![128, 256, 512]
-    } else {
-        vec![16, 32, 64]
-    };
-
-    println!("\n-- sweep over #hypotheses --");
-    let setup = sql_bench_setup(&args, base_records, base_units);
-    let mut rows = Vec::new();
-    for &n in &hyp_counts {
-        let hyps = hypothesis_refs(&setup.workload, n);
-        let mut cells = vec![n.to_string()];
-        for (_, engine) in &variants {
-            cells.push(secs(
-                run_engine(
-                    &setup,
-                    &hyps,
-                    &corr,
-                    *engine,
-                    Device::SingleCore,
-                    None,
-                    None,
-                )
-                .total,
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(&["#hyps", "PyBase", "+ES", "DeepBase"], &rows);
-
-    println!("\n-- sweep over #records --");
-    let mut rows = Vec::new();
-    for &records in &record_counts {
-        let setup = sql_bench_setup(&args, records, base_units);
-        let hyps = hypothesis_refs(&setup.workload, hyp_counts[1]);
-        let mut cells = vec![setup.workload.dataset.len().to_string()];
-        for (_, engine) in &variants {
-            cells.push(secs(
-                run_engine(
-                    &setup,
-                    &hyps,
-                    &corr,
-                    *engine,
-                    Device::SingleCore,
-                    None,
-                    None,
-                )
-                .total,
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(&["#records", "PyBase", "+ES", "DeepBase"], &rows);
-
-    println!("\n-- sweep over #hidden units --");
-    let mut rows = Vec::new();
-    for &units in &unit_counts {
-        let setup = sql_bench_setup(&args, base_records, units);
-        let hyps = hypothesis_refs(&setup.workload, hyp_counts[1]);
-        let mut cells = vec![units.to_string()];
-        for (_, engine) in &variants {
-            cells.push(secs(
-                run_engine(
-                    &setup,
-                    &hyps,
-                    &corr,
-                    *engine,
-                    Device::SingleCore,
-                    None,
-                    None,
-                )
-                .total,
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(&["#units", "PyBase", "+ES", "DeepBase"], &rows);
+    sweep_figure(
+        &Args::parse(),
+        "Figure 6: optimization ablation (correlation)",
+        &[("", &CorrelationMeasure)],
+        &[
+            ("PyBase", EngineKind::PyBase, Device::SingleCore),
+            // Merging is a no-op for corr.
+            ("+ES", EngineKind::MergedEarlyStop, Device::SingleCore),
+            ("DeepBase", EngineKind::DeepBase, Device::SingleCore),
+        ],
+        [192, 384, 768],
+        ["#hyps", "#records", "#units"],
+    );
     println!(
         "\n(expected: +ES ≤ PyBase everywhere; DeepBase ≤ +ES, \
               with the streaming gain largest on the record sweep)"

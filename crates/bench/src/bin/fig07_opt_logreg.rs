@@ -9,86 +9,23 @@
 //! bottleneck.
 
 use deepbase::prelude::*;
-use deepbase_bench::{hypothesis_refs, print_table, run_engine, secs, sql_bench_setup, Args};
-
-fn variants() -> Vec<(&'static str, EngineKind, Device)> {
-    vec![
-        ("PyBase", EngineKind::PyBase, Device::SingleCore),
-        ("+MM(CPU)", EngineKind::Merged, Device::SingleCore),
-        ("+MM(GPU)", EngineKind::Merged, Device::Parallel(4)),
-        ("+MM+ES", EngineKind::MergedEarlyStop, Device::Parallel(4)),
-        ("DeepBase", EngineKind::DeepBase, Device::Parallel(4)),
-    ]
-}
+use deepbase_bench::{sweep_figure, Args};
 
 fn main() {
-    let args = Args::parse();
-    println!("== Figure 7: optimization ablation (logistic regression) ==");
-    let logreg = LogRegMeasure::l1(0.01);
-    let header = ["x", "PyBase", "+MM(CPU)", "+MM(GPU)", "+MM+ES", "DeepBase"];
-
-    let base_records = if args.paper { 29_696 } else { 512 };
-    let base_units = if args.paper { 512 } else { 32 };
-    let hyp_counts: Vec<usize> = if args.paper {
-        vec![48, 96, 190]
-    } else {
-        vec![4, 8, 16]
-    };
-    let record_counts: Vec<usize> = if args.paper {
-        vec![7_424, 14_848, 29_696]
-    } else {
-        vec![128, 256, 512]
-    };
-    let unit_counts: Vec<usize> = if args.paper {
-        vec![128, 256, 512]
-    } else {
-        vec![16, 32, 64]
-    };
-
-    println!("\n-- sweep over #hypotheses --");
-    let setup = sql_bench_setup(&args, base_records, base_units);
-    let mut rows = Vec::new();
-    for &n in &hyp_counts {
-        let hyps = hypothesis_refs(&setup.workload, n);
-        let mut cells = vec![n.to_string()];
-        for (_, engine, device) in variants() {
-            cells.push(secs(
-                run_engine(&setup, &hyps, &logreg, engine, device, None, None).total,
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(&header, &rows);
-
-    println!("\n-- sweep over #records --");
-    let mut rows = Vec::new();
-    for &records in &record_counts {
-        let setup = sql_bench_setup(&args, records, base_units);
-        let hyps = hypothesis_refs(&setup.workload, hyp_counts[1]);
-        let mut cells = vec![setup.workload.dataset.len().to_string()];
-        for (_, engine, device) in variants() {
-            cells.push(secs(
-                run_engine(&setup, &hyps, &logreg, engine, device, None, None).total,
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(&header, &rows);
-
-    println!("\n-- sweep over #hidden units --");
-    let mut rows = Vec::new();
-    for &units in &unit_counts {
-        let setup = sql_bench_setup(&args, base_records, units);
-        let hyps = hypothesis_refs(&setup.workload, hyp_counts[1]);
-        let mut cells = vec![units.to_string()];
-        for (_, engine, device) in variants() {
-            cells.push(secs(
-                run_engine(&setup, &hyps, &logreg, engine, device, None, None).total,
-            ));
-        }
-        rows.push(cells);
-    }
-    print_table(&header, &rows);
+    sweep_figure(
+        &Args::parse(),
+        "Figure 7: optimization ablation (logistic regression)",
+        &[("", &LogRegMeasure::l1(0.01))],
+        &[
+            ("PyBase", EngineKind::PyBase, Device::SingleCore),
+            ("+MM(CPU)", EngineKind::Merged, Device::SingleCore),
+            ("+MM(GPU)", EngineKind::Merged, Device::Parallel(4)),
+            ("+MM+ES", EngineKind::MergedEarlyStop, Device::Parallel(4)),
+            ("DeepBase", EngineKind::DeepBase, Device::Parallel(4)),
+        ],
+        [128, 256, 512],
+        ["x"; 3],
+    );
     println!(
         "\n(expected: +MM ≪ PyBase; GPU gain grows with #units; \
               DeepBase smallest overall)"

@@ -21,8 +21,10 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `--paper` and `--scale X` from `std::env::args`.
+    /// Parses `--paper` and `--scale X` from `std::env::args`; `--scale`
+    /// without a number prints the usage line and exits with status 2.
     pub fn parse() -> Args {
+        const USAGE: &str = "flags: --paper (full paper scale), --scale X (record multiplier)";
         let mut args = Args {
             paper: false,
             scale: 1.0,
@@ -31,14 +33,15 @@ impl Args {
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--paper" => args.paper = true,
-                "--scale" => {
-                    args.scale = iter
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale requires a number");
-                }
+                "--scale" => match iter.next().and_then(|v| v.parse().ok()) {
+                    Some(scale) => args.scale = scale,
+                    None => {
+                        eprintln!("--scale requires a number\n{USAGE}");
+                        std::process::exit(2);
+                    }
+                },
                 "--help" | "-h" => {
-                    eprintln!("flags: --paper (full paper scale), --scale X (record multiplier)");
+                    eprintln!("{USAGE}");
                     std::process::exit(0);
                 }
                 other => eprintln!("ignoring unknown flag {other:?}"),
@@ -154,14 +157,88 @@ pub fn run_engine(
         measures: vec![measure],
     };
     let config = InspectionConfig {
-        engine,
         device,
         epsilon,
         cache,
         ..Default::default()
     };
-    let (_, profile) = inspect(&request, &config).expect("benchmark inspection");
+    let (_, profile) = inspect_as(engine, &request, &config).expect("benchmark inspection");
     profile
+}
+
+/// The runtime sweep Figs. 5–7 share: per measure, one table for each
+/// axis (#hypotheses, #records, #hidden units) with a row per axis value
+/// and a [`run_engine`] time per variant, the other two axes held at
+/// their base. The paper-scale sizes are §6.2's; `quick_records` is the
+/// figure's default record sweep (its last value is the base). A measure
+/// labelled `""` gets the short section title; `x_headers` name the first
+/// column of the three tables.
+pub fn sweep_figure(
+    args: &Args,
+    title: &str,
+    measures: &[(&str, &dyn Measure)],
+    variants: &[(&str, EngineKind, Device)],
+    quick_records: [usize; 3],
+    x_headers: [&str; 3],
+) {
+    println!("== {title} ==");
+    let (records, units, hyps, base_units) = if args.paper {
+        ([7_424, 14_848, 29_696], [128, 256, 512], [48, 96, 190], 512)
+    } else {
+        (quick_records, [16, 32, 64], [4, 8, 16], 32)
+    };
+    let base_records = records[2];
+    // Per axis: its name, what it holds fixed, and the (records, units,
+    // #hypotheses) point of each row.
+    let axes = [
+        (
+            "#hypotheses",
+            format!("{base_records} records, {base_units} units"),
+            hyps.map(|h| (base_records, base_units, h)),
+        ),
+        (
+            "#records",
+            format!("{base_units} units"),
+            records.map(|r| (r, base_units, hyps[1])),
+        ),
+        (
+            "#hidden units",
+            format!("{base_records} records"),
+            units.map(|u| (base_records, u, hyps[1])),
+        ),
+    ];
+    // The trained setup of the last point, rebuilt only when (records,
+    // units) move: the whole hypothesis axis shares one.
+    let mut built: Option<((usize, usize), SqlBenchSetup)> = None;
+    for (axis, ((name, fixed, points), x_header)) in axes.iter().zip(x_headers).enumerate() {
+        for (label, measure) in measures {
+            if label.is_empty() {
+                println!("\n-- sweep over {name} --");
+            } else {
+                println!("\n-- {label}: sweep over {name} ({fixed}) --");
+            }
+            let mut rows = Vec::new();
+            for &(n_records, n_units, n_hyps) in points {
+                let at = (n_records, n_units);
+                let kept = built.take().filter(|(was, _)| *was == at);
+                let (_, setup) = built.insert(
+                    kept.unwrap_or_else(|| (at, sql_bench_setup(args, n_records, n_units))),
+                );
+                let hyps = hypothesis_refs(&setup.workload, n_hyps);
+                let x = [n_hyps, setup.workload.dataset.len(), n_units][axis];
+                let mut cells = vec![x.to_string()];
+                for &(_, engine, device) in variants {
+                    let profile = run_engine(setup, &hyps, *measure, engine, device, None, None);
+                    cells.push(secs(profile.total));
+                }
+                rows.push(cells);
+            }
+            let header: Vec<&str> = std::iter::once(x_header)
+                .chain(variants.iter().map(|v| v.0))
+                .collect();
+            print_table(&header, &rows);
+        }
+    }
 }
 
 /// Subset of the hypothesis library as trait objects.

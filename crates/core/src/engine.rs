@@ -1,21 +1,20 @@
-//! The inspection engines (paper §5): the naive design, its cumulative
-//! optimizations, and the DB-oriented MADLib baseline.
+//! The inspection engine (paper §5): one streaming pass, plus the designs
+//! the paper measures it against.
 //!
-//! | [`EngineKind`]      | materialization | states         | stopping       |
-//! |---------------------|-----------------|----------------|----------------|
-//! | `PyBase`            | full, up-front  | per pair       | none           |
-//! | `Merged`            | full, up-front  | per list (+MM) | none           |
-//! | `MergedEarlyStop`   | full, up-front  | per list       | per state (ES) |
-//! | `DeepBase`          | streaming blocks| per list       | ends extraction too |
-//! | `Madlib`            | dense relations | UDA per hyp    | none           |
+//! Everything that runs an inspection — [`inspect`], [`inspect_shared`],
+//! sessions, plans, views — runs the streaming DeepBase design described
+//! under *One streaming pass* below. The naive design, its cumulative
+//! optimizations and the DB-oriented MADLib baseline exist only as the
+//! reference the figures and parity tests compare against, reachable
+//! through the one request-level entry [`inspect_as`] (see *Reference
+//! designs*).
 //!
 //! There is one measure-state interface ([`MeasureState`], over an ordered
 //! hypothesis list) and one function that splits a member's hypotheses
 //! into lists (`hypothesis_lists`): the whole list for a measure that
 //! [shares](Measure::shares_hypotheses) work between hypotheses (`logreg`
 //! trains one multi-output model, the buffered measures keep one unit
-//! sample), one hypothesis per state otherwise. "Per list" above is that
-//! split; `PyBase` always takes singletons.
+//! sample), one hypothesis per state otherwise.
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
 //! extraction fans record blocks across worker threads and independent
@@ -116,6 +115,25 @@
 //! callers must not combine one with same-id-different-function
 //! hypotheses (the batch scheduler detects this and withholds its
 //! implicit cache).
+//!
+//! ## Reference designs
+//!
+//! [`inspect_as`] runs one request under any of the paper's five designs
+//! (§5.1 / §6.2, Figs. 5–8):
+//!
+//! | [`EngineKind`]      | materialization | states         | stopping       |
+//! |---------------------|-----------------|----------------|----------------|
+//! | `PyBase`            | full, up-front  | per pair       | none           |
+//! | `Merged`            | full, up-front  | per list (+MM) | none           |
+//! | `MergedEarlyStop`   | full, up-front  | per list       | per state (ES) |
+//! | `DeepBase`          | streaming blocks| per list       | ends extraction too |
+//! | `Madlib`            | dense relations | UDA per hyp    | none           |
+//!
+//! "Per list" is the `hypothesis_lists` split; `PyBase` always takes
+//! singletons. `DeepBase` is [`inspect`] itself. The other four
+//! materialize the whole dataset before scoring, so they have no partial
+//! answer, no store, no views and no segments: they take an unlimited
+//! [`RunBudget`] only and read the dataset as one shuffled sequence.
 
 use crate::cache::HypothesisCache;
 use crate::error::DniError;
@@ -132,7 +150,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which engine design executes the inspection.
+/// The paper's engine designs, as selected by [`inspect_as`] (see the
+/// module docs, *Reference designs*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Naive full-materialization design (the paper's Python baseline).
@@ -153,7 +172,7 @@ pub enum Device {
     /// Sequential execution.
     SingleCore,
     /// Thread-parallel execution with the given worker count — the
-    /// simulated GPU (see DESIGN.md for the substitution argument).
+    /// simulated GPU (see the module docs, *Device → runtime mapping*).
     Parallel(usize),
 }
 
@@ -171,8 +190,7 @@ impl Device {
 /// can trip while a run is streaming. The engine polls it at block
 /// boundaries; a tripped token makes the streaming pass stop gracefully —
 /// committing watermark-extending partial columns and returning its
-/// current estimates tagged [`CompletionStatus::Cancelled`] — while the
-/// materializing engines surface [`DniError::Cancelled`].
+/// current estimates tagged [`CompletionStatus::Cancelled`].
 ///
 /// Clones share the flag; cancellation is sticky (there is no reset —
 /// make a fresh token per run).
@@ -300,26 +318,11 @@ impl ArmedBudget {
         }
         None
     }
-
-    /// Coarse check for engines that cannot return partial answers (the
-    /// materializing fallbacks and the MADLib baseline): a tripped budget
-    /// is a typed error instead of a degraded frame.
-    fn check_fatal(&self) -> Result<(), DniError> {
-        match self.check(0, 0) {
-            Some(CompletionStatus::Cancelled) => Err(DniError::Cancelled),
-            Some(_) => Err(DniError::DeadlineExceeded(
-                "budget expired in a non-streaming engine (no partial answer available)".into(),
-            )),
-            None => Ok(()),
-        }
-    }
 }
 
 /// Inspection configuration.
 #[derive(Clone)]
 pub struct InspectionConfig {
-    /// Engine design.
-    pub engine: EngineKind,
     /// Execution device.
     pub device: Device,
     /// Records per block (`nb`; the paper finds 512 works well).
@@ -337,16 +340,14 @@ pub struct InspectionConfig {
     /// for differential testing, not a semantics knob).
     pub pushdown: bool,
     /// Run bounds: deadline, cancellation, work caps. Unlimited by
-    /// default. The streaming engine degrades gracefully when a bound
-    /// trips (partial frame, watermark-extending partial columns); the
-    /// materializing engines surface a transient [`DniError`] instead.
+    /// default. A pass degrades gracefully when a bound trips (partial
+    /// frame, watermark-extending partial columns).
     pub budget: RunBudget,
 }
 
 impl Default for InspectionConfig {
     fn default() -> Self {
         InspectionConfig {
-            engine: EngineKind::DeepBase,
             device: Device::SingleCore,
             block_records: 512,
             epsilon: None,
@@ -445,41 +446,47 @@ fn validate_request(req: &InspectionRequest<'_>) -> Result<(), DniError> {
     Ok(())
 }
 
-/// Runs an inspection, returning the score frame and a cost profile.
+/// Runs an inspection, returning the score frame and a cost profile: the
+/// one-member case of [`inspect_shared`].
 ///
-/// A configured [`RunBudget`] applies: the streaming `DeepBase` engine
-/// degrades gracefully on an interrupted run (the frame holds the current
-/// estimates; use [`inspect_shared`] to also observe the
-/// [`Completion`] tag), the materializing engines surface
-/// [`DniError::DeadlineExceeded`] / [`DniError::Cancelled`].
+/// A configured [`RunBudget`] applies: an interrupted run degrades
+/// gracefully (the frame holds the current estimates; use
+/// [`inspect_shared`] to also observe the [`Completion`] tag).
 pub fn inspect(
     req: &InspectionRequest<'_>,
     config: &InspectionConfig,
 ) -> Result<(ResultFrame, Profile), DniError> {
-    let armed = config.budget.arm();
-    inspect_budgeted(req, config, armed.as_ref())
+    let mut outcome = inspect_shared(std::slice::from_ref(req), config)?;
+    Ok(outcome.results.pop().expect("one member, one result"))
 }
 
-/// [`inspect`] against an already armed budget (shared batch deadline).
-fn inspect_budgeted(
+/// Runs one request under the engine design `kind` (see the module docs,
+/// *Reference designs*): [`inspect`] for `DeepBase`, one of the paper's
+/// baselines otherwise. The baselines have no partial answer and cannot
+/// honour row or block caps, so a limited [`RunBudget`] is refused with
+/// [`DniError::BadConfig`] rather than half-honoured.
+pub fn inspect_as(
+    kind: EngineKind,
     req: &InspectionRequest<'_>,
     config: &InspectionConfig,
-    budget: Option<&ArmedBudget>,
 ) -> Result<(ResultFrame, Profile), DniError> {
+    if kind == EngineKind::DeepBase {
+        return inspect(req, config);
+    }
+    if !config.budget.is_unlimited() {
+        return Err(DniError::BadConfig(format!(
+            "the {kind:?} baseline cannot honour a run budget (no partial answer); \
+             run it unlimited, or run the streaming engine"
+        )));
+    }
     validate_config(config)?;
     validate_request(req)?;
     if req.dataset.is_empty() {
         return Ok((ResultFrame::default(), Profile::default()));
     }
-
-    match config.engine {
-        EngineKind::Madlib => inspect_madlib(req, config, budget),
-        EngineKind::DeepBase => {
-            let reqs = std::slice::from_ref(req);
-            let (mut outcome, _) = run_pass(reqs, config, None, budget, &FoldOpts::default())?;
-            Ok(outcome.results.pop().expect("one member, one result"))
-        }
-        _ => inspect_materialized(req, config, budget),
+    match kind {
+        EngineKind::Madlib => inspect_madlib(req, config),
+        _ => inspect_materialized(kind, req, config),
     }
 }
 
@@ -586,25 +593,19 @@ fn emit_rows(
 }
 
 // ---------------------------------------------------------------------
-// Materialized engines: PyBase, +MM, +MM+ES
+// Reference designs: PyBase, +MM, +MM+ES (reached through `inspect_as`)
 // ---------------------------------------------------------------------
 
 fn inspect_materialized(
+    kind: EngineKind,
     req: &InspectionRequest<'_>,
     config: &InspectionConfig,
-    budget: Option<&ArmedBudget>,
 ) -> Result<(ResultFrame, Profile), DniError> {
     let t_start = Instant::now();
     let mut profile = Profile::default();
     let ns = req.dataset.ns;
     let records = shuffled_records(req.dataset, config.seed);
     profile.records_read = records.len();
-    // Materializing engines have no partial answer to degrade to: a
-    // tripped budget is a typed error, checked coarsely (here, after each
-    // materialization phase, and per (group, measure) round below).
-    if let Some(b) = budget {
-        b.check_fatal()?;
-    }
 
     // Materialize unit behaviors per group.
     let t0 = Instant::now();
@@ -614,9 +615,6 @@ fn inspect_materialized(
         .map(|g| extract_records(req.extractor, &records, &g.units, config.device, ns))
         .collect();
     profile.unit_extraction = t0.elapsed();
-    if let Some(b) = budget {
-        b.check_fatal()?;
-    }
 
     // Materialize all hypothesis behaviors.
     let t1 = Instant::now();
@@ -631,15 +629,9 @@ fn inspect_materialized(
         )?);
     }
     profile.hypothesis_extraction = t1.elapsed();
-    if let Some(b) = budget {
-        b.check_fatal()?;
-    }
 
-    let merging = matches!(
-        config.engine,
-        EngineKind::Merged | EngineKind::MergedEarlyStop
-    );
-    let early_stop = matches!(config.engine, EngineKind::MergedEarlyStop);
+    let merging = matches!(kind, EngineKind::Merged | EngineKind::MergedEarlyStop);
+    let early_stop = matches!(kind, EngineKind::MergedEarlyStop);
     let rows_total = records.len() * ns;
     let block_rows = (config.block_records * ns).max(1);
     let all_hyps: Vec<usize> = (0..hyp_cols.len()).collect();
@@ -649,9 +641,6 @@ fn inspect_materialized(
     let mut frame = ResultFrame::default();
     for (group, behaviors) in req.groups.iter().zip(group_behaviors.iter()) {
         for measure in &req.measures {
-            if let Some(b) = budget {
-                b.check_fatal()?;
-            }
             let eps = epsilon_for(*measure, config);
             // PyBase scores every pair on its own; the merging engines hand
             // a measure that shares the whole list (+MM).
@@ -724,16 +713,14 @@ fn inspect_materialized(
 type PairResult = (Vec<f32>, f32);
 
 // ---------------------------------------------------------------------
-// Streaming engine: DeepBase
+// The streaming engine
 // ---------------------------------------------------------------------
 
 /// Runs several inspection requests over the **same** `(extractor,
 /// dataset)` pair through one streaming pass (see the module docs, *One
 /// streaming pass*). Member scores are bit-identical to standalone
 /// [`inspect`] calls; redundant work — unit extraction, hypothesis
-/// evaluation, measure states shared between members — is done once. For
-/// non-streaming engine kinds the members are executed individually
-/// (sharing only the configured hypothesis cache).
+/// evaluation, measure states shared between members — is done once.
 pub fn inspect_shared(
     reqs: &[InspectionRequest<'_>],
     config: &InspectionConfig,
@@ -750,16 +737,15 @@ pub struct SharedOutcome {
     /// [`inspect`] call would produce for the same request.
     pub results: Vec<(ResultFrame, Profile)>,
     /// Every unique `(group units, measure, hypothesis)` pair, emitted
-    /// once (the frame member frames are demuxed from). Left empty on
-    /// the non-streaming fallback path, and for a single-member batch
-    /// whose frame would equal it verbatim — in both cases populating it
-    /// would only duplicate `results` allocations.
+    /// once (the frame member frames are demuxed from). Left empty for a
+    /// single-member batch whose frame would equal it verbatim —
+    /// populating it would only duplicate the `results` allocation.
     pub merged: ResultFrame,
     /// Accounting for the shared streaming pass itself: the union stream's
     /// records/blocks and phase timings.
     pub pass: Profile,
-    /// Extraction passes over the dataset: 1 on the shared streaming
-    /// path, one per member on the fallback path.
+    /// Extraction passes over the dataset: 1 for a one-stream pass, one
+    /// per streamed segment on a full pass.
     pub extraction_passes: usize,
     /// Behavior-store accounting for the pass (all zeros when no store
     /// source was supplied): blocks scanned/written, pool hit/miss/evict
@@ -938,14 +924,10 @@ pub(crate) struct FoldOpts<'a> {
 }
 
 impl FoldOpts<'_> {
-    fn needs_fold_point(&self) -> bool {
-        self.capture_states || self.skip_segments > 0
-    }
-
     /// The derived policy switch of a pass over `dataset` (module docs,
     /// *One streaming pass*).
     pub(crate) fn full_pass(&self, dataset: &Dataset) -> bool {
-        dataset.segment_count() > 1 || self.needs_fold_point()
+        dataset.segment_count() > 1 || self.capture_states || self.skip_segments > 0
     }
 }
 
@@ -1370,10 +1352,6 @@ fn fold_streams(
 /// already armed, so every group and wave of a batch shares one absolute
 /// deadline; `opts` are the view hooks. Returns the outcome plus the
 /// captured fold point (empty unless `opts.capture_states`).
-///
-/// For non-streaming engine kinds the members are executed individually
-/// (sharing only the configured hypothesis cache); a view pass always
-/// streams, since only streams have fold points.
 pub(crate) fn run_pass(
     reqs: &[InspectionRequest<'_>],
     config: &InspectionConfig,
@@ -1409,22 +1387,6 @@ pub(crate) fn run_pass(
     if dataset.is_empty() {
         let mut outcome = SharedOutcome::default();
         outcome.results.resize_with(reqs.len(), Default::default);
-        return Ok((outcome, Vec::new()));
-    }
-    let needs_fold_point = opts.needs_fold_point();
-    if config.engine != EngineKind::DeepBase && !needs_fold_point {
-        // The materializing engines keep their per-request shape; members
-        // still share the hypothesis cache configured by the caller.
-        let mut outcome = SharedOutcome {
-            extraction_passes: reqs.len(),
-            ..SharedOutcome::default()
-        };
-        for req in reqs {
-            let (frame, profile) = inspect_budgeted(req, config, budget)?;
-            outcome.pass.accumulate(&profile);
-            outcome.results.push((frame, profile));
-        }
-        outcome.completion.rows_read = outcome.pass.records_read;
         return Ok((outcome, Vec::new()));
     }
 
@@ -1649,7 +1611,6 @@ impl PassLayout<'_> {
 fn inspect_madlib(
     req: &InspectionRequest<'_>,
     config: &InspectionConfig,
-    budget: Option<&ArmedBudget>,
 ) -> Result<(ResultFrame, Profile), DniError> {
     let t_start = Instant::now();
     let mut profile = Profile::default();
@@ -1660,11 +1621,6 @@ fn inspect_madlib(
 
     let mut frame = ResultFrame::default();
     for group in &req.groups {
-        // Coarse budget check per group: the relational baseline has no
-        // partial answer to return, so a tripped budget is an error.
-        if let Some(b) = budget {
-            b.check_fatal()?;
-        }
         // Materialize the dense behavior relations (unitsb_dense /
         // hyposb_dense of §5.1.1), joined on symbolid.
         let t0 = Instant::now();

@@ -40,9 +40,9 @@ pub enum DniError {
     /// INSPECT query syntax or binding error.
     Query(String),
     /// The run budget's wall-clock deadline (or a row/pass cap) expired
-    /// before the pass could produce a result. The streaming engine
-    /// degrades gracefully instead of raising this; only engines without
-    /// partial answers (materializing fallbacks) surface it as an error.
+    /// before the pass could produce a result. An INSPECT degrades
+    /// gracefully instead of raising this; only a view build, which needs
+    /// a complete pass, surfaces it as an error.
     DeadlineExceeded(String),
     /// The run was cancelled through a [`crate::engine::CancelToken`].
     Cancelled,

@@ -50,6 +50,9 @@
 //! [`query::Catalog::run_batch`] plan and execute exactly as a session
 //! would, minus everything a session remembers — which is why the session
 //! tests keep them as the reference side of their differential checks.
+//! [`engine::inspect_as`] runs one request under any of the paper's
+//! baseline designs: the reference the figures and parity tests call,
+//! not something a statement, session or config can select.
 //!
 //! ## Persistence
 //!
@@ -249,10 +252,8 @@
 //! [`engine::SharedOutcome`], per wave in [`plan::GroupReport`] and
 //! batch-wide in [`plan::BatchReport::completion`]. Interrupted frames
 //! are valid partial answers but never seed the session score cache.
-//! Engines without partial answers (the materializing fallbacks and the
-//! MADLib baseline) surface budget expiry as typed errors
-//! ([`DniError::DeadlineExceeded`] / [`DniError::Cancelled`], both
-//! `is_transient()`).
+//! The paper's baselines ([`engine::inspect_as`]) have no partial answer
+//! and refuse a limited budget with [`DniError::BadConfig`].
 //!
 //! Failure domains are bounded the same way. A worker panic (a
 //! hypothesis or extractor that panics mid-stream) is contained at the
@@ -330,10 +331,11 @@
 //! * [`extract`] — unit-behavior extractors for the NN substrate (§5.1.2).
 //! * [`measure`] — the standard measure library with incremental
 //!   `process_block` APIs and merged (multi-output) states (§4.3, §5.2).
-//! * [`engine`] — PyBase / +MM / +MM+ES / DeepBase / MADLib engines with
-//!   streaming extraction, early stopping, the parallel device (§5), and
-//!   the one streaming pass (public face: [`engine::inspect_shared`])
-//!   that every plan wave, view build and view refresh executes through.
+//! * [`engine`] — streaming extraction, early stopping, the parallel
+//!   device (§5): the one streaming pass (public face:
+//!   [`engine::inspect_shared`]) that every plan wave, view build and view
+//!   refresh executes through, and the PyBase / +MM / +MM+ES / MADLib
+//!   reference designs behind [`engine::inspect_as`].
 //! * [`cache`] — hypothesis-behavior LRU cache (§5.1.2, Fig. 9), shared
 //!   across every batch of a session.
 //! * `deepbase-store` (re-exported essentials in the [`prelude`]) — the
@@ -378,7 +380,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionPermit, AdmissionScheduler, SchedulerStats};
     pub use crate::cache::{CacheStats, HypothesisCache};
     pub use crate::engine::{
-        inspect, inspect_shared, CancelToken, Device, EngineKind, InspectionConfig,
+        inspect, inspect_as, inspect_shared, CancelToken, Device, EngineKind, InspectionConfig,
         InspectionRequest, Profile, RunBudget, SharedOutcome,
     };
     pub use crate::error::DniError;

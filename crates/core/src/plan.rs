@@ -35,8 +35,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheStats, HypothesisCache};
 use crate::engine::{
-    hypothesis_lists, measure_key, run_pass, Device, EngineKind, FoldOpts, InspectionConfig,
-    InspectionRequest, MeasureKey, Profile, RunBudget, SharedOutcome,
+    hypothesis_lists, measure_key, run_pass, Device, FoldOpts, InspectionConfig, InspectionRequest,
+    MeasureKey, Profile, RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -607,10 +607,7 @@ impl GroupSource {
     /// probe per segment under the `(model fingerprint, segment
     /// fingerprint)` key — complete columns scan, partial columns scan up
     /// to their watermark, the rest extract live. The one scan-vs-extract
-    /// decision both the optimizer and view passes make. Only the
-    /// streaming DeepBase engine consumes scan plans — the materializing
-    /// fallbacks would silently ignore one, so theirs stay plain `Extract`
-    /// and `explain` never promises a scan that cannot happen.
+    /// decision both the optimizer and view passes make.
     fn choose(
         binding: Option<&StoreBinding>,
         config: &InspectionConfig,
@@ -618,7 +615,7 @@ impl GroupSource {
         dataset: &Dataset,
         units: &[usize],
     ) -> GroupSource {
-        let Some(binding) = binding.filter(|_| config.engine == EngineKind::DeepBase) else {
+        let Some(binding) = binding else {
             return GroupSource::Extract;
         };
         let Some(model_fp) = model.fingerprint() else {
@@ -1074,8 +1071,8 @@ pub struct GroupReport {
     pub dataset_id: String,
     /// Indices (into the batch) of the queries that joined this pass.
     pub queries: Vec<usize>,
-    /// Streaming extraction passes over the dataset: 1 on the shared
-    /// path, one per member on the non-streaming fallback.
+    /// Extraction passes over the dataset: 1 for a one-stream pass, one
+    /// per streamed segment on a full pass.
     pub extraction_passes: usize,
     /// The shared pass itself: union-stream records/blocks and timings.
     pub pass: Profile,
@@ -1285,8 +1282,7 @@ impl PhysicalPlan {
         };
         // Contained panics (`DniError::Internal`) fail only the dead
         // group's queries; every other error indicts the batch as a whole
-        // (bad inputs, store corruption, budget expiry in a non-streaming
-        // engine) and keeps failing it here.
+        // (bad inputs, store corruption) and keeps failing it here.
         let mut group_outcomes: Vec<Vec<SharedOutcome>> = Vec::with_capacity(outcomes.len());
         let mut group_errors: Vec<Option<DniError>> = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {

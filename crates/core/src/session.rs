@@ -30,7 +30,7 @@
 
 use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
-use crate::engine::{EngineKind, FoldOpts, InspectionConfig, RunBudget};
+use crate::engine::{FoldOpts, InspectionConfig, RunBudget};
 use crate::error::DniError;
 use crate::model::{Dataset, HypothesisFn, Record};
 use crate::plan::{
@@ -165,18 +165,22 @@ impl PreparedBatch {
 }
 
 /// Fingerprint of the config fields that determine inspection *results*
-/// (scores depend on engine kind, block size, convergence threshold and
-/// shuffle seed; the device only changes how the same numbers are
-/// computed). Keys the score cache.
+/// (scores depend on block size, convergence threshold and shuffle seed;
+/// the device only changes how the same numbers are computed). Keys the
+/// score cache.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct ConfigFp {
-    engine: EngineKind,
     block_records: usize,
     epsilon_bits: Option<u32>,
     seed: u64,
 }
 
 type FrameKey = (String, u64, usize, ConfigFp);
+
+/// The engine stamp of every view this session writes, and the only one
+/// it accepts: sessions run the one streaming engine, so a file stamped
+/// anything else was not built by this pass and probes `Invalid`.
+const VIEW_ENGINE_TAG: &str = "DeepBase";
 
 /// High-water mark of a dataset's ingest as last inspected by this
 /// session: how many sealed segments (and records) the dataset had when
@@ -477,7 +481,6 @@ impl Session {
 
     fn fingerprint(&self) -> ConfigFp {
         ConfigFp {
-            engine: self.config.inspection.engine,
             block_records: self.config.inspection.block_records,
             epsilon_bits: self.config.inspection.epsilon.map(f32::to_bits),
             seed: self.config.inspection.seed,
@@ -737,12 +740,6 @@ impl Session {
         )
     }
 
-    /// The engine tag views are keyed under (part of the config
-    /// fingerprint a view's freshness is judged against).
-    fn engine_tag(&self) -> String {
-        format!("{:?}", self.config.inspection.engine)
-    }
-
     /// Judges a stored view against the statement's *current* inputs:
     /// model fingerprints, per-segment dataset fingerprints, and the
     /// result-determining config fields.
@@ -755,7 +752,7 @@ impl Session {
             .map(|i| plan.dataset.segment_fingerprint(i))
             .collect();
         doc.freshness(
-            &self.engine_tag(),
+            VIEW_ENGINE_TAG,
             self.config.inspection.block_records as u64,
             self.config.inspection.epsilon.map(f32::to_bits),
             self.config.inspection.seed,
@@ -904,7 +901,7 @@ impl Session {
         let doc = ViewDoc {
             name: name.to_string(),
             statement: statement.to_string(),
-            engine: self.engine_tag(),
+            engine: VIEW_ENGINE_TAG.to_string(),
             block_records: self.config.inspection.block_records as u64,
             epsilon_bits: self.config.inspection.epsilon.map(f32::to_bits),
             seed: self.config.inspection.seed,

@@ -11,7 +11,8 @@
 //!
 //! The Broden dataset and VGG-16 are not shippable; the substitute is a
 //! synthetic corpus of annotated shape images and the `deepbase-nn`
-//! [`SmallCnn`] (see DESIGN.md).
+//! [`SmallCnn`] — a laptop-sized stand-in, like the simulated GPU of the
+//! [`crate::engine`] module docs (*Device → runtime mapping*).
 
 use crate::extract::Extractor;
 use crate::model::{Dataset, FnHypothesis, Record};
@@ -273,7 +274,7 @@ pub fn deepbase_cnn_scores(
     size: usize,
     top_quantile: f32,
 ) -> Result<Vec<(usize, String, f32)>, crate::error::DniError> {
-    use crate::engine::{inspect, InspectionConfig, InspectionRequest};
+    use crate::engine::{inspect_as, EngineKind, InspectionConfig, InspectionRequest};
     use crate::measure::JaccardMeasure;
     use crate::model::UnitGroup;
 
@@ -298,11 +299,7 @@ pub fn deepbase_cnn_scores(
         measures: vec![&measure],
     };
     // Exact scores: disable early stopping by materializing everything.
-    let config = InspectionConfig {
-        engine: crate::engine::EngineKind::PyBase,
-        ..Default::default()
-    };
-    let (frame, _) = inspect(&request, &config)?;
+    let (frame, _) = inspect_as(EngineKind::PyBase, &request, &InspectionConfig::default())?;
     let mut out = Vec::new();
     for (ci, &concept) in CONCEPTS.iter().enumerate() {
         let hyp_id = format!("concept:{}", concept);

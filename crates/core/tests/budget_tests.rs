@@ -1,7 +1,7 @@
 //! Run-budget semantics end to end (ISSUE 6): wall-clock deadlines,
 //! cooperative cross-thread cancellation, row/block caps, graceful
 //! degradation of the streaming engine into watermark-persisting partial
-//! passes, typed budget errors on the materializing fallbacks, and
+//! passes, the reference designs' refusal of a limited budget, and
 //! worker-panic containment at the extraction-group boundary.
 
 use deepbase::prelude::*;
@@ -403,22 +403,63 @@ fn cancel_mid_wave_from_a_second_thread_leaves_a_consistent_store() {
 }
 
 // ---------------------------------------------------------------------
-// Typed budget errors on engines without partial answers
+// The reference designs have no partial answer: a limited budget is refused
 // ---------------------------------------------------------------------
 
 #[test]
-fn materializing_engines_surface_budget_expiry_as_typed_transient_errors() {
+fn baselines_refuse_every_limited_budget_and_run_unlimited() {
     let nd = 16;
-    let token = CancelToken::new();
-    token.cancel();
-    let (catalog, _) = catalog_with(nd, Duration::ZERO);
-    let cfg = InspectionConfig {
-        engine: EngineKind::PyBase,
-        ..budgeted(Device::SingleCore, RunBudget::with_cancel(token))
+    let dataset = Dataset::new("seq", NS, records(nd)).unwrap();
+    let extractor = PrecomputedExtractor::new(behaviors(nd), NS);
+    let hyps = char_hypotheses();
+    let req = InspectionRequest {
+        model_id: "m1".into(),
+        extractor: &extractor,
+        groups: vec![UnitGroup::all(UNITS)],
+        dataset: &dataset,
+        hypotheses: hyps.iter().map(|h| h.as_ref()).collect(),
+        measures: vec![&CorrelationMeasure],
     };
-    let err = catalog.run_batch(&[Q_ALL], &cfg).unwrap_err();
-    assert_eq!(err, deepbase::DniError::Cancelled);
-    assert!(err.is_transient());
+    let tripped = CancelToken::new();
+    tripped.cancel();
+    let limited = [
+        RunBudget::with_deadline(Duration::from_secs(3600)),
+        RunBudget::with_cancel(tripped),
+        RunBudget {
+            max_records: Some(8),
+            ..RunBudget::default()
+        },
+        RunBudget {
+            max_blocks: Some(2),
+            ..RunBudget::default()
+        },
+    ];
+    for kind in [
+        EngineKind::PyBase,
+        EngineKind::Merged,
+        EngineKind::MergedEarlyStop,
+        EngineKind::Madlib,
+    ] {
+        for budget in &limited {
+            let cfg = budgeted(Device::SingleCore, budget.clone());
+            let err = inspect_as(kind, &req, &cfg).unwrap_err();
+            assert!(
+                matches!(err, deepbase::DniError::BadConfig(_)),
+                "{kind:?} under {budget:?}: {err}"
+            );
+        }
+        let (frame, profile) = inspect_as(kind, &req, &config(Device::SingleCore)).unwrap();
+        assert_eq!(frame.len(), UNITS * hyps.len(), "{kind:?}");
+        assert_eq!(profile.records_read, nd, "{kind:?}");
+    }
+    // The streaming design honours the same caps with a partial answer.
+    let (_, profile) = inspect_as(
+        EngineKind::DeepBase,
+        &req,
+        &budgeted(Device::SingleCore, limited[2].clone()),
+    )
+    .unwrap();
+    assert_eq!(profile.records_read, 8);
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
 //! The buffered measures (`jaccard`, `mutual_info`, `group_mi`) score
 //! the same bits on every path: a one-hypothesis state per pair (the
-//! materializing `PyBase` engine) and one state — one unit sample — per
-//! hypothesis list (the merged engines and every streaming pass: one
-//! segment, segmented folds, view build + refresh). A stored view holds
+//! materializing `PyBase` design) and one state — one unit sample — per
+//! hypothesis list (the merged designs and every streaming pass: one
+//! segment, segmented folds, view build + refresh). The baseline designs
+//! are reached through `inspect_as`, everything else through the
+//! statement. A stored view holds
 //! each hypothesis's bytes as a one-hypothesis state would write them, so
 //! it does not depend on how the pass grouped hypotheses into states.
 //! Also pinned here: measures are slot-keyed by identity, so two measures
@@ -11,7 +13,7 @@
 
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
-use deepbase_relational::Table;
+use deepbase_relational::{Table, Value};
 use deepbase_store::ViewHypState;
 use deepbase_tensor::Matrix;
 use std::path::{Path, PathBuf};
@@ -99,37 +101,53 @@ fn catalog_over(segment_lens: &[usize], hypotheses: Vec<Arc<dyn HypothesisFn>>) 
     catalog
 }
 
-fn config(engine: EngineKind) -> InspectionConfig {
+fn config() -> InspectionConfig {
     InspectionConfig {
-        engine,
         block_records: BLOCK,
         epsilon: Some(1e-12), // never converge early: every row is buffered
         ..InspectionConfig::default()
     }
 }
 
-/// A table with its float cells as bit patterns (`Table`'s own `==`
-/// compares floats by value).
-fn bits(table: &Table) -> Vec<Vec<String>> {
-    (0..table.schema().arity())
-        .map(|c| {
-            let column = table.column_at(c);
-            match column.floats() {
-                Some(floats) => floats
-                    .iter()
-                    .map(|v| format!("{:08x}", v.to_bits()))
-                    .collect(),
-                None => (0..table.len())
-                    .map(|r| format!("{:?}", column.value(r)))
-                    .collect(),
+/// `(measure id, hypothesis id, unit, score bits, group score bits)`: one
+/// row of `Q`'s table, or of the frame behind it.
+type Row = (String, String, usize, u32, u32);
+
+/// The rows of one of `Q`'s tables, floats as bit patterns (`Table`'s own
+/// `==` compares floats by value).
+fn bits(table: &Table) -> Vec<Row> {
+    (0..table.len())
+        .map(|r| match &table.row(r)[..] {
+            [Value::Str(m), Value::Str(h), Value::Int(u), Value::Float(s), Value::Float(g)] => {
+                (m.clone(), h.clone(), *u as usize, s.to_bits(), g.to_bits())
             }
+            other => panic!("row {r} does not have Q's shape: {other:?}"),
         })
         .collect()
 }
 
-fn run(catalog: &Catalog, engine: EngineKind) -> Table {
-    let mut tables = catalog.run_batch(&[Q], &config(engine)).unwrap().tables;
+/// `Q` as a statement: the streaming pass, one stream per segment.
+fn run(catalog: &Catalog) -> Table {
+    let mut tables = catalog.run_batch(&[Q], &config()).unwrap().tables;
     tables.pop().expect("one statement, one table")
+}
+
+/// `Q` under the engine design `kind` — no statement or config selects a
+/// baseline, so `Q` is bound as a session binds it and handed to
+/// `inspect_as` as the one request `execute_with` would build from the
+/// plan. Rows come back in the table's order and shape.
+fn run_as(catalog: &Catalog, kind: EngineKind) -> Vec<Row> {
+    let plan = bind(&parse(Q).unwrap(), catalog).unwrap();
+    let model = &plan.models[0];
+    let req = InspectionRequest {
+        model_id: model.mid.clone(),
+        extractor: model.extractor.as_ref(),
+        groups: model.groups.clone(),
+        dataset: &plan.dataset,
+        hypotheses: plan.hypotheses.iter().map(|h| h.as_ref()).collect(),
+        measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
+    };
+    frame_bits(&inspect_as(kind, &req, &config()).unwrap().0)
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -145,7 +163,7 @@ fn view_session(dir: &Path, catalog: Catalog) -> Session {
     Session::with_config(
         catalog,
         SessionConfig {
-            inspection: config(EngineKind::DeepBase),
+            inspection: config(),
             store: Some(StoreConfig {
                 block_records: BLOCK,
                 ..StoreConfig::at(dir)
@@ -164,27 +182,31 @@ fn stored_states(session: &Session) -> Vec<ViewHypState> {
 #[test]
 fn per_pair_list_segmented_and_view_paths_score_the_same_bits() {
     // One-hypothesis states over the whole dataset in one materialized piece.
-    let reference = run(&catalog(&[TOTAL]), EngineKind::PyBase);
-    let want = bits(&reference);
+    let want = run_as(&catalog(&[TOTAL]), EngineKind::PyBase);
     // 4 measures x 3 hypotheses x 5 units, and nothing degenerate.
-    assert_eq!(reference.len(), 4 * 3 * UNITS);
-    let scores = reference.column_at(3).floats().unwrap();
-    assert!(scores.iter().filter(|&&s| s > 0.0).count() > reference.len() / 2);
+    assert_eq!(want.len(), 4 * 3 * UNITS);
+    let positive = |row: &&Row| f32::from_bits(row.3) > 0.0;
+    assert!(want.iter().filter(positive).count() > want.len() / 2);
 
-    // One state per hypothesis list: the merged engines and the
+    // One state per hypothesis list: the merged designs and the
     // streaming engine on one segment.
-    for engine in [
+    for kind in [
         EngineKind::Merged,
         EngineKind::MergedEarlyStop,
         EngineKind::DeepBase,
     ] {
-        assert_eq!(bits(&run(&catalog(&[TOTAL]), engine)), want, "{engine:?}");
+        assert_eq!(run_as(&catalog(&[TOTAL]), kind), want, "{kind:?}");
     }
 
-    // List states folded across segments (even and ragged splits).
-    for lens in [&[SEG_LEN; 3][..], &[TOTAL / 2, TOTAL / 2], &[7, 40, 1]] {
-        let table = run(&catalog(lens), EngineKind::DeepBase);
-        assert_eq!(bits(&table), want, "segments {lens:?}");
+    // The statement's table, cell for cell: on one segment, and with the
+    // list states folded across segments (even and ragged splits).
+    for lens in [
+        &[TOTAL][..],
+        &[SEG_LEN; 3],
+        &[TOTAL / 2, TOTAL / 2],
+        &[7, 40, 1],
+    ] {
+        assert_eq!(bits(&run(&catalog(lens))), want, "segments {lens:?}");
     }
 
     // A view built over two segments, then refreshed with the third
@@ -192,8 +214,8 @@ fn per_pair_list_segmented_and_view_paths_score_the_same_bits() {
     let dir = tmp_dir("view");
     let mut session = view_session(&dir, catalog(&[SEG_LEN; 2]));
     session.create_view("v", Q).unwrap();
-    let two_segments = run(&catalog(&[SEG_LEN; 2]), EngineKind::PyBase);
-    assert_eq!(bits(&session.read_view("v").unwrap()), bits(&two_segments));
+    let two_segments = run_as(&catalog(&[SEG_LEN; 2]), EngineKind::PyBase);
+    assert_eq!(bits(&session.read_view("v").unwrap()), two_segments);
     session
         .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
         .unwrap();
@@ -253,8 +275,8 @@ fn a_view_stored_as_one_hypothesis_states_revives_refreshes_and_reserializes() {
         session.refresh_view("v").unwrap(),
         ViewRefresh::Incremental { new_segments: 1 }
     );
-    let cold = run(&catalog(&[SEG_LEN; 3]), EngineKind::PyBase);
-    assert_eq!(bits(&session.read_view("v").unwrap()), bits(&cold));
+    let cold = run_as(&catalog(&[SEG_LEN; 3]), EngineKind::PyBase);
+    assert_eq!(bits(&session.read_view("v").unwrap()), cold);
     let refreshed = stored_states(&session);
     assert!(
         refreshed == one_at_a_time(&[SEG_LEN; 3]),
@@ -288,8 +310,8 @@ fn request<'a>(
     }
 }
 
-/// `(measure id, hypothesis id, unit, score bits, group score bits)` rows.
-fn frame_bits(frame: &ResultFrame) -> Vec<(String, String, usize, u32, u32)> {
+/// The rows of a frame, in the shape of `Q`'s table.
+fn frame_bits(frame: &ResultFrame) -> Vec<Row> {
     frame
         .rows
         .iter()
@@ -327,7 +349,7 @@ fn batch_members_naming_different_hypothesis_lists_keep_standalone_scores() {
             request(&extractor, dataset, vec![a, b], buffered.clone()),
             request(&extractor, dataset, vec![b, c], buffered.clone()),
         ];
-        let shared = inspect_shared(&members, &config(EngineKind::DeepBase)).unwrap();
+        let shared = inspect_shared(&members, &config()).unwrap();
         assert_eq!(shared.extraction_passes, passes);
         for (member, (frame, _)) in members.iter().zip(&shared.results) {
             let standalone = request(
@@ -336,7 +358,7 @@ fn batch_members_naming_different_hypothesis_lists_keep_standalone_scores() {
                 member.hypotheses.clone(),
                 buffered.clone(),
             );
-            let (standalone, _) = inspect(&standalone, &config(EngineKind::PyBase)).unwrap();
+            let (standalone, _) = inspect_as(EngineKind::PyBase, &standalone, &config()).unwrap();
             assert_eq!(frame_bits(frame), frame_bits(&standalone));
             assert_eq!(frame.len(), 3 * 2 * UNITS);
         }
@@ -355,29 +377,30 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
         max_buffer: 65_536,
     };
     let (low, high) = (quantile(0.5), quantile(0.9));
+    // Two batch members of one streaming pass naming one each: no slot is
+    // shared, and each scores what every design below scores standalone.
+    let members = [
+        request(&extractor, &dataset, hyp_refs(), vec![&low]),
+        request(&extractor, &dataset, hyp_refs(), vec![&high]),
+    ];
+    let shared = inspect_shared(&members, &config()).unwrap();
     for engine in [EngineKind::PyBase, EngineKind::Merged, EngineKind::DeepBase] {
         let alone = |measure: &JaccardMeasure| {
             let req = request(&extractor, &dataset, hyp_refs(), vec![measure]);
-            frame_bits(&inspect(&req, &config(engine)).unwrap().0)
+            frame_bits(&inspect_as(engine, &req, &config()).unwrap().0)
         };
         let (want_low, want_high) = (alone(&low), alone(&high));
         assert_ne!(want_low, want_high, "the two quantiles must disagree");
 
         // One request naming both: low's rows, then high's.
         let both = request(&extractor, &dataset, hyp_refs(), vec![&low, &high]);
-        let got = frame_bits(&inspect(&both, &config(engine)).unwrap().0);
+        let got = frame_bits(&inspect_as(engine, &both, &config()).unwrap().0);
         assert_eq!(
             got,
             [want_low.clone(), want_high.clone()].concat(),
             "{engine:?}"
         );
 
-        // Two batch members naming one each: no slot is shared.
-        let members = [
-            request(&extractor, &dataset, hyp_refs(), vec![&low]),
-            request(&extractor, &dataset, hyp_refs(), vec![&high]),
-        ];
-        let shared = inspect_shared(&members, &config(engine)).unwrap();
         assert_eq!(frame_bits(&shared.results[0].0), want_low, "{engine:?}");
         assert_eq!(frame_bits(&shared.results[1].0), want_high, "{engine:?}");
     }

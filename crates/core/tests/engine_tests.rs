@@ -88,13 +88,12 @@ fn all_engines_agree_on_correlation() {
     ] {
         let req = request(&extractor, &dataset, &hyps, vec![&corr]);
         let config = InspectionConfig {
-            engine,
             // Tight epsilon: approximating engines must still match.
             epsilon: Some(1e-4),
             block_records: 16,
             ..Default::default()
         };
-        let (frame, _) = inspect(&req, &config).unwrap();
+        let (frame, _) = inspect_as(engine, &req, &config).unwrap();
         let scores = frame.unit_scores("corr", "ones");
         match &reference {
             None => reference = Some(scores),
@@ -117,11 +116,9 @@ fn merged_logreg_engine_matches_pybase() {
 
     let run = |engine: EngineKind| {
         let req = request(&extractor, &dataset, &hyps, vec![&logreg]);
-        let config = InspectionConfig {
-            engine,
-            ..Default::default()
-        };
-        inspect(&req, &config).unwrap().0
+        inspect_as(engine, &req, &InspectionConfig::default())
+            .unwrap()
+            .0
     };
     let pybase = run(EngineKind::PyBase);
     let merged = run(EngineKind::Merged);
@@ -145,14 +142,7 @@ fn logreg_probe_learns_the_predictable_hypothesis() {
     let hyps = vec![ones_hypothesis()];
     let logreg = LogRegMeasure::l2(0.0);
     let req = request(&extractor, &dataset, &hyps, vec![&logreg]);
-    let (frame, _) = inspect(
-        &req,
-        &InspectionConfig {
-            engine: EngineKind::Merged,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let (frame, _) = inspect_as(EngineKind::Merged, &req, &InspectionConfig::default()).unwrap();
     let f1 = frame.group_score("logreg_l2", "ones").unwrap();
     assert!(f1 > 0.9, "probe F1 {f1}");
 }
@@ -167,7 +157,6 @@ fn streaming_reads_fewer_records_with_loose_epsilon() {
     let run = |epsilon: f32| {
         let req = request(&extractor, &dataset, &hyps, vec![&corr]);
         let config = InspectionConfig {
-            engine: EngineKind::DeepBase,
             epsilon: Some(epsilon),
             block_records: 16,
             ..Default::default()
@@ -194,20 +183,13 @@ fn early_stopped_scores_approximate_exact_scores() {
 
     let exact = {
         let req = request(&extractor, &dataset, &hyps, vec![&corr]);
-        inspect(
-            &req,
-            &InspectionConfig {
-                engine: EngineKind::PyBase,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-        .0
+        inspect_as(EngineKind::PyBase, &req, &InspectionConfig::default())
+            .unwrap()
+            .0
     };
     let approx = {
         let req = request(&extractor, &dataset, &hyps, vec![&corr]);
         let config = InspectionConfig {
-            engine: EngineKind::DeepBase,
             epsilon: Some(0.05),
             block_records: 32,
             ..Default::default()
@@ -228,6 +210,44 @@ fn early_stopped_scores_approximate_exact_scores() {
 }
 
 #[test]
+fn inspect_as_deepbase_is_inspect_is_the_sole_member_of_inspect_shared() {
+    let (dataset, behaviors) = fixture(256);
+    let extractor = PrecomputedExtractor::new(behaviors, dataset.ns);
+    let hyps = vec![ones_hypothesis(), zeros_hypothesis()];
+    let corr = CorrelationMeasure;
+    let logreg = LogRegMeasure::l1(0.001);
+    let req = request(&extractor, &dataset, &hyps, vec![&corr, &logreg]);
+    // Loose enough that corr stops early while logreg streams on.
+    let config = InspectionConfig {
+        epsilon: Some(0.1),
+        block_records: 16,
+        ..Default::default()
+    };
+    let bits = |frame: &ResultFrame| -> Vec<(String, usize, u32, u32)> {
+        let row = |r: &ScoreRow| {
+            let ids = [&*r.model_id, &*r.group_id, &*r.measure_id, &*r.hyp_id].join("/");
+            (ids, r.unit, r.unit_score.to_bits(), r.group_score.to_bits())
+        };
+        frame.rows.iter().map(row).collect()
+    };
+    let counters = |p: &Profile| (p.records_read, p.blocks_processed);
+
+    let (direct, direct_profile) = inspect(&req, &config).unwrap();
+    let (by_kind, by_kind_profile) = inspect_as(EngineKind::DeepBase, &req, &config).unwrap();
+    let shared = inspect_shared(std::slice::from_ref(&req), &config).unwrap();
+    assert_eq!(shared.results.len(), 1);
+    let (member, member_profile) = &shared.results[0];
+
+    assert!(!direct.is_empty());
+    assert_eq!(bits(&by_kind), bits(&direct));
+    assert_eq!(bits(member), bits(&direct));
+    assert_eq!(counters(&by_kind_profile), counters(&direct_profile));
+    assert_eq!(counters(member_profile), counters(&direct_profile));
+    assert_eq!(counters(&shared.pass), counters(&direct_profile));
+    assert_eq!(shared.extraction_passes, 1);
+}
+
+#[test]
 fn parallel_device_matches_single_core() {
     let (dataset, behaviors) = fixture(64);
     let extractor = PrecomputedExtractor::new(behaviors, dataset.ns);
@@ -238,10 +258,9 @@ fn parallel_device_matches_single_core() {
         let req = request(&extractor, &dataset, &hyps, vec![&corr]);
         let config = InspectionConfig {
             device,
-            engine: EngineKind::PyBase,
             ..Default::default()
         };
-        inspect(&req, &config).unwrap().0
+        inspect_as(EngineKind::PyBase, &req, &config).unwrap().0
     };
     let single = run(Device::SingleCore);
     let parallel = run(Device::Parallel(4));
@@ -266,18 +285,17 @@ fn hypothesis_cache_skips_reevaluation() {
     let cache = HypothesisCache::new(1 << 24);
 
     let config = InspectionConfig {
-        engine: EngineKind::PyBase,
         cache: Some(Arc::clone(&cache)),
         ..Default::default()
     };
     let req = request(&extractor, &dataset, &hyps, vec![&corr]);
-    let (first, _) = inspect(&req, &config).unwrap();
+    let (first, _) = inspect_as(EngineKind::PyBase, &req, &config).unwrap();
     let misses_after_first = cache.stats().misses;
     assert_eq!(misses_after_first, 32, "one evaluation per record");
 
     // Second run (e.g. a retrained model): all hits, identical scores.
     let req2 = request(&extractor, &dataset, &hyps, vec![&corr]);
-    let (second, _) = inspect(&req2, &config).unwrap();
+    let (second, _) = inspect_as(EngineKind::PyBase, &req2, &config).unwrap();
     assert_eq!(
         cache.stats().misses,
         misses_after_first,
@@ -298,14 +316,7 @@ fn madlib_engine_pays_many_scans() {
     let hyps = vec![ones_hypothesis(), zeros_hypothesis()];
     let corr = CorrelationMeasure;
     let req = request(&extractor, &dataset, &hyps, vec![&corr]);
-    let (_, profile) = inspect(
-        &req,
-        &InspectionConfig {
-            engine: EngineKind::Madlib,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let (_, profile) = inspect_as(EngineKind::Madlib, &req, &InspectionConfig::default()).unwrap();
     let stats = profile.madlib_stats.expect("madlib reports scan stats");
     assert!(stats.full_scans >= 1);
     assert!(stats.rows_scanned >= dataset.total_symbols());
@@ -318,14 +329,7 @@ fn madlib_rejects_unsupported_measures() {
     let hyps = vec![ones_hypothesis()];
     let mi = MutualInfoMeasure::default();
     let req = request(&extractor, &dataset, &hyps, vec![&mi]);
-    let err = inspect(
-        &req,
-        &InspectionConfig {
-            engine: EngineKind::Madlib,
-            ..Default::default()
-        },
-    )
-    .unwrap_err();
+    let err = inspect_as(EngineKind::Madlib, &req, &InspectionConfig::default()).unwrap_err();
     assert!(matches!(err, DniError::BadConfig(_)));
 }
 
@@ -383,11 +387,10 @@ fn zero_symbol_records_survive_the_parallel_device() {
     let corr = CorrelationMeasure;
     let req = request(&extractor, &dataset, &hyps, vec![&corr]);
     let config = InspectionConfig {
-        engine: EngineKind::PyBase,
         device: Device::Parallel(4),
         ..Default::default()
     };
-    let (frame, _) = inspect(&req, &config).unwrap();
+    let (frame, _) = inspect_as(EngineKind::PyBase, &req, &config).unwrap();
     assert_eq!(frame.rows.len(), 4, "one row per unit, scores default to 0");
     assert!(frame.rows.iter().all(|r| r.unit_score == 0.0));
 }
@@ -415,14 +418,7 @@ fn multiple_groups_scored_independently_by_logreg() {
         UnitGroup::new("informative", vec![0, 2]),
         UnitGroup::new("noise", vec![1, 3]),
     ];
-    let (frame, _) = inspect(
-        &req,
-        &InspectionConfig {
-            engine: EngineKind::Merged,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let (frame, _) = inspect_as(EngineKind::Merged, &req, &InspectionConfig::default()).unwrap();
     let informative: Vec<&ScoreRow> = frame
         .rows
         .iter()
@@ -456,7 +452,6 @@ fn profile_accounts_for_phases() {
     let (_, profile) = inspect(
         &req,
         &InspectionConfig {
-            engine: EngineKind::DeepBase,
             block_records: 32,
             ..Default::default()
         },

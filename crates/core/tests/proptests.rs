@@ -123,8 +123,8 @@ proptest! {
                 hypotheses: vec![&h],
                 measures: vec![&corr],
             };
-            let config = InspectionConfig { engine, epsilon: Some(1e-6), ..Default::default() };
-            inspect(&request, &config).unwrap().0.unit_scores("corr", "ones")
+            let config = InspectionConfig { epsilon: Some(1e-6), ..Default::default() };
+            inspect_as(engine, &request, &config).unwrap().0.unit_scores("corr", "ones")
         };
         let a = run(EngineKind::PyBase);
         let b = run(EngineKind::DeepBase);
@@ -232,7 +232,6 @@ proptest! {
                 measures: vec![&corr],
             };
             let config = InspectionConfig {
-                engine: EngineKind::DeepBase,
                 epsilon: Some(1e-9), // never converge early
                 block_records,
                 ..Default::default()

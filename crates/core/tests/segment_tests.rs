@@ -70,7 +70,6 @@ fn split_records(n: usize, lens: &[usize]) -> Vec<Vec<Record>> {
 
 fn config(device: Device, block_records: usize) -> InspectionConfig {
     InspectionConfig {
-        engine: EngineKind::DeepBase,
         device,
         block_records,
         epsilon: Some(1e-12), // never converge early: full deterministic pass

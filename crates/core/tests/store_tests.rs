@@ -445,37 +445,6 @@ fn missing_column_file_is_a_transient_error_not_a_quarantine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn non_streaming_engines_plan_live_extraction_and_leave_the_store_alone() {
-    let dir = store_dir("non-streaming");
-    let (catalog, counters) = test_catalog(1);
-    let mut session = Session::with_config(
-        catalog,
-        SessionConfig {
-            inspection: InspectionConfig {
-                engine: EngineKind::Merged,
-                ..config(Device::SingleCore)
-            },
-            store: Some(store_config(&dir, MaterializationPolicy::ReadWrite)),
-            ..SessionConfig::default()
-        },
-    );
-    // The materializing engines cannot consume a store source, so the
-    // plan must not promise one.
-    let explain = session.explain(Q_ALL).unwrap();
-    assert!(
-        !explain.contains("source:"),
-        "non-streaming plans must not render a store source, got:\n{explain}"
-    );
-    let out = session.run_batch(&[Q_ALL]).unwrap();
-    assert!(counters.calls() > 0);
-    assert_eq!(out.report.store, StoreStats::default(), "store untouched");
-    drop(session);
-    let store = BehaviorStore::open(&store_config(&dir, MaterializationPolicy::ReadWrite)).unwrap();
-    assert_eq!(store.columns(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 // ---------------------------------------------------------------------
 // Fingerprint-based invalidation
 // ---------------------------------------------------------------------

@@ -60,7 +60,6 @@ fn behaviors(total: usize) -> Matrix {
 
 fn config(device: Device, block_records: usize) -> InspectionConfig {
     InspectionConfig {
-        engine: EngineKind::DeepBase,
         device,
         block_records,
         epsilon: Some(1e-12), // never converge early: full deterministic pass
@@ -519,6 +518,52 @@ fn invalid_view_rebuilds_from_scratch() {
         .unwrap()
         .tables;
     assert_eq!(rebuilt, reference[0]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session runs the one streaming engine, so `"DeepBase"` is the only
+/// stamp it writes or accepts: a view file stamped anything else was not
+/// built by this pass — it probes `Invalid` and is rebuilt, never
+/// silently replayed.
+#[test]
+fn a_view_stamped_by_another_engine_is_invalid_and_rebuilds() {
+    let dir = tmp_dir("foreign-stamp");
+    let (mut session, _) = session_at(
+        &dir,
+        Device::SingleCore,
+        2,
+        MaterializationPolicy::ReadWrite,
+    );
+    session.create_view("v", Q).unwrap();
+    let built = session.read_view("v").unwrap();
+    let freshness = |session: &mut Session| session.list_views().unwrap()[0].freshness;
+    assert_eq!(freshness(&mut session), ViewFreshness::Fresh);
+
+    let stored = |session: &Session| {
+        let views = session.store().unwrap().views();
+        (*views.load("v").unwrap().expect("view v")).clone()
+    };
+    let doc = stored(&session);
+    assert_eq!(doc.engine, "DeepBase");
+    let foreign = ViewDoc {
+        engine: "PyBase".into(),
+        ..doc
+    };
+    session.store().unwrap().views().save(&foreign).unwrap();
+
+    assert_eq!(freshness(&mut session), ViewFreshness::Invalid);
+    assert!(matches!(
+        session.read_view("v"),
+        Err(DniError::ViewStale { .. })
+    ));
+    // A plain INSPECT of the statement runs the pass instead of replaying.
+    let inspected = session.run_batch(&[Q]).unwrap();
+    assert_eq!(inspected.report.store.view_hits, 0);
+    assert_eq!(inspected.tables[0], built);
+
+    assert_eq!(session.refresh_view("v").unwrap(), ViewRefresh::Rebuilt);
+    assert_eq!(stored(&session).engine, "DeepBase");
+    assert_eq!(session.read_view("v").unwrap(), built);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

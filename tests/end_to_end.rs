@@ -113,11 +113,10 @@ fn engines_agree_on_a_real_model() {
             measures: vec![&corr],
         };
         let config = InspectionConfig {
-            engine,
             epsilon: Some(1e-5),
             ..Default::default()
         };
-        inspect(&request, &config)
+        inspect_as(engine, &request, &config)
             .unwrap()
             .0
             .unit_scores("corr", "from_kw:time")
