@@ -11,7 +11,8 @@ use deepbase_bench::{print_table, Args};
 
 fn main() {
     let args = Args::parse();
-    let setup = deepbase_bench::sql_bench_setup(&args, 512, if args.paper { 512 } else { 48 });
+    let (records, hidden) = if args.paper { (29_696, 512) } else { (512, 48) };
+    let setup = deepbase_bench::sql_bench_setup(&args, records, hidden);
     println!("== Figure 1: unit activations over a SQL query prefix ==\n");
 
     // Rank units by |corr| against whitespace and SELECT-keyword logic.

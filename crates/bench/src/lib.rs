@@ -109,16 +109,12 @@ pub struct SqlBenchSetup {
     pub hidden: usize,
 }
 
-/// Builds the default benchmark setup.
-///
-/// Paper defaults: 29,696 records, 512 hidden units, 142 grammar rules,
-/// 190 hypotheses. Quick defaults are whatever the caller passes.
+/// Builds the benchmark setup at the size the caller passes: `records`
+/// (times `--scale`) windows and `hidden` units, under `--paper` too —
+/// a paper-scale sweep varies them point by point, so the caller picks
+/// the §6.2 sizes (29,696 records, 512 hidden units at the base point);
+/// `--paper` itself only lengthens training.
 pub fn sql_bench_setup(args: &Args, records: usize, hidden: usize) -> SqlBenchSetup {
-    let (records, hidden) = if args.paper {
-        (29_696, 512)
-    } else {
-        (records, hidden)
-    };
     let records = ((records as f32 * args.scale) as usize).max(64);
     let workload = sql::build(&sql::SqlWorkloadConfig {
         grammar: SqlGrammarConfig::medium(),
@@ -276,6 +272,28 @@ mod tests {
             None,
         );
         assert!(profile.records_read > 0);
+    }
+
+    #[test]
+    fn paper_setup_honours_the_size_it_is_asked_for() {
+        // Two points of the paper-scale record sweep, shrunk by --scale
+        // so nothing trains at paper scale: they must not resolve to one
+        // (29,696 x 512) model.
+        let args = Args {
+            paper: true,
+            scale: 0.01,
+        };
+        let small = sql_bench_setup(&args, 7_424, 6);
+        let large = sql_bench_setup(&args, 14_848, 8);
+        assert!(
+            small.workload.dataset.len() < large.workload.dataset.len(),
+            "{} vs {} records",
+            small.workload.dataset.len(),
+            large.workload.dataset.len()
+        );
+        assert!(large.workload.dataset.len() <= 148);
+        assert_eq!((small.model.hidden(), large.model.hidden()), (6, 8));
+        assert_eq!((small.hidden, large.hidden), (6, 8));
     }
 
     #[test]

@@ -44,15 +44,17 @@
 //! # Ok(()) }
 //! ```
 //!
-//! Lower-level entry points remain for one-shot use. [`engine::inspect`]
-//! hands one [`engine::InspectionRequest`] straight to the engine's one
-//! streaming pass (no plan, store or caches); [`query::run_query`] /
-//! [`query::Catalog::run_batch`] plan and execute exactly as a session
-//! would, minus everything a session remembers — which is why the session
-//! tests keep them as the reference side of their differential checks.
-//! [`engine::inspect_as`] runs one request under any of the paper's
-//! baseline designs: the reference the figures and parity tests call,
-//! not something a statement, session or config can select.
+//! A statement runs through a [`session::Session`] or not at all: there
+//! is no second executor. The reference answer the parity tests compare
+//! a featured session against is a *bare* session — no store,
+//! [`session::SessionConfig::reuse_scores`] off,
+//! [`session::SessionConfig::cache_bytes`] zero — over a clone of the
+//! same catalog. Below the statement level, [`engine::inspect`] hands
+//! one [`engine::InspectionRequest`] straight to the engine's one
+//! streaming pass (no plan, store or caches), and [`engine::inspect_as`]
+//! runs one request under any of the paper's baseline designs: the
+//! reference the figures and parity tests call, not something a
+//! statement, session or config can select.
 //!
 //! ## Persistence
 //!
@@ -344,14 +346,16 @@
 //!   a CLOCK buffer pool with pinned pages.
 //! * [`result`] — the score frame and relational post-processing (§4.1).
 //! * [`verify`] — perturbation-based verification (§4.4, Appendix C).
-//! * [`query`] — the `INSPECT` SQL surface (Appendix B): catalog, lexer,
-//!   parser, and the one-shot shims.
+//! * [`query`] — the `INSPECT` SQL surface (Appendix B): catalog, lexer
+//!   and parser.
 //! * [`plan`] — the explicit pipeline: [`plan::bind`] →
-//!   [`plan::LogicalPlan`] → [`plan::optimize`] → [`plan::PhysicalPlan`]
-//!   (shared-extraction grouping, dedup estimates, admission control,
-//!   `explain`).
-//! * [`session`] — long-lived sessions: prepared statements, the
-//!   cross-batch plan cache, score reuse, admission configuration.
+//!   [`plan::LogicalPlan`] → [`plan::optimize_store`] →
+//!   [`plan::PhysicalPlan`] (shared-extraction grouping, dedup estimates,
+//!   admission control, `explain`); built and explained here, executed
+//!   only by a session.
+//! * [`session`] — long-lived sessions, the one way to execute a
+//!   statement: prepared statements, the cross-batch plan cache, score
+//!   reuse, the hypothesis-cache decision, admission configuration.
 //! * [`admission`] — the process-wide fair-FIFO admission scheduler
 //!   concurrent sessions share (the serving path's global budgets).
 //! * [`vision`] — CNN inspection and the NetDissect pipeline (Appendix E).
@@ -398,10 +402,10 @@ pub mod prelude {
         SegmentedDataset, UnitGroup,
     };
     pub use crate::plan::{
-        bind, freshness_label, optimize, optimize_store, AdmissionConfig, BatchOutput, BatchReport,
+        bind, freshness_label, optimize_store, AdmissionConfig, BatchOutput, BatchReport,
         GroupReport, GroupSource, LogicalPlan, PhysicalPlan, PlanStats, StoreBinding, ViewNote,
     };
-    pub use crate::query::{execute, execute_batch, parse, run_query, Catalog};
+    pub use crate::query::{parse, Catalog};
     pub use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, ScoreRow};
     pub use crate::session::{
         PreparedBatch, PreparedQuery, SegmentWatermark, Session, SessionConfig, SessionStats,

@@ -11,29 +11,32 @@
 //!    unit groups, plus the validated output schema. A bound plan borrows
 //!    nothing from the catalog, so it can be cached across calls (the
 //!    session plan cache in [`crate::session`]);
-//! 3. [`optimize`] turns one or more logical plans into a [`PhysicalPlan`]:
+//! 3. [`optimize_store`] turns one or more logical plans into a
+//!    [`PhysicalPlan`]:
 //!    work items grouped by `(extractor, dataset)` for shared streaming
 //!    extraction, union unit columns, hypothesis columns deduplicated by
 //!    function identity, measure-state sharing estimates, and the
 //!    **admission** decision — oversized groups are split into sequential
 //!    waves so no single pass exceeds the configured union-stream width;
-//! 4. [`PhysicalPlan::execute`] drives the engine's one streaming pass
-//!    per group/wave and assembles each query's result table, reporting
-//!    per-query profiles, per-pass accounting, cache statistics and the
-//!    plan/admission counters in [`BatchReport`].
+//! 4. a [`crate::session::Session`] executes the physical plan — the
+//!    engine's one streaming pass per group/wave, each query's result
+//!    table assembled from it — and reports per-query profiles, per-pass
+//!    accounting, cache statistics and the plan/admission counters in
+//!    [`BatchReport`]. Nothing outside a session can run a plan: the
+//!    session decides the hypothesis cache, store binding, score reuse
+//!    and admission a batch runs under.
 //!
 //! [`PhysicalPlan::explain`] renders the plan tree (units extracted,
 //! hypotheses deduplicated, measure states shared, estimated stream
 //! width, admission waves) for tests and debugging.
 //!
-//! The legacy one-shot entry points (`query::execute`,
-//! `query::execute_batch`, `query::run_query`, `Catalog::run_batch`) are
-//! thin shims over this pipeline; the streaming engine consumes the
-//! [`InspectionRequest`]s a physical plan produces, never raw
+//! [`bind`] and [`optimize_store`] are public so a plan can be built,
+//! timed and explained without running it; the streaming engine consumes
+//! the [`InspectionRequest`]s a physical plan produces, never raw
 //! [`InspectQuery`] structs.
 
 use crate::admission::AdmissionScheduler;
-use crate::cache::{CacheStats, HypothesisCache};
+use crate::cache::CacheStats;
 use crate::engine::{
     hypothesis_lists, measure_key, run_pass, Device, FoldOpts, InspectionConfig, InspectionRequest,
     MeasureKey, Profile, RunBudget, SharedOutcome,
@@ -55,9 +58,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-/// Byte budget of the hypothesis cache the batch shims install when the
-/// caller's config has none: large enough to hold the hypothesis columns
-/// of a typical batch, small enough to stay an implementation detail.
+/// Default byte budget of a session's hypothesis cache
+/// ([`crate::session::SessionConfig::cache_bytes`]): large enough to hold
+/// the hypothesis columns of a typical batch, small enough to stay an
+/// implementation detail.
 pub const BATCH_CACHE_BYTES: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
@@ -453,7 +457,7 @@ pub(crate) fn apply_post(
 // Physical plans (optimize)
 // ---------------------------------------------------------------------
 
-/// Admission-control policy applied by [`optimize`].
+/// Admission-control policy applied by [`optimize_store`].
 ///
 /// The union stream of a shared-extraction group carries one f32 per
 /// symbol step for every union unit column and deduplicated hypothesis
@@ -767,7 +771,7 @@ pub struct PhysicalPlan {
 /// discarded) — the same identity the engine's shared pass requires of its
 /// members' extractors, and the one the engine uses to deduplicate
 /// hypothesis functions.
-fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
+pub(crate) fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
     Arc::as_ptr(arc) as *const u8
 }
 
@@ -795,22 +799,12 @@ fn items_widths(
 
 /// Groups the bound queries' work items by `(extractor, dataset)`,
 /// estimates per-group sharing and stream width, and applies admission
-/// control. The resulting [`PhysicalPlan`] executes via
-/// [`PhysicalPlan::execute`].
-pub fn optimize(
-    plans: &[Arc<LogicalPlan>],
-    config: &InspectionConfig,
-    admission: AdmissionConfig,
-) -> PhysicalPlan {
-    optimize_store(plans, config, admission, None)
-}
-
-/// [`optimize`] with a behavior-store binding: each group's source is
+/// control. With a behavior-store binding each group's source is
 /// chosen by probing the store for the group's union unit columns,
 /// segment by segment, under the `(model fingerprint, segment
 /// fingerprint)` key — full hits scan everything, partial hits scan the
 /// stored columns and extract only the missing units, models without a
-/// fingerprint extract live.
+/// fingerprint extract live; without one every group extracts live.
 pub fn optimize_store(
     plans: &[Arc<LogicalPlan>],
     config: &InspectionConfig,
@@ -1120,7 +1114,7 @@ pub struct BatchReport {
 #[derive(Debug, Clone)]
 pub struct BatchOutput {
     /// Per-query result tables, in input order — bit-identical to what N
-    /// sequential one-shot executions would produce.
+    /// sequential single-statement executions would produce.
     pub tables: Vec<Table>,
     /// Accounting that quantifies the sharing.
     pub report: BatchReport,
@@ -1143,60 +1137,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl PhysicalPlan {
-    /// Executes the plan with batch semantics: a default-budget hypothesis
-    /// cache is installed when the config has none (and the catalog ids
-    /// are unambiguous), shared across every pass of the batch.
-    pub fn execute(&self, config: &InspectionConfig) -> Result<BatchOutput, DniError> {
-        self.execute_with(config, Some(HypothesisCache::new(BATCH_CACHE_BYTES)), false)
-            .map(|(out, _)| out)
-    }
-
-    /// True when two distinct datasets share one id, or two distinct
-    /// hypothesis functions share one id, anywhere in the batch — the
-    /// configurations under which an implicit shared hypothesis cache
-    /// (keyed on ids) would cross-contaminate and must be withheld.
-    fn ambiguous_ids(&self) -> bool {
-        let mut dataset_ids: Vec<(&str, *const u8)> = Vec::new();
-        let mut hyp_ids: Vec<(&str, *const u8)> = Vec::new();
-        for plan in &self.plans {
-            let ptr = thin(&plan.dataset);
-            match dataset_ids.iter().find(|(id, _)| *id == plan.dataset.id) {
-                Some(&(_, seen)) if !std::ptr::eq(seen, ptr) => return true,
-                Some(_) => {}
-                None => dataset_ids.push((plan.dataset.id.as_str(), ptr)),
-            }
-            for hyp in &plan.hypotheses {
-                let ptr = thin(hyp);
-                match hyp_ids.iter().find(|(id, _)| *id == hyp.id()) {
-                    Some(&(_, seen)) if !std::ptr::eq(seen, ptr) => return true,
-                    Some(_) => {}
-                    None => hyp_ids.push((hyp.id(), ptr)),
-                }
-            }
-        }
-        false
-    }
-
-    /// Executes the plan. `implicit_cache` is installed as the shared
-    /// hypothesis cache when the caller's config has none (unless
-    /// ambiguous ids force it off); `collect_frames` additionally returns
-    /// the frame computed for every executed work item.
-    pub(crate) fn execute_with(
+    /// Executes the plan under `config` — whose `cache` is the hypothesis
+    /// cache the session decided this batch may share (see
+    /// `Session::batch_cache`), used by every pass of the batch.
+    /// `collect_frames` additionally returns the frame computed for every
+    /// executed work item.
+    pub(crate) fn execute(
         &self,
         config: &InspectionConfig,
-        implicit_cache: Option<Arc<HypothesisCache>>,
         collect_frames: bool,
     ) -> Result<(BatchOutput, ComputedFrames), DniError> {
-        let cache = if self.ambiguous_ids() {
-            config.cache.clone()
-        } else {
-            config.cache.clone().or(implicit_cache)
-        };
+        let cache = &config.cache;
         let stats_before = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let config = InspectionConfig {
-            cache: cache.clone(),
-            ..config.clone()
-        };
         // Arm the run budget once for the whole batch: every group and
         // wave shares one absolute expiry, so a deadline bounds the batch
         // end to end rather than restarting per pass.
@@ -1250,7 +1202,7 @@ impl PhysicalPlan {
                             .collect();
                         run_pass(
                             &requests,
-                            &config,
+                            config,
                             sources,
                             armed.as_ref(),
                             &FoldOpts::default(),

@@ -1,5 +1,5 @@
-//! The `INSPECT` SQL extension (paper Appendix B): catalog, lexer,
-//! parser, and the legacy one-shot entry points.
+//! The `INSPECT` SQL extension (paper Appendix B): catalog, lexer and
+//! parser.
 //!
 //! DNI embeds naturally in a SQL-like language: models, hidden units,
 //! hypotheses and input datasets are catalog relations, `INSPECT ... USING
@@ -17,29 +17,17 @@
 //!
 //! This module owns the surface: a hand-written lexer + recursive-descent
 //! parser producing [`InspectQuery`], and the [`Catalog`] the planner
-//! binds against. Everything downstream of parsing lives in the explicit
-//! pipeline of [`crate::plan`] (`bind → optimize → execute`) and the
-//! long-lived [`crate::session::Session`] API (prepared statements, plan
-//! cache, admission control).
-//!
-//! [`execute`], [`execute_batch`], [`run_query`], [`Catalog::run_batch`]
-//! and [`Catalog::execute_batch`] are kept as thin shims over the
-//! pipeline so one-shot callers and existing code keep working; new code
-//! should prefer a [`crate::session::Session`].
+//! binds against. Nothing here executes: a statement is bound and
+//! optimized by [`crate::plan`] and run by a
+//! [`crate::session::Session`] (prepared statements, plan cache, store,
+//! views, admission control) — the only way to execute one.
 
-use crate::engine::InspectionConfig;
 use crate::error::DniError;
 use crate::extract::Extractor;
 use crate::measure::Measure;
 use crate::model::{Dataset, HypothesisFn};
-use crate::plan;
-use deepbase_relational::Table;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-// Re-exported so long-standing `query::` paths keep working now that the
-// executor lives in the plan pipeline.
-pub use crate::plan::{BatchOutput, BatchReport, GroupReport, PlanStats, BATCH_CACHE_BYTES};
 
 // ---------------------------------------------------------------------
 // Catalog
@@ -184,29 +172,6 @@ impl Catalog {
     /// Looks up a measure by id.
     pub fn measure(&self, id: &str) -> Option<Arc<dyn Measure>> {
         self.measures.get(id).cloned()
-    }
-
-    /// Executes a batch of parsed queries with shared extraction (see
-    /// [`execute_batch`]).
-    pub fn execute_batch(
-        &self,
-        queries: &[InspectQuery],
-        config: &InspectionConfig,
-    ) -> Result<BatchOutput, DniError> {
-        execute_batch(queries, self, config)
-    }
-
-    /// Parses and batch-executes INSPECT statements in one call.
-    pub fn run_batch(
-        &self,
-        inputs: &[&str],
-        config: &InspectionConfig,
-    ) -> Result<BatchOutput, DniError> {
-        let queries = inputs
-            .iter()
-            .map(|s| parse(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        execute_batch(&queries, self, config)
     }
 }
 
@@ -565,67 +530,13 @@ pub fn parse(input: &str) -> Result<InspectQuery, DniError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// One-shot shims over the plan pipeline
-// ---------------------------------------------------------------------
-
-/// Executes a parsed query against a catalog, returning a result table.
-///
-/// Thin shim over the explicit pipeline: `bind → optimize → execute` with
-/// a single-query physical plan and no implicit hypothesis cache —
-/// exactly the legacy one-shot semantics. Prefer
-/// [`crate::session::Session`] for repeated queries.
-pub fn execute(
-    query: &InspectQuery,
-    catalog: &Catalog,
-    config: &InspectionConfig,
-) -> Result<Table, DniError> {
-    let plan = Arc::new(plan::bind(query, catalog)?);
-    let physical = plan::optimize(
-        std::slice::from_ref(&plan),
-        config,
-        plan::AdmissionConfig::default(),
-    );
-    let (mut output, _) = physical.execute_with(config, None, false)?;
-    Ok(output.tables.pop().expect("one query, one table"))
-}
-
-/// Executes a batch of parsed queries through shared extraction passes
-/// (see [`crate::plan`]). Queries keep their individual semantics; work
-/// common to queries that inspect the same `(model, dataset)` pair is
-/// done once. Thin shim over `bind → optimize → execute` with a
-/// temporary per-call batch cache; a [`crate::session::Session`]
-/// additionally caches plans and scores *across* batches.
-pub fn execute_batch(
-    queries: &[InspectQuery],
-    catalog: &Catalog,
-    config: &InspectionConfig,
-) -> Result<BatchOutput, DniError> {
-    let plans = queries
-        .iter()
-        .map(|q| plan::bind(q, catalog).map(Arc::new))
-        .collect::<Result<Vec<_>, _>>()?;
-    let physical = plan::optimize(&plans, config, plan::AdmissionConfig::default());
-    let mut output = physical.execute(config)?;
-    // One-shot callers bind every statement every call.
-    output.report.plan.plan_cache_misses = queries.len();
-    Ok(output)
-}
-
-/// Parses and executes in one call.
-pub fn run_query(
-    input: &str,
-    catalog: &Catalog,
-    config: &InspectionConfig,
-) -> Result<Table, DniError> {
-    execute(&parse(input)?, catalog, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extract::PrecomputedExtractor;
     use crate::model::{FnHypothesis, Record};
+    use crate::session::{Session, SessionConfig};
+    use deepbase_relational::Table;
     use deepbase_relational::Value;
     use deepbase_tensor::Matrix;
 
@@ -763,6 +674,19 @@ mod tests {
         assert_eq!(parse(&a).unwrap(), orig);
     }
 
+    /// The reference answer: a bare session — no store, no score reuse,
+    /// a hypothesis cache too small to hold two entries.
+    fn bare(catalog: &Catalog) -> Session {
+        Session::with_config(
+            catalog.clone(),
+            SessionConfig {
+                reuse_scores: false,
+                cache_bytes: 0,
+                ..SessionConfig::default()
+            },
+        )
+    }
+
     fn test_catalog() -> Catalog {
         // Behaviors: unit 0 mirrors "is-a" hypothesis, unit 1 is noise.
         let records: Vec<Record> = (0..16)
@@ -799,15 +723,14 @@ mod tests {
     #[test]
     fn executes_end_to_end_with_having_filter() {
         let catalog = test_catalog();
-        let table = run_query(
-            "SELECT M.epoch, S.uid INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+        let table = bare(&catalog)
+            .run(
+                "SELECT M.epoch, S.uid INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
              FROM models M, units U, hypotheses H, inputs D \
              WHERE M.mid = 'sqlparser' \
              HAVING S.unit_score > 0.8",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap();
+            )
+            .unwrap();
         // Only the mirroring unit survives the HAVING filter.
         assert_eq!(table.len(), 1);
         assert_eq!(table.value(0, "s_uid"), Some(Value::Int(0)));
@@ -817,14 +740,13 @@ mod tests {
     #[test]
     fn layer_filter_restricts_units() {
         let catalog = test_catalog();
-        let table = run_query(
-            "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+        let table = bare(&catalog)
+            .run(
+                "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
              FROM models M, units U, hypotheses H, inputs D \
              WHERE U.layer = 1",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(table.len(), 1);
         assert_eq!(table.value(0, "s_uid"), Some(Value::Int(1)));
     }
@@ -832,14 +754,13 @@ mod tests {
     #[test]
     fn group_by_layer_creates_groups() {
         let catalog = test_catalog();
-        let table = run_query(
-            "SELECT S.group_id, S.uid INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+        let table = bare(&catalog)
+            .run(
+                "SELECT S.group_id, S.uid INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
              FROM models M, units U, hypotheses H, inputs D \
              GROUP BY U.layer",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(table.len(), 2);
         let g0 = table.value(0, "s_group_id").unwrap();
         let g1 = table.value(1, "s_group_id").unwrap();
@@ -849,26 +770,24 @@ mod tests {
     #[test]
     fn unknown_measure_is_a_query_error() {
         let catalog = test_catalog();
-        let err = run_query(
-            "SELECT S.uid INSPECT U.uid AND H.h USING nope OVER D.seq AS S \
+        let err = bare(&catalog)
+            .run(
+                "SELECT S.uid INSPECT U.uid AND H.h USING nope OVER D.seq AS S \
              FROM models M, units U, hypotheses H, inputs D",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap_err();
+            )
+            .unwrap_err();
         assert!(matches!(err, DniError::Query(_)));
     }
 
     #[test]
     fn no_matching_model_is_a_query_error() {
         let catalog = test_catalog();
-        let err = run_query(
-            "SELECT S.uid INSPECT U.uid AND H.h OVER D.seq \
+        let err = bare(&catalog)
+            .run(
+                "SELECT S.uid INSPECT U.uid AND H.h OVER D.seq \
              FROM models M, units U, hypotheses H, inputs D WHERE M.mid = 'missing'",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap_err();
+            )
+            .unwrap_err();
         assert!(matches!(err, DniError::Query(_)));
     }
 
@@ -887,13 +806,12 @@ mod tests {
             "h",
             vec![Arc::new(FnHypothesis::char_class("x", |c| c == 'x'))],
         );
-        let err = run_query(
-            "SELECT S.uid INSPECT U.uid AND H.h OVER D.seq \
+        let err = bare(&catalog)
+            .run(
+                "SELECT S.uid INSPECT U.uid AND H.h OVER D.seq \
              FROM models M, units U, hypotheses H, inputs D",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap_err();
+            )
+            .unwrap_err();
         match err {
             DniError::Query(msg) => {
                 assert!(msg.contains("no datasets registered"), "got: {msg}")
@@ -925,13 +843,12 @@ mod tests {
             vec![Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'))],
         );
         catalog.add_dataset("seq", Arc::new(Dataset::new("seq", 4, records).unwrap()));
-        let table = run_query(
-            "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+        let table = bare(&catalog)
+            .run(
+                "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
              FROM models M, units U, hypotheses H, inputs D",
-            &catalog,
-            &InspectionConfig::default(),
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(table.len(), 1);
         assert_eq!(table.value(0, "s_unit_score"), Some(Value::Float(0.0)));
     }
@@ -949,13 +866,12 @@ mod tests {
     #[test]
     fn batch_matches_sequential_execution() {
         let catalog = test_catalog();
-        let config = InspectionConfig::default();
         let sequential: Vec<Table> = BATCH_QUERIES
             .iter()
-            .map(|q| run_query(q, &catalog, &config).unwrap())
+            .map(|q| bare(&catalog).run(q).unwrap())
             .collect();
-        let batch = catalog
-            .run_batch(&BATCH_QUERIES, &config)
+        let batch = bare(&catalog)
+            .run_batch(&BATCH_QUERIES)
             .expect("batch executes");
         assert_eq!(batch.tables, sequential);
         // All three queries inspect the same (model, dataset): one group,
@@ -970,24 +886,20 @@ mod tests {
     #[test]
     fn batch_of_one_matches_execute() {
         let catalog = test_catalog();
-        let config = InspectionConfig::default();
-        let single = run_query(BATCH_QUERIES[0], &catalog, &config).unwrap();
-        let batch = catalog.run_batch(&BATCH_QUERIES[..1], &config).unwrap();
+        let single = bare(&catalog).run(BATCH_QUERIES[0]).unwrap();
+        let batch = bare(&catalog).run_batch(&BATCH_QUERIES[..1]).unwrap();
         assert_eq!(batch.tables, vec![single]);
     }
 
     #[test]
     fn batch_bind_errors_surface() {
         let catalog = test_catalog();
-        let err = catalog
-            .run_batch(
-                &[
-                    BATCH_QUERIES[0],
-                    "SELECT S.uid INSPECT U.uid AND H.h USING nope OVER D.seq AS S \
-                     FROM models M, units U, hypotheses H, inputs D",
-                ],
-                &InspectionConfig::default(),
-            )
+        let err = bare(&catalog)
+            .run_batch(&[
+                BATCH_QUERIES[0],
+                "SELECT S.uid INSPECT U.uid AND H.h USING nope OVER D.seq AS S \
+                 FROM models M, units U, hypotheses H, inputs D",
+            ])
             .unwrap_err();
         assert!(matches!(err, DniError::Query(_)));
     }

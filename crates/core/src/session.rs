@@ -34,7 +34,8 @@ use crate::engine::{FoldOpts, InspectionConfig, RunBudget};
 use crate::error::DniError;
 use crate::model::{Dataset, HypothesisFn, Record};
 use crate::plan::{
-    self, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, StoreBinding, BATCH_CACHE_BYTES,
+    self, thin, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, StoreBinding,
+    BATCH_CACHE_BYTES,
 };
 use crate::query::{normalize_statement, parse, Catalog};
 use crate::result::{ResultFrame, ScoreRow};
@@ -44,7 +45,12 @@ use deepbase_store::{
     ViewFreshness, ViewRow,
 };
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::Arc;
+
+/// Entries kept in the plan cache (bound plans) and in the score cache
+/// (result frames), FIFO eviction each.
+const MAX_CACHED_ENTRIES: usize = 256;
 
 /// Session-wide configuration.
 #[derive(Clone)]
@@ -58,10 +64,6 @@ pub struct SessionConfig {
     /// Results are bit-identical either way — execution is deterministic —
     /// so this only trades memory for skipped extraction passes.
     pub reuse_scores: bool,
-    /// Bound plans kept in the plan cache (FIFO eviction).
-    pub max_cached_plans: usize,
-    /// Result frames kept in the score cache (FIFO eviction).
-    pub max_cached_frames: usize,
     /// Byte budget of the session hypothesis cache.
     pub cache_bytes: usize,
     /// Persistent behavior store (`None` disables durability). The store
@@ -93,8 +95,6 @@ impl Default for SessionConfig {
             inspection: InspectionConfig::default(),
             admission: AdmissionConfig::default(),
             reuse_scores: true,
-            max_cached_plans: 256,
-            max_cached_frames: 256,
             cache_bytes: BATCH_CACHE_BYTES,
             store: None,
             shared_store: None,
@@ -273,10 +273,9 @@ pub struct Session {
     /// The dataset / hypothesis-function identity each id resolved to
     /// when it first reached the session hypothesis cache. The cache keys
     /// on id strings, so a *later* batch that resolves one of these ids
-    /// to a different identity must not touch the session cache — the
-    /// per-batch ambiguity guard in the executor cannot see collisions
-    /// that only exist *across* batches. Holding the `Arc`s keeps the
-    /// identities' addresses from being reused.
+    /// to a different identity must not touch the session cache (see
+    /// `batch_cache`). Holding the `Arc`s keeps the identities' addresses
+    /// from being reused.
     cache_dataset_owners: HashMap<String, Arc<Dataset>>,
     cache_hyp_owners: HashMap<String, Arc<dyn HypothesisFn>>,
     plans: HashMap<String, (u64, Arc<LogicalPlan>)>,
@@ -297,10 +296,24 @@ pub struct Session {
     watermarks: HashMap<String, SegmentWatermark>,
 }
 
-/// Thin-pointer (data address) identity of an `Arc`, metadata discarded —
-/// the same identity the engine deduplicates hypothesis functions by.
-fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
-    Arc::as_ptr(arc) as *const u8
+/// Inserts into a FIFO-bounded map: a new key joins the back of `order`
+/// and the oldest keys are evicted past `cap`; an existing key's value is
+/// replaced in place.
+fn insert_bounded<K: Clone + Eq + Hash, V>(
+    map: &mut HashMap<K, V>,
+    order: &mut VecDeque<K>,
+    cap: usize,
+    key: K,
+    value: V,
+) {
+    if map.insert(key.clone(), value).is_none() {
+        order.push_back(key);
+        while order.len() > cap {
+            if let Some(evicted) = order.pop_front() {
+                map.remove(&evicted);
+            }
+        }
+    }
 }
 
 impl Session {
@@ -505,16 +518,13 @@ impl Session {
         }
         self.stats.plan_cache_misses += 1;
         let plan = Arc::new(plan::bind(&parse(sql)?, &self.catalog)?);
-        if !self.plans.contains_key(&key) {
-            self.plan_order.push_back(key.clone());
-            while self.plan_order.len() > self.config.max_cached_plans.max(1) {
-                if let Some(evicted) = self.plan_order.pop_front() {
-                    self.plans.remove(&evicted);
-                }
-            }
-        }
-        self.plans
-            .insert(key.clone(), (self.generation, Arc::clone(&plan)));
+        insert_bounded(
+            &mut self.plans,
+            &mut self.plan_order,
+            MAX_CACHED_ENTRIES,
+            key.clone(),
+            (self.generation, Arc::clone(&plan)),
+        );
         Ok(PreparedQuery {
             key,
             generation: self.generation,
@@ -593,26 +603,24 @@ impl Session {
         let plans: Vec<Arc<LogicalPlan>> = fresh.iter().map(|e| Arc::clone(&e.plan)).collect();
 
         let physical = self.optimize_entries(&fresh, &plans);
-        let implicit_cache = self.admit_to_session_cache(&plans);
-        let (mut output, computed) = physical.execute_with(
-            &self.config.inspection,
-            Some(implicit_cache),
-            self.config.reuse_scores,
-        )?;
+        let inspection = InspectionConfig {
+            cache: self.batch_cache(&plans),
+            ..self.config.inspection.clone()
+        };
+        let (mut output, computed) = physical.execute(&inspection, self.config.reuse_scores)?;
 
         // Feed the score cache with this batch's freshly computed frames.
         if self.config.reuse_scores {
             let fp = self.fingerprint();
             for (qi, pos, frame) in computed {
                 let key: FrameKey = (fresh[qi].key.clone(), self.generation, pos, fp.clone());
-                if self.frames.insert(key.clone(), frame).is_none() {
-                    self.frame_order.push_back(key);
-                    while self.frame_order.len() > self.config.max_cached_frames.max(1) {
-                        if let Some(evicted) = self.frame_order.pop_front() {
-                            self.frames.remove(&evicted);
-                        }
-                    }
-                }
+                insert_bounded(
+                    &mut self.frames,
+                    &mut self.frame_order,
+                    MAX_CACHED_ENTRIES,
+                    key,
+                    frame,
+                );
             }
         }
 
@@ -673,29 +681,43 @@ impl Session {
         Ok(output)
     }
 
-    /// Decides which implicit hypothesis cache a batch may share. The
-    /// session cache keys behaviors on `(dataset id, hypothesis id,
-    /// record id)`, so it is only sound while every id keeps resolving
-    /// to the identity that first populated it — a collision *within*
-    /// one batch is caught by the executor's own guard, but a collision
-    /// *across* batches (same id, different dataset or function in a
-    /// later batch) can only be seen here. Conflicting batches get a
-    /// private per-batch cache instead, and never register as owners.
-    fn admit_to_session_cache(&mut self, plans: &[Arc<LogicalPlan>]) -> Arc<HypothesisCache> {
-        let conflicts = plans.iter().any(|plan| {
-            let dataset_conflict = self
+    /// Decides which hypothesis cache a batch runs with. A cache the
+    /// caller configured always wins. Otherwise the caches key behaviors
+    /// on `(dataset id, hypothesis id, record id)`, so sharing one is
+    /// only sound while every id names one identity: two datasets or two
+    /// hypothesis functions under one id *within* the batch get no cache
+    /// at all; an id that a *previous* batch resolved to a different
+    /// identity (and cached under) gets a private per-batch cache, and
+    /// the batch never registers as owner; every other batch shares the
+    /// session cache and owns the ids it brought.
+    fn batch_cache(&mut self, plans: &[Arc<LogicalPlan>]) -> Option<Arc<HypothesisCache>> {
+        if let Some(configured) = &self.config.inspection.cache {
+            return Some(Arc::clone(configured));
+        }
+        let mut datasets: HashMap<&str, *const u8> = HashMap::new();
+        let mut hyps: HashMap<&str, *const u8> = HashMap::new();
+        let mut foreign = false;
+        for plan in plans {
+            let dataset = &plan.dataset;
+            if *datasets.entry(&dataset.id).or_insert(thin(dataset)) != thin(dataset) {
+                return None;
+            }
+            foreign |= self
                 .cache_dataset_owners
-                .get(&plan.dataset.id)
-                .is_some_and(|owner| thin(owner) != thin(&plan.dataset));
-            dataset_conflict
-                || plan.hypotheses.iter().any(|hyp| {
-                    self.cache_hyp_owners
-                        .get(hyp.id())
-                        .is_some_and(|owner| thin(owner) != thin(hyp))
-                })
-        });
-        if conflicts {
-            return HypothesisCache::new(self.config.cache_bytes);
+                .get(&dataset.id)
+                .is_some_and(|owner| thin(owner) != thin(dataset));
+            for hyp in &plan.hypotheses {
+                if *hyps.entry(hyp.id()).or_insert(thin(hyp)) != thin(hyp) {
+                    return None;
+                }
+                foreign |= self
+                    .cache_hyp_owners
+                    .get(hyp.id())
+                    .is_some_and(|owner| thin(owner) != thin(hyp));
+            }
+        }
+        if foreign {
+            return Some(HypothesisCache::new(self.config.cache_bytes));
         }
         for plan in plans {
             self.cache_dataset_owners
@@ -707,7 +729,7 @@ impl Session {
                     .or_insert_with(|| Arc::clone(hyp));
             }
         }
-        Arc::clone(&self.hypothesis_cache)
+        Some(Arc::clone(&self.hypothesis_cache))
     }
 
     fn optimize_entries(

@@ -10,6 +10,16 @@
 //! the two perturbation classes — scored with the silhouette statistic.
 //! Genuinely hypothesis-tracking units react to treatment swaps and not to
 //! baseline swaps; units flagged by chance do not.
+//!
+//! [`verify_units`] calls the extractor directly and is deliberately *not*
+//! a client of the streaming pass: the pass exists to share extraction,
+//! reuse stored behaviors and feed measure states, and none of that can
+//! apply here. Every perturbed record is synthesized per call, so it
+//! never equals a stored record's fingerprint and no store column could
+//! serve it; its activations are differenced against the base record's
+//! and dropped, so there is nothing to cache or write back; and no
+//! measure runs — the silhouette is taken over the Δ vectors, not over a
+//! (unit, hypothesis) stream.
 
 use crate::error::DniError;
 use crate::extract::Extractor;

@@ -1,11 +1,15 @@
-//! Batch scheduler semantics (ISSUE 2 acceptance): `execute_batch` must
-//! produce byte-identical tables to sequential `execute` calls on both
-//! devices, while doing strictly less work — exactly one extraction pass
-//! per `(model, dataset)` group and strictly fewer hypothesis
-//! evaluations, proven via counting wrappers and `CacheStats`.
+//! Batch scheduler semantics (ISSUE 2 acceptance): one `run_batch` must
+//! produce byte-identical tables to sequential single-statement runs (a
+//! fresh bare session each) on both devices, while doing strictly less
+//! work — exactly one extraction pass per `(model, dataset)` group and
+//! strictly fewer hypothesis evaluations, proven via counting wrappers
+//! and `CacheStats`.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
-use deepbase::query::{run_query, UnitMeta};
+use deepbase::query::UnitMeta;
 use deepbase_relational::Table;
 use deepbase_tensor::Matrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,10 +181,23 @@ fn config(device: Device) -> InspectionConfig {
     }
 }
 
-fn sequential_tables(catalog: &Catalog, config: &InspectionConfig) -> Vec<Table> {
-    QUERIES
+/// The batch side: a fresh session with its defaults (session hypothesis
+/// cache, score reuse) running one batch.
+fn run_batch(catalog: &Catalog, config: &InspectionConfig, queries: &[&str]) -> BatchOutput {
+    let session_config = SessionConfig {
+        inspection: config.clone(),
+        ..SessionConfig::default()
+    };
+    Session::with_config(catalog.clone(), session_config)
+        .run_batch(queries)
+        .expect("batch runs")
+}
+
+/// The sequential side: every statement alone in its own bare session.
+fn sequential_tables(catalog: &Catalog, config: &InspectionConfig, queries: &[&str]) -> Vec<Table> {
+    queries
         .iter()
-        .map(|q| run_query(q, catalog, config).unwrap())
+        .map(|q| bare(catalog, config).run(q).unwrap())
         .collect()
 }
 
@@ -189,8 +206,8 @@ fn batch_is_bit_identical_to_sequential_on_both_devices() {
     for device in [Device::SingleCore, Device::Parallel(3)] {
         let (catalog, _) = test_catalog();
         let config = config(device);
-        let sequential = sequential_tables(&catalog, &config);
-        let batch = catalog.run_batch(&QUERIES, &config).expect("batch runs");
+        let sequential = sequential_tables(&catalog, &config, &QUERIES);
+        let batch = run_batch(&catalog, &config, &QUERIES);
         assert_eq!(
             batch.tables, sequential,
             "batch tables must match sequential execution on {device:?}"
@@ -203,13 +220,12 @@ fn batch_is_bit_identical_to_sequential_on_both_devices() {
 }
 
 #[test]
-fn one_shot_batch_reports_plan_provenance() {
-    // The shim path binds every statement on every call and never
-    // splits: the new BatchReport.plan counters must say exactly that.
+fn a_fresh_sessions_first_batch_reports_plan_provenance() {
+    // A fresh session binds every statement of its first batch and,
+    // unbounded, never splits: the BatchReport.plan counters must say
+    // exactly that.
     let (catalog, _) = test_catalog();
-    let batch = catalog
-        .run_batch(&QUERIES, &config(Device::SingleCore))
-        .unwrap();
+    let batch = run_batch(&catalog, &config(Device::SingleCore), &QUERIES);
     assert_eq!(batch.report.plan.plan_cache_hits, 0);
     assert_eq!(batch.report.plan.plan_cache_misses, QUERIES.len());
     assert_eq!(batch.report.plan.score_cache_hits, 0);
@@ -220,12 +236,8 @@ fn one_shot_batch_reports_plan_provenance() {
 #[test]
 fn parallel_batch_matches_single_core_batch() {
     let (catalog, _) = test_catalog();
-    let single = catalog
-        .run_batch(&QUERIES, &config(Device::SingleCore))
-        .unwrap();
-    let parallel = catalog
-        .run_batch(&QUERIES, &config(Device::Parallel(4)))
-        .unwrap();
+    let single = run_batch(&catalog, &config(Device::SingleCore), &QUERIES);
+    let parallel = run_batch(&catalog, &config(Device::Parallel(4)), &QUERIES);
     assert_eq!(single.tables, parallel.tables);
 }
 
@@ -241,7 +253,7 @@ fn batch_runs_one_extraction_pass_per_model_dataset_group() {
     let m1_queries = &QUERIES[..5];
 
     let (catalog, counters) = test_catalog();
-    let batch = catalog.run_batch(m1_queries, &tight).unwrap();
+    let batch = run_batch(&catalog, &tight, m1_queries);
     let batch_extracted = counters.extracted_records.load(Ordering::SeqCst);
     assert_eq!(
         batch_extracted, ND,
@@ -257,10 +269,7 @@ fn batch_runs_one_extraction_pass_per_model_dataset_group() {
 
     // Sequential execution re-extracts per query (and per GROUP BY group).
     let (catalog, counters) = test_catalog();
-    let _ = m1_queries
-        .iter()
-        .map(|q| run_query(q, &catalog, &tight).unwrap())
-        .collect::<Vec<_>>();
+    let _ = sequential_tables(&catalog, &tight, m1_queries);
     let sequential_extracted = counters.extracted_records.load(Ordering::SeqCst);
     assert!(
         sequential_extracted >= 5 * ND,
@@ -279,7 +288,7 @@ fn batch_does_strictly_fewer_hypothesis_evaluations() {
     let m1_queries = &QUERIES[..5];
 
     let (catalog, counters) = test_catalog();
-    let batch = catalog.run_batch(m1_queries, &tight).unwrap();
+    let batch = run_batch(&catalog, &tight, m1_queries);
     let batch_evals = counters.hypothesis_evals.load(Ordering::SeqCst);
     // The shared cache deduplicates evaluation across queries and blocks:
     // each of the 3 distinct hypotheses runs once per record.
@@ -293,10 +302,7 @@ fn batch_does_strictly_fewer_hypothesis_evaluations() {
     assert_eq!(batch.report.cache.evictions, 0);
 
     let (catalog, counters) = test_catalog();
-    let _ = m1_queries
-        .iter()
-        .map(|q| run_query(q, &catalog, &tight).unwrap())
-        .collect::<Vec<_>>();
+    let _ = sequential_tables(&catalog, &tight, m1_queries);
     let sequential_evals = counters.hypothesis_evals.load(Ordering::SeqCst);
     assert!(
         batch_evals < sequential_evals,
@@ -308,7 +314,7 @@ fn batch_does_strictly_fewer_hypothesis_evaluations() {
 fn multi_model_queries_fan_into_separate_groups() {
     let (catalog, _) = test_catalog();
     let config = config(Device::SingleCore);
-    let batch = catalog.run_batch(&QUERIES, &config).unwrap();
+    let batch = run_batch(&catalog, &config, &QUERIES);
     // m1 group (queries 0-5: query 5 spans both models) + m2 group.
     assert_eq!(batch.report.groups.len(), 2);
     let m2_group = batch
@@ -388,11 +394,8 @@ fn colliding_dataset_ids_do_not_cross_contaminate() {
     ];
     let config = InspectionConfig::default();
     let catalog = build();
-    let sequential: Vec<Table> = queries
-        .iter()
-        .map(|q| run_query(q, &catalog, &config).unwrap())
-        .collect();
-    let batch = catalog.run_batch(&queries, &config).unwrap();
+    let sequential = sequential_tables(&catalog, &config, &queries);
+    let batch = run_batch(&catalog, &config, &queries);
     assert_eq!(batch.tables, sequential);
     assert_ne!(
         batch.tables[0], batch.tables[1],
@@ -446,13 +449,10 @@ fn colliding_hypothesis_ids_do_not_cross_contaminate() {
          FROM models M, units U, hypotheses H, inputs D WHERE H.name = 's2'",
     ];
     let config = InspectionConfig::default();
-    let sequential: Vec<Table> = queries
-        .iter()
-        .map(|q| run_query(q, &catalog, &config).unwrap())
-        .collect();
+    let sequential = sequential_tables(&catalog, &config, &queries);
     // Sanity: the two same-id functions genuinely score differently.
     assert_eq!(sequential[0].len(), 6, "2 hypotheses x 3 units");
-    let batch = catalog.run_batch(&queries, &config).unwrap();
+    let batch = run_batch(&catalog, &config, &queries);
     assert_eq!(batch.tables, sequential);
 }
 

@@ -4,6 +4,9 @@
 //! passes, the reference designs' refusal of a limited budget, and
 //! worker-panic containment at the extraction-group boundary.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_tensor::Matrix;
@@ -188,8 +191,8 @@ fn session_with(
 fn block_cap_trips_budget_exhausted_with_a_valid_prefix_frame() {
     let nd = 32;
     let (catalog, _) = catalog_with(nd, Duration::ZERO);
-    let reference = catalog
-        .run_batch(&[Q_ALL], &config(Device::SingleCore))
+    let reference = bare(&catalog, &config(Device::SingleCore))
+        .run_batch(&[Q_ALL])
         .unwrap();
 
     let (catalog, calls) = catalog_with(nd, Duration::ZERO);
@@ -197,8 +200,8 @@ fn block_cap_trips_budget_exhausted_with_a_valid_prefix_frame() {
         max_blocks: Some(2),
         ..RunBudget::default()
     };
-    let out = catalog
-        .run_batch(&[Q_ALL], &budgeted(Device::SingleCore, budget))
+    let out = bare(&catalog, &budgeted(Device::SingleCore, budget))
+        .run_batch(&[Q_ALL])
         .unwrap();
 
     let completion = &out.report.completion;
@@ -236,8 +239,8 @@ fn row_cap_trips_once_the_cap_is_reached_at_a_block_boundary() {
         max_records: Some(10),
         ..RunBudget::default()
     };
-    let out = catalog
-        .run_batch(&[Q_ALL], &budgeted(Device::SingleCore, budget))
+    let out = bare(&catalog, &budgeted(Device::SingleCore, budget))
+        .run_batch(&[Q_ALL])
         .unwrap();
     // Polled at block boundaries: 8 rows < 10 admits one more block,
     // 12 >= 10 stops.
@@ -253,8 +256,8 @@ fn unlimited_budget_reports_converged_with_no_overhead_paths() {
     let nd = 16;
     assert!(RunBudget::default().is_unlimited());
     let (catalog, _) = catalog_with(nd, Duration::ZERO);
-    let out = catalog
-        .run_batch(&[Q_ALL], &config(Device::SingleCore))
+    let out = bare(&catalog, &config(Device::SingleCore))
+        .run_batch(&[Q_ALL])
         .unwrap();
     let completion = &out.report.completion;
     assert_eq!(completion.status, CompletionStatus::Converged);
@@ -277,8 +280,8 @@ fn deadline_interrupted_run_persists_partials_and_resume_is_cheaper_and_bit_iden
     let total_blocks = 8;
     // Reference: unbudgeted, store-less.
     let (catalog, ref_calls) = catalog_with(nd, Duration::ZERO);
-    let reference = catalog
-        .run_batch(&[Q_ALL], &config(Device::SingleCore))
+    let reference = bare(&catalog, &config(Device::SingleCore))
+        .run_batch(&[Q_ALL])
         .unwrap()
         .tables;
     assert_eq!(ref_calls.load(Ordering::SeqCst), total_blocks);
@@ -342,12 +345,12 @@ fn pre_cancelled_token_stops_before_any_block() {
     token.cancel();
     assert!(token.is_cancelled());
     let (catalog, calls) = catalog_with(nd, Duration::ZERO);
-    let out = catalog
-        .run_batch(
-            &[Q_ALL],
-            &budgeted(Device::SingleCore, RunBudget::with_cancel(token)),
-        )
-        .unwrap();
+    let out = bare(
+        &catalog,
+        &budgeted(Device::SingleCore, RunBudget::with_cancel(token)),
+    )
+    .run_batch(&[Q_ALL])
+    .unwrap();
     assert_eq!(out.report.completion.status, CompletionStatus::Cancelled);
     assert_eq!(out.report.completion.rows_read, 0);
     assert_eq!(calls.load(Ordering::SeqCst), 0);
@@ -357,8 +360,8 @@ fn pre_cancelled_token_stops_before_any_block() {
 fn cancel_mid_wave_from_a_second_thread_leaves_a_consistent_store() {
     let nd = 48; // 12 blocks of 4, >= 60ms of extraction at 5ms/block
     let (catalog, _) = catalog_with(nd, Duration::ZERO);
-    let reference = catalog
-        .run_batch(&[Q_ALL], &config(Device::Parallel(3)))
+    let reference = bare(&catalog, &config(Device::Parallel(3)))
+        .run_batch(&[Q_ALL])
         .unwrap()
         .tables;
 
@@ -498,14 +501,14 @@ const Q_GOOD: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING cor
 fn contained_panic_fails_only_its_query_and_the_pool_stays_usable() {
     let nd = 16;
     let catalog = panic_catalog(nd);
-    let reference = catalog
-        .run_batch(&[Q_GOOD], &config(Device::SingleCore))
+    let reference = bare(&catalog, &config(Device::SingleCore))
+        .run_batch(&[Q_GOOD])
         .unwrap()
         .tables;
 
     for device in [Device::SingleCore, Device::Parallel(3)] {
-        let out = catalog
-            .run_batch(&[Q_BAD, Q_GOOD], &config(device))
+        let out = bare(&catalog, &config(device))
+            .run_batch(&[Q_BAD, Q_GOOD])
             .unwrap();
         // The poisoned group fails only its own query, with the original
         // panic payload carried verbatim.
@@ -526,8 +529,8 @@ fn contained_panic_fails_only_its_query_and_the_pool_stays_usable() {
 
     // The runtime pool survived the contained panics: a fresh parallel
     // batch on it still completes.
-    let again = catalog
-        .run_batch(&[Q_GOOD], &config(Device::Parallel(3)))
+    let again = bare(&catalog, &config(Device::Parallel(3)))
+        .run_batch(&[Q_GOOD])
         .unwrap();
     assert_eq!(again.tables, reference);
 }

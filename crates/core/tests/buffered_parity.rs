@@ -11,6 +11,9 @@
 //! answering to one id are each scored on their own, and `EXPLAIN` counts
 //! the states the pass will build.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_relational::{Table, Value};
@@ -128,7 +131,7 @@ fn bits(table: &Table) -> Vec<Row> {
 
 /// `Q` as a statement: the streaming pass, one stream per segment.
 fn run(catalog: &Catalog) -> Table {
-    let mut tables = catalog.run_batch(&[Q], &config()).unwrap().tables;
+    let mut tables = bare(catalog, &config()).run_batch(&[Q]).unwrap().tables;
     tables.pop().expect("one statement, one table")
 }
 

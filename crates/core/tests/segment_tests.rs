@@ -8,6 +8,9 @@
 //! new segment pays forward passes while the merged frame stays
 //! bit-identical to a cold run.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_tensor::Matrix;
@@ -544,8 +547,8 @@ fn append_then_reinspect_extracts_only_the_new_segment() {
         let dir = tmp_dir(&format!("incremental-{:?}", device).replace(['(', ')'], "-"));
         // Cold reference over the *grown* (3-segment) dataset, no store.
         let (reference_catalog, _) = segmented_catalog(3);
-        let reference = reference_catalog
-            .run_batch(&[Q], &config(device, BLOCK))
+        let reference = bare(&reference_catalog, &config(device, BLOCK))
+            .run_batch(&[Q])
             .unwrap()
             .tables;
 

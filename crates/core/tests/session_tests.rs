@@ -1,13 +1,16 @@
 //! Session API semantics (ISSUE 3 acceptance): the plan cache serves
 //! repeated statements with zero bind work and is invalidated by catalog
-//! mutation; prepared execution is bit-identical to one-shot `run_query`
-//! on both devices; `explain` output is stable; admission control splits
+//! mutation; prepared execution is bit-identical to a bare reference
+//! session on both devices; `explain` output is stable; admission control splits
 //! oversized batches without changing results; and the score cache skips
 //! extraction on repeated batches.
 
+mod common;
+
+use common::bare;
 use deepbase::plan::{self, AdmissionConfig};
 use deepbase::prelude::*;
-use deepbase::query::{run_query, UnitMeta};
+use deepbase::query::UnitMeta;
 use deepbase_relational::Table;
 use deepbase_tensor::Matrix;
 use proptest::prelude::*;
@@ -213,13 +216,14 @@ fn disabling_score_reuse_still_amortizes_binding() {
 }
 
 #[test]
-fn same_id_different_function_across_batches_does_not_poison_the_cache() {
+fn same_id_different_function_within_and_across_batches_does_not_poison_the_cache() {
     // Two different predicates registered under one hypothesis id in two
-    // sets (nothing enforces id uniqueness). The session hypothesis cache
-    // keys on id strings and lives *across* batches, so after a batch
-    // over set 1 populates it, a later batch over set 2 must not be
-    // served set 1's cached behaviors — the per-batch ambiguity guard
-    // cannot see this collision because each batch alone is unambiguous.
+    // sets (nothing enforces id uniqueness). The hypothesis caches key on
+    // id strings, so a batch that carries both functions gets no cache at
+    // all; and the session cache lives *across* batches, so after a batch
+    // over set 1 populates it, a later batch over set 2 — unambiguous on
+    // its own — must not be served set 1's cached behaviors: it gets a
+    // private cache, and set 1 keeps the session's.
     let recs = records(ND, 0);
     let mut catalog = Catalog::new();
     catalog.add_model(
@@ -241,20 +245,51 @@ fn same_id_different_function_across_batches_does_not_poison_the_cache() {
               FROM models M, units U, hypotheses H, inputs D WHERE H.name = 's1'";
     let q2 = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
               FROM models M, units U, hypotheses H, inputs D WHERE H.name = 's2'";
+    // Binds both sets: one plan, two functions, one id.
+    let q_both = "SELECT S.uid, S.hyp_id, S.unit_score INSPECT U.uid AND H.h USING corr \
+                  OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D";
     let config = InspectionConfig::default();
-    let one_shot_q1 = run_query(q1, &catalog, &config).unwrap();
-    let one_shot_q2 = run_query(q2, &catalog, &config).unwrap();
-    assert_ne!(one_shot_q1, one_shot_q2, "the two functions really differ");
+    let reference_q1 = bare(&catalog, &config).run(q1).unwrap();
+    let reference_q2 = bare(&catalog, &config).run(q2).unwrap();
+    let reference_both = bare(&catalog, &config).run(q_both).unwrap();
+    assert_ne!(
+        reference_q1, reference_q2,
+        "the two functions really differ"
+    );
 
-    let mut session = Session::new(catalog);
-    assert_eq!(session.run(q1).unwrap(), one_shot_q1);
+    // No score reuse, so every batch below really executes and its
+    // `report.cache` shows which hypothesis cache it was handed.
+    let mut session = Session::with_config(
+        catalog,
+        SessionConfig {
+            reuse_scores: false,
+            ..SessionConfig::default()
+        },
+    );
+    // Collision inside the batch: no cache, and no claim on the ids.
+    let out = session.run_batch(&[q_both]).unwrap();
+    assert_eq!(out.tables, vec![reference_both]);
+    assert_eq!(out.report.cache, CacheStats::default());
+    assert!(session.hypothesis_cache().is_empty());
+    // Set 1 arrives first: it owns "dup" in the session cache.
+    let out = session.run_batch(&[q1]).unwrap();
+    assert_eq!(out.tables, vec![reference_q1.clone()]);
+    assert_eq!((out.report.cache.hits, out.report.cache.misses), (0, ND));
+    assert_eq!(session.hypothesis_cache().len(), ND);
+    // Set 2 collides with an earlier batch: a private cache, every
+    // lookup a miss, the session cache untouched.
+    let out = session.run_batch(&[q2]).unwrap();
     assert_eq!(
-        session.run(q2).unwrap(),
-        one_shot_q2,
+        out.tables,
+        vec![reference_q2],
         "second batch must not read the first batch's cached behaviors"
     );
+    assert_eq!((out.report.cache.hits, out.report.cache.misses), (0, ND));
+    assert_eq!(session.hypothesis_cache().stats().misses, ND);
     // And back to the first identity, which still owns the session cache.
-    assert_eq!(session.run(q1).unwrap(), one_shot_q1);
+    let out = session.run_batch(&[q1]).unwrap();
+    assert_eq!(out.tables, vec![reference_q1]);
+    assert_eq!((out.report.cache.hits, out.report.cache.misses), (ND, 0));
 }
 
 #[test]
@@ -292,7 +327,7 @@ fn catalog_mutation_resets_the_session_hypothesis_cache() {
     let after = session.run(q).unwrap();
     assert_ne!(after, before, "the swapped dataset genuinely differs");
 
-    // Parity with a cache-less one-shot over an identical catalog.
+    // Parity with a bare session over an identical catalog.
     let mut reference = Catalog::new();
     reference.add_model(
         "m",
@@ -307,17 +342,19 @@ fn catalog_mutation_resets_the_session_hypothesis_cache() {
         vec![Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'))],
     );
     reference.add_dataset("seq", build(3));
-    let one_shot = run_query(q, &reference, &InspectionConfig::default()).unwrap();
-    assert_eq!(after, one_shot);
+    let reference_table = bare(&reference, &InspectionConfig::default())
+        .run(q)
+        .unwrap();
+    assert_eq!(after, reference_table);
 }
 
 #[test]
-fn session_batch_matches_one_shot_shims() {
+fn session_batch_matches_sequential_bare_sessions() {
     let (catalog, _) = test_catalog();
     let config = InspectionConfig::default();
     let sequential: Vec<Table> = [Q_ALPHA, Q_BETA]
         .iter()
-        .map(|q| run_query(q, &catalog, &config).unwrap())
+        .map(|q| bare(&catalog, &config).run(q).unwrap())
         .collect();
     let mut session = Session::new(catalog);
     let batch = session.run_batch(&[Q_ALPHA, Q_BETA]).unwrap();
@@ -378,7 +415,7 @@ fn admission_splits_oversized_batch_without_changing_results() {
     let catalog = wide_catalog();
     let sequential: Vec<Table> = refs
         .iter()
-        .map(|q| run_query(q, &catalog, &config).unwrap())
+        .map(|q| bare(&catalog, &config).run(q).unwrap())
         .collect();
 
     let mut session = Session::with_config(
@@ -424,13 +461,14 @@ fn admission_waves_respect_the_width_bound_at_plan_level() {
         .collect();
 
     let bound = 16;
-    let physical = plan::optimize(
+    let physical = plan::optimize_store(
         &plans,
         &config,
         AdmissionConfig {
             max_stream_width: Some(bound),
             ..AdmissionConfig::default()
         },
+        None,
     );
     assert_eq!(physical.groups.len(), 1);
     let group = &physical.groups[0];
@@ -446,7 +484,7 @@ fn admission_waves_respect_the_width_bound_at_plan_level() {
     assert_eq!(physical.stats.admission_queued, group.waves.len() - 1);
 
     // Unbounded admission: one wave, full width.
-    let unsplit = plan::optimize(&plans, &config, AdmissionConfig::default());
+    let unsplit = plan::optimize_store(&plans, &config, AdmissionConfig::default(), None);
     assert_eq!(unsplit.groups[0].waves.len(), 1);
     assert_eq!(unsplit.groups[0].wave_widths, vec![36]);
     assert_eq!(unsplit.stats.admission_splits, 0);
@@ -496,7 +534,7 @@ fn explain_shows_admission_split() {
 }
 
 // ---------------------------------------------------------------------
-// Property: prepared execution is bit-identical to one-shot run_query
+// Property: prepared execution is bit-identical to a bare session's run
 // ---------------------------------------------------------------------
 
 /// A randomized behavior world for the parity property.
@@ -576,7 +614,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn prepared_execution_is_bit_identical_to_one_shot(
+    fn prepared_execution_is_bit_identical_to_a_bare_session(
         n in 12usize..48,
         seed in 0u64..1000,
         qidx in 0usize..3,
@@ -589,7 +627,7 @@ proptest! {
                 ..Default::default()
             };
             let catalog = world_catalog(n, seed);
-            let one_shot = run_query(query, &catalog, &config).unwrap();
+            let reference_table = bare(&catalog, &config).run(query).unwrap();
 
             let mut session = Session::with_config(
                 world_catalog(n, seed),
@@ -600,10 +638,10 @@ proptest! {
             );
             let prepared = session.prepare(query).unwrap();
             let via_session = session.execute(&prepared).unwrap();
-            prop_assert_eq!(&via_session, &one_shot, "device {:?}", device);
+            prop_assert_eq!(&via_session, &reference_table, "device {:?}", device);
             // And once more through the score cache: still identical.
             let replay = session.execute(&prepared).unwrap();
-            prop_assert_eq!(&replay, &one_shot);
+            prop_assert_eq!(&replay, &reference_table);
         }
     }
 }
@@ -624,7 +662,7 @@ fn concurrent_sessions_share_one_global_admission_budget() {
     let catalog = wide_catalog();
     let sequential: Vec<Table> = refs
         .iter()
-        .map(|q| run_query(q, &catalog, &config).unwrap())
+        .map(|q| bare(&catalog, &config).run(q).unwrap())
         .collect();
 
     let scheduler = AdmissionScheduler::new(AdmissionConfig {

@@ -9,6 +9,9 @@
 //! `extract(full)` bit-for-bit on SingleCore and Parallel, including the
 //! degenerate watermark-at-zero and watermark-at-end cases.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_stats::split::shuffled_indices;
@@ -167,8 +170,8 @@ fn fault_world() -> &'static FaultWorld {
         let nd = 24;
         let dir = store_dir("world");
         let (catalog, _) = test_catalog(nd);
-        let reference = catalog
-            .run_batch(&[Q_ALL], &config(Device::SingleCore))
+        let reference = bare(&catalog, &config(Device::SingleCore))
+            .run_batch(&[Q_ALL])
             .unwrap()
             .tables;
         let (mut cold, _) = session_with_store(nd, Device::SingleCore, &dir);
@@ -325,7 +328,7 @@ proptest! {
         for device in [Device::SingleCore, Device::Parallel(3)] {
             // Reference: pure live extraction, no store.
             let (catalog, _) = mixed_catalog(nd, salt);
-            let reference = catalog.run_batch(&[Q_ALL], &config(device)).unwrap().tables;
+            let reference = bare(&catalog, &config(device)).run_batch(&[Q_ALL]).unwrap().tables;
 
             // v3 path: cold populate, then a warm scan with pushdown on
             // (the default) and one with pushdown forced off.
@@ -469,7 +472,7 @@ proptest! {
 
         for device in [Device::SingleCore, Device::Parallel(3)] {
             let (catalog, live_calls) = test_catalog(nd);
-            let reference = catalog.run_batch(&[Q_ALL], &config(device)).unwrap().tables;
+            let reference = bare(&catalog, &config(device)).run_batch(&[Q_ALL]).unwrap().tables;
             let live = live_calls.load(Ordering::SeqCst);
 
             let dir = store_dir(&format!("budget-{nd}-{j}-{:?}", device).replace(['(', ')'], "-"));
@@ -550,7 +553,7 @@ proptest! {
         for device in [Device::SingleCore, Device::Parallel(3)] {
             // Reference: pure live extraction (no store).
             let (catalog, live_calls) = test_catalog(nd);
-            let reference = catalog.run_batch(&[Q_ALL], &config(device)).unwrap().tables;
+            let reference = bare(&catalog, &config(device)).run_batch(&[Q_ALL]).unwrap().tables;
             let live = live_calls.load(Ordering::SeqCst);
 
             let dir = store_dir(&format!("diff-{nd}-{k}-{:?}", device).replace(['(', ')'], "-"));

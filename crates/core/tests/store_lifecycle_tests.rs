@@ -8,6 +8,9 @@
 //! store path stay panic-free, torn-read-free and bit-identical to solo
 //! runs (a read-only session never creates files).
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_store::ERROR_RING_CAP;
@@ -200,7 +203,10 @@ fn live_tables(
     queries: &[&str],
 ) -> (Vec<deepbase_relational::Table>, usize) {
     let (catalog, counters) = test_catalog();
-    let tables = catalog.run_batch(queries, inspection).unwrap().tables;
+    let tables = bare(&catalog, inspection)
+        .run_batch(queries)
+        .unwrap()
+        .tables;
     (tables, counters.calls())
 }
 

@@ -9,6 +9,9 @@
 //! and content fingerprints make catalog changes miss the store instead
 //! of reading stale behaviors.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_tensor::Matrix;
@@ -191,7 +194,10 @@ fn session_with_store(
 /// Reference tables from pure live execution (no store anywhere).
 fn live_tables(salt: usize, device: Device, queries: &[&str]) -> Vec<deepbase_relational::Table> {
     let (catalog, _) = test_catalog(salt);
-    catalog.run_batch(queries, &config(device)).unwrap().tables
+    bare(&catalog, &config(device))
+        .run_batch(queries)
+        .unwrap()
+        .tables
 }
 
 // ---------------------------------------------------------------------

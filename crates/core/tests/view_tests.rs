@@ -9,6 +9,9 @@
 //! crashed (abandoned mid-write) refresh leaves the old entry intact
 //! on reopen.
 
+mod common;
+
+use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_relational::Table;
@@ -150,8 +153,8 @@ fn session_over(
 /// store at all: the bit-exactness yardstick for every replay/refresh.
 fn cold_reference(device: Device, segments: usize) -> Vec<Table> {
     let (catalog, _) = segmented_catalog(segments);
-    catalog
-        .run_batch(&[Q], &config(device, BLOCK))
+    bare(&catalog, &config(device, BLOCK))
+        .run_batch(&[Q])
         .unwrap()
         .tables
 }
@@ -365,7 +368,7 @@ fn refresh_against_cold_rebuild(
     let stored = (doc.states.iter())
         .map(|s| (s.measure_id.clone(), s.hyp_id.clone()))
         .collect();
-    let cold = catalog_of(3).run_batch(&[q], &config(device, BLOCK));
+    let cold = bare(&catalog_of(3), &config(device, BLOCK)).run_batch(&[q]);
     let _ = std::fs::remove_dir_all(&dir);
     (refreshed, stored, cold.unwrap().tables.remove(0))
 }
@@ -513,8 +516,8 @@ fn invalid_view_rebuilds_from_scratch() {
         "seq",
         Arc::new(Dataset::with_segments("seq", NS, segs).unwrap()),
     );
-    let reference = reference_catalog
-        .run_batch(&[Q], &config(device, BLOCK))
+    let reference = bare(&reference_catalog, &config(device, BLOCK))
+        .run_batch(&[Q])
         .unwrap()
         .tables;
     assert_eq!(rebuilt, reference[0]);

@@ -134,8 +134,19 @@ impl ThreadPool {
 /// empty — workers are signalled, woken, and joined.
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::SeqCst);
-        self.queue.available.notify_all();
+        {
+            // The flag is stored and the workers woken under the queue
+            // mutex. A worker reads `shutdown` holding that mutex and
+            // gives it up only by parking in `available.wait`, so from
+            // in here every worker is either not yet at its read (it
+            // will see `true`) or already parked (the notify reaches
+            // it). Without the lock both could land between a worker's
+            // read and its park: the wake-up is lost, the worker sleeps
+            // forever and the `join` below never returns.
+            let _jobs = (self.queue.jobs.lock()).unwrap_or_else(|poisoned| poisoned.into_inner());
+            self.queue.shutdown.store(true, Ordering::SeqCst);
+            self.queue.available.notify_all();
+        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }

@@ -857,7 +857,8 @@ impl ColumnFile {
 
 /// Reads and validates the header, schema, zone table and (for partial
 /// columns) coverage bitmap of a column file. Any mismatch
-/// (magic, version, checksum, truncation, watermark/bitmap disagreement)
+/// (magic, version, checksum, truncation, trailing bytes,
+/// watermark/bitmap disagreement)
 /// is [`StoreError::Corrupt`].
 pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     file.seek(SeekFrom::Start(0))?;
@@ -952,8 +953,11 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         Some(bits.to_vec())
     };
     // Per-block payload offsets: prefix sums of the (CRC-protected)
-    // comp_len fields. The whole declared data region must fit in the
-    // file, so truncation surfaces at validation time.
+    // comp_len fields. The declared data region must end exactly where
+    // the file does: a short file is a truncation, and no writer leaves
+    // a tail (columns are published whole by temp file + rename, the
+    // access stamp is rewritten in place), so bytes past the last block
+    // are not ours either.
     let mut offsets = Vec::with_capacity(n_blocks);
     let mut off = sections;
     for zone in &zones {
@@ -962,7 +966,7 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
             .checked_add(zone.comp_len as u64)
             .ok_or_else(|| StoreError::Corrupt("data region size overflows".into()))?;
     }
-    if off > file_len {
+    if off != file_len {
         return Err(StoreError::Corrupt(format!(
             "declared data region ends at byte {off} but the file holds {file_len} bytes"
         )));
@@ -1485,6 +1489,42 @@ mod tests {
         assert!(matches!(err, StoreError::Corrupt(_)), "got {err:?}");
         // Untouched block 0 still verifies.
         assert!(read_block(&mut f, &col, 0).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_trailing_byte_is_corrupt_on_complete_and_partial_columns() {
+        let complete = meta();
+        let partial = ColumnMeta {
+            completed_records: 3,
+            ..meta()
+        };
+        let mut filled = vec![false; partial.nd as usize];
+        for p in [0usize, 3, 7] {
+            filled[p] = true;
+        }
+        let bits = coverage_from_filled(&filled);
+        let full = column_data(&complete);
+        let packed = pack_rows(&full, &filled, partial.ns as usize);
+        let dir = test_dir("tail");
+        for (name, m, data, covered) in [
+            ("u3.col", &complete, &full, None),
+            ("u3.part", &partial, &packed, Some(&bits[..])),
+        ] {
+            let path = dir.join(name);
+            write_column_file(&path, m, data, covered, 0).unwrap();
+            let mut f = File::open(&path).unwrap();
+            assert_eq!(&read_meta(&mut f).unwrap().meta, m, "{name} as written");
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.push(0);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut f = File::open(&path).unwrap();
+            let err = read_meta(&mut f).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(msg) if msg.contains("data region")),
+                "{name} with a trailing byte: got {err:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,6 @@
 //! way the paper's evaluation uses them.
 
 use deepbase::prelude::*;
-use deepbase::query::{run_query, Catalog};
 use deepbase::verify::{verify_units, VerifyConfig};
 use deepbase::workloads::{nmt, paren, sql};
 use std::sync::Arc;
@@ -253,16 +252,15 @@ fn inspect_query_over_real_catalog() {
     );
     catalog.add_dataset("seq", Arc::new(workload.dataset.clone()));
 
-    let table = run_query(
-        "SELECT M.epoch, S.uid, S.unit_score \
-         INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
-         FROM models M, units U, hypotheses H, inputs D \
-         WHERE M.mid = 'sqlparser' AND M.epoch = 1 \
-         HAVING S.unit_score > -2.0",
-        &catalog,
-        &InspectionConfig::default(),
-    )
-    .unwrap();
+    let table = Session::new(catalog)
+        .run(
+            "SELECT M.epoch, S.uid, S.unit_score \
+             INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+             FROM models M, units U, hypotheses H, inputs D \
+             WHERE M.mid = 'sqlparser' AND M.epoch = 1 \
+             HAVING S.unit_score > -2.0",
+        )
+        .unwrap();
     // epoch-1 model only: 16 units x 3 hypotheses.
     assert_eq!(table.len(), 48);
 }

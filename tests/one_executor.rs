@@ -4,6 +4,9 @@
 //! plain one-segment INSPECT stops early and may merge `logreg` models, a
 //! view pass or a multi-segment pass does neither.
 
+mod common;
+
+use common::bare;
 use deepbase_repro::deepbase::prelude::*;
 use deepbase_repro::deepbase::query::UnitMeta;
 use deepbase_repro::tensor::Matrix;
@@ -134,7 +137,12 @@ fn session_at(
 fn one_segment_view_replays_and_refreshes_like_the_cold_pass() {
     for device in [Device::SingleCore, Device::Parallel(3)] {
         let exact = config(device, Some(1e-12));
-        let cold = |segments: usize| catalog(segments).0.run_batch(&[Q], &exact).unwrap().tables;
+        let cold = |segments: usize| {
+            bare(&catalog(segments).0, &exact)
+                .run_batch(&[Q])
+                .unwrap()
+                .tables
+        };
         let (mut session, counting, dir) = session("replay", catalog(1), exact.clone());
 
         // Built over ONE segment, the view replays the cold INSPECT.
@@ -184,9 +192,9 @@ fn one_segment_inspect_stops_early_while_the_view_build_reads_every_row() {
 fn logreg_runs_on_one_segment_and_is_refused_typed_on_two() {
     for device in [Device::SingleCore, Device::Parallel(3)] {
         let config = config(device, None);
-        let one = catalog(1).0.run_batch(&[Q_LOGREG], &config).unwrap();
+        let one = bare(&catalog(1).0, &config).run_batch(&[Q_LOGREG]).unwrap();
         assert_eq!(one.tables[0].len(), 2 * UNITS, "{device:?}");
-        match catalog(2).0.run_batch(&[Q_LOGREG], &config) {
+        match bare(&catalog(2).0, &config).run_batch(&[Q_LOGREG]) {
             Err(DniError::Query(msg)) => assert!(msg.contains("logreg_l1"), "{msg}"),
             other => panic!("expected the typed segmented-measure error, got {other:?}"),
         }
@@ -204,7 +212,7 @@ fn warm_store_scans_one_segment_and_three_through_the_same_path() {
         let exact = config(device, Some(1e-12));
         for segments in [1, 3] {
             let shape = || catalog_split(segments, SEG_LEN / segments);
-            let reference = shape().0.run_batch(&[Q], &exact).unwrap().tables;
+            let reference = bare(&shape().0, &exact).run_batch(&[Q]).unwrap().tables;
 
             let name = format!("warm-{segments}");
             let (mut cold, _, dir) = session(&name, shape(), exact.clone());

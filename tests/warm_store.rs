@@ -12,6 +12,9 @@
 //! inference forward existed), half of them partial, are scanned and
 //! resumed by today's extractor to the bit.
 
+mod common;
+
+use common::bare;
 use deepbase_repro::deepbase::prelude::*;
 use deepbase_repro::deepbase::query::UnitMeta;
 use deepbase_repro::nn::{CharLstmModel, OutputMode};
@@ -131,9 +134,8 @@ fn store_dir(name: &str) -> PathBuf {
 
 #[test]
 fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_quarter() {
-    let reference = catalog()
-        .0
-        .run_batch(&QUERIES, &inspection())
+    let reference = bare(&catalog().0, &inspection())
+        .run_batch(&QUERIES)
         .unwrap()
         .tables;
     let dir = store_dir("warm");
@@ -208,7 +210,10 @@ fn a_store_filled_by_the_training_forward_is_scanned_and_resumed_by_the_inferenc
     let q_half = |filter: &str| format!("{Q_ALL} WHERE {filter}");
     let old = || catalog_over(Arc::new(TrainingForwardExtractor(char_model())), records());
     let new = || catalog_over(Arc::new(CharModelExtractor::new(char_model())), records());
-    let reference = new().0.run_batch(&[Q_ALL], &inspection()).unwrap().tables;
+    let reference = bare(&new().0, &inspection())
+        .run_batch(&[Q_ALL])
+        .unwrap()
+        .tables;
     let dir = store_dir("old-store");
 
     // The old store: units 0..4 streamed to the end (complete columns),
@@ -240,7 +245,10 @@ fn a_store_filled_by_the_training_forward_is_scanned_and_resumed_by_the_inferenc
     assert_eq!(store.forward_passes_avoided, 1);
     assert_eq!(extractor.calls(), RECORDS / STREAM_BLOCK - 1);
     assert_eq!(
-        old().0.run_batch(&[Q_ALL], &inspection()).unwrap().tables,
+        bare(&old().0, &inspection())
+            .run_batch(&[Q_ALL])
+            .unwrap()
+            .tables,
         reference,
         "the two forwards answer alike without a store in between"
     );
