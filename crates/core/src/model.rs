@@ -13,7 +13,9 @@ use deepbase_lang::{EarleyParser, Grammar, TreeHypothesis};
 use deepbase_store::durable::{self, ByteReader, ByteWriter};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// One record: a fixed-length window of symbols, with provenance into the
 /// source string it was cut from (so parse-derived hypotheses can label it
@@ -789,16 +791,36 @@ impl HypothesisFn for FnHypothesis {
     }
 }
 
+/// One source's cache entry: its parse (`None`: unparseable) and, beside
+/// it, the source's length in characters — every parse hypothesis needs
+/// it on every record of the source. Both are once-cells, so the map lock
+/// is never held while parsing: threads missing the same source wait on
+/// that source's cell, one of them parses, and other sources parse
+/// alongside.
+#[derive(Default)]
+struct ParsedSource {
+    tree: OnceLock<Option<Arc<ParseTree>>>,
+    chars: OnceLock<usize>,
+}
+
+impl ParsedSource {
+    fn tree(&self) -> Option<&Arc<ParseTree>> {
+        self.tree.get().and_then(Option::as_ref)
+    }
+}
+
 /// Shared parse cache: each source string is parsed at most once, and the
 /// tree is shared by every parse-derived hypothesis (paper §6.1: "the
 /// other hypothesis functions based on the parser do not need to re-parse
 /// the input text"). `None` records an unparseable source.
 #[derive(Default)]
 pub struct ParseCache {
-    trees: Mutex<HashMap<usize, Option<Arc<ParseTree>>>>,
+    sources: Mutex<HashMap<usize, Arc<ParsedSource>>>,
     /// Number of parser invocations (cache misses), for the Fig. 9 cost
     /// accounting.
-    misses: Mutex<usize>,
+    misses: AtomicUsize,
+    /// Wall time spent inside those invocations, in nanoseconds.
+    parse_nanos: AtomicU64,
 }
 
 impl ParseCache {
@@ -810,7 +832,29 @@ impl ParseCache {
     /// Pre-populates the cache with a ground-truth tree (PCFG sampling
     /// yields the derivation for free).
     pub fn insert(&self, source_id: usize, tree: ParseTree) {
-        self.trees.lock().insert(source_id, Some(Arc::new(tree)));
+        let parsed = ParsedSource {
+            tree: OnceLock::from(Some(Arc::new(tree))),
+            chars: OnceLock::new(),
+        };
+        self.sources.lock().insert(source_id, Arc::new(parsed));
+    }
+
+    /// The entry of a source, parsed by `parse` if nobody asked before.
+    fn source(
+        &self,
+        source_id: usize,
+        parse: impl FnOnce() -> Option<ParseTree>,
+    ) -> Arc<ParsedSource> {
+        let source = Arc::clone(self.sources.lock().entry(source_id).or_default());
+        source.tree.get_or_init(|| {
+            let started = Instant::now();
+            let tree = parse().map(Arc::new);
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.parse_nanos.fetch_add(nanos, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            tree
+        });
+        source
     }
 
     /// Fetches the parse of a source, running `parse` on a miss.
@@ -819,18 +863,17 @@ impl ParseCache {
         source_id: usize,
         parse: impl FnOnce() -> Option<ParseTree>,
     ) -> Option<Arc<ParseTree>> {
-        if let Some(hit) = self.trees.lock().get(&source_id) {
-            return hit.clone();
-        }
-        *self.misses.lock() += 1;
-        let parsed = parse().map(Arc::new);
-        self.trees.lock().insert(source_id, parsed.clone());
-        parsed
+        self.source(source_id, parse).tree().cloned()
     }
 
     /// Number of parser invocations so far.
     pub fn miss_count(&self) -> usize {
-        *self.misses.lock()
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Wall time spent in those parser invocations.
+    pub fn parse_time(&self) -> Duration {
+        Duration::from_nanos(self.parse_nanos.load(Ordering::Relaxed))
     }
 }
 
@@ -876,16 +919,16 @@ impl HypothesisFn for ParseHypothesis {
     }
 
     fn behavior(&self, record: &Record) -> Result<Vec<f32>, DniError> {
-        let source = Arc::clone(&record.source_text);
-        let grammar = Arc::clone(&self.grammar);
-        let tree = self.cache.get_or_parse(record.source_id, move || {
-            EarleyParser::new(&grammar).parse(&source)
+        let source = self.cache.source(record.source_id, || {
+            EarleyParser::new(&self.grammar).parse(&record.source_text)
         });
         let ns = record.symbols.len();
-        match tree {
+        match source.tree() {
             Some(tree) => {
-                let source_len = record.source_text.chars().count();
-                let full = self.inner.behavior(&tree, source_len);
+                let source_len = *source
+                    .chars
+                    .get_or_init(|| record.source_text.chars().count());
+                let full = self.inner.behavior(tree, source_len);
                 Ok(project_behavior(&full, &record.window(), ns))
             }
             // Unparseable source: the hypothesis is silent everywhere.
@@ -985,6 +1028,75 @@ mod tests {
             assert!(t.is_none());
         }
         assert_eq!(calls, 1, "failure must also be cached");
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_source_parse_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc::channel;
+        let leaf = || ParseTree {
+            rule: "s".into(),
+            start: 0,
+            end: 1,
+            children: vec![],
+        };
+        let cache = ParseCache::new();
+        let calls = AtomicUsize::new(0);
+        let (started_tx, started_rx) = channel();
+        let (go_tx, go_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let (early, alongside) = std::thread::scope(|s| {
+            // The first thread is held inside its parse of source 7 ...
+            let (cache, calls) = (&cache, &calls);
+            s.spawn(move || {
+                cache.get_or_parse(7, || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    started_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    Some(leaf())
+                })
+            });
+            started_rx.recv().unwrap();
+            // ... while seven more miss the same source. A cache that
+            // forgets the parse in flight lets them parse and answer now.
+            for _ in 0..7 {
+                let done_tx = done_tx.clone();
+                s.spawn(move || {
+                    let tree = cache.get_or_parse(7, || {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        Some(leaf())
+                    });
+                    done_tx.send(tree.is_some()).unwrap();
+                });
+            }
+            let early = done_rx.recv_timeout(Duration::from_millis(200)).is_ok();
+            // Another source is not behind the one in flight.
+            let alongside = cache.get_or_parse(8, || Some(leaf())).is_some();
+            go_tx.send(()).unwrap();
+            (early, alongside)
+        });
+        assert!(!early, "a waiter answered before the parse finished");
+        assert!(alongside);
+        assert_eq!(done_rx.try_iter().collect::<Vec<_>>(), vec![true; 7]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "source 7 parsed once");
+        assert_eq!(cache.miss_count(), 2, "one miss per source");
+    }
+
+    #[test]
+    fn parse_cache_accounts_parser_wall_time() {
+        let grammar = Grammar::from_spec("expr -> term | expr '+' term ; term -> '1' ;").unwrap();
+        let cache = ParseCache::new();
+        assert_eq!(cache.parse_time(), Duration::ZERO);
+        let source = vec!["1"; 200].join("+");
+        for _ in 0..2 {
+            let tree = cache.get_or_parse(0, || EarleyParser::new(&grammar).parse(&source));
+            assert!(tree.is_some());
+        }
+        let spent = cache.parse_time();
+        assert!(spent > Duration::ZERO);
+        // A hit adds nothing.
+        cache.get_or_parse(0, || unreachable!("cached"));
+        assert_eq!(cache.parse_time(), spent);
     }
 
     #[test]

@@ -566,6 +566,52 @@ mod tests {
         assert_eq!(w.parse_cache.miss_count(), 0);
     }
 
+    /// Folds a pre-order walk (rule name, span, child count) into `hash`.
+    fn fold_tree(hash: &mut deepbase_store::FpHasher, tree: &deepbase_lang::ParseTree) {
+        hash.write_str(&tree.rule)
+            .write_u64(tree.start as u64)
+            .write_u64(tree.end as u64)
+            .write_u64(tree.children.len() as u64);
+        for child in &tree.children {
+            fold_tree(hash, child);
+        }
+    }
+
+    #[test]
+    fn the_benchmark_fixture_parses_to_the_golden_trees() {
+        // The 60 sources `warm_sql_hyp` re-parses on every op. The
+        // benchmark checks answers against a reference computed by the
+        // same binary, so a parser that changed its trees would agree
+        // with itself there; this hash was taken from the subtree-copying
+        // parser and compares across binaries.
+        let w = sql::build(&sql::SqlWorkloadConfig {
+            n_queries: 128,
+            max_records: 768,
+            prepopulate_parse_cache: false,
+            ..Default::default()
+        });
+        let mut sources: Vec<&Arc<String>> = Vec::new();
+        for rec in &w.dataset.records {
+            if rec.source_id == sources.len() {
+                sources.push(&rec.source_text);
+            }
+        }
+        assert_eq!(sources.len(), 60);
+        let parser = deepbase_lang::EarleyParser::new(&w.grammar);
+        let (mut hash, mut nodes) = (deepbase_store::FpHasher::new(), 0);
+        for source in sources {
+            let tree = parser.parse(source).expect("sampled from the grammar");
+            nodes += tree.node_count();
+            fold_tree(&mut hash, &tree);
+        }
+        assert_eq!(nodes, 1541);
+        assert_eq!(
+            hash.finish(),
+            0x9d19_7bfb_7672_9db6,
+            "golden fingerprint of the 60 fixture trees"
+        );
+    }
+
     #[test]
     fn sql_hypotheses_have_record_length() {
         let w = sql::build(&sql::SqlWorkloadConfig {

@@ -59,6 +59,9 @@ pub struct Grammar {
     /// steps are needed to reach an all-terminal string). Drives sampler
     /// termination once `max_depth` is exceeded.
     min_depth: Vec<usize>,
+    /// Whether each nonterminal derives the empty string; the Earley
+    /// parser reads it on every prediction, so it is computed here once.
+    nullable: Vec<bool>,
 }
 
 impl Grammar {
@@ -223,12 +226,31 @@ impl Grammar {
             });
         }
 
+        // Nullable nonterminals, by fixpoint: some production's RHS is all
+        // nullable nonterminals (vacuously so for an epsilon production).
+        let mut nullable = vec![false; nt_names.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for p in &productions {
+                if !nullable[p.lhs]
+                    && p.rhs
+                        .iter()
+                        .all(|s| matches!(s, Sym::Nt(nt) if nullable[*nt]))
+                {
+                    nullable[p.lhs] = true;
+                    changed = true;
+                }
+            }
+        }
+
         Ok(Grammar {
             nt_names,
             productions,
             by_lhs,
             start,
             min_depth,
+            nullable,
         })
     }
 
@@ -265,6 +287,11 @@ impl Grammar {
     /// Start nonterminal index.
     pub fn start(&self) -> usize {
         self.start
+    }
+
+    /// True when nonterminal `nt` can derive the empty string.
+    pub(crate) fn is_nullable(&self, nt: usize) -> bool {
+        self.nullable[nt]
     }
 
     /// The set of terminal characters used by the grammar, sorted — the

@@ -6,7 +6,8 @@
 //! * [`grammar`] — probabilistic context-free grammars with a text DSL and
 //!   weighted sampling (the paper's synthetic-SQL generator).
 //! * [`earley`] — Earley chart parser over character terminals (the NLTK
-//!   chart-parser replacement, including epsilon productions).
+//!   chart-parser replacement, including epsilon productions): a chart of
+//!   `Copy` items with back-pointers, one tree built at accept.
 //! * [`tree`] — parse trees over character spans.
 //! * [`hypothesis`] — hypothesis-behavior generators: parse-tree
 //!   time/signal/depth representations (paper Fig. 3), keyword and
