@@ -206,7 +206,10 @@ pub fn pixel_dataset(images: &[ShapeImage], size: usize) -> Dataset {
 }
 
 /// Concept-mask hypotheses: emits the image's concept mask as a pixel
-/// behavior (the annotation adapter of §4.2 for vision data).
+/// behavior (the annotation adapter of §4.2 for vision data). A record
+/// whose `source_id` names no image gets an empty behavior, which the
+/// engine rejects as [`crate::error::DniError::BadHypothesisOutput`]
+/// naming the hypothesis — an all-zero mask would score silently wrong.
 pub fn concept_hypotheses(images: &[ShapeImage]) -> Vec<FnHypothesis> {
     let shared: Arc<Vec<ShapeImage>> = Arc::new(images.to_vec());
     CONCEPTS
@@ -215,10 +218,9 @@ pub fn concept_hypotheses(images: &[ShapeImage]) -> Vec<FnHypothesis> {
             let imgs = Arc::clone(&shared);
             let name = concept.to_string();
             FnHypothesis::new(&format!("concept:{concept}"), move |rec| {
-                match imgs.get(rec.source_id) {
-                    Some(img) => img.masks[&name].as_slice().to_vec(),
-                    None => vec![0.0; rec.symbols.len()],
-                }
+                imgs.get(rec.source_id)
+                    .map(|img| img.masks[&name].as_slice().to_vec())
+                    .unwrap_or_default()
             })
         })
         .collect()
@@ -248,18 +250,25 @@ impl Extractor for CnnPixelExtractor<'_> {
         self.cnn.units()
     }
 
+    /// Panics when a record's `source_id` names no image of the corpus
+    /// (the plan contains it to that query as `DniError::Internal`): its
+    /// rows would otherwise be zeros that score silently wrong.
     fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
-        let ns = self.size * self.size;
-        let mut out = Matrix::zeros(records.len() * ns, unit_ids.len());
-        if out.is_empty() {
-            return out;
-        }
-        let blocks = out.as_mut_slice().chunks_exact_mut(ns * unit_ids.len());
-        for (rec, block) in records.iter().zip(blocks) {
-            if let Some(img) = self.images.get(rec.source_id) {
-                self.cnn.unit_pixels(&img.pixels, unit_ids, block);
-            }
-        }
+        let images: Vec<&Tensor3> = records
+            .iter()
+            .map(|rec| match self.images.get(rec.source_id) {
+                Some(img) => &img.pixels,
+                None => panic!(
+                    "record {} names source id {}, but the CNN extractor holds {} images",
+                    rec.id,
+                    rec.source_id,
+                    self.images.len()
+                ),
+            })
+            .collect();
+        let mut out = Matrix::zeros(records.len() * self.size * self.size, unit_ids.len());
+        self.cnn
+            .unit_pixels_batch(&images, unit_ids, out.as_mut_slice());
         out
     }
 }

@@ -2,17 +2,43 @@
 //! the NetDissect comparison of paper Appendix E (which probes CNN channel
 //! activations against pixel-level concept masks).
 //!
-//! Dimensions here are small (synthetic 16–32 px images), so the kernels
-//! are plain loops; clarity and correct gradients matter more than SIMD.
-//!
 //! As in [`crate::lstm`] there are two forwards. Training runs
-//! [`Conv2d::forward`] + [`relu_volume`] + [`maxpool2`], which keep the
-//! pre-activations, ReLU masks and pool argmaxes the backward pass
-//! consumes. Extraction ([`SmallCnn::unit_maps`],
-//! [`SmallCnn::unit_pixels`]) runs [`Conv2d::forward_infer`] and a
-//! max-only pool, which keep nothing — and produce the same bits: every
-//! output pixel starts from the bias and adds its in-range taps in the
-//! same `ic, ky, kx` order.
+//! [`Conv2d::forward`] + [`relu_volume`] + [`maxpool2`] on `C x H x W`
+//! [`Tensor3`]s, keeping the pre-activations, ReLU masks and pool argmaxes
+//! the backward pass consumes; it is written for clarity and is the
+//! parity reference. Extraction ([`SmallCnn::unit_maps`],
+//! [`SmallCnn::unit_pixels`], [`SmallCnn::unit_pixels_batch`]) runs the
+//! one inference kernel, `Conv2d::forward_infer`, which keeps nothing and
+//! produces the same bits:
+//!
+//! * **Layout.** The kernel writes channels-last (`H x W x C`): one
+//!   pixel's channels are contiguous. It reads channels-first, so a row of
+//!   a tap window is one contiguous slice: conv-1 reads the image's
+//!   [`Tensor3`] buffer in place, the 2x2 max-pool reads conv-1's
+//!   channels-last output and writes the channels-first volume conv-2
+//!   reads, and the unit read-out takes the requested channels straight
+//!   from conv-2's channels-last output. The buffers are reused across
+//!   the images of one call.
+//! * **Lane groups.** Output channels run eight at a time: the weights are
+//!   packed per group as a bias row and one row per tap, each an
+//!   `[f32; 8]`, so one pixel's group accumulates in an `[f32; 8]` the
+//!   compiler keeps in vector registers on the baseline target. A partial
+//!   last group gets zero weights and bias in its dead lanes, which are
+//!   never stored. Interior pixels go two at a time (two independent
+//!   accumulation chains per tap row).
+//! * **Interior / border.** An interior pixel takes all nine taps of each
+//!   input channel with no range checks (and, its window being of fixed
+//!   size, no per-tap bounds checks); a border pixel takes the taps whose
+//!   source lies inside the image — exactly the ones the range checks of
+//!   [`Conv2d::forward`] keep. Zero-padding the input instead would add
+//!   `w * 0` terms the reference never adds, which turns a `±∞` weight
+//!   into a NaN.
+//! * **Order.** Per lane, a pixel starts from its bias, adds its taps in
+//!   the training forward's `ic, ky, kx` order (`acc += w * x`, no fused
+//!   multiply-add) and then applies ReLU. Float addition does not
+//!   associate, so that order, not the mathematical sum, is what makes the
+//!   two forwards agree bit for bit; the behavior store keys columns by
+//!   the weights, not by which forward wrote them.
 
 use crate::adam::Adam;
 use crate::dense::Dense;
@@ -117,6 +143,10 @@ pub struct Conv2d {
 
 const K: usize = 3;
 const PAD: i64 = 1;
+/// Output channels per register tile of the inference kernel.
+const LANES: usize = 8;
+/// Interior pixels of one row the inference kernel accumulates at once.
+const TILE: usize = 2;
 
 impl Conv2d {
     /// Creates a layer with Glorot-style init.
@@ -173,49 +203,110 @@ impl Conv2d {
         y
     }
 
-    /// Inference forward fused with ReLU: the post-activation volume and
-    /// nothing else. An output row accumulates one tap at a time across
-    /// the whole row (a branch-free, vectorizable inner loop); a tap that
-    /// falls outside the image is left out of exactly the pixels the
-    /// range checks of [`Self::forward`] leave it out of, so each pixel
-    /// sums the same terms in the same order.
-    pub fn forward_infer(&self, x: &Tensor3) -> Tensor3 {
-        assert_eq!(x.c, self.in_ch, "conv input channels");
-        let (h, w) = (x.h, x.w);
-        let mut y = Tensor3::zeros(self.out_ch, h, w);
-        if w == 0 {
-            return y; // no pixels, and `acc[pad..]` below needs one
-        }
-        let pad = PAD as usize;
-        for oc in 0..self.out_ch {
-            let wrow = self.w.row(oc);
-            let bias = self.b.get(0, oc);
-            for yy in 0..h {
-                let acc = &mut y.data[(oc * h + yy) * w..][..w];
-                acc.fill(bias);
-                for ic in 0..self.in_ch {
-                    for ky in 0..K {
-                        // Source row `yy + ky - pad`, when it exists.
-                        let Some(sy) = (yy + ky).checked_sub(pad).filter(|&sy| sy < h) else {
-                            continue;
-                        };
-                        let src = &x.data[(ic * h + sy) * w..][..w];
-                        for kx in 0..K {
-                            let tap = wrow[(ic * K + ky) * K + kx];
-                            // Pixel `xx` reads `src[xx + kx - pad]`.
-                            let dst = &mut acc[pad.saturating_sub(kx)..];
-                            for (a, &s) in dst.iter_mut().zip(&src[kx.saturating_sub(pad)..]) {
-                                *a += tap * s;
-                            }
-                        }
-                    }
+    /// The weights as the inference kernel reads them: per group of
+    /// [`LANES`] output channels, a bias row and then one row per tap in
+    /// `ic, ky, kx` order; dead lanes of a partial last group are zero.
+    fn pack_lanes(&self, packed: &mut Vec<[f32; LANES]>) {
+        let fan = self.in_ch * K * K;
+        packed.clear();
+        for first in (0..self.out_ch).step_by(LANES) {
+            let lanes = LANES.min(self.out_ch - first);
+            let mut row = [0.0; LANES];
+            for (l, r) in row[..lanes].iter_mut().enumerate() {
+                *r = self.b.get(0, first + l);
+            }
+            packed.push(row);
+            for t in 0..fan {
+                for (l, r) in row[..lanes].iter_mut().enumerate() {
+                    *r = self.w.get(first + l, t);
                 }
-                for a in acc {
-                    *a = if *a > 0.0 { *a } else { 0.0 };
+                packed.push(row);
+            }
+        }
+    }
+
+    /// Inference forward fused with ReLU (see the module docs): reads an
+    /// `in_ch x h x w` input, writes the post-activation volume
+    /// channels-last into `out` (resized to `h x w x out_ch`). `packed` is
+    /// [`Self::pack_lanes`]'s output.
+    fn forward_infer(
+        &self,
+        src: &[f32],
+        (h, w): (usize, usize),
+        packed: &[[f32; LANES]],
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!(src.len(), self.in_ch * h * w, "conv input shape");
+        let oc = self.out_ch;
+        out.resize(h * w * oc, 0.0);
+        for (g, group) in packed.chunks_exact(1 + self.in_ch * K * K).enumerate() {
+            let first = g * LANES;
+            let lanes = LANES.min(oc - first);
+            let mut store = |y: usize, x: usize, acc: &[f32; LANES]| {
+                let dst = &mut out[(y * w + x) * oc + first..][..lanes];
+                for (d, &a) in dst.iter_mut().zip(acc) {
+                    *d = if a > 0.0 { a } else { 0.0 };
+                }
+            };
+            for y in 0..h {
+                // Tap `k` reads source `y + k - 1`: keep the taps whose
+                // source row / column lies inside the image.
+                let ky = usize::from(y == 0)..K.min(h + 1 - y);
+                let mut x = 0;
+                while x < w {
+                    if ky == (0..K) && x > 0 && x + TILE < w {
+                        let tile = self.pixels::<TILE>(group, src, (h, w), (y, x), 0..K, 0..K);
+                        for (p, acc) in tile.iter().enumerate() {
+                            store(y, x + p, acc);
+                        }
+                        x += TILE;
+                    } else {
+                        let kx = usize::from(x == 0)..K.min(w + 1 - x);
+                        let [acc] = self.pixels::<1>(group, src, (h, w), (y, x), ky.clone(), kx);
+                        store(y, x, &acc);
+                        x += 1;
+                    }
                 }
             }
         }
-        y
+    }
+
+    /// The lane groups of the `N` pixels `x..x + N` of row `y`, before
+    /// ReLU: each the bias row plus every tap of the `ky x kx` window in
+    /// `ic, ky, kx` order. The pixels are independent accumulation chains,
+    /// which lets a tile of them overlap in the pipeline; a window row is
+    /// one slice of the input, so an interior tile's fixed-size window
+    /// needs no per-tap bounds check.
+    #[inline(always)]
+    fn pixels<const N: usize>(
+        &self,
+        group: &[[f32; LANES]],
+        src: &[f32],
+        (h, w): (usize, usize),
+        (y, x): (usize, usize),
+        ky: std::ops::Range<usize>,
+        kx: std::ops::Range<usize>,
+    ) -> [[f32; LANES]; N] {
+        let (bias, taps) = group.split_first().expect("a bias row");
+        let mut acc = [*bias; N];
+        for (ic, taps) in taps.chunks_exact(K * K).enumerate() {
+            for ky in ky.clone() {
+                // Source row `y + ky - 1` from column `x + kx.start - 1`
+                // (both `>= 0`: the window never starts outside the image);
+                // tap `kx.start + j` of pixel `x + p` reads `line[j + p]`.
+                let start = (ic * h + y + ky - 1) * w + x + kx.start - 1;
+                let line = &src[start..start + kx.len() + N - 1];
+                let row = &taps[ky * K + kx.start..ky * K + kx.end];
+                for (j, tap) in row.iter().enumerate() {
+                    for (acc, &v) in acc.iter_mut().zip(&line[j..j + N]) {
+                        for (a, &t) in acc.iter_mut().zip(tap) {
+                            *a += t * v;
+                        }
+                    }
+                }
+            }
+        }
+        acc
     }
 
     /// Backward pass: accumulates parameter grads, returns `dL/dx`.
@@ -318,32 +409,33 @@ pub fn maxpool2(x: &Tensor3) -> (Tensor3, Vec<usize>) {
     (y, argmax)
 }
 
-/// [`maxpool2`] without the argmax indices (inference).
-fn maxpool2_infer(x: &Tensor3) -> Tensor3 {
-    let (oh, ow) = (x.h / 2, x.w / 2);
-    let mut y = Tensor3::zeros(x.c, oh, ow);
-    for c in 0..x.c {
-        for yy in 0..oh {
-            let top = &x.data[(c * x.h + 2 * yy) * x.w..][..x.w];
-            let bottom = &x.data[(c * x.h + 2 * yy + 1) * x.w..][..x.w];
-            let out = &mut y.data[(c * oh + yy) * ow..][..ow];
-            for (xx, o) in out.iter_mut().enumerate() {
-                let mut best = f32::NEG_INFINITY;
-                for v in [
-                    top[2 * xx],
-                    top[2 * xx + 1],
-                    bottom[2 * xx],
-                    bottom[2 * xx + 1],
-                ] {
-                    if v > best {
-                        best = v;
-                    }
+/// [`maxpool2`] without the argmax indices (inference), from conv-1's
+/// channels-last output to the channels-first input conv-2 reads: writes
+/// the `c x h/2 x w/2` pooled volume of the `h x w x c` volume `src` into
+/// `out`, each value the largest of its four candidates taken in
+/// [`maxpool2`]'s order.
+fn maxpool2_infer(src: &[f32], (h, w, c): (usize, usize, usize), out: &mut Vec<f32>) {
+    let (oh, ow) = (h / 2, w / 2);
+    out.resize(c * oh * ow, 0.0);
+    let pixel = |y: usize, x: usize| &src[(y * w + x) * c..][..c];
+    for i in 0..oh * ow {
+        let (y, x) = (2 * (i / ow), 2 * (i % ow));
+        let candidates = [
+            pixel(y, x),
+            pixel(y, x + 1),
+            pixel(y + 1, x),
+            pixel(y + 1, x + 1),
+        ];
+        for ch in 0..c {
+            let mut best = f32::NEG_INFINITY;
+            for v in candidates.map(|p| p[ch]) {
+                if v > best {
+                    best = v;
                 }
-                *o = best;
             }
+            out[ch * oh * ow + i] = best;
         }
     }
-    y
 }
 
 /// Backward of [`maxpool2`]: routes gradients to the argmax positions.
@@ -377,6 +469,32 @@ fn nearest_source(dst: usize, dst_len: usize, src_len: usize) -> usize {
     (dst * src_len / dst_len).min(src_len - 1)
 }
 
+/// The inference forward's buffers, kept across the images of one call:
+/// both convs' packed lane weights and the current image's conv-1
+/// (channels-last), pooled (channels-first) and conv-2 (channels-last)
+/// volumes.
+#[derive(Default)]
+struct InferScratch {
+    w1: Vec<[f32; LANES]>,
+    w2: Vec<[f32; LANES]>,
+    a1: Vec<f32>,
+    p1: Vec<f32>,
+    a2: Vec<f32>,
+}
+
+/// For each pixel of a `size x size` map in row-major order, the pixel
+/// `row * w + col` of an `h x w` map that nearest-neighbour upsampling
+/// ([`upsample_nearest`]) reads for it.
+fn upsample_sources(size: usize, (h, w): (usize, usize)) -> Vec<usize> {
+    let cols: Vec<usize> = (0..size).map(|x| nearest_source(x, size, w)).collect();
+    (0..size)
+        .flat_map(|y| {
+            let row = nearest_source(y, size, h) * w;
+            cols.iter().map(move |&col| row + col)
+        })
+        .collect()
+}
+
 /// A small two-conv-block CNN classifier over `C x S x S` images.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SmallCnn {
@@ -401,8 +519,8 @@ impl SmallCnn {
         seed: u64,
     ) -> Self {
         assert!(
-            input_size.is_multiple_of(4),
-            "input must be divisible by 4 (two pools)"
+            input_size >= 4 && input_size.is_multiple_of(4),
+            "input size {input_size} must be a positive multiple of 4 (two pools)"
         );
         let mut rng = init::seeded_rng(seed);
         let feat = c2 * (input_size / 4) * (input_size / 4);
@@ -420,19 +538,46 @@ impl SmallCnn {
         self.conv2.out_channels()
     }
 
+    /// Buffers for [`Self::unit_volume`], with both convs' weights packed.
+    fn scratch(&self) -> InferScratch {
+        let mut s = InferScratch::default();
+        self.conv1.pack_lanes(&mut s.w1);
+        self.conv2.pack_lanes(&mut s.w2);
+        s
+    }
+
     /// Post-ReLU activations of the second conv layer at its own
-    /// resolution (inference forward).
-    fn unit_volume(&self, img: &Tensor3) -> Tensor3 {
-        let p1 = maxpool2_infer(&self.conv1.forward_infer(img));
-        self.conv2.forward_infer(&p1)
+    /// resolution (inference forward): leaves the `h x w x units`
+    /// channels-last volume in `s.a2` and returns `(h, w)`.
+    fn unit_volume(&self, img: &Tensor3, s: &mut InferScratch) -> (usize, usize) {
+        assert_eq!(img.c, self.conv1.in_ch, "conv input channels");
+        let (h, w) = (img.h / 2, img.w / 2);
+        assert!(
+            h > 0 && w > 0,
+            "a {}x{}x{} image pools to an empty {h}x{w} map (unit maps need at least 2x2 pixels)",
+            img.c,
+            img.h,
+            img.w
+        );
+        let c1 = self.conv1.out_ch;
+        self.conv1
+            .forward_infer(&img.data, (img.h, img.w), &s.w1, &mut s.a1);
+        maxpool2_infer(&s.a1, (img.h, img.w, c1), &mut s.p1);
+        self.conv2.forward_infer(&s.p1, (h, w), &s.w2, &mut s.a2);
+        (h, w)
     }
 
     /// Post-ReLU activation maps of the second conv layer — the "units"
     /// NetDissect inspects — upsampled to the input resolution.
     pub fn unit_maps(&self, img: &Tensor3) -> Vec<Matrix> {
-        let a2 = self.unit_volume(img);
-        (0..a2.c)
-            .map(|c| upsample_nearest(&a2.channel(c), self.input_size, self.input_size))
+        let mut s = self.scratch();
+        let sources = upsample_sources(self.input_size, self.unit_volume(img, &mut s));
+        let units = self.units();
+        (0..units)
+            .map(|u| {
+                let map = sources.iter().map(|&p| s.a2[p * units + u]).collect();
+                Matrix::from_vec(self.input_size, self.input_size, map).expect("S x S map")
+            })
             .collect()
     }
 
@@ -441,24 +586,29 @@ impl SmallCnn {
     /// `y * S + x` receives the requested channels at that pixel (one
     /// record of a pixels-as-symbols behavior matrix).
     pub fn unit_pixels(&self, img: &Tensor3, unit_ids: &[usize], out: &mut [f32]) {
+        self.unit_pixels_batch(&[img], unit_ids, out);
+    }
+
+    /// [`Self::unit_pixels`] for several images into consecutive
+    /// `S² x unit_ids.len()` blocks of `out`, reusing one set of buffers.
+    pub fn unit_pixels_batch(&self, imgs: &[&Tensor3], unit_ids: &[usize], out: &mut [f32]) {
         let size = self.input_size;
-        assert_eq!(
-            out.len(),
-            size * size * unit_ids.len(),
-            "unit_pixels output shape"
-        );
-        if unit_ids.is_empty() {
+        let block = size * size * unit_ids.len();
+        assert_eq!(out.len(), imgs.len() * block, "unit_pixels output shape");
+        if block == 0 {
             return;
         }
-        let a2 = self.unit_volume(img);
-        let mut rows = out.chunks_exact_mut(unit_ids.len());
-        for y in 0..size {
-            let sy = nearest_source(y, size, a2.h);
-            for x in 0..size {
-                let sx = nearest_source(x, size, a2.w);
-                let dst = rows.next().expect("S² rows");
+        let units = self.units();
+        let mut s = self.scratch();
+        for (img, out) in imgs.iter().zip(out.chunks_exact_mut(block)) {
+            let sources = upsample_sources(size, self.unit_volume(img, &mut s));
+            for (p, dst) in sources
+                .into_iter()
+                .zip(out.chunks_exact_mut(unit_ids.len()))
+            {
+                let src = &s.a2[p * units..][..units];
                 for (d, &u) in dst.iter_mut().zip(unit_ids) {
-                    *d = a2.get(u, sy, sx);
+                    *d = src[u];
                 }
             }
         }
@@ -524,7 +674,7 @@ impl SmallCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parity::{bits, plant, SPECIAL_WEIGHTS};
+    use crate::parity::{bits, SPECIAL_WEIGHTS};
     use deepbase_tensor::init::seeded_rng;
 
     #[test]
@@ -673,64 +823,147 @@ mod tests {
             .collect()
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+    /// The values planted into weights, biases and pixels: the shared
+    /// [`SPECIAL_WEIGHTS`] plus the non-finite ones. ReLU maps every NaN
+    /// to `+0.0`, so no NaN payload ever reaches an output.
+    fn specials() -> Vec<f32> {
+        let non_finite = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        SPECIAL_WEIGHTS.iter().copied().chain(non_finite).collect()
+    }
 
-        /// Parity is the contract, one for all three families: conv +
-        /// ReLU agree bit for bit at every shape, including ones where
-        /// every pixel is a border pixel.
+    const N_SPECIALS: usize = SPECIAL_WEIGHTS.len() + 3;
+
+    /// Overwrites entries of `values` with [`specials`]: `(position, which)`.
+    fn plant_any(values: &mut [f32], picks: &[(usize, usize)]) {
+        if values.is_empty() {
+            return;
+        }
+        let (specials, len) = (specials(), values.len());
+        for &(pos, which) in picks {
+            values[pos % len] = specials[which];
+        }
+    }
+
+    /// `v` (`c x h x w`) channels-last.
+    fn to_hwc(v: &Tensor3) -> Vec<f32> {
+        let mut out = Vec::with_capacity(v.data.len());
+        for y in 0..v.h {
+            for x in 0..v.w {
+                out.extend((0..v.c).map(|c| v.get(c, y, x)));
+            }
+        }
+        out
+    }
+
+    /// Up to 15 `(position, which)` picks for [`plant_any`].
+    fn picks() -> impl proptest::strategy::Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0usize..10_000, 0usize..N_SPECIALS), 0..16)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Parity is the contract, one for all three families: the
+        /// channels-last kernel and the training forward + ReLU agree bit
+        /// for bit — one lane group, several, and partial ones; at every
+        /// shape down to the ones where no pixel is interior (1xN, Nx1,
+        /// 2x2) or where a row holds a partial tile.
         #[test]
         fn conv_inference_is_the_training_forward_plus_relu(
             seed in 0u64..10_000,
-            in_ch in 1usize..4,
-            out_ch in 1usize..4,
-            h in 0usize..8,
-            w in 0usize..8,
-            specials in proptest::collection::vec((0usize..10_000, 0usize..SPECIAL_WEIGHTS.len()), 0..16),
+            in_ch in 1usize..=5,
+            out_ch in 1usize..=17,
+            h in 0usize..=9,
+            w in 0usize..=9,
+            weight_picks in picks(),
+            bias_picks in picks(),
+            pixel_picks in picks(),
         ) {
             let mut rng = seeded_rng(seed);
             let mut conv = Conv2d::new(in_ch, out_ch, &mut rng);
-            plant(&mut conv.w, &specials);
-            plant(&mut conv.b, &specials[..specials.len().min(2)]);
-            let img = Tensor3::from_fn(in_ch, h, w, |_, _, _| {
+            plant_any(conv.w.as_mut_slice(), &weight_picks);
+            plant_any(conv.b.as_mut_slice(), &bias_picks[..bias_picks.len().min(4)]);
+            let mut img = Tensor3::from_fn(in_ch, h, w, |_, _, _| {
                 let v: f32 = rng.gen_range(-1.0..1.0);
                 // A fifth of the pixels are exact (signed) zeros.
                 if v.abs() < 0.2 { v * 0.0 } else { v }
             });
+            plant_any(&mut img.data, &pixel_picks);
+            let mut packed = Vec::new();
+            conv.pack_lanes(&mut packed);
+            let mut got = vec![f32::NAN; 3];
+            conv.forward_infer(&img.data, (h, w), &packed, &mut got);
             let (expected, _) = relu_volume(&conv.forward(&img));
-            let got = conv.forward_infer(&img);
-            proptest::prop_assert_eq!((got.c, got.h, got.w), (out_ch, h, w));
-            proptest::prop_assert_eq!(bits(got.as_slice()), bits(expected.as_slice()));
+            proptest::prop_assert_eq!(bits(&got), bits(&to_hwc(&expected)));
         }
 
-        /// The whole extraction path, at image sides where the pool
-        /// floors (odd) and down to 2x2; `unit_pixels` is the same maps
-        /// pixel-major, restricted to the requested channels.
+        /// The whole extraction path for conv widths that are not
+        /// multiples of the lane group, at image shapes where the pool
+        /// floors (odd), non-square ones and down to 2x2; `unit_pixels`
+        /// is the same maps pixel-major, restricted to the requested
+        /// channels, and `unit_pixels_batch` is `unit_pixels` per image.
         #[test]
         fn unit_maps_and_unit_pixels_are_the_training_forward(
             seed in 0u64..10_000,
-            side in 2usize..12,
+            widths in (0usize..3, 0usize..3),
+            h in 2usize..12,
+            w in 2usize..12,
             unit_picks in proptest::collection::vec(0usize..100, 0..7),
-            specials in proptest::collection::vec((0usize..10_000, 0usize..SPECIAL_WEIGHTS.len()), 0..16),
+            weight_picks in picks(),
+            pixel_picks in picks(),
         ) {
-            let mut cnn = SmallCnn::new(2, 8, 3, 5, 2, seed);
-            plant(&mut cnn.conv1.w, &specials);
-            plant(&mut cnn.conv2.w, &specials);
+            let (c1, c2) = ([1, 6, 9][widths.0], [1, 8, 13][widths.1]);
+            let mut cnn = SmallCnn::new(2, 8, c1, c2, 2, seed);
+            for values in [&mut cnn.conv1.w, &mut cnn.conv1.b, &mut cnn.conv2.w, &mut cnn.conv2.b] {
+                plant_any(values.as_mut_slice(), &weight_picks);
+            }
             let mut rng = seeded_rng(seed ^ 0x5eed);
-            let img = Tensor3::from_fn(2, side, side, |_, _, _| rng.gen_range(-1.0..1.0));
+            let mut img = Tensor3::from_fn(2, h, w, |_, _, _| rng.gen_range(-1.0..1.0));
+            plant_any(&mut img.data, &pixel_picks);
             let expected = training_unit_maps(&cnn, &img);
             let maps = cnn.unit_maps(&img);
-            proptest::prop_assert_eq!(maps.len(), expected.len());
+            proptest::prop_assert_eq!(maps.len(), c2);
             for (got, want) in maps.iter().zip(&expected) {
                 proptest::prop_assert_eq!(got.shape(), (8, 8));
                 proptest::prop_assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
             }
-            let unit_ids: Vec<usize> = unit_picks.iter().map(|u| u % 5).collect();
+            let unit_ids: Vec<usize> = unit_picks.iter().map(|u| u % c2).collect();
             let mut pixels = vec![f32::NAN; 64 * unit_ids.len()];
             cnn.unit_pixels(&img, &unit_ids, &mut pixels);
             for (p, row) in pixels.chunks(unit_ids.len().max(1)).enumerate() {
                 let want: Vec<f32> = unit_ids.iter().map(|&u| expected[u].as_slice()[p]).collect();
                 proptest::prop_assert_eq!(bits(row), bits(&want), "pixel {}", p);
+            }
+            let blank = Tensor3::zeros(2, 4, 4);
+            let mut batch = vec![f32::NAN; 3 * pixels.len()];
+            cnn.unit_pixels_batch(&[&img, &blank, &img], &unit_ids, &mut batch);
+            let mut blank_pixels = vec![f32::NAN; pixels.len()];
+            cnn.unit_pixels(&blank, &unit_ids, &mut blank_pixels);
+            let want: Vec<f32> = [&pixels[..], &blank_pixels, &pixels].concat();
+            proptest::prop_assert_eq!(bits(&batch), bits(&want));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "input size 0 must be a positive multiple of 4")]
+    fn a_zero_input_size_is_refused() {
+        SmallCnn::new(1, 0, 2, 2, 2, 1);
+    }
+
+    #[test]
+    fn images_under_two_pixels_a_side_are_refused_naming_their_shape() {
+        let cnn = SmallCnn::new(1, 8, 3, 5, 2, 4);
+        for (h, w) in [(0, 0), (1, 1), (1, 8), (8, 1), (0, 8)] {
+            let img = Tensor3::zeros(1, h, w);
+            let want = format!("a 1x{h}x{w} image pools to an empty");
+            let maps = std::panic::catch_unwind(|| cnn.unit_maps(&img));
+            let pixels = std::panic::catch_unwind(|| cnn.unit_pixels(&img, &[0], &mut [0.0; 64]));
+            for payload in [maps.err(), pixels.err()] {
+                let payload = payload.expect("refused");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .expect("a formatted message");
+                assert!(msg.contains(&want), "{msg}");
             }
         }
     }

@@ -21,16 +21,19 @@
 //! ([`Lstm::forward`], [`CharLstmModel::run`], `Conv2d::forward` +
 //! `relu_volume` + `maxpool2`) retains what its backward pass consumes and
 //! serves `train_*` and the prediction heads. The *inference* forward
-//! ([`Lstm::forward_infer`], `Conv2d::forward_infer`) retains nothing and
-//! serves every extraction entry point —
+//! ([`Lstm::forward_infer`]; for the CNN, one private channels-last conv
+//! kernel that accumulates eight output channels per register tile, see
+//! [`conv`]) retains nothing and serves every extraction entry point —
 //! [`CharLstmModel::extract_activations`] / [`CharLstmModel::extract_units`],
 //! [`Seq2Seq::encoder_activations`] / [`Seq2Seq::encoder_activations_all`],
-//! [`SmallCnn::unit_maps`] / [`SmallCnn::unit_pixels`]. The two agree bit
-//! for bit (same operations, same order, per element): the behavior store
-//! keys columns by a model's weights, so a column written by either must
-//! be readable as the other's output. The parity proptests in
-//! `tests/proptests.rs` and in the `seq2seq` / `conv` module tests are that
-//! contract; run them with `--release` too.
+//! [`SmallCnn::unit_maps`] / [`SmallCnn::unit_pixels`] /
+//! [`SmallCnn::unit_pixels_batch`]. The two agree bit for bit (same
+//! operations, same order, per element — the layout and the grouping of
+//! the work may differ, the sequence of additions into each output may
+//! not): the behavior store keys columns by a model's weights, so a column
+//! written by either must be readable as the other's output. The parity
+//! proptests in `tests/proptests.rs` and in the `seq2seq` / `conv` module
+//! tests are that contract; run them with `--release` too.
 //!
 //! Every layer's backward pass is verified against finite differences in
 //! its module tests; training loops are deterministic given a seed.
