@@ -15,8 +15,9 @@
 //!   parameters are independent);
 //! * the buffered measures (`jaccard`, `mutual_info`, `group_mi`) keep the
 //!   capped unit sample **once**, next to one column per hypothesis, and
-//!   derive the per-unit half of a score — the Jaccard threshold, the MI
-//!   bin assignment — once per unit instead of once per pair.
+//!   derive the per-unit half of a score — the Jaccard threshold and
+//!   bitset, the MI bin assignment — once per unit instead of once per
+//!   pair.
 //!
 //! The other measures (`corr`, `diff_means`, the baselines) score one
 //! hypothesis per state, so each pair stops early on its own.
@@ -468,8 +469,10 @@ impl BufferedScore {
 /// of it: the first `max_buffer` rows of the stream, column-major — each
 /// unit's buffer held **once**, next to one buffer per hypothesis — so
 /// memory is `(units + hypotheses) × sample` and whatever a score derives
-/// from a unit alone (its Jaccard threshold, its MI bin assignment) is
-/// derived once and reused across the hypotheses.
+/// from a unit alone (its MI bin assignment; for Jaccard, its quantile
+/// threshold and the bitset of values above it) is derived once and
+/// reused across the hypotheses. Jaccard also packs each hypothesis mask
+/// into a bitset once, so every (unit, hypothesis) pair is a popcount.
 struct BufferedSample {
     unit_buffers: Vec<Vec<f32>>,
     hyp_buffers: Vec<Vec<f32>>,
@@ -563,12 +566,13 @@ impl MeasureState for BufferedSample {
         let best = |scores: &[f32]| scores.iter().copied().fold(0.0, f32::max);
         match self.score {
             BufferedScore::Jaccard(q) => {
-                let thresholds: Vec<f32> = (self.unit_buffers.iter())
-                    .map(|buf| quantile::quantile(buf, q))
+                let unit_bits: Vec<Vec<u64>> = (self.unit_buffers.iter())
+                    .map(|buf| descriptive::above_bits(buf, quantile::quantile(buf, q)))
                     .collect();
                 let score_mask = |mask: &Vec<f32>| {
-                    let unit_scores: Vec<f32> = (self.unit_buffers.iter().zip(&thresholds))
-                        .map(|(buf, &t)| descriptive::jaccard_above(buf, mask, t))
+                    let mask_bits = descriptive::above_bits(mask, 0.5);
+                    let unit_scores: Vec<f32> = (unit_bits.iter())
+                        .map(|unit| descriptive::jaccard_bits(unit, &mask_bits))
                         .collect();
                     let group_score = best(&unit_scores);
                     (unit_scores, group_score)

@@ -71,15 +71,11 @@ fn fold_table(hash: &mut FpHasher, table: &Table) {
     }
 }
 
-#[test]
-fn the_cnn_jaccard_fixture_scores_the_golden_bits() {
-    // perfbench checks every answer against a reference computed by the
-    // same binary, so a forward that drifted would agree with itself
-    // there; these hashes were taken on the row-wise conv kernel (the
-    // parent of the channels-last one) and compare across binaries.
-    let (cnn, images) = fixture();
-    let mut session = bare(&catalog(cnn, &images, &images, &images), &inspection());
-    let table = session.run(Q).expect("inspection runs");
+/// The fingerprint of the fixture's score table under `query`, through a
+/// bare session.
+fn score_hash(cnn: &'static SmallCnn, images: &[ShapeImage], query: &str) -> u64 {
+    let mut session = bare(&catalog(cnn, images, images, images), &inspection());
+    let table = session.run(query).expect("inspection runs");
     assert_eq!(table.len(), 8 * vision::CONCEPTS.len());
     let positive = (0..table.len())
         .filter(|&r| table.value(r, "s_unit_score").and_then(|v| v.as_f32()) > Some(0.0))
@@ -90,6 +86,17 @@ fn the_cnn_jaccard_fixture_scores_the_golden_bits() {
     );
     let mut scores = FpHasher::new();
     fold_table(&mut scores, &table);
+    scores.finish()
+}
+
+#[test]
+fn the_cnn_jaccard_fixture_scores_the_golden_bits() {
+    // perfbench checks every answer against a reference computed by the
+    // same binary, so a forward that drifted would agree with itself
+    // there; these hashes were taken on the row-wise conv kernel (the
+    // parent of the channels-last one) and compare across binaries.
+    let (cnn, images) = fixture();
+    let scores = score_hash(cnn, &images, Q);
 
     let unit_ids = [7, 0, 5, 2, 2];
     let mut pixels = FpHasher::new();
@@ -102,9 +109,22 @@ fn the_cnn_jaccard_fixture_scores_the_golden_bits() {
         }
     }
     assert_eq!(
-        (scores.finish(), pixels.finish()),
+        (scores, pixels.finish()),
         (0x3447_a068_2354_a7b6, 0xac7c_3903_5c7c_47e5),
         "golden fingerprints of the jaccard scores and the unit pixels / maps"
+    );
+}
+
+#[test]
+fn the_cnn_jaccard_q95_fixture_scores_the_golden_bits() {
+    // q 0.95 is the quantile whose pre-filter keeps the most candidates
+    // (≈ 7% of a unit's sample); the hash was taken on the parent of the
+    // bitset Jaccard and the pivot selection.
+    let (cnn, images) = fixture();
+    let hash = score_hash(cnn, &images, &Q.replace("jaccard", "jaccard_q95"));
+    assert_eq!(
+        hash, 0x1594_df6b_9c36_6314,
+        "golden fingerprint of the jaccard_q95 scores: {hash:#x}"
     );
 }
 

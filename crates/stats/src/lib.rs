@@ -11,10 +11,12 @@
 //!   Fisher-transform confidence intervals (the early-stopping criterion).
 //! * [`mi`] — binned mutual information, univariate and multivariate, on
 //!   dense joint tables over pre-binned columns.
-//! * [`quantile`] — exact (by selection) and P² streaming quantiles,
-//!   one-sort quantile binning (NetDissect-style thresholds).
-//! * [`descriptive`] — difference of means, Jaccard/IoU, silhouette score
-//!   (the §4.4 verification statistic).
+//! * [`quantile`] — exact (by pivot-prefiltered selection) and P²
+//!   streaming quantiles, one-sort quantile binning (NetDissect-style
+//!   thresholds).
+//! * [`descriptive`] — difference of means, Jaccard/IoU as a popcount over
+//!   thresholded bitsets, silhouette score (the §4.4 verification
+//!   statistic).
 //! * [`classify`] — precision/recall/F1/accuracy metrics.
 //! * [`logreg`] — single-, multi-output (merged) and softmax logistic
 //!   regression probes with Adam, L1/L2 and incremental `process_block`
