@@ -6,7 +6,7 @@
 //! Paper shape to reproduce: DeepBase ≪ PyBase ≪ MADLib for both measures,
 //! with the gap widening along every sweep axis. Absolute ratios differ
 //! from the paper's 72×/419× because our "PyBase" is compiled Rust rather
-//! than interpreted Python (see the `deepbase::engine` module docs, *Device →
+//! than interpreted Python (see the engine module docs in `crates/core/src/engine.rs`, *Device →
 //! runtime mapping*, for the matching GPU substitution).
 
 use deepbase::prelude::*;

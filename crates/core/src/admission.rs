@@ -90,7 +90,7 @@ impl AdmissionScheduler {
 
     /// The budgets this scheduler enforces (also the per-plan splitting
     /// config of every session bound to it).
-    pub fn admission(&self) -> AdmissionConfig {
+    pub(crate) fn admission(&self) -> AdmissionConfig {
         self.admission
     }
 
@@ -103,7 +103,7 @@ impl AdmissionScheduler {
     /// `extract_width` stream columns and `scan_width` scanned columns
     /// until dropped. Charges are clamped to the budget so an
     /// unsplittable over-wide wave runs exclusively instead of never.
-    pub fn acquire(&self, extract_width: usize, scan_width: usize) -> AdmissionPermit<'_> {
+    pub(crate) fn acquire(&self, extract_width: usize, scan_width: usize) -> AdmissionPermit<'_> {
         let stream = match self.admission.max_stream_width {
             Some(b) => extract_width.min(b),
             None => extract_width,
@@ -156,7 +156,7 @@ impl AdmissionScheduler {
 /// RAII admission grant: the charged widths return to the budget (and
 /// waiters re-check) when this drops — normally at the end of one engine
 /// pass.
-pub struct AdmissionPermit<'a> {
+pub(crate) struct AdmissionPermit<'a> {
     scheduler: &'a AdmissionScheduler,
     stream: usize,
     scan: usize,

@@ -28,7 +28,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Counter movement since an earlier snapshot (used for per-batch
     /// deltas of a long-lived session cache).
-    pub fn delta_since(&self, before: &CacheStats) -> CacheStats {
+    pub(crate) fn delta_since(&self, before: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - before.hits,
             misses: self.misses - before.misses,
@@ -72,7 +72,7 @@ impl HypothesisCache {
 
     /// Fetches the behavior of one hypothesis on one record, running
     /// `compute` on a miss. Failed computations are not cached.
-    pub fn get_or_compute<E>(
+    pub(crate) fn get_or_compute<E>(
         &self,
         dataset_id: &str,
         hyp_id: &str,
@@ -137,16 +137,16 @@ impl HypothesisCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Bytes currently pinned.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes currently pinned.
+    fn bytes(cache: &HypothesisCache) -> usize {
+        cache.inner.lock().bytes
+    }
 
     fn ok(v: Vec<f32>) -> Result<Vec<f32>, std::convert::Infallible> {
         Ok(v)
@@ -252,7 +252,7 @@ mod tests {
         });
         assert_eq!(cache.len(), 1);
         assert_eq!(
-            cache.bytes(),
+            bytes(&cache),
             64 * std::mem::size_of::<f32>(),
             "bytes must match the single cached entry"
         );
@@ -274,9 +274,9 @@ mod tests {
                 .unwrap();
             // The budget is enforced after every insert, not eventually.
             assert!(
-                cache.bytes() <= 4 * entry_bytes,
+                bytes(&cache) <= 4 * entry_bytes,
                 "bytes {} over budget after insert {i}",
-                cache.bytes()
+                bytes(&cache)
             );
         }
         let stats = cache.stats();
@@ -289,7 +289,7 @@ mod tests {
             "every miss beyond capacity evicted exactly one entry"
         );
         assert_eq!(
-            cache.bytes(),
+            bytes(&cache),
             cache.len() * entry_bytes,
             "bytes() equals the sum of resident entries"
         );
@@ -328,7 +328,7 @@ mod tests {
                             .get_or_compute("d", "h", t * 16 + i, || ok(vec![t as f32; 8]))
                             .unwrap();
                         assert_eq!(v.len(), 8);
-                        assert!(cache.bytes() <= budget, "over budget mid-race");
+                        assert!(bytes(&cache) <= budget, "over budget mid-race");
                     }
                 });
             }
@@ -346,7 +346,7 @@ mod tests {
         );
         assert!(cache.len() <= 6);
         assert!(!cache.is_empty());
-        assert_eq!(cache.bytes(), cache.len() * entry_bytes);
+        assert_eq!(bytes(&cache), cache.len() * entry_bytes);
         assert_eq!(stats.evictions, stats.misses - cache.len());
     }
 
@@ -371,6 +371,6 @@ mod tests {
         cache
             .get_or_compute("d", "h", 0, || ok(vec![0.0; 100]))
             .unwrap();
-        assert_eq!(cache.bytes(), 400);
+        assert_eq!(bytes(&cache), 400);
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! * [`Device::SingleCore`] executes everything inline on the calling
 //!   thread — the pool is untouched.
-//! * [`Device::Parallel(n)`] splits work into `n` deterministic chunks
+//! * [`Device::Parallel`]`(n)` splits work into `n` deterministic chunks
 //!   (record blocks in [`Extractor`] extraction, hypothesis-list ranges in
 //!   the independent-measure fan-out, output-row panels inside
 //!   `Matrix::matmul_parallel`) and dispatches the chunks onto the global
@@ -451,7 +451,7 @@ fn validate_request(req: &InspectionRequest<'_>) -> Result<(), DniError> {
 ///
 /// A configured [`RunBudget`] applies: an interrupted run degrades
 /// gracefully (the frame holds the current estimates; use
-/// [`inspect_shared`] to also observe the [`Completion`] tag).
+/// [`inspect_shared`] to also observe the `Completion` tag).
 pub fn inspect(
     req: &InspectionRequest<'_>,
     config: &InspectionConfig,
@@ -1469,11 +1469,17 @@ impl PassLayout<'_> {
     ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
         // A fold point is only worth storing complete: an interrupted pass
         // has partial states that would poison every later refresh, so
-        // capture refuses it with a typed error instead of persisting it.
-        if capture_states && folded.interrupted.is_some() {
-            return Err(DniError::DeadlineExceeded(
-                "view materialization needs a complete pass; the run budget interrupted it".into(),
-            ));
+        // capture refuses it with a typed error instead of persisting it —
+        // `Cancelled` when the budget's token stopped it, `DeadlineExceeded`
+        // for the deadline and the row / block caps.
+        if let Some(status) = folded.interrupted.filter(|_| capture_states) {
+            return Err(match status {
+                CompletionStatus::Cancelled => DniError::Cancelled,
+                _ => DniError::DeadlineExceeded(
+                    "view materialization needs a complete pass; the run budget interrupted it"
+                        .into(),
+                ),
+            });
         }
         // One walk over the unique pairs. A pair whose convergence error
         // never met its epsilon is listed as pending — also after a

@@ -4,10 +4,8 @@ use std::fmt;
 
 /// Errors surfaced by DeepBase operations.
 ///
-/// Marked `#[non_exhaustive]`: the set grows as the pipeline hardens
-/// (this revision added [`DniError::DeadlineExceeded`],
-/// [`DniError::Cancelled`] and [`DniError::Internal`]) and future
-/// variants must not be semver-breaking for downstream matchers.
+/// Marked `#[non_exhaustive]`: the set grows as the pipeline hardens, and
+/// future variants must not be semver-breaking for downstream matchers.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DniError {
@@ -44,7 +42,9 @@ pub enum DniError {
     /// gracefully instead of raising this; only a view build, which needs
     /// a complete pass, surfaces it as an error.
     DeadlineExceeded(String),
-    /// The run was cancelled through a [`crate::engine::CancelToken`].
+    /// The run was cancelled through a [`CancelToken`](crate::prelude::CancelToken).
+    /// As with [`DniError::DeadlineExceeded`], an INSPECT degrades
+    /// gracefully instead; a view build or refresh raises this.
     Cancelled,
     /// A worker panicked; the panic was contained at the extraction-group
     /// boundary and its original payload is carried here verbatim. One

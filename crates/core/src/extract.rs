@@ -8,7 +8,7 @@
 //! "read behaviors from files" path).
 
 use crate::error::DniError;
-use crate::model::{Dataset, Record};
+use crate::model::Record;
 use deepbase_nn::{CharLstmModel, Seq2Seq};
 use deepbase_store::FpHasher;
 use deepbase_tensor::Matrix;
@@ -230,12 +230,6 @@ impl Extractor for CountingExtractor {
     }
 }
 
-/// Extracts behaviors for an entire dataset in one call.
-pub fn extract_all(extractor: &dyn Extractor, dataset: &Dataset, unit_ids: &[usize]) -> Matrix {
-    let refs: Vec<&Record> = dataset.records.iter().collect();
-    extractor.extract(&refs, unit_ids)
-}
-
 /// Column demultiplexer for shared extraction passes.
 ///
 /// The batch scheduler extracts the *union* of all unit columns that any
@@ -246,7 +240,7 @@ pub fn extract_all(extractor: &dyn Extractor, dataset: &Dataset, unit_ids: &[usi
 /// each runs the whole forward pass and only then selects columns — so
 /// the demuxed matrix is bit-identical to a direct extraction.
 #[derive(Debug)]
-pub struct ColumnDemux {
+pub(crate) struct ColumnDemux {
     cols: Vec<usize>,
 }
 
@@ -258,7 +252,7 @@ impl ColumnDemux {
     /// the very groups it demuxes, so a miss means the caller handed a
     /// non-superset union and gets a [`DniError::Query`] instead of an
     /// aborted process.
-    pub fn new(union_units: &[usize], wanted: &[usize]) -> Result<ColumnDemux, DniError> {
+    pub(crate) fn new(union_units: &[usize], wanted: &[usize]) -> Result<ColumnDemux, DniError> {
         debug_assert!(
             union_units.windows(2).all(|w| w[0] < w[1]),
             "extraction union must be sorted and deduplicated"
@@ -274,19 +268,14 @@ impl ColumnDemux {
         Ok(ColumnDemux { cols })
     }
 
-    /// Number of demuxed columns.
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
     /// True when this demux selects every column of a `union_width`-wide
     /// union in order — i.e. applying it would just copy the matrix.
-    pub fn is_identity(&self, union_width: usize) -> bool {
+    pub(crate) fn is_identity(&self, union_width: usize) -> bool {
         self.cols.len() == union_width && self.cols.iter().enumerate().all(|(i, &c)| i == c)
     }
 
     /// Selects this demux's columns out of a union behavior matrix.
-    pub fn apply(&self, union: &Matrix) -> Matrix {
+    pub(crate) fn apply(&self, union: &Matrix) -> Matrix {
         select_columns(union, &self.cols)
     }
 }
@@ -377,7 +366,7 @@ mod tests {
         let union_units = vec![0, 2, 3, 4];
         let union = ext.extract(&refs, &union_units);
         let demux = ColumnDemux::new(&union_units, &[4, 2]).unwrap();
-        assert_eq!(demux.width(), 2);
+        assert_eq!(demux.cols.len(), 2);
         let sliced = demux.apply(&union);
         let direct = ext.extract(&refs, &[4, 2]);
         assert_eq!(sliced.shape(), direct.shape());
@@ -396,15 +385,6 @@ mod tests {
         // A partially covered request errors too (no silent truncation).
         assert!(ColumnDemux::new(&[0, 1, 5], &[1, 4]).is_err());
         // And the superset case still succeeds.
-        assert_eq!(ColumnDemux::new(&[0, 1, 5], &[5, 0]).unwrap().width(), 2);
-    }
-
-    #[test]
-    fn extract_all_covers_dataset() {
-        let model = CharLstmModel::new(3, 4, OutputMode::LastStep, 3);
-        let ext = CharModelExtractor::new(&model);
-        let ds = Dataset::new("d", 5, records(3, 5)).unwrap();
-        let m = extract_all(&ext, &ds, &[0, 1, 2, 3]);
-        assert_eq!(m.shape(), (15, 4));
+        assert_eq!(ColumnDemux::new(&[0, 1, 5], &[5, 0]).unwrap().cols.len(), 2);
     }
 }

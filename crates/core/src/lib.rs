@@ -76,7 +76,7 @@
 //! persisted as a *partial column* — the valid records densely packed
 //! with a completed-record **watermark** and a checksummed coverage
 //! bitmap (`crates/store/src/format.rs`). The optimizer's per-segment
-//! [`prelude::ScanPlan`] lists partials beside complete hits, and the
+//! [`ScanPlan`](deepbase_store::ScanPlan) lists partials beside complete hits, and the
 //! store's `ColumnPass` scans each streamed block from the stored prefix
 //! until it runs past the watermark, asking the engine to extract live
 //! exactly from there — a warm re-run of a previously
@@ -110,7 +110,7 @@
 //! persisted access stamp kept outside every checksum, so in-place
 //! stamp bumps cannot corrupt a file) until under budget, skipping
 //! columns with pages pinned by concurrent scans; a later lookup of an
-//! evicted column fails typed ([`prelude::StoreError::Evicted`]) and
+//! evicted column fails typed ([`StoreError::Evicted`](deepbase_store::StoreError::Evicted)) and
 //! falls back to live extraction — re-materializing, never
 //! quarantining. [`prelude::StoreStats`] reports `blocks_pruned`,
 //! raw-vs-stored bytes written, and eviction counts.
@@ -163,11 +163,11 @@
 //! case, so every unsegmented caller behaves bit-identically.
 //!
 //! Execution follows the segment map, through the engine's **one
-//! streaming pass** (see [`engine`], *One streaming pass*): one shuffled
+//! streaming pass** (see the `engine` module, *One streaming pass*): one shuffled
 //! stream per segment (segment 0 keeps the session seed, later ones hash
 //! `(seed, segment index)`), per-segment measure states folded in
 //! canonical segment order by exact merging
-//! ([`measure::MeasureState::merge_from`], e.g. `StreamingPearson::merge`).
+//! (`MeasureState::merge_from`, e.g. `StreamingPearson::merge`).
 //! A one-segment dataset is the one-stream case of the same code. Only
 //! policy differs, and it is derived, never configured: with `full_pass =
 //! segment_count > 1 || a view needs the fold point`, a `!full_pass`
@@ -180,7 +180,7 @@
 //! keyed per **segment** fingerprint ([`model::Dataset::segment_fingerprint`]),
 //! and the scan-vs-extract decision is made per segment: a store-backed
 //! group carries one scan plan per segment in segment order
-//! ([`plan::GroupSource::Segments`]; an unsegmented dataset is the
+//! (`GroupSource::Segments`; an unsegmented dataset is the
 //! one-element list), each executed by the store's `ColumnPass` inside
 //! that segment's stream. Appending records
 //! ([`session::Session::append_records`]) and re-running a query scans
@@ -213,11 +213,11 @@
 //!   same decision for plain INSPECT statements over multi-segment
 //!   datasets (where a cold INSPECT is a full pass too; a one-segment
 //!   INSPECT may stop early, so it always runs live): a fresh match
-//!   short-circuits to [`plan::GroupSource::ViewReplay`] and `explain`
+//!   short-circuits to `GroupSource::ViewReplay` and `explain`
 //!   renders the `view: <name>, fresh` line.
 //! * **Dataset grew** — [`session::Session::refresh_view`] streams
 //!   **only the appended segments** and folds them into the stored
-//!   measure states ([`measure::MeasureState::merge_from`] over
+//!   measure states (`MeasureState::merge_from` over
 //!   states revived by [`measure::Measure::deserialize_state`], one stored
 //!   blob per hypothesis whatever list the pass runs). Because per-segment streams are seeded by
 //!   true segment index and a view pass is always a full pass, the
@@ -247,11 +247,11 @@
 //! path (a deadline-interrupted pass is indistinguishable from an
 //! early-stopped one; the next warm run resumes at the watermark and
 //! does strictly fewer forward passes), and returns the current score
-//! estimates tagged with a [`result::Completion`] — status
+//! estimates tagged with a `Completion` — status
 //! ([`result::CompletionStatus`]: `Converged` / `DeadlineExceeded` /
 //! `Cancelled` / `BudgetExhausted`), rows read, and the per-pair
 //! convergence error of everything still pending — carried per pass in
-//! [`engine::SharedOutcome`], per wave in [`plan::GroupReport`] and
+//! `SharedOutcome`, per wave in `GroupReport` and
 //! batch-wide in [`plan::BatchReport::completion`]. Interrupted frames
 //! are valid partial answers but never seed the session score cache.
 //! The paper's baselines ([`engine::inspect_as`]) have no partial answer
@@ -326,53 +326,54 @@
 //! gracefully and persist watermark-extending partial columns — then
 //! runs one final compaction sweep before the listener closes.
 //!
-//! Modules map to the paper:
+//! Modules map to the paper; the private ones export what callers use
+//! through the [`prelude`]:
 //!
-//! * [`model`] — the DNI problem model: datasets, records, unit groups,
+//! * `model` — the DNI problem model: datasets, records, unit groups,
 //!   hypothesis functions with execution-time validation (§3, §4.2).
-//! * [`extract`] — unit-behavior extractors for the NN substrate (§5.1.2).
-//! * [`measure`] — the standard measure library with incremental
+//! * `extract` — unit-behavior extractors for the NN substrate (§5.1.2).
+//! * `measure` — the standard measure library with incremental
 //!   `process_block` APIs and merged (multi-output) states (§4.3, §5.2).
-//! * [`engine`] — streaming extraction, early stopping, the parallel
+//! * `engine` — streaming extraction, early stopping, the parallel
 //!   device (§5): the one streaming pass (public face:
 //!   [`engine::inspect_shared`]) that every plan wave, view build and view
 //!   refresh executes through, and the PyBase / +MM / +MM+ES / MADLib
 //!   reference designs behind [`engine::inspect_as`].
-//! * [`cache`] — hypothesis-behavior LRU cache (§5.1.2, Fig. 9), shared
+//! * `cache` — hypothesis-behavior LRU cache (§5.1.2, Fig. 9), shared
 //!   across every batch of a session.
 //! * `deepbase-store` (re-exported essentials in the [`prelude`]) — the
 //!   persistent columnar behavior store: self-describing column files
 //!   (header + schema + zone maps + per-block checksums) scanned through
 //!   a CLOCK buffer pool with pinned pages.
-//! * [`result`] — the score frame and relational post-processing (§4.1).
+//! * `result` — the score frame and relational post-processing (§4.1).
 //! * [`verify`] — perturbation-based verification (§4.4, Appendix C).
 //! * [`query`] — the `INSPECT` SQL surface (Appendix B): catalog, lexer
 //!   and parser.
-//! * [`plan`] — the explicit pipeline: [`plan::bind`] →
+//! * `plan` — the explicit pipeline: [`plan::bind`] →
 //!   [`plan::LogicalPlan`] → [`plan::optimize_store`] →
-//!   [`plan::PhysicalPlan`] (shared-extraction grouping, dedup estimates,
+//!   `PhysicalPlan` (shared-extraction grouping, dedup estimates,
 //!   admission control, `explain`); built and explained here, executed
 //!   only by a session.
-//! * [`session`] — long-lived sessions, the one way to execute a
+//! * `session` — long-lived sessions, the one way to execute a
 //!   statement: prepared statements, the cross-batch plan cache, score
 //!   reuse, the hypothesis-cache decision, admission configuration.
-//! * [`admission`] — the process-wide fair-FIFO admission scheduler
+//! * `admission` — the process-wide fair-FIFO admission scheduler
 //!   concurrent sessions share (the serving path's global budgets).
 //! * [`vision`] — CNN inspection and the NetDissect pipeline (Appendix E).
 //! * [`workloads`] — the paper's evaluation workloads, shared by the
 //!   examples, integration tests and benchmark harnesses.
 
-pub mod admission;
-pub mod cache;
-pub mod engine;
-pub mod error;
-pub mod extract;
-pub mod measure;
-pub mod model;
-pub mod plan;
+mod admission;
+mod cache;
+mod engine;
+mod error;
+mod extract;
+mod measure;
+mod model;
+mod plan;
 pub mod query;
-pub mod result;
-pub mod session;
+mod result;
+mod session;
 pub mod verify;
 pub mod vision;
 pub mod workloads;
@@ -381,39 +382,34 @@ pub use error::DniError;
 
 /// Convenience re-exports covering the common API surface.
 pub mod prelude {
-    pub use crate::admission::{AdmissionPermit, AdmissionScheduler, SchedulerStats};
+    pub use crate::admission::{AdmissionScheduler, SchedulerStats};
     pub use crate::cache::{CacheStats, HypothesisCache};
     pub use crate::engine::{
         inspect, inspect_as, inspect_shared, CancelToken, Device, EngineKind, InspectionConfig,
-        InspectionRequest, Profile, RunBudget, SharedOutcome,
+        InspectionRequest, Profile, RunBudget,
     };
     pub use crate::error::DniError;
     pub use crate::extract::{
-        char_model_fingerprint, extract_all, CharModelExtractor, ColumnDemux, CountingExtractor,
-        Extractor, PrecomputedExtractor, Seq2SeqEncoderExtractor,
+        char_model_fingerprint, CharModelExtractor, CountingExtractor, Extractor,
+        PrecomputedExtractor, Seq2SeqEncoderExtractor,
     };
     pub use crate::measure::{
-        standard_library, CorrelationMeasure, DiffMeansMeasure, GroupMiMeasure, JaccardMeasure,
-        LogRegMeasure, MajorityBaselineMeasure, Measure, MeasureKind, MutualInfoMeasure,
-        RandomBaselineMeasure,
+        standard_library, CorrelationMeasure, JaccardMeasure, LogRegMeasure, Measure,
+        MutualInfoMeasure,
     };
     pub use crate::model::{
-        Dataset, FnHypothesis, HypothesisFn, ParseCache, ParseHypothesis, Record, SegmentInfo,
-        SegmentedDataset, UnitGroup,
+        Dataset, FnHypothesis, HypothesisFn, ParseCache, ParseHypothesis, Record, SegmentedDataset,
+        UnitGroup,
     };
     pub use crate::plan::{
         bind, freshness_label, optimize_store, AdmissionConfig, BatchOutput, BatchReport,
-        GroupReport, GroupSource, LogicalPlan, PhysicalPlan, PlanStats, StoreBinding, ViewNote,
+        LogicalPlan, PlanStats, StoreBinding,
     };
     pub use crate::query::{parse, Catalog};
-    pub use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, ScoreRow};
-    pub use crate::session::{
-        PreparedBatch, PreparedQuery, SegmentWatermark, Session, SessionConfig, SessionStats,
-        ViewInfo, ViewRefresh,
-    };
+    pub use crate::result::{CompletionStatus, ResultFrame, ScoreRow};
+    pub use crate::session::{SegmentWatermark, Session, SessionConfig, SessionStats, ViewRefresh};
     pub use deepbase_store::{
-        BehaviorStore, ColumnKey, CompactionReport, Coverage, FpHasher, MaterializationPolicy,
-        ScanPlan, StoreConfig, StoreError, StoreStats, ViewCatalog, ViewDoc, ViewFreshness,
-        ViewHypState, ViewRow, ERROR_RING_CAP,
+        BehaviorStore, ColumnKey, CompactionReport, FpHasher, MaterializationPolicy, StoreConfig,
+        StoreStats, ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ERROR_RING_CAP,
     };
 }

@@ -68,7 +68,7 @@ pub trait Measure: Send + Sync {
     fn default_epsilon(&self) -> f32;
 
     /// True when states of this measure can be combined across dataset
-    /// segments via [`MeasureState::merge_from`] with the same result as
+    /// segments via `MeasureState::merge_from` with the same result as
     /// one pass over the concatenated stream. Measures that cannot
     /// (order-dependent SGD probes like logistic regression) return
     /// `false`, and the planner rejects them on segmented datasets with a
@@ -78,7 +78,7 @@ pub trait Measure: Send + Sync {
     }
 
     /// Reconstructs a state over `per_hyp_blobs.len()` hypotheses from the
-    /// bytes [`MeasureState::serialize_state`] produced for each, in list
+    /// bytes `MeasureState::serialize_state` produced for each, in list
     /// order — the durable half of materialized views: a refresh revives
     /// the stored fold point and merges only new segments into it.
     /// Bit-exact: the revived state's scores and subsequent merges are
@@ -147,7 +147,13 @@ pub trait MeasureState: Send {
 /// drifted unit count, a short hypothesis column or a list of the wrong
 /// length would otherwise shorten or shuffle the sample silently — in
 /// release builds too, hence hard asserts.
-pub fn check_block(units: &Matrix, hyps: &[&[f32]], errs: &[f32], n_units: usize, n_hyps: usize) {
+pub(crate) fn check_block(
+    units: &Matrix,
+    hyps: &[&[f32]],
+    errs: &[f32],
+    n_units: usize,
+    n_hyps: usize,
+) {
     assert_eq!(units.cols(), n_units, "block unit-count mismatch");
     assert_eq!(
         (hyps.len(), errs.len()),
@@ -384,7 +390,7 @@ impl Default for JaccardMeasure {
 
 impl JaccardMeasure {
     /// NetDissect's own 0.995 quantile: the library's `jaccard`.
-    pub fn netdissect() -> Self {
+    pub(crate) fn netdissect() -> Self {
         JaccardMeasure {
             name: "jaccard".into(),
             top_quantile: 0.995,
@@ -660,7 +666,7 @@ impl MeasureState for BufferedSample {
 
 /// Standardized difference of unit activations between hypothesis-on and
 /// hypothesis-off symbols (streaming, exact).
-pub struct DiffMeansMeasure;
+pub(crate) struct DiffMeansMeasure;
 
 impl Measure for DiffMeansMeasure {
     fn id(&self) -> &str {
@@ -1060,7 +1066,7 @@ impl MeasureState for LogRegMerged {
 
 /// Majority-class baseline: the F1 a constant predictor achieves on the
 /// hypothesis labels (unit behaviors are ignored).
-pub struct MajorityBaselineMeasure;
+pub(crate) struct MajorityBaselineMeasure;
 
 impl Measure for MajorityBaselineMeasure {
     fn id(&self) -> &str {
@@ -1098,7 +1104,7 @@ impl Measure for MajorityBaselineMeasure {
 }
 
 /// Random-class baseline.
-pub struct RandomBaselineMeasure {
+pub(crate) struct RandomBaselineMeasure {
     /// Seed for the random predictions.
     pub seed: u64,
 }
@@ -1259,7 +1265,7 @@ pub fn standard_library() -> Vec<Box<dyn Measure>> {
 /// Multivariate mutual information over the whole unit group (paper §4.3:
 /// "a multivariate implementation of mutual information"). Unit scores
 /// are the per-unit MI the independent measure would report.
-pub struct GroupMiMeasure {
+pub(crate) struct GroupMiMeasure {
     /// Quantile bins.
     pub bins: usize,
     /// Buffer cap.

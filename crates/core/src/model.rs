@@ -7,8 +7,8 @@
 //! as §4.1 prescribes ("output formats are checked during execution").
 
 use crate::error::DniError;
-use deepbase_lang::tree::ParseTree;
 use deepbase_lang::vocab::{project_behavior, Window};
+use deepbase_lang::ParseTree;
 use deepbase_lang::{EarleyParser, Grammar, TreeHypothesis};
 use deepbase_store::durable::{self, ByteReader, ByteWriter};
 use parking_lot::Mutex;
@@ -54,7 +54,7 @@ impl Record {
     }
 
     /// The window-projection descriptor for this record.
-    pub fn window(&self) -> Window {
+    pub(crate) fn window(&self) -> Window {
         Window {
             text: self.text.clone(),
             offset: self.offset,
@@ -74,13 +74,6 @@ pub struct SegmentInfo {
     pub start: usize,
     /// Number of records in the segment (may be zero).
     pub len: usize,
-}
-
-impl SegmentInfo {
-    /// One-past-the-end record position.
-    pub fn end(&self) -> usize {
-        self.start + self.len
-    }
 }
 
 /// A dataset `D`: `nd` records of exactly `ns` symbols each, organized as
@@ -716,7 +709,7 @@ pub trait HypothesisFn: Send + Sync {
 }
 
 /// Validates a hypothesis output per §4.1: exact length and finite values.
-pub fn validate_behavior(
+pub(crate) fn validate_behavior(
     hyp_id: &str,
     record: &Record,
     ns: usize,
@@ -831,7 +824,7 @@ impl ParseCache {
 
     /// Pre-populates the cache with a ground-truth tree (PCFG sampling
     /// yields the derivation for free).
-    pub fn insert(&self, source_id: usize, tree: ParseTree) {
+    pub(crate) fn insert(&self, source_id: usize, tree: ParseTree) {
         let parsed = ParsedSource {
             tree: OnceLock::from(Some(Arc::new(tree))),
             chars: OnceLock::new(),
@@ -855,15 +848,6 @@ impl ParseCache {
             tree
         });
         source
-    }
-
-    /// Fetches the parse of a source, running `parse` on a miss.
-    pub fn get_or_parse(
-        &self,
-        source_id: usize,
-        parse: impl FnOnce() -> Option<ParseTree>,
-    ) -> Option<Arc<ParseTree>> {
-        self.source(source_id, parse).tree().cloned()
     }
 
     /// Number of parser invocations so far.
@@ -890,7 +874,11 @@ pub struct ParseHypothesis {
 impl ParseHypothesis {
     /// Creates a hypothesis for one grammar rule + representation, sharing
     /// `cache` with its siblings.
-    pub fn new(grammar: Arc<Grammar>, inner: TreeHypothesis, cache: Arc<ParseCache>) -> Self {
+    pub(crate) fn new(
+        grammar: Arc<Grammar>,
+        inner: TreeHypothesis,
+        cache: Arc<ParseCache>,
+    ) -> Self {
         ParseHypothesis {
             id: inner.name(),
             grammar,
@@ -941,6 +929,15 @@ impl HypothesisFn for ParseHypothesis {
 mod tests {
     use super::*;
     use deepbase_lang::TreeRepr;
+
+    /// Fetches the parse of a source, running `parse` on a miss.
+    fn get_or_parse(
+        cache: &ParseCache,
+        source_id: usize,
+        parse: impl FnOnce() -> Option<ParseTree>,
+    ) -> Option<Arc<ParseTree>> {
+        cache.source(source_id, parse).tree().cloned()
+    }
 
     fn record(text: &str) -> Record {
         Record::standalone(
@@ -1001,7 +998,7 @@ mod tests {
         let cache = ParseCache::new();
         let mut calls = 0;
         for _ in 0..3 {
-            let t = cache.get_or_parse(7, || {
+            let t = get_or_parse(&cache, 7, || {
                 calls += 1;
                 Some(ParseTree {
                     rule: "s".into(),
@@ -1021,7 +1018,7 @@ mod tests {
         let cache = ParseCache::new();
         let mut calls = 0;
         for _ in 0..3 {
-            let t = cache.get_or_parse(1, || {
+            let t = get_or_parse(&cache, 1, || {
                 calls += 1;
                 None
             });
@@ -1049,7 +1046,7 @@ mod tests {
             // The first thread is held inside its parse of source 7 ...
             let (cache, calls) = (&cache, &calls);
             s.spawn(move || {
-                cache.get_or_parse(7, || {
+                get_or_parse(cache, 7, || {
                     calls.fetch_add(1, Ordering::SeqCst);
                     started_tx.send(()).unwrap();
                     go_rx.recv().unwrap();
@@ -1062,7 +1059,7 @@ mod tests {
             for _ in 0..7 {
                 let done_tx = done_tx.clone();
                 s.spawn(move || {
-                    let tree = cache.get_or_parse(7, || {
+                    let tree = get_or_parse(cache, 7, || {
                         calls.fetch_add(1, Ordering::SeqCst);
                         Some(leaf())
                     });
@@ -1071,7 +1068,7 @@ mod tests {
             }
             let early = done_rx.recv_timeout(Duration::from_millis(200)).is_ok();
             // Another source is not behind the one in flight.
-            let alongside = cache.get_or_parse(8, || Some(leaf())).is_some();
+            let alongside = get_or_parse(cache, 8, || Some(leaf())).is_some();
             go_tx.send(()).unwrap();
             (early, alongside)
         });
@@ -1089,13 +1086,13 @@ mod tests {
         assert_eq!(cache.parse_time(), Duration::ZERO);
         let source = vec!["1"; 200].join("+");
         for _ in 0..2 {
-            let tree = cache.get_or_parse(0, || EarleyParser::new(&grammar).parse(&source));
+            let tree = get_or_parse(&cache, 0, || EarleyParser::new(&grammar).parse(&source));
             assert!(tree.is_some());
         }
         let spent = cache.parse_time();
         assert!(spent > Duration::ZERO);
         // A hit adds nothing.
-        cache.get_or_parse(0, || unreachable!("cached"));
+        get_or_parse(&cache, 0, || unreachable!("cached"));
         assert_eq!(cache.parse_time(), spent);
     }
 

@@ -62,7 +62,7 @@ use std::sync::{Arc, OnceLock};
 /// ([`crate::session::SessionConfig::cache_bytes`]): large enough to hold
 /// the hypothesis columns of a typical batch, small enough to stay an
 /// implementation detail.
-pub const BATCH_CACHE_BYTES: usize = 64 << 20;
+pub(crate) const BATCH_CACHE_BYTES: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
 // Predicate helpers (shared by binding and post-processing)
@@ -216,7 +216,7 @@ impl BoundModel {
     /// The model's content fingerprint, if the extractor provides one
     /// (`None` opts the model out of persistence). Computed on first use
     /// and cached for the plan's lifetime.
-    pub fn fingerprint(&self) -> Option<u64> {
+    pub(crate) fn fingerprint(&self) -> Option<u64> {
         *self
             .fingerprint
             .get_or_init(|| self.extractor.fingerprint())
@@ -246,7 +246,7 @@ pub struct LogicalPlan {
 
 impl LogicalPlan {
     /// Builds the plan's empty output table.
-    pub fn output_table(&self) -> Table {
+    pub(crate) fn output_table(&self) -> Table {
         Table::new(Schema::new(
             self.schema
                 .iter()
@@ -721,7 +721,7 @@ impl PlanGroup {
     /// the admission scan budget). Segmented groups run one pass per
     /// segment, so the scan budget is charged at the widest single
     /// segment, not the sum.
-    pub fn scan_width(&self) -> usize {
+    pub(crate) fn scan_width(&self) -> usize {
         self.scan_width
     }
 
@@ -732,17 +732,17 @@ impl PlanGroup {
     /// bounds. A unit column is credited off the extraction budget only
     /// when *every* segment can scan it (strictly conservative: a column
     /// warm in some segments still extracts live in the others).
-    pub fn extract_width(&self) -> usize {
+    pub(crate) fn extract_width(&self) -> usize {
         self.stream_width() - self.scan_hits.len()
     }
 
     /// Estimated bytes one streamed block of this group holds.
-    pub fn block_bytes(&self, block_records: usize) -> usize {
+    pub(crate) fn block_bytes(&self, block_records: usize) -> usize {
         self.stream_width() * block_records * self.dataset.ns * std::mem::size_of::<f32>()
     }
 
     /// Indices (into the batch) of the queries with an item in the group.
-    pub fn member_queries(&self) -> Vec<usize> {
+    pub(crate) fn member_queries(&self) -> Vec<usize> {
         self.items.iter().map(|i| i.query).collect()
     }
 }
@@ -1333,7 +1333,7 @@ impl PhysicalPlan {
     /// hypothesis and measure-state deduplication, the estimated stream
     /// width/footprint, and the admission decision. Deterministic (no
     /// timings, no addresses), so it is snapshot-testable.
-    pub fn explain(&self) -> String {
+    pub(crate) fn explain(&self) -> String {
         let mut out = String::new();
         let cached = self.stats.score_cache_hits;
         out.push_str(&format!(

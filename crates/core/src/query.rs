@@ -18,7 +18,7 @@
 //! This module owns the surface: a hand-written lexer + recursive-descent
 //! parser producing [`InspectQuery`], and the [`Catalog`] the planner
 //! binds against. Nothing here executes: a statement is bound and
-//! optimized by [`crate::plan`] and run by a
+//! optimized by the `plan` module and run by a
 //! [`crate::session::Session`] (prepared statements, plan cache, store,
 //! views, admission control) — the only way to execute one.
 
@@ -123,11 +123,6 @@ impl Catalog {
         self.datasets.insert(name.to_string(), dataset);
     }
 
-    /// Registers a measure under its id.
-    pub fn add_measure(&mut self, measure: Arc<dyn Measure>) {
-        self.measures.insert(measure.id().to_string(), measure);
-    }
-
     /// Appends a batch of records to a registered dataset as one new
     /// sealed segment, re-registering the grown dataset under the same
     /// name. The existing segments (and their content fingerprints) are
@@ -170,7 +165,7 @@ impl Catalog {
     }
 
     /// Looks up a measure by id.
-    pub fn measure(&self, id: &str) -> Option<Arc<dyn Measure>> {
+    pub(crate) fn measure(&self, id: &str) -> Option<Arc<dyn Measure>> {
         self.measures.get(id).cloned()
     }
 }

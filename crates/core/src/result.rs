@@ -1,7 +1,7 @@
 //! Inspection results: the `(model_id, score_id, hyp_id, h_unit_id, val)`
 //! frame the paper's `deepbase.inspect()` returns, with the relational
-//! post-processing hooks users apply afterwards (top-k, filtering,
-//! grouping, export to the relational engine).
+//! post-processing hooks users apply afterwards (filtering, score lookups,
+//! export to the relational engine).
 
 use deepbase_relational::{ColType, Schema, Table, Value};
 use serde::{Deserialize, Serialize};
@@ -40,7 +40,7 @@ pub struct ResultFrame {
 /// degradation). A pass that streams every record without converging is
 /// still `Converged` — its scores are the full-data scores, the best any
 /// uninterrupted run could produce — with the unconverged pairs listed in
-/// [`Completion::pending`].
+/// `Completion::pending`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum CompletionStatus {
@@ -116,7 +116,7 @@ impl Completion {
 
     /// Folds another pass's completion into this one: the most severe
     /// status wins, rows and pending pairs accumulate.
-    pub fn merge(&mut self, other: &Completion) {
+    pub(crate) fn merge(&mut self, other: &Completion) {
         if other.status.severity() > self.status.severity() {
             self.status = other.status;
         }
@@ -137,7 +137,7 @@ impl Completion {
 /// `model_id`/`group_id`, which overwrite the merged rows' canonical ids
 /// on the way out.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RowSpan {
+pub(crate) struct RowSpan {
     /// First row of the span within the merged frame.
     pub start: usize,
     /// Number of rows (one per unit of the pair's group).
@@ -159,17 +159,12 @@ impl ResultFrame {
         self.rows.is_empty()
     }
 
-    /// Appends all rows of another frame.
-    pub fn extend(&mut self, other: ResultFrame) {
-        self.rows.extend(other.rows);
-    }
-
     /// Demultiplexes a merged shared-pass frame into one member query's
     /// frame: concatenates the given row spans (cloning score values
     /// bit-for-bit) while rebranding each span with the member's own
     /// model/group ids. Spans may overlap and repeat — several queries can
     /// claim the same deduplicated pair.
-    pub fn demux(&self, spans: &[RowSpan]) -> ResultFrame {
+    pub(crate) fn demux(&self, spans: &[RowSpan]) -> ResultFrame {
         let mut rows = Vec::with_capacity(spans.iter().map(|s| s.len).sum());
         for span in spans {
             for row in &self.rows[span.start..span.start + span.len] {
@@ -182,31 +177,12 @@ impl ResultFrame {
         ResultFrame { rows }
     }
 
-    /// Rows for one hypothesis.
-    pub fn for_hypothesis(&self, hyp_id: &str) -> Vec<&ScoreRow> {
-        self.rows.iter().filter(|r| r.hyp_id == hyp_id).collect()
-    }
-
     /// Rows for one measure.
     pub fn for_measure(&self, measure_id: &str) -> Vec<&ScoreRow> {
         self.rows
             .iter()
             .filter(|r| r.measure_id == measure_id)
             .collect()
-    }
-
-    /// Top-`k` rows by absolute unit score (the "find the sentiment
-    /// neuron" post-processing of §4.1).
-    pub fn top_k_units(&self, k: usize) -> Vec<&ScoreRow> {
-        let mut refs: Vec<&ScoreRow> = self.rows.iter().collect();
-        refs.sort_by(|a, b| {
-            b.unit_score
-                .abs()
-                .partial_cmp(&a.unit_score.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        refs.truncate(k);
-        refs
     }
 
     /// Group score for a `(measure, hypothesis)` pair, if present.
@@ -256,18 +232,6 @@ impl ResultFrame {
         }
         t
     }
-
-    /// CSV export (header + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("model_id,group_id,score_id,hyp_id,h_unit_id,val,group_val\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                r.model_id, r.group_id, r.measure_id, r.hyp_id, r.unit, r.unit_score, r.group_score
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -300,18 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_hypothesis_and_measure() {
+    fn filters_by_measure() {
         let f = frame();
-        assert_eq!(f.for_hypothesis("kw:SELECT").len(), 3);
+        assert_eq!(f.for_measure("corr").len(), 3);
         assert_eq!(f.for_measure("logreg_l1").len(), 1);
-    }
-
-    #[test]
-    fn top_k_sorts_by_absolute_score() {
-        let f = frame();
-        let top = f.top_k_units(2);
-        assert_eq!(top[0].unit, 1, "|−0.95| is the largest");
-        assert_eq!(top[1].unit, 0);
     }
 
     #[test]
@@ -331,13 +287,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.value(0, "score_id"), Some(Value::Str("corr".into())));
         assert_eq!(t.value(3, "hyp_id"), Some(Value::Str("kw:FROM".into())));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = frame().to_csv();
-        assert_eq!(csv.lines().count(), 5);
-        assert!(csv.starts_with("model_id,"));
     }
 
     #[test]
@@ -459,14 +408,6 @@ mod tests {
         assert_eq!(out.rows[1].group_id, "g2");
         assert_eq!(out.rows[3].group_id, "g3");
         assert!(out.rows.iter().all(|r| r.model_id == "mx"));
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut a = frame();
-        let b = frame();
-        a.extend(b);
-        assert_eq!(a.len(), 8);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! * [`Session::explain`] renders the physical plan tree for a statement
 //!   (or batch) without executing it.
 //!
-//! Every batch's [`BatchReport`] carries the per-call plan-cache
-//! hit/miss, score-cache and admission split/queue counters in
-//! [`BatchReport::plan`]; [`Session::stats`] accumulates them across the
+//! Every batch's [`BatchReport`](crate::plan::BatchReport) carries the
+//! per-call plan-cache hit/miss, score-cache and admission split/queue
+//! counters in [`BatchReport::plan`](crate::plan::BatchReport::plan);
+//! [`Session::stats`] accumulates them across the
 //! session's lifetime.
 
 use crate::admission::AdmissionScheduler;
@@ -85,7 +86,7 @@ pub struct SessionConfig {
     /// scheduler's budgets and every execution wave acquires a permit
     /// from it — so concurrent batches from different sessions (or
     /// connections) compose under one budget instead of each getting a
-    /// private one. See [`crate::admission`].
+    /// private one. See [`AdmissionScheduler`].
     pub scheduler: Option<Arc<AdmissionScheduler>>,
 }
 
@@ -144,24 +145,12 @@ impl PreparedQuery {
     pub fn statement(&self) -> &str {
         &self.key
     }
-
-    /// Catalog generation the plan was bound against.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 /// A batch of prepared statements ([`Session::prepare_batch`]).
 #[derive(Clone)]
 pub struct PreparedBatch {
     entries: Vec<PreparedQuery>,
-}
-
-impl PreparedBatch {
-    /// The prepared member statements, in batch order.
-    pub fn queries(&self) -> &[PreparedQuery] {
-        &self.entries
-    }
 }
 
 /// Fingerprint of the config fields that determine inspection *results*
@@ -367,11 +356,6 @@ impl Session {
         }
     }
 
-    /// Read access to the catalog.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
     /// Mutable access to the catalog. Every call bumps the catalog
     /// generation: cached plans, cached scores and the session hypothesis
     /// cache are conservatively invalidated, whether or not a mutation
@@ -400,11 +384,6 @@ impl Session {
         &mut self.catalog
     }
 
-    /// Consumes the session, returning the catalog.
-    pub fn into_catalog(self) -> Catalog {
-        self.catalog
-    }
-
     /// Current catalog generation.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -420,11 +399,6 @@ impl Session {
     /// dataset/hypothesis ids force caching off for a batch).
     pub fn hypothesis_cache(&self) -> &Arc<HypothesisCache> {
         &self.hypothesis_cache
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
     }
 
     /// Replaces the run budget applied to subsequent executions — the

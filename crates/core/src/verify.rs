@@ -53,9 +53,9 @@ impl Default for VerifyConfig {
 }
 
 /// Label of baseline perturbations.
-pub const BASELINE: usize = 0;
+pub(crate) const BASELINE: usize = 0;
 /// Label of treatment perturbations.
-pub const TREATMENT: usize = 1;
+pub(crate) const TREATMENT: usize = 1;
 
 /// Verification output: labelled Δ-activation points and their silhouette.
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ pub struct VerificationResult {
     /// Δ-activation vectors, one per perturbation (restricted to the
     /// verified units).
     pub points: Vec<Vec<f32>>,
-    /// [`BASELINE`] / [`TREATMENT`] label per point.
+    /// Label per point: 0 for a baseline perturbation, 1 for a treatment.
     pub labels: Vec<usize>,
     /// Silhouette score of the two clusters (the §4.4 statistic).
     pub silhouette: f32,

@@ -12,7 +12,7 @@
 //! The Broden dataset and VGG-16 are not shippable; the substitute is a
 //! synthetic corpus of annotated shape images and the `deepbase-nn`
 //! [`SmallCnn`] — a laptop-sized stand-in, like the simulated GPU of the
-//! [`crate::engine`] module docs (*Device → runtime mapping*).
+//! `engine` module docs (*Device → runtime mapping*).
 
 use crate::extract::Extractor;
 use crate::model::{Dataset, FnHypothesis, Record};

@@ -8,7 +8,6 @@
 mod common;
 
 use common::bare;
-use deepbase::plan::{self, AdmissionConfig};
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
 use deepbase_relational::Table;
@@ -457,11 +456,11 @@ fn admission_waves_respect_the_width_bound_at_plan_level() {
     let config = InspectionConfig::default();
     let plans: Vec<Arc<LogicalPlan>> = queries
         .iter()
-        .map(|q| Arc::new(plan::bind(&parse(q).unwrap(), &catalog).unwrap()))
+        .map(|q| Arc::new(bind(&parse(q).unwrap(), &catalog).unwrap()))
         .collect();
 
     let bound = 16;
-    let physical = plan::optimize_store(
+    let physical = optimize_store(
         &plans,
         &config,
         AdmissionConfig {
@@ -484,7 +483,7 @@ fn admission_waves_respect_the_width_bound_at_plan_level() {
     assert_eq!(physical.stats.admission_queued, group.waves.len() - 1);
 
     // Unbounded admission: one wave, full width.
-    let unsplit = plan::optimize_store(&plans, &config, AdmissionConfig::default(), None);
+    let unsplit = optimize_store(&plans, &config, AdmissionConfig::default(), None);
     assert_eq!(unsplit.groups[0].waves.len(), 1);
     assert_eq!(unsplit.groups[0].wave_widths, vec![36]);
     assert_eq!(unsplit.stats.admission_splits, 0);

@@ -481,7 +481,7 @@ proptest! {
                 catalog,
                 SessionConfig {
                     inspection: InspectionConfig {
-                        budget: deepbase::engine::RunBudget {
+                        budget: RunBudget {
                             max_blocks: Some(j),
                             ..Default::default()
                         },
@@ -494,7 +494,7 @@ proptest! {
             let out = cold.run_batch(&[Q_ALL]).unwrap();
             prop_assert_eq!(
                 out.report.completion.status,
-                deepbase::result::CompletionStatus::BudgetExhausted
+                CompletionStatus::BudgetExhausted
             );
             prop_assert_eq!(out.report.completion.rows_read, j * nb);
             if device == Device::SingleCore {

@@ -637,6 +637,78 @@ fn view_error_paths_are_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// File names under a views directory, sorted.
+fn view_files(views_dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(views_dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A view build or refresh needs a complete pass, so a run budget that
+/// interrupts one fails it typed — `Cancelled` for a tripped token,
+/// `DeadlineExceeded` for a work cap — and writes nothing: no catalog
+/// entry, no view or temp file, and a stale view stays stale.
+#[test]
+fn view_builds_interrupted_by_the_run_budget_fail_typed_and_write_nothing() {
+    let device = Device::SingleCore;
+    let dir = tmp_dir("budget");
+    let (mut session, _) = session_at(&dir, device, 2, MaterializationPolicy::ReadWrite);
+    session.create_view("v", Q).unwrap();
+    session
+        .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+        .unwrap();
+    let views_dir = session.store().unwrap().views().dir().to_path_buf();
+    let files = view_files(&views_dir);
+    let listed = |session: &mut Session| -> Vec<String> {
+        let views = session.list_views().unwrap();
+        views.into_iter().map(|info| info.name).collect()
+    };
+    assert_eq!(listed(&mut session), vec!["v".to_string()]);
+
+    // A token tripped before the build: the pass stops before its first
+    // block.
+    let token = CancelToken::new();
+    token.cancel();
+    session.set_budget(RunBudget {
+        cancel: Some(token),
+        ..RunBudget::default()
+    });
+    let err = session.create_view("cancelled", Q).unwrap_err();
+    assert_eq!(err, DniError::Cancelled);
+    assert!(err.is_transient(), "a cancelled build may be retried");
+    assert_eq!(listed(&mut session), vec!["v".to_string()]);
+    assert_eq!(view_files(&views_dir), files, "nothing written");
+
+    // One block of a multi-block dataset: the cap interrupts the build.
+    session.set_budget(RunBudget {
+        max_blocks: Some(1),
+        ..RunBudget::default()
+    });
+    match session.create_view("capped", Q) {
+        Err(DniError::DeadlineExceeded(msg)) => assert!(msg.contains("complete pass"), "{msg}"),
+        other => panic!("a capped build must raise DeadlineExceeded, got {other:?}"),
+    }
+    assert_eq!(listed(&mut session), vec!["v".to_string()]);
+    assert_eq!(view_files(&views_dir), files, "nothing written");
+
+    // Refreshing the stale view under the same cap fails the same way,
+    // and the old entry survives, still stale.
+    match session.refresh_view("v") {
+        Err(DniError::DeadlineExceeded(msg)) => assert!(msg.contains("complete pass"), "{msg}"),
+        other => panic!("a capped refresh must raise DeadlineExceeded, got {other:?}"),
+    }
+    assert_eq!(listed(&mut session), vec!["v".to_string()]);
+    assert_eq!(view_files(&views_dir), files, "nothing written");
+    assert!(
+        matches!(session.read_view("v"), Err(DniError::ViewStale { .. })),
+        "the old view is still stale"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn list_and_drop_views() {
     let device = Device::SingleCore;

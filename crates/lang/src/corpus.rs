@@ -633,14 +633,11 @@ pub struct WordVocab {
     index: HashMap<String, u32>,
 }
 
-/// Reserved ids in every [`WordVocab`].
-pub const PAD_ID: u32 = 0;
-/// Beginning-of-sequence.
-pub const BOS_ID: u32 = 1;
-/// End-of-sequence.
+/// End-of-sequence: one of the reserved ids every [`WordVocab`] starts
+/// with (`<pad>` 0, `<bos>` 1, `<eos>` 2, `<unk>` 3).
 pub const EOS_ID: u32 = 2;
 /// Unknown word.
-pub const UNK_ID: u32 = 3;
+const UNK_ID: u32 = 3;
 
 impl WordVocab {
     /// Builds a vocabulary over an iterator of tokens.
@@ -663,32 +660,14 @@ impl WordVocab {
         WordVocab { words, index }
     }
 
-    /// Rebuilds the lookup index (after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), i as u32))
-            .collect();
-    }
-
     /// Vocabulary size including reserved symbols.
     pub fn size(&self) -> usize {
         self.words.len()
     }
 
     /// Token id (UNK for unknown tokens).
-    pub fn id(&self, word: &str) -> u32 {
+    pub(crate) fn id(&self, word: &str) -> u32 {
         self.index.get(word).copied().unwrap_or(UNK_ID)
-    }
-
-    /// Token for an id.
-    pub fn word(&self, id: u32) -> &str {
-        self.words
-            .get(id as usize)
-            .map(|s| s.as_str())
-            .unwrap_or("<unk>")
     }
 
     /// Encodes a token sequence (no BOS/EOS added).
@@ -783,8 +762,8 @@ mod tests {
     #[test]
     fn word_vocab_reserved_ids() {
         let v = WordVocab::build(["dog", "sees"]);
-        assert_eq!(v.id("<pad>"), PAD_ID);
-        assert_eq!(v.id("<bos>"), BOS_ID);
+        assert_eq!(v.id("<pad>"), 0);
+        assert_eq!(v.id("<bos>"), 1);
         assert_eq!(v.id("<eos>"), EOS_ID);
         assert_eq!(v.id("never-seen"), UNK_ID);
         assert_eq!(v.size(), 6);
@@ -802,7 +781,7 @@ mod tests {
         let pair = &corpus.pairs[0];
         let ids = v.encode(&pair.source);
         for (id, tok) in ids.iter().zip(pair.source.iter()) {
-            assert_eq!(v.word(*id), tok);
+            assert_eq!(&v.words[*id as usize], tok);
         }
     }
 }

@@ -15,11 +15,11 @@
 //!
 //! * `pred` — the item `(prod, dot - 1, origin)` it was advanced from;
 //! * `child` — the completed item whose subtree the advance attached, or
-//!   [`NONE`] when the dot moved over a terminal (no tree node) or over a
+//!   `NONE` when the dot moved over a terminal (no tree node) or over a
 //!   nullable nonterminal by the Aycock–Horspool rule (an empty node).
 //!
 //! No subtree is built or copied while the chart is filled. After accept,
-//! [`EarleyParser::build_tree`] walks `pred` from the accepting item back
+//! `EarleyParser::build_tree` walks `pred` from the accepting item back
 //! to dot 0, descending into each `child`, and allocates exactly the nodes
 //! of the returned tree.
 //!
@@ -307,11 +307,6 @@ impl<'g> EarleyParser<'g> {
         EarleyParser { grammar }
     }
 
-    /// True when the nonterminal can derive the empty string.
-    pub fn is_nullable(&self, nt: usize) -> bool {
-        self.grammar.is_nullable(nt)
-    }
-
     /// Parses `input`, returning the first full-span derivation of the
     /// start symbol, or `None` when the string is not in the language.
     pub fn parse(&self, input: &str) -> Option<ParseTree> {
@@ -443,10 +438,9 @@ mod tests {
     #[test]
     fn nullable_set_computed_transitively() {
         let g = Grammar::from_spec("s -> a b ; a -> | 'x' ; b -> a a ;").unwrap();
-        let parser = EarleyParser::new(&g);
-        assert!(parser.is_nullable(g.nt_id("a").unwrap()));
-        assert!(parser.is_nullable(g.nt_id("b").unwrap()));
-        assert!(parser.is_nullable(g.nt_id("s").unwrap()));
+        for (nt, name) in g.nonterminal_names().iter().enumerate() {
+            assert!(g.is_nullable(nt), "{name} derives the empty string");
+        }
     }
 
     #[test]
@@ -493,10 +487,10 @@ mod tests {
         let mut rng = seeded_rng(3);
         let (text, _) = g.sample(&mut rng, 6);
         let tree = parser.parse(&text).unwrap();
-        let names = tree.rule_names();
-        for n in &names {
-            assert!(g.nt_id(n).is_some(), "unknown rule {n}");
-        }
+        tree.visit(&mut |node, _| {
+            let rule = &node.rule;
+            assert!(g.nonterminal_names().contains(rule), "unknown rule {rule}");
+        });
     }
 
     #[test]

@@ -264,11 +264,6 @@ impl Grammar {
         &self.nt_names[i]
     }
 
-    /// Index of a nonterminal by name.
-    pub fn nt_id(&self, name: &str) -> Option<usize> {
-        self.nt_names.iter().position(|n| n == name)
-    }
-
     /// All productions.
     pub fn productions(&self) -> &[Production] {
         &self.productions

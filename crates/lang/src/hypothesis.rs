@@ -3,9 +3,9 @@
 //! A hypothesis function maps a record to a per-symbol behavior vector.
 //! This module generates such behaviors from the artifacts the paper
 //! catalogues: parse trees (time-domain, signal and nesting-depth
-//! representations of Fig. 3), keyword detectors, annotations, and counting
-//! iterators. The engine-facing trait lives in `deepbase-core`; here are
-//! the pure functions it wraps.
+//! representations of Fig. 3), keyword detectors and counting iterators.
+//! The engine-facing trait lives in `deepbase-core`; here are the pure
+//! functions it wraps.
 
 use crate::grammar::Grammar;
 use crate::tree::ParseTree;
@@ -25,7 +25,7 @@ pub enum TreeRepr {
 
 impl TreeRepr {
     /// Short name used in hypothesis identifiers.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             TreeRepr::Time => "time",
             TreeRepr::Signal => "signal",
@@ -133,19 +133,6 @@ pub fn char_class_behavior(text: &str, pred: impl Fn(char) -> bool) -> Vec<f32> 
 /// not be binary).
 pub fn position_counter_behavior(text: &str) -> Vec<f32> {
     (0..text.chars().count()).map(|i| i as f32).collect()
-}
-
-/// Annotation behavior: 1 over each annotated span (the bounding-box /
-/// multi-word-annotation adapter of §4.2). Spans are `(start, end)` in
-/// characters, end-exclusive.
-pub fn annotation_behavior(len: usize, spans: &[(usize, usize)]) -> Vec<f32> {
-    let mut out = vec![0.0f32; len];
-    for &(start, end) in spans {
-        for v in out.iter_mut().take(end.min(len)).skip(start) {
-            *v = 1.0;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -266,13 +253,5 @@ mod tests {
             vec![0.0, 1.0, 0.0]
         );
         assert_eq!(position_counter_behavior("abcd"), vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn annotation_behavior_clamps_to_len() {
-        assert_eq!(
-            annotation_behavior(4, &[(1, 3), (3, 99)]),
-            vec![0.0, 1.0, 1.0, 1.0]
-        );
     }
 }

@@ -7,10 +7,10 @@
 use crate::grammar::Grammar;
 
 /// Maximum nesting level of the benchmark grammar.
-pub const MAX_LEVEL: usize = 4;
+pub(crate) const MAX_LEVEL: usize = 4;
 
 /// Grammar spec for the parentheses language.
-pub fn paren_grammar_spec() -> String {
+pub(crate) fn paren_grammar_spec() -> String {
     let mut spec = String::new();
     for i in 0..MAX_LEVEL {
         spec.push_str(&format!(
@@ -57,7 +57,7 @@ pub fn nesting_level_behavior(text: &str) -> Vec<f32> {
     out
 }
 
-/// Hypothesis: 1 where the nesting level is exactly [`MAX_LEVEL`] — the
+/// Hypothesis: 1 where the nesting level is exactly `MAX_LEVEL` (4) — the
 /// deliberately ambiguous hypothesis of Appendix C (units may learn the
 /// digit `4` rather than the level).
 pub fn level_is_max_behavior(text: &str) -> Vec<f32> {
@@ -77,7 +77,7 @@ mod tests {
     fn grammar_has_five_levels() {
         let g = paren_grammar();
         for i in 0..=MAX_LEVEL {
-            assert!(g.nt_id(&format!("r{i}")).is_some());
+            assert!(g.nonterminal_names().contains(&format!("r{i}")));
         }
     }
 

@@ -12,21 +12,16 @@ use serde::{Deserialize, Serialize};
 
 /// The 46-tag Penn Treebank tagset (36 word tags + 10 punctuation/symbol
 /// tags), as used by the paper's POS probes.
-pub const PENN_TAGS: &[&str] = &[
+pub(crate) const PENN_TAGS: &[&str] = &[
     "CC", "CD", "DT", "EX", "FW", "IN", "JJ", "JJR", "JJS", "LS", "MD", "NN", "NNS", "NNP", "NNPS",
     "PDT", "POS", "PRP", "PRP$", "RB", "RBR", "RBS", "RP", "SYM", "TO", "UH", "VB", "VBD", "VBG",
     "VBN", "VBP", "VBZ", "WDT", "WP", "WP$", "WRB", ".", ",", ":", "(", ")", "\"", "'", "`", "#",
     "$",
 ];
 
-/// Index of a tag in [`PENN_TAGS`].
+/// Index of a tag in the Penn Treebank tagset (46 tags).
 pub fn tag_id(tag: &str) -> Option<usize> {
     PENN_TAGS.iter().position(|&t| t == tag)
-}
-
-/// Number of tags.
-pub fn tag_count() -> usize {
-    PENN_TAGS.len()
 }
 
 /// A deterministic rule-based POS tagger: closed-class lexicon first, then
@@ -87,11 +82,6 @@ impl PosTagger {
             return "NNP";
         }
         "NN"
-    }
-
-    /// Tags a tokenized sentence.
-    pub fn tag_sentence(&self, words: &[String]) -> Vec<&'static str> {
-        words.iter().map(|w| self.tag(w)).collect()
     }
 }
 
@@ -241,11 +231,8 @@ mod tests {
     fn paper_example_sentence() {
         // "He watched Rick and Morty ." — the §4.4 perturbation example.
         let t = PosTagger::new();
-        let words: Vec<String> = ["He", "watched", "Rick", "and", "Morty", "."]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let tags = t.tag_sentence(&words);
+        let words = ["He", "watched", "Rick", "and", "Morty", "."];
+        let tags: Vec<&str> = words.iter().map(|w| t.tag(w)).collect();
         assert_eq!(tags, vec!["PRP", "VBD", "NNP", "CC", "NNP", "."]);
     }
 

@@ -52,22 +52,11 @@ impl SqlGrammarConfig {
     pub fn medium() -> Self {
         SqlGrammarConfig::default()
     }
-
-    /// Large grammar (~171 rules, the paper's upper bound).
-    pub fn large() -> Self {
-        SqlGrammarConfig {
-            tables: 16,
-            columns: 90,
-            with_order: true,
-            with_limit: true,
-            with_group: true,
-        }
-    }
 }
 
 /// Builds the grammar spec text for a configuration. Exposed so tests and
 /// docs can display the grammar; use [`sql_grammar`] for the parsed form.
-pub fn sql_grammar_spec(config: &SqlGrammarConfig) -> String {
+pub(crate) fn sql_grammar_spec(config: &SqlGrammarConfig) -> String {
     let mut spec = String::new();
     spec.push_str("query -> select_stmt ;\n");
 
@@ -151,11 +140,22 @@ mod tests {
     use crate::earley::EarleyParser;
     use deepbase_tensor::init::seeded_rng;
 
+    /// The paper's upper bound (~171 rules).
+    fn large() -> SqlGrammarConfig {
+        SqlGrammarConfig {
+            tables: 16,
+            columns: 90,
+            with_order: true,
+            with_limit: true,
+            with_group: true,
+        }
+    }
+
     #[test]
     fn preset_rule_counts_span_papers_range() {
         let small = sql_grammar(&SqlGrammarConfig::small()).rule_count();
         let medium = sql_grammar(&SqlGrammarConfig::medium()).rule_count();
-        let large = sql_grammar(&SqlGrammarConfig::large()).rule_count();
+        let large = sql_grammar(&large()).rule_count();
         assert!(small < medium && medium < large, "{small} {medium} {large}");
         // The paper varies 95–171 rules; presets must land in that band.
         assert!((85..=110).contains(&small), "small {small}");
@@ -206,7 +206,7 @@ mod tests {
         // Extending tables/columns must not change the character alphabet —
         // the char-level model's input layer depends on it.
         let a1 = sql_grammar(&SqlGrammarConfig::small()).alphabet();
-        let a2 = sql_grammar(&SqlGrammarConfig::large()).alphabet();
+        let a2 = sql_grammar(&large()).alphabet();
         for c in &a1 {
             assert!(a2.contains(c));
         }

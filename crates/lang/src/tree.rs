@@ -23,11 +23,6 @@ pub struct ParseTree {
 }
 
 impl ParseTree {
-    /// Number of characters this node derives.
-    pub fn span_len(&self) -> usize {
-        self.end - self.start
-    }
-
     /// Total number of nodes in the tree.
     pub fn node_count(&self) -> usize {
         1 + self
@@ -48,7 +43,7 @@ impl ParseTree {
     }
 
     /// Pre-order traversal visiting every node.
-    pub fn visit(&self, f: &mut impl FnMut(&ParseTree, usize)) {
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&ParseTree, usize)) {
         self.visit_inner(f, 0);
     }
 
@@ -60,7 +55,7 @@ impl ParseTree {
     }
 
     /// All `(start, end)` spans of nodes labelled `rule`.
-    pub fn spans_of(&self, rule: &str) -> Vec<(usize, usize)> {
+    pub(crate) fn spans_of(&self, rule: &str) -> Vec<(usize, usize)> {
         let mut spans = Vec::new();
         self.visit(&mut |node, _| {
             if node.rule == rule {
@@ -70,19 +65,10 @@ impl ParseTree {
         spans
     }
 
-    /// Sorted, de-duplicated set of rule names appearing in the tree.
-    pub fn rule_names(&self) -> Vec<String> {
-        let mut set = std::collections::BTreeSet::new();
-        self.visit(&mut |node, _| {
-            set.insert(node.rule.clone());
-        });
-        set.into_iter().collect()
-    }
-
     /// Nesting depth of `rule` at each character position: how many
     /// ancestors (including the node itself) labelled `rule` cover the
     /// position. This is the composite representation `h1` of paper Fig. 3.
-    pub fn nesting_depth(&self, rule: &str, len: usize) -> Vec<f32> {
+    pub(crate) fn nesting_depth(&self, rule: &str, len: usize) -> Vec<f32> {
         let mut depths = vec![0.0f32; len];
         self.visit(&mut |node, _| {
             if node.rule == rule {
@@ -92,16 +78,6 @@ impl ParseTree {
             }
         });
         depths
-    }
-
-    /// Renders an indented textual form, for debugging and examples.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.visit(&mut |node, depth| {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!("{} [{}..{})\n", node.rule, node.start, node.end));
-        });
-        out
     }
 }
 
@@ -161,14 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn rule_names_sorted_unique() {
-        assert_eq!(
-            sample_tree().rule_names(),
-            vec!["expr".to_string(), "term".to_string()]
-        );
-    }
-
-    #[test]
     fn nesting_depth_counts_overlapping_spans() {
         let t = sample_tree();
         let d = t.nesting_depth("expr", 5);
@@ -190,12 +158,5 @@ mod tests {
         assert_eq!(order[0], ("expr".to_string(), 0));
         assert_eq!(order[1], ("term".to_string(), 1));
         assert_eq!(order[2], ("expr".to_string(), 1));
-    }
-
-    #[test]
-    fn pretty_contains_every_node() {
-        let text = sample_tree().pretty();
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.contains("expr [0..5)"));
     }
 }

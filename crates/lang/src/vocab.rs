@@ -39,16 +39,6 @@ impl Vocab {
         Vocab { chars, index }
     }
 
-    /// Rebuilds the lookup index (needed after serde deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .chars
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
-            .collect();
-    }
-
     /// Number of symbols (including padding).
     pub fn size(&self) -> usize {
         self.chars.len()

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Adam moment estimates for one parameter matrix.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Adam {
+pub(crate) struct Adam {
     m: Matrix,
     v: Matrix,
     t: u64,
@@ -18,7 +18,7 @@ pub struct Adam {
 
 impl Adam {
     /// Creates zeroed state for a `rows x cols` parameter.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         Adam {
             m: Matrix::zeros(rows, cols),
             v: Matrix::zeros(rows, cols),
@@ -27,7 +27,7 @@ impl Adam {
     }
 
     /// Applies one Adam update of `param` using `grad`.
-    pub fn step(&mut self, param: &mut Matrix, grad: &Matrix, lr: f32) {
+    pub(crate) fn step(&mut self, param: &mut Matrix, grad: &Matrix, lr: f32) {
         const B1: f32 = 0.9;
         const B2: f32 = 0.999;
         const EPS: f32 = 1e-8;
@@ -44,11 +44,6 @@ impl Adam {
             vs[i] = B2 * vs[i] + (1.0 - B2) * gs[i] * gs[i];
             ps[i] -= lr * (ms[i] / bias1) / ((vs[i] / bias2).sqrt() + EPS);
         }
-    }
-
-    /// Number of updates applied.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 }
 
@@ -82,7 +77,7 @@ mod tests {
             "step was {}",
             w.get(0, 0)
         );
-        assert_eq!(opt.steps(), 1);
+        assert_eq!(opt.t, 1);
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl CharLstmModel {
         self.vocab_size
     }
 
-    /// Output mode.
-    pub fn mode(&self) -> OutputMode {
-        self.mode
-    }
-
     /// Visits every trainable parameter matrix in a fixed order (LSTM
     /// projections and bias, then the output layer). Used to fingerprint
     /// the model's weights for the persistent behavior store: two models
@@ -83,7 +78,7 @@ impl CharLstmModel {
     }
 
     /// Training forward of the recurrent stack over a batch of equal-length
-    /// id sequences, returning the cache [`Lstm::backward`] consumes (for
+    /// id sequences, returning the cache `Lstm::backward` consumes (for
     /// `train_*` and the prediction heads; extraction goes through
     /// [`Self::extract_units`]).
     pub fn run(&self, inputs: &[Vec<u32>]) -> LstmCache {
@@ -151,17 +146,6 @@ impl CharLstmModel {
         let cache = self.run(&[input.to_vec()]);
         let logits = self.out.forward(cache.final_h());
         ops::softmax_rows(&logits).row(0).to_vec()
-    }
-
-    /// Greedy next-character prediction.
-    pub fn predict(&self, input: &[u32]) -> u32 {
-        let proba = self.predict_proba(input);
-        proba
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
     }
 
     /// Classification accuracy on `(window, next_char)` pairs
@@ -277,27 +261,6 @@ impl CharLstmModel {
         self.lstm.apply_grads(lr, scale);
         self.out.apply_grads(lr, scale);
         total_loss
-    }
-
-    /// Per-position prediction accuracy for [`OutputMode::EveryStep`].
-    pub fn accuracy_every(&self, inputs: &[Vec<u32>], targets: &[Vec<u32>]) -> f32 {
-        let cache = self.run(inputs);
-        let mut correct = 0usize;
-        let mut total = 0usize;
-        for (t, h) in cache.hs.iter().enumerate() {
-            let preds = self.out.forward(h).argmax_rows();
-            for (r, &p) in preds.iter().enumerate() {
-                if p == targets[r][t] as usize {
-                    correct += 1;
-                }
-                total += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f32 / total as f32
-        }
     }
 }
 
@@ -415,7 +378,18 @@ mod tests {
         for _ in 0..60 {
             model.train_batch_every(&inputs, &targets, None, 0.02);
         }
-        assert!(model.accuracy_every(&inputs, &targets) > 0.95);
+        // Per-position accuracy of the argmax prediction.
+        let cache = model.run(&inputs);
+        let mut correct = 0usize;
+        for (t, h) in cache.hs.iter().enumerate() {
+            let preds = model.out.forward(h).argmax_rows();
+            correct += preds
+                .iter()
+                .zip(&targets)
+                .filter(|(&p, target)| p == target[t] as usize)
+                .count();
+        }
+        assert!(correct as f32 / (16 * 8) as f32 > 0.95);
     }
 
     #[test]
@@ -459,10 +433,8 @@ mod tests {
     }
 
     #[test]
-    fn predict_returns_valid_symbol() {
+    fn predict_proba_is_a_distribution() {
         let model = CharLstmModel::new(5, 4, OutputMode::LastStep, 5);
-        let p = model.predict(&[0, 1, 2, 3]);
-        assert!(p < 5);
         let proba = model.predict_proba(&[0, 1, 2, 3]);
         assert_eq!(proba.len(), 5);
         assert!((proba.iter().sum::<f32>() - 1.0).abs() < 1e-4);

@@ -60,7 +60,7 @@ pub struct Tensor3 {
 
 impl Tensor3 {
     /// Zero-filled volume.
-    pub fn zeros(c: usize, h: usize, w: usize) -> Self {
+    pub(crate) fn zeros(c: usize, h: usize, w: usize) -> Self {
         Tensor3 {
             c,
             h,
@@ -95,29 +95,18 @@ impl Tensor3 {
 
     /// Element update.
     #[inline]
-    pub fn set(&mut self, c: usize, y: usize, x: usize, v: f32) {
+    pub(crate) fn set(&mut self, c: usize, y: usize, x: usize, v: f32) {
         self.data[(c * self.h + y) * self.w + x] = v;
     }
 
     /// Adds to an element.
     #[inline]
-    pub fn add(&mut self, c: usize, y: usize, x: usize, v: f32) {
+    pub(crate) fn add(&mut self, c: usize, y: usize, x: usize, v: f32) {
         self.data[(c * self.h + y) * self.w + x] += v;
     }
 
-    /// One channel as an `h x w` matrix (an "activation map").
-    pub fn channel(&self, c: usize) -> Matrix {
-        let start = c * self.h * self.w;
-        Matrix::from_vec(
-            self.h,
-            self.w,
-            self.data[start..start + self.h * self.w].to_vec(),
-        )
-        .expect("channel shape")
-    }
-
     /// Flattens to a `1 x (c*h*w)` row for a dense head.
-    pub fn flatten_row(&self) -> Matrix {
+    pub(crate) fn flatten_row(&self) -> Matrix {
         Matrix::from_vec(1, self.data.len(), self.data.clone()).expect("flatten shape")
     }
 
@@ -129,7 +118,7 @@ impl Tensor3 {
 
 /// 2-D convolution with 3x3 kernels and same-padding (pad = 1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     in_ch: usize,
     out_ch: usize,
     /// Weights as `out_ch x (in_ch * 9)` rows.
@@ -150,7 +139,7 @@ const TILE: usize = 2;
 
 impl Conv2d {
     /// Creates a layer with Glorot-style init.
-    pub fn new(in_ch: usize, out_ch: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_ch: usize, out_ch: usize, rng: &mut impl Rng) -> Self {
         let fan = in_ch * K * K;
         Conv2d {
             in_ch,
@@ -165,13 +154,13 @@ impl Conv2d {
     }
 
     /// Output channel count.
-    pub fn out_channels(&self) -> usize {
+    pub(crate) fn out_channels(&self) -> usize {
         self.out_ch
     }
 
     /// Training forward (same spatial size thanks to padding): the
     /// pre-activations, which [`relu_volume`] turns into output and mask.
-    pub fn forward(&self, x: &Tensor3) -> Tensor3 {
+    pub(crate) fn forward(&self, x: &Tensor3) -> Tensor3 {
         assert_eq!(x.c, self.in_ch, "conv input channels");
         let mut y = Tensor3::zeros(self.out_ch, x.h, x.w);
         for oc in 0..self.out_ch {
@@ -310,7 +299,7 @@ impl Conv2d {
     }
 
     /// Backward pass: accumulates parameter grads, returns `dL/dx`.
-    pub fn backward(&mut self, x: &Tensor3, dy: &Tensor3) -> Tensor3 {
+    pub(crate) fn backward(&mut self, x: &Tensor3, dy: &Tensor3) -> Tensor3 {
         let mut dx = Tensor3::zeros(x.c, x.h, x.w);
         for oc in 0..self.out_ch {
             let mut db = 0.0f32;
@@ -350,7 +339,7 @@ impl Conv2d {
     }
 
     /// Applies accumulated gradients with Adam.
-    pub fn apply_grads(&mut self, lr: f32, scale: f32) {
+    pub(crate) fn apply_grads(&mut self, lr: f32, scale: f32) {
         self.grad_w.scale_inplace(scale);
         self.grad_b.scale_inplace(scale);
         self.adam_w.step(&mut self.w, &self.grad_w, lr);
@@ -361,7 +350,7 @@ impl Conv2d {
 }
 
 /// ReLU on a volume, returning output and a mask for backward.
-pub fn relu_volume(x: &Tensor3) -> (Tensor3, Tensor3) {
+pub(crate) fn relu_volume(x: &Tensor3) -> (Tensor3, Tensor3) {
     let mut y = x.clone();
     let mut mask = Tensor3::zeros(x.c, x.h, x.w);
     for c in 0..x.c {
@@ -380,7 +369,7 @@ pub fn relu_volume(x: &Tensor3) -> (Tensor3, Tensor3) {
 }
 
 /// 2x2 max-pool with stride 2; returns pooled volume and argmax indices.
-pub fn maxpool2(x: &Tensor3) -> (Tensor3, Vec<usize>) {
+pub(crate) fn maxpool2(x: &Tensor3) -> (Tensor3, Vec<usize>) {
     let oh = x.h / 2;
     let ow = x.w / 2;
     let mut y = Tensor3::zeros(x.c, oh, ow);
@@ -439,7 +428,7 @@ fn maxpool2_infer(src: &[f32], (h, w, c): (usize, usize, usize), out: &mut Vec<f
 }
 
 /// Backward of [`maxpool2`]: routes gradients to the argmax positions.
-pub fn maxpool2_backward(
+pub(crate) fn maxpool2_backward(
     dy: &Tensor3,
     argmax: &[usize],
     in_shape: (usize, usize, usize),
@@ -450,17 +439,6 @@ pub fn maxpool2_backward(
         dx.data[src] += dy.data[i];
     }
     dx
-}
-
-/// Nearest-neighbour upsampling of an activation map to `(h, w)` — the
-/// alignment step NetDissect applies before computing IoU against
-/// pixel-level masks.
-pub fn upsample_nearest(map: &Matrix, h: usize, w: usize) -> Matrix {
-    let sh = map.rows().max(1);
-    let sw = map.cols().max(1);
-    Matrix::from_fn(h, w, |y, x| {
-        map.get(nearest_source(y, h, sh), nearest_source(x, w, sw))
-    })
 }
 
 /// The source coordinate (of `src_len`) nearest-neighbour upsampling
@@ -483,8 +461,9 @@ struct InferScratch {
 }
 
 /// For each pixel of a `size x size` map in row-major order, the pixel
-/// `row * w + col` of an `h x w` map that nearest-neighbour upsampling
-/// ([`upsample_nearest`]) reads for it.
+/// `row * w + col` of an `h x w` map that nearest-neighbour upsampling —
+/// the alignment step NetDissect applies before computing IoU against
+/// pixel-level masks — reads for it.
 fn upsample_sources(size: usize, (h, w): (usize, usize)) -> Vec<usize> {
     let cols: Vec<usize> = (0..size).map(|x| nearest_source(x, size, w)).collect();
     (0..size)
@@ -615,7 +594,7 @@ impl SmallCnn {
     }
 
     /// Class probabilities for one image.
-    pub fn predict_proba(&self, img: &Tensor3) -> Vec<f32> {
+    pub(crate) fn predict_proba(&self, img: &Tensor3) -> Vec<f32> {
         let (a1, _) = relu_volume(&self.conv1.forward(img));
         let (p1, _) = maxpool2(&a1);
         let (a2, _) = relu_volume(&self.conv2.forward(&p1));
@@ -681,7 +660,6 @@ mod tests {
     fn tensor3_indexing() {
         let t = Tensor3::from_fn(2, 3, 4, |c, y, x| (c * 100 + y * 10 + x) as f32);
         assert_eq!(t.get(1, 2, 3), 123.0);
-        assert_eq!(t.channel(1).get(2, 3), 123.0);
         assert_eq!(t.flatten_row().cols(), 24);
     }
 
@@ -779,16 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn upsample_nearest_tiles() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let up = upsample_nearest(&m, 4, 4);
-        assert_eq!(up.get(0, 0), 1.0);
-        assert_eq!(up.get(0, 3), 2.0);
-        assert_eq!(up.get(3, 0), 3.0);
-        assert_eq!(up.get(3, 3), 4.0);
-    }
-
-    #[test]
     fn cnn_learns_quadrant_classification() {
         // Class = which quadrant holds the bright square.
         let mut cnn = SmallCnn::new(1, 8, 4, 4, 4, 3);
@@ -818,8 +786,14 @@ mod tests {
         let (a1, _) = relu_volume(&cnn.conv1.forward(img));
         let (p1, _) = maxpool2(&a1);
         let (a2, _) = relu_volume(&cnn.conv2.forward(&p1));
+        let size = cnn.input_size;
         (0..a2.c)
-            .map(|c| upsample_nearest(&a2.channel(c), cnn.input_size, cnn.input_size))
+            .map(|c| {
+                Matrix::from_fn(size, size, |y, x| {
+                    let sy = nearest_source(y, size, a2.h.max(1));
+                    a2.get(c, sy, nearest_source(x, size, a2.w.max(1)))
+                })
+            })
             .collect()
     }
 

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// A dense (fully-connected) layer `y = x W + b`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Dense {
+pub(crate) struct Dense {
     w: Matrix,
     b: Matrix,
     adam_w: Adam,
@@ -20,7 +20,7 @@ pub struct Dense {
 
 impl Dense {
     /// Creates a layer with Glorot-uniform weights and zero bias.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
         Dense {
             w: init::glorot_uniform(in_dim, out_dim, rng),
             b: Matrix::zeros(1, out_dim),
@@ -31,28 +31,18 @@ impl Dense {
         }
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.w.cols()
-    }
-
     /// Borrow the weight matrix.
-    pub fn weights(&self) -> &Matrix {
+    pub(crate) fn weights(&self) -> &Matrix {
         &self.w
     }
 
     /// Borrow the bias row.
-    pub fn bias(&self) -> &Matrix {
+    pub(crate) fn bias(&self) -> &Matrix {
         &self.b
     }
 
     /// Forward pass: `x` is `batch x in_dim`, result `batch x out_dim`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
+    pub(crate) fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w);
         y.add_row_broadcast(self.b.row(0));
         y
@@ -62,7 +52,7 @@ impl Dense {
     ///
     /// `x` must be the same input passed to `forward`; `dy` is `dL/dy`.
     /// Gradients accumulate across calls until [`Dense::apply_grads`].
-    pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
+    pub(crate) fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
         self.grad_w.add_assign(&x.t_matmul(dy));
         let col_sums = dy.col_sums();
         for (g, s) in self.grad_b.as_mut_slice().iter_mut().zip(col_sums.iter()) {
@@ -73,7 +63,7 @@ impl Dense {
 
     /// Applies accumulated gradients (scaled by `scale`, typically `1/batch`)
     /// with Adam, then clears them.
-    pub fn apply_grads(&mut self, lr: f32, scale: f32) {
+    pub(crate) fn apply_grads(&mut self, lr: f32, scale: f32) {
         self.grad_w.scale_inplace(scale);
         self.grad_b.scale_inplace(scale);
         self.adam_w.step(&mut self.w, &self.grad_w, lr);

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// Embedding table `V x D`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Embedding {
+pub(crate) struct Embedding {
     table: Matrix,
     adam: Adam,
     grad: Matrix,
@@ -17,7 +17,7 @@ pub struct Embedding {
 
 impl Embedding {
     /// Creates a table with small-normal initialization.
-    pub fn new(vocab: usize, dim: usize, rng: &mut impl Rng) -> Self {
+    pub(crate) fn new(vocab: usize, dim: usize, rng: &mut impl Rng) -> Self {
         Embedding {
             table: init::normal(vocab, dim, 0.1, rng),
             adam: Adam::new(vocab, dim),
@@ -26,23 +26,23 @@ impl Embedding {
     }
 
     /// Embedding dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.table.cols()
     }
 
     /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
+    pub(crate) fn vocab(&self) -> usize {
         self.table.rows()
     }
 
     /// The embedding of one token id (ids past the vocabulary clamp to
     /// its last entry).
-    pub fn row(&self, id: u32) -> &[f32] {
+    pub(crate) fn row(&self, id: u32) -> &[f32] {
         self.table.row((id as usize).min(self.vocab() - 1))
     }
 
     /// Looks up a batch of token ids, producing `B x D`.
-    pub fn forward(&self, ids: &[u32]) -> Matrix {
+    pub(crate) fn forward(&self, ids: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(ids.len(), self.dim());
         for (r, &id) in ids.iter().enumerate() {
             out.row_mut(r).copy_from_slice(self.row(id));
@@ -51,7 +51,7 @@ impl Embedding {
     }
 
     /// Scatter-adds `dout` rows into the gradient of the looked-up ids.
-    pub fn backward(&mut self, ids: &[u32], dout: &Matrix) {
+    pub(crate) fn backward(&mut self, ids: &[u32], dout: &Matrix) {
         assert_eq!(ids.len(), dout.rows(), "embedding backward batch mismatch");
         for (r, &id) in ids.iter().enumerate() {
             let id = (id as usize).min(self.vocab() - 1);
@@ -64,7 +64,7 @@ impl Embedding {
     }
 
     /// Applies accumulated gradients with Adam and clears them.
-    pub fn apply_grads(&mut self, lr: f32, scale: f32) {
+    pub(crate) fn apply_grads(&mut self, lr: f32, scale: f32) {
         self.grad.scale_inplace(scale);
         self.adam.step(&mut self.table, &self.grad, lr);
         self.grad.scale_inplace(0.0);

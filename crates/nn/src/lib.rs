@@ -4,18 +4,20 @@
 //! role Keras/TensorFlow/PyTorch play in the paper, built from scratch on
 //! `deepbase-tensor`.
 //!
-//! * [`adam`] — Adam optimizer state per parameter matrix.
-//! * [`dense`] — fully-connected layer with exact backward.
-//! * [`lstm`] — LSTM layer with full back-propagation through time, and
-//!   the inference forward whose hidden states are the unit behaviors
-//!   DeepBase inspects.
-//! * [`embedding`] — token embeddings and one-hot encoding.
-//! * [`charmodel`] — the SQL auto-completion char-RNN (paper §2.1) and the
-//!   Appendix C specialization training mode (auxiliary unit loss).
-//! * [`seq2seq`] — two-layer encoder–decoder with dot-product attention,
-//!   the OpenNMT stand-in of §6.3, exposing per-layer encoder activations.
-//! * [`conv`] — Conv2d/ReLU/MaxPool volumes and a small CNN classifier for
-//!   the NetDissect comparison (Appendix E).
+//! * `adam` — Adam optimizer state per parameter matrix.
+//! * `dense` — fully-connected layer with exact backward.
+//! * `lstm` ([`Lstm`]) — LSTM layer with full back-propagation through
+//!   time, and the inference forward whose hidden states are the unit
+//!   behaviors DeepBase inspects.
+//! * `embedding` — token embeddings and one-hot encoding.
+//! * `charmodel` ([`CharLstmModel`]) — the SQL auto-completion char-RNN
+//!   (paper §2.1) and the Appendix C specialization training mode
+//!   (auxiliary unit loss).
+//! * `seq2seq` ([`Seq2Seq`]) — two-layer encoder–decoder with dot-product
+//!   attention, the OpenNMT stand-in of §6.3, exposing its encoder
+//!   activations.
+//! * `conv` ([`SmallCnn`], [`Tensor3`]) — Conv2d/ReLU/MaxPool volumes and a
+//!   small CNN classifier for the NetDissect comparison (Appendix E).
 //!
 //! Each model family has **two forwards**. The *training* forward
 //! ([`Lstm::forward`], [`CharLstmModel::run`], `Conv2d::forward` +
@@ -23,9 +25,9 @@
 //! serves `train_*` and the prediction heads. The *inference* forward
 //! ([`Lstm::forward_infer`]; for the CNN, one private channels-last conv
 //! kernel that accumulates eight output channels per register tile, see
-//! [`conv`]) retains nothing and serves every extraction entry point —
-//! [`CharLstmModel::extract_activations`] / [`CharLstmModel::extract_units`],
-//! [`Seq2Seq::encoder_activations`] / [`Seq2Seq::encoder_activations_all`],
+//! the `conv` module) retains nothing and serves every extraction entry
+//! point — [`CharLstmModel::extract_activations`] /
+//! [`CharLstmModel::extract_units`], [`Seq2Seq::encoder_activations_all`],
 //! [`SmallCnn::unit_maps`] / [`SmallCnn::unit_pixels`] /
 //! [`SmallCnn::unit_pixels_batch`]. The two agree bit for bit (same
 //! operations, same order, per element — the layout and the grouping of
@@ -38,19 +40,18 @@
 //! Every layer's backward pass is verified against finite differences in
 //! its module tests; training loops are deterministic given a seed.
 
-pub mod adam;
-pub mod charmodel;
-pub mod conv;
-pub mod dense;
-pub mod embedding;
-pub mod lstm;
-pub mod seq2seq;
+mod adam;
+mod charmodel;
+mod conv;
+mod dense;
+mod embedding;
+mod lstm;
+mod seq2seq;
 
 pub use charmodel::{train_epoch_last, CharLstmModel, OutputMode, Specialization};
 pub use conv::{SmallCnn, Tensor3};
-pub use dense::Dense;
-pub use embedding::{one_hot_batch, Embedding};
-pub use lstm::{Lstm, LstmCache, LstmInfer};
+pub use embedding::one_hot_batch;
+pub use lstm::Lstm;
 pub use seq2seq::Seq2Seq;
 
 /// Shared by the in-module parity proptests (`tests/proptests.rs` keeps its

@@ -72,22 +72,17 @@ pub struct LstmCache {
 
 impl LstmCache {
     /// Sequence length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.hs.len()
     }
 
-    /// True for an empty sequence.
-    pub fn is_empty(&self) -> bool {
-        self.hs.is_empty()
-    }
-
     /// Final hidden state (initial state when the sequence is empty).
-    pub fn final_h(&self) -> &Matrix {
+    pub(crate) fn final_h(&self) -> &Matrix {
         self.hs.last().unwrap_or(&self.h0)
     }
 
     /// Final cell state.
-    pub fn final_c(&self) -> &Matrix {
+    pub(crate) fn final_c(&self) -> &Matrix {
         self.cs.last().unwrap_or(&self.c0)
     }
 }
@@ -115,16 +110,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden width `H`.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
     /// Training forward over a sequence starting from zero state.
     /// `xs[t]` is the `B x input_dim` input at step `t`.
     pub fn forward(&self, xs: &[Matrix]) -> LstmCache {
@@ -135,7 +120,7 @@ impl Lstm {
     }
 
     /// Training forward from a given initial state (decoder use).
-    pub fn forward_from(&self, xs: &[Matrix], h0: Matrix, c0: Matrix) -> LstmCache {
+    pub(crate) fn forward_from(&self, xs: &[Matrix], h0: Matrix, c0: Matrix) -> LstmCache {
         let mut cache = LstmCache {
             xs: xs.to_vec(),
             hs: Vec::with_capacity(xs.len()),
@@ -215,7 +200,7 @@ impl Lstm {
     ///
     /// Accumulates parameter gradients and returns
     /// `(dxs, dh0, dc0)` — gradients w.r.t. inputs and the initial state.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         cache: &LstmCache,
         dh: &[Matrix],
@@ -284,7 +269,7 @@ impl Lstm {
 
     /// Applies accumulated gradients with Adam (scaled by `scale`) and
     /// clears them.
-    pub fn apply_grads(&mut self, lr: f32, scale: f32) {
+    pub(crate) fn apply_grads(&mut self, lr: f32, scale: f32) {
         self.grad_wx.scale_inplace(scale);
         self.grad_wh.scale_inplace(scale);
         self.grad_b.scale_inplace(scale);
@@ -299,7 +284,7 @@ impl Lstm {
     /// The trainable parameter matrices (`wx`, `wh`, `b`), in a fixed
     /// order — used to fingerprint a model's weights for the persistent
     /// behavior store.
-    pub fn params(&self) -> [&Matrix; 3] {
+    pub(crate) fn params(&self) -> [&Matrix; 3] {
         [&self.wx, &self.wh, &self.b]
     }
 
@@ -314,18 +299,6 @@ impl Lstm {
     #[doc(hidden)]
     pub fn wh_mut(&mut self) -> &mut Matrix {
         &mut self.wh
-    }
-
-    /// Accumulated input-projection gradient (tests only).
-    #[doc(hidden)]
-    pub fn grad_wx(&self) -> &Matrix {
-        &self.grad_wx
-    }
-
-    /// Accumulated recurrent-projection gradient (tests only).
-    #[doc(hidden)]
-    pub fn grad_wh(&self) -> &Matrix {
-        &self.grad_wh
     }
 }
 
@@ -473,7 +446,7 @@ mod tests {
         let cache = lstm.forward(&xs);
         let dh: Vec<Matrix> = cache.hs.clone();
         lstm.backward(&cache, &dh, None);
-        let analytic = lstm.grad_wx().clone();
+        let analytic = lstm.grad_wx.clone();
 
         let eps = 5e-3;
         for r in 0..3 {
@@ -502,7 +475,7 @@ mod tests {
         let cache = lstm.forward(&xs);
         let dh: Vec<Matrix> = cache.hs.clone();
         lstm.backward(&cache, &dh, None);
-        let analytic = lstm.grad_wh().clone();
+        let analytic = lstm.grad_wh.clone();
 
         let eps = 5e-3;
         for r in 0..3 {
@@ -562,8 +535,8 @@ mod tests {
         let dhf = Matrix::full(2, 3, 1.0);
         let dcf = Matrix::zeros(2, 3);
         lstm.backward(&cache, &dh, Some((&dhf, &dcf)));
-        assert!(lstm.grad_wx().frobenius_norm() > 0.0);
-        assert!(lstm.grad_wh().frobenius_norm() > 0.0);
+        assert!(lstm.grad_wx.frobenius_norm() > 0.0);
+        assert!(lstm.grad_wh.frobenius_norm() > 0.0);
     }
 
     #[test]

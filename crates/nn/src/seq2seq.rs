@@ -5,7 +5,7 @@
 //! the encoder, two in the decoder, plus an attention module on the
 //! decoder (Luong-style dot-product attention over the top encoder layer).
 //! DeepBase's NMT analyses probe the *encoder* hidden states, which
-//! [`Seq2Seq::encoder_activations`] exposes per layer.
+//! [`Seq2Seq::encoder_activations_all`] exposes, both layers side by side.
 
 use crate::dense::Dense;
 use crate::embedding::Embedding;
@@ -37,9 +37,9 @@ pub struct Seq2Seq {
 
 /// Beginning-of-sequence id fed to the decoder (matches
 /// `deepbase_lang::corpus::BOS_ID`).
-pub const BOS: u32 = 1;
+pub(crate) const BOS: u32 = 1;
 /// End-of-sequence id (matches `deepbase_lang::corpus::EOS_ID`).
-pub const EOS: u32 = 2;
+pub(crate) const EOS: u32 = 2;
 
 impl Seq2Seq {
     /// Creates a model. `hidden` is the per-layer unit count the paper's
@@ -94,20 +94,6 @@ impl Seq2Seq {
             let h1 = l1.step_rows(h0);
             emit(t, h0.row(0), h1.row(0));
         }
-    }
-
-    /// Encoder hidden states per layer for a source sentence: two
-    /// `src_len x hidden` matrices (layer 0, layer 1). These are the unit
-    /// behaviors the paper's POS probes consume (§6.3.1: "trained from the
-    /// encoder's hidden layer activations").
-    pub fn encoder_activations(&self, src: &[u32]) -> (Matrix, Matrix) {
-        let mut l0 = Matrix::zeros(src.len(), self.hidden);
-        let mut l1 = Matrix::zeros(src.len(), self.hidden);
-        self.encode_infer(src, |t, h0, h1| {
-            l0.row_mut(t).copy_from_slice(h0);
-            l1.row_mut(t).copy_from_slice(h1);
-        });
-        (l0, l1)
     }
 
     /// Both encoder layers side by side (`src_len x 2*hidden`), the "all
@@ -271,39 +257,6 @@ impl Seq2Seq {
         }
         output
     }
-
-    /// Mean per-token loss without updating parameters (validation).
-    pub fn evaluate_pair(&self, src: &[u32], tgt: &[u32]) -> f32 {
-        let (enc1, enc2) = self.encode(src);
-        let dec_ids: Vec<u32> = std::iter::once(BOS)
-            .chain(tgt.iter().copied().take(tgt.len() - 1))
-            .collect();
-        let dec_xs: Vec<Matrix> = dec_ids
-            .iter()
-            .map(|&id| self.tgt_emb.forward(&[id]))
-            .collect();
-        let dec1 = self
-            .dec1
-            .forward_from(&dec_xs, enc1.final_h().clone(), enc1.final_c().clone());
-        let dec2 = self
-            .dec2
-            .forward_from(&dec1.hs, enc2.final_h().clone(), enc2.final_c().clone());
-        let mut total = 0.0f32;
-        for (t, &tgt_tok) in tgt.iter().enumerate() {
-            let h_t = &dec2.hs[t];
-            let mut scores: Vec<f32> = enc2.hs.iter().map(|e| dot(h_t.row(0), e.row(0))).collect();
-            ops::softmax_slice(&mut scores);
-            let mut ctx = Matrix::zeros(1, self.hidden);
-            for (j, enc_h) in enc2.hs.iter().enumerate() {
-                ctx.add_scaled(enc_h, scores[j]);
-            }
-            let concat = h_t.hstack(&ctx).expect("attention concat");
-            let comb = self.attn_combine.forward(&concat).map(f32::tanh);
-            let probs = ops::softmax_rows(&self.out.forward(&comb));
-            total += -probs.get(0, tgt_tok as usize).max(1e-12).ln();
-        }
-        total / tgt.len() as f32
-    }
 }
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -331,9 +284,6 @@ mod tests {
     #[test]
     fn encoder_activation_shapes() {
         let model = Seq2Seq::new(12, 12, 8, 6, 0);
-        let (l0, l1) = model.encoder_activations(&[4, 5, 6]);
-        assert_eq!(l0.shape(), (3, 6));
-        assert_eq!(l1.shape(), (3, 6));
         assert_eq!(model.encoder_activations_all(&[4, 5, 6]).shape(), (3, 12));
     }
 
@@ -341,21 +291,18 @@ mod tests {
     fn training_reduces_loss() {
         let mut model = Seq2Seq::new(12, 12, 8, 16, 1);
         let pairs = toy_pairs();
-        let first: f32 = pairs
-            .iter()
-            .map(|(s, t)| model.evaluate_pair(s, t))
-            .sum::<f32>()
-            / pairs.len() as f32;
-        for _ in 0..60 {
-            for (s, t) in &pairs {
-                model.train_pair(s, t, 0.01);
-            }
+        let epoch_loss = |model: &mut Seq2Seq| {
+            let total: f32 = pairs
+                .iter()
+                .map(|(s, t)| model.train_pair(s, t, 0.01))
+                .sum();
+            total / pairs.len() as f32
+        };
+        let first = epoch_loss(&mut model);
+        let mut last = first;
+        for _ in 1..60 {
+            last = epoch_loss(&mut model);
         }
-        let last: f32 = pairs
-            .iter()
-            .map(|(s, t)| model.evaluate_pair(s, t))
-            .sum::<f32>()
-            / pairs.len() as f32;
         assert!(last < first * 0.5, "loss {first} -> {last}");
     }
 
@@ -451,9 +398,6 @@ mod tests {
             let mut src = body;
             src.resize(src.len() + padding, 0);
             let (t0, t1) = training_encoder_activations(&model, &src);
-            let (l0, l1) = model.encoder_activations(&src);
-            proptest::prop_assert_eq!(bits(l0.as_slice()), bits(t0.as_slice()));
-            proptest::prop_assert_eq!(bits(l1.as_slice()), bits(t1.as_slice()));
             let all = model.encoder_activations_all(&src);
             proptest::prop_assert_eq!(all.shape(), (src.len(), 2 * hidden));
             for t in 0..src.len() {

@@ -1,7 +1,7 @@
 //! Relational operators and user-defined aggregates.
 //!
 //! This is the execution layer of the MADLib-style baseline (paper
-//! §5.1.1): full-scan selection, hash join, hash group-by with aggregate
+//! §5.1.1): full-scan selection, hash group-by with aggregate
 //! functions, and iterative UDAs (`corr`, logistic-regression training).
 //! Scan work is metered in [`ExecStats`] so the benchmark harnesses can
 //! report the baseline's pass counts, and the PostgreSQL expression-limit
@@ -27,11 +27,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Resets counters.
-    pub fn reset(&mut self) {
-        *self = ExecStats::default();
-    }
-
     fn record_scan(&mut self, rows: usize) {
         self.full_scans += 1;
         self.rows_scanned += rows;
@@ -145,93 +140,6 @@ pub fn select(table: &Table, stats: &mut ExecStats, pred: impl Fn(&Table, usize)
         }
     }
     out
-}
-
-/// Projection by column names.
-pub fn project(table: &Table, stats: &mut ExecStats, cols: &[&str]) -> Result<Table, TableError> {
-    stats.record_scan(table.len());
-    let mut schema_cols = Vec::new();
-    let mut indices = Vec::new();
-    for &c in cols {
-        let idx = table.schema().index_of(c).ok_or_else(|| TableError {
-            msg: format!("unknown column {c:?}"),
-        })?;
-        indices.push(idx);
-        schema_cols.push((c, table.schema().col_type(idx)));
-    }
-    let mut out = Table::new(Schema::new(schema_cols));
-    for r in 0..table.len() {
-        let row: Vec<Value> = indices
-            .iter()
-            .map(|&i| table.column_at(i).value(r))
-            .collect();
-        out.push_row(row).expect("projected schema");
-    }
-    Ok(out)
-}
-
-/// Hash equi-join on one column from each side. Output columns are the
-/// left columns followed by the right columns (right join column renamed
-/// with a `right_` prefix when names collide).
-pub fn hash_join(
-    left: &Table,
-    right: &Table,
-    left_col: &str,
-    right_col: &str,
-    stats: &mut ExecStats,
-) -> Result<Table, TableError> {
-    let li = left.schema().index_of(left_col).ok_or_else(|| TableError {
-        msg: format!("unknown left column {left_col:?}"),
-    })?;
-    let ri = right
-        .schema()
-        .index_of(right_col)
-        .ok_or_else(|| TableError {
-            msg: format!("unknown right column {right_col:?}"),
-        })?;
-    stats.record_scan(left.len());
-    stats.record_scan(right.len());
-
-    // Build on the right side.
-    let mut build: HashMap<String, Vec<usize>> = HashMap::new();
-    for r in 0..right.len() {
-        build
-            .entry(key_of(&right.column_at(ri).value(r)))
-            .or_default()
-            .push(r);
-    }
-
-    let left_names = left.schema().names();
-    let mut cols: Vec<(String, ColType)> = left_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.to_string(), left.schema().col_type(i)))
-        .collect();
-    for (i, n) in right.schema().names().iter().enumerate() {
-        let name = if left.schema().index_of(n).is_some() {
-            format!("right_{n}")
-        } else {
-            n.to_string()
-        };
-        cols.push((name, right.schema().col_type(i)));
-    }
-    let schema = Schema::new(
-        cols.iter()
-            .map(|(n, t)| (n.as_str(), *t))
-            .collect::<Vec<_>>(),
-    );
-    let mut out = Table::new(schema);
-    for l in 0..left.len() {
-        let key = key_of(&left.column_at(li).value(l));
-        if let Some(matches) = build.get(&key) {
-            for &r in matches {
-                let mut row = left.row(l);
-                row.extend(right.row(r));
-                out.push_row(row).expect("join schema");
-            }
-        }
-    }
-    Ok(out)
 }
 
 fn key_of(v: &Value) -> String {
@@ -416,16 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn project_keeps_named_columns() {
-        let t = behavior_table();
-        let mut stats = ExecStats::default();
-        let out = project(&t, &mut stats, &["u0", "h0"]).unwrap();
-        assert_eq!(out.schema().names(), vec!["u0", "h0"]);
-        assert_eq!(out.len(), 100);
-        assert!(project(&t, &mut stats, &["nope"]).is_err());
-    }
-
-    #[test]
     fn aggregate_whole_table() {
         let t = behavior_table();
         let mut stats = ExecStats::default();
@@ -502,38 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_keys() {
-        let mut left = Table::new(Schema::new(vec![
-            ("uid", ColType::Int),
-            ("layer", ColType::Int),
-        ]));
-        left.push_row(vec![Value::Int(1), Value::Int(0)]).unwrap();
-        left.push_row(vec![Value::Int(2), Value::Int(1)]).unwrap();
-        let mut right = Table::new(Schema::new(vec![
-            ("uid", ColType::Int),
-            ("score", ColType::Float),
-        ]));
-        right
-            .push_row(vec![Value::Int(2), Value::Float(0.9)])
-            .unwrap();
-        right
-            .push_row(vec![Value::Int(3), Value::Float(0.1)])
-            .unwrap();
-        right
-            .push_row(vec![Value::Int(2), Value::Float(0.7)])
-            .unwrap();
-
-        let mut stats = ExecStats::default();
-        let out = hash_join(&left, &right, "uid", "uid", &mut stats).unwrap();
-        assert_eq!(out.len(), 2, "uid=2 matches twice");
-        assert_eq!(
-            out.schema().names(),
-            vec!["uid", "layer", "right_uid", "score"]
-        );
-        assert_eq!(out.value(0, "layer"), Some(Value::Int(1)));
-    }
-
-    #[test]
     fn logreg_uda_learns_separable_hypothesis() {
         let t = behavior_table();
         let mut stats = ExecStats::default();
@@ -549,15 +415,5 @@ mod tests {
         let y = Matrix::from_fn(100, 1, |r, _| t.column_at(3).value(r).as_f32().unwrap());
         let f1 = model.f1_per_output(&x, &y)[0];
         assert!(f1 > 0.9, "UDA probe F1 {f1}");
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut stats = ExecStats {
-            full_scans: 3,
-            rows_scanned: 10,
-        };
-        stats.reset();
-        assert_eq!(stats, ExecStats::default());
     }
 }

@@ -39,14 +39,6 @@ impl Value {
             Value::Str(_) => None,
         }
     }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -88,20 +80,6 @@ impl Column {
             ColType::Float => Column::Floats(Vec::new()),
             ColType::Str => Column::Strs(Vec::new()),
         }
-    }
-
-    /// Number of values.
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Ints(v) => v.len(),
-            Column::Floats(v) => v.len(),
-            Column::Strs(v) => v.len(),
-        }
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Value at a row.
@@ -183,7 +161,7 @@ impl Schema {
     }
 
     /// Column index by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.cols.iter().position(|(n, _)| n == name)
     }
 
@@ -250,7 +228,7 @@ impl Table {
     }
 
     /// Column by name.
-    pub fn column(&self, name: &str) -> Option<&Column> {
+    pub(crate) fn column(&self, name: &str) -> Option<&Column> {
         self.schema.index_of(name).map(|i| &self.columns[i])
     }
 
@@ -378,7 +356,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_f32(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_i64(), Some(2));
         assert_eq!(Value::Str("x".into()).as_f32(), None);
-        assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
     }
 
     #[test]

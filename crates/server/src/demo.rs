@@ -2,7 +2,7 @@
 //! counter, used by the server binary and the integration tests so both
 //! serve exactly the same catalog.
 //!
-//! Sequences of [`NS`] symbols, one LSTM probe model, character-class
+//! Sequences of 16 symbols, one LSTM probe model, character-class
 //! and position hypotheses — an extraction-bound batch where a warm
 //! behavior store pays.
 
@@ -14,17 +14,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default record count.
-pub const ND: usize = 384;
+pub(crate) const ND: usize = 384;
 /// Default symbols per record.
-pub const NS: usize = 16;
+pub(crate) const NS: usize = 16;
 /// Default hidden units of the probe model.
-pub const UNITS: usize = 96;
+pub(crate) const UNITS: usize = 96;
 
 /// Owned char-LSTM extractor with forward-pass counting and a weight
 /// fingerprint (the durable store key). The counter is how tests and
 /// benches *prove* a warm store serves queries without touching the
 /// model — including over TCP.
-pub struct CountingLstmExtractor {
+pub(crate) struct CountingLstmExtractor {
     model: CharLstmModel,
     forward_passes: Arc<AtomicUsize>,
 }
@@ -99,7 +99,8 @@ pub fn catalog_sized(nd: usize, ns: usize, units: usize, passes: &Arc<AtomicUsiz
     catalog
 }
 
-/// Builds the demo catalog at the default [`ND`]/[`NS`]/[`UNITS`] size.
+/// Builds the demo catalog at the default size: 384 sequences of 16
+/// symbols, 96 units.
 pub fn catalog(passes: &Arc<AtomicUsize>) -> Catalog {
     catalog_sized(ND, NS, UNITS, passes)
 }

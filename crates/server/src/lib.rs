@@ -32,7 +32,7 @@
 //! panic is caught at the extraction-group boundary inside the engine
 //! and routed to the offending query as [`DniError::Internal`]
 //! (`code()` 8) over the wire, while sibling connections' batches keep
-//! running. Shutdown (a SHUTDOWN frame, or [`ServerHandle::shutdown`])
+//! running. Shutdown (a SHUTDOWN frame, or `ServerHandle::shutdown`)
 //! is graceful: the drain [`CancelToken`] interrupts in-flight passes at
 //! their next block boundary (partial frames are persisted and
 //! tagged), handlers finish their current response and exit, the
@@ -46,10 +46,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use deepbase::engine::CancelToken;
 use deepbase::prelude::{
-    freshness_label, AdmissionScheduler, BehaviorStore, Catalog, CompletionStatus, DniError,
-    MaterializationPolicy, Record, SchedulerStats, Session, SessionConfig, ViewRefresh,
+    freshness_label, AdmissionScheduler, BehaviorStore, CancelToken, Catalog, CompletionStatus,
+    DniError, MaterializationPolicy, PlanStats, Record, SchedulerStats, Session, SessionConfig,
+    ViewRefresh,
 };
 
 use crate::wire::{Request, Response, WirePlanStats};
@@ -377,7 +377,7 @@ fn status_byte(status: CompletionStatus) -> u8 {
     }
 }
 
-fn wire_plan_stats(p: &deepbase::plan::PlanStats) -> WirePlanStats {
+fn wire_plan_stats(p: &PlanStats) -> WirePlanStats {
     WirePlanStats {
         plan_cache_hits: p.plan_cache_hits as u64,
         plan_cache_misses: p.plan_cache_misses as u64,
@@ -587,7 +587,7 @@ impl ServerHandle {
         *self.shared.stats.lock().expect("stats lock")
     }
 
-    /// True once a SHUTDOWN frame (or [`ServerHandle::shutdown`]) has
+    /// True once a SHUTDOWN frame (or `ServerHandle::shutdown`) has
     /// begun the drain.
     pub fn is_shutting_down(&self) -> bool {
         self.shared.shutting_down.load(Ordering::SeqCst)
@@ -596,7 +596,7 @@ impl ServerHandle {
     /// Begins the drain (cancels in-flight passes, stops accepting) and
     /// blocks until every connection handler has exited and the final
     /// store compaction ran. Idempotent.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.shared.begin_shutdown();
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();

@@ -12,12 +12,11 @@
 //!   (`PartialEq`-equal) to the encoded one, NaN payloads included; a
 //!   query answered over TCP equals the in-process answer exactly.
 //! * **Typed errors** — error frames carry the stable
-//!   [`DniError::code`] plus the display text and are reconstructed
-//!   with [`DniError::from_wire`]; code [`PROTOCOL_ERROR`] (0) is
+//!   [`DniError::code`](deepbase::DniError::code) plus the display text and are reconstructed
+//!   with [`DniError::from_wire`](deepbase::DniError::from_wire); code [`PROTOCOL_ERROR`] (0) is
 //!   reserved for malformed-frame failures that have no `DniError`.
 
-use deepbase::engine::{CancelToken, RunBudget};
-use deepbase::DniError;
+use deepbase::prelude::{CancelToken, RunBudget};
 use deepbase_relational::{ColType, Schema, Table, Value};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -28,8 +27,8 @@ use std::time::Duration;
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
 /// Reserved error-frame code for protocol-level failures (malformed
-/// frame, unknown opcode) — everything a [`DniError`] cannot represent.
-/// All real engine errors carry their non-zero [`DniError::code`].
+/// frame, unknown opcode) — everything a [`deepbase::DniError`] cannot represent.
+/// All real engine errors carry their non-zero [`DniError::code`](deepbase::DniError::code).
 pub const PROTOCOL_ERROR: u16 = 0;
 
 // Request opcodes.
@@ -55,13 +54,13 @@ const OP_BATCH_RESULT: u8 = 0x85;
 /// Completion-status byte of a RESULT/BATCH frame.
 pub const STATUS_CONVERGED: u8 = 0;
 /// The run budget's deadline expired mid-stream.
-pub const STATUS_DEADLINE: u8 = 1;
+pub(crate) const STATUS_DEADLINE: u8 = 1;
 /// The run was cancelled (server drain or explicit token).
-pub const STATUS_CANCELLED: u8 = 2;
+pub(crate) const STATUS_CANCELLED: u8 = 2;
 /// A row/block cap of the run budget was reached.
 pub const STATUS_BUDGET: u8 = 3;
 /// A status this protocol revision does not know (newer server).
-pub const STATUS_UNKNOWN: u8 = 255;
+pub(crate) const STATUS_UNKNOWN: u8 = 255;
 
 /// Human-readable name of a completion-status byte.
 pub fn status_name(status: u8) -> &'static str {
@@ -100,7 +99,7 @@ pub struct WireBudget {
 impl WireBudget {
     /// Maps the wire fields onto an engine [`RunBudget`], attaching the
     /// server's drain token so shutdown cancels in-flight requests.
-    pub fn to_run_budget(self, cancel: Option<CancelToken>) -> RunBudget {
+    pub(crate) fn to_run_budget(self, cancel: Option<CancelToken>) -> RunBudget {
         RunBudget {
             deadline: (self.deadline_ms > 0).then(|| Duration::from_millis(self.deadline_ms)),
             cancel,
@@ -125,7 +124,7 @@ pub struct WireRecord {
 }
 
 /// Plan-pipeline counters of a BATCH response (mirrors the useful subset
-/// of `deepbase::plan::PlanStats` so clients can assert plan behavior —
+/// of `deepbase::prelude::PlanStats` so clients can assert plan behavior —
 /// admission waves, cache hits — without an in-process session).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WirePlanStats {
@@ -233,9 +232,10 @@ pub enum Response {
     Text(String),
     /// Typed error: stable code + display text.
     Error {
-        /// [`DniError::code`], or [`PROTOCOL_ERROR`].
+        /// [`DniError::code`](deepbase::DniError::code), or [`PROTOCOL_ERROR`].
         code: u16,
-        /// Display rendering (parsed back by [`DniError::from_wire`]).
+        /// Display rendering (parsed back by
+        /// [`DniError::from_wire`](deepbase::DniError::from_wire)).
         message: String,
     },
     /// Acknowledgement carrying a count (APPEND records, SHUTDOWN 0).
@@ -405,8 +405,8 @@ const MID_FRAME_STALL_TICKS: u32 = 200;
 ///
 /// Once the first byte of a frame is seen, timeouts no longer yield
 /// `Ok(None)` — returning early mid-frame would desynchronize the
-/// stream — the read keeps retrying up to [`MID_FRAME_STALL_TICKS`].
-pub fn read_frame_polled(r: &mut impl Read, max_bytes: u32) -> io::Result<Option<Vec<u8>>> {
+/// stream — the read keeps retrying up to `MID_FRAME_STALL_TICKS`.
+pub(crate) fn read_frame_polled(r: &mut impl Read, max_bytes: u32) -> io::Result<Option<Vec<u8>>> {
     let mut hdr = [0u8; 4];
     if read_full(r, &mut hdr, true)?.is_none() {
         return Ok(None);
@@ -793,17 +793,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         op => return Err(WireError(format!("unknown response opcode {op:#04x}"))),
     };
     Ok(resp)
-}
-
-/// Maps an error-frame `(code, message)` onto the caller-facing error:
-/// protocol-level codes stay [`WireError`]-ish strings, engine codes
-/// reconstruct the original [`DniError`] losslessly.
-pub fn error_from_frame(code: u16, message: &str) -> Result<DniError, WireError> {
-    if code == PROTOCOL_ERROR {
-        Err(WireError(message.to_string()))
-    } else {
-        Ok(DniError::from_wire(code, message))
-    }
 }
 
 #[cfg(test)]

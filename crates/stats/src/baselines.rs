@@ -31,19 +31,6 @@ pub fn random_class_f1(target: &[f32], seed: u64) -> f32 {
     crate::classify::f1_score(&pred, target)
 }
 
-/// Multiclass accuracy of always predicting the majority class.
-pub fn majority_class_accuracy(target: &[usize]) -> f32 {
-    if target.is_empty() {
-        return 0.0;
-    }
-    let mut counts = std::collections::HashMap::new();
-    for &t in target {
-        *counts.entry(t).or_insert(0usize) += 1;
-    }
-    let max = counts.values().copied().max().unwrap_or(0);
-    max as f32 / target.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,12 +65,5 @@ mod tests {
         let target: Vec<f32> = (0..2000).map(|i| (i % 2) as f32).collect();
         let f1 = random_class_f1(&target, 1);
         assert!((f1 - 0.5).abs() < 0.05, "{f1}");
-    }
-
-    #[test]
-    fn majority_multiclass_accuracy() {
-        let target = [0usize, 0, 0, 1, 2];
-        assert!((majority_class_accuracy(&target) - 0.6).abs() < 1e-6);
-        assert_eq!(majority_class_accuracy(&[]), 0.0);
     }
 }

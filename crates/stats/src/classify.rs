@@ -1,5 +1,5 @@
-//! Classification quality metrics: confusion counts, precision/recall/F1
-//! (binary and macro-averaged multiclass), and accuracy.
+//! Classification quality metrics: binary confusion counts and F1, and
+//! per-class precision of multiclass predictions.
 //!
 //! These score DeepBase's joint measures: logistic-regression probes report
 //! F1 (the paper's default) or per-class precision (the Belinkov et al.
@@ -7,7 +7,7 @@
 
 /// Binary confusion counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Confusion {
+pub(crate) struct Confusion {
     /// True positives.
     pub tp: usize,
     /// False positives.
@@ -20,7 +20,7 @@ pub struct Confusion {
 
 impl Confusion {
     /// Tallies binary predictions against targets (both thresholded at 0.5).
-    pub fn from_predictions(predicted: &[f32], target: &[f32]) -> Self {
+    pub(crate) fn from_predictions(predicted: &[f32], target: &[f32]) -> Self {
         assert_eq!(predicted.len(), target.len(), "prediction count mismatch");
         let mut c = Confusion::default();
         for (&p, &t) in predicted.iter().zip(target.iter()) {
@@ -35,7 +35,7 @@ impl Confusion {
     }
 
     /// Precision = tp / (tp + fp); 0 when undefined.
-    pub fn precision(&self) -> f32 {
+    pub(crate) fn precision(&self) -> f32 {
         let denom = self.tp + self.fp;
         if denom == 0 {
             0.0
@@ -45,7 +45,7 @@ impl Confusion {
     }
 
     /// Recall = tp / (tp + fn); 0 when undefined.
-    pub fn recall(&self) -> f32 {
+    pub(crate) fn recall(&self) -> f32 {
         let denom = self.tp + self.fn_;
         if denom == 0 {
             0.0
@@ -55,7 +55,7 @@ impl Confusion {
     }
 
     /// F1 = harmonic mean of precision and recall; 0 when undefined.
-    pub fn f1(&self) -> f32 {
+    pub(crate) fn f1(&self) -> f32 {
         let p = self.precision();
         let r = self.recall();
         if p + r == 0.0 {
@@ -64,35 +64,11 @@ impl Confusion {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f32 {
-        let total = self.tp + self.fp + self.tn + self.fn_;
-        if total == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f32 / total as f32
-        }
-    }
 }
 
 /// Binary F1 of thresholded predictions.
 pub fn f1_score(predicted: &[f32], target: &[f32]) -> f32 {
     Confusion::from_predictions(predicted, target).f1()
-}
-
-/// Multiclass accuracy of integer predictions.
-pub fn accuracy_multiclass(predicted: &[usize], target: &[usize]) -> f32 {
-    assert_eq!(predicted.len(), target.len());
-    if predicted.is_empty() {
-        return 0.0;
-    }
-    let correct = predicted
-        .iter()
-        .zip(target.iter())
-        .filter(|(p, t)| p == t)
-        .count();
-    correct as f32 / predicted.len() as f32
 }
 
 /// Per-class precision for multiclass predictions over `k` classes.
@@ -118,54 +94,6 @@ pub fn per_class_precision(predicted: &[usize], target: &[usize], k: usize) -> V
             }
         })
         .collect()
-}
-
-/// Per-class recall for multiclass predictions over `k` classes.
-pub fn per_class_recall(predicted: &[usize], target: &[usize], k: usize) -> Vec<f32> {
-    assert_eq!(predicted.len(), target.len());
-    let mut tp = vec![0usize; k];
-    let mut target_count = vec![0usize; k];
-    for (&p, &t) in predicted.iter().zip(target.iter()) {
-        if t < k {
-            target_count[t] += 1;
-            if p == t {
-                tp[t] += 1;
-            }
-        }
-    }
-    (0..k)
-        .map(|c| {
-            if target_count[c] == 0 {
-                0.0
-            } else {
-                tp[c] as f32 / target_count[c] as f32
-            }
-        })
-        .collect()
-}
-
-/// Macro-averaged multiclass F1 over classes that appear in the target.
-pub fn macro_f1(predicted: &[usize], target: &[usize], k: usize) -> f32 {
-    let prec = per_class_precision(predicted, target, k);
-    let rec = per_class_recall(predicted, target, k);
-    let mut total = 0.0f32;
-    let mut classes = 0usize;
-    for c in 0..k {
-        if target.contains(&c) {
-            let (p, r) = (prec[c], rec[c]);
-            total += if p + r == 0.0 {
-                0.0
-            } else {
-                2.0 * p * r / (p + r)
-            };
-            classes += 1;
-        }
-    }
-    if classes == 0 {
-        0.0
-    } else {
-        total / classes as f32
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +123,6 @@ mod tests {
         assert_eq!(c.precision(), 1.0);
         assert_eq!(c.recall(), 1.0);
         assert_eq!(c.f1(), 1.0);
-        assert_eq!(c.accuracy(), 1.0);
     }
 
     #[test]
@@ -204,7 +131,6 @@ mod tests {
         assert_eq!(c.precision(), 0.0);
         assert_eq!(c.recall(), 0.0);
         assert_eq!(c.f1(), 0.0);
-        assert_eq!(c.accuracy(), 1.0);
     }
 
     #[test]
@@ -216,31 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn multiclass_accuracy() {
-        assert_eq!(accuracy_multiclass(&[0, 1, 2, 1], &[0, 1, 1, 1]), 0.75);
-        assert_eq!(accuracy_multiclass(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn per_class_precision_and_recall() {
+    fn per_class_precision_known_values() {
         let pred = [0usize, 0, 1, 1, 2];
         let targ = [0usize, 1, 1, 1, 0];
         let prec = per_class_precision(&pred, &targ, 3);
         assert!((prec[0] - 0.5).abs() < 1e-6);
         assert!((prec[1] - 1.0).abs() < 1e-6);
         assert_eq!(prec[2], 0.0);
-        let rec = per_class_recall(&pred, &targ, 3);
-        assert!((rec[0] - 0.5).abs() < 1e-6);
-        assert!((rec[1] - 2.0 / 3.0).abs() < 1e-5);
-        assert_eq!(rec[2], 0.0); // class 2 never in target
-    }
-
-    #[test]
-    fn macro_f1_ignores_absent_classes() {
-        let pred = [0usize, 0, 1, 1];
-        let targ = [0usize, 0, 1, 1];
-        // Class 2 exists in k but never in target; must not dilute the mean.
-        assert!((macro_f1(&pred, &targ, 3) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -248,7 +156,7 @@ mod tests {
         let pred = [1.0f32, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0];
         let targ = [0.0f32, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0];
         let c = Confusion::from_predictions(&pred, &targ);
-        for v in [c.precision(), c.recall(), c.f1(), c.accuracy()] {
+        for v in [c.precision(), c.recall(), c.f1()] {
             assert!((0.0..=1.0).contains(&v));
         }
     }

@@ -8,7 +8,7 @@
 //! and `y > 0.5` would reach, so the ratio is the same `f32` division.
 
 /// Mean of a slice (0 when empty).
-pub fn mean(xs: &[f32]) -> f32 {
+pub(crate) fn mean(xs: &[f32]) -> f32 {
     if xs.is_empty() {
         0.0
     } else {
@@ -17,17 +17,12 @@ pub fn mean(xs: &[f32]) -> f32 {
 }
 
 /// Unbiased sample variance (0 when fewer than two values).
-pub fn variance(xs: &[f32]) -> f32 {
+pub(crate) fn variance(xs: &[f32]) -> f32 {
     if xs.len() < 2 {
         return 0.0;
     }
     let m = mean(xs);
     xs.iter().map(|x| (x - m).powi(2)).sum::<f32>() / (xs.len() - 1) as f32
-}
-
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f32]) -> f32 {
-    variance(xs).sqrt()
 }
 
 /// Difference-of-means affinity (paper §4.3): mean behavior where the
@@ -110,7 +105,7 @@ pub fn jaccard_bits(a: &[u64], b: &[u64]) -> f32 {
 /// NetDissect's IoU (paper Appendix E): [`jaccard_bits`] of the two
 /// [`above_bits`] sets. [`jaccard`] and [`jaccard_at_quantile`] only choose
 /// the threshold.
-pub fn jaccard_above(behavior: &[f32], mask: &[f32], threshold: f32) -> f32 {
+pub(crate) fn jaccard_above(behavior: &[f32], mask: &[f32], threshold: f32) -> f32 {
     assert_eq!(behavior.len(), mask.len(), "length mismatch");
     jaccard_bits(&above_bits(behavior, threshold), &above_bits(mask, 0.5))
 }

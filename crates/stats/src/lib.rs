@@ -17,27 +17,24 @@
 //! * [`descriptive`] — difference of means, Jaccard/IoU as a popcount over
 //!   thresholded bitsets, silhouette score (the §4.4 verification
 //!   statistic).
-//! * [`classify`] — precision/recall/F1/accuracy metrics.
-//! * [`logreg`] — single-, multi-output (merged) and softmax logistic
-//!   regression probes with Adam, L1/L2 and incremental `process_block`
-//!   training.
+//! * [`classify`] — binary F1 and per-class precision.
+//! * `logreg` ([`MultiLogReg`], [`SoftmaxReg`]) — single-, multi-output
+//!   (merged) and softmax logistic regression probes with Adam, L1/L2 and
+//!   incremental `process_block` training.
 //! * [`baselines`] — random- and majority-class baselines.
-//! * [`split`] — deterministic shuffles, train/test and k-fold splits.
+//! * [`split`] — deterministic shuffles and train/test splits.
 
 pub mod baselines;
 pub mod classify;
 pub mod corr;
 pub mod descriptive;
-pub mod logreg;
+mod logreg;
 pub mod mi;
 pub mod quantile;
 pub mod split;
 
-pub use classify::{f1_score, Confusion};
+pub use classify::f1_score;
 pub use corr::{pearson, StreamingPearson, Z_95};
-pub use descriptive::{
-    difference_of_means, jaccard, jaccard_above, jaccard_at_quantile, silhouette_score,
-};
+pub use descriptive::silhouette_score;
 pub use logreg::{ConvergenceTracker, LogRegConfig, MultiLogReg, SoftmaxReg};
-pub use mi::{multivariate_mi, multivariate_mi_binned, mutual_information};
-pub use quantile::{quantile, quantile_bin, P2Quantile};
+pub use quantile::P2Quantile;

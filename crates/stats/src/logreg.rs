@@ -27,7 +27,7 @@ pub struct LogRegConfig {
     pub l1: f32,
     /// L2 penalty weight.
     pub l2: f32,
-    /// Number of passes over the data in [`MultiLogReg::fit`].
+    /// Number of passes over the data in [`SoftmaxReg::fit`].
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
@@ -175,12 +175,12 @@ impl MultiLogReg {
     }
 
     /// Number of input features (units).
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.weights.rows()
     }
 
     /// Number of outputs (hypotheses).
-    pub fn n_outputs(&self) -> usize {
+    pub(crate) fn n_outputs(&self) -> usize {
         self.weights.cols()
     }
 
@@ -204,9 +204,8 @@ impl MultiLogReg {
     /// subgradient, applied with Adam.
     ///
     /// Fully fused hot path: the forward pass, error, weight gradient and
-    /// bias gradient are all written into reusable scratch buffers
-    /// ([`StepScratch`]), so a steady-state training step performs zero
-    /// heap allocations.
+    /// bias gradient are all written into reusable scratch buffers, so a
+    /// steady-state training step performs zero heap allocations.
     pub fn sgd_step(&mut self, x: &Matrix, y: &Matrix) {
         assert_eq!(x.rows(), y.rows(), "batch row mismatch");
         assert_eq!(y.cols(), self.n_outputs(), "target output mismatch");
@@ -280,23 +279,6 @@ impl MultiLogReg {
         self.adam_b.update(&mut self.bias, grad_b, lr);
     }
 
-    /// Full training run: `epochs` passes of seeded-shuffled mini-batches.
-    pub fn fit(&mut self, x: &Matrix, y: &Matrix) {
-        assert_eq!(x.rows(), y.rows(), "dataset row mismatch");
-        let n = x.rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = init::seeded_rng(self.config.seed);
-        let bs = self.config.batch_size.max(1);
-        for _ in 0..self.config.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(bs) {
-                let xb = gather_rows(x, chunk);
-                let yb = gather_rows(y, chunk);
-                self.sgd_step(&xb, &yb);
-            }
-        }
-    }
-
     /// Incremental training on one block (a single pass of mini-batches, in
     /// order): the `process_block` API of paper §5.2.2.
     pub fn partial_fit(&mut self, x: &Matrix, y: &Matrix) {
@@ -331,25 +313,6 @@ impl MultiLogReg {
             .map(|f| self.weights.get(f, output).abs())
             .collect()
     }
-
-    /// Number of coefficients with |w| above `threshold` for an output —
-    /// the "unit group size" statistic of paper §6.3.2 (L1 selection).
-    pub fn selected_units(&self, output: usize, threshold: f32) -> usize {
-        (0..self.n_features())
-            .filter(|&f| self.weights.get(f, output).abs() > threshold)
-            .count()
-    }
-
-    /// Extracts a single-output probe equivalent to column `h` of the
-    /// merged model (used by tests to verify merging exactness).
-    pub fn extract_column(&self, h: usize) -> MultiLogReg {
-        let mut single = MultiLogReg::new(self.n_features(), 1, self.config.clone());
-        for f in 0..self.n_features() {
-            single.weights.set(f, 0, self.weights.get(f, h));
-        }
-        single.bias[0] = self.bias[h];
-        single
-    }
 }
 
 /// Multiclass softmax regression (used for POS-tag probes where the
@@ -361,7 +324,6 @@ pub struct SoftmaxReg {
     adam_w: AdamState,
     adam_b: AdamState,
     config: LogRegConfig,
-    n_classes: usize,
 }
 
 impl SoftmaxReg {
@@ -373,17 +335,11 @@ impl SoftmaxReg {
             adam_w: AdamState::new(n_features, n_classes),
             adam_b: AdamState::new(1, n_classes),
             config,
-            n_classes,
         }
     }
 
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
     /// Class probabilities, shape `n x k`.
-    pub fn predict_proba(&self, x: &Matrix) -> Matrix {
+    pub(crate) fn predict_proba(&self, x: &Matrix) -> Matrix {
         let mut logits = if self.config.threads > 1 {
             x.matmul_parallel(&self.weights, self.config.threads)
         } else {
@@ -399,7 +355,7 @@ impl SoftmaxReg {
     }
 
     /// One gradient step on a mini-batch with integer targets.
-    pub fn sgd_step(&mut self, x: &Matrix, y: &[usize]) {
+    pub(crate) fn sgd_step(&mut self, x: &Matrix, y: &[usize]) {
         assert_eq!(x.rows(), y.len(), "batch target mismatch");
         let n = x.rows().max(1) as f32;
         let mut err = self.predict_proba(x);
@@ -435,15 +391,10 @@ impl SoftmaxReg {
             }
         }
     }
-
-    /// Accuracy on a labelled set.
-    pub fn accuracy(&self, x: &Matrix, y: &[usize]) -> f32 {
-        crate::classify::accuracy_multiclass(&self.predict(x), y)
-    }
 }
 
 /// Copies the given rows of `m` into a new matrix (mini-batch gather).
-pub fn gather_rows(m: &Matrix, indices: &[usize]) -> Matrix {
+pub(crate) fn gather_rows(m: &Matrix, indices: &[usize]) -> Matrix {
     let mut out = Matrix::zeros(indices.len(), m.cols());
     for (dst, &src) in indices.iter().enumerate() {
         out.row_mut(dst).copy_from_slice(m.row(src));
@@ -486,65 +437,23 @@ impl ConvergenceTracker {
     pub fn latest(&self) -> Option<f32> {
         self.history.last().copied()
     }
-
-    /// Number of recorded scores.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// True when no scores have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
-}
-
-/// `folds`-fold cross-validated F1 of a single-output logreg probe;
-/// the paper's default reporting protocol (§4.3: "F1 on 5-fold CV").
-pub fn kfold_f1(x: &Matrix, y: &[f32], folds: usize, config: &LogRegConfig) -> f32 {
-    assert_eq!(x.rows(), y.len(), "kfold target mismatch");
-    let n = x.rows();
-    let folds = folds.clamp(2, n.max(2));
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = init::seeded_rng(config.seed.wrapping_add(0x5EED));
-    order.shuffle(&mut rng);
-
-    let mut scores = Vec::with_capacity(folds);
-    for f in 0..folds {
-        let test_idx: Vec<usize> = order.iter().copied().skip(f).step_by(folds).collect();
-        let train_idx: Vec<usize> = order
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| i % folds != f)
-            .map(|(_, v)| v)
-            .collect();
-        if test_idx.is_empty() || train_idx.is_empty() {
-            continue;
-        }
-        let xt = gather_rows(x, &train_idx);
-        let yt = Matrix::from_vec(
-            train_idx.len(),
-            1,
-            train_idx.iter().map(|&i| y[i]).collect(),
-        )
-        .unwrap();
-        let xv = gather_rows(x, &test_idx);
-        let yv: Vec<f32> = test_idx.iter().map(|&i| y[i]).collect();
-        let mut model = MultiLogReg::new(x.cols(), 1, config.clone());
-        model.fit(&xt, &yt);
-        let pred = model.predict_proba(&xv).col(0);
-        scores.push(crate::classify::f1_score(&pred, &yv));
-    }
-    if scores.is_empty() {
-        0.0
-    } else {
-        scores.iter().sum::<f32>() / scores.len() as f32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Full training run: `epochs` passes of seeded-shuffled mini-batches.
+    fn fit(model: &mut MultiLogReg, x: &Matrix, y: &Matrix) {
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        let mut rng = init::seeded_rng(model.config.seed);
+        for _ in 0..model.config.epochs {
+            order.shuffle(&mut rng);
+            for chunk in order.chunks(model.config.batch_size.max(1)) {
+                model.sgd_step(&gather_rows(x, chunk), &gather_rows(y, chunk));
+            }
+        }
+    }
 
     /// Linearly separable toy set: y = 1 iff x0 + x1 > 1.
     fn toy_dataset(n: usize) -> (Matrix, Matrix) {
@@ -571,7 +480,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        model.fit(&x, &y);
+        fit(&mut model, &x, &y);
         let f1 = model.f1_per_output(&x, &y)[0];
         assert!(f1 > 0.95, "F1 {f1}");
     }
@@ -589,12 +498,12 @@ mod tests {
             ..Default::default()
         };
         let mut merged = MultiLogReg::new(2, 2, config.clone());
-        merged.fit(&x, &y);
+        fit(&mut merged, &x, &y);
 
         let mut sep0 = MultiLogReg::new(2, 1, config.clone());
-        sep0.fit(&x, &y0);
+        fit(&mut sep0, &x, &y0);
         let mut sep1 = MultiLogReg::new(2, 1, config);
-        sep1.fit(&x, &y1);
+        fit(&mut sep1, &x, &y1);
 
         for f in 0..2 {
             assert!(
@@ -621,9 +530,9 @@ mod tests {
             ..Default::default()
         };
         let mut merged = MultiLogReg::new(2, 2, config.clone());
-        merged.fit(&x, &y);
+        fit(&mut merged, &x, &y);
         let mut sep = MultiLogReg::new(2, 1, config);
-        sep.fit(&x, &y0);
+        fit(&mut sep, &x, &y0);
         for f in 0..2 {
             assert!((merged.weights().get(f, 0) - sep.weights().get(f, 0)).abs() < 1e-4);
         }
@@ -649,8 +558,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        cpu.fit(&x, &y);
-        gpu.fit(&x, &y);
+        fit(&mut cpu, &x, &y);
+        fit(&mut gpu, &x, &y);
         for f in 0..2 {
             assert!((cpu.weights().get(f, 0) - gpu.weights().get(f, 0)).abs() < 1e-3);
         }
@@ -679,9 +588,10 @@ mod tests {
         };
         let mut dense = MultiLogReg::new(6, 1, dense_cfg);
         let mut sparse = MultiLogReg::new(6, 1, sparse_cfg);
-        dense.fit(&x, &y);
-        sparse.fit(&x, &y);
-        assert!(sparse.selected_units(0, 0.1) <= dense.selected_units(0, 0.1));
+        fit(&mut dense, &x, &y);
+        fit(&mut sparse, &x, &y);
+        let selected = |m: &MultiLogReg| m.unit_scores(0).iter().filter(|&&w| w > 0.1).count();
+        assert!(selected(&sparse) <= selected(&dense));
         assert!(sparse.unit_scores(0)[0] > 0.3, "informative unit kept");
     }
 
@@ -703,28 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_column_predicts_identically() {
-        let (x, y0) = toy_dataset(100);
-        let y1 = y0.map(|v| 1.0 - v);
-        let y = y0.hstack(&y1).unwrap();
-        let mut merged = MultiLogReg::new(
-            2,
-            2,
-            LogRegConfig {
-                epochs: 10,
-                ..Default::default()
-            },
-        );
-        merged.fit(&x, &y);
-        let col1 = merged.extract_column(1);
-        let merged_prob = merged.predict_proba(&x).col(1);
-        let single_prob = col1.predict_proba(&x).col(0);
-        for (a, b) in merged_prob.iter().zip(single_prob.iter()) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn softmax_probe_learns_three_classes() {
         let n = 300;
         let x = Matrix::from_fn(n, 3, |r, c| if r % 3 == c { 1.0 } else { 0.0 });
@@ -739,7 +627,13 @@ mod tests {
             },
         );
         probe.fit(&x, &y);
-        assert!(probe.accuracy(&x, &y) > 0.99);
+        let correct = probe
+            .predict(&x)
+            .iter()
+            .zip(&y)
+            .filter(|(p, t)| p == t)
+            .count();
+        assert!(correct as f32 / n as f32 > 0.99);
     }
 
     #[test]
@@ -767,23 +661,6 @@ mod tests {
         let err_stable = tracker.push(0.9);
         assert!(err_stable < err_moving);
         assert!(err_stable < 1e-6);
-    }
-
-    #[test]
-    fn kfold_f1_high_for_separable_low_for_noise() {
-        let (x, y_mat) = toy_dataset(160);
-        let y: Vec<f32> = y_mat.col(0);
-        let cfg = LogRegConfig {
-            epochs: 40,
-            learning_rate: 0.1,
-            ..Default::default()
-        };
-        let good = kfold_f1(&x, &y, 4, &cfg);
-        // Random labels: deterministic pseudo-random, balanced.
-        let noise: Vec<f32> = (0..160).map(|i| ((i * 7919) % 2) as f32).collect();
-        let bad = kfold_f1(&x, &noise, 4, &cfg);
-        assert!(good > 0.9, "good {good}");
-        assert!(bad < good, "bad {bad} not below good {good}");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::quantile::quantile_bin;
 pub const DEFAULT_BINS: usize = 8;
 
 /// Joint-histogram MI is computed exactly up to this many variables.
-pub const MAX_EXACT_JOINT_DIMS: usize = 3;
+pub(crate) const MAX_EXACT_JOINT_DIMS: usize = 3;
 
 /// Maps labels onto `0..k` preserving their order, and returns `k`. Bin
 /// ids — at most as many distinct values as samples — are already dense
@@ -117,7 +117,7 @@ pub fn multivariate_mi(unit_behaviors: &[&[f32]], hypothesis: &[f32], bins: usiz
 
 /// [`multivariate_mi`] over columns already binned into `0..bins`.
 ///
-/// With ≤ [`MAX_EXACT_JOINT_DIMS`] units, forms the exact joint variable;
+/// With ≤ 3 units, forms the exact joint variable;
 /// otherwise returns the maximum pairwise MI.
 pub fn multivariate_mi_binned(unit_bins: &[Vec<usize>], hyp_bins: &[usize], bins: usize) -> f32 {
     if unit_bins.is_empty() {

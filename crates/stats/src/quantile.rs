@@ -53,7 +53,7 @@ fn interpolate(lo: f32, hi: f32, frac: f32) -> f32 {
 /// compare `v > threshold`.
 ///
 /// The selection runs on a pre-filtered few: a pivot `p` just below the
-/// target rank is read off a strided sample of about [`PIVOT_SAMPLE`]
+/// target rank is read off a strided sample of about 1,024
 /// values, and one [`above_bits`] pass counts `a` values `> p`. Every
 /// value `<= p` sorts before every value `> p`, so when the lower order
 /// statistic's rank `lo` is at least `n - a`, both statistics are the
@@ -211,11 +211,6 @@ impl P2Quantile {
             initial: Vec::with_capacity(5),
             count: 0,
         }
-    }
-
-    /// Number of observations consumed.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Feeds one observation. NaN is ignored and not counted, as
@@ -626,7 +621,7 @@ mod tests {
         for v in [1.0, f32::NAN, 2.0, 3.0, 4.0, 5.0] {
             est.push(v);
         }
-        assert_eq!(est.count(), 5);
+        assert_eq!(est.count, 5);
         assert_eq!(est.estimate(), 3.0);
     }
 
@@ -639,7 +634,7 @@ mod tests {
         for _ in 0..100 {
             est.push(f32::NAN);
         }
-        assert_eq!(est.count(), 5);
+        assert_eq!(est.count, 5);
         assert_eq!(est.estimate(), 3.0);
     }
 

@@ -1,5 +1,5 @@
-//! Deterministic dataset splitting helpers (shuffles, train/test splits,
-//! k-fold index generation) shared by probes and the inspection engines.
+//! Deterministic dataset splitting helpers (shuffles and train/test
+//! splits) shared by probes and the inspection engines.
 
 use rand::seq::SliceRandom;
 
@@ -26,26 +26,6 @@ pub fn train_test_split(n: usize, test_fraction: f32, seed: u64) -> (Vec<usize>,
     }
     let (test, train) = idx.split_at(n_test.min(n));
     (train.to_vec(), test.to_vec())
-}
-
-/// Generates `folds` (train, test) index pairs covering `0..n` exactly once
-/// as test data.
-pub fn kfold_indices(n: usize, folds: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let folds = folds.clamp(2, n.max(2));
-    let idx = shuffled_indices(n, seed);
-    (0..folds)
-        .map(|f| {
-            let test: Vec<usize> = idx.iter().copied().skip(f).step_by(folds).collect();
-            let train: Vec<usize> = idx
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|(i, _)| i % folds != f)
-                .map(|(_, v)| v)
-                .collect();
-            (train, test)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -84,18 +64,5 @@ mod tests {
         let (train, test) = train_test_split(5, 1.0, 1);
         assert!(!train.is_empty());
         assert!(!test.is_empty());
-    }
-
-    #[test]
-    fn kfold_covers_each_index_once_as_test() {
-        let folds = kfold_indices(23, 5, 2);
-        assert_eq!(folds.len(), 5);
-        let mut test_union: Vec<usize> = folds.iter().flat_map(|(_, t)| t.clone()).collect();
-        test_union.sort_unstable();
-        assert_eq!(test_union, (0..23).collect::<Vec<_>>());
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 23);
-            assert!(train.iter().all(|i| !test.contains(i)));
-        }
     }
 }

@@ -20,7 +20,7 @@
 //!   quarantines of one name keep every sample) — a forensic sample, not
 //!   live data.
 //! * **Read** ([`read_file`]). Transient IO errors are retried with
-//!   bounded backoff ([`retry_transient`]); wrong bytes never are.
+//!   bounded backoff (`retry_transient`); wrong bytes never are.
 
 use crate::StoreError;
 use std::fs::{self, File};
@@ -107,7 +107,7 @@ pub fn quarantine(path: &Path) -> Result<PathBuf, StoreError> {
 }
 
 /// True for names [`quarantine`] produced.
-pub fn is_quarantined(name: &str) -> bool {
+pub(crate) fn is_quarantined(name: &str) -> bool {
     name.contains(".corrupt.")
 }
 
@@ -118,7 +118,7 @@ pub fn is_quarantined(name: &str) -> bool {
 /// often the filesystem misbehaved, not how often we gave up). Permanent
 /// IO errors and corruption surface immediately: retrying wrong bytes
 /// cannot make them right.
-pub fn retry_transient<T>(
+pub(crate) fn retry_transient<T>(
     retries: &mut usize,
     mut op: impl FnMut() -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
@@ -154,7 +154,7 @@ impl ByteWriter {
     pub fn bytes(&mut self, v: &[u8]) {
         self.0.extend_from_slice(v);
     }
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
     pub fn u32(&mut self, v: u32) {
@@ -178,7 +178,7 @@ impl ByteWriter {
         vs.iter().for_each(|&v| self.u32(v));
     }
     /// `u32` count, then each value.
-    pub fn u64s(&mut self, vs: &[u64]) {
+    pub(crate) fn u64s(&mut self, vs: &[u64]) {
         self.u32(vs.len() as u32);
         vs.iter().for_each(|&v| self.u64(v));
     }
@@ -208,7 +208,7 @@ impl<'a> ByteReader<'a> {
         self.pos += n;
         Some(s)
     }
-    pub fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         Some(self.bytes(1)?[0])
     }
     pub fn u32(&mut self) -> Option<u32> {
@@ -231,7 +231,7 @@ impl<'a> ByteReader<'a> {
         self.counted(4, ByteReader::u32)
     }
     /// A [`ByteWriter::u64s`].
-    pub fn u64s(&mut self) -> Option<Vec<u64>> {
+    pub(crate) fn u64s(&mut self) -> Option<Vec<u64>> {
         self.counted(8, ByteReader::u64)
     }
     /// A [`ByteWriter::f32s`].

@@ -62,7 +62,7 @@
 //! epoch) records when the column was last written or first scanned by a
 //! process. It is deliberately **excluded from the schema checksum**: the
 //! store refreshes it with an in-place 8-byte write
-//! ([`write_access_stamp`]), and a torn or lost stamp update must never
+//! (`write_access_stamp`), and a torn or lost stamp update must never
 //! make a healthy column read as corrupt. The stamp is an eviction hint
 //! for the disk-space budget (LRU over cold columns), not data.
 //!
@@ -91,12 +91,12 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic for behavior-column files.
-pub const MAGIC: [u8; 8] = *b"DBSBCOL\0";
+pub(crate) const MAGIC: [u8; 8] = *b"DBSBCOL\0";
 /// The one format version written and read (3 added per-block codecs,
 /// NaN-safe zone flags and access stamps; 2 added the completed-record
 /// watermark + coverage bitmap; files of other versions read as corrupt
 /// and re-materialize).
-pub const VERSION: u16 = 3;
+pub(crate) const VERSION: u16 = 3;
 
 const HEADER_LEN: u64 = 8 + 2 + 2 + 4;
 /// The CRC-covered schema fields (7 u64).
@@ -156,7 +156,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of a byte slice, eight bytes per step (slicing-by-8).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
     let mut chunks = bytes.chunks_exact(8);
@@ -205,14 +205,14 @@ pub struct ColumnMeta {
 
 impl ColumnMeta {
     /// True when every record position is valid (no coverage section).
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.completed_records == self.nd
     }
 
     /// Records actually stored in the data region (`nd` for a complete
     /// column, the watermark for a partial one — valid records are
     /// densely packed).
-    pub fn data_records(&self) -> u64 {
+    pub(crate) fn data_records(&self) -> u64 {
         self.completed_records
     }
 
@@ -226,7 +226,7 @@ impl ColumnMeta {
     }
 
     /// Records stored in block `b` (the last block may be short).
-    pub fn rows_in_block(&self, b: usize) -> usize {
+    pub(crate) fn rows_in_block(&self, b: usize) -> usize {
         let start = b as u64 * self.block_records;
         (self.data_records().saturating_sub(start)).min(self.block_records) as usize
     }
@@ -617,12 +617,12 @@ fn decode_block(
 // ---------------------------------------------------------------------
 
 /// Bytes needed for an `nd`-position coverage bitmap.
-pub fn coverage_bytes(nd: usize) -> usize {
+pub(crate) fn coverage_bytes(nd: usize) -> usize {
     nd.div_ceil(8)
 }
 
 /// Whether position `pos` is set in a coverage bitmap.
-pub fn coverage_covers(bits: &[u8], pos: usize) -> bool {
+pub(crate) fn coverage_covers(bits: &[u8], pos: usize) -> bool {
     bits.get(pos / 8).is_some_and(|b| b & (1 << (pos % 8)) != 0)
 }
 
@@ -656,7 +656,7 @@ pub fn pack_rows(data: &[f32], filled: &[bool], ns: usize) -> Vec<f32> {
 /// Rank table of a coverage bitmap: `ranks[pos]` is the data row of
 /// position `pos` (its rank among covered positions; meaningful only
 /// when `pos` is covered).
-pub fn coverage_ranks(bits: &[u8], nd: usize) -> Vec<u32> {
+pub(crate) fn coverage_ranks(bits: &[u8], nd: usize) -> Vec<u32> {
     let mut ranks = Vec::with_capacity(nd);
     let mut rank = 0u32;
     for pos in 0..nd {
@@ -690,7 +690,7 @@ pub struct WriteSummary {
 /// `covered: None`; a partial column passes its coverage bitmap, whose
 /// population count must equal the watermark. `access_stamp` seeds the
 /// uncovered eviction hint (milliseconds since the Unix epoch).
-pub fn write_column<W: Write>(
+pub(crate) fn write_column<W: Write>(
     w: &mut W,
     meta: &ColumnMeta,
     data: &[f32],
@@ -747,7 +747,7 @@ pub fn write_column<W: Write>(
 }
 
 /// Writes a column file atomically ([`crate::durable::publish`]).
-/// `covered` follows [`write_column`]'s contract (None iff the column is
+/// `covered` follows `write_column`'s contract (None iff the column is
 /// complete).
 pub fn write_column_file(
     path: &Path,
@@ -766,7 +766,7 @@ pub fn write_column_file(
 /// writing on a file [`read_meta`] has validated — the one handle a
 /// metadata read already has, so stamping costs no second open.
 /// Best-effort by design: no fsync — a lost update only ages the column.
-pub fn write_access_stamp(file: &mut File, stamp: u64) -> Result<(), StoreError> {
+pub(crate) fn write_access_stamp(file: &mut File, stamp: u64) -> Result<(), StoreError> {
     file.seek(SeekFrom::Start(ACCESS_STAMP_OFFSET))?;
     file.write_all(&stamp.to_le_bytes())?;
     Ok(())
@@ -775,7 +775,7 @@ pub fn write_access_stamp(file: &mut File, stamp: u64) -> Result<(), StoreError>
 /// Reads a column file's access stamp without validating the rest of the
 /// file. `None` for files of another version (treated as coldest by
 /// eviction).
-pub fn read_access_stamp(path: &Path) -> Result<Option<u64>, StoreError> {
+pub(crate) fn read_access_stamp(path: &Path) -> Result<Option<u64>, StoreError> {
     let mut file = File::open(path)?;
     let mut header = [0u8; HEADER_LEN as usize];
     if file.read_exact(&mut header).is_err() || header[..8] != MAGIC {
@@ -820,13 +820,8 @@ impl ColumnFile {
         self.offsets.get(b).copied()
     }
 
-    /// Bytes the encoded data region occupies on disk.
-    pub fn stored_data_bytes(&self) -> u64 {
-        self.zones.iter().map(|z| z.comp_len as u64).sum()
-    }
-
     /// Blocks a pruned scan can serve from the zone map alone.
-    pub fn prunable_blocks(&self) -> usize {
+    pub(crate) fn prunable_blocks(&self) -> usize {
         self.zones
             .iter()
             .filter(|z| z.constant_value().is_some())
@@ -984,7 +979,7 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
 /// handle, verifying each payload's checksum against its zone entry and
 /// decoding it per the zone's codec. Runs of consecutive block indices sit
 /// back to back in the file, so each run costs one seek and one read.
-pub fn read_blocks(
+pub(crate) fn read_blocks(
     file: &mut File,
     col: &ColumnFile,
     blocks: &[u32],
@@ -1040,7 +1035,7 @@ pub fn read_blocks(
     Ok(pages)
 }
 
-/// Reads one data block: the one-block case of [`read_blocks`].
+/// Reads one data block: the one-block case of `read_blocks`.
 pub fn read_block(file: &mut File, col: &ColumnFile, b: usize) -> Result<Vec<f32>, StoreError> {
     let block =
         u32::try_from(b).map_err(|_| StoreError::Corrupt(format!("block {b} out of range")))?;
@@ -1307,7 +1302,6 @@ mod tests {
         assert_eq!((z.min, z.max), (-1.0, 1.0));
         assert!(!z.has_non_finite);
         assert!(z.constant_value().is_none(), "dict blocks are never pruned");
-        assert_eq!(col.stored_data_bytes(), 17);
         assert_eq!(blocks[0], data, "bit-identical through the dictionary");
         // High-cardinality data falls back to raw: the encoder never
         // chooses a codec that would grow the block.

@@ -7,7 +7,7 @@
 //!
 //! The store is deliberately database-shaped:
 //!
-//! * [`format`] — the self-describing column file format (v3): a
+//! * [`format`](mod@format) — the self-describing column file format (v3): a
 //!   checksummed header, a schema section naming the column's key and
 //!   shape plus a persisted **access stamp** for disk-budget LRU, a
 //!   per-block **zone map** (NaN-safe min/max, row count, codec tag,
@@ -21,17 +21,17 @@
 //!   which temps are crash litter, quarantine naming, retried whole-file
 //!   reads — `std::fs` only — and the little-endian `ByteWriter` /
 //!   `ByteReader` pair every variable-length payload is laid out with.
-//! * [`pool`] — a [`BufferPool`] of decoded block pages with **pinned
+//! * `pool` — a [`BufferPool`] of decoded block pages with **pinned
 //!   pages** and **CLOCK** (second-chance) eviction under a configurable
 //!   byte budget, keyed by column. A scan pins every page one column
 //!   fetch needs in one critical section ([`ColumnPins`]) and unpins them
 //!   in another; eviction skips pinned frames.
-//! * [`store`] — the [`BehaviorStore`]: columns keyed by
+//! * `store` — the [`BehaviorStore`]: columns keyed by
 //!   `(model fingerprint, dataset fingerprint, unit id)`, an in-memory
 //!   index of available columns, checksum-verified block reads through
 //!   the pool, and quarantine of corrupted files (renamed aside so the
 //!   next read-write pass re-materializes them).
-//! * [`pass`] — the store's half of a streamed inspection pass.
+//! * `pass` — the store's half of a streamed inspection pass.
 //!   [`BehaviorStore::plan_scan`] decides, per dataset segment, which
 //!   unit columns scan, which resume at a partial column's watermark and
 //!   which must be computed live ([`ScanPlan`]); a [`ColumnPass`] executes
@@ -40,7 +40,7 @@
 //!   capture and the "never shrink stored coverage" rule all live there.
 //!   The caller supplies live columns through a closure, so this crate
 //!   never sees a model, an extractor or a record.
-//! * [`views`] — the materialized-view catalog under `<root>/views/`.
+//! * `views` ([`ViewCatalog`]) — the materialized-view catalog under `<root>/views/`.
 //!
 //! Keys are **content fingerprints** ([`FpHasher`], FNV-1a 64): a model
 //! that changes its weights or a dataset that changes its records hashes
@@ -52,16 +52,15 @@
 
 pub mod durable;
 pub mod format;
-pub mod pass;
-pub mod pool;
-pub mod store;
-pub mod views;
+mod pass;
+mod pool;
+mod store;
+mod views;
 
 pub use pass::{ColumnPass, ScanPlan};
-pub use pool::{BufferPool, ColumnPins, PoolStats};
+pub use pool::{BufferPool, ColumnPins};
 pub use store::{
     BehaviorStore, ColumnKey, CompactionReport, Coverage, MaterializationPolicy, StoreConfig,
-    WriteReport,
 };
 pub use views::{ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ViewRow};
 
@@ -83,7 +82,8 @@ pub enum StoreError {
     Io(String),
     /// On-disk bytes failed a validation check.
     Corrupt(String),
-    /// Retryable filesystem-level failure (see [`StoreError::is_transient`]).
+    /// Retryable filesystem-level failure: interrupted, would-block or
+    /// timed-out IO.
     TransientIo(String),
     /// The column was deliberately deleted by the disk-budget eviction in
     /// [`BehaviorStore::compact`]. The file is gone on purpose — the bytes
@@ -110,7 +110,7 @@ impl StoreError {
     /// change to the file (the error came from a retryable
     /// [`std::io::ErrorKind`], not from the bytes themselves). Corruption
     /// is never transient: the bytes are wrong and will stay wrong.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         matches!(self, StoreError::TransientIo(_))
     }
 }

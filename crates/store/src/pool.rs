@@ -233,11 +233,6 @@ impl BufferPool {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
     /// Starts one column fetch: under one critical section, pins every
     /// resident page among `blocks` (distinct block indices of `column`)
     /// and counts the rest as misses. The caller loads the missing pages

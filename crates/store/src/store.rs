@@ -173,22 +173,22 @@ pub struct Coverage {
 
 impl Coverage {
     /// Total record positions in the column.
-    pub fn nd(&self) -> usize {
+    pub(crate) fn nd(&self) -> usize {
         self.nd
     }
 
     /// The watermark: how many positions are valid.
-    pub fn completed_records(&self) -> usize {
+    pub(crate) fn completed_records(&self) -> usize {
         self.completed
     }
 
     /// True when every position is valid.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.completed == self.nd
     }
 
     /// Whether record position `pos` holds real data.
-    pub fn covers(&self, pos: usize) -> bool {
+    pub(crate) fn covers(&self, pos: usize) -> bool {
         if pos >= self.nd {
             return false;
         }
@@ -199,14 +199,14 @@ impl Coverage {
     }
 
     /// Whether every position in `positions` holds real data.
-    pub fn covers_all(&self, positions: &[usize]) -> bool {
+    pub(crate) fn covers_all(&self, positions: &[usize]) -> bool {
         positions.iter().all(|&p| self.covers(p))
     }
 
     /// Whether every covered position is marked in `filled` — i.e. a
     /// column rebuilt from `filled` would lose nothing this coverage
     /// holds.
-    pub fn is_subset_of_filled(&self, filled: &[bool]) -> bool {
+    pub(crate) fn is_subset_of_filled(&self, filled: &[bool]) -> bool {
         match &self.bits {
             None => filled.iter().take(self.nd).all(|&f| f),
             Some(bits) => (0..self.nd)
@@ -366,15 +366,6 @@ impl BehaviorStore {
             .lock()
             .values()
             .filter(|d| **d == Disposition::Complete)
-            .count()
-    }
-
-    /// Number of indexed partial columns.
-    pub fn partial_columns(&self) -> usize {
-        self.index
-            .lock()
-            .values()
-            .filter(|d| **d == Disposition::Partial)
             .count()
     }
 
@@ -652,7 +643,7 @@ impl BehaviorStore {
     /// zone map alone, as `(prunable, total)`. `None` when the column is
     /// not indexed or fails validation — pruning estimates are advisory,
     /// so errors are swallowed here and surface on the real scan.
-    pub fn zone_summary(&self, key: &ColumnKey) -> Option<(usize, usize)> {
+    pub(crate) fn zone_summary(&self, key: &ColumnKey) -> Option<(usize, usize)> {
         let info = self.column_info(key).ok()?;
         Some((info.file.prunable_blocks(), info.file.meta.n_blocks()))
     }
@@ -661,7 +652,7 @@ impl BehaviorStore {
     /// cover everything, partial columns exactly their watermarked set.
     /// Reads (and caches) the file metadata; any validation failure is
     /// the usual [`StoreError::Corrupt`].
-    pub fn coverage(&self, key: &ColumnKey) -> Result<Coverage, StoreError> {
+    pub(crate) fn coverage(&self, key: &ColumnKey) -> Result<Coverage, StoreError> {
         let info = self.column_info(key)?;
         Ok(Coverage {
             nd: info.file.meta.nd as usize,
@@ -898,7 +889,7 @@ impl BehaviorStore {
     /// index and purges its pool pages. The next read-write pass
     /// re-materializes it from live extraction. No-op on a read-only
     /// store.
-    pub fn quarantine(&self, key: &ColumnKey) {
+    pub(crate) fn quarantine(&self, key: &ColumnKey) {
         if self.read_only {
             return;
         }
@@ -1087,6 +1078,14 @@ mod tests {
     use super::*;
     use crate::durable::age_file;
 
+    fn partial_columns(store: &BehaviorStore) -> usize {
+        let index = store.index.lock();
+        index
+            .values()
+            .filter(|d| **d == Disposition::Partial)
+            .count()
+    }
+
     fn test_store(name: &str, pool_bytes: usize) -> (Arc<BehaviorStore>, PathBuf) {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/tmp-store-tests")
@@ -1238,7 +1237,7 @@ mod tests {
             .unwrap();
         assert!(!store.contains(&key(0)), "partial is not a complete hit");
         assert_eq!(store.split_units(0x11, 0x22, &[0, 1]).1, vec![0]);
-        assert_eq!(store.partial_columns(), 1);
+        assert_eq!(partial_columns(&store), 1);
         let cov = store.coverage(&key(0)).unwrap();
         assert_eq!(cov.completed_records(), 8);
         assert!(cov.covers_all(&[0, 3, 7]));
@@ -1459,14 +1458,14 @@ mod tests {
             .write_partial_column(&key(0), nd, ns, &vec![0.0; nd * ns], &vec![false; nd])
             .unwrap();
         assert_eq!(report, WriteReport::default());
-        assert_eq!(store.partial_columns(), 0);
+        assert_eq!(partial_columns(&store), 0);
         // Everything filled: promoted to a complete column.
         let report = store
             .write_partial_column(&key(0), nd, ns, &data, &vec![true; nd])
             .unwrap();
         assert!(report.blocks_written > 0);
         assert!(store.contains(&key(0)));
-        assert_eq!(store.partial_columns(), 0);
+        assert_eq!(partial_columns(&store), 0);
         // A partial write under an existing complete column is dropped.
         let report = store
             .write_partial_column(&key(0), nd, ns, &data, &{

@@ -385,11 +385,6 @@ impl ViewCatalog {
         self.docs().iter().map(|doc| doc.name.clone()).collect()
     }
 
-    /// True when a validated view file for `name` exists.
-    pub fn contains(&self, name: &str) -> bool {
-        matches!(self.load(name), Ok(Some(_)))
-    }
-
     /// Finds the view materializing a given normalized statement, if
     /// any. First match in name order wins (one statement normally backs
     /// at most one view).
@@ -513,8 +508,7 @@ mod tests {
         // NaN bits survive exactly.
         assert_eq!(back.rows[0].unit_score_bits, f32::NAN.to_bits());
         assert_eq!(catalog.list(), vec!["my view/1".to_string()]);
-        assert!(catalog.contains("my view/1"));
-        assert!(!catalog.contains("other"));
+        assert!(catalog.load("other").expect("load").is_none());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -767,7 +761,7 @@ mod tests {
                 format!("view {}", probe % 5)
             );
             assert!(catalog.find_by_statement("no such statement").is_none());
-            assert!(catalog.contains("view 3"));
+            assert!(catalog.load("view 3").expect("load").is_some());
         }
         assert_eq!(catalog.list().len(), 5);
         assert_eq!(catalog.decodes.load(Relaxed), 5, "warm probes read no file");

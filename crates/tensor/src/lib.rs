@@ -8,7 +8,7 @@
 //! * [`Matrix`] — row-major dense matrix with cache-friendly and parallel
 //!   mat-mul kernels (the parallel path backs the reproduction's simulated
 //!   GPU device),
-//! * [`ops`] — elementwise nonlinearities, row-softmax and cross-entropy,
+//! * [`ops`] — the logistic sigmoid, row-softmax and cross-entropy,
 //! * [`init`] — deterministic, seedable weight initializers.
 //!
 //! Everything downstream (the `deepbase-nn` training substrate, merged
@@ -16,7 +16,7 @@
 //! in `deepbase-core`) is built on these types.
 
 pub mod init;
-pub mod matrix;
+mod matrix;
 pub mod ops;
 
-pub use matrix::{Matrix, ShapeError};
+pub use matrix::Matrix;

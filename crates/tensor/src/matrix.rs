@@ -130,22 +130,11 @@ impl Matrix {
         self.data
     }
 
-    /// Element accessor. Panics when out of range (debug-friendly indexing
-    /// is the common case in this codebase; use `get_checked` for fallible
-    /// access).
+    /// Element accessor. Panics when out of range.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
-    }
-
-    /// Fallible element accessor.
-    pub fn get_checked(&self, r: usize, c: usize) -> Option<f32> {
-        if r < self.rows && c < self.cols {
-            Some(self.data[r * self.cols + c])
-        } else {
-            None
-        }
     }
 
     /// Sets element `(r, c)`.
@@ -309,16 +298,6 @@ impl Matrix {
         out
     }
 
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(other.data.iter()) {
-            *a *= b;
-        }
-        out
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Matrix {
         self.map(|x| x * s)
@@ -345,33 +324,6 @@ impl Matrix {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Maximum element (NaN-ignoring); `f32::NEG_INFINITY` when empty.
-    pub fn max(&self) -> f32 {
-        self.data
-            .iter()
-            .copied()
-            .filter(|x| !x.is_nan())
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element (NaN-ignoring); `f32::INFINITY` when empty.
-    pub fn min(&self) -> f32 {
-        self.data
-            .iter()
-            .copied()
-            .filter(|x| !x.is_nan())
-            .fold(f32::INFINITY, f32::min)
     }
 
     /// Column sums as a vector of length `cols`.
@@ -413,8 +365,7 @@ impl Matrix {
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
 
-    /// Matrix product `self * other`, via the blocked kernel
-    /// ([`kernels::matmul_into`]).
+    /// Matrix product `self * other`, via the blocked kernel.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -612,7 +563,14 @@ mod kernels {
     const KC: usize = 256;
 
     /// `out = lhs(m x k) * rhs(k x n)`, overwriting `out`.
-    pub fn matmul_into(lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    pub(crate) fn matmul_into(
+        lhs: &[f32],
+        m: usize,
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
         debug_assert_eq!(lhs.len(), m * k);
         debug_assert_eq!(rhs.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
@@ -648,7 +606,14 @@ mod kernels {
     /// Identical panel structure with the roles swapped: the shared
     /// dimension is `m` (rows of both inputs), and the packed "left" panel
     /// holds a *column pair* of `lhs` gathered across the row panel.
-    pub fn t_matmul_into(lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    pub(crate) fn t_matmul_into(
+        lhs: &[f32],
+        m: usize,
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
         debug_assert_eq!(lhs.len(), m * k);
         debug_assert_eq!(rhs.len(), m * n);
         debug_assert_eq!(out.len(), k * n);
@@ -688,7 +653,14 @@ mod kernels {
     /// Both operands are traversed along contiguous rows; each output
     /// element is a dot product. Four dots are computed per pass so the
     /// `lhs` row is loaded once per four `rhs` rows.
-    pub fn matmul_t_into(lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    pub(crate) fn matmul_t_into(
+        lhs: &[f32],
+        m: usize,
+        k: usize,
+        rhs: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
         debug_assert_eq!(lhs.len(), m * k);
         debug_assert_eq!(rhs.len(), n * k);
         debug_assert_eq!(out.len(), m * n);
@@ -839,7 +811,6 @@ mod tests {
         let mut a = Matrix::zeros(2, 2);
         a.set(1, 0, 7.5);
         assert_eq!(a.get(1, 0), 7.5);
-        assert_eq!(a.get_checked(5, 0), None);
     }
 
     #[test]
@@ -957,12 +928,11 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_hadamard() {
+    fn add_and_sub() {
         let a = m(1, 3, &[1.0, 2.0, 3.0]);
         let b = m(1, 3, &[4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]
@@ -984,9 +954,6 @@ mod tests {
     fn reductions() {
         let a = m(2, 2, &[1.0, -2.0, 3.0, 4.0]);
         assert_eq!(a.sum(), 6.0);
-        assert_eq!(a.mean(), 1.5);
-        assert_eq!(a.max(), 4.0);
-        assert_eq!(a.min(), -2.0);
         assert_eq!(a.col_sums(), vec![4.0, 2.0]);
     }
 

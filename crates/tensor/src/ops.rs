@@ -1,6 +1,5 @@
-//! Elementwise nonlinearities and the row-wise softmax used by the NN
-//! substrate, together with their derivatives (expressed in terms of the
-//! forward outputs, as back-propagation consumes them).
+//! The logistic sigmoid, the row-wise softmax and the cross-entropy loss
+//! used by the NN substrate and the logistic-regression probes.
 
 use crate::Matrix;
 
@@ -14,50 +13,6 @@ pub fn sigmoid(x: f32) -> f32 {
         let z = x.exp();
         z / (1.0 + z)
     }
-}
-
-/// Derivative of sigmoid expressed via its output `s = sigmoid(x)`.
-#[inline]
-pub fn sigmoid_deriv_from_output(s: f32) -> f32 {
-    s * (1.0 - s)
-}
-
-/// Hyperbolic tangent.
-#[inline]
-pub fn tanh(x: f32) -> f32 {
-    x.tanh()
-}
-
-/// Derivative of tanh expressed via its output `t = tanh(x)`.
-#[inline]
-pub fn tanh_deriv_from_output(t: f32) -> f32 {
-    1.0 - t * t
-}
-
-/// Rectified linear unit.
-#[inline]
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Derivative of ReLU w.r.t. its input.
-#[inline]
-pub fn relu_deriv(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Applies sigmoid to every element, returning a new matrix.
-pub fn sigmoid_matrix(m: &Matrix) -> Matrix {
-    m.map(sigmoid)
-}
-
-/// Applies tanh to every element, returning a new matrix.
-pub fn tanh_matrix(m: &Matrix) -> Matrix {
-    m.map(tanh)
 }
 
 /// Row-wise softmax with max-subtraction for numerical stability.
@@ -111,34 +66,6 @@ mod tests {
         // Extreme inputs should not produce NaN.
         assert!(!sigmoid(1e10).is_nan());
         assert!(!sigmoid(-1e10).is_nan());
-    }
-
-    #[test]
-    fn sigmoid_derivative_matches_finite_difference() {
-        for &x in &[-2.0f32, -0.5, 0.0, 0.7, 3.0] {
-            let eps = 1e-3;
-            let fd = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
-            let analytic = sigmoid_deriv_from_output(sigmoid(x));
-            assert!((fd - analytic).abs() < 1e-3, "x={x}: {fd} vs {analytic}");
-        }
-    }
-
-    #[test]
-    fn tanh_derivative_matches_finite_difference() {
-        for &x in &[-2.0f32, -0.5, 0.0, 0.7, 3.0] {
-            let eps = 1e-3;
-            let fd = (tanh(x + eps) - tanh(x - eps)) / (2.0 * eps);
-            let analytic = tanh_deriv_from_output(tanh(x));
-            assert!((fd - analytic).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn relu_and_derivative() {
-        assert_eq!(relu(-1.0), 0.0);
-        assert_eq!(relu(2.0), 2.0);
-        assert_eq!(relu_deriv(-1.0), 0.0);
-        assert_eq!(relu_deriv(2.0), 1.0);
     }
 
     #[test]
