@@ -75,14 +75,16 @@
 //! throws its extraction work away: the fully streamed prefix is
 //! persisted as a *partial column* — the valid records densely packed
 //! with a completed-record **watermark** and a checksummed coverage
-//! bitmap (`crates/store/src/format.rs`). The optimizer's per-segment
+//! bitmap (`crates/store/src/format.rs`). The watermark in the header,
+//! not the file name, tells a partial column from a complete one: a key
+//! has one column file either way. The optimizer's per-segment
 //! [`ScanPlan`](deepbase_store::ScanPlan) lists partials beside complete hits, and the
 //! store's `ColumnPass` scans each streamed block from the stored prefix
 //! until it runs past the watermark, asking the engine to extract live
 //! exactly from there — a warm re-run of a previously
 //! early-stopped batch does strictly fewer forward passes and stays
-//! bit-identical. A fully streamed pass completes the column (the
-//! superseded partial file is reclaimed by compaction).
+//! bit-identical. A fully streamed pass completes the column by
+//! rewriting that one file.
 //!
 //! **Store-aware admission.** [`plan::AdmissionConfig`] charges
 //! store-hit unit columns to a separate scan budget
@@ -106,7 +108,7 @@
 //! blocks (zone-map pushdown)`. Blocks containing NaN or ±Inf are flagged
 //! and never pruned; files of an older format version read as corrupt and
 //! re-materialize. [`prelude::StoreConfig::disk_budget_bytes`] bounds the store
-//! on disk: compaction evicts complete columns coldest-first (by a
+//! on disk: compaction evicts column files coldest-first (by a
 //! persisted access stamp kept outside every checksum, so in-place
 //! stamp bumps cannot corrupt a file) until under budget, skipping
 //! columns with pages pinned by concurrent scans; a later lookup of an
@@ -119,9 +121,10 @@
 //! ([`session::Session::compact_store`] runs one on demand): quarantined
 //! `*.corrupt.*` files past `StoreConfig::quarantine_retention_bytes`
 //! (newest kept as forensic samples), stale temporaries of crashed
-//! writers, partial columns superseded by completed versions, and — when
-//! a disk budget is set — the coldest complete columns are deleted, with
-//! the reclaimed bytes reported through [`prelude::StoreStats`].
+//! writers and — when a disk budget is set — the coldest columns,
+//! partial or complete, are deleted, with the reclaimed bytes reported
+//! through [`prelude::StoreStats`] (in the batch's report and the
+//! session's total alike).
 //!
 //! Columns are keyed by **content fingerprints**: the model's
 //! ([`extract::Extractor::fingerprint`], hashing the actual weights — a
@@ -409,7 +412,7 @@ pub mod prelude {
     pub use crate::result::{CompletionStatus, ResultFrame, ScoreRow};
     pub use crate::session::{SegmentWatermark, Session, SessionConfig, SessionStats, ViewRefresh};
     pub use deepbase_store::{
-        BehaviorStore, ColumnKey, CompactionReport, FpHasher, MaterializationPolicy, StoreConfig,
-        StoreStats, ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ERROR_RING_CAP,
+        BehaviorStore, ColumnKey, FpHasher, MaterializationPolicy, StoreConfig, StoreStats,
+        ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ERROR_RING_CAP,
     };
 }

@@ -436,25 +436,25 @@ impl Session {
 
     /// Runs one store compaction sweep now (read-write sessions run one
     /// automatically after every batch): deletes quarantined files past
-    /// the configured retention budget, stale temporaries left by
-    /// crashed writers, and partial columns superseded by completed
-    /// versions, and evicts the coldest complete columns when the store
-    /// exceeds its disk budget. Returns what was reclaimed (also
-    /// accumulated into
-    /// [`Session::store_stats`]), or `None` when no writable store is
-    /// open.
-    pub fn compact_store(&mut self) -> Option<deepbase_store::CompactionReport> {
+    /// the configured retention budget and stale temporaries left by
+    /// crashed writers, and evicts the coldest columns when the store
+    /// exceeds its disk budget. Returns the sweep's store delta (also
+    /// accumulated into [`Session::store_stats`]), or `None` when no
+    /// writable store is open.
+    pub fn compact_store(&mut self) -> Option<StoreStats> {
+        let swept = self.sweep_store()?;
+        self.store_stats.accumulate(&swept);
+        Some(swept)
+    }
+
+    /// One compaction sweep of the writable store, accounted nowhere yet.
+    fn sweep_store(&self) -> Option<StoreStats> {
         let store_config = self.config.store.as_ref()?;
         if store_config.policy != MaterializationPolicy::ReadWrite {
             return None;
         }
         let store = self.store.as_ref()?;
-        let report = store.compact(store_config.quarantine_retention_bytes);
-        self.store_stats.files_reclaimed += report.files_reclaimed;
-        self.store_stats.bytes_reclaimed += report.bytes_reclaimed;
-        self.store_stats.columns_evicted += report.columns_evicted;
-        self.store_stats.evicted_bytes += report.evicted_bytes;
-        Some(report)
+        Some(store.compact(store_config.quarantine_retention_bytes))
     }
 
     fn store_binding(&self) -> Option<StoreBinding> {
@@ -602,10 +602,9 @@ impl Session {
         self.stats.admission_splits += physical.stats.admission_splits;
         self.stats.admission_queued += physical.stats.admission_queued;
         self.stats.batches_executed += 1;
-        self.store_stats.accumulate(&output.report.store);
         // Statements the optimizer answered by replaying a fresh
         // materialized view (zero extraction, zero store scans).
-        self.store_stats.view_hits += physical.stats.view_replays;
+        output.report.store.view_hits += physical.stats.view_replays;
 
         // Advance the ingest high-water mark of every dataset whose
         // queries all completed (a failed query never advances a mark —
@@ -627,25 +626,26 @@ impl Session {
         }
 
         // Store lifecycle: a read-write batch ends with a compaction
-        // sweep — superseded partial columns (completed this batch or
-        // earlier), stale temporaries of crashed writers, and quarantined
-        // files past the retention budget are reclaimed, with the bytes
-        // reported through the batch's and the session's StoreStats. The
-        // sweep walks the store tree, so it only runs when this batch
-        // could have left something reclaimable (completed columns
-        // supersede partials, errors quarantine files) or once per
-        // session to pick up what a crashed predecessor left behind —
-        // never on the steady warm path.
+        // sweep — stale temporaries of crashed writers and quarantined
+        // files past the retention budget are reclaimed, and cold columns
+        // are evicted past the disk budget. The sweep walks the store
+        // tree, so it only runs when this batch could have left something
+        // to reclaim or evict (new columns grow the store, errors
+        // quarantine files) or once per session to pick up what a
+        // crashed predecessor left behind — never on the steady warm
+        // path. The batch report carries the whole store delta, which the
+        // session then accumulates once.
         let may_reclaim = output.report.store.columns_written > 0
+            || output.report.store.partial_columns_written > 0
             || output.report.store.error_count > 0
             || !self.store_swept_once;
         if may_reclaim {
-            if let Some(report) = self.compact_store() {
+            if let Some(swept) = self.sweep_store() {
                 self.store_swept_once = true;
-                output.report.store.files_reclaimed += report.files_reclaimed;
-                output.report.store.bytes_reclaimed += report.bytes_reclaimed;
+                output.report.store.accumulate(&swept);
             }
         }
+        self.store_stats.accumulate(&output.report.store);
 
         // Per-call plan counters: prepare/revalidation deltas plus the
         // physical plan's own score/admission numbers.

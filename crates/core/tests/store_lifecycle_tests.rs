@@ -3,8 +3,9 @@
 //! watermark with strictly fewer forward passes, bit-identically on both
 //! devices; store-aware admission runs a fully warm over-wide group in
 //! one wave while the same group cold still splits; compaction reclaims
-//! quarantined and superseded files under the retention budget with
-//! bytes reported in `StoreStats`; and concurrent sessions sharing one
+//! quarantined files under the retention budget and evicts past the disk
+//! budget, with every byte reported in the batch's `StoreStats`; and
+//! concurrent sessions sharing one
 //! store path stay panic-free, torn-read-free and bit-identical to solo
 //! runs (a read-only session never creates files).
 
@@ -268,7 +269,7 @@ fn early_stopped_batch_persists_its_prefix_and_resumes_with_fewer_passes() {
             "early stop persists the completed prefix of every column"
         );
         assert_eq!(out.report.store.columns_written, 0, "nothing completed");
-        assert_eq!(files_with(&dir, ".part").len(), UNITS);
+        assert_eq!(files_with(&dir, ".col").len(), UNITS);
         drop(cold);
 
         // Fresh process semantics: the plan sees the partials, the pass
@@ -317,7 +318,7 @@ fn early_stopped_batch_persists_its_prefix_and_resumes_with_fewer_passes() {
 }
 
 #[test]
-fn full_stream_completes_partials_and_compaction_reclaims_them() {
+fn full_stream_completes_partials_in_place() {
     let dir = store_dir("complete-partials");
     // Early-stopped pass leaves partial columns behind.
     let (mut early, _) = session(
@@ -328,11 +329,11 @@ fn full_stream_completes_partials_and_compaction_reclaims_them() {
     );
     early.run_batch(&[Q_ALL]).unwrap();
     drop(early);
-    assert_eq!(files_with(&dir, ".part").len(), UNITS);
+    assert_eq!(files_with(&dir, ".col").len(), UNITS);
 
-    // A full-stream pass scans the prefix, extracts the tail, completes
-    // every column — and its post-batch compaction sweep reclaims the
-    // superseded partial files, reporting the bytes.
+    // A full-stream pass scans the prefix, extracts the tail and
+    // completes every column by rewriting its one file — nothing is left
+    // behind for the post-batch sweep to reclaim.
     let full = full_config(Device::SingleCore);
     let (reference, _) = live_tables(&full, &[Q_ALL]);
     let (mut sess, counters) = session(
@@ -350,17 +351,16 @@ fn full_stream_completes_partials_and_compaction_reclaims_them() {
         "every partial column extracts its tail live"
     );
     assert_eq!(out.report.store.columns_written, UNITS, "all completed");
-    assert!(
-        out.report.store.files_reclaimed >= UNITS,
-        "superseded partials reclaimed, got {:?}",
+    assert_eq!(
+        out.report.store.files_reclaimed, 0,
+        "nothing superseded, got {:?}",
         out.report.store
     );
-    assert!(out.report.store.bytes_reclaimed > 0);
-    assert_eq!(files_with(&dir, ".part").len(), 0, "no .part files remain");
+    assert_eq!(files_with(&dir, ".col").len(), UNITS, "one file per column");
     assert_eq!(
-        sess.store_stats().files_reclaimed,
-        out.report.store.files_reclaimed,
-        "session accounting accumulates the sweep"
+        sess.store_stats(),
+        &out.report.store,
+        "session accounting is the batch's whole delta"
     );
     drop(sess);
 
@@ -554,6 +554,54 @@ fn compaction_deletes_quarantined_files_past_the_retention_budget() {
         "default retention keeps the forensic sample"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch report carries the post-batch sweep's evictions like its
+/// reclaims — of complete and of partial columns — and the session total
+/// is exactly the sum of its batch reports plus the sweeps run outside a
+/// batch.
+#[test]
+fn a_batch_report_carries_its_whole_store_delta() {
+    for (name, inspection) in [
+        ("full", full_config(Device::SingleCore)),
+        ("early", early_config(Device::SingleCore)),
+    ] {
+        let dir = store_dir(&format!("batch-delta-{name}"));
+        let (catalog, _) = test_catalog();
+        let mut sess = Session::with_config(
+            catalog,
+            SessionConfig {
+                inspection,
+                store: Some(StoreConfig {
+                    disk_budget_bytes: 1,
+                    ..store_config(&dir, MaterializationPolicy::ReadWrite)
+                }),
+                reuse_scores: false,
+                ..SessionConfig::default()
+            },
+        );
+        let mut total = StoreStats::default();
+        // The second batch re-extracts what the first one's sweep
+        // evicted, so it writes (and evicts) every column again.
+        for _ in 0..2 {
+            let out = sess.run_batch(&[Q_ALL]).unwrap();
+            let store = &out.report.store;
+            assert_eq!(
+                store.columns_written + store.partial_columns_written,
+                UNITS,
+                "{name}: {store:?}"
+            );
+            assert_eq!(
+                store.columns_evicted, UNITS,
+                "{name}: a one-byte budget evicts every column the batch wrote, got {store:?}"
+            );
+            assert!(store.evicted_bytes > 0);
+            total.accumulate(store);
+        }
+        total.accumulate(&sess.compact_store().unwrap());
+        assert_eq!(sess.store_stats(), &total, "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -771,7 +819,7 @@ fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
     let survivors = || litter.iter().filter(|p| p.exists()).count();
 
     strew(false);
-    assert_eq!(store.compact(u64::MAX), CompactionReport::default());
+    assert_eq!(store.compact(u64::MAX), StoreStats::default());
     drop(BehaviorStore::open(&config).unwrap());
     drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
     assert_eq!(survivors(), 3, "a young temp may be a live writer's");

@@ -227,6 +227,11 @@ fn optimizer_replays_a_fresh_view_for_plain_inspect() {
         "replay reads zero store blocks (a warm scan would not)"
     );
     assert_eq!(session.store_stats().view_hits, 1);
+    assert_eq!(
+        (out.report.store.view_hits, out.report.plan.view_replays),
+        (1, 1),
+        "the batch report counts its own replay"
+    );
     assert_eq!(out.tables, reference, "replayed batch is bit-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }

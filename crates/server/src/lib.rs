@@ -494,7 +494,8 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
         let _ = worker.join();
     }
     // Flushes are per-batch; what remains is removing stale temporaries
-    // and superseded partials so the tree is clean on disk.
+    // and expired quarantine samples, and holding the disk budget, so the
+    // tree is clean on disk.
     if let (Some(store), Some(cfg)) = (&shared.store, &shared.template.store) {
         if cfg.policy == MaterializationPolicy::ReadWrite {
             store.compact(cfg.quarantine_retention_bytes);

@@ -77,6 +77,9 @@
 //! order, so the valid set is not a positional prefix). The data region
 //! holds **only** the valid records, densely packed in ascending position
 //! order: a record's data row is its rank among the covered positions.
+//! The watermark is the only record of completeness: a partial column
+//! and a complete one share the file name `u<unit>.col`, and extending or
+//! completing a partial column replaces that one file.
 //!
 //! ## Other versions
 //!
@@ -1403,7 +1406,7 @@ mod tests {
         let packed = pack_rows(&full, &filled, ns);
         assert_eq!(packed.len(), 3 * ns, "only valid rows are stored");
         let dir = test_dir("partial");
-        let path = dir.join("u3.part");
+        let path = dir.join("u3.col");
         write_column_file(&path, &m, &packed, Some(&bits), 0).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
@@ -1503,7 +1506,7 @@ mod tests {
         let dir = test_dir("tail");
         for (name, m, data, covered) in [
             ("u3.col", &complete, &full, None),
-            ("u3.part", &partial, &packed, Some(&bits[..])),
+            ("u4.col", &partial, &packed, Some(&bits[..])),
         ] {
             let path = dir.join(name);
             write_column_file(&path, m, data, covered, 0).unwrap();
@@ -1659,7 +1662,7 @@ mod tests {
         assert_eq!(out, GOLDEN_PARTIAL_COLUMN);
 
         let dir = test_dir("golden");
-        let path = dir.join("u3.part");
+        let path = dir.join("u3.col");
         std::fs::write(&path, GOLDEN_PARTIAL_COLUMN).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();

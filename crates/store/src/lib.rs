@@ -27,17 +27,19 @@
 //!   fetch needs in one critical section ([`ColumnPins`]) and unpins them
 //!   in another; eviction skips pinned frames.
 //! * `store` — the [`BehaviorStore`]: columns keyed by
-//!   `(model fingerprint, dataset fingerprint, unit id)`, an in-memory
-//!   index of available columns, checksum-verified block reads through
-//!   the pool, and quarantine of corrupted files (renamed aside so the
-//!   next read-write pass re-materializes them).
+//!   `(model fingerprint, dataset fingerprint, unit id)`, one file per
+//!   key whose header watermark says whether it is complete, an
+//!   in-memory index of the keys with a file, checksum-verified block
+//!   reads through the pool, the "never shrink stored coverage" rule for
+//!   partial writes, and quarantine of corrupted files (renamed aside so
+//!   the next read-write pass re-materializes them).
 //! * `pass` — the store's half of a streamed inspection pass.
 //!   [`BehaviorStore::plan_scan`] decides, per dataset segment, which
 //!   unit columns scan, which resume at a partial column's watermark and
 //!   which must be computed live ([`ScanPlan`]); a [`ColumnPass`] executes
 //!   that plan block by block — scan order, demote-on-failure, quarantine
-//!   of proven corruption (only under a read-write policy), write-back
-//!   capture and the "never shrink stored coverage" rule all live there.
+//!   of proven corruption (only under a read-write policy) and write-back
+//!   capture all live there.
 //!   The caller supplies live columns through a closure, so this crate
 //!   never sees a model, an extractor or a record.
 //! * `views` ([`ViewCatalog`]) — the materialized-view catalog under `<root>/views/`.
@@ -59,9 +61,7 @@ mod views;
 
 pub use pass::{ColumnPass, ScanPlan};
 pub use pool::{BufferPool, ColumnPins};
-pub use store::{
-    BehaviorStore, ColumnKey, CompactionReport, Coverage, MaterializationPolicy, StoreConfig,
-};
+pub use store::{BehaviorStore, ColumnKey, Coverage, MaterializationPolicy, StoreConfig};
 pub use views::{ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ViewRow};
 
 use std::fmt;
@@ -134,7 +134,8 @@ impl From<std::io::Error> for StoreError {
 pub const ERROR_RING_CAP: usize = 32;
 
 /// Accounting for store-backed passes, carried per shared pass and
-/// aggregated per batch / per session by the core crate.
+/// aggregated per batch / per session by the core crate. Column writes
+/// and compaction sweeps return their own delta in this shape.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreStats {
     /// Unit columns served (fully or partially) from the store.
@@ -176,14 +177,15 @@ pub struct StoreStats {
     /// fingerprint, so warm re-inspection after an append scans old
     /// segments and extracts only the new ones.
     pub segment_passes: usize,
-    /// Files deleted by compaction (expired quarantined files, stale
-    /// temporaries, partial columns superseded by completed versions).
+    /// Files deleted by compaction (expired quarantined files and stale
+    /// temporaries).
     pub files_reclaimed: usize,
     /// Bytes those deletions returned to the filesystem.
     pub bytes_reclaimed: u64,
-    /// Complete columns deleted by the disk-budget (LRU by access stamp)
-    /// eviction in compaction. Distinct from `files_reclaimed`, which
-    /// counts garbage; evicted columns were healthy but cold.
+    /// Column files, partial or complete, deleted by the disk-budget
+    /// (LRU by access stamp) eviction in compaction. Distinct from
+    /// `files_reclaimed`, which counts garbage; evicted columns were
+    /// healthy but cold.
     pub columns_evicted: usize,
     /// Bytes those evictions returned to the filesystem.
     pub evicted_bytes: u64,

@@ -146,10 +146,6 @@ struct WbUnit {
     union_col: usize,
     /// The `nd * ns` column buffer (unstreamed positions stay 0.0).
     col: Vec<f32>,
-    /// Coverage already durable before the pass (partial resume); `None`
-    /// for plan-time misses. An early-stopped pass only rewrites the
-    /// column when the new fill strictly extends this.
-    prior: Option<Coverage>,
 }
 
 /// Per-stream execution state of a [`ScanPlan`] over the union unit
@@ -253,17 +249,14 @@ impl<'p> ColumnPass<'p> {
         }
         // Capture misses *and* partials: a fully streamed pass completes
         // both, an early-stopped pass extends the partials' watermarks.
-        let captured: Vec<(usize, usize, Option<Coverage>)> = union_units
+        let captured: Vec<(usize, usize)> = union_units
             .iter()
             .enumerate()
             .filter(|_| plan.write)
-            .filter_map(|(col, &unit)| {
-                if misses.binary_search(&unit).is_ok() {
-                    return Some((unit, col, None));
-                }
-                let prior = partials.iter().find(|p| p.unit == unit)?;
-                Some((unit, col, prior.partial.clone()))
+            .filter(|&(_, unit)| {
+                misses.binary_search(unit).is_ok() || partials.iter().any(|p| p.unit == *unit)
             })
+            .map(|(col, &unit)| (unit, col))
             .collect();
         let bytes = captured.len() * nd * ns * std::mem::size_of::<f32>();
         let writeback = if captured.is_empty() {
@@ -272,11 +265,10 @@ impl<'p> ColumnPass<'p> {
             Some(WriteBack {
                 units: captured
                     .into_iter()
-                    .map(|(unit, union_col, prior)| WbUnit {
+                    .map(|(unit, union_col)| WbUnit {
                         unit,
                         union_col,
                         col: vec![0.0; nd * ns],
-                        prior,
                     })
                     .collect(),
                 filled: vec![false; nd],
@@ -440,53 +432,25 @@ impl<'p> ColumnPass<'p> {
     /// Ends the pass: persists the captured columns — a fully streamed
     /// pass commits complete columns; an early-stopped (or interrupted)
     /// pass commits the streamed prefix as partial columns with a
-    /// watermark, but only where that strictly extends what the store
-    /// already holds — and returns the pass's accounting. Write failures
-    /// are recorded, never fatal.
+    /// watermark, which the store keeps only where that strictly extends
+    /// what it already holds — and returns the pass's accounting. Write
+    /// failures are recorded, never fatal.
     pub fn finish(mut self) -> StoreStats {
         let (plan, nd, ns) = (self.plan, self.nd, self.ns);
         let Some(wb) = self.writeback.take().filter(|wb| wb.n_filled > 0) else {
             return self.stats;
         };
-        let complete = wb.n_filled == nd;
         for wu in &wb.units {
+            // A fully streamed fill is written as a complete column; a
+            // partial one the store declined is an empty delta.
             let key = plan.key(wu.unit);
-            let written = if complete {
-                // Fully streamed: commit the complete column (this also
-                // supersedes the unit's partial file, if any).
-                plan.store.write_column(&key, nd, ns, &wu.col)
-            } else {
-                // Early stop: persist the streamed prefix, unless the
-                // store already holds at least as much. A quarantined
-                // (demoted) column's prior file is gone, so anything
-                // streamed is a strict improvement.
-                if let (Some(prior), false) = (&wu.prior, self.demoted[wu.union_col]) {
-                    let extends = prior.is_subset_of_filled(&wb.filled)
-                        && wb.n_filled > prior.completed_records();
-                    if !extends {
-                        continue;
-                    }
-                }
-                plan.store
-                    .write_partial_column(&key, nd, ns, &wu.col, &wb.filled)
-            };
-            match written {
-                // A partial write the store declined (it already holds
-                // at least as much) reports zero blocks and counts nothing.
-                Ok(report) if complete || report.blocks_written > 0 => {
-                    if complete {
-                        self.stats.columns_written += 1;
-                    } else {
-                        self.stats.partial_columns_written += 1;
-                    }
-                    self.stats.blocks_written += report.blocks_written;
-                    self.stats.pool_evictions += report.pool_evictions;
-                    self.stats.raw_bytes_written += report.raw_data_bytes;
-                    self.stats.stored_bytes_written += report.stored_data_bytes;
-                }
-                Ok(_) => {}
+            match plan
+                .store
+                .write_partial_column(&key, nd, ns, &wu.col, &wb.filled)
+            {
+                Ok(delta) => self.stats.accumulate(&delta),
                 Err(e) => {
-                    let what = if complete { "" } else { "partial " };
+                    let what = if wb.n_filled == nd { "" } else { "partial " };
                     self.stats
                         .record_error(format!("unit {} {what}write-back failed: {e}", wu.unit));
                 }

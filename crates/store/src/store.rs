@@ -4,20 +4,21 @@
 //! On disk a store is a directory tree:
 //!
 //! ```text
-//! <root>/<model_fp:016x>.<dataset_fp:016x>/u<unit>.col    complete column
-//!                                          u<unit>.part   partial column
+//! <root>/<model_fp:016x>.<dataset_fp:016x>/u<unit>.col
 //! ```
 //!
 //! one column file per `(model fingerprint, dataset fingerprint, unit)`
-//! key. A **complete** column (`u<unit>.col`) holds every record; a
-//! **partial** column (`u<unit>.part`) holds the completed prefix of an
-//! early-stopped streaming pass up to its watermark (see
-//! [`crate::format`]) and is superseded — left for compaction to reclaim
-//! — once a completed version lands beside it. Opening a store walks the
-//! tree once into an in-memory index of available columns; writers update
-//! the index as they commit. Column metadata (shape + zone table +
-//! coverage) is cached after first validation so a warm scan touches the
-//! filesystem only on buffer-pool misses.
+//! key. The file's header watermark (see [`crate::format`]) — not its
+//! name — says how much it holds: a **complete** column holds every
+//! record; a **partial** column holds the completed prefix of an
+//! early-stopped streaming pass, and completing or extending it rewrites
+//! the same file. (Older builds gave partial columns the file extension
+//! `part`; such files are ignored: never indexed, never read, and their
+//! units re-extract.) Opening a store walks the tree once into an
+//! in-memory index of the keys that have a file; writers update the index
+//! as they commit. Column metadata (shape + zone table + coverage) is
+//! cached after first validation so a warm scan touches the filesystem
+//! only on buffer-pool misses.
 //!
 //! Corruption handling is fail-soft: a block whose checksum disagrees
 //! surfaces a [`StoreError::Corrupt`] to the caller (who falls back to
@@ -27,7 +28,7 @@
 //! which temporaries are litter and how a quarantined file is named is
 //! [`crate::durable`]'s one rule; [`BehaviorStore::compact`] deletes
 //! quarantined files past a retention budget, together with stale
-//! temporaries and superseded partials.
+//! temporaries.
 //!
 //! A store opened under [`MaterializationPolicy::ReadOnly`] never touches
 //! the filesystem beyond reads: no directory creation, no temp-file
@@ -79,9 +80,9 @@ pub struct StoreConfig {
     /// as forensic samples, older ones are deleted by
     /// [`BehaviorStore::compact`].
     pub quarantine_retention_bytes: u64,
-    /// Disk budget for *complete* column files: when their total size
-    /// exceeds this, [`BehaviorStore::compact`] evicts the coldest
-    /// columns (LRU by persisted access stamp — the on-disk analogue of
+    /// Disk budget for column files, partial and complete: when their
+    /// total size exceeds this, [`BehaviorStore::compact`] evicts the
+    /// coldest columns (LRU by persisted access stamp — the on-disk analogue of
     /// the CLOCK pool's memory budget) until the rest fit. Evicted
     /// columns are healthy and re-materialize on the next read-write
     /// pass. `u64::MAX` (the default) disables eviction.
@@ -114,50 +115,6 @@ pub struct ColumnKey {
     pub dataset_fp: u64,
     /// Hidden-unit index within the model.
     pub unit: usize,
-}
-
-/// Outcome of one column write.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteReport {
-    /// Data blocks written.
-    pub blocks_written: usize,
-    /// Pool evictions caused by populating the written blocks.
-    pub pool_evictions: usize,
-    /// Raw (uncompressed f32) size of the data region.
-    pub raw_data_bytes: u64,
-    /// Encoded size the data region actually occupies on disk.
-    pub stored_data_bytes: u64,
-}
-
-/// Outcome of one [`BehaviorStore::compact`] sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Files deleted (expired quarantined files, stale temporaries,
-    /// superseded partial columns).
-    pub files_reclaimed: usize,
-    /// Bytes those files occupied.
-    pub bytes_reclaimed: u64,
-    /// Healthy complete columns evicted to meet the disk budget (LRU by
-    /// access stamp; see [`StoreConfig::disk_budget_bytes`]).
-    pub columns_evicted: usize,
-    /// Bytes those evictions returned to the filesystem.
-    pub evicted_bytes: u64,
-}
-
-impl CompactionReport {
-    fn reclaimed(&mut self, (files, bytes): (usize, u64)) {
-        self.files_reclaimed += files;
-        self.bytes_reclaimed += bytes;
-    }
-}
-
-/// Which file currently backs a column key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Disposition {
-    /// `u<unit>.col` — every record valid.
-    Complete,
-    /// `u<unit>.part` — valid up to the watermark only.
-    Partial,
 }
 
 /// Validated position coverage of one stored column: which record
@@ -236,14 +193,13 @@ const BLOCK_NEEDED: u32 = u32::MAX - 2;
 
 /// Validated column metadata: the parsed file (schema, zone table,
 /// payload offsets) with the coverage bitmap lifted into an `Arc` for
-/// cheap sharing, plus which file it was read from.
+/// cheap sharing.
 struct ColumnFileInfo {
     file: format::ColumnFile,
     covered: Option<Arc<Vec<u8>>>,
     /// Position → packed data row (rank among covered positions), for
     /// partial columns.
     ranks: Option<Vec<u32>>,
-    disposition: Disposition,
 }
 
 type CachedInfo = Arc<ColumnFileInfo>;
@@ -253,11 +209,16 @@ pub struct BehaviorStore {
     root: PathBuf,
     block_records: usize,
     read_only: bool,
-    /// Disk budget for complete columns, enforced by
+    /// Disk budget for column files, enforced by
     /// [`BehaviorStore::compact`] (see [`StoreConfig::disk_budget_bytes`]).
     disk_budget_bytes: u64,
     pool: BufferPool,
-    index: Mutex<HashMap<ColumnKey, Disposition>>,
+    /// The keys that have a column file, partial or complete.
+    index: Mutex<HashSet<ColumnKey>>,
+    /// Held by every write from its coverage decision through its
+    /// publish, so no writer of this instance replaces a column another
+    /// one completed in between.
+    write_lock: Mutex<()>,
     /// Validated file info per column, filled on first scan.
     meta_cache: Mutex<HashMap<ColumnKey, CachedInfo>>,
     /// Columns this instance's disk-budget eviction deleted. Lets a later
@@ -288,7 +249,7 @@ impl BehaviorStore {
         if !read_only {
             std::fs::create_dir_all(&config.path)?;
         }
-        let mut index = HashMap::new();
+        let mut index = HashSet::new();
         let entries = match std::fs::read_dir(&config.path) {
             Ok(entries) => Some(entries),
             Err(e) if read_only && e.kind() == std::io::ErrorKind::NotFound => None,
@@ -306,21 +267,12 @@ impl BehaviorStore {
                 durable::reap_stale_temps(&entry.path());
             }
             for col in std::fs::read_dir(entry.path())? {
-                let col = col?;
-                if let Some((unit, disposition)) = parse_column_file(&col.file_name()) {
-                    let key = ColumnKey {
+                if let Some(unit) = parse_column_file(&col?.file_name()) {
+                    index.insert(ColumnKey {
                         model_fp,
                         dataset_fp,
                         unit,
-                    };
-                    // A complete column always wins over a leftover
-                    // partial of the same unit.
-                    match index.get(&key) {
-                        Some(Disposition::Complete) => {}
-                        _ => {
-                            index.insert(key, disposition);
-                        }
-                    }
+                    });
                 }
             }
         }
@@ -331,6 +283,7 @@ impl BehaviorStore {
             disk_budget_bytes: config.disk_budget_bytes,
             pool: BufferPool::new(config.pool_bytes),
             index: Mutex::new(index),
+            write_lock: Mutex::new(()),
             meta_cache: Mutex::new(HashMap::new()),
             evicted: Mutex::new(HashSet::new()),
             views: crate::views::ViewCatalog::open(&config.path, read_only),
@@ -360,31 +313,31 @@ impl BehaviorStore {
         &self.views
     }
 
-    /// Number of indexed *complete* columns.
+    /// Number of indexed complete columns (reads each uncached header to
+    /// tell).
     pub fn columns(&self) -> usize {
-        self.index
-            .lock()
-            .values()
-            .filter(|d| **d == Disposition::Complete)
-            .count()
+        let keys: Vec<ColumnKey> = self.index.lock().iter().copied().collect();
+        keys.iter().filter(|key| self.contains(key)).count()
     }
 
-    /// True when a complete column is indexed (file present; contents are
-    /// only validated when scanned).
+    /// True when a column is indexed and its header declares a full
+    /// watermark (block contents are only validated when scanned).
     pub fn contains(&self, key: &ColumnKey) -> bool {
-        self.index.lock().get(key) == Some(&Disposition::Complete)
+        self.coverage(key).is_ok_and(|c| c.is_complete())
     }
 
-    /// Splits `units` by what the index holds for them under `(model_fp,
+    /// Splits `units` by what the store holds for them under `(model_fp,
     /// dataset_fp)` — `(complete, partial, absent)`, each in input order.
-    /// One lock acquisition, so the split is a consistent snapshot.
+    /// The file's own watermark, read through the cached column
+    /// metadata, tells complete from partial; an indexed column whose
+    /// header cannot be read counts as complete, so its scan surfaces
+    /// the error and demotes it to live extraction.
     pub(crate) fn split_units(
         &self,
         model_fp: u64,
         dataset_fp: u64,
         units: &[usize],
     ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let index = self.index.lock();
         let (mut complete, mut partial, mut absent) = (Vec::new(), Vec::new(), Vec::new());
         for &unit in units {
             let key = ColumnKey {
@@ -392,45 +345,45 @@ impl BehaviorStore {
                 dataset_fp,
                 unit,
             };
-            match index.get(&key) {
-                Some(Disposition::Complete) => complete.push(unit),
-                Some(Disposition::Partial) => partial.push(unit),
-                None => absent.push(unit),
+            if !self.index.lock().contains(&key) {
+                absent.push(unit);
+            } else if self.coverage(&key).is_ok_and(|c| !c.is_complete()) {
+                partial.push(unit);
+            } else {
+                complete.push(unit);
             }
         }
         (complete, partial, absent)
     }
 
-    fn column_path(&self, key: &ColumnKey, disposition: Disposition) -> PathBuf {
-        let file = match disposition {
-            Disposition::Complete => format!("u{}.col", key.unit),
-            Disposition::Partial => format!("u{}.part", key.unit),
-        };
+    fn column_path(&self, key: &ColumnKey) -> PathBuf {
         self.root
             .join(format!("{:016x}.{:016x}", key.model_fp, key.dataset_fp))
-            .join(file)
+            .join(format!("u{}.col", key.unit))
     }
 
     /// Persists a complete column (`data.len() == nd * ns`, record-major)
-    /// atomically and pushes its blocks through the pool so an immediate
-    /// scan hits memory. Any partial file of the same key is superseded
-    /// (reclaimed by the next [`BehaviorStore::compact`]).
+    /// atomically — replacing any partial column of the same key — and
+    /// pushes its blocks through the pool so an immediate scan hits
+    /// memory. Returns the write's accounting.
     pub fn write_column(
         &self,
         key: &ColumnKey,
         nd: usize,
         ns: usize,
         data: &[f32],
-    ) -> Result<WriteReport, StoreError> {
-        self.write_column_inner(key, nd, ns, data, None)
+    ) -> Result<StoreStats, StoreError> {
+        let _write = self.write_lock.lock();
+        self.publish(key, nd, ns, data, None)
     }
 
     /// Persists the completed prefix of an early-stopped pass: `data` is
     /// a full `nd * ns` buffer whose positions marked in `filled` hold
     /// real extractor output (the rest must be `0.0`). Writes a partial
     /// column with watermark `filled.count(true)`; a fully filled buffer
-    /// is promoted to a complete column. An empty fill, or a key that
-    /// already has a complete column, is a no-op.
+    /// is written as a complete column. An empty fill, or one that does
+    /// not strictly extend what the store already holds for the key, is a
+    /// no-op (an empty delta).
     pub fn write_partial_column(
         &self,
         key: &ColumnKey,
@@ -438,7 +391,7 @@ impl BehaviorStore {
         ns: usize,
         data: &[f32],
         filled: &[bool],
-    ) -> Result<WriteReport, StoreError> {
+    ) -> Result<StoreStats, StoreError> {
         if filled.len() != nd {
             return Err(StoreError::Io(format!(
                 "fill mask has {} entries for nd={nd}",
@@ -450,65 +403,60 @@ impl BehaviorStore {
             return self.write_column(key, nd, ns, data);
         }
         if completed == 0 {
-            return Ok(WriteReport::default());
+            return Ok(StoreStats::default());
         }
         if self.read_only {
             return Err(StoreError::Io("store opened read-only".into()));
         }
+        let _write = self.write_lock.lock();
         // Freshen this instance's view from the filesystem before
         // deciding: the index and meta cache are instance-local, and a
         // concurrent store instance may have created, extended or
         // completed this column since we last looked.
         self.meta_cache.lock().remove(key);
-        if self.column_path(key, Disposition::Complete).exists() {
-            self.index.lock().insert(*key, Disposition::Complete);
-            return Ok(WriteReport::default());
-        }
-        if self.column_path(key, Disposition::Partial).exists() {
-            {
-                let mut index = self.index.lock();
-                if index.get(key) != Some(&Disposition::Complete) {
-                    index.insert(*key, Disposition::Partial);
-                }
-            }
-            // Never shrink stored coverage: an existing partial whose
-            // valid coverage is not strictly extended by this fill keeps
-            // its file (a pass that transiently failed to read it — or
-            // early-stopped sooner than a previous one — must not
-            // replace a larger prefix with a smaller one). Only a
-            // *provably corrupt* existing partial is junk that may be
+        if self.column_path(key).exists() {
+            self.index.lock().insert(*key);
+            // Never shrink stored coverage: a stored column (complete, or
+            // partial) whose valid coverage is not strictly extended by
+            // this fill keeps its file (a pass that transiently failed to
+            // read it — or early-stopped sooner than a previous one —
+            // must not replace a larger prefix with a smaller one). Only
+            // a *provably corrupt* existing file is junk that may be
             // overwritten; a transient I/O failure says nothing about
-            // the file, so the write is refused too. (The decision is
-            // made against freshly read metadata; a racing writer can
-            // still slip between read and rename, which at worst loses
-            // re-computable coverage, never correctness.)
+            // the file, so the write is refused too. The write lock makes
+            // decision and rename atomic within this instance; a writer
+            // of another instance can still slip between them, which at
+            // worst loses re-computable coverage, never correctness.
             match self.coverage(key) {
                 Ok(prior) => {
                     let extends =
                         prior.is_subset_of_filled(filled) && completed > prior.completed_records();
                     if !extends {
-                        return Ok(WriteReport::default());
+                        return Ok(StoreStats::default());
                     }
                 }
                 // A provably corrupt (or deliberately evicted) prior file
                 // protects nothing; overwrite it.
                 Err(StoreError::Corrupt(_)) | Err(StoreError::Evicted(_)) => {}
                 Err(StoreError::Io(_)) | Err(StoreError::TransientIo(_)) => {
-                    return Ok(WriteReport::default())
+                    return Ok(StoreStats::default())
                 }
             }
         }
-        self.write_column_inner(key, nd, ns, data, Some(filled))
+        self.publish(key, nd, ns, data, Some(filled))
     }
 
-    fn write_column_inner(
+    /// Writes one column file — complete when `filled` is `None`, else
+    /// the filled positions under their watermark — and installs it in
+    /// the pool, the index and the caches. Callers hold `write_lock`.
+    fn publish(
         &self,
         key: &ColumnKey,
         nd: usize,
         ns: usize,
         data: &[f32],
         filled: Option<&[bool]>,
-    ) -> Result<WriteReport, StoreError> {
+    ) -> Result<StoreStats, StoreError> {
         if self.read_only {
             return Err(StoreError::Io("store opened read-only".into()));
         }
@@ -531,12 +479,7 @@ impl BehaviorStore {
             block_records: self.block_records as u64,
             completed_records: completed as u64,
         };
-        let disposition = if filled.is_some() {
-            Disposition::Partial
-        } else {
-            Disposition::Complete
-        };
-        let path = self.column_path(key, disposition);
+        let path = self.column_path(key);
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -552,31 +495,26 @@ impl BehaviorStore {
         // populate the pool with the written pages so an immediate scan
         // hits memory.
         self.pool.purge_column(key);
-        let mut pool_evictions = 0;
+        let mut written = StoreStats {
+            columns_written: filled.is_none() as usize,
+            partial_columns_written: filled.is_some() as usize,
+            blocks_written: summary.n_blocks,
+            raw_bytes_written: summary.raw_data_bytes,
+            stored_bytes_written: summary.stored_data_bytes,
+            ..StoreStats::default()
+        };
         for b in 0..meta.n_blocks() {
             let rows = meta.rows_in_block(b);
             let start = b * self.block_records * ns;
-            pool_evictions +=
+            written.pool_evictions +=
                 self.pool
                     .insert(key, b as u32, stored[start..start + rows * ns].to_vec());
         }
         self.meta_cache.lock().remove(key);
         // A fresh write resurrects a disk-budget-evicted column.
         self.evicted.lock().remove(key);
-        let mut index = self.index.lock();
-        // Never let a partial write demote an indexed complete column.
-        match (disposition, index.get(key)) {
-            (Disposition::Partial, Some(Disposition::Complete)) => {}
-            _ => {
-                index.insert(*key, disposition);
-            }
-        }
-        Ok(WriteReport {
-            blocks_written: summary.n_blocks,
-            pool_evictions,
-            raw_data_bytes: summary.raw_data_bytes,
-            stored_data_bytes: summary.stored_data_bytes,
-        })
+        self.index.lock().insert(*key);
+        Ok(written)
     }
 
     /// Validated file info for a column, cached after the first read. A
@@ -587,7 +525,7 @@ impl BehaviorStore {
         if let Some(info) = self.meta_cache.lock().get(key) {
             return Ok(Arc::clone(info));
         }
-        let Some(disposition) = self.index.lock().get(key).copied() else {
+        if !self.index.lock().contains(key) {
             if self.evicted.lock().contains(key) {
                 return Err(StoreError::Evicted(format!(
                     "unit {} was deleted by disk-budget eviction",
@@ -595,8 +533,8 @@ impl BehaviorStore {
                 )));
             }
             return Err(StoreError::Io(format!("unit {} is not indexed", key.unit)));
-        };
-        let path = self.column_path(key, disposition);
+        }
+        let path = self.column_path(key);
         // One handle for the read and the stamp: a read-write store opens
         // it writable (falling back to read-only where the file refuses —
         // the stamp is best-effort, the read is not).
@@ -610,13 +548,6 @@ impl BehaviorStore {
                 .or_else(|_| File::open(&path))?
         };
         let mut parsed = format::read_meta(&mut file)?;
-        // The file's own watermark decides completeness; the index only
-        // remembers which path to open.
-        if disposition == Disposition::Partial && parsed.meta.is_complete() {
-            return Err(StoreError::Corrupt(
-                "partial file declares a full watermark".into(),
-            ));
-        }
         if !self.read_only {
             // Failure to bump the stamp never fails the read — the
             // column just stays cold in the eviction order.
@@ -630,7 +561,6 @@ impl BehaviorStore {
             file: parsed,
             covered,
             ranks,
-            disposition,
         });
         self.meta_cache
             .lock()
@@ -683,8 +613,8 @@ impl BehaviorStore {
     ///
     /// A validation failure is retried **once** against freshly read
     /// metadata (cached info and pooled pages dropped first): a
-    /// concurrent store instance may have extended a partial column in
-    /// place (atomic rename onto the same path repacks the rows), which
+    /// concurrent store instance may have extended or completed a partial
+    /// column in place (atomic rename onto the same path repacks the rows), which
     /// makes this instance's cached zone table stale — that is a valid
     /// newer file, not corruption. Only a failure against the file's
     /// current bytes surfaces as [`StoreError::Corrupt`].
@@ -846,7 +776,7 @@ impl BehaviorStore {
             let missing: Vec<usize> = pins.missing().collect();
             if !missing.is_empty() {
                 let blocks: Vec<u32> = missing.iter().map(|&i| needed[i]).collect();
-                let path = self.column_path(key, cached.disposition);
+                let path = self.column_path(key);
                 let pages = retry_transient(&mut stats.io_retries, || {
                     let mut file = File::open(&path)?;
                     format::read_blocks(&mut file, &cached.file, &blocks)
@@ -893,77 +823,58 @@ impl BehaviorStore {
         if self.read_only {
             return;
         }
-        let disposition = self.index.lock().remove(key);
+        self.index.lock().remove(key);
         self.meta_cache.lock().remove(key);
         self.pool.purge_column(key);
-        let dispositions = match disposition {
-            Some(d) => vec![d],
-            // Not indexed (e.g. already quarantined by a racing pass):
-            // move aside whichever files exist.
-            None => vec![Disposition::Complete, Disposition::Partial],
-        };
-        for d in dispositions {
-            // A missing file (the other disposition, or a racing pass
-            // got there first) is nothing to move.
-            let _ = durable::quarantine(&self.column_path(key, d));
-        }
+        // A missing file (a racing pass got there first) is nothing to
+        // move.
+        let _ = durable::quarantine(&self.column_path(key));
     }
 
     /// Reclaims disk space the store no longer needs: stale temporaries
-    /// left by *other* (crashed) processes, partial columns superseded by
-    /// a completed version, and quarantined files past the retention
-    /// budget (the newest quarantined files totalling up to
+    /// left by *other* (crashed) processes and quarantined files past the
+    /// retention budget (the newest quarantined files totalling up to
     /// `quarantine_retention_bytes` are kept as forensic samples). When
-    /// the complete columns together exceed
+    /// the column files together exceed
     /// [`StoreConfig::disk_budget_bytes`], the coldest of them (LRU by
     /// persisted access stamp; an unreadable stamp counts as coldest)
     /// are evicted until the rest fit — except columns whose pages a
     /// concurrent scan currently holds pinned, which are never deleted
-    /// out from under the scan. No-op on a read-only store.
-    pub fn compact(&self, quarantine_retention_bytes: u64) -> CompactionReport {
-        let mut report = CompactionReport::default();
+    /// out from under the scan. Returns the sweep's accounting
+    /// (`files_reclaimed`, `bytes_reclaimed`, `columns_evicted`,
+    /// `evicted_bytes`). No-op on a read-only store.
+    pub fn compact(&self, quarantine_retention_bytes: u64) -> StoreStats {
+        let mut swept = StoreStats::default();
         if self.read_only {
-            return report;
+            return swept;
         }
         let Ok(entries) = std::fs::read_dir(&self.root) else {
-            return report;
+            return swept;
+        };
+        let mut reclaimed = |(files, bytes): (usize, u64)| {
+            swept.files_reclaimed += files;
+            swept.bytes_reclaimed += bytes;
         };
         let mut quarantined: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
-        report.reclaimed(durable::reap_stale_temps(self.views.dir()));
+        reclaimed(durable::reap_stale_temps(self.views.dir()));
         for entry in entries.flatten() {
-            if !entry.file_type().map(|t| t.is_dir()).unwrap_or(false) {
+            if !entry.file_type().map(|t| t.is_dir()).unwrap_or(false)
+                || parse_pair_dir(&entry.file_name()).is_none()
+            {
                 continue;
             }
-            let Some((model_fp, dataset_fp)) = parse_pair_dir(&entry.file_name()) else {
-                continue;
-            };
-            report.reclaimed(durable::reap_stale_temps(&entry.path()));
+            reclaimed(durable::reap_stale_temps(&entry.path()));
             let Ok(cols) = std::fs::read_dir(entry.path()) else {
                 continue;
             };
             for col in cols.flatten() {
-                let path = col.path();
-                let len = col.metadata().map(|m| m.len()).unwrap_or(0);
                 if durable::is_quarantined(&col.file_name().to_string_lossy()) {
-                    let modified = col
-                        .metadata()
+                    let meta = col.metadata();
+                    let len = meta.as_ref().map(|m| m.len()).unwrap_or(0);
+                    let modified = meta
                         .and_then(|m| m.modified())
                         .unwrap_or(SystemTime::UNIX_EPOCH);
-                    quarantined.push((path, len, modified));
-                } else if let Some((unit, Disposition::Partial)) =
-                    parse_column_file(&col.file_name())
-                {
-                    // A partial column beside (or indexed behind) a
-                    // completed version is superseded.
-                    let key = ColumnKey {
-                        model_fp,
-                        dataset_fp,
-                        unit,
-                    };
-                    let superseded = self.index.lock().get(&key) == Some(&Disposition::Complete);
-                    if superseded && std::fs::remove_file(&path).is_ok() {
-                        report.reclaimed((1, len));
-                    }
+                    quarantined.push((col.path(), len, modified));
                 }
             }
             // Pair directories are deliberately left in place even when
@@ -981,34 +892,28 @@ impl BehaviorStore {
                 continue;
             }
             if std::fs::remove_file(&path).is_ok() {
-                report.reclaimed((1, len));
+                reclaimed((1, len));
             }
         }
-        self.enforce_disk_budget(&mut report);
-        report
+        self.enforce_disk_budget(&mut swept);
+        swept
     }
 
-    /// Evicts cold complete columns until the survivors fit the disk
-    /// budget (the compaction leg of [`StoreConfig::disk_budget_bytes`]).
-    fn enforce_disk_budget(&self, report: &mut CompactionReport) {
+    /// Evicts cold columns until the survivors fit the disk budget (the
+    /// compaction leg of [`StoreConfig::disk_budget_bytes`]).
+    fn enforce_disk_budget(&self, swept: &mut StoreStats) {
         if self.disk_budget_bytes == u64::MAX {
             return;
         }
-        // Snapshot the complete columns with size and persisted access
+        // Snapshot the indexed columns with size and persisted access
         // stamp. Stamps are read fresh from disk (not the meta cache):
         // another store instance over the same path may have scanned —
         // and stamped — a column this instance never touched.
-        let keys: Vec<ColumnKey> = self
-            .index
-            .lock()
-            .iter()
-            .filter(|(_, d)| **d == Disposition::Complete)
-            .map(|(k, _)| *k)
-            .collect();
+        let keys: Vec<ColumnKey> = self.index.lock().iter().copied().collect();
         let mut columns: Vec<(ColumnKey, PathBuf, u64, u64)> = Vec::with_capacity(keys.len());
         let mut total: u64 = 0;
         for key in keys {
-            let path = self.column_path(&key, Disposition::Complete);
+            let path = self.column_path(&key);
             let Ok(len) = std::fs::metadata(&path).map(|m| m.len()) else {
                 continue;
             };
@@ -1039,8 +944,8 @@ impl BehaviorStore {
             self.evicted.lock().insert(key);
             self.pool.purge_column(&key);
             if std::fs::remove_file(&path).is_ok() {
-                report.columns_evicted += 1;
-                report.evicted_bytes += len;
+                swept.columns_evicted += 1;
+                swept.evicted_bytes += len;
                 total -= len;
             } else {
                 // Deletion failed (e.g. a racing external delete): the
@@ -1061,16 +966,9 @@ fn parse_pair_dir(name: &std::ffi::OsStr) -> Option<(u64, u64)> {
     ))
 }
 
-fn parse_column_file(name: &std::ffi::OsStr) -> Option<(usize, Disposition)> {
-    let name = name.to_str()?;
-    let stem = name.strip_prefix('u')?;
-    if let Some(unit) = stem.strip_suffix(".col") {
-        return Some((unit.parse().ok()?, Disposition::Complete));
-    }
-    if let Some(unit) = stem.strip_suffix(".part") {
-        return Some((unit.parse().ok()?, Disposition::Partial));
-    }
-    None
+fn parse_column_file(name: &std::ffi::OsStr) -> Option<usize> {
+    let unit = name.to_str()?.strip_prefix('u')?.strip_suffix(".col")?;
+    unit.parse().ok()
 }
 
 #[cfg(test)]
@@ -1079,10 +977,9 @@ mod tests {
     use crate::durable::age_file;
 
     fn partial_columns(store: &BehaviorStore) -> usize {
-        let index = store.index.lock();
-        index
-            .values()
-            .filter(|d| **d == Disposition::Partial)
+        let keys: Vec<ColumnKey> = store.index.lock().iter().copied().collect();
+        keys.iter()
+            .filter(|key| store.coverage(key).is_ok_and(|c| !c.is_complete()))
             .count()
     }
 
@@ -1274,17 +1171,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(store.split_units(0x11, 0x22, &[0]).1, vec![0]);
-        // Completing the column supersedes the partial: complete file
-        // indexed, partial file still on disk until compaction reclaims.
+        // Completing the column rewrites its one file in place: the key
+        // plans as a complete hit and nothing is left for compaction.
         store.write_column(&key(0), nd, ns, &data).unwrap();
         assert!(store.contains(&key(0)));
         assert_eq!(store.split_units(0x11, 0x22, &[0]).1, Vec::<usize>::new());
-        let part_path = store.column_path(&key(0), Disposition::Partial);
-        assert!(part_path.exists(), "superseded partial awaits compaction");
-        let report = store.compact(u64::MAX);
-        assert_eq!(report.files_reclaimed, 1);
-        assert!(report.bytes_reclaimed > 0);
-        assert!(!part_path.exists(), "compaction reclaimed it");
+        assert_eq!(store.split_units(0x11, 0x22, &[0]).0, vec![0]);
+        let pair = store.column_path(&key(0)).parent().unwrap().to_path_buf();
+        assert_eq!(std::fs::read_dir(&pair).unwrap().count(), 1, "one file");
+        assert_eq!(store.compact(u64::MAX), StoreStats::default());
         // The complete column still scans.
         let positions: Vec<usize> = (0..nd).collect();
         let mut out = vec![0.0f32; nd * ns];
@@ -1329,7 +1224,7 @@ mod tests {
         let report = store
             .write_partial_column(&key(0), nd, ns, &col4, &filled4)
             .unwrap();
-        assert_eq!(report, WriteReport::default());
+        assert_eq!(report, StoreStats::default());
         assert_eq!(store.coverage(&key(0)).unwrap().completed_records(), 8);
         // ...as is a disjoint fill that would lose covered positions...
         let (col_d, filled_d) = fill(&[8, 9, 10, 11]);
@@ -1457,7 +1352,7 @@ mod tests {
         let report = store
             .write_partial_column(&key(0), nd, ns, &vec![0.0; nd * ns], &vec![false; nd])
             .unwrap();
-        assert_eq!(report, WriteReport::default());
+        assert_eq!(report, StoreStats::default());
         assert_eq!(partial_columns(&store), 0);
         // Everything filled: promoted to a complete column.
         let report = store
@@ -1474,7 +1369,7 @@ mod tests {
                 f
             })
             .unwrap();
-        assert_eq!(report, WriteReport::default());
+        assert_eq!(report, StoreStats::default());
         assert!(store.contains(&key(0)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1600,7 +1495,7 @@ mod tests {
         assert_eq!(quarantined_files(&dir).len(), 2);
         // A huge budget deletes nothing further.
         let report = store.compact(u64::MAX);
-        assert_eq!(report, CompactionReport::default());
+        assert_eq!(report, StoreStats::default());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1704,7 +1599,7 @@ mod tests {
         assert!(dir
             .join("0000000000000011.0000000000000022/u0.col")
             .exists());
-        assert_eq!(ro.compact(0), CompactionReport::default());
+        assert_eq!(ro.compact(0), StoreStats::default());
         assert!(stale.exists());
         drop(ro);
         // A read-only store over a missing directory is simply empty.
@@ -1847,12 +1742,12 @@ mod tests {
         let report = store
             .write_column(&key(0), nd, ns, &vec![0.25f32; nd * ns])
             .unwrap();
-        assert_eq!(report.raw_data_bytes, (nd * ns * 4) as u64);
+        assert_eq!(report.raw_bytes_written, (nd * ns * 4) as u64);
         assert!(
-            report.stored_data_bytes < report.raw_data_bytes,
+            report.stored_bytes_written < report.raw_bytes_written,
             "constant blocks compress: {} vs {}",
-            report.stored_data_bytes,
-            report.raw_data_bytes
+            report.stored_bytes_written,
+            report.raw_bytes_written
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1997,6 +1892,107 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out, column(nd, ns, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partial_columns_count_toward_the_disk_budget() {
+        let (store, dir) = test_store("partial-budget", 1 << 20);
+        let (nd, ns) = (8, 2);
+        let mut filled = vec![false; nd];
+        filled[..5].fill(true);
+        for unit in 0..3 {
+            let mut prefix = column(nd, ns, unit);
+            prefix[5 * ns..].fill(0.0);
+            store
+                .write_partial_column(&key(unit), nd, ns, &prefix, &filled)
+                .unwrap();
+        }
+        assert_eq!(partial_columns(&store), 3);
+        drop(store);
+        let pair = dir.join("0000000000000011.0000000000000022");
+        let len = std::fs::metadata(pair.join("u0.col")).unwrap().len();
+        for unit in 0..3u64 {
+            set_stamp(&pair.join(format!("u{unit}.col")), 100 + unit);
+        }
+        let open = |disk_budget_bytes| {
+            BehaviorStore::open(&StoreConfig {
+                block_records: 4,
+                disk_budget_bytes,
+                ..StoreConfig::at(&dir)
+            })
+            .unwrap()
+        };
+        // Budget for two: the coldest partial goes, as a complete column
+        // would.
+        let swept = open(2 * len).compact(u64::MAX);
+        assert_eq!((swept.columns_evicted, swept.evicted_bytes), (1, len));
+        assert!(!pair.join("u0.col").exists(), "coldest partial evicted");
+        assert!(pair.join("u1.col").exists() && pair.join("u2.col").exists());
+        // A one-byte budget evicts every partial.
+        let store = open(1);
+        let swept = store.compact(u64::MAX);
+        assert_eq!((swept.columns_evicted, swept.evicted_bytes), (2, 2 * len));
+        assert_eq!(store.split_units(0x11, 0x22, &[0, 1, 2]).2, vec![0, 1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_complete_and_partial_writes_of_one_key_leave_it_complete() {
+        let (store, dir) = test_store("race-kinds", 1 << 20);
+        let config = StoreConfig {
+            block_records: 4,
+            ..StoreConfig::at(&dir)
+        };
+        let (nd, ns) = (12, 2);
+        let mut filled = vec![true; nd];
+        filled[nd - 1] = false;
+        let positions: Vec<usize> = (0..nd).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for round in 0..60 {
+            let k = key(round);
+            let data = column(nd, ns, round);
+            let mut prefix = data.clone();
+            prefix[(nd - 1) * ns..].fill(0.0);
+            // Round mod 3: 0 races freely, 1 lands the partial first, 2
+            // lands the complete column first.
+            let (forced, partial_first) = (round % 3 != 0, round % 3 == 1);
+            let (start, handoff) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    if forced && !partial_first {
+                        handoff.wait();
+                    }
+                    store
+                        .write_partial_column(&k, nd, ns, &prefix, &filled)
+                        .unwrap();
+                    if forced && partial_first {
+                        handoff.wait();
+                    }
+                });
+                scope.spawn(|| {
+                    start.wait();
+                    if forced && partial_first {
+                        handoff.wait();
+                    }
+                    store.write_column(&k, nd, ns, &data).unwrap();
+                    if forced && !partial_first {
+                        handoff.wait();
+                    }
+                });
+            });
+            let reopened = BehaviorStore::open(&config).unwrap();
+            for s in [&store, &reopened] {
+                assert!(s.coverage(&k).unwrap().is_complete(), "round {round}");
+                let mut out = vec![0.0f32; nd * ns];
+                let mut stats = StoreStats::default();
+                s.scan_into(&k, nd, ns, &positions, &mut out, 1, 0, false, &mut stats)
+                    .unwrap();
+                assert_eq!(bits(&out), bits(&data), "round {round}");
+            }
+        }
+        assert_eq!(store.pool().verify_accounting(), Ok(()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
