@@ -11,7 +11,7 @@ use crate::error::DniError;
 use crate::model::Record;
 use deepbase_nn::{CharLstmModel, Seq2Seq};
 use deepbase_store::FpHasher;
-use deepbase_tensor::Matrix;
+use deepbase_tensor::{activation, Matrix};
 
 /// Extracts hidden-unit behaviors for records. Implementations must be
 /// thread-safe: the parallel device fans record blocks across the
@@ -67,15 +67,17 @@ impl Extractor for CharModelExtractor<'_> {
     }
 }
 
-/// Content fingerprint of a char-LSTM model: architecture constants plus
-/// every trainable parameter, bit-exact. Shared with owned-extractor
-/// wrappers (benches, tests) so they hash identically to
-/// [`CharModelExtractor`].
+/// Content fingerprint of a char-LSTM model: architecture constants, the
+/// version of the `tanh` / `sigmoid` kernel its forward runs
+/// ([`deepbase_tensor::activation::VERSION`]), and every trainable
+/// parameter, bit-exact. Shared with owned-extractor wrappers (benches,
+/// tests) so they hash identically to [`CharModelExtractor`].
 pub fn char_model_fingerprint(model: &CharLstmModel) -> u64 {
     let mut h = FpHasher::new();
     h.write_str("char-lstm")
         .write_u64(model.vocab_size() as u64)
-        .write_u64(model.hidden() as u64);
+        .write_u64(model.hidden() as u64)
+        .write_u64(activation::VERSION);
     model.visit_params(|m| {
         h.write_f32s(m.as_slice());
     });

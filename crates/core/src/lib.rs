@@ -133,7 +133,15 @@
 //! make invalidation implicit: mutating the catalog
 //! ([`session::Session::catalog_mut`]) re-binds and re-fingerprints, so
 //! changed contents miss the store while identical re-registrations keep
-//! hitting — there is no stale-read window. Corruption is handled
+//! hitting — there is no stale-read window. A behavior depends on the
+//! code that computes it as well as on the weights, so the char-LSTM
+//! fingerprint ([`prelude::char_model_fingerprint`]) also hashes the
+//! version of the in-repo `tanh` / `sigmoid` kernel
+//! (`deepbase_tensor::activation::VERSION`) its gates run. Columns and
+//! views stored by builds whose gates called the host's libm were hashed
+//! without it: their columns miss and re-extract, and their views probe
+//! `Invalid` and rebuild — bit-identical to a cold run, never a mix of
+//! two `tanh`s under one key. Corruption is handled
 //! fail-soft: every section and block carries a CRC32 checksum; a block
 //! that fails validation is quarantined (the file is renamed aside —
 //! collision-safe unique names — and re-materialized by the next

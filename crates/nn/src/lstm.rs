@@ -18,16 +18,19 @@
 //!
 //! The two are bit-identical per element — `z = ((x·Wx) + (h·Wh)) + b`
 //! with both products from the blocked mat-mul kernel, the same
-//! `ops::sigmoid` / `f32::tanh` calls, `c = f·c_prev + i·g`,
-//! `h = o·tanh(c)` — because stored behavior columns are keyed by the
-//! model's weights, not by which forward produced them
-//! (`tests/proptests.rs` pins it).
+//! `deepbase_tensor::activation` kernel for every gate and for `tanh(c)`,
+//! `c = f·c_prev + i·g`, `h = o·tanh(c)` — because stored behavior
+//! columns are keyed by the model's weights, not by which forward
+//! produced them (`tests/proptests.rs` pins it). The inference forward
+//! calls the kernel's slice form per gate span of a row and the training
+//! forward mixes slice and scalar calls; the kernel guarantees the two
+//! forms agree bit for bit, and no nonlinearity goes through libm.
 //!
 //! Gate layout in the packed `4H` dimension: `[i | f | g | o]`
 //! (input, forget, candidate, output).
 
 use crate::adam::Adam;
-use deepbase_tensor::{init, ops, Matrix};
+use deepbase_tensor::{activation, init, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -142,15 +145,7 @@ impl Lstm {
             // Apply gate nonlinearities in place: sigmoid on i|f|o, tanh on g.
             let batch = z.rows();
             for r in 0..batch {
-                let row = z.row_mut(r);
-                for (col, v) in row.iter_mut().enumerate() {
-                    let gate = col / hsz;
-                    *v = if gate == 2 {
-                        v.tanh()
-                    } else {
-                        ops::sigmoid(*v)
-                    };
-                }
+                activate_gates(z.row_mut(r), hsz);
             }
 
             let mut c = Matrix::zeros(batch, hsz);
@@ -164,7 +159,7 @@ impl Lstm {
                     let g = zr[2 * hsz + k];
                     let o = zr[3 * hsz + k];
                     let c_new = f * c_prev.get(r, k) + i * g;
-                    let tc = c_new.tanh();
+                    let tc = activation::tanh(c_new);
                     c.set(r, k, c_new);
                     tanhc.set(r, k, tc);
                     h.set(r, k, o * tc);
@@ -359,26 +354,39 @@ impl LstmInfer<'_> {
         self.gates()
     }
 
-    /// Gate nonlinearities fused with the cell update, from `z` into the
-    /// state buffers.
+    /// Gate nonlinearities, then the cell update, from `z` into the state
+    /// buffers: every step a slice loop the compiler vectorises.
     fn gates(&mut self) -> &Matrix {
         let hsz = self.lstm.hidden;
         for r in 0..self.h.rows() {
-            let (zi, rest) = self.z.row(r).split_at(hsz);
-            let (zf, rest) = rest.split_at(hsz);
-            let (zg, zo) = rest.split_at(hsz);
-            let cells = self.c.row_mut(r).iter_mut().zip(self.h.row_mut(r));
-            for ((((c, h), &zi), &zf), (&zg, &zo)) in cells.zip(zi).zip(zf).zip(zg.iter().zip(zo)) {
-                let i = ops::sigmoid(zi);
-                let f = ops::sigmoid(zf);
-                let g = zg.tanh();
-                let o = ops::sigmoid(zo);
+            let z = self.z.row_mut(r);
+            activate_gates(z, hsz);
+            let (i, rest) = z.split_at(hsz);
+            let (f, rest) = rest.split_at(hsz);
+            let (g, o) = rest.split_at(hsz);
+            let c = self.c.row_mut(r);
+            for (((c, &i), &f), &g) in c.iter_mut().zip(i).zip(f).zip(g) {
                 *c = f * *c + i * g;
-                *h = o * c.tanh();
+            }
+            let h = self.h.row_mut(r);
+            h.copy_from_slice(c);
+            activation::tanh_slice(h);
+            for (h, &o) in h.iter_mut().zip(o) {
+                *h *= o;
             }
         }
         &self.h
     }
+}
+
+/// The gate nonlinearities of one packed `[i | f | g | o]` row, in place:
+/// sigmoid over the contiguous `i | f` span and over `o`, tanh over `g`.
+fn activate_gates(z: &mut [f32], hsz: usize) {
+    let (ifg, o) = z.split_at_mut(3 * hsz);
+    let (i_f, g) = ifg.split_at_mut(2 * hsz);
+    activation::sigmoid_slice(i_f);
+    activation::tanh_slice(g);
+    activation::sigmoid_slice(o);
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use crate::dense::Dense;
 use crate::embedding::Embedding;
 use crate::lstm::{Lstm, LstmCache};
-use deepbase_tensor::{init, ops, Matrix};
+use deepbase_tensor::{activation, init, ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// Encoder–decoder translation model (trained one sentence pair at a time,
@@ -152,7 +152,7 @@ impl Seq2Seq {
             }
             let concat = h_t.hstack(&ctx).expect("attention concat");
             let comb_pre = self.attn_combine.forward(&concat);
-            let comb = comb_pre.map(f32::tanh);
+            let comb = comb_pre.map(activation::tanh);
             let logits = self.out.forward(&comb);
             let probs = ops::softmax_rows(&logits);
             let target = tgt[t] as usize;
@@ -242,7 +242,7 @@ impl Seq2Seq {
                 ctx.add_scaled(enc_h, scores[j]);
             }
             let concat = h_t.hstack(&ctx).expect("attention concat");
-            let comb = self.attn_combine.forward(&concat).map(f32::tanh);
+            let comb = self.attn_combine.forward(&concat).map(activation::tanh);
             let logits = self.out.forward(&comb);
             let next = logits.argmax_rows()[0] as u32;
             h1 = step1.final_h().clone();

@@ -12,7 +12,7 @@
 //! columns separately (verified by tests), while amortizing the input
 //! matrix products — the source of the paper's +MM speedup.
 
-use deepbase_tensor::{init, ops, Matrix};
+use deepbase_tensor::{activation, init, ops, Matrix};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
@@ -197,7 +197,8 @@ impl MultiLogReg {
             x.matmul(&self.weights)
         };
         logits.add_row_broadcast(&self.bias);
-        logits.map(ops::sigmoid)
+        activation::sigmoid_slice(logits.as_mut_slice());
+        logits
     }
 
     /// One gradient step on a mini-batch: mean BCE gradient + L2 + L1
@@ -222,7 +223,7 @@ impl MultiLogReg {
             x.matmul_into(&self.weights, err);
         }
         err.add_row_broadcast(&self.bias);
-        err.map_inplace(ops::sigmoid);
+        activation::sigmoid_slice(err.as_mut_slice());
 
         // err = (probs - y), with the positive-class weight fused in.
         let weighted = self.pos_weights.iter().any(|&w| w != 1.0);

@@ -8,13 +8,17 @@
 //! * [`Matrix`] — row-major dense matrix with cache-friendly and parallel
 //!   mat-mul kernels (the parallel path backs the reproduction's simulated
 //!   GPU device),
-//! * [`ops`] — the logistic sigmoid, row-softmax and cross-entropy,
+//! * [`activation`] — the one `tanh` / `sigmoid` kernel every model and
+//!   probe calls: branch-free, with a vectorisable slice form, libm-free,
+//!   and versioned, because its output bits key stored behaviors,
+//! * [`ops`] — row-softmax and cross-entropy,
 //! * [`init`] — deterministic, seedable weight initializers.
 //!
 //! Everything downstream (the `deepbase-nn` training substrate, merged
 //! logistic-regression measures in `deepbase-stats`, the inspection engines
 //! in `deepbase-core`) is built on these types.
 
+pub mod activation;
 pub mod init;
 mod matrix;
 pub mod ops;

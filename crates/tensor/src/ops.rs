@@ -1,19 +1,13 @@
-//! The logistic sigmoid, the row-wise softmax and the cross-entropy loss
-//! used by the NN substrate and the logistic-regression probes.
+//! The row-wise softmax and the cross-entropy loss used by the NN
+//! substrate's output heads. The sigmoid and `tanh` live in
+//! [`crate::activation`].
+//!
+//! The softmax's `exp` is the host's libm, not the activation kernel's.
+//! It runs in output heads and the seq2seq attention, never inside an
+//! extracted behavior, and moving it would retrain `SmallCnn` (and move
+//! every CNN bit) for no measured gain.
 
 use crate::Matrix;
-
-/// Numerically-stable logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        let z = (-x).exp();
-        1.0 / (1.0 + z)
-    } else {
-        let z = x.exp();
-        z / (1.0 + z)
-    }
-}
 
 /// Row-wise softmax with max-subtraction for numerical stability.
 pub fn softmax_rows(m: &Matrix) -> Matrix {
@@ -24,7 +18,8 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
     out
 }
 
-/// In-place softmax over a single slice.
+/// In-place softmax over a single slice. Its `exp` is libm's (see the
+/// module doc).
 pub fn softmax_slice(row: &mut [f32]) {
     if row.is_empty() {
         return;
@@ -57,16 +52,6 @@ pub fn cross_entropy_rows(probs: &Matrix, targets: &[usize]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sigmoid_bounds_and_midpoint() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-6);
-        assert!(sigmoid(30.0) > 0.999);
-        assert!(sigmoid(-30.0) < 0.001);
-        // Extreme inputs should not produce NaN.
-        assert!(!sigmoid(1e10).is_nan());
-        assert!(!sigmoid(-1e10).is_nan());
-    }
 
     #[test]
     fn softmax_rows_sum_to_one() {

@@ -96,8 +96,10 @@ fn char_lstm_corr_scores_the_golden_bits() {
          FROM models M, units U, hypotheses H, inputs D",
         8 * 4,
     );
+    // Moved from 0x6a4f_a33c_d72a_005d when the LSTM gates left libm for
+    // the in-repo activation kernel (`activation::VERSION` 1).
     assert_eq!(
-        hash, 0x6a4f_a33c_d72a_005d,
+        hash, 0x12cf_7f95_36f1_30d1,
         "golden fingerprint of the corr scores: {hash:#x}"
     );
 }
@@ -126,8 +128,11 @@ fn seq2seq_logreg_scores_the_golden_bits() {
          FROM models M, units U, hypotheses H, inputs D",
         8 * tags.len(),
     );
+    // Moved from 0xd563_3e45_cb5d_904e when the LSTM gates, the attention
+    // head and the logistic probe left libm for the in-repo activation
+    // kernel (`activation::VERSION` 1).
     assert_eq!(
-        hash, 0xd563_3e45_cb5d_904e,
+        hash, 0xcd98_182f_8b9c_44d7,
         "golden fingerprint of the logreg_l1 scores: {hash:#x}"
     );
 }
@@ -135,7 +140,8 @@ fn seq2seq_logreg_scores_the_golden_bits() {
 #[test]
 fn small_cnn_jaccard_scores_the_golden_bits() {
     // `cold_cnn_jaccard`: a shape CNN's conv-2 channels, concept masks,
-    // Jaccard. No LSTM runs here: this constant is the control.
+    // Jaccard. No `tanh` or `sigmoid` runs here: this constant is the
+    // control that never moved with the activation kernel.
     const SIZE: usize = 16;
     let images = vision::generate_shape_images(16, SIZE, 7);
     let cnn = vision::train_shape_cnn(&images[..8], SIZE, 1, 0.01, 8);

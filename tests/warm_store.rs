@@ -10,7 +10,11 @@
 //! And the store outlives the code that filled it: columns written from
 //! the char-LSTM's *training* forward (all a store could hold before the
 //! inference forward existed), half of them partial, are scanned and
-//! resumed by today's extractor to the bit.
+//! resumed by today's extractor to the bit. Columns and views stored
+//! under the char-LSTM fingerprint of builds whose gates ran the host's
+//! libm (no activation-kernel version in the hash) are never read as
+//! today's: a column misses and re-extracts, a view probes `Invalid` and
+//! rebuilds.
 
 mod common;
 
@@ -251,6 +255,116 @@ fn a_store_filled_by_the_training_forward_is_scanned_and_resumed_by_the_inferenc
             .tables,
         reference,
         "the two forwards answer alike without a store in between"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The char-LSTM fingerprint of builds before it carried the activation
+/// kernel's version.
+fn unsalted_fingerprint(model: &CharLstmModel) -> u64 {
+    let mut h = FpHasher::new();
+    h.write_str("char-lstm")
+        .write_u64(model.vocab_size() as u64)
+        .write_u64(model.hidden() as u64);
+    model.visit_params(|m| {
+        h.write_f32s(m.as_slice());
+    });
+    h.finish()
+}
+
+/// What a build whose gates ran the host's libm stored: activations a
+/// last bit away from today's, under the unsalted fingerprint.
+struct LibmEraExtractor(&'static CharLstmModel);
+
+impl Extractor for LibmEraExtractor {
+    fn n_units(&self) -> usize {
+        self.0.hidden()
+    }
+
+    fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
+        CharModelExtractor::new(self.0)
+            .extract(records, unit_ids)
+            .map(|v| f32::from_bits(v.to_bits() ^ 1))
+    }
+
+    fn fingerprint(&self) -> Option<u64> {
+        Some(unsalted_fingerprint(self.0))
+    }
+}
+
+fn libm_era_catalog() -> (Catalog, Arc<CountingExtractor>) {
+    catalog_over(Arc::new(LibmEraExtractor(char_model())), records())
+}
+
+fn today_catalog() -> (Catalog, Arc<CountingExtractor>) {
+    catalog_over(Arc::new(CharModelExtractor::new(char_model())), records())
+}
+
+#[test]
+fn a_column_stored_under_the_unsalted_fingerprint_is_a_miss_that_re_extracts() {
+    let model = char_model();
+    assert_eq!(
+        unsalted_fingerprint(model),
+        0xd61b_628b_7bde_d213,
+        "the fingerprint the builds before the salt computed for this model"
+    );
+    assert_ne!(char_model_fingerprint(model), unsalted_fingerprint(model));
+    let q = QUERIES[0];
+    let reference = bare(&today_catalog().0, &inspection())
+        .run_batch(&[q])
+        .unwrap()
+        .tables;
+    let dir = store_dir("unsalted-column");
+
+    let (mut old, _) = session_over(libm_era_catalog(), inspection(), &dir, 64 << 20);
+    let out = old.run_batch(&[q]).unwrap();
+    assert_eq!(out.report.store.columns_written, LSTM_UNITS);
+    assert_ne!(
+        out.tables, reference,
+        "the stored activations are not today's"
+    );
+    drop(old);
+
+    let (mut warm, extractor) = session_over(today_catalog(), inspection(), &dir, 64 << 20);
+    let out = warm.run_batch(&[q]).unwrap();
+    assert_eq!(out.tables, reference);
+    let store = &out.report.store;
+    assert_eq!(store.error_count, 0, "{:?}", store.errors);
+    assert_eq!(store.columns_scanned, 0);
+    assert_eq!(extractor.calls(), RECORDS / STREAM_BLOCK);
+    assert_eq!(store.columns_written, LSTM_UNITS, "re-materialized");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_view_built_under_the_unsalted_fingerprint_probes_invalid_and_rebuilds() {
+    let q = QUERIES[0];
+    let reference = bare(&today_catalog().0, &inspection())
+        .run_batch(&[q])
+        .unwrap()
+        .tables;
+    let dir = store_dir("unsalted-view");
+
+    let (mut old, _) = session_over(libm_era_catalog(), inspection(), &dir, 64 << 20);
+    old.create_view("v", q).unwrap();
+    assert_ne!(old.read_view("v").unwrap(), reference[0]);
+    drop(old);
+
+    let (mut session, extractor) = session_over(today_catalog(), inspection(), &dir, 64 << 20);
+    assert_eq!(
+        session.list_views().unwrap()[0].freshness,
+        ViewFreshness::Invalid
+    );
+    assert!(matches!(
+        session.read_view("v"),
+        Err(DniError::ViewStale { .. })
+    ));
+    assert_eq!(session.refresh_view("v").unwrap(), ViewRefresh::Rebuilt);
+    assert_eq!(extractor.calls(), RECORDS / STREAM_BLOCK);
+    assert_eq!(session.read_view("v").unwrap(), reference[0]);
+    assert_eq!(
+        session.list_views().unwrap()[0].freshness,
+        ViewFreshness::Fresh
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
