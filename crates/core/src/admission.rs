@@ -1,19 +1,16 @@
-//! Process-wide admission scheduling for concurrent batches.
+//! Admission scheduling: the one place an execution wave is admitted.
 //!
 //! [`crate::plan::AdmissionConfig`] bounds the union-stream width of a
-//! *single* batch: the optimizer splits over-wide groups into waves that
-//! each fit the budget. That is enough for a library embedded in one
-//! analysis loop, but a serving process runs many sessions at once — and
-//! per-session budgets compose additively, so N connections each under a
-//! width budget W can still hold N×W stream columns resident together.
-//!
-//! [`AdmissionScheduler`] lifts the same two budgets to the process: one
-//! scheduler instance is shared by every session (via
-//! [`crate::session::SessionConfig::scheduler`]), each execution wave
-//! acquires a permit for its extraction/scan width before streaming and
-//! releases it when the pass completes, and the *sum of in-flight
-//! widths* — across groups, batches, sessions, and connections — never
-//! exceeds the budget.
+//! batch: the optimizer splits over-wide groups into waves that each fit
+//! the budget. Every [`crate::session::Session`] owns an
+//! [`AdmissionScheduler`] built from its `admission` config, and every
+//! wave it runs — a batch wave or the single wave of a view build or
+//! refresh — acquires a permit for its `(extract, scan)` widths before
+//! streaming and releases it when the pass completes. Sessions made by
+//! [`crate::session::Session::fork`] share their template's scheduler, so
+//! a serving process whose connections are forks of one session holds the
+//! *sum of in-flight widths* — across groups, batches, sessions and
+//! connections — under one budget instead of N private ones.
 //!
 //! Admission is **fair FIFO**: waves take a ticket at arrival and are
 //! admitted strictly in ticket order, so a stream of narrow waves cannot
@@ -22,12 +19,18 @@
 //! charge clamped to the budget and therefore runs exclusively, then
 //! releases.
 //!
-//! Deadlock-freedom: permits are held only for the duration of one
-//! engine pass (never across waves — each wave re-acquires), the head
-//! ticket always fits once in-flight work drains (charges are clamped to
-//! the budget), and the runtime pool's scoped workers help-while-waiting
-//! so a wave holding a permit always makes progress even when sibling
-//! workers are parked here.
+//! Deadlock-freedom rests on one invariant: **a permit is only ever
+//! awaited on the thread that runs the batch.** A bounded batch does not
+//! fan its groups out across the runtime pool — it runs them, and their
+//! waves, one at a time on its own thread — so no pool job ever blocks in
+//! `AdmissionScheduler::acquire`. (Under an unbounded budget groups do
+//! fan out and acquire on pool workers, but an unbounded acquire never
+//! waits.) A wave holding a permit may help drain the global pool queue
+//! while its pass waits on scoped work; every job it can pop there runs
+//! to completion without a permit, so the holder always finishes and
+//! releases. Permits are held only for one engine pass (each wave
+//! re-acquires), and the head ticket always fits once in-flight work
+//! drains (charges are clamped to the budget).
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -66,10 +69,10 @@ struct SchedState {
     stats: SchedulerStats,
 }
 
-/// A process-wide, fair-FIFO admission scheduler over the two
-/// [`AdmissionConfig`] width budgets. See the module docs for the
-/// serving-path semantics; unit economics (what a width *is*) are
-/// documented on [`AdmissionConfig`] itself.
+/// A fair-FIFO admission scheduler over the two [`AdmissionConfig`]
+/// width budgets, owned by a session and shared with its forks. See the
+/// module docs for the serving-path semantics; unit economics (what a
+/// width *is*) are documented on [`AdmissionConfig`] itself.
 pub struct AdmissionScheduler {
     admission: AdmissionConfig,
     state: Mutex<SchedState>,
@@ -77,10 +80,10 @@ pub struct AdmissionScheduler {
 }
 
 impl AdmissionScheduler {
-    /// Builds a scheduler enforcing `admission` process-wide. Sessions
-    /// pointing at this scheduler also *split* their plans against the
-    /// same budgets, so a wave normally fits without clamping.
-    pub fn new(admission: AdmissionConfig) -> Arc<Self> {
+    /// Builds a scheduler enforcing `admission`. The owning session
+    /// *splits* its plans against the same budgets, so a wave normally
+    /// fits without clamping.
+    pub(crate) fn new(admission: AdmissionConfig) -> Arc<Self> {
         Arc::new(AdmissionScheduler {
             admission,
             state: Mutex::new(SchedState::default()),
@@ -89,7 +92,7 @@ impl AdmissionScheduler {
     }
 
     /// The budgets this scheduler enforces (also the per-plan splitting
-    /// config of every session bound to it).
+    /// config of the session that owns it and of its forks).
     pub(crate) fn admission(&self) -> AdmissionConfig {
         self.admission
     }

@@ -314,25 +314,27 @@
 //! Errors travel as stable [`DniError::code`] + display text and are
 //! reconstructed with [`DniError::from_wire`] (round-trip lossless).
 //!
-//! The server runs **one logical session per connection**: each
-//! connection's session clones one master catalog (cheap, identity-
-//! preserving — see [`query::Catalog`]) and refreshes its clone when an
-//! APPEND from any connection bumps the master generation. All sessions
-//! share one process-wide behavior store handle
-//! ([`session::SessionConfig::shared_store`]) and one runtime pool, and
-//! per-request budgets map from the wire through
-//! [`session::Session::set_budget`].
+//! The server runs **one logical session per connection**, each a
+//! [`session::Session::fork`] of one template session: a fork runs over
+//! a clone of one master catalog (cheap, identity-preserving — see
+//! [`query::Catalog`]) and is re-forked when an APPEND from any
+//! connection bumps the master generation. Forks share the template's
+//! behavior store handle (opened once, by the template) and its
+//! admission scheduler, every fork's caches start empty, and per-request
+//! budgets map from the wire through [`session::Session::set_budget`].
 //!
-//! **Global admission** ([`admission::AdmissionScheduler`], bound via
-//! [`session::SessionConfig::scheduler`]) lifts the
-//! [`plan::AdmissionConfig`] width budgets from per-batch to
-//! process-wide: plans still split into waves against the same budgets,
-//! but every wave additionally acquires a fair-FIFO width permit before
-//! streaming, so `max_stream_width`/`max_scan_width` bound the **sum of
-//! in-flight widths across all connections** instead of each batch
-//! holding a private budget. [`plan::PlanStats::global_waves`] counts a
-//! plan's permit-acquiring waves and `explain` renders the scheduler
-//! line. A SHUTDOWN frame (or idle timeout) drains in-flight batches
+//! **Admission** has one path. Every session builds an
+//! [`admission::AdmissionScheduler`] from its
+//! [`plan::AdmissionConfig`]: plans split into waves against those
+//! budgets, and every wave — of a batch, or the single wave of a view
+//! build or refresh — acquires a fair-FIFO width permit before streaming.
+//! Because forks share the scheduler, `max_stream_width` /
+//! `max_scan_width` bound the **sum of in-flight widths across all
+//! connections** instead of each batch holding a private budget
+//! ([`session::Session::scheduler`] exposes its counters). A bounded
+//! batch runs its groups one at a time on its own thread, so a permit is
+//! only ever awaited there, never by a runtime-pool job. A SHUTDOWN frame
+//! (or idle timeout) drains in-flight batches
 //! through the shared [`engine::CancelToken`] — streaming passes degrade
 //! gracefully and persist watermark-extending partial columns — then
 //! runs one final compaction sweep before the listener closes.
@@ -367,9 +369,9 @@
 //!   only by a session.
 //! * `session` — long-lived sessions, the one way to execute a
 //!   statement: prepared statements, the cross-batch plan cache, score
-//!   reuse, the hypothesis-cache decision, admission configuration.
-//! * `admission` — the process-wide fair-FIFO admission scheduler
-//!   concurrent sessions share (the serving path's global budgets).
+//!   reuse, the hypothesis-cache decision, admission, forks.
+//! * `admission` — the fair-FIFO admission scheduler a session and its
+//!   forks admit every wave through.
 //! * [`vision`] — CNN inspection and the NetDissect pipeline (Appendix E).
 //! * [`workloads`] — the paper's evaluation workloads, shared by the
 //!   examples, integration tests and benchmark harnesses.

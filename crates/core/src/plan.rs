@@ -19,12 +19,14 @@
 //!    **admission** decision — oversized groups are split into sequential
 //!    waves so no single pass exceeds the configured union-stream width;
 //! 4. a [`crate::session::Session`] executes the physical plan — the
-//!    engine's one streaming pass per group/wave, each query's result
-//!    table assembled from it — and reports per-query profiles, per-pass
+//!    engine's one streaming pass per group/wave, each wave admitted
+//!    through the session's scheduler, each query's result table
+//!    assembled from it — and reports per-query profiles, per-pass
 //!    accounting, cache statistics and the plan/admission counters in
 //!    [`BatchReport`]. Nothing outside a session can run a plan: the
 //!    session decides the hypothesis cache, store binding, score reuse
-//!    and admission a batch runs under.
+//!    and admission a batch runs under. A view build or refresh is the
+//!    one-item case: the same optimizer, the same wave runner.
 //!
 //! [`PhysicalPlan::explain`] renders the plan tree (units extracted,
 //! hypotheses deduplicated, measure states shared, estimated stream
@@ -38,8 +40,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::CacheStats;
 use crate::engine::{
-    hypothesis_lists, measure_key, run_pass, Device, FoldOpts, InspectionConfig, InspectionRequest,
-    MeasureKey, Profile, RunBudget, SharedOutcome,
+    hypothesis_lists, measure_key, run_pass, ArmedBudget, Device, FoldOpts, InspectionConfig,
+    InspectionRequest, MeasureKey, Profile, RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -488,6 +490,14 @@ pub struct AdmissionConfig {
     pub max_scan_width: Option<usize>,
 }
 
+impl AdmissionConfig {
+    /// Whether either budget is set. Only a bounded budget can make a
+    /// wave wait for its permit.
+    pub(crate) fn is_bounded(&self) -> bool {
+        self.max_stream_width.is_some() || self.max_scan_width.is_some()
+    }
+}
+
 /// Plan-pipeline counters carried per batch in [`BatchReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
@@ -505,11 +515,6 @@ pub struct PlanStats {
     /// stream width (complete store hits, summed over groups) — the
     /// store-aware admission distinction made visible.
     pub scan_charged_columns: usize,
-    /// Execution waves that will acquire a permit from the process-wide
-    /// [`AdmissionScheduler`] before streaming (total across groups).
-    /// Zero when the plan was built without a scheduler — per-batch
-    /// admission only.
-    pub global_waves: usize,
     /// Work items answered by replaying a fresh materialized view
     /// (decided at optimize time: zero extraction, zero store scans).
     pub view_replays: usize,
@@ -611,7 +616,7 @@ impl GroupSource {
     /// probe per segment under the `(model fingerprint, segment
     /// fingerprint)` key — complete columns scan, partial columns scan up
     /// to their watermark, the rest extract live. The one scan-vs-extract
-    /// decision both the optimizer and view passes make.
+    /// decision; a view pass reaches it through the optimizer too.
     fn choose(
         binding: Option<&StoreBinding>,
         config: &InspectionConfig,
@@ -761,10 +766,6 @@ pub struct PhysicalPlan {
     /// (execution arms the budget of the config it is given, which is
     /// normally the same one).
     budget: RunBudget,
-    /// Process-wide admission scheduler: when set, every execution wave
-    /// acquires a width permit before streaming, so the plan's waves
-    /// share one cross-session budget instead of a private one.
-    scheduler: Option<Arc<AdmissionScheduler>>,
 }
 
 /// Thin-pointer identity of an `Arc<dyn T>` (data pointer, metadata
@@ -816,27 +817,23 @@ pub fn optimize_store(
         config,
         admission,
         binding,
-        None,
         &mut |_, _| None,
         &mut |_| None,
     )
 }
 
 /// [`optimize_store`] with a score-cache lookup (items whose frame the
-/// session already holds are placed as `Cached` and never scheduled), an
-/// optional process-wide [`AdmissionScheduler`] whose permits the
-/// plan's execution waves will acquire, and a materialized-view probe: a
-/// statement matching a **fresh** view short-circuits to
-/// [`GroupSource::ViewReplay`] (the stored frame is replayed with zero
-/// extraction and zero store scans), while a stale or invalid match only
-/// annotates the plan tree.
-#[allow(clippy::too_many_arguments)]
+/// session already holds are placed as `Cached` and never scheduled) and
+/// a materialized-view probe: a statement matching a **fresh** view
+/// short-circuits to [`GroupSource::ViewReplay`] (the stored frame is
+/// replayed with zero extraction and zero store scans), while a stale or
+/// invalid match only annotates the plan tree. A view build or refresh
+/// plans its one statement here with neither.
 pub(crate) fn optimize_with(
     plans: &[Arc<LogicalPlan>],
     config: &InspectionConfig,
     admission: AdmissionConfig,
     binding: Option<&StoreBinding>,
-    scheduler: Option<Arc<AdmissionScheduler>>,
     cached_frame: &mut dyn FnMut(usize, usize) -> Option<Arc<ResultFrame>>,
     view_probe: &mut dyn FnMut(usize) -> Option<ViewHit>,
 ) -> PhysicalPlan {
@@ -1026,10 +1023,6 @@ pub(crate) fn optimize_with(
         }
     }
 
-    if scheduler.is_some() {
-        stats.global_waves = groups.iter().map(|g| g.waves.len()).sum();
-    }
-
     PhysicalPlan {
         plans: plans.to_vec(),
         groups,
@@ -1038,7 +1031,6 @@ pub(crate) fn optimize_with(
         block_records: config.block_records.max(1),
         admission,
         budget: config.budget.clone(),
-        scheduler,
     }
 }
 
@@ -1137,14 +1129,79 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl PhysicalPlan {
+    /// Runs wave `wi` of group `g` — the one wave runner of batches and
+    /// view passes: admits the wave through `scheduler` at its `(extract,
+    /// scan)` widths, holds the permit for exactly this pass, builds one
+    /// request per member item and streams them through [`run_pass`]. A
+    /// hypothesis or extractor that panics mid-stream is contained here
+    /// and surfaces as [`DniError::Internal`].
+    fn run_wave(
+        &self,
+        g: &PlanGroup,
+        wi: usize,
+        config: &InspectionConfig,
+        scheduler: &AdmissionScheduler,
+        armed: Option<&ArmedBudget>,
+        opts: &FoldOpts<'_>,
+    ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
+        let _permit = scheduler.acquire(g.wave_widths[wi], g.wave_scan_widths[wi]);
+        let requests: Vec<InspectionRequest> = g.items[g.waves[wi].clone()]
+            .iter()
+            .map(|item| {
+                let plan = &self.plans[item.query];
+                let model = &plan.models[item.model_pos];
+                InspectionRequest {
+                    model_id: model.mid.clone(),
+                    extractor: model.extractor.as_ref(),
+                    groups: model.groups.clone(),
+                    dataset: &plan.dataset,
+                    hypotheses: plan.hypotheses.iter().map(|h| h.as_ref()).collect(),
+                    measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
+                }
+            })
+            .collect();
+        // The scan plans are shared by the group's waves: every wave
+        // streams the same (model, dataset), so hits apply to each wave's
+        // (sub-)union.
+        catch_unwind(AssertUnwindSafe(|| {
+            run_pass(&requests, config, g.source.scan_plans(), armed, opts)
+        }))
+        .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
+    }
+
+    /// Executes a one-statement view plan (built by `optimize_with` with
+    /// no score-cache lookup and no view probe; views are single-model,
+    /// so it has at most one group of one item) as its single wave, with
+    /// `opts`' fold point: the full pass a materialized view is built
+    /// from or refreshed by. A statement whose model selects no unit has
+    /// no wave and yields an empty frame.
+    pub(crate) fn execute_view(
+        &self,
+        config: &InspectionConfig,
+        scheduler: &AdmissionScheduler,
+        opts: &FoldOpts<'_>,
+    ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
+        let Some(group) = self.groups.first() else {
+            let empty = SharedOutcome {
+                results: vec![Default::default()],
+                ..SharedOutcome::default()
+            };
+            return Ok((empty, Vec::new()));
+        };
+        let armed = config.budget.arm();
+        self.run_wave(group, 0, config, scheduler, armed.as_ref(), opts)
+    }
+
     /// Executes the plan under `config` — whose `cache` is the hypothesis
     /// cache the session decided this batch may share (see
-    /// `Session::batch_cache`), used by every pass of the batch.
-    /// `collect_frames` additionally returns the frame computed for every
-    /// executed work item.
+    /// `Session::batch_cache`), used by every pass of the batch — with
+    /// every wave admitted through `scheduler`. `collect_frames`
+    /// additionally returns the frame computed for every executed work
+    /// item.
     pub(crate) fn execute(
         &self,
         config: &InspectionConfig,
+        scheduler: &AdmissionScheduler,
         collect_frames: bool,
     ) -> Result<(BatchOutput, ComputedFrames), DniError> {
         let cache = &config.cache;
@@ -1154,66 +1211,30 @@ impl PhysicalPlan {
         // end to end rather than restarting per pass.
         let armed = config.budget.arm();
 
-        // Run every wave of every group through one shared pass; waves of
-        // one group run sequentially (that is the admission queue), while
-        // independent groups fan out across the runtime pool on the
-        // parallel device.
+        // Waves of one group run sequentially (that is the admission
+        // queue), each re-acquiring its permit. Independent groups fan
+        // out across the runtime pool on the parallel device only under
+        // an unbounded budget: a bounded batch keeps every permit wait on
+        // this thread, since a pool worker waiting for a permit could be
+        // the one the permit holder's pass is waiting on.
         let run_group = |g: &PlanGroup| -> Result<Vec<SharedOutcome>, DniError> {
-            // The scan plans are shared by the group's waves: every wave
-            // streams the same (model, dataset), so hits apply to each
-            // wave's (sub-)union.
-            let sources = g.source.scan_plans();
-            // Contain worker panics at the group boundary: a hypothesis
-            // or extractor that panics mid-stream poisons only its own
-            // group's queries — the payload surfaces as
-            // `DniError::Internal` and sibling groups run to completion.
-            catch_unwind(AssertUnwindSafe(|| {
-                g.waves
-                    .iter()
-                    .enumerate()
-                    .map(|(wi, wave)| {
-                        // Global admission: hold a process-wide width
-                        // permit for exactly the duration of this wave's
-                        // pass. Permits are re-acquired per wave (never
-                        // held across waves), so concurrent batches
-                        // interleave fairly at wave granularity.
-                        let _permit = self
-                            .scheduler
-                            .as_ref()
-                            .map(|s| s.acquire(g.wave_widths[wi], g.wave_scan_widths[wi]));
-                        let requests: Vec<InspectionRequest> = g.items[wave.clone()]
-                            .iter()
-                            .map(|item| {
-                                let plan = &self.plans[item.query];
-                                let model = &plan.models[item.model_pos];
-                                InspectionRequest {
-                                    model_id: model.mid.clone(),
-                                    extractor: model.extractor.as_ref(),
-                                    groups: model.groups.clone(),
-                                    dataset: &plan.dataset,
-                                    hypotheses: plan
-                                        .hypotheses
-                                        .iter()
-                                        .map(|h| h.as_ref())
-                                        .collect(),
-                                    measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
-                                }
-                            })
-                            .collect();
-                        run_pass(
-                            &requests,
-                            config,
-                            sources,
-                            armed.as_ref(),
-                            &FoldOpts::default(),
-                        )
-                        .map(|(outcome, _)| outcome)
-                    })
-                    .collect()
-            }))
-            .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
+            (0..g.waves.len())
+                .map(|wi| {
+                    self.run_wave(
+                        g,
+                        wi,
+                        config,
+                        scheduler,
+                        armed.as_ref(),
+                        &FoldOpts::default(),
+                    )
+                    .map(|(outcome, _)| outcome)
+                })
+                .collect()
         };
-        let fan_out = matches!(config.device, Device::Parallel(_)) && self.groups.len() > 1;
+        let fan_out = matches!(config.device, Device::Parallel(_))
+            && self.groups.len() > 1
+            && !scheduler.admission().is_bounded();
         let outcomes: Vec<Result<Vec<SharedOutcome>, DniError>> = if fan_out {
             let mut slots: Vec<Option<Result<Vec<SharedOutcome>, DniError>>> =
                 (0..self.groups.len()).map(|_| None).collect();
@@ -1363,28 +1384,6 @@ impl PhysicalPlan {
             }
             out.push_str(&format!("├─ budget: {}\n", parts.join(", ")));
         }
-        if let Some(sched) = &self.scheduler {
-            // Rendered only for scheduler-bound sessions, so library
-            // plan snapshots are unchanged. Budgets are config values,
-            // deterministic across runs.
-            let fmt = |b: Option<usize>| match b {
-                Some(v) => v.to_string(),
-                None => "unbounded".to_string(),
-            };
-            let a = sched.admission();
-            out.push_str(&format!(
-                "├─ admission: global scheduler (process-wide stream budget {}, \
-                 scan budget {}; {} wave{} FIFO permits)\n",
-                fmt(a.max_stream_width),
-                fmt(a.max_scan_width),
-                self.stats.global_waves,
-                if self.stats.global_waves == 1 {
-                    " acquires"
-                } else {
-                    "s acquire"
-                },
-            ));
-        }
         if cached > 0 {
             out.push_str(&format!(
                 "├─ score cache: {cached} work item{} answered without execution\n",
@@ -1447,8 +1446,7 @@ impl PhysicalPlan {
                 g.dataset.ns
             ));
             let (extract_w, scan_w) = (g.extract_width(), g.scan_width());
-            let unbounded = self.admission.max_stream_width.is_none()
-                && self.admission.max_scan_width.is_none();
+            let unbounded = !self.admission.is_bounded();
             match (g.waves.len(), self.admission.max_stream_width) {
                 (_, _) if unbounded => {
                     out.push_str(&format!("{stem}└─ admission: 1 wave (unbounded)\n"))
@@ -1547,66 +1545,4 @@ fn explain_store_source(out: &mut String, stem: &str, g: &PlanGroup, scans: &[Sc
             "{stem}├─ pruned: {pruned}/{blocks} blocks (zone-map pushdown)\n"
         ));
     }
-}
-
-// ---------------------------------------------------------------------
-// View build / refresh execution
-// ---------------------------------------------------------------------
-
-/// Runs the full pass a materialized view is built from (or refreshed
-/// by): one single-model statement through [`run_pass`] with a fold
-/// point requested — which makes it a full pass even on a one-segment
-/// dataset — so the captured measure states are deterministic and valid
-/// merge bases for later incremental refreshes.
-///
-/// Store-backed segments scan warm columns exactly as a regular
-/// optimized pass would; the pass holds one process-wide admission
-/// permit (when a scheduler is bound) for its full extraction width.
-pub(crate) fn run_view_pass(
-    plan: &LogicalPlan,
-    config: &InspectionConfig,
-    binding: Option<&StoreBinding>,
-    scheduler: Option<&Arc<AdmissionScheduler>>,
-    opts: &FoldOpts<'_>,
-) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
-    let [model] = &plan.models[..] else {
-        return Err(DniError::Query(
-            "materialized views require a single-model statement".into(),
-        ));
-    };
-    let mut union_units: Vec<usize> = model
-        .groups
-        .iter()
-        .flat_map(|g| g.units.iter().copied())
-        .collect();
-    union_units.sort_unstable();
-    union_units.dedup();
-    // Per-segment scan plans, chosen exactly as the optimizer would: warm
-    // segments scan, cold ones extract live (and write back under a
-    // read-write policy), so a view build over a warm store pays no
-    // redundant forward passes.
-    let source = GroupSource::choose(binding, config, model, &plan.dataset, &union_units);
-    // One permit for the whole pass (a view pass is a single wave),
-    // charged conservatively at the statement's full extraction width so
-    // concurrent refreshes compose under the process-wide budget.
-    let _permit = scheduler.map(|s| s.acquire(union_units.len() + plan.hypotheses.len(), 0));
-    let request = InspectionRequest {
-        model_id: model.mid.clone(),
-        extractor: model.extractor.as_ref(),
-        groups: model.groups.clone(),
-        dataset: &plan.dataset,
-        hypotheses: plan.hypotheses.iter().map(|h| h.as_ref()).collect(),
-        measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
-    };
-    let armed = config.budget.arm();
-    catch_unwind(AssertUnwindSafe(|| {
-        run_pass(
-            &[request],
-            config,
-            source.scan_plans(),
-            armed.as_ref(),
-            opts,
-        )
-    }))
-    .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
 }

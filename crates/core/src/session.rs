@@ -4,14 +4,16 @@
 //!
 //! A [`Session`] owns a [`Catalog`] handle, an [`InspectionConfig`], one
 //! [`HypothesisCache`] shared by every batch it runs, a **plan cache**
-//! and an **admission controller**:
+//! and an **admission scheduler** every wave it runs is admitted
+//! through; [`Session::fork`] makes a session over another catalog that
+//! shares the scheduler and the behavior store:
 //!
 //! * [`Session::prepare`] parses and binds a statement into a
 //!   [`PreparedQuery`], caching the bound [`LogicalPlan`] keyed by the
-//!   *normalized* statement text and the current **catalog generation**.
-//!   Preparing the same statement again performs zero bind work; any
-//!   catalog mutation (through [`Session::catalog_mut`]) bumps the
-//!   generation and invalidates every cached plan.
+//!   *normalized* statement text. Preparing the same statement again
+//!   performs zero bind work; any catalog mutation (through
+//!   [`Session::catalog_mut`]) bumps the **catalog generation** and drops
+//!   every cached plan.
 //! * [`Session::execute`] / [`Session::run_batch`] optimize the bound
 //!   plans into a [`PhysicalPlan`] (shared-extraction grouping plus the
 //!   session's [`AdmissionConfig`]) and execute it. Converged result
@@ -31,7 +33,7 @@
 
 use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
-use crate::engine::{FoldOpts, InspectionConfig, RunBudget};
+use crate::engine::{FoldOpts, InspectionConfig, RunBudget, SharedOutcome};
 use crate::error::DniError;
 use crate::model::{Dataset, HypothesisFn, Record};
 use crate::plan::{
@@ -43,7 +45,7 @@ use crate::result::{ResultFrame, ScoreRow};
 use deepbase_relational::Table;
 use deepbase_store::{
     BehaviorStore, MaterializationPolicy, StoreConfig, StoreError, StoreStats, ViewDoc,
-    ViewFreshness, ViewRow,
+    ViewFreshness, ViewHypState, ViewRow,
 };
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -59,7 +61,8 @@ pub struct SessionConfig {
     /// Engine configuration every execution uses. A cache configured here
     /// takes precedence over the session's own hypothesis cache.
     pub inspection: InspectionConfig,
-    /// Admission control applied to every batch.
+    /// Admission budgets: plans split against them, and the session's
+    /// scheduler (shared with its forks) admits every wave under them.
     pub admission: AdmissionConfig,
     /// Reuse converged result frames across batches (the score cache).
     /// Results are bit-identical either way — execution is deterministic —
@@ -71,23 +74,9 @@ pub struct SessionConfig {
     /// is opened when the session is created; an open failure disables
     /// the store and surfaces the error in [`Session::store_stats`]
     /// rather than failing the session — the store is an accelerator,
-    /// never a correctness dependency.
+    /// never a correctness dependency. Forks share the opened handle
+    /// (see [`Session::fork`]).
     pub store: Option<StoreConfig>,
-    /// An already-open behavior store to share instead of opening a
-    /// private instance from `store`. A serving process hands every
-    /// connection's session the *same* handle so they share one buffer
-    /// pool, one index, and one set of in-flight write-backs (the store
-    /// is internally synchronized). `store` must still be set — it
-    /// supplies the policy and write-back knobs — and must describe the
-    /// same on-disk tree the handle was opened from.
-    pub shared_store: Option<Arc<BehaviorStore>>,
-    /// Process-wide admission scheduler shared across sessions. When
-    /// set, it *overrides* `admission` — plans are split against the
-    /// scheduler's budgets and every execution wave acquires a permit
-    /// from it — so concurrent batches from different sessions (or
-    /// connections) compose under one budget instead of each getting a
-    /// private one. See [`AdmissionScheduler`].
-    pub scheduler: Option<Arc<AdmissionScheduler>>,
 }
 
 impl Default for SessionConfig {
@@ -98,8 +87,6 @@ impl Default for SessionConfig {
             reuse_scores: true,
             cache_bytes: BATCH_CACHE_BYTES,
             store: None,
-            shared_store: None,
-            scheduler: None,
         }
     }
 }
@@ -125,7 +112,8 @@ pub struct SessionStats {
 }
 
 /// A statement prepared by [`Session::prepare`]: the normalized text plus
-/// the bound plan and the catalog generation it was bound against.
+/// the bound plan and the catalog generation it was bound against (the
+/// handle outlives the plan cache, so it can go stale).
 /// Executing a stale handle (the catalog changed since) transparently
 /// re-prepares through the plan cache.
 #[derive(Clone)]
@@ -164,7 +152,10 @@ struct ConfigFp {
     seed: u64,
 }
 
-type FrameKey = (String, u64, usize, ConfigFp);
+/// Score-cache key: normalized statement, model position, config
+/// fingerprint. No generation: `catalog_mut` clears the cache whenever
+/// the generation moves.
+type FrameKey = (String, usize, ConfigFp);
 
 /// The engine stamp of every view this session writes, and the only one
 /// it accepts: sessions run the one streaming engine, so a file stamped
@@ -267,13 +258,18 @@ pub struct Session {
     /// from being reused.
     cache_dataset_owners: HashMap<String, Arc<Dataset>>,
     cache_hyp_owners: HashMap<String, Arc<dyn HypothesisFn>>,
-    plans: HashMap<String, (u64, Arc<LogicalPlan>)>,
+    /// Bound plans by normalized statement; cleared by `catalog_mut`, so
+    /// every entry was bound against the current generation.
+    plans: HashMap<String, Arc<LogicalPlan>>,
     plan_order: VecDeque<String>,
     frames: HashMap<FrameKey, Arc<ResultFrame>>,
     frame_order: VecDeque<FrameKey>,
     stats: SessionStats,
-    /// The open behavior store, when configured and openable.
+    /// The open behavior store, when configured and openable; shared
+    /// with every fork.
     store: Option<Arc<BehaviorStore>>,
+    /// Admits every wave this session runs; shared with every fork.
+    scheduler: Arc<AdmissionScheduler>,
     /// Whether the once-per-session compaction sweep (picking up what a
     /// crashed predecessor left behind) has run.
     store_swept_once: bool,
@@ -311,37 +307,54 @@ impl Session {
         Session::with_config(catalog, SessionConfig::default())
     }
 
-    /// Opens a session with explicit configuration.
+    /// Opens a session with explicit configuration: builds its admission
+    /// scheduler from `config.admission` and opens `config.store` — the
+    /// one place a store is opened for sessions.
     pub fn with_config(catalog: Catalog, config: SessionConfig) -> Session {
-        let hypothesis_cache = HypothesisCache::new(config.cache_bytes);
         let mut store_stats = StoreStats::default();
-        let store = match &config.store {
-            Some(store_config) => {
-                if let Some(shared) = &config.shared_store {
-                    // A serving process opens the store once and shares
-                    // the handle; the per-session open below is the
-                    // library path.
-                    Some(Arc::clone(shared))
-                } else {
-                    match BehaviorStore::open(store_config) {
-                        Ok(store) => Some(store),
-                        Err(e) => {
-                            store_stats.record_error(format!(
-                                "store at {:?} could not be opened, persistence disabled: {e}",
-                                store_config.path
-                            ));
-                            None
-                        }
-                    }
-                }
-            }
-            None => None,
-        };
+        let store = config.store.as_ref().and_then(|store_config| {
+            BehaviorStore::open(store_config)
+                .map_err(|e| {
+                    store_stats.record_error(format!(
+                        "store at {:?} could not be opened, persistence disabled: {e}",
+                        store_config.path
+                    ))
+                })
+                .ok()
+        });
+        let scheduler = AdmissionScheduler::new(config.admission);
+        Session::from_parts(catalog, config, store, scheduler, store_stats)
+    }
+
+    /// A session over `catalog` sharing this session's config, behavior
+    /// store handle and admission scheduler — one buffer pool, one index
+    /// and one width budget for both — whose plan, score and hypothesis
+    /// caches start empty. A store that failed to open here stays closed
+    /// in the fork, and nothing is opened again (the open error is in
+    /// this session's [`Session::store_stats`]). A serving process forks
+    /// one template session per connection.
+    pub fn fork(&self, catalog: Catalog) -> Session {
+        Session::from_parts(
+            catalog,
+            self.config.clone(),
+            self.store.clone(),
+            Arc::clone(&self.scheduler),
+            StoreStats::default(),
+        )
+    }
+
+    fn from_parts(
+        catalog: Catalog,
+        config: SessionConfig,
+        store: Option<Arc<BehaviorStore>>,
+        scheduler: Arc<AdmissionScheduler>,
+        store_stats: StoreStats,
+    ) -> Session {
         Session {
             catalog,
+            hypothesis_cache: HypothesisCache::new(config.cache_bytes),
             config,
             generation: 0,
-            hypothesis_cache,
             cache_dataset_owners: HashMap::new(),
             cache_hyp_owners: HashMap::new(),
             plans: HashMap::new(),
@@ -350,6 +363,7 @@ impl Session {
             frame_order: VecDeque::new(),
             stats: SessionStats::default(),
             store,
+            scheduler,
             store_swept_once: false,
             store_stats,
             watermarks: HashMap::new(),
@@ -411,15 +425,11 @@ impl Session {
         self.config.inspection.budget = budget;
     }
 
-    /// The admission budgets this session splits plans against: the
-    /// process-wide scheduler's when one is bound, else the session's
-    /// own. Keeping these identical to the scheduler's means a wave
-    /// normally fits its permit exactly, with no clamping at acquire.
-    fn effective_admission(&self) -> AdmissionConfig {
-        match &self.config.scheduler {
-            Some(scheduler) => scheduler.admission(),
-            None => self.config.admission,
-        }
+    /// The scheduler every wave of this session (and of its forks) is
+    /// admitted through; its [`SchedulerStats`](crate::prelude::SchedulerStats)
+    /// count the waves and their in-flight widths.
+    pub fn scheduler(&self) -> &Arc<AdmissionScheduler> {
+        &self.scheduler
     }
 
     /// The open behavior store, when one is configured and healthy.
@@ -479,16 +489,13 @@ impl Session {
     /// current catalog generation.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedQuery, DniError> {
         let key = normalize_statement(sql)?;
-        if let Some((generation, plan)) = self.plans.get(&key) {
-            if *generation == self.generation {
-                self.stats.plan_cache_hits += 1;
-                return Ok(PreparedQuery {
-                    key,
-                    generation: self.generation,
-                    plan: Arc::clone(plan),
-                });
-            }
-            self.stats.plan_cache_invalidations += 1;
+        if let Some(plan) = self.plans.get(&key) {
+            self.stats.plan_cache_hits += 1;
+            return Ok(PreparedQuery {
+                key,
+                generation: self.generation,
+                plan: Arc::clone(plan),
+            });
         }
         self.stats.plan_cache_misses += 1;
         let plan = Arc::new(plan::bind(&parse(sql)?, &self.catalog)?);
@@ -497,7 +504,7 @@ impl Session {
             &mut self.plan_order,
             MAX_CACHED_ENTRIES,
             key.clone(),
-            (self.generation, Arc::clone(&plan)),
+            Arc::clone(&plan),
         );
         Ok(PreparedQuery {
             key,
@@ -581,13 +588,14 @@ impl Session {
             cache: self.batch_cache(&plans),
             ..self.config.inspection.clone()
         };
-        let (mut output, computed) = physical.execute(&inspection, self.config.reuse_scores)?;
+        let (mut output, computed) =
+            physical.execute(&inspection, &self.scheduler, self.config.reuse_scores)?;
 
         // Feed the score cache with this batch's freshly computed frames.
         if self.config.reuse_scores {
             let fp = self.fingerprint();
             for (qi, pos, frame) in computed {
-                let key: FrameKey = (fresh[qi].key.clone(), self.generation, pos, fp.clone());
+                let key: FrameKey = (fresh[qi].key.clone(), pos, fp.clone());
                 insert_bounded(
                     &mut self.frames,
                     &mut self.frame_order,
@@ -712,7 +720,6 @@ impl Session {
         plans: &[Arc<LogicalPlan>],
     ) -> PhysicalPlan {
         let fp = self.fingerprint();
-        let generation = self.generation;
         let frames = &self.frames;
         let reuse = self.config.reuse_scores;
         let mut lookup = |qi: usize, pos: usize| -> Option<Arc<ResultFrame>> {
@@ -720,7 +727,7 @@ impl Session {
                 return None;
             }
             frames
-                .get(&(entries[qi].key.clone(), generation, pos, fp.clone()))
+                .get(&(entries[qi].key.clone(), pos, fp.clone()))
                 .cloned()
         };
         let mut view_probe =
@@ -728,9 +735,8 @@ impl Session {
         plan::optimize_with(
             plans,
             &self.config.inspection,
-            self.effective_admission(),
+            self.config.admission,
             self.store_binding().as_ref(),
-            self.config.scheduler.clone(),
             &mut lookup,
             &mut view_probe,
         )
@@ -815,9 +821,8 @@ impl Session {
         Ok(plan::optimize_with(
             &plans,
             &self.config.inspection,
-            self.effective_admission(),
+            self.config.admission,
             self.store_binding().as_ref(),
-            self.config.scheduler.clone(),
             &mut |_, _| None,
             &mut view_probe,
         )
@@ -884,11 +889,8 @@ impl Session {
                 "cannot materialize a view over an empty dataset".into(),
             ));
         }
-        let (outcome, captures) = plan::run_view_pass(
+        let (outcome, captures) = self.view_pass(
             plan,
-            &self.config.inspection,
-            self.store_binding().as_ref(),
-            self.config.scheduler.as_ref(),
             &FoldOpts {
                 capture_states: true,
                 ..FoldOpts::default()
@@ -916,6 +918,29 @@ impl Session {
         self.store_stats.view_bytes_written += bytes;
         self.store_stats.accumulate(&outcome.store);
         Ok(())
+    }
+
+    /// Runs the full pass a view is built from (or refreshed by) as a
+    /// one-item plan: the optimizer's per-segment store source and wave
+    /// widths, no score-cache lookup and no view probe, then its single
+    /// wave through the batch wave runner. The requested fold point makes
+    /// it a full pass even on a one-segment dataset, so the captured
+    /// states are valid merge bases for later refreshes. No hypothesis
+    /// cache beyond a configured one, and no compaction sweep.
+    fn view_pass(
+        &self,
+        plan: &Arc<LogicalPlan>,
+        opts: &FoldOpts<'_>,
+    ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
+        plan::optimize_with(
+            std::slice::from_ref(plan),
+            &self.config.inspection,
+            self.config.admission,
+            self.store_binding().as_ref(),
+            &mut |_, _| None,
+            &mut |_| None,
+        )
+        .execute_view(&self.config.inspection, &self.scheduler, opts)
     }
 
     /// Replays a **fresh** view's stored frame through the statement's
@@ -981,11 +1006,8 @@ impl Session {
                         "the behavior store is read-only; views cannot be written".into(),
                     ));
                 }
-                let (outcome, captures) = plan::run_view_pass(
+                let (outcome, captures) = self.view_pass(
                     &plan,
-                    &self.config.inspection,
-                    self.store_binding().as_ref(),
-                    self.config.scheduler.as_ref(),
                     &FoldOpts {
                         skip_segments: doc.segment_fps.len(),
                         base_states: Some(&doc.states),

@@ -646,15 +646,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Process-wide admission: sessions sharing one scheduler (ISSUE 8)
+// Forks: one store handle, one admission scheduler, empty caches
 // ---------------------------------------------------------------------
 
-/// Two sessions bound to one `AdmissionScheduler` run over-wide batches
-/// concurrently: results stay bit-identical to sequential execution,
-/// every wave acquires a global permit, and the *summed* in-flight
-/// stream width never exceeds the single shared budget.
+/// A store directory under the system temp dir, unique per test and run.
+fn temp_store_path(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("deepbase-session-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+fn bounded(width: usize) -> AdmissionConfig {
+    AdmissionConfig {
+        max_stream_width: Some(width),
+        ..AdmissionConfig::default()
+    }
+}
+
+/// Two forks of one session run over-wide batches concurrently: results
+/// stay bit-identical to sequential execution, every executed wave is
+/// admitted through the template's scheduler, and the *summed* in-flight
+/// stream width never exceeds its one budget.
 #[test]
-fn concurrent_sessions_share_one_global_admission_budget() {
+fn concurrent_forks_share_one_admission_budget() {
     let queries = wide_queries();
     let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
     let config = InspectionConfig::default();
@@ -664,25 +679,21 @@ fn concurrent_sessions_share_one_global_admission_budget() {
         .map(|q| bare(&catalog, &config).run(q).unwrap())
         .collect();
 
-    let scheduler = AdmissionScheduler::new(AdmissionConfig {
-        max_stream_width: Some(16),
-        ..AdmissionConfig::default()
-    });
+    let template = Session::with_config(
+        Catalog::new(),
+        SessionConfig {
+            admission: bounded(16),
+            ..SessionConfig::default()
+        },
+    );
     let outcomes: Vec<(Vec<Table>, usize)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..2)
             .map(|_| {
-                let scheduler = Arc::clone(&scheduler);
+                let mut session = template.fork(wide_catalog());
                 let refs = refs.clone();
                 scope.spawn(move || {
-                    let mut session = Session::with_config(
-                        wide_catalog(),
-                        SessionConfig {
-                            scheduler: Some(scheduler),
-                            ..SessionConfig::default()
-                        },
-                    );
                     let batch = session.run_batch(&refs).unwrap();
-                    (batch.tables, batch.report.plan.global_waves)
+                    (batch.tables, batch.report.groups.len())
                 })
             })
             .collect();
@@ -690,59 +701,120 @@ fn concurrent_sessions_share_one_global_admission_budget() {
     });
 
     let mut total_waves = 0;
-    for (tables, global_waves) in &outcomes {
+    for (tables, waves) in &outcomes {
         assert_eq!(
             tables, &sequential,
-            "globally scheduled execution stays bit-identical"
+            "execution under a shared scheduler stays bit-identical"
         );
         assert!(
-            *global_waves >= 2,
-            "a 36-wide group under budget 16 splits into permit-acquiring waves"
+            *waves >= 2,
+            "a 36-wide group under budget 16 splits into waves"
         );
-        total_waves += global_waves;
+        total_waves += waves;
     }
-    let stats = scheduler.stats();
+    let stats = template.scheduler().stats();
     assert_eq!(
         stats.waves_admitted as usize, total_waves,
-        "each planned wave acquired exactly one permit"
+        "each executed wave acquired exactly one permit"
     );
     assert!(
         stats.peak_stream_width <= 16,
-        "both sessions' waves drew from ONE budget (peak {})",
+        "both forks' waves drew from ONE budget (peak {})",
         stats.peak_stream_width
     );
 }
 
-/// The scheduler overrides the session's own admission config: plans are
-/// split against the scheduler's budgets even when the session sets a
-/// different (or no) per-batch budget, and `explain` says so.
+/// A fork shares its template's store handle and scheduler, and starts
+/// with empty plan, score and hypothesis caches.
 #[test]
-fn scheduler_budgets_override_per_session_admission() {
-    let scheduler = AdmissionScheduler::new(AdmissionConfig {
-        max_stream_width: Some(16),
-        ..AdmissionConfig::default()
-    });
-    let mut session = Session::with_config(
-        wide_catalog(),
+fn forks_share_the_store_and_the_scheduler_and_start_with_empty_caches() {
+    let path = temp_store_path("forks");
+    let queries = wide_queries();
+    let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
+    let template = Session::with_config(
+        Catalog::new(),
         SessionConfig {
-            // Unbounded per-session admission: the scheduler must win.
-            admission: AdmissionConfig::default(),
-            scheduler: Some(Arc::clone(&scheduler)),
+            admission: bounded(16),
+            store: Some(StoreConfig::at(&path)),
             ..SessionConfig::default()
         },
     );
-    let queries = wide_queries();
-    let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
-    let explain = session.explain_batch(&refs).unwrap();
+    let mut first = template.fork(wide_catalog());
+    let cold = first.run_batch(&refs).unwrap();
     assert!(
-        explain.contains("global scheduler"),
-        "explain must render the process-wide admission line:\n{explain}"
+        cold.report.store.columns_written > 0,
+        "the first fork fills the store"
     );
-    let batch = session.run_batch(&refs).unwrap();
-    assert_eq!(batch.report.plan.admission_splits, 1);
-    assert!(batch.report.plan.global_waves >= 2);
     assert_eq!(
-        scheduler.stats().waves_admitted as usize,
-        batch.report.plan.global_waves
+        first.run_batch(&refs).unwrap().report.plan.score_cache_hits,
+        4
     );
+
+    // A fork of a fork shares the same handles; its caches start empty
+    // although the session it was forked from has warm ones.
+    let mut second = first.fork(wide_catalog());
+    let store = template.store().expect("store open");
+    assert!(Arc::ptr_eq(first.store().unwrap(), store));
+    assert!(Arc::ptr_eq(second.store().unwrap(), store));
+    assert!(Arc::ptr_eq(first.scheduler(), template.scheduler()));
+    assert!(Arc::ptr_eq(second.scheduler(), template.scheduler()));
+    assert_eq!(second.stats(), SessionStats::default());
+    assert_eq!(second.hypothesis_cache().stats(), CacheStats::default());
+    assert!(!Arc::ptr_eq(
+        second.hypothesis_cache(),
+        first.hypothesis_cache()
+    ));
+
+    let warm = second.run_batch(&refs).unwrap();
+    assert_eq!(warm.tables, cold.tables);
+    assert_eq!(warm.report.plan.plan_cache_misses, 4, "empty plan cache");
+    assert_eq!(warm.report.plan.score_cache_hits, 0, "empty score cache");
+    assert_eq!(warm.report.cache.hits, 0, "empty hypothesis cache");
+    assert!(
+        warm.report.store.columns_scanned > 0,
+        "the second fork scans what the first wrote through the shared handle"
+    );
+    // One scheduler: its count sums both forks' executed waves (the
+    // score-cache replay executed none).
+    assert_eq!(
+        template.scheduler().stats().waves_admitted as usize,
+        cold.report.groups.len() + warm.report.groups.len()
+    );
+    drop((first, second, template));
+    let _ = std::fs::remove_dir_all(&path);
+}
+
+/// A template whose store failed to open hands its forks no store, and a
+/// fork never tries to open one again: the one open error stays in the
+/// template's store stats.
+#[test]
+fn forks_of_a_session_whose_store_failed_to_open_open_nothing() {
+    // A *file* where the store directory should be: the open fails.
+    let path = temp_store_path("unopenable-fork");
+    std::fs::write(&path, b"not a directory").unwrap();
+    let template = Session::with_config(
+        Catalog::new(),
+        SessionConfig {
+            store: Some(StoreConfig::at(&path)),
+            ..SessionConfig::default()
+        },
+    );
+    assert!(template.store().is_none());
+    assert_eq!(template.store_stats().errors.len(), 1);
+    assert!(template.store_stats().errors[0].contains("persistence disabled"));
+
+    // An open at the path would now succeed, so a second attempt would
+    // show up as a store (and a directory).
+    std::fs::remove_file(&path).unwrap();
+    let mut fork = template.fork(wide_catalog());
+    assert!(fork.store().is_none(), "the fork must not reopen the store");
+    assert!(fork.store_stats().errors.is_empty());
+    let live = fork.run(&wide_queries()[0]).unwrap();
+    assert_eq!(
+        live,
+        bare(&wide_catalog(), &InspectionConfig::default())
+            .run(&wide_queries()[0])
+            .unwrap()
+    );
+    assert!(!path.exists(), "nothing was created at the store path");
 }

@@ -642,6 +642,26 @@ fn view_error_paths_are_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A statement whose WHERE keeps no unit plans no wave: its view builds
+/// without a pass and replays the empty table a cold run returns.
+#[test]
+fn a_view_over_no_units_is_built_without_a_pass() {
+    let device = Device::SingleCore;
+    let dir = tmp_dir("no-units");
+    let (mut session, counting) = session_at(&dir, device, 2, MaterializationPolicy::ReadWrite);
+    let no_units = format!("{Q} WHERE U.uid >= {UNITS}");
+    counting.reset();
+    session.create_view("v", &no_units).unwrap();
+    assert_eq!(counting.calls(), 0, "no wave, no forward pass");
+    assert_eq!(session.scheduler().stats().waves_admitted, 0);
+    let replay = session.read_view("v").unwrap();
+    assert!(replay.is_empty());
+    let (catalog, _) = segmented_catalog(2);
+    let cold = bare(&catalog, &config(device, BLOCK)).run(&no_units);
+    assert_eq!(replay, cold.unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// File names under a views directory, sorted.
 fn view_files(views_dir: &std::path::Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(views_dir)

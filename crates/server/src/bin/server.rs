@@ -9,8 +9,8 @@
 //!   ephemeral port, printed on stdout).
 //! * `--store DIR` — open (or create) a read-write behavior store at
 //!   `DIR`, shared by every connection.
-//! * `--stream-width N` / `--scan-width N` — process-wide admission
-//!   budgets enforced by the global scheduler across all connections.
+//! * `--stream-width N` / `--scan-width N` — admission budgets of the
+//!   template session, whose scheduler every connection's fork shares.
 //! * `--idle-ms N` — close connections idle longer than N milliseconds.
 //!
 //! The process exits after a client sends a SHUTDOWN frame (e.g.

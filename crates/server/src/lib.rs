@@ -7,22 +7,25 @@
 //! length-prefixed wire protocol of [`wire`] (the grammar is documented
 //! in the core crate's "Serving" section).
 //!
-//! What every connection *shares* is the interesting part:
+//! What every connection *shares* is the interesting part. At startup the
+//! server builds one **template** [`Session`] from
+//! [`ServerConfig::session`], and every connection's session is a
+//! [`Session::fork`] of it:
 //!
-//! * **One catalog.** Connections clone a master [`Catalog`] (cheap,
-//!   `Arc`-shared, extractor identity preserved) guarded by a
-//!   generation counter; an APPEND from any connection bumps the
-//!   generation and every other session transparently rebuilds.
-//! * **One behavior store.** The store is opened once at startup and
-//!   the same [`BehaviorStore`] handle is passed to every session via
-//!   [`SessionConfig::shared_store`]: one buffer pool, one index, one
-//!   set of write-backs.
-//! * **One admission budget.** A process-wide [`AdmissionScheduler`]
-//!   (built from the configured [`SessionConfig::admission`]) replaces
-//!   per-session admission: concurrent batches from different
-//!   connections acquire FIFO permits against the *same*
-//!   stream/scan-width budgets, so N connections cannot hold N× the
-//!   configured width resident.
+//! * **One catalog.** Connections fork over a clone of a master
+//!   [`Catalog`] (cheap, `Arc`-shared, extractor identity preserved)
+//!   guarded by a generation counter; an APPEND from any connection
+//!   bumps the generation and every other connection transparently
+//!   re-forks.
+//! * **One behavior store.** The template opens the store once (an open
+//!   failure is printed and disables persistence) and every fork shares
+//!   that [`BehaviorStore`] handle: one buffer pool, one index, one set
+//!   of write-backs.
+//! * **One admission budget.** The template's [`AdmissionScheduler`]
+//!   (built from [`SessionConfig::admission`]) admits every wave of
+//!   every fork: concurrent batches from different connections acquire
+//!   FIFO permits against the *same* stream/scan-width budgets, so N
+//!   connections cannot hold N× the configured width resident.
 //! * **One runtime pool.** Connection handlers are plain OS threads —
 //!   never runtime-pool jobs, whose blocking socket reads would starve
 //!   the pool — and the engine's scoped fan-out inside each batch uses
@@ -47,9 +50,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use deepbase::prelude::{
-    freshness_label, AdmissionScheduler, BehaviorStore, CancelToken, Catalog, CompletionStatus,
-    DniError, MaterializationPolicy, PlanStats, Record, SchedulerStats, Session, SessionConfig,
-    ViewRefresh,
+    freshness_label, AdmissionScheduler, BatchReport, BehaviorStore, CancelToken, Catalog,
+    CompletionStatus, DniError, Record, SchedulerStats, Session, SessionConfig, ViewRefresh,
 };
 
 use crate::wire::{Request, Response, WirePlanStats};
@@ -68,10 +70,10 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 /// frontend knobs.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Template every connection's [`Session`] is built from. Its
-    /// `admission` budgets become the *process-wide* scheduler budget
-    /// (unless `scheduler` is pre-set), and its `store` is opened once
-    /// and shared by every session.
+    /// Config of the template [`Session`] every connection's session is
+    /// forked from: its `store` is opened once and shared by every fork,
+    /// and its `admission` budgets are the one budget every connection's
+    /// waves are admitted under.
     pub session: SessionConfig,
     /// Connections idle longer than this are closed (`None` = never).
     pub idle_timeout: Option<Duration>,
@@ -123,9 +125,10 @@ struct Master {
 /// Process-wide state shared by the acceptor and every connection.
 struct Shared {
     master: Mutex<Master>,
-    template: SessionConfig,
-    scheduler: Arc<AdmissionScheduler>,
-    store: Option<Arc<BehaviorStore>>,
+    /// The session every connection's session is forked from: it holds
+    /// the store handle and the admission scheduler they share, and never
+    /// runs a statement itself.
+    template: Session,
     shutting_down: AtomicBool,
     /// Drain token attached to every request's run budget: cancelling it
     /// interrupts in-flight passes at their next block boundary.
@@ -145,19 +148,14 @@ impl Shared {
         self.drain.cancel();
     }
 
-    /// Returns this connection's session, rebuilding it from the master
-    /// catalog when none exists yet or an APPEND moved the generation.
+    /// Returns this connection's session, forking it from the template
+    /// over the master catalog when none exists yet or an APPEND moved
+    /// the generation.
     fn ensure_session<'a>(&self, slot: &'a mut Option<(u64, Session)>) -> &'a mut Session {
-        let current = self.master.lock().expect("master lock").generation;
-        if slot.as_ref().is_none_or(|(g, _)| *g != current) {
-            let (generation, catalog) = {
-                let master = self.master.lock().expect("master lock");
-                (master.generation, master.catalog.clone())
-            };
-            *slot = Some((
-                generation,
-                Session::with_config(catalog, self.template.clone()),
-            ));
+        let master = self.master.lock().expect("master lock");
+        if slot.as_ref().is_none_or(|(g, _)| *g != master.generation) {
+            let session = self.template.fork(master.catalog.clone());
+            *slot = Some((master.generation, session));
         }
         &mut slot.as_mut().expect("session just ensured").1
     }
@@ -196,6 +194,7 @@ impl Shared {
                 match session.run_batch(&refs) {
                     Err(e) => self.error_response(e),
                     Ok(out) => {
+                        let plan = wire_plan_stats(&out.report);
                         let results: Vec<Result<_, _>> = out
                             .tables
                             .into_iter()
@@ -214,7 +213,7 @@ impl Shared {
                         Response::Batch {
                             status: status_byte(out.report.completion.status),
                             rows_read: out.report.completion.rows_read as u64,
-                            plan: wire_plan_stats(&out.report.plan),
+                            plan,
                             results,
                         }
                     }
@@ -333,7 +332,7 @@ impl Shared {
 
     fn render_stats(&self) -> String {
         let s = *self.stats.lock().expect("stats lock");
-        let g: SchedulerStats = self.scheduler.stats();
+        let g: SchedulerStats = self.template.scheduler().stats();
         format!(
             "server: connections={} requests={} queries_ok={} query_errors={} \
              appends={} protocol_errors={}\n\
@@ -355,7 +354,7 @@ impl Shared {
             g.peak_stream_width,
             g.peak_scan_width,
             g.max_queue_depth,
-            if self.store.is_some() {
+            if self.template.store().is_some() {
                 "open (shared handle)"
             } else {
                 "disabled"
@@ -377,7 +376,8 @@ fn status_byte(status: CompletionStatus) -> u8 {
     }
 }
 
-fn wire_plan_stats(p: &PlanStats) -> WirePlanStats {
+fn wire_plan_stats(report: &BatchReport) -> WirePlanStats {
+    let p = &report.plan;
     WirePlanStats {
         plan_cache_hits: p.plan_cache_hits as u64,
         plan_cache_misses: p.plan_cache_misses as u64,
@@ -385,7 +385,7 @@ fn wire_plan_stats(p: &PlanStats) -> WirePlanStats {
         admission_splits: p.admission_splits as u64,
         admission_queued: p.admission_queued as u64,
         scan_charged_columns: p.scan_charged_columns as u64,
-        global_waves: p.global_waves as u64,
+        global_waves: report.groups.len() as u64,
     }
 }
 
@@ -396,44 +396,20 @@ pub struct InspectionServer;
 
 impl InspectionServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `catalog` under `config`. The behavior store, if
-    /// configured, is opened here — once — and shared by every
-    /// connection; an open failure disables persistence (the store is
-    /// an accelerator, never a correctness dependency) and the server
-    /// still starts.
+    /// serving `catalog` under `config`. The template session built here
+    /// opens the behavior store, if configured — once — for every
+    /// connection's fork to share; an open failure disables persistence
+    /// (the store is an accelerator, never a correctness dependency) and
+    /// the server still starts.
     pub fn start(
         addr: impl ToSocketAddrs,
         catalog: Catalog,
         config: ServerConfig,
     ) -> io::Result<ServerHandle> {
-        let mut template = config.session;
-        let scheduler = template
-            .scheduler
-            .take()
-            .unwrap_or_else(|| AdmissionScheduler::new(template.admission));
-        template.scheduler = Some(Arc::clone(&scheduler));
-        let store = match &template.store {
-            Some(cfg) => {
-                if let Some(shared) = &template.shared_store {
-                    Some(Arc::clone(shared))
-                } else {
-                    match BehaviorStore::open(cfg) {
-                        Ok(store) => Some(store),
-                        Err(e) => {
-                            eprintln!(
-                                "deepbase-server: store at {:?} could not be opened, \
-                                 persistence disabled: {e}",
-                                cfg.path
-                            );
-                            template.store = None;
-                            None
-                        }
-                    }
-                }
-            }
-            None => None,
-        };
-        template.shared_store = store.clone();
+        let template = Session::with_config(Catalog::new(), config.session);
+        for error in &template.store_stats().errors {
+            eprintln!("deepbase-server: {error}");
+        }
 
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -444,8 +420,6 @@ impl InspectionServer {
                 catalog,
             }),
             template,
-            scheduler,
-            store,
             shutting_down: AtomicBool::new(false),
             drain: CancelToken::new(),
             idle_timeout: config.idle_timeout,
@@ -495,12 +469,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     }
     // Flushes are per-batch; what remains is removing stale temporaries
     // and expired quarantine samples, and holding the disk budget, so the
-    // tree is clean on disk.
-    if let (Some(store), Some(cfg)) = (&shared.store, &shared.template.store) {
-        if cfg.policy == MaterializationPolicy::ReadWrite {
-            store.compact(cfg.quarantine_retention_bytes);
-        }
-    }
+    // tree is clean on disk. A fork of the template runs the sweep over
+    // the shared store (a no-op without a writable one).
+    shared.template.fork(Catalog::new()).compact_store();
 }
 
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
@@ -571,16 +542,17 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The process-wide admission scheduler (its [`SchedulerStats`]
-    /// `peak_*` fields are the observable proof that concurrent
-    /// connections shared one budget).
+    /// The template session's admission scheduler, which every
+    /// connection's fork admits through (its [`SchedulerStats`] `peak_*`
+    /// fields are the observable proof that concurrent connections shared
+    /// one budget).
     pub fn scheduler(&self) -> &Arc<AdmissionScheduler> {
-        &self.shared.scheduler
+        self.shared.template.scheduler()
     }
 
     /// The shared behavior store, when one is open.
     pub fn store(&self) -> Option<&Arc<BehaviorStore>> {
-        self.shared.store.as_ref()
+        self.shared.template.store()
     }
 
     /// Frontend counters.

@@ -140,7 +140,9 @@ pub struct WirePlanStats {
     pub admission_queued: u64,
     /// Unit columns charged to the scan budget (store hits).
     pub scan_charged_columns: u64,
-    /// Waves that acquired a process-wide admission permit.
+    /// Waves the batch executed (one shared pass each, its `groups`
+    /// report count), every one admitted through the server's one
+    /// scheduler; score-cache hits and view replays run none.
     pub global_waves: u64,
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the inspection server over real TCP sockets:
-//! bit-identical warm serving, per-connection panic isolation, global
-//! admission sharing, shutdown drain, and cross-connection appends.
+//! bit-identical warm serving, per-connection panic isolation, one
+//! admission budget across connections, shutdown drain, and
+//! cross-connection appends.
 //!
 //! Every test binds `127.0.0.1:0` (an ephemeral port) so they run in
 //! parallel without colliding.
@@ -196,8 +197,8 @@ fn poisoned_connection_does_not_disturb_siblings() {
 #[test]
 fn concurrent_batches_share_the_global_admission_budget() {
     // Budget of 12 stream columns against 32-unit queries: every batch
-    // must split into waves, and *all* waves — across both connections —
-    // acquire permits from one scheduler.
+    // must split into waves, and *all* waves — across both connections'
+    // forks of the template session — acquire permits from one scheduler.
     let passes = Arc::new(AtomicUsize::new(0));
     let handle = start_server(
         demo::catalog_sized(ND, NS, UNITS, &passes),
@@ -213,9 +214,12 @@ fn concurrent_batches_share_the_global_admission_budget() {
 
     let mut explain_client = Client::connect(addr).expect("connect explain");
     let explain = explain_client.explain(demo::QUERIES[0]).expect("explain");
+    // The group's own admission line states the budget it is admitted
+    // under: one statement is a lone item, wider than the bound.
     assert!(
-        explain.contains("global scheduler"),
-        "explain must show the process-wide admission line:\n{explain}"
+        explain.contains("└─ admission: 1 wave (lone item, width ")
+            && explain.contains(" > bound 12)"),
+        "explain must show the group's admission line:\n{explain}"
     );
 
     let plans: Vec<wire::WirePlanStats> = thread::scope(|scope| {
@@ -248,7 +252,7 @@ fn concurrent_batches_share_the_global_admission_budget() {
     let sched = handle.scheduler().stats();
     assert_eq!(
         sched.waves_admitted, total_waves,
-        "every wave reported by PlanStats acquired a global permit"
+        "every wave a batch executed acquired a permit from the one scheduler"
     );
     assert!(
         sched.peak_stream_width <= 12,
