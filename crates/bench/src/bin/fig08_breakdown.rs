@@ -11,7 +11,10 @@ use deepbase_bench::{hypothesis_refs, print_table, run_engine, secs, sql_bench_s
 
 fn main() {
     let args = Args::parse();
-    println!("== Figure 8: extraction vs inspection cost breakdown ==\n");
+    println!(
+        "== Figure 8: extraction vs inspection cost breakdown (kernels: {}) ==\n",
+        deepbase_tensor::simd::path()
+    );
     let setup = sql_bench_setup(
         &args,
         if args.paper { 29_696 } else { 768 },

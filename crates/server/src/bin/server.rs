@@ -6,7 +6,8 @@
 //! ```
 //!
 //! * `ADDR` — listen address, default `127.0.0.1:4517` (port 0 picks an
-//!   ephemeral port, printed on stdout).
+//!   ephemeral port, printed on stdout with the kernel copy in use,
+//!   `avx2` or `baseline`).
 //! * `--store DIR` — open (or create) a read-write behavior store at
 //!   `DIR`, shared by every connection.
 //! * `--stream-width N` / `--scan-width N` — admission budgets of the
@@ -93,7 +94,11 @@ fn main() {
             exit(1)
         }
     };
-    println!("deepbase-server listening on {}", handle.addr());
+    println!(
+        "deepbase-server listening on {} (kernels: {})",
+        handle.addr(),
+        deepbase_tensor::simd::path()
+    );
     handle.join();
     println!("deepbase-server: drained and shut down");
 }

@@ -155,6 +155,7 @@ impl StreamingPearson {
     /// of that re-centering — which scales with the *raw* magnitude, per
     /// block rather than per dataset — is added to the error bound so
     /// [`Self::correlation`] can tell surviving signal from noise.
+    #[inline(always)]
     pub fn accumulate(
         &mut self,
         n: u64,
@@ -332,18 +333,29 @@ impl StreamingPearson {
 /// Unit columns [`accumulate_columns`] advances per row sweep.
 const TILE: usize = 8;
 
-/// Folds one row-major `ys.len() × accs.len()` block into per-column
-/// accumulators that share the `y` column — the block kernel of the
-/// correlation measure.
-///
-/// The `y` moments are computed once. The columns advance `TILE` (8)
-/// abreast: one sweep over the rows loads `TILE` adjacent values per row
-/// (contiguous) and feeds `TILE` independent sum chains, so the sweep runs
-/// at load/multiply throughput instead of one dependent f64 add per
-/// element. Each column's own chain still adds its rows in row order, so
-/// the result is bit-identical to walking the columns one at a time; the
-/// `accs.len() % TILE` trailing columns are walked exactly that way.
-pub fn accumulate_columns(accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]) {
+deepbase_tensor::simd_kernel! {
+    /// Folds one row-major `ys.len() × accs.len()` block into per-column
+    /// accumulators that share the `y` column — the block kernel of the
+    /// correlation measure.
+    ///
+    /// The `y` moments are computed once. The columns advance `TILE` (8)
+    /// abreast: one sweep over the rows loads `TILE` adjacent values per
+    /// row (contiguous) and feeds `TILE` independent sum chains, so the
+    /// sweep runs at load/multiply throughput instead of one dependent f64
+    /// add per element — two f64 lanes per register at the default x86-64
+    /// target, four in the AVX2 copy the dispatcher picks at run time
+    /// (`deepbase_tensor::simd`). Each column's own chain still adds its
+    /// rows in row order, so the result is bit-identical to walking the
+    /// columns one at a time, on either copy; the `accs.len() % TILE`
+    /// trailing columns are walked exactly that way.
+    pub fn accumulate_columns(
+        accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]
+    ) = accumulate_columns_body;
+}
+
+/// Body of [`accumulate_columns`].
+#[inline(always)]
+fn accumulate_columns_body(accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]) {
     let width = accs.len();
     assert_eq!(xs.len(), ys.len() * width, "pearson block shape mismatch");
     if width == 0 {
@@ -591,8 +603,11 @@ mod tests {
             let xs: Vec<f32> = (0..rows * width)
                 .map(|i| value(i / width, i % width))
                 .collect();
-            // Uneven block splits, the empty block included.
+            // Uneven block splits, the empty block included. `tiled` runs
+            // the dispatched copy (AVX2 where the CPU has it), `body` the
+            // same kernel compiled for this test's target.
             let mut tiled = vec![StreamingPearson::new(); width];
+            let mut body = vec![StreamingPearson::new(); width];
             let mut walked = vec![StreamingPearson::new(); width];
             let mut start = 0;
             for len in [1usize, 0, 64, 3, 50, 32] {
@@ -601,10 +616,13 @@ mod tests {
                     &ys[start..start + len],
                 );
                 accumulate_columns(&mut tiled, x, y);
+                accumulate_columns_body(&mut body, x, y);
                 accumulate_columns_one_by_one(&mut walked, x, y);
                 start += len;
             }
             assert_eq!(start, rows);
+            let path = deepbase_tensor::simd::path();
+            assert_eq!(state(&tiled), state(&body), "width {width}, {path} path");
             assert_eq!(state(&tiled), state(&walked), "width {width}");
             // ...and after folding a second segment's states in.
             let mut tiled_b = vec![StreamingPearson::new(); width];

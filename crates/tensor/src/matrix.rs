@@ -552,18 +552,43 @@ impl Matrix {
 ///   (two rows at a time), so the micro-kernel reads one linear stream;
 /// * the micro-kernel updates two output rows with four shared-dimension
 ///   steps per pass — a branch-free `2x4` register tile whose inner loop
-///   is a pure mul-add stream the compiler autovectorizes;
+///   is a pure mul-add stream the compiler vectorises across output
+///   columns;
 /// * there is deliberately no per-element `a == 0.0` skip: the old
 ///   branch made sparse-ish inputs fast but cost a branch per element on
 ///   the dense inputs that dominate (activations, weights, gradients).
+///
+/// Each kernel is one `#[inline(always)]` `_body` compiled twice by
+/// [`simd_kernel!`](crate::simd_kernel): for the build's target (4-lane
+/// SSE2 at the default x86-64) and for 8-lane AVX2, picked at run time.
+/// Vectorisation runs only across independent output columns, so both
+/// copies give the same bits.
 mod kernels {
     /// Shared-dimension panel width (f32s): 4 rows of 256 floats = 4 KiB
     /// per right-hand panel stripe, comfortably inside L1 alongside the
     /// packed left panel.
     const KC: usize = 256;
 
-    /// `out = lhs(m x k) * rhs(k x n)`, overwriting `out`.
-    pub(crate) fn matmul_into(
+    crate::simd_kernel! {
+        /// `out = lhs(m x k) * rhs(k x n)`, overwriting `out`.
+        pub(crate) fn matmul_into(
+            lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]
+        ) = matmul_into_body;
+
+        /// `out = lhs(m x k)^T * rhs(m x n)`, overwriting `out` (`k x n`).
+        pub(crate) fn t_matmul_into(
+            lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]
+        ) = t_matmul_into_body;
+
+        /// `out = lhs(m x k) * rhs(n x k)^T`, overwriting `out` (`m x n`).
+        pub(crate) fn matmul_t_into(
+            lhs: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]
+        ) = matmul_t_into_body;
+    }
+
+    /// Body of [`matmul_into`].
+    #[inline(always)]
+    pub(super) fn matmul_into_body(
         lhs: &[f32],
         m: usize,
         k: usize,
@@ -601,12 +626,12 @@ mod kernels {
         }
     }
 
-    /// `out = lhs(m x k)^T * rhs(m x n)`, overwriting `out` (`k x n`).
-    ///
-    /// Identical panel structure with the roles swapped: the shared
-    /// dimension is `m` (rows of both inputs), and the packed "left" panel
-    /// holds a *column pair* of `lhs` gathered across the row panel.
-    pub(crate) fn t_matmul_into(
+    /// Body of [`t_matmul_into`]: the panel structure of [`matmul_into`]
+    /// with the roles swapped. The shared dimension is `m` (rows of both
+    /// inputs), and the packed "left" panel holds a *column pair* of `lhs`
+    /// gathered across the row panel.
+    #[inline(always)]
+    pub(super) fn t_matmul_into_body(
         lhs: &[f32],
         m: usize,
         k: usize,
@@ -648,12 +673,12 @@ mod kernels {
         }
     }
 
-    /// `out = lhs(m x k) * rhs(n x k)^T`, overwriting `out` (`m x n`).
-    ///
-    /// Both operands are traversed along contiguous rows; each output
-    /// element is a dot product. Four dots are computed per pass so the
-    /// `lhs` row is loaded once per four `rhs` rows.
-    pub(crate) fn matmul_t_into(
+    /// Body of [`matmul_t_into`]. Both operands are traversed along
+    /// contiguous rows; each output element is a dot product, summed from
+    /// `+0.0` in `k` order. Four dots are computed per pass so the `lhs`
+    /// row is loaded once per four `rhs` rows.
+    #[inline(always)]
+    pub(super) fn matmul_t_into_body(
         lhs: &[f32],
         m: usize,
         k: usize,
@@ -688,7 +713,11 @@ mod kernels {
             }
             while j < n {
                 let b_row = &rhs[j * k..(j + 1) * k];
-                out_row[j] = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
+                let mut d = 0.0f32;
+                for (&a, &b) in a_row.iter().zip(b_row) {
+                    d += a * b;
+                }
+                out_row[j] = d;
                 j += 1;
             }
         }
@@ -697,6 +726,7 @@ mod kernels {
     /// `2x4` register tile: accumulates four shared-dimension steps into
     /// two output rows per pass. `a` packs the two left rows at offsets
     /// `0` and [`KC`]; `rhs_panel` holds `kc` contiguous right rows.
+    #[inline(always)]
     fn accumulate_two_rows(
         a: &[f32; 2 * KC],
         kc: usize,
@@ -738,6 +768,7 @@ mod kernels {
     }
 
     /// Single-row tail of the tile: same four-step unrolling, one output.
+    #[inline(always)]
     fn accumulate_one_row(a: &[f32], rhs_panel: &[f32], n: usize, out: &mut [f32]) {
         let kc = a.len();
         let mut kk = 0;
@@ -868,10 +899,101 @@ mod tests {
     fn matmul_parallel_matches_serial() {
         let a = Matrix::from_fn(17, 13, |r, c| ((r * 31 + c * 7) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(13, 9, |r, c| ((r * 13 + c * 3) % 7) as f32 - 3.0);
-        let serial = a.matmul(&b);
+        let serial = bits(a.matmul(&b).as_slice());
         for threads in [1, 2, 4, 8] {
-            assert!(a.matmul_parallel(&b, threads).approx_eq(&serial, 1e-4));
+            assert_eq!(bits(a.matmul_parallel(&b, threads).as_slice()), serial);
         }
+    }
+
+    /// Output bits, every NaN as the canonical quiet NaN: Rust leaves a
+    /// NaN result's sign and payload unspecified (LLVM may swap the
+    /// operands of a commutative `+` / `*`), so only "is NaN" is compared.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Every dispatched kernel against its baseline body. Shapes straddle
+    /// every tile edge (row pairs, the 4-step unroll, the `KC` panel, the
+    /// 4-wide dot groups, 4- and 8-lane vectors); inputs are dense, mostly
+    /// zero (signed zeros included), or carry ±∞ and NaN.
+    #[test]
+    fn dispatched_kernels_equal_their_baseline_bodies_bit_for_bit() {
+        type Kernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+        let kernels: [(&str, Kernel, Kernel); 3] = [
+            ("matmul", kernels::matmul_into, kernels::matmul_into_body),
+            (
+                "t_matmul",
+                kernels::t_matmul_into,
+                kernels::t_matmul_into_body,
+            ),
+            (
+                "matmul_t",
+                kernels::matmul_t_into,
+                kernels::matmul_t_into_body,
+            ),
+        ];
+        let dense = |i: usize| ((i * 37 + 11) % 23) as f32 * 0.173 - 1.9;
+        let sparse = |i: usize| match i % 7 {
+            0 => dense(i),
+            1 | 4 => -0.0,
+            _ => 0.0,
+        };
+        let special = |i: usize| match i % 41 {
+            3 => f32::INFINITY,
+            17 => f32::NEG_INFINITY,
+            29 => f32::NAN,
+            _ => dense(i),
+        };
+        let fills: [(&str, &dyn Fn(usize) -> f32); 3] = [
+            ("dense", &dense),
+            ("sparse", &sparse),
+            ("special", &special),
+        ];
+        for m in [1usize, 2, 3, 5, 33] {
+            for k in [1usize, 3, 4, 5, 256, 257, 513] {
+                for n in [1usize, 3, 4, 5, 7, 8, 9, 31] {
+                    for (fill, value) in fills {
+                        // Operand lengths for the three shapes: `m × k`
+                        // with `k × n`, `m × k` with `m × n`, `m × k` with
+                        // `n × k`.
+                        for ((name, dispatched, body), (rhs_len, out_len)) in
+                            kernels
+                                .iter()
+                                .zip([(k * n, m * n), (m * n, k * n), (n * k, m * n)])
+                        {
+                            let lhs: Vec<f32> = (0..m * k).map(value).collect();
+                            let rhs: Vec<f32> = (0..rhs_len).map(|i| value(i + 5)).collect();
+                            let mut want = vec![f32::NAN; out_len];
+                            let mut got = vec![7.0; out_len];
+                            body(&lhs, m, k, &rhs, n, &mut want);
+                            dispatched(&lhs, m, k, &rhs, n, &mut got);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{name} {m}x{k}x{n} {fill} on the {} path",
+                                crate::simd::path()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_t_sums_every_column_from_positive_zero() {
+        // Row 0 of `a` is all -0.0 and `b` all +1.0, so every product is
+        // -0.0: a sum seeded with +0.0 gives +0.0 in both the 4-wide
+        // columns (0..4) and the tail column (4), and so does k = 0.
+        let a = Matrix::from_fn(2, 3, |r, _| if r == 0 { -0.0 } else { 1.5 });
+        let b = Matrix::full(5, 3, 1.0);
+        let out = a.matmul_t(&b);
+        assert_eq!(bits(out.as_slice())[..5], [0u32; 5]);
+        assert_eq!(out.row(1), &[4.5; 5]);
+        let empty = Matrix::zeros(2, 0).matmul_t(&Matrix::zeros(5, 0));
+        assert_eq!(bits(empty.as_slice()), [0u32; 10]);
     }
 
     #[test]

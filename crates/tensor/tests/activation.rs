@@ -169,6 +169,9 @@ fn special_values() {
     assert_eq!(tanh(tiny), tiny);
 }
 
+/// Also the cross-ISA check: the slice forms run the copy the dispatcher
+/// picks (AVX2 where the CPU has it), the scalar forms here compile for
+/// this test's own target.
 #[test]
 fn slice_form_equals_scalar_form_bit_for_bit() {
     let xs: Vec<f32> = sweep().into_iter().chain([f32::NAN, -f32::NAN]).collect();
