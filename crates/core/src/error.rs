@@ -51,11 +51,12 @@ pub enum DniError {
     /// poisoned group fails only its own queries — siblings complete and
     /// the runtime pool stays usable.
     Internal(String),
-    /// An ingest I/O failure (WAL append, segment seal, reopen). The
-    /// behavior *store* keeps its own fail-soft error channel
+    /// A view-catalog I/O failure (loading, saving or dropping a view
+    /// file). The behavior *store* keeps its own fail-soft error channel
     /// (`StoreStats::errors`) because persistence there is an
-    /// accelerator; the ingest WAL is the durability path itself, so its
-    /// failures surface as typed errors.
+    /// accelerator; a view is the answer itself, so its I/O failures
+    /// surface as typed errors. (The display prefix `ingest io error:` is
+    /// part of the wire format and stays.)
     Io(String),
     /// A view operation named a view the catalog doesn't hold.
     UnknownView(String),
@@ -291,7 +292,7 @@ mod tests {
             DniError::DeadlineExceeded("10ms elapsed before first block".into()),
             DniError::Cancelled,
             DniError::Internal("worker panic: index out of bounds".into()),
-            DniError::Io("WAL append failed: disk full".into()),
+            DniError::Io("view \"dash\" save failed: disk full".into()),
             DniError::UnknownView("dash\"board\"".into()),
             DniError::ViewStale {
                 view: "dashboard\ttab".into(),

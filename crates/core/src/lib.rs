@@ -159,19 +159,25 @@
 //! hits/evictions, forward passes avoided, bytes reclaimed);
 //! [`session::Session::store_stats`] accumulates them per session.
 //!
-//! ## Segments & streaming ingest
+//! ## Segments
 //!
-//! Datasets grow. A [`model::SegmentedDataset`] ingests records through a
-//! length-prefixed, checksummed **write-ahead log** (`std::fs` only) and
-//! seals them into immutable **segments** — one atomically written
-//! (tmp + rename) segment file per [`model::SegmentedDataset::seal`] —
-//! and [`model::SegmentedDataset::snapshot`] yields an ordinary
-//! [`model::Dataset`] whose segment map mirrors the sealed files. A
-//! crash mid-append loses at most the torn tail frame: recovery keeps
-//! the checksummed prefix, truncates the rest, and quarantines corrupt
-//! segment files aside (they re-ingest like any other records). The
-//! plain [`model::Dataset::new`] constructor is simply the one-segment
-//! case, so every unsegmented caller behaves bit-identically.
+//! Datasets grow in memory. [`model::Dataset::append_segment`] returns a
+//! new [`model::Dataset`] with the appended records as one more immutable
+//! **segment**, every existing segment and its cached fingerprint carried
+//! over unchanged; [`query::Catalog::append_to_dataset`] re-registers
+//! that dataset under its name, and [`model::Dataset::with_segments`]
+//! builds the same segment map in one step. The plain
+//! [`model::Dataset::new`] constructor is simply the one-segment case, so
+//! every unsegmented caller behaves bit-identically.
+//!
+//! Appended records live only as long as the process: the behavior store
+//! and the view catalog persist, the records do not. After a restart the
+//! catalog holds whatever datasets the new process registers, so a view
+//! built over records the process no longer has sees different segment
+//! fingerprints, probes `Invalid` and rebuilds on its next refresh —
+//! never a replay over inputs that are gone. (A durable APPEND would
+//! persist the segments through `deepbase_store::durable` as a feature of
+//! its own.)
 //!
 //! Execution follows the segment map, through the engine's **one
 //! streaming pass** (see the `engine` module, *One streaming pass*): one shuffled
@@ -197,9 +203,7 @@
 //! ([`session::Session::append_records`]) and re-running a query scans
 //! the old segments warm and pays forward passes **only for the new
 //! ones** — warm incremental re-inspection, bit-identical to a cold run
-//! over the same segmented dataset. [`session::Session::watermark`]
-//! reports the per-dataset ingest high-water mark the session last
-//! inspected.
+//! over the same segmented dataset.
 //!
 //! ## Materialized views
 //!
@@ -411,8 +415,7 @@ pub mod prelude {
         MutualInfoMeasure,
     };
     pub use crate::model::{
-        Dataset, FnHypothesis, HypothesisFn, ParseCache, ParseHypothesis, Record, SegmentedDataset,
-        UnitGroup,
+        Dataset, FnHypothesis, HypothesisFn, ParseCache, ParseHypothesis, Record, UnitGroup,
     };
     pub use crate::plan::{
         bind, freshness_label, optimize_store, AdmissionConfig, BatchOutput, BatchReport,
@@ -420,7 +423,7 @@ pub mod prelude {
     };
     pub use crate::query::{parse, Catalog};
     pub use crate::result::{CompletionStatus, ResultFrame, ScoreRow};
-    pub use crate::session::{SegmentWatermark, Session, SessionConfig, SessionStats, ViewRefresh};
+    pub use crate::session::{Session, SessionConfig, SessionStats, ViewRefresh};
     pub use deepbase_store::{
         BehaviorStore, ColumnKey, FpHasher, MaterializationPolicy, StoreConfig, StoreStats,
         ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ERROR_RING_CAP,

@@ -10,7 +10,6 @@ use crate::error::DniError;
 use deepbase_lang::vocab::{project_behavior, Window};
 use deepbase_lang::ParseTree;
 use deepbase_lang::{EarleyParser, Grammar, TreeHypothesis};
-use deepbase_store::durable::{self, ByteReader, ByteWriter};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -304,368 +303,6 @@ impl Dataset {
         *self
             .fp
             .get_or_init(|| fingerprint_records(self.ns, &self.records))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WAL-backed streaming ingest
-// ---------------------------------------------------------------------------
-
-/// Magic + format version for the write-ahead log file.
-const WAL_MAGIC: &[u8; 8] = b"DBWAL\x01\0\0";
-/// Magic + format version for sealed segment files.
-const SEG_MAGIC: &[u8; 8] = b"DBSEG\x01\0\0";
-/// The WAL file name inside a [`SegmentedDataset`] directory.
-const WAL_FILE: &str = "wal.log";
-
-fn io_err(what: &str, path: &std::path::Path, e: impl std::fmt::Display) -> DniError {
-    DniError::Io(format!("{what} {}: {e}", path.display()))
-}
-
-/// Serializes one record for WAL frames and segment files. The `Arc`
-/// sharing between `text` and `source_text` is not preserved across a
-/// round-trip (each decoded record owns its source string), which only
-/// costs memory, never correctness.
-fn encode_record(r: &Record, out: &mut ByteWriter) {
-    out.u64(r.id as u64);
-    out.u32s(&r.symbols);
-    out.str(&r.text);
-    out.u64(r.source_id as u64);
-    out.str(&r.source_text);
-    out.u64(r.offset as u64);
-    out.u64(r.visible as u64);
-}
-
-/// Decodes an [`encode_record`] payload. Returns `None` on any truncation,
-/// trailing byte or malformed UTF-8 (callers treat that as corruption).
-fn decode_record(buf: &[u8]) -> Option<Record> {
-    let mut c = ByteReader::new(buf);
-    let record = Record {
-        id: c.u64()? as usize,
-        symbols: c.u32s()?,
-        text: c.str()?,
-        source_id: c.u64()? as usize,
-        source_text: Arc::new(c.str()?),
-        offset: c.u64()? as usize,
-        visible: c.u64()? as usize,
-    };
-    c.done().then_some(record)
-}
-
-fn payload_checksum(payload: &[u8]) -> u64 {
-    let mut h = deepbase_store::FpHasher::new();
-    h.write_bytes(payload);
-    h.finish()
-}
-
-fn segment_file_name(seq: u64) -> String {
-    format!("segment-{seq:06}.seg")
-}
-
-/// Parses a sealed segment file. Returns `(ns, records)` or `None` on any
-/// corruption (bad magic, truncation, checksum mismatch).
-fn parse_segment_file(bytes: &[u8]) -> Option<(usize, Vec<Record>)> {
-    let checked = bytes.strip_prefix(&SEG_MAGIC[..])?;
-    let (body, stored) = checked.split_at(checked.len().checked_sub(8)?);
-    if payload_checksum(body).to_le_bytes() != *stored {
-        return None;
-    }
-    let mut c = ByteReader::new(body);
-    let ns = c.u64()? as usize;
-    let n_records = c.u64()? as usize;
-    let mut records = Vec::with_capacity(n_records.min(body.len()));
-    for _ in 0..n_records {
-        records.push(decode_record(c.blob()?)?);
-    }
-    c.done().then_some((ns, records))
-}
-
-fn build_segment_file(ns: usize, records: &[Record]) -> Vec<u8> {
-    let mut out = ByteWriter::default();
-    out.bytes(SEG_MAGIC);
-    out.u64(ns as u64);
-    out.u64(records.len() as u64);
-    for r in records {
-        let mut payload = ByteWriter::default();
-        encode_record(r, &mut payload);
-        out.blob(&payload.0);
-    }
-    let sum = payload_checksum(&out.0[SEG_MAGIC.len()..]);
-    out.u64(sum);
-    out.0
-}
-
-/// One WAL frame: payload length, payload checksum, the record.
-fn build_wal_frame(record: &Record) -> Vec<u8> {
-    let mut payload = ByteWriter::default();
-    encode_record(record, &mut payload);
-    let mut frame = ByteWriter::default();
-    frame.u32(payload.0.len() as u32);
-    frame.u64(payload_checksum(&payload.0));
-    frame.bytes(&payload.0);
-    frame.0
-}
-
-/// The next whole, checksummed [`build_wal_frame`] frame holding a record
-/// of `ns` symbols; `None` at the end of the log or at a torn tail.
-fn read_wal_frame(c: &mut ByteReader, ns: usize) -> Option<Record> {
-    let len = c.u32()? as usize;
-    let sum = c.u64()?;
-    let payload = c.bytes(len)?;
-    if payload_checksum(payload) != sum {
-        return None;
-    }
-    decode_record(payload).filter(|r| r.symbols.len() == ns)
-}
-
-/// Makes `path` durably hold exactly `bytes` ([`durable::publish`]).
-fn publish(path: &std::path::Path, bytes: &[u8]) -> Result<(), DniError> {
-    use std::io::Write as _;
-    durable::publish(path, |f| Ok(f.write_all(bytes)?)).map_err(|e| io_err("publish", path, e))
-}
-
-/// Publishes an empty WAL (magic + the segment sequence it seals into).
-fn reset_wal(wal_path: &std::path::Path, seq: u64) -> Result<(), DniError> {
-    let mut header = ByteWriter::default();
-    header.bytes(WAL_MAGIC);
-    header.u64(seq);
-    publish(wal_path, &header.0)
-}
-
-/// A dataset that grows by streaming ingest: records append through a
-/// length-prefixed, checksummed write-ahead log and are sealed into
-/// immutable segment files, each carrying its own content fingerprint
-/// when snapshotted into a [`Dataset`]. Files are published, stale temps
-/// reaped and corrupt segments quarantined by `deepbase_store::durable`'s
-/// one rule.
-///
-/// Layout under `dir`: `segment-{seq:06}.seg` (sealed, immutable) plus
-/// `wal.log` (the unsealed tail). The WAL header records the segment
-/// sequence its records will seal into; on reopen, if that segment file
-/// already exists the process crashed between seal-rename and WAL reset,
-/// so the WAL's records are already durable and the log is discarded
-/// (exactly-once ingest across the crash window). A torn tail write is
-/// truncated at the last whole checksummed frame; a corrupt sealed
-/// segment is renamed aside (quarantined) and reported through
-/// [`SegmentedDataset::errors`], leaving every other segment readable and
-/// the lost records re-ingestable.
-#[derive(Debug)]
-pub struct SegmentedDataset {
-    dir: std::path::PathBuf,
-    id: String,
-    ns: usize,
-    /// Sealed segments, in sequence order.
-    segments: Vec<Vec<Record>>,
-    /// The unsealed tail: records appended to the WAL since the last seal.
-    tail: Vec<Record>,
-    /// Segment sequence the current WAL seals into (= header seq).
-    wal_seq: u64,
-    /// Open WAL handle, positioned at the end.
-    wal: std::fs::File,
-    /// Fail-soft recovery notes: quarantined segment files, discarded
-    /// duplicate WALs, torn-tail truncations.
-    errors: Vec<String>,
-}
-
-impl SegmentedDataset {
-    /// Opens (or creates) a segmented dataset rooted at `dir`, recovering
-    /// sealed segments and the WAL tail. Recoverable damage (corrupt
-    /// segment files, torn WAL tails, already-sealed WALs) is repaired
-    /// and noted in [`SegmentedDataset::errors`]; only unrecoverable I/O
-    /// failures return `Err`.
-    pub fn open(
-        dir: impl Into<std::path::PathBuf>,
-        id: &str,
-        ns: usize,
-    ) -> Result<SegmentedDataset, DniError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, e))?;
-        durable::reap_stale_temps(&dir);
-        let mut errors = Vec::new();
-
-        // Load sealed segments in sequence order; quarantine corrupt ones.
-        let mut seg_files: Vec<(u64, std::path::PathBuf)> = Vec::new();
-        let entries = std::fs::read_dir(&dir).map_err(|e| io_err("read dir", &dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err("read dir entry", &dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(seq) = name
-                .strip_prefix("segment-")
-                .and_then(|s| s.strip_suffix(".seg"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                seg_files.push((seq, entry.path()));
-            }
-        }
-        seg_files.sort();
-        let mut segments = Vec::new();
-        let mut seg_seqs = Vec::new();
-        for (seq, path) in &seg_files {
-            let bytes = durable::read_file(path).map_err(|e| io_err("read segment", path, e))?;
-            match bytes.and_then(|bytes| parse_segment_file(&bytes)) {
-                Some((seg_ns, records)) if seg_ns == ns => {
-                    segments.push(records);
-                    seg_seqs.push(*seq);
-                }
-                _ => {
-                    // Quarantine: rename aside so the damage is inspectable
-                    // and the slot is free for re-ingest.
-                    let aside =
-                        durable::quarantine(path).map_err(|e| io_err("quarantine", path, e))?;
-                    errors.push(format!(
-                        "segment {} corrupt; quarantined as {}",
-                        segment_file_name(*seq),
-                        aside.display()
-                    ));
-                }
-            }
-        }
-        let next_seq = seg_seqs.iter().max().map_or(0, |m| m + 1);
-
-        // Recover the WAL tail.
-        let wal_path = dir.join(WAL_FILE);
-        let mut tail = Vec::new();
-        let mut wal_seq = next_seq;
-        let mut need_reset = true;
-        let wal_bytes = durable::read_file(&wal_path);
-        if let Some(bytes) = wal_bytes.map_err(|e| io_err("read wal", &wal_path, e))? {
-            let mut c = ByteReader::new(&bytes);
-            let header_seq = c
-                .bytes(WAL_MAGIC.len())
-                .filter(|magic| magic == WAL_MAGIC)
-                .and_then(|_| c.u64());
-            if let Some(header_seq) = header_seq {
-                if seg_seqs.contains(&header_seq) {
-                    // Crash between seal-rename and WAL reset: these
-                    // records are already durable in the sealed segment.
-                    errors.push(format!(
-                        "wal for already-sealed segment {header_seq} discarded"
-                    ));
-                } else {
-                    wal_seq = header_seq;
-                    need_reset = false;
-                    // Parse frames; keep the whole-frame checksummed
-                    // prefix, truncate any torn suffix.
-                    let mut good = c.pos();
-                    while let Some(r) = read_wal_frame(&mut c, ns) {
-                        tail.push(r);
-                        good = c.pos();
-                    }
-                    if good != bytes.len() {
-                        errors.push(format!(
-                            "wal tail torn at byte {good} of {}; truncated",
-                            bytes.len()
-                        ));
-                        let f = std::fs::OpenOptions::new()
-                            .write(true)
-                            .open(&wal_path)
-                            .map_err(|e| io_err("open wal", &wal_path, e))?;
-                        f.set_len(good as u64)
-                            .map_err(|e| io_err("truncate wal", &wal_path, e))?;
-                    }
-                }
-            } else if !bytes.is_empty() {
-                errors.push("wal header corrupt; log discarded".to_string());
-            }
-        }
-        if need_reset {
-            reset_wal(&wal_path, wal_seq)?;
-        }
-        let wal = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&wal_path)
-            .map_err(|e| io_err("open wal", &wal_path, e))?;
-
-        Ok(SegmentedDataset {
-            dir,
-            id: id.to_string(),
-            ns,
-            segments,
-            tail,
-            wal_seq,
-            wal,
-            errors,
-        })
-    }
-
-    /// Appends one record to the WAL (durable before return; sealed into
-    /// an immutable segment by [`SegmentedDataset::seal`]).
-    pub fn append(&mut self, record: Record) -> Result<(), DniError> {
-        use std::io::Write as _;
-        if record.symbols.len() != self.ns {
-            return Err(DniError::BadRecord {
-                record: record.id,
-                msg: format!("record length {} != ns {}", record.symbols.len(), self.ns),
-            });
-        }
-        let wal_path = self.dir.join(WAL_FILE);
-        self.wal
-            .write_all(&build_wal_frame(&record))
-            .map_err(|e| io_err("append wal", &wal_path, e))?;
-        self.wal
-            .sync_data()
-            .map_err(|e| io_err("sync wal", &wal_path, e))?;
-        self.tail.push(record);
-        Ok(())
-    }
-
-    /// Seals the WAL tail into an immutable segment file (published
-    /// atomically), then resets the WAL for the next segment. No-op when
-    /// the tail is empty. Crash-safe: the WAL is reset only *after* the
-    /// segment rename lands, and reopen detects the in-between state by
-    /// the WAL header's sequence number.
-    pub fn seal(&mut self) -> Result<(), DniError> {
-        if self.tail.is_empty() {
-            return Ok(());
-        }
-        let seg_path = self.dir.join(segment_file_name(self.wal_seq));
-        publish(&seg_path, &build_segment_file(self.ns, &self.tail))?;
-        // Segment durable; now reset the WAL for the next sequence.
-        self.wal_seq += 1;
-        let wal_path = self.dir.join(WAL_FILE);
-        reset_wal(&wal_path, self.wal_seq)?;
-        self.wal = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&wal_path)
-            .map_err(|e| io_err("open wal", &wal_path, e))?;
-        self.segments.push(std::mem::take(&mut self.tail));
-        Ok(())
-    }
-
-    /// Snapshots the **sealed** segments as an immutable [`Dataset`]
-    /// (unsealed tail records are excluded until [`SegmentedDataset::seal`]).
-    pub fn snapshot(&self) -> Result<Arc<Dataset>, DniError> {
-        Ok(Arc::new(Dataset::with_segments(
-            &self.id,
-            self.ns,
-            self.segments.clone(),
-        )?))
-    }
-
-    /// Total sealed records across all segments.
-    pub fn len(&self) -> usize {
-        self.segments.iter().map(Vec::len).sum()
-    }
-
-    /// True when no records are sealed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of sealed segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Records appended but not yet sealed.
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Fail-soft recovery notes from [`SegmentedDataset::open`]
-    /// (quarantined segments, torn-tail truncations, discarded WALs).
-    pub fn errors(&self) -> &[String] {
-        &self.errors
     }
 }
 
@@ -1157,122 +794,5 @@ mod tests {
             let _ = h.behavior(&rec).unwrap();
         }
         assert_eq!(cache.miss_count(), 1, "one parse serves all hypotheses");
-    }
-    fn golden_records() -> Vec<Record> {
-        vec![
-            Record::standalone(0, vec![97, 98, 99], "abc".to_string()),
-            Record {
-                id: 1,
-                symbols: vec![120, 121, 122],
-                text: "xyz".to_string(),
-                source_id: 7,
-                source_text: Arc::new("wxyz!".to_string()),
-                offset: 1,
-                visible: 2,
-            },
-        ]
-    }
-
-    /// `golden_records()` sealed as `segment-000000.seg` by the parent
-    /// commit's code.
-    const GOLDEN_SEGMENT: &[u8] = &[
-        0x44, 0x42, 0x53, 0x45, 0x47, 0x01, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x00, 0x00, 0x00, 0x62,
-        0x00, 0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x62, 0x63, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x61, 0x62, 0x63, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x40, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
-        0x00, 0x78, 0x00, 0x00, 0x00, 0x79, 0x00, 0x00, 0x00, 0x7a, 0x00, 0x00, 0x00, 0x03, 0x00,
-        0x00, 0x00, 0x78, 0x79, 0x7a, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00,
-        0x00, 0x00, 0x77, 0x78, 0x79, 0x7a, 0x21, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0d, 0xd3, 0xa2, 0xbd, 0x44, 0xc9, 0x12,
-        0x45,
-    ];
-    /// The `wal.log` of segment 1 holding `golden_records()[1]`, as the
-    /// parent commit's code wrote it: 16 header bytes, then one frame.
-    const GOLDEN_WAL: &[u8] = &[
-        0x44, 0x42, 0x57, 0x41, 0x4c, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x40, 0x00, 0x00, 0x00, 0xd8, 0x6a, 0xfd, 0x88, 0x48, 0x73, 0x01, 0x63, 0x01, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x78, 0x00, 0x00, 0x00, 0x79,
-        0x00, 0x00, 0x00, 0x7a, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x78, 0x79, 0x7a, 0x07,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x77, 0x78, 0x79, 0x7a,
-        0x21, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x00, 0x00,
-    ];
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("deepbase-model-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn the_segment_file_bytes_did_not_move() {
-        let records = golden_records();
-        assert_eq!(build_segment_file(3, &records), GOLDEN_SEGMENT);
-        let (ns, decoded) = parse_segment_file(GOLDEN_SEGMENT).expect("golden decodes");
-        assert_eq!(ns, 3);
-        assert_eq!(build_segment_file(ns, &decoded), GOLDEN_SEGMENT);
-        assert_eq!(decoded[1].source_text.as_str(), "wxyz!");
-        assert_eq!((decoded[1].offset, decoded[1].visible), (1, 2));
-        for cut in 0..GOLDEN_SEGMENT.len() {
-            assert!(
-                parse_segment_file(&GOLDEN_SEGMENT[..cut]).is_none(),
-                "prefix {cut} decoded"
-            );
-        }
-        assert!(parse_segment_file(&[GOLDEN_SEGMENT, &[0]].concat()).is_none());
-    }
-
-    #[test]
-    fn the_wal_bytes_did_not_move_and_every_torn_tail_is_cut_at_a_frame() {
-        let record = golden_records().pop().unwrap();
-        let (header, frame) = GOLDEN_WAL.split_at(16);
-        assert_eq!(build_wal_frame(&record), frame);
-        // The record payload itself: every cut and any trailing byte is
-        // refused.
-        let payload = &frame[12..];
-        assert_eq!(
-            build_wal_frame(&decode_record(payload).expect("golden decodes")),
-            frame
-        );
-        for cut in 0..payload.len() {
-            assert!(decode_record(&payload[..cut]).is_none(), "prefix {cut}");
-        }
-        assert!(decode_record(&[payload, &[0]].concat()).is_none());
-
-        // Through recovery: the golden log replays its one record; a log
-        // cut anywhere inside the frame (or grown by a byte) keeps only
-        // whole frames and is truncated there, never misread.
-        let dir = temp_dir("wal");
-        let wal = dir.join(WAL_FILE);
-        let recover = |bytes: &[u8]| {
-            std::fs::write(&wal, bytes).unwrap();
-            let ds = SegmentedDataset::open(&dir, "d", 3).unwrap();
-            (
-                ds.tail_len(),
-                ds.errors().len(),
-                std::fs::read(&wal).unwrap(),
-            )
-        };
-        assert_eq!(recover(GOLDEN_WAL), (1, 0, GOLDEN_WAL.to_vec()));
-        for cut in 17..GOLDEN_WAL.len() {
-            assert_eq!(
-                recover(&GOLDEN_WAL[..cut]),
-                (0, 1, header.to_vec()),
-                "cut {cut}"
-            );
-        }
-        let longer = [GOLDEN_WAL, &[0]].concat();
-        assert_eq!(recover(&longer), (1, 1, GOLDEN_WAL.to_vec()));
-        // A cut inside the header discards the log and starts segment 0.
-        for cut in 1..16 {
-            let (tail, notes, bytes) = recover(&GOLDEN_WAL[..cut]);
-            assert_eq!((tail, notes), (0, 1), "cut {cut}");
-            assert_eq!(bytes, [&header[..8], &[0; 8]].concat(), "cut {cut}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

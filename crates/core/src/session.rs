@@ -162,20 +162,6 @@ type FrameKey = (String, usize, ConfigFp);
 /// anything else was not built by this pass and probes `Invalid`.
 const VIEW_ENGINE_TAG: &str = "DeepBase";
 
-/// High-water mark of a dataset's ingest as last inspected by this
-/// session: how many sealed segments (and records) the dataset had when
-/// a batch over it last completed without error. Appending records and
-/// re-running a query moves the dataset *past* this mark — the per-
-/// segment store keys then serve every segment at or below it from the
-/// store, so only the records above the mark pay a forward pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SegmentWatermark {
-    /// Sealed segments inspected.
-    pub segments: usize,
-    /// Records inspected.
-    pub records: usize,
-}
-
 /// One catalog view as listed by [`Session::list_views`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewInfo {
@@ -276,9 +262,6 @@ pub struct Session {
     /// Cumulative store accounting across the session's batches (plus
     /// the open error, if the configured store could not be opened).
     store_stats: StoreStats,
-    /// Per-dataset ingest high-water marks (keyed by dataset id),
-    /// advanced after every batch that completes without a query error.
-    watermarks: HashMap<String, SegmentWatermark>,
 }
 
 /// Inserts into a FIFO-bounded map: a new key joins the back of `order`
@@ -366,7 +349,6 @@ impl Session {
             scheduler,
             store_swept_once: false,
             store_stats,
-            watermarks: HashMap::new(),
         }
     }
 
@@ -614,25 +596,6 @@ impl Session {
         // materialized view (zero extraction, zero store scans).
         output.report.store.view_hits += physical.stats.view_replays;
 
-        // Advance the ingest high-water mark of every dataset whose
-        // queries all completed (a failed query never advances a mark —
-        // its records were not fully inspected). Marks only move
-        // forward: a batch over a stale dataset handle cannot rewind
-        // what a later append already established.
-        for (qi, plan) in plans.iter().enumerate() {
-            let failed = output
-                .report
-                .query_errors
-                .get(qi)
-                .is_some_and(|e| e.is_some());
-            if failed {
-                continue;
-            }
-            let mark = self.watermarks.entry(plan.dataset.id.clone()).or_default();
-            mark.segments = mark.segments.max(plan.dataset.segment_count());
-            mark.records = mark.records.max(plan.dataset.records.len());
-        }
-
         // Store lifecycle: a read-write batch ends with a compaction
         // sweep — stale temporaries of crashed writers and quarantined
         // files past the retention budget are reclaimed, and cold columns
@@ -780,22 +743,13 @@ impl Session {
         })
     }
 
-    /// The ingest high-water mark last recorded for a dataset id: how
-    /// many sealed segments and records the dataset had when a batch
-    /// over it last completed without error. `None` until a first
-    /// successful batch touches the dataset.
-    pub fn watermark(&self, dataset_id: &str) -> Option<SegmentWatermark> {
-        self.watermarks.get(dataset_id).copied()
-    }
-
     /// Appends a batch of records to a registered dataset as one new
-    /// sealed segment (see [`Catalog::append_to_dataset`]) and
+    /// in-memory segment (see [`Catalog::append_to_dataset`]) and
     /// re-registers it under the same name. The catalog generation bumps
     /// — cached plans and scores drop — but the behavior store stays
     /// warm: columns are keyed per *segment* fingerprint, and the
     /// existing segments are byte-identical after the append, so a
-    /// re-run extracts only the records above the session's
-    /// [`Session::watermark`].
+    /// re-run extracts only the appended segment's records.
     pub fn append_records(&mut self, name: &str, records: Vec<Record>) -> Result<(), DniError> {
         self.catalog_mut().append_to_dataset(name, records)
     }

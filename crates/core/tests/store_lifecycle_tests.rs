@@ -778,17 +778,15 @@ fn session_error_ring_stays_capped_while_the_count_stays_exact() {
 }
 
 // ---------------------------------------------------------------------
-// Crash litter: one reap rule for columns, views and segments
+// Crash litter: one reap rule for columns and views
 // ---------------------------------------------------------------------
 
 /// A temp file a foreign process left behind is kept while it is young
 /// (its writer may be alive) and reaped once it has aged — by `open` and
-/// by `compact`, in a pair directory, in `views/` and in a segment
-/// directory alike.
+/// by `compact`, in a pair directory and in `views/` alike.
 #[test]
 fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
     let dir = store_dir("reap");
-    let seg_dir = store_dir("reap-segments");
     let config = store_config(&dir, MaterializationPolicy::ReadWrite);
     let store = BehaviorStore::open(&config).unwrap();
     let key = ColumnKey {
@@ -798,12 +796,10 @@ fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
     };
     store.write_column(&key, 4, 2, &[0.5; 8]).unwrap();
     std::fs::create_dir_all(store.views().dir()).unwrap();
-    drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
     let litter = [
         dir.join("0000000000000001.0000000000000002/u7.col.tmp.99999.3"),
         // The counter-less name older builds gave view temps.
         store.views().dir().join("v-00.view.tmp.99999"),
-        seg_dir.join("segment-000000.seg.tmp.99999.0"),
     ];
     let strew = |aged: bool| {
         for path in &litter {
@@ -821,8 +817,7 @@ fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
     strew(false);
     assert_eq!(store.compact(u64::MAX), StoreStats::default());
     drop(BehaviorStore::open(&config).unwrap());
-    drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
-    assert_eq!(survivors(), 3, "a young temp may be a live writer's");
+    assert_eq!(survivors(), 2, "a young temp may be a live writer's");
 
     strew(true);
     let report = store.compact(u64::MAX);
@@ -831,13 +826,11 @@ fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
         (2, 2 * b"half-written".len() as u64),
         "compaction reaps the pair directory and views/"
     );
-    drop(SegmentedDataset::open(&seg_dir, "d", NS).unwrap());
     assert_eq!(survivors(), 0);
 
     strew(true);
     drop(BehaviorStore::open(&config).unwrap());
-    assert!(!litter[0].exists() && !litter[1].exists(), "open reaps too");
+    assert_eq!(survivors(), 0, "open reaps too");
     assert!(store.contains(&key), "the real column is untouched");
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&seg_dir);
 }

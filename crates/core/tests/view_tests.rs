@@ -5,7 +5,8 @@
 //! segments and the folded frame stays bit-identical to a full cold
 //! rebuild on SingleCore and Parallel; whitespace/case variants of one
 //! statement normalize to one view; stale reads raise the typed
-//! `ViewStale` error instead of silently paying extraction; and a
+//! `ViewStale` error instead of silently paying extraction; a view over
+//! appended records is invalid after a restart and rebuilds; and a
 //! crashed (abandoned mid-write) refresh leaves the old entry intact
 //! on reopen.
 
@@ -573,6 +574,57 @@ fn a_view_stamped_by_another_engine_is_invalid_and_rebuilds() {
     assert_eq!(stored(&session).engine, "DeepBase");
     assert_eq!(session.read_view("v").unwrap(), built);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appended records live in memory only; the store and its views outlive
+/// the process. A session reopened over the same store with the base
+/// catalog — what a restart leaves — sees a view whose dataset lost a
+/// segment: it probes `Invalid`, is neither replayed nor read, and its
+/// refresh rebuilds it over the records the process has.
+#[test]
+fn after_a_restart_a_view_over_appended_records_is_invalid_and_rebuilds() {
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let dir = tmp_dir(&format!("restart-{:?}", device).replace(['(', ')'], "-"));
+        let rw = MaterializationPolicy::ReadWrite;
+        let (mut session, _) = session_at(&dir, device, 2, rw);
+        session.create_view("v", Q).unwrap();
+        session
+            .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+            .unwrap();
+        assert_eq!(
+            session.refresh_view("v").unwrap(),
+            ViewRefresh::Incremental { new_segments: 1 }
+        );
+        drop(session);
+
+        let reference = cold_reference(device, 2);
+        let (mut reopened, _) = session_at(&dir, device, 2, rw);
+        let explain = reopened.explain(Q).unwrap();
+        assert!(explain.contains("view: v, invalid"), "got:\n{explain}");
+        let out = reopened.run_batch(&[Q]).unwrap();
+        assert!(out.report.query_errors.iter().all(Option::is_none));
+        assert_eq!(
+            (out.report.store.view_hits, out.report.plan.view_replays),
+            (0, 0),
+            "an invalid view is never replayed ({device:?})"
+        );
+        assert_eq!(out.tables, reference);
+        match reopened.read_view("v") {
+            Err(DniError::ViewStale { view, reason }) => {
+                assert_eq!(view, "v");
+                assert_eq!(reason, "inputs changed; refresh rebuilds the view");
+            }
+            other => panic!("a read after restart must raise ViewStale, got {other:?}"),
+        }
+        assert_eq!(reopened.refresh_view("v").unwrap(), ViewRefresh::Rebuilt);
+        let rebuilt = reopened.read_view("v").unwrap();
+        assert_eq!(
+            bits(&rebuilt),
+            bits(&reference[0]),
+            "the rebuilt view ≡ a cold run over the base catalog ({device:?})"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------

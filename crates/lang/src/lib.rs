@@ -1,7 +1,10 @@
 //! # deepbase-lang
 //!
-//! Language substrate for the DeepBase reproduction: everything the paper
-//! borrows from NLTK and Stanford CoreNLP, implemented from scratch.
+//! Language substrate for the DeepBase reproduction: the grammars, parser
+//! and hypothesis generators the paper borrows from NLTK, implemented from
+//! scratch. The §6.3 POS probes need no tagger: [`corpus`] generates its
+//! sentences with their ground-truth tags, which stand in for the paper's
+//! CoreNLP annotations.
 //!
 //! * `grammar` ([`Grammar`]) — probabilistic context-free grammars with a text DSL and
 //!   weighted sampling (the paper's synthetic-SQL generator).
@@ -18,8 +21,6 @@
 //!   presets (§6.1).
 //! * [`paren`] — the Appendix C nested-parentheses grammar and its
 //!   ground-truth hypotheses.
-//! * [`pos`] — the Penn Treebank tagset and a rule-based POS tagger (the
-//!   CoreNLP stand-in for §6.3).
 //! * [`corpus`] — synthetic English→German parallel corpus with
 //!   ground-truth tags (the WMT15 stand-in for §6.3).
 
@@ -28,7 +29,6 @@ mod earley;
 mod grammar;
 pub mod hypothesis;
 pub mod paren;
-pub mod pos;
 pub mod sql;
 mod tree;
 pub mod vocab;

@@ -1,9 +1,7 @@
 //! Property-based tests for the language substrate: grammar/parser
-//! round-trips, hypothesis-vector invariants, windowing laws, and tagger
-//! totality.
+//! round-trips, hypothesis-vector invariants and windowing laws.
 
 use deepbase_lang::hypothesis::{keyword_behavior, TreeHypothesis};
-use deepbase_lang::pos::{tag_id, PosTagger};
 use deepbase_lang::vocab::{project_behavior, sliding_windows, Vocab};
 use deepbase_lang::{EarleyParser, Grammar, TreeRepr};
 use deepbase_tensor::init::seeded_rng;
@@ -129,12 +127,6 @@ proptest! {
     fn vocab_roundtrip_known_chars(text in "[a-d]{0,20}") {
         let v = Vocab::from_alphabet(&['a', 'b', 'c', 'd']);
         prop_assert_eq!(v.decode(&v.encode(&text)), text);
-    }
-
-    #[test]
-    fn tagger_is_total_and_emits_penn_tags(word in "[A-Za-z]{1,12}") {
-        let tag = PosTagger::new().tag(&word);
-        prop_assert!(tag_id(tag).is_some(), "{word} -> {tag} not in tagset");
     }
 
     #[test]

@@ -584,6 +584,58 @@ fn stale_views_refuse_reads_and_refresh_folds_new_segments() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A restarted server keeps its store and views but not the records
+/// APPEND added: a view refreshed over an appended segment reads as
+/// invalid after the restart, and its refresh rebuilds it over the base
+/// dataset.
+#[test]
+fn after_a_restart_a_view_over_appended_records_is_invalid_and_rebuilds() {
+    let dir = temp_dir("view-restart");
+    let passes = Arc::new(AtomicUsize::new(0));
+    let first = start_server(
+        demo::catalog_sized(ND, NS, UNITS, &passes),
+        session_config(Some(store_config(&dir))),
+    );
+    let mut client = Client::connect(first.addr()).expect("connect");
+    client.create_view("v", demo::QUERIES[0]).expect("create");
+    assert_eq!(client.append("seq", wire_segment(0)).expect("append"), 16);
+    assert_eq!(
+        client.refresh_view("v").expect("incremental refresh"),
+        deepbase_client::ViewRefreshOutcome::Incremental { new_segments: 1 }
+    );
+    client.shutdown().expect("shutdown acknowledged");
+    first.join();
+
+    let second = start_server(
+        demo::catalog_sized(ND, NS, UNITS, &passes),
+        session_config(Some(store_config(&dir))),
+    );
+    let mut client = Client::connect(second.addr()).expect("reconnect");
+    let listed = client.list_views().expect("list");
+    assert_eq!(
+        (listed[0].0.as_str(), listed[0].1.as_str()),
+        ("v", "invalid")
+    );
+    match client.read_view("v") {
+        Err(ClientError::Server(DniError::ViewStale { view, reason })) => {
+            assert_eq!(view, "v");
+            assert_eq!(reason, "inputs changed; refresh rebuilds the view");
+        }
+        other => panic!("a read after restart must raise ViewStale, got {other:?}"),
+    }
+    assert_eq!(
+        client.refresh_view("v").expect("rebuild"),
+        deepbase_client::ViewRefreshOutcome::Rebuilt
+    );
+    assert_eq!(
+        client.read_view("v").expect("rebuilt read"),
+        reference_after_appends(0),
+        "the rebuilt frame must be bit-identical to a cold run over the base dataset"
+    );
+    drop(second);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two connections read the view in a loop while a third appends and
 /// refreshes: every successful read is bit-identical to the old frame or
 /// the new one — never torn — and stale windows surface only as the

@@ -1,25 +1,24 @@
 //! One way to put bytes on disk, and one way to lay them out. Column
-//! files, view files, sealed dataset segments and the WAL header all
-//! follow the rules below; view bodies, records, WAL frames and measure
-//! states are all written by [`ByteWriter`] and read by [`ByteReader`].
+//! files and view files follow the rules below; view bodies and measure
+//! states are written by [`ByteWriter`] and read by [`ByteReader`].
 //!
-//! * **Publish** ([`publish`]). A file appears under its final name only
+//! * **Publish** (`publish`). A file appears under its final name only
 //!   complete: the bytes go to the sibling temp
 //!   `<final file name>.tmp.<pid>.<n>` — `n` from one process-wide
 //!   counter, so no two writers of one process (threads, store instances,
 //!   catalogs) ever share a temp — which is fsynced, then renamed over
 //!   the destination. A reader sees the old file or the new one.
-//! * **Reap** ([`reap_stale_temps`], on read-write opens and compaction).
+//! * **Reap** (`reap_stale_temps`, on read-write opens and compaction).
 //!   A writer holds its temp for milliseconds, so a temp older than
 //!   [`TMP_REAP_AGE`] belongs to a crashed writer and is deleted. A young
 //!   temp (maybe an in-flight write of a concurrent process), a temp of
 //!   this process and a file whose age cannot be read are never reaped.
 //!   The counter-less `.tmp.<pid>` of older builds is recognised too.
-//! * **Quarantine** ([`quarantine`]). A file that failed validation is
+//! * **Quarantine** (`quarantine`). A file that failed validation is
 //!   renamed to `<name>.corrupt.<pid>.<n>` (same counter: repeated
 //!   quarantines of one name keep every sample) — a forensic sample, not
 //!   live data.
-//! * **Read** ([`read_file`]). Transient IO errors are retried with
+//! * **Read** (`read_file`). Transient IO errors are retried with
 //!   bounded backoff (`retry_transient`); wrong bytes never are.
 
 use crate::StoreError;
@@ -28,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-/// How old a temp file must be before [`reap_stale_temps`] deletes it.
+/// How old a temp file must be before `reap_stale_temps` deletes it.
 pub const TMP_REAP_AGE: Duration = Duration::from_secs(60);
 
 /// Sleeps (ms) between the attempts of [`retry_transient`]: at most
@@ -49,7 +48,7 @@ fn sibling(path: &Path, kind: &str) -> PathBuf {
 /// Makes `path` durable with whatever `write` puts into the file it is
 /// handed (temp, fsync, rename; no directory fsync). A failed write
 /// leaves `path` untouched and removes its temp.
-pub fn publish<T>(
+pub(crate) fn publish<T>(
     path: &Path,
     write: impl FnOnce(&mut File) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
@@ -76,7 +75,7 @@ fn temp_pid(name: &str) -> Option<u32> {
 
 /// Deletes the temps crashed writers left in `dir` (the reap rule of the
 /// module docs) and returns `(files, bytes)` reclaimed.
-pub fn reap_stale_temps(dir: &Path) -> (usize, u64) {
+pub(crate) fn reap_stale_temps(dir: &Path) -> (usize, u64) {
     let (mut files, mut bytes) = (0, 0);
     for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
         let Some(pid) = entry.file_name().to_str().and_then(temp_pid) else {
@@ -100,13 +99,13 @@ pub fn reap_stale_temps(dir: &Path) -> (usize, u64) {
 
 /// Moves a file that failed validation aside (the quarantine rule of the
 /// module docs) and returns where it went.
-pub fn quarantine(path: &Path) -> Result<PathBuf, StoreError> {
+pub(crate) fn quarantine(path: &Path) -> Result<PathBuf, StoreError> {
     let aside = sibling(path, "corrupt");
     fs::rename(path, &aside)?;
     Ok(aside)
 }
 
-/// True for names [`quarantine`] produced.
+/// True for names `quarantine` produced.
 pub(crate) fn is_quarantined(name: &str) -> bool {
     name.contains(".corrupt.")
 }
@@ -136,7 +135,7 @@ pub(crate) fn retry_transient<T>(
 
 /// The whole file at `path` (transient IO errors retried); `Ok(None)`
 /// when it does not exist. Validating the bytes is the caller's.
-pub fn read_file(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+pub(crate) fn read_file(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
     retry_transient(&mut 0, || match fs::read(path) {
         Ok(bytes) => Ok(Some(bytes)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -151,7 +150,7 @@ pub struct ByteWriter(pub Vec<u8>);
 
 impl ByteWriter {
     /// Raw bytes, no length prefix.
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.0.extend_from_slice(v);
     }
     pub(crate) fn u8(&mut self, v: u8) {
@@ -164,18 +163,13 @@ impl ByteWriter {
         self.bytes(&v.to_le_bytes());
     }
     /// `u32` length, then the bytes.
-    pub fn blob(&mut self, v: &[u8]) {
+    pub(crate) fn blob(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.bytes(v);
     }
     /// A string as the [`ByteWriter::blob`] of its UTF-8.
-    pub fn str(&mut self, v: &str) {
+    pub(crate) fn str(&mut self, v: &str) {
         self.blob(v.as_bytes());
-    }
-    /// `u32` count, then each value.
-    pub fn u32s(&mut self, vs: &[u32]) {
-        self.u32(vs.len() as u32);
-        vs.iter().for_each(|&v| self.u32(v));
     }
     /// `u32` count, then each value.
     pub(crate) fn u64s(&mut self, vs: &[u64]) {
@@ -203,7 +197,7 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
     /// The next `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
         let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
         self.pos += n;
         Some(s)
@@ -218,17 +212,13 @@ impl<'a> ByteReader<'a> {
         Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
     /// A [`ByteWriter::blob`].
-    pub fn blob(&mut self) -> Option<&'a [u8]> {
+    pub(crate) fn blob(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
         self.bytes(len)
     }
     /// A [`ByteWriter::str`]; malformed UTF-8 is `None`.
-    pub fn str(&mut self) -> Option<String> {
+    pub(crate) fn str(&mut self) -> Option<String> {
         String::from_utf8(self.blob()?.to_vec()).ok()
-    }
-    /// A [`ByteWriter::u32s`].
-    pub fn u32s(&mut self) -> Option<Vec<u32>> {
-        self.counted(4, ByteReader::u32)
     }
     /// A [`ByteWriter::u64s`].
     pub(crate) fn u64s(&mut self) -> Option<Vec<u64>> {

@@ -749,7 +749,7 @@ pub(crate) fn write_column<W: Write>(
     Ok(summary)
 }
 
-/// Writes a column file atomically ([`crate::durable::publish`]).
+/// Writes a column file atomically (`crate::durable::publish`).
 /// `covered` follows `write_column`'s contract (None iff the column is
 /// complete).
 pub fn write_column_file(

@@ -16,8 +16,8 @@
 //!   or bit-packed dictionary). A file of any other version reads as
 //!   corrupt and re-materializes.
 //! * [`durable`] — how bytes become durable, stated once for every
-//!   artifact (columns, views, and the core crate's dataset segments and
-//!   WAL): atomic publish through a uniquely named temp, the one rule for
+//!   artifact (columns and views): atomic publish through a uniquely
+//!   named temp, the one rule for
 //!   which temps are crash litter, quarantine naming, retried whole-file
 //!   reads — `std::fs` only — and the little-endian `ByteWriter` /
 //!   `ByteReader` pair every variable-length payload is laid out with.

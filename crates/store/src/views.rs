@@ -288,7 +288,7 @@ impl ViewCatalog {
     /// created lazily by the first `save` — a store that never
     /// materializes a view keeps its old layout. Read-write opens of an
     /// existing catalog reap the temp files crashed refreshes left behind
-    /// ([`durable::reap_stale_temps`]; the completed entry a crashed
+    /// (`durable::reap_stale_temps`; the completed entry a crashed
     /// refresh failed to replace is untouched). Never fails: an
     /// unreadable directory just behaves as an empty catalog whose writes
     /// error.
@@ -394,7 +394,7 @@ impl ViewCatalog {
             .find(|doc| doc.statement == statement)
     }
 
-    /// Persists a view atomically ([`durable::publish`]) and refreshes the
+    /// Persists a view atomically (`durable::publish`) and refreshes the
     /// in-memory cache. Returns the bytes written.
     pub fn save(&self, doc: &ViewDoc) -> Result<u64, StoreError> {
         if self.read_only {

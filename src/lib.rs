@@ -6,8 +6,8 @@
 //!
 //! * [`deepbase`] — the inspection engine (the paper's contribution).
 //! * [`nn`] — trainable neural-network substrate (Keras stand-in).
-//! * [`lang`] — grammars, parsing, hypotheses, POS tagging (NLTK/CoreNLP
-//!   stand-in).
+//! * [`lang`] — grammars, parsing, hypotheses and a POS-tagged synthetic
+//!   corpus (NLTK / annotated-WMT15 stand-in).
 //! * [`stats`] — statistical measures (scipy/scikit-learn stand-in).
 //! * [`relational`] — mini columnar engine (PostgreSQL/MADLib stand-in).
 //! * [`tensor`] — dense linear algebra (NumPy stand-in), built on cache-
