@@ -19,18 +19,16 @@
 //! charge clamped to the budget and therefore runs exclusively, then
 //! releases.
 //!
-//! Deadlock-freedom rests on one invariant: **a permit is only ever
-//! awaited on the thread that runs the batch.** A bounded batch does not
-//! fan its groups out across the runtime pool — it runs them, and their
-//! waves, one at a time on its own thread — so no pool job ever blocks in
-//! `AdmissionScheduler::acquire`. (Under an unbounded budget groups do
-//! fan out and acquire on pool workers, but an unbounded acquire never
-//! waits.) A wave holding a permit may help drain the global pool queue
-//! while its pass waits on scoped work; every job it can pop there runs
-//! to completion without a permit, so the holder always finishes and
-//! releases. Permits are held only for one engine pass (each wave
-//! re-acquires), and the head ticket always fits once in-flight work
-//! drains (charges are clamped to the budget).
+//! Deadlock-freedom rests on one invariant: **a thread waiting for a
+//! permit runs nothing else.** Every parallel path in the engine is a
+//! `deepbase_runtime::fan_out` over scoped threads, each running only its
+//! own chunk of items; there is no shared queue a waiting thread could
+//! help drain. So a batch's groups may fan out and wait for permits on
+//! their own threads, bounded budget or not: the permit holder's pass
+//! depends only on threads it spawned itself, which never acquire, and
+//! always finishes and releases. Permits are held only for one engine
+//! pass (each wave re-acquires), and the head ticket always fits once
+//! in-flight work drains (charges are clamped to the budget).
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -89,12 +87,6 @@ impl AdmissionScheduler {
             state: Mutex::new(SchedState::default()),
             cond: Condvar::new(),
         })
-    }
-
-    /// The budgets this scheduler enforces (also the per-plan splitting
-    /// config of the session that owns it and of its forks).
-    pub(crate) fn admission(&self) -> AdmissionConfig {
-        self.admission
     }
 
     /// Cumulative scheduling counters.

@@ -17,26 +17,29 @@
 //! sample), one hypothesis per state otherwise.
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
-//! extraction fans record blocks across worker threads and independent
+//! extraction fans record blocks across threads and independent
 //! measures parallelize across hypothesis lists (§4.3), standing in for
-//! the paper's CUDA offload.
+//! the paper's CUDA offload. Training is never split: a merged probe
+//! trains on one thread on either device.
 //!
 //! ## Device → runtime mapping
 //!
-//! All parallel execution runs on the **persistent worker pool** in
-//! `deepbase-runtime` (spawned once per process, sized to the machine),
-//! never on per-call threads:
+//! Every parallel path is one call to `deepbase_runtime::fan_out(width,
+//! items, f)`, which splits the items into at most `width` contiguous
+//! chunks, runs the first on the calling thread and each other on a
+//! scoped thread of its own, and returns the results in item order:
 //!
-//! * [`Device::SingleCore`] executes everything inline on the calling
-//!   thread — the pool is untouched.
-//! * [`Device::Parallel`]`(n)` splits work into `n` deterministic chunks
-//!   (record blocks in [`Extractor`] extraction, hypothesis-list ranges in
-//!   the independent-measure fan-out, output-row panels inside
-//!   `Matrix::matmul_parallel`) and dispatches the chunks onto the global
-//!   pool via its scoped `spawn` API. `n` controls the *chunking* — the
-//!   simulated device width — while the pool supplies however many OS
-//!   threads the machine has; because chunk boundaries never depend on
-//!   which worker runs a chunk, results are identical to `SingleCore`.
+//! * [`Device::SingleCore`] is width 1: every fan-out is a plain loop on
+//!   the calling thread and nothing is spawned.
+//! * [`Device::Parallel`]`(n)` is width `n`, for the record chunks of a
+//!   streamed block in [`Extractor`] extraction, the hypothesis lists of
+//!   an independent measure in the reference designs, the segment
+//!   streams of a full pass and the groups of a plan. Chunk bounds
+//!   depend only on `n` and the item count, never on scheduling, so
+//!   results are identical to `SingleCore`. Each fan-out spawns up to
+//!   `n - 1` threads and joins them before it returns; a spawn + join
+//!   costs ≈ 25–50 µs per thread on a 2-vCPU x86-64 VM, which is why
+//!   only these coarse units fan out.
 //!
 //! Records are shuffled by **index** and processed through `&[&Record]`
 //! borrows; no record payload is cloned per inspection.
@@ -102,8 +105,8 @@
 //!   refresh ≡ cold invariant materialized views rely on. Measures
 //!   without [`Measure::supports_segment_merge`] are refused up front
 //!   with a typed error. Streams extract single-core and are themselves
-//!   the parallel grain: two or more fan out across the runtime pool on
-//!   [`Device::Parallel`]. Budget row/block caps apply per stream;
+//!   the parallel grain: two or more fan out on [`Device::Parallel`].
+//!   Budget row/block caps apply per stream;
 //!   deadline and cancellation stay global, and the lowest-index
 //!   interruption is the pass's completion status.
 //!
@@ -166,18 +169,20 @@ pub enum EngineKind {
     Madlib,
 }
 
-/// Execution device for extraction and merged training.
+/// Execution device: how wide extraction and the engine's other fan-outs
+/// run. Training is never split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Device {
     /// Sequential execution.
     SingleCore,
-    /// Thread-parallel execution with the given worker count — the
-    /// simulated GPU (see the module docs, *Device → runtime mapping*).
+    /// Thread-parallel execution, fanning out at most the given number of
+    /// chunks at a time — the simulated GPU (see the module docs, *Device
+    /// → runtime mapping*).
     Parallel(usize),
 }
 
 impl Device {
-    fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         match self {
             Device::SingleCore => 1,
             Device::Parallel(n) => (*n).max(1),
@@ -494,8 +499,9 @@ pub fn inspect_as(
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// Extracts unit behaviors for `records`, fanning record chunks across the
-/// persistent runtime pool on the parallel device.
+/// Extracts unit behaviors for `records`: one extractor call on the
+/// single-core device; on the parallel device, one call per contiguous
+/// record chunk, the chunks run by `fan_out` and stacked in record order.
 fn extract_records(
     extractor: &dyn Extractor,
     records: &[&Record],
@@ -503,27 +509,27 @@ fn extract_records(
     device: Device,
     ns: usize,
 ) -> Matrix {
+    // Fewer than two records per thread take one call.
     let threads = device.threads();
-    // Degenerate datasets (ns == 0 or an empty unit list) have zero-size
-    // per-record buffers; chunking by zero would panic, and there is no
-    // work to parallelize anyway.
-    if threads <= 1 || records.len() < 2 * threads || ns * units.len() == 0 {
-        return extractor.extract(records, units);
+    let width = if records.len() < 2 * threads {
+        1
+    } else {
+        threads
+    };
+    let chunks: Vec<&[&Record]> = records
+        .chunks(records.len().div_ceil(width).max(1))
+        .collect();
+    let mut parts =
+        deepbase_runtime::fan_out(width, &chunks, |recs| extractor.extract(recs, units));
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
     }
-    let chunk = records.len().div_ceil(threads);
-    let mut out = Matrix::zeros(records.len() * ns, units.len());
-    deepbase_runtime::global().scope(|scope| {
-        for (recs, buf) in records
-            .chunks(chunk)
-            .zip(out.as_mut_slice().chunks_mut(chunk * ns * units.len()))
-        {
-            scope.spawn(move || {
-                let m = extractor.extract(recs, units);
-                buf.copy_from_slice(m.as_slice());
-            });
-        }
-    });
-    out
+    let data = parts
+        .iter()
+        .map(Matrix::as_slice)
+        .collect::<Vec<_>>()
+        .concat();
+    Matrix::from_vec(records.len() * ns, units.len(), data).expect("chunks stack to the block")
 }
 
 /// Evaluates one hypothesis over records (through the cache when
@@ -669,26 +675,13 @@ fn inspect_materialized(
                 }
                 (state.final_scores(), blocks)
             };
-            // Independent measures can fan their lists across threads on
-            // the parallel device.
-            let results: Vec<(Vec<PairResult>, usize)> =
-                if threads > 1 && measure.kind() == MeasureKind::Independent {
-                    let mut results = vec![Default::default(); lists.len()];
-                    let chunk = lists.len().div_ceil(threads).max(1);
-                    let score_list = &score_list;
-                    deepbase_runtime::global().scope(|scope| {
-                        for (lists, out) in lists.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                            scope.spawn(move || {
-                                for (list, slot) in lists.iter().zip(out.iter_mut()) {
-                                    *slot = score_list(list);
-                                }
-                            });
-                        }
-                    });
-                    results
-                } else {
-                    lists.iter().map(|list| score_list(list)).collect()
-                };
+            // Independent measures fan their lists out on the parallel
+            // device; a shared list trains on this thread.
+            let width = match measure.kind() {
+                MeasureKind::Independent => threads,
+                _ => 1,
+            };
+            let results = deepbase_runtime::fan_out(width, &lists, |list| score_list(list));
             for (list, (scores, blocks)) in lists.iter().zip(results) {
                 profile.blocks_processed += blocks;
                 for (&h, (unit_scores, group_score)) in list.iter().zip(scores) {
@@ -1032,9 +1025,11 @@ impl<'a> PassLayout<'a> {
     /// extraction), demux, evaluate hypotheses, advance every slot once.
     /// Nothing is ever marked converged on a full pass, so there the same
     /// loop processes every block; its extraction runs single-core because
-    /// the *streams* are the parallel grain (nesting pool scopes could
-    /// starve the fixed pool; extraction output is device-independent, so
-    /// this changes schedule, never results).
+    /// the *streams* are the parallel grain. One extractor call per block
+    /// whatever the device keeps extractor call counts independent of it,
+    /// and it avoids `n` stream threads each fanning out `n` more
+    /// (extraction output is device-independent, so this changes
+    /// schedule, never results).
     fn stream(
         &self,
         seg: &crate::model::SegmentInfo,
@@ -1296,7 +1291,7 @@ impl<'a> PassLayout<'a> {
 /// and returns the folded output with the pass's extraction-pass count.
 /// A fold over one output with no base is the identity.
 fn fold_streams(
-    outputs: Vec<Option<Result<StreamOutput, DniError>>>,
+    outputs: Vec<Result<StreamOutput, DniError>>,
     base: Vec<SlotRun>,
     full_pass: bool,
 ) -> Result<(StreamOutput, usize), DniError> {
@@ -1306,7 +1301,7 @@ fn fold_streams(
     };
     let mut streamed = 0usize;
     for output in outputs {
-        let output = output.expect("every stream slot filled")?;
+        let output = output?;
         streamed += usize::from(output.profile.blocks_processed > 0);
         folded.profile.accumulate(&output.profile);
         folded.stats.accumulate(&output.stats);
@@ -1421,30 +1416,17 @@ pub(crate) fn run_pass(
         None => Vec::new(),
     };
 
-    // Stream every non-skipped segment: in order on the calling thread,
-    // or — full-pass streams on the parallel device — fanned across the
-    // runtime pool. Either way the outputs land in segment-index order.
-    let run_stream = |seg: &crate::model::SegmentInfo| {
-        let source = sources.map(|s| &s[seg.index]);
-        layout.stream(seg, source, config, budget, full_pass, t_start)
-    };
-    let streamed = &segments[opts.skip_segments..];
-    let mut outputs: Vec<Option<Result<StreamOutput, DniError>>> =
-        (0..streamed.len()).map(|_| None).collect();
-    if config.device.threads() <= 1 || streamed.len() < 2 {
-        for (seg, out) in streamed.iter().zip(outputs.iter_mut()) {
-            *out = Some(run_stream(seg));
-        }
-    } else {
-        let run_stream = &run_stream;
-        deepbase_runtime::global().scope(|scope| {
-            for (seg, out) in streamed.iter().zip(outputs.iter_mut()) {
-                scope.spawn(move || {
-                    *out = Some(run_stream(seg));
-                });
-            }
-        });
-    }
+    // Stream every non-skipped segment, fanned out at the device's width
+    // (in order on the calling thread on the single-core device); the
+    // outputs land in segment-index order either way.
+    let outputs = deepbase_runtime::fan_out(
+        config.device.threads(),
+        &segments[opts.skip_segments..],
+        |seg| {
+            let source = sources.map(|s| &s[seg.index]);
+            layout.stream(seg, source, config, budget, full_pass, t_start)
+        },
+    );
     let (folded, extraction_passes) = fold_streams(outputs, base, full_pass)?;
     layout.finish(
         reqs,

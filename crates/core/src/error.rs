@@ -46,10 +46,10 @@ pub enum DniError {
     /// As with [`DniError::DeadlineExceeded`], an INSPECT degrades
     /// gracefully instead; a view build or refresh raises this.
     Cancelled,
-    /// A worker panicked; the panic was contained at the extraction-group
+    /// A hypothesis or extractor panicked, on the batch's thread or a
+    /// fan-out thread; the panic was contained at the extraction-group
     /// boundary and its original payload is carried here verbatim. One
-    /// poisoned group fails only its own queries — siblings complete and
-    /// the runtime pool stays usable.
+    /// poisoned group fails only its own queries — siblings complete.
     Internal(String),
     /// A view-catalog I/O failure (loading, saving or dropping a view
     /// file). The behavior *store* keeps its own fail-soft error channel

@@ -14,8 +14,8 @@ use deepbase_store::FpHasher;
 use deepbase_tensor::{activation, Matrix};
 
 /// Extracts hidden-unit behaviors for records. Implementations must be
-/// thread-safe: the parallel device fans record blocks across the
-/// `deepbase-runtime` worker pool.
+/// thread-safe: the parallel device splits a block's records into chunks
+/// and extracts each on its own thread.
 ///
 /// Records are passed by reference (`&[&Record]`) so the engine can hand
 /// extractors arbitrary shuffled views of a dataset without cloning record

@@ -272,12 +272,14 @@
 //! The paper's baselines ([`engine::inspect_as`]) have no partial answer
 //! and refuse a limited budget with [`DniError::BadConfig`].
 //!
-//! Failure domains are bounded the same way. A worker panic (a
-//! hypothesis or extractor that panics mid-stream) is contained at the
+//! Failure domains are bounded the same way. A panic in a hypothesis or
+//! extractor — on the batch's thread or on any fan-out thread: a group,
+//! a segment stream, an extraction chunk — is contained at the
 //! extraction-group boundary: the dead group's queries fail with
 //! [`DniError::Internal`] carrying the original panic payload verbatim
-//! ([`plan::BatchReport::query_errors`]), sibling groups run to
-//! completion, and the runtime pool stays usable. Store IO distinguishes
+//! ([`plan::BatchReport::query_errors`]), and sibling groups run to
+//! completion. The fan-out threads are scoped to the call that spawned
+//! them, so nothing outlives a panic. Store IO distinguishes
 //! **transient** error kinds (interrupted/would-block/timed-out reads —
 //! retried with bounded backoff and counted in
 //! [`prelude::StoreStats::io_retries`]) from corruption, which is
@@ -335,13 +337,14 @@
 //! Because forks share the scheduler, `max_stream_width` /
 //! `max_scan_width` bound the **sum of in-flight widths across all
 //! connections** instead of each batch holding a private budget
-//! ([`session::Session::scheduler`] exposes its counters). A bounded
-//! batch runs its groups one at a time on its own thread, so a permit is
-//! only ever awaited there, never by a runtime-pool job. A SHUTDOWN frame
-//! (or idle timeout) drains in-flight batches
-//! through the shared [`engine::CancelToken`] — streaming passes degrade
-//! gracefully and persist watermark-extending partial columns — then
-//! runs one final compaction sweep before the listener closes.
+//! ([`session::Session::scheduler`] exposes its counters). A batch's
+//! groups fan out on the parallel device under a bounded budget too: a
+//! thread waiting for a permit runs nothing else, so it can never block
+//! the permit holder. A SHUTDOWN frame (or idle timeout) drains
+//! in-flight batches through the shared [`engine::CancelToken`] —
+//! streaming passes degrade gracefully and persist watermark-extending
+//! partial columns — then runs one final compaction sweep before the
+//! listener closes.
 //!
 //! Modules map to the paper; the private ones export what callers use
 //! through the [`prelude`]:

@@ -865,7 +865,7 @@ impl MeasureState for DiffMeansState {
 pub struct LogRegMeasure {
     /// Identifier — distinguishes e.g. `logreg_l1` from `logreg_l2`.
     pub name: String,
-    /// Probe hyper-parameters (regularization, learning rate, threads).
+    /// Probe hyper-parameters (regularization, learning rate, epochs).
     pub config: LogRegConfig,
     /// SGD passes over each block as it arrives (approximates the paper's
     /// multi-epoch training while remaining streamable).

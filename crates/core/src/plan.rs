@@ -40,7 +40,7 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::CacheStats;
 use crate::engine::{
-    hypothesis_lists, measure_key, run_pass, ArmedBudget, Device, FoldOpts, InspectionConfig,
+    hypothesis_lists, measure_key, run_pass, ArmedBudget, FoldOpts, InspectionConfig,
     InspectionRequest, MeasureKey, Profile, RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
@@ -1213,11 +1213,10 @@ impl PhysicalPlan {
 
         // Waves of one group run sequentially (that is the admission
         // queue), each re-acquiring its permit. Independent groups fan
-        // out across the runtime pool on the parallel device only under
-        // an unbounded budget: a bounded batch keeps every permit wait on
-        // this thread, since a pool worker waiting for a permit could be
-        // the one the permit holder's pass is waiting on.
-        let run_group = |g: &PlanGroup| -> Result<Vec<SharedOutcome>, DniError> {
+        // out at the device's width, bounded or not: a group thread
+        // waiting for a permit runs nothing else, so it can never be one
+        // the permit holder's pass is waiting on.
+        let outcomes = deepbase_runtime::fan_out(config.device.threads(), &self.groups, |g| {
             (0..g.waves.len())
                 .map(|wi| {
                     self.run_wave(
@@ -1230,29 +1229,8 @@ impl PhysicalPlan {
                     )
                     .map(|(outcome, _)| outcome)
                 })
-                .collect()
-        };
-        let fan_out = matches!(config.device, Device::Parallel(_))
-            && self.groups.len() > 1
-            && !scheduler.admission().is_bounded();
-        let outcomes: Vec<Result<Vec<SharedOutcome>, DniError>> = if fan_out {
-            let mut slots: Vec<Option<Result<Vec<SharedOutcome>, DniError>>> =
-                (0..self.groups.len()).map(|_| None).collect();
-            deepbase_runtime::global().scope(|scope| {
-                for (group, slot) in self.groups.iter().zip(slots.iter_mut()) {
-                    let run_group = &run_group;
-                    scope.spawn(move || {
-                        *slot = Some(run_group(group));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("group job ran"))
-                .collect()
-        } else {
-            self.groups.iter().map(run_group).collect()
-        };
+                .collect::<Result<Vec<SharedOutcome>, DniError>>()
+        });
         // Contained panics (`DniError::Internal`) fail only the dead
         // group's queries; every other error indicts the batch as a whole
         // (bad inputs, store corruption) and keeps failing it here.

@@ -2,13 +2,14 @@
 //! parallel device never deadlock, and a view pass is charged at its
 //! wave's widths.
 //!
-//! The deadlock test is a regression loop under a watchdog (as the
-//! runtime's `pool_drop_stress`): six groups, each nearly as wide as the
-//! stream budget, on `Device::Parallel(3)`. Were the groups fanned out
-//! across the runtime pool, a wave holding the permit could pop a sibling
-//! group's job while its own pass waits on scoped work, and that job
-//! would wait forever for the permit the helping wave holds. A hang
-//! fails after 30 s of silence instead of blocking.
+//! The deadlock test is a regression loop under a watchdog: six groups,
+//! each nearly as wide as the stream budget, fanned out on
+//! `Device::Parallel(3)`, so group threads wait for the one permit while
+//! its holder's pass runs. It guards the admission invariant that a
+//! thread waiting for a permit runs nothing else: a fan-out whose waiting
+//! threads ran queued work could hand the permit holder a sibling group
+//! that waits forever for the permit it holds. A hang fails after 30 s
+//! of silence instead of blocking.
 
 mod common;
 

@@ -9,6 +9,7 @@ mod common;
 use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
+use deepbase_relational::Table;
 use deepbase_tensor::Matrix;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,9 +46,12 @@ impl Extractor for InstrumentedExtractor {
     }
 }
 
-/// A hypothesis whose evaluation panics — the poisoned-worker case the
-/// group boundary must contain.
-struct PanicHypothesis;
+/// A hypothesis whose evaluation panics on every record from
+/// `from_record` on — the poisoned-worker case the group boundary must
+/// contain.
+struct PanicHypothesis {
+    from_record: usize,
+}
 
 impl HypothesisFn for PanicHypothesis {
     fn id(&self) -> &str {
@@ -56,7 +60,32 @@ impl HypothesisFn for PanicHypothesis {
 
     fn behavior(&self, record: &Record) -> Result<Vec<f32>, deepbase::DniError> {
         let id = std::hint::black_box(record.id);
+        if id < self.from_record {
+            return Ok(vec![0.0; NS]);
+        }
         panic!("hypothesis panicker misbehaved on record {id}");
+    }
+}
+
+/// An extractor that panics on any thread but `home`, the thread that
+/// runs the batch: only an extraction chunk fanned out to a thread of its
+/// own can reach the panic.
+struct OffThreadPanicExtractor {
+    inner: PrecomputedExtractor,
+    home: std::thread::ThreadId,
+}
+
+impl Extractor for OffThreadPanicExtractor {
+    fn n_units(&self) -> usize {
+        self.inner.n_units()
+    }
+
+    fn extract(&self, records: &[&Record], unit_ids: &[usize]) -> Matrix {
+        if std::thread::current().id() != self.home {
+            let n = std::hint::black_box(records.len());
+            panic!("extractor misbehaved on a chunk of {n} records");
+        }
+        self.inner.extract(records, unit_ids)
     }
 }
 
@@ -470,8 +499,17 @@ fn baselines_refuse_every_limited_budget_and_run_unlimited() {
 // ---------------------------------------------------------------------
 
 /// Two models (two extraction groups), a good hypothesis set and a
-/// panicking one.
+/// panicking one, over `nd` records; `m3` is a model whose extractor
+/// panics off the calling thread.
 fn panic_catalog(nd: usize) -> Catalog {
+    panic_catalog_over(
+        Dataset::new("seq", NS, records(nd)).unwrap(),
+        PanicHypothesis { from_record: 0 },
+    )
+}
+
+fn panic_catalog_over(dataset: Dataset, hypothesis: PanicHypothesis) -> Catalog {
+    let nd = dataset.len();
     let mut catalog = Catalog::new();
     for mid in ["m1", "m2"] {
         catalog.add_model_with_units(
@@ -481,12 +519,18 @@ fn panic_catalog(nd: usize) -> Catalog {
             unit_metas(),
         );
     }
-    catalog.add_hypotheses("good", char_hypotheses());
-    catalog.add_hypotheses("bad", vec![Arc::new(PanicHypothesis)]);
-    catalog.add_dataset(
-        "seq",
-        Arc::new(Dataset::new("seq", NS, records(nd)).unwrap()),
+    catalog.add_model_with_units(
+        "m3",
+        1,
+        Arc::new(OffThreadPanicExtractor {
+            inner: PrecomputedExtractor::new(behaviors(nd), NS),
+            home: std::thread::current().id(),
+        }),
+        unit_metas(),
     );
+    catalog.add_hypotheses("good", char_hypotheses());
+    catalog.add_hypotheses("bad", vec![Arc::new(hypothesis)]);
+    catalog.add_dataset("seq", Arc::new(dataset));
     catalog
 }
 
@@ -496,43 +540,130 @@ const Q_BAD: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr
 const Q_GOOD: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
                       FROM models M, units U, hypotheses H, inputs D \
                       WHERE M.mid = 'm2' AND H.name = 'good'";
+const Q_BAD_EXTRACTOR: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr \
+                               OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D \
+                               WHERE M.mid = 'm3' AND H.name = 'good'";
+
+/// Runs `[bad, Q_GOOD]` on `session` and checks that the bad query fails
+/// alone with an `Internal` error carrying a panic message that starts
+/// with `payload`, and that `Q_GOOD`'s table is bit-equal to `reference`.
+/// Returns the message.
+fn assert_contained(
+    session: &mut Session,
+    bad: &str,
+    payload: &str,
+    reference: &Table,
+    leg: &str,
+) -> String {
+    let out = session.run_batch(&[bad, Q_GOOD]).unwrap();
+    let msg = match &out.report.query_errors[0] {
+        Some(deepbase::DniError::Internal(msg)) => msg.clone(),
+        other => panic!("{leg}: expected a contained Internal error, got {other:?}"),
+    };
+    assert!(msg.contains(payload), "{leg}: payload lost: {msg:?}");
+    assert!(
+        out.tables[0].is_empty(),
+        "{leg}: the dead query's table is empty"
+    );
+    assert!(out.report.query_errors[1].is_none(), "{leg}");
+    assert_eq!(&out.tables[1], reference, "{leg}");
+    msg
+}
 
 #[test]
-fn contained_panic_fails_only_its_query_and_the_pool_stays_usable() {
+fn contained_panic_fails_only_its_query_through_every_fan_out() {
     let nd = 16;
     let catalog = panic_catalog(nd);
     let reference = bare(&catalog, &config(Device::SingleCore))
         .run_batch(&[Q_GOOD])
         .unwrap()
         .tables;
+    let hyp_payload = "hypothesis panicker misbehaved on record";
 
     for device in [Device::SingleCore, Device::Parallel(3)] {
-        let out = bare(&catalog, &config(device))
-            .run_batch(&[Q_BAD, Q_GOOD])
-            .unwrap();
-        // The poisoned group fails only its own query, with the original
-        // panic payload carried verbatim.
-        match &out.report.query_errors[0] {
-            Some(deepbase::DniError::Internal(msg)) => {
-                assert!(
-                    msg.contains("hypothesis panicker misbehaved on record"),
-                    "payload lost: {msg:?}"
-                );
-            }
-            other => panic!("expected a contained Internal error, got {other:?}"),
-        }
-        assert!(out.tables[0].is_empty(), "the dead query's table is empty");
-        // The sibling group's results are returned untouched.
-        assert!(out.report.query_errors[1].is_none());
-        assert_eq!(out.tables[1], reference[0]);
+        assert_contained(
+            &mut bare(&catalog, &config(device)),
+            Q_BAD,
+            hyp_payload,
+            &reference[0],
+            &format!("{device:?}"),
+        );
     }
 
-    // The runtime pool survived the contained panics: a fresh parallel
-    // batch on it still completes.
-    let again = bare(&catalog, &config(Device::Parallel(3)))
+    // (a) A stream budget that fits one group, never both: the two
+    // groups fan out under a bound and queue for the permit.
+    let (bad_width, good_width) = (UNITS + 1, UNITS + 2);
+    let mut bounded = Session::with_config(
+        catalog.clone(),
+        SessionConfig {
+            inspection: config(Device::Parallel(3)),
+            admission: AdmissionConfig {
+                max_stream_width: Some(good_width),
+                max_scan_width: None,
+            },
+            reuse_scores: false,
+            cache_bytes: 0,
+            ..SessionConfig::default()
+        },
+    );
+    assert_contained(&mut bounded, Q_BAD, hyp_payload, &reference[0], "bounded");
+    let stats = bounded.scheduler().stats();
+    assert_eq!(stats.waves_admitted, 2);
+    assert!(
+        stats.peak_stream_width < bad_width + good_width,
+        "{stats:?}"
+    );
+
+    // (b) Two segments, the hypothesis panicking only on the second: the
+    // panic is raised on the second segment's stream thread.
+    let halves = vec![
+        records(nd)[..nd / 2].to_vec(),
+        records(nd)[nd / 2..].to_vec(),
+    ];
+    let segmented = panic_catalog_over(
+        Dataset::with_segments("seq", NS, halves).unwrap(),
+        PanicHypothesis {
+            from_record: nd / 2,
+        },
+    );
+    let segmented_reference = bare(&segmented, &config(Device::SingleCore))
         .run_batch(&[Q_GOOD])
-        .unwrap();
-    assert_eq!(again.tables, reference);
+        .unwrap()
+        .tables;
+    let msg = assert_contained(
+        &mut bare(&segmented, &config(Device::Parallel(3))),
+        Q_BAD,
+        hyp_payload,
+        &segmented_reference[0],
+        "stream thread",
+    );
+    let record: usize = msg.rsplit(' ').next().unwrap().parse().unwrap();
+    assert!(record >= nd / 2, "raised by the second segment: {msg:?}");
+
+    // (c) Blocks of 8 records split into 3 extraction chunks; the
+    // extractor panics on the two chunks fanned out to threads of their
+    // own, never on the first, which runs on the batch's thread.
+    let chunked = InspectionConfig {
+        block_records: 8,
+        ..config(Device::Parallel(3))
+    };
+    let chunked_reference = bare(
+        &catalog,
+        &InspectionConfig {
+            device: Device::SingleCore,
+            ..chunked.clone()
+        },
+    )
+    .run_batch(&[Q_GOOD])
+    .unwrap()
+    .tables;
+    assert_contained(
+        &mut bare(&catalog, &chunked),
+        Q_BAD_EXTRACTOR,
+        "extractor misbehaved on a chunk of 3 records",
+        &chunked_reference[0],
+        "extraction chunk",
+    );
 }
 
 #[test]

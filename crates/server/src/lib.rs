@@ -26,10 +26,10 @@
 //!   every fork: concurrent batches from different connections acquire
 //!   FIFO permits against the *same* stream/scan-width budgets, so N
 //!   connections cannot hold N× the configured width resident.
-//! * **One runtime pool.** Connection handlers are plain OS threads —
-//!   never runtime-pool jobs, whose blocking socket reads would starve
-//!   the pool — and the engine's scoped fan-out inside each batch uses
-//!   the shared global pool as always.
+//! * **No shared worker pool.** Connection handlers are plain OS
+//!   threads, and a batch on the parallel device fans out on scoped
+//!   threads of its own that end with the call; no connection can
+//!   starve another of workers.
 //!
 //! Failure containment composes with serving: a hypothesis or extractor
 //! panic is caught at the extraction-group boundary inside the engine

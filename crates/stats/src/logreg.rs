@@ -33,9 +33,6 @@ pub struct LogRegConfig {
     pub batch_size: usize,
     /// Shuffle seed (training is fully deterministic given the seed).
     pub seed: u64,
-    /// Worker threads for the input matrix products; >1 engages the
-    /// reproduction's parallel "GPU" device.
-    pub threads: usize,
 }
 
 impl Default for LogRegConfig {
@@ -47,7 +44,6 @@ impl Default for LogRegConfig {
             epochs: 20,
             batch_size: 64,
             seed: 0,
-            threads: 1,
         }
     }
 }
@@ -191,11 +187,7 @@ impl MultiLogReg {
 
     /// Predicted probabilities, shape `n x n_outputs`.
     pub fn predict_proba(&self, x: &Matrix) -> Matrix {
-        let mut logits = if self.config.threads > 1 {
-            x.matmul_parallel(&self.weights, self.config.threads)
-        } else {
-            x.matmul(&self.weights)
-        };
+        let mut logits = x.matmul(&self.weights);
         logits.add_row_broadcast(&self.bias);
         activation::sigmoid_slice(logits.as_mut_slice());
         logits
@@ -217,11 +209,7 @@ impl MultiLogReg {
 
         // Forward pass into the error buffer: err = sigmoid(xW + b).
         let err = &mut self.scratch.err;
-        if self.config.threads > 1 {
-            x.matmul_parallel_into(&self.weights, self.config.threads, err);
-        } else {
-            x.matmul_into(&self.weights, err);
-        }
+        x.matmul_into(&self.weights, err);
         err.add_row_broadcast(&self.bias);
         activation::sigmoid_slice(err.as_mut_slice());
 
@@ -341,11 +329,7 @@ impl SoftmaxReg {
 
     /// Class probabilities, shape `n x k`.
     pub(crate) fn predict_proba(&self, x: &Matrix) -> Matrix {
-        let mut logits = if self.config.threads > 1 {
-            x.matmul_parallel(&self.weights, self.config.threads)
-        } else {
-            x.matmul(&self.weights)
-        };
+        let mut logits = x.matmul(&self.weights);
         logits.add_row_broadcast(&self.bias);
         ops::softmax_rows(&logits)
     }
@@ -536,33 +520,6 @@ mod tests {
         fit(&mut sep, &x, &y0);
         for f in 0..2 {
             assert!((merged.weights().get(f, 0) - sep.weights().get(f, 0)).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn parallel_device_matches_single_core() {
-        let (x, y) = toy_dataset(150);
-        let mut cpu = MultiLogReg::new(
-            2,
-            1,
-            LogRegConfig {
-                epochs: 10,
-                ..Default::default()
-            },
-        );
-        let mut gpu = MultiLogReg::new(
-            2,
-            1,
-            LogRegConfig {
-                epochs: 10,
-                threads: 4,
-                ..Default::default()
-            },
-        );
-        fit(&mut cpu, &x, &y);
-        fit(&mut gpu, &x, &y);
-        for f in 0..2 {
-            assert!((cpu.weights().get(f, 0) - gpu.weights().get(f, 0)).abs() < 1e-3);
         }
     }
 

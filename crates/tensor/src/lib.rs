@@ -5,9 +5,8 @@
 //! The DeepBase paper builds on NumPy/Keras for its numeric kernels; this
 //! crate provides the equivalent foundation in pure Rust:
 //!
-//! * [`Matrix`] — row-major dense matrix with cache-friendly and parallel
-//!   mat-mul kernels (the parallel path backs the reproduction's simulated
-//!   GPU device),
+//! * [`Matrix`] — row-major dense matrix with cache-blocked mat-mul
+//!   kernels,
 //! * [`activation`] — the one `tanh` / `sigmoid` kernel every model and
 //!   probe calls: branch-free, with a vectorisable slice form, libm-free,
 //!   and versioned, because its output bits key stored behaviors,

@@ -495,51 +495,6 @@ impl Matrix {
             &mut out.data,
         );
     }
-
-    /// Parallel matrix product: output rows are split into `threads`
-    /// deterministic chunks and dispatched onto the persistent
-    /// `deepbase-runtime` worker pool (no per-call thread spawning).
-    ///
-    /// This is the kernel behind the reproduction's simulated "GPU" device:
-    /// the paper offloads batched extraction and merged-model training to a
-    /// K80; we offload the same matrix products to the pool. Chunking is
-    /// independent of which worker runs which chunk, so results are
-    /// bit-identical to [`Matrix::matmul`].
-    pub fn matmul_parallel(&self, other: &Matrix, threads: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_parallel_into(other, threads, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_parallel`] into an existing output (the
-    /// allocation-free hot path used by fused training steps).
-    pub fn matmul_parallel_into(&self, other: &Matrix, threads: usize, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul_parallel inner dims");
-        assert_eq!(
-            out.shape(),
-            (self.rows, other.cols),
-            "matmul_parallel output shape"
-        );
-        let threads = threads.max(1);
-        if threads == 1 || self.rows < 2 * threads || out.data.is_empty() {
-            return self.matmul_into(other, out);
-        }
-        let chunk_rows = self.rows.div_ceil(threads);
-        let out_cols = other.cols;
-        let lhs_cols = self.cols;
-        let lhs = &self.data;
-        let rhs = &other.data;
-        deepbase_runtime::parallel_for_chunks(
-            &mut out.data,
-            chunk_rows * out_cols,
-            |idx, chunk| {
-                let row_start = idx * chunk_rows;
-                let rows_here = chunk.len() / out_cols;
-                let lhs_part = &lhs[row_start * lhs_cols..(row_start + rows_here) * lhs_cols];
-                kernels::matmul_into(lhs_part, rows_here, lhs_cols, rhs, out_cols, chunk);
-            },
-        );
-    }
 }
 
 /// Cache-blocked, register-tiled mat-mul kernels.
@@ -893,16 +848,6 @@ mod tests {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = m(4, 3, &(0..12).map(|x| x as f32).collect::<Vec<_>>());
         assert!(a.matmul_t(&b).approx_eq(&a.matmul(&b.transpose()), 1e-5));
-    }
-
-    #[test]
-    fn matmul_parallel_matches_serial() {
-        let a = Matrix::from_fn(17, 13, |r, c| ((r * 31 + c * 7) % 11) as f32 - 5.0);
-        let b = Matrix::from_fn(13, 9, |r, c| ((r * 13 + c * 3) % 7) as f32 - 3.0);
-        let serial = bits(a.matmul(&b).as_slice());
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(bits(a.matmul_parallel(&b, threads).as_slice()), serial);
-        }
     }
 
     /// Output bits, every NaN as the canonical quiet NaN: Rust leaves a

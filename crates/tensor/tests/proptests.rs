@@ -63,12 +63,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_matmul_matches_serial((a, b) in matmul_pair()) {
-        let serial = a.matmul(&b);
-        prop_assert!(a.matmul_parallel(&b, 4).approx_eq(&serial, 1e-2));
-    }
-
-    #[test]
     fn blocked_matmul_matches_naive_reference((a, b) in matmul_pair()) {
         // The cache-blocked kernel must agree with the retained scalar
         // reference for arbitrary shapes and contents.

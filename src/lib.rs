@@ -12,12 +12,12 @@
 //! * [`relational`] — mini columnar engine (PostgreSQL/MADLib stand-in).
 //! * [`tensor`] — dense linear algebra (NumPy stand-in), built on cache-
 //!   blocked mat-mul kernels.
-//! * [`runtime`] — the persistent worker pool behind every parallel path
-//!   (the CUDA stand-in). `Device::Parallel(n)` in the engine splits work
-//!   into `n` deterministic chunks and runs them on this pool; workers are
-//!   spawned once per process and reused across extraction, measure
-//!   fan-out and mat-mul calls, so parallel results are always identical
-//!   to `Device::SingleCore`.
+//! * [`runtime`] — `fan_out`, the one scoped fan-out behind every parallel
+//!   path (the CUDA stand-in). `Device::Parallel(n)` in the engine splits
+//!   extraction, independent measures' hypothesis lists, segment streams
+//!   and plan groups into at most `n` contiguous chunks, one scoped
+//!   thread each; chunk bounds never depend on scheduling, so parallel
+//!   results are always identical to `Device::SingleCore`.
 //!
 //! See `examples/` for runnable walkthroughs, `crates/bench` for the
 //! harnesses that regenerate every table and figure of the paper, and
