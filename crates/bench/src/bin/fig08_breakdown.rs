@@ -33,15 +33,7 @@ fn main() {
     let mut rows = Vec::new();
     for (mname, measure) in &measures {
         for (ename, engine) in &engines {
-            let profile = run_engine(
-                &setup,
-                &hyps,
-                *measure,
-                *engine,
-                Device::SingleCore,
-                None,
-                None,
-            );
+            let profile = run_engine(&setup, &hyps, *measure, *engine, Device::SingleCore, None);
             rows.push(vec![
                 mname.to_string(),
                 ename.to_string(),

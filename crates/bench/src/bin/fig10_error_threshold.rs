@@ -41,7 +41,6 @@ fn main() {
                     *engine,
                     Device::SingleCore,
                     Some(eps),
-                    None,
                 );
                 cells.push(secs(
                     profile.unit_extraction + profile.hypothesis_extraction,

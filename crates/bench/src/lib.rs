@@ -141,7 +141,6 @@ pub fn run_engine(
     engine: EngineKind,
     device: Device,
     epsilon: Option<f32>,
-    cache: Option<std::sync::Arc<HypothesisCache>>,
 ) -> Profile {
     let extractor = CharModelExtractor::new(&setup.model);
     let request = InspectionRequest {
@@ -155,7 +154,6 @@ pub fn run_engine(
     let config = InspectionConfig {
         device,
         epsilon,
-        cache,
         ..Default::default()
     };
     let (_, profile) = inspect_as(engine, &request, &config).expect("benchmark inspection");
@@ -224,7 +222,7 @@ pub fn sweep_figure(
                 let x = [n_hyps, setup.workload.dataset.len(), n_units][axis];
                 let mut cells = vec![x.to_string()];
                 for &(_, engine, device) in variants {
-                    let profile = run_engine(setup, &hyps, *measure, engine, device, None, None);
+                    let profile = run_engine(setup, &hyps, *measure, engine, device, None);
                     cells.push(secs(profile.total));
                 }
                 rows.push(cells);
@@ -269,7 +267,6 @@ mod tests {
             EngineKind::DeepBase,
             Device::SingleCore,
             Some(0.1),
-            None,
         );
         assert!(profile.records_read > 0);
     }

@@ -113,11 +113,7 @@
 //! Sharing requires that extractors are column-wise consistent (all
 //! in-tree ones compute full activation rows and select columns); two
 //! measures answering to one id stay separate slots, though their result
-//! rows then differ only in position. A configured
-//! [`HypothesisCache`] keys on `(dataset id, hypothesis id, record)`, so
-//! callers must not combine one with same-id-different-function
-//! hypotheses (the batch scheduler detects this and withholds its
-//! implicit cache).
+//! rows then differ only in position.
 //!
 //! ## Reference designs
 //!
@@ -138,7 +134,7 @@
 //! answer, no store, no views and no segments: they take an unlimited
 //! [`RunBudget`] only and read the dataset as one shuffled sequence.
 
-use crate::cache::HypothesisCache;
+use crate::cache::CacheRun;
 use crate::error::DniError;
 use crate::extract::{ColumnDemux, Extractor};
 use crate::measure::{Measure, MeasureKind, MeasureState};
@@ -337,8 +333,6 @@ pub struct InspectionConfig {
     pub epsilon: Option<f32>,
     /// Record-shuffle seed (§5.2.2: records are assumed shuffled).
     pub seed: u64,
-    /// Optional hypothesis-behavior cache shared across runs (Fig. 9).
-    pub cache: Option<Arc<HypothesisCache>>,
     /// Store-side predicate pushdown: scans consult zone maps and skip
     /// blocks whose contents the zone entry proves (reconstructed
     /// bit-exactly, so results never change — this is an escape hatch
@@ -357,7 +351,6 @@ impl Default for InspectionConfig {
             block_records: 512,
             epsilon: None,
             seed: 0,
-            cache: None,
             pushdown: true,
             budget: RunBudget::default(),
         }
@@ -532,30 +525,27 @@ fn extract_records(
     Matrix::from_vec(records.len() * ns, units.len(), data).expect("chunks stack to the block")
 }
 
-/// Evaluates one hypothesis over records (through the cache when
-/// configured), producing a column of `records.len() * ns` values.
+/// Evaluates one hypothesis over the records at `positions` of `dataset`
+/// (through `cache`, if any): a column of `positions.len() * ns` values.
 fn hypothesis_column(
     hyp: &dyn HypothesisFn,
-    records: &[&Record],
-    ns: usize,
-    dataset_id: &str,
-    cache: Option<&Arc<HypothesisCache>>,
+    dataset: &Dataset,
+    positions: &[usize],
+    cache: Option<&CacheRun<'_>>,
 ) -> Result<Vec<f32>, DniError> {
-    let mut col = Vec::with_capacity(records.len() * ns);
-    for rec in records {
-        let behavior: Arc<Vec<f32>> = match cache {
-            Some(c) => c.get_or_compute(dataset_id, hyp.id(), rec.id, || {
-                let b = hyp.behavior(rec)?;
-                validate_behavior(hyp.id(), rec, ns, &b)?;
-                Ok(b)
-            })?,
-            None => {
-                let b = hyp.behavior(rec)?;
-                validate_behavior(hyp.id(), rec, ns, &b)?;
-                Arc::new(b)
-            }
+    let ns = dataset.ns;
+    let mut col = Vec::with_capacity(positions.len() * ns);
+    for &pos in positions {
+        let rec = &dataset.records[pos];
+        let behavior = || -> Result<Vec<f32>, DniError> {
+            let b = hyp.behavior(rec)?;
+            validate_behavior(hyp.id(), rec, ns, &b)?;
+            Ok(b)
         };
-        col.extend_from_slice(&behavior);
+        match cache {
+            Some(c) => col.extend_from_slice(&c.get_or_compute(hyp, dataset, pos, behavior)?),
+            None => col.extend_from_slice(&behavior()?),
+        }
     }
     Ok(col)
 }
@@ -564,14 +554,13 @@ fn epsilon_for(measure: &dyn Measure, config: &InspectionConfig) -> f32 {
     config.epsilon.unwrap_or_else(|| measure.default_epsilon())
 }
 
-/// Seeded shuffle as a vector of borrows: the engines only ever *read*
+/// Seeded shuffle as positions plus borrows: the engines only ever *read*
 /// records, so shuffling indices avoids cloning every record payload
 /// (symbols + window text + source text) per inspection.
-fn shuffled_records(dataset: &Dataset, seed: u64) -> Vec<&Record> {
-    shuffled_indices(dataset.len(), seed)
-        .into_iter()
-        .map(|i| &dataset.records[i])
-        .collect()
+fn shuffled_records(dataset: &Dataset, seed: u64) -> (Vec<usize>, Vec<&Record>) {
+    let positions = shuffled_indices(dataset.len(), seed);
+    let records = positions.iter().map(|&i| &dataset.records[i]).collect();
+    (positions, records)
 }
 
 /// Emits the result rows of one scored `(group, measure, hypothesis)`.
@@ -610,7 +599,7 @@ fn inspect_materialized(
     let t_start = Instant::now();
     let mut profile = Profile::default();
     let ns = req.dataset.ns;
-    let records = shuffled_records(req.dataset, config.seed);
+    let (positions, records) = shuffled_records(req.dataset, config.seed);
     profile.records_read = records.len();
 
     // Materialize unit behaviors per group.
@@ -626,13 +615,7 @@ fn inspect_materialized(
     let t1 = Instant::now();
     let mut hyp_cols: Vec<Vec<f32>> = Vec::with_capacity(req.hypotheses.len());
     for hyp in &req.hypotheses {
-        hyp_cols.push(hypothesis_column(
-            *hyp,
-            &records,
-            ns,
-            &req.dataset.id,
-            config.cache.as_ref(),
-        )?);
+        hyp_cols.push(hypothesis_column(*hyp, req.dataset, &positions, None)?);
     }
     profile.hypothesis_extraction = t1.elapsed();
 
@@ -719,7 +702,9 @@ pub fn inspect_shared(
     config: &InspectionConfig,
 ) -> Result<SharedOutcome, DniError> {
     let armed = config.budget.arm();
-    run_pass(reqs, config, None, armed.as_ref(), &FoldOpts::default()).map(|(outcome, _)| outcome)
+    let opts = FoldOpts::default();
+    let (outcome, _) = run_pass(reqs, config, None, armed.as_ref(), &opts, None)?;
+    Ok(outcome)
 }
 
 /// Outcome of one streaming pass ([`inspect_shared`]).
@@ -829,6 +814,8 @@ struct PassLayout<'a> {
     selections: Vec<Selection>,
     slots: Vec<Slot<'a>>,
     members: Vec<Vec<MemberEntry>>,
+    /// The hypothesis cache the pass looks behaviors up in, if any.
+    cache: Option<&'a CacheRun<'a>>,
 }
 
 /// Identity of a measure within a pass: where it lives, plus its id. The
@@ -931,6 +918,7 @@ impl<'a> PassLayout<'a> {
     fn build(
         reqs: &[InspectionRequest<'a>],
         config: &InspectionConfig,
+        cache: Option<&'a CacheRun<'a>>,
     ) -> Result<PassLayout<'a>, DniError> {
         let mut union_units: Vec<usize> = reqs
             .iter()
@@ -1017,6 +1005,7 @@ impl<'a> PassLayout<'a> {
             selections,
             slots,
             members,
+            cache,
         })
     }
 
@@ -1045,12 +1034,13 @@ impl<'a> PassLayout<'a> {
         } else {
             config.device
         };
-        // Shuffled record order, with each record's position in the
-        // segment kept alongside — stored columns are addressed by it.
+        // Shuffled record order as positions in the segment (stored
+        // columns) and in the dataset (cached hypothesis behaviors).
         let order = shuffled_indices(seg.len, segment_seed(config.seed, seg.index));
-        let records: Vec<&Record> = order
+        let positions: Vec<usize> = order.iter().map(|&i| seg.start + i).collect();
+        let records: Vec<&Record> = positions
             .iter()
-            .map(|&i| &self.dataset.records[seg.start + i])
+            .map(|&p| &self.dataset.records[p])
             .collect();
         // The stream's store state: which union columns can be scanned vs
         // must be extracted, plus write-back capture for the misses.
@@ -1156,10 +1146,9 @@ impl<'a> PassLayout<'a> {
                 if hyp_consumers[c] > 0 {
                     hyp_cols[c] = Some(hypothesis_column(
                         *hyp,
-                        block,
-                        ns,
-                        &self.dataset.id,
-                        config.cache.as_ref(),
+                        self.dataset,
+                        &positions[block_start..block_end],
+                        self.cache,
                     )?);
                 }
             }
@@ -1345,14 +1334,16 @@ fn fold_streams(
 /// scan plan per dataset segment, in segment order (its length must equal
 /// the segment count; `None` extracts everything live); `budget` is
 /// already armed, so every group and wave of a batch shares one absolute
-/// deadline; `opts` are the view hooks. Returns the outcome plus the
-/// captured fold point (empty unless `opts.capture_states`).
-pub(crate) fn run_pass(
-    reqs: &[InspectionRequest<'_>],
+/// deadline; `opts` are the view hooks; `cache` serves hypothesis
+/// behaviors. Returns the outcome plus the captured fold point (empty
+/// unless `opts.capture_states`).
+pub(crate) fn run_pass<'a>(
+    reqs: &[InspectionRequest<'a>],
     config: &InspectionConfig,
     sources: Option<&[ScanPlan]>,
     budget: Option<&ArmedBudget>,
     opts: &FoldOpts<'_>,
+    cache: Option<&'a CacheRun<'a>>,
 ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
     validate_config(config)?;
     let Some(first) = reqs.first() else {
@@ -1410,7 +1401,7 @@ pub(crate) fn run_pass(
     }
 
     let t_start = Instant::now();
-    let layout = PassLayout::build(reqs, config)?;
+    let layout = PassLayout::build(reqs, config, cache)?;
     let base = match opts.base_states.filter(|_| opts.skip_segments > 0) {
         Some(base) => layout.revive(base)?,
         None => Vec::new(),
@@ -1603,7 +1594,7 @@ fn inspect_madlib(
     let t_start = Instant::now();
     let mut profile = Profile::default();
     let ns = req.dataset.ns;
-    let records = shuffled_records(req.dataset, config.seed);
+    let (positions, records) = shuffled_records(req.dataset, config.seed);
     profile.records_read = records.len();
     let mut stats = rel::ExecStats::default();
 
@@ -1618,13 +1609,7 @@ fn inspect_madlib(
         let t1 = Instant::now();
         let mut hyp_cols: Vec<Vec<f32>> = Vec::with_capacity(req.hypotheses.len());
         for hyp in &req.hypotheses {
-            hyp_cols.push(hypothesis_column(
-                *hyp,
-                &records,
-                ns,
-                &req.dataset.id,
-                config.cache.as_ref(),
-            )?);
+            hyp_cols.push(hypothesis_column(*hyp, req.dataset, &positions, None)?);
         }
         profile.hypothesis_extraction += t1.elapsed();
 
@@ -1766,7 +1751,7 @@ mod tests {
         let config = InspectionConfig::default();
         let opts = FoldOpts::default();
         let no_sources: [ScanPlan; 0] = [];
-        let err = run_pass(&[req], &config, Some(&no_sources), None, &opts).err();
+        let err = run_pass(&[req], &config, Some(&no_sources), None, &opts, None).err();
         assert!(matches!(err, Some(DniError::BadConfig(_))), "got {err:?}");
     }
 }

@@ -325,8 +325,10 @@
 //! a clone of one master catalog (cheap, identity-preserving — see
 //! [`query::Catalog`]) and is re-forked when an APPEND from any
 //! connection bumps the master generation. Forks share the template's
-//! behavior store handle (opened once, by the template) and its
-//! admission scheduler, every fork's caches start empty, and per-request
+//! behavior store handle (opened once, by the template), its admission
+//! scheduler and its hypothesis cache (so behaviors computed by any
+//! connection on a dataset an APPEND left alone serve every re-fork);
+//! every fork's plan and score caches start empty, and per-request
 //! budgets map from the wire through [`session::Session::set_budget`].
 //!
 //! **Admission** has one path. Every session builds an
@@ -359,8 +361,8 @@
 //!   [`engine::inspect_shared`]) that every plan wave, view build and view
 //!   refresh executes through, and the PyBase / +MM / +MM+ES / MADLib
 //!   reference designs behind [`engine::inspect_as`].
-//! * `cache` — hypothesis-behavior LRU cache (§5.1.2, Fig. 9), shared
-//!   across every batch of a session.
+//! * `cache` — hypothesis-behavior LRU cache (§5.1.2, Fig. 9) keyed by
+//!   catalog identity and record position, shared by a session's forks.
 //! * `deepbase-store` (re-exported essentials in the [`prelude`]) — the
 //!   persistent columnar behavior store: self-describing column files
 //!   (header + schema + zone maps + per-block checksums) scanned through
@@ -376,7 +378,7 @@
 //!   only by a session.
 //! * `session` — long-lived sessions, the one way to execute a
 //!   statement: prepared statements, the cross-batch plan cache, score
-//!   reuse, the hypothesis-cache decision, admission, forks.
+//!   reuse, the hypothesis cache, admission, forks.
 //! * `admission` — the fair-FIFO admission scheduler a session and its
 //!   forks admit every wave through.
 //! * [`vision`] — CNN inspection and the NetDissect pipeline (Appendix E).

@@ -24,9 +24,10 @@
 //!    assembled from it — and reports per-query profiles, per-pass
 //!    accounting, cache statistics and the plan/admission counters in
 //!    [`BatchReport`]. Nothing outside a session can run a plan: the
-//!    session decides the hypothesis cache, store binding, score reuse
-//!    and admission a batch runs under. A view build or refresh is the
-//!    one-item case: the same optimizer, the same wave runner.
+//!    session decides the store binding, score reuse and admission a
+//!    batch runs under and hands it its hypothesis cache. A view build or
+//!    refresh is the one-item case: the same optimizer, the same wave
+//!    runner.
 //!
 //! [`PhysicalPlan::explain`] renders the plan tree (units extracted,
 //! hypotheses deduplicated, measure states shared, estimated stream
@@ -38,7 +39,7 @@
 //! [`InspectQuery`] structs.
 
 use crate::admission::AdmissionScheduler;
-use crate::cache::CacheStats;
+use crate::cache::{CacheRun, CacheStats, HypothesisCache};
 use crate::engine::{
     hypothesis_lists, measure_key, run_pass, ArmedBudget, FoldOpts, InspectionConfig,
     InspectionRequest, MeasureKey, Profile, RunBudget, SharedOutcome,
@@ -60,10 +61,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
-/// Default byte budget of a session's hypothesis cache
-/// ([`crate::session::SessionConfig::cache_bytes`]): large enough to hold
-/// the hypothesis columns of a typical batch, small enough to stay an
-/// implementation detail.
+/// Default byte budget of the hypothesis cache a session shares with its
+/// forks ([`crate::session::SessionConfig::cache_bytes`]): large enough
+/// to hold the hypothesis columns of a typical batch, small enough to
+/// stay an implementation detail.
 pub(crate) const BATCH_CACHE_BYTES: usize = 64 << 20;
 
 // ---------------------------------------------------------------------
@@ -772,7 +773,7 @@ pub struct PhysicalPlan {
 /// discarded) — the same identity the engine's shared pass requires of its
 /// members' extractors, and the one the engine uses to deduplicate
 /// hypothesis functions.
-pub(crate) fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
+fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
     Arc::as_ptr(arc) as *const u8
 }
 
@@ -1079,7 +1080,7 @@ pub struct BatchReport {
     pub per_query: Vec<Profile>,
     /// One entry per executed shared pass (one per group wave).
     pub groups: Vec<GroupReport>,
-    /// Batch-delta statistics of the shared hypothesis cache.
+    /// The batch's own lookups in the session's hypothesis cache.
     pub cache: CacheStats,
     /// Plan-cache, score-cache and admission counters.
     pub plan: PlanStats,
@@ -1131,16 +1132,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 impl PhysicalPlan {
     /// Runs wave `wi` of group `g` — the one wave runner of batches and
     /// view passes: admits the wave through `scheduler` at its `(extract,
-    /// scan)` widths, holds the permit for exactly this pass, builds one
+    /// scan)` widths, holds the permit for exactly this pass, pins every
+    /// dataset and hypothesis the wave names in `cache`, builds one
     /// request per member item and streams them through [`run_pass`]. A
     /// hypothesis or extractor that panics mid-stream is contained here
     /// and surfaces as [`DniError::Internal`].
+    #[allow(clippy::too_many_arguments)] // one wave's whole context
     fn run_wave(
         &self,
         g: &PlanGroup,
         wi: usize,
         config: &InspectionConfig,
         scheduler: &AdmissionScheduler,
+        cache: &CacheRun<'_>,
         armed: Option<&ArmedBudget>,
         opts: &FoldOpts<'_>,
     ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
@@ -1149,6 +1153,8 @@ impl PhysicalPlan {
             .iter()
             .map(|item| {
                 let plan = &self.plans[item.query];
+                cache.pin(&plan.dataset);
+                plan.hypotheses.iter().for_each(|h| cache.pin(h));
                 let model = &plan.models[item.model_pos];
                 InspectionRequest {
                     model_id: model.mid.clone(),
@@ -1163,8 +1169,9 @@ impl PhysicalPlan {
         // The scan plans are shared by the group's waves: every wave
         // streams the same (model, dataset), so hits apply to each wave's
         // (sub-)union.
+        let sources = g.source.scan_plans();
         catch_unwind(AssertUnwindSafe(|| {
-            run_pass(&requests, config, g.source.scan_plans(), armed, opts)
+            run_pass(&requests, config, sources, armed, opts, Some(cache))
         }))
         .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
     }
@@ -1173,12 +1180,14 @@ impl PhysicalPlan {
     /// no score-cache lookup and no view probe; views are single-model,
     /// so it has at most one group of one item) as its single wave, with
     /// `opts`' fold point: the full pass a materialized view is built
-    /// from or refreshed by. A statement whose model selects no unit has
-    /// no wave and yields an empty frame.
+    /// from or refreshed by, looking hypothesis behaviors up in `cache`. A
+    /// statement whose model selects no unit has no wave and yields an
+    /// empty frame.
     pub(crate) fn execute_view(
         &self,
         config: &InspectionConfig,
         scheduler: &AdmissionScheduler,
+        cache: &HypothesisCache,
         opts: &FoldOpts<'_>,
     ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
         let Some(group) = self.groups.first() else {
@@ -1189,23 +1198,23 @@ impl PhysicalPlan {
             return Ok((empty, Vec::new()));
         };
         let armed = config.budget.arm();
-        self.run_wave(group, 0, config, scheduler, armed.as_ref(), opts)
+        let cache = CacheRun::new(cache);
+        self.run_wave(group, 0, config, scheduler, &cache, armed.as_ref(), opts)
     }
 
-    /// Executes the plan under `config` — whose `cache` is the hypothesis
-    /// cache the session decided this batch may share (see
-    /// `Session::batch_cache`), used by every pass of the batch — with
-    /// every wave admitted through `scheduler`. `collect_frames`
-    /// additionally returns the frame computed for every executed work
-    /// item.
+    /// Executes the plan under `config` with every wave admitted through
+    /// `scheduler` and every pass looking hypothesis behaviors up in
+    /// `cache`; the report counts this batch's own lookups.
+    /// `collect_frames` additionally returns the frame computed for every
+    /// executed work item.
     pub(crate) fn execute(
         &self,
         config: &InspectionConfig,
         scheduler: &AdmissionScheduler,
+        cache: &HypothesisCache,
         collect_frames: bool,
     ) -> Result<(BatchOutput, ComputedFrames), DniError> {
-        let cache = &config.cache;
-        let stats_before = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
+        let cache = CacheRun::new(cache);
         // Arm the run budget once for the whole batch: every group and
         // wave shares one absolute expiry, so a deadline bounds the batch
         // end to end rather than restarting per pass.
@@ -1224,6 +1233,7 @@ impl PhysicalPlan {
                         wi,
                         config,
                         scheduler,
+                        &cache,
                         armed.as_ref(),
                         &FoldOpts::default(),
                     )
@@ -1300,11 +1310,10 @@ impl PhysicalPlan {
             tables.push(out);
         }
 
-        let stats_after = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         let mut report = BatchReport {
             per_query,
             groups: Vec::new(),
-            cache: stats_after.delta_since(&stats_before),
+            cache: cache.stats(),
             plan: self.stats,
             store: StoreStats::default(),
             completion: Completion::default(),

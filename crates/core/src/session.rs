@@ -2,11 +2,12 @@
 //! plan pipeline, a cross-batch plan cache, a score cache, and admission
 //! control.
 //!
-//! A [`Session`] owns a [`Catalog`] handle, an [`InspectionConfig`], one
-//! [`HypothesisCache`] shared by every batch it runs, a **plan cache**
-//! and an **admission scheduler** every wave it runs is admitted
-//! through; [`Session::fork`] makes a session over another catalog that
-//! shares the scheduler and the behavior store:
+//! A [`Session`] owns a [`Catalog`] handle, an [`InspectionConfig`], a
+//! **plan cache**, an **admission scheduler** every wave it runs is
+//! admitted through and the [`HypothesisCache`] every pass it runs looks
+//! behaviors up in, which nothing stale can hit and nothing invalidates;
+//! [`Session::fork`] makes a session over another catalog that shares the
+//! scheduler, the behavior store and the hypothesis cache:
 //!
 //! * [`Session::prepare`] parses and binds a statement into a
 //!   [`PreparedQuery`], caching the bound [`LogicalPlan`] keyed by the
@@ -35,10 +36,9 @@ use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
 use crate::engine::{FoldOpts, InspectionConfig, RunBudget, SharedOutcome};
 use crate::error::DniError;
-use crate::model::{Dataset, HypothesisFn, Record};
+use crate::model::Record;
 use crate::plan::{
-    self, thin, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, StoreBinding,
-    BATCH_CACHE_BYTES,
+    self, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, StoreBinding, BATCH_CACHE_BYTES,
 };
 use crate::query::{normalize_statement, parse, Catalog};
 use crate::result::{ResultFrame, ScoreRow};
@@ -58,8 +58,7 @@ const MAX_CACHED_ENTRIES: usize = 256;
 /// Session-wide configuration.
 #[derive(Clone)]
 pub struct SessionConfig {
-    /// Engine configuration every execution uses. A cache configured here
-    /// takes precedence over the session's own hypothesis cache.
+    /// Engine configuration every execution uses.
     pub inspection: InspectionConfig,
     /// Admission budgets: plans split against them, and the session's
     /// scheduler (shared with its forks) admits every wave under them.
@@ -68,7 +67,8 @@ pub struct SessionConfig {
     /// Results are bit-identical either way — execution is deterministic —
     /// so this only trades memory for skipped extraction passes.
     pub reuse_scores: bool,
-    /// Byte budget of the session hypothesis cache.
+    /// Byte budget of the hypothesis cache, one cache shared by a session
+    /// and all of its forks.
     pub cache_bytes: usize,
     /// Persistent behavior store (`None` disables durability). The store
     /// is opened when the session is created; an open failure disables
@@ -235,15 +235,8 @@ pub struct Session {
     catalog: Catalog,
     config: SessionConfig,
     generation: u64,
+    /// Shared with every fork.
     hypothesis_cache: Arc<HypothesisCache>,
-    /// The dataset / hypothesis-function identity each id resolved to
-    /// when it first reached the session hypothesis cache. The cache keys
-    /// on id strings, so a *later* batch that resolves one of these ids
-    /// to a different identity must not touch the session cache (see
-    /// `batch_cache`). Holding the `Arc`s keeps the identities' addresses
-    /// from being reused.
-    cache_dataset_owners: HashMap<String, Arc<Dataset>>,
-    cache_hyp_owners: HashMap<String, Arc<dyn HypothesisFn>>,
     /// Bound plans by normalized statement; cleared by `catalog_mut`, so
     /// every entry was bound against the current generation.
     plans: HashMap<String, Arc<LogicalPlan>>,
@@ -306,22 +299,25 @@ impl Session {
                 .ok()
         });
         let scheduler = AdmissionScheduler::new(config.admission);
-        Session::from_parts(catalog, config, store, scheduler, store_stats)
+        let cache = HypothesisCache::new(config.cache_bytes);
+        Session::from_parts(catalog, config, store, scheduler, cache, store_stats)
     }
 
     /// A session over `catalog` sharing this session's config, behavior
-    /// store handle and admission scheduler — one buffer pool, one index
-    /// and one width budget for both — whose plan, score and hypothesis
-    /// caches start empty. A store that failed to open here stays closed
-    /// in the fork, and nothing is opened again (the open error is in
-    /// this session's [`Session::store_stats`]). A serving process forks
-    /// one template session per connection.
+    /// store handle, admission scheduler and hypothesis cache — one buffer
+    /// pool, one index, one width budget and one set of behaviors, which
+    /// serve both wherever the two catalogs hold the same `Arc`s — whose
+    /// plan and score caches start empty. A store that failed to open
+    /// here stays closed in the fork, and nothing is opened again (the
+    /// open error is in this session's [`Session::store_stats`]). A
+    /// serving process forks one template session per connection.
     pub fn fork(&self, catalog: Catalog) -> Session {
         Session::from_parts(
             catalog,
             self.config.clone(),
             self.store.clone(),
             Arc::clone(&self.scheduler),
+            Arc::clone(&self.hypothesis_cache),
             StoreStats::default(),
         )
     }
@@ -331,15 +327,14 @@ impl Session {
         config: SessionConfig,
         store: Option<Arc<BehaviorStore>>,
         scheduler: Arc<AdmissionScheduler>,
+        hypothesis_cache: Arc<HypothesisCache>,
         store_stats: StoreStats,
     ) -> Session {
         Session {
             catalog,
-            hypothesis_cache: HypothesisCache::new(config.cache_bytes),
+            hypothesis_cache,
             config,
             generation: 0,
-            cache_dataset_owners: HashMap::new(),
-            cache_hyp_owners: HashMap::new(),
             plans: HashMap::new(),
             plan_order: VecDeque::new(),
             frames: HashMap::new(),
@@ -353,20 +348,17 @@ impl Session {
     }
 
     /// Mutable access to the catalog. Every call bumps the catalog
-    /// generation: cached plans, cached scores and the session hypothesis
-    /// cache are conservatively invalidated, whether or not a mutation
-    /// actually happens. (Stale plans are dropped outright rather than
-    /// left for FIFO eviction — they would otherwise pin the replaced
-    /// datasets and extractors in memory; and a mutation may re-register
-    /// a dataset or hypothesis under an id the hypothesis cache already
-    /// holds behaviors for, so the cache starts over too.)
+    /// generation: cached plans and cached scores are conservatively
+    /// invalidated, whether or not a mutation actually happens. (Stale
+    /// plans are dropped outright rather than left for FIFO eviction —
+    /// they would otherwise pin the replaced datasets and extractors in
+    /// memory.)
     ///
-    /// The behavior store needs no explicit invalidation: its columns are
-    /// keyed by **content fingerprints**, so a model or dataset
-    /// re-registered with different contents simply fingerprints to a
-    /// different key and misses, while an identical re-registration keeps
-    /// hitting — the re-bind after this call recomputes both fingerprints
-    /// from the new catalog entries.
+    /// The hypothesis cache needs no invalidation: a dataset or hypothesis
+    /// registered anew is a new identity and misses. Nor does the behavior
+    /// store: its columns are keyed by **content fingerprints**, so a
+    /// model or dataset re-registered with different contents misses,
+    /// while an identical re-registration keeps hitting.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         self.generation += 1;
         self.frames.clear();
@@ -374,9 +366,6 @@ impl Session {
         self.stats.plan_cache_invalidations += self.plans.len();
         self.plans.clear();
         self.plan_order.clear();
-        self.hypothesis_cache = HypothesisCache::new(self.config.cache_bytes);
-        self.cache_dataset_owners.clear();
-        self.cache_hyp_owners.clear();
         &mut self.catalog
     }
 
@@ -390,9 +379,8 @@ impl Session {
         self.stats
     }
 
-    /// The session's shared hypothesis cache (installed into every batch
-    /// unless the inspection config carries its own, or ambiguous
-    /// dataset/hypothesis ids force caching off for a batch).
+    /// The hypothesis cache every pass of this session looks behaviors up
+    /// in, shared with the session it was forked from and its own forks.
     pub fn hypothesis_cache(&self) -> &Arc<HypothesisCache> {
         &self.hypothesis_cache
     }
@@ -566,12 +554,12 @@ impl Session {
         let plans: Vec<Arc<LogicalPlan>> = fresh.iter().map(|e| Arc::clone(&e.plan)).collect();
 
         let physical = self.optimize_entries(&fresh, &plans);
-        let inspection = InspectionConfig {
-            cache: self.batch_cache(&plans),
-            ..self.config.inspection.clone()
-        };
-        let (mut output, computed) =
-            physical.execute(&inspection, &self.scheduler, self.config.reuse_scores)?;
+        let (mut output, computed) = physical.execute(
+            &self.config.inspection,
+            &self.scheduler,
+            &self.hypothesis_cache,
+            self.config.reuse_scores,
+        )?;
 
         // Feed the score cache with this batch's freshly computed frames.
         if self.config.reuse_scores {
@@ -624,57 +612,6 @@ impl Session {
         output.report.plan.plan_cache_misses =
             self.stats.plan_cache_misses - base.plan_cache_misses;
         Ok(output)
-    }
-
-    /// Decides which hypothesis cache a batch runs with. A cache the
-    /// caller configured always wins. Otherwise the caches key behaviors
-    /// on `(dataset id, hypothesis id, record id)`, so sharing one is
-    /// only sound while every id names one identity: two datasets or two
-    /// hypothesis functions under one id *within* the batch get no cache
-    /// at all; an id that a *previous* batch resolved to a different
-    /// identity (and cached under) gets a private per-batch cache, and
-    /// the batch never registers as owner; every other batch shares the
-    /// session cache and owns the ids it brought.
-    fn batch_cache(&mut self, plans: &[Arc<LogicalPlan>]) -> Option<Arc<HypothesisCache>> {
-        if let Some(configured) = &self.config.inspection.cache {
-            return Some(Arc::clone(configured));
-        }
-        let mut datasets: HashMap<&str, *const u8> = HashMap::new();
-        let mut hyps: HashMap<&str, *const u8> = HashMap::new();
-        let mut foreign = false;
-        for plan in plans {
-            let dataset = &plan.dataset;
-            if *datasets.entry(&dataset.id).or_insert(thin(dataset)) != thin(dataset) {
-                return None;
-            }
-            foreign |= self
-                .cache_dataset_owners
-                .get(&dataset.id)
-                .is_some_and(|owner| thin(owner) != thin(dataset));
-            for hyp in &plan.hypotheses {
-                if *hyps.entry(hyp.id()).or_insert(thin(hyp)) != thin(hyp) {
-                    return None;
-                }
-                foreign |= self
-                    .cache_hyp_owners
-                    .get(hyp.id())
-                    .is_some_and(|owner| thin(owner) != thin(hyp));
-            }
-        }
-        if foreign {
-            return Some(HypothesisCache::new(self.config.cache_bytes));
-        }
-        for plan in plans {
-            self.cache_dataset_owners
-                .entry(plan.dataset.id.clone())
-                .or_insert_with(|| Arc::clone(&plan.dataset));
-            for hyp in &plan.hypotheses {
-                self.cache_hyp_owners
-                    .entry(hyp.id().to_string())
-                    .or_insert_with(|| Arc::clone(hyp));
-            }
-        }
-        Some(Arc::clone(&self.hypothesis_cache))
     }
 
     fn optimize_entries(
@@ -877,10 +814,10 @@ impl Session {
     /// Runs the full pass a view is built from (or refreshed by) as a
     /// one-item plan: the optimizer's per-segment store source and wave
     /// widths, no score-cache lookup and no view probe, then its single
-    /// wave through the batch wave runner. The requested fold point makes
-    /// it a full pass even on a one-segment dataset, so the captured
-    /// states are valid merge bases for later refreshes. No hypothesis
-    /// cache beyond a configured one, and no compaction sweep.
+    /// wave through the batch wave runner, over the session's hypothesis
+    /// cache. The requested fold point makes it a full pass even on a
+    /// one-segment dataset, so the captured states are valid merge bases
+    /// for later refreshes. No compaction sweep.
     fn view_pass(
         &self,
         plan: &Arc<LogicalPlan>,
@@ -894,7 +831,12 @@ impl Session {
             &mut |_, _| None,
             &mut |_| None,
         )
-        .execute_view(&self.config.inspection, &self.scheduler, opts)
+        .execute_view(
+            &self.config.inspection,
+            &self.scheduler,
+            &self.hypothesis_cache,
+            opts,
+        )
     }
 
     /// Replays a **fresh** view's stored frame through the statement's

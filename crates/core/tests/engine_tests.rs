@@ -1,10 +1,10 @@
 //! Engine-level integration tests: the optimization-correctness claims of
 //! paper §5 (merging is exact, early stopping approximates, streaming
-//! reads less, caching is transparent, the MADLib baseline scans a lot).
+//! reads less, the MADLib baseline scans a lot; that caching is transparent
+//! is a session property, in `session_tests`).
 
 use deepbase::prelude::*;
 use deepbase_tensor::Matrix;
-use std::sync::Arc;
 
 /// Synthetic world: 4 units over 6-symbol records; unit 0 mirrors the
 /// `ones` hypothesis, unit 2 anti-mirrors it, units 1 and 3 are noise.
@@ -274,39 +274,6 @@ fn parallel_device_matches_single_core() {
             assert!((s1 - s2).abs() < 1e-5);
         }
     }
-}
-
-#[test]
-fn hypothesis_cache_skips_reevaluation() {
-    let (dataset, behaviors) = fixture(32);
-    let extractor = PrecomputedExtractor::new(behaviors, dataset.ns);
-    let hyps = vec![ones_hypothesis()];
-    let corr = CorrelationMeasure;
-    let cache = HypothesisCache::new(1 << 24);
-
-    let config = InspectionConfig {
-        cache: Some(Arc::clone(&cache)),
-        ..Default::default()
-    };
-    let req = request(&extractor, &dataset, &hyps, vec![&corr]);
-    let (first, _) = inspect_as(EngineKind::PyBase, &req, &config).unwrap();
-    let misses_after_first = cache.stats().misses;
-    assert_eq!(misses_after_first, 32, "one evaluation per record");
-
-    // Second run (e.g. a retrained model): all hits, identical scores.
-    let req2 = request(&extractor, &dataset, &hyps, vec![&corr]);
-    let (second, _) = inspect_as(EngineKind::PyBase, &req2, &config).unwrap();
-    assert_eq!(
-        cache.stats().misses,
-        misses_after_first,
-        "no new evaluations"
-    );
-    assert!(cache.stats().hits >= 32);
-    assert_eq!(
-        first.unit_scores("corr", "ones"),
-        second.unit_scores("corr", "ones"),
-        "caching must be transparent"
-    );
 }
 
 #[test]

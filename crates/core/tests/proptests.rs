@@ -1,11 +1,10 @@
 //! Property-based tests for the inspection engine: score-range invariants,
-//! engine agreement, and streaming/caching transparency over randomized
-//! synthetic behavior worlds.
+//! engine agreement, and streaming transparency over randomized synthetic
+//! behavior worlds (caching transparency is in `session_tests`).
 
 use deepbase::prelude::*;
 use deepbase_tensor::Matrix;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// A randomized behavior world: `n` records of 5 symbols over a small
 /// alphabet, with 3 units whose behaviors mix the hypothesis signal and
@@ -180,36 +179,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cache_is_transparent_for_any_world(
-        n in 8usize..32,
-        signal in 0.0f32..1.0,
-        seed in 0u64..50,
-    ) {
-        let (dataset, behaviors) = world(n, signal, seed);
-        let extractor = PrecomputedExtractor::new(behaviors, dataset.ns);
-        let h = hyp();
-        let corr = CorrelationMeasure;
-        let cache = HypothesisCache::new(1 << 22);
-        let run = |cache: Option<Arc<HypothesisCache>>| {
-            let request = InspectionRequest {
-                model_id: "w".into(),
-                extractor: &extractor,
-                groups: vec![UnitGroup::all(3)],
-                dataset: &dataset,
-                hypotheses: vec![&h],
-                measures: vec![&corr],
-            };
-            let config = InspectionConfig { cache, ..Default::default() };
-            inspect(&request, &config).unwrap().0
-        };
-        let without = run(None);
-        let cold = run(Some(Arc::clone(&cache)));
-        let warm = run(Some(cache));
-        prop_assert_eq!(without.unit_scores("corr", "ones"), cold.unit_scores("corr", "ones"));
-        prop_assert_eq!(cold.unit_scores("corr", "ones"), warm.unit_scores("corr", "ones"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ mod common;
 use common::bare;
 use deepbase::prelude::*;
 use deepbase::query::UnitMeta;
-use deepbase_relational::Table;
+use deepbase_relational::{Table, Value};
 use deepbase_tensor::Matrix;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -217,12 +217,10 @@ fn disabling_score_reuse_still_amortizes_binding() {
 #[test]
 fn same_id_different_function_within_and_across_batches_does_not_poison_the_cache() {
     // Two different predicates registered under one hypothesis id in two
-    // sets (nothing enforces id uniqueness). The hypothesis caches key on
-    // id strings, so a batch that carries both functions gets no cache at
-    // all; and the session cache lives *across* batches, so after a batch
-    // over set 1 populates it, a later batch over set 2 — unambiguous on
-    // its own — must not be served set 1's cached behaviors: it gets a
-    // private cache, and set 1 keeps the session's.
+    // sets (nothing enforces id uniqueness). The hypothesis cache keys on
+    // the functions' identities, not their id, so the two never share an
+    // entry — within one batch or across batches: each function misses
+    // every record once, and every later lookup of it hits.
     let recs = records(ND, 0);
     let mut catalog = Catalog::new();
     catalog.add_model(
@@ -257,7 +255,7 @@ fn same_id_different_function_within_and_across_batches_does_not_poison_the_cach
     );
 
     // No score reuse, so every batch below really executes and its
-    // `report.cache` shows which hypothesis cache it was handed.
+    // `report.cache` shows its own lookups.
     let mut session = Session::with_config(
         catalog,
         SessionConfig {
@@ -265,86 +263,202 @@ fn same_id_different_function_within_and_across_batches_does_not_poison_the_cach
             ..SessionConfig::default()
         },
     );
-    // Collision inside the batch: no cache, and no claim on the ids.
+    // Both functions in one batch: each misses every record once.
     let out = session.run_batch(&[q_both]).unwrap();
     assert_eq!(out.tables, vec![reference_both]);
-    assert_eq!(out.report.cache, CacheStats::default());
-    assert!(session.hypothesis_cache().is_empty());
-    // Set 1 arrives first: it owns "dup" in the session cache.
+    assert_eq!(
+        (out.report.cache.hits, out.report.cache.misses),
+        (0, 2 * ND)
+    );
+    assert_eq!(session.hypothesis_cache().len(), 2 * ND);
+    // Each set on its own is then served its own function's behaviors.
     let out = session.run_batch(&[q1]).unwrap();
     assert_eq!(out.tables, vec![reference_q1.clone()]);
-    assert_eq!((out.report.cache.hits, out.report.cache.misses), (0, ND));
-    assert_eq!(session.hypothesis_cache().len(), ND);
-    // Set 2 collides with an earlier batch: a private cache, every
-    // lookup a miss, the session cache untouched.
+    assert_eq!((out.report.cache.hits, out.report.cache.misses), (ND, 0));
     let out = session.run_batch(&[q2]).unwrap();
     assert_eq!(
         out.tables,
         vec![reference_q2],
-        "second batch must not read the first batch's cached behaviors"
+        "the second set must not read the first set's cached behaviors"
     );
-    assert_eq!((out.report.cache.hits, out.report.cache.misses), (0, ND));
-    assert_eq!(session.hypothesis_cache().stats().misses, ND);
-    // And back to the first identity, which still owns the session cache.
+    assert_eq!((out.report.cache.hits, out.report.cache.misses), (ND, 0));
     let out = session.run_batch(&[q1]).unwrap();
     assert_eq!(out.tables, vec![reference_q1]);
     assert_eq!((out.report.cache.hits, out.report.cache.misses), (ND, 0));
+    assert_eq!(session.hypothesis_cache().stats().misses, 2 * ND);
 }
 
 #[test]
-fn catalog_mutation_resets_the_session_hypothesis_cache() {
+fn a_swapped_dataset_misses_the_hypothesis_cache_and_an_unchanged_one_hits() {
     // Re-registering a dataset under an id the session cache already
     // holds behaviors for must not serve the old dataset's cached
-    // behaviors for the new records.
-    let build = |seed: usize| {
+    // behaviors for the new records — while a dataset the mutation left
+    // alone keeps hitting.
+    let build = |name: &str, seed: usize| {
         let recs = records(ND, seed);
-        Arc::new(Dataset::new("seq", NS, recs).unwrap())
+        Arc::new(Dataset::new(name, NS, recs).unwrap())
     };
+    let catalog_with = |seq: Arc<Dataset>| {
+        let mut catalog = Catalog::new();
+        catalog.add_model(
+            "m",
+            0,
+            Arc::new(PrecomputedExtractor::new(
+                behaviors_for(&records(ND, 0), 3, 0),
+                NS,
+            )),
+        );
+        catalog.add_hypotheses(
+            "h",
+            vec![Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'))],
+        );
+        catalog.add_dataset("seq", seq);
+        catalog.add_dataset("other", build("other", 1));
+        catalog
+    };
+
+    let q = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+             FROM models M, units U, hypotheses H, inputs D WHERE D.name = 'seq'";
+    let q_other = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+                   FROM models M, units U, hypotheses H, inputs D WHERE D.name = 'other'";
+    let mut session = Session::new(catalog_with(build("seq", 0)));
+    let before = session.run(q).unwrap();
+    let other = session.run(q_other).unwrap();
+    assert_eq!(session.hypothesis_cache().stats().misses, 2 * ND);
+
+    // Swap the dataset (same registration name, same Dataset::id,
+    // different records) through the session.
+    session.catalog_mut().add_dataset("seq", build("seq", 3));
+    let swapped = session.run_batch(&[q]).unwrap();
+    assert_ne!(
+        swapped.tables[0], before,
+        "the swapped dataset genuinely differs"
+    );
+    assert_eq!(
+        (swapped.report.cache.hits, swapped.report.cache.misses),
+        (0, ND)
+    );
+    // Pinning the new dataset dropped the old one's behaviors: nothing
+    // holds the old dataset any more.
+    assert_eq!(session.hypothesis_cache().len(), 2 * ND);
+    let unchanged = session.run_batch(&[q_other]).unwrap();
+    assert_eq!(unchanged.tables, vec![other]);
+    assert_eq!(
+        (unchanged.report.cache.hits, unchanged.report.cache.misses),
+        (ND, 0)
+    );
+
+    // Parity with a bare session over an identical catalog.
+    let reference = catalog_with(build("seq", 3));
+    let reference_table = bare(&reference, &InspectionConfig::default())
+        .run(q)
+        .unwrap();
+    assert_eq!(swapped.tables, vec![reference_table]);
+}
+
+/// Regression: record ids are not unique keys. The second half of this
+/// dataset repeats the first half's ids with different text, so a cache
+/// keyed by record id serves the first half's behaviors for the second
+/// half. `PrecomputedExtractor` addresses behaviors by id in both runs,
+/// so only the hypothesis cache differs from the uncached engine pass.
+#[test]
+fn records_that_repeat_an_id_get_their_own_cached_behaviors() {
+    const HALF: usize = 32;
+    let first = records(HALF, 0);
+    let recs: Vec<Record> = first.iter().cloned().chain(records(HALF, 2)).collect();
+    assert!(recs[..HALF]
+        .iter()
+        .zip(&recs[HALF..])
+        .any(|(a, b)| a.id == b.id && a.text != b.text));
+    let behaviors = behaviors_for(&first, 3, 0);
+    let dataset = Arc::new(Dataset::new("seq", NS, recs).unwrap());
+    let hyp = Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'));
     let mut catalog = Catalog::new();
     catalog.add_model(
         "m",
         0,
-        Arc::new(PrecomputedExtractor::new(
-            behaviors_for(&records(ND, 0), 3, 0),
-            NS,
-        )),
+        Arc::new(PrecomputedExtractor::new(behaviors.clone(), NS)),
     );
-    catalog.add_hypotheses(
-        "h",
-        vec![Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'))],
-    );
-    catalog.add_dataset("seq", build(0));
-
+    catalog.add_hypotheses("h", vec![Arc::clone(&hyp) as Arc<dyn HypothesisFn>]);
+    catalog.add_dataset("seq", Arc::clone(&dataset));
     let q = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
              FROM models M, units U, hypotheses H, inputs D";
-    let mut session = Session::new(catalog);
-    let before = session.run(q).unwrap();
 
-    // Swap the dataset (same registration name, same Dataset::id,
-    // different records) through the session.
-    session.catalog_mut().add_dataset("seq", build(3));
-    let after = session.run(q).unwrap();
-    assert_ne!(after, before, "the swapped dataset genuinely differs");
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let config = InspectionConfig {
+            device,
+            epsilon: Some(1e-12),
+            ..Default::default()
+        };
+        let extractor = PrecomputedExtractor::new(behaviors.clone(), NS);
+        let request = InspectionRequest {
+            model_id: "m".into(),
+            extractor: &extractor,
+            groups: vec![UnitGroup::all(3)],
+            dataset: &dataset,
+            hypotheses: vec![hyp.as_ref()],
+            measures: vec![&CorrelationMeasure],
+        };
+        let (frame, _) = inspect(&request, &config).unwrap();
+        let expected: Vec<(i64, u32)> = frame
+            .unit_scores("corr", "is_a")
+            .into_iter()
+            .map(|(unit, score)| (unit as i64, score.to_bits()))
+            .collect();
 
-    // Parity with a bare session over an identical catalog.
-    let mut reference = Catalog::new();
-    reference.add_model(
-        "m",
-        0,
-        Arc::new(PrecomputedExtractor::new(
-            behaviors_for(&records(ND, 0), 3, 0),
-            NS,
-        )),
+        let mut session = Session::with_config(
+            catalog.clone(),
+            SessionConfig {
+                inspection: config,
+                ..SessionConfig::default()
+            },
+        );
+        let table = session.run(q).unwrap();
+        let got: Vec<(i64, u32)> = (0..table.len())
+            .map(
+                |r| match (table.value(r, "s_uid"), table.value(r, "s_unit_score")) {
+                    (Some(Value::Int(uid)), Some(Value::Float(score))) => (uid, score.to_bits()),
+                    other => panic!("unexpected row {other:?}"),
+                },
+            )
+            .collect();
+        assert_eq!(got, expected, "device {device:?}");
+        assert_eq!(session.hypothesis_cache().len(), 2 * HALF);
+    }
+}
+
+/// A second run of a statement serves every hypothesis behavior from the
+/// session cache and answers bit-identically to a bare session.
+#[test]
+fn hypothesis_cache_skips_reevaluation() {
+    let (catalog, _) = test_catalog();
+    let config = InspectionConfig {
+        epsilon: Some(1e-12),
+        ..Default::default()
+    };
+    let reference = bare(&catalog, &config).run(Q_BETA).unwrap();
+    let mut session = Session::with_config(
+        catalog,
+        SessionConfig {
+            inspection: config,
+            reuse_scores: false,
+            ..SessionConfig::default()
+        },
     );
-    reference.add_hypotheses(
-        "h",
-        vec![Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a'))],
+    let cold = session.run_batch(&[Q_BETA]).unwrap();
+    assert_eq!(cold.tables, vec![reference.clone()]);
+    assert_eq!(
+        (cold.report.cache.hits, cold.report.cache.misses),
+        (0, 2 * ND),
+        "one evaluation per (hypothesis, record)"
     );
-    reference.add_dataset("seq", build(3));
-    let reference_table = bare(&reference, &InspectionConfig::default())
-        .run(q)
-        .unwrap();
-    assert_eq!(after, reference_table);
+    // Second run (e.g. a retrained model): all hits, identical scores.
+    let warm = session.run_batch(&[Q_BETA]).unwrap();
+    assert_eq!(warm.tables, vec![reference], "caching must be transparent");
+    assert_eq!(
+        (warm.report.cache.hits, warm.report.cache.misses),
+        (2 * ND, 0)
+    );
 }
 
 #[test]
@@ -643,10 +757,44 @@ proptest! {
             prop_assert_eq!(&replay, &reference_table);
         }
     }
+
+    #[test]
+    fn cache_is_transparent_for_any_world(
+        n in 8usize..32,
+        seed in 0u64..50,
+        qidx in 0usize..3,
+    ) {
+        let query = PROP_QUERIES[qidx];
+        let catalog = world_catalog(n, seed);
+        let config = InspectionConfig {
+            block_records: 16,
+            ..Default::default()
+        };
+        let reference_table = bare(&catalog, &config).run(query).unwrap();
+        // No score reuse: the second batch re-runs the pass against the
+        // behaviors the first one cached.
+        let mut session = Session::with_config(
+            catalog,
+            SessionConfig {
+                inspection: config,
+                reuse_scores: false,
+                ..SessionConfig::default()
+            },
+        );
+        let cold = session.run_batch(&[query]).unwrap();
+        let warm = session.run_batch(&[query]).unwrap();
+        prop_assert_eq!(&cold.tables[0], &reference_table);
+        prop_assert_eq!(&warm.tables[0], &reference_table);
+        prop_assert_eq!(warm.report.cache.misses, 0);
+        prop_assert_eq!(
+            warm.report.cache.hits,
+            cold.report.cache.hits + cold.report.cache.misses
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
-// Forks: one store handle, one admission scheduler, empty caches
+// Forks: one store handle, one admission scheduler, one hypothesis cache
 // ---------------------------------------------------------------------
 
 /// A store directory under the system temp dir, unique per test and run.
@@ -724,10 +872,10 @@ fn concurrent_forks_share_one_admission_budget() {
     );
 }
 
-/// A fork shares its template's store handle and scheduler, and starts
-/// with empty plan, score and hypothesis caches.
+/// A fork shares its template's store handle, scheduler and hypothesis
+/// cache, and starts with empty plan and score caches.
 #[test]
-fn forks_share_the_store_and_the_scheduler_and_start_with_empty_caches() {
+fn forks_share_the_store_the_scheduler_and_the_hypothesis_cache() {
     let path = temp_store_path("forks");
     let queries = wide_queries();
     let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
@@ -750,26 +898,32 @@ fn forks_share_the_store_and_the_scheduler_and_start_with_empty_caches() {
         4
     );
 
-    // A fork of a fork shares the same handles; its caches start empty
-    // although the session it was forked from has warm ones.
+    // A fork of a fork shares the same handles; its plan and score caches
+    // start empty although the session it was forked from has warm ones.
     let mut second = first.fork(wide_catalog());
     let store = template.store().expect("store open");
     assert!(Arc::ptr_eq(first.store().unwrap(), store));
     assert!(Arc::ptr_eq(second.store().unwrap(), store));
     assert!(Arc::ptr_eq(first.scheduler(), template.scheduler()));
     assert!(Arc::ptr_eq(second.scheduler(), template.scheduler()));
-    assert_eq!(second.stats(), SessionStats::default());
-    assert_eq!(second.hypothesis_cache().stats(), CacheStats::default());
-    assert!(!Arc::ptr_eq(
-        second.hypothesis_cache(),
-        first.hypothesis_cache()
+    assert!(Arc::ptr_eq(
+        first.hypothesis_cache(),
+        template.hypothesis_cache()
     ));
+    assert!(Arc::ptr_eq(
+        second.hypothesis_cache(),
+        template.hypothesis_cache()
+    ));
+    assert_eq!(second.stats(), SessionStats::default());
 
     let warm = second.run_batch(&refs).unwrap();
     assert_eq!(warm.tables, cold.tables);
     assert_eq!(warm.report.plan.plan_cache_misses, 4, "empty plan cache");
     assert_eq!(warm.report.plan.score_cache_hits, 0, "empty score cache");
-    assert_eq!(warm.report.cache.hits, 0, "empty hypothesis cache");
+    assert_eq!(
+        warm.report.cache.hits, 0,
+        "a catalog built anew holds new identities: nothing to hit"
+    );
     assert!(
         warm.report.store.columns_scanned > 0,
         "the second fork scans what the first wrote through the shared handle"
@@ -817,4 +971,54 @@ fn forks_of_a_session_whose_store_failed_to_open_open_nothing() {
             .unwrap()
     );
     assert!(!path.exists(), "nothing was created at the store path");
+}
+
+/// Two forks over one catalog run one batch each from two threads into
+/// their one shared hypothesis cache. Each report counts exactly its own
+/// lookups — every (hypothesis, record) of its full pass, hit or miss —
+/// and the shared cache's misses are the two reports' misses.
+#[test]
+fn forks_on_two_threads_each_report_their_own_cache_lookups() {
+    let (catalog, _) = test_catalog();
+    let config = InspectionConfig {
+        epsilon: Some(1e-12),
+        ..Default::default()
+    };
+    let reference = bare(&catalog, &config).run(Q_BETA).unwrap();
+    let template = Session::with_config(
+        Catalog::new(),
+        SessionConfig {
+            inspection: config,
+            ..SessionConfig::default()
+        },
+    );
+    let barrier = std::sync::Barrier::new(2);
+    let reports: Vec<BatchOutput> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut fork = template.fork(catalog.clone());
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    fork.run_batch(&[Q_BETA]).unwrap()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for out in &reports {
+        assert_eq!(out.tables, vec![reference.clone()]);
+        // Q_BETA names two hypotheses, and ε = 1e-12 streams every record.
+        assert_eq!(out.report.cache.hits + out.report.cache.misses, 2 * ND);
+    }
+    let shared = template.hypothesis_cache().stats();
+    assert_eq!(
+        reports.iter().map(|o| o.report.cache.misses).sum::<usize>(),
+        shared.misses
+    );
+    assert_eq!(
+        reports.iter().map(|o| o.report.cache.hits).sum::<usize>(),
+        shared.hits
+    );
+    assert_eq!(template.hypothesis_cache().len(), 2 * ND);
 }

@@ -12,11 +12,13 @@
 //! [`ServerConfig::session`], and every connection's session is a
 //! [`Session::fork`] of it:
 //!
-//! * **One catalog.** Connections fork over a clone of a master
-//!   [`Catalog`] (cheap, `Arc`-shared, extractor identity preserved)
-//!   guarded by a generation counter; an APPEND from any connection
-//!   bumps the generation and every other connection transparently
-//!   re-forks.
+//! * **One catalog, one hypothesis cache.** Connections fork over a
+//!   clone of a master [`Catalog`] (cheap, `Arc`-shared, identities
+//!   preserved) guarded by a generation counter; an APPEND from any
+//!   connection bumps the generation and every other connection
+//!   transparently re-forks. The forks share the template's hypothesis
+//!   cache, keyed by those identities, so behaviors any connection
+//!   computed serve all of them, re-forks included.
 //! * **One behavior store.** The template opens the store once (an open
 //!   failure is printed and disables persistence) and every fork shares
 //!   that [`BehaviorStore`] handle: one buffer pool, one index, one set

@@ -1,7 +1,8 @@
 //! End-to-end tests of the inspection server over real TCP sockets:
 //! bit-identical warm serving, per-connection panic isolation, one
-//! admission budget across connections, shutdown drain, and
-//! cross-connection appends.
+//! admission budget across connections, one hypothesis cache across
+//! connections and their re-forks, shutdown drain, and cross-connection
+//! appends.
 //!
 //! Every test binds `127.0.0.1:0` (an ephemeral port) so they run in
 //! parallel without colliding.
@@ -363,6 +364,104 @@ fn appends_are_visible_to_every_connection() {
     let over_wire = reader.inspect(demo::QUERIES[0]).expect("post-append");
     assert_eq!(over_wire.table, expected);
 
+    assert_eq!(handle.stats().appends, 1);
+}
+
+/// Hypothesis wrapper counting its evaluations.
+struct CountingHypothesis {
+    inner: FnHypothesis,
+    calls: Arc<AtomicUsize>,
+}
+
+impl HypothesisFn for CountingHypothesis {
+    fn id(&self) -> &str {
+        self.inner.id()
+    }
+
+    fn behavior(&self, record: &Record) -> Result<Vec<f32>, DniError> {
+        self.calls.fetch_add(1, Ordering::SeqCst);
+        self.inner.behavior(record)
+    }
+}
+
+/// The demo catalog plus a counted hypothesis set and a second dataset,
+/// `feed`, that appends go to.
+fn counted_catalog(calls: &Arc<AtomicUsize>) -> Catalog {
+    let passes = Arc::new(AtomicUsize::new(0));
+    let mut catalog = demo::catalog_sized(ND, NS, UNITS, &passes);
+    catalog.add_hypotheses(
+        "counted",
+        vec![Arc::new(CountingHypothesis {
+            inner: FnHypothesis::char_class("is_d", |c| c == 'd'),
+            calls: Arc::clone(calls),
+        })],
+    );
+    catalog.add_dataset(
+        "feed",
+        Arc::new(Dataset::new("feed", NS, demo::records(16, NS)).unwrap()),
+    );
+    catalog
+}
+
+/// Connections are forks of one template session and share its
+/// hypothesis cache: a statement one connection ran costs the next no
+/// hypothesis call, and neither does a connection's re-fork after an
+/// APPEND to a dataset the statement does not read.
+#[test]
+fn connections_and_their_re_forks_share_one_hypothesis_cache() {
+    const COUNTED: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr \
+                           OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D \
+                           WHERE H.name = 'counted' AND D.name = 'seq'";
+    let reference_calls = Arc::new(AtomicUsize::new(0));
+    let reference = Session::with_config(
+        counted_catalog(&reference_calls),
+        SessionConfig {
+            reuse_scores: false,
+            cache_bytes: 0,
+            ..session_config(None)
+        },
+    )
+    .run(COUNTED)
+    .expect("bare session");
+
+    let calls = Arc::new(AtomicUsize::new(0));
+    let handle = start_server(counted_catalog(&calls), session_config(None));
+    let mut a = Client::connect(handle.addr()).expect("connect A");
+    let mut b = Client::connect(handle.addr()).expect("connect B");
+
+    let first = a.inspect(COUNTED).expect("A inspects");
+    assert_eq!(first.table, reference);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        ND,
+        "one call per record, ε streams them all"
+    );
+
+    let second = b.inspect(COUNTED).expect("B inspects");
+    assert_eq!(second.table, reference);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        ND,
+        "B's fork is served A's behaviors"
+    );
+
+    let segment = demo::records(32, NS).split_off(16);
+    let wire_records: Vec<wire::WireRecord> = segment
+        .iter()
+        .map(|r| wire::WireRecord {
+            id: r.id as u64,
+            symbols: r.symbols.clone(),
+            text: r.text.clone(),
+        })
+        .collect();
+    assert_eq!(a.append("feed", wire_records).expect("append"), 16);
+    let third = a.inspect(COUNTED).expect("A inspects after its APPEND");
+    assert_eq!(third.table, reference);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        ND,
+        "A's re-fork still hits on the unchanged dataset"
+    );
     assert_eq!(handle.stats().appends, 1);
 }
 
