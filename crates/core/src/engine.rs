@@ -14,7 +14,8 @@
 //! into lists (`hypothesis_lists`): the whole list for a measure that
 //! [shares](Measure::shares_hypotheses) work between hypotheses (`logreg`
 //! trains one multi-output model, the buffered measures keep one unit
-//! sample), one hypothesis per state otherwise.
+//! sample, `corr` sums each unit's moments once), one hypothesis per state
+//! otherwise.
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
 //! extraction fans record blocks across threads and independent
@@ -92,11 +93,15 @@
 //! policy, and it is **derived, never configured**: `full_pass =
 //! segment_count > 1 || capture_states || skip_segments > 0`.
 //!
-//! * `!full_pass` (one stream): **early stopping** — a slot stops being
-//!   fed the moment every error of its list meets epsilon and the stream
-//!   ends when every member converged (§5.2.3), persisting the streamed
-//!   prefix as resumable partial columns; extraction runs on the
-//!   configured [`Device`].
+//! * `!full_pass` (one stream): **early stopping** — a list member whose
+//!   state can [freeze](MeasureState::freeze) it (`corr`) stops being fed
+//!   at the block its own error met epsilon, exactly where a
+//!   one-hypothesis slot would have stopped; a slot stops being fed the
+//!   moment every error of its list meets epsilon, and a hypothesis column
+//!   is evaluated only while some unfrozen member of an unconverged slot
+//!   reads it. The stream ends when every member converged (§5.2.3),
+//!   persisting the streamed prefix as resumable partial columns;
+//!   extraction runs on the configured [`Device`].
 //! * `full_pass`: the same slots over the same lists, never stopped
 //!   early: every block of every streamed segment is processed, so
 //!   folded scores and extractor call counts do not depend on device or
@@ -120,16 +125,18 @@
 //! [`inspect_as`] runs one request under any of the paper's five designs
 //! (§5.1 / §6.2, Figs. 5–8):
 //!
-//! | [`EngineKind`]      | materialization | states         | stopping       |
-//! |---------------------|-----------------|----------------|----------------|
-//! | `PyBase`            | full, up-front  | per pair       | none           |
-//! | `Merged`            | full, up-front  | per list (+MM) | none           |
-//! | `MergedEarlyStop`   | full, up-front  | per list       | per state (ES) |
+//! | [`EngineKind`]      | materialization | states         | stopping            |
+//! |---------------------|-----------------|----------------|---------------------|
+//! | `PyBase`            | full, up-front  | per pair       | none                |
+//! | `Merged`            | full, up-front  | per list (+MM) | none                |
+//! | `MergedEarlyStop`   | full, up-front  | per list       | per member (ES)     |
 //! | `DeepBase`          | streaming blocks| per list       | ends extraction too |
-//! | `Madlib`            | dense relations | UDA per hyp    | none           |
+//! | `Madlib`            | dense relations | UDA per hyp    | none                |
 //!
 //! "Per list" is the `hypothesis_lists` split; `PyBase` always takes
-//! singletons. `DeepBase` is [`inspect`] itself. The other four
+//! singletons. "Per member" is the streaming pass's rule: a member its
+//! state can freeze stops on its own, any other list as a whole.
+//! `DeepBase` is [`inspect`] itself. The other four
 //! materialize the whole dataset before scoring, so they have no partial
 //! answer, no store, no views and no segments: they take an unlimited
 //! [`RunBudget`] only and read the dataset as one shuffled sequence.
@@ -638,21 +645,31 @@ fn inspect_materialized(
             } else {
                 all_hyps.chunks(1).collect()
             };
-            // One state per list, fed a block at a time. Early stopping can
-            // only stop a list as a whole (the paper's §5.2.1 caveat).
+            // One state per list, fed a block at a time. Early stopping
+            // freezes each member at the block its own error met ε where
+            // the state can (`corr`), so its scores are those of a
+            // one-hypothesis state; any other list stops as a whole, once
+            // every member converged (the paper's §5.2.1 caveat).
             let score_list = |list: &[usize]| -> (Vec<PairResult>, usize) {
                 let mut state = measure.new_state(group.units.len(), list.len());
                 let mut errs = vec![f32::INFINITY; list.len()];
+                let mut frozen = vec![false; list.len()];
                 let mut block: Vec<&[f32]> = Vec::with_capacity(list.len());
                 let (mut start, mut blocks) = (0, 0);
                 while start < rows_total {
                     let end = (start + block_rows).min(rows_total);
                     block.clear();
-                    block.extend(list.iter().map(|&h| &hyp_cols[h][start..end]));
+                    block.extend(list.iter().zip(&frozen).map(|(&h, &frozen)| match frozen {
+                        true => &[][..],
+                        false => &hyp_cols[h][start..end],
+                    }));
                     state.process_block(&behaviors.slice_rows(start, end), &block, &mut errs);
                     blocks += 1;
-                    if early_stop && errs.iter().all(|&e| e <= eps) {
-                        break;
+                    if early_stop {
+                        freeze_met(state.as_mut(), &errs, eps, &mut frozen, |_| {});
+                        if errs.iter().all(|&e| e <= eps) {
+                            break;
+                        }
                     }
                     start = end;
                 }
@@ -687,6 +704,26 @@ fn inspect_materialized(
 }
 
 type PairResult = (Vec<f32>, f32);
+
+/// Freezes each member of `state` whose error met `eps` and is not frozen
+/// yet, if the state can ([`MeasureState::freeze`]), marking it in `frozen`
+/// and reporting its list position to `on_freeze`. The early-stopping rule
+/// of both the streaming pass and `+MM+ES`: a member stops where a
+/// one-hypothesis state over it would have.
+fn freeze_met(
+    state: &mut dyn MeasureState,
+    errs: &[f32],
+    eps: f32,
+    frozen: &mut [bool],
+    mut on_freeze: impl FnMut(usize),
+) {
+    for (pos, (&err, frozen)) in errs.iter().zip(frozen.iter_mut()).enumerate() {
+        if !*frozen && err <= eps && state.freeze(pos) {
+            *frozen = true;
+            on_freeze(pos);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // The streaming engine
@@ -854,6 +891,10 @@ struct SlotRun {
     /// Set once every error met epsilon on an early-stopping stream; a
     /// converged slot is no longer fed. Never set on a full pass.
     converged: bool,
+    /// Per slot hypothesis: frozen at the block its own error met epsilon
+    /// on an early-stopping stream ([`MeasureState::freeze`]), after which
+    /// it is fed an empty column. Never set on a full pass.
+    frozen: Vec<bool>,
 }
 
 struct MemberRun {
@@ -1055,11 +1096,13 @@ impl<'a> PassLayout<'a> {
                     state: slot.measure.new_state(n_units, slot.hyps.len()),
                     errs: vec![f32::INFINITY; slot.hyps.len()],
                     converged: false,
+                    frozen: vec![false; slot.hyps.len()],
                 }
             })
             .collect();
         // How many unconverged slots still consume each union hypothesis
-        // column; columns with no consumers are not evaluated.
+        // column, counting only members that are not frozen; columns with
+        // no consumers are not evaluated.
         let mut hyp_consumers: Vec<usize> = vec![0; self.union_hyps.len()];
         for &c in self.slots.iter().flat_map(|slot| slot.hyps.iter()) {
             hyp_consumers[c] += 1;
@@ -1166,15 +1209,35 @@ impl<'a> PassLayout<'a> {
                 // `None` means the identity selection: use the union
                 // matrix directly.
                 let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(union_behaviors);
-                let col = |&c: &usize| hyp_cols[c].as_deref().expect("consumed column");
+                // A frozen member reads nothing: an empty column.
+                let col = |(&c, &frozen): (&usize, &bool)| match frozen {
+                    true => &[][..],
+                    false => hyp_cols[c].as_deref().expect("consumed column"),
+                };
                 slot_cols.clear();
-                slot_cols.extend(slot.hyps.iter().map(col));
+                slot_cols.extend(slot.hyps.iter().zip(&run.frozen).map(col));
                 run.state
                     .process_block(behaviors, &slot_cols, &mut run.errs);
-                if !full_pass && run.errs.iter().all(|&e| slot.met(e)) {
+                if full_pass {
+                    continue;
+                }
+                // Each member stops at the block its own error met epsilon
+                // (if the state can freeze it), the slot once all have.
+                freeze_met(
+                    run.state.as_mut(),
+                    &run.errs,
+                    slot.eps,
+                    &mut run.frozen,
+                    |pos| {
+                        hyp_consumers[slot.hyps[pos]] -= 1;
+                    },
+                );
+                if run.errs.iter().all(|&e| slot.met(e)) {
                     run.converged = true; // stop feeding
-                    for &c in &slot.hyps {
-                        hyp_consumers[c] -= 1;
+                    for (&c, &frozen) in slot.hyps.iter().zip(&run.frozen) {
+                        if !frozen {
+                            hyp_consumers[c] -= 1;
+                        }
                     }
                 }
             }
@@ -1263,6 +1326,7 @@ impl<'a> PassLayout<'a> {
                 })?,
                 errs: vec![f32::INFINITY; slot.hyps.len()],
                 converged: false,
+                frozen: vec![false; slot.hyps.len()],
             });
         }
         match stored.count() {

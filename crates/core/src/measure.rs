@@ -17,10 +17,17 @@
 //!   capped unit sample **once**, next to one column per hypothesis, and
 //!   derive the per-unit half of a score — the Jaccard threshold and
 //!   bitset, the MI bin assignment — once per unit instead of once per
-//!   pair.
+//!   pair;
+//! * `corr` keeps one Pearson accumulator per (unit, hypothesis) and sums
+//!   each unit's `x` moments once per block for the whole list, in the
+//!   same row order a one-hypothesis state would.
 //!
-//! The other measures (`corr`, `diff_means`, the baselines) score one
-//! hypothesis per state, so each pair stops early on its own.
+//! Early stopping stays per pair for `corr`: the engine
+//! [freezes](MeasureState::freeze) a member at the block its own error met
+//! ε, so a list stops where its one-hypothesis states would have. The
+//! shared states of the other measures stop when their whole list has
+//! converged. The remaining measures (`diff_means`, the baselines) score
+//! one hypothesis per state.
 //! `merge_from` and the durable form are per list too; a state serializes
 //! one hypothesis at a time, to exactly the bytes a one-hypothesis state
 //! of it would write, so stored views do not depend on how hypotheses were
@@ -58,7 +65,8 @@ pub trait Measure: Send + Sync {
     /// True when one state over a hypothesis list does less work than one
     /// state per hypothesis, for the same scores (model merging, §5.2.1):
     /// a pass then builds one state per member hypothesis list instead of
-    /// one per pair.
+    /// one per pair. A sharing state whose members can stop one by one
+    /// (`MeasureState::freeze`, `corr`) also keeps per-pair stop points.
     fn shares_hypotheses(&self) -> bool {
         false
     }
@@ -123,6 +131,18 @@ pub trait MeasureState: Send {
         false
     }
 
+    /// Freezes member `hyp`: from now on its column is not read (the
+    /// caller may pass an empty one), its accumulated state, scores and
+    /// error stay as they are, and [`MeasureState::process_block`] leaves
+    /// its `errs` entry untouched — what a one-hypothesis state that is no
+    /// longer fed would hold. Lets a list stop each member at the block its
+    /// own error met ε, as one state per pair would. Returns `false` (the
+    /// default) when the state cannot freeze a member on its own; the
+    /// engine then feeds the whole list until every member converged.
+    fn freeze(&mut self, _hyp: usize) -> bool {
+        false
+    }
+
     /// The current convergence-error estimate of every hypothesis, as the
     /// last [`MeasureState::process_block`] would have reported it —
     /// without consuming data. Lets the engine re-derive pending pairs
@@ -154,14 +174,29 @@ pub(crate) fn check_block(
     n_units: usize,
     n_hyps: usize,
 ) {
+    check_live_block(units, hyps, errs, n_units, n_hyps, |_| true);
+}
+
+/// [`check_block`] for a state with frozen members: only a column `live`
+/// reports for must hold the block's rows.
+fn check_live_block(
+    units: &Matrix,
+    hyps: &[&[f32]],
+    errs: &[f32],
+    n_units: usize,
+    n_hyps: usize,
+    live: impl Fn(usize) -> bool,
+) {
     assert_eq!(units.cols(), n_units, "block unit-count mismatch");
     assert_eq!(
         (hyps.len(), errs.len()),
         (n_hyps, n_hyps),
         "block hypothesis-count mismatch"
     );
-    for hyp in hyps {
-        assert_eq!(hyp.len(), units.rows(), "block row mismatch");
+    for (h, hyp) in hyps.iter().enumerate() {
+        if live(h) {
+            assert_eq!(hyp.len(), units.rows(), "block row mismatch");
+        }
     }
 }
 
@@ -189,10 +224,15 @@ impl Measure for CorrelationMeasure {
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        one_hypothesis(self.id(), n_hyps);
         Box::new(CorrState {
-            accs: vec![StreamingPearson::new(); n_units],
+            n_units,
+            accs: vec![StreamingPearson::new(); n_units * n_hyps],
+            frozen: vec![false; n_hyps],
         })
+    }
+
+    fn shares_hypotheses(&self) -> bool {
+        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -203,26 +243,35 @@ impl Measure for CorrelationMeasure {
         true
     }
 
+    /// One blob per hypothesis, each the bytes of a one-hypothesis state.
     fn deserialize_state(
         &self,
         n_units: usize,
         per_hyp_blobs: &[&[u8]],
     ) -> Option<Box<dyn MeasureState>> {
-        let [bytes] = per_hyp_blobs else { return None };
-        let mut cur = ByteReader::new(bytes);
-        if cur.u32()? != STATE_TAG_CORR || cur.u32()? as usize != n_units {
-            return None;
-        }
-        let mut accs = Vec::with_capacity(n_units);
-        for _ in 0..n_units {
-            let mut bits = [0u64; 10];
-            for b in &mut bits {
-                *b = cur.u64()?;
+        let mut accs = Vec::with_capacity(n_units * per_hyp_blobs.len());
+        for bytes in per_hyp_blobs {
+            let mut cur = ByteReader::new(bytes);
+            if cur.u32()? != STATE_TAG_CORR || cur.u32()? as usize != n_units {
+                return None;
             }
-            accs.push(StreamingPearson::from_state_bits(bits));
+            for _ in 0..n_units {
+                let mut bits = [0u64; 10];
+                for b in &mut bits {
+                    *b = cur.u64()?;
+                }
+                accs.push(StreamingPearson::from_state_bits(bits));
+            }
+            if !cur.done() {
+                return None;
+            }
         }
-        cur.done()
-            .then(|| Box::new(CorrState { accs }) as Box<dyn MeasureState>)
+        let frozen = vec![false; per_hyp_blobs.len()];
+        Some(Box::new(CorrState {
+            n_units,
+            accs,
+            frozen,
+        }))
     }
 }
 
@@ -234,28 +283,53 @@ const STATE_TAG_DIFF_MEANS: u32 = 3;
 const STATE_TAG_BASELINE: u32 = 4;
 const STATE_TAG_GROUP_MI: u32 = 5;
 
+/// `n_units` Pearson accumulators per hypothesis, hypothesis-major: the
+/// block kernel ([`corr::accumulate_list`]) sums each unit's `x` moments
+/// once for the whole list, and a frozen member is no longer fed.
 struct CorrState {
+    n_units: usize,
     accs: Vec<StreamingPearson>,
+    frozen: Vec<bool>,
+}
+
+impl CorrState {
+    /// Hypothesis `h`'s accumulators, one per unit.
+    fn member(&self, h: usize) -> &[StreamingPearson] {
+        &self.accs[h * self.n_units..(h + 1) * self.n_units]
+    }
+
+    /// The widest Fisher interval over hypothesis `h`'s units.
+    fn error(&self, h: usize) -> f32 {
+        let widths = self.member(h).iter().map(|a| a.fisher_half_width(Z_95));
+        widths.fold(0.0f32, f32::max)
+    }
 }
 
 impl MeasureState for CorrState {
     fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
-        check_block(units, hyps, errs, self.accs.len(), 1);
-        let [hyp] = hyps else {
-            unreachable!("check_block admits one hypothesis")
-        };
-        // Column-wise update: the hypothesis moments are shared by every
-        // unit and each unit's x-moments accumulate in registers, eight
-        // unit columns per row sweep — instead of scattering every row
-        // across all accumulators.
-        corr::accumulate_columns(&mut self.accs, units.as_slice(), hyp);
-        self.convergence_errors(errs);
+        let n_hyps = self.frozen.len();
+        let live = |h: usize| !self.frozen[h];
+        check_live_block(units, hyps, errs, self.n_units, n_hyps, live);
+        let cols: Vec<Option<&[f32]>> = (hyps.iter().zip(&self.frozen))
+            .map(|(&hyp, &frozen)| (!frozen).then_some(hyp))
+            .collect();
+        corr::accumulate_list(&mut self.accs, units.as_slice(), &cols);
+        for (h, err) in errs.iter_mut().enumerate() {
+            if !self.frozen[h] {
+                *err = self.error(h);
+            }
+        }
     }
 
     fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        let unit_scores: Vec<f32> = self.accs.iter().map(|a| a.correlation()).collect();
-        let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
-        vec![(unit_scores, group_score)]
+        (0..self.frozen.len())
+            .map(|h| {
+                let unit_scores: Vec<f32> =
+                    self.member(h).iter().map(|a| a.correlation()).collect();
+                let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
+                (unit_scores, group_score)
+            })
+            .collect()
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -266,7 +340,7 @@ impl MeasureState for CorrState {
         let Some(other) = other.as_any().downcast_ref::<CorrState>() else {
             return false;
         };
-        if other.accs.len() != self.accs.len() {
+        if (other.n_units, other.frozen.len()) != (self.n_units, self.frozen.len()) {
             return false;
         }
         for (a, b) in self.accs.iter_mut().zip(other.accs.iter()) {
@@ -276,18 +350,24 @@ impl MeasureState for CorrState {
     }
 
     fn convergence_errors(&self, errs: &mut [f32]) {
-        let widths = self.accs.iter().map(|a| a.fisher_half_width(Z_95));
-        errs.fill(widths.fold(0.0f32, f32::max));
+        for (h, err) in errs.iter_mut().enumerate() {
+            *err = self.error(h);
+        }
+    }
+
+    fn freeze(&mut self, hyp: usize) -> bool {
+        self.frozen[hyp] = true;
+        true
     }
 
     fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
-        if hyp != 0 {
+        if hyp >= self.frozen.len() {
             return None;
         }
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_CORR);
-        out.u32(self.accs.len() as u32);
-        for acc in &self.accs {
+        out.u32(self.n_units as u32);
+        for acc in self.member(hyp) {
             for b in acc.state_bits() {
                 out.u64(b);
             }
@@ -1426,7 +1506,11 @@ mod tests {
         for (a, b) in expect.iter_mut().zip(reference(&[40..41, 41..90])) {
             a.merge(&b);
         }
-        let expect = CorrState { accs: expect };
+        let expect = CorrState {
+            n_units: width,
+            accs: expect,
+            frozen: vec![false],
+        };
         assert_eq!(first.serialize_state(0), expect.serialize_state(0));
         assert_eq!(
             score_bits(&pair_scores(first.as_ref())),
@@ -1784,6 +1868,7 @@ mod tests {
             .map(|m| m.id())
             .collect();
         let expect = [
+            "corr",
             "mutual_info",
             "jaccard",
             "jaccard_q95",
@@ -1851,6 +1936,8 @@ mod tests {
     struct ListAndSingletons {
         list: Box<dyn MeasureState>,
         singles: Vec<Box<dyn MeasureState>>,
+        /// Members frozen in the list, whose singles are no longer fed.
+        frozen: Vec<bool>,
         n_units: usize,
         what: String,
     }
@@ -1860,27 +1947,43 @@ mod tests {
             ListAndSingletons {
                 list: measure.new_state(n_units, n_hyps),
                 singles: (0..n_hyps).map(|_| measure.new_state(n_units, 1)).collect(),
+                frozen: vec![false; n_hyps],
                 n_units,
                 what: format!("{} units {n_units} hyps {n_hyps}", measure.id()),
             }
         }
 
-        /// Feeds `blocks` (row counts) to both sides, demanding equal
-        /// errors after every block; returns the next unread row.
+        /// Feeds `blocks` (row counts) to both sides — an empty column to
+        /// a frozen member, nothing to its single — demanding equal errors
+        /// after every block; returns the next unread row.
         fn feed(&mut self, mut start: usize, blocks: &[usize]) -> usize {
             let n_hyps = self.singles.len();
             for &rows in blocks {
-                let (units, cols) = stream_block(start, rows, self.n_units, n_hyps);
+                let (units, mut cols) = stream_block(start, rows, self.n_units, n_hyps);
                 start += rows;
+                for (col, &frozen) in cols.iter_mut().zip(&self.frozen) {
+                    if frozen {
+                        col.clear();
+                    }
+                }
                 let mut errs = vec![f32::NAN; n_hyps];
                 self.list.process_block(&units, &refs(&cols), &mut errs);
                 for (h, single) in self.singles.iter_mut().enumerate() {
+                    if self.frozen[h] {
+                        continue;
+                    }
                     let err = feed(single.as_mut(), &units, &cols[h]);
                     let what = &self.what;
                     assert_eq!(errs[h].to_bits(), err.to_bits(), "{what}: error of {h}");
                 }
             }
             start
+        }
+
+        /// Freezes member `h` of the list and stops feeding its single.
+        fn freeze(&mut self, h: usize) {
+            assert!(self.list.freeze(h), "{}: freeze {h}", self.what);
+            self.frozen[h] = true;
         }
 
         /// Folds `other` into `self` on both sides.
@@ -1942,6 +2045,34 @@ mod tests {
             }
             assert_list_equals_singletons(measure.as_ref(), 2, 1, &[60, 60]);
         }
+        // `corr` at unit counts on both sides of its 8-wide tile, over
+        // lists one short of, at and past its 4-hypothesis sweep.
+        for n_units in [1, 7, 8, 9, 17] {
+            for n_hyps in [1, 3, 4, 5] {
+                for blocks in [&[][..], &[0], &[1], &[7], &[5, 40, 17, 1, 90, 30]] {
+                    assert_list_equals_singletons(&CorrelationMeasure, n_units, n_hyps, blocks);
+                }
+            }
+        }
+    }
+
+    /// A frozen `corr` member stays at its single's state — scores, error
+    /// and bytes — from the block it froze on, through later blocks and a
+    /// merge, while the other members go on.
+    #[test]
+    fn a_frozen_corr_member_keeps_the_state_of_its_unfed_single() {
+        for n_units in [3, 9] {
+            let new = || ListAndSingletons::new(&CorrelationMeasure, n_units, 3);
+            let (mut both, mut tail) = (new(), new());
+            let next = both.feed(0, &[10, 7]);
+            both.freeze(1);
+            both.assert_equal("at the freeze");
+            let next = both.feed(next, &[20, 0, 13]);
+            both.assert_equal("after the freeze");
+            tail.feed(next, &[9]);
+            both.merge_from(&tail);
+            both.assert_equal("merged after the freeze");
+        }
     }
 
     proptest::proptest! {
@@ -1955,6 +2086,8 @@ mod tests {
             for measure in buffered_measures(max_buffer) {
                 assert_list_equals_singletons(measure.as_ref(), n_units, n_hyps, &blocks);
             }
+            // 6..=10 units: one side or the other of `corr`'s 8-wide tile.
+            assert_list_equals_singletons(&CorrelationMeasure, n_units + 5, n_hyps, &blocks);
         }
 
         /// Two states over consecutive ranges, merged, are the state of one

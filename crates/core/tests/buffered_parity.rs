@@ -411,10 +411,11 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
 
 /// `EXPLAIN` counts the measure states `PassLayout::build` will build:
 /// one per hypothesis list for a measure that shares (`jaccard`: one unit
-/// sample for the statement's three hypotheses), one per pair otherwise
-/// (`corr`) — on one segment and on a segmented dataset alike.
+/// sample for the statement's three hypotheses; `corr`: one accumulator
+/// grid), one per pair otherwise (`diff_means`) — on one segment and on a
+/// segmented dataset alike.
 #[test]
-fn explain_counts_one_state_per_list_for_jaccard_and_per_pair_for_corr() {
+fn explain_counts_one_state_per_list_for_jaccard_and_corr_and_per_pair_for_diff_means() {
     let explain = |measure: &str, lens: &[usize]| {
         let q = format!(
             "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING {measure} \
@@ -437,6 +438,7 @@ PhysicalPlan: 1 query, 1 shared group, block_records=512
     };
     for lens in [&[TOTAL][..], &[SEG_LEN, 2 * SEG_LEN]] {
         assert_eq!(explain("jaccard", lens), plan("1 shared (1 requested)"));
-        assert_eq!(explain("corr", lens), plan("3 shared (3 requested)"));
+        assert_eq!(explain("corr", lens), plan("1 shared (1 requested)"));
+        assert_eq!(explain("diff_means", lens), plan("3 shared (3 requested)"));
     }
 }

@@ -4,7 +4,12 @@
 //! is a session property, in `session_tests`).
 
 use deepbase::prelude::*;
+use deepbase::query::UnitMeta;
+use deepbase_relational::Value;
 use deepbase_tensor::Matrix;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Synthetic world: 4 units over 6-symbol records; unit 0 mirrors the
 /// `ones` hypothesis, unit 2 anti-mirrors it, units 1 and 3 are noise.
@@ -427,4 +432,338 @@ fn profile_accounts_for_phases() {
     assert!(profile.blocks_processed >= 1);
     assert!(profile.records_read >= 32);
     assert!(profile.total >= profile.inspection);
+}
+
+// ---------------------------------------------------------------------
+// A `corr` list stops each member where its one-hypothesis run would
+// ---------------------------------------------------------------------
+
+/// Symbols per record of the convergence fixture.
+const MIX_NS: usize = 8;
+/// Units: one 8-wide tile and a tail unit.
+const MIX_UNITS: usize = 9;
+/// How strongly each hypothesis drives every unit. A hypothesis that
+/// explains most of each unit has a narrow Fisher interval early; the last
+/// ones need most of the data, so under the default ε the six pairs of a
+/// unit converge at different blocks, or never.
+const MIX_WEIGHTS: [f32; 6] = [4.0, 2.0, 1.0, 0.6, 0.3, 0.0];
+
+/// Hypothesis `k`'s 0/1 signal at symbol `t` of record `id`.
+fn mix_signal(k: usize, id: usize, t: usize) -> f32 {
+    let mut x = ((id * MIX_NS + t) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= (k as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    ((x >> 40) & 1) as f32
+}
+
+fn mix_records(first_id: usize, n: usize) -> Vec<Record> {
+    (first_id..first_id + n)
+        .map(|i| Record::standalone(i, vec![0; MIX_NS], "x".repeat(MIX_NS)))
+        .collect()
+}
+
+/// Unit `u` of record `id`'s symbol `t`: the weighted hypothesis signals,
+/// scaled per unit, plus a little unit-specific noise.
+fn mix_behaviors(total: usize) -> Matrix {
+    Matrix::from_fn(total * MIX_NS, MIX_UNITS, |r, u| {
+        let (id, t) = (r / MIX_NS, r % MIX_NS);
+        let signal: f32 = (MIX_WEIGHTS.iter().enumerate())
+            .map(|(k, w)| w * mix_signal(k, id, t))
+            .sum();
+        let noise = ((r * (u + 11) * 7919) % 101) as f32 / 101.0;
+        signal * (1.0 + 0.1 * u as f32) + 0.5 * noise - u as f32
+    })
+}
+
+/// Hypothesis `k` of the fixture, counting its evaluations.
+struct MixHypothesis {
+    id: String,
+    k: usize,
+    calls: Arc<AtomicUsize>,
+}
+
+impl HypothesisFn for MixHypothesis {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn behavior(&self, record: &Record) -> Result<Vec<f32>, DniError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Ok((0..MIX_NS)
+            .map(|t| mix_signal(self.k, record.id, t))
+            .collect())
+    }
+}
+
+fn mix_hypotheses() -> Vec<Arc<MixHypothesis>> {
+    (0..MIX_WEIGHTS.len())
+        .map(|k| {
+            Arc::new(MixHypothesis {
+                id: format!("mix{k}"),
+                k,
+                calls: Arc::new(AtomicUsize::new(0)),
+            })
+        })
+        .collect()
+}
+
+/// `(hypothesis, unit, score bits, group score bits)` per frame row.
+type MixRow = (String, usize, u32, u32);
+/// `(hypothesis, error bits, epsilon bits)` per pending pair.
+type MixPending = (String, u32, u32);
+
+/// What a pass reports about its pairs, in list order: rows, pending
+/// pairs, rows read and each hypothesis's evaluations.
+#[derive(Debug, PartialEq)]
+struct MixRun {
+    rows: Vec<MixRow>,
+    pending: Vec<MixPending>,
+    rows_read: usize,
+    calls: Vec<usize>,
+}
+
+impl MixRun {
+    /// The singles' runs as one list run would report them: rows and
+    /// pending pairs concatenated, the longest stream, each hypothesis's
+    /// calls from its own run.
+    fn of_singles(singles: Vec<MixRun>) -> MixRun {
+        let mut joined = MixRun {
+            rows: Vec::new(),
+            pending: Vec::new(),
+            rows_read: 0,
+            calls: Vec::new(),
+        };
+        for single in singles {
+            joined.rows.extend(single.rows);
+            joined.pending.extend(single.pending);
+            joined.rows_read = joined.rows_read.max(single.rows_read);
+            joined.calls.extend(single.calls);
+        }
+        joined
+    }
+}
+
+/// One `corr` pass over `hyps` through the engine, with each hypothesis's
+/// call count over the pass.
+fn mix_pass(
+    dataset: &Dataset,
+    extractor: &PrecomputedExtractor,
+    hyps: &[Arc<MixHypothesis>],
+    config: &InspectionConfig,
+) -> MixRun {
+    let all = mix_hypotheses_calls(hyps);
+    let req = mix_request(dataset, extractor, hyps);
+    let outcome = inspect_shared(std::slice::from_ref(&req), config).unwrap();
+    let rows = mix_rows(&outcome.results[0].0);
+    let pending = (outcome.completion.pending.iter())
+        .map(|p| (p.hyp_id.clone(), p.error.to_bits(), p.epsilon.to_bits()))
+        .collect();
+    MixRun {
+        rows,
+        pending,
+        rows_read: outcome.completion.rows_read,
+        calls: all
+            .iter()
+            .zip(mix_hypotheses_calls(hyps))
+            .map(|(a, b)| b - a)
+            .collect(),
+    }
+}
+
+/// A `corr` request over the fixture.
+fn mix_request<'a>(
+    dataset: &'a Dataset,
+    extractor: &'a PrecomputedExtractor,
+    hyps: &'a [Arc<MixHypothesis>],
+) -> InspectionRequest<'a> {
+    InspectionRequest {
+        model_id: "mix".into(),
+        extractor,
+        groups: vec![UnitGroup::all(MIX_UNITS)],
+        dataset,
+        hypotheses: hyps
+            .iter()
+            .map(|h| h.as_ref() as &dyn HypothesisFn)
+            .collect(),
+        measures: vec![&CorrelationMeasure],
+    }
+}
+
+fn mix_rows(frame: &ResultFrame) -> Vec<MixRow> {
+    (frame.rows.iter())
+        .map(|r| {
+            let bits = (r.unit_score.to_bits(), r.group_score.to_bits());
+            (r.hyp_id.clone(), r.unit, bits.0, bits.1)
+        })
+        .collect()
+}
+
+fn mix_hypotheses_calls(hyps: &[Arc<MixHypothesis>]) -> Vec<usize> {
+    hyps.iter()
+        .map(|h| h.calls.load(Ordering::Relaxed))
+        .collect()
+}
+
+/// Paper §5.2.1 merges the per-unit half of `corr` across a hypothesis
+/// list; §5.2.2 stops each pair at its own ε. One `corr` statement over six
+/// hypotheses must score, report pending and read exactly what six
+/// one-hypothesis runs do — under the default ε, where the pairs stop at
+/// different blocks, and under 1e-12, where none stops — on both devices,
+/// on one segment and folded over three.
+#[test]
+fn a_corr_list_is_bit_equal_to_its_single_hypothesis_runs_at_any_epsilon() {
+    let total = 720;
+    let extractor = PrecomputedExtractor::new(mix_behaviors(total), MIX_NS);
+    let one_segment = Dataset::new("mix", MIX_NS, mix_records(0, total)).unwrap();
+    let segs = vec![
+        mix_records(0, 336),
+        mix_records(336, 240),
+        mix_records(576, 144),
+    ];
+    let three_segments = Dataset::with_segments("mix", MIX_NS, segs).unwrap();
+    let hyps = mix_hypotheses();
+    for (dataset, segmented) in [(&one_segment, false), (&three_segments, true)] {
+        for device in [Device::SingleCore, Device::Parallel(3)] {
+            for epsilon in [None, Some(1e-12)] {
+                let config = InspectionConfig {
+                    epsilon,
+                    block_records: 16,
+                    device,
+                    ..Default::default()
+                };
+                let what = format!("segmented {segmented}, {device:?}, epsilon {epsilon:?}");
+                let list = mix_pass(dataset, &extractor, &hyps, &config);
+                let singles: Vec<MixRun> = (hyps.iter())
+                    .map(|h| mix_pass(dataset, &extractor, std::slice::from_ref(h), &config))
+                    .collect();
+                let stops: Vec<usize> = singles.iter().map(|s| s.rows_read).collect();
+                assert_eq!(list, MixRun::of_singles(singles), "{what}");
+                assert_eq!(list.rows.len(), MIX_WEIGHTS.len() * MIX_UNITS);
+                // Not vacuous: under the default ε on one segment the
+                // pairs stop at different blocks, one of them early and
+                // one never; otherwise every pair reads everything.
+                let distinct: std::collections::BTreeSet<usize> = stops.iter().copied().collect();
+                if epsilon.is_none() && !segmented {
+                    assert!(distinct.len() >= 3, "{what}: stops {stops:?}");
+                    assert!(stops[0] < total / 4, "{what}: stops {stops:?}");
+                    assert!(!list.pending.is_empty(), "{what}: stops {stops:?}");
+                    assert!(list.pending.len() < MIX_WEIGHTS.len(), "{what}");
+                } else {
+                    assert_eq!(stops, vec![total; MIX_WEIGHTS.len()], "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// The same differential across a view: a view over the six hypotheses,
+/// built on two segments and refreshed incrementally with a third, holds
+/// the scores, and stores the fold point, of six one-hypothesis views.
+#[test]
+fn a_corr_list_view_builds_and_refreshes_like_its_single_hypothesis_views() {
+    const Q: &str = "SELECT S.hyp_id, S.uid, S.unit_score, S.group_score \
+                     INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+                     FROM models M, units U, hypotheses H, inputs D";
+    let total = 600;
+    let catalog = |hyps: &[Arc<MixHypothesis>]| {
+        let mut catalog = Catalog::new();
+        catalog.add_model_with_units(
+            "m1",
+            0,
+            Arc::new(PrecomputedExtractor::new(mix_behaviors(total), MIX_NS)),
+            (0..MIX_UNITS)
+                .map(|uid| UnitMeta { uid, layer: 0 })
+                .collect(),
+        );
+        let set = hyps.iter().map(|h| h.clone() as Arc<dyn HypothesisFn>);
+        catalog.add_hypotheses("mix", set.collect());
+        let segs = vec![mix_records(0, 250), mix_records(250, 150)];
+        let dataset = Dataset::with_segments("seq", MIX_NS, segs).unwrap();
+        catalog.add_dataset("seq", Arc::new(dataset));
+        catalog
+    };
+    // Table cells as bits, the view's stored states, each hypothesis's calls.
+    let view = |hyps: &[Arc<MixHypothesis>], name: &str| {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp-engine-tests")
+            .join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let before = mix_hypotheses_calls(hyps);
+        let mut session = Session::with_config(
+            catalog(hyps),
+            SessionConfig {
+                inspection: InspectionConfig {
+                    block_records: 16,
+                    ..Default::default()
+                },
+                store: Some(StoreConfig {
+                    block_records: 16,
+                    ..StoreConfig::at(&dir)
+                }),
+                ..SessionConfig::default()
+            },
+        );
+        session.create_view("v", Q).unwrap();
+        session
+            .append_records("seq", mix_records(400, total - 400))
+            .unwrap();
+        let refresh = session.refresh_view("v").unwrap();
+        assert_eq!(refresh, ViewRefresh::Incremental { new_segments: 1 });
+        let table = session.read_view("v").unwrap();
+        let cells: Vec<Vec<String>> = (0..table.len())
+            .map(|r| {
+                (table.row(r).iter())
+                    .map(|v| match v {
+                        Value::Float(f) => format!("{:08x}", f.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect();
+        let views = session.store().unwrap().views();
+        let states = views.load("v").unwrap().expect("view v").states.clone();
+        let calls: Vec<usize> = (mix_hypotheses_calls(hyps).iter().zip(&before))
+            .map(|(a, b)| a - b)
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        (cells, states, calls)
+    };
+    let hyps = mix_hypotheses();
+    let (cells, states, calls) = view(&hyps, "list");
+    assert_eq!(cells.len(), MIX_WEIGHTS.len() * MIX_UNITS);
+    let (mut want_cells, mut want_states, mut want_calls) = (Vec::new(), Vec::new(), Vec::new());
+    for (k, hyp) in hyps.iter().enumerate() {
+        let (c, s, n) = view(std::slice::from_ref(hyp), &format!("single-{k}"));
+        want_cells.extend(c);
+        want_states.extend(s);
+        want_calls.push(n[0]);
+    }
+    assert_eq!(cells, want_cells);
+    assert!(states == want_states, "stored fold points differ");
+    assert_eq!(calls, want_calls);
+}
+
+/// The `+MM+ES` reference design scores a `corr` list bit for bit as the
+/// streaming engine does under the default ε: both freeze each member at
+/// the block its own error met ε, on either device.
+#[test]
+fn merged_early_stop_scores_a_corr_list_as_deepbase_does_at_the_default_epsilon() {
+    let total = 720;
+    let extractor = PrecomputedExtractor::new(mix_behaviors(total), MIX_NS);
+    let dataset = Dataset::new("mix", MIX_NS, mix_records(0, total)).unwrap();
+    let hyps = mix_hypotheses();
+    let req = mix_request(&dataset, &extractor, &hyps);
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let config = InspectionConfig {
+            block_records: 16,
+            device,
+            ..Default::default()
+        };
+        let run = |kind| mix_rows(&inspect_as(kind, &req, &config).unwrap().0);
+        let streamed = run(EngineKind::DeepBase);
+        assert_eq!(run(EngineKind::MergedEarlyStop), streamed, "{device:?}");
+        // Not vacuous: early stopping moved the scores off the full data's.
+        assert_ne!(run(EngineKind::Merged), streamed, "{device:?}");
+    }
 }

@@ -330,72 +330,201 @@ impl StreamingPearson {
     }
 }
 
-/// Unit columns [`accumulate_columns`] advances per row sweep.
+/// Unit columns [`accumulate_list`] advances per row sweep.
 const TILE: usize = 8;
 
+/// Hypothesis columns [`accumulate_list`] advances per row sweep.
+const HYPS: usize = 4;
+
 deepbase_tensor::simd_kernel! {
-    /// Folds one row-major `ys.len() × accs.len()` block into per-column
-    /// accumulators that share the `y` column — the block kernel of the
-    /// correlation measure.
+    /// Folds one row-major `rows × width` unit block into the accumulators
+    /// of a hypothesis list — the block kernel of the correlation measure.
     ///
-    /// The `y` moments are computed once. The columns advance `TILE` (8)
-    /// abreast: one sweep over the rows loads `TILE` adjacent values per
-    /// row (contiguous) and feeds `TILE` independent sum chains, so the
-    /// sweep runs at load/multiply throughput instead of one dependent f64
-    /// add per element — two f64 lanes per register at the default x86-64
-    /// target, four in the AVX2 copy the dispatcher picks at run time
-    /// (`deepbase_tensor::simd`). Each column's own chain still adds its
-    /// rows in row order, so the result is bit-identical to walking the
-    /// columns one at a time, on either copy; the `accs.len() % TILE`
-    /// trailing columns are walked exactly that way.
-    pub fn accumulate_columns(
-        accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]
-    ) = accumulate_columns_body;
+    /// `accs` holds `ys.len() × width` accumulators, hypothesis-major (the
+    /// accumulator of unit `u` and hypothesis `h` is `accs[h * width + u]`);
+    /// `ys[h]` is hypothesis `h`'s column of `rows` values, or `None` for a
+    /// frozen member, whose accumulators are left untouched.
+    ///
+    /// Each live hypothesis's column is widened to f64 and its `y` moments
+    /// summed once. The units advance `TILE` (8) abreast and the live
+    /// hypotheses `HYPS` (4) at a time: one sweep over the rows loads
+    /// `TILE` adjacent values per row (contiguous) and feeds `TILE`
+    /// independent `Σxy` chains per hypothesis, and a tile's first sweep
+    /// also accumulates its `Σx` and `Σx²` — once for the whole list. A
+    /// list of more than `HYPS` live members takes the rows in bands of
+    /// `BAND_BYTES` of unit values, which stay in L1 while every sweep
+    /// reads them; a shorter one is one sweep per tile, so a one-member
+    /// list does the single-column walk's work. The sweep runs at
+    /// load/multiply throughput instead of one dependent f64 add per
+    /// element: two f64 lanes per register at the default x86-64 target,
+    /// four in the AVX2 copy the dispatcher picks at run time
+    /// (`deepbase_tensor::simd`).
+    /// Every chain still adds the block's rows in row order, carried from
+    /// band to band, and every `(unit, hypothesis)` accumulator receives
+    /// the same five sums through [`StreamingPearson::accumulate`], so the
+    /// result is bit-identical to walking each pair on its own, on either
+    /// copy, whatever the list's length; the `width % TILE` trailing units
+    /// are swept one at a time.
+    pub fn accumulate_list(
+        accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<&[f32]>]
+    ) = accumulate_list_body;
 }
 
-/// Body of [`accumulate_columns`].
+/// Body of [`accumulate_list`].
 #[inline(always)]
-fn accumulate_columns_body(accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]) {
-    let width = accs.len();
-    assert_eq!(xs.len(), ys.len() * width, "pearson block shape mismatch");
-    if width == 0 {
+fn accumulate_list_body(accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<&[f32]>]) {
+    let shape = "pearson block shape mismatch";
+    let Some(width) = accs.len().checked_div(ys.len()) else {
+        assert!(accs.is_empty(), "{shape}");
+        return;
+    };
+    assert_eq!(accs.len(), width * ys.len(), "{shape}");
+    let rows = xs.len().checked_div(width).unwrap_or(0);
+    assert_eq!(xs.len(), rows * width, "{shape}");
+    // The live members in list order, each with its `y` moments.
+    let live: Vec<Live> = (ys.iter().enumerate())
+        .filter_map(|(h, y)| y.map(|y| (h, y)))
+        .map(|(h, y)| {
+            assert_eq!(y.len(), rows, "{shape}");
+            let y: Vec<f64> = y.iter().map(|&y| y as f64).collect();
+            let (mut sy, mut syy) = (0.0f64, 0.0);
+            for &y in &y {
+                sy += y;
+                syy += y * y;
+            }
+            Live { h, y, sy, syy }
+        })
+        .collect();
+    if width == 0 || live.is_empty() {
         return;
     }
-    let n = ys.len() as u64;
-    let (mut sy, mut syy) = (0.0f64, 0.0);
-    for &y in ys {
-        let y = y as f64;
-        sy += y;
-        syy += y * y;
-    }
+    // Each chain's running sum is carried from band to band. A list of at
+    // most `HYPS` live members sweeps each tile once, so it gains nothing
+    // from bands and takes the block in one.
+    let mut sums = Sums {
+        x: vec![0.0; width],
+        xx: vec![0.0; width],
+        xy: vec![0.0; live.len() * width],
+    };
+    let band = match live.len() > HYPS {
+        true => (BAND_BYTES / (4 * width)).max(1),
+        false => rows.max(1),
+    };
     let tiled = width - width % TILE;
-    for (t, tile) in accs[..tiled].chunks_exact_mut(TILE).enumerate() {
-        let (mut sx, mut sxx, mut sxy) = ([0.0f64; TILE], [0.0f64; TILE], [0.0f64; TILE]);
-        for (row, &y) in xs.chunks_exact(width).zip(ys) {
-            let y = y as f64;
-            let row: &[f32; TILE] = row[t * TILE..(t + 1) * TILE]
-                .try_into()
-                .expect("tile is TILE wide");
-            for j in 0..TILE {
-                let x = row[j] as f64;
-                sx[j] += x;
-                sxx[j] += x * x;
-                sxy[j] += x * y;
+    for start in (0..rows).step_by(band) {
+        let end = (start + band).min(rows);
+        let at = Band {
+            xs: &xs[start * width..end * width],
+            width,
+            rows: start..end,
+        };
+        for u0 in (0..tiled).step_by(TILE) {
+            at.tile::<TILE>(u0, &live, &mut sums);
+        }
+        for u0 in tiled..width {
+            at.tile::<1>(u0, &live, &mut sums);
+        }
+    }
+    for (l, hyp) in live.iter().enumerate() {
+        let accs = &mut accs[hyp.h * width..][..width];
+        let xy = &sums.xy[l * width..][..width];
+        for (u, acc) in accs.iter_mut().enumerate() {
+            acc.accumulate(rows as u64, sums.x[u], hyp.sy, sums.xx[u], hyp.syy, xy[u]);
+        }
+    }
+}
+
+/// Bytes of unit values per band of rows [`accumulate_list`] sweeps.
+const BAND_BYTES: usize = 16 * 1024;
+
+/// A live hypothesis of [`accumulate_list`]: its list position, its
+/// column widened once to f64 (every sweep then broadcasts it straight
+/// from memory) and the column's `Σy`, `Σy²`.
+struct Live {
+    h: usize,
+    y: Vec<f64>,
+    sy: f64,
+    syy: f64,
+}
+
+/// The running sums of [`accumulate_list`]: `Σx` and `Σx²` per unit, and
+/// `Σxy` per live hypothesis and unit, live-major.
+struct Sums {
+    x: Vec<f64>,
+    xx: Vec<f64>,
+    xy: Vec<f64>,
+}
+
+/// One band of a row-major block: rows `rows` of it, `width` units each.
+struct Band<'a> {
+    xs: &'a [f32],
+    width: usize,
+    rows: std::ops::Range<usize>,
+}
+
+impl Band<'_> {
+    /// Units `u0..u0 + W` against every live hypothesis: one sweep per
+    /// `HYPS` of them, the first also summing the units' `x` moments.
+    #[inline(always)]
+    fn tile<const W: usize>(&self, u0: usize, live: &[Live], sums: &mut Sums) {
+        for (g, group) in live.chunks(HYPS).enumerate() {
+            let first = g * HYPS;
+            match (g == 0, group.len()) {
+                (true, 1) => self.sweep::<W, 1, true>(u0, group, first, sums),
+                (true, 2) => self.sweep::<W, 2, true>(u0, group, first, sums),
+                (true, 3) => self.sweep::<W, 3, true>(u0, group, first, sums),
+                (true, _) => self.sweep::<W, HYPS, true>(u0, group, first, sums),
+                (false, 1) => self.sweep::<W, 1, false>(u0, group, first, sums),
+                (false, 2) => self.sweep::<W, 2, false>(u0, group, first, sums),
+                (false, 3) => self.sweep::<W, 3, false>(u0, group, first, sums),
+                (false, _) => self.sweep::<W, HYPS, false>(u0, group, first, sums),
             }
         }
-        for (j, acc) in tile.iter_mut().enumerate() {
-            acc.accumulate(n, sx[j], sy, sxx[j], syy, sxy[j]);
-        }
     }
-    for (u, acc) in accs.iter_mut().enumerate().skip(tiled) {
-        let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
-        for (row, &y) in xs.chunks_exact(width).zip(ys) {
-            let x = row[u] as f64;
-            sx += x;
-            sxx += x * x;
-            sxy += x * y as f64;
+
+    /// One pass over the band's rows: `Σxy` of units `u0..u0 + W` against
+    /// the first `K` hypotheses of `group` (live positions `first..`) and,
+    /// on the `FIRST` sweep, the units' `Σx` and `Σx²` — each chain picking
+    /// up where the previous band left it, in row order.
+    #[inline(always)]
+    fn sweep<const W: usize, const K: usize, const FIRST: bool>(
+        &self,
+        u0: usize,
+        group: &[Live],
+        first: usize,
+        sums: &mut Sums,
+    ) {
+        let n = self.rows.len();
+        let ys: [&[f64]; K] = std::array::from_fn(|k| &group[k].y[self.rows.clone()]);
+        let tile = |v: &[f64], at: usize| -> [f64; W] {
+            v[at..at + W].try_into().expect("tile is W wide")
+        };
+        let (mut sx, mut sxx) = (tile(&sums.x, u0), tile(&sums.xx, u0));
+        let mut sxy: [[f64; W]; K] =
+            std::array::from_fn(|k| tile(&sums.xy, (first + k) * self.width + u0));
+        for (r, row) in self.xs.chunks_exact(self.width).take(n).enumerate() {
+            let row: &[f32; W] = row[u0..u0 + W].try_into().expect("tile is W wide");
+            for j in 0..W {
+                let x = row[j] as f64;
+                if FIRST {
+                    sx[j] += x;
+                    sxx[j] += x * x;
+                }
+            }
+            for k in 0..K {
+                let y = ys[k][r];
+                for j in 0..W {
+                    sxy[k][j] += row[j] as f64 * y;
+                }
+            }
         }
-        acc.accumulate(n, sx, sy, sxx, syy, sxy);
+        if FIRST {
+            sums.x[u0..u0 + W].copy_from_slice(&sx);
+            sums.xx[u0..u0 + W].copy_from_slice(&sxx);
+        }
+        for (k, sxy) in sxy.iter().enumerate() {
+            sums.xy[(first + k) * self.width + u0..][..W].copy_from_slice(sxy);
+        }
     }
 }
 
@@ -556,34 +685,50 @@ mod tests {
         assert!((strided.fisher_half_width(Z_95) - dense.fisher_half_width(Z_95)).abs() < 1e-6);
     }
 
-    /// The per-unit walk [`accumulate_columns`] replaced: one strided pass
-    /// per column, one dependent sum chain each.
-    fn accumulate_columns_one_by_one(accs: &mut [StreamingPearson], xs: &[f32], ys: &[f32]) {
-        let width = accs.len();
-        let (mut sy, mut syy) = (0.0f64, 0.0);
-        for &y in ys {
-            let y = y as f64;
-            sy += y;
-            syy += y * y;
-        }
-        for (u, acc) in accs.iter_mut().enumerate() {
-            let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
-            let mut idx = u;
-            for &y in ys {
-                let x = xs[idx] as f64;
-                sx += x;
-                sxx += x * x;
-                sxy += x * y as f64;
-                idx += width;
+    /// What [`accumulate_list`] computes, walked one `(unit, hypothesis)`
+    /// pair at a time: one strided pass per pair, one dependent sum chain
+    /// per moment.
+    fn accumulate_pair_by_pair(accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<&[f32]>]) {
+        let width = accs.len() / ys.len();
+        for (h, y) in ys.iter().enumerate() {
+            let Some(y) = y else { continue };
+            let (mut sy, mut syy) = (0.0f64, 0.0);
+            for &v in *y {
+                sy += v as f64;
+                syy += v as f64 * v as f64;
             }
-            acc.accumulate(ys.len() as u64, sx, sy, sxx, syy, sxy);
+            for u in 0..width {
+                let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
+                let mut idx = u;
+                for &v in *y {
+                    let x = xs[idx] as f64;
+                    sx += x;
+                    sxx += x * x;
+                    sxy += x * v as f64;
+                    idx += width;
+                }
+                accs[h * width + u].accumulate(y.len() as u64, sx, sy, sxx, syy, sxy);
+            }
         }
     }
 
+    /// State bits with every NaN as one class: Rust leaves a NaN's sign and
+    /// payload unspecified, and the two compiled copies may differ there.
+    fn state(accs: &[StreamingPearson]) -> Vec<[u64; 10]> {
+        let class = |b: u64| {
+            if f64::from_bits(b).is_nan() {
+                u64::MAX
+            } else {
+                b
+            }
+        };
+        accs.iter().map(|a| a.state_bits().map(class)).collect()
+    }
+
     #[test]
-    fn tiled_block_kernel_is_bit_identical_to_the_per_unit_walk() {
-        // Column kinds cycle raw / constant / ±1 / raw-with-NaN-and-Inf,
-        // so every tile (and the scalar tail) holds each of them.
+    fn list_kernel_is_bit_identical_to_the_pair_by_pair_walk() {
+        // Unit kinds cycle raw / constant / ±1 / raw-with-NaN-and-±Inf, so
+        // every tile (and the scalar tail) holds each of them.
         let value = |r: usize, c: usize| -> f32 {
             let raw = (((r * 31 + c * 17) % 97) as f32 / 97.0 - 0.4) * (1.0 + c as f32);
             match c % 4 {
@@ -591,62 +736,101 @@ mod tests {
                 2 => [-1.0, 1.0, 1.0][(r + c) % 3],
                 3 if r % 29 == 7 => f32::NAN,
                 3 if r % 31 == 11 => f32::INFINITY,
+                3 if r % 37 == 5 => f32::NEG_INFINITY,
                 _ => raw,
             }
         };
-        let rows = 150;
-        let ys: Vec<f32> = (0..rows).map(|r| ((r * 13) % 7) as f32 - 2.0).collect();
-        let state = |accs: &[StreamingPearson]| -> Vec<[u64; 10]> {
-            accs.iter().map(|a| a.state_bits()).collect()
+        // Hypothesis columns: small integers, one constant, one with a NaN.
+        let hyp = |r: usize, h: usize| -> f32 {
+            match h % 5 {
+                3 => 1.0,
+                4 if r == 77 => f32::NAN,
+                _ => ((r * (13 + 2 * h)) % 7) as f32 - 2.0,
+            }
         };
-        for width in [1usize, 7, 8, 9, 96, 100] {
+        let rows = 150;
+        let blocks = [1usize, 0, 64, 3, 50, 32];
+        let path = deepbase_tensor::simd::path();
+        // At 96, 100 and 300 units the 64- and 50-row blocks span several
+        // bands of rows.
+        for width in [1usize, 7, 8, 9, 96, 100, 300] {
             let xs: Vec<f32> = (0..rows * width)
                 .map(|i| value(i / width, i % width))
                 .collect();
-            // Uneven block splits, the empty block included. `tiled` runs
-            // the dispatched copy (AVX2 where the CPU has it), `body` the
-            // same kernel compiled for this test's target.
-            let mut tiled = vec![StreamingPearson::new(); width];
-            let mut body = vec![StreamingPearson::new(); width];
-            let mut walked = vec![StreamingPearson::new(); width];
-            let mut start = 0;
-            for len in [1usize, 0, 64, 3, 50, 32] {
-                let (x, y) = (
-                    &xs[start * width..(start + len) * width],
-                    &ys[start..start + len],
-                );
-                accumulate_columns(&mut tiled, x, y);
-                accumulate_columns_body(&mut body, x, y);
-                accumulate_columns_one_by_one(&mut walked, x, y);
-                start += len;
-            }
-            assert_eq!(start, rows);
-            let path = deepbase_tensor::simd::path();
-            assert_eq!(state(&tiled), state(&body), "width {width}, {path} path");
-            assert_eq!(state(&tiled), state(&walked), "width {width}");
-            // ...and after folding a second segment's states in.
-            let mut tiled_b = vec![StreamingPearson::new(); width];
-            let mut walked_b = vec![StreamingPearson::new(); width];
-            accumulate_columns(&mut tiled_b, &xs[..40 * width], &ys[..40]);
-            accumulate_columns_one_by_one(&mut walked_b, &xs[..40 * width], &ys[..40]);
-            for (a, b) in tiled.iter_mut().zip(&tiled_b) {
-                a.merge(b);
-            }
-            for (a, b) in walked.iter_mut().zip(&walked_b) {
-                a.merge(b);
-            }
-            assert_eq!(state(&tiled), state(&walked), "width {width} merged");
-            for (a, b) in tiled.iter().zip(&walked) {
-                assert_eq!(a.correlation().to_bits(), b.correlation().to_bits());
+            for n_hyps in [1usize, 2, 3, 4, 5, 8, 9, 16] {
+                let cols: Vec<Vec<f32>> = (0..n_hyps)
+                    .map(|h| (0..rows).map(|r| hyp(r, h)).collect())
+                    .collect();
+                // Without a frozen member, and with member `n_hyps / 2`
+                // frozen from the fourth block (the one of 3 rows) on.
+                for frozen in [None, Some(n_hyps / 2)] {
+                    let what = format!("width {width} hyps {n_hyps} frozen {frozen:?}");
+                    let fresh = || vec![StreamingPearson::new(); width * n_hyps];
+                    let (mut tiled, mut body, mut walked) = (fresh(), fresh(), fresh());
+                    let mut start = 0;
+                    for (b, len) in blocks.into_iter().enumerate() {
+                        let x = &xs[start * width..(start + len) * width];
+                        let ys: Vec<Option<&[f32]>> = (cols.iter().enumerate())
+                            .map(|(h, c)| {
+                                let live = frozen != Some(h) || b < 3;
+                                live.then(|| &c[start..start + len])
+                            })
+                            .collect();
+                        accumulate_list(&mut tiled, x, &ys);
+                        accumulate_list_body(&mut body, x, &ys);
+                        accumulate_pair_by_pair(&mut walked, x, &ys);
+                        start += len;
+                    }
+                    assert_eq!(start, rows);
+                    assert_eq!(state(&tiled), state(&body), "{what}, {path} path");
+                    assert_eq!(state(&tiled), state(&walked), "{what}");
+                    if let Some(h) = frozen {
+                        // The frozen member holds the first three blocks' rows.
+                        let counts = tiled[h * width..(h + 1) * width].iter().map(|a| a.count());
+                        assert!(counts.into_iter().all(|n| n == 65), "{what}");
+                    }
+                    // ...and after folding a second segment's states in.
+                    let (mut tiled_b, mut walked_b) = (fresh(), fresh());
+                    let ys: Vec<Option<&[f32]>> = cols.iter().map(|c| Some(&c[..40])).collect();
+                    accumulate_list(&mut tiled_b, &xs[..40 * width], &ys);
+                    accumulate_pair_by_pair(&mut walked_b, &xs[..40 * width], &ys);
+                    for (a, b) in tiled.iter_mut().zip(&tiled_b) {
+                        a.merge(b);
+                    }
+                    for (a, b) in walked.iter_mut().zip(&walked_b) {
+                        a.merge(b);
+                    }
+                    assert_eq!(state(&tiled), state(&walked), "{what} merged");
+                    for (a, b) in tiled.iter().zip(&walked) {
+                        assert_eq!(a.correlation().to_bits(), b.correlation().to_bits());
+                    }
+                }
             }
         }
     }
 
     #[test]
     #[should_panic(expected = "pearson block shape mismatch")]
-    fn block_kernel_rejects_a_misshapen_block() {
+    fn block_kernel_rejects_a_unit_block_of_the_wrong_length() {
         let mut accs = vec![StreamingPearson::new(); 3];
-        accumulate_columns(&mut accs, &[0.0; 7], &[0.0, 1.0]);
+        accumulate_list(&mut accs, &[0.0; 7], &[Some(&[0.0, 1.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pearson block shape mismatch")]
+    fn block_kernel_rejects_a_live_column_of_the_wrong_length() {
+        let mut accs = vec![StreamingPearson::new(); 6];
+        let ys: [Option<&[f32]>; 2] = [None, Some(&[0.0, 1.0, 2.0])];
+        accumulate_list(&mut accs, &[0.0; 6], &ys);
+    }
+
+    #[test]
+    fn block_kernel_leaves_a_frozen_member_untouched_whatever_its_column() {
+        let mut accs = vec![StreamingPearson::new(); 6];
+        let ys: [Option<&[f32]>; 2] = [Some(&[0.0, 1.0]), None];
+        accumulate_list(&mut accs, &[1.0, 2.0, 3.0, 5.0, 4.0, 9.0], &ys);
+        assert!(accs[..3].iter().all(|a| a.count() == 2));
+        assert!(accs[3..].iter().all(|a| a.count() == 0));
     }
 
     #[test]
