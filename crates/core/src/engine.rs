@@ -10,12 +10,10 @@
 //! designs*).
 //!
 //! There is one measure-state interface ([`MeasureState`], over an ordered
-//! hypothesis list) and one function that splits a member's hypotheses
-//! into lists (`hypothesis_lists`): the whole list for a measure that
-//! [shares](Measure::shares_hypotheses) work between hypotheses (`logreg`
-//! trains one multi-output model, the buffered measures keep one unit
-//! sample, `corr` sums each unit's moments once), one hypothesis per state
-//! otherwise.
+//! hypothesis list), and every measure is handed a member's whole list in
+//! one state (`logreg` trains one multi-output model, the buffered
+//! measures keep one unit sample, `corr` sums each unit's moments once,
+//! `diff_means` and the baselines hold one accumulator per member).
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
 //! extraction fans record blocks across threads and independent
@@ -61,9 +59,8 @@
 //!    catalog sets collapse, same-id-different-function registrations
 //!    stay separate); and deduplicated measure-state slots — one state
 //!    per `(units, measure, hypothesis list)`, the list being the
-//!    member's own for a measure that shares and a single hypothesis
-//!    otherwise (measures by identity too, not by id), the exact key that
-//!    keeps every member's scores bit-identical to a standalone
+//!    member's own (measures by identity too, not by id), the exact key
+//!    that keeps every member's scores bit-identical to a standalone
 //!    [`inspect`] call.
 //! 2. **One stream per dataset segment.** A seeded shuffle of the
 //!    segment's records (segment 0 keeps the session seed), a block at a
@@ -94,12 +91,12 @@
 //! segment_count > 1 || capture_states || skip_segments > 0`.
 //!
 //! * `!full_pass` (one stream): **early stopping** — a list member whose
-//!   state can [freeze](MeasureState::freeze) it (`corr`) stops being fed
-//!   at the block its own error met epsilon, exactly where a
-//!   one-hypothesis slot would have stopped; a slot stops being fed the
-//!   moment every error of its list meets epsilon, and a hypothesis column
-//!   is evaluated only while some unfrozen member of an unconverged slot
-//!   reads it. The stream ends when every member converged (§5.2.3),
+//!   state can [freeze](MeasureState::freeze) it (`corr`, `diff_means`,
+//!   the baselines) stops being fed at the block its own error met
+//!   epsilon, exactly where a one-hypothesis slot would have stopped; a
+//!   slot stops being fed the moment every error of its list meets
+//!   epsilon, and a hypothesis column is evaluated only while some
+//!   unfrozen member of an unconverged slot reads it. The stream ends when every member converged (§5.2.3),
 //!   persisting the streamed prefix as resumable partial columns;
 //!   extraction runs on the configured [`Device`].
 //! * `full_pass`: the same slots over the same lists, never stopped
@@ -133,10 +130,10 @@
 //! | `DeepBase`          | streaming blocks| per list       | ends extraction too |
 //! | `Madlib`            | dense relations | UDA per hyp    | none                |
 //!
-//! "Per list" is the `hypothesis_lists` split; `PyBase` always takes
-//! singletons. "Per member" is the streaming pass's rule: a member its
-//! state can freeze stops on its own, any other list as a whole.
-//! `DeepBase` is [`inspect`] itself. The other four
+//! "Per list" is one state over the request's whole hypothesis list;
+//! `PyBase` takes one state per pair. "Per member" is the streaming pass's
+//! rule: a member its state can freeze stops on its own, any other list as
+//! a whole. `DeepBase` is [`inspect`] itself. The other four
 //! materialize the whole dataset before scoring, so they have no partial
 //! answer, no store, no views and no segments: they take an unlimited
 //! [`RunBudget`] only and read the dataset as one shuffled sequence.
@@ -639,17 +636,18 @@ fn inspect_materialized(
         for measure in &req.measures {
             let eps = epsilon_for(*measure, config);
             // PyBase scores every pair on its own; the merging engines hand
-            // a measure that shares the whole list (+MM).
-            let lists = if merging {
-                hypothesis_lists(*measure, &all_hyps)
+            // the measure the whole list (+MM).
+            let lists: Vec<&[usize]> = if merging {
+                vec![&all_hyps]
             } else {
                 all_hyps.chunks(1).collect()
             };
             // One state per list, fed a block at a time. Early stopping
             // freezes each member at the block its own error met ε where
-            // the state can (`corr`), so its scores are those of a
-            // one-hypothesis state; any other list stops as a whole, once
-            // every member converged (the paper's §5.2.1 caveat).
+            // the state can (`corr`, `diff_means`, the baselines), so its
+            // scores are those of a one-hypothesis state; any other list
+            // stops as a whole, once every member converged (the paper's
+            // §5.2.1 caveat).
             let score_list = |list: &[usize]| -> (Vec<PairResult>, usize) {
                 let mut state = measure.new_state(group.units.len(), list.len());
                 let mut errs = vec![f32::INFINITY; list.len()];
@@ -790,8 +788,7 @@ struct Selection {
 }
 
 /// One deduplicated measure-state slot: one state over an ordered list of
-/// union hypothesis columns ([`hypothesis_lists`] — a member's whole list
-/// for a measure that shares, one column otherwise). Hypotheses are
+/// union hypothesis columns, a member's whole list. Hypotheses are
 /// identified by their union column index (function identity) and
 /// measures by [`measure_key`], not by id string, so
 /// same-id-different-function registrations never conflate. Any member
@@ -824,17 +821,16 @@ impl Slot<'_> {
     /// Where the column at list position `pos` was first mentioned, if
     /// earlier: one function registered in two hypothesis sets repeats in
     /// a member's list. A fold point stores such a column once, at its
-    /// first position — the same bytes would follow — which is also what
-    /// one-state-per-column slot dedup stores.
+    /// first position — the same bytes would follow.
     fn first_mention(&self, pos: usize) -> Option<usize> {
         self.hyps[..pos].iter().position(|&c| c == self.hyps[pos])
     }
 }
 
-/// A member's handle on the slots of one of its (group, measure)
-/// entries, in the member's canonical emission order.
+/// A member's handle on the slot of one of its (group, measure) entries,
+/// in the member's canonical emission order.
 struct MemberEntry {
-    slots: Vec<usize>,
+    slot: usize,
     group_id: String,
 }
 
@@ -865,20 +861,6 @@ pub(crate) type MeasureKey = (usize, String);
 pub(crate) fn measure_key(measure: &dyn Measure) -> MeasureKey {
     let address = measure as *const dyn Measure as *const u8 as usize;
     (address, measure.id().to_string())
-}
-
-/// The hypothesis lists one `(units, measure)` entry of a member is scored
-/// over, one state each: the member's whole list for a measure that
-/// [shares](Measure::shares_hypotheses), a singleton per column otherwise.
-/// The one place that decides it — the pass layout builds its slots from
-/// it, the materializing engines their states, and the optimizer's
-/// estimate (`EXPLAIN`) counts what it returns.
-pub(crate) fn hypothesis_lists<'c>(measure: &dyn Measure, cols: &'c [usize]) -> Vec<&'c [usize]> {
-    if measure.shares_hypotheses() {
-        vec![cols]
-    } else {
-        cols.chunks(1).collect()
-    }
 }
 
 /// The mutable half of a slot within one stream (or the fold of several).
@@ -955,7 +937,7 @@ impl FoldOpts<'_> {
 impl<'a> PassLayout<'a> {
     /// Builds the sharing structure for `reqs` (which name one
     /// `(extractor, dataset)` pair): one slot per distinct `(units,
-    /// measure, hypothesis list)`, the lists split by [`hypothesis_lists`].
+    /// measure, hypothesis list)`.
     fn build(
         reqs: &[InspectionRequest<'a>],
         config: &InspectionConfig,
@@ -1011,27 +993,20 @@ impl<'a> PassLayout<'a> {
                     }
                 };
                 for measure in &req.measures {
-                    let entry_slots = hypothesis_lists(*measure, &cols)
-                        .into_iter()
-                        .map(|hyps| {
-                            let key = (group.units.clone(), measure_key(*measure), hyps.to_vec());
-                            if let Some(&idx) = slot_of.get(&key) {
-                                return idx;
-                            }
-                            slots.push(Slot {
-                                sel,
-                                eps: epsilon_for(*measure, config),
-                                measure: *measure,
-                                model_id: req.model_id.clone(),
-                                group_id: group.id.clone(),
-                                hyps: key.2.clone(),
-                            });
-                            slot_of.insert(key, slots.len() - 1);
-                            slots.len() - 1
-                        })
-                        .collect();
+                    let key = (group.units.clone(), measure_key(*measure), cols.clone());
+                    let slot = *slot_of.entry(key).or_insert_with(|| {
+                        slots.push(Slot {
+                            sel,
+                            eps: epsilon_for(*measure, config),
+                            measure: *measure,
+                            model_id: req.model_id.clone(),
+                            group_id: group.id.clone(),
+                            hyps: cols.clone(),
+                        });
+                        slots.len() - 1
+                    });
                     entries.push(MemberEntry {
-                        slots: entry_slots,
+                        slot,
                         group_id: group.id.clone(),
                     });
                 }
@@ -1108,9 +1083,7 @@ impl<'a> PassLayout<'a> {
             hyp_consumers[c] += 1;
         }
         let member_live = |entries: &[MemberEntry], runs: &[SlotRun]| {
-            entries
-                .iter()
-                .any(|e| e.slots.iter().any(|&s| !runs[s].converged))
+            entries.iter().any(|e| !runs[e.slot].converged)
         };
         let mut members: Vec<MemberRun> = self
             .members
@@ -1597,7 +1570,7 @@ impl PassLayout<'_> {
         for ((member, entries), req) in folded.members.iter_mut().zip(&self.members).zip(reqs) {
             let mut member_spans: Vec<RowSpan> = Vec::new();
             for entry in entries {
-                for &(start, len) in entry.slots.iter().flat_map(|&s| spans[s].iter()) {
+                for &(start, len) in &spans[entry.slot] {
                     member_spans.push(RowSpan {
                         start,
                         len,

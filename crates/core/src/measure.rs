@@ -5,14 +5,14 @@
 //! state trait over an ordered hypothesis list: feed a block of unit
 //! behaviors + one behavior column per hypothesis, get back an error
 //! estimate per hypothesis that the engine compares against the user's
-//! convergence threshold (§5.2.2, early stopping). The per-pair state is
-//! the list with one member. A measure whose hypotheses share work says so
-//! ([`Measure::shares_hypotheses`], §5.2.1) and is handed a whole list at
-//! once — exact, because what is shared does not depend on the hypothesis:
+//! convergence threshold (§5.2.2, early stopping). Every state is a list,
+//! handed a member's whole hypothesis list at once; the per-pair state is
+//! the list with one member. What a list shares (model merging, §5.2.1)
+//! is exact, because it does not depend on the hypothesis:
 //!
 //! * the logistic-regression probes train all hypotheses as one
-//!   multi-output model (model merging; per-hypothesis losses and
-//!   parameters are independent);
+//!   multi-output model (per-hypothesis losses and parameters are
+//!   independent);
 //! * the buffered measures (`jaccard`, `mutual_info`, `group_mi`) keep the
 //!   capped unit sample **once**, next to one column per hypothesis, and
 //!   derive the per-unit half of a score — the Jaccard threshold and
@@ -20,14 +20,15 @@
 //!   pair;
 //! * `corr` keeps one Pearson accumulator per (unit, hypothesis) and sums
 //!   each unit's `x` moments once per block for the whole list, in the
-//!   same row order a one-hypothesis state would.
+//!   same row order a one-hypothesis state would;
+//! * `diff_means` and the baselines share nothing: their list holds one
+//!   accumulator per member (`PerMember`).
 //!
-//! Early stopping stays per pair for `corr`: the engine
-//! [freezes](MeasureState::freeze) a member at the block its own error met
-//! ε, so a list stops where its one-hypothesis states would have. The
-//! shared states of the other measures stop when their whole list has
-//! converged. The remaining measures (`diff_means`, the baselines) score
-//! one hypothesis per state.
+//! Early stopping stays per pair for `corr`, `diff_means` and the
+//! baselines: the engine [freezes](MeasureState::freeze) a member at the
+//! block its own error met ε, so a list stops where its one-hypothesis
+//! states would have. The states of the other measures stop when their
+//! whole list has converged.
 //! `merge_from` and the durable form are per list too; a state serializes
 //! one hypothesis at a time, to exactly the bytes a one-hypothesis state
 //! of it would write, so stored views do not depend on how hypotheses were
@@ -58,18 +59,8 @@ pub trait Measure: Send + Sync {
     fn kind(&self) -> MeasureKind;
 
     /// Fresh incremental state for one unit group and an ordered list of
-    /// `n_hyps` hypotheses. Measures that do not
-    /// [share](Measure::shares_hypotheses) take exactly one.
+    /// `n_hyps` hypotheses.
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState>;
-
-    /// True when one state over a hypothesis list does less work than one
-    /// state per hypothesis, for the same scores (model merging, §5.2.1):
-    /// a pass then builds one state per member hypothesis list instead of
-    /// one per pair. A sharing state whose members can stop one by one
-    /// (`MeasureState::freeze`, `corr`) also keeps per-pair stop points.
-    fn shares_hypotheses(&self) -> bool {
-        false
-    }
 
     /// Default convergence threshold ε (paper §6.2: 0.025 for correlation,
     /// 0.01 for logistic regression).
@@ -91,9 +82,9 @@ pub trait Measure: Send + Sync {
     /// the stored fold point and merges only new segments into it.
     /// Bit-exact: the revived state's scores and subsequent merges are
     /// identical to the original's. `None` (the default, and always for
-    /// non-mergeable measures) means the bytes were not produced by this
-    /// measure/shape, the blobs do not belong to one state, or the measure
-    /// does not support durable states.
+    /// non-mergeable measures) means there is no blob, the bytes were not
+    /// produced by this measure/shape, the blobs do not belong to one
+    /// state, or the measure does not support durable states.
     fn deserialize_state(
         &self,
         _n_units: usize,
@@ -200,12 +191,6 @@ fn check_live_block(
     }
 }
 
-/// Guard of the measures that do not share: their states score exactly
-/// one hypothesis.
-fn one_hypothesis(measure: &str, n_hyps: usize) {
-    assert_eq!(n_hyps, 1, "{measure} keeps one state per hypothesis");
-}
-
 // ---------------------------------------------------------------------
 // Correlation
 // ---------------------------------------------------------------------
@@ -231,10 +216,6 @@ impl Measure for CorrelationMeasure {
         })
     }
 
-    fn shares_hypotheses(&self) -> bool {
-        true
-    }
-
     fn default_epsilon(&self) -> f32 {
         0.025
     }
@@ -249,6 +230,9 @@ impl Measure for CorrelationMeasure {
         n_units: usize,
         per_hyp_blobs: &[&[u8]],
     ) -> Option<Box<dyn MeasureState>> {
+        if per_hyp_blobs.is_empty() {
+            return None;
+        }
         let mut accs = Vec::with_capacity(n_units * per_hyp_blobs.len());
         for bytes in per_hyp_blobs {
             let mut cur = ByteReader::new(bytes);
@@ -419,10 +403,6 @@ impl Measure for MutualInfoMeasure {
         Box::new(self.sample(n_units, n_hyps))
     }
 
-    fn shares_hypotheses(&self) -> bool {
-        true
-    }
-
     fn default_epsilon(&self) -> f32 {
         0.01
     }
@@ -495,10 +475,6 @@ impl Measure for JaccardMeasure {
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
         Box::new(self.sample(n_units, n_hyps))
-    }
-
-    fn shares_hypotheses(&self) -> bool {
-        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -741,6 +717,123 @@ impl MeasureState for BufferedSample {
 }
 
 // ---------------------------------------------------------------------
+// Lists of one accumulator per member
+// ---------------------------------------------------------------------
+
+/// The state of one hypothesis of a measure whose hypotheses share no
+/// work; [`PerMember`] makes a list of them.
+trait Member: Send + 'static {
+    /// Consumes a block: `rows x n_units` behaviors and this member's
+    /// column of `rows` values, both already checked.
+    fn push(&mut self, units: &Matrix, hyp: &[f32]);
+
+    /// `(unit scores, group score)`.
+    fn scores(&self) -> (Vec<f32>, f32);
+
+    /// The convergence error of what was consumed so far (`∞` until
+    /// estimable).
+    fn error(&self) -> f32;
+
+    /// False when `other` was built under another configuration of the
+    /// measure, so the two must not merge.
+    fn merges_with(&self, _other: &Self) -> bool {
+        true
+    }
+
+    /// Folds `other`, fed a disjoint record range, into this member.
+    fn merge(&mut self, other: &Self);
+
+    /// This member's durable bytes: those of a one-hypothesis state.
+    fn serialize(&self) -> Vec<u8>;
+}
+
+/// One [`Member`] per hypothesis of the list, each fed its own column and
+/// frozen on its own ([`MeasureState::freeze`]): the list state of
+/// `diff_means` and the baselines.
+struct PerMember<S> {
+    n_units: usize,
+    members: Vec<S>,
+    frozen: Vec<bool>,
+}
+
+impl<S: Member> PerMember<S> {
+    fn boxed(n_units: usize, members: Vec<S>) -> Box<dyn MeasureState> {
+        let frozen = vec![false; members.len()];
+        Box::new(PerMember {
+            n_units,
+            members,
+            frozen,
+        })
+    }
+
+    /// Revives a list from one blob per member, each decoded on its own;
+    /// no blob, no list.
+    fn revive(
+        n_units: usize,
+        per_hyp_blobs: &[&[u8]],
+        decode: impl Fn(&[u8]) -> Option<S>,
+    ) -> Option<Box<dyn MeasureState>> {
+        let members: Vec<S> = per_hyp_blobs
+            .iter()
+            .map(|b| decode(b))
+            .collect::<Option<_>>()?;
+        (!members.is_empty()).then(|| Self::boxed(n_units, members))
+    }
+}
+
+impl<S: Member> MeasureState for PerMember<S> {
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        let n_hyps = self.members.len();
+        let live = |h: usize| !self.frozen[h];
+        check_live_block(units, hyps, errs, self.n_units, n_hyps, live);
+        for (h, member) in self.members.iter_mut().enumerate() {
+            if !self.frozen[h] {
+                member.push(units, hyps[h]);
+                errs[h] = member.error();
+            }
+        }
+    }
+
+    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+        self.members.iter().map(S::scores).collect()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
+        let Some(other) = other.as_any().downcast_ref::<Self>() else {
+            return false;
+        };
+        let same_shape = (other.n_units, other.members.len()) == (self.n_units, self.members.len());
+        let mut pairs = self.members.iter().zip(&other.members);
+        if !same_shape || !pairs.all(|(ours, theirs)| ours.merges_with(theirs)) {
+            return false;
+        }
+        for (ours, theirs) in self.members.iter_mut().zip(&other.members) {
+            ours.merge(theirs);
+        }
+        true
+    }
+
+    fn convergence_errors(&self, errs: &mut [f32]) {
+        for (err, member) in errs.iter_mut().zip(&self.members) {
+            *err = member.error();
+        }
+    }
+
+    fn freeze(&mut self, hyp: usize) -> bool {
+        self.frozen[hyp] = true;
+        true
+    }
+
+    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
+        self.members.get(hyp).map(S::serialize)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Difference of means
 // ---------------------------------------------------------------------
 
@@ -758,11 +851,11 @@ impl Measure for DiffMeansMeasure {
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        one_hypothesis(self.id(), n_hyps);
-        Box::new(DiffMeansState {
+        let fresh = DiffMeansState {
             on: vec![Moments::default(); n_units],
             off: vec![Moments::default(); n_units],
-        })
+        };
+        PerMember::boxed(n_units, vec![fresh; n_hyps])
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -789,15 +882,15 @@ impl Measure for DiffMeansMeasure {
             }
             Some(out)
         }
-        let [bytes] = per_hyp_blobs else { return None };
-        let mut cur = ByteReader::new(bytes);
-        if cur.u32()? != STATE_TAG_DIFF_MEANS || cur.u32()? as usize != n_units {
-            return None;
-        }
-        let on = side(&mut cur, n_units)?;
-        let off = side(&mut cur, n_units)?;
-        cur.done()
-            .then(|| Box::new(DiffMeansState { on, off }) as Box<dyn MeasureState>)
+        PerMember::revive(n_units, per_hyp_blobs, |bytes| {
+            let mut cur = ByteReader::new(bytes);
+            if cur.u32()? != STATE_TAG_DIFF_MEANS || cur.u32()? as usize != n_units {
+                return None;
+            }
+            let on = side(&mut cur, n_units)?;
+            let off = side(&mut cur, n_units)?;
+            cur.done().then_some(DiffMeansState { on, off })
+        })
     }
 }
 
@@ -823,26 +916,25 @@ impl Moments {
         }
     }
 
+    /// The sample variance, clamped at 0: on a constant unit the rounded
+    /// `sumsq - sum·mean` can come out a hair below zero.
     fn var(&self) -> f64 {
         if self.n < 2 {
             return 0.0;
         }
         let m = self.mean();
-        (self.sumsq - self.sum * m) / (self.n - 1) as f64
+        ((self.sumsq - self.sum * m) / (self.n - 1) as f64).max(0.0)
     }
 }
 
+#[derive(Clone)]
 struct DiffMeansState {
     on: Vec<Moments>,
     off: Vec<Moments>,
 }
 
-impl MeasureState for DiffMeansState {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
-        check_block(units, hyps, errs, self.on.len(), 1);
-        let [hyp] = hyps else {
-            unreachable!("check_block admits one hypothesis")
-        };
+impl Member for DiffMeansState {
+    fn push(&mut self, units: &Matrix, hyp: &[f32]) {
         for (r, &h) in hyp.iter().enumerate() {
             let row = units.row(r);
             let side = if h > 0.5 { &mut self.on } else { &mut self.off };
@@ -850,14 +942,10 @@ impl MeasureState for DiffMeansState {
                 m.push(u);
             }
         }
-        self.convergence_errors(errs);
     }
 
-    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        let unit_scores: Vec<f32> = self
-            .on
-            .iter()
-            .zip(self.off.iter())
+    fn scores(&self) -> (Vec<f32>, f32) {
+        let unit_scores: Vec<f32> = (self.on.iter().zip(&self.off))
             .map(|(on, off)| {
                 if on.n == 0 || off.n == 0 {
                     return 0.0;
@@ -873,25 +961,11 @@ impl MeasureState for DiffMeansState {
                 }
             })
             .collect();
-        let group_score = unit_scores
-            .iter()
-            .copied()
-            .map(f32::abs)
-            .fold(0.0, f32::max);
-        vec![(unit_scores, group_score)]
+        let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
+        (unit_scores, group_score)
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
-        let Some(other) = other.as_any().downcast_ref::<DiffMeansState>() else {
-            return false;
-        };
-        if other.on.len() != self.on.len() {
-            return false;
-        }
+    fn merge(&mut self, other: &Self) {
         for (side, other_side) in [(&mut self.on, &other.on), (&mut self.off, &other.off)] {
             for (m, o) in side.iter_mut().zip(other_side.iter()) {
                 m.n += o.n;
@@ -899,28 +973,20 @@ impl MeasureState for DiffMeansState {
                 m.sumsq += o.sumsq;
             }
         }
-        true
     }
 
-    fn convergence_errors(&self, errs: &mut [f32]) {
-        let n = self
-            .on
-            .first()
-            .map(|m| m.n)
-            .unwrap_or(0)
-            .min(self.off.first().map(|m| m.n).unwrap_or(0));
-        errs.fill(if n < 4 {
+    fn error(&self) -> f32 {
+        let sides = self.on.first().zip(self.off.first());
+        let n = sides.map_or(0, |(on, off)| on.n.min(off.n));
+        if n < 4 {
             f32::INFINITY
         } else {
             // Standard-error style rate for a difference of means.
             (2.0 / n as f32).sqrt()
-        });
+        }
     }
 
-    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
-        if hyp != 0 {
-            return None;
-        }
+    fn serialize(&self) -> Vec<u8> {
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_DIFF_MEANS);
         out.u32(self.on.len() as u32);
@@ -931,7 +997,7 @@ impl MeasureState for DiffMeansState {
                 out.u64(m.sumsq.to_bits());
             }
         }
-        Some(out.0)
+        out.0
     }
 }
 
@@ -1002,10 +1068,6 @@ impl Measure for LogRegMeasure {
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
         Box::new(LogRegMerged::new(n_units, n_hyps, self))
-    }
-
-    fn shares_hypotheses(&self) -> bool {
-        true
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -1144,13 +1206,20 @@ impl MeasureState for LogRegMerged {
 // Naive baselines (§4.1: "2 naive baselines")
 // ---------------------------------------------------------------------
 
-/// Majority-class baseline: the F1 a constant predictor achieves on the
-/// hypothesis labels (unit behaviors are ignored).
-pub(crate) struct MajorityBaselineMeasure;
+/// The naive baselines: the F1 a constant majority-class predictor
+/// (`majority_baseline`) or a seeded random one (`random_baseline`)
+/// achieves on the hypothesis labels; unit behaviors are ignored.
+pub(crate) struct BaselineMeasure {
+    /// `None` for the majority class, else the random predictions' seed.
+    pub random_seed: Option<u64>,
+}
 
-impl Measure for MajorityBaselineMeasure {
+impl Measure for BaselineMeasure {
     fn id(&self) -> &str {
-        "majority_baseline"
+        match self.random_seed {
+            None => "majority_baseline",
+            Some(_) => "random_baseline",
+        }
     }
 
     fn kind(&self) -> MeasureKind {
@@ -1158,12 +1227,12 @@ impl Measure for MajorityBaselineMeasure {
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        one_hypothesis(self.id(), n_hyps);
-        Box::new(BaselineState {
+        let fresh = BaselineState {
             labels: Vec::new(),
             n_units,
-            random_seed: None,
-        })
+            random_seed: self.random_seed,
+        };
+        PerMember::boxed(n_units, vec![fresh; n_hyps])
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -1174,138 +1243,73 @@ impl Measure for MajorityBaselineMeasure {
         true
     }
 
+    /// The stored seed must match this measure's exactly.
     fn deserialize_state(
         &self,
         n_units: usize,
         per_hyp_blobs: &[&[u8]],
     ) -> Option<Box<dyn MeasureState>> {
-        decode_baseline(n_units, per_hyp_blobs, None)
-    }
-}
-
-/// Random-class baseline.
-pub(crate) struct RandomBaselineMeasure {
-    /// Seed for the random predictions.
-    pub seed: u64,
-}
-
-impl Measure for RandomBaselineMeasure {
-    fn id(&self) -> &str {
-        "random_baseline"
-    }
-
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Joint
-    }
-
-    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        one_hypothesis(self.id(), n_hyps);
-        Box::new(BaselineState {
-            labels: Vec::new(),
-            n_units,
-            random_seed: Some(self.seed),
+        PerMember::revive(n_units, per_hyp_blobs, |bytes| {
+            let mut cur = ByteReader::new(bytes);
+            if cur.u32()? != STATE_TAG_BASELINE || cur.u32()? as usize != n_units {
+                return None;
+            }
+            let stored_seed = match cur.u32()? {
+                0 => None,
+                1 => Some(cur.u64()?),
+                _ => return None,
+            };
+            if stored_seed != self.random_seed {
+                return None;
+            }
+            let labels = cur.f32s()?;
+            cur.done().then_some(BaselineState {
+                labels,
+                n_units,
+                random_seed: self.random_seed,
+            })
         })
     }
-
-    fn default_epsilon(&self) -> f32 {
-        0.01
-    }
-
-    fn supports_segment_merge(&self) -> bool {
-        true
-    }
-
-    fn deserialize_state(
-        &self,
-        n_units: usize,
-        per_hyp_blobs: &[&[u8]],
-    ) -> Option<Box<dyn MeasureState>> {
-        decode_baseline(n_units, per_hyp_blobs, Some(self.seed))
-    }
 }
 
-/// Shared decoder for the two baseline measures: the stored seed must
-/// match the deserializing measure's exactly.
-fn decode_baseline(
-    n_units: usize,
-    per_hyp_blobs: &[&[u8]],
-    random_seed: Option<u64>,
-) -> Option<Box<dyn MeasureState>> {
-    let [bytes] = per_hyp_blobs else { return None };
-    let mut cur = ByteReader::new(bytes);
-    if cur.u32()? != STATE_TAG_BASELINE || cur.u32()? as usize != n_units {
-        return None;
-    }
-    let stored_seed = match cur.u32()? {
-        0 => None,
-        1 => Some(cur.u64()?),
-        _ => return None,
-    };
-    if stored_seed != random_seed {
-        return None;
-    }
-    let labels = cur.f32s()?;
-    cur.done().then(|| {
-        Box::new(BaselineState {
-            labels,
-            n_units,
-            random_seed,
-        }) as Box<dyn MeasureState>
-    })
-}
-
+#[derive(Clone)]
 struct BaselineState {
     labels: Vec<f32>,
     n_units: usize,
     random_seed: Option<u64>,
 }
 
-impl MeasureState for BaselineState {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
-        check_block(units, hyps, errs, self.n_units, 1);
-        let [hyp] = hyps else {
-            unreachable!("check_block admits one hypothesis")
-        };
+impl Member for BaselineState {
+    fn push(&mut self, _units: &Matrix, hyp: &[f32]) {
         self.labels
             .extend(hyp.iter().map(|&h| if h > 0.0 { 1.0 } else { 0.0 }));
-        self.convergence_errors(errs);
     }
 
-    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
+    fn scores(&self) -> (Vec<f32>, f32) {
         let group_score = match self.random_seed {
             Some(seed) => baselines::random_class_f1(&self.labels, seed),
             None => baselines::majority_class_f1(&self.labels),
         };
-        vec![(vec![group_score; self.n_units], group_score)]
+        (vec![group_score; self.n_units], group_score)
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn merges_with(&self, other: &Self) -> bool {
+        other.random_seed == self.random_seed
     }
 
-    fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
-        let Some(other) = other.as_any().downcast_ref::<BaselineState>() else {
-            return false;
-        };
-        if other.random_seed != self.random_seed || other.n_units != self.n_units {
-            return false;
-        }
+    fn merge(&mut self, other: &Self) {
         self.labels.extend_from_slice(&other.labels);
-        true
     }
 
-    fn convergence_errors(&self, errs: &mut [f32]) {
-        errs.fill(if self.labels.len() < 8 {
+    fn error(&self) -> f32 {
+        if self.labels.len() < 8 {
             f32::INFINITY
         } else {
             1.0 / (self.labels.len() as f32).sqrt()
-        });
+        }
     }
 
-    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
-        if hyp != 0 {
-            return None;
-        }
+    fn serialize(&self) -> Vec<u8> {
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_BASELINE);
         out.u32(self.n_units as u32);
@@ -1317,7 +1321,7 @@ impl MeasureState for BaselineState {
             }
         }
         out.f32s(&self.labels);
-        Some(out.0)
+        out.0
     }
 }
 
@@ -1337,8 +1341,10 @@ pub fn standard_library() -> Vec<Box<dyn Measure>> {
         Box::new(LogRegMeasure::l1(0.01)),
         Box::new(LogRegMeasure::l2(0.01)),
         Box::new(GroupMiMeasure::default()),
-        Box::new(MajorityBaselineMeasure),
-        Box::new(RandomBaselineMeasure { seed: 0 }),
+        Box::new(BaselineMeasure { random_seed: None }),
+        Box::new(BaselineMeasure {
+            random_seed: Some(0),
+        }),
     ]
 }
 
@@ -1381,10 +1387,6 @@ impl Measure for GroupMiMeasure {
         Box::new(self.sample(n_units, n_hyps))
     }
 
-    fn shares_hypotheses(&self) -> bool {
-        true
-    }
-
     fn default_epsilon(&self) -> f32 {
         0.01
     }
@@ -1406,6 +1408,14 @@ impl Measure for GroupMiMeasure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const MAJORITY_BASELINE: BaselineMeasure = BaselineMeasure { random_seed: None };
+
+    fn random_baseline(seed: u64) -> BaselineMeasure {
+        BaselineMeasure {
+            random_seed: Some(seed),
+        }
+    }
 
     /// Block where unit 0 mirrors the hypothesis and unit 1 is noise.
     fn block(n: usize) -> (Matrix, Vec<f32>) {
@@ -1559,8 +1569,15 @@ mod tests {
     #[test]
     fn diff_means_streaming_matches_batch() {
         let m = DiffMeansMeasure;
-        let mut state = m.new_state(2, 1);
-        let (units, hyp) = block(256);
+        let mut state = m.new_state(3, 1);
+        // Unit 2 is held at a saturated `tanh` over 128 rows per side: its
+        // rounded variance comes out a hair below zero, and a constant
+        // unit scores 0, not NaN.
+        let (two, hyp) = block(256);
+        let units = Matrix::from_fn(256, 3, |r, c| match c {
+            2 => 0.99999994,
+            _ => two.get(r, c),
+        });
         // Feed in two chunks.
         let (u1, u2) = (units.slice_rows(0, 100), units.slice_rows(100, 256));
         feed(state.as_mut(), &u1, &hyp[..100]);
@@ -1573,6 +1590,7 @@ mod tests {
             streaming[0],
             batch
         );
+        assert_eq!(streaming[2].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
@@ -1596,7 +1614,6 @@ mod tests {
     #[test]
     fn merged_logreg_matches_separate_states() {
         let measure = LogRegMeasure::l1(0.005);
-        assert!(measure.shares_hypotheses());
         let (units, hyp) = block(300);
         // Two hypotheses: the original and its complement.
         let hyp2: Vec<f32> = hyp.iter().map(|&h| 1.0 - h).collect();
@@ -1621,7 +1638,7 @@ mod tests {
     #[test]
     fn baselines_score_labels_only() {
         let (units, hyp) = block(100);
-        let mut maj = MajorityBaselineMeasure.new_state(2, 1);
+        let mut maj = MAJORITY_BASELINE.new_state(2, 1);
         feed(maj.as_mut(), &units, &hyp);
         let expected = baselines::majority_class_f1(
             &hyp.iter()
@@ -1632,7 +1649,7 @@ mod tests {
         assert!((group_score - expected).abs() < 1e-6);
         assert_eq!(unit_scores, vec![expected; 2]);
 
-        let mut rnd = RandomBaselineMeasure { seed: 3 }.new_state(2, 1);
+        let mut rnd = random_baseline(3).new_state(2, 1);
         feed(rnd.as_mut(), &units, &hyp);
         let (_, s) = pair_scores(rnd.as_ref());
         assert!((0.0..=1.0).contains(&s));
@@ -1677,8 +1694,8 @@ mod tests {
             Box::new(JaccardMeasure::default()),
             Box::new(DiffMeansMeasure),
             Box::new(GroupMiMeasure::default()),
-            Box::new(MajorityBaselineMeasure),
-            Box::new(RandomBaselineMeasure { seed: 9 }),
+            Box::new(MAJORITY_BASELINE),
+            Box::new(random_baseline(9)),
         ];
         let (units, hyp) = block(230);
         let (tail_units, tail_hyp) = block(117);
@@ -1750,51 +1767,45 @@ mod tests {
         let j995 = JaccardMeasure::netdissect();
         assert!(j995.deserialize_state(2, &[&jb]).is_none());
         // Mismatched baseline seed rejects.
-        let mut rnd = RandomBaselineMeasure { seed: 1 }.new_state(2, 1);
+        let mut rnd = random_baseline(1).new_state(2, 1);
         feed(rnd.as_mut(), &units, &hyp);
         let rb = rnd.serialize_state(0).unwrap();
-        assert!(RandomBaselineMeasure { seed: 2 }
-            .deserialize_state(2, &[&rb])
-            .is_none());
-        assert!(MajorityBaselineMeasure
-            .deserialize_state(2, &[&rb])
-            .is_none());
+        assert!(random_baseline(2).deserialize_state(2, &[&rb]).is_none());
+        assert!(MAJORITY_BASELINE.deserialize_state(2, &[&rb]).is_none());
         // Non-mergeable logreg has no durable form at all.
         let lr = LogRegMeasure::l1(0.01);
         let s = lr.new_state(2, 1);
         assert!(s.serialize_state(0).is_none());
         assert!(lr.deserialize_state(2, &[&bytes]).is_none());
 
-        // A measure that scores one hypothesis per state takes one blob:
-        // none and two are refused, whatever they hold.
+        // Every mergeable measure revives an N-member list from its N
+        // blobs, each member re-serializing to its own, and refuses none.
         for measure in standard_library() {
-            if measure.shares_hypotheses() || !measure.supports_segment_merge() {
+            if !measure.supports_segment_merge() {
                 continue;
             }
-            let mut state = measure.new_state(2, 1);
-            feed(state.as_mut(), &units, &hyp);
-            let blob = state.serialize_state(0).unwrap();
-            assert!(measure.deserialize_state(2, &[&blob]).is_some());
-            assert!(measure.deserialize_state(2, &[]).is_none());
-            let two = measure.deserialize_state(2, &[&blob, &blob]);
-            assert!(two.is_none(), "{}", measure.id());
+            let id = measure.id();
+            let (units, cols) = stream_block(0, 40, 2, 3);
+            let mut state = measure.new_state(2, 3);
+            state.process_block(&units, &refs(&cols), &mut [0.0; 3]);
+            let blobs = [0, 1, 2].map(|h| state.serialize_state(h).unwrap());
+            assert!(state.serialize_state(3).is_none(), "{id}");
+            let revived = measure
+                .deserialize_state(2, &blobs.each_ref().map(|b| b.as_slice()))
+                .unwrap_or_else(|| panic!("{id}: the state's own blobs revive"));
+            for (h, blob) in blobs.iter().enumerate() {
+                assert_eq!(revived.serialize_state(h).as_ref(), Some(blob), "{id}");
+            }
+            assert!(measure.deserialize_state(2, &[]).is_none(), "{id}");
         }
 
-        // The buffered measures revive a list from one blob per
-        // hypothesis, each carrying the unit sample.
+        // The buffered measures' blobs each carry the unit sample.
         for measure in buffered_measures(100) {
             let id = measure.id();
             let (units, cols) = stream_block(0, 40, 2, 2);
             let mut state = measure.new_state(2, 2);
             state.process_block(&units, &refs(&cols), &mut [0.0; 2]);
             let blobs = [0, 1].map(|h| state.serialize_state(h).unwrap());
-            assert!(state.serialize_state(2).is_none(), "{id}");
-            let revived = measure
-                .deserialize_state(2, &[&blobs[0], &blobs[1]])
-                .expect("the state's own blobs revive");
-            assert_eq!(revived.serialize_state(1).as_ref(), Some(&blobs[1]), "{id}");
-            // No blob: no unit sample to revive a zero-hypothesis state from.
-            assert!(measure.deserialize_state(2, &[]).is_none(), "{id}");
             // A unit sample that disagrees in one bit of one value (here
             // its last), in either blob.
             let mut flipped = blobs[1].clone();
@@ -1863,20 +1874,6 @@ mod tests {
                 .deserialize_state(2, &[&bytes_of(&other)])
                 .is_none());
         }
-        // Which measures are handed a whole hypothesis list.
-        let sharing: Vec<&str> = (lib.iter().filter(|m| m.shares_hypotheses()))
-            .map(|m| m.id())
-            .collect();
-        let expect = [
-            "corr",
-            "mutual_info",
-            "jaccard",
-            "jaccard_q95",
-            "logreg_l1",
-            "logreg_l2",
-            "group_mi",
-        ];
-        assert_eq!(sharing, expect);
     }
 
     // -----------------------------------------------------------------
@@ -1899,6 +1896,15 @@ mod tests {
                 bins: 3,
                 max_buffer,
             }),
+        ]
+    }
+
+    /// The measures whose list holds one accumulator per member.
+    fn per_member_measures() -> Vec<Box<dyn Measure>> {
+        vec![
+            Box::new(DiffMeansMeasure),
+            Box::new(MAJORITY_BASELINE),
+            Box::new(random_baseline(5)),
         ]
     }
 
@@ -2054,15 +2060,25 @@ mod tests {
                 }
             }
         }
+        for measure in per_member_measures() {
+            for (n_units, n_hyps) in [(1, 1), (1, 3), (4, 3)] {
+                for blocks in [&[][..], &[0], &[1], &[3], &[5, 40, 17, 1, 90, 30]] {
+                    assert_list_equals_singletons(measure.as_ref(), n_units, n_hyps, blocks);
+                }
+            }
+        }
     }
 
-    /// A frozen `corr` member stays at its single's state — scores, error
-    /// and bytes — from the block it froze on, through later blocks and a
-    /// merge, while the other members go on.
+    /// A frozen member of a `corr`, `diff_means` or baseline list stays at
+    /// its single's state — scores, error and bytes — from the block it
+    /// froze on, through later blocks and a merge, while the other members
+    /// go on.
     #[test]
-    fn a_frozen_corr_member_keeps_the_state_of_its_unfed_single() {
-        for n_units in [3, 9] {
-            let new = || ListAndSingletons::new(&CorrelationMeasure, n_units, 3);
+    fn a_frozen_member_keeps_the_state_of_its_unfed_single() {
+        let mut measures = per_member_measures();
+        measures.push(Box::new(CorrelationMeasure));
+        for (measure, n_units) in measures.iter().flat_map(|m| [(m, 3), (m, 9)]) {
+            let new = || ListAndSingletons::new(measure.as_ref(), n_units, 3);
             let (mut both, mut tail) = (new(), new());
             let next = both.feed(0, &[10, 7]);
             both.freeze(1);
@@ -2088,6 +2104,9 @@ mod tests {
             }
             // 6..=10 units: one side or the other of `corr`'s 8-wide tile.
             assert_list_equals_singletons(&CorrelationMeasure, n_units + 5, n_hyps, &blocks);
+            for measure in per_member_measures() {
+                assert_list_equals_singletons(measure.as_ref(), n_units, n_hyps, &blocks);
+            }
         }
 
         /// Two states over consecutive ranges, merged, are the state of one
@@ -2194,8 +2213,10 @@ mod tests {
     }
 
     #[test]
-    fn buffered_states_of_different_measures_refuse_to_merge() {
-        let measures = buffered_measures(100);
+    fn list_states_of_different_measures_refuse_to_merge() {
+        let mut measures = buffered_measures(100);
+        measures.extend(per_member_measures());
+        measures.push(Box::new(random_baseline(6)));
         let (units, hyps) = stream_block(0, 20, 2, 1);
         for (i, ours) in measures.iter().enumerate() {
             for (j, theirs) in measures.iter().enumerate() {
@@ -2218,10 +2239,9 @@ mod tests {
         }
     }
 
-    /// Every state of every library measure refuses a mis-shaped block
-    /// loudly — these are hard asserts, so in release builds too — instead
-    /// of accumulating a shortened or shuffled sample; and a measure that
-    /// does not share refuses to be built over a list.
+    /// Every list state of every library measure refuses a mis-shaped
+    /// block loudly — these are hard asserts, so in release builds too —
+    /// instead of accumulating a shortened or shuffled sample.
     #[test]
     fn every_measure_panics_on_a_mis_shaped_block() {
         let message = |panic: Box<dyn std::any::Any + Send>| -> String {
@@ -2233,8 +2253,8 @@ mod tests {
         let cut = |cols: &[Vec<f32>]| -> Vec<Vec<f32>> {
             cols.iter().map(|c| c[..c.len() - 1].to_vec()).collect()
         };
+        let n = 3;
         for measure in standard_library() {
-            let n = if measure.shares_hypotheses() { 3 } else { 1 };
             let mut last_short = cols[..n].to_vec();
             last_short[n - 1].pop();
             // (what, units, hypothesis columns, error slots, panic message)
@@ -2287,14 +2307,6 @@ mod tests {
             let mut state = measure.new_state(2, n);
             state.process_block(&units, &refs(&cols[..n]), &mut vec![f32::NAN; n]);
             assert_eq!(state.final_scores().len(), n);
-
-            if !measure.shares_hypotheses() {
-                let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    measure.new_state(2, 2).final_scores()
-                }));
-                let panic = built.expect_err("a list state of a non-sharing measure");
-                assert!(message(panic).contains("keeps one state per hypothesis"));
-            }
         }
     }
 
@@ -2382,11 +2394,8 @@ mod tests {
             (Box::new(MutualInfoMeasure::default()), GOLDEN_STATE_MI),
             (Box::new(JaccardMeasure::default()), GOLDEN_STATE_JACCARD),
             (Box::new(DiffMeansMeasure), GOLDEN_STATE_DIFF_MEANS),
-            (Box::new(MajorityBaselineMeasure), GOLDEN_STATE_MAJORITY),
-            (
-                Box::new(RandomBaselineMeasure { seed: 7 }),
-                GOLDEN_STATE_RANDOM,
-            ),
+            (Box::new(MAJORITY_BASELINE), GOLDEN_STATE_MAJORITY),
+            (Box::new(random_baseline(7)), GOLDEN_STATE_RANDOM),
             (Box::new(GroupMiMeasure::default()), GOLDEN_STATE_GROUP_MI),
         ];
         for (measure, golden) in goldens {

@@ -41,8 +41,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheRun, CacheStats, HypothesisCache};
 use crate::engine::{
-    hypothesis_lists, measure_key, run_pass, ArmedBudget, FoldOpts, InspectionConfig,
-    InspectionRequest, MeasureKey, Profile, RunBudget, SharedOutcome,
+    measure_key, run_pass, ArmedBudget, FoldOpts, InspectionConfig, InspectionRequest, MeasureKey,
+    Profile, RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -939,8 +939,9 @@ pub(crate) fn optimize_with(
         }
         let mut units: Vec<usize> = Vec::new();
         let mut hyp_cols: HashMap<*const u8, usize> = HashMap::new();
-        // The pass's own list split and slot keys, so the estimate counts
-        // what `PassLayout::build` will build.
+        // The pass's own slot keys — one state per (units, measure, whole
+        // hypothesis list) — so the estimate counts what
+        // `PassLayout::build` will build.
         let mut state_keys: HashSet<(&[usize], MeasureKey, Vec<usize>)> = HashSet::new();
         for item in &group.items {
             let plan = &plans[item.query];
@@ -957,11 +958,8 @@ pub(crate) fn optimize_with(
             let cols: Vec<usize> = plan.hypotheses.iter().map(|h| hyp_cols[&thin(h)]).collect();
             for g in &model.groups {
                 for measure in &plan.measures {
-                    let key = measure_key(measure.as_ref());
-                    for list in hypothesis_lists(measure.as_ref(), &cols) {
-                        group.requested_measure_states += 1;
-                        state_keys.insert((&g.units, key.clone(), list.to_vec()));
-                    }
+                    group.requested_measure_states += 1;
+                    state_keys.insert((&g.units, measure_key(measure.as_ref()), cols.clone()));
                 }
             }
         }

@@ -237,7 +237,7 @@ fn per_pair_list_segmented_and_view_paths_score_the_same_bits() {
 /// three-hypothesis build stores, it revives into list states, refreshes
 /// to the cold result, and re-serializes to what a fresh build writes.
 #[test]
-fn a_view_stored_as_one_hypothesis_states_revives_refreshes_and_reserializes() {
+fn a_view_stored_as_single_hypothesis_states_revives_refreshes_and_reserializes() {
     // The fold point of a view over one hypothesis at a time: every state
     // in it was written by a one-hypothesis state.
     let one_at_a_time = |segment_lens: &[usize]| -> Vec<ViewHypState> {
@@ -410,12 +410,12 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
 }
 
 /// `EXPLAIN` counts the measure states `PassLayout::build` will build:
-/// one per hypothesis list for a measure that shares (`jaccard`: one unit
+/// one per hypothesis list, whatever the measure (`jaccard`: one unit
 /// sample for the statement's three hypotheses; `corr`: one accumulator
-/// grid), one per pair otherwise (`diff_means`) — on one segment and on a
-/// segmented dataset alike.
+/// grid; `diff_means`: one accumulator per member) — on one segment and on
+/// a segmented dataset alike.
 #[test]
-fn explain_counts_one_state_per_list_for_jaccard_and_corr_and_per_pair_for_diff_means() {
+fn explain_counts_one_state_per_list_for_jaccard_corr_and_diff_means() {
     let explain = |measure: &str, lens: &[usize]| {
         let q = format!(
             "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING {measure} \
@@ -439,6 +439,6 @@ PhysicalPlan: 1 query, 1 shared group, block_records=512
     for lens in [&[TOTAL][..], &[SEG_LEN, 2 * SEG_LEN]] {
         assert_eq!(explain("jaccard", lens), plan("1 shared (1 requested)"));
         assert_eq!(explain("corr", lens), plan("1 shared (1 requested)"));
-        assert_eq!(explain("diff_means", lens), plan("3 shared (3 requested)"));
+        assert_eq!(explain("diff_means", lens), plan("1 shared (1 requested)"));
     }
 }

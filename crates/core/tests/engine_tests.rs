@@ -544,16 +544,17 @@ impl MixRun {
     }
 }
 
-/// One `corr` pass over `hyps` through the engine, with each hypothesis's
-/// call count over the pass.
+/// One pass of `measure` over `hyps` through the engine, with each
+/// hypothesis's call count over the pass.
 fn mix_pass(
     dataset: &Dataset,
     extractor: &PrecomputedExtractor,
     hyps: &[Arc<MixHypothesis>],
+    measure: &dyn Measure,
     config: &InspectionConfig,
 ) -> MixRun {
     let all = mix_hypotheses_calls(hyps);
-    let req = mix_request(dataset, extractor, hyps);
+    let req = mix_request(dataset, extractor, hyps, measure);
     let outcome = inspect_shared(std::slice::from_ref(&req), config).unwrap();
     let rows = mix_rows(&outcome.results[0].0);
     let pending = (outcome.completion.pending.iter())
@@ -571,11 +572,12 @@ fn mix_pass(
     }
 }
 
-/// A `corr` request over the fixture.
+/// A request for `measure` over the fixture.
 fn mix_request<'a>(
     dataset: &'a Dataset,
     extractor: &'a PrecomputedExtractor,
     hyps: &'a [Arc<MixHypothesis>],
+    measure: &'a dyn Measure,
 ) -> InspectionRequest<'a> {
     InspectionRequest {
         model_id: "mix".into(),
@@ -586,8 +588,25 @@ fn mix_request<'a>(
             .iter()
             .map(|h| h.as_ref() as &dyn HypothesisFn)
             .collect(),
-        measures: vec![&CorrelationMeasure],
+        measures: vec![measure],
     }
+}
+
+/// The measures whose list members stop on their own, each with a fixture
+/// size and a block size (records) at which its default ε stops members
+/// before the data runs out: `diff_means` and the baselines need about
+/// 10,000 rows, and the `diff_means` members, whose hypotheses are all on
+/// about half the time, stop within 16 records of each other.
+const LIST_MEASURES: [(&str, usize, usize); 4] = [
+    ("corr", 720, 16),
+    ("diff_means", 1600, 4),
+    ("majority_baseline", 1600, 4),
+    ("random_baseline", 1600, 4),
+];
+
+fn library_measure(id: &str) -> Box<dyn Measure> {
+    let mut library = standard_library().into_iter();
+    library.find(|m| m.id() == id).expect("a library measure")
 }
 
 fn mix_rows(frame: &ResultFrame) -> Vec<MixRow> {
@@ -605,52 +624,66 @@ fn mix_hypotheses_calls(hyps: &[Arc<MixHypothesis>]) -> Vec<usize> {
         .collect()
 }
 
-/// Paper §5.2.1 merges the per-unit half of `corr` across a hypothesis
-/// list; §5.2.2 stops each pair at its own ε. One `corr` statement over six
-/// hypotheses must score, report pending and read exactly what six
-/// one-hypothesis runs do — under the default ε, where the pairs stop at
-/// different blocks, and under 1e-12, where none stops — on both devices,
-/// on one segment and folded over three.
+/// Paper §5.2.1 merges what a hypothesis list shares; §5.2.2 stops each
+/// pair at its own ε. One statement over six hypotheses must score, report
+/// pending and read exactly what six one-hypothesis runs do — under the
+/// default ε, where the pairs stop early, and under 1e-12, where none
+/// stops — on both devices, on one segment and folded over three, for
+/// every measure whose list members stop on their own.
 #[test]
-fn a_corr_list_is_bit_equal_to_its_single_hypothesis_runs_at_any_epsilon() {
-    let total = 720;
-    let extractor = PrecomputedExtractor::new(mix_behaviors(total), MIX_NS);
-    let one_segment = Dataset::new("mix", MIX_NS, mix_records(0, total)).unwrap();
-    let segs = vec![
-        mix_records(0, 336),
-        mix_records(336, 240),
-        mix_records(576, 144),
-    ];
-    let three_segments = Dataset::with_segments("mix", MIX_NS, segs).unwrap();
-    let hyps = mix_hypotheses();
-    for (dataset, segmented) in [(&one_segment, false), (&three_segments, true)] {
-        for device in [Device::SingleCore, Device::Parallel(3)] {
-            for epsilon in [None, Some(1e-12)] {
-                let config = InspectionConfig {
-                    epsilon,
-                    block_records: 16,
-                    device,
-                    ..Default::default()
-                };
-                let what = format!("segmented {segmented}, {device:?}, epsilon {epsilon:?}");
-                let list = mix_pass(dataset, &extractor, &hyps, &config);
-                let singles: Vec<MixRun> = (hyps.iter())
-                    .map(|h| mix_pass(dataset, &extractor, std::slice::from_ref(h), &config))
-                    .collect();
-                let stops: Vec<usize> = singles.iter().map(|s| s.rows_read).collect();
-                assert_eq!(list, MixRun::of_singles(singles), "{what}");
-                assert_eq!(list.rows.len(), MIX_WEIGHTS.len() * MIX_UNITS);
-                // Not vacuous: under the default ε on one segment the
-                // pairs stop at different blocks, one of them early and
-                // one never; otherwise every pair reads everything.
-                let distinct: std::collections::BTreeSet<usize> = stops.iter().copied().collect();
-                if epsilon.is_none() && !segmented {
-                    assert!(distinct.len() >= 3, "{what}: stops {stops:?}");
-                    assert!(stops[0] < total / 4, "{what}: stops {stops:?}");
-                    assert!(!list.pending.is_empty(), "{what}: stops {stops:?}");
-                    assert!(list.pending.len() < MIX_WEIGHTS.len(), "{what}");
-                } else {
-                    assert_eq!(stops, vec![total; MIX_WEIGHTS.len()], "{what}");
+fn list_differential_a_list_is_bit_equal_to_its_single_hypothesis_runs_at_any_epsilon() {
+    for (id, total, block_records) in LIST_MEASURES {
+        let measure = library_measure(id);
+        let extractor = PrecomputedExtractor::new(mix_behaviors(total), MIX_NS);
+        let one_segment = Dataset::new("mix", MIX_NS, mix_records(0, total)).unwrap();
+        let (a, b) = (total * 7 / 15, total / 3);
+        let segs = vec![
+            mix_records(0, a),
+            mix_records(a, b),
+            mix_records(a + b, total - a - b),
+        ];
+        let three_segments = Dataset::with_segments("mix", MIX_NS, segs).unwrap();
+        let hyps = mix_hypotheses();
+        for (dataset, segmented) in [(&one_segment, false), (&three_segments, true)] {
+            for device in [Device::SingleCore, Device::Parallel(3)] {
+                for epsilon in [None, Some(1e-12)] {
+                    let config = InspectionConfig {
+                        epsilon,
+                        block_records,
+                        device,
+                        ..Default::default()
+                    };
+                    let what = format!("{id}, segmented {segmented}, {device:?}, {epsilon:?}");
+                    let pass =
+                        |hyps| mix_pass(dataset, &extractor, hyps, measure.as_ref(), &config);
+                    let list = pass(&hyps);
+                    let singles: Vec<MixRun> =
+                        hyps.iter().map(|h| pass(std::slice::from_ref(h))).collect();
+                    let stops: Vec<usize> = singles.iter().map(|s| s.rows_read).collect();
+                    assert_eq!(list, MixRun::of_singles(singles), "{what}");
+                    assert_eq!(list.rows.len(), MIX_WEIGHTS.len() * MIX_UNITS);
+                    // Not vacuous: under the default ε on one segment the
+                    // pairs stop early; otherwise every pair reads everything.
+                    let distinct: std::collections::BTreeSet<usize> =
+                        stops.iter().copied().collect();
+                    let what = format!("{what}: stops {stops:?}");
+                    if epsilon.is_some() || segmented {
+                        assert_eq!(stops, vec![total; MIX_WEIGHTS.len()], "{what}");
+                    } else if id == "corr" {
+                        // At different blocks, one of them early and one never.
+                        assert!(distinct.len() >= 3, "{what}");
+                        assert!(stops[0] < total / 4, "{what}");
+                        assert!(!list.pending.is_empty(), "{what}");
+                        assert!(list.pending.len() < MIX_WEIGHTS.len(), "{what}");
+                    } else if id == "diff_means" {
+                        // At different blocks, every one before the end.
+                        assert!(distinct.len() >= 2, "{what}");
+                        assert!(stops.iter().all(|&s| s < total), "{what}");
+                    } else {
+                        // The baselines share one error rule: all together.
+                        assert_eq!(distinct.len(), 1, "{what}");
+                        assert!(stops[0] < total, "{what}");
+                    }
                 }
             }
         }
@@ -661,10 +694,18 @@ fn a_corr_list_is_bit_equal_to_its_single_hypothesis_runs_at_any_epsilon() {
 /// built on two segments and refreshed incrementally with a third, holds
 /// the scores, and stores the fold point, of six one-hypothesis views.
 #[test]
-fn a_corr_list_view_builds_and_refreshes_like_its_single_hypothesis_views() {
-    const Q: &str = "SELECT S.hyp_id, S.uid, S.unit_score, S.group_score \
-                     INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
-                     FROM models M, units U, hypotheses H, inputs D";
+fn list_differential_a_list_view_builds_and_refreshes_like_its_single_hypothesis_views() {
+    for (id, _, _) in LIST_MEASURES {
+        list_view_builds_and_refreshes_like_its_single_hypothesis_views(id);
+    }
+}
+
+fn list_view_builds_and_refreshes_like_its_single_hypothesis_views(id: &str) {
+    let q = format!(
+        "SELECT S.hyp_id, S.uid, S.unit_score, S.group_score \
+         INSPECT U.uid AND H.h USING {id} OVER D.seq AS S \
+         FROM models M, units U, hypotheses H, inputs D"
+    );
     let total = 600;
     let catalog = |hyps: &[Arc<MixHypothesis>]| {
         let mut catalog = Catalog::new();
@@ -687,7 +728,7 @@ fn a_corr_list_view_builds_and_refreshes_like_its_single_hypothesis_views() {
     let view = |hyps: &[Arc<MixHypothesis>], name: &str| {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/tmp-engine-tests")
-            .join(format!("{name}-{}", std::process::id()));
+            .join(format!("{id}-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let before = mix_hypotheses_calls(hyps);
         let mut session = Session::with_config(
@@ -704,7 +745,7 @@ fn a_corr_list_view_builds_and_refreshes_like_its_single_hypothesis_views() {
                 ..SessionConfig::default()
             },
         );
-        session.create_view("v", Q).unwrap();
+        session.create_view("v", &q).unwrap();
         session
             .append_records("seq", mix_records(400, total - 400))
             .unwrap();
@@ -739,31 +780,37 @@ fn a_corr_list_view_builds_and_refreshes_like_its_single_hypothesis_views() {
         want_states.extend(s);
         want_calls.push(n[0]);
     }
-    assert_eq!(cells, want_cells);
-    assert!(states == want_states, "stored fold points differ");
-    assert_eq!(calls, want_calls);
+    assert_eq!(cells, want_cells, "{id}");
+    assert!(states == want_states, "{id}: stored fold points differ");
+    assert_eq!(calls, want_calls, "{id}");
 }
 
-/// The `+MM+ES` reference design scores a `corr` list bit for bit as the
+/// The `+MM+ES` reference design scores a list bit for bit as the
 /// streaming engine does under the default ε: both freeze each member at
 /// the block its own error met ε, on either device.
 #[test]
-fn merged_early_stop_scores_a_corr_list_as_deepbase_does_at_the_default_epsilon() {
-    let total = 720;
-    let extractor = PrecomputedExtractor::new(mix_behaviors(total), MIX_NS);
-    let dataset = Dataset::new("mix", MIX_NS, mix_records(0, total)).unwrap();
-    let hyps = mix_hypotheses();
-    let req = mix_request(&dataset, &extractor, &hyps);
-    for device in [Device::SingleCore, Device::Parallel(3)] {
-        let config = InspectionConfig {
-            block_records: 16,
-            device,
-            ..Default::default()
-        };
-        let run = |kind| mix_rows(&inspect_as(kind, &req, &config).unwrap().0);
-        let streamed = run(EngineKind::DeepBase);
-        assert_eq!(run(EngineKind::MergedEarlyStop), streamed, "{device:?}");
-        // Not vacuous: early stopping moved the scores off the full data's.
-        assert_ne!(run(EngineKind::Merged), streamed, "{device:?}");
+fn list_differential_merged_early_stop_scores_a_list_as_deepbase_does_at_the_default_epsilon() {
+    for (id, total, block_records) in LIST_MEASURES {
+        let measure = library_measure(id);
+        let extractor = PrecomputedExtractor::new(mix_behaviors(total), MIX_NS);
+        let dataset = Dataset::new("mix", MIX_NS, mix_records(0, total)).unwrap();
+        let hyps = mix_hypotheses();
+        let req = mix_request(&dataset, &extractor, &hyps, measure.as_ref());
+        for device in [Device::SingleCore, Device::Parallel(3)] {
+            let config = InspectionConfig {
+                block_records,
+                device,
+                ..Default::default()
+            };
+            let run = |kind| mix_rows(&inspect_as(kind, &req, &config).unwrap().0);
+            let streamed = run(EngineKind::DeepBase);
+            assert_eq!(
+                run(EngineKind::MergedEarlyStop),
+                streamed,
+                "{id} {device:?}"
+            );
+            // Not vacuous: early stopping moved the scores off the full data's.
+            assert_ne!(run(EngineKind::Merged), streamed, "{id} {device:?}");
+        }
     }
 }

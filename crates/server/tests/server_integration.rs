@@ -408,7 +408,7 @@ fn counted_catalog(calls: &Arc<AtomicUsize>) -> Catalog {
 /// hypothesis call, and neither does a connection's re-fork after an
 /// APPEND to a dataset the statement does not read.
 #[test]
-fn connections_and_their_re_forks_share_one_hypothesis_cache() {
+fn connections_and_their_re_forks_share_the_hypothesis_cache() {
     const COUNTED: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr \
                            OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D \
                            WHERE H.name = 'counted' AND D.name = 'seq'";
