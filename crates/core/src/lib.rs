@@ -130,8 +130,8 @@
 //! ([`extract::Extractor::fingerprint`], hashing the actual weights — a
 //! model that cannot be hashed returns `None` and simply opts out) and
 //! the dataset's ([`model::Dataset::content_fingerprint`]). Fingerprints
-//! make invalidation implicit: mutating the catalog
-//! ([`session::Session::catalog_mut`]) re-binds and re-fingerprints, so
+//! make invalidation implicit: a plan whose catalog entries were replaced
+//! ([`plan::LogicalPlan::is_current`]) re-binds and re-fingerprints, so
 //! changed contents miss the store while identical re-registrations keep
 //! hitting — there is no stale-read window. A behavior depends on the
 //! code that computes it as well as on the weights, so the char-LSTM
@@ -321,15 +321,17 @@
 //! reconstructed with [`DniError::from_wire`] (round-trip lossless).
 //!
 //! The server runs **one logical session per connection**, each a
-//! [`session::Session::fork`] of one template session: a fork runs over
-//! a clone of one master catalog (cheap, identity-preserving — see
-//! [`query::Catalog`]) and is re-forked when an APPEND from any
-//! connection bumps the master generation. Forks share the template's
-//! behavior store handle (opened once, by the template), its admission
-//! scheduler and its hypothesis cache (so behaviors computed by any
-//! connection on a dataset an APPEND left alone serve every re-fork);
-//! every fork's plan and score caches start empty, and per-request
-//! budgets map from the wire through [`session::Session::set_budget`].
+//! [`session::Session::fork`] of one template session kept for the
+//! connection's lifetime: every request first copies one master catalog
+//! into it (cheap, identity-preserving — see [`query::Catalog`]), so an
+//! APPEND from any connection is visible on the next request of every
+//! other, and a cached plan keeps serving while the copy still holds
+//! what it bound ([`plan::LogicalPlan::is_current`]). Forks share the
+//! template's behavior store handle (opened once, by the template), its
+//! admission scheduler and its hypothesis cache (so behaviors computed by
+//! any connection serve every other); each fork's plan and score caches
+//! are its own, and per-request budgets map from the wire through
+//! [`session::Session::set_budget`].
 //!
 //! **Admission** has one path. Every session builds an
 //! [`admission::AdmissionScheduler`] from its

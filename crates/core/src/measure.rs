@@ -1591,6 +1591,8 @@ mod tests {
             batch
         );
         assert_eq!(streaming[2].to_bits(), 0.0f32.to_bits());
+        let batch = descriptive::difference_of_means(&units.col(2), &hyp);
+        assert_eq!(streaming[2], batch, "the reference scores it 0 too");
     }
 
     #[test]

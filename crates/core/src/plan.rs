@@ -231,7 +231,7 @@ impl BoundModel {
 /// Logical plans are immutable and self-contained (catalog entries are
 /// `Arc`-shared, never borrowed), which is what makes the session plan
 /// cache sound: a cached plan re-executes without re-binding for as long
-/// as the catalog generation it was bound against stays current.
+/// as [`LogicalPlan::is_current`] holds against the session's catalog.
 pub struct LogicalPlan {
     /// The parsed statement.
     pub query: InspectQuery,
@@ -257,15 +257,52 @@ impl LogicalPlan {
                 .collect::<Vec<_>>(),
         ))
     }
+
+    /// Whether resolving the statement against `catalog` gives back the
+    /// very entries this plan bound: the same extractor, `mid`, `epoch`
+    /// and units per model, the same hypotheses, dataset and measures
+    /// (`Arc` identity). Everything else a plan holds is derived from
+    /// those and the statement, so a current plan answers exactly as a
+    /// fresh bind would. A statement that no longer resolves is not
+    /// current. This is the one rule that decides whether a plan (and
+    /// the frames it computed) may be reused.
+    pub fn is_current(&self, catalog: &Catalog) -> bool {
+        fn same<T: ?Sized>(a: &[Arc<T>], b: &[Arc<T>]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
+        }
+        let query = &self.query;
+        let Ok(now) = classify_conds(query).and_then(|conds| resolve(query, &conds, catalog))
+        else {
+            return false;
+        };
+        now.models.len() == self.models.len()
+            && now.models.iter().zip(&self.models).all(|(m, b)| {
+                Arc::ptr_eq(&m.extractor, &b.extractor)
+                    && (&m.mid, m.epoch, &m.units) == (&b.mid, b.epoch, &b.units)
+            })
+            && same(&now.hypotheses, &self.hypotheses)
+            && Arc::ptr_eq(&now.dataset, &self.dataset)
+            && same(&now.measures, &self.measures)
+    }
 }
 
-/// Binds a parsed query against the catalog, resolving models, datasets,
-/// hypotheses and measures, validating column references, and
-/// precomputing per-model unit groups.
-pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniError> {
-    let conds = classify_conds(query)?;
+/// The catalog entries a statement resolves to: the first half of
+/// [`bind`], and all of what [`LogicalPlan::is_current`] re-checks.
+struct Resolved<'c> {
+    models: Vec<&'c crate::query::CatalogModel>,
+    hypotheses: Vec<Arc<dyn HypothesisFn>>,
+    dataset: Arc<Dataset>,
+    measures: Vec<Arc<dyn Measure>>,
+}
 
-    // Bind models.
+/// Resolves models by the WHERE filter, hypothesis sets by name, the
+/// dataset (by `D.name`, else the sole registered one) and measures by
+/// id.
+fn resolve<'c>(
+    query: &InspectQuery,
+    conds: &CondSets<'_>,
+    catalog: &'c Catalog,
+) -> Result<Resolved<'c>, DniError> {
     let models: Vec<&crate::query::CatalogModel> = catalog
         .models()
         .iter()
@@ -359,6 +396,21 @@ pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniE
         measures.push(measure);
     }
 
+    Ok(Resolved {
+        models,
+        hypotheses,
+        dataset,
+        measures,
+    })
+}
+
+/// Binds a parsed query against the catalog: resolves models,
+/// datasets, hypotheses and measures, then validates column references
+/// and precomputes per-model unit groups.
+pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniError> {
+    let conds = classify_conds(query)?;
+    let resolved = resolve(query, &conds, catalog)?;
+
     // Validate the SELECT list into the output schema.
     let mut schema: Vec<(String, ColType)> = Vec::with_capacity(query.select.len());
     for col in &query.select {
@@ -367,7 +419,8 @@ pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniE
     }
 
     // Precompute unit groups per model.
-    let bound_models = models
+    let bound_models = resolved
+        .models
         .iter()
         .map(|m| BoundModel {
             mid: m.mid.clone(),
@@ -382,9 +435,9 @@ pub fn bind(query: &InspectQuery, catalog: &Catalog) -> Result<LogicalPlan, DniE
     Ok(LogicalPlan {
         query: query.clone(),
         models: bound_models,
-        hypotheses,
-        dataset,
-        measures,
+        hypotheses: resolved.hypotheses,
+        dataset: resolved.dataset,
+        measures: resolved.measures,
         schema,
     })
 }

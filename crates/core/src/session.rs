@@ -12,16 +12,19 @@
 //! * [`Session::prepare`] parses and binds a statement into a
 //!   [`PreparedQuery`], caching the bound [`LogicalPlan`] keyed by the
 //!   *normalized* statement text. Preparing the same statement again
-//!   performs zero bind work; any catalog mutation (through
-//!   [`Session::catalog_mut`]) bumps the **catalog generation** and drops
-//!   every cached plan.
+//!   performs zero bind work for as long as the plan is current
+//!   ([`LogicalPlan::is_current`]: the catalog still resolves the
+//!   statement to the entries the plan bound); otherwise it re-binds,
+//!   and drops every other entry that is no longer current. Nothing else
+//!   invalidates a plan.
 //! * [`Session::execute`] / [`Session::run_batch`] optimize the bound
 //!   plans into a [`PhysicalPlan`] (shared-extraction grouping plus the
 //!   session's [`AdmissionConfig`]) and execute it. Converged result
-//!   frames are kept in a session **score cache**, so re-executing an
-//!   identical statement under an unchanged catalog and config skips
-//!   extraction entirely — the cross-batch reuse the ROADMAP's
-//!   multi-query-sharing follow-up calls for. Set
+//!   frames are kept in the plan-cache entry of the plan that computed
+//!   them (the **score cache**), so re-executing a statement whose plan
+//!   is still current skips extraction entirely — the cross-batch reuse
+//!   the ROADMAP's multi-query-sharing follow-up calls for — and a
+//!   re-bound plan starts without frames. Set
 //!   [`SessionConfig::reuse_scores`] to `false` to re-run every pass.
 //! * [`Session::explain`] renders the physical plan tree for a statement
 //!   (or batch) without executing it.
@@ -48,11 +51,10 @@ use deepbase_store::{
     ViewFreshness, ViewHypState, ViewRow,
 };
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::sync::Arc;
 
-/// Entries kept in the plan cache (bound plans) and in the score cache
-/// (result frames), FIFO eviction each.
+/// Statements kept in the plan cache, each with the frames its plan
+/// computed; FIFO eviction.
 const MAX_CACHED_ENTRIES: usize = 256;
 
 /// Session-wide configuration.
@@ -99,8 +101,6 @@ pub struct SessionStats {
     pub plan_cache_hits: usize,
     /// Statements parsed and bound.
     pub plan_cache_misses: usize,
-    /// Cached plans discarded because the catalog generation moved on.
-    pub plan_cache_invalidations: usize,
     /// Work items answered from the score cache without execution.
     pub score_cache_hits: usize,
     /// Shared groups split into waves by admission control.
@@ -112,14 +112,12 @@ pub struct SessionStats {
 }
 
 /// A statement prepared by [`Session::prepare`]: the normalized text plus
-/// the bound plan and the catalog generation it was bound against (the
-/// handle outlives the plan cache, so it can go stale).
-/// Executing a stale handle (the catalog changed since) transparently
-/// re-prepares through the plan cache.
+/// the bound plan. The handle outlives the plan cache and may be executed
+/// on any session; a handle whose plan is not current for the executing
+/// session's catalog is transparently re-prepared there.
 #[derive(Clone)]
 pub struct PreparedQuery {
     key: String,
-    generation: u64,
     plan: Arc<LogicalPlan>,
 }
 
@@ -141,21 +139,15 @@ pub struct PreparedBatch {
     entries: Vec<PreparedQuery>,
 }
 
-/// Fingerprint of the config fields that determine inspection *results*
-/// (scores depend on block size, convergence threshold and shuffle seed;
-/// the device only changes how the same numbers are computed). Keys the
-/// score cache.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct ConfigFp {
-    block_records: usize,
-    epsilon_bits: Option<u32>,
-    seed: u64,
+/// One plan-cache entry: a bound plan and the converged frames it
+/// computed, by model position. A frame is stored into and served from
+/// only the entry of the plan that computed it, so re-binding drops it.
+/// No config goes into the key: the result-determining config of a
+/// session never changes ([`Session::set_budget`] is its only setter).
+struct PlanEntry {
+    plan: Arc<LogicalPlan>,
+    frames: Vec<Option<Arc<ResultFrame>>>,
 }
-
-/// Score-cache key: normalized statement, model position, config
-/// fingerprint. No generation: `catalog_mut` clears the cache whenever
-/// the generation moves.
-type FrameKey = (String, usize, ConfigFp);
 
 /// The engine stamp of every view this session writes, and the only one
 /// it accepts: sessions run the one streaming engine, so a file stamped
@@ -234,15 +226,12 @@ fn store_view_err(op: &str, name: &str, e: StoreError) -> DniError {
 pub struct Session {
     catalog: Catalog,
     config: SessionConfig,
-    generation: u64,
     /// Shared with every fork.
     hypothesis_cache: Arc<HypothesisCache>,
-    /// Bound plans by normalized statement; cleared by `catalog_mut`, so
-    /// every entry was bound against the current generation.
-    plans: HashMap<String, Arc<LogicalPlan>>,
+    /// Plan-cache entries by normalized statement, in FIFO order; each
+    /// is checked with [`LogicalPlan::is_current`] before use.
+    plans: HashMap<String, PlanEntry>,
     plan_order: VecDeque<String>,
-    frames: HashMap<FrameKey, Arc<ResultFrame>>,
-    frame_order: VecDeque<FrameKey>,
     stats: SessionStats,
     /// The open behavior store, when configured and openable; shared
     /// with every fork.
@@ -255,26 +244,6 @@ pub struct Session {
     /// Cumulative store accounting across the session's batches (plus
     /// the open error, if the configured store could not be opened).
     store_stats: StoreStats,
-}
-
-/// Inserts into a FIFO-bounded map: a new key joins the back of `order`
-/// and the oldest keys are evicted past `cap`; an existing key's value is
-/// replaced in place.
-fn insert_bounded<K: Clone + Eq + Hash, V>(
-    map: &mut HashMap<K, V>,
-    order: &mut VecDeque<K>,
-    cap: usize,
-    key: K,
-    value: V,
-) {
-    if map.insert(key.clone(), value).is_none() {
-        order.push_back(key);
-        while order.len() > cap {
-            if let Some(evicted) = order.pop_front() {
-                map.remove(&evicted);
-            }
-        }
-    }
 }
 
 impl Session {
@@ -307,10 +276,11 @@ impl Session {
     /// store handle, admission scheduler and hypothesis cache — one buffer
     /// pool, one index, one width budget and one set of behaviors, which
     /// serve both wherever the two catalogs hold the same `Arc`s — whose
-    /// plan and score caches start empty. A store that failed to open
-    /// here stays closed in the fork, and nothing is opened again (the
-    /// open error is in this session's [`Session::store_stats`]). A
-    /// serving process forks one template session per connection.
+    /// plan cache (and so its score cache) starts empty. A store that
+    /// failed to open here stays closed in the fork, and nothing is
+    /// opened again (the open error is in this session's
+    /// [`Session::store_stats`]). A serving process forks one template
+    /// session per connection.
     pub fn fork(&self, catalog: Catalog) -> Session {
         Session::from_parts(
             catalog,
@@ -334,11 +304,8 @@ impl Session {
             catalog,
             hypothesis_cache,
             config,
-            generation: 0,
             plans: HashMap::new(),
             plan_order: VecDeque::new(),
-            frames: HashMap::new(),
-            frame_order: VecDeque::new(),
             stats: SessionStats::default(),
             store,
             scheduler,
@@ -347,31 +314,20 @@ impl Session {
         }
     }
 
-    /// Mutable access to the catalog. Every call bumps the catalog
-    /// generation: cached plans and cached scores are conservatively
-    /// invalidated, whether or not a mutation actually happens. (Stale
-    /// plans are dropped outright rather than left for FIFO eviction —
-    /// they would otherwise pin the replaced datasets and extractors in
-    /// memory.)
+    /// Mutable access to the catalog. Nothing is cleared: a cached plan
+    /// (with its frames) is re-checked against the catalog on its next
+    /// use ([`LogicalPlan::is_current`]), so only statements whose
+    /// entries changed re-bind. A stale entry keeps the `Arc`s it bound
+    /// alive until the next plan-cache miss, which drops every stale
+    /// entry.
     ///
-    /// The hypothesis cache needs no invalidation: a dataset or hypothesis
-    /// registered anew is a new identity and misses. Nor does the behavior
-    /// store: its columns are keyed by **content fingerprints**, so a
-    /// model or dataset re-registered with different contents misses,
-    /// while an identical re-registration keeps hitting.
+    /// The hypothesis cache needs no invalidation either: a dataset or
+    /// hypothesis registered anew is a new identity and misses. Nor does
+    /// the behavior store: its columns are keyed by **content
+    /// fingerprints**, so a model or dataset re-registered with different
+    /// contents misses, while an identical re-registration keeps hitting.
     pub fn catalog_mut(&mut self) -> &mut Catalog {
-        self.generation += 1;
-        self.frames.clear();
-        self.frame_order.clear();
-        self.stats.plan_cache_invalidations += self.plans.len();
-        self.plans.clear();
-        self.plan_order.clear();
         &mut self.catalog
-    }
-
-    /// Current catalog generation.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Cumulative session statistics.
@@ -388,9 +344,8 @@ impl Session {
     /// Replaces the run budget applied to subsequent executions — the
     /// serving path maps each request's wire-carried deadline/caps here
     /// before executing it. Budget changes never touch the plan or score
-    /// caches: the config fingerprint deliberately excludes the budget
-    /// (an interrupted run's partial frames are never cached, and a
-    /// converged result is converged under any budget).
+    /// caches (an interrupted run's partial frames are never cached, and
+    /// a converged result is converged under any budget).
     pub fn set_budget(&mut self, budget: RunBudget) {
         self.config.inspection.budget = budget;
     }
@@ -446,41 +401,38 @@ impl Session {
         })
     }
 
-    fn fingerprint(&self) -> ConfigFp {
-        ConfigFp {
-            block_records: self.config.inspection.block_records,
-            epsilon_bits: self.config.inspection.epsilon.map(f32::to_bits),
-            seed: self.config.inspection.seed,
-        }
-    }
-
     /// Parses and binds one statement, serving the bound plan from the
-    /// plan cache when the statement was prepared before under the
-    /// current catalog generation.
+    /// plan cache while it is current for this session's catalog. On a
+    /// miss every stale entry is dropped, frames with it, and the
+    /// statement is bound anew.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedQuery, DniError> {
         let key = normalize_statement(sql)?;
-        if let Some(plan) = self.plans.get(&key) {
-            self.stats.plan_cache_hits += 1;
-            return Ok(PreparedQuery {
-                key,
-                generation: self.generation,
-                plan: Arc::clone(plan),
-            });
+        if let Some(entry) = self.plans.get(&key) {
+            if entry.plan.is_current(&self.catalog) {
+                self.stats.plan_cache_hits += 1;
+                let plan = Arc::clone(&entry.plan);
+                return Ok(PreparedQuery { key, plan });
+            }
         }
         self.stats.plan_cache_misses += 1;
+        // A miss also drops every entry the catalog has moved past, this
+        // statement's included, so stale entries pin at most the catalog
+        // as of the last miss.
+        self.plans.retain(|_, e| e.plan.is_current(&self.catalog));
+        self.plan_order.retain(|k| self.plans.contains_key(k));
         let plan = Arc::new(plan::bind(&parse(sql)?, &self.catalog)?);
-        insert_bounded(
-            &mut self.plans,
-            &mut self.plan_order,
-            MAX_CACHED_ENTRIES,
-            key.clone(),
-            Arc::clone(&plan),
-        );
-        Ok(PreparedQuery {
-            key,
-            generation: self.generation,
-            plan,
-        })
+        let entry = PlanEntry {
+            plan: Arc::clone(&plan),
+            frames: vec![None; plan.models.len()],
+        };
+        if self.plans.insert(key.clone(), entry).is_none() {
+            self.plan_order.push_back(key.clone());
+            if self.plan_order.len() > MAX_CACHED_ENTRIES {
+                let evicted = self.plan_order.pop_front().expect("over capacity");
+                self.plans.remove(&evicted);
+            }
+        }
+        Ok(PreparedQuery { key, plan })
     }
 
     /// Prepares a batch of statements (each through the plan cache).
@@ -493,8 +445,8 @@ impl Session {
     }
 
     /// Executes one prepared statement, returning its result table. A
-    /// stale handle (catalog mutated since `prepare`) is transparently
-    /// re-prepared first.
+    /// handle whose plan is not current for this session's catalog is
+    /// transparently re-prepared first.
     pub fn execute(&mut self, prepared: &PreparedQuery) -> Result<Table, DniError> {
         let batch = PreparedBatch {
             entries: vec![prepared.clone()],
@@ -528,8 +480,9 @@ impl Session {
         self.execute_entries(&prepared.entries, base)
     }
 
-    /// Executes a prepared batch. Stale members are transparently
-    /// re-prepared through the plan cache.
+    /// Executes a prepared batch. Members whose plan is not current for
+    /// this session's catalog are transparently re-prepared through the
+    /// plan cache.
     pub fn execute_batch(&mut self, prepared: &PreparedBatch) -> Result<BatchOutput, DniError> {
         let base = self.stats;
         self.execute_entries(&prepared.entries, base)
@@ -544,11 +497,10 @@ impl Session {
         // statement, so a stale entry re-prepares from its key.
         let mut fresh: Vec<PreparedQuery> = Vec::with_capacity(entries.len());
         for entry in entries {
-            if entry.generation == self.generation {
+            if entry.plan.is_current(&self.catalog) {
                 fresh.push(entry.clone());
             } else {
-                let key = entry.key.clone();
-                fresh.push(self.prepare(&key)?);
+                fresh.push(self.prepare(&entry.key)?);
             }
         }
         let plans: Vec<Arc<LogicalPlan>> = fresh.iter().map(|e| Arc::clone(&e.plan)).collect();
@@ -561,18 +513,13 @@ impl Session {
             self.config.reuse_scores,
         )?;
 
-        // Feed the score cache with this batch's freshly computed frames.
-        if self.config.reuse_scores {
-            let fp = self.fingerprint();
-            for (qi, pos, frame) in computed {
-                let key: FrameKey = (fresh[qi].key.clone(), pos, fp.clone());
-                insert_bounded(
-                    &mut self.frames,
-                    &mut self.frame_order,
-                    MAX_CACHED_ENTRIES,
-                    key,
-                    frame,
-                );
+        // Feed the score cache (collected only under `reuse_scores`):
+        // each frame goes into the entry of the plan that computed it.
+        for (qi, pos, frame) in computed {
+            if let Some(entry) = self.plans.get_mut(&fresh[qi].key) {
+                if Arc::ptr_eq(&entry.plan, &plans[qi]) {
+                    entry.frames[pos] = Some(frame);
+                }
             }
         }
 
@@ -619,16 +566,13 @@ impl Session {
         entries: &[PreparedQuery],
         plans: &[Arc<LogicalPlan>],
     ) -> PhysicalPlan {
-        let fp = self.fingerprint();
-        let frames = &self.frames;
-        let reuse = self.config.reuse_scores;
+        // Frames exist only under `reuse_scores`, and only in the entry
+        // of the plan that computed them.
         let mut lookup = |qi: usize, pos: usize| -> Option<Arc<ResultFrame>> {
-            if !reuse {
-                return None;
-            }
-            frames
-                .get(&(entries[qi].key.clone(), pos, fp.clone()))
-                .cloned()
+            let entry = self.plans.get(&entries[qi].key)?;
+            Arc::ptr_eq(&entry.plan, &plans[qi])
+                .then(|| entry.frames[pos].clone())
+                .flatten()
         };
         let mut view_probe =
             |qi: usize| -> Option<plan::ViewHit> { self.probe_view(&entries[qi].key, &plans[qi]) };
@@ -682,11 +626,13 @@ impl Session {
 
     /// Appends a batch of records to a registered dataset as one new
     /// in-memory segment (see [`Catalog::append_to_dataset`]) and
-    /// re-registers it under the same name. The catalog generation bumps
-    /// — cached plans and scores drop — but the behavior store stays
-    /// warm: columns are keyed per *segment* fingerprint, and the
-    /// existing segments are byte-identical after the append, so a
-    /// re-run extracts only the appended segment's records.
+    /// re-registers it under the same name. Cached plans over that
+    /// dataset (and their frames) are no longer current and re-bind on
+    /// their next use; plans over other datasets keep serving. The
+    /// behavior store stays warm: columns are keyed per *segment*
+    /// fingerprint, and the existing segments are byte-identical after
+    /// the append, so a re-run extracts only the appended segment's
+    /// records.
     pub fn append_records(&mut self, name: &str, records: Vec<Record>) -> Result<(), DniError> {
         self.catalog_mut().append_to_dataset(name, records)
     }

@@ -12,13 +12,15 @@
 //! [`ServerConfig::session`], and every connection's session is a
 //! [`Session::fork`] of it:
 //!
-//! * **One catalog, one hypothesis cache.** Connections fork over a
-//!   clone of a master [`Catalog`] (cheap, `Arc`-shared, identities
-//!   preserved) guarded by a generation counter; an APPEND from any
-//!   connection bumps the generation and every other connection
-//!   transparently re-forks. The forks share the template's hypothesis
-//!   cache, keyed by those identities, so behaviors any connection
-//!   computed serve all of them, re-forks included.
+//! * **One catalog, one hypothesis cache.** Each connection keeps one
+//!   fork for its whole lifetime, and every request copies the master
+//!   [`Catalog`] into it (cheap, `Arc`-shared, identities preserved), so
+//!   an APPEND from any connection is visible on the next request of
+//!   every other. A cached plan stays in use for as long as the copied
+//!   catalog still holds what it bound, so an APPEND re-binds only the
+//!   statements over the grown dataset. The forks share the template's
+//!   hypothesis cache, keyed by those identities, so behaviors any
+//!   connection computed serve all of them.
 //! * **One behavior store.** The template opens the store once (an open
 //!   failure is printed and disables persistence) and every fork shares
 //!   that [`BehaviorStore`] handle: one buffer pool, one index, one set
@@ -117,16 +119,11 @@ pub struct ServerStats {
     pub view_refreshes: u64,
 }
 
-/// The master catalog all connections serve from, with a generation
-/// counter so sessions know when their clone went stale.
-struct Master {
-    generation: u64,
-    catalog: Catalog,
-}
-
 /// Process-wide state shared by the acceptor and every connection.
 struct Shared {
-    master: Mutex<Master>,
+    /// The master catalog all connections serve from: APPENDs grow it,
+    /// and every request copies it into its connection's session.
+    master: Mutex<Catalog>,
     /// The session every connection's session is forked from: it holds
     /// the store handle and the admission scheduler they share, and never
     /// runs a statement itself.
@@ -150,23 +147,13 @@ impl Shared {
         self.drain.cancel();
     }
 
-    /// Returns this connection's session, forking it from the template
-    /// over the master catalog when none exists yet or an APPEND moved
-    /// the generation.
-    fn ensure_session<'a>(&self, slot: &'a mut Option<(u64, Session)>) -> &'a mut Session {
-        let master = self.master.lock().expect("master lock");
-        if slot.as_ref().is_none_or(|(g, _)| *g != master.generation) {
-            let session = self.template.fork(master.catalog.clone());
-            *slot = Some((master.generation, session));
-        }
-        &mut slot.as_mut().expect("session just ensured").1
-    }
-
-    fn serve(&self, req: Request, slot: &mut Option<(u64, Session)>) -> Response {
+    /// Answers one request on this connection's session, whose catalog
+    /// is first replaced by a copy of the master catalog.
+    fn serve(&self, req: Request, session: &mut Session) -> Response {
+        *session.catalog_mut() = self.master.lock().expect("master lock").clone();
         match req {
             Request::Inspect { statement, budget } => {
                 let drain = self.drain.clone();
-                let session = self.ensure_session(slot);
                 session.set_budget(budget.to_run_budget(Some(drain)));
                 match session.run_batch(&[statement.as_str()]) {
                     Err(e) => self.error_response(e),
@@ -190,7 +177,6 @@ impl Shared {
             }
             Request::Batch { statements, budget } => {
                 let drain = self.drain.clone();
-                let session = self.ensure_session(slot);
                 session.set_budget(budget.to_run_budget(Some(drain)));
                 let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
                 match session.run_batch(&refs) {
@@ -221,31 +207,27 @@ impl Shared {
                     }
                 }
             }
-            Request::Explain { statement } => {
-                let session = self.ensure_session(slot);
-                match session.explain(&statement) {
-                    Ok(text) => Response::Text(text),
-                    Err(e) => self.error_response(e),
-                }
-            }
+            Request::Explain { statement } => match session.explain(&statement) {
+                Ok(text) => Response::Text(text),
+                Err(e) => self.error_response(e),
+            },
             Request::Append { dataset, records } => {
                 let records: Vec<Record> = records
                     .into_iter()
                     .map(|r| Record::standalone(r.id as usize, r.symbols, r.text))
                     .collect();
                 let count = records.len() as u64;
-                let mut master = self.master.lock().expect("master lock");
-                match master.catalog.append_to_dataset(&dataset, records) {
+                let appended = self
+                    .master
+                    .lock()
+                    .expect("master lock")
+                    .append_to_dataset(&dataset, records);
+                match appended {
                     Ok(()) => {
-                        master.generation += 1;
-                        drop(master);
                         self.bump(|s| s.appends += 1);
                         Response::Done(count)
                     }
-                    Err(e) => {
-                        drop(master);
-                        self.error_response(e)
-                    }
+                    Err(e) => self.error_response(e),
                 }
             }
             Request::Stats => Response::Text(self.render_stats()),
@@ -254,7 +236,6 @@ impl Shared {
                 Response::Done(0)
             }
             Request::ViewCreate { name, statement } => {
-                let session = self.ensure_session(slot);
                 match session.create_view(&name, &statement) {
                     Ok(()) => {
                         self.bump(|s| s.view_builds += 1);
@@ -263,64 +244,52 @@ impl Shared {
                     Err(e) => self.error_response(e),
                 }
             }
-            Request::ViewRead { name } => {
-                let session = self.ensure_session(slot);
-                match session.read_view(&name) {
-                    Ok(table) => {
-                        self.bump(|s| {
-                            s.view_reads += 1;
-                            s.queries_ok += 1;
-                        });
-                        Response::Result {
-                            status: wire::STATUS_CONVERGED,
-                            rows_read: 0,
-                            table,
-                        }
+            Request::ViewRead { name } => match session.read_view(&name) {
+                Ok(table) => {
+                    self.bump(|s| {
+                        s.view_reads += 1;
+                        s.queries_ok += 1;
+                    });
+                    Response::Result {
+                        status: wire::STATUS_CONVERGED,
+                        rows_read: 0,
+                        table,
                     }
-                    Err(e) => self.error_response(e),
                 }
-            }
-            Request::ViewRefresh { name } => {
-                let session = self.ensure_session(slot);
-                match session.refresh_view(&name) {
-                    Ok(ViewRefresh::Noop) => Response::Done(wire::REFRESH_NOOP),
-                    Ok(ViewRefresh::Incremental { new_segments }) => {
-                        self.bump(|s| s.view_refreshes += 1);
-                        Response::Done(new_segments as u64)
-                    }
-                    Ok(ViewRefresh::Rebuilt) => {
-                        self.bump(|s| s.view_refreshes += 1);
-                        Response::Done(wire::REFRESH_REBUILT)
-                    }
-                    Err(e) => self.error_response(e),
+                Err(e) => self.error_response(e),
+            },
+            Request::ViewRefresh { name } => match session.refresh_view(&name) {
+                Ok(ViewRefresh::Noop) => Response::Done(wire::REFRESH_NOOP),
+                Ok(ViewRefresh::Incremental { new_segments }) => {
+                    self.bump(|s| s.view_refreshes += 1);
+                    Response::Done(new_segments as u64)
                 }
-            }
-            Request::ViewDrop { name } => {
-                let session = self.ensure_session(slot);
-                match session.drop_view(&name) {
-                    Ok(existed) => Response::Done(existed as u64),
-                    Err(e) => self.error_response(e),
+                Ok(ViewRefresh::Rebuilt) => {
+                    self.bump(|s| s.view_refreshes += 1);
+                    Response::Done(wire::REFRESH_REBUILT)
                 }
-            }
-            Request::ViewList => {
-                let session = self.ensure_session(slot);
-                match session.list_views() {
-                    Ok(views) => Response::Text(
-                        views
-                            .iter()
-                            .map(|v| {
-                                format!(
-                                    "{}\t{}\t{}\n",
-                                    v.name,
-                                    freshness_label(&v.freshness),
-                                    v.statement
-                                )
-                            })
-                            .collect(),
-                    ),
-                    Err(e) => self.error_response(e),
-                }
-            }
+                Err(e) => self.error_response(e),
+            },
+            Request::ViewDrop { name } => match session.drop_view(&name) {
+                Ok(existed) => Response::Done(existed as u64),
+                Err(e) => self.error_response(e),
+            },
+            Request::ViewList => match session.list_views() {
+                Ok(views) => Response::Text(
+                    views
+                        .iter()
+                        .map(|v| {
+                            format!(
+                                "{}\t{}\t{}\n",
+                                v.name,
+                                freshness_label(&v.freshness),
+                                v.statement
+                            )
+                        })
+                        .collect(),
+                ),
+                Err(e) => self.error_response(e),
+            },
         }
     }
 
@@ -417,10 +386,7 @@ impl InspectionServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            master: Mutex::new(Master {
-                generation: 0,
-                catalog,
-            }),
+            master: Mutex::new(catalog),
             template,
             shutting_down: AtomicBool::new(false),
             drain: CancelToken::new(),
@@ -481,7 +447,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
         return;
     }
-    let mut session: Option<(u64, Session)> = None;
+    let mut session = shared.template.fork(Catalog::new());
     let mut last_activity = Instant::now();
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {

@@ -1,8 +1,8 @@
 //! End-to-end tests of the inspection server over real TCP sockets:
 //! bit-identical warm serving, per-connection panic isolation, one
 //! admission budget across connections, one hypothesis cache across
-//! connections and their re-forks, shutdown drain, and cross-connection
-//! appends.
+//! connections, shutdown drain, and cross-connection appends that leave
+//! other connections' plans in place.
 //!
 //! Every test binds `127.0.0.1:0` (an ephemeral port) so they run in
 //! parallel without colliding.
@@ -405,10 +405,10 @@ fn counted_catalog(calls: &Arc<AtomicUsize>) -> Catalog {
 
 /// Connections are forks of one template session and share its
 /// hypothesis cache: a statement one connection ran costs the next no
-/// hypothesis call, and neither does a connection's re-fork after an
-/// APPEND to a dataset the statement does not read.
+/// hypothesis call, and an APPEND to a dataset the statement does not
+/// read costs none either.
 #[test]
-fn connections_and_their_re_forks_share_the_hypothesis_cache() {
+fn connections_share_the_hypothesis_cache_and_an_append_elsewhere_costs_no_call() {
     const COUNTED: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr \
                            OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D \
                            WHERE H.name = 'counted' AND D.name = 'seq'";
@@ -445,24 +445,83 @@ fn connections_and_their_re_forks_share_the_hypothesis_cache() {
         "B's fork is served A's behaviors"
     );
 
-    let segment = demo::records(32, NS).split_off(16);
-    let wire_records: Vec<wire::WireRecord> = segment
+    assert_eq!(a.append("feed", feed_segment()).expect("append"), 16);
+    let third = a.inspect(COUNTED).expect("A inspects after its APPEND");
+    assert_eq!(third.table, reference);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        ND,
+        "the unchanged dataset still costs no call"
+    );
+    assert_eq!(handle.stats().appends, 1);
+}
+
+/// The 16 records appended to `feed`, as records and on the wire.
+fn feed_records() -> Vec<Record> {
+    demo::records(32, NS).split_off(16)
+}
+
+fn feed_segment() -> Vec<wire::WireRecord> {
+    feed_records()
         .iter()
         .map(|r| wire::WireRecord {
             id: r.id as u64,
             symbols: r.symbols.clone(),
             text: r.text.clone(),
         })
-        .collect();
-    assert_eq!(a.append("feed", wire_records).expect("append"), 16);
-    let third = a.inspect(COUNTED).expect("A inspects after its APPEND");
-    assert_eq!(third.table, reference);
+        .collect()
+}
+
+/// Connections keep their sessions across an APPEND from another
+/// connection: B's cached plan over `seq` keeps serving (a plan-cache
+/// hit, no re-bind), while B's cached plan over `feed` re-binds and sees
+/// the appended records.
+#[test]
+fn an_append_leaves_other_connections_plans_in_place_and_is_visible_to_them() {
+    const SEQ: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr \
+                       OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D \
+                       WHERE H.name = 'counted' AND D.name = 'seq'";
+    const FEED: &str = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr \
+                        OVER D.seq AS S FROM models M, units U, hypotheses H, inputs D \
+                        WHERE H.name = 'counted' AND D.name = 'feed'";
+    let calls = Arc::new(AtomicUsize::new(0));
+    let handle = start_server(counted_catalog(&calls), session_config(None));
+    let mut a = Client::connect(handle.addr()).expect("connect A");
+    let mut b = Client::connect(handle.addr()).expect("connect B");
+    let budget = wire::WireBudget::default;
+    a.batch(&[SEQ], budget()).expect("A's batch");
+    let first = b.batch(&[SEQ], budget()).expect("B's batch");
     assert_eq!(
-        calls.load(Ordering::SeqCst),
-        ND,
-        "A's re-fork still hits on the unchanged dataset"
+        (first.plan.plan_cache_hits, first.plan.plan_cache_misses),
+        (0, 1)
     );
-    assert_eq!(handle.stats().appends, 1);
+    let feed_before = b.inspect(FEED).expect("B inspects feed").table;
+
+    assert_eq!(a.append("feed", feed_segment()).expect("append"), 16);
+    let again = b
+        .batch(&[SEQ], budget())
+        .expect("B's batch after A's APPEND");
+    assert_eq!(
+        (again.plan.plan_cache_hits, again.plan.plan_cache_misses),
+        (1, 0),
+        "B's plan over `seq` is still current"
+    );
+    assert_eq!(again.results, first.results);
+
+    let mut grown = counted_catalog(&Arc::new(AtomicUsize::new(0)));
+    grown.append_to_dataset("feed", feed_records()).unwrap();
+    let reference = Session::with_config(
+        grown,
+        SessionConfig {
+            reuse_scores: false,
+            cache_bytes: 0,
+            ..session_config(None)
+        },
+    )
+    .run(FEED)
+    .expect("bare session");
+    assert_ne!(reference, feed_before, "the APPEND changed the answer");
+    assert_eq!(b.inspect(FEED).expect("B inspects feed").table, reference);
 }
 
 #[test]

@@ -8,21 +8,21 @@
 //! and `y > 0.5` would reach, so the ratio is the same `f32` division.
 
 /// Mean of a slice (0 when empty).
-pub(crate) fn mean(xs: &[f32]) -> f32 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
+        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 
 /// Unbiased sample variance (0 when fewer than two values).
-pub(crate) fn variance(xs: &[f32]) -> f32 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
     let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f32>() / (xs.len() - 1) as f32
+    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
 /// Difference-of-means affinity (paper §4.3): mean behavior where the
@@ -30,28 +30,32 @@ pub(crate) fn variance(xs: &[f32]) -> f32 {
 /// pooled standard deviation (Cohen's d-style, so scores are comparable
 /// across units with different activation scales). Returns 0 when either
 /// class is empty or behaviors are constant.
+///
+/// Means and variances accumulate in `f64`: two `f32` means summed over
+/// different counts can round apart and give a constant unit a large
+/// score.
 pub fn difference_of_means(behavior: &[f32], hypothesis: &[f32]) -> f32 {
     assert_eq!(behavior.len(), hypothesis.len(), "length mismatch");
     let mut on = Vec::new();
     let mut off = Vec::new();
     for (&b, &h) in behavior.iter().zip(hypothesis.iter()) {
         if h > 0.5 {
-            on.push(b);
+            on.push(b as f64);
         } else {
-            off.push(b);
+            off.push(b as f64);
         }
     }
     if on.is_empty() || off.is_empty() {
         return 0.0;
     }
-    let pooled = ((variance(&on) * (on.len() - 1).max(1) as f32
-        + variance(&off) * (off.len() - 1).max(1) as f32)
-        / (on.len() + off.len()).saturating_sub(2).max(1) as f32)
+    let pooled = ((variance(&on) * (on.len() - 1).max(1) as f64
+        + variance(&off) * (off.len() - 1).max(1) as f64)
+        / (on.len() + off.len()).saturating_sub(2).max(1) as f64)
         .sqrt();
     if pooled <= 1e-12 {
         return 0.0;
     }
-    (mean(&on) - mean(&off)) / pooled
+    ((mean(&on) - mean(&off)) / pooled) as f32
 }
 
 /// The set `{i : values[i] > threshold}` as a bitset: bit `i % 64` of word
@@ -196,7 +200,7 @@ mod tests {
 
     #[test]
     fn mean_and_variance_known_values() {
-        let xs = [2.0f32, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
+        let xs = [2.0f64, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-6);
         assert!((variance(&xs) - 32.0 / 7.0).abs() < 1e-4);
     }
@@ -227,6 +231,13 @@ mod tests {
         let behavior = [1.0f32, 2.0, 3.0];
         assert_eq!(difference_of_means(&behavior, &[1.0, 1.0, 1.0]), 0.0);
         assert_eq!(difference_of_means(&behavior, &[0.0, 0.0, 0.0]), 0.0);
+        // A constant unit scores 0 whatever the two class sizes (two
+        // `f32` means over n and n + 3 rows round apart: 1.36 at n = 32).
+        for n in [32, 64, 128] {
+            let behavior = vec![0.99999994f32; 2 * n + 3];
+            let hypothesis: Vec<f32> = (0..2 * n + 3).map(|i| (i < n) as u8 as f32).collect();
+            assert_eq!(difference_of_means(&behavior, &hypothesis), 0.0, "n = {n}");
+        }
     }
 
     #[test]
