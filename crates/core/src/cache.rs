@@ -129,7 +129,8 @@ impl<'c> CacheRun<'c> {
 
     /// Fetches the behavior of `hypothesis` on the record at `position` of
     /// `dataset`, running `compute` on a miss. Failed computations are not
-    /// cached, and neither is anything on an identity that is not pinned.
+    /// cached, and neither is anything on an identity that is not pinned
+    /// or a behavior larger than the whole budget.
     pub(crate) fn get_or_compute<H: ?Sized, D: ?Sized, E>(
         &self,
         hypothesis: &H,
@@ -156,7 +157,8 @@ impl<'c> CacheRun<'c> {
             inner.pins.contains_key(&key.0) && inner.pins.contains_key(&key.1)
         };
         let value = Arc::new(compute()?);
-        if !pinned {
+        let value_bytes = value.len() * size_of::<f32>();
+        if !pinned || value_bytes > self.cache.capacity_bytes {
             return Ok(value);
         }
         let mut inner = self.cache.inner.lock();
@@ -171,9 +173,10 @@ impl<'c> CacheRun<'c> {
             existing.1 = clock;
             return Ok(Arc::clone(&existing.0));
         }
-        inner.bytes += value.len() * size_of::<f32>();
+        inner.bytes += value_bytes;
         inner.map.insert(key, (Arc::clone(&value), clock));
-        while inner.bytes > self.cache.capacity_bytes && inner.map.len() > 1 {
+        // The new entry is the most recent and fits alone, so it goes last.
+        while inner.bytes > self.cache.capacity_bytes {
             let victim = *inner
                 .map
                 .iter()
@@ -237,6 +240,28 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(run.stats(), stats, "one run: its tally is the cache's");
+    }
+
+    #[test]
+    fn a_behavior_larger_than_the_budget_is_returned_but_not_kept() {
+        let cache = HypothesisCache::new(0);
+        let run = CacheRun::new(&cache);
+        let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
+        let mut computes = 0;
+        for _ in 0..2 {
+            let v = run
+                .get_or_compute(&*h, &*d, 0, || {
+                    computes += 1;
+                    ok(vec![0.5; 30])
+                })
+                .unwrap();
+            assert_eq!(v.len(), 30);
+        }
+        assert_eq!(computes, 2);
+        assert!(cache.is_empty());
+        assert_eq!(bytes(&cache), 0);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
     }
 
     #[test]

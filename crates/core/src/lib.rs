@@ -89,8 +89,9 @@
 //! **Store-aware admission.** [`plan::AdmissionConfig`] charges
 //! store-hit unit columns to a separate scan budget
 //! (`max_scan_width`, default unbounded) instead of
-//! `max_stream_width`, because a scanned column holds one pooled page,
-//! not an extraction stream slot: a fully warm over-wide group runs in
+//! `max_stream_width`, because a scanned column holds decoded pages —
+//! within one store-wide reservation of the pool's byte budget — not an
+//! extraction stream slot: a fully warm over-wide group runs in
 //! one wave where the same group cold splits into queued extraction
 //! waves. [`plan::PlanStats::scan_charged_columns`] and `explain()`
 //! surface the distinction.

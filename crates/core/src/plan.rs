@@ -538,7 +538,8 @@ pub struct AdmissionConfig {
     /// cannot be split further and runs alone in its own wave.
     pub max_stream_width: Option<usize>,
     /// Maximum store-scanned unit columns one shared pass may carry
-    /// (each holds one pooled page resident, far cheaper than an
+    /// (each keeps the decoded pages it fetched, within one store-wide
+    /// reservation of the pool's byte budget — far cheaper than an
     /// extraction stream slot). `None` — the default — admits any number
     /// of scanned columns.
     pub max_scan_width: Option<usize>,

@@ -670,7 +670,7 @@ mod tests {
     }
 
     /// The reference answer: a bare session — no store, no score reuse,
-    /// a hypothesis cache too small to hold two entries.
+    /// a hypothesis cache of 0 bytes, which keeps nothing.
     fn bare(catalog: &Catalog) -> Session {
         Session::with_config(
             catalog.clone(),

@@ -3,7 +3,7 @@
 use deepbase::prelude::*;
 
 /// A bare session over a clone of `catalog`: no store, no score reuse,
-/// and a hypothesis cache too small to hold two entries. Every answer it
+/// and a hypothesis cache of 0 bytes, which keeps nothing. Every answer it
 /// gives comes from a fresh streaming pass, which is what makes it the
 /// reference; a *sequential* reference is one bare session per statement.
 pub fn bare(catalog: &Catalog, inspection: &InspectionConfig) -> Session {

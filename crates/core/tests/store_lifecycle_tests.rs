@@ -105,6 +105,16 @@ fn behaviors() -> Matrix {
 }
 
 fn test_catalog() -> (Catalog, Counters) {
+    hooked_catalog(&Hook::default())
+}
+
+/// An action run once, from the first hypothesis evaluation of the next
+/// pass: after that pass fetched its first streamed block and before it
+/// fetches the second.
+type Hook = Arc<Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+/// The test catalog, with `is_a` running `hook` when it is armed.
+fn hooked_catalog(hook: &Hook) -> (Catalog, Counters) {
     let counters = Counters {
         calls: Arc::new(AtomicUsize::new(0)),
         unit_calls: Arc::new(Mutex::new(Vec::new())),
@@ -125,10 +135,18 @@ fn test_catalog() -> (Catalog, Counters) {
             })
             .collect(),
     );
+    let is_a = FnHypothesis::char_class("is_a", |c| c == 'a');
+    let hook = Arc::clone(hook);
     catalog.add_hypotheses(
         "chars",
         vec![
-            Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a')),
+            Arc::new(FnHypothesis::new("is_a", move |rec| {
+                let action = hook.lock().unwrap().take();
+                if let Some(action) = action {
+                    action();
+                }
+                is_a.behavior(rec).expect("a char class evaluates")
+            })),
             Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b')),
         ],
     );
@@ -833,4 +851,265 @@ fn young_foreign_temps_survive_open_and_compact_and_aged_ones_are_reaped() {
     assert_eq!(survivors(), 0, "open reaps too");
     assert!(store.contains(&key), "the real column is untouched");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// A pass's held pages across a rewrite, a move-aside and a compaction
+// ---------------------------------------------------------------------
+
+/// The key and file of `unit`'s column in a store holding one model and
+/// one dataset.
+fn stored_column(dir: &Path, unit: usize) -> (ColumnKey, PathBuf) {
+    let pair = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .find(|e| e.file_name().to_string_lossy().contains('.'))
+        .expect("one pair directory");
+    let name = pair.file_name().into_string().unwrap();
+    let (model, dataset) = name.split_once('.').unwrap();
+    let key = ColumnKey {
+        model_fp: u64::from_str_radix(model, 16).unwrap(),
+        dataset_fp: u64::from_str_radix(dataset, 16).unwrap(),
+        unit,
+    };
+    (key, pair.path().join(format!("u{unit}.col")))
+}
+
+/// `unit`'s true column, record-major.
+fn column_values(unit: usize) -> Vec<f32> {
+    let m = behaviors();
+    (0..ND * NS).map(|r| m.get(r, unit)).collect()
+}
+
+/// A session over the hooked catalog that recomputes every score.
+fn hooked_session(
+    hook: &Hook,
+    inspection: InspectionConfig,
+    store: StoreConfig,
+) -> (Session, Counters) {
+    let (catalog, counters) = hooked_catalog(hook);
+    let session = Session::with_config(
+        catalog,
+        SessionConfig {
+            inspection,
+            store: Some(store),
+            reuse_scores: false,
+            ..SessionConfig::default()
+        },
+    );
+    (session, counters)
+}
+
+/// Arms `hook` with `action`, first noting the bytes the store's passes
+/// hold at that moment into the returned cell.
+fn arm(
+    hook: &Hook,
+    store: &Arc<BehaviorStore>,
+    action: impl FnOnce() + Send + 'static,
+) -> Arc<AtomicUsize> {
+    let held = Arc::new(AtomicUsize::new(0));
+    let (store, noted) = (Arc::clone(store), Arc::clone(&held));
+    *hook.lock().unwrap() = Some(Box::new(move || {
+        noted.store(store.held_page_bytes(), Ordering::SeqCst);
+        action();
+    }));
+    held
+}
+
+/// Every partial column is extended by the pass's own store between its
+/// first and second streamed block: the rows are repacked, so the pages
+/// the pass held are stale, and the second block reads the new file
+/// through its new row map.
+#[test]
+fn a_partial_column_extended_mid_pass_is_read_through_its_new_row_map() {
+    let dir = store_dir("held-extend");
+    let (mut cold, _) = session(
+        early_config(Device::SingleCore),
+        &dir,
+        MaterializationPolicy::ReadWrite,
+        AdmissionConfig::default(),
+    );
+    assert_eq!(
+        cold.run_batch(&[Q_ALL])
+            .unwrap()
+            .report
+            .store
+            .partial_columns_written,
+        UNITS
+    );
+    drop(cold);
+
+    // 8-record blocks: the first two lie under the 16-record watermark.
+    let inspection = InspectionConfig {
+        block_records: 8,
+        ..full_config(Device::SingleCore)
+    };
+    let (reference, _) = live_tables(&inspection, &[Q_ALL]);
+    let hook = Hook::default();
+    let (mut warm, _) = hooked_session(
+        &hook,
+        inspection,
+        store_config(&dir, MaterializationPolicy::ReadWrite),
+    );
+    let store = Arc::clone(warm.store().unwrap());
+    let writer = Arc::clone(&store);
+    let extended = dir.clone();
+    let held = arm(&hook, &store, move || {
+        for unit in 0..UNITS {
+            let (key, path) = stored_column(&extended, unit);
+            let file = deepbase_store::format::read_meta(&mut std::fs::File::open(&path).unwrap());
+            let covered = file.unwrap().covered.expect("a partial column");
+            // The prefix plus the first half of the records: still
+            // partial, with every row repacked.
+            let filled: Vec<bool> = (0..ND)
+                .map(|p| p < ND / 2 || covered[p / 8] & (1 << (p % 8)) != 0)
+                .collect();
+            let mut data = column_values(unit);
+            for (i, v) in data.iter_mut().enumerate() {
+                if !filled[i / NS] {
+                    *v = 0.0;
+                }
+            }
+            let written = writer.write_partial_column(&key, ND, NS, &data, &filled);
+            assert_eq!(written.unwrap().partial_columns_written, 1);
+        }
+    });
+    let out = warm.run_batch(&[Q_ALL]).unwrap();
+    assert_eq!(out.tables, reference);
+    assert!(held.load(Ordering::SeqCst) > 0, "the pass held pages");
+    let stats = &out.report.store;
+    assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+    assert_eq!(stats.partial_columns_scanned, UNITS);
+    assert_eq!(
+        stats.forward_passes_avoided, 2,
+        "both blocks under the old watermark were scanned"
+    );
+    assert_eq!(store.held_page_bytes(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two columns are moved aside and rewritten on another block grid by a
+/// second store instance between two streamed blocks: the pass's store
+/// still has the old zone tables, so its next read of either file fails
+/// validation, drops the column's held pages with the stale info and
+/// reads the new file afresh.
+#[test]
+fn a_column_moved_aside_and_rewritten_mid_pass_is_read_afresh() {
+    let dir = store_dir("held-rewrite");
+    let config = full_config(Device::SingleCore);
+    let (reference, _) = live_tables(&config, &[Q_ALL]);
+    let (mut cold, _) = session(
+        config.clone(),
+        &dir,
+        MaterializationPolicy::ReadWrite,
+        AdmissionConfig::default(),
+    );
+    cold.run_batch(&[Q_ALL]).unwrap();
+    drop(cold);
+
+    let hook = Hook::default();
+    let (mut warm, counters) = hooked_session(
+        &hook,
+        config,
+        store_config(&dir, MaterializationPolicy::ReadWrite),
+    );
+    let store = Arc::clone(warm.store().unwrap());
+    let other = BehaviorStore::open(&StoreConfig {
+        block_records: 4,
+        ..store_config(&dir, MaterializationPolicy::ReadWrite)
+    })
+    .unwrap();
+    let rewritten = dir.clone();
+    let held = arm(&hook, &store, move || {
+        for unit in [1, 4] {
+            let (key, path) = stored_column(&rewritten, unit);
+            std::fs::rename(&path, path.with_extension("aside")).unwrap();
+            other
+                .write_column(&key, ND, NS, &column_values(unit))
+                .unwrap();
+        }
+    });
+    let out = warm.run_batch(&[Q_ALL]).unwrap();
+    assert_eq!(out.tables, reference);
+    assert!(held.load(Ordering::SeqCst) > 0, "the pass held pages");
+    assert_eq!(counters.calls(), 0, "every column still scans");
+    assert_eq!(
+        out.report.store.error_count, 0,
+        "{:?}",
+        out.report.store.errors
+    );
+    assert_eq!(store.held_page_bytes(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Disk-budget compaction between two streamed blocks deletes every
+/// column the pass holds pages of; held pages are not pins, so no delete
+/// is refused. Run by the pass's own store, the eviction de-indexes the
+/// columns and each demotes at its next fetch. Run by another store
+/// instance over the same root, the pass's store still knows the columns:
+/// with one stored block per column, every page was held after the first
+/// block, and the held pages serve the rest of the pass.
+#[test]
+fn compaction_mid_pass_evicts_what_the_pass_holds_and_the_answers_stay_bare() {
+    for (name, own_store, stored_block) in [("own", true, 8), ("other", false, ND)] {
+        let dir = store_dir(&format!("held-compact-{name}"));
+        let config = full_config(Device::SingleCore);
+        let (reference, _) = live_tables(&config, &[Q_ALL]);
+        let stored = StoreConfig {
+            block_records: stored_block,
+            ..store_config(&dir, MaterializationPolicy::ReadWrite)
+        };
+        let (mut cold, _) = hooked_session(&Hook::default(), config.clone(), stored.clone());
+        cold.run_batch(&[Q_ALL]).unwrap();
+        drop(cold);
+
+        let tight = StoreConfig {
+            disk_budget_bytes: 1,
+            ..stored.clone()
+        };
+        let hook = Hook::default();
+        let (mut warm, counters) = hooked_session(
+            &hook,
+            config,
+            if own_store { tight.clone() } else { stored },
+        );
+        let store = Arc::clone(warm.store().unwrap());
+        let compactor = if own_store {
+            Arc::clone(&store)
+        } else {
+            BehaviorStore::open(&tight).unwrap()
+        };
+        let evicted = Arc::new(AtomicUsize::new(0));
+        let noted = Arc::clone(&evicted);
+        let held = arm(&hook, &store, move || {
+            let swept = compactor.compact(u64::MAX);
+            noted.store(swept.columns_evicted, Ordering::SeqCst);
+        });
+        let out = warm.run_batch(&[Q_ALL]).unwrap();
+        assert_eq!(out.tables, reference, "{name}");
+        assert!(
+            held.load(Ordering::SeqCst) > 0,
+            "{name}: the pass held pages"
+        );
+        assert_eq!(
+            evicted.load(Ordering::SeqCst),
+            UNITS,
+            "{name}: nothing refused"
+        );
+        assert!(files_with(&dir, ".col").is_empty(), "{name}");
+        let stats = &out.report.store;
+        if own_store {
+            assert!(counters.calls() > 0, "evicted columns extract live");
+            assert_eq!(stats.error_count, UNITS, "{:?}", stats.errors);
+            assert!(stats
+                .errors
+                .iter()
+                .all(|e| e.contains("disk-budget eviction")));
+        } else {
+            assert_eq!(counters.calls(), 0, "the held pages served the pass");
+            assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+        }
+        assert_eq!(store.held_page_bytes(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

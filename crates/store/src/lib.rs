@@ -37,8 +37,10 @@
 //!   [`BehaviorStore::plan_scan`] decides, per dataset segment, which
 //!   unit columns scan, which resume at a partial column's watermark and
 //!   which must be computed live ([`ScanPlan`]); a [`ColumnPass`] executes
-//!   that plan block by block — scan order, demote-on-failure, quarantine
-//!   of proven corruption (only under a read-write policy) and write-back
+//!   that plan block by block — scan order, the pages it keeps so each
+//!   stored page is read once per pass (within one store-wide
+//!   reservation of the pool budget), demote-on-failure, quarantine of
+//!   proven corruption (only under a read-write policy) and write-back
 //!   capture all live there.
 //!   The caller supplies live columns through a closure, so this crate
 //!   never sees a model, an extractor or a record.
@@ -143,14 +145,18 @@ pub struct StoreStats {
     /// Subset of `columns_scanned` that were partial columns (scanned up
     /// to their watermark, extracted live past it).
     pub partial_columns_scanned: usize,
-    /// Block pages fetched through the buffer pool (hits + misses).
+    /// Block pages taken through the buffer pool (hits + misses). A page
+    /// a pass already holds (see [`ColumnPass`]) and serves again is not
+    /// a read, so with the reservation's room a pass reads each stored
+    /// page once.
     pub blocks_read: usize,
     /// Blocks the scan never fetched because their zone map proved the
     /// contents (a finite constant block is reconstructed from the zone
     /// entry alone — no read, no checksum). Counted once per distinct
     /// block per scan call.
     pub blocks_pruned: usize,
-    /// Pool lookups served from memory.
+    /// Pool lookups served from memory: pages resident in the pool that
+    /// the pass did not already hold.
     pub pool_hits: usize,
     /// Pool lookups that had to read and verify a block from disk.
     pub pool_misses: usize,

@@ -9,10 +9,17 @@
 //! (outside the lock), hands them to [`ColumnPins::install`] (one more
 //! critical section for all of them), copies rows out, and drops the
 //! guard, which unpins everything under one lock. **Pin lifetime is one
-//! column fetch**: nothing holds a pin, or a page `Arc`, from one streamed
-//! block to the next, so the byte budget, CLOCK eviction under spill and
-//! compaction's "never delete a pinned column" rule see the same short
-//! pins they always did.
+//! column fetch**: nothing holds a pin from one streamed block to the
+//! next, so the byte budget, CLOCK eviction under spill and compaction's
+//! "never delete a pinned column" rule see the same short pins they
+//! always did.
+//!
+//! A pass may keep the page `Arc`s it fetched (`ColumnPins::shared_page`)
+//! so that its later blocks gather without a pool trip. A kept page is not
+//! a pin: CLOCK may evict its frame and compaction may delete its file. The
+//! store charges the pages every pass keeps to one reservation bounded by
+//! this pool's budget, so decoded pages in memory — frames plus kept
+//! pages — stay within twice the budget, however many passes run at once.
 //!
 //! Eviction runs at install/insert time when the budget is exceeded: the
 //! clock hand sweeps the frame table, skipping pinned frames, granting
@@ -436,6 +443,13 @@ impl ColumnPins<'_> {
     /// The page of the `i`-th requested block, `None` while it is missing.
     pub fn page(&self, i: usize) -> Option<&[f32]> {
         self.pages[i].as_ref().map(|(_, data)| data.as_slice())
+    }
+
+    /// The shared page of the `i`-th requested block, for a caller that
+    /// keeps it past the guard. A kept page is not a pin: its frame stays
+    /// evictable once the guard drops.
+    pub(crate) fn shared_page(&self, i: usize) -> Option<&Arc<Vec<f32>>> {
+        self.pages[i].as_ref().map(|(_, data)| data)
     }
 
     /// Indices (into the requested blocks) of the pages still to load.

@@ -42,6 +42,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
@@ -172,24 +173,104 @@ impl Coverage {
     }
 }
 
-/// Reusable buffers of one column fetch (see
-/// [`BehaviorStore::scan_with`]).
-#[derive(Default)]
+/// Reusable buffers of a run of column fetches (see
+/// [`BehaviorStore::scan_with`]), and the **page table** of every stored
+/// column they fetched: the pages pinned or loaded through the pool, kept
+/// so that a later fetch of the same column serves them without a pool
+/// trip. A held page is an `Arc`, not a pin — CLOCK may evict its frame
+/// and compaction may delete its file — and it was checksummed when it
+/// was loaded. A column's table is valid only while the store's column
+/// info is the one its pages were read under (the same `Arc`), so a
+/// purge, a rewrite or a refreshed zone table drops it first. Its bytes
+/// count against the store-wide reservation of `StoreConfig::pool_bytes`;
+/// a page that would overrun it serves its fetch and is not kept. The
+/// scratch gives its bytes back when it drops.
 pub(crate) struct FetchScratch {
     /// Per requested position: its stored block and its row within it.
     rows: Vec<(usize, usize)>,
-    /// Per stored block: `BLOCK_UNTOUCHED`, `BLOCK_PRUNED`, or the block's
-    /// index in `needed`.
+    /// Per stored block: `BLOCK_UNTOUCHED`, `BLOCK_PRUNED`, `BLOCK_HELD`,
+    /// or the block's index in `needed`.
     block_use: Vec<u32>,
     /// The blocks this fetch takes through the pool, ascending.
     needed: Vec<u32>,
+    /// The page table per stored column.
+    held: HashMap<ColumnKey, HeldPages>,
+    reservation: Arc<PageReservation>,
+}
+
+/// The pages one [`FetchScratch`] holds of one stored column.
+struct HeldPages {
+    /// The column info the pages were read under.
+    info: CachedInfo,
+    /// Per stored block: the page, when held.
+    pages: Vec<Option<Arc<Vec<f32>>>>,
+    /// Their decoded size, charged to the store's reservation.
+    bytes: usize,
+}
+
+impl FetchScratch {
+    pub(crate) fn new(store: &BehaviorStore) -> FetchScratch {
+        FetchScratch {
+            rows: Vec::new(),
+            block_use: Vec::new(),
+            needed: Vec::new(),
+            held: HashMap::new(),
+            reservation: Arc::clone(&store.reservation),
+        }
+    }
+
+    /// Drops one column's page table.
+    fn drop_held(&mut self, key: &ColumnKey) {
+        if let Some(table) = self.held.remove(key) {
+            self.reservation.give_back(table.bytes);
+        }
+    }
+
+    /// Drops every page table.
+    pub(crate) fn release(&mut self) {
+        let bytes = self.held.drain().map(|(_, table)| table.bytes).sum();
+        self.reservation.give_back(bytes);
+    }
+}
+
+impl Drop for FetchScratch {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// The decoded bytes that live page tables hold, store-wide, kept within
+/// the pool's byte budget. A byte count that publishes no other data, so
+/// its operations are `Relaxed`.
+struct PageReservation {
+    held: AtomicUsize,
+    limit: usize,
+}
+
+impl PageReservation {
+    /// Charges `bytes` if the total stays within the limit.
+    fn try_take(&self, bytes: usize) -> bool {
+        self.held
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                held.checked_add(bytes).filter(|&total| total <= self.limit)
+            })
+            .is_ok()
+    }
+
+    fn give_back(&self, bytes: usize) {
+        if bytes > 0 {
+            self.held.fetch_sub(bytes, Ordering::Relaxed);
+        }
+    }
 }
 
 const BLOCK_UNTOUCHED: u32 = u32::MAX;
 const BLOCK_PRUNED: u32 = u32::MAX - 1;
-/// Touched and not prunable; replaced by the index into `needed` once the
-/// positions are classified.
-const BLOCK_NEEDED: u32 = u32::MAX - 2;
+/// Served from the column's page table.
+const BLOCK_HELD: u32 = u32::MAX - 2;
+/// Touched, not prunable and not held; replaced by the index into
+/// `needed` once the positions are classified.
+const BLOCK_NEEDED: u32 = u32::MAX - 3;
 
 /// Validated column metadata: the parsed file (schema, zone table,
 /// payload offsets) with the coverage bitmap lifted into an `Arc` for
@@ -213,6 +294,9 @@ pub struct BehaviorStore {
     /// [`BehaviorStore::compact`] (see [`StoreConfig::disk_budget_bytes`]).
     disk_budget_bytes: u64,
     pool: BufferPool,
+    /// Bytes held by live page tables (see [`FetchScratch`]), at most
+    /// `StoreConfig::pool_bytes`.
+    reservation: Arc<PageReservation>,
     /// The keys that have a column file, partial or complete.
     index: Mutex<HashSet<ColumnKey>>,
     /// Held by every write from its coverage decision through its
@@ -282,6 +366,10 @@ impl BehaviorStore {
             read_only,
             disk_budget_bytes: config.disk_budget_bytes,
             pool: BufferPool::new(config.pool_bytes),
+            reservation: Arc::new(PageReservation {
+                held: AtomicUsize::new(0),
+                limit: config.pool_bytes,
+            }),
             index: Mutex::new(index),
             write_lock: Mutex::new(()),
             meta_cache: Mutex::new(HashMap::new()),
@@ -293,6 +381,13 @@ impl BehaviorStore {
     /// The store's buffer pool.
     pub fn pool(&self) -> &BufferPool {
         &self.pool
+    }
+
+    /// Decoded bytes the page tables of live passes hold (see
+    /// [`crate::ColumnPass`]): at most [`StoreConfig::pool_bytes`], and 0
+    /// once every pass has ended.
+    pub fn held_page_bytes(&self) -> usize {
+        self.reservation.held.load(Ordering::Relaxed)
     }
 
     /// Root directory.
@@ -562,11 +657,11 @@ impl BehaviorStore {
             covered,
             ranks,
         });
-        self.meta_cache
-            .lock()
-            .entry(*key)
-            .or_insert_with(|| Arc::clone(&parsed));
-        Ok(parsed)
+        // A racing first read may have cached its own copy: hand out the
+        // cached one, so every fetch sees one identity per cached info.
+        Ok(Arc::clone(
+            self.meta_cache.lock().entry(*key).or_insert(parsed),
+        ))
     }
 
     /// How many of a column's blocks a pruned scan could serve from the
@@ -631,7 +726,7 @@ impl BehaviorStore {
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<(), StoreError> {
-        let mut scratch = FetchScratch::default();
+        let mut scratch = FetchScratch::new(self);
         self.scan_with(
             &mut scratch,
             key,
@@ -646,9 +741,11 @@ impl BehaviorStore {
         )
     }
 
-    /// [`BehaviorStore::scan_into`] over caller-kept buffers (a
-    /// [`crate::ColumnPass`] makes thousands of fetches per pass and keeps
-    /// one [`FetchScratch`] for all of them).
+    /// [`BehaviorStore::scan_into`] over caller-kept buffers and page
+    /// tables (a [`crate::ColumnPass`] makes thousands of fetches per
+    /// pass and keeps one [`FetchScratch`] for all of them, so each stored
+    /// page is taken through the pool once per pass while the reservation
+    /// has room for it). A failed fetch drops the column's page table.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_with(
         &self,
@@ -663,27 +760,36 @@ impl BehaviorStore {
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<(), StoreError> {
-        match self.scan_attempt(
-            scratch, key, nd, ns, positions, out, stride, col, prune, stats,
-        ) {
+        let mut attempt = |scratch: &mut FetchScratch, stats: &mut StoreStats| {
+            self.scan_attempt(
+                scratch, key, nd, ns, positions, out, stride, col, prune, stats,
+            )
+        };
+        let scanned = match attempt(scratch, stats) {
             Err(StoreError::Corrupt(_)) => {
                 self.meta_cache.lock().remove(key);
                 self.pool.purge_column(key);
-                self.scan_attempt(
-                    scratch, key, nd, ns, positions, out, stride, col, prune, stats,
-                )
+                scratch.drop_held(key);
+                attempt(scratch, stats)
             }
             other => other,
+        };
+        if scanned.is_err() {
+            scratch.drop_held(key);
         }
+        scanned
     }
 
     /// One column fetch, every cost per *column*: validate the positions
-    /// and work out which stored blocks they touch; pin the resident ones
-    /// under one pool lock; load this fetch's misses through one file
-    /// handle in ascending block order and install them under one more
-    /// lock; gather. The pins drop (one lock) when the fetch returns.
-    /// `stats` counts the fetch's pages only once they are all in hand —
-    /// a failed attempt reports its retries and nothing else.
+    /// and sort the stored blocks they touch into pruned (served from the
+    /// zone map), held (served from the column's page table) and needed;
+    /// pin the resident needed pages under one pool lock; load the misses
+    /// through one file handle in ascending block order and install them
+    /// under one more lock; keep the needed pages in the page table while
+    /// the reservation has room; gather. The pins drop (one lock) when the
+    /// fetch returns. `stats` counts the fetch's pages only once they are
+    /// all in hand — a failed attempt reports its retries and nothing
+    /// else.
     #[allow(clippy::too_many_arguments)]
     fn scan_attempt(
         &self,
@@ -708,15 +814,31 @@ impl BehaviorStore {
             )));
         }
 
+        // The page table is valid only while the column info it was read
+        // under is current.
+        if scratch
+            .held
+            .get(key)
+            .is_some_and(|table| !Arc::ptr_eq(&table.info, &cached))
+        {
+            scratch.drop_held(key);
+        }
         // Validate every position before touching the pool, and classify
         // each stored block the fetch touches once: served from its zone
-        // entry (pruned) or fetched. Positions are shuffled, so
-        // consecutive positions land on arbitrary blocks.
+        // entry (pruned), from the page table (held) or fetched. Positions
+        // are shuffled, so consecutive positions land on arbitrary blocks.
         let FetchScratch {
             rows,
             block_use,
             needed,
+            held,
+            reservation,
         } = scratch;
+        let table = held.entry(*key).or_insert_with(|| HeldPages {
+            info: Arc::clone(&cached),
+            pages: vec![None; meta.n_blocks()],
+            bytes: 0,
+        });
         rows.clear();
         needed.clear();
         block_use.clear();
@@ -754,6 +876,8 @@ impl BehaviorStore {
                 if prune && zones[b].constant_value().is_some() {
                     block_use[b] = BLOCK_PRUNED;
                     pruned += 1;
+                } else if table.pages[b].is_some() {
+                    block_use[b] = BLOCK_HELD;
                 } else {
                     block_use[b] = BLOCK_NEEDED;
                 }
@@ -783,6 +907,14 @@ impl BehaviorStore {
                 })?;
                 pins.install(missing.into_iter().zip(pages));
             }
+            for (i, &b) in needed.iter().enumerate() {
+                let page = pins.shared_page(i).expect("every needed page is in hand");
+                let bytes = page.len() * std::mem::size_of::<f32>();
+                if reservation.try_take(bytes) {
+                    table.pages[b as usize] = Some(Arc::clone(page));
+                    table.bytes += bytes;
+                }
+            }
             stats.blocks_read += needed.len();
             stats.pool_hits += pins.hits;
             stats.pool_misses += needed.len() - pins.hits;
@@ -795,20 +927,18 @@ impl BehaviorStore {
         // the row-major output, `stride` apart.
         for (i, &(b, local)) in rows.iter().enumerate() {
             let cells = out[i * ns * stride + col..].iter_mut().step_by(stride);
-            match block_use[b] {
+            let page = match block_use[b] {
                 BLOCK_PRUNED => {
                     let v = zones[b].constant_value().expect("classified prunable");
                     cells.take(ns).for_each(|cell| *cell = v);
+                    continue;
                 }
-                page => {
-                    let page = pins
-                        .as_ref()
-                        .and_then(|pins| pins.page(page as usize))
-                        .expect("every needed page was pinned or installed");
-                    let values = &page[local * ns..(local + 1) * ns];
-                    cells.zip(values).for_each(|(cell, &v)| *cell = v);
-                }
+                BLOCK_HELD => table.pages[b].as_deref().map(Vec::as_slice),
+                page => pins.as_ref().and_then(|pins| pins.page(page as usize)),
             }
+            .expect("every touched page is held, pinned or installed");
+            let values = &page[local * ns..(local + 1) * ns];
+            cells.zip(values).for_each(|(cell, &v)| *cell = v);
         }
         Ok(())
     }

@@ -155,6 +155,16 @@ mod shuffled {
         }
     }
 
+    /// The true row-major behaviors of `units` over the records at
+    /// `positions`.
+    fn truth(units: &[usize], positions: &[usize]) -> Vec<f32> {
+        positions
+            .iter()
+            .flat_map(|&pos| (0..NS).map(move |t| (pos, t)))
+            .flat_map(|(pos, t)| units.iter().map(move |&u| value(u, pos, t)))
+            .collect()
+    }
+
     fn config(name: &str, pool_bytes: usize) -> StoreConfig {
         StoreConfig {
             block_records: STORED_BLOCK,
@@ -236,10 +246,20 @@ mod shuffled {
         }
     }
 
+    /// What one pass reports beside the per-page loop's accounting.
+    struct Compared {
+        stats: StoreStats,
+        reference: StoreStats,
+        /// Stored blocks the pass touched and could not prune.
+        unpruned_blocks: usize,
+    }
+
     /// One whole pass, every column of every streamed block, through
-    /// `ColumnPass` and through the per-page loop: same bytes, same
-    /// page accounting.
-    fn pass_matches_the_per_page_loop(name: &str, pool_bytes: usize) -> StoreStats {
+    /// `ColumnPass` and through the per-page loop: same bytes, the same
+    /// pruning, and never more pages taken through the pool. The pass
+    /// keeps the pages it fetched within the reservation, which reads 0
+    /// once it ends.
+    fn pass_matches_the_per_page_loop(name: &str, pool_bytes: usize) -> Compared {
         let config = config(name, pool_bytes);
         populate(&config);
         let store = BehaviorStore::open(&config).unwrap();
@@ -269,6 +289,7 @@ mod shuffled {
             pass.fetch_block(positions, &mut out, |units| {
                 panic!("every column is stored, yet {units:?} went live")
             });
+            assert!(store.held_page_bytes() <= pool_bytes, "{name}: reservation");
             let mut expect = vec![0.0f32; out.len()];
             for (col, (file, column)) in files.iter_mut().enumerate() {
                 per_page_scan(
@@ -295,24 +316,14 @@ mod shuffled {
         }
         let stats = pass.finish();
         assert_eq!(
-            (
-                stats.blocks_read,
-                stats.blocks_pruned,
-                stats.pool_hits,
-                stats.pool_misses,
-                stats.pool_evictions,
-                stats.io_retries,
-            ),
-            (
-                reference_stats.blocks_read,
-                reference_stats.blocks_pruned,
-                reference_stats.pool_hits,
-                reference_stats.pool_misses,
-                reference_stats.pool_evictions,
-                0,
-            ),
-            "{name}: page accounting"
+            store.held_page_bytes(),
+            0,
+            "{name}: reservation after finish"
         );
+        assert_eq!(stats.blocks_pruned, reference_stats.blocks_pruned, "{name}");
+        assert_eq!(stats.pool_hits + stats.pool_misses, stats.blocks_read);
+        assert!(stats.blocks_read <= reference_stats.blocks_read, "{name}");
+        assert_eq!(stats.io_retries, 0);
         assert_eq!(stats.columns_scanned, UNITS.len());
         assert_eq!(stats.forward_passes_avoided, ND / STREAM_BLOCK);
         assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
@@ -324,17 +335,36 @@ mod shuffled {
         assert!(store.pool().stats().resident_bytes <= pool_bytes);
         store.pool().verify_accounting().unwrap();
         reference_pool.verify_accounting().unwrap();
+        // The pass touches every position, so every stored block.
+        let unpruned_blocks = files
+            .iter()
+            .flat_map(|(_, column)| &column.zones)
+            .filter(|zone| zone.constant_value().is_none())
+            .count();
         let _ = std::fs::remove_dir_all(&config.path);
-        stats
+        Compared {
+            stats,
+            reference: reference_stats,
+            unpruned_blocks,
+        }
     }
 
     #[test]
     fn a_shuffled_pass_matches_the_per_page_loop_with_the_pool_fitting() {
-        let stats = pass_matches_the_per_page_loop("shuffled-fits", 1 << 20);
+        let Compared {
+            stats,
+            reference,
+            unpruned_blocks,
+        } = pass_matches_the_per_page_loop("shuffled-fits", 1 << 20);
         assert_eq!(stats.pool_evictions, 0);
-        // Every stored page is loaded once; the second streamed block
-        // finds the pages the first one touched.
-        assert!(stats.pool_hits > 0 && stats.pool_misses > 0, "{stats:?}");
+        // Each stored page is taken through the pool once per pass, as a
+        // load; later streamed blocks serve it from the page table.
+        assert_eq!(
+            (stats.blocks_read, stats.pool_misses, stats.pool_hits),
+            (unpruned_blocks, unpruned_blocks, 0),
+            "{stats:?}"
+        );
+        assert!(reference.pool_hits > 0, "the per-page loop re-pins");
         // Unit 0 prunes whole, unit 2 its first half.
         assert!(stats.blocks_pruned > 0);
     }
@@ -342,14 +372,20 @@ mod shuffled {
     #[test]
     fn a_shuffled_pass_matches_the_per_page_loop_at_a_quarter_of_the_working_set() {
         let working_set = UNITS.len() * (ND / STORED_BLOCK) * PAGE_BYTES;
-        let stats = pass_matches_the_per_page_loop("shuffled-quarter", working_set / 4);
+        let Compared {
+            stats, reference, ..
+        } = pass_matches_the_per_page_loop("shuffled-quarter", working_set / 4);
         assert!(stats.pool_evictions > 0, "{stats:?}");
+        assert!(
+            stats.blocks_read < reference.blocks_read,
+            "{stats:?} vs {reference:?}"
+        );
     }
 
     /// A checksum failure on a block in the *middle* of one fetch's run
     /// of misses: the column demotes for the block that found it (and the
     /// rest of the pass), is quarantined under `write`, and the aborted
-    /// fetch leaves no pin behind.
+    /// fetch leaves no pin and no held page behind.
     #[test]
     fn a_checksum_failure_mid_fetch_demotes_quarantines_and_leaves_no_pin() {
         let config = config("shuffled-flip", 1 << 20);
@@ -377,22 +413,18 @@ mod shuffled {
             let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
             pass.fetch_block(&positions, &mut out, |units| {
                 asked.push(units.to_vec());
-                positions
-                    .iter()
-                    .flat_map(|&pos| (0..NS).map(move |t| (pos, t)))
-                    .flat_map(|(pos, t)| units.iter().map(move |&u| value(u, pos, t)))
-                    .collect()
+                truth(units, &positions)
             });
-            for (i, &pos) in positions.iter().enumerate() {
-                for t in 0..NS {
-                    for (col, &unit) in UNITS.iter().enumerate() {
-                        assert_eq!(out[(i * NS + t) * width + col], value(unit, pos, t));
-                    }
-                }
+            if start == 0 {
+                // Units 1, 3, 4, 6 and 7 hold stored blocks 0..6; units 0
+                // and 2 pruned theirs, and the demoted unit 5 let go.
+                assert_eq!(store.held_page_bytes(), 5 * 6 * PAGE_BYTES);
             }
+            assert_eq!(out, truth(&UNITS, &positions));
         }
         assert_eq!(asked, vec![vec![5]; 4], "unit 5 live from the failure on");
         let stats = pass.finish();
+        assert_eq!(store.held_page_bytes(), 0);
         assert_eq!(stats.error_count, 1, "{:?}", stats.errors);
         assert!(stats.errors[0].contains("block 3 checksum mismatch"));
         assert_eq!(stats.columns_scanned, UNITS.len() - 1);
@@ -405,6 +437,96 @@ mod shuffled {
             // unit 5's pages were purged with the quarantine.
             5 * (ND / STORED_BLOCK) + ND / STORED_BLOCK / 2
         });
+        store.pool().verify_accounting().unwrap();
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+
+    /// Another store instance's disk-budget compaction deletes every
+    /// column between two streamed blocks. The pass's store still knows
+    /// the columns, so the pages the pass holds keep serving; a block that
+    /// first touches a page demotes the column to live extraction, as a
+    /// deleted file always did.
+    #[test]
+    fn after_a_compaction_elsewhere_held_pages_serve_and_first_touches_demote() {
+        let config = config("shuffled-compact", 1 << 20);
+        populate(&config);
+        let store = BehaviorStore::open(&config).unwrap();
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX, true);
+        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+        let width = UNITS.len();
+        let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
+        let mut asked = Vec::new();
+        // The even, then the odd positions of stored blocks 0..12, then
+        // stored blocks 12..18.
+        let blocks: [Vec<usize>; 3] = [
+            (0..ND / 2).step_by(2).collect(),
+            (1..ND / 2).step_by(2).collect(),
+            (ND / 2..ND / 2 + STREAM_BLOCK).collect(),
+        ];
+        for (i, positions) in blocks.iter().enumerate() {
+            if i == 1 {
+                let elsewhere = BehaviorStore::open(&StoreConfig {
+                    disk_budget_bytes: 1,
+                    ..config.clone()
+                })
+                .unwrap();
+                let swept = elsewhere.compact(u64::MAX);
+                assert_eq!(swept.columns_evicted, UNITS.len(), "no delete refused");
+            }
+            pass.fetch_block(positions, &mut out, |units| {
+                asked.push((i, units.to_vec()));
+                truth(units, positions)
+            });
+            assert_eq!(out, truth(&UNITS, positions));
+        }
+        // Unit 0 prunes every block from its zone map and never needs
+        // its file.
+        assert_eq!(asked, vec![(2, vec![1, 2, 3, 4, 5, 6, 7])]);
+        let stats = pass.finish();
+        assert_eq!(stats.error_count, UNITS.len() - 1, "{:?}", stats.errors);
+        assert_eq!(store.held_page_bytes(), 0);
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+
+    /// A pass that ends without `finish` — dropped after an early stop,
+    /// or unwound by a panic in its `live` closure — gives its held pages
+    /// back all the same.
+    #[test]
+    fn a_pass_dropped_mid_stream_or_unwound_by_a_panic_gives_its_pages_back() {
+        let config = config("shuffled-drop", 1 << 20);
+        populate(&config);
+        let store = BehaviorStore::open(&config).unwrap();
+        let order = shuffled_positions(0xBEEF);
+        let width = UNITS.len();
+        let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX, true);
+
+        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+        pass.fetch_block(&order[..STREAM_BLOCK], &mut out, |_| unreachable!());
+        assert!(
+            store.held_page_bytes() > 0,
+            "the first block holds its pages"
+        );
+        drop(pass);
+        assert_eq!(store.held_page_bytes(), 0, "dropped mid-stream");
+
+        // Unit 8 is not stored, so every block asks `live` for it; the
+        // second ask panics after the first block's pages are held.
+        let with_miss = [0, 1, 2, 3, 4, 5, 6, 7, 8];
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &with_miss, false, usize::MAX, true);
+        let mut out = vec![0.0f32; STREAM_BLOCK * NS * with_miss.len()];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut pass = ColumnPass::new(&plan, &with_miss, ND, NS);
+            for (i, positions) in order.chunks(STREAM_BLOCK).enumerate() {
+                pass.fetch_block(positions, &mut out, |units| {
+                    assert!(i == 0, "live extraction failed");
+                    vec![0.0; positions.len() * NS * units.len()]
+                });
+                assert!(store.held_page_bytes() > 0);
+            }
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(store.held_page_bytes(), 0, "unwound through the pass");
         store.pool().verify_accounting().unwrap();
         let _ = std::fs::remove_dir_all(&config.path);
     }

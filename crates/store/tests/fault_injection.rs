@@ -175,6 +175,9 @@ proptest! {
                     }
                 }
             }
+            // Whether the column was served or demoted, the one-shot
+            // fetch kept no page past its return.
+            prop_assert_eq!(store.held_page_bytes(), 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

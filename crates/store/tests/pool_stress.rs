@@ -144,3 +144,104 @@ fn pins_inserts_and_purges_under_a_tiny_budget_keep_the_books() {
     );
     assert!(stats.evictions > 0 && stats.hits > 0, "{stats:?}");
 }
+
+mod passes {
+    use deepbase_store::{BehaviorStore, ColumnKey, ColumnPass, StoreConfig};
+    use std::path::PathBuf;
+
+    const ND: usize = 96;
+    const NS: usize = 2;
+    const STORED_BLOCK: usize = 8;
+    const STREAM_BLOCK: usize = 24;
+    const UNITS: [usize; 6] = [0, 1, 2, 3, 4, 5];
+    const PAGE_BYTES: usize = STORED_BLOCK * NS * 4;
+    /// A sixth of the 72-page working set.
+    const POOL_BYTES: usize = 12 * PAGE_BYTES;
+    const PASSES: usize = 150;
+
+    fn key(unit: usize) -> ColumnKey {
+        ColumnKey {
+            model_fp: 3,
+            dataset_fp: 5,
+            unit,
+        }
+    }
+
+    fn value(unit: usize, pos: usize, t: usize) -> f32 {
+        ((pos * NS + t) * 13 + unit * 1000) as f32 * 0.5
+    }
+
+    fn column(unit: usize) -> Vec<f32> {
+        (0..ND * NS).map(|i| value(unit, i / NS, i % NS)).collect()
+    }
+
+    /// Threads running whole shuffled passes over one pool a sixth of
+    /// their working set, beside a writer rewriting columns under them:
+    /// every served value is right, the pages the passes hold never
+    /// exceed `pool_bytes` together, and at quiescence none are held and
+    /// the pool's books balance.
+    #[test]
+    fn whole_passes_over_a_tight_pool_stay_within_the_reservation() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp-store-tests")
+            .join(format!("stress-passes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = BehaviorStore::open(&StoreConfig {
+            block_records: STORED_BLOCK,
+            pool_bytes: POOL_BYTES,
+            ..StoreConfig::at(&dir)
+        })
+        .unwrap();
+        for unit in UNITS {
+            store
+                .write_column(&key(unit), ND, NS, &column(unit))
+                .unwrap();
+        }
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let store = &store;
+                s.spawn(move || {
+                    let mut rng = super::Lcg(0xA11 + t);
+                    let plan = store.plan_scan(3, 5, &UNITS, false, usize::MAX, false);
+                    let width = UNITS.len();
+                    let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
+                    for _ in 0..PASSES {
+                        let mut order: Vec<usize> = (0..ND).collect();
+                        for i in (1..ND).rev() {
+                            order.swap(i, rng.below(i + 1));
+                        }
+                        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+                        for positions in order.chunks(STREAM_BLOCK) {
+                            pass.fetch_block(positions, &mut out, |_| unreachable!());
+                            assert!(store.held_page_bytes() <= POOL_BYTES);
+                            for (i, &pos) in positions.iter().enumerate() {
+                                for t in 0..NS {
+                                    for (col, &unit) in UNITS.iter().enumerate() {
+                                        let got = out[(i * NS + t) * width + col];
+                                        assert_eq!(got, value(unit, pos, t));
+                                    }
+                                }
+                            }
+                        }
+                        let stats = pass.finish();
+                        assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+                    }
+                });
+            }
+            let store = &store;
+            s.spawn(move || {
+                let mut rng = super::Lcg(0xB0B);
+                for _ in 0..PASSES / 3 {
+                    let unit = UNITS[rng.below(UNITS.len())];
+                    store
+                        .write_column(&key(unit), ND, NS, &column(unit))
+                        .unwrap();
+                }
+            });
+        });
+        assert_eq!(store.held_page_bytes(), 0);
+        store.pool().verify_accounting().unwrap();
+        assert!(store.pool().stats().resident_bytes <= POOL_BYTES);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
