@@ -20,8 +20,7 @@ fn main() {
     // Earley parser, as the paper's NLTK-based extraction does (this is
     // what makes hypothesis behaviors expensive enough to be worth
     // caching).
-    let records = if args.paper { 29_696 } else { 768 };
-    let records = ((records as f32 * args.scale) as usize).max(64);
+    let records = args.scaled(if args.paper { 29_696 } else { 768 }, 64);
     let hidden = if args.paper { 512 } else { 32 };
     let workload = sql::build(&sql::SqlWorkloadConfig {
         n_queries: (records / 6).max(8),

@@ -58,7 +58,7 @@ fn gather(
 fn main() {
     let args = Args::parse();
     println!("== Figure 11: DeepBase vs Belinkov-style POS probe precision ==\n");
-    let n_sentences = if args.paper { 5_367 } else { 480 };
+    let n_sentences = args.scaled(if args.paper { 5_367 } else { 480 }, 64);
     let hidden = if args.paper { 500 } else { 16 };
     let nmt_epochs = if args.paper { 12 } else { 3 };
     let probe_epochs = if args.paper { 35 } else { 12 };

@@ -16,7 +16,7 @@ use deepbase_bench::{print_table, Args};
 fn main() {
     let args = Args::parse();
     println!("== Figure 12: trained vs untrained encoder ==\n");
-    let n_sentences = if args.paper { 4_823 } else { 320 };
+    let n_sentences = args.scaled(if args.paper { 4_823 } else { 320 }, 64);
     let hidden = if args.paper { 500 } else { 24 };
     let workload = nmt::build(&nmt::NmtWorkloadConfig {
         n_sentences,

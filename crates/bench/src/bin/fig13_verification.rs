@@ -46,7 +46,7 @@ fn main() {
     let args = Args::parse();
     println!("== Figure 13 / Appendix C: verification of specialized units ==\n");
     let workload = paren::build(&paren::ParenWorkloadConfig {
-        n_strings: if args.paper { 512 } else { 96 },
+        n_strings: args.scaled(if args.paper { 512 } else { 96 }, 16),
         ns: 24,
         seed: 13,
     });

@@ -13,8 +13,8 @@ fn main() {
     let args = Args::parse();
     println!("== Figure 14: hypothesis affinity across training epochs ==\n");
     let workload = sql::build(&sql::SqlWorkloadConfig {
-        n_queries: if args.paper { 4096 } else { 64 },
-        max_records: if args.paper { 29_696 } else { 768 },
+        n_queries: args.scaled(if args.paper { 4096 } else { 64 }, 8),
+        max_records: args.scaled(if args.paper { 29_696 } else { 768 }, 64),
         ..Default::default()
     });
     let hidden = if args.paper { 512 } else { 32 };

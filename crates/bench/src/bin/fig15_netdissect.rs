@@ -17,7 +17,7 @@ use deepbase_bench::{print_table, Args};
 fn main() {
     let args = Args::parse();
     println!("== Figure 15: DeepBase vs NetDissect on a CNN ==\n");
-    let n_images = if args.paper { 512 } else { 48 };
+    let n_images = args.scaled(if args.paper { 512 } else { 48 }, 8);
     let size = 16usize;
     let images = generate_shape_images(n_images, size, 7);
     let cnn = train_shape_cnn(&images, size, if args.paper { 20 } else { 6 }, 0.01, 8);

@@ -4,7 +4,9 @@
 //! appendix benchmarks) has a binary in `src/bin/` that prints the same
 //! rows/series the paper reports. Defaults are scaled to finish in
 //! seconds–minutes on a laptop; pass `--paper` for paper-scale parameters
-//! (§6.2: 29,696 records, 512 units, 142 rules, 190 hypotheses).
+//! (§6.2: 29,696 records, 512 units, 142 rules, 190 hypotheses) and
+//! `--scale X` to multiply a figure's record, sentence, string or image
+//! count ([`Args::scaled`]; fig02's survey has none).
 
 use deepbase::prelude::*;
 use deepbase::workloads::sql;
@@ -21,33 +23,58 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `--paper` and `--scale X` from `std::env::args`; `--scale`
-    /// without a number prints the usage line and exits with status 2.
+    /// Parses `--paper` and `--scale X` from `std::env::args`. A bad flag
+    /// prints what is wrong and the usage line and exits with status 2;
+    /// `--help` prints the usage line and exits with status 0.
     pub fn parse() -> Args {
-        const USAGE: &str = "flags: --paper (full paper scale), --scale X (record multiplier)";
+        const USAGE: &str = "flags: --paper (full paper scale), --scale X (record multiplier, > 0)";
+        match Args::parse_from(std::env::args().skip(1)) {
+            Ok(Some(args)) => args,
+            Ok(None) => {
+                eprintln!("{USAGE}");
+                std::process::exit(0);
+            }
+            Err(e) => {
+                eprintln!("{e}\n{USAGE}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Parses harness flags (the program name already skipped):
+    /// `Ok(None)` asks for the usage line (`--help`); an unknown flag or a
+    /// `--scale` that is missing, not finite or not positive is an `Err`
+    /// naming it.
+    pub fn parse_from(flags: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
         let mut args = Args {
             paper: false,
             scale: 1.0,
         };
-        let mut iter = std::env::args().skip(1);
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
+        let mut flags = flags.into_iter();
+        while let Some(flag) = flags.next() {
+            match flag.as_str() {
                 "--paper" => args.paper = true,
-                "--scale" => match iter.next().and_then(|v| v.parse().ok()) {
-                    Some(scale) => args.scale = scale,
-                    None => {
-                        eprintln!("--scale requires a number\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                },
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
+                "--scale" => {
+                    let value = flags.next().unwrap_or_default();
+                    args.scale = value
+                        .parse()
+                        .ok()
+                        .filter(|scale: &f32| scale.is_finite() && *scale > 0.0)
+                        .ok_or_else(|| {
+                            format!("--scale needs a finite number > 0, got {value:?}")
+                        })?;
                 }
-                other => eprintln!("ignoring unknown flag {other:?}"),
+                "--help" | "-h" => return Ok(None),
+                other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        args
+        Ok(Some(args))
+    }
+
+    /// `n` times `--scale`, at least `floor`: the one rule every harness
+    /// scales its record, sentence, string and image counts by.
+    pub fn scaled(&self, n: usize, floor: usize) -> usize {
+        ((n as f32 * self.scale) as usize).max(floor)
     }
 }
 
@@ -115,7 +142,7 @@ pub struct SqlBenchSetup {
 /// the §6.2 sizes (29,696 records, 512 hidden units at the base point);
 /// `--paper` itself only lengthens training.
 pub fn sql_bench_setup(args: &Args, records: usize, hidden: usize) -> SqlBenchSetup {
-    let records = ((records as f32 * args.scale) as usize).max(64);
+    let records = args.scaled(records, 64);
     let workload = sql::build(&sql::SqlWorkloadConfig {
         grammar: SqlGrammarConfig::medium(),
         n_queries: (records / 6).max(8),
@@ -291,6 +318,32 @@ mod tests {
         assert!(large.workload.dataset.len() <= 148);
         assert_eq!((small.model.hidden(), large.model.hidden()), (6, 8));
         assert_eq!((small.hidden, large.hidden), (6, 8));
+    }
+
+    #[test]
+    fn flags_parse_and_bad_ones_are_refused() {
+        let parse = |flags: &[&str]| Args::parse_from(flags.iter().map(|f| f.to_string()));
+        let args = parse(&[]).unwrap().unwrap();
+        assert_eq!((args.paper, args.scale), (false, 1.0));
+        let args = parse(&["--scale", "0.25", "--paper"]).unwrap().unwrap();
+        assert_eq!((args.paper, args.scale), (true, 0.25));
+        assert!(parse(&["--help"]).unwrap().is_none());
+        assert!(parse(&["--scal", "0.25"]).unwrap_err().contains("--scal"));
+        for bad in ["inf", "-inf", "NaN", "0", "-1", "x"] {
+            assert!(parse(&["--scale", bad]).is_err(), "--scale {bad}");
+        }
+        assert!(parse(&["--scale"]).is_err());
+    }
+
+    #[test]
+    fn scaled_counts_keep_their_floor() {
+        let at = |scale| Args {
+            paper: false,
+            scale,
+        };
+        assert_eq!(at(1.0).scaled(480, 64), 480);
+        assert_eq!(at(0.25).scaled(480, 64), 120);
+        assert_eq!(at(0.01).scaled(480, 64), 64);
     }
 
     #[test]

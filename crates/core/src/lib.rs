@@ -111,8 +111,8 @@
 //! re-materialize. [`prelude::StoreConfig::disk_budget_bytes`] bounds the store
 //! on disk: compaction evicts column files coldest-first (by a
 //! persisted access stamp kept outside every checksum, so in-place
-//! stamp bumps cannot corrupt a file) until under budget, skipping
-//! columns with pages pinned by concurrent scans; a later lookup of an
+//! stamp bumps cannot corrupt a file) until under budget; a concurrent
+//! scan keeps the pages it holds, and a later lookup or load of an
 //! evicted column fails typed ([`StoreError::Evicted`](deepbase_store::StoreError::Evicted)) and
 //! falls back to live extraction — re-materializing, never
 //! quarantining. [`prelude::StoreStats`] reports `blocks_pruned`,
@@ -369,7 +369,7 @@
 //! * `deepbase-store` (re-exported essentials in the [`prelude`]) — the
 //!   persistent columnar behavior store: self-describing column files
 //!   (header + schema + zone maps + per-block checksums) scanned through
-//!   a CLOCK buffer pool with pinned pages.
+//!   a CLOCK buffer pool of shared decoded pages.
 //! * `result` — the score frame and relational post-processing (§4.1).
 //! * [`verify`] — perturbation-based verification (§4.4, Appendix C).
 //! * [`query`] — the `INSPECT` SQL surface (Appendix B): catalog, lexer

@@ -1043,8 +1043,8 @@ fn a_column_moved_aside_and_rewritten_mid_pass_is_read_afresh() {
 }
 
 /// Disk-budget compaction between two streamed blocks deletes every
-/// column the pass holds pages of; held pages are not pins, so no delete
-/// is refused. Run by the pass's own store, the eviction de-indexes the
+/// column the pass holds pages of; nothing the pass holds refuses a
+/// delete. Run by the pass's own store, the eviction de-indexes the
 /// columns and each demotes at its next fetch. Run by another store
 /// instance over the same root, the pass's store still knows the columns:
 /// with one stored block per column, every page was held after the first

@@ -21,11 +21,13 @@
 //!   which temps are crash litter, quarantine naming, retried whole-file
 //!   reads — `std::fs` only — and the little-endian `ByteWriter` /
 //!   `ByteReader` pair every variable-length payload is laid out with.
-//! * `pool` — a [`BufferPool`] of decoded block pages with **pinned
-//!   pages** and **CLOCK** (second-chance) eviction under a configurable
-//!   byte budget, keyed by column. A scan pins every page one column
-//!   fetch needs in one critical section ([`ColumnPins`]) and unpins them
-//!   in another; eviction skips pinned frames.
+//! * `pool` — a [`BufferPool`] of decoded block pages with **CLOCK**
+//!   (second-chance) eviction under a configurable byte budget, keyed by
+//!   column. A scan takes the resident pages one column fetch needs in
+//!   one critical section ([`ColumnFetch`]) and installs the ones it
+//!   loaded in another. Pages are immutable `Arc`s, so a fetch reads its
+//!   pages whatever the pool evicts or purges next, and resident frames
+//!   never exceed the budget.
 //! * `store` — the [`BehaviorStore`]: columns keyed by
 //!   `(model fingerprint, dataset fingerprint, unit id)`, one file per
 //!   key whose header watermark says whether it is complete, an
@@ -62,7 +64,7 @@ mod store;
 mod views;
 
 pub use pass::{ColumnPass, ScanPlan};
-pub use pool::{BufferPool, ColumnPins};
+pub use pool::{BufferPool, ColumnFetch};
 pub use store::{BehaviorStore, ColumnKey, Coverage, MaterializationPolicy, StoreConfig};
 pub use views::{ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ViewRow};
 

@@ -9,22 +9,20 @@
 //! Per streamed block the pass makes one **column fetch** per stored
 //! column ([`BehaviorStore::scan_into`]): the positions are validated,
 //! the pages the pass already holds served from its page table, the other
-//! resident pages pinned under one pool lock, the misses loaded through
-//! one file handle and installed together, the rows gathered, and the
-//! pins dropped — **pin lifetime is one column fetch**. A streamed block
-//! holds shuffled positions and touches nearly every stored block, so the
-//! pass keeps the pages it fetched (their `Arc`s, not pins) and reads
-//! each stored page through the pool once per pass. The pages every live
+//! resident pages taken under one pool lock, the misses loaded through
+//! one file handle and installed together, and the rows gathered. A
+//! streamed block holds shuffled positions and touches nearly every
+//! stored block, so the pass keeps the pages it fetched (their immutable
+//! `Arc`s) and reads each stored page through the pool once per pass. The pages every live
 //! pass keeps count against one store-wide reservation of
 //! `StoreConfig::pool_bytes`; a page past it serves its fetch and is
 //! dropped, as if no table existed. A column's table is used only while
 //! the store's column info is the one its pages were read under, so a
-//! purge, a rewrite or a corruption retry drops it first. Between blocks
-//! the pass holds no pin, so a pool smaller than the working set evicts
-//! between fetches as it would between unrelated scans, and compaction
-//! never finds a column pinned by an idle pass. The held pages go back
-//! when the pass ends — at `finish`, and when it is dropped early or
-//! unwound.
+//! purge, a rewrite or a corruption retry drops it first. Nothing the
+//! pass holds stops the pool evicting a frame or compaction deleting a
+//! file: a held page serves on, and a later load from a deleted file
+//! demotes the column to live extraction. The held pages go back when the
+//! pass ends — at `finish`, and when it is dropped early or unwound.
 //!
 //! The pass's `live` closure is the whole interface to the engine: the
 //! store never sees an extractor, a record or a device — only "these

@@ -175,16 +175,16 @@ impl Coverage {
 
 /// Reusable buffers of a run of column fetches (see
 /// [`BehaviorStore::scan_with`]), and the **page table** of every stored
-/// column they fetched: the pages pinned or loaded through the pool, kept
-/// so that a later fetch of the same column serves them without a pool
-/// trip. A held page is an `Arc`, not a pin — CLOCK may evict its frame
-/// and compaction may delete its file — and it was checksummed when it
-/// was loaded. A column's table is valid only while the store's column
-/// info is the one its pages were read under (the same `Arc`), so a
-/// purge, a rewrite or a refreshed zone table drops it first. Its bytes
-/// count against the store-wide reservation of `StoreConfig::pool_bytes`;
-/// a page that would overrun it serves its fetch and is not kept. The
-/// scratch gives its bytes back when it drops.
+/// column they fetched: the pages found resident in or loaded through the
+/// pool, kept so that a later fetch of the same column serves them
+/// without a pool trip. A held page is an immutable `Arc` — CLOCK may
+/// evict its frame and compaction may delete its file — and it was
+/// checksummed when it was loaded. A column's table is valid only while
+/// the store's column info is the one its pages were read under (the
+/// same `Arc`), so a purge, a rewrite or a refreshed zone table drops it
+/// first. Its bytes count against the store-wide reservation of
+/// `StoreConfig::pool_bytes`; a page that would overrun it serves its
+/// fetch and is not kept. The scratch gives its bytes back when it drops.
 pub(crate) struct FetchScratch {
     /// Per requested position: its stored block and its row within it.
     rows: Vec<(usize, usize)>,
@@ -783,13 +783,14 @@ impl BehaviorStore {
     /// One column fetch, every cost per *column*: validate the positions
     /// and sort the stored blocks they touch into pruned (served from the
     /// zone map), held (served from the column's page table) and needed;
-    /// pin the resident needed pages under one pool lock; load the misses
+    /// take the resident needed pages under one pool lock; load the misses
     /// through one file handle in ascending block order and install them
     /// under one more lock; keep the needed pages in the page table while
-    /// the reservation has room; gather. The pins drop (one lock) when the
-    /// fetch returns. `stats` counts the fetch's pages only once they are
-    /// all in hand — a failed attempt reports its retries and nothing
-    /// else.
+    /// the reservation has room; gather. `stats` counts the fetch's pages
+    /// only once they are all in hand — a failed attempt reports its
+    /// retries and nothing else. A column file that vanished since its
+    /// info was cached — deleted by a disk-budget sweep of this instance
+    /// or another — is the typed [`StoreError::Evicted`].
     #[allow(clippy::too_many_arguments)]
     fn scan_attempt(
         &self,
@@ -891,24 +892,30 @@ impl BehaviorStore {
             }
         }
 
-        // Pin what is resident, load and install the rest. A column whose
+        // Take what is resident, load and install the rest. A column whose
         // touched blocks were all pruned never enters the pool.
-        let pins = if needed.is_empty() {
+        let fetch = if needed.is_empty() {
             None
         } else {
-            let mut pins = self.pool.pin_column(key, needed);
-            let missing: Vec<usize> = pins.missing().collect();
+            let mut fetch = self.pool.fetch_column(key, needed);
+            let missing: Vec<usize> = fetch.missing().collect();
             if !missing.is_empty() {
                 let blocks: Vec<u32> = missing.iter().map(|&i| needed[i]).collect();
                 let path = self.column_path(key);
                 let pages = retry_transient(&mut stats.io_retries, || {
-                    let mut file = File::open(&path)?;
+                    let mut file = File::open(&path).map_err(|e| match e.kind() {
+                        std::io::ErrorKind::NotFound => StoreError::Evicted(format!(
+                            "unit {} was deleted after it was looked up",
+                            key.unit
+                        )),
+                        _ => e.into(),
+                    })?;
                     format::read_blocks(&mut file, &cached.file, &blocks)
                 })?;
-                pins.install(missing.into_iter().zip(pages));
+                fetch.install(missing.into_iter().zip(pages));
             }
             for (i, &b) in needed.iter().enumerate() {
-                let page = pins.shared_page(i).expect("every needed page is in hand");
+                let page = fetch.shared_page(i).expect("every needed page is in hand");
                 let bytes = page.len() * std::mem::size_of::<f32>();
                 if reservation.try_take(bytes) {
                     table.pages[b as usize] = Some(Arc::clone(page));
@@ -916,10 +923,10 @@ impl BehaviorStore {
                 }
             }
             stats.blocks_read += needed.len();
-            stats.pool_hits += pins.hits;
-            stats.pool_misses += needed.len() - pins.hits;
-            stats.pool_evictions += pins.evictions;
-            Some(pins)
+            stats.pool_hits += fetch.hits;
+            stats.pool_misses += needed.len() - fetch.hits;
+            stats.pool_evictions += fetch.evictions;
+            Some(fetch)
         };
         stats.blocks_pruned += pruned;
 
@@ -934,9 +941,9 @@ impl BehaviorStore {
                     continue;
                 }
                 BLOCK_HELD => table.pages[b].as_deref().map(Vec::as_slice),
-                page => pins.as_ref().and_then(|pins| pins.page(page as usize)),
+                page => fetch.as_ref().and_then(|f| f.page(page as usize)),
             }
-            .expect("every touched page is held, pinned or installed");
+            .expect("every touched page is held, resident or installed");
             let values = &page[local * ns..(local + 1) * ns];
             cells.zip(values).for_each(|(cell, &v)| *cell = v);
         }
@@ -968,11 +975,12 @@ impl BehaviorStore {
     /// the column files together exceed
     /// [`StoreConfig::disk_budget_bytes`], the coldest of them (LRU by
     /// persisted access stamp; an unreadable stamp counts as coldest)
-    /// are evicted until the rest fit — except columns whose pages a
-    /// concurrent scan currently holds pinned, which are never deleted
-    /// out from under the scan. Returns the sweep's accounting
-    /// (`files_reclaimed`, `bytes_reclaimed`, `columns_evicted`,
-    /// `evicted_bytes`). No-op on a read-only store.
+    /// are evicted until the rest fit. A concurrent scan keeps reading the
+    /// pages it already holds; its next load from a deleted file fails
+    /// typed ([`StoreError::Evicted`]) and falls back to live extraction.
+    /// Returns the sweep's accounting (`files_reclaimed`,
+    /// `bytes_reclaimed`, `columns_evicted`, `evicted_bytes`). No-op on a
+    /// read-only store.
     pub fn compact(&self, quarantine_retention_bytes: u64) -> StoreStats {
         let mut swept = StoreStats::default();
         if self.read_only {
@@ -1060,15 +1068,9 @@ impl BehaviorStore {
             if total <= self.disk_budget_bytes {
                 break;
             }
-            // Never delete a column a concurrent scan holds pinned: the
-            // scan would read a dead path and misreport it as corruption.
-            // A pinned column simply survives this sweep (it is warm by
-            // definition) and the next-coldest is considered instead.
-            if self.pool.column_pinned(&key) {
-                continue;
-            }
-            // De-index before deleting so a racing scan resolves to the
-            // typed `Evicted` error, not a dangling open.
+            // De-index before deleting so a later lookup resolves to the
+            // typed `Evicted` error; a scan that looked the column up
+            // before gets the same error when its open finds no file.
             self.index.lock().remove(&key);
             self.meta_cache.lock().remove(&key);
             self.evicted.lock().insert(key);
@@ -1197,7 +1199,7 @@ mod tests {
             }
         }
         // Positions 7,0,9,3 at 4 records/block touch blocks {0, 1, 2},
-        // each pinned exactly once for the whole call.
+        // each taken through the pool exactly once for the whole call.
         assert_eq!(stats.blocks_read, 3);
         // Write populated the pool, so every fetch hit memory.
         assert_eq!(stats.pool_hits, 3);
@@ -1972,56 +1974,50 @@ mod tests {
     }
 
     #[test]
-    fn disk_budget_never_evicts_a_column_with_pinned_pages() {
-        let (store, dir) = test_store("pinned-evict", 1 << 20);
+    fn a_column_deleted_by_another_instances_sweep_fails_typed() {
+        let (writer, dir) = test_store("evicted-elsewhere", 1 << 20);
         let (nd, ns) = (8, 2);
-        store
-            .write_column(&key(0), nd, ns, &column(nd, ns, 0))
-            .unwrap();
-        store
-            .write_column(&key(1), nd, ns, &column(nd, ns, 1))
-            .unwrap();
-        drop(store);
+        for unit in 0..2 {
+            writer
+                .write_column(&key(unit), nd, ns, &column(nd, ns, unit))
+                .unwrap();
+        }
+        drop(writer);
         let pair = dir.join("0000000000000011.0000000000000022");
         let len = std::fs::metadata(pair.join("u0.col")).unwrap().len();
-        // Unit 0 is much colder than unit 1...
+        // Instance A keeps no page resident or held, so every scan opens
+        // the file; its first scan caches the column info.
+        let a = BehaviorStore::open(&StoreConfig {
+            block_records: 4,
+            pool_bytes: 0,
+            ..StoreConfig::at(&dir)
+        })
+        .unwrap();
+        let positions: Vec<usize> = (0..nd).collect();
+        let mut out = vec![0.0f32; nd * ns];
+        let mut stats = StoreStats::default();
+        let mut scan = |out: &mut [f32]| {
+            a.scan_into(&key(0), nd, ns, &positions, out, 1, 0, false, &mut stats)
+        };
+        scan(&mut out).unwrap();
+        assert_eq!(out, column(nd, ns, 0));
+        // Instance B's sweep, with room for one column, deletes the
+        // colder unit 0.
         set_stamp(&pair.join("u0.col"), 1);
         set_stamp(&pair.join("u1.col"), 2);
-        let store = BehaviorStore::open(&StoreConfig {
+        let b = BehaviorStore::open(&StoreConfig {
             block_records: 4,
             disk_budget_bytes: len,
             ..StoreConfig::at(&dir)
         })
         .unwrap();
-        // ...but a concurrent scan holds one of unit 0's pages pinned, so
-        // the budget (room for one column) evicts unit 1 instead.
-        let mut pin = store.pool.pin_column(&key(0), &[0]);
-        let mut file = File::open(pair.join("u0.col")).unwrap();
-        let col = format::read_meta(&mut file).unwrap();
-        pin.install([(0, format::read_block(&mut file, &col, 0).unwrap())]);
-        let report = store.compact(u64::MAX);
-        assert_eq!(report.columns_evicted, 1);
-        assert!(pair.join("u0.col").exists(), "pinned column survives");
-        assert!(!pair.join("u1.col").exists(), "next-coldest evicted");
-        drop(pin);
-        // The pinned column still scans from disk after the sweep.
-        let positions: Vec<usize> = (0..nd).collect();
-        let mut out = vec![0.0f32; nd * ns];
-        let mut stats = StoreStats::default();
-        store
-            .scan_into(
-                &key(0),
-                nd,
-                ns,
-                &positions,
-                &mut out,
-                1,
-                0,
-                true,
-                &mut stats,
-            )
-            .unwrap();
-        assert_eq!(out, column(nd, ns, 0));
+        assert_eq!(b.compact(u64::MAX).columns_evicted, 1);
+        assert!(!pair.join("u0.col").exists());
+        // A's cached info is still current; the vanished file is an
+        // eviction, not an IO failure, and quarantines nothing.
+        let err = scan(&mut out).unwrap_err();
+        assert!(matches!(err, StoreError::Evicted(_)), "got {err:?}");
+        assert!(quarantined_files(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -197,7 +197,7 @@ mod shuffled {
     /// The scan the column fetch replaced, rebuilt from the public pieces
     /// over a pool of its own: one pool round trip per touched page in
     /// first-touch order — look up, load and install on a miss, keep the
-    /// pin — and all of one column's pins dropped together at the end.
+    /// fetch — and all of one column's fetches dropped together at the end.
     #[allow(clippy::too_many_arguments)]
     fn per_page_scan(
         pool: &BufferPool,
@@ -211,7 +211,7 @@ mod shuffled {
         stats: &mut StoreStats,
     ) {
         let ids: Vec<[u32; 1]> = (0..column.meta.n_blocks() as u32).map(|b| [b]).collect();
-        let mut pages: Vec<Option<deepbase_store::ColumnPins<'_>>> =
+        let mut pages: Vec<Option<deepbase_store::ColumnFetch<'_>>> =
             ids.iter().map(|_| None).collect();
         let mut pruned = vec![false; ids.len()];
         for (i, &pos) in positions.iter().enumerate() {
@@ -227,7 +227,7 @@ mod shuffled {
                 continue;
             }
             if pages[b].is_none() {
-                let mut page = pool.pin_column(key, &ids[b]);
+                let mut page = pool.fetch_column(key, &ids[b]);
                 if page.hits == 0 {
                     page.install([(0, format::read_block(file, column, b).unwrap())]);
                     stats.pool_misses += 1;
@@ -327,11 +327,7 @@ mod shuffled {
         assert_eq!(stats.columns_scanned, UNITS.len());
         assert_eq!(stats.forward_passes_avoided, ND / STREAM_BLOCK);
         assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
-        // Pin lifetime is one column fetch: nothing stays pinned, the
-        // pool is back under its budget, and its books balance.
-        for unit in UNITS {
-            assert!(!store.pool().column_pinned(&key(unit)));
-        }
+        // The pool is within its budget and its books balance.
         assert!(store.pool().stats().resident_bytes <= pool_bytes);
         store.pool().verify_accounting().unwrap();
         reference_pool.verify_accounting().unwrap();
@@ -364,7 +360,7 @@ mod shuffled {
             (unpruned_blocks, unpruned_blocks, 0),
             "{stats:?}"
         );
-        assert!(reference.pool_hits > 0, "the per-page loop re-pins");
+        assert!(reference.pool_hits > 0, "the per-page loop re-fetches");
         // Unit 0 prunes whole, unit 2 its first half.
         assert!(stats.blocks_pruned > 0);
     }
@@ -385,9 +381,9 @@ mod shuffled {
     /// A checksum failure on a block in the *middle* of one fetch's run
     /// of misses: the column demotes for the block that found it (and the
     /// rest of the pass), is quarantined under `write`, and the aborted
-    /// fetch leaves no pin and no held page behind.
+    /// fetch leaves no held page behind.
     #[test]
-    fn a_checksum_failure_mid_fetch_demotes_quarantines_and_leaves_no_pin() {
+    fn a_checksum_failure_mid_fetch_demotes_quarantines_and_holds_nothing() {
         let config = config("shuffled-flip", 1 << 20);
         populate(&config);
         let path = config
@@ -431,7 +427,6 @@ mod shuffled {
         assert_eq!(stats.forward_passes_avoided, 0);
         assert!(!path.exists(), "quarantined under write");
         assert!(!store.contains(&key(5)));
-        assert!(!store.pool().column_pinned(&key(5)));
         assert_eq!(store.pool().stats().resident_pages, {
             // Units 3, 4, 6, 7 whole, unit 1 whole, unit 2's raw half;
             // unit 5's pages were purged with the quarantine.

@@ -1,18 +1,19 @@
-//! Buffer-pool stress: threads pinning column sets, inserting and purging
+//! Buffer-pool stress: threads fetching column sets, inserting and purging
 //! whole columns against a budget of a few pages. CI runs it in release
 //! mode beside the fault-injection suite. A passing run is not a proof
 //! of thread safety; what it checks is the pool's own bookkeeping under
-//! contention — at quiescence `verify_accounting()` is `Ok`, nothing is
-//! left pinned and the pool is back under its budget — and, throughout,
-//! that a frame is never evicted while a fetch holds it pinned.
+//! contention — at quiescence `verify_accounting()` is `Ok` and the pool
+//! is within its budget — and, throughout, that a fetch's pages read
+//! right while other fetches, purges and inserts run, and that resident
+//! frames stay within the budget while fetches hold their pages.
 
-use deepbase_store::{BufferPool, ColumnKey};
+use deepbase_store::{BufferPool, ColumnFetch, ColumnKey};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 const PAGE_VALUES: usize = 16;
 const PAGE_BYTES: usize = PAGE_VALUES * 4;
-/// Room for six pages; one fetch below pins up to five.
+/// Room for six pages; the two fetches of one round below hold up to ten.
 const BUDGET: usize = 6 * PAGE_BYTES;
 const BLOCKS: u32 = 12;
 /// Columns that are only ever scanned (never purged, never re-inserted).
@@ -56,57 +57,57 @@ impl Lcg {
     }
 }
 
-/// One column fetch: pin, load and install the misses, check every page.
-/// Returns how many pages it asked for.
-fn fetch(pool: &BufferPool, unit: usize, blocks: &[u32], check_repin: bool) -> usize {
-    let key = column(unit);
-    let mut pins = pool.pin_column(&key, blocks);
-    let missing: Vec<usize> = pins.missing().collect();
-    pins.install(missing.into_iter().map(|i| (i, page(unit, blocks[i]))));
+/// One column fetch: look up, then load and install the misses.
+fn fetch<'p>(pool: &'p BufferPool, unit: usize, blocks: &'p [u32]) -> ColumnFetch<'p> {
+    let mut fetched = pool.fetch_column(&column(unit), blocks);
+    let missing: Vec<usize> = fetched.missing().collect();
+    fetched.install(missing.into_iter().map(|i| (i, page(unit, blocks[i]))));
+    fetched
+}
+
+/// Every page of a fetch reads what its block holds.
+fn check(fetched: &ColumnFetch<'_>, unit: usize, blocks: &[u32]) {
     for (i, &block) in blocks.iter().enumerate() {
-        assert_eq!(pins.page(i).unwrap(), page(unit, block).as_slice());
+        assert_eq!(fetched.page(i).unwrap(), page(unit, block).as_slice());
     }
-    assert!(pool.column_pinned(&key));
-    if check_repin {
-        // Nobody purges a stable column, so while this fetch holds its
-        // pins a second fetch of the same blocks must find every one of
-        // them resident: a miss here means a pinned frame was evicted.
-        let again = pool.pin_column(&key, blocks);
-        assert_eq!(again.hits, blocks.len(), "a pinned frame was evicted");
-        return 2 * blocks.len();
-    }
-    blocks.len()
+}
+
+/// One scanner round over `units`: a fetch that stays held while a second
+/// fetch runs beside it. The pool is within its budget while both hold
+/// their pages, and the first still reads right after the second and
+/// whatever the other threads fetched, purged and inserted meanwhile.
+/// Returns how many pages the two asked for.
+fn round(pool: &BufferPool, rng: &mut Lcg, units: std::ops::Range<usize>) -> usize {
+    let (unit, blocks) = (units.start + rng.below(units.len()), rng.blocks());
+    let held = fetch(pool, unit, &blocks);
+    check(&held, unit, &blocks);
+    let (other, other_blocks) = (units.start + rng.below(units.len()), rng.blocks());
+    let second = fetch(pool, other, &other_blocks);
+    let stats = pool.stats();
+    assert!(
+        stats.resident_bytes <= BUDGET,
+        "over budget while held: {stats:?}"
+    );
+    check(&second, other, &other_blocks);
+    check(&held, unit, &blocks);
+    blocks.len() + other_blocks.len()
 }
 
 #[test]
-fn pins_inserts_and_purges_under_a_tiny_budget_keep_the_books() {
+fn fetches_inserts_and_purges_under_a_tiny_budget_keep_the_books() {
     let pool = BufferPool::new(BUDGET);
     let start = Barrier::new(5);
     let requested = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        // Three scanners over the stable columns.
-        for t in 0..3u64 {
+        // Three scanners over the stable columns and one over the churned
+        // columns, whose pages get purged and re-inserted under it.
+        for (t, units) in [STABLE, STABLE, STABLE, CHURNED].into_iter().enumerate() {
             let (pool, start, requested) = (&pool, &start, &requested);
             s.spawn(move || {
-                let mut rng = Lcg(0x5EED + t);
+                let mut rng = Lcg(0x5EED + t as u64);
                 start.wait();
                 for _ in 0..ROUNDS {
-                    let unit = STABLE.start + rng.below(STABLE.len());
-                    let n = fetch(pool, unit, &rng.blocks(), true);
-                    requested.fetch_add(n, Ordering::Relaxed);
-                }
-            });
-        }
-        // A scanner over the churned columns: its pins get purged from
-        // under it (doomed frames) and must stay readable until dropped.
-        {
-            let (pool, start, requested) = (&pool, &start, &requested);
-            s.spawn(move || {
-                let mut rng = Lcg(0xD00D);
-                start.wait();
-                for _ in 0..ROUNDS {
-                    let unit = CHURNED.start + rng.below(CHURNED.len());
-                    let n = fetch(pool, unit, &rng.blocks(), false);
+                    let n = round(pool, &mut rng, units.clone());
                     requested.fetch_add(n, Ordering::Relaxed);
                 }
             });
@@ -128,12 +129,6 @@ fn pins_inserts_and_purges_under_a_tiny_budget_keep_the_books() {
         }
     });
     pool.verify_accounting().unwrap();
-    for unit in STABLE.start..CHURNED.end {
-        assert!(
-            !pool.column_pinned(&column(unit)),
-            "unit {unit} left pinned"
-        );
-    }
     let stats = pool.stats();
     assert!(stats.resident_bytes <= BUDGET, "{stats:?}");
     assert_eq!(stats.resident_bytes, stats.resident_pages * PAGE_BYTES);
