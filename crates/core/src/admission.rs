@@ -268,16 +268,19 @@ mod tests {
         let holder = sched.acquire(8, 0);
         let admitted = Arc::new(AtomicUsize::new(0));
         let mut joins = Vec::new();
-        for width in [6usize, 1] {
-            let sched = Arc::clone(&sched);
+        for (width, depth) in [(6usize, 2), (1, 3)] {
+            let waiter = Arc::clone(&sched);
             let admitted = Arc::clone(&admitted);
             joins.push(thread::spawn(move || {
-                let p = sched.acquire(width, 0);
+                let p = waiter.acquire(width, 0);
                 admitted.fetch_add(1, Ordering::SeqCst);
                 drop(p);
             }));
-            // Deterministic arrival order = deterministic ticket order.
-            thread::sleep(Duration::from_millis(20));
+            // The waiter holds its ticket once the queue is this deep, so
+            // the wide wave's ticket is issued before the narrow one's.
+            while sched.stats().max_queue_depth < depth {
+                thread::yield_now();
+            }
         }
         thread::sleep(Duration::from_millis(30));
         assert_eq!(

@@ -1,18 +1,30 @@
 //! Hypothesis-behavior cache (paper §5.1.2 / Fig. 9).
 //!
 //! The hypothesis library and test set stay fixed while the model changes,
-//! so DeepBase caches hypothesis behaviors per record under a byte-budgeted
-//! LRU policy: re-inspecting a new model skips hypothesis extraction.
+//! so DeepBase caches hypothesis behaviors per record under a byte budget:
+//! re-inspecting a new model skips hypothesis extraction.
 //!
-//! A behavior is keyed by `(hypothesis identity, dataset identity, record
-//! position)`, an identity being the address of the catalog `Arc` a plan
-//! bound — never a name. **Pin rule:** a lookup is cached only when both
-//! identities are pinned ([`CacheRun::pin`]): the cache then holds a
-//! `Weak` to each, which keeps the allocation (the address cannot be
-//! reused) and makes `Arc::get_mut` fail (the value cannot change)
-//! without keeping the value alive; a dropped value's entries go at the
-//! next pin. No stale or foreign hit is possible, so nothing invalidates
-//! the cache and a session shares it with its forks.
+//! **Layout.** The cache holds one column per `(hypothesis identity,
+//! dataset identity)`, an identity being the address of the catalog `Arc`
+//! a plan bound — never a name. A column is a per-position row index plus
+//! one contiguous buffer of `ns`-wide rows. The engine asks for a whole
+//! block of positions at once ([`CacheRun::behaviors`]): hits are copied
+//! out under one lock, misses are evaluated outside it, and the new rows
+//! are published under one more.
+//!
+//! **Pin rule.** A column is kept only while both identities are pinned
+//! ([`CacheRun::pin`]): the cache then holds a `Weak` to each, which keeps
+//! the allocation (the address cannot be reused) and makes `Arc::get_mut`
+//! fail (the value cannot change) without keeping the value alive. Pinning
+//! a new identity first drops every dead one, with its columns and their
+//! bytes, so a later value at a reused address starts from nothing. No
+//! stale or foreign hit is possible, so nothing invalidates the cache and
+//! a session shares it with its forks.
+//!
+//! **Eviction.** `bytes` counts the resident rows. Publishing a row past
+//! the budget evicts whole columns, least recently used first, never the
+//! column being filled; a row that still does not fit is returned but not
+//! kept. Evictions are counted in rows.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -25,29 +37,62 @@ pub struct CacheStats {
     pub hits: usize,
     /// Lookups that had to evaluate the hypothesis.
     pub misses: usize,
-    /// Entries evicted by the LRU policy.
+    /// Rows evicted to keep the byte budget.
     pub evictions: usize,
 }
 
-type Key = (usize, usize, usize);
+impl CacheStats {
+    fn add(&mut self, other: CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+    }
+}
+
+/// `(hypothesis address, dataset address)`.
+type Key = (usize, usize);
 
 /// Address of the value behind a reference, metadata discarded.
 fn address<T: ?Sized>(value: &T) -> usize {
     value as *const T as *const u8 as usize
 }
 
-/// LRU cache of per-record hypothesis behaviors.
-///
-/// Recency is tracked with a monotonic access counter per entry (O(1) on
-/// the hit path); eviction scans for the minimum counter, which is fine
-/// because eviction only happens when the byte budget is exceeded.
+/// Marks a position with no cached row.
+const ABSENT: u32 = u32::MAX;
+
+/// One identity pair's cached behaviors.
+#[derive(Default)]
+struct Column {
+    /// Row of each record position, [`ABSENT`] where none is cached;
+    /// as long as the largest position cached.
+    index: Vec<u32>,
+    /// The cached rows, `ns` values each, in publish order.
+    rows: Vec<f32>,
+    /// Number of rows.
+    len: usize,
+    /// Clock of the last block that read or filled the column.
+    used: u64,
+}
+
+impl Column {
+    fn row(&self, position: usize, ns: usize) -> Option<&[f32]> {
+        let row = *self.index.get(position)? as usize;
+        (row != ABSENT as usize).then(|| &self.rows[row * ns..(row + 1) * ns])
+    }
+
+    fn bytes(&self) -> usize {
+        self.rows.len() * size_of::<f32>()
+    }
+}
+
+/// Byte-budgeted cache of per-record hypothesis behaviors.
 pub struct HypothesisCache {
     capacity_bytes: usize,
     inner: Mutex<CacheInner>,
 }
 
 struct CacheInner {
-    map: HashMap<Key, (Arc<Vec<f32>>, u64)>,
+    columns: HashMap<Key, Column>,
     /// Pinned identities: whether each one's value is still alive.
     pins: HashMap<usize, Box<dyn Fn() -> bool + Send>>,
     clock: u64,
@@ -61,7 +106,7 @@ impl HypothesisCache {
         Arc::new(HypothesisCache {
             capacity_bytes,
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
+                columns: HashMap::new(),
                 pins: HashMap::new(),
                 clock: 0,
                 bytes: 0,
@@ -75,9 +120,9 @@ impl HypothesisCache {
         self.inner.lock().stats
     }
 
-    /// Number of cached entries.
+    /// Number of cached rows (one per record behavior).
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().columns.values().map(|c| c.len).sum()
     }
 
     /// True when the cache holds nothing.
@@ -102,11 +147,14 @@ impl<'c> CacheRun<'c> {
     }
 
     /// Pins a catalog value's identity (module docs, *Pin rule*). Pinning
-    /// a new identity first drops every dead one, with its entries.
+    /// a new identity first drops every dead one, with its columns.
     pub(crate) fn pin<T: ?Sized + Send + Sync + 'static>(&self, value: &Arc<T>) {
         let mut inner = self.cache.inner.lock();
         let CacheInner {
-            map, pins, bytes, ..
+            columns,
+            pins,
+            bytes,
+            ..
         } = &mut *inner;
         let at = address(&**value);
         if pins.contains_key(&at) {
@@ -115,10 +163,10 @@ impl<'c> CacheRun<'c> {
         let pinned = pins.len();
         pins.retain(|_, alive| alive());
         if pins.len() < pinned {
-            map.retain(|(h, d, _), (behavior, _)| {
+            columns.retain(|(h, d), column| {
                 let live = pins.contains_key(h) && pins.contains_key(d);
                 if !live {
-                    *bytes -= behavior.len() * size_of::<f32>();
+                    *bytes -= column.bytes();
                 }
                 live
             });
@@ -127,68 +175,122 @@ impl<'c> CacheRun<'c> {
         pins.insert(at, Box::new(move || weak.strong_count() > 0));
     }
 
-    /// Fetches the behavior of `hypothesis` on the record at `position` of
-    /// `dataset`, running `compute` on a miss. Failed computations are not
-    /// cached, and neither is anything on an identity that is not pinned
-    /// or a behavior larger than the whole budget.
-    pub(crate) fn get_or_compute<H: ?Sized, D: ?Sized, E>(
+    /// The behaviors of `hypothesis` on the records at `positions` of
+    /// `dataset`, `ns` values each, concatenated in `positions` order.
+    /// Cached rows are copied out; `compute` runs once per other position,
+    /// outside the cache's lock, and must return `ns` values. Every lookup
+    /// of the block is counted, even when a `compute` fails. A failed
+    /// block keeps nothing, and nothing is kept on an identity that is not
+    /// pinned (module docs, *Eviction*, for what does not fit).
+    pub(crate) fn behaviors<H: ?Sized, D: ?Sized, E>(
         &self,
         hypothesis: &H,
         dataset: &D,
-        position: usize,
-        compute: impl FnOnce() -> Result<Vec<f32>, E>,
-    ) -> Result<Arc<Vec<f32>>, E> {
-        let key = (address(hypothesis), address(dataset), position);
-        let count = |inner: &mut CacheInner, bump: fn(&mut CacheStats)| {
-            bump(&mut inner.stats);
-            bump(&mut self.stats.lock());
-        };
+        positions: &[usize],
+        ns: usize,
+        mut compute: impl FnMut(usize) -> Result<Vec<f32>, E>,
+    ) -> Result<Vec<f32>, E> {
+        let key = (address(hypothesis), address(dataset));
+        let mut out = vec![0.0; positions.len() * ns];
+        // Indices into `positions` of the rows to compute.
+        let mut missing = Vec::new();
         let pinned = {
             let mut inner = self.cache.inner.lock();
             inner.clock += 1;
             let clock = inner.clock;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                entry.1 = clock;
-                let hit = Arc::clone(&entry.0);
-                count(&mut inner, |s| s.hits += 1);
-                return Ok(hit);
+            match inner.columns.get_mut(&key) {
+                Some(column) => {
+                    column.used = clock;
+                    for (slot, &position) in positions.iter().enumerate() {
+                        match column.row(position, ns) {
+                            Some(row) => out[slot * ns..(slot + 1) * ns].copy_from_slice(row),
+                            None => missing.push(slot),
+                        }
+                    }
+                }
+                None => missing.extend(0..positions.len()),
             }
-            count(&mut inner, |s| s.misses += 1);
+            self.count(
+                &mut inner,
+                CacheStats {
+                    hits: positions.len() - missing.len(),
+                    misses: missing.len(),
+                    evictions: 0,
+                },
+            );
             inner.pins.contains_key(&key.0) && inner.pins.contains_key(&key.1)
         };
-        let value = Arc::new(compute()?);
-        let value_bytes = value.len() * size_of::<f32>();
-        if !pinned || value_bytes > self.cache.capacity_bytes {
-            return Ok(value);
+        for &slot in &missing {
+            out[slot * ns..(slot + 1) * ns].copy_from_slice(&compute(positions[slot])?);
         }
+        if pinned && !missing.is_empty() && ns * size_of::<f32>() <= self.cache.capacity_bytes {
+            self.publish(key, positions, &missing, &out, ns);
+        }
+        Ok(out)
+    }
+
+    /// Keeps the computed rows `missing` of a block (module docs,
+    /// *Eviction*), under one lock.
+    fn publish(&self, key: Key, positions: &[usize], missing: &[usize], out: &[f32], ns: usize) {
+        let row_bytes = ns * size_of::<f32>();
         let mut inner = self.cache.inner.lock();
         inner.clock += 1;
-        let clock = inner.clock;
-        // Another run may have missed on the same key concurrently and
-        // published its result while we were computing. Reuse that entry:
-        // blindly inserting would overwrite it while `bytes` kept both
-        // charges, drifting the byte accounting upward forever and causing
-        // spurious evictions under a long-lived shared cache.
-        if let Some(existing) = inner.map.get_mut(&key) {
-            existing.1 = clock;
-            return Ok(Arc::clone(&existing.0));
-        }
-        inner.bytes += value_bytes;
-        inner.map.insert(key, (Arc::clone(&value), clock));
-        // The new entry is the most recent and fits alone, so it goes last.
-        while inner.bytes > self.cache.capacity_bytes {
-            let victim = *inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k)
-                .expect("non-empty map");
-            if let Some((evicted, _)) = inner.map.remove(&victim) {
-                inner.bytes -= evicted.len() * size_of::<f32>();
-                count(&mut inner, |s| s.evictions += 1);
+        let CacheInner {
+            columns,
+            bytes,
+            clock,
+            ..
+        } = &mut *inner;
+        // Out of the map while it fills, so no eviction can pick it.
+        let mut column = columns.remove(&key).unwrap_or_default();
+        column.used = *clock;
+        let mut evicted = 0;
+        for &slot in missing {
+            let position = positions[slot];
+            // Another run may have published this row while we computed.
+            if column.row(position, ns).is_some() {
+                continue;
             }
+            while *bytes + row_bytes > self.cache.capacity_bytes {
+                let Some(victim) = columns.iter().min_by_key(|(_, c)| c.used).map(|(k, _)| *k)
+                else {
+                    break;
+                };
+                let victim = columns.remove(&victim).expect("victim is resident");
+                *bytes -= victim.bytes();
+                evicted += victim.len;
+            }
+            if *bytes + row_bytes > self.cache.capacity_bytes {
+                break;
+            }
+            if column.index.len() <= position {
+                column.index.resize(position + 1, ABSENT);
+            }
+            column.index[position] = u32::try_from(column.len).expect("fewer than 2^32 rows");
+            column
+                .rows
+                .extend_from_slice(&out[slot * ns..(slot + 1) * ns]);
+            column.len += 1;
+            *bytes += row_bytes;
         }
-        Ok(value)
+        if column.len > 0 {
+            columns.insert(key, column);
+        }
+        if evicted > 0 {
+            self.count(
+                &mut inner,
+                CacheStats {
+                    evictions: evicted,
+                    ..CacheStats::default()
+                },
+            );
+        }
+    }
+
+    /// Adds `delta` to the cache's tally and to this run's.
+    fn count(&self, inner: &mut CacheInner, delta: CacheStats) {
+        inner.stats.add(delta);
+        self.stats.lock().add(delta);
     }
 
     /// This run's lookups so far.
@@ -206,12 +308,39 @@ mod tests {
         cache.inner.lock().bytes
     }
 
+    /// Columns currently held.
+    fn columns(cache: &HypothesisCache) -> usize {
+        cache.inner.lock().columns.len()
+    }
+
     fn ok(v: Vec<f32>) -> Result<Vec<f32>, std::convert::Infallible> {
         Ok(v)
     }
 
-    fn must_hit() -> Result<Vec<f32>, std::convert::Infallible> {
-        unreachable!("must hit")
+    /// What every test hypothesis gives the record at `position`.
+    fn row(position: usize, ns: usize) -> Vec<f32> {
+        vec![position as f32; ns]
+    }
+
+    /// Looks a block up, computing misses with [`row`], checks the block
+    /// and returns the positions it computed, in order.
+    fn lookup<H: ?Sized, D: ?Sized>(
+        run: &CacheRun<'_>,
+        h: &H,
+        d: &D,
+        positions: &[usize],
+        ns: usize,
+    ) -> Vec<usize> {
+        let mut computed = Vec::new();
+        let block = run
+            .behaviors(h, d, positions, ns, |p| {
+                computed.push(p);
+                ok(row(p, ns))
+            })
+            .unwrap();
+        let want: Vec<f32> = positions.iter().flat_map(|&p| row(p, ns)).collect();
+        assert_eq!(block, want);
+        computed
     }
 
     /// A fresh identity, pinned on `run`.
@@ -226,42 +355,43 @@ mod tests {
         let cache = HypothesisCache::new(1 << 20);
         let run = CacheRun::new(&cache);
         let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
-        let mut computes = 0;
-        for _ in 0..3 {
-            let v = run
-                .get_or_compute(&*h, &*d, 0, || {
-                    computes += 1;
-                    ok(vec![1.0, 2.0])
-                })
-                .unwrap();
-            assert_eq!(v.as_slice(), &[1.0, 2.0]);
+        assert_eq!(lookup(&run, &*h, &*d, &[0], 2), vec![0]);
+        for _ in 0..2 {
+            assert!(lookup(&run, &*h, &*d, &[0], 2).is_empty());
         }
-        assert_eq!(computes, 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(run.stats(), stats, "one run: its tally is the cache's");
     }
 
     #[test]
-    fn a_behavior_larger_than_the_budget_is_returned_but_not_kept() {
+    fn a_block_of_hits_and_misses_computes_each_miss_once() {
+        let cache = HypothesisCache::new(1 << 20);
+        let run = CacheRun::new(&cache);
+        let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
+        assert_eq!(lookup(&run, &*h, &*d, &[4, 0], 3), vec![4, 0]);
+        // Hits and misses interleave, out of position order.
+        assert_eq!(lookup(&run, &*h, &*d, &[7, 0, 2, 4, 9], 3), vec![7, 2, 9]);
+        assert!(lookup(&run, &*h, &*d, &[9, 7, 4, 2, 0], 3).is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (7, 5));
+        assert_eq!(cache.len(), 5);
+        assert_eq!(bytes(&cache), 5 * 3 * size_of::<f32>());
+    }
+
+    #[test]
+    fn a_zero_byte_cache_keeps_nothing_and_builds_no_column() {
         let cache = HypothesisCache::new(0);
         let run = CacheRun::new(&cache);
         let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
-        let mut computes = 0;
         for _ in 0..2 {
-            let v = run
-                .get_or_compute(&*h, &*d, 0, || {
-                    computes += 1;
-                    ok(vec![0.5; 30])
-                })
-                .unwrap();
-            assert_eq!(v.len(), 30);
+            assert_eq!(lookup(&run, &*h, &*d, &[0, 1], 30), vec![0, 1]);
         }
-        assert_eq!(computes, 2);
         assert!(cache.is_empty());
+        assert_eq!(columns(&cache), 0);
         assert_eq!(bytes(&cache), 0);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 2, 0));
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 4, 0));
     }
 
     #[test]
@@ -272,10 +402,10 @@ mod tests {
         let (h1, h2) = (pinned(&run, "h"), pinned(&run, "h"));
         let (d1, d2) = (pinned(&run, "d"), pinned(&run, "d"));
         for (h, d, pos) in [(&h1, &d1, 0), (&h1, &d2, 0), (&h1, &d1, 1), (&h2, &d1, 0)] {
-            run.get_or_compute(&**h, &**d, pos, || ok(vec![pos as f32]))
-                .unwrap();
+            assert_eq!(lookup(&run, &**h, &**d, &[pos], 1), vec![pos]);
         }
         assert_eq!(cache.len(), 4);
+        assert_eq!(columns(&cache), 3);
         assert_eq!(cache.stats().misses, 4);
     }
 
@@ -285,16 +415,11 @@ mod tests {
         let run = CacheRun::new(&cache);
         let h = pinned(&run, "h");
         let unpinned = Arc::new("d".to_string());
-        let mut computes = 0;
         for _ in 0..2 {
-            run.get_or_compute(&*h, &*unpinned, 0, || {
-                computes += 1;
-                ok(vec![1.0])
-            })
-            .unwrap();
+            assert_eq!(lookup(&run, &*h, &*unpinned, &[0], 1), vec![0]);
         }
-        assert_eq!(computes, 2);
         assert!(cache.is_empty());
+        assert_eq!(columns(&cache), 0);
         assert_eq!(cache.stats().misses, 2, "every lookup is counted");
     }
 
@@ -304,10 +429,8 @@ mod tests {
         let run = CacheRun::new(&cache);
         let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
         let gone = pinned(&run, "gone");
-        run.get_or_compute(&*h, &*d, 0, || ok(vec![0.0; 4]))
-            .unwrap();
-        run.get_or_compute(&*h, &*gone, 0, || ok(vec![0.0; 4]))
-            .unwrap();
+        lookup(&run, &*h, &*d, &[0], 4);
+        lookup(&run, &*h, &*gone, &[0], 4);
         drop(gone);
         // Nothing moves until the next pin of a new identity.
         assert_eq!(cache.len(), 2);
@@ -321,48 +444,79 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(bytes(&cache), 4 * std::mem::size_of::<f32>());
         assert_eq!(cache.inner.lock().pins.len(), 3, "h, d and fresh");
-        run.get_or_compute(&*h, &*d, 0, must_hit).unwrap();
+        assert!(lookup(&run, &*h, &*d, &[0], 4).is_empty());
         assert_eq!(cache.stats().evictions, 0, "a sweep is not an eviction");
     }
 
     #[test]
+    fn a_dead_datasets_column_goes_at_the_next_pin_and_a_new_one_misses() {
+        let cache = HypothesisCache::new(1 << 20);
+        let run = CacheRun::new(&cache);
+        let h = pinned(&run, "h");
+        let small = pinned(&run, "dataset");
+        lookup(&run, &*h, &*small, &[0, 1, 2], 2);
+        drop(small);
+        // The sweep at this pin drops the dead column with its `Weak`, so
+        // from then on a grown dataset may sit at the freed address: it
+        // must miss, not read the old column's index.
+        let grown = pinned(&run, "dataset");
+        assert!(cache.is_empty(), "the pin swept the dead column");
+        assert_eq!(bytes(&cache), 0);
+        let positions: Vec<usize> = (0..8).rev().collect();
+        assert_eq!(lookup(&run, &*h, &*grown, &positions, 2), positions);
+        assert_eq!(cache.len(), 8);
+        assert_eq!(bytes(&cache), 8 * 2 * size_of::<f32>());
+    }
+
+    #[test]
     fn lru_evicts_oldest_beyond_budget() {
-        // Budget of 2 entries x 4 floats.
-        let cache = HypothesisCache::new(32);
+        // Budget of 2 columns x 2 rows x 4 floats.
+        let cache = HypothesisCache::new(2 * 2 * 16);
         let run = CacheRun::new(&cache);
         let d = pinned(&run, "d");
         let [a, b, c] = ["a", "b", "c"].map(|h| pinned(&run, h));
-        run.get_or_compute(&*a, &*d, 0, || ok(vec![0.0; 4]))
-            .unwrap();
-        run.get_or_compute(&*b, &*d, 0, || ok(vec![0.0; 4]))
-            .unwrap();
+        lookup(&run, &*a, &*d, &[0, 1], 4);
+        lookup(&run, &*b, &*d, &[0, 1], 4);
         // Touch "a" so "b" becomes the LRU victim.
-        run.get_or_compute(&*a, &*d, 0, must_hit).unwrap();
-        run.get_or_compute(&*c, &*d, 0, || ok(vec![0.0; 4]))
-            .unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(run.stats().evictions, 1);
-        let mut b_recomputed = false;
-        run.get_or_compute(&*b, &*d, 0, || {
-            b_recomputed = true;
-            ok(vec![0.0; 4])
-        })
-        .unwrap();
-        assert!(b_recomputed, "b must have been evicted");
+        assert!(lookup(&run, &*a, &*d, &[1], 4).is_empty());
+        lookup(&run, &*c, &*d, &[0, 1], 4);
+        assert_eq!(cache.stats().evictions, 2, "b's two rows");
+        assert_eq!(run.stats().evictions, 2);
+        assert!(lookup(&run, &*a, &*d, &[0, 1], 4).is_empty());
+        assert!(lookup(&run, &*c, &*d, &[0, 1], 4).is_empty());
+        assert_eq!(
+            lookup(&run, &*b, &*d, &[0, 1], 4),
+            vec![0, 1],
+            "b must have been evicted"
+        );
+    }
+
+    #[test]
+    fn the_column_being_filled_is_never_evicted_and_what_does_not_fit_is_not_kept() {
+        // Budget of 4 rows x 4 floats; one column of 6 rows does not fit.
+        let cache = HypothesisCache::new(4 * 16);
+        let run = CacheRun::new(&cache);
+        let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
+        assert_eq!(lookup(&run, &*h, &*d, &[0, 1, 2, 3, 4, 5], 4).len(), 6);
+        assert_eq!(cache.len(), 4, "the first rows that fit are kept");
+        assert_eq!(bytes(&cache), 4 * 16);
+        assert_eq!(cache.stats().evictions, 0);
+        assert!(lookup(&run, &*h, &*d, &[0, 1, 2, 3], 4).is_empty());
+        assert_eq!(lookup(&run, &*h, &*d, &[4, 5], 4), vec![4, 5]);
     }
 
     #[test]
     fn concurrent_duplicate_misses_charge_the_bytes_once() {
-        // Two runs miss on the same key and both compute. The loser of
-        // the publish race must reuse the winner's entry: historically the
-        // second insert overwrote the first while `bytes` was charged
-        // twice, so `bytes` drifted upward forever and a long-lived shared
-        // cache evicted spuriously.
+        // Two runs miss on the same block and both compute. The loser of
+        // the publish race must keep the winner's rows: a second row per
+        // position would charge `bytes` twice, so a long-lived shared
+        // cache would evict spuriously.
         let cache = HypothesisCache::new(1 << 20);
         let (h, d) = (Arc::new("h"), Arc::new("d"));
         let barrier = std::sync::Barrier::new(2);
         let runs = [CacheRun::new(&cache), CacheRun::new(&cache)];
-        let results: Vec<Arc<Vec<f32>>> = std::thread::scope(|s| {
+        let positions = [3, 1, 2, 0];
+        let results: Vec<Vec<f32>> = std::thread::scope(|s| {
             let handles: Vec<_> = runs
                 .iter()
                 .map(|run| {
@@ -370,11 +524,13 @@ mod tests {
                     s.spawn(move || {
                         run.pin(h);
                         run.pin(d);
-                        run.get_or_compute(&**h, &**d, 0, || {
+                        run.behaviors(&**h, &**d, &positions, 64, |p| {
                             // Both threads are inside `compute` at the
                             // same time, so both necessarily missed.
-                            barrier.wait();
-                            ok(vec![0.0; 64])
+                            if p == positions[0] {
+                                barrier.wait();
+                            }
+                            ok(row(p, 64))
                         })
                         .unwrap()
                     })
@@ -382,81 +538,82 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), 4, "one row per position");
         assert_eq!(
             bytes(&cache),
-            64 * std::mem::size_of::<f32>(),
-            "bytes must match the single cached entry"
+            4 * 64 * std::mem::size_of::<f32>(),
+            "bytes must match the rows cached once"
         );
-        assert_eq!(cache.stats().misses, 2, "both lookups were real misses");
-        assert!(runs.iter().all(|run| run.stats().misses == 1));
-        assert!(
-            Arc::ptr_eq(&results[0], &results[1]),
-            "racing computes must settle on one shared entry"
-        );
+        assert_eq!(cache.stats().misses, 8, "both blocks were real misses");
+        assert!(runs.iter().all(|run| run.stats().misses == 4));
+        assert_eq!(results[0], results[1]);
+        let run = CacheRun::new(&cache);
+        assert!(lookup(&run, &*h, &*d, &positions, 64).is_empty());
     }
 
     #[test]
     fn filling_past_capacity_evicts_and_keeps_accounting_consistent() {
-        // Budget of exactly 4 entries x 10 floats (40 bytes each).
-        let entry_bytes = 10 * std::mem::size_of::<f32>();
-        let cache = HypothesisCache::new(4 * entry_bytes);
+        // Budget of exactly 4 rows x 10 floats (40 bytes each); five
+        // hypotheses fill a column of 4 rows each, one row per block.
+        let row_bytes = 10 * std::mem::size_of::<f32>();
+        let cache = HypothesisCache::new(4 * row_bytes);
         let run = CacheRun::new(&cache);
-        let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
-        for i in 0..20 {
-            run.get_or_compute(&*h, &*d, i, || ok(vec![0.5; 10]))
-                .unwrap();
-            // The budget is enforced after every insert, not eventually.
-            assert!(
-                bytes(&cache) <= 4 * entry_bytes,
-                "bytes {} over budget after insert {i}",
-                bytes(&cache)
-            );
+        let d = pinned(&run, "d");
+        let hyps: Vec<_> = (0..5).map(|i| pinned(&run, &format!("h{i}"))).collect();
+        for h in &hyps {
+            for i in 0..4 {
+                lookup(&run, &**h, &*d, &[i], 10);
+                // The budget is enforced after every insert, not eventually.
+                assert!(
+                    bytes(&cache) <= 4 * row_bytes,
+                    "bytes {} over budget after insert {i}",
+                    bytes(&cache)
+                );
+            }
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 20, "every distinct key misses once");
         assert_eq!(stats.hits, 0);
-        assert_eq!(cache.len(), 4, "budget holds exactly 4 entries");
+        assert_eq!(cache.len(), 4, "budget holds exactly 4 rows");
+        assert_eq!(columns(&cache), 1, "each new column evicted the last");
         assert_eq!(
             stats.evictions,
             stats.misses - cache.len(),
-            "every miss beyond capacity evicted exactly one entry"
+            "every row beyond capacity was evicted once"
         );
         assert_eq!(
             bytes(&cache),
-            cache.len() * entry_bytes,
-            "bytes() equals the sum of resident entries"
+            cache.len() * row_bytes,
+            "bytes equals the resident rows"
         );
-        // Resident entries still serve hits without recomputation.
-        for i in 16..20 {
-            run.get_or_compute(&*h, &*d, i, must_hit).unwrap();
-        }
+        // Resident rows still serve hits without recomputation.
+        assert!(lookup(&run, &*hyps[4], &*d, &[0, 1, 2, 3], 10).is_empty());
         assert_eq!(cache.stats().misses, 20);
         assert_eq!(cache.stats().hits, 4);
     }
 
     #[test]
     fn concurrent_fills_past_capacity_stay_consistent() {
-        // 8 runs x 16 distinct keys, budget of 6 entries: eviction races
-        // with insertion from every thread, but bytes/len/stats must stay
+        // 8 runs, each filling its own hypothesis's column of 4 rows, two
+        // rows per block, under a budget of 6 rows: eviction races with
+        // insertion from every thread, but bytes/len/stats must stay
         // mutually consistent and under budget throughout.
-        let entry_bytes = 8 * std::mem::size_of::<f32>();
-        let budget = 6 * entry_bytes;
+        let row_bytes = 8 * std::mem::size_of::<f32>();
+        let budget = 6 * row_bytes;
         let cache = HypothesisCache::new(budget);
-        let (h, d) = (Arc::new("h"), Arc::new("d"));
+        let d = Arc::new("d");
+        let hyps: Vec<_> = (0..8).map(|t| Arc::new(format!("h{t}"))).collect();
         let tallies: Vec<CacheStats> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8usize)
-                .map(|t| {
-                    let (cache, h, d) = (&cache, &h, &d);
+            let handles: Vec<_> = hyps
+                .iter()
+                .map(|h| {
+                    let (cache, d) = (&cache, &d);
                     s.spawn(move || {
                         let run = CacheRun::new(cache);
                         run.pin(h);
                         run.pin(d);
-                        for i in 0..16usize {
-                            let v = run
-                                .get_or_compute(&**h, &**d, t * 16 + i, || ok(vec![t as f32; 8]))
-                                .unwrap();
-                            assert_eq!(v.len(), 8);
+                        for block in [[0, 1], [2, 3]] {
+                            assert_eq!(lookup(&run, &**h, &**d, &block, 8), block);
                             assert!(bytes(cache) <= budget, "over budget mid-race");
                         }
                         run.stats()
@@ -468,11 +625,11 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(
             stats.misses,
-            8 * 16,
+            8 * 4,
             "all keys distinct: every lookup missed"
         );
         assert_eq!(stats.hits, 0);
-        assert!(tallies.iter().all(|t| t.misses == 16 && t.hits == 0));
+        assert!(tallies.iter().all(|t| t.misses == 4 && t.hits == 0));
         assert_eq!(
             tallies.iter().map(|t| t.evictions).sum::<usize>(),
             stats.evictions,
@@ -480,7 +637,7 @@ mod tests {
         );
         assert!(cache.len() <= 6);
         assert!(!cache.is_empty());
-        assert_eq!(bytes(&cache), cache.len() * entry_bytes);
+        assert_eq!(bytes(&cache), cache.len() * row_bytes);
         assert_eq!(stats.evictions, stats.misses - cache.len());
     }
 
@@ -489,15 +646,9 @@ mod tests {
         let cache = HypothesisCache::new(1 << 20);
         let run = CacheRun::new(&cache);
         let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
-        let r: Result<_, String> = run.get_or_compute(&*h, &*d, 0, || Err("boom".to_string()));
+        let r = run.behaviors(&*h, &*d, &[0], 1, |_| Err("boom".to_string()));
         assert!(r.is_err());
-        let mut recomputed = false;
-        run.get_or_compute(&*h, &*d, 0, || {
-            recomputed = true;
-            ok(vec![1.0])
-        })
-        .unwrap();
-        assert!(recomputed);
+        assert_eq!(lookup(&run, &*h, &*d, &[0], 1), vec![0]);
         assert_eq!(run.stats().misses, 2, "the failed lookup counts too");
     }
 
@@ -506,8 +657,7 @@ mod tests {
         let cache = HypothesisCache::new(1 << 20);
         let run = CacheRun::new(&cache);
         let (h, d) = (pinned(&run, "h"), pinned(&run, "d"));
-        run.get_or_compute(&*h, &*d, 0, || ok(vec![0.0; 100]))
-            .unwrap();
+        lookup(&run, &*h, &*d, &[0], 100);
         assert_eq!(bytes(&cache), 400);
     }
 }

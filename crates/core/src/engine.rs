@@ -538,18 +538,18 @@ fn hypothesis_column(
     cache: Option<&CacheRun<'_>>,
 ) -> Result<Vec<f32>, DniError> {
     let ns = dataset.ns;
+    let behavior = |pos: usize| -> Result<Vec<f32>, DniError> {
+        let rec = &dataset.records[pos];
+        let b = hyp.behavior(rec)?;
+        validate_behavior(hyp.id(), rec, ns, &b)?;
+        Ok(b)
+    };
+    if let Some(cache) = cache {
+        return cache.behaviors(hyp, dataset, positions, ns, behavior);
+    }
     let mut col = Vec::with_capacity(positions.len() * ns);
     for &pos in positions {
-        let rec = &dataset.records[pos];
-        let behavior = || -> Result<Vec<f32>, DniError> {
-            let b = hyp.behavior(rec)?;
-            validate_behavior(hyp.id(), rec, ns, &b)?;
-            Ok(b)
-        };
-        match cache {
-            Some(c) => col.extend_from_slice(&c.get_or_compute(hyp, dataset, pos, behavior)?),
-            None => col.extend_from_slice(&behavior()?),
-        }
+        col.extend_from_slice(&behavior(pos)?);
     }
     Ok(col)
 }

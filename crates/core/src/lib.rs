@@ -364,8 +364,10 @@
 //!   [`engine::inspect_shared`]) that every plan wave, view build and view
 //!   refresh executes through, and the PyBase / +MM / +MM+ES / MADLib
 //!   reference designs behind [`engine::inspect_as`].
-//! * `cache` — hypothesis-behavior LRU cache (§5.1.2, Fig. 9) keyed by
-//!   catalog identity and record position, shared by a session's forks.
+//! * `cache` — hypothesis-behavior cache (§5.1.2, Fig. 9): one column of
+//!   `ns`-wide rows per `(hypothesis, dataset)` catalog identity, indexed
+//!   by record position, looked up a block at a time and evicted whole,
+//!   least recently used first; shared by a session's forks.
 //! * `deepbase-store` (re-exported essentials in the [`prelude`]) — the
 //!   persistent columnar behavior store: self-describing column files
 //!   (header + schema + zone maps + per-block checksums) scanned through

@@ -7,9 +7,8 @@
 //! as §4.1 prescribes ("output formats are checked during execution").
 
 use crate::error::DniError;
-use deepbase_lang::vocab::{project_behavior, Window};
 use deepbase_lang::ParseTree;
-use deepbase_lang::{EarleyParser, Grammar, TreeHypothesis};
+use deepbase_lang::{EarleyParser, Grammar, TreeHypothesis, TreeRepr};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -51,16 +50,6 @@ impl Record {
             visible,
         }
     }
-
-    /// The window-projection descriptor for this record.
-    pub(crate) fn window(&self) -> Window {
-        Window {
-            text: self.text.clone(),
-            offset: self.offset,
-            visible: self.visible,
-            target: None,
-        }
-    }
 }
 
 /// One sealed segment of a [`Dataset`]: a contiguous record range with
@@ -89,7 +78,8 @@ pub struct SegmentInfo {
 /// the new segment extracts live.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    /// Stable identifier (keys hypothesis caches).
+    /// Stable identifier (a name: the hypothesis cache keys on the
+    /// catalog `Arc`, never on it).
     pub id: String,
     /// Symbols per record.
     pub ns: usize,
@@ -422,15 +412,30 @@ impl HypothesisFn for FnHypothesis {
 }
 
 /// One source's cache entry: its parse (`None`: unparseable) and, beside
-/// it, the source's length in characters — every parse hypothesis needs
-/// it on every record of the source. Both are once-cells, so the map lock
-/// is never held while parsing: threads missing the same source wait on
-/// that source's cell, one of them parses, and other sources parse
-/// alongside.
+/// it, the source's spans per rule. Both are once-cells, so the map lock
+/// is never held while parsing or walking: threads missing the same source
+/// wait on that source's cell, one of them does the work, and other
+/// sources are done alongside.
 #[derive(Default)]
 struct ParsedSource {
     tree: OnceLock<Option<Arc<ParseTree>>>,
-    chars: OnceLock<usize>,
+    spans: OnceLock<SourceSpans>,
+}
+
+/// What every parse hypothesis reads of one parsed source, gathered by one
+/// pre-order walk of its tree: the source's length in characters and, per
+/// rule key ([`ParseCache`]'s interner), the `(start, end)` spans of the
+/// rule's nodes in pre-order. A key past the end names a rule the tree does
+/// not hold.
+struct SourceSpans {
+    chars: usize,
+    by_rule: Vec<Vec<(usize, usize)>>,
+}
+
+impl SourceSpans {
+    fn of(&self, rule: usize) -> &[(usize, usize)] {
+        self.by_rule.get(rule).map_or(&[], Vec::as_slice)
+    }
 }
 
 impl ParsedSource {
@@ -443,14 +448,32 @@ impl ParsedSource {
 /// tree is shared by every parse-derived hypothesis (paper §6.1: "the
 /// other hypothesis functions based on the parser do not need to re-parse
 /// the input text"). `None` records an unparseable source.
+///
+/// Rules are named by integer keys it hands out, one per rule name and
+/// fixed for its lifetime, so hypotheses built from different libraries
+/// agree on them. The
+/// first time any hypothesis reads a source, one walk of its tree collects
+/// the spans of every rule it holds, keyed so.
 #[derive(Default)]
 pub struct ParseCache {
     sources: Mutex<HashMap<usize, Arc<ParsedSource>>>,
+    /// Rule name → key, in first-seen order.
+    rules: Mutex<HashMap<String, usize>>,
     /// Number of parser invocations (cache misses), for the Fig. 9 cost
     /// accounting.
     misses: AtomicUsize,
     /// Wall time spent inside those invocations, in nanoseconds.
     parse_nanos: AtomicU64,
+}
+
+/// The key of `rule` in `rules`, added if new.
+fn intern(rules: &mut HashMap<String, usize>, rule: &str) -> usize {
+    if let Some(&key) = rules.get(rule) {
+        return key;
+    }
+    let key = rules.len();
+    rules.insert(rule.to_string(), key);
+    key
 }
 
 impl ParseCache {
@@ -464,7 +487,7 @@ impl ParseCache {
     pub(crate) fn insert(&self, source_id: usize, tree: ParseTree) {
         let parsed = ParsedSource {
             tree: OnceLock::from(Some(Arc::new(tree))),
-            chars: OnceLock::new(),
+            spans: OnceLock::new(),
         };
         self.sources.lock().insert(source_id, Arc::new(parsed));
     }
@@ -487,6 +510,29 @@ impl ParseCache {
         source
     }
 
+    /// The spans of a parsed source whose text is `text`, walked out of
+    /// its tree on first use; `None` for an unparseable source.
+    fn spans<'s>(&self, source: &'s ParsedSource, text: &str) -> Option<&'s SourceSpans> {
+        let tree = source.tree()?;
+        Some(source.spans.get_or_init(|| {
+            let mut by_rule: Vec<Vec<(usize, usize)>> = Vec::new();
+            let mut rules = self.rules.lock();
+            let mut stack = vec![&**tree];
+            while let Some(node) = stack.pop() {
+                let key = intern(&mut rules, &node.rule);
+                if by_rule.len() <= key {
+                    by_rule.resize_with(key + 1, Vec::new);
+                }
+                by_rule[key].push((node.start, node.end));
+                stack.extend(node.children.iter().rev());
+            }
+            SourceSpans {
+                chars: text.chars().count(),
+                by_rule,
+            }
+        }))
+    }
+
     /// Number of parser invocations so far.
     pub fn miss_count(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
@@ -498,13 +544,17 @@ impl ParseCache {
     }
 }
 
-/// A parse-derived hypothesis (paper Fig. 3): evaluates a
-/// [`TreeHypothesis`] on the record's *source* parse and projects the
-/// behavior onto the window.
+/// A parse-derived hypothesis (paper Fig. 3): a [`TreeHypothesis`] on the
+/// record's *source* parse, rendered over the record's window straight
+/// from the rule's spans in the shared [`ParseCache`] — what
+/// `TreeHypothesis::behavior` on the whole source followed by
+/// `project_behavior` onto the window gives, without building either.
 pub struct ParseHypothesis {
     id: String,
     grammar: Arc<Grammar>,
-    inner: TreeHypothesis,
+    repr: TreeRepr,
+    /// The rule's key in `cache`.
+    rule: usize,
     cache: Arc<ParseCache>,
 }
 
@@ -516,10 +566,12 @@ impl ParseHypothesis {
         inner: TreeHypothesis,
         cache: Arc<ParseCache>,
     ) -> Self {
+        let rule = intern(&mut cache.rules.lock(), &inner.rule);
         ParseHypothesis {
             id: inner.name(),
             grammar,
-            inner,
+            repr: inner.repr,
+            rule,
             cache,
         }
     }
@@ -528,7 +580,7 @@ impl ParseHypothesis {
     /// per representation, all sharing one parse cache.
     pub fn library(
         grammar: &Arc<Grammar>,
-        reprs: &[deepbase_lang::TreeRepr],
+        reprs: &[TreeRepr],
         cache: &Arc<ParseCache>,
     ) -> Vec<ParseHypothesis> {
         deepbase_lang::grammar_hypotheses(grammar, reprs)
@@ -548,24 +600,23 @@ impl HypothesisFn for ParseHypothesis {
             EarleyParser::new(&self.grammar).parse(&record.source_text)
         });
         let ns = record.symbols.len();
-        match source.tree() {
-            Some(tree) => {
-                let source_len = *source
-                    .chars
-                    .get_or_init(|| record.source_text.chars().count());
-                let full = self.inner.behavior(tree, source_len);
-                Ok(project_behavior(&full, &record.window(), ns))
-            }
-            // Unparseable source: the hypothesis is silent everywhere.
-            None => Ok(vec![0.0; ns]),
+        let mut out = vec![0.0; ns];
+        // Unparseable source: the hypothesis is silent everywhere.
+        if let Some(spans) = self.cache.spans(&source, &record.source_text) {
+            // Padding comes first; the visible symbols are source
+            // characters `offset..offset + visible`.
+            let visible = &mut out[ns - record.visible..];
+            let rule = spans.of(self.rule);
+            self.repr
+                .render_window(rule, spans.chars, record.offset, visible);
         }
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepbase_lang::TreeRepr;
 
     /// Fetches the parse of a source, running `parse` on a miss.
     fn get_or_parse(
@@ -765,6 +816,80 @@ mod tests {
         // Second evaluation hits the cache.
         let _ = hyp.behavior(&rec).unwrap();
         assert_eq!(cache.miss_count(), 1);
+    }
+
+    #[test]
+    fn parse_hypothesis_windows_equal_the_projected_tree_behavior() {
+        use deepbase_lang::vocab::{project_behavior, sliding_windows, Window};
+        let grammar = Arc::new(
+            Grammar::from_spec("expr -> term | expr '+' term ; term -> '1' | '2' | '(' expr ')' ;")
+                .unwrap(),
+        );
+        let cache = ParseCache::new();
+        // Two libraries with different representation lists share the
+        // cache; the second is built after the first has read a source.
+        let first = [TreeRepr::Time, TreeRepr::Signal];
+        let second = [TreeRepr::Depth, TreeRepr::Time];
+        let mut libraries = vec![(
+            &first[..],
+            ParseHypothesis::library(&grammar, &first, &cache),
+        )];
+        let sources = ["(1+2)+((2+1)+1)", "1+(2)", "1+"];
+        for pass in 0..2 {
+            if pass == 1 {
+                libraries.push((
+                    &second[..],
+                    ParseHypothesis::library(&grammar, &second, &cache),
+                ));
+            }
+            for (source_id, source) in sources.iter().enumerate() {
+                let len = source.chars().count();
+                let tree = EarleyParser::new(&grammar).parse(source);
+                for ns in [1, 4, 7] {
+                    // Stride windows (left-padded at the start), then
+                    // windows across and past the source's end.
+                    let mut windows = sliding_windows(source, ns, 2);
+                    for (offset, visible) in [(len - 1, ns), (len, ns), (len + 2, ns - 1)] {
+                        windows.push(Window {
+                            text: String::new(),
+                            offset,
+                            visible,
+                            target: None,
+                        });
+                    }
+                    for window in &windows {
+                        let record = Record {
+                            id: 0,
+                            symbols: vec![0; ns],
+                            text: window.text.clone(),
+                            source_id,
+                            source_text: Arc::new(source.to_string()),
+                            offset: window.offset,
+                            visible: window.visible,
+                        };
+                        for (reprs, library) in &libraries {
+                            let spec = deepbase_lang::grammar_hypotheses(&grammar, reprs);
+                            for (hyp, inner) in library.iter().zip(spec) {
+                                let want = match &tree {
+                                    Some(tree) => {
+                                        project_behavior(&inner.behavior(tree, len), window, ns)
+                                    }
+                                    None => vec![0.0; ns],
+                                };
+                                let got = hyp.behavior(&record).unwrap();
+                                assert_eq!(
+                                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                    "{} on {source:?} at {window:?}",
+                                    hyp.id()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cache.miss_count(), sources.len(), "one parse per source");
     }
 
     #[test]

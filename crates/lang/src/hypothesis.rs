@@ -32,6 +32,45 @@ impl TreeRepr {
             TreeRepr::Depth => "depth",
         }
     }
+
+    /// Renders one rule's node `spans` over a source of `len` characters
+    /// into `out`, where `out[i]` is source character `offset + i`; entries
+    /// at or past `len` are left alone. It writes what
+    /// [`TreeHypothesis::behavior`] gives those characters, without
+    /// building the whole source's vector.
+    pub fn render_window(
+        self,
+        spans: &[(usize, usize)],
+        len: usize,
+        offset: usize,
+        out: &mut [f32],
+    ) {
+        // The window's characters that exist: `offset..end`.
+        let end = (offset + out.len()).min(len).max(offset);
+        // The part of `start..stop` inside the window, as `out` indices.
+        let clip = |start: usize, stop: usize| {
+            let lo = start.clamp(offset, end);
+            lo - offset..stop.clamp(lo, end) - offset
+        };
+        for &(start, stop) in spans {
+            match self {
+                TreeRepr::Time => out[clip(start, stop)].fill(1.0),
+                TreeRepr::Signal if stop > start => {
+                    for at in [start, stop - 1] {
+                        if (offset..end).contains(&at) {
+                            out[at - offset] = 1.0;
+                        }
+                    }
+                }
+                TreeRepr::Signal => {}
+                TreeRepr::Depth => {
+                    for v in &mut out[clip(start, stop)] {
+                        *v += 1.0;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A parse-derived hypothesis: one grammar rule under one representation.
@@ -202,6 +241,32 @@ mod tests {
             };
             for len in [0usize, 3, 6, 10] {
                 assert_eq!(h.behavior(&tree(), len).len(), len);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rendered_window_is_the_behavior_sliced() {
+        let tree = tree();
+        for rule in ["paren", "atom", "missing"] {
+            let spans = tree.spans_of(rule);
+            for repr in [TreeRepr::Time, TreeRepr::Signal, TreeRepr::Depth] {
+                let full = TreeHypothesis {
+                    rule: rule.into(),
+                    repr,
+                }
+                .behavior(&tree, 6);
+                // Windows inside the source, across its end and past it.
+                for offset in 0..9 {
+                    for width in 0..9 {
+                        let mut out = vec![0.0; width];
+                        repr.render_window(&spans, 6, offset, &mut out);
+                        let want: Vec<f32> = (offset..offset + width)
+                            .map(|at| full.get(at).copied().unwrap_or(0.0))
+                            .collect();
+                        assert_eq!(out, want, "{rule} {repr:?} {offset}+{width}");
+                    }
+                }
             }
         }
     }
