@@ -8,11 +8,9 @@
 //! decode bit-identically to the server's in-process answers (floats
 //! travel as raw bits).
 
-use deepbase::prelude::DniError;
+use deepbase::prelude::{DniError, PlanStats};
 use deepbase_relational::Table;
-use deepbase_server::wire::{
-    self, Request, Response, WireBudget, WirePlanStats, WireRecord, PROTOCOL_ERROR,
-};
+use deepbase_server::wire::{self, Request, Response, WireBudget, WireRecord, PROTOCOL_ERROR};
 use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -73,9 +71,10 @@ pub struct BatchResult {
     pub status: u8,
     /// Records the batch read before finishing.
     pub rows_read: u64,
-    /// Plan-pipeline counters (cache hits, admission waves) — lets a
-    /// remote client assert plan behavior without an in-process session.
-    pub plan: WirePlanStats,
+    /// The batch report's plan counters (cache hits, admission waves) —
+    /// lets a remote client assert plan behavior without an in-process
+    /// session.
+    pub plan: PlanStats,
     /// Per statement, in input order: the table or its typed error.
     pub results: Vec<Result<Table, DniError>>,
 }

@@ -30,22 +30,16 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Cache statistics for the Fig. 9 accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the behavior.
-    pub hits: usize,
-    /// Lookups that had to evaluate the hypothesis.
-    pub misses: usize,
-    /// Rows evicted to keep the byte budget.
-    pub evictions: usize,
-}
-
-impl CacheStats {
-    fn add(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
+deepbase_store::counters! {
+    /// Cache statistics for the Fig. 9 accounting.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Lookups that found the behavior.
+        pub hits: usize,
+        /// Lookups that had to evaluate the hypothesis.
+        pub misses: usize,
+        /// Rows evicted to keep the byte budget.
+        pub evictions: usize,
     }
 }
 
@@ -289,8 +283,8 @@ impl<'c> CacheRun<'c> {
 
     /// Adds `delta` to the cache's tally and to this run's.
     fn count(&self, inner: &mut CacheInner, delta: CacheStats) {
-        inner.stats.add(delta);
-        self.stats.lock().add(delta);
+        inner.stats.accumulate(&delta);
+        self.stats.lock().accumulate(&delta);
     }
 
     /// This run's lookups so far.

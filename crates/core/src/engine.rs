@@ -361,40 +361,37 @@ impl Default for InspectionConfig {
     }
 }
 
-/// Wall-clock and work accounting (drives Figs. 5–10).
-#[derive(Debug, Clone, Default)]
-pub struct Profile {
-    /// Time extracting unit behaviors.
-    pub unit_extraction: Duration,
-    /// Time evaluating hypothesis functions.
-    pub hypothesis_extraction: Duration,
-    /// Time inside statistical measures (the "Inspector").
-    pub inspection: Duration,
-    /// End-to-end time.
-    pub total: Duration,
-    /// Records actually read (streaming may stop early).
-    pub records_read: usize,
-    /// Blocks processed.
-    pub blocks_processed: usize,
-    /// Relational-engine scan counts (Madlib engine only).
-    pub madlib_stats: Option<rel::ExecStats>,
+deepbase_store::counters! {
+    /// Wall-clock and work accounting (drives Figs. 5–10). `accumulate`
+    /// totals a query's cost across shared-extraction groups.
+    #[derive(Debug, Clone, Default)]
+    pub struct Profile {
+        /// Time extracting unit behaviors.
+        pub unit_extraction: Duration,
+        /// Time evaluating hypothesis functions.
+        pub hypothesis_extraction: Duration,
+        /// Time inside statistical measures (the "Inspector").
+        pub inspection: Duration,
+        /// End-to-end time.
+        pub total: Duration,
+        /// Records actually read (streaming may stop early).
+        pub records_read: usize,
+        /// Blocks processed.
+        pub blocks_processed: usize,
+    }
+    merged by merge_madlib_stats {
+        /// Relational-engine scan counts (Madlib engine only).
+        pub madlib_stats: Option<rel::ExecStats>,
+    }
 }
 
-impl Profile {
-    /// Adds another profile's counters and timings into this one (used to
-    /// total a query's cost across shared-extraction groups).
-    pub fn accumulate(&mut self, other: &Profile) {
-        self.unit_extraction += other.unit_extraction;
-        self.hypothesis_extraction += other.hypothesis_extraction;
-        self.inspection += other.inspection;
-        self.total += other.total;
-        self.records_read += other.records_read;
-        self.blocks_processed += other.blocks_processed;
-        if let Some(theirs) = &other.madlib_stats {
-            let ours = self.madlib_stats.get_or_insert_with(Default::default);
-            ours.full_scans += theirs.full_scans;
-            ours.rows_scanned += theirs.rows_scanned;
-        }
+/// The Madlib scan counts' half of [`Profile::accumulate`]: present on
+/// either side, present in the sum.
+fn merge_madlib_stats(profile: &mut Profile, other: &Profile) {
+    if let Some(theirs) = &other.madlib_stats {
+        let ours = profile.madlib_stats.get_or_insert_with(Default::default);
+        ours.full_scans += theirs.full_scans;
+        ours.rows_scanned += theirs.rows_scanned;
     }
 }
 

@@ -313,6 +313,9 @@
 //!           | OK(0x84)       value:u64
 //!           | BATCH(0x85)    status:u8 rows_read:u64 plan_stats
 //!                            count:u16 (tag:u8 table|error)*
+//! plan_stats := u64 × 7, the batch report's plan::PlanStats in field order:
+//!   plan_cache_hits plan_cache_misses score_cache_hits admission_splits
+//!   admission_queued scan_charged_columns waves
 //! ```
 //!
 //! Tables travel losslessly (`Float` cells as raw `f32::to_bits`), so a
@@ -433,9 +436,12 @@ pub mod prelude {
     };
     pub use crate::query::{parse, Catalog};
     pub use crate::result::{CompletionStatus, ResultFrame, ScoreRow};
-    pub use crate::session::{Session, SessionConfig, SessionStats, ViewRefresh};
+    pub use crate::session::{Session, SessionConfig, ViewRefresh};
     pub use deepbase_store::{
         BehaviorStore, ColumnKey, FpHasher, MaterializationPolicy, StoreConfig, StoreStats,
         ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ERROR_RING_CAP,
     };
+
+    /// [`Session::stats`]: the [`PlanStats`] of every batch, summed.
+    pub type SessionStats = PlanStats;
 }

@@ -553,26 +553,30 @@ impl AdmissionConfig {
     }
 }
 
-/// Plan-pipeline counters carried per batch in [`BatchReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Statements served from the session plan cache (zero bind work).
-    pub plan_cache_hits: usize,
-    /// Statements that had to be parsed and bound.
-    pub plan_cache_misses: usize,
-    /// Work items answered from the session score cache (no extraction).
-    pub score_cache_hits: usize,
-    /// Shared groups split into multiple waves by admission control.
-    pub admission_splits: usize,
-    /// Waves beyond the first, i.e. passes that had to queue.
-    pub admission_queued: usize,
-    /// Union unit columns charged to the scan budget instead of the
-    /// stream width (complete store hits, summed over groups) — the
-    /// store-aware admission distinction made visible.
-    pub scan_charged_columns: usize,
-    /// Work items answered by replaying a fresh materialized view
-    /// (decided at optimize time: zero extraction, zero store scans).
-    pub view_replays: usize,
+deepbase_store::counters! {
+    /// Plan-pipeline counters: one batch's in [`BatchReport::plan`], a
+    /// session's total (the sum of its batches') in `Session::stats`, and
+    /// the seven u64s of a BATCH wire frame, in this field order.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PlanStats {
+        /// Statements served from the session plan cache (zero bind work).
+        pub plan_cache_hits: usize,
+        /// Statements that had to be parsed and bound.
+        pub plan_cache_misses: usize,
+        /// Work items answered from the session score cache (no extraction).
+        pub score_cache_hits: usize,
+        /// Shared groups split into multiple waves by admission control.
+        pub admission_splits: usize,
+        /// Waves beyond the first, i.e. passes that had to queue.
+        pub admission_queued: usize,
+        /// Union unit columns charged to the scan budget instead of the
+        /// stream width (complete store hits, summed over groups) — the
+        /// store-aware admission distinction made visible.
+        pub scan_charged_columns: usize,
+        /// Waves executed, one shared pass and admission permit each
+        /// ([`BatchReport::groups`]); cached and replayed items run none.
+        pub waves: usize,
+    }
 }
 
 /// One work item: a `(query, model)` pair scheduled into a shared group.
@@ -926,7 +930,6 @@ pub(crate) fn optimize_with(
                     &hit.frame,
                     plan.dataset.segment_count() > 1,
                 ) {
-                    stats.view_replays += 1;
                     let gidx = groups
                         .iter()
                         .position(|g| {
@@ -1134,7 +1137,8 @@ pub struct BatchReport {
     pub groups: Vec<GroupReport>,
     /// The batch's own lookups in the session's hypothesis cache.
     pub cache: CacheStats,
-    /// Plan-cache, score-cache and admission counters.
+    /// Plan-cache (this call's lookups), score-cache, admission and wave
+    /// counters.
     pub plan: PlanStats,
     /// Behavior-store accounting summed over the batch's passes: blocks
     /// read/written, pool hits/evictions, forward passes avoided, and
@@ -1372,6 +1376,9 @@ impl PhysicalPlan {
             query_errors,
         };
         for (group, waves) in self.groups.iter().zip(&group_outcomes) {
+            if matches!(group.source, GroupSource::ViewReplay { .. }) {
+                report.store.view_hits += group.items.len();
+            }
             for (wave, outcome) in group.waves.iter().zip(waves) {
                 report.store.accumulate(&outcome.store);
                 report.completion.merge(&outcome.completion);
@@ -1386,6 +1393,7 @@ impl PhysicalPlan {
                 });
             }
         }
+        report.plan.waves = report.groups.len();
         Ok((BatchOutput { tables, report }, computed))
     }
 

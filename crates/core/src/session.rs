@@ -29,11 +29,11 @@
 //! * [`Session::explain`] renders the physical plan tree for a statement
 //!   (or batch) without executing it.
 //!
-//! Every batch's [`BatchReport`](crate::plan::BatchReport) carries the
-//! per-call plan-cache hit/miss, score-cache and admission split/queue
-//! counters in [`BatchReport::plan`](crate::plan::BatchReport::plan);
-//! [`Session::stats`] accumulates them across the
-//! session's lifetime.
+//! Every batch reports its plan counters in
+//! [`BatchReport::plan`](crate::plan::BatchReport::plan), a [`PlanStats`]
+//! whose plan-cache lookups are those its own call made (`run_batch`'s
+//! preparation, stale members' re-preparation); [`Session::stats`] sums
+//! the reports, plus the lookups no report carries.
 
 use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
@@ -41,7 +41,8 @@ use crate::engine::{FoldOpts, InspectionConfig, RunBudget, SharedOutcome};
 use crate::error::DniError;
 use crate::model::Record;
 use crate::plan::{
-    self, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, StoreBinding, BATCH_CACHE_BYTES,
+    self, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, PlanStats, StoreBinding,
+    BATCH_CACHE_BYTES,
 };
 use crate::query::{normalize_statement, parse, Catalog};
 use crate::result::{ResultFrame, ScoreRow};
@@ -91,24 +92,6 @@ impl Default for SessionConfig {
             store: None,
         }
     }
-}
-
-/// Cumulative session counters (per-call deltas live in
-/// [`crate::plan::BatchReport::plan`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Statements served from the plan cache with zero bind work.
-    pub plan_cache_hits: usize,
-    /// Statements parsed and bound.
-    pub plan_cache_misses: usize,
-    /// Work items answered from the score cache without execution.
-    pub score_cache_hits: usize,
-    /// Shared groups split into waves by admission control.
-    pub admission_splits: usize,
-    /// Waves that had to queue behind an earlier wave.
-    pub admission_queued: usize,
-    /// Batches executed.
-    pub batches_executed: usize,
 }
 
 /// A statement prepared by [`Session::prepare`]: the normalized text plus
@@ -232,7 +215,9 @@ pub struct Session {
     /// is checked with [`LogicalPlan::is_current`] before use.
     plans: HashMap<String, PlanEntry>,
     plan_order: VecDeque<String>,
-    stats: SessionStats,
+    /// Every plan-cache lookup and every batch report's other plan
+    /// counters, summed.
+    stats: PlanStats,
     /// The open behavior store, when configured and openable; shared
     /// with every fork.
     store: Option<Arc<BehaviorStore>>,
@@ -306,7 +291,7 @@ impl Session {
             config,
             plans: HashMap::new(),
             plan_order: VecDeque::new(),
-            stats: SessionStats::default(),
+            stats: PlanStats::default(),
             store,
             scheduler,
             store_swept_once: false,
@@ -330,8 +315,11 @@ impl Session {
         &mut self.catalog
     }
 
-    /// Cumulative session statistics.
-    pub fn stats(&self) -> SessionStats {
+    /// Cumulative plan counters: the sum of every batch report's
+    /// [`BatchReport::plan`](crate::plan::BatchReport::plan), plus the
+    /// plan-cache lookups no report carries (a `prepare`, `explain` or
+    /// view call's, or a failed batch's).
+    pub fn stats(&self) -> PlanStats {
         self.stats
     }
 
@@ -488,10 +476,12 @@ impl Session {
         self.execute_entries(&prepared.entries, base)
     }
 
+    /// Runs a batch; `base` is the session total as the batch call
+    /// started, so the report's plan-cache counters are the call's own.
     fn execute_entries(
         &mut self,
         entries: &[PreparedQuery],
-        base: SessionStats,
+        base: PlanStats,
     ) -> Result<BatchOutput, DniError> {
         // Revalidate: the normalized statement is itself a parseable
         // statement, so a stale entry re-prepares from its key.
@@ -523,14 +513,6 @@ impl Session {
             }
         }
 
-        self.stats.score_cache_hits += physical.stats.score_cache_hits;
-        self.stats.admission_splits += physical.stats.admission_splits;
-        self.stats.admission_queued += physical.stats.admission_queued;
-        self.stats.batches_executed += 1;
-        // Statements the optimizer answered by replaying a fresh
-        // materialized view (zero extraction, zero store scans).
-        output.report.store.view_hits += physical.stats.view_replays;
-
         // Store lifecycle: a read-write batch ends with a compaction
         // sweep — stale temporaries of crashed writers and quarantined
         // files past the retention budget are reclaimed, and cold columns
@@ -553,8 +535,9 @@ impl Session {
         }
         self.store_stats.accumulate(&output.report.store);
 
-        // Per-call plan counters: prepare/revalidation deltas plus the
-        // physical plan's own score/admission numbers.
+        // Plan-cache lookups entered the total as they were made; every
+        // other counter enters it from the report, once.
+        self.stats.accumulate(&output.report.plan);
         output.report.plan.plan_cache_hits = self.stats.plan_cache_hits - base.plan_cache_hits;
         output.report.plan.plan_cache_misses =
             self.stats.plan_cache_misses - base.plan_cache_misses;

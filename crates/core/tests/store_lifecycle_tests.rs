@@ -486,6 +486,71 @@ fn fully_warm_over_wide_group_runs_in_one_wave_cold_still_splits() {
 // Compaction: quarantine retention
 // ---------------------------------------------------------------------
 
+/// A session's `stats()` is the sum of its batch reports' plan counters,
+/// field by field, plus the plan-cache lookups no report carries: over
+/// `run_batch`, `execute_batch` of a prepared batch and of a stale one it
+/// re-prepares, and `run`, whose report is not returned, so its share is
+/// spelled out. Every counter is non-zero in some report, so a field the
+/// session total dropped would show.
+#[test]
+fn session_stats_are_the_sum_of_its_batch_reports() {
+    let dir = store_dir("stats-sum");
+    let bound = AdmissionConfig {
+        max_stream_width: Some(4),
+        ..AdmissionConfig::default()
+    };
+    let (mut session, _) = session(
+        full_config(Device::SingleCore),
+        &dir,
+        MaterializationPolicy::ReadWrite,
+        bound,
+    );
+    let mut sum = PlanStats::default();
+
+    // Cold: two binds, and the over-wide group splits into queued waves.
+    let cold = session.run_batch(&[Q_ALL, Q_LAYER0]).unwrap().report.plan;
+    assert_eq!((cold.plan_cache_misses, cold.admission_splits), (2, 1));
+    assert!(cold.admission_queued >= 1 && cold.waves >= 2, "{cold:?}");
+    sum.accumulate(&cold);
+
+    // Prepared again: two plan-cache hits outside any batch call, then
+    // both frames from the score cache and no wave.
+    let prepared = session.prepare_batch(&[Q_ALL, Q_LAYER0]).unwrap();
+    sum.plan_cache_hits += 2;
+    let cached = session.execute_batch(&prepared).unwrap().report.plan;
+    let expected = PlanStats {
+        score_cache_hits: 2,
+        ..PlanStats::default()
+    };
+    assert_eq!(cached, expected);
+    sum.accumulate(&cached);
+
+    // The dataset registered again with the same records: the handle is
+    // stale and re-binds on execution, and its unit columns are complete
+    // store hits charged to the scan budget.
+    let stale = session.prepare_batch(&[Q_LAYER0]).unwrap();
+    sum.plan_cache_hits += 1;
+    let seq = Dataset::new("seq", NS, records()).unwrap();
+    session.catalog_mut().add_dataset("seq", Arc::new(seq));
+    let rebound = session.execute_batch(&stale).unwrap().report.plan;
+    let expected = PlanStats {
+        plan_cache_misses: 1,
+        scan_charged_columns: 3,
+        waves: 1,
+        ..PlanStats::default()
+    };
+    assert_eq!(rebound, expected);
+    sum.accumulate(&rebound);
+    assert_eq!(session.stats(), sum);
+
+    // `run` of the re-bound statement: a plan-cache and a score-cache hit.
+    session.run(Q_LAYER0).unwrap();
+    sum.plan_cache_hits += 1;
+    sum.score_cache_hits += 1;
+    assert_eq!(session.stats(), sum);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compaction_deletes_quarantined_files_past_the_retention_budget() {
     let dir = store_dir("retention");

@@ -229,8 +229,7 @@ fn optimizer_replays_a_fresh_view_for_plain_inspect() {
     );
     assert_eq!(session.store_stats().view_hits, 1);
     assert_eq!(
-        (out.report.store.view_hits, out.report.plan.view_replays),
-        (1, 1),
+        out.report.store.view_hits, 1,
         "the batch report counts its own replay"
     );
     assert_eq!(out.tables, reference, "replayed batch is bit-identical");
@@ -604,8 +603,7 @@ fn after_a_restart_a_view_over_appended_records_is_invalid_and_rebuilds() {
         let out = reopened.run_batch(&[Q]).unwrap();
         assert!(out.report.query_errors.iter().all(Option::is_none));
         assert_eq!(
-            (out.report.store.view_hits, out.report.plan.view_replays),
-            (0, 0),
+            out.report.store.view_hits, 0,
             "an invalid view is never replayed ({device:?})"
         );
         assert_eq!(out.tables, reference);

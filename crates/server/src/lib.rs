@@ -54,11 +54,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use deepbase::prelude::{
-    freshness_label, AdmissionScheduler, BatchReport, BehaviorStore, CancelToken, Catalog,
-    CompletionStatus, DniError, Record, SchedulerStats, Session, SessionConfig, ViewRefresh,
+    freshness_label, AdmissionScheduler, BehaviorStore, CancelToken, Catalog, CompletionStatus,
+    DniError, Record, SchedulerStats, Session, SessionConfig, ViewRefresh,
 };
 
-use crate::wire::{Request, Response, WirePlanStats};
+use crate::wire::{Request, Response};
 
 pub mod demo;
 pub mod wire;
@@ -182,7 +182,7 @@ impl Shared {
                 match session.run_batch(&refs) {
                     Err(e) => self.error_response(e),
                     Ok(out) => {
-                        let plan = wire_plan_stats(&out.report);
+                        let plan = out.report.plan;
                         let results: Vec<Result<_, _>> = out
                             .tables
                             .into_iter()
@@ -344,19 +344,6 @@ fn status_byte(status: CompletionStatus) -> u8 {
         CompletionStatus::Cancelled => wire::STATUS_CANCELLED,
         CompletionStatus::BudgetExhausted => wire::STATUS_BUDGET,
         _ => wire::STATUS_UNKNOWN,
-    }
-}
-
-fn wire_plan_stats(report: &BatchReport) -> WirePlanStats {
-    let p = &report.plan;
-    WirePlanStats {
-        plan_cache_hits: p.plan_cache_hits as u64,
-        plan_cache_misses: p.plan_cache_misses as u64,
-        score_cache_hits: p.score_cache_hits as u64,
-        admission_splits: p.admission_splits as u64,
-        admission_queued: p.admission_queued as u64,
-        scan_charged_columns: p.scan_charged_columns as u64,
-        global_waves: report.groups.len() as u64,
     }
 }
 

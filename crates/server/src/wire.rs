@@ -16,7 +16,7 @@
 //!   with [`DniError::from_wire`](deepbase::DniError::from_wire); code [`PROTOCOL_ERROR`] (0) is
 //!   reserved for malformed-frame failures that have no `DniError`.
 
-use deepbase::prelude::{CancelToken, RunBudget};
+use deepbase::prelude::{CancelToken, PlanStats, RunBudget};
 use deepbase_relational::{ColType, Schema, Table, Value};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -123,29 +123,6 @@ pub struct WireRecord {
     pub text: String,
 }
 
-/// Plan-pipeline counters of a BATCH response (mirrors the useful subset
-/// of `deepbase::prelude::PlanStats` so clients can assert plan behavior —
-/// admission waves, cache hits — without an in-process session).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WirePlanStats {
-    /// Statements served from the session plan cache.
-    pub plan_cache_hits: u64,
-    /// Statements parsed and bound.
-    pub plan_cache_misses: u64,
-    /// Work items answered from the score cache.
-    pub score_cache_hits: u64,
-    /// Shared groups split into waves by admission control.
-    pub admission_splits: u64,
-    /// Waves beyond the first (queued passes).
-    pub admission_queued: u64,
-    /// Unit columns charged to the scan budget (store hits).
-    pub scan_charged_columns: u64,
-    /// Waves the batch executed (one shared pass each, its `groups`
-    /// report count), every one admitted through the server's one
-    /// scheduler; score-cache hits and view replays run none.
-    pub global_waves: u64,
-}
-
 /// A decoded request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -248,8 +225,8 @@ pub enum Response {
         status: u8,
         /// Records read by the batch.
         rows_read: u64,
-        /// Plan-pipeline counters.
-        plan: WirePlanStats,
+        /// Plan-pipeline counters, the batch report's own.
+        plan: PlanStats,
         /// Per statement: the table, or `(code, message)` of its error.
         results: Vec<Result<Table, (u16, String)>>,
     },
@@ -344,8 +321,12 @@ impl<'a> Cur<'a> {
         self.str_n(n)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn rest(&mut self) -> Result<String, WireError> {
-        self.str_n(self.buf.len() - self.pos)
+        self.str_n(self.remaining())
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -488,19 +469,29 @@ fn encode_table(buf: &mut Vec<u8>, table: &Table) {
 fn decode_table(cur: &mut Cur) -> Result<Table, WireError> {
     let ncols = cur.u16()? as usize;
     let mut cols: Vec<(String, ColType)> = Vec::with_capacity(ncols);
+    // The fewest bytes a row takes: 8 per Int cell, 4 per Float or Str.
+    let mut row_bytes = 0;
     for _ in 0..ncols {
-        let ty = match cur.u8()? {
-            0 => ColType::Int,
-            1 => ColType::Float,
-            2 => ColType::Str,
+        let (ty, bytes) = match cur.u8()? {
+            0 => (ColType::Int, 8),
+            1 => (ColType::Float, 4),
+            2 => (ColType::Str, 4),
             t => return Err(WireError(format!("unknown column type tag {t}"))),
         };
-        let name = cur.str16()?;
-        cols.push((name, ty));
+        row_bytes += bytes;
+        cols.push((cur.str16()?, ty));
     }
     let schema = Schema::new(cols.iter().map(|(n, t)| (n.as_str(), *t)).collect());
     let mut table = Table::new(schema);
-    let nrows = cur.u32()?;
+    let nrows = cur.u32()? as usize;
+    // Refused before any row is decoded: more rows than the rest of the
+    // frame holds, or rows of no columns (a SELECT list is never empty).
+    if nrows > 0 && (row_bytes == 0 || nrows > cur.remaining() / row_bytes) {
+        let left = cur.remaining();
+        return Err(WireError(format!(
+            "table claims {nrows} rows of {ncols} columns but {left} bytes remain"
+        )));
+    }
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);
         for (_, ty) in &cols {
@@ -659,7 +650,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 // Response codec
 // ---------------------------------------------------------------------
 
-fn put_plan_stats(buf: &mut Vec<u8>, p: &WirePlanStats) {
+/// The seven plan counters of a BATCH frame, as big-endian u64s in
+/// protocol order.
+fn put_plan_stats(buf: &mut Vec<u8>, p: &PlanStats) {
     for v in [
         p.plan_cache_hits,
         p.plan_cache_misses,
@@ -667,21 +660,25 @@ fn put_plan_stats(buf: &mut Vec<u8>, p: &WirePlanStats) {
         p.admission_splits,
         p.admission_queued,
         p.scan_charged_columns,
-        p.global_waves,
+        p.waves,
     ] {
-        put_u64(buf, v);
+        put_u64(buf, v as u64);
     }
 }
 
-fn get_plan_stats(cur: &mut Cur) -> Result<WirePlanStats, WireError> {
-    Ok(WirePlanStats {
-        plan_cache_hits: cur.u64()?,
-        plan_cache_misses: cur.u64()?,
-        score_cache_hits: cur.u64()?,
-        admission_splits: cur.u64()?,
-        admission_queued: cur.u64()?,
-        scan_charged_columns: cur.u64()?,
-        global_waves: cur.u64()?,
+fn get_plan_stats(cur: &mut Cur) -> Result<PlanStats, WireError> {
+    let mut counter = || {
+        let v = cur.u64()?;
+        usize::try_from(v).map_err(|_| WireError(format!("plan counter {v} overflows usize")))
+    };
+    Ok(PlanStats {
+        plan_cache_hits: counter()?,
+        plan_cache_misses: counter()?,
+        score_cache_hits: counter()?,
+        admission_splits: counter()?,
+        admission_queued: counter()?,
+        scan_charged_columns: counter()?,
+        waves: counter()?,
     })
 }
 
@@ -849,9 +846,9 @@ mod tests {
         t
     }
 
-    #[test]
-    fn requests_round_trip() {
-        let reqs = vec![
+    /// One request of every opcode.
+    fn every_request() -> Vec<Request> {
+        vec![
             Request::Inspect {
                 statement: "SELECT S.uid INSPECT …".into(),
                 budget: WireBudget {
@@ -896,16 +893,87 @@ mod tests {
                 name: "long-ish name with spaces".into(),
             },
             Request::ViewList,
-        ];
-        for req in reqs {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in every_request() {
             let payload = encode_request(&req);
             assert_eq!(decode_request(&payload).unwrap(), req, "{req:?}");
         }
     }
 
+    /// A BATCH response whose seven plan counters are 1..=7 in protocol
+    /// order, carrying one table and one error.
+    fn batch_with_plan_counters_1_to_7() -> Response {
+        Response::Batch {
+            status: STATUS_CONVERGED,
+            rows_read: 7,
+            plan: PlanStats {
+                plan_cache_hits: 1,
+                plan_cache_misses: 2,
+                score_cache_hits: 3,
+                admission_splits: 4,
+                admission_queued: 5,
+                scan_charged_columns: 6,
+                waves: 7,
+            },
+            results: vec![Ok(table_plain()), Err((5, "query error: no".into()))],
+        }
+    }
+
+    /// The BATCH payload byte for byte: opcode, status, rows read, the
+    /// seven plan counters as big-endian u64s in protocol order, then
+    /// the result count, one tagged table and one tagged error.
     #[test]
-    fn responses_round_trip_bit_identically() {
-        let resps = vec![
+    fn batch_response_bytes_are_pinned() {
+        let payload = encode_response(&batch_with_plan_counters_1_to_7());
+        let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "85",               // BATCH_RESULT
+                "00",               // status: converged
+                "0000000000000007", // rows read
+                "0000000000000001",
+                "0000000000000002",
+                "0000000000000003",
+                "0000000000000004",
+                "0000000000000005",
+                "0000000000000006",
+                "0000000000000007", // the seven plan counters
+                "0002",             // results
+                "00",               // Ok: table
+                "0003",
+                "00",
+                "0003",
+                "756964",
+                "01",
+                "0005",
+                "73636f7265",
+                "02",
+                "0003",
+                "746167",   // schema
+                "00000002", // rows
+                "fffffffffffffff9",
+                "80000000",
+                "00000010",
+                "6b773a2253454c454354220a6e657874",
+                "7fffffffffffffff",
+                "2bd31b32",
+                "00000000",
+                "01", // Err
+                "0005",
+                "0000000f",
+                "7175657279206572726f723a206e6f",
+            )
+        );
+    }
+
+    /// One response of every opcode.
+    fn every_response() -> Vec<Response> {
+        vec![
             Response::Result {
                 status: STATUS_BUDGET,
                 rows_read: 384,
@@ -917,22 +985,18 @@ mod tests {
                 message: "internal error (worker panic): boom".into(),
             },
             Response::Done(42),
-            Response::Batch {
+            batch_with_plan_counters_1_to_7(),
+            Response::Result {
                 status: STATUS_CONVERGED,
-                rows_read: 7,
-                plan: WirePlanStats {
-                    plan_cache_hits: 1,
-                    plan_cache_misses: 2,
-                    score_cache_hits: 3,
-                    admission_splits: 4,
-                    admission_queued: 5,
-                    scan_charged_columns: 6,
-                    global_waves: 7,
-                },
-                results: vec![Ok(table_plain()), Err((5, "query error: no".into()))],
+                rows_read: 0,
+                table: Table::new(Schema::new(Vec::new())),
             },
-        ];
-        for resp in resps {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip_bit_identically() {
+        for resp in every_response() {
             let payload = encode_response(&resp);
             assert_eq!(decode_response(&payload).unwrap(), resp, "{resp:?}");
         }
@@ -974,6 +1038,112 @@ mod tests {
         oversized.push(0);
         assert!(decode_request(&oversized).is_err());
         assert!(decode_response(&[OP_RESULT]).is_err());
+    }
+
+    /// A RESULT payload claiming `u32::MAX` zero-column rows: refused
+    /// at once instead of decoding four billion empty rows.
+    #[test]
+    fn a_row_count_the_payload_cannot_hold_is_refused_at_once() {
+        let mut payload = vec![OP_RESULT, STATUS_CONVERGED];
+        payload.extend_from_slice(&7u64.to_be_bytes());
+        payload.extend_from_slice(&0u16.to_be_bytes());
+        payload.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(payload.len(), 16);
+        let err = decode_response(&payload).unwrap_err();
+        assert!(err.0.contains("4294967295 rows"), "{err}");
+
+        // One Int column: a row needs 8 bytes, and 7 are left.
+        let mut payload = vec![OP_RESULT, STATUS_CONVERGED];
+        payload.extend_from_slice(&7u64.to_be_bytes());
+        payload.extend_from_slice(&1u16.to_be_bytes());
+        payload.push(0);
+        payload.extend_from_slice(&1u16.to_be_bytes());
+        payload.push(b'n');
+        payload.extend_from_slice(&1u32.to_be_bytes());
+        payload.extend_from_slice(&[0; 7]);
+        assert!(decode_response(&payload).is_err());
+    }
+
+    /// Deterministic fuzz of both decoders: every opcode's valid payload
+    /// cut at every length and with every single bit flipped, then
+    /// xorshift-random payloads. Each must decode or give a typed
+    /// [`WireError`], never panic.
+    #[test]
+    fn decoders_never_panic_on_truncated_flipped_or_random_payloads() {
+        let requests = every_request()
+            .into_iter()
+            .map(|r| (true, encode_request(&r)));
+        let responses = every_response()
+            .into_iter()
+            .map(|r| (false, encode_response(&r)));
+        let valid: Vec<(bool, Vec<u8>)> = requests.chain(responses).collect();
+        // An accepted payload re-encodes to itself, and every row it
+        // decodes to was paid for with at least one byte of it.
+        let decode = |is_request: bool, payload: &[u8]| {
+            if is_request {
+                if let Ok(req) = decode_request(payload) {
+                    assert_eq!(encode_request(&req), payload, "{req:?}");
+                }
+            } else if let Ok(resp) = decode_response(payload) {
+                assert_eq!(encode_response(&resp), payload);
+                let rows = match &resp {
+                    Response::Result { table, .. } => table.len(),
+                    Response::Batch { results, .. } => {
+                        results.iter().flatten().map(Table::len).sum()
+                    }
+                    _ => 0,
+                };
+                assert!(rows <= payload.len(), "{rows} rows from {payload:02x?}");
+            }
+        };
+        for (is_request, payload) in &valid {
+            for len in 0..payload.len() {
+                decode(*is_request, &payload[..len]);
+            }
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decode(*is_request, &flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+        let opcodes = [
+            OP_INSPECT,
+            OP_EXPLAIN,
+            OP_APPEND,
+            OP_STATS,
+            OP_SHUTDOWN,
+            OP_BATCH,
+            OP_VIEW_CREATE,
+            OP_VIEW_READ,
+            OP_VIEW_REFRESH,
+            OP_VIEW_DROP,
+            OP_VIEW_LIST,
+            OP_RESULT,
+            OP_TEXT,
+            OP_ERROR,
+            OP_OK,
+            OP_BATCH_RESULT,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let len = (next() % 96) as usize;
+            let mut payload: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            if let Some(first) = payload.first_mut() {
+                // Mostly a real opcode, so the bytes reach a body decoder.
+                if next() % 8 != 0 {
+                    *first = opcodes[(next() % opcodes.len() as u64) as usize];
+                }
+            }
+            decode(true, &payload);
+            decode(false, &payload);
+        }
     }
 
     #[test]

@@ -223,7 +223,7 @@ fn concurrent_batches_share_the_global_admission_budget() {
         "explain must show the group's admission line:\n{explain}"
     );
 
-    let plans: Vec<wire::WirePlanStats> = thread::scope(|scope| {
+    let plans: Vec<PlanStats> = thread::scope(|scope| {
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(move || {
@@ -247,12 +247,12 @@ fn concurrent_batches_share_the_global_admission_budget() {
             plan.admission_splits > 0,
             "a 32-wide group under budget 12 must split: {plan:?}"
         );
-        assert!(plan.global_waves >= 2, "{plan:?}");
-        total_waves += plan.global_waves;
+        assert!(plan.waves >= 2, "{plan:?}");
+        total_waves += plan.waves;
     }
     let sched = handle.scheduler().stats();
     assert_eq!(
-        sched.waves_admitted, total_waves,
+        sched.waves_admitted, total_waves as u64,
         "every wave a batch executed acquired a permit from the one scheduler"
     );
     assert!(

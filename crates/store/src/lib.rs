@@ -137,87 +137,133 @@ impl From<std::io::Error> for StoreError {
 /// bounded ring of recent messages instead of growing without limit.
 pub const ERROR_RING_CAP: usize = 32;
 
-/// Accounting for store-backed passes, carried per shared pass and
-/// aggregated per batch / per session by the core crate. Column writes
-/// and compaction sweeps return their own delta in this shape.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StoreStats {
-    /// Unit columns served (fully or partially) from the store.
-    pub columns_scanned: usize,
-    /// Subset of `columns_scanned` that were partial columns (scanned up
-    /// to their watermark, extracted live past it).
-    pub partial_columns_scanned: usize,
-    /// Block pages taken through the buffer pool (hits + misses). A page
-    /// a pass already holds (see [`ColumnPass`]) and serves again is not
-    /// a read, so with the reservation's room a pass reads each stored
-    /// page once.
-    pub blocks_read: usize,
-    /// Blocks the scan never fetched because their zone map proved the
-    /// contents (a finite constant block is reconstructed from the zone
-    /// entry alone — no read, no checksum). Counted once per distinct
-    /// block per scan call.
-    pub blocks_pruned: usize,
-    /// Pool lookups served from memory: pages resident in the pool that
-    /// the pass did not already hold.
-    pub pool_hits: usize,
-    /// Pool lookups that had to read and verify a block from disk.
-    pub pool_misses: usize,
-    /// Pages evicted by the CLOCK policy during this window.
-    pub pool_evictions: usize,
-    /// Complete unit columns newly persisted by write-back.
-    pub columns_written: usize,
-    /// Partial unit columns persisted by an early-stopped pass (the
-    /// completed prefix, resumable at the watermark).
-    pub partial_columns_written: usize,
-    /// Data blocks written to disk by write-back.
-    pub blocks_written: usize,
-    /// Uncompressed (raw f32) size of the data written by write-back.
-    pub raw_bytes_written: u64,
-    /// Encoded size actually stored on disk for that data (`<=` raw when
-    /// the per-block codecs compress; equal when every block stays raw).
-    pub stored_bytes_written: u64,
-    /// Extractor forward passes avoided: streamed engine blocks whose
-    /// unit behaviors were served entirely from the store.
-    pub forward_passes_avoided: usize,
-    /// Segment streams executed by segmented passes (one per dataset
-    /// segment actually streamed; 0 on unsegmented passes). On segmented
-    /// passes the column key's dataset fingerprint is the *segment*
-    /// fingerprint, so warm re-inspection after an append scans old
-    /// segments and extracts only the new ones.
-    pub segment_passes: usize,
-    /// Files deleted by compaction (expired quarantined files and stale
-    /// temporaries).
-    pub files_reclaimed: usize,
-    /// Bytes those deletions returned to the filesystem.
-    pub bytes_reclaimed: u64,
-    /// Column files, partial or complete, deleted by the disk-budget
-    /// (LRU by access stamp) eviction in compaction. Distinct from
-    /// `files_reclaimed`, which counts garbage; evicted columns were
-    /// healthy but cold.
-    pub columns_evicted: usize,
-    /// Bytes those evictions returned to the filesystem.
-    pub evicted_bytes: u64,
-    /// Transient IO errors that were retried (successfully or not) by the
-    /// store's bounded-backoff read path. A retry that ultimately succeeds
-    /// bumps this without touching `error_count`.
-    pub io_retries: usize,
-    /// Materialized-view reads answered by replaying a stored frame —
-    /// zero extraction, zero store block reads.
-    pub view_hits: usize,
-    /// Materialized views refreshed incrementally (new segments only,
-    /// folded into the stored measure states).
-    pub view_refreshes: usize,
-    /// Materialized views built (created, or fully rebuilt because an
-    /// input other than dataset growth changed).
-    pub view_builds: usize,
-    /// Bytes written to view files (create + refresh + rebuild).
-    pub view_bytes_written: u64,
-    /// Total errors survived by falling back to live extraction
-    /// (corrupted or unreadable blocks, failed write-backs). Never fatal.
-    pub error_count: usize,
-    /// The most recent `error_count` messages, capped at
-    /// [`ERROR_RING_CAP`] (oldest dropped first).
-    pub errors: Vec<String>,
+/// Declares a counter struct from one documented field list and derives
+/// its field-wise `accumulate(&mut self, other: &Self)`: each field is
+/// summed with `+=`, except those in a trailing `merged by <fn> { .. }`
+/// block, declared last and merged by calling `<fn>(self, other)`.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty, )*
+        }
+        $( merged by $merge:path {
+            $( $(#[$xmeta:meta])* $xvis:vis $xfield:ident : $xty:ty, )*
+        } )?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+            $( $( $(#[$xmeta])* $xvis $xfield: $xty, )* )?
+        }
+
+        impl $name {
+            /// Adds another window's counters into this one, field by field.
+            pub fn accumulate(&mut self, other: &$name) {
+                $( self.$field += other.$field; )*
+                $( $merge(self, other); )?
+            }
+        }
+    };
+}
+
+counters! {
+    /// Accounting for store-backed passes, carried per shared pass and
+    /// aggregated per batch / per session by the core crate. Column writes
+    /// and compaction sweeps return their own delta in this shape.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct StoreStats {
+        /// Unit columns served (fully or partially) from the store.
+        pub columns_scanned: usize,
+        /// Subset of `columns_scanned` that were partial columns (scanned up
+        /// to their watermark, extracted live past it).
+        pub partial_columns_scanned: usize,
+        /// Block pages taken through the buffer pool (hits + misses). A page
+        /// a pass already holds (see [`ColumnPass`]) and serves again is not
+        /// a read, so with the reservation's room a pass reads each stored
+        /// page once.
+        pub blocks_read: usize,
+        /// Blocks the scan never fetched because their zone map proved the
+        /// contents (a finite constant block is reconstructed from the zone
+        /// entry alone — no read, no checksum). Counted once per distinct
+        /// block per scan call.
+        pub blocks_pruned: usize,
+        /// Pool lookups served from memory: pages resident in the pool that
+        /// the pass did not already hold.
+        pub pool_hits: usize,
+        /// Pool lookups that had to read and verify a block from disk.
+        pub pool_misses: usize,
+        /// Pages evicted by the CLOCK policy during this window.
+        pub pool_evictions: usize,
+        /// Complete unit columns newly persisted by write-back.
+        pub columns_written: usize,
+        /// Partial unit columns persisted by an early-stopped pass (the
+        /// completed prefix, resumable at the watermark).
+        pub partial_columns_written: usize,
+        /// Data blocks written to disk by write-back.
+        pub blocks_written: usize,
+        /// Uncompressed (raw f32) size of the data written by write-back.
+        pub raw_bytes_written: u64,
+        /// Encoded size actually stored on disk for that data (`<=` raw when
+        /// the per-block codecs compress; equal when every block stays raw).
+        pub stored_bytes_written: u64,
+        /// Extractor forward passes avoided: streamed engine blocks whose
+        /// unit behaviors were served entirely from the store.
+        pub forward_passes_avoided: usize,
+        /// Segment streams executed by segmented passes (one per dataset
+        /// segment actually streamed; 0 on unsegmented passes). On segmented
+        /// passes the column key's dataset fingerprint is the *segment*
+        /// fingerprint, so warm re-inspection after an append scans old
+        /// segments and extracts only the new ones.
+        pub segment_passes: usize,
+        /// Files deleted by compaction (expired quarantined files and stale
+        /// temporaries).
+        pub files_reclaimed: usize,
+        /// Bytes those deletions returned to the filesystem.
+        pub bytes_reclaimed: u64,
+        /// Column files, partial or complete, deleted by the disk-budget
+        /// (LRU by access stamp) eviction in compaction. Distinct from
+        /// `files_reclaimed`, which counts garbage; evicted columns were
+        /// healthy but cold.
+        pub columns_evicted: usize,
+        /// Bytes those evictions returned to the filesystem.
+        pub evicted_bytes: u64,
+        /// Transient IO errors that were retried (successfully or not) by the
+        /// store's bounded-backoff read path. A retry that ultimately succeeds
+        /// bumps this without touching `error_count`.
+        pub io_retries: usize,
+        /// Materialized-view reads answered by replaying a stored frame —
+        /// zero extraction, zero store block reads: a view read, or a
+        /// batch statement the optimizer answered from a fresh view (the
+        /// one place such a replay is counted).
+        pub view_hits: usize,
+        /// Materialized views refreshed incrementally (new segments only,
+        /// folded into the stored measure states).
+        pub view_refreshes: usize,
+        /// Materialized views built (created, or fully rebuilt because an
+        /// input other than dataset growth changed).
+        pub view_builds: usize,
+        /// Bytes written to view files (create + refresh + rebuild).
+        pub view_bytes_written: u64,
+        /// Total errors survived by falling back to live extraction
+        /// (corrupted or unreadable blocks, failed write-backs). Never fatal.
+        pub error_count: usize,
+    }
+    merged by merge_error_rings {
+        /// The most recent `error_count` messages, capped at
+        /// [`ERROR_RING_CAP`] (oldest dropped first).
+        pub errors: Vec<String>,
+    }
+}
+
+/// [`StoreStats::accumulate`]'s error ring: the most recent messages of
+/// both windows (`error_count`, summed, stays exact).
+fn merge_error_rings(stats: &mut StoreStats, other: &StoreStats) {
+    stats.errors.extend(other.errors.iter().cloned());
+    if stats.errors.len() > ERROR_RING_CAP {
+        stats.errors.drain(..stats.errors.len() - ERROR_RING_CAP);
+    }
 }
 
 impl StoreStats {
@@ -229,40 +275,6 @@ impl StoreStats {
             self.errors.remove(0);
         }
         self.errors.push(msg);
-    }
-
-    /// Adds another window's counters (and errors) into this one. The
-    /// error ring keeps the most recent messages across both windows;
-    /// `error_count` stays exact.
-    pub fn accumulate(&mut self, other: &StoreStats) {
-        self.columns_scanned += other.columns_scanned;
-        self.partial_columns_scanned += other.partial_columns_scanned;
-        self.blocks_read += other.blocks_read;
-        self.blocks_pruned += other.blocks_pruned;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-        self.pool_evictions += other.pool_evictions;
-        self.columns_written += other.columns_written;
-        self.partial_columns_written += other.partial_columns_written;
-        self.blocks_written += other.blocks_written;
-        self.raw_bytes_written += other.raw_bytes_written;
-        self.stored_bytes_written += other.stored_bytes_written;
-        self.forward_passes_avoided += other.forward_passes_avoided;
-        self.segment_passes += other.segment_passes;
-        self.files_reclaimed += other.files_reclaimed;
-        self.bytes_reclaimed += other.bytes_reclaimed;
-        self.columns_evicted += other.columns_evicted;
-        self.evicted_bytes += other.evicted_bytes;
-        self.io_retries += other.io_retries;
-        self.view_hits += other.view_hits;
-        self.view_refreshes += other.view_refreshes;
-        self.view_builds += other.view_builds;
-        self.view_bytes_written += other.view_bytes_written;
-        self.error_count += other.error_count;
-        self.errors.extend(other.errors.iter().cloned());
-        if self.errors.len() > ERROR_RING_CAP {
-            self.errors.drain(..self.errors.len() - ERROR_RING_CAP);
-        }
     }
 }
 
