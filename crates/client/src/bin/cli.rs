@@ -15,6 +15,7 @@
 
 use deepbase_client::{Client, ViewRefreshOutcome};
 use deepbase_server::wire::{status_name, WireBudget};
+use std::io::{ErrorKind, Write};
 use std::process::exit;
 
 fn usage() -> ! {
@@ -46,6 +47,21 @@ fn num(flag: &str, value: Option<String>) -> u64 {
     }
 }
 
+/// Writes the command's output through locked stdout. A reader that went
+/// away early (`deepbase-cli … | head`) ends the program quietly with
+/// success; any other write error fails it.
+fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => exit(0),
+        Err(e) => fail(format!("writing to stdout: {e}")),
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let (Some(addr), Some(command)) = (args.next(), args.next()) else {
@@ -55,7 +71,7 @@ fn main() {
         Ok(client) => client,
         Err(e) => fail(format!("could not connect to {addr}: {e}")),
     };
-    match command.as_str() {
+    let text = match command.as_str() {
         "inspect" => {
             let Some(statement) = args.next() else {
                 usage()
@@ -70,15 +86,13 @@ fn main() {
                 }
             }
             match client.inspect_with_budget(&statement, budget) {
-                Ok(result) => {
-                    print!("{}", result.table.render(50));
-                    println!(
-                        "-- {} rows, {} records read, {}",
-                        result.table.len(),
-                        result.rows_read,
-                        status_name(result.status)
-                    );
-                }
+                Ok(result) => format!(
+                    "{}-- {} rows, {} records read, {}\n",
+                    result.table.render(50),
+                    result.table.len(),
+                    result.rows_read,
+                    status_name(result.status)
+                ),
                 Err(e) => fail(e),
             }
         }
@@ -86,66 +100,61 @@ fn main() {
             let Some(statement) = args.next() else {
                 usage()
             };
-            match client.explain(&statement) {
-                Ok(text) => print!("{text}"),
-                Err(e) => fail(e),
-            }
+            client.explain(&statement).unwrap_or_else(|e| fail(e))
         }
         "view-create" => {
             let (Some(name), Some(statement)) = (args.next(), args.next()) else {
                 usage()
             };
             match client.create_view(&name, &statement) {
-                Ok(()) => println!("view {name} materialized"),
+                Ok(()) => format!("view {name} materialized\n"),
                 Err(e) => fail(e),
             }
         }
         "view-read" => {
             let Some(name) = args.next() else { usage() };
             match client.read_view(&name) {
-                Ok(table) => {
-                    print!("{}", table.render(50));
-                    println!("-- {} rows, replayed from view {name}", table.len());
-                }
+                Ok(table) => format!(
+                    "{}-- {} rows, replayed from view {name}\n",
+                    table.render(50),
+                    table.len()
+                ),
                 Err(e) => fail(e),
             }
         }
         "view-refresh" => {
             let Some(name) = args.next() else { usage() };
             match client.refresh_view(&name) {
-                Ok(ViewRefreshOutcome::Noop) => println!("view {name} already fresh"),
+                Ok(ViewRefreshOutcome::Noop) => format!("view {name} already fresh\n"),
                 Ok(ViewRefreshOutcome::Incremental { new_segments }) => {
-                    println!("view {name} folded {new_segments} new segments")
+                    format!("view {name} folded {new_segments} new segments\n")
                 }
-                Ok(ViewRefreshOutcome::Rebuilt) => println!("view {name} rebuilt"),
+                Ok(ViewRefreshOutcome::Rebuilt) => format!("view {name} rebuilt\n"),
                 Err(e) => fail(e),
             }
         }
         "view-drop" => {
             let Some(name) = args.next() else { usage() };
             match client.drop_view(&name) {
-                Ok(true) => println!("view {name} dropped"),
-                Ok(false) => println!("view {name} did not exist"),
+                Ok(true) => format!("view {name} dropped\n"),
+                Ok(false) => format!("view {name} did not exist\n"),
                 Err(e) => fail(e),
             }
         }
         "view-list" => match client.list_views() {
-            Ok(views) if views.is_empty() => println!("no views"),
-            Ok(views) => {
-                for (name, freshness, statement) in views {
-                    println!("{name} [{freshness}] {statement}");
-                }
-            }
+            Ok(views) if views.is_empty() => "no views\n".to_string(),
+            Ok(views) => views
+                .into_iter()
+                .map(|(name, freshness, statement)| format!("{name} [{freshness}] {statement}\n"))
+                .collect(),
             Err(e) => fail(e),
         },
-        "stats" => match client.stats() {
-            Ok(text) => print!("{text}"),
-            Err(e) => fail(e),
-        },
+        "stats" => client.stats().unwrap_or_else(|e| fail(e)),
         "shutdown" => match client.shutdown() {
-            Ok(()) => println!("server draining"),
+            Ok(()) => "server draining\n".to_string(),
             Err(e) => fail(e),
         },
         _ => usage(),
-    }
+    };
+    emit(&text);
 }

@@ -337,11 +337,6 @@ pub struct InspectionConfig {
     pub epsilon: Option<f32>,
     /// Record-shuffle seed (§5.2.2: records are assumed shuffled).
     pub seed: u64,
-    /// Store-side predicate pushdown: scans consult zone maps and skip
-    /// blocks whose contents the zone entry proves (reconstructed
-    /// bit-exactly, so results never change — this is an escape hatch
-    /// for differential testing, not a semantics knob).
-    pub pushdown: bool,
     /// Run bounds: deadline, cancellation, work caps. Unlimited by
     /// default. A pass degrades gracefully when a bound trips (partial
     /// frame, watermark-extending partial columns).
@@ -355,7 +350,6 @@ impl Default for InspectionConfig {
             block_records: 512,
             epsilon: None,
             seed: 0,
-            pushdown: true,
             budget: RunBudget::default(),
         }
     }
@@ -833,8 +827,11 @@ struct MemberEntry {
 
 /// The sharing structure of one pass, built once and read by every
 /// segment stream: union units, union hypotheses, unit selections,
-/// deduplicated slots and each member's view of them.
-struct PassLayout<'a> {
+/// deduplicated slots and each member's view of them. The optimizer
+/// builds the same layout for a plan group's members and reads its
+/// sharing numbers and admission widths off it, so what `explain` counts
+/// is what the pass builds.
+pub(crate) struct PassLayout<'a> {
     extractor: &'a dyn Extractor,
     dataset: &'a Dataset,
     /// Union of all unit columns any member needs, extracted once per block.
@@ -853,9 +850,9 @@ struct PassLayout<'a> {
 /// to one name (two `JaccardMeasure` quantiles); the address alone would
 /// conflate distinct zero-sized measures, which may all sit at one
 /// dangling address. Arc-shared catalog measures still collapse.
-pub(crate) type MeasureKey = (usize, String);
+type MeasureKey = (usize, String);
 
-pub(crate) fn measure_key(measure: &dyn Measure) -> MeasureKey {
+fn measure_key(measure: &dyn Measure) -> MeasureKey {
     let address = measure as *const dyn Measure as *const u8 as usize;
     (address, measure.id().to_string())
 }
@@ -935,11 +932,11 @@ impl<'a> PassLayout<'a> {
     /// Builds the sharing structure for `reqs` (which name one
     /// `(extractor, dataset)` pair): one slot per distinct `(units,
     /// measure, hypothesis list)`.
-    fn build(
+    pub(crate) fn build(
         reqs: &[InspectionRequest<'a>],
         config: &InspectionConfig,
         cache: Option<&'a CacheRun<'a>>,
-    ) -> Result<PassLayout<'a>, DniError> {
+    ) -> PassLayout<'a> {
         let mut union_units: Vec<usize> = reqs
             .iter()
             .flat_map(|r| r.groups.iter().flat_map(|g| g.units.iter().copied()))
@@ -979,7 +976,8 @@ impl<'a> PassLayout<'a> {
                 let sel = match sel_of.get(&group.units) {
                     Some(&sel) => sel,
                     None => {
-                        let demux = ColumnDemux::new(&union_units, &group.units)?;
+                        let demux = ColumnDemux::new(&union_units, &group.units)
+                            .expect("the union holds every member unit");
                         selections.push(Selection {
                             units: group.units.clone(),
                             identity: demux.is_identity(union_units.len()),
@@ -1010,7 +1008,7 @@ impl<'a> PassLayout<'a> {
             }
             members.push(entries);
         }
-        Ok(PassLayout {
+        PassLayout {
             extractor: reqs[0].extractor,
             dataset: reqs[0].dataset,
             union_units,
@@ -1019,7 +1017,29 @@ impl<'a> PassLayout<'a> {
             slots,
             members,
             cache,
-        })
+        }
+    }
+
+    /// Union unit columns, ascending: extracted (or scanned) once per block.
+    pub(crate) fn union_units(&self) -> &[usize] {
+        &self.union_units
+    }
+
+    /// Hypothesis columns after function-identity deduplication.
+    pub(crate) fn hypothesis_columns(&self) -> usize {
+        self.union_hyps.len()
+    }
+
+    /// Measure states the pass builds: one per distinct `(units, measure,
+    /// hypothesis list)`.
+    pub(crate) fn measure_states(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Every member's `(group, measure)` entries: the states requested
+    /// before sharing.
+    pub(crate) fn member_entries(&self) -> usize {
+        self.members.iter().map(Vec::len).sum()
     }
 
     /// Streams one segment: a seeded shuffle of its records, one block of
@@ -1435,7 +1455,7 @@ pub(crate) fn run_pass<'a>(
     }
 
     let t_start = Instant::now();
-    let layout = PassLayout::build(reqs, config, cache)?;
+    let layout = PassLayout::build(reqs, config, cache);
     let base = match opts.base_states.filter(|_| opts.skip_segments > 0) {
         Some(base) => layout.revive(base)?,
         None => Vec::new(),

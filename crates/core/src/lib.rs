@@ -102,11 +102,10 @@
 //! 4-byte bit pattern), or `Dict` (bit-packed small-alphabet indices),
 //! whichever is smallest, each checksummed over its encoded bytes. The
 //! optimizer pushes a block-prune predicate into every segment's scan
-//! plan ([`engine::InspectionConfig::pushdown`], on by default): a block the
-//! zone map proves constant-and-finite is served straight from the zone
-//! entry — no read, no checksum, bit-identical values — and `explain`
-//! shows the plan-time estimate, summed over segments, as `pruned: k/n
-//! blocks (zone-map pushdown)`. Blocks containing NaN or ±Inf are flagged
+//! plan: a block the zone map proves constant-and-finite is served
+//! straight from the zone entry — no read, no checksum, bit-identical
+//! values — and `explain` shows the plan-time estimate, summed over
+//! segments, as `pruned: k/n blocks (zone-map pushdown)`. Blocks containing NaN or ±Inf are flagged
 //! and never pruned; files of an older format version read as corrupt and
 //! re-materialize. [`prelude::StoreConfig::disk_budget_bytes`] bounds the store
 //! on disk: compaction evicts column files coldest-first (by a
@@ -228,9 +227,10 @@
 //!   bit-identical to a cold **full pass**. The optimizer makes the
 //!   same decision for plain INSPECT statements over multi-segment
 //!   datasets (where a cold INSPECT is a full pass too; a one-segment
-//!   INSPECT may stop early, so it always runs live): a fresh match
-//!   short-circuits to `GroupSource::ViewReplay` and `explain`
-//!   renders the `view: <name>, fresh` line.
+//!   INSPECT may stop early, so it always runs live): a fresh match is
+//!   placed with the stored frame, like a score-cache hit, so the
+//!   statement joins no shared pass, and `explain` renders a
+//!   `query[i] view: <name>, fresh` line for it.
 //! * **Dataset grew** — [`session::Session::refresh_view`] streams
 //!   **only the appended segments** and folds them into the stored
 //!   measure states (`MeasureState::merge_from` over

@@ -13,11 +13,13 @@
 //!    session plan cache in [`crate::session`]);
 //! 3. [`optimize_store`] turns one or more logical plans into a
 //!    [`PhysicalPlan`]:
-//!    work items grouped by `(extractor, dataset)` for shared streaming
-//!    extraction, union unit columns, hypothesis columns deduplicated by
-//!    function identity, measure-state sharing estimates, and the
-//!    **admission** decision — oversized groups are split into sequential
-//!    waves so no single pass exceeds the configured union-stream width;
+//!    work items grouped by `(extractor, dataset)` into shared passes,
+//!    each group's union unit columns, hypothesis columns deduplicated by
+//!    function identity and shared measure states read off the engine's
+//!    own layout of the pass, and the **admission** decision — oversized
+//!    groups are split into sequential waves so no single pass exceeds
+//!    the configured union-stream width. Score-cache hits and fresh view
+//!    replays are placed with their frames and join no group;
 //! 4. a [`crate::session::Session`] executes the physical plan — the
 //!    engine's one streaming pass per group/wave, each wave admitted
 //!    through the session's scheduler, each query's result table
@@ -41,8 +43,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheRun, CacheStats, HypothesisCache};
 use crate::engine::{
-    measure_key, run_pass, ArmedBudget, FoldOpts, InspectionConfig, InspectionRequest, MeasureKey,
-    Profile, RunBudget, SharedOutcome,
+    run_pass, ArmedBudget, FoldOpts, InspectionConfig, InspectionRequest, PassLayout, Profile,
+    RunBudget, SharedOutcome,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -57,7 +59,7 @@ pub use deepbase_store::ScanPlan;
 use deepbase_store::{
     BehaviorStore, MaterializationPolicy, StoreStats, ViewFreshness, ViewHypState,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
@@ -593,6 +595,13 @@ enum Placement {
     Run { group: usize, item: usize },
     /// Served from a session score cache (frame captured at plan time).
     Cached(Arc<ResultFrame>),
+    /// Replayed from the stored frame of the fresh materialized view
+    /// `name` (decoded at plan time): no pass, no extraction, no store
+    /// block read.
+    View {
+        name: String,
+        frame: Arc<ResultFrame>,
+    },
 }
 
 /// The session's open behavior store, as handed to the optimizer.
@@ -623,19 +632,13 @@ pub enum GroupSource {
     /// warm and extracts only the new ones; an unsegmented dataset is the
     /// one-element list.
     Segments(Vec<ScanPlan>),
-    /// Served by replaying a fresh materialized view's stored frame:
-    /// the group schedules zero waves — zero extraction passes and zero
-    /// store block reads.
-    ViewReplay {
-        /// Name of the replayed view.
-        name: String,
-    },
 }
 
 /// A materialized view matched to a statement at optimize time, as
-/// rendered by [`PhysicalPlan::explain`]. A fresh match replaces the
-/// group's source with [`GroupSource::ViewReplay`]; a stale or invalid
-/// one only annotates the group that still runs.
+/// rendered by [`PhysicalPlan::explain`]. A fresh match over a segmented
+/// dataset places the stored frame, like a score-cache hit, and the
+/// statement joins no group; any other match only annotates the group
+/// that still runs.
 #[derive(Clone)]
 pub struct ViewNote {
     /// View name.
@@ -678,7 +681,6 @@ impl GroupSource {
     /// decision; a view pass reaches it through the optimizer too.
     fn choose(
         binding: Option<&StoreBinding>,
-        config: &InspectionConfig,
         model: &BoundModel,
         dataset: &Dataset,
         units: &[usize],
@@ -697,7 +699,6 @@ impl GroupSource {
                     units,
                     binding.policy == MaterializationPolicy::ReadWrite,
                     binding.writeback_limit_bytes,
-                    config.pushdown,
                 )
             })
             .collect();
@@ -705,7 +706,11 @@ impl GroupSource {
     }
 }
 
-/// One `(extractor, dataset)` shared-extraction group of a physical plan.
+/// One shared pass of a physical plan: the work items over one
+/// `(extractor, dataset)` pair, streamed together (in as many admission
+/// waves as the budget needs). Its sharing numbers and wave widths are
+/// read off the engine's own layout of its members' requests, so they
+/// are what the pass builds.
 pub struct PlanGroup {
     /// Model id of the first registrant (groups key on extractor
     /// identity, so all members share the extractor).
@@ -747,14 +752,9 @@ pub struct PlanGroup {
 }
 
 impl PlanGroup {
-    /// An empty group; `optimize_with` fills in members, estimates, the
-    /// source and the admission waves.
-    fn new(
-        model_id: &str,
-        dataset: &Arc<Dataset>,
-        source: GroupSource,
-        view: Option<ViewNote>,
-    ) -> PlanGroup {
+    /// An empty group; `optimize_with` fills in members, the layout's
+    /// numbers, the source and the admission waves.
+    fn new(model_id: &str, dataset: &Arc<Dataset>) -> PlanGroup {
         PlanGroup {
             model_id: model_id.to_string(),
             dataset_id: dataset.id.clone(),
@@ -769,10 +769,10 @@ impl PlanGroup {
             waves: Vec::new(),
             wave_widths: Vec::new(),
             wave_scan_widths: Vec::new(),
-            source,
+            source: GroupSource::Extract,
             scan_hits: HashSet::new(),
             scan_width: 0,
-            view,
+            view: None,
         }
     }
 
@@ -829,42 +829,41 @@ pub struct PhysicalPlan {
 
 /// Thin-pointer identity of an `Arc<dyn T>` (data pointer, metadata
 /// discarded) — the same identity the engine's shared pass requires of its
-/// members' extractors, and the one the engine uses to deduplicate
-/// hypothesis functions.
+/// members' extractors and datasets.
 fn thin<T: ?Sized>(arc: &Arc<T>) -> *const u8 {
     Arc::as_ptr(arc) as *const u8
 }
 
-/// `(extraction width, scan width)` of a set of items: distinct unit
-/// columns split by whether a complete stored copy serves them
-/// (`scan_hits`), plus function-identity-distinct hypothesis columns
-/// (always live, charged to extraction).
-fn items_widths(
-    plans: &[Arc<LogicalPlan>],
-    items: &[PlanItem],
-    scan_hits: &HashSet<usize>,
-) -> (usize, usize) {
-    let mut units: HashSet<usize> = HashSet::new();
-    let mut hyps: HashSet<*const u8> = HashSet::new();
-    for item in items {
-        let plan = &plans[item.query];
-        for g in &plan.models[item.model_pos].groups {
-            units.extend(g.units.iter().copied());
-        }
-        hyps.extend(plan.hypotheses.iter().map(thin));
-    }
-    let scanned = units.iter().filter(|u| scan_hits.contains(u)).count();
-    (units.len() - scanned + hyps.len(), scanned)
+/// The engine requests of `items`, one per work item in item order: what
+/// a wave streams, and what the optimizer lays out to count a group's
+/// sharing and admission widths.
+fn requests<'p>(plans: &'p [Arc<LogicalPlan>], items: &[PlanItem]) -> Vec<InspectionRequest<'p>> {
+    items
+        .iter()
+        .map(|item| {
+            let plan = &plans[item.query];
+            let model = &plan.models[item.model_pos];
+            InspectionRequest {
+                model_id: model.mid.clone(),
+                extractor: model.extractor.as_ref(),
+                groups: model.groups.clone(),
+                dataset: &plan.dataset,
+                hypotheses: plan.hypotheses.iter().map(|h| h.as_ref()).collect(),
+                measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
+            }
+        })
+        .collect()
 }
 
-/// Groups the bound queries' work items by `(extractor, dataset)`,
-/// estimates per-group sharing and stream width, and applies admission
-/// control. With a behavior-store binding each group's source is
-/// chosen by probing the store for the group's union unit columns,
-/// segment by segment, under the `(model fingerprint, segment
-/// fingerprint)` key — full hits scan everything, partial hits scan the
-/// stored columns and extract only the missing units, models without a
-/// fingerprint extract live; without one every group extracts live.
+/// Groups the bound queries' work items by `(extractor, dataset)` into
+/// shared passes, reads each group's sharing and stream width off the
+/// engine's layout of its members, and applies admission control. With a
+/// behavior-store binding each group's source is chosen by probing the
+/// store for the group's union unit columns, segment by segment, under
+/// the `(model fingerprint, segment fingerprint)` key — full hits scan
+/// everything, partial hits scan the stored columns and extract only the
+/// missing units, models without a fingerprint extract live; without one
+/// every group extracts live.
 pub fn optimize_store(
     plans: &[Arc<LogicalPlan>],
     config: &InspectionConfig,
@@ -881,13 +880,12 @@ pub fn optimize_store(
     )
 }
 
-/// [`optimize_store`] with a score-cache lookup (items whose frame the
-/// session already holds are placed as `Cached` and never scheduled) and
-/// a materialized-view probe: a statement matching a **fresh** view
-/// short-circuits to [`GroupSource::ViewReplay`] (the stored frame is
-/// replayed with zero extraction and zero store scans), while a stale or
-/// invalid match only annotates the plan tree. A view build or refresh
-/// plans its one statement here with neither.
+/// [`optimize_store`] with a score-cache lookup and a materialized-view
+/// probe. Items whose frame the session already holds, and statements
+/// over a segmented dataset that match a **fresh** view, are placed with
+/// that frame and join no group: no pass, no extraction, no store scan.
+/// A stale or invalid match only annotates the group that runs. A view
+/// build or refresh plans its one statement here with neither.
 pub(crate) fn optimize_with(
     plans: &[Arc<LogicalPlan>],
     config: &InspectionConfig,
@@ -920,121 +918,68 @@ pub(crate) fn optimize_with(
                 places.push(Placement::Cached(frame));
                 continue;
             }
-            if let Some(hit) = &view {
+            if let Some(ViewHit {
+                note,
+                frame: Some(frame),
+            }) = &view
+            {
                 // Replay only where a cold INSPECT would also run the
                 // segmented full pass: on a single-segment dataset the
                 // live path may stop early, and the contract is
                 // bit-identity between replay and cold execution.
-                if let (ViewFreshness::Fresh, Some(frame), true) = (
-                    hit.note.freshness,
-                    &hit.frame,
-                    plan.dataset.segment_count() > 1,
-                ) {
-                    let gidx = groups
-                        .iter()
-                        .position(|g| {
-                            matches!(&g.source,
-                                GroupSource::ViewReplay { name } if *name == hit.note.name)
-                        })
-                        .unwrap_or_else(|| {
-                            groups.push(PlanGroup::new(
-                                &model.mid,
-                                &plan.dataset,
-                                GroupSource::ViewReplay {
-                                    name: hit.note.name.clone(),
-                                },
-                                Some(hit.note.clone()),
-                            ));
-                            // Null key: never matches a real extractor/
-                            // dataset identity, so ordinary items cannot
-                            // join a replay group.
-                            group_of.push((std::ptr::null(), std::ptr::null()));
-                            groups.len() - 1
-                        });
-                    groups[gidx].items.push(PlanItem {
-                        query: qi,
-                        model_pos: pos,
+                if note.freshness == ViewFreshness::Fresh && plan.dataset.segment_count() > 1 {
+                    places.push(Placement::View {
+                        name: note.name.clone(),
+                        frame: Arc::clone(frame),
                     });
-                    places.push(Placement::Cached(Arc::clone(frame)));
                     continue;
                 }
             }
             let key = (thin(&model.extractor), thin(&plan.dataset));
             let gidx = group_of.iter().position(|&k| k == key).unwrap_or_else(|| {
-                groups.push(PlanGroup::new(
-                    &model.mid,
-                    &plan.dataset,
-                    GroupSource::Extract,
-                    None,
-                ));
+                groups.push(PlanGroup::new(&model.mid, &plan.dataset));
                 group_of.push(key);
                 groups.len() - 1
             });
+            let group = &mut groups[gidx];
             if let Some(hit) = &view {
-                // A stale or invalid view annotates the group that runs
+                // A view that cannot replay annotates the group that runs
                 // in its stead, so `explain` shows why no replay fired.
-                if groups[gidx].view.is_none() {
-                    groups[gidx].view = Some(hit.note.clone());
-                }
+                group.view.get_or_insert_with(|| hit.note.clone());
             }
-            let item = groups[gidx].items.len();
-            groups[gidx].items.push(PlanItem {
+            places.push(Placement::Run {
+                group: gidx,
+                item: group.items.len(),
+            });
+            group.items.push(PlanItem {
                 query: qi,
                 model_pos: pos,
             });
-            places.push(Placement::Run { group: gidx, item });
         }
         placements.push(places);
     }
 
-    // Per-group sharing estimates and admission waves.
     for group in groups.iter_mut() {
-        if matches!(group.source, GroupSource::ViewReplay { .. }) {
-            // Replay groups schedule nothing: no waves, no admission, no
-            // store probe — their items are placed as cached frames.
-            continue;
-        }
-        let mut units: Vec<usize> = Vec::new();
-        let mut hyp_cols: HashMap<*const u8, usize> = HashMap::new();
-        // The pass's own slot keys — one state per (units, measure, whole
-        // hypothesis list) — so the estimate counts what
-        // `PassLayout::build` will build.
-        let mut state_keys: HashSet<(&[usize], MeasureKey, Vec<usize>)> = HashSet::new();
-        for item in &group.items {
-            let plan = &plans[item.query];
-            let model = &plan.models[item.model_pos];
-            group.requested_unit_columns += plans[item.query].requested_unit_columns_for(item);
-            for g in &model.groups {
-                units.extend(g.units.iter().copied());
-            }
-            group.requested_hypotheses += plan.hypotheses.len();
-            for hyp in &plan.hypotheses {
-                let next = hyp_cols.len();
-                hyp_cols.entry(thin(hyp)).or_insert(next);
-            }
-            let cols: Vec<usize> = plan.hypotheses.iter().map(|h| hyp_cols[&thin(h)]).collect();
-            for g in &model.groups {
-                for measure in &plan.measures {
-                    group.requested_measure_states += 1;
-                    state_keys.insert((&g.units, measure_key(measure.as_ref()), cols.clone()));
-                }
-            }
-        }
-        units.sort_unstable();
-        units.dedup();
-        group.union_units = units;
-        group.unique_hypotheses = hyp_cols.len();
-        group.shared_measure_states = state_keys.len();
+        // The sharing numbers are the pass's own: the layout it will
+        // build over these members.
+        let reqs = requests(plans, &group.items);
+        let layout = PassLayout::build(&reqs, config, None);
+        group.union_units = layout.union_units().to_vec();
+        group.unique_hypotheses = layout.hypothesis_columns();
+        group.shared_measure_states = layout.measure_states();
+        group.requested_unit_columns = (reqs.iter().flat_map(|r| &r.groups))
+            .map(|g| g.units.len())
+            .sum();
+        group.requested_hypotheses = reqs.iter().map(|r| r.hypotheses.len()).sum();
+        group.requested_measure_states = layout.member_entries();
 
         // Source choice: probe the store for the union columns, segment
         // by segment. Groups key on extractor identity, so any member
         // yields the model fingerprint.
-        if let Some(first) = group.items.first() {
-            let plan = &plans[first.query];
-            let model = &plan.models[first.model_pos];
-            group.source =
-                GroupSource::choose(binding, config, model, &plan.dataset, &group.union_units);
-        }
+        let first = &group.items[0];
+        let plan = &plans[first.query];
+        let model = &plan.models[first.model_pos];
+        group.source = GroupSource::choose(binding, model, &plan.dataset, &group.union_units);
         if let Some(scans) = group.source.scan_plans() {
             group.scan_width = scans.iter().map(|p| p.hits.len()).max().unwrap_or(0);
             group.scan_hits = (group.union_units.iter().copied())
@@ -1046,8 +991,7 @@ pub(crate) fn optimize_with(
         // budget, everything live to the stream width. Oversized groups
         // split into in-order waves that respect both bounds; a lone
         // item wider than a bound gets its own wave.
-        let scan_hits = &group.scan_hits;
-        stats.scan_charged_columns += scan_hits.len();
+        stats.scan_charged_columns += group.scan_hits.len();
         let fits = |extract: usize, scan: usize| {
             admission.max_stream_width.is_none_or(|b| extract <= b)
                 && admission.max_scan_width.is_none_or(|b| scan <= b)
@@ -1056,26 +1000,36 @@ pub(crate) fn optimize_with(
             group.waves.push(0..group.items.len());
             group.wave_widths.push(group.extract_width());
             group.wave_scan_widths.push(group.scan_width());
-        } else {
-            let mut start = 0;
-            while start < group.items.len() {
-                let mut end = start + 1;
-                while end < group.items.len() && {
-                    let (e, s) = items_widths(plans, &group.items[start..=end], scan_hits);
-                    fits(e, s)
-                } {
-                    end += 1;
-                }
-                let (e, s) = items_widths(plans, &group.items[start..end], scan_hits);
-                group.wave_widths.push(e);
-                group.wave_scan_widths.push(s);
-                group.waves.push(start..end);
-                start = end;
+            continue;
+        }
+        // `(extraction width, scan width)` of a candidate wave, off the
+        // layout of its items: distinct unit columns split by whether a
+        // complete stored copy serves them, plus its deduplicated
+        // hypothesis columns (always live).
+        let widths = |items: &[PlanItem]| {
+            let layout = PassLayout::build(&requests(plans, items), config, None);
+            let units = layout.union_units();
+            let scanned = units.iter().filter(|u| group.scan_hits.contains(u)).count();
+            (units.len() - scanned + layout.hypothesis_columns(), scanned)
+        };
+        let mut start = 0;
+        while start < group.items.len() {
+            let mut end = start + 1;
+            while end < group.items.len() && {
+                let (e, s) = widths(&group.items[start..=end]);
+                fits(e, s)
+            } {
+                end += 1;
             }
-            if group.waves.len() > 1 {
-                stats.admission_splits += 1;
-                stats.admission_queued += group.waves.len() - 1;
-            }
+            let (e, s) = widths(&group.items[start..end]);
+            group.wave_widths.push(e);
+            group.wave_scan_widths.push(s);
+            group.waves.push(start..end);
+            start = end;
+        }
+        if group.waves.len() > 1 {
+            stats.admission_splits += 1;
+            stats.admission_queued += group.waves.len() - 1;
         }
     }
 
@@ -1087,16 +1041,6 @@ pub(crate) fn optimize_with(
         block_records: config.block_records.max(1),
         admission,
         budget: config.budget.clone(),
-    }
-}
-
-impl LogicalPlan {
-    fn requested_unit_columns_for(&self, item: &PlanItem) -> usize {
-        self.models[item.model_pos]
-            .groups
-            .iter()
-            .map(|g| g.units.len())
-            .sum()
     }
 }
 
@@ -1186,6 +1130,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 impl PhysicalPlan {
+    /// `(query, view name)` of every statement replayed from a fresh view.
+    fn view_replays(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.placements.iter().enumerate().flat_map(|(qi, places)| {
+            places.iter().filter_map(move |p| match p {
+                Placement::View { name, .. } => Some((qi, name.as_str())),
+                _ => None,
+            })
+        })
+    }
+
     /// Runs wave `wi` of group `g` — the one wave runner of batches and
     /// view passes: admits the wave through `scheduler` at its `(extract,
     /// scan)` widths, holds the permit for exactly this pass, pins every
@@ -1205,23 +1159,13 @@ impl PhysicalPlan {
         opts: &FoldOpts<'_>,
     ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
         let _permit = scheduler.acquire(g.wave_widths[wi], g.wave_scan_widths[wi]);
-        let requests: Vec<InspectionRequest> = g.items[g.waves[wi].clone()]
-            .iter()
-            .map(|item| {
-                let plan = &self.plans[item.query];
-                cache.pin(&plan.dataset);
-                plan.hypotheses.iter().for_each(|h| cache.pin(h));
-                let model = &plan.models[item.model_pos];
-                InspectionRequest {
-                    model_id: model.mid.clone(),
-                    extractor: model.extractor.as_ref(),
-                    groups: model.groups.clone(),
-                    dataset: &plan.dataset,
-                    hypotheses: plan.hypotheses.iter().map(|h| h.as_ref()).collect(),
-                    measures: plan.measures.iter().map(|m| m.as_ref()).collect(),
-                }
-            })
-            .collect();
+        let items = &g.items[g.waves[wi].clone()];
+        for item in items {
+            let plan = &self.plans[item.query];
+            cache.pin(&plan.dataset);
+            plan.hypotheses.iter().for_each(|h| cache.pin(h));
+        }
+        let requests = requests(&self.plans, items);
         // The scan plans are shared by the group's waves: every wave
         // streams the same (model, dataset), so hits apply to each wave's
         // (sub-)union.
@@ -1340,7 +1284,9 @@ impl PhysicalPlan {
             for (pos, model) in plan.models.iter().enumerate() {
                 match &self.placements[qi][pos] {
                     Placement::Skip => {}
-                    Placement::Cached(frame) => apply_post(plan, model, frame, &mut out)?,
+                    Placement::Cached(frame) | Placement::View { frame, .. } => {
+                        apply_post(plan, model, frame, &mut out)?
+                    }
                     Placement::Run { group, item } => {
                         if let Some(err) = &group_errors[*group] {
                             // The group died of a contained panic: this
@@ -1371,14 +1317,14 @@ impl PhysicalPlan {
             groups: Vec::new(),
             cache: cache.stats(),
             plan: self.stats,
-            store: StoreStats::default(),
+            store: StoreStats {
+                view_hits: self.view_replays().count(),
+                ..StoreStats::default()
+            },
             completion: Completion::default(),
             query_errors,
         };
         for (group, waves) in self.groups.iter().zip(&group_outcomes) {
-            if matches!(group.source, GroupSource::ViewReplay { .. }) {
-                report.store.view_hits += group.items.len();
-            }
             for (wave, outcome) in group.waves.iter().zip(waves) {
                 report.store.accumulate(&outcome.store);
                 report.completion.merge(&outcome.completion);
@@ -1437,6 +1383,15 @@ impl PhysicalPlan {
                 if cached == 1 { "" } else { "s" }
             ));
         }
+        let replays: Vec<(usize, &str)> = self.view_replays().collect();
+        for (i, (qi, name)) in replays.iter().enumerate() {
+            let last = i + 1 == replays.len() && self.groups.is_empty();
+            out.push_str(&format!(
+                "{} query[{qi}] view: {name}, fresh (replaying the stored frame: \
+                 zero extraction, zero store scans)\n",
+                if last { "└─" } else { "├─" }
+            ));
+        }
         for (gi, g) in self.groups.iter().enumerate() {
             let last = gi == self.groups.len() - 1;
             let (head, stem) = if last {
@@ -1451,13 +1406,6 @@ impl PhysicalPlan {
                 g.dataset_id,
                 members.join(", ")
             ));
-            if let GroupSource::ViewReplay { name } = &g.source {
-                out.push_str(&format!(
-                    "{stem}└─ view: {name}, fresh (replaying the stored frame: \
-                     zero extraction, zero store scans)\n"
-                ));
-                continue;
-            }
             out.push_str(&format!(
                 "{stem}├─ unit columns: {} union ({} requested)\n",
                 g.union_units.len(),
@@ -1476,7 +1424,6 @@ impl PhysicalPlan {
                 GroupSource::ExtractUnkeyed => out.push_str(&format!(
                     "{stem}├─ source: live extract (model has no content fingerprint)\n"
                 )),
-                GroupSource::ViewReplay { .. } => unreachable!("rendered above"),
                 GroupSource::Segments(scans) => explain_store_source(&mut out, stem, g, scans),
             }
             if let Some(note) = &g.view {

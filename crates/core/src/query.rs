@@ -123,6 +123,14 @@ impl Catalog {
         self.datasets.insert(name.to_string(), dataset);
     }
 
+    /// Registers a measure under `name` (`USING name`, matched
+    /// lower-case). The standard library is pre-registered under each
+    /// measure's id; a measure registered here keeps its own id in the
+    /// score rows, so two configurations may answer to one id.
+    pub fn add_measure(&mut self, name: &str, measure: Arc<dyn Measure>) {
+        self.measures.insert(name.to_string(), measure);
+    }
+
     /// Appends a batch of records to a registered dataset as one new
     /// sealed segment, re-registering the grown dataset under the same
     /// name. The existing segments (and their content fingerprints) are

@@ -456,6 +456,117 @@ fn colliding_hypothesis_ids_do_not_cross_contaminate() {
     assert_eq!(batch.tables, sequential);
 }
 
+/// Every cell of a table with floats as bit patterns (`Table`'s own `==`
+/// compares floats by value, which lets `-0.0` pass for `0.0`).
+fn bits(table: &Table) -> Vec<Vec<String>> {
+    (0..table.len())
+        .map(|r| {
+            (0..table.schema().arity())
+                .map(|c| match table.column_at(c).floats() {
+                    Some(floats) => format!("{:#010x}", floats[r].to_bits()),
+                    None => format!("{:?}", table.column_at(c).value(r)),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn identity_dedup_is_what_explain_counts_and_the_batch_matches_bare_sessions() {
+    // One batch over m1 whose statements lean on every identity rule:
+    // `is_a` is one Arc in `alpha` and `beta` (one column), `gamma` and
+    // `delta` each hold a different function registered as "dup" (two
+    // columns), and `jaccard_lo` / `jaccard_hi` are two quantiles both
+    // answering to the id "jaccard" (two states). Statement 5 names
+    // statement 0's (units, measure, list) again and shares its state.
+    let (mut catalog, _) = test_catalog();
+    catalog.add_hypotheses(
+        "gamma",
+        vec![Arc::new(FnHypothesis::char_class("dup", |c| c == 'a'))],
+    );
+    catalog.add_hypotheses(
+        "delta",
+        vec![Arc::new(FnHypothesis::char_class("dup", |c| c == 'c'))],
+    );
+    let jaccard = |top_quantile: f32| -> Arc<dyn Measure> {
+        Arc::new(JaccardMeasure {
+            name: "jaccard".into(),
+            top_quantile,
+            max_buffer: 65_536,
+        })
+    };
+    catalog.add_measure("jaccard_lo", jaccard(0.5));
+    catalog.add_measure("jaccard_hi", jaccard(0.9));
+    let statement = |select: &str, measure: &str, set: &str, having: &str| {
+        format!(
+            "SELECT {select} INSPECT U.uid AND H.h USING {measure} OVER D.seq AS S \
+             FROM models M, units U, hypotheses H, inputs D \
+             WHERE M.mid = 'm1' AND H.name = '{set}'{having}"
+        )
+    };
+    let all = "S.uid, S.hyp_id, S.unit_score";
+    let queries = [
+        statement(all, "jaccard_lo", "alpha", ""),
+        statement(all, "jaccard_hi", "alpha", ""),
+        statement(all, "corr", "beta", ""),
+        statement(all, "corr", "gamma", ""),
+        statement(all, "corr", "delta", ""),
+        statement(
+            "S.uid, S.unit_score",
+            "jaccard_lo",
+            "alpha",
+            " HAVING S.unit_score > 0.1",
+        ),
+    ];
+    let queries: Vec<&str> = queries.iter().map(String::as_str).collect();
+
+    let config = config(Device::SingleCore);
+    let explain = Session::with_config(
+        catalog.clone(),
+        SessionConfig {
+            inspection: config.clone(),
+            ..SessionConfig::default()
+        },
+    )
+    .explain_batch(&queries)
+    .unwrap();
+    assert_eq!(
+        explain,
+        "\
+PhysicalPlan: 6 queries, 1 shared group, block_records=24
+└─ group[0] model='m1' dataset='seq' members=[0, 1, 2, 3, 4, 5]
+   ├─ unit columns: 6 union (36 requested)
+   ├─ hypothesis columns: 5 deduped (10 requested)
+   ├─ measure states: 5 shared (6 requested)
+   ├─ stream width: 11 columns, 8448 bytes/block (ns=8)
+   └─ admission: 1 wave (unbounded)
+"
+    );
+
+    for device in [Device::SingleCore, Device::Parallel(3)] {
+        let config = InspectionConfig {
+            device,
+            ..config.clone()
+        };
+        let batch = run_batch(&catalog, &config, &queries);
+        // Each statement alone in a bare session: a shared pass that
+        // conflated two identities would disagree with it.
+        let reference = sequential_tables(&catalog, &config, &queries);
+        assert_eq!(batch.report.groups.len(), 1, "one shared pass");
+        for (i, (got, want)) in batch.tables.iter().zip(&reference).enumerate() {
+            assert!(!want.is_empty(), "statement {i} scores something");
+            assert_eq!(bits(got), bits(want), "statement {i} on {device:?}");
+        }
+        let tables = &batch.tables;
+        assert_ne!(bits(&tables[0]), bits(&tables[1]), "the quantiles disagree");
+        assert_ne!(
+            bits(&tables[3]),
+            bits(&tables[4]),
+            "the two \"dup\" disagree"
+        );
+    }
+}
+
 #[test]
 fn shared_inspection_engine_level_parity() {
     // Engine-level check: inspect_shared member results are identical to

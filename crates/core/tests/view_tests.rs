@@ -219,6 +219,13 @@ fn optimizer_replays_a_fresh_view_for_plain_inspect() {
         explain.contains("view: v, fresh"),
         "explain names the replayed view, got:\n{explain}"
     );
+    // The replayed statement is placed with the view's frame: it joins no
+    // shared pass, and the replay line names it.
+    assert!(
+        explain.contains(", 0 shared groups,")
+            && explain.contains("└─ query[0] view: v, fresh (replaying the stored frame"),
+        "the replay is a placed frame, not a group, got:\n{explain}"
+    );
     let out = session.run_batch(&[Q]).unwrap();
     assert!(out.report.query_errors.iter().all(Option::is_none));
     assert_eq!(counting.calls(), 0, "replay does zero forward passes");

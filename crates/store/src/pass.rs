@@ -63,13 +63,10 @@ pub struct ScanPlan {
     /// Skip write-back capture when the missing columns would buffer more
     /// than this many bytes.
     pub writeback_limit_bytes: usize,
-    /// Consult zone maps during scans and skip blocks whose exact
-    /// contents the zone entry proves (predicate pushdown). Results are
-    /// bit-identical either way.
-    pub prune: bool,
     /// Plan-time pushdown estimate over the complete hits: `(prunable
-    /// blocks, total blocks)`; `(0, 0)` when pushdown is off. Advisory —
-    /// the scan re-decides per block.
+    /// blocks, total blocks)`. Advisory — the scan consults each block's
+    /// zone entry and skips the blocks whose exact contents it proves
+    /// (bit-identical to reading them).
     pub pruned_estimate: (usize, usize),
 }
 
@@ -87,9 +84,9 @@ impl BehaviorStore {
     /// Probes the store for `units` (ascending) under one `(model
     /// fingerprint, dataset or segment fingerprint)` key: complete
     /// columns scan, partial columns scan up to their watermark, the rest
-    /// extract live (and write back when `write` is set). With `prune`
-    /// the plan also carries each complete hit's prunable/total block
-    /// counts from its (cached) zone table.
+    /// extract live (and write back when `write` is set). The plan also
+    /// carries each complete hit's prunable/total block counts from its
+    /// (cached) zone table.
     pub fn plan_scan(
         self: &Arc<Self>,
         model_fp: u64,
@@ -97,7 +94,6 @@ impl BehaviorStore {
         units: &[usize],
         write: bool,
         writeback_limit_bytes: usize,
-        prune: bool,
     ) -> ScanPlan {
         debug_assert!(units.windows(2).all(|w| w[0] < w[1]), "units ascending");
         let (hits, partials, misses) = self.split_units(model_fp, dataset_fp, units);
@@ -110,15 +106,12 @@ impl BehaviorStore {
             misses,
             write,
             writeback_limit_bytes,
-            prune,
             pruned_estimate: (0, 0),
         };
-        if prune {
-            for &unit in &plan.hits {
-                if let Some((prunable, total)) = self.zone_summary(&plan.key(unit)) {
-                    plan.pruned_estimate.0 += prunable;
-                    plan.pruned_estimate.1 += total;
-                }
+        for &unit in &plan.hits {
+            if let Some((prunable, total)) = self.zone_summary(&plan.key(unit)) {
+                plan.pruned_estimate.0 += prunable;
+                plan.pruned_estimate.1 += total;
             }
         }
         plan
@@ -363,7 +356,7 @@ impl<'p> ColumnPass<'p> {
                 out,
                 width,
                 sc.col,
-                plan.prune,
+                true, // a pass always consults the zone maps
                 &mut self.stats,
             );
             match scan {

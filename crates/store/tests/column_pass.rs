@@ -60,7 +60,7 @@ fn block(units: &[usize], positions: &[usize]) -> Vec<u32> {
 /// asked for. Returns the log and the pass's stats; panics if any served
 /// block differs from the true behaviors.
 fn run_pass(store: &Arc<BehaviorStore>, write: bool) -> (Vec<Vec<usize>>, StoreStats) {
-    let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, write, usize::MAX, true);
+    let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, write, usize::MAX);
     assert_eq!(plan.hits, UNITS, "every column is a plan-time hit");
     let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
     let mut asked: Vec<Vec<usize>> = Vec::new();
@@ -263,7 +263,7 @@ mod shuffled {
         let config = config(name, pool_bytes);
         populate(&config);
         let store = BehaviorStore::open(&config).unwrap();
-        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX, true);
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
         let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
 
         let reference_pool = BufferPool::new(pool_bytes);
@@ -398,7 +398,7 @@ mod shuffled {
         std::fs::write(&path, &bytes).unwrap();
 
         let store = BehaviorStore::open(&config).unwrap();
-        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, true, usize::MAX, true);
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, true, usize::MAX);
         let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
         let width = UNITS.len();
         let mut asked = Vec::new();
@@ -446,7 +446,7 @@ mod shuffled {
         let config = config("shuffled-compact", 1 << 20);
         populate(&config);
         let store = BehaviorStore::open(&config).unwrap();
-        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX, true);
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
         let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
         let width = UNITS.len();
         let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
@@ -494,7 +494,7 @@ mod shuffled {
         let order = shuffled_positions(0xBEEF);
         let width = UNITS.len();
         let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
-        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX, true);
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
 
         let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
         pass.fetch_block(&order[..STREAM_BLOCK], &mut out, |_| unreachable!());
@@ -508,7 +508,7 @@ mod shuffled {
         // Unit 8 is not stored, so every block asks `live` for it; the
         // second ask panics after the first block's pages are held.
         let with_miss = [0, 1, 2, 3, 4, 5, 6, 7, 8];
-        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &with_miss, false, usize::MAX, true);
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &with_miss, false, usize::MAX);
         let mut out = vec![0.0f32; STREAM_BLOCK * NS * with_miss.len()];
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut pass = ColumnPass::new(&plan, &with_miss, ND, NS);

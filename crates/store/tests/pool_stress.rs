@@ -197,7 +197,7 @@ mod passes {
                 let store = &store;
                 s.spawn(move || {
                     let mut rng = super::Lcg(0xA11 + t);
-                    let plan = store.plan_scan(3, 5, &UNITS, false, usize::MAX, false);
+                    let plan = store.plan_scan(3, 5, &UNITS, false, usize::MAX);
                     let width = UNITS.len();
                     let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
                     for _ in 0..PASSES {
