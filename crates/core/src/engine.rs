@@ -73,9 +73,10 @@
 //!    and write-back are the store crate's half of the pass; this module
 //!    only calls `fetch_block` and `finish`.
 //! 3. **One fold** over the stream outputs in segment-index order via the
-//!    exact [`MeasureState::merge_from`], optionally seeded by the revived
-//!    fold point of a skipped prefix (an incremental view refresh). A fold
-//!    over one output is the identity.
+//!    exact [`MeasureState::merge_from`], seeded by the revived fold point
+//!    of the segments a stored view already covers when the pass extends
+//!    one (an incremental view refresh). A fold over one output is the
+//!    identity.
 //! 4. **One tail**: pairs that never met epsilon are listed as pending,
 //!    every unique pair is emitted once into a merged [`ResultFrame`]
 //!    ([`MeasureState::final_scores`], on the inspection clock), member
@@ -88,7 +89,9 @@
 //! pass the one-segment, one-stream case, of this implementation. What
 //! differs between a plain one-segment INSPECT and everything else is
 //! policy, and it is **derived, never configured**: `full_pass =
-//! segment_count > 1 || capture_states || skip_segments > 0`.
+//! segment_count > 1 || fold.is_some()`, where `fold` is the view fold
+//! point a pass builds (`ViewFold::Build`) or extends
+//! (`ViewFold::Extend`), and is absent on every plain INSPECT.
 //!
 //! * `!full_pass` (one stream): **early stopping** — a list member whose
 //!   state can [freeze](MeasureState::freeze) it (`corr`, `diff_means`,
@@ -146,7 +149,7 @@ use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
 use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
-use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewHypState};
+use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewDoc, ViewHypState};
 use deepbase_tensor::Matrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -728,8 +731,7 @@ pub fn inspect_shared(
     config: &InspectionConfig,
 ) -> Result<SharedOutcome, DniError> {
     let armed = config.budget.arm();
-    let opts = FoldOpts::default();
-    let (outcome, _) = run_pass(reqs, config, None, armed.as_ref(), &opts, None)?;
+    let (outcome, _) = run_pass(reqs, config, None, armed.as_ref(), None, None)?;
     Ok(outcome)
 }
 
@@ -904,28 +906,17 @@ pub(crate) fn segment_seed(seed: u64, segment: usize) -> u64 {
     h.finish()
 }
 
-/// View options of a pass: where the fold over segment outputs starts
-/// and whether its end point is captured.
-#[derive(Default)]
-pub(crate) struct FoldOpts<'a> {
-    /// Stream only segments `skip_segments..`; the revived `base_states`
-    /// stand in for the skipped prefix. `0` streams everything.
-    pub skip_segments: usize,
-    /// Serialized folded states covering segments `0..skip_segments` —
-    /// the durable fold point a materialized view stores — in the order
-    /// the capturing pass wrote them.
-    pub base_states: Option<&'a [ViewHypState]>,
-    /// Serialize the final folded states into the returned capture list
-    /// (the view-build half of the fold-point contract).
-    pub capture_states: bool,
-}
-
-impl FoldOpts<'_> {
-    /// The derived policy switch of a pass over `dataset` (module docs,
-    /// *One streaming pass*).
-    pub(crate) fn full_pass(&self, dataset: &Dataset) -> bool {
-        dataset.segment_count() > 1 || self.capture_states || self.skip_segments > 0
-    }
+/// The fold point of a view pass. A pass with one is a full pass whose
+/// final folded states are serialized per hypothesis (module docs, *One
+/// streaming pass*); a plain INSPECT has none.
+#[derive(Clone, Copy)]
+pub(crate) enum ViewFold<'a> {
+    /// Stream every segment from empty states: a view build or rebuild.
+    Build,
+    /// Revive the doc's stored fold point in place of the segments it
+    /// covers and stream only the segments appended since: an incremental
+    /// refresh.
+    Extend(&'a ViewDoc),
 }
 
 impl<'a> PassLayout<'a> {
@@ -1273,14 +1264,14 @@ impl<'a> PassLayout<'a> {
         })
     }
 
-    /// Revives the serialized fold point of a skipped segment prefix:
-    /// exactly the states the cold fold held after those segments. Stored
-    /// states are consumed in the order [`PassLayout::finish`] captured
-    /// them — slot order × list order, a repeated column once
-    /// ([`Slot::first_mention`]) — and each is checked against the
-    /// triple it is revived for. Matching by id alone would hand two
-    /// same-id hypotheses the same state; any mismatch, gap or leftover is
-    /// a typed error.
+    /// Revives the serialized fold point of the segment prefix a stored
+    /// view covers: exactly the states the cold fold held after those
+    /// segments. Stored states are consumed in the order
+    /// [`PassLayout::finish`] captured them — slot order × list order, a
+    /// repeated column once ([`Slot::first_mention`]) — and each is
+    /// checked against the triple it is revived for. Matching by id alone
+    /// would hand two same-id hypotheses the same state; any mismatch, gap
+    /// or leftover is a typed error.
     fn revive(&self, base: &[ViewHypState]) -> Result<Vec<SlotRun>, DniError> {
         let bad = |what: String| DniError::BadConfig(format!("stored view state {what}"));
         let mut stored = base.iter();
@@ -1384,19 +1375,20 @@ fn fold_streams(
 
 /// The one streaming pass every INSPECT, view build and view refresh
 /// runs through (see the module docs, *One streaming pass*): layout, one
-/// stream per non-skipped segment, fold, tail. `sources` holds one store
-/// scan plan per dataset segment, in segment order (its length must equal
-/// the segment count; `None` extracts everything live); `budget` is
-/// already armed, so every group and wave of a batch shares one absolute
-/// deadline; `opts` are the view hooks; `cache` serves hypothesis
-/// behaviors. Returns the outcome plus the captured fold point (empty
-/// unless `opts.capture_states`).
+/// stream per segment the fold point does not cover, fold, tail.
+/// `sources` holds one store scan plan per dataset segment, in segment
+/// order (its length must equal the segment count; `None` extracts
+/// everything live); `budget` is already armed, so every group and wave
+/// of a batch shares one absolute deadline; `fold` is the view fold point
+/// the pass builds or extends; `cache` serves hypothesis behaviors.
+/// Returns the outcome plus the captured fold point (empty without
+/// `fold`).
 pub(crate) fn run_pass<'a>(
     reqs: &[InspectionRequest<'a>],
     config: &InspectionConfig,
     sources: Option<&[ScanPlan]>,
     budget: Option<&ArmedBudget>,
-    opts: &FoldOpts<'_>,
+    fold: Option<ViewFold<'_>>,
     cache: Option<&'a CacheRun<'a>>,
 ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
     validate_config(config)?;
@@ -1430,16 +1422,7 @@ pub(crate) fn run_pass<'a>(
         return Ok((outcome, Vec::new()));
     }
 
-    let full_pass = opts.full_pass(dataset);
-    if opts.skip_segments > 0
-        && (opts.base_states.is_none() || opts.skip_segments >= segments.len())
-    {
-        return Err(DniError::BadConfig(format!(
-            "cannot skip {} of {} segments (needs base states and a segment left to stream)",
-            opts.skip_segments,
-            segments.len(),
-        )));
-    }
+    let full_pass = segments.len() > 1 || fold.is_some();
     if full_pass {
         // Up-front typed guard: never a silently wrong cross-segment score.
         let all_measures = reqs.iter().flat_map(|r| r.measures.iter());
@@ -1456,30 +1439,27 @@ pub(crate) fn run_pass<'a>(
 
     let t_start = Instant::now();
     let layout = PassLayout::build(reqs, config, cache);
-    let base = match opts.base_states.filter(|_| opts.skip_segments > 0) {
-        Some(base) => layout.revive(base)?,
-        None => Vec::new(),
+    let (covered, base) = match fold {
+        Some(ViewFold::Extend(doc)) => (doc.segment_fps.len(), layout.revive(&doc.states)?),
+        _ => (0, Vec::new()),
+    };
+    let Some(fresh) = segments.get(covered..).filter(|s| !s.is_empty()) else {
+        return Err(DniError::BadConfig(format!(
+            "a fold point over {covered} segments leaves none of {} to stream",
+            segments.len()
+        )));
     };
 
-    // Stream every non-skipped segment, fanned out at the device's width
-    // (in order on the calling thread on the single-core device); the
-    // outputs land in segment-index order either way.
-    let outputs = deepbase_runtime::fan_out(
-        config.device.threads(),
-        &segments[opts.skip_segments..],
-        |seg| {
-            let source = sources.map(|s| &s[seg.index]);
-            layout.stream(seg, source, config, budget, full_pass, t_start)
-        },
-    );
+    // Stream every segment the fold point does not cover, fanned out at
+    // the device's width (in order on the calling thread on the
+    // single-core device); the outputs land in segment-index order either
+    // way.
+    let outputs = deepbase_runtime::fan_out(config.device.threads(), fresh, |seg| {
+        let source = sources.map(|s| &s[seg.index]);
+        layout.stream(seg, source, config, budget, full_pass, t_start)
+    });
     let (folded, extraction_passes) = fold_streams(outputs, base, full_pass)?;
-    layout.finish(
-        reqs,
-        folded,
-        extraction_passes,
-        opts.capture_states,
-        t_start,
-    )
+    layout.finish(reqs, folded, extraction_passes, fold.is_some(), t_start)
 }
 
 impl PassLayout<'_> {
@@ -1803,9 +1783,8 @@ mod tests {
             measures: vec![&CorrelationMeasure],
         };
         let config = InspectionConfig::default();
-        let opts = FoldOpts::default();
         let no_sources: [ScanPlan; 0] = [];
-        let err = run_pass(&[req], &config, Some(&no_sources), None, &opts, None).err();
+        let err = run_pass(&[req], &config, Some(&no_sources), None, None, None).err();
         assert!(matches!(err, Some(DniError::BadConfig(_))), "got {err:?}");
     }
 }

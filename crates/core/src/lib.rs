@@ -244,10 +244,17 @@
 //!   records) — the view is invalid; `refresh_view` rebuilds it from
 //!   scratch.
 //!
+//! Create, rebuild and incremental refresh are one write path: the same
+//! full pass, started from no fold point or from the stored view's, and
+//! the same doc, whose inputs are the ones freshness is judged against.
+//! So a refreshed view file equals, byte for byte, the file a cold build
+//! over the grown dataset writes.
+//!
 //! [`session::Session::list_views`] / [`session::Session::drop_view`]
-//! complete the catalog surface; the server exposes all five operations
-//! as wire frames and [`prelude::StoreStats`] counts view hits,
-//! refreshes, builds and bytes written.
+//! complete the catalog surface (a listing shows each statement as a
+//! reader writes it, `select s.uid, …`); the server exposes all five
+//! operations as wire frames and [`prelude::StoreStats`] counts view
+//! hits, refreshes, builds and bytes written.
 //!
 //! ## Bounded execution & failure domains
 //!

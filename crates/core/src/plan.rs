@@ -43,8 +43,8 @@
 use crate::admission::AdmissionScheduler;
 use crate::cache::{CacheRun, CacheStats, HypothesisCache};
 use crate::engine::{
-    run_pass, ArmedBudget, FoldOpts, InspectionConfig, InspectionRequest, PassLayout, Profile,
-    RunBudget, SharedOutcome,
+    run_pass, ArmedBudget, InspectionConfig, InspectionRequest, PassLayout, Profile, RunBudget,
+    SharedOutcome, ViewFold,
 };
 use crate::error::DniError;
 use crate::extract::Extractor;
@@ -1144,9 +1144,10 @@ impl PhysicalPlan {
     /// view passes: admits the wave through `scheduler` at its `(extract,
     /// scan)` widths, holds the permit for exactly this pass, pins every
     /// dataset and hypothesis the wave names in `cache`, builds one
-    /// request per member item and streams them through [`run_pass`]. A
-    /// hypothesis or extractor that panics mid-stream is contained here
-    /// and surfaces as [`DniError::Internal`].
+    /// request per member item and streams them through [`run_pass`], with
+    /// `fold` on a view pass and none on a batch wave. A hypothesis or
+    /// extractor that panics mid-stream is contained here and surfaces as
+    /// [`DniError::Internal`].
     #[allow(clippy::too_many_arguments)] // one wave's whole context
     fn run_wave(
         &self,
@@ -1156,7 +1157,7 @@ impl PhysicalPlan {
         scheduler: &AdmissionScheduler,
         cache: &CacheRun<'_>,
         armed: Option<&ArmedBudget>,
-        opts: &FoldOpts<'_>,
+        fold: Option<ViewFold<'_>>,
     ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
         let _permit = scheduler.acquire(g.wave_widths[wi], g.wave_scan_widths[wi]);
         let items = &g.items[g.waves[wi].clone()];
@@ -1171,7 +1172,7 @@ impl PhysicalPlan {
         // (sub-)union.
         let sources = g.source.scan_plans();
         catch_unwind(AssertUnwindSafe(|| {
-            run_pass(&requests, config, sources, armed, opts, Some(cache))
+            run_pass(&requests, config, sources, armed, fold, Some(cache))
         }))
         .unwrap_or_else(|payload| Err(DniError::Internal(panic_message(payload))))
     }
@@ -1179,16 +1180,16 @@ impl PhysicalPlan {
     /// Executes a one-statement view plan (built by `optimize_with` with
     /// no score-cache lookup and no view probe; views are single-model,
     /// so it has at most one group of one item) as its single wave, with
-    /// `opts`' fold point: the full pass a materialized view is built
-    /// from or refreshed by, looking hypothesis behaviors up in `cache`. A
-    /// statement whose model selects no unit has no wave and yields an
-    /// empty frame.
+    /// the `fold` point it builds or extends: the full pass a materialized
+    /// view is built from or refreshed by, looking hypothesis behaviors up
+    /// in `cache`. A statement whose model selects no unit has no wave and
+    /// yields an empty frame.
     pub(crate) fn execute_view(
         &self,
         config: &InspectionConfig,
         scheduler: &AdmissionScheduler,
         cache: &HypothesisCache,
-        opts: &FoldOpts<'_>,
+        fold: ViewFold<'_>,
     ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
         let Some(group) = self.groups.first() else {
             let empty = SharedOutcome {
@@ -1199,7 +1200,8 @@ impl PhysicalPlan {
         };
         let armed = config.budget.arm();
         let cache = CacheRun::new(cache);
-        self.run_wave(group, 0, config, scheduler, &cache, armed.as_ref(), opts)
+        let fold = Some(fold);
+        self.run_wave(group, 0, config, scheduler, &cache, armed.as_ref(), fold)
     }
 
     /// Executes the plan under `config` with every wave admitted through
@@ -1228,16 +1230,8 @@ impl PhysicalPlan {
         let outcomes = deepbase_runtime::fan_out(config.device.threads(), &self.groups, |g| {
             (0..g.waves.len())
                 .map(|wi| {
-                    self.run_wave(
-                        g,
-                        wi,
-                        config,
-                        scheduler,
-                        &cache,
-                        armed.as_ref(),
-                        &FoldOpts::default(),
-                    )
-                    .map(|(outcome, _)| outcome)
+                    self.run_wave(g, wi, config, scheduler, &cache, armed.as_ref(), None)
+                        .map(|(outcome, _)| outcome)
                 })
                 .collect::<Result<Vec<SharedOutcome>, DniError>>()
         });

@@ -240,6 +240,11 @@ fn lex(input: &str) -> Result<Vec<Tok>, DniError> {
             let num = text
                 .parse::<f64>()
                 .map_err(|e| DniError::Query(format!("bad number {text:?}: {e}")))?;
+            // A literal past f64's range parses as infinity, which no
+            // literal can spell back.
+            if !num.is_finite() {
+                return Err(DniError::Query(format!("number {text:?} is out of range")));
+            }
             toks.push(Tok::Num(num));
         } else if c.is_ascii_alphabetic() || c == '_' {
             let start = i;
@@ -263,14 +268,14 @@ fn lex(input: &str) -> Result<Vec<Tok>, DniError> {
     Ok(toks)
 }
 
-/// Canonicalizes a statement for plan-cache keying: lexes it and joins
-/// the tokens with single spaces, lowercasing identifiers (the parser
-/// lowercases every identifier it consumes, so two statements with the
-/// same normalization always bind to the same plan). The result is
-/// itself a parseable statement.
-pub(crate) fn normalize_statement(input: &str) -> Result<String, DniError> {
+/// Renders the tokens of `input` — identifiers lowercased, string
+/// literals exactly as written — one space apart, except between two
+/// neighbours `tight` joins: the one token→text mapping of
+/// [`normalize_statement`] and [`display_statement`].
+fn render(input: &str, tight: fn(&Tok, &Tok) -> bool) -> Result<String, DniError> {
+    let toks = lex(input)?;
     let mut out = String::new();
-    for tok in lex(input)? {
+    for (i, tok) in toks.iter().enumerate() {
         let piece = match tok {
             Tok::Eof => break,
             Tok::Ident(s) => s.to_lowercase(),
@@ -278,14 +283,34 @@ pub(crate) fn normalize_statement(input: &str) -> Result<String, DniError> {
             Tok::Num(n) => format!("{n}"),
             Tok::Dot => ".".to_string(),
             Tok::Comma => ",".to_string(),
-            Tok::Op(op) => op,
+            Tok::Op(op) => op.clone(),
         };
-        if !out.is_empty() {
+        if i > 0 && !tight(&toks[i - 1], tok) {
             out.push(' ');
         }
         out.push_str(&piece);
     }
     Ok(out)
+}
+
+/// Canonicalizes a statement for plan-cache keying: lexes it and joins
+/// the tokens with single spaces, lowercasing identifiers (the parser
+/// lowercases every identifier it consumes, so two statements with the
+/// same normalization always bind to the same plan). The key of a
+/// statement that parses parses to the same statement, and normalizing
+/// any key again returns it unchanged.
+pub(crate) fn normalize_statement(input: &str) -> Result<String, DniError> {
+    render(input, |_, _| false)
+}
+
+/// A statement as a reader writes it: the tokens of
+/// [`normalize_statement`], with no space around `.` and none before `,`
+/// (`select s.uid, s.unit_score inspect u.uid …`). A statement that
+/// parses normalizes back to the same key.
+pub(crate) fn display_statement(input: &str) -> Result<String, DniError> {
+    render(input, |prev, tok| {
+        matches!(prev, Tok::Dot) || matches!(tok, Tok::Dot | Tok::Comma)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -675,6 +700,256 @@ mod tests {
         )
         .unwrap();
         assert_eq!(parse(&a).unwrap(), orig);
+    }
+
+    /// A literal past f64's range would lex as infinity, whose key
+    /// (`… < inf`) does not parse, so it is refused.
+    #[test]
+    fn a_number_past_the_f64_range_is_a_query_error() {
+        let statement = format!(
+            "SELECT S.uid INSPECT U.uid AND H.h OVER D.seq FROM models M WHERE M.epoch < {}",
+            "9".repeat(400)
+        );
+        for result in [
+            parse(&statement).err(),
+            normalize_statement(&statement).err(),
+        ] {
+            match result {
+                Some(DniError::Query(msg)) => assert!(msg.contains("out of range"), "{msg}"),
+                other => panic!("expected a query error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn display_form_joins_column_references_and_keeps_literals() {
+        let key = normalize_statement(
+            "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr, jaccard OVER D.seq \
+             FROM models M, units U WHERE M.mid = 'Mixed Case' AND U.layer >= -2",
+        )
+        .unwrap();
+        assert_eq!(
+            display_statement(&key).unwrap(),
+            "select s.uid, s.unit_score inspect u.uid and h.h using corr, jaccard over d.seq \
+             from models m, units u where m.mid = 'Mixed Case' and u.layer >= -2"
+        );
+    }
+
+    /// Every statement the tests of this module parse or run, plus the
+    /// clause shapes they leave out (both inequality spellings, negative
+    /// and fractional numbers, a literal with spaces and a non-ASCII char).
+    fn fuzz_statements() -> Vec<String> {
+        let mut statements: Vec<String> = [
+            PAPER_QUERY,
+            "SELECT S.uid INSPECT U.uid AND H.h OVER D.seq \
+             FROM models M, units U, hypotheses H, inputs D",
+            "SELECT  S.uid   INSPECT U.uid AND H.h OVER D.seq \
+             FROM models M, units U, hypotheses H, inputs D WHERE M.mid = 'X'",
+            "select s . uid inspect u.uid and h.h over d.seq \
+             from MODELS m, UNITS u, HYPOTHESES h, INPUTS d where m.MID = 'X'",
+            "SELECT S.uid INSPECT U.uid AND H.h USING nope OVER D.seq AS S \
+             FROM models M, units U, hypotheses H, inputs D",
+            "SELECT S.score_id, S.hyp_id INSPECT U.uid AND H.h USING corr, jaccard_q95 \
+             OVER D.seq AS R FROM models M, units U WHERE U.layer <> -1 AND M.epoch != 2.5 \
+             AND H.name <= 'a é b' GROUP BY U.layer, M.epoch HAVING R.unit_score >= 0.25",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        statements.extend(BATCH_QUERIES.iter().map(|s| s.to_string()));
+        statements
+    }
+
+    /// Checks the laws of `parse` and `normalize_statement` on one input
+    /// and returns whether `parse` accepted it: neither panics, every
+    /// error is a query error, a key normalizes to itself, an accepted
+    /// statement's key parses to the same statement, and its display form
+    /// normalizes back to the key.
+    fn statement_laws_hold(input: &str) -> bool {
+        let outcome = std::panic::catch_unwind(|| (parse(input), normalize_statement(input)));
+        let (parsed, key) = outcome.unwrap_or_else(|_| panic!("panicked on {input:?}"));
+        for err in [parsed.as_ref().err(), key.as_ref().err()]
+            .into_iter()
+            .flatten()
+        {
+            assert!(matches!(err, DniError::Query(_)), "{input:?}: {err:?}");
+        }
+        if let Ok(key) = &key {
+            assert_eq!(normalize_statement(key).as_ref(), Ok(key), "{input:?}");
+        }
+        let Ok(statement) = parsed else {
+            return false;
+        };
+        let key = key.unwrap_or_else(|e| panic!("{input:?} parses, but its key fails: {e:?}"));
+        assert_eq!(
+            parse(&key).as_ref(),
+            Ok(&statement),
+            "{input:?} keyed {key:?}"
+        );
+        let shown = display_statement(&key).unwrap();
+        assert_eq!(
+            normalize_statement(&shown),
+            Ok(key),
+            "{input:?} shown {shown:?}"
+        );
+        true
+    }
+
+    #[test]
+    fn the_parser_and_the_normalizer_hold_their_laws_under_fuzzing() {
+        let statements = fuzz_statements();
+        for statement in &statements {
+            assert!(statement_laws_hold(statement), "{statement:?} must parse");
+        }
+        // Every statement truncated at each char boundary.
+        for statement in &statements {
+            for (at, _) in statement.char_indices() {
+                statement_laws_hold(&statement[..at]);
+            }
+        }
+        // Every statement with each char replaced from a small alphabet.
+        const ALPHABET: [char; 15] = [
+            '\'', '.', ',', '=', '<', '>', '!', '-', '0', 'a', '_', '(', ' ', 'é', '9',
+        ];
+        for statement in &statements {
+            let chars: Vec<char> = statement.chars().collect();
+            for at in 0..chars.len() {
+                for replacement in ALPHABET {
+                    let mut mutated = chars.clone();
+                    mutated[at] = replacement;
+                    statement_laws_hold(&mutated.into_iter().collect::<String>());
+                }
+            }
+        }
+        // Seeded random strings: half loose chars, half statements drawn
+        // from the grammar (random case, spacing, names and literals, a
+        // third of them with one char changed), so that many parse.
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut accepted = 0;
+        for i in 0..20_000 {
+            let input: String = if i % 2 == 0 {
+                (0..rng.below(40))
+                    .map(|_| match rng.below(4) {
+                        0 => ALPHABET[rng.below(ALPHABET.len())],
+                        1 => char::from_u32(rng.below(0x2_0000) as u32).unwrap_or('\u{fffd}'),
+                        _ => (b' ' + rng.below(95) as u8) as char,
+                    })
+                    .collect()
+            } else {
+                let mut chars: Vec<char> = random_statement(&mut rng).chars().collect();
+                let at = rng.below(chars.len());
+                match rng.below(9) {
+                    0 => drop(chars.remove(at)),
+                    1 => chars[at] = ALPHABET[rng.below(ALPHABET.len())],
+                    2 => chars.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
+                    _ => {}
+                }
+                chars.into_iter().collect()
+            };
+            accepted += usize::from(statement_laws_hold(&input));
+        }
+        assert!(accepted > 4_000, "only {accepted} random statements parsed");
+    }
+
+    /// A seeded xorshift stream.
+    struct Rng(u64);
+
+    impl Rng {
+        /// A number below `n`.
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
+            options[self.below(options.len())]
+        }
+
+        /// `word` in lower, upper or its own case.
+        fn cased(&mut self, word: &str) -> String {
+            match self.below(3) {
+                0 => word.to_lowercase(),
+                1 => word.to_uppercase(),
+                _ => word.to_string(),
+            }
+        }
+
+        fn ident(&mut self) -> String {
+            let word = self.pick(&["s", "uid", "H", "Layer_2", "unit_score", "x9", "_q"]);
+            self.cased(word)
+        }
+
+        fn col(&mut self) -> String {
+            let (alias, dot, attr) = (self.ident(), self.pick(&[".", " . ", ".\n"]), self.ident());
+            format!("{alias}{dot}{attr}")
+        }
+
+        /// One to three items, comma-separated.
+        fn list(&mut self, item: fn(&mut Rng) -> String) -> String {
+            let items: Vec<String> = (0..1 + self.below(3)).map(|_| item(self)).collect();
+            items.join(self.pick(&[", ", ",", " ,"]))
+        }
+
+        /// A literal: a string, a negative, fractional or small number,
+        /// or a run of up to 400 digits.
+        fn literal(&mut self) -> String {
+            match self.below(5) {
+                0 => format!("'{}'", self.pick(&["x", "Mixed Case", "a é b", ""])),
+                1 => format!("-{}", self.below(1000)),
+                2 => format!("{}.{}", self.below(100), self.below(100)),
+                3 => "9".repeat(1 + self.below(400)),
+                _ => self.below(10).to_string(),
+            }
+        }
+
+        /// One to three `col op literal` conditions joined by `and`.
+        fn conds(&mut self) -> String {
+            let n = 1 + self.below(3);
+            let conds: Vec<String> = (0..n)
+                .map(|_| {
+                    let col = self.col();
+                    let op = self.pick(&["=", "!=", "<>", "<", "<=", ">", ">="]);
+                    format!("{col} {op} {}", self.literal())
+                })
+                .collect();
+            conds.join(&format!(" {} ", self.cased("and")))
+        }
+    }
+
+    /// One random statement of the INSPECT grammar.
+    fn random_statement(rng: &mut Rng) -> String {
+        let mut parts = vec![
+            rng.cased("select"),
+            rng.list(Rng::col),
+            rng.cased("inspect"),
+            rng.col(),
+            rng.cased("and"),
+            rng.col(),
+        ];
+        if rng.below(2) == 0 {
+            parts.extend([rng.cased("using"), rng.list(Rng::ident)]);
+        }
+        parts.extend([rng.cased("over"), rng.col()]);
+        if rng.below(2) == 0 {
+            parts.extend([rng.cased("as"), rng.ident()]);
+        }
+        parts.extend([
+            rng.cased("from"),
+            rng.list(|rng| format!("{} {}", rng.ident(), rng.ident())),
+        ]);
+        if rng.below(2) == 0 {
+            parts.extend([rng.cased("where"), rng.conds()]);
+        }
+        if rng.below(2) == 0 {
+            parts.extend([rng.cased("group by"), rng.list(Rng::col)]);
+        }
+        if rng.below(2) == 0 {
+            parts.extend([rng.cased("having"), rng.conds()]);
+        }
+        let space = rng.pick(&[" ", "  ", "\n\t"]);
+        parts.join(space)
     }
 
     /// The reference answer: a bare session — no store, no score reuse,

@@ -28,6 +28,11 @@
 //!   [`SessionConfig::reuse_scores`] to `false` to re-run every pass.
 //! * [`Session::explain`] renders the physical plan tree for a statement
 //!   (or batch) without executing it.
+//! * A materialized view ([`Session::create_view`]) has one write path,
+//!   `write_view` — create, rebuild and incremental refresh differ only
+//!   in the fold point its pass starts from — and one judge, which
+//!   compares the stored doc with `view_doc`, the doc the current inputs
+//!   would be written as.
 //!
 //! Every batch reports its plan counters in
 //! [`BatchReport::plan`](crate::plan::BatchReport::plan), a [`PlanStats`]
@@ -37,19 +42,19 @@
 
 use crate::admission::AdmissionScheduler;
 use crate::cache::HypothesisCache;
-use crate::engine::{FoldOpts, InspectionConfig, RunBudget, SharedOutcome};
+use crate::engine::{InspectionConfig, RunBudget, ViewFold};
 use crate::error::DniError;
 use crate::model::Record;
 use crate::plan::{
     self, AdmissionConfig, BatchOutput, LogicalPlan, PhysicalPlan, PlanStats, StoreBinding,
     BATCH_CACHE_BYTES,
 };
-use crate::query::{normalize_statement, parse, Catalog};
+use crate::query::{display_statement, normalize_statement, parse, Catalog};
 use crate::result::{ResultFrame, ScoreRow};
 use deepbase_relational::Table;
 use deepbase_store::{
     BehaviorStore, MaterializationPolicy, StoreConfig, StoreError, StoreStats, ViewDoc,
-    ViewFreshness, ViewHypState, ViewRow,
+    ViewFreshness, ViewRow,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -142,7 +147,11 @@ const VIEW_ENGINE_TAG: &str = "DeepBase";
 pub struct ViewInfo {
     /// View name.
     pub name: String,
-    /// The normalized statement the view materializes.
+    /// The statement the view materializes, as a reader writes it: the
+    /// tokens of its normalized key, with no space around `.` and none
+    /// before `,` (`select s.uid, s.unit_score inspect u.uid …`). The
+    /// stored key, which views and the plan cache are matched by, is the
+    /// space-separated form.
     pub statement: String,
     /// Freshness against the session's current catalog and config.
     pub freshness: ViewFreshness,
@@ -162,6 +171,15 @@ pub enum ViewRefresh {
     },
     /// Some other input changed: the view was rebuilt from scratch.
     Rebuilt,
+}
+
+/// A stored view, its statement bound to the session's catalog, and its
+/// freshness against the inputs the statement binds to now.
+struct BoundView {
+    doc: Arc<ViewDoc>,
+    /// The bound statement, or the error binding it raised.
+    plan: Result<Arc<LogicalPlan>, DniError>,
+    freshness: ViewFreshness,
 }
 
 /// Decodes a stored view frame back into the engine's result frame,
@@ -569,34 +587,13 @@ impl Session {
         )
     }
 
-    /// Judges a stored view against the statement's *current* inputs:
-    /// model fingerprints, per-segment dataset fingerprints, and the
-    /// result-determining config fields.
-    fn view_freshness_for(&self, doc: &ViewDoc, plan: &LogicalPlan) -> ViewFreshness {
-        let model_fps: Option<Vec<u64>> = plan.models.iter().map(|m| m.fingerprint()).collect();
-        let Some(model_fps) = model_fps else {
-            return ViewFreshness::Invalid;
-        };
-        let segment_fps: Vec<u64> = (0..plan.dataset.segment_count())
-            .map(|i| plan.dataset.segment_fingerprint(i))
-            .collect();
-        doc.freshness(
-            VIEW_ENGINE_TAG,
-            self.config.inspection.block_records as u64,
-            self.config.inspection.epsilon.map(f32::to_bits),
-            self.config.inspection.seed,
-            &model_fps,
-            &segment_fps,
-        )
-    }
-
     /// The optimizer's view probe: does a view materialize this
     /// normalized statement, and how fresh is it? Fresh hits carry the
     /// decoded frame so the optimizer can place a replay.
     fn probe_view(&self, key: &str, plan: &Arc<LogicalPlan>) -> Option<plan::ViewHit> {
         let store = self.store.as_ref()?;
         let doc = store.views().find_by_statement(key)?;
-        let freshness = self.view_freshness_for(&doc, plan);
+        let freshness = self.judge_view(&doc, plan);
         let frame = matches!(freshness, ViewFreshness::Fresh).then(|| Arc::new(view_frame(&doc)));
         Some(plan::ViewHit {
             note: plan::ViewNote {
@@ -676,16 +673,82 @@ impl Session {
             return Err(DniError::Query("view name must not be empty".into()));
         }
         let prepared = self.prepare(sql)?;
-        let plan = Arc::clone(&prepared.plan);
-        self.materialize_view(name, &prepared.key, &plan)
+        self.write_view(name, &prepared.key, &prepared.plan, None)
     }
 
-    /// The full-pass build half of `create_view` / rebuild-refresh.
-    fn materialize_view(
+    /// The doc a view of `statement` over `plan` is written as, before
+    /// its pass fills in states and rows: every result-determining input
+    /// (engine tag, block size, ε bits, seed, model and per-segment
+    /// dataset fingerprints), which `judge_view` compares a stored doc
+    /// with. `None` when a bound model has no content fingerprint.
+    fn view_doc(&self, name: &str, statement: &str, plan: &LogicalPlan) -> Option<ViewDoc> {
+        let model_fps: Option<Vec<u64>> = plan.models.iter().map(|m| m.fingerprint()).collect();
+        Some(ViewDoc {
+            name: name.to_string(),
+            statement: statement.to_string(),
+            engine: VIEW_ENGINE_TAG.to_string(),
+            block_records: self.config.inspection.block_records as u64,
+            epsilon_bits: self.config.inspection.epsilon.map(f32::to_bits),
+            seed: self.config.inspection.seed,
+            model_fps: model_fps?,
+            segment_fps: (0..plan.dataset.segment_count())
+                .map(|i| plan.dataset.segment_fingerprint(i))
+                .collect(),
+            states: Vec::new(),
+            rows: Vec::new(),
+        })
+    }
+
+    /// Judges a stored view against the inputs its statement binds to now
+    /// (`view_doc`): the one freshness judgement of reads, refreshes,
+    /// listings and the optimizer's probe.
+    fn judge_view(&self, doc: &ViewDoc, plan: &LogicalPlan) -> ViewFreshness {
+        let Some(now) = self.view_doc(&doc.name, &doc.statement, plan) else {
+            return ViewFreshness::Invalid;
+        };
+        doc.freshness(
+            &now.engine,
+            now.block_records,
+            now.epsilon_bits,
+            now.seed,
+            &now.model_fps,
+            &now.segment_fps,
+        )
+    }
+
+    /// Loads view `name`, binds its statement through the plan cache and
+    /// judges it: the one load-bind-judge step of `read_view`,
+    /// `refresh_view` and `list_views`. No view of the name is
+    /// [`DniError::UnknownView`]; a statement that no longer binds keeps
+    /// its error in `BoundView::plan` and judges `Invalid`.
+    fn bind_view(&mut self, name: &str) -> Result<BoundView, DniError> {
+        let doc = (self.view_store()?.views().load(name))
+            .map_err(|e| store_view_err("load", name, e))?
+            .ok_or_else(|| DniError::UnknownView(name.to_string()))?;
+        let plan = self.prepare(&doc.statement).map(|p| p.plan);
+        let freshness = match &plan {
+            Ok(plan) => self.judge_view(&doc, plan),
+            Err(_) => ViewFreshness::Invalid,
+        };
+        Ok(BoundView {
+            doc,
+            plan,
+            freshness,
+        })
+    }
+
+    /// Writes view `name` of `statement`: the one write path of create,
+    /// rebuild and incremental refresh. With no `base` the full pass
+    /// builds the fold point over every segment; with `base` it revives
+    /// that doc's fold point and streams only the segments appended
+    /// since, which equals the rebuild bit for bit (`engine` module docs,
+    /// *One streaming pass*).
+    fn write_view(
         &mut self,
         name: &str,
         statement: &str,
         plan: &Arc<LogicalPlan>,
+        base: Option<&ViewDoc>,
     ) -> Result<(), DniError> {
         let store = self.view_store()?;
         if store.is_read_only() {
@@ -698,7 +761,7 @@ impl Session {
                 "materialized views require a single-model statement".into(),
             ));
         };
-        let Some(model_fp) = model.fingerprint() else {
+        let Some(mut doc) = self.view_doc(name, statement, plan) else {
             return Err(DniError::Query(format!(
                 "model {:?} has no content fingerprint; its results cannot back a view",
                 model.mid
@@ -709,50 +772,11 @@ impl Session {
                 "cannot materialize a view over an empty dataset".into(),
             ));
         }
-        let (outcome, captures) = self.view_pass(
-            plan,
-            &FoldOpts {
-                capture_states: true,
-                ..FoldOpts::default()
-            },
-        )?;
-        let doc = ViewDoc {
-            name: name.to_string(),
-            statement: statement.to_string(),
-            engine: VIEW_ENGINE_TAG.to_string(),
-            block_records: self.config.inspection.block_records as u64,
-            epsilon_bits: self.config.inspection.epsilon.map(f32::to_bits),
-            seed: self.config.inspection.seed,
-            model_fps: vec![model_fp],
-            segment_fps: (0..plan.dataset.segment_count())
-                .map(|i| plan.dataset.segment_fingerprint(i))
-                .collect(),
-            states: captures,
-            rows: view_rows(&outcome.results[0].0),
-        };
-        let bytes = store
-            .views()
-            .save(&doc)
-            .map_err(|e| store_view_err("save", name, e))?;
-        self.store_stats.view_builds += 1;
-        self.store_stats.view_bytes_written += bytes;
-        self.store_stats.accumulate(&outcome.store);
-        Ok(())
-    }
-
-    /// Runs the full pass a view is built from (or refreshed by) as a
-    /// one-item plan: the optimizer's per-segment store source and wave
-    /// widths, no score-cache lookup and no view probe, then its single
-    /// wave through the batch wave runner, over the session's hypothesis
-    /// cache. The requested fold point makes it a full pass even on a
-    /// one-segment dataset, so the captured states are valid merge bases
-    /// for later refreshes. No compaction sweep.
-    fn view_pass(
-        &self,
-        plan: &Arc<LogicalPlan>,
-        opts: &FoldOpts<'_>,
-    ) -> Result<(SharedOutcome, Vec<ViewHypState>), DniError> {
-        plan::optimize_with(
+        // The pass is a one-item plan (the optimizer's per-segment store
+        // source and wave widths, no score-cache lookup, no view probe)
+        // whose one wave runs through the batch wave runner; the fold
+        // point makes it a full pass even on one segment. No sweep.
+        let (outcome, states) = plan::optimize_with(
             std::slice::from_ref(plan),
             &self.config.inspection,
             self.config.admission,
@@ -764,8 +788,22 @@ impl Session {
             &self.config.inspection,
             &self.scheduler,
             &self.hypothesis_cache,
-            opts,
-        )
+            base.map_or(ViewFold::Build, ViewFold::Extend),
+        )?;
+        doc.states = states;
+        doc.rows = view_rows(&outcome.results[0].0);
+        let bytes = store
+            .views()
+            .save(&doc)
+            .map_err(|e| store_view_err("save", name, e))?;
+        if base.is_some() {
+            self.store_stats.view_refreshes += 1;
+        } else {
+            self.store_stats.view_builds += 1;
+        }
+        self.store_stats.view_bytes_written += bytes;
+        self.store_stats.accumulate(&outcome.store);
+        Ok(())
     }
 
     /// Replays a **fresh** view's stored frame through the statement's
@@ -776,22 +814,16 @@ impl Session {
     /// stale or invalid view raises [`DniError::ViewStale`] instead of
     /// silently rebuilding: reads never pay extraction, by contract.
     pub fn read_view(&mut self, name: &str) -> Result<Table, DniError> {
-        let store = self.view_store()?;
-        let doc = store
-            .views()
-            .load(name)
-            .map_err(|e| store_view_err("load", name, e))?
-            .ok_or_else(|| DniError::UnknownView(name.to_string()))?;
-        let prepared = self.prepare(&doc.statement)?;
-        let plan = Arc::clone(&prepared.plan);
-        match self.view_freshness_for(&doc, &plan) {
+        let view = self.bind_view(name)?;
+        let plan = view.plan?;
+        match view.freshness {
             ViewFreshness::Fresh => {
                 let [model] = &plan.models[..] else {
                     return Err(DniError::Query(
                         "materialized views require a single-model statement".into(),
                     ));
                 };
-                let frame = view_frame(&doc);
+                let frame = view_frame(&view.doc);
                 let mut out = plan.output_table();
                 plan::apply_post(&plan, model, &frame, &mut out)?;
                 self.store_stats.view_hits += 1;
@@ -815,53 +847,17 @@ impl Session {
     /// full-pass fold-point contract); any other change rebuilds from
     /// scratch.
     pub fn refresh_view(&mut self, name: &str) -> Result<ViewRefresh, DniError> {
-        let store = self.view_store()?;
-        let doc = store
-            .views()
-            .load(name)
-            .map_err(|e| store_view_err("load", name, e))?
-            .ok_or_else(|| DniError::UnknownView(name.to_string()))?;
-        let prepared = self.prepare(&doc.statement)?;
-        let plan = Arc::clone(&prepared.plan);
-        match self.view_freshness_for(&doc, &plan) {
-            ViewFreshness::Fresh => Ok(ViewRefresh::Noop),
+        let view = self.bind_view(name)?;
+        let plan = view.plan?;
+        let (base, done) = match view.freshness {
+            ViewFreshness::Fresh => return Ok(ViewRefresh::Noop),
             ViewFreshness::Stale { new_segments } => {
-                if store.is_read_only() {
-                    return Err(DniError::Query(
-                        "the behavior store is read-only; views cannot be written".into(),
-                    ));
-                }
-                let (outcome, captures) = self.view_pass(
-                    &plan,
-                    &FoldOpts {
-                        skip_segments: doc.segment_fps.len(),
-                        base_states: Some(&doc.states),
-                        capture_states: true,
-                    },
-                )?;
-                let updated = ViewDoc {
-                    segment_fps: (0..plan.dataset.segment_count())
-                        .map(|i| plan.dataset.segment_fingerprint(i))
-                        .collect(),
-                    states: captures,
-                    rows: view_rows(&outcome.results[0].0),
-                    ..(*doc).clone()
-                };
-                let bytes = store
-                    .views()
-                    .save(&updated)
-                    .map_err(|e| store_view_err("save", name, e))?;
-                self.store_stats.view_refreshes += 1;
-                self.store_stats.view_bytes_written += bytes;
-                self.store_stats.accumulate(&outcome.store);
-                Ok(ViewRefresh::Incremental { new_segments })
+                (Some(&*view.doc), ViewRefresh::Incremental { new_segments })
             }
-            ViewFreshness::Invalid => {
-                let statement = doc.statement.clone();
-                self.materialize_view(name, &statement, &plan)?;
-                Ok(ViewRefresh::Rebuilt)
-            }
-        }
+            ViewFreshness::Invalid => (None, ViewRefresh::Rebuilt),
+        };
+        self.write_view(name, &view.doc.statement, &plan, base)?;
+        Ok(done)
     }
 
     /// Deletes a view. Returns `true` when one existed.
@@ -878,27 +874,18 @@ impl Session {
     /// (catalog entries replaced or removed) lists as invalid.
     pub fn list_views(&mut self) -> Result<Vec<ViewInfo>, DniError> {
         let store = self.view_store()?;
-        let names = store.views().list();
-        let mut out = Vec::with_capacity(names.len());
-        for name in names {
-            let Some(doc) = store
-                .views()
-                .load(&name)
-                .map_err(|e| store_view_err("load", &name, e))?
-            else {
-                continue;
-            };
-            let freshness = match self.prepare(&doc.statement) {
-                Ok(p) => {
-                    let plan = Arc::clone(&p.plan);
-                    self.view_freshness_for(&doc, &plan)
-                }
-                Err(_) => ViewFreshness::Invalid,
+        let mut out = Vec::new();
+        for name in store.views().list() {
+            let view = match self.bind_view(&name) {
+                Ok(view) => view,
+                Err(DniError::UnknownView(_)) => continue,
+                Err(e) => return Err(e),
             };
             out.push(ViewInfo {
+                statement: display_statement(&view.doc.statement)
+                    .unwrap_or_else(|_| view.doc.statement.clone()),
                 name,
-                statement: doc.statement.clone(),
-                freshness,
+                freshness: view.freshness,
             });
         }
         Ok(out)
