@@ -13,7 +13,11 @@
 //! hypothesis list), and every measure is handed a member's whole list in
 //! one state (`logreg` trains one multi-output model, the buffered
 //! measures keep one unit sample, `corr` sums each unit's moments once,
-//! `diff_means` and the baselines hold one accumulator per member).
+//! `diff_means` and the baselines hold one accumulator per member). A
+//! pairwise measure's state ([`Measure::pairwise`]: `corr`, `diff_means`)
+//! is a grid of independent `(unit, hypothesis)` accumulators, so a pass
+//! may feed one grid over several slots' pairs and project each slot's own
+//! state out of it.
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
 //! extraction fans record blocks across threads and independent
@@ -54,35 +58,46 @@
 //!
 //! 1. **Layout.** N member requests naming the *same* `(extractor,
 //!    dataset)` pair become one sharing structure: the *union* of member
-//!    unit columns (demuxed per group, [`crate::extract::ColumnDemux`]);
-//!    the union of member hypotheses by function identity (Arc-shared
-//!    catalog sets collapse, same-id-different-function registrations
-//!    stay separate); and deduplicated measure-state slots — one state
-//!    per `(units, measure, hypothesis list)`, the list being the
-//!    member's own (measures by identity too, not by id), the exact key
-//!    that keeps every member's scores bit-identical to a standalone
-//!    [`inspect`] call.
+//!    unit columns; the union of member hypotheses by function identity
+//!    (Arc-shared catalog sets collapse, same-id-different-function
+//!    registrations stay separate); deduplicated slots — one per
+//!    `(units, measure, hypothesis list)`, the list being the member's
+//!    own (measures by identity too, not by id), the exact key that keeps
+//!    every member's scores bit-identical to a standalone [`inspect`]
+//!    call; and the measure states the slots read. A pairwise measure's
+//!    slots share one grid over the union of their units × the union of
+//!    their hypothesis columns whenever that grid holds no more pairs
+//!    than the slots do together; every other slot has a state of its
+//!    own, fed its unit selection ([`crate::extract::ColumnDemux`]). A
+//!    grid over every union unit is fed the union block itself, so a
+//!    selection only grids read is never demuxed.
 //! 2. **One stream per dataset segment.** A seeded shuffle of the
 //!    segment's records (segment 0 keeps the session seed), a block at a
 //!    time: unit behaviors are fetched once per block — extracted live,
 //!    or, when the segment has a store [`ScanPlan`], through the store's
 //!    [`ColumnPass`], which scans what it holds and calls back for the
 //!    columns it needs computed — hypothesis columns are evaluated once
-//!    per block, only while some unconverged slot still consumes them,
-//!    and every slot advances once. Scan order, watermarks, demotion
-//!    and write-back are the store crate's half of the pass; this module
-//!    only calls `fetch_block` and `finish`.
+//!    per block, only while some unconverged slot still reads them, and
+//!    every live state advances once. A grid computes each pair's
+//!    convergence error once per block ([`MeasureState::process_pairs`]);
+//!    a slot's member error is the largest over its own units, what a
+//!    state of its own reports. Scan order, watermarks, demotion and
+//!    write-back are the store crate's half of the pass; this module only
+//!    calls `fetch_block` and `finish`.
 //! 3. **One fold** over the stream outputs in segment-index order via the
 //!    exact [`MeasureState::merge_from`], seeded by the revived fold point
 //!    of the segments a stored view already covers when the pass extends
-//!    one (an incremental view refresh). A fold over one output is the
-//!    identity.
+//!    one (an incremental view refresh; each revived slot state is
+//!    embedded into its grid, [`MeasureState::embed`]). A fold over one
+//!    output is the identity. Then every slot's own state is projected out
+//!    of its grid ([`MeasureState::project`]), bit for bit the state a
+//!    slot of its own would hold.
 //! 4. **One tail**: pairs that never met epsilon are listed as pending,
 //!    every unique pair is emitted once into a merged [`ResultFrame`]
 //!    ([`MeasureState::final_scores`], on the inspection clock), member
 //!    frames are reassembled from row spans ([`ResultFrame::demux`]), and
-//!    a view pass serializes the fold point — per hypothesis, so the
-//!    stored bytes do not depend on how hypotheses were grouped into
+//!    a view pass serializes the fold point — per slot and hypothesis, so
+//!    the stored bytes do not depend on how hypotheses were grouped into
 //!    states.
 //!
 //! The single-request engine is the one-member case, and the unsegmented
@@ -93,15 +108,17 @@
 //! point a pass builds (`ViewFold::Build`) or extends
 //! (`ViewFold::Extend`), and is absent on every plain INSPECT.
 //!
-//! * `!full_pass` (one stream): **early stopping** — a list member whose
-//!   state can [freeze](MeasureState::freeze) it (`corr`, `diff_means`,
-//!   the baselines) stops being fed at the block its own error met
-//!   epsilon, exactly where a one-hypothesis slot would have stopped; a
-//!   slot stops being fed the moment every error of its list meets
-//!   epsilon, and a hypothesis column is evaluated only while some
-//!   unfrozen member of an unconverged slot reads it. The stream ends when every member converged (§5.2.3),
-//!   persisting the streamed prefix as resumable partial columns;
-//!   extraction runs on the configured [`Device`].
+//! * `!full_pass` (one stream): **early stopping** — a list member stops
+//!   at the block its own error met epsilon, exactly where a
+//!   one-hypothesis slot would have stopped: a grid consumer's member by
+//!   snapshotting its pairs (the grid stops feeding a hypothesis once
+//!   every consumer has frozen it), any other where its state can
+//!   [freeze](MeasureState::freeze) it (the baselines). A slot stops being
+//!   fed the moment every error of its list meets epsilon, and a
+//!   hypothesis column is evaluated only while some unfrozen member of an
+//!   unconverged slot reads it. The stream ends when every member
+//!   converged (§5.2.3), persisting the streamed prefix as resumable
+//!   partial columns; extraction runs on the configured [`Device`].
 //! * `full_pass`: the same slots over the same lists, never stopped
 //!   early: every block of every streamed segment is processed, so
 //!   folded scores and extractor call counts do not depend on device or
@@ -770,37 +787,41 @@ pub struct SharedOutcome {
 // The streaming pass: layout → per-segment streams → fold → emit
 // ---------------------------------------------------------------------
 
-/// One unique unit selection of a pass: its column demux out of the
+/// One unique unit selection a state is fed: its column demux out of the
 /// union matrix, with the identity check precomputed (a selection that
-/// covers the whole union in order — the common single-query, one-group
-/// case — borrows the union matrix instead of copying it).
+/// covers the whole union in order — a grid state over every unit, the
+/// common single-query, one-group case — borrows the union matrix instead
+/// of copying it).
 struct Selection {
     units: Vec<usize>,
     demux: ColumnDemux,
     identity: bool,
 }
 
-/// One deduplicated measure-state slot: one state over an ordered list of
-/// union hypothesis columns, a member's whole list. Hypotheses are
-/// identified by their union column index (function identity) and
-/// measures by [`measure_key`], not by id string, so
-/// same-id-different-function registrations never conflate. Any member
-/// naming the same `(units, measure, hypothesis list)` shares the slot. The
-/// exact ordered list is the identity because it is what the state sees: a
-/// logreg state trains one model over the list (anything less would change
-/// member scores), and a buffered state keeps one sample for the list —
-/// members naming different lists over one `(units, measure)` get one
-/// sample per distinct list, never more than one per member.
+/// One deduplicated measure slot: what one member's whole list scores over
+/// one unit group. Hypotheses are identified by their union column index
+/// (function identity) and measures by [`measure_key`], not by id string,
+/// so same-id-different-function registrations never conflate. Any member
+/// naming the same `(units, measure, hypothesis list)` shares the slot.
+/// The exact ordered list is the identity because it is what a state sees:
+/// a logreg state trains one model over the list (anything less would
+/// change member scores), and a buffered state keeps one sample for the
+/// list — members naming different lists over one `(units, measure)` get
+/// one sample per distinct list, never more than one per member.
+///
+/// A slot reads one [`StatePlan`]: a state of its own, or, for a pairwise
+/// measure, one grid it shares with the measure's other slots, out of which
+/// its pairs are projected.
 struct Slot<'a> {
-    /// Index into the unique unit-selection list.
-    sel: usize,
     eps: f32,
     measure: &'a dyn Measure,
     /// Canonical ids for merged-frame rows (first registrant; members
     /// rebrand during demux).
     model_id: String,
     group_id: String,
-    /// Union hypothesis columns the slot's state consumes, in list order.
+    /// The group's units, in its order.
+    units: Vec<usize>,
+    /// Union hypothesis columns the slot scores, in list order.
     hyps: Vec<usize>,
 }
 
@@ -820,6 +841,32 @@ impl Slot<'_> {
     }
 }
 
+/// One measure state a pass builds and the slots that read it. A pairwise
+/// measure's ([`Measure::pairwise`]) slots share one grid over the union
+/// of their units × the union of their hypothesis columns whenever that
+/// grid holds no more pairs than the slots do together; otherwise, and for
+/// every other measure, a slot has a state of its own. A grid is fed pair
+/// by pair ([`MeasureState::process_pairs`]) and each consumer's state is
+/// projected out of it; any other state is its one slot's.
+struct StatePlan<'a> {
+    measure: &'a dyn Measure,
+    /// Index into the unique unit-selection list: the units fed.
+    sel: usize,
+    /// Union hypothesis columns the state consumes, in state order.
+    hyps: Vec<usize>,
+    grid: bool,
+    consumers: Vec<Consumer>,
+}
+
+/// A slot's reading of its state: its units and its list as indexes into
+/// the state's (a repeated unit or column maps twice). A slot with a state
+/// of its own reads it whole.
+struct Consumer {
+    slot: usize,
+    units: Vec<usize>,
+    hyps: Vec<usize>,
+}
+
 /// A member's handle on the slot of one of its (group, measure) entries,
 /// in the member's canonical emission order.
 struct MemberEntry {
@@ -829,10 +876,10 @@ struct MemberEntry {
 
 /// The sharing structure of one pass, built once and read by every
 /// segment stream: union units, union hypotheses, unit selections,
-/// deduplicated slots and each member's view of them. The optimizer
-/// builds the same layout for a plan group's members and reads its
-/// sharing numbers and admission widths off it, so what `explain` counts
-/// is what the pass builds.
+/// deduplicated slots, the states they read and each member's view of
+/// them. The optimizer builds the same layout for a plan group's members
+/// and reads its sharing numbers and admission widths off it, so what
+/// `explain` counts is what the pass builds.
 pub(crate) struct PassLayout<'a> {
     extractor: &'a dyn Extractor,
     dataset: &'a Dataset,
@@ -842,9 +889,27 @@ pub(crate) struct PassLayout<'a> {
     union_hyps: Vec<&'a dyn HypothesisFn>,
     selections: Vec<Selection>,
     slots: Vec<Slot<'a>>,
+    states: Vec<StatePlan<'a>>,
     members: Vec<Vec<MemberEntry>>,
     /// The hypothesis cache the pass looks behaviors up in, if any.
     cache: Option<&'a CacheRun<'a>>,
+}
+
+/// The grid over `part`'s slots: the union of their units, ascending, and
+/// of their hypothesis columns, in order of first mention.
+fn grid_over(slots: &[Slot<'_>], part: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut units: Vec<usize> = (part.iter())
+        .flat_map(|&s| slots[s].units.iter().copied())
+        .collect();
+    units.sort_unstable();
+    units.dedup();
+    let mut hyps: Vec<usize> = Vec::new();
+    for &c in part.iter().flat_map(|&s| &slots[s].hyps) {
+        if !hyps.contains(&c) {
+            hyps.push(c);
+        }
+    }
+    (units, hyps)
 }
 
 /// Identity of a measure within a pass: where it lives, plus its id. The
@@ -861,18 +926,46 @@ fn measure_key(measure: &dyn Measure) -> MeasureKey {
 
 /// The mutable half of a slot within one stream (or the fold of several).
 struct SlotRun {
-    state: Box<dyn MeasureState>,
     /// Convergence error per slot hypothesis: what the last processed
-    /// block returned (`∞` before the first), replaced by the folded
-    /// state's own estimate after a full pass.
+    /// block gave (`∞` before the first), replaced by the folded state's
+    /// own estimate after a full pass.
     errs: Vec<f32>,
     /// Set once every error met epsilon on an early-stopping stream; a
     /// converged slot is no longer fed. Never set on a full pass.
     converged: bool,
     /// Per slot hypothesis: frozen at the block its own error met epsilon
-    /// on an early-stopping stream ([`MeasureState::freeze`]), after which
-    /// it is fed an empty column. Never set on a full pass.
+    /// on an early-stopping stream, after which it reads nothing. Never set
+    /// on a full pass.
     frozen: Vec<bool>,
+    /// A grid consumer's frozen members: the member's pairs as they stood
+    /// at the block it froze on ([`MeasureState::project`]), which is what
+    /// a state of its own would have kept.
+    snapshots: Vec<Option<Box<dyn MeasureState>>>,
+}
+
+/// The mutable half of a state within one stream.
+struct StateRun {
+    state: Box<dyn MeasureState>,
+    /// Per state hypothesis: the unfrozen members of unconverged slots that
+    /// read it. At 0 it is fed an empty column (a grid freezes it) and its
+    /// union column loses a consumer.
+    readers: Vec<usize>,
+    /// A grid's error per pair after the last block, hypothesis-major.
+    pair_errs: Vec<f32>,
+}
+
+impl StateRun {
+    /// One reader of state hypothesis `h` is done with it; the last one
+    /// stops it being fed and takes a consumer off its union column.
+    fn release(&mut self, h: usize, plan: &StatePlan<'_>, hyp_consumers: &mut [usize]) {
+        self.readers[h] -= 1;
+        if self.readers[h] == 0 {
+            if plan.grid {
+                self.state.freeze(h);
+            }
+            hyp_consumers[plan.hyps[h]] -= 1;
+        }
+    }
 }
 
 struct MemberRun {
@@ -883,7 +976,8 @@ struct MemberRun {
 /// Everything one segment stream produces — and, folded, the whole pass.
 #[derive(Default)]
 struct StreamOutput {
-    runs: Vec<SlotRun>,
+    states: Vec<Box<dyn MeasureState>>,
+    slots: Vec<SlotRun>,
     members: Vec<MemberRun>,
     profile: Profile,
     stats: StoreStats,
@@ -922,7 +1016,7 @@ pub(crate) enum ViewFold<'a> {
 impl<'a> PassLayout<'a> {
     /// Builds the sharing structure for `reqs` (which name one
     /// `(extractor, dataset)` pair): one slot per distinct `(units,
-    /// measure, hypothesis list)`.
+    /// measure, hypothesis list)`, and the states they read ([`StatePlan`]).
     pub(crate) fn build(
         reqs: &[InspectionRequest<'a>],
         config: &InspectionConfig,
@@ -951,8 +1045,6 @@ impl<'a> PassLayout<'a> {
             });
         }
 
-        let mut selections: Vec<Selection> = Vec::new();
-        let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut slots: Vec<Slot<'a>> = Vec::new();
         let mut slot_of: HashMap<(Vec<usize>, MeasureKey, Vec<usize>), usize> = HashMap::new();
         let mut members = Vec::with_capacity(reqs.len());
@@ -964,29 +1056,15 @@ impl<'a> PassLayout<'a> {
                 .collect();
             let mut entries = Vec::new();
             for group in &req.groups {
-                let sel = match sel_of.get(&group.units) {
-                    Some(&sel) => sel,
-                    None => {
-                        let demux = ColumnDemux::new(&union_units, &group.units)
-                            .expect("the union holds every member unit");
-                        selections.push(Selection {
-                            units: group.units.clone(),
-                            identity: demux.is_identity(union_units.len()),
-                            demux,
-                        });
-                        sel_of.insert(group.units.clone(), selections.len() - 1);
-                        selections.len() - 1
-                    }
-                };
                 for measure in &req.measures {
                     let key = (group.units.clone(), measure_key(*measure), cols.clone());
                     let slot = *slot_of.entry(key).or_insert_with(|| {
                         slots.push(Slot {
-                            sel,
                             eps: epsilon_for(*measure, config),
                             measure: *measure,
                             model_id: req.model_id.clone(),
                             group_id: group.id.clone(),
+                            units: group.units.clone(),
                             hyps: cols.clone(),
                         });
                         slots.len() - 1
@@ -999,6 +1077,79 @@ impl<'a> PassLayout<'a> {
             }
             members.push(entries);
         }
+
+        // The states, in the order of their first slot: one of its own per
+        // slot, except that a pairwise measure's slots share one grid over
+        // the union of their units × the union of their columns when that
+        // grid holds no more pairs than they do together.
+        let mut selections: Vec<Selection> = Vec::new();
+        let mut sel_of: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut select = |units: Vec<usize>| -> usize {
+            *sel_of.entry(units).or_insert_with_key(|units| {
+                let demux = ColumnDemux::new(&union_units, units)
+                    .expect("the union holds every member unit");
+                selections.push(Selection {
+                    units: units.clone(),
+                    identity: demux.is_identity(union_units.len()),
+                    demux,
+                });
+                selections.len() - 1
+            })
+        };
+        let keys: Vec<MeasureKey> = slots.iter().map(|s| measure_key(s.measure)).collect();
+        let mut placed = vec![false; slots.len()];
+        let mut states: Vec<StatePlan<'a>> = Vec::new();
+        for first in 0..slots.len() {
+            let (slot, measure) = (&slots[first], slots[first].measure);
+            if placed[first] {
+                continue;
+            }
+            if !measure.pairwise() {
+                states.push(StatePlan {
+                    measure,
+                    sel: select(slot.units.clone()),
+                    hyps: slot.hyps.clone(),
+                    grid: false,
+                    consumers: vec![Consumer {
+                        slot: first,
+                        units: (0..slot.units.len()).collect(),
+                        hyps: (0..slot.hyps.len()).collect(),
+                    }],
+                });
+                continue;
+            }
+            let group: Vec<usize> = (first..slots.len())
+                .filter(|&s| keys[s] == keys[first])
+                .collect();
+            let held: usize = (group.iter())
+                .map(|&s| slots[s].units.len() * slots[s].hyps.len())
+                .sum();
+            let (units, hyps) = grid_over(&slots, &group);
+            let parts = match units.len() * hyps.len() <= held {
+                true => vec![group],
+                false => group.iter().map(|&s| vec![s]).collect(),
+            };
+            for part in parts {
+                let (units, hyps) = grid_over(&slots, &part);
+                let unit_at = |u: &usize| units.binary_search(u).expect("a slot unit");
+                let hyp_at = |c: &usize| hyps.iter().position(|h| h == c).expect("a slot column");
+                let consumers = (part.iter())
+                    .map(|&s| Consumer {
+                        slot: s,
+                        units: slots[s].units.iter().map(unit_at).collect(),
+                        hyps: slots[s].hyps.iter().map(hyp_at).collect(),
+                    })
+                    .collect();
+                part.iter().for_each(|&s| placed[s] = true);
+                states.push(StatePlan {
+                    measure,
+                    sel: select(units),
+                    hyps,
+                    grid: true,
+                    consumers,
+                });
+            }
+        }
         PassLayout {
             extractor: reqs[0].extractor,
             dataset: reqs[0].dataset,
@@ -1006,6 +1157,7 @@ impl<'a> PassLayout<'a> {
             union_hyps,
             selections,
             slots,
+            states,
             members,
             cache,
         }
@@ -1021,10 +1173,10 @@ impl<'a> PassLayout<'a> {
         self.union_hyps.len()
     }
 
-    /// Measure states the pass builds: one per distinct `(units, measure,
-    /// hypothesis list)`.
+    /// Measure states the pass builds: one per slot, except that a
+    /// pairwise measure's slots may share one grid ([`StatePlan`]).
     pub(crate) fn measure_states(&self) -> usize {
-        self.slots.len()
+        self.states.len()
     }
 
     /// Every member's `(group, measure)` entries: the states requested
@@ -1070,42 +1222,64 @@ impl<'a> PassLayout<'a> {
         // must be extracted, plus write-back capture for the misses.
         let mut store_pass = source.map(|p| ColumnPass::new(p, &self.union_units, seg.len, ns));
 
-        let mut runs: Vec<SlotRun> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                let n_units = self.selections[slot.sel].units.len();
-                SlotRun {
-                    state: slot.measure.new_state(n_units, slot.hyps.len()),
-                    errs: vec![f32::INFINITY; slot.hyps.len()],
-                    converged: false,
-                    frozen: vec![false; slot.hyps.len()],
+        let mut states: Vec<StateRun> = (self.states.iter())
+            .map(|plan| {
+                let (n_units, n_hyps) = (self.selections[plan.sel].units.len(), plan.hyps.len());
+                let mut readers = vec![0; n_hyps];
+                for &h in plan.consumers.iter().flat_map(|c| &c.hyps) {
+                    readers[h] += 1;
+                }
+                StateRun {
+                    state: plan.measure.new_state(n_units, n_hyps),
+                    readers,
+                    pair_errs: match plan.grid {
+                        true => vec![f32::INFINITY; n_units * n_hyps],
+                        false => Vec::new(),
+                    },
                 }
             })
             .collect();
-        // How many unconverged slots still consume each union hypothesis
-        // column, counting only members that are not frozen; columns with
-        // no consumers are not evaluated.
+        let mut slots: Vec<SlotRun> = (self.slots.iter())
+            .map(|slot| SlotRun {
+                errs: vec![f32::INFINITY; slot.hyps.len()],
+                converged: false,
+                frozen: vec![false; slot.hyps.len()],
+                snapshots: slot.hyps.iter().map(|_| None).collect(),
+            })
+            .collect();
+        // How many states still read each union hypothesis column (a state
+        // hypothesis counts while it has readers); columns with no
+        // consumers are not evaluated.
         let mut hyp_consumers: Vec<usize> = vec![0; self.union_hyps.len()];
-        for &c in self.slots.iter().flat_map(|slot| slot.hyps.iter()) {
+        for &c in self.states.iter().flat_map(|plan| plan.hyps.iter()) {
             hyp_consumers[c] += 1;
         }
-        let member_live = |entries: &[MemberEntry], runs: &[SlotRun]| {
-            entries.iter().any(|e| !runs[e.slot].converged)
+        let member_live = |entries: &[MemberEntry], slots: &[SlotRun]| {
+            entries.iter().any(|e| !slots[e.slot].converged)
+        };
+        // A state is fed while any slot reading it is unconverged.
+        let state_live = |plan: &StatePlan<'_>, slots: &[SlotRun]| {
+            plan.consumers.iter().any(|c| !slots[c.slot].converged)
         };
         let mut members: Vec<MemberRun> = self
             .members
             .iter()
             .map(|entries| MemberRun {
-                live: member_live(entries, &runs),
+                live: member_live(entries, &slots),
                 profile: Profile::default(),
             })
             .collect();
 
-        // The store path's union block, one buffer for the whole stream
-        // (`fetch_block` overwrites every cell; only the last, shorter
-        // block reallocates).
+        // The store path's union block and each selection's demuxed block,
+        // one buffer each for the whole stream (every cell is overwritten
+        // per block; only the last, shorter block reallocates).
         let mut scanned = Matrix::zeros(0, self.union_units.len());
+        let mut sel_blocks: Vec<Matrix> = self
+            .selections
+            .iter()
+            .map(|_| Matrix::zeros(0, 0))
+            .collect();
+        let mut demuxed = vec![false; self.selections.len()];
         let mut profile = Profile::default();
         let mut interrupted: Option<CompletionStatus> = None;
         let mut block_start = 0usize;
@@ -1130,7 +1304,7 @@ impl<'a> PassLayout<'a> {
             profile.blocks_processed += 1;
 
             // Source the union unit behaviors once, then demux the unit
-            // selections still backing an unconverged slot.
+            // selections still feeding a live state.
             let t0 = Instant::now();
             let extracted;
             let union_behaviors = match &mut store_pass {
@@ -1154,11 +1328,13 @@ impl<'a> PassLayout<'a> {
                     &extracted
                 }
             };
-            let mut sel_behaviors: Vec<Option<Matrix>> = vec![None; self.selections.len()];
-            for (slot, run) in self.slots.iter().zip(&runs) {
-                let sel = &self.selections[slot.sel];
-                if !run.converged && sel_behaviors[slot.sel].is_none() && !sel.identity {
-                    sel_behaviors[slot.sel] = Some(sel.demux.apply(union_behaviors));
+            demuxed.fill(false);
+            for plan in &self.states {
+                let sel = &self.selections[plan.sel];
+                if !sel.identity && !demuxed[plan.sel] && state_live(plan, &slots) {
+                    sel.demux
+                        .apply_into(union_behaviors, &mut sel_blocks[plan.sel]);
+                    demuxed[plan.sel] = true;
                 }
             }
             let d0 = t0.elapsed();
@@ -1178,46 +1354,82 @@ impl<'a> PassLayout<'a> {
             }
             let d1 = t1.elapsed();
 
-            // Advance every unconverged slot exactly once, no matter how
-            // many members reference it.
+            // Advance every live state exactly once, however many slots
+            // read it, then judge each of its slots' members.
             let t2 = Instant::now();
-            // The slot's columns in list order; one buffer per block.
-            let mut slot_cols: Vec<&[f32]> = Vec::new();
-            for (slot, run) in self.slots.iter().zip(runs.iter_mut()) {
-                if run.converged {
+            // The state's columns in state order; one buffer per block.
+            let mut state_cols: Vec<&[f32]> = Vec::new();
+            for (plan, run) in self.states.iter().zip(states.iter_mut()) {
+                if !state_live(plan, &slots) {
                     continue;
                 }
-                // `None` means the identity selection: use the union
-                // matrix directly.
-                let behaviors = sel_behaviors[slot.sel].as_ref().unwrap_or(union_behaviors);
-                // A frozen member reads nothing: an empty column.
-                let col = |(&c, &frozen): (&usize, &bool)| match frozen {
-                    true => &[][..],
-                    false => hyp_cols[c].as_deref().expect("consumed column"),
+                let behaviors = match self.selections[plan.sel].identity {
+                    true => union_behaviors,
+                    false => &sel_blocks[plan.sel],
                 };
-                slot_cols.clear();
-                slot_cols.extend(slot.hyps.iter().zip(&run.frozen).map(col));
-                run.state
-                    .process_block(behaviors, &slot_cols, &mut run.errs);
+                // A hypothesis nobody reads any more is fed an empty column.
+                let col = |(&c, &readers): (&usize, &usize)| match readers {
+                    0 => &[][..],
+                    _ => hyp_cols[c].as_deref().expect("consumed column"),
+                };
+                state_cols.clear();
+                state_cols.extend(plan.hyps.iter().zip(&run.readers).map(col));
+                if plan.grid {
+                    if !run
+                        .state
+                        .process_pairs(behaviors, &state_cols, &mut run.pair_errs)
+                    {
+                        return Err(not_a_grid(plan));
+                    }
+                    // A member's error is the widest of its own units'
+                    // pair errors, as a state of its own reports it.
+                    let n = behaviors.cols();
+                    for consumer in &plan.consumers {
+                        let slot_run = &mut slots[consumer.slot];
+                        for (pos, &h) in consumer.hyps.iter().enumerate() {
+                            if !slot_run.frozen[pos] {
+                                let pair_errs = &run.pair_errs[h * n..(h + 1) * n];
+                                let widths = consumer.units.iter().map(|&u| pair_errs[u]);
+                                slot_run.errs[pos] = widths.fold(0.0f32, f32::max);
+                            }
+                        }
+                    }
+                } else {
+                    let slot_run = &mut slots[plan.consumers[0].slot];
+                    run.state
+                        .process_block(behaviors, &state_cols, &mut slot_run.errs);
+                }
                 if full_pass {
                     continue;
                 }
                 // Each member stops at the block its own error met epsilon
-                // (if the state can freeze it), the slot once all have.
-                freeze_met(
-                    run.state.as_mut(),
-                    &run.errs,
-                    slot.eps,
-                    &mut run.frozen,
-                    |pos| {
-                        hyp_consumers[slot.hyps[pos]] -= 1;
-                    },
-                );
-                if run.errs.iter().all(|&e| slot.met(e)) {
-                    run.converged = true; // stop feeding
-                    for (&c, &frozen) in slot.hyps.iter().zip(&run.frozen) {
-                        if !frozen {
-                            hyp_consumers[c] -= 1;
+                // — a grid consumer's by keeping its pairs as they stand,
+                // any other if its state can freeze it — the slot once
+                // all have.
+                for consumer in &plan.consumers {
+                    let (slot, slot_run) = (&self.slots[consumer.slot], &mut slots[consumer.slot]);
+                    if slot_run.converged {
+                        continue;
+                    }
+                    for (pos, &h) in consumer.hyps.iter().enumerate() {
+                        if slot_run.frozen[pos] || !slot.met(slot_run.errs[pos]) {
+                            continue;
+                        }
+                        if plan.grid {
+                            let pairs = run.state.project(&consumer.units, &[h]);
+                            slot_run.snapshots[pos] = Some(pairs.ok_or_else(|| not_a_grid(plan))?);
+                        } else if !run.state.freeze(pos) {
+                            continue;
+                        }
+                        slot_run.frozen[pos] = true;
+                        run.release(h, plan, &mut hyp_consumers);
+                    }
+                    if slot_run.errs.iter().all(|&e| slot.met(e)) {
+                        slot_run.converged = true; // stop feeding
+                        for (&h, &frozen) in consumer.hyps.iter().zip(&slot_run.frozen) {
+                            if !frozen {
+                                run.release(h, plan, &mut hyp_consumers);
+                            }
                         }
                     }
                 }
@@ -1237,7 +1449,7 @@ impl<'a> PassLayout<'a> {
                 member.profile.unit_extraction += d0;
                 member.profile.hypothesis_extraction += d1;
                 member.profile.inspection += d2;
-                member.live = member_live(entries, &runs);
+                member.live = member_live(entries, &slots);
                 if !member.live {
                     // The member's pairs all converged this block: its
                     // total stops accruing here, so the per-query profile
@@ -1256,7 +1468,8 @@ impl<'a> PassLayout<'a> {
         // other early-stopped one) — and detach the store accounting.
         let stats = store_pass.map(ColumnPass::finish).unwrap_or_default();
         Ok(StreamOutput {
-            runs,
+            states: states.into_iter().map(|run| run.state).collect(),
+            slots,
             members,
             profile,
             stats,
@@ -1271,11 +1484,13 @@ impl<'a> PassLayout<'a> {
     /// repeated column once ([`Slot::first_mention`]) — and each is
     /// checked against the triple it is revived for. Matching by id alone
     /// would hand two same-id hypotheses the same state; any mismatch, gap
-    /// or leftover is a typed error.
-    fn revive(&self, base: &[ViewHypState]) -> Result<Vec<SlotRun>, DniError> {
+    /// or leftover is a typed error. A grid gets each of its slots' revived
+    /// states embedded at that slot's pairs, the inverse of the projection
+    /// `finish` serialized.
+    fn revive(&self, base: &[ViewHypState]) -> Result<Vec<Box<dyn MeasureState>>, DniError> {
         let bad = |what: String| DniError::BadConfig(format!("stored view state {what}"));
         let mut stored = base.iter();
-        let mut runs = Vec::with_capacity(self.slots.len());
+        let mut revived: Vec<Option<Box<dyn MeasureState>>> = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let measure_id = slot.measure.id();
             let mut blobs: Vec<&[u8]> = Vec::with_capacity(slot.hyps.len());
@@ -1294,29 +1509,92 @@ impl<'a> PassLayout<'a> {
                 }
                 blobs.push(&state.state);
             }
-            let n_units = self.selections[slot.sel].units.len();
-            let state = slot.measure.deserialize_state(n_units, &blobs);
-            runs.push(SlotRun {
-                state: state.ok_or_else(|| {
-                    let hyp_ids: Vec<&str> =
-                        (slot.hyps.iter().map(|&c| self.union_hyps[c].id())).collect();
-                    bad(format!(
-                        "does not revive for ({}, {measure_id}, {hyp_ids:?})",
-                        slot.group_id
-                    ))
-                })?,
-                errs: vec![f32::INFINITY; slot.hyps.len()],
-                converged: false,
-                frozen: vec![false; slot.hyps.len()],
-            });
+            let state = slot.measure.deserialize_state(slot.units.len(), &blobs);
+            revived.push(Some(state.ok_or_else(|| {
+                let hyp_ids: Vec<&str> =
+                    (slot.hyps.iter().map(|&c| self.union_hyps[c].id())).collect();
+                bad(format!(
+                    "does not revive for ({}, {measure_id}, {hyp_ids:?})",
+                    slot.group_id
+                ))
+            })?));
         }
-        match stored.count() {
-            0 => Ok(runs),
-            left => Err(bad(format!(
+        if let left @ 1.. = stored.count() {
+            return Err(bad(format!(
                 "list has {left} more than the statement has slots"
-            ))),
+            )));
         }
+        let mut states = Vec::with_capacity(self.states.len());
+        for plan in &self.states {
+            let mut take = |c: &Consumer| revived[c.slot].take().expect("one state per slot");
+            if !plan.grid {
+                states.push(take(&plan.consumers[0]));
+                continue;
+            }
+            let n_units = self.selections[plan.sel].units.len();
+            let mut grid = plan.measure.new_state(n_units, plan.hyps.len());
+            for consumer in &plan.consumers {
+                if !grid.embed(take(consumer).as_ref(), &consumer.units, &consumer.hyps) {
+                    return Err(not_a_grid(plan));
+                }
+            }
+            states.push(grid);
+        }
+        Ok(states)
     }
+
+    /// Each slot's own state out of the (folded) states: a slot with a
+    /// state of its own takes it; a grid consumer projects its units × list
+    /// out of the grid, its frozen members as their snapshots kept them —
+    /// the state a slot of its own would hold, bit for bit. On a full pass
+    /// each slot's errors are then re-derived from it: the estimate one
+    /// pass over all the data would have reported last.
+    fn slot_states(
+        &self,
+        states: Vec<Box<dyn MeasureState>>,
+        runs: &mut [SlotRun],
+        full_pass: bool,
+    ) -> Result<Vec<Box<dyn MeasureState>>, DniError> {
+        let mut own: Vec<Option<Box<dyn MeasureState>>> = self.slots.iter().map(|_| None).collect();
+        for (plan, state) in self.states.iter().zip(states) {
+            if !plan.grid {
+                own[plan.consumers[0].slot] = Some(state);
+                continue;
+            }
+            for consumer in &plan.consumers {
+                let mut slot_state = (state.project(&consumer.units, &consumer.hyps))
+                    .ok_or_else(|| not_a_grid(plan))?;
+                let all_units: Vec<usize> = (0..consumer.units.len()).collect();
+                for (pos, snapshot) in runs[consumer.slot].snapshots.iter_mut().enumerate() {
+                    let Some(pairs) = snapshot.take() else {
+                        continue;
+                    };
+                    if !slot_state.embed(pairs.as_ref(), &all_units, &[pos]) {
+                        return Err(not_a_grid(plan));
+                    }
+                }
+                own[consumer.slot] = Some(slot_state);
+            }
+        }
+        let own: Vec<Box<dyn MeasureState>> = (own.into_iter())
+            .map(|state| state.expect("every slot reads a state"))
+            .collect();
+        if full_pass {
+            for (state, run) in own.iter().zip(runs) {
+                state.convergence_errors(&mut run.errs);
+            }
+        }
+        Ok(own)
+    }
+}
+
+/// The typed error of a measure that says it is pairwise
+/// ([`Measure::pairwise`]) but whose state does not act as a grid.
+fn not_a_grid(plan: &StatePlan<'_>) -> DniError {
+    DniError::Internal(format!(
+        "measure {} says it is pairwise, but its state is not a grid",
+        plan.measure.id()
+    ))
 }
 
 /// Folds stream outputs in canonical segment-index order — first error
@@ -1326,11 +1604,11 @@ impl<'a> PassLayout<'a> {
 /// A fold over one output with no base is the identity.
 fn fold_streams(
     outputs: Vec<Result<StreamOutput, DniError>>,
-    base: Vec<SlotRun>,
+    base: Vec<Box<dyn MeasureState>>,
     full_pass: bool,
 ) -> Result<(StreamOutput, usize), DniError> {
     let mut folded = StreamOutput {
-        runs: base,
+        states: base,
         ..StreamOutput::default()
     };
     let mut streamed = 0usize;
@@ -1342,18 +1620,19 @@ fn fold_streams(
         folded.interrupted = folded.interrupted.or(output.interrupted);
         if folded.members.is_empty() {
             folded.members = output.members;
+            folded.slots = output.slots;
         } else {
             for (member, theirs) in folded.members.iter_mut().zip(&output.members) {
                 member.live |= theirs.live;
                 member.profile.accumulate(&theirs.profile);
             }
         }
-        if folded.runs.is_empty() {
-            folded.runs = output.runs;
+        if folded.states.is_empty() {
+            folded.states = output.states;
             continue;
         }
-        for (ours, theirs) in folded.runs.iter_mut().zip(&output.runs) {
-            if !ours.state.merge_from(theirs.state.as_ref()) {
+        for (ours, theirs) in folded.states.iter_mut().zip(&output.states) {
+            if !ours.merge_from(theirs.as_ref()) {
                 return Err(DniError::Internal(
                     "measure state refused a cross-segment merge it advertised".into(),
                 ));
@@ -1363,13 +1642,9 @@ fn fold_streams(
     if !full_pass {
         return Ok((folded, 1));
     }
-    // A full pass reports per-segment streams and re-derives each pair's
-    // convergence error from the *folded* state — the estimate one pass
-    // over all the data would have reported last.
+    // A full pass reports per-segment streams; its slots' errors are
+    // re-derived from the folded states (`PassLayout::slot_states`).
     folded.stats.segment_passes = streamed;
-    for run in folded.runs.iter_mut() {
-        run.state.convergence_errors(&mut run.errs);
-    }
     Ok((folded, streamed))
 }
 
@@ -1458,18 +1733,29 @@ pub(crate) fn run_pass<'a>(
         let source = sources.map(|s| &s[seg.index]);
         layout.stream(seg, source, config, budget, full_pass, t_start)
     });
-    let (folded, extraction_passes) = fold_streams(outputs, base, full_pass)?;
-    layout.finish(reqs, folded, extraction_passes, fold.is_some(), t_start)
+    let (mut folded, extraction_passes) = fold_streams(outputs, base, full_pass)?;
+    let states = std::mem::take(&mut folded.states);
+    let states = layout.slot_states(states, &mut folded.slots, full_pass)?;
+    layout.finish(
+        reqs,
+        folded,
+        states,
+        extraction_passes,
+        fold.is_some(),
+        t_start,
+    )
 }
 
 impl PassLayout<'_> {
     /// The tail of a pass: list pending pairs, emit every unique pair once
-    /// into the merged frame, serialize the fold point (view passes), and
-    /// demux the merged frame into per-member frames.
+    /// into the merged frame from each slot's own state ([`PassLayout::slot_states`]),
+    /// serialize the fold point (view passes), and demux the merged frame
+    /// into per-member frames.
     fn finish(
         &self,
         reqs: &[InspectionRequest<'_>],
         mut folded: StreamOutput,
+        states: Vec<Box<dyn MeasureState>>,
         extraction_passes: usize,
         capture_states: bool,
         t_start: Instant,
@@ -1504,11 +1790,11 @@ impl PassLayout<'_> {
         let mut captures: Vec<ViewHypState> = Vec::new();
         let mut merged = ResultFrame::default();
         let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(self.slots.len());
-        for (slot, run) in self.slots.iter().zip(&folded.runs) {
-            let units = &self.selections[slot.sel].units;
+        for ((slot, run), state) in self.slots.iter().zip(&folded.slots).zip(&states) {
+            let units = &slot.units;
             let measure_id = slot.measure.id();
             let mut slot_spans = Vec::with_capacity(slot.hyps.len());
-            let scores = run.state.final_scores();
+            let scores = state.final_scores();
             debug_assert_eq!(scores.len(), slot.hyps.len());
             for (pos, ((&c, &error), (unit_scores, group_score))) in
                 slot.hyps.iter().zip(&run.errs).zip(scores).enumerate()
@@ -1541,7 +1827,7 @@ impl PassLayout<'_> {
                         group_id: slot.group_id.clone(),
                         measure_id: measure_id.to_string(),
                         hyp_id: hyp_id.to_string(),
-                        state: run.state.serialize_state(pos).ok_or_else(|| {
+                        state: state.serialize_state(pos).ok_or_else(|| {
                             DniError::Query(format!(
                                 "measure {measure_id} has no durable state; it cannot back a view"
                             ))

@@ -244,6 +244,10 @@ impl Extractor for CountingExtractor {
 #[derive(Debug)]
 pub(crate) struct ColumnDemux {
     cols: Vec<usize>,
+    /// `cols` as runs of consecutive union columns: `(first union column,
+    /// first output column, length)`, each copied with one
+    /// `copy_from_slice` per row.
+    runs: Vec<(usize, usize, usize)>,
 }
 
 impl ColumnDemux {
@@ -267,7 +271,14 @@ impl ColumnDemux {
                 })
             })
             .collect::<Result<Vec<usize>, DniError>>()?;
-        Ok(ColumnDemux { cols })
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for (dst, &src) in cols.iter().enumerate() {
+            match runs.last_mut() {
+                Some((start, _, len)) if *start + *len == src => *len += 1,
+                _ => runs.push((src, dst, 1)),
+            }
+        }
+        Ok(ColumnDemux { cols, runs })
     }
 
     /// True when this demux selects every column of a `union_width`-wide
@@ -277,21 +288,27 @@ impl ColumnDemux {
     }
 
     /// Selects this demux's columns out of a union behavior matrix.
+    #[cfg(test)]
     pub(crate) fn apply(&self, union: &Matrix) -> Matrix {
-        select_columns(union, &self.cols)
+        let mut out = Matrix::zeros(0, 0);
+        self.apply_into(union, &mut out);
+        out
     }
-}
 
-fn select_columns(m: &Matrix, cols: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), cols.len());
-    for r in 0..m.rows() {
-        let src = m.row(r);
-        let dst = out.row_mut(r);
-        for (c, &u) in cols.iter().enumerate() {
-            dst[c] = src[u];
+    /// Writes this demux's columns of `union` into `out`, reallocating it
+    /// only when its shape differs (a stream keeps one per selection, so
+    /// only its last, shorter block does).
+    pub(crate) fn apply_into(&self, union: &Matrix, out: &mut Matrix) {
+        if out.shape() != (union.rows(), self.cols.len()) {
+            *out = Matrix::zeros(union.rows(), self.cols.len());
+        }
+        for r in 0..union.rows() {
+            let (src, dst) = (union.row(r), out.row_mut(r));
+            for &(from, to, len) in &self.runs {
+                dst[to..to + len].copy_from_slice(&src[from..from + len]);
+            }
         }
     }
-    out
 }
 
 #[cfg(test)]

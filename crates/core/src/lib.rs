@@ -235,7 +235,9 @@
 //!   **only the appended segments** and folds them into the stored
 //!   measure states (`MeasureState::merge_from` over
 //!   states revived by [`measure::Measure::deserialize_state`], one stored
-//!   blob per hypothesis whatever list the pass runs). Because per-segment streams are seeded by
+//!   blob per slot and hypothesis whatever list or grid the pass runs; a
+//!   slot that shares a pairwise grid has its revived state embedded at
+//!   its pairs). Because per-segment streams are seeded by
 //!   true segment index and a view pass is always a full pass, the
 //!   refreshed frame is bit-identical to a full cold rebuild. Reads of a stale
 //!   view raise [`DniError::ViewStale`] instead of silently paying
@@ -368,12 +370,22 @@
 //!   hypothesis functions with execution-time validation (§3, §4.2).
 //! * `extract` — unit-behavior extractors for the NN substrate (§5.1.2).
 //! * `measure` — the standard measure library with incremental
-//!   `process_block` APIs and merged (multi-output) states (§4.3, §5.2).
+//!   `process_block` APIs, merged (multi-output) states and pairwise
+//!   accumulator grids (§4.3, §5.2).
 //! * `engine` — streaming extraction, early stopping, the parallel
 //!   device (§5): the one streaming pass (public face:
 //!   [`engine::inspect_shared`]) that every plan wave, view build and view
 //!   refresh executes through, and the PyBase / +MM / +MM+ES / MADLib
-//!   reference designs behind [`engine::inspect_as`].
+//!   reference designs behind [`engine::inspect_as`]. A pass shares work
+//!   at three levels: one union block of unit columns per block, one
+//!   column per distinct hypothesis function, and one measure state per
+//!   slot — except that the slots of a pairwise measure (`corr`,
+//!   `diff_means`: one accumulator per `(unit, hypothesis)` pair, the
+//!   paper's §4.3 independent measures) share one grid over the union of
+//!   their pairs whenever it holds no more pairs than they do together,
+//!   so each pair is accumulated once and a grouped unit selection is
+//!   never copied out of the union block. Each slot's scores, errors and
+//!   stored bytes are those of a state of its own, bit for bit.
 //! * `cache` — hypothesis-behavior cache (§5.1.2, Fig. 9): one column of
 //!   `ns`-wide rows per `(hypothesis, dataset)` catalog identity, indexed
 //!   by record position, looked up a block at a time and evicted whole,

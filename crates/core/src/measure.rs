@@ -24,6 +24,12 @@
 //! * `diff_means` and the baselines share nothing: their list holds one
 //!   accumulator per member (`PerMember`).
 //!
+//! `corr` and `diff_means` are **pairwise** ([`Measure::pairwise`]): their
+//! state is a grid of independent `(unit, hypothesis)` accumulators, so it
+//! can also be fed pair by pair (`MeasureState::process_pairs`, every
+//! pair's error), cut down to any units × list (`project`) and written
+//! back (`embed`). The engine feeds one grid to several slots that way.
+//!
 //! Early stopping stays per pair for `corr`, `diff_means` and the
 //! baselines: the engine [freezes](MeasureState::freeze) a member at the
 //! block its own error met ε, so a list stops where its one-hypothesis
@@ -73,6 +79,17 @@ pub trait Measure: Send + Sync {
     /// `false`, and the planner rejects them on segmented datasets with a
     /// typed error instead of a silently wrong cross-segment score.
     fn supports_segment_merge(&self) -> bool {
+        false
+    }
+
+    /// True when a state of this measure is a grid of independent
+    /// `(unit, hypothesis)` accumulators (`corr`'s Pearson sums,
+    /// `diff_means`' moments): a pair's state does not depend on which
+    /// other units and hypotheses share it. A pass then feeds one state
+    /// over the union of several slots' pairs and projects each slot's
+    /// own out of it. The states of a pairwise measure implement
+    /// `MeasureState::process_pairs`, `project` and `embed`.
+    fn pairwise(&self) -> bool {
         false
     }
 
@@ -152,6 +169,35 @@ pub trait MeasureState: Send {
     fn serialize_state(&self, _hyp: usize) -> Option<Vec<u8>> {
         None
     }
+
+    /// A pairwise state ([`Measure::pairwise`]) consumes a block as
+    /// [`MeasureState::process_block`] does, but writes the error of every
+    /// `(unit, hypothesis)` pair, hypothesis-major (pair `(u, h)` at
+    /// `h * n_units + u`), leaving a frozen member's pairs untouched. A
+    /// member's `process_block` error is the largest of its pairs' (folded
+    /// from 0). Returns `false` (the default) and consumes nothing when the
+    /// state is not pairwise.
+    fn process_pairs(&mut self, _units: &Matrix, _hyps: &[&[f32]], _pair_errs: &mut [f32]) -> bool {
+        false
+    }
+
+    /// The pairs `units × hyps` of a pairwise state — indexes into its
+    /// units and its list, either of which may repeat — as a state of their
+    /// own: the state over those units and that list, fed the same blocks,
+    /// with no member frozen. `None` (the default) when the state is not
+    /// pairwise.
+    fn project(&self, _units: &[usize], _hyps: &[usize]) -> Option<Box<dyn MeasureState>> {
+        None
+    }
+
+    /// The inverse of [`MeasureState::project`]: overwrites the pairs
+    /// `units × hyps` of this pairwise state with `part`, a state over
+    /// exactly those units and that list. Returns `false` (the default)
+    /// when the state is not pairwise, or `part` is of another kind or
+    /// shape.
+    fn embed(&mut self, _part: &dyn MeasureState, _units: &[usize], _hyps: &[usize]) -> bool {
+        false
+    }
 }
 
 /// The one shape check every state runs before touching a block: a
@@ -165,23 +211,26 @@ pub(crate) fn check_block(
     n_units: usize,
     n_hyps: usize,
 ) {
-    check_live_block(units, hyps, errs, n_units, n_hyps, |_| true);
+    check_live_block(units, hyps, errs, n_units, n_hyps, 1, |_| true);
 }
 
 /// [`check_block`] for a state with frozen members: only a column `live`
-/// reports for must hold the block's rows.
+/// reports for must hold the block's rows. `errs` holds `per_hyp` errors
+/// per hypothesis: one, or one per unit for
+/// [`MeasureState::process_pairs`].
 fn check_live_block(
     units: &Matrix,
     hyps: &[&[f32]],
     errs: &[f32],
     n_units: usize,
     n_hyps: usize,
+    per_hyp: usize,
     live: impl Fn(usize) -> bool,
 ) {
     assert_eq!(units.cols(), n_units, "block unit-count mismatch");
     assert_eq!(
         (hyps.len(), errs.len()),
-        (n_hyps, n_hyps),
+        (n_hyps, n_hyps * per_hyp),
         "block hypothesis-count mismatch"
     );
     for (h, hyp) in hyps.iter().enumerate() {
@@ -221,6 +270,10 @@ impl Measure for CorrelationMeasure {
     }
 
     fn supports_segment_merge(&self) -> bool {
+        true
+    }
+
+    fn pairwise(&self) -> bool {
         true
     }
 
@@ -287,22 +340,69 @@ impl CorrState {
         let widths = self.member(h).iter().map(|a| a.fisher_half_width(Z_95));
         widths.fold(0.0f32, f32::max)
     }
-}
 
-impl MeasureState for CorrState {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+    /// Checks a block carrying `per_hyp` errors per hypothesis and folds
+    /// it into every live member's accumulators.
+    fn accumulate(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &[f32], per_hyp: usize) {
         let n_hyps = self.frozen.len();
         let live = |h: usize| !self.frozen[h];
-        check_live_block(units, hyps, errs, self.n_units, n_hyps, live);
+        check_live_block(units, hyps, errs, self.n_units, n_hyps, per_hyp, live);
         let cols: Vec<Option<&[f32]>> = (hyps.iter().zip(&self.frozen))
             .map(|(&hyp, &frozen)| (!frozen).then_some(hyp))
             .collect();
         corr::accumulate_list(&mut self.accs, units.as_slice(), &cols);
+    }
+}
+
+impl MeasureState for CorrState {
+    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+        self.accumulate(units, hyps, errs, 1);
         for (h, err) in errs.iter_mut().enumerate() {
             if !self.frozen[h] {
                 *err = self.error(h);
             }
         }
+    }
+
+    fn process_pairs(&mut self, units: &Matrix, hyps: &[&[f32]], pair_errs: &mut [f32]) -> bool {
+        let n = self.n_units;
+        self.accumulate(units, hyps, pair_errs, n);
+        for h in (0..self.frozen.len()).filter(|&h| !self.frozen[h]) {
+            for (err, acc) in pair_errs[h * n..(h + 1) * n].iter_mut().zip(self.member(h)) {
+                *err = acc.fisher_half_width(Z_95);
+            }
+        }
+        true
+    }
+
+    fn project(&self, units: &[usize], hyps: &[usize]) -> Option<Box<dyn MeasureState>> {
+        let accs = (hyps.iter())
+            .flat_map(|&h| units.iter().map(move |&u| (h, u)))
+            .map(|(h, u)| self.member(h)[u].clone())
+            .collect();
+        Some(Box::new(CorrState {
+            n_units: units.len(),
+            accs,
+            frozen: vec![false; hyps.len()],
+        }))
+    }
+
+    fn embed(&mut self, part: &dyn MeasureState, units: &[usize], hyps: &[usize]) -> bool {
+        let Some(part) = part.as_any().downcast_ref::<CorrState>() else {
+            return false;
+        };
+        let fits = units.iter().all(|&u| u < self.n_units)
+            && hyps.iter().all(|&h| h < self.frozen.len())
+            && (part.n_units, part.frozen.len()) == (units.len(), hyps.len());
+        if !fits {
+            return false;
+        }
+        for (j, &h) in hyps.iter().enumerate() {
+            for (acc, &u) in part.member(j).iter().zip(units) {
+                self.accs[h * self.n_units + u] = acc.clone();
+            }
+        }
+        true
     }
 
     fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
@@ -722,7 +822,7 @@ impl MeasureState for BufferedSample {
 
 /// The state of one hypothesis of a measure whose hypotheses share no
 /// work; [`PerMember`] makes a list of them.
-trait Member: Send + 'static {
+trait Member: Send + Sized + 'static {
     /// Consumes a block: `rows x n_units` behaviors and this member's
     /// column of `rows` values, both already checked.
     fn push(&mut self, units: &Matrix, hyp: &[f32]);
@@ -745,6 +845,25 @@ trait Member: Send + 'static {
 
     /// This member's durable bytes: those of a one-hypothesis state.
     fn serialize(&self) -> Vec<u8>;
+
+    /// True when the member is one accumulator per unit
+    /// ([`Measure::pairwise`]), which `project` and `embed` then read and
+    /// write.
+    const PAIRWISE: bool = false;
+
+    /// This member over `units`, indexes into its own (a repeat repeats):
+    /// the member a state over those units would hold. `None` (the
+    /// default) unless the member is pairwise.
+    fn project(&self, _units: &[usize]) -> Option<Self> {
+        None
+    }
+
+    /// The inverse of [`Member::project`]: overwrites `units` with `part`,
+    /// a member over exactly those units. `false` (the default) unless the
+    /// member is pairwise and `part` fits.
+    fn embed(&mut self, _part: &Self, _units: &[usize]) -> bool {
+        false
+    }
 }
 
 /// One [`Member`] per hypothesis of the list, each fed its own column and
@@ -785,13 +904,47 @@ impl<S: Member> MeasureState for PerMember<S> {
     fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
         let n_hyps = self.members.len();
         let live = |h: usize| !self.frozen[h];
-        check_live_block(units, hyps, errs, self.n_units, n_hyps, live);
+        check_live_block(units, hyps, errs, self.n_units, n_hyps, 1, live);
         for (h, member) in self.members.iter_mut().enumerate() {
             if !self.frozen[h] {
                 member.push(units, hyps[h]);
                 errs[h] = member.error();
             }
         }
+    }
+
+    /// A member's error is every one of its pairs' error.
+    fn process_pairs(&mut self, units: &Matrix, hyps: &[&[f32]], pair_errs: &mut [f32]) -> bool {
+        if !S::PAIRWISE {
+            return false;
+        }
+        let (n, n_hyps) = (self.n_units, self.members.len());
+        let live = |h: usize| !self.frozen[h];
+        check_live_block(units, hyps, pair_errs, n, n_hyps, n, live);
+        for (h, member) in self.members.iter_mut().enumerate() {
+            if !self.frozen[h] {
+                member.push(units, hyps[h]);
+                pair_errs[h * n..(h + 1) * n].fill(member.error());
+            }
+        }
+        true
+    }
+
+    fn project(&self, units: &[usize], hyps: &[usize]) -> Option<Box<dyn MeasureState>> {
+        let members = (hyps.iter())
+            .map(|&h| self.members.get(h)?.project(units))
+            .collect::<Option<Vec<S>>>()?;
+        Some(Self::boxed(units.len(), members))
+    }
+
+    fn embed(&mut self, part: &dyn MeasureState, units: &[usize], hyps: &[usize]) -> bool {
+        let Some(part) = part.as_any().downcast_ref::<Self>() else {
+            return false;
+        };
+        let fits = hyps.iter().all(|&h| h < self.members.len())
+            && (part.n_units, part.members.len()) == (units.len(), hyps.len());
+        fits && (hyps.iter().zip(&part.members))
+            .all(|(&h, theirs)| self.members[h].embed(theirs, units))
     }
 
     fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
@@ -866,6 +1019,10 @@ impl Measure for DiffMeansMeasure {
         true
     }
 
+    fn pairwise(&self) -> bool {
+        true
+    }
+
     fn deserialize_state(
         &self,
         n_units: usize,
@@ -934,6 +1091,8 @@ struct DiffMeansState {
 }
 
 impl Member for DiffMeansState {
+    const PAIRWISE: bool = true;
+
     fn push(&mut self, units: &Matrix, hyp: &[f32]) {
         for (r, &h) in hyp.iter().enumerate() {
             let row = units.row(r);
@@ -984,6 +1143,26 @@ impl Member for DiffMeansState {
             // Standard-error style rate for a difference of means.
             (2.0 / n as f32).sqrt()
         }
+    }
+
+    fn project(&self, units: &[usize]) -> Option<Self> {
+        let side = |moments: &[Moments]| -> Option<Vec<Moments>> {
+            units.iter().map(|&u| moments.get(u).copied()).collect()
+        };
+        Some(DiffMeansState {
+            on: side(&self.on)?,
+            off: side(&self.off)?,
+        })
+    }
+
+    fn embed(&mut self, part: &Self, units: &[usize]) -> bool {
+        let fits = units.iter().all(|&u| u < self.on.len()) && part.on.len() == units.len();
+        if fits {
+            for ((&u, on), off) in units.iter().zip(&part.on).zip(&part.off) {
+                (self.on[u], self.off[u]) = (*on, *off);
+            }
+        }
+        fits
     }
 
     fn serialize(&self) -> Vec<u8> {
@@ -2090,6 +2269,79 @@ mod tests {
             tail.feed(next, &[9]);
             both.merge_from(&tail);
             both.assert_equal("merged after the freeze");
+        }
+    }
+
+    /// A pairwise state is a grid of independent pairs: fed three blocks
+    /// pair by pair, its projection onto non-contiguous units and a list
+    /// that repeats a column serializes to the bytes of a state over those
+    /// units and that list fed the demuxed blocks, each member's error is
+    /// the widest of its pairs', and embedding a projection then projecting
+    /// it back is the identity. Other states are no grid.
+    #[test]
+    fn a_projected_grid_is_the_state_over_its_pairs() {
+        let (n_units, n_hyps) = (9, 3);
+        let (units, hyps) = ([7, 1, 4], [2, 0, 2]);
+        let measures: [Box<dyn Measure>; 2] =
+            [Box::new(CorrelationMeasure), Box::new(DiffMeansMeasure)];
+        for measure in &measures {
+            let id = measure.id();
+            assert!(measure.pairwise(), "{id}");
+            let mut grid = measure.new_state(n_units, n_hyps);
+            let mut subset = measure.new_state(units.len(), hyps.len());
+            let mut start = 0;
+            for rows in [13, 40, 7] {
+                let (block, cols) = stream_block(start, rows, n_units, n_hyps);
+                start += rows;
+                let mut pair_errs = vec![f32::NAN; n_units * n_hyps];
+                assert!(grid.process_pairs(&block, &refs(&cols), &mut pair_errs));
+                let demuxed = Matrix::from_fn(rows, units.len(), |r, i| block.get(r, units[i]));
+                let picked: Vec<&[f32]> = hyps.iter().map(|&h| cols[h].as_slice()).collect();
+                let mut errs = vec![f32::NAN; hyps.len()];
+                subset.process_block(&demuxed, &picked, &mut errs);
+                for (err, &h) in errs.iter().zip(&hyps) {
+                    let widths = units.iter().map(|&u| pair_errs[h * n_units + u]);
+                    let widest = widths.fold(0.0f32, f32::max);
+                    assert_eq!(err.to_bits(), widest.to_bits(), "{id}: error of {h}");
+                }
+            }
+            let bytes = |state: &dyn MeasureState, n: usize| -> Vec<Option<Vec<u8>>> {
+                (0..n).map(|h| state.serialize_state(h)).collect()
+            };
+            let projected = grid.project(&units, &hyps).unwrap();
+            assert_eq!(
+                bytes(projected.as_ref(), 3),
+                bytes(subset.as_ref(), 3),
+                "{id}"
+            );
+            assert_eq!(
+                errors(projected.as_ref(), 3),
+                errors(subset.as_ref(), 3),
+                "{id}"
+            );
+            let whole = bytes(grid.as_ref(), n_hyps);
+            assert!(grid.embed(projected.as_ref(), &units, &hyps), "{id}");
+            assert_eq!(
+                bytes(grid.as_ref(), n_hyps),
+                whole,
+                "{id}: embed changed the grid"
+            );
+            let mut fresh = measure.new_state(n_units, n_hyps);
+            assert!(fresh.embed(projected.as_ref(), &units, &hyps), "{id}");
+            let back = fresh.project(&units, &hyps).unwrap();
+            assert_eq!(
+                bytes(back.as_ref(), 3),
+                bytes(projected.as_ref(), 3),
+                "{id}"
+            );
+            // A part of another shape does not embed.
+            assert!(!fresh.embed(projected.as_ref(), &units[..2], &hyps), "{id}");
+        }
+        for measure in standard_library().iter().filter(|m| !m.pairwise()) {
+            let mut state = measure.new_state(2, 1);
+            let (units, cols) = stream_block(0, 10, 2, 1);
+            assert!(!state.process_pairs(&units, &refs(&cols), &mut [0.0; 2]));
+            assert!(state.project(&[0], &[0]).is_none(), "{}", measure.id());
         }
     }
 

@@ -478,7 +478,8 @@ fn identity_dedup_is_what_explain_counts_and_the_batch_matches_bare_sessions() {
     // `delta` each hold a different function registered as "dup" (two
     // columns), and `jaccard_lo` / `jaccard_hi` are two quantiles both
     // answering to the id "jaccard" (two states). Statement 5 names
-    // statement 0's (units, measure, list) again and shares its state.
+    // statement 0's (units, measure, list) again and shares its state, and
+    // the three `corr` statements read one pairwise grid (three states).
     let (mut catalog, _) = test_catalog();
     catalog.add_hypotheses(
         "gamma",
@@ -537,7 +538,7 @@ PhysicalPlan: 6 queries, 1 shared group, block_records=24
 └─ group[0] model='m1' dataset='seq' members=[0, 1, 2, 3, 4, 5]
    ├─ unit columns: 6 union (36 requested)
    ├─ hypothesis columns: 5 deduped (10 requested)
-   ├─ measure states: 5 shared (6 requested)
+   ├─ measure states: 3 shared (6 requested)
    ├─ stream width: 11 columns, 8448 bytes/block (ns=8)
    └─ admission: 1 wave (unbounded)
 "
@@ -565,6 +566,189 @@ PhysicalPlan: 6 queries, 1 shared group, block_records=24
             "the two \"dup\" disagree"
         );
     }
+}
+
+/// The benchmark's `warm_scan` batch in miniature: 8 units in two layers
+/// (`layer = uid % 2`), two hypothesis sets, three statements — every
+/// unit × every hypothesis, `GROUP BY U.layer` × `chars`, every unit ×
+/// `position` — over 1,536 records of 8 symbols.
+///
+/// Layer 0 tracks `is_a` closely and layer 1 is noise, `is_b` and
+/// position, so at `corr`'s default ε the layer-0 group stops reading
+/// `is_a` within a few blocks while the other two statements read it for
+/// dozens more: the snapshot a consumer takes when it freezes is what keeps
+/// its scores those of a state of its own.
+fn warm_scan_catalog(segments: usize) -> Catalog {
+    const UNITS: usize = 8;
+    const RECORDS: usize = 1536;
+    let records: Vec<Record> = (0..RECORDS)
+        .map(|i| {
+            let text: String = (0..NS)
+                .map(|t| match (i * 13 + t * 7 + i / 5) % 4 {
+                    0 | 2 => 'a',
+                    1 => 'b',
+                    _ => 'c',
+                })
+                .collect();
+            Record::standalone(i, text.chars().map(|c| c as u32).collect(), text)
+        })
+        .collect();
+    let mut behaviors = Matrix::zeros(RECORDS * NS, UNITS);
+    for rec in &records {
+        for (t, c) in rec.text.chars().enumerate() {
+            let r = rec.id * NS + t;
+            let noise = |u: usize| ((r * (u + 13) * 31 + u * 7) % 97) as f32 / 97.0 - 0.5;
+            let (a, b) = (f32::from(c == 'a'), f32::from(c == 'b'));
+            let unit = [
+                a + 0.05 * noise(0),
+                noise(1),
+                0.7 * a + 0.1 * noise(2),
+                b + 0.3 * noise(3),
+                0.2 * noise(4) - a,
+                t as f32 / NS as f32 + 0.2 * noise(5),
+                a + 0.15 * noise(6),
+                (t % 2) as f32 + 0.5 * noise(7),
+            ];
+            behaviors.row_mut(r).copy_from_slice(&unit);
+        }
+    }
+    let mut catalog = Catalog::new();
+    catalog.add_model_with_units(
+        "m1",
+        0,
+        Arc::new(PrecomputedExtractor::new(behaviors, NS)),
+        (0..UNITS)
+            .map(|uid| UnitMeta {
+                uid,
+                layer: (uid % 2) as i64,
+            })
+            .collect(),
+    );
+    let even = FnHypothesis::new("even", |r: &Record| {
+        (0..r.symbols.len()).map(|t| (t % 2) as f32).collect()
+    });
+    catalog.add_hypotheses(
+        "chars",
+        vec![
+            Arc::new(FnHypothesis::char_class("is_a", |c| c == 'a')),
+            Arc::new(FnHypothesis::char_class("is_b", |c| c == 'b')),
+        ],
+    );
+    catalog.add_hypotheses(
+        "position",
+        vec![Arc::new(FnHypothesis::position_counter()), Arc::new(even)],
+    );
+    let cut = RECORDS * 7 / 16;
+    let segs = match segments {
+        1 => vec![records],
+        _ => vec![records[..cut].to_vec(), records[cut..].to_vec()],
+    };
+    catalog.add_dataset(
+        "seq",
+        Arc::new(Dataset::with_segments("seq", NS, segs).unwrap()),
+    );
+    catalog
+}
+
+/// `warm_scan`'s three statements over `measure`, then the second one's
+/// two groups as statements of their own (one slot each, so nothing is
+/// shared inside them).
+fn warm_scan_statements(measure: &str) -> Vec<String> {
+    let from = "FROM models M, units U, hypotheses H, inputs D";
+    let inspect = format!("INSPECT U.uid AND H.h USING {measure} OVER D.seq AS S {from}");
+    let chars = "S.uid, S.hyp_id, S.unit_score, S.group_score";
+    let layer = |layer: usize| {
+        format!("SELECT {chars} {inspect} WHERE U.layer = {layer} AND H.name = 'chars'")
+    };
+    vec![
+        format!("SELECT {chars} {inspect}"),
+        format!("SELECT S.group_id, {chars} {inspect} WHERE H.name = 'chars' GROUP BY U.layer"),
+        format!("SELECT S.uid, S.hyp_id, S.unit_score {inspect} WHERE H.name = 'position'"),
+        layer(0),
+        layer(1),
+    ]
+}
+
+/// A pass builds one accumulator grid per pairwise measure for the whole
+/// `warm_scan` batch, whose four slots (the layer groups are two) read
+/// their pairs out of it — and every table is bit-identical to its
+/// statement alone in a bare session, the grouped one also to its two
+/// groups run as statements of their own: for `corr` and `diff_means`, at
+/// the measure's default ε (members stop early, the same hypothesis at
+/// different blocks for different slots) and at 1e-12, on both devices,
+/// on one segment and folded over two.
+#[test]
+fn a_shared_pairwise_grid_answers_like_each_statement_alone() {
+    let statements = warm_scan_statements("corr");
+    let queries: Vec<&str> = statements[..3].iter().map(String::as_str).collect();
+    assert_eq!(
+        Session::new(warm_scan_catalog(1))
+            .explain_batch(&queries)
+            .unwrap(),
+        "\
+PhysicalPlan: 3 queries, 1 shared group, block_records=512
+└─ group[0] model='m1' dataset='seq' members=[0, 1, 2]
+   ├─ unit columns: 8 union (24 requested)
+   ├─ hypothesis columns: 4 deduped (8 requested)
+   ├─ measure states: 1 shared (4 requested)
+   ├─ stream width: 12 columns, 196608 bytes/block (ns=8)
+   └─ admission: 1 wave (unbounded)
+"
+    );
+    for measure in ["corr", "diff_means"] {
+        let statements = warm_scan_statements(measure);
+        let (queries, layers) = statements.split_at(3);
+        let queries: Vec<&str> = queries.iter().map(String::as_str).collect();
+        for segments in [1, 2] {
+            let catalog = warm_scan_catalog(segments);
+            for device in [Device::SingleCore, Device::Parallel(3)] {
+                for epsilon in [None, Some(1e-12)] {
+                    let config = InspectionConfig {
+                        device,
+                        block_records: 16,
+                        epsilon,
+                        ..Default::default()
+                    };
+                    let what = format!("{measure}, {segments} segments, {device:?}, {epsilon:?}");
+                    let explain = bare(&catalog, &config).explain_batch(&queries).unwrap();
+                    assert!(
+                        explain.contains("measure states: 1 shared (4 requested)"),
+                        "{what}: {explain}"
+                    );
+                    let batch = run_batch(&catalog, &config, &queries);
+                    assert_eq!(batch.report.groups.len(), 1, "{what}: one shared pass");
+                    let reference = sequential_tables(&catalog, &config, &queries);
+                    for (i, (got, want)) in batch.tables.iter().zip(&reference).enumerate() {
+                        assert!(!want.is_empty(), "{what}: statement {i} scores something");
+                        assert_eq!(bits(got), bits(want), "{what}: statement {i}");
+                    }
+                    let grouped: Vec<Vec<String>> = (bits(&batch.tables[1]).into_iter())
+                        .map(|row| row[1..].to_vec())
+                        .collect();
+                    let by_layer: Vec<&str> = layers.iter().map(String::as_str).collect();
+                    let by_layer = sequential_tables(&catalog, &config, &by_layer);
+                    let by_layer: Vec<Vec<String>> = by_layer.iter().flat_map(bits).collect();
+                    assert_eq!(grouped, by_layer, "{what}: the groups as statements");
+                }
+            }
+        }
+    }
+    // Not vacuous: at `corr`'s default ε the layer-0 group is done reading
+    // long before layer 1 is, while both read `is_a` and `is_b`.
+    let catalog = warm_scan_catalog(1);
+    let config = InspectionConfig {
+        block_records: 16,
+        ..Default::default()
+    };
+    let read = |layer: &str| {
+        let report = bare(&catalog, &config).run_batch(&[layer]).unwrap().report;
+        report.per_query[0].records_read
+    };
+    let (layer_0, layer_1) = (read(&statements[3]), read(&statements[4]));
+    assert!(
+        2 * layer_0 < layer_1,
+        "layer 0 read {layer_0}, layer 1 {layer_1}"
+    );
 }
 
 #[test]

@@ -410,11 +410,11 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
 }
 
 /// `EXPLAIN`'s measure-state count is the pass's own: the optimizer reads
-/// it off the `PassLayout` the pass builds — one state per hypothesis
-/// list, whatever the measure (`jaccard`: one unit sample for the
-/// statement's three hypotheses; `corr`: one accumulator grid;
-/// `diff_means`: one accumulator per member) — on one segment and on a
-/// segmented dataset alike.
+/// it off the `PassLayout` the pass builds — one state for a one-group
+/// statement, whatever the measure (`jaccard`: one unit sample for the
+/// statement's three hypotheses; `corr` and `diff_means`: one pairwise
+/// accumulator grid, which a grouped or batched statement's slots would
+/// share) — on one segment and on a segmented dataset alike.
 #[test]
 fn explain_counts_one_state_per_list_for_jaccard_corr_and_diff_means() {
     let explain = |measure: &str, lens: &[usize]| {

@@ -793,7 +793,7 @@ PhysicalPlan: 2 queries, 1 shared group, block_records=512
 └─ group[0] model='m1' dataset='seq' members=[0, 1]
    ├─ unit columns: 6 union (12 requested)
    ├─ hypothesis columns: 2 deduped (3 requested)
-   ├─ measure states: 3 shared (3 requested)
+   ├─ measure states: 1 shared (3 requested)
    ├─ stream width: 8 columns, 131072 bytes/block (ns=8)
    └─ admission: 1 wave (unbounded)
 ";

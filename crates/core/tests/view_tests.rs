@@ -101,7 +101,12 @@ fn catalog_with_sets(
         "m1",
         0,
         Arc::<CountingExtractor>::clone(&counting),
-        (0..UNITS).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
+        (0..UNITS)
+            .map(|uid| UnitMeta {
+                uid,
+                layer: (uid % 2) as i64,
+            })
+            .collect(),
     );
     for (name, hypotheses) in sets {
         catalog.add_hypotheses(name, hypotheses);
@@ -389,44 +394,62 @@ const Q_CORR_JACCARD: &str = "SELECT S.score_id, S.hyp_id, S.uid, S.unit_score, 
                               INSPECT U.uid AND H.h USING corr, jaccard_q95 OVER D.seq AS S \
                               FROM models M, units U, hypotheses H, inputs D";
 
-/// Refresh ≡ rebuild at the file level: a view built over two segments and
-/// refreshed over an appended third is the same `ViewDoc` — header, every
-/// state byte, every row's score bits — as a view created in a second
-/// store over the three-segment catalog, for `corr`, `jaccard_q95` and
-/// `diff_means`, on both devices.
+/// A view built over two segments and refreshed over an appended third is
+/// the same `ViewDoc` — header, every state byte, every row's score bits —
+/// as a view created in a second store over the three-segment catalog, for
+/// `corr`, `jaccard_q95` and `diff_means` in one statement, and for a
+/// `corr` statement grouped by layer, whose two groups read one shared
+/// accumulator grid (the refresh embeds both revived states into it), on
+/// both devices.
 #[test]
 fn an_incremental_refresh_writes_the_view_file_a_cold_build_writes() {
     const Q_THREE: &str = "SELECT S.uid, S.unit_score \
                            INSPECT U.uid AND H.h USING corr, jaccard_q95, diff_means OVER D.seq AS S \
                            FROM models M, units U, hypotheses H, inputs D";
+    const Q_LAYERS: &str = "SELECT S.group_id, S.uid, S.unit_score \
+                            INSPECT U.uid AND H.h USING corr OVER D.seq AS S \
+                            FROM models M, units U, hypotheses H, inputs D GROUP BY U.layer";
+    let three = [
+        "corr",
+        "corr",
+        "jaccard_q95",
+        "jaccard_q95",
+        "diff_means",
+        "diff_means",
+    ];
     for device in [Device::SingleCore, Device::Parallel(3)] {
-        let tag = format!("{device:?}").replace(['(', ')'], "-");
-        let rw = MaterializationPolicy::ReadWrite;
-        let refreshed_dir = tmp_dir(&format!("file-refresh-{tag}"));
-        let (mut refreshed, _) = session_at(&refreshed_dir, device, 2, rw);
-        refreshed.create_view("v", Q_THREE).unwrap();
-        refreshed
-            .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
-            .unwrap();
-        assert_eq!(
-            refreshed.refresh_view("v").unwrap(),
-            ViewRefresh::Incremental { new_segments: 1 }
-        );
-        let built_dir = tmp_dir(&format!("file-build-{tag}"));
-        let (mut built, _) = session_at(&built_dir, device, 3, rw);
-        built.create_view("v", Q_THREE).unwrap();
+        // (statement, stored measure per state, rows)
+        let cases = [
+            (Q_THREE, &three[..], 3 * 2 * UNITS),
+            (Q_LAYERS, &["corr"; 4][..], 2 * 2 * UNITS / 2),
+        ];
+        for (q, measures, rows) in cases {
+            let tag = format!("{device:?}-{}", measures.len()).replace(['(', ')'], "-");
+            let rw = MaterializationPolicy::ReadWrite;
+            let refreshed_dir = tmp_dir(&format!("file-refresh-{tag}"));
+            let (mut refreshed, _) = session_at(&refreshed_dir, device, 2, rw);
+            refreshed.create_view("v", q).unwrap();
+            refreshed
+                .append_records("seq", records(2 * SEG_LEN, SEG_LEN))
+                .unwrap();
+            assert_eq!(
+                refreshed.refresh_view("v").unwrap(),
+                ViewRefresh::Incremental { new_segments: 1 }
+            );
+            let built_dir = tmp_dir(&format!("file-build-{tag}"));
+            let (mut built, _) = session_at(&built_dir, device, 3, rw);
+            built.create_view("v", q).unwrap();
 
-        let load = |session: &Session| session.store().unwrap().views().load("v").unwrap();
-        let (a, b) = (load(&refreshed).unwrap(), load(&built).unwrap());
-        assert_eq!(a.segment_fps.len(), 3);
-        let measures: Vec<&str> = a.states.iter().map(|s| s.measure_id.as_str()).collect();
-        let want = ["corr", "corr", "jaccard_q95", "jaccard_q95"];
-        assert_eq!(measures[..4], want, "{device:?}");
-        assert_eq!(measures[4..], ["diff_means", "diff_means"], "{device:?}");
-        assert_eq!(a.rows.len(), 3 * 2 * UNITS);
-        assert!(a == b, "refreshed ≡ built, byte for byte ({device:?})");
-        let _ = std::fs::remove_dir_all(&refreshed_dir);
-        let _ = std::fs::remove_dir_all(&built_dir);
+            let load = |session: &Session| session.store().unwrap().views().load("v").unwrap();
+            let (a, b) = (load(&refreshed).unwrap(), load(&built).unwrap());
+            assert_eq!(a.segment_fps.len(), 3);
+            let stored: Vec<&str> = a.states.iter().map(|s| s.measure_id.as_str()).collect();
+            assert_eq!(stored, measures, "{device:?}");
+            assert_eq!(a.rows.len(), rows);
+            assert!(a == b, "refreshed ≡ built, byte for byte ({device:?}, {q})");
+            let _ = std::fs::remove_dir_all(&refreshed_dir);
+            let _ = std::fs::remove_dir_all(&built_dir);
+        }
     }
 }
 
