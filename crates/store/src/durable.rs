@@ -2,12 +2,20 @@
 //! files and view files follow the rules below; view bodies and measure
 //! states are written by [`ByteWriter`] and read by [`ByteReader`].
 //!
-//! * **Publish** (`publish`). A file appears under its final name only
-//!   complete: the bytes go to the sibling temp
-//!   `<final file name>.tmp.<pid>.<n>` — `n` from one process-wide
+//! * **Publish** (`publish_group`; `publish` is a group of one). A file
+//!   appears under its final name only complete. A group of files is
+//!   published in three steps: every member's bytes go to its sibling
+//!   temp `<final file name>.tmp.<pid>.<n>` — `n` from one process-wide
 //!   counter, so no two writers of one process (threads, store instances,
-//!   catalogs) ever share a temp — which is fsynced, then renamed over
-//!   the destination. A reader sees the old file or the new one.
+//!   catalogs) ever share a temp; then every temp is fsynced, up to
+//!   `SYNC_WIDTH` (4) at once; then the temps are renamed over their
+//!   destinations in input order. Each file is synced before its rename,
+//!   so a reader sees the old file or the new one, and a crash leaves at
+//!   most the group's temps, which the reap rule deletes. A member whose
+//!   write, sync or rename fails leaves its destination untouched and no
+//!   temp; the other members are published all the same. A wide group
+//!   goes through in windows of `GROUP_WINDOW` (64) members, so it never
+//!   holds more open temps than that.
 //! * **Reap** (`reap_stale_temps`, on read-write opens and compaction).
 //!   A writer holds its temp for milliseconds, so a temp older than
 //!   [`TMP_REAP_AGE`] belongs to a crashed writer and is deleted. A young
@@ -24,7 +32,8 @@
 use crate::StoreError;
 use std::fs::{self, File};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, SystemTime};
 
 /// How old a temp file must be before `reap_stale_temps` deletes it.
@@ -45,23 +54,104 @@ fn sibling(path: &Path, kind: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Makes `path` durable with whatever `write` puts into the file it is
-/// handed (temp, fsync, rename; no directory fsync). A failed write
-/// leaves `path` untouched and removes its temp.
-pub(crate) fn publish<T>(
+/// How many temps a group publish syncs at once: a group of at most this
+/// many syncs on the calling thread, a larger one on the calling thread
+/// and `SYNC_WIDTH - 1` scoped threads, each taking the next unsynced
+/// temp until none is left.
+pub(crate) const SYNC_WIDTH: usize = 4;
+
+/// The most members a group publish writes, syncs and renames at a time
+/// (each written temp stays open until its sync).
+pub(crate) const GROUP_WINDOW: usize = 64;
+
+/// A group member between its write and its rename.
+struct Staged<'a, T> {
+    path: &'a Path,
+    tmp: PathBuf,
+    /// The open temp and what the write returned.
+    written: Result<(File, T), StoreError>,
+    /// The temp's `sync_all`, set once by whichever thread took it, as
+    /// the bare IO error: the sync threads allocate nothing, so the
+    /// conversion waits for the calling thread.
+    synced: OnceLock<std::io::Result<()>>,
+}
+
+/// Makes every member's `path` durable with whatever its `write` puts
+/// into the file it is handed, as one group (the publish rule of the
+/// module docs; no directory fsync). Returns each member's outcome in
+/// input order.
+pub(crate) fn publish_group<'a, T: Sync, F>(
+    members: impl IntoIterator<Item = (&'a Path, F)>,
+) -> Vec<Result<T, StoreError>>
+where
+    F: FnOnce(&mut File) -> Result<T, StoreError>,
+{
+    let mut members = members.into_iter().peekable();
+    let mut published = Vec::new();
+    while members.peek().is_some() {
+        let window: Vec<Staged<T>> = members
+            .by_ref()
+            .take(GROUP_WINDOW)
+            .map(|(path, write)| {
+                let tmp = sibling(path, "tmp");
+                let written = File::create(&tmp)
+                    .map_err(StoreError::from)
+                    .and_then(|mut file| write(&mut file).map(|out| (file, out)));
+                Staged {
+                    path,
+                    tmp,
+                    written,
+                    synced: OnceLock::new(),
+                }
+            })
+            .collect();
+        sync_temps(&window);
+        published.extend(window.into_iter().map(|staged| {
+            let renamed = staged.written.and_then(|(file, out)| {
+                let synced = staged.synced.into_inner();
+                synced.expect("every written temp is synced")?;
+                drop(file);
+                fs::rename(&staged.tmp, staged.path)?;
+                Ok(out)
+            });
+            renamed.inspect_err(|_| drop(fs::remove_file(&staged.tmp)))
+        }));
+    }
+    published
+}
+
+/// Syncs every written temp of `window`, `SYNC_WIDTH` at once.
+fn sync_temps<T: Sync>(window: &[Staged<T>]) {
+    // The cursor only hands out indices; the scope's join orders every
+    // `synced` before the calling thread reads it.
+    let next = AtomicUsize::new(0);
+    let sync_the_rest = || {
+        while let Some(staged) = window.get(next.fetch_add(1, Ordering::Relaxed)) {
+            if let Ok((file, _)) = &staged.written {
+                let _ = staged.synced.set(file.sync_all());
+            }
+        }
+    };
+    if window.len() <= SYNC_WIDTH {
+        return sync_the_rest();
+    }
+    std::thread::scope(|scope| {
+        for _ in 1..SYNC_WIDTH {
+            // A thread that cannot start leaves its temps to the others.
+            let _ = std::thread::Builder::new().spawn_scoped(scope, sync_the_rest);
+        }
+        sync_the_rest();
+    });
+}
+
+/// [`publish_group`] of the one file `path`.
+pub(crate) fn publish<T: Sync>(
     path: &Path,
     write: impl FnOnce(&mut File) -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
-    let tmp = sibling(path, "tmp");
-    let attempt = || -> Result<T, StoreError> {
-        let mut file = File::create(&tmp)?;
-        let out = write(&mut file)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        Ok(out)
-    };
-    attempt().inspect_err(|_| drop(fs::remove_file(&tmp)))
+    publish_group([(path, write)])
+        .pop()
+        .expect("a group publish returns one outcome per member")
 }
 
 /// The writer's process id when `name` is a temp-file name
@@ -328,6 +418,51 @@ mod tests {
         ] {
             assert_eq!(temp_pid(not_a_temp), None, "{not_a_temp}");
         }
+    }
+
+    #[test]
+    fn a_group_publishes_every_member_but_the_ones_that_fail() {
+        let dir = std::env::temp_dir().join(format!("deepbase-group-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        // Wider than one window, and the second window still syncs on
+        // several threads. A member of the first window fails its write;
+        // one of the second meets a non-empty directory at its rename.
+        let n = GROUP_WINDOW + 2 * SYNC_WIDTH + 1;
+        let (bad_write, bad_rename) = (3, GROUP_WINDOW + 6);
+        let paths: Vec<PathBuf> = (0..n).map(|i| dir.join(format!("m{i}.bin"))).collect();
+        let body = |i: usize| vec![i as u8; 100 + i];
+        fs::create_dir_all(paths[bad_rename].join("occupied")).unwrap();
+        let outcomes = publish_group(paths.iter().enumerate().map(|(i, path)| {
+            let write = move |f: &mut File| {
+                if i == bad_write {
+                    return Err(StoreError::Io("disk full".into()));
+                }
+                std::io::Write::write_all(f, &body(i))?;
+                Ok(i)
+            };
+            (path.as_path(), write)
+        }));
+        assert_eq!(outcomes.len(), n);
+        for (i, (outcome, path)) in outcomes.iter().zip(&paths).enumerate() {
+            if i == bad_write {
+                assert_eq!(outcome, &Err(StoreError::Io("disk full".into())));
+                assert!(!path.exists(), "a failed write publishes nothing");
+            } else if i == bad_rename {
+                assert!(outcome.is_err(), "a directory is not replaced");
+                assert!(path.join("occupied").is_dir(), "destination untouched");
+            } else {
+                assert_eq!(outcome, &Ok(i));
+                assert_eq!(fs::read(path).unwrap(), body(i), "member {i} byte-exact");
+            }
+        }
+        let entries = fs::read_dir(&dir).unwrap().flatten();
+        let temps: Vec<_> = entries
+            .filter(|e| temp_pid(e.file_name().to_str().unwrap()).is_some())
+            .collect();
+        assert!(temps.is_empty(), "no temp left behind: {temps:?}");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), n - 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   or bit-packed dictionary). A file of any other version reads as
 //!   corrupt and re-materializes.
 //! * [`durable`] — how bytes become durable, stated once for every
-//!   artifact (columns and views): atomic publish through a uniquely
-//!   named temp, the one rule for
+//!   artifact (columns and views): atomic publish of a group of files
+//!   through uniquely named temps (all written, then synced four at a
+//!   time, then renamed in order), the one rule for
 //!   which temps are crash litter, quarantine naming, retried whole-file
 //!   reads — `std::fs` only — and the little-endian `ByteWriter` /
 //!   `ByteReader` pair every variable-length payload is laid out with.

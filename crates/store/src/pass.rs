@@ -430,12 +430,15 @@ impl<'p> ColumnPass<'p> {
         }
     }
 
-    /// Ends the pass: persists the captured columns — a fully streamed
-    /// pass commits complete columns; an early-stopped (or interrupted)
-    /// pass commits the streamed prefix as partial columns with a
-    /// watermark, which the store keeps only where that strictly extends
-    /// what it already holds — and returns the pass's accounting. Write
-    /// failures are recorded, never fatal.
+    /// Ends the pass: persists the captured columns as one group
+    /// ([`BehaviorStore::write_partial_column`]'s rule per column; every
+    /// file written, then synced, then renamed, under the store's write
+    /// lock) — a fully streamed pass commits complete columns; an
+    /// early-stopped (or interrupted) pass commits the streamed prefix as
+    /// partial columns with a watermark, which the store keeps only where
+    /// that strictly extends what it already holds — and returns the
+    /// pass's accounting. Write failures are recorded per unit, never
+    /// fatal.
     pub fn finish(mut self) -> StoreStats {
         let (plan, nd, ns) = (self.plan, self.nd, self.ns);
         // The held pages go before the write-back buffers are encoded.
@@ -443,14 +446,16 @@ impl<'p> ColumnPass<'p> {
         let Some(wb) = self.writeback.take().filter(|wb| wb.n_filled > 0) else {
             return self.stats;
         };
-        for wu in &wb.units {
+        let columns: Vec<(ColumnKey, &[f32])> = wb
+            .units
+            .iter()
+            .map(|wu| (plan.key(wu.unit), wu.col.as_slice()))
+            .collect();
+        let outcomes = plan.store.write_columns(nd, ns, &wb.filled, &columns);
+        for (wu, outcome) in wb.units.iter().zip(outcomes) {
             // A fully streamed fill is written as a complete column; a
             // partial one the store declined is an empty delta.
-            let key = plan.key(wu.unit);
-            match plan
-                .store
-                .write_partial_column(&key, nd, ns, &wu.col, &wb.filled)
-            {
+            match outcome {
                 Ok(delta) => self.stats.accumulate(&delta),
                 Err(e) => {
                     let what = if wb.n_filled == nd { "" } else { "partial " };

@@ -39,6 +39,7 @@ use crate::format::{self, coverage_covers, ColumnMeta};
 use crate::pool::BufferPool;
 use crate::{StoreError, StoreStats};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -299,9 +300,9 @@ pub struct BehaviorStore {
     reservation: Arc<PageReservation>,
     /// The keys that have a column file, partial or complete.
     index: Mutex<HashSet<ColumnKey>>,
-    /// Held by every write from its coverage decision through its
-    /// publish, so no writer of this instance replaces a column another
-    /// one completed in between.
+    /// Held by every write from its coverage decisions through its
+    /// group's renames and installs, so no writer of this instance
+    /// replaces a column another one completed in between.
     write_lock: Mutex<()>,
     /// Validated file info per column, filled on first scan.
     meta_cache: Mutex<HashMap<ColumnKey, CachedInfo>>,
@@ -460,7 +461,8 @@ impl BehaviorStore {
     /// Persists a complete column (`data.len() == nd * ns`, record-major)
     /// atomically — replacing any partial column of the same key — and
     /// pushes its blocks through the pool so an immediate scan hits
-    /// memory. Returns the write's accounting.
+    /// memory. Returns the write's accounting. A group of one
+    /// (`BehaviorStore::write_columns`).
     pub fn write_column(
         &self,
         key: &ColumnKey,
@@ -468,8 +470,7 @@ impl BehaviorStore {
         ns: usize,
         data: &[f32],
     ) -> Result<StoreStats, StoreError> {
-        let _write = self.write_lock.lock();
-        self.publish(key, nd, ns, data, None)
+        self.write_partial_column(key, nd, ns, data, &vec![true; nd])
     }
 
     /// Persists the completed prefix of an early-stopped pass: `data` is
@@ -478,7 +479,8 @@ impl BehaviorStore {
     /// column with watermark `filled.count(true)`; a fully filled buffer
     /// is written as a complete column. An empty fill, or one that does
     /// not strictly extend what the store already holds for the key, is a
-    /// no-op (an empty delta).
+    /// no-op (an empty delta). A group of one
+    /// (`BehaviorStore::write_columns`).
     pub fn write_partial_column(
         &self,
         key: &ColumnKey,
@@ -487,117 +489,149 @@ impl BehaviorStore {
         data: &[f32],
         filled: &[bool],
     ) -> Result<StoreStats, StoreError> {
+        self.write_columns(nd, ns, filled, &[(*key, data)])
+            .pop()
+            .expect("one outcome per column")
+    }
+
+    /// Persists `columns` — `(key, nd * ns record-major buffer)` pairs
+    /// that share one fill mask — as one group: the rule of
+    /// [`BehaviorStore::write_partial_column`] per column, every file
+    /// published by one [`durable`] group publish (all temps written,
+    /// then synced, then renamed in input order), and each renamed
+    /// column installed in the pool, the index and the caches. The write
+    /// lock is held from the first coverage decision through the last
+    /// install, so decision and rename stay atomic within this instance.
+    /// Returns each column's delta or error, in input order.
+    pub(crate) fn write_columns(
+        &self,
+        nd: usize,
+        ns: usize,
+        filled: &[bool],
+        columns: &[(ColumnKey, &[f32])],
+    ) -> Vec<Result<StoreStats, StoreError>> {
+        let refuse = |e: StoreError| columns.iter().map(|_| Err(e.clone())).collect();
         if filled.len() != nd {
-            return Err(StoreError::Io(format!(
+            return refuse(StoreError::Io(format!(
                 "fill mask has {} entries for nd={nd}",
                 filled.len()
             )));
         }
         let completed = filled.iter().filter(|&&f| f).count();
-        if completed == nd {
-            return self.write_column(key, nd, ns, data);
-        }
-        if completed == 0 {
-            return Ok(StoreStats::default());
+        // `None` = a complete column, written whatever the store holds.
+        let partial = (completed < nd).then_some(filled);
+        if partial.is_some() && completed == 0 {
+            return columns.iter().map(|_| Ok(StoreStats::default())).collect();
         }
         if self.read_only {
-            return Err(StoreError::Io("store opened read-only".into()));
+            return refuse(StoreError::Io("store opened read-only".into()));
         }
+        let bitmap = partial.map(format::coverage_from_filled);
         let _write = self.write_lock.lock();
+        let mut outcomes = Vec::with_capacity(columns.len());
+        let mut writes = Vec::with_capacity(columns.len());
+        for (i, &(key, data)) in columns.iter().enumerate() {
+            outcomes.push(Ok(StoreStats::default()));
+            if data.len() != nd * ns {
+                outcomes[i] = Err(StoreError::Io(format!(
+                    "column shape mismatch: {} values for nd={nd} ns={ns}",
+                    data.len()
+                )));
+                continue;
+            }
+            if partial.is_some_and(|filled| !self.fill_extends_stored(&key, filled, completed)) {
+                continue;
+            }
+            let path = self.column_path(&key);
+            if let Some(Err(e)) = path.parent().map(std::fs::create_dir_all) {
+                outcomes[i] = Err(e.into());
+                continue;
+            }
+            // Partial columns store only their valid rows, densely packed
+            // in ascending position order (a warm resume then reads
+            // exactly the prefix's bytes, not a mostly empty grid).
+            let stored = match partial {
+                Some(filled) => Cow::Owned(format::pack_rows(data, filled, ns)),
+                None => Cow::Borrowed(data),
+            };
+            let meta = ColumnMeta {
+                model_fp: key.model_fp,
+                dataset_fp: key.dataset_fp,
+                unit: key.unit as u64,
+                nd: nd as u64,
+                ns: ns as u64,
+                block_records: self.block_records as u64,
+                completed_records: completed as u64,
+            };
+            writes.push((i, key, path, meta, stored));
+        }
+        let published = durable::publish_group(writes.iter().map(|(_, _, path, meta, stored)| {
+            let write = |file: &mut File| {
+                format::write_column(file, meta, stored, bitmap.as_deref(), now_stamp())
+            };
+            (path.as_path(), write)
+        }));
+        for ((i, key, _, meta, stored), summary) in writes.iter().zip(published) {
+            outcomes[*i] = summary.map(|summary| self.install(key, meta, stored, summary));
+        }
+        outcomes
+    }
+
+    /// The never-shrink rule of partial writes: true when a fill of
+    /// `completed` positions may replace what the store holds for `key`.
+    /// Callers hold `write_lock`.
+    fn fill_extends_stored(&self, key: &ColumnKey, filled: &[bool], completed: usize) -> bool {
         // Freshen this instance's view from the filesystem before
         // deciding: the index and meta cache are instance-local, and a
         // concurrent store instance may have created, extended or
         // completed this column since we last looked.
         self.meta_cache.lock().remove(key);
-        if self.column_path(key).exists() {
-            self.index.lock().insert(*key);
-            // Never shrink stored coverage: a stored column (complete, or
-            // partial) whose valid coverage is not strictly extended by
-            // this fill keeps its file (a pass that transiently failed to
-            // read it — or early-stopped sooner than a previous one —
-            // must not replace a larger prefix with a smaller one). Only
-            // a *provably corrupt* existing file is junk that may be
-            // overwritten; a transient I/O failure says nothing about
-            // the file, so the write is refused too. The write lock makes
-            // decision and rename atomic within this instance; a writer
-            // of another instance can still slip between them, which at
-            // worst loses re-computable coverage, never correctness.
-            match self.coverage(key) {
-                Ok(prior) => {
-                    let extends =
-                        prior.is_subset_of_filled(filled) && completed > prior.completed_records();
-                    if !extends {
-                        return Ok(StoreStats::default());
-                    }
-                }
-                // A provably corrupt (or deliberately evicted) prior file
-                // protects nothing; overwrite it.
-                Err(StoreError::Corrupt(_)) | Err(StoreError::Evicted(_)) => {}
-                Err(StoreError::Io(_)) | Err(StoreError::TransientIo(_)) => {
-                    return Ok(StoreStats::default())
-                }
-            }
+        if !self.column_path(key).exists() {
+            return true;
         }
-        self.publish(key, nd, ns, data, Some(filled))
+        self.index.lock().insert(*key);
+        // Never shrink stored coverage: a stored column (complete, or
+        // partial) whose valid coverage is not strictly extended by this
+        // fill keeps its file (a pass that transiently failed to read it —
+        // or early-stopped sooner than a previous one — must not replace
+        // a larger prefix with a smaller one). Only a *provably corrupt*
+        // existing file is junk that may be overwritten; a transient I/O
+        // failure says nothing about the file, so the write is refused
+        // too. The write lock makes decision and rename atomic within
+        // this instance; a writer of another instance can still slip
+        // between them, which at worst loses re-computable coverage,
+        // never correctness.
+        match self.coverage(key) {
+            Ok(prior) => prior.is_subset_of_filled(filled) && completed > prior.completed_records(),
+            // A provably corrupt (or deliberately evicted) prior file
+            // protects nothing; overwrite it.
+            Err(StoreError::Corrupt(_)) | Err(StoreError::Evicted(_)) => true,
+            Err(StoreError::Io(_)) | Err(StoreError::TransientIo(_)) => false,
+        }
     }
 
-    /// Writes one column file — complete when `filled` is `None`, else
-    /// the filled positions under their watermark — and installs it in
-    /// the pool, the index and the caches. Callers hold `write_lock`.
-    fn publish(
+    /// Installs a renamed column file in the pool, the index and the
+    /// caches (an overwrite replaces stale state; the written pages go
+    /// into the pool so an immediate scan hits memory) and returns the
+    /// write's accounting. Callers hold `write_lock`.
+    fn install(
         &self,
         key: &ColumnKey,
-        nd: usize,
-        ns: usize,
-        data: &[f32],
-        filled: Option<&[bool]>,
-    ) -> Result<StoreStats, StoreError> {
-        if self.read_only {
-            return Err(StoreError::Io("store opened read-only".into()));
-        }
-        if data.len() != nd * ns {
-            return Err(StoreError::Io(format!(
-                "column shape mismatch: {} values for nd={nd} ns={ns}",
-                data.len()
-            )));
-        }
-        let completed = match filled {
-            Some(f) => f.iter().filter(|&&x| x).count(),
-            None => nd,
-        };
-        let meta = ColumnMeta {
-            model_fp: key.model_fp,
-            dataset_fp: key.dataset_fp,
-            unit: key.unit as u64,
-            nd: nd as u64,
-            ns: ns as u64,
-            block_records: self.block_records as u64,
-            completed_records: completed as u64,
-        };
-        let path = self.column_path(key);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let bitmap = filled.map(format::coverage_from_filled);
-        // Partial columns store only their valid rows, densely packed in
-        // ascending position order (a warm resume then reads exactly the
-        // prefix's bytes, not a mostly empty grid).
-        let packed = filled.map(|f| format::pack_rows(data, f, ns));
-        let stored: &[f32] = packed.as_deref().unwrap_or(data);
-        let summary =
-            format::write_column_file(&path, &meta, stored, bitmap.as_deref(), now_stamp())?;
-        // Refresh the caches (an overwrite replaces stale state), then
-        // populate the pool with the written pages so an immediate scan
-        // hits memory.
+        meta: &ColumnMeta,
+        stored: &[f32],
+        summary: format::WriteSummary,
+    ) -> StoreStats {
         self.pool.purge_column(key);
+        let complete = meta.is_complete();
         let mut written = StoreStats {
-            columns_written: filled.is_none() as usize,
-            partial_columns_written: filled.is_some() as usize,
+            columns_written: complete as usize,
+            partial_columns_written: !complete as usize,
             blocks_written: summary.n_blocks,
             raw_bytes_written: summary.raw_data_bytes,
             stored_bytes_written: summary.stored_data_bytes,
             ..StoreStats::default()
         };
+        let ns = meta.ns as usize;
         for b in 0..meta.n_blocks() {
             let rows = meta.rows_in_block(b);
             let start = b * self.block_records * ns;
@@ -609,7 +643,7 @@ impl BehaviorStore {
         // A fresh write resurrects a disk-budget-evicted column.
         self.evicted.lock().remove(key);
         self.index.lock().insert(*key);
-        Ok(written)
+        written
     }
 
     /// Validated file info for a column, cached after the first read. A

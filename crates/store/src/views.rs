@@ -404,7 +404,7 @@ impl ViewCatalog {
         }
         let bytes = doc.encode();
         let path = self.path_of(&doc.name);
-        fs::create_dir_all(&self.dir).map_err(|e| StoreError::Io(e.to_string()))?;
+        fs::create_dir_all(&self.dir)?;
         // The identity is the written file's own (not a `stat` after the
         // rename, which could already be a concurrent writer's file).
         let identity = durable::publish(&path, |f| {

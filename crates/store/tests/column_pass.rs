@@ -114,6 +114,144 @@ fn hits_scan_and_a_flipped_column_demotes_mid_pass_quarantined_only_under_write(
     }
 }
 
+mod group_write_back {
+    use super::*;
+    use deepbase_store::format;
+    use std::fs::File;
+
+    /// Wider than one sync run, so the group's syncs go 4 wide.
+    const WIDE: [usize; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 8];
+
+    fn key(unit: usize) -> ColumnKey {
+        ColumnKey {
+            model_fp: MODEL_FP,
+            dataset_fp: DATASET_FP,
+            unit,
+        }
+    }
+
+    fn column_file(config: &StoreConfig, unit: usize) -> PathBuf {
+        config
+            .path
+            .join(format!("{MODEL_FP:016x}.{DATASET_FP:016x}"))
+            .join(format!("u{unit}.col"))
+    }
+
+    /// Streams the first `blocks` blocks of `WIDE` with every column live
+    /// (a cold pass that writes back) and finishes it.
+    fn write_back_pass(store: &Arc<BehaviorStore>, blocks: usize) -> StoreStats {
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &WIDE, true, usize::MAX);
+        let mut pass = ColumnPass::new(&plan, &WIDE, ND, NS);
+        for start in (0..ND).step_by(BLOCK).take(blocks) {
+            let positions: Vec<usize> = (start..start + BLOCK).collect();
+            let mut out = vec![0.0f32; BLOCK * NS * WIDE.len()];
+            pass.fetch_block(&positions, &mut out, |units| {
+                block(units, &positions)
+                    .into_iter()
+                    .map(f32::from_bits)
+                    .collect()
+            });
+        }
+        pass.finish()
+    }
+
+    /// Every position of `unit`'s stored column, as bits.
+    fn scan(store: &BehaviorStore, unit: usize, stats: &mut StoreStats) -> Vec<u32> {
+        let positions: Vec<usize> = (0..ND).collect();
+        let mut out = vec![0.0f32; ND * NS];
+        store
+            .scan_into(&key(unit), ND, NS, &positions, &mut out, 1, 0, true, stats)
+            .unwrap();
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A pass's write-back is one group publish. With one unit's column
+    /// path blocked by a directory, that unit alone records a write-back
+    /// error; every other column is indexed, complete, scans bit for bit
+    /// like a store written one column at a time and is served from the
+    /// pool the write filled.
+    #[test]
+    fn a_blocked_unit_fails_alone_and_the_rest_land_in_the_pool() {
+        let blocked = 4;
+        let config = config("group");
+        let store = BehaviorStore::open(&config).unwrap();
+        let occupied = column_file(&config, blocked).join("occupied");
+        std::fs::create_dir_all(&occupied).unwrap();
+        let stats = write_back_pass(&store, ND / BLOCK);
+        assert_eq!(stats.error_count, 1, "{:?}", stats.errors);
+        let want = format!("unit {blocked} write-back failed");
+        assert!(stats.errors[0].starts_with(&want), "{:?}", stats.errors);
+        assert_eq!(stats.columns_written, WIDE.len() - 1);
+        assert!(occupied.is_dir(), "the blocked path is untouched");
+
+        let reference_config = super::config("group-reference");
+        let reference = BehaviorStore::open(&reference_config).unwrap();
+        let mut scanned = StoreStats::default();
+        for unit in WIDE {
+            if unit == blocked {
+                assert!(!store.contains(&key(unit)));
+                continue;
+            }
+            let col: Vec<f32> = (0..ND * NS).map(|i| value(unit, i / NS, i % NS)).collect();
+            reference.write_column(&key(unit), ND, NS, &col).unwrap();
+            assert!(
+                store.contains(&key(unit)),
+                "unit {unit} indexed and complete"
+            );
+            let want = scan(&reference, unit, &mut StoreStats::default());
+            assert_eq!(scan(&store, unit, &mut scanned), want, "unit {unit}");
+        }
+        assert!(scanned.blocks_read > 0);
+        assert_eq!(scanned.pool_misses, 0, "every written page is resident");
+        for dir in [&config.path, &reference_config.path] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// In the same group, an early-stopped pass writes the other units'
+    /// prefixes as partial columns and leaves alone the unit whose stored
+    /// prefix its fill would shrink.
+    #[test]
+    fn an_early_stop_never_shrinks_a_larger_stored_prefix() {
+        let config = config("group-early");
+        let store = BehaviorStore::open(&config).unwrap();
+        let larger = 8;
+        let filled: Vec<bool> = (0..ND).map(|pos| pos < 2 * BLOCK).collect();
+        let col: Vec<f32> = (0..ND * NS)
+            .map(|i| {
+                if filled[i / NS] {
+                    value(larger, i / NS, i % NS)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        store
+            .write_partial_column(&key(larger), ND, NS, &col, &filled)
+            .unwrap();
+        let read = |unit| {
+            let file = format::read_meta(&mut File::open(column_file(&config, unit)).unwrap());
+            let file = file.unwrap();
+            (file.meta.completed_records, file.covered)
+        };
+        let before = read(larger);
+
+        let stats = write_back_pass(&store, 1);
+        assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+        assert_eq!(stats.partial_columns_written, WIDE.len() - 1);
+        assert_eq!(before.0, 2 * BLOCK as u64);
+        assert_eq!(read(larger), before, "the larger prefix stays");
+        for unit in WIDE.into_iter().filter(|&u| u != larger) {
+            assert_eq!(
+                read(unit).0,
+                BLOCK as u64,
+                "unit {unit} holds the streamed prefix"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // The column fetch against the per-page loop it replaced
 // ---------------------------------------------------------------------
