@@ -9,8 +9,8 @@
 //!
 //! The paper's GPU also trains the merged probe; the reproduction's
 //! parallel device does not. It splits extraction into record chunks (and
-//! an independent measure's hypothesis lists, of which a merged logreg
-//! has none), while the probe trains on one thread on either device. So
+//! the hypothesis lists, of which a merged logreg has one), while the
+//! probe trains on one thread on either device. So
 //! "+MM(GPU)" differs from "+MM(CPU)" only in its materializing
 //! extraction, run as 4 record chunks: its gain is bounded by
 //! extraction's share of the run and by the machine's cores.

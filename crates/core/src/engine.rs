@@ -14,16 +14,22 @@
 //! one state (`logreg` trains one multi-output model, the buffered
 //! measures keep one unit sample, `corr` sums each unit's moments once,
 //! `diff_means` and the baselines hold one accumulator per member). A
-//! pairwise measure's state ([`Measure::pairwise`]: `corr`, `diff_means`)
-//! is a grid of independent `(unit, hypothesis)` accumulators, so a pass
-//! may feed one grid over several slots' pairs and project each slot's own
-//! state out of it.
+//! state is fed one way — a block, with one column per member, or none
+//! for a member that is no longer fed — and read one way: its member
+//! errors ([`MeasureState::convergence_errors`]), and a grid's pair
+//! errors ([`MeasureState::pair_errors`]). A pairwise measure's state
+//! ([`Measure::pairwise`]: `corr`, `diff_means`, the baselines) is a grid
+//! of independent `(unit, hypothesis)` accumulators, so a pass may feed
+//! one grid over several slots' pairs and project each slot's own state
+//! out of it; its members stop on their own, the other measures' lists
+//! as a whole.
 //!
 //! [`Device::Parallel`] is the reproduction's simulated GPU: batched
-//! extraction fans record blocks across threads and independent
-//! measures parallelize across hypothesis lists (§4.3), standing in for
-//! the paper's CUDA offload. Training is never split: a merged probe
-//! trains on one thread on either device.
+//! extraction fans record blocks across threads, and so do the reference
+//! designs' hypothesis lists, the segment streams of a full pass and the
+//! groups of a plan, standing in for the paper's CUDA offload. Training is
+//! never split: a merged probe is one list and trains on one thread on
+//! either device.
 //!
 //! ## Device → runtime mapping
 //!
@@ -36,8 +42,8 @@
 //!   the calling thread and nothing is spawned.
 //! * [`Device::Parallel`]`(n)` is width `n`, for the record chunks of a
 //!   streamed block in [`Extractor`] extraction, the hypothesis lists of
-//!   an independent measure in the reference designs, the segment
-//!   streams of a full pass and the groups of a plan. Chunk bounds
+//!   the reference designs, the segment streams of a full pass and the
+//!   groups of a plan. Chunk bounds
 //!   depend only on `n` and the item count, never on scheduling, so
 //!   results are identical to `SingleCore`. Each fan-out spawns up to
 //!   `n - 1` threads and joins them before it returns; a spawn + join
@@ -78,10 +84,12 @@
 //!    [`ColumnPass`], which scans what it holds and calls back for the
 //!    columns it needs computed — hypothesis columns are evaluated once
 //!    per block, only while some unconverged slot still reads them, and
-//!    every live state advances once. A grid computes each pair's
-//!    convergence error once per block ([`MeasureState::process_pairs`]);
-//!    a slot's member error is the largest over its own units, what a
-//!    state of its own reports. Scan order, watermarks, demotion and
+//!    every live state advances once. On an early-stopping stream a
+//!    state's errors are then read once per block: a grid's per pair
+//!    ([`MeasureState::pair_errors`]), each consumer's member error the
+//!    largest over its own units, what a state of its own reports; any
+//!    other state's per member ([`MeasureState::convergence_errors`]).
+//!    Scan order, watermarks, demotion and
 //!    write-back are the store crate's half of the pass; this module only
 //!    calls `fetch_block` and `finish`.
 //! 3. **One fold** over the stream outputs in segment-index order via the
@@ -91,7 +99,7 @@
 //!    embedded into its grid, [`MeasureState::embed`]). A fold over one
 //!    output is the identity. Then every slot's own state is projected out
 //!    of its grid ([`MeasureState::project`]), bit for bit the state a
-//!    slot of its own would hold.
+//!    slot of its own would hold, and its errors are read off it.
 //! 4. **One tail**: pairs that never met epsilon are listed as pending,
 //!    every unique pair is emitted once into a merged [`ResultFrame`]
 //!    ([`MeasureState::final_scores`], on the inspection clock), member
@@ -108,15 +116,14 @@
 //! point a pass builds (`ViewFold::Build`) or extends
 //! (`ViewFold::Extend`), and is absent on every plain INSPECT.
 //!
-//! * `!full_pass` (one stream): **early stopping** — a list member stops
-//!   at the block its own error met epsilon, exactly where a
-//!   one-hypothesis slot would have stopped: a grid consumer's member by
-//!   snapshotting its pairs (the grid stops feeding a hypothesis once
-//!   every consumer has frozen it), any other where its state can
-//!   [freeze](MeasureState::freeze) it (the baselines). A slot stops being
-//!   fed the moment every error of its list meets epsilon, and a
-//!   hypothesis column is evaluated only while some unfrozen member of an
-//!   unconverged slot reads it. The stream ends when every member
+//! * `!full_pass` (one stream): **early stopping** — a grid consumer's
+//!   member stops at the block its own error met epsilon, exactly where a
+//!   one-hypothesis slot would have stopped, by snapshotting its pairs;
+//!   the grid stops feeding a hypothesis once no consumer's member reads
+//!   it. A slot stops being fed the moment every error of its list meets
+//!   epsilon — so a list that is no grid stops as a whole — and a
+//!   hypothesis column is evaluated only while some unstopped member of
+//!   an unconverged slot reads it. The stream ends when every member
 //!   converged (§5.2.3), persisting the streamed prefix as resumable
 //!   partial columns; extraction runs on the configured [`Device`].
 //! * `full_pass`: the same slots over the same lists, never stopped
@@ -146,14 +153,15 @@
 //! |---------------------|-----------------|----------------|---------------------|
 //! | `PyBase`            | full, up-front  | per pair       | none                |
 //! | `Merged`            | full, up-front  | per list (+MM) | none                |
-//! | `MergedEarlyStop`   | full, up-front  | per list       | per member (ES)     |
+//! | `MergedEarlyStop`   | full, up-front  | per list       | per pair (ES)       |
 //! | `DeepBase`          | streaming blocks| per list       | ends extraction too |
 //! | `Madlib`            | dense relations | UDA per hyp    | none                |
 //!
 //! "Per list" is one state over the request's whole hypothesis list;
-//! `PyBase` takes one state per pair. "Per member" is the streaming pass's
-//! rule: a member its state can freeze stops on its own, any other list as
-//! a whole. `DeepBase` is [`inspect`] itself. The other four
+//! `PyBase` takes one state per pair. "Per pair" is the streaming pass's
+//! rule: a pairwise measure's member is no longer fed from the block its
+//! own error met epsilon, any other list stops as a whole. `DeepBase` is
+//! [`inspect`] itself. The other four
 //! materialize the whole dataset before scoring, so they have no partial
 //! answer, no store, no views and no segments: they take an unlimited
 //! [`RunBudget`] only and read the dataset as one shuffled sequence.
@@ -161,7 +169,7 @@
 use crate::cache::CacheRun;
 use crate::error::DniError;
 use crate::extract::{ColumnDemux, Extractor};
-use crate::measure::{Measure, MeasureKind, MeasureState};
+use crate::measure::{Measure, MeasureState};
 use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
 use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
 use deepbase_relational as rel;
@@ -430,9 +438,13 @@ fn validate_config(config: &InspectionConfig) -> Result<(), DniError> {
     if config.block_records == 0 {
         return Err(DniError::BadConfig("block_records must be >= 1".into()));
     }
+    // A state reports ∞ before it can estimate anything, so an infinite ε
+    // would count every pair as met after the first block.
     if let Some(eps) = config.epsilon {
-        if eps.is_nan() || eps <= 0.0 {
-            return Err(DniError::BadConfig("epsilon must be > 0".into()));
+        if !eps.is_finite() || eps <= 0.0 {
+            return Err(DniError::BadConfig(format!(
+                "epsilon must be finite and > 0, not {eps}"
+            )));
         }
     }
     Ok(())
@@ -645,7 +657,7 @@ fn inspect_materialized(
     let mut frame = ResultFrame::default();
     for (group, behaviors) in req.groups.iter().zip(group_behaviors.iter()) {
         for measure in &req.measures {
-            let eps = epsilon_for(*measure, config);
+            let (eps, pairwise) = (epsilon_for(*measure, config), measure.pairwise());
             // PyBase scores every pair on its own; the merging engines hand
             // the measure the whole list (+MM).
             let lists: Vec<&[usize]> = if merging {
@@ -654,43 +666,42 @@ fn inspect_materialized(
                 all_hyps.chunks(1).collect()
             };
             // One state per list, fed a block at a time. Early stopping
-            // freezes each member at the block its own error met ε where
-            // the state can (`corr`, `diff_means`, the baselines), so its
+            // stops feeding a pairwise list's member at the block its own
+            // error met ε (`corr`, `diff_means`, the baselines), so its
             // scores are those of a one-hypothesis state; any other list
             // stops as a whole, once every member converged (the paper's
             // §5.2.1 caveat).
             let score_list = |list: &[usize]| -> (Vec<PairResult>, usize) {
                 let mut state = measure.new_state(group.units.len(), list.len());
                 let mut errs = vec![f32::INFINITY; list.len()];
-                let mut frozen = vec![false; list.len()];
-                let mut block: Vec<&[f32]> = Vec::with_capacity(list.len());
+                let mut fed = vec![true; list.len()];
+                let mut block: Vec<Option<&[f32]>> = Vec::with_capacity(list.len());
                 let (mut start, mut blocks) = (0, 0);
                 while start < rows_total {
                     let end = (start + block_rows).min(rows_total);
                     block.clear();
-                    block.extend(list.iter().zip(&frozen).map(|(&h, &frozen)| match frozen {
-                        true => &[][..],
-                        false => &hyp_cols[h][start..end],
-                    }));
-                    state.process_block(&behaviors.slice_rows(start, end), &block, &mut errs);
+                    block.extend(
+                        (list.iter().zip(&fed))
+                            .map(|(&h, &fed)| fed.then(|| &hyp_cols[h][start..end])),
+                    );
+                    state.process_block(&behaviors.slice_rows(start, end), &block);
                     blocks += 1;
                     if early_stop {
-                        freeze_met(state.as_mut(), &errs, eps, &mut frozen, |_| {});
+                        state.convergence_errors(&mut errs);
                         if errs.iter().all(|&e| e <= eps) {
                             break;
+                        }
+                        for (fed, &err) in fed.iter_mut().zip(&errs) {
+                            if pairwise && err <= eps {
+                                *fed = false;
+                            }
                         }
                     }
                     start = end;
                 }
                 (state.final_scores(), blocks)
             };
-            // Independent measures fan their lists out on the parallel
-            // device; a shared list trains on this thread.
-            let width = match measure.kind() {
-                MeasureKind::Independent => threads,
-                _ => 1,
-            };
-            let results = deepbase_runtime::fan_out(width, &lists, |list| score_list(list));
+            let results = deepbase_runtime::fan_out(threads, &lists, |list| score_list(list));
             for (list, (scores, blocks)) in lists.iter().zip(results) {
                 profile.blocks_processed += blocks;
                 for (&h, (unit_scores, group_score)) in list.iter().zip(scores) {
@@ -713,26 +724,6 @@ fn inspect_materialized(
 }
 
 type PairResult = (Vec<f32>, f32);
-
-/// Freezes each member of `state` whose error met `eps` and is not frozen
-/// yet, if the state can ([`MeasureState::freeze`]), marking it in `frozen`
-/// and reporting its list position to `on_freeze`. The early-stopping rule
-/// of both the streaming pass and `+MM+ES`: a member stops where a
-/// one-hypothesis state over it would have.
-fn freeze_met(
-    state: &mut dyn MeasureState,
-    errs: &[f32],
-    eps: f32,
-    frozen: &mut [bool],
-    mut on_freeze: impl FnMut(usize),
-) {
-    for (pos, (&err, frozen)) in errs.iter().zip(frozen.iter_mut()).enumerate() {
-        if !*frozen && err <= eps && state.freeze(pos) {
-            *frozen = true;
-            on_freeze(pos);
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // The streaming engine
@@ -845,15 +836,17 @@ impl Slot<'_> {
 /// measure's ([`Measure::pairwise`]) slots share one grid over the union
 /// of their units × the union of their hypothesis columns whenever that
 /// grid holds no more pairs than the slots do together; otherwise, and for
-/// every other measure, a slot has a state of its own. A grid is fed pair
-/// by pair ([`MeasureState::process_pairs`]) and each consumer's state is
-/// projected out of it; any other state is its one slot's.
+/// every other measure, a slot has a state of its own. A grid's errors
+/// are read per pair ([`MeasureState::pair_errors`]) and each consumer's
+/// state is projected out of it; any other state is its one slot's.
 struct StatePlan<'a> {
     measure: &'a dyn Measure,
     /// Index into the unique unit-selection list: the units fed.
     sel: usize,
     /// Union hypothesis columns the state consumes, in state order.
     hyps: Vec<usize>,
+    /// The measure is pairwise: the state is a grid, whose members stop
+    /// on their own.
     grid: bool,
     consumers: Vec<Consumer>,
 }
@@ -926,29 +919,27 @@ fn measure_key(measure: &dyn Measure) -> MeasureKey {
 
 /// The mutable half of a slot within one stream (or the fold of several).
 struct SlotRun {
-    /// Convergence error per slot hypothesis: what the last processed
-    /// block gave (`∞` before the first), replaced by the folded state's
-    /// own estimate after a full pass.
+    /// Convergence error per slot hypothesis, read off the states after
+    /// each block of an early-stopping stream (`∞` before the first), and
+    /// off the slot's own final state at the end of every pass
+    /// ([`PassLayout::slot_states`]).
     errs: Vec<f32>,
     /// Set once every error met epsilon on an early-stopping stream; a
     /// converged slot is no longer fed. Never set on a full pass.
     converged: bool,
-    /// Per slot hypothesis: frozen at the block its own error met epsilon
-    /// on an early-stopping stream, after which it reads nothing. Never set
-    /// on a full pass.
-    frozen: Vec<bool>,
-    /// A grid consumer's frozen members: the member's pairs as they stood
-    /// at the block it froze on ([`MeasureState::project`]), which is what
-    /// a state of its own would have kept.
+    /// A grid consumer's stopped members: the member's pairs as they stood
+    /// at the block its own error met epsilon ([`MeasureState::project`]),
+    /// which is what a state of its own would have kept. Never taken on a
+    /// full pass.
     snapshots: Vec<Option<Box<dyn MeasureState>>>,
 }
 
 /// The mutable half of a state within one stream.
 struct StateRun {
     state: Box<dyn MeasureState>,
-    /// Per state hypothesis: the unfrozen members of unconverged slots that
-    /// read it. At 0 it is fed an empty column (a grid freezes it) and its
-    /// union column loses a consumer.
+    /// Per state hypothesis: the unstopped members of unconverged slots
+    /// that read it. At 0 it is no longer fed and its union column loses a
+    /// consumer.
     readers: Vec<usize>,
     /// A grid's error per pair after the last block, hypothesis-major.
     pair_errs: Vec<f32>,
@@ -956,13 +947,10 @@ struct StateRun {
 
 impl StateRun {
     /// One reader of state hypothesis `h` is done with it; the last one
-    /// stops it being fed and takes a consumer off its union column.
+    /// takes a consumer off its union column.
     fn release(&mut self, h: usize, plan: &StatePlan<'_>, hyp_consumers: &mut [usize]) {
         self.readers[h] -= 1;
         if self.readers[h] == 0 {
-            if plan.grid {
-                self.state.freeze(h);
-            }
             hyp_consumers[plan.hyps[h]] -= 1;
         }
     }
@@ -1243,7 +1231,6 @@ impl<'a> PassLayout<'a> {
             .map(|slot| SlotRun {
                 errs: vec![f32::INFINITY; slot.hyps.len()],
                 converged: false,
-                frozen: vec![false; slot.hyps.len()],
                 snapshots: slot.hyps.iter().map(|_| None).collect(),
             })
             .collect();
@@ -1358,7 +1345,7 @@ impl<'a> PassLayout<'a> {
             // read it, then judge each of its slots' members.
             let t2 = Instant::now();
             // The state's columns in state order; one buffer per block.
-            let mut state_cols: Vec<&[f32]> = Vec::new();
+            let mut state_cols: Vec<Option<&[f32]>> = Vec::new();
             for (plan, run) in self.states.iter().zip(states.iter_mut()) {
                 if !state_live(plan, &slots) {
                     continue;
@@ -1367,67 +1354,50 @@ impl<'a> PassLayout<'a> {
                     true => union_behaviors,
                     false => &sel_blocks[plan.sel],
                 };
-                // A hypothesis nobody reads any more is fed an empty column.
-                let col = |(&c, &readers): (&usize, &usize)| match readers {
-                    0 => &[][..],
-                    _ => hyp_cols[c].as_deref().expect("consumed column"),
+                // A hypothesis nobody reads any more is not fed.
+                let col = |(&c, &readers): (&usize, &usize)| {
+                    (readers > 0).then(|| hyp_cols[c].as_deref().expect("consumed column"))
                 };
                 state_cols.clear();
                 state_cols.extend(plan.hyps.iter().zip(&run.readers).map(col));
-                if plan.grid {
-                    if !run
-                        .state
-                        .process_pairs(behaviors, &state_cols, &mut run.pair_errs)
-                    {
-                        return Err(not_a_grid(plan));
-                    }
-                    // A member's error is the widest of its own units'
-                    // pair errors, as a state of its own reports it.
-                    let n = behaviors.cols();
-                    for consumer in &plan.consumers {
-                        let slot_run = &mut slots[consumer.slot];
-                        for (pos, &h) in consumer.hyps.iter().enumerate() {
-                            if !slot_run.frozen[pos] {
-                                let pair_errs = &run.pair_errs[h * n..(h + 1) * n];
-                                let widths = consumer.units.iter().map(|&u| pair_errs[u]);
-                                slot_run.errs[pos] = widths.fold(0.0f32, f32::max);
-                            }
-                        }
-                    }
-                } else {
-                    let slot_run = &mut slots[plan.consumers[0].slot];
-                    run.state
-                        .process_block(behaviors, &state_cols, &mut slot_run.errs);
-                }
+                run.state.process_block(behaviors, &state_cols);
                 if full_pass {
                     continue;
                 }
-                // Each member stops at the block its own error met epsilon
-                // — a grid consumer's by keeping its pairs as they stand,
-                // any other if its state can freeze it — the slot once
-                // all have.
+                if !plan.grid {
+                    let slot_run = &mut slots[plan.consumers[0].slot];
+                    run.state.convergence_errors(&mut slot_run.errs);
+                } else if !run.state.pair_errors(&mut run.pair_errs) {
+                    return Err(not_a_grid(plan));
+                }
+                // Each member of a grid consumer stops at the block its own
+                // error — the widest of its own units' pair errors, what a
+                // state of its own reports — met epsilon, by keeping its
+                // pairs as they stand; a slot stops once all its errors
+                // have, so a list that is no grid stops as a whole.
+                let n = behaviors.cols();
                 for consumer in &plan.consumers {
                     let (slot, slot_run) = (&self.slots[consumer.slot], &mut slots[consumer.slot]);
                     if slot_run.converged {
                         continue;
                     }
                     for (pos, &h) in consumer.hyps.iter().enumerate() {
-                        if slot_run.frozen[pos] || !slot.met(slot_run.errs[pos]) {
+                        if !plan.grid || slot_run.snapshots[pos].is_some() {
                             continue;
                         }
-                        if plan.grid {
+                        let pair_errs = &run.pair_errs[h * n..(h + 1) * n];
+                        let widths = consumer.units.iter().map(|&u| pair_errs[u]);
+                        slot_run.errs[pos] = widths.fold(0.0f32, f32::max);
+                        if slot.met(slot_run.errs[pos]) {
                             let pairs = run.state.project(&consumer.units, &[h]);
                             slot_run.snapshots[pos] = Some(pairs.ok_or_else(|| not_a_grid(plan))?);
-                        } else if !run.state.freeze(pos) {
-                            continue;
+                            run.release(h, plan, &mut hyp_consumers);
                         }
-                        slot_run.frozen[pos] = true;
-                        run.release(h, plan, &mut hyp_consumers);
                     }
                     if slot_run.errs.iter().all(|&e| slot.met(e)) {
                         slot_run.converged = true; // stop feeding
-                        for (&h, &frozen) in consumer.hyps.iter().zip(&slot_run.frozen) {
-                            if !frozen {
+                        for (&h, snapshot) in consumer.hyps.iter().zip(&slot_run.snapshots) {
+                            if snapshot.is_none() {
                                 run.release(h, plan, &mut hyp_consumers);
                             }
                         }
@@ -1545,15 +1515,15 @@ impl<'a> PassLayout<'a> {
 
     /// Each slot's own state out of the (folded) states: a slot with a
     /// state of its own takes it; a grid consumer projects its units × list
-    /// out of the grid, its frozen members as their snapshots kept them —
-    /// the state a slot of its own would hold, bit for bit. On a full pass
-    /// each slot's errors are then re-derived from it: the estimate one
-    /// pass over all the data would have reported last.
+    /// out of the grid, its stopped members as their snapshots kept them —
+    /// the state a slot of its own would hold, bit for bit. Each slot's
+    /// errors are then read off it: what the last block a member was fed
+    /// gave, and on a full pass the estimate one pass over all the data
+    /// would have reported last.
     fn slot_states(
         &self,
         states: Vec<Box<dyn MeasureState>>,
         runs: &mut [SlotRun],
-        full_pass: bool,
     ) -> Result<Vec<Box<dyn MeasureState>>, DniError> {
         let mut own: Vec<Option<Box<dyn MeasureState>>> = self.slots.iter().map(|_| None).collect();
         for (plan, state) in self.states.iter().zip(states) {
@@ -1579,10 +1549,8 @@ impl<'a> PassLayout<'a> {
         let own: Vec<Box<dyn MeasureState>> = (own.into_iter())
             .map(|state| state.expect("every slot reads a state"))
             .collect();
-        if full_pass {
-            for (state, run) in own.iter().zip(runs) {
-                state.convergence_errors(&mut run.errs);
-            }
+        for (state, run) in own.iter().zip(runs) {
+            state.convergence_errors(&mut run.errs);
         }
         Ok(own)
     }
@@ -1642,8 +1610,7 @@ fn fold_streams(
     if !full_pass {
         return Ok((folded, 1));
     }
-    // A full pass reports per-segment streams; its slots' errors are
-    // re-derived from the folded states (`PassLayout::slot_states`).
+    // A full pass reports per-segment streams.
     folded.stats.segment_passes = streamed;
     Ok((folded, streamed))
 }
@@ -1735,7 +1702,7 @@ pub(crate) fn run_pass<'a>(
     });
     let (mut folded, extraction_passes) = fold_streams(outputs, base, full_pass)?;
     let states = std::mem::take(&mut folded.states);
-    let states = layout.slot_states(states, &mut folded.slots, full_pass)?;
+    let states = layout.slot_states(states, &mut folded.slots)?;
     layout.finish(
         reqs,
         folded,

@@ -369,9 +369,11 @@
 //! * `model` — the DNI problem model: datasets, records, unit groups,
 //!   hypothesis functions with execution-time validation (§3, §4.2).
 //! * `extract` — unit-behavior extractors for the NN substrate (§5.1.2).
-//! * `measure` — the standard measure library with incremental
-//!   `process_block` APIs, merged (multi-output) states and pairwise
-//!   accumulator grids (§4.3, §5.2).
+//! * `measure` — the standard measure library behind one state
+//!   interface, fed one way (`process_block`: one column per member, none
+//!   for a member a pairwise state no longer feeds) and read one way
+//!   (member errors, and a grid's pair errors): merged (multi-output)
+//!   states and pairwise accumulator grids (§4.3, §5.2).
 //! * `engine` — streaming extraction, early stopping, the parallel
 //!   device (§5): the one streaming pass (public face:
 //!   [`engine::inspect_shared`]) that every plan wave, view build and view
@@ -380,12 +382,13 @@
 //!   at three levels: one union block of unit columns per block, one
 //!   column per distinct hypothesis function, and one measure state per
 //!   slot — except that the slots of a pairwise measure (`corr`,
-//!   `diff_means`: one accumulator per `(unit, hypothesis)` pair, the
-//!   paper's §4.3 independent measures) share one grid over the union of
-//!   their pairs whenever it holds no more pairs than they do together,
-//!   so each pair is accumulated once and a grouped unit selection is
-//!   never copied out of the union block. Each slot's scores, errors and
-//!   stored bytes are those of a state of its own, bit for bit.
+//!   `diff_means`, the baselines: one accumulator per `(unit, hypothesis)`
+//!   pair) share one grid over the union of their pairs whenever it holds
+//!   no more pairs than they do together, so each pair is accumulated
+//!   once and a grouped unit selection is never copied out of the union
+//!   block. A grid's members stop on their own under early stopping, any
+//!   other list as a whole. Each slot's scores, errors and stored bytes
+//!   are those of a state of its own, bit for bit.
 //! * `cache` — hypothesis-behavior cache (§5.1.2, Fig. 9): one column of
 //!   `ns`-wide rows per `(hypothesis, dataset)` catalog identity, indexed
 //!   by record position, looked up a block at a time and evicted whole,

@@ -3,12 +3,13 @@
 //!
 //! Every measure exposes the paper's `process_block` API through **one**
 //! state trait over an ordered hypothesis list: feed a block of unit
-//! behaviors + one behavior column per hypothesis, get back an error
-//! estimate per hypothesis that the engine compares against the user's
-//! convergence threshold (§5.2.2, early stopping). Every state is a list,
-//! handed a member's whole hypothesis list at once; the per-pair state is
-//! the list with one member. What a list shares (model merging, §5.2.1)
-//! is exact, because it does not depend on the hypothesis:
+//! behaviors + one behavior column per hypothesis, then read an error
+//! estimate per hypothesis ([`MeasureState::convergence_errors`]) that the
+//! engine compares against the user's convergence threshold (§5.2.2,
+//! early stopping). Every state is a list, handed a member's whole
+//! hypothesis list at once; the per-pair state is the list with one
+//! member. What a list shares (model merging, §5.2.1) is exact, because
+//! it does not depend on the hypothesis:
 //!
 //! * the logistic-regression probes train all hypotheses as one
 //!   multi-output model (per-hypothesis losses and parameters are
@@ -24,17 +25,16 @@
 //! * `diff_means` and the baselines share nothing: their list holds one
 //!   accumulator per member (`PerMember`).
 //!
-//! `corr` and `diff_means` are **pairwise** ([`Measure::pairwise`]): their
-//! state is a grid of independent `(unit, hypothesis)` accumulators, so it
-//! can also be fed pair by pair (`MeasureState::process_pairs`, every
-//! pair's error), cut down to any units × list (`project`) and written
-//! back (`embed`). The engine feeds one grid to several slots that way.
-//!
-//! Early stopping stays per pair for `corr`, `diff_means` and the
-//! baselines: the engine [freezes](MeasureState::freeze) a member at the
-//! block its own error met ε, so a list stops where its one-hypothesis
-//! states would have. The states of the other measures stop when their
-//! whole list has converged.
+//! `corr`, `diff_means` and the baselines are **pairwise**
+//! ([`Measure::pairwise`]): their state is a grid of independent
+//! `(unit, hypothesis)` accumulators, so it reports every pair's error
+//! ([`MeasureState::pair_errors`]), can be cut down to any units × list
+//! (`project`) and written back (`embed`), and leaves a member it is not
+//! fed a column for as it is. The engine feeds one grid to several slots
+//! that way, and stops each member at the block its own error met ε —
+//! where its one-hypothesis state would have stopped — by no longer
+//! feeding it. The states of the other measures are fed every column and
+//! stop when their whole list has converged.
 //! `merge_from` and the durable form are per list too; a state serializes
 //! one hypothesis at a time, to exactly the bytes a one-hypothesis state
 //! of it would write, so stored views do not depend on how hypotheses were
@@ -47,22 +47,10 @@ use deepbase_stats::{
 use deepbase_store::durable::{ByteReader, ByteWriter};
 use deepbase_tensor::Matrix;
 
-/// Whether a measure scores units one at a time or a group jointly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeasureKind {
-    /// Per-unit scores; parallelizable across units (§4.3).
-    Independent,
-    /// One group score plus per-unit scores from a joint model.
-    Joint,
-}
-
 /// A statistical affinity measure.
 pub trait Measure: Send + Sync {
     /// Stable identifier (`corr`, `logreg_l1`, …).
     fn id(&self) -> &str;
-
-    /// Independent or joint.
-    fn kind(&self) -> MeasureKind;
 
     /// Fresh incremental state for one unit group and an ordered list of
     /// `n_hyps` hypotheses.
@@ -84,11 +72,13 @@ pub trait Measure: Send + Sync {
 
     /// True when a state of this measure is a grid of independent
     /// `(unit, hypothesis)` accumulators (`corr`'s Pearson sums,
-    /// `diff_means`' moments): a pair's state does not depend on which
-    /// other units and hypotheses share it. A pass then feeds one state
-    /// over the union of several slots' pairs and projects each slot's
-    /// own out of it. The states of a pairwise measure implement
-    /// `MeasureState::process_pairs`, `project` and `embed`.
+    /// `diff_means`' moments, a baseline's labels): a pair's state does
+    /// not depend on which other units and hypotheses share it. A pass then
+    /// feeds one state over the union of several slots' pairs, projects
+    /// each slot's own out of it, and stops each member on its own. The
+    /// states of a pairwise measure implement
+    /// `MeasureState::pair_errors`, `project` and `embed`, and leave a
+    /// member they are fed no column for as it is.
     fn pairwise(&self) -> bool {
         false
     }
@@ -113,16 +103,23 @@ pub trait Measure: Send + Sync {
 
 /// Incremental state for one unit group and an ordered hypothesis list.
 pub trait MeasureState: Send {
-    /// Consumes a block — `rows x n_units` behaviors and one column of
-    /// `rows` values per hypothesis, in list order — and writes each
-    /// hypothesis's current error estimate to `errs` (∞ until estimable).
-    /// A block of any other shape panics ([`check_block`]).
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]);
+    /// Consumes a block: `rows x n_units` behaviors and, per hypothesis in
+    /// list order, its column of `rows` values — or `None` for a member
+    /// that is not fed this block, which a pairwise state
+    /// ([`Measure::pairwise`]) leaves as it is and every other state
+    /// refuses. A block of any other shape panics ([`check_block`]).
+    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]);
 
     /// Every hypothesis's current `(unit scores, group score)`, in list
     /// order — the one call the engines emit result rows from, so whatever
     /// a state derives per unit is derived once for the whole list.
     fn final_scores(&self) -> Vec<(Vec<f32>, f32)>;
+
+    /// Every hypothesis's current convergence-error estimate (∞ until
+    /// estimable), in list order: what the engines compare against ε,
+    /// after each block and on the final state. `errs` holds one slot per
+    /// hypothesis; any other length panics.
+    fn convergence_errors(&self, errs: &mut [f32]);
 
     /// Self as `Any`, so sibling states of the same concrete type can
     /// downcast each other inside [`MeasureState::merge_from`].
@@ -139,27 +136,6 @@ pub trait MeasureState: Send {
         false
     }
 
-    /// Freezes member `hyp`: from now on its column is not read (the
-    /// caller may pass an empty one), its accumulated state, scores and
-    /// error stay as they are, and [`MeasureState::process_block`] leaves
-    /// its `errs` entry untouched — what a one-hypothesis state that is no
-    /// longer fed would hold. Lets a list stop each member at the block its
-    /// own error met ε, as one state per pair would. Returns `false` (the
-    /// default) when the state cannot freeze a member on its own; the
-    /// engine then feeds the whole list until every member converged.
-    fn freeze(&mut self, _hyp: usize) -> bool {
-        false
-    }
-
-    /// The current convergence-error estimate of every hypothesis, as the
-    /// last [`MeasureState::process_block`] would have reported it —
-    /// without consuming data. Lets the engine re-derive pending pairs
-    /// after cross-segment merges. The default `∞` is only reached for
-    /// states that never merge (their per-block errors are used instead).
-    fn convergence_errors(&self, errs: &mut [f32]) {
-        errs.fill(f32::INFINITY);
-    }
-
     /// Serializes hypothesis `hyp`'s share of this state to bytes that the
     /// owning measure's [`Measure::deserialize_state`] revives bit-exactly
     /// (floats travel as raw bits) — the bytes a one-hypothesis state fed
@@ -170,22 +146,21 @@ pub trait MeasureState: Send {
         None
     }
 
-    /// A pairwise state ([`Measure::pairwise`]) consumes a block as
-    /// [`MeasureState::process_block`] does, but writes the error of every
-    /// `(unit, hypothesis)` pair, hypothesis-major (pair `(u, h)` at
-    /// `h * n_units + u`), leaving a frozen member's pairs untouched. A
-    /// member's `process_block` error is the largest of its pairs' (folded
-    /// from 0). Returns `false` (the default) and consumes nothing when the
-    /// state is not pairwise.
-    fn process_pairs(&mut self, _units: &Matrix, _hyps: &[&[f32]], _pair_errs: &mut [f32]) -> bool {
+    /// The current error of every `(unit, hypothesis)` pair of a pairwise
+    /// state ([`Measure::pairwise`]), hypothesis-major (pair `(u, h)` at
+    /// `h * n_units + u`); a member's
+    /// [`convergence_errors`](MeasureState::convergence_errors) entry is
+    /// the largest of its pairs' (folded from 0). `pair_errs` holds one
+    /// slot per pair; any other length panics. Returns `false` (the
+    /// default) and writes nothing when the state is not pairwise.
+    fn pair_errors(&self, _pair_errs: &mut [f32]) -> bool {
         false
     }
 
     /// The pairs `units × hyps` of a pairwise state — indexes into its
     /// units and its list, either of which may repeat — as a state of their
-    /// own: the state over those units and that list, fed the same blocks,
-    /// with no member frozen. `None` (the default) when the state is not
-    /// pairwise.
+    /// own: the state over those units and that list, fed the same blocks.
+    /// `None` (the default) when the state is not pairwise.
     fn project(&self, _units: &[usize], _hyps: &[usize]) -> Option<Box<dyn MeasureState>> {
         None
     }
@@ -203,41 +178,36 @@ pub trait MeasureState: Send {
 /// The one shape check every state runs before touching a block: a
 /// drifted unit count, a short hypothesis column or a list of the wrong
 /// length would otherwise shorten or shuffle the sample silently — in
-/// release builds too, hence hard asserts.
-pub(crate) fn check_block(
-    units: &Matrix,
-    hyps: &[&[f32]],
-    errs: &[f32],
-    n_units: usize,
-    n_hyps: usize,
-) {
-    check_live_block(units, hyps, errs, n_units, n_hyps, 1, |_| true);
+/// release builds too, hence hard asserts. A `None` column passes; a
+/// state that feeds every member takes its columns through
+/// [`every_column`].
+pub(crate) fn check_block(units: &Matrix, hyps: &[Option<&[f32]>], n_units: usize, n_hyps: usize) {
+    assert_eq!(units.cols(), n_units, "block unit-count mismatch");
+    assert_eq!(hyps.len(), n_hyps, "block hypothesis-count mismatch");
+    for hyp in hyps.iter().flatten() {
+        assert_eq!(hyp.len(), units.rows(), "block row mismatch");
+    }
 }
 
-/// [`check_block`] for a state with frozen members: only a column `live`
-/// reports for must hold the block's rows. `errs` holds `per_hyp` errors
-/// per hypothesis: one, or one per unit for
-/// [`MeasureState::process_pairs`].
-fn check_live_block(
+/// [`check_block`] for a state that is not pairwise: its members are fed
+/// together, so every one of them must have its column.
+fn every_column<'h>(
     units: &Matrix,
-    hyps: &[&[f32]],
-    errs: &[f32],
+    hyps: &[Option<&'h [f32]>],
     n_units: usize,
     n_hyps: usize,
-    per_hyp: usize,
-    live: impl Fn(usize) -> bool,
-) {
-    assert_eq!(units.cols(), n_units, "block unit-count mismatch");
-    assert_eq!(
-        (hyps.len(), errs.len()),
-        (n_hyps, n_hyps * per_hyp),
-        "block hypothesis-count mismatch"
-    );
-    for (h, hyp) in hyps.iter().enumerate() {
-        if live(h) {
-            assert_eq!(hyp.len(), units.rows(), "block row mismatch");
-        }
-    }
+) -> Vec<&'h [f32]> {
+    check_block(units, hyps, n_units, n_hyps);
+    let column = |hyp: &Option<&'h [f32]>| {
+        hyp.expect("block column mismatch: only a pairwise state leaves a member unfed")
+    };
+    hyps.iter().map(column).collect()
+}
+
+/// The length check of every error read: one slot per hypothesis, or per
+/// pair ([`MeasureState::pair_errors`]).
+fn check_errs(errs: &[f32], n: usize) {
+    assert_eq!(errs.len(), n, "error-slot count mismatch");
 }
 
 // ---------------------------------------------------------------------
@@ -253,15 +223,11 @@ impl Measure for CorrelationMeasure {
         "corr"
     }
 
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Independent
-    }
-
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
         Box::new(CorrState {
             n_units,
+            n_hyps,
             accs: vec![StreamingPearson::new(); n_units * n_hyps],
-            frozen: vec![false; n_hyps],
         })
     }
 
@@ -303,11 +269,10 @@ impl Measure for CorrelationMeasure {
                 return None;
             }
         }
-        let frozen = vec![false; per_hyp_blobs.len()];
         Some(Box::new(CorrState {
             n_units,
+            n_hyps: per_hyp_blobs.len(),
             accs,
-            frozen,
         }))
     }
 }
@@ -322,11 +287,11 @@ const STATE_TAG_GROUP_MI: u32 = 5;
 
 /// `n_units` Pearson accumulators per hypothesis, hypothesis-major: the
 /// block kernel ([`corr::accumulate_list`]) sums each unit's `x` moments
-/// once for the whole list, and a frozen member is no longer fed.
+/// once for the whole list and leaves an unfed member untouched.
 struct CorrState {
     n_units: usize,
+    n_hyps: usize,
     accs: Vec<StreamingPearson>,
-    frozen: Vec<bool>,
 }
 
 impl CorrState {
@@ -340,37 +305,18 @@ impl CorrState {
         let widths = self.member(h).iter().map(|a| a.fisher_half_width(Z_95));
         widths.fold(0.0f32, f32::max)
     }
-
-    /// Checks a block carrying `per_hyp` errors per hypothesis and folds
-    /// it into every live member's accumulators.
-    fn accumulate(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &[f32], per_hyp: usize) {
-        let n_hyps = self.frozen.len();
-        let live = |h: usize| !self.frozen[h];
-        check_live_block(units, hyps, errs, self.n_units, n_hyps, per_hyp, live);
-        let cols: Vec<Option<&[f32]>> = (hyps.iter().zip(&self.frozen))
-            .map(|(&hyp, &frozen)| (!frozen).then_some(hyp))
-            .collect();
-        corr::accumulate_list(&mut self.accs, units.as_slice(), &cols);
-    }
 }
 
 impl MeasureState for CorrState {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
-        self.accumulate(units, hyps, errs, 1);
-        for (h, err) in errs.iter_mut().enumerate() {
-            if !self.frozen[h] {
-                *err = self.error(h);
-            }
-        }
+    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
+        check_block(units, hyps, self.n_units, self.n_hyps);
+        corr::accumulate_list(&mut self.accs, units.as_slice(), hyps);
     }
 
-    fn process_pairs(&mut self, units: &Matrix, hyps: &[&[f32]], pair_errs: &mut [f32]) -> bool {
-        let n = self.n_units;
-        self.accumulate(units, hyps, pair_errs, n);
-        for h in (0..self.frozen.len()).filter(|&h| !self.frozen[h]) {
-            for (err, acc) in pair_errs[h * n..(h + 1) * n].iter_mut().zip(self.member(h)) {
-                *err = acc.fisher_half_width(Z_95);
-            }
+    fn pair_errors(&self, pair_errs: &mut [f32]) -> bool {
+        check_errs(pair_errs, self.accs.len());
+        for (err, acc) in pair_errs.iter_mut().zip(&self.accs) {
+            *err = acc.fisher_half_width(Z_95);
         }
         true
     }
@@ -382,8 +328,8 @@ impl MeasureState for CorrState {
             .collect();
         Some(Box::new(CorrState {
             n_units: units.len(),
+            n_hyps: hyps.len(),
             accs,
-            frozen: vec![false; hyps.len()],
         }))
     }
 
@@ -392,8 +338,8 @@ impl MeasureState for CorrState {
             return false;
         };
         let fits = units.iter().all(|&u| u < self.n_units)
-            && hyps.iter().all(|&h| h < self.frozen.len())
-            && (part.n_units, part.frozen.len()) == (units.len(), hyps.len());
+            && hyps.iter().all(|&h| h < self.n_hyps)
+            && (part.n_units, part.n_hyps) == (units.len(), hyps.len());
         if !fits {
             return false;
         }
@@ -406,7 +352,7 @@ impl MeasureState for CorrState {
     }
 
     fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        (0..self.frozen.len())
+        (0..self.n_hyps)
             .map(|h| {
                 let unit_scores: Vec<f32> =
                     self.member(h).iter().map(|a| a.correlation()).collect();
@@ -424,7 +370,7 @@ impl MeasureState for CorrState {
         let Some(other) = other.as_any().downcast_ref::<CorrState>() else {
             return false;
         };
-        if (other.n_units, other.frozen.len()) != (self.n_units, self.frozen.len()) {
+        if (other.n_units, other.n_hyps) != (self.n_units, self.n_hyps) {
             return false;
         }
         for (a, b) in self.accs.iter_mut().zip(other.accs.iter()) {
@@ -434,18 +380,14 @@ impl MeasureState for CorrState {
     }
 
     fn convergence_errors(&self, errs: &mut [f32]) {
+        check_errs(errs, self.n_hyps);
         for (h, err) in errs.iter_mut().enumerate() {
             *err = self.error(h);
         }
     }
 
-    fn freeze(&mut self, hyp: usize) -> bool {
-        self.frozen[hyp] = true;
-        true
-    }
-
     fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
-        if hyp >= self.frozen.len() {
+        if hyp >= self.n_hyps {
             return None;
         }
         let mut out = ByteWriter::default();
@@ -493,10 +435,6 @@ impl MutualInfoMeasure {
 impl Measure for MutualInfoMeasure {
     fn id(&self) -> &str {
         "mutual_info"
-    }
-
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Independent
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
@@ -567,10 +505,6 @@ impl JaccardMeasure {
 impl Measure for JaccardMeasure {
     fn id(&self) -> &str {
         &self.name
-    }
-
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Independent
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
@@ -707,9 +641,9 @@ impl BufferedSample {
 }
 
 impl MeasureState for BufferedSample {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
+    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
         let (n_units, n_hyps) = (self.unit_buffers.len(), self.hyp_buffers.len());
-        check_block(units, hyps, errs, n_units, n_hyps);
+        let hyps = every_column(units, hyps, n_units, n_hyps);
         let take = self.room(units.rows());
         let data = &units.as_slice()[..take * n_units];
         for (u, buf) in self.unit_buffers.iter_mut().enumerate() {
@@ -720,7 +654,6 @@ impl MeasureState for BufferedSample {
             buf.extend_from_slice(&hyp[..take]);
         }
         self.rows += take;
-        self.convergence_errors(errs);
     }
 
     /// The per-unit half of a score is computed once for all hypotheses.
@@ -794,6 +727,7 @@ impl MeasureState for BufferedSample {
 
     /// One sample, one size: every hypothesis reports the same error.
     fn convergence_errors(&self, errs: &mut [f32]) {
+        check_errs(errs, self.hyp_buffers.len());
         errs.fill(if self.rows < 8 {
             f32::INFINITY
         } else {
@@ -820,8 +754,8 @@ impl MeasureState for BufferedSample {
 // Lists of one accumulator per member
 // ---------------------------------------------------------------------
 
-/// The state of one hypothesis of a measure whose hypotheses share no
-/// work; [`PerMember`] makes a list of them.
+/// The state of one hypothesis of a pairwise measure whose hypotheses
+/// share no work; [`PerMember`] makes a list of them.
 trait Member: Send + Sized + 'static {
     /// Consumes a block: `rows x n_units` behaviors and this member's
     /// column of `rows` values, both already checked.
@@ -831,7 +765,7 @@ trait Member: Send + Sized + 'static {
     fn scores(&self) -> (Vec<f32>, f32);
 
     /// The convergence error of what was consumed so far (`∞` until
-    /// estimable).
+    /// estimable): every one of its pairs' error.
     fn error(&self) -> f32;
 
     /// False when `other` was built under another configuration of the
@@ -846,43 +780,27 @@ trait Member: Send + Sized + 'static {
     /// This member's durable bytes: those of a one-hypothesis state.
     fn serialize(&self) -> Vec<u8>;
 
-    /// True when the member is one accumulator per unit
-    /// ([`Measure::pairwise`]), which `project` and `embed` then read and
-    /// write.
-    const PAIRWISE: bool = false;
-
     /// This member over `units`, indexes into its own (a repeat repeats):
-    /// the member a state over those units would hold. `None` (the
-    /// default) unless the member is pairwise.
-    fn project(&self, _units: &[usize]) -> Option<Self> {
-        None
-    }
+    /// the member a state over those units would hold. `None` when a unit
+    /// is out of range.
+    fn project(&self, units: &[usize]) -> Option<Self>;
 
     /// The inverse of [`Member::project`]: overwrites `units` with `part`,
-    /// a member over exactly those units. `false` (the default) unless the
-    /// member is pairwise and `part` fits.
-    fn embed(&mut self, _part: &Self, _units: &[usize]) -> bool {
-        false
-    }
+    /// a member over exactly those units. `false` unless `part` fits.
+    fn embed(&mut self, part: &Self, units: &[usize]) -> bool;
 }
 
-/// One [`Member`] per hypothesis of the list, each fed its own column and
-/// frozen on its own ([`MeasureState::freeze`]): the list state of
-/// `diff_means` and the baselines.
+/// One [`Member`] per hypothesis of the list, each fed its own column, or
+/// left as it is when it has none: the list state of `diff_means` and the
+/// baselines.
 struct PerMember<S> {
     n_units: usize,
     members: Vec<S>,
-    frozen: Vec<bool>,
 }
 
 impl<S: Member> PerMember<S> {
     fn boxed(n_units: usize, members: Vec<S>) -> Box<dyn MeasureState> {
-        let frozen = vec![false; members.len()];
-        Box::new(PerMember {
-            n_units,
-            members,
-            frozen,
-        })
+        Box::new(PerMember { n_units, members })
     }
 
     /// Revives a list from one blob per member, each decoded on its own;
@@ -901,31 +819,20 @@ impl<S: Member> PerMember<S> {
 }
 
 impl<S: Member> MeasureState for PerMember<S> {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
-        let n_hyps = self.members.len();
-        let live = |h: usize| !self.frozen[h];
-        check_live_block(units, hyps, errs, self.n_units, n_hyps, 1, live);
-        for (h, member) in self.members.iter_mut().enumerate() {
-            if !self.frozen[h] {
-                member.push(units, hyps[h]);
-                errs[h] = member.error();
+    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
+        check_block(units, hyps, self.n_units, self.members.len());
+        for (member, hyp) in self.members.iter_mut().zip(hyps) {
+            if let Some(hyp) = hyp {
+                member.push(units, hyp);
             }
         }
     }
 
-    /// A member's error is every one of its pairs' error.
-    fn process_pairs(&mut self, units: &Matrix, hyps: &[&[f32]], pair_errs: &mut [f32]) -> bool {
-        if !S::PAIRWISE {
-            return false;
-        }
-        let (n, n_hyps) = (self.n_units, self.members.len());
-        let live = |h: usize| !self.frozen[h];
-        check_live_block(units, hyps, pair_errs, n, n_hyps, n, live);
-        for (h, member) in self.members.iter_mut().enumerate() {
-            if !self.frozen[h] {
-                member.push(units, hyps[h]);
-                pair_errs[h * n..(h + 1) * n].fill(member.error());
-            }
+    fn pair_errors(&self, pair_errs: &mut [f32]) -> bool {
+        let n = self.n_units;
+        check_errs(pair_errs, n * self.members.len());
+        for (h, member) in self.members.iter().enumerate() {
+            pair_errs[h * n..(h + 1) * n].fill(member.error());
         }
         true
     }
@@ -971,14 +878,10 @@ impl<S: Member> MeasureState for PerMember<S> {
     }
 
     fn convergence_errors(&self, errs: &mut [f32]) {
+        check_errs(errs, self.members.len());
         for (err, member) in errs.iter_mut().zip(&self.members) {
             *err = member.error();
         }
-    }
-
-    fn freeze(&mut self, hyp: usize) -> bool {
-        self.frozen[hyp] = true;
-        true
     }
 
     fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
@@ -997,10 +900,6 @@ pub(crate) struct DiffMeansMeasure;
 impl Measure for DiffMeansMeasure {
     fn id(&self) -> &str {
         "diff_means"
-    }
-
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Independent
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
@@ -1091,8 +990,6 @@ struct DiffMeansState {
 }
 
 impl Member for DiffMeansState {
-    const PAIRWISE: bool = true;
-
     fn push(&mut self, units: &Matrix, hyp: &[f32]) {
         for (r, &h) in hyp.iter().enumerate() {
             let row = units.row(r);
@@ -1241,10 +1138,6 @@ impl Measure for LogRegMeasure {
         &self.name
     }
 
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Joint
-    }
-
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
         Box::new(LogRegMerged::new(n_units, n_hyps, self))
     }
@@ -1268,6 +1161,9 @@ struct LogRegMerged {
     val_units: Vec<Vec<f32>>,
     val_hyps: Vec<Vec<f32>>,
     row_counter: usize,
+    /// Each hypothesis's convergence error after the last block: its
+    /// tracker's reading of the validation F1.
+    errs: Vec<f32>,
     n_units: usize,
     n_hyps: usize,
 }
@@ -1286,14 +1182,17 @@ impl LogRegMerged {
             val_units: Vec::new(),
             val_hyps: Vec::new(),
             row_counter: 0,
+            errs: vec![f32::INFINITY; n_hyps],
             n_units,
             n_hyps,
         }
     }
 
-    fn validation_errs(&mut self, errs: &mut [f32]) {
+    /// Scores the validation rows and pushes each hypothesis's F1 into its
+    /// tracker, whose reading becomes the hypothesis's error.
+    fn validate(&mut self) {
         if self.val_units.is_empty() {
-            return errs.fill(f32::INFINITY);
+            return self.errs.fill(f32::INFINITY);
         }
         let n = self.val_units.len();
         let mut x = Matrix::zeros(n, self.n_units);
@@ -1301,7 +1200,7 @@ impl LogRegMerged {
             x.row_mut(r).copy_from_slice(row);
         }
         let probs = self.model.predict_proba(&x);
-        for (h, err) in errs.iter_mut().enumerate() {
+        for (h, (err, tracker)) in self.errs.iter_mut().zip(&mut self.trackers).enumerate() {
             let pred = probs.col(h);
             let targ: Vec<f32> = self
                 .val_hyps
@@ -1309,14 +1208,14 @@ impl LogRegMerged {
                 .map(|row| if row[h] > 0.0 { 1.0 } else { 0.0 })
                 .collect();
             let f1 = deepbase_stats::f1_score(&pred, &targ);
-            *err = self.trackers[h].push(f1);
+            *err = tracker.push(f1);
         }
     }
 }
 
 impl MeasureState for LogRegMerged {
-    fn process_block(&mut self, units: &Matrix, hyps: &[&[f32]], errs: &mut [f32]) {
-        check_block(units, hyps, errs, self.n_units, self.n_hyps);
+    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
+        let hyps = every_column(units, hyps, self.n_units, self.n_hyps);
         // Split rows into train / validation deterministically.
         let mut train_rows = Vec::with_capacity(units.rows());
         for r in 0..units.rows() {
@@ -1332,7 +1231,7 @@ impl MeasureState for LogRegMerged {
             // Update streamed class counts and refresh the per-hypothesis
             // positive weights (clamped; identical per column regardless
             // of the list, so list == singletons stays exact).
-            for (count, col) in self.pos_counts.iter_mut().zip(hyps) {
+            for (count, col) in self.pos_counts.iter_mut().zip(&hyps) {
                 *count += col.iter().filter(|&&v| v > 0.0).count() as u64;
             }
             self.total_count += units.rows() as u64;
@@ -1364,13 +1263,18 @@ impl MeasureState for LogRegMerged {
                 self.model.partial_fit(&x, &y);
             }
         }
-        self.validation_errs(errs);
+        self.validate();
     }
 
     fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
         (self.trackers.iter().enumerate())
             .map(|(h, tracker)| (self.model.unit_scores(h), tracker.latest().unwrap_or(0.0)))
             .collect()
+    }
+
+    fn convergence_errors(&self, errs: &mut [f32]) {
+        check_errs(errs, self.n_hyps);
+        errs.copy_from_slice(&self.errs);
     }
 
     // No `merge_from`: SGD training is order-dependent, so cross-segment
@@ -1401,10 +1305,6 @@ impl Measure for BaselineMeasure {
         }
     }
 
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Joint
-    }
-
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
         let fresh = BaselineState {
             labels: Vec::new(),
@@ -1419,6 +1319,10 @@ impl Measure for BaselineMeasure {
     }
 
     fn supports_segment_merge(&self) -> bool {
+        true
+    }
+
+    fn pairwise(&self) -> bool {
         true
     }
 
@@ -1486,6 +1390,29 @@ impl Member for BaselineState {
         } else {
             1.0 / (self.labels.len() as f32).sqrt()
         }
+    }
+
+    /// Every unit of a member reads its one label column, which a
+    /// projection copies and an embed replaces.
+    fn project(&self, units: &[usize]) -> Option<Self> {
+        units
+            .iter()
+            .all(|&u| u < self.n_units)
+            .then(|| BaselineState {
+                labels: self.labels.clone(),
+                n_units: units.len(),
+                random_seed: self.random_seed,
+            })
+    }
+
+    fn embed(&mut self, part: &Self, units: &[usize]) -> bool {
+        let fits = units.iter().all(|&u| u < self.n_units)
+            && part.n_units == units.len()
+            && part.random_seed == self.random_seed;
+        if fits {
+            self.labels.clone_from(&part.labels);
+        }
+        fits
     }
 
     fn serialize(&self) -> Vec<u8> {
@@ -1558,10 +1485,6 @@ impl Measure for GroupMiMeasure {
         "group_mi"
     }
 
-    fn kind(&self) -> MeasureKind {
-        MeasureKind::Joint
-    }
-
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
         Box::new(self.sample(n_units, n_hyps))
     }
@@ -1611,8 +1534,9 @@ mod tests {
 
     /// Feeds a one-hypothesis state one block and returns its error.
     fn feed(state: &mut dyn MeasureState, units: &Matrix, hyp: &[f32]) -> f32 {
+        state.process_block(units, &[Some(hyp)]);
         let mut err = [f32::NAN];
-        state.process_block(units, &[hyp], &mut err);
+        state.convergence_errors(&mut err);
         err[0]
     }
 
@@ -1629,8 +1553,9 @@ mod tests {
         errs.into_iter().map(f32::to_bits).collect()
     }
 
-    fn refs(cols: &[Vec<f32>]) -> Vec<&[f32]> {
-        cols.iter().map(|c| c.as_slice()).collect()
+    /// Every column, fed.
+    fn refs(cols: &[Vec<f32>]) -> Vec<Option<&[f32]>> {
+        cols.iter().map(|c| Some(c.as_slice())).collect()
     }
 
     #[test]
@@ -1697,8 +1622,8 @@ mod tests {
         }
         let expect = CorrState {
             n_units: width,
+            n_hyps: 1,
             accs: expect,
-            frozen: vec![false],
         };
         assert_eq!(first.serialize_state(0), expect.serialize_state(0));
         assert_eq!(
@@ -1803,7 +1728,7 @@ mod tests {
         let mut sep0 = measure.new_state(2, 1);
         let mut sep1 = measure.new_state(2, 1);
         for _ in 0..6 {
-            merged.process_block(&units, &[&hyp, &hyp2], &mut [0.0; 2]);
+            merged.process_block(&units, &[Some(&hyp), Some(&hyp2)]);
             feed(sep0.as_mut(), &units, &hyp);
             feed(sep1.as_mut(), &units, &hyp2);
         }
@@ -1968,7 +1893,7 @@ mod tests {
             let id = measure.id();
             let (units, cols) = stream_block(0, 40, 2, 3);
             let mut state = measure.new_state(2, 3);
-            state.process_block(&units, &refs(&cols), &mut [0.0; 3]);
+            state.process_block(&units, &refs(&cols));
             let blobs = [0, 1, 2].map(|h| state.serialize_state(h).unwrap());
             assert!(state.serialize_state(3).is_none(), "{id}");
             let revived = measure
@@ -1985,7 +1910,7 @@ mod tests {
             let id = measure.id();
             let (units, cols) = stream_block(0, 40, 2, 2);
             let mut state = measure.new_state(2, 2);
-            state.process_block(&units, &refs(&cols), &mut [0.0; 2]);
+            state.process_block(&units, &refs(&cols));
             let blobs = [0, 1].map(|h| state.serialize_state(h).unwrap());
             // A unit sample that disagrees in one bit of one value (here
             // its last), in either blob.
@@ -2123,8 +2048,8 @@ mod tests {
     struct ListAndSingletons {
         list: Box<dyn MeasureState>,
         singles: Vec<Box<dyn MeasureState>>,
-        /// Members frozen in the list, whose singles are no longer fed.
-        frozen: Vec<bool>,
+        /// Members the list is no longer fed, whose singles are not either.
+        stopped: Vec<bool>,
         n_units: usize,
         what: String,
     }
@@ -2134,43 +2059,49 @@ mod tests {
             ListAndSingletons {
                 list: measure.new_state(n_units, n_hyps),
                 singles: (0..n_hyps).map(|_| measure.new_state(n_units, 1)).collect(),
-                frozen: vec![false; n_hyps],
+                stopped: vec![false; n_hyps],
                 n_units,
                 what: format!("{} units {n_units} hyps {n_hyps}", measure.id()),
             }
         }
 
-        /// Feeds `blocks` (row counts) to both sides — an empty column to
-        /// a frozen member, nothing to its single — demanding equal errors
+        /// Feeds `blocks` (row counts) to both sides — no column to a
+        /// stopped member, nothing to its single — demanding equal errors
         /// after every block; returns the next unread row.
         fn feed(&mut self, mut start: usize, blocks: &[usize]) -> usize {
             let n_hyps = self.singles.len();
             for &rows in blocks {
-                let (units, mut cols) = stream_block(start, rows, self.n_units, n_hyps);
+                let (units, cols) = stream_block(start, rows, self.n_units, n_hyps);
                 start += rows;
-                for (col, &frozen) in cols.iter_mut().zip(&self.frozen) {
-                    if frozen {
-                        col.clear();
+                let mut fed = refs(&cols);
+                for (col, &stopped) in fed.iter_mut().zip(&self.stopped) {
+                    if stopped {
+                        *col = None;
                     }
                 }
-                let mut errs = vec![f32::NAN; n_hyps];
-                self.list.process_block(&units, &refs(&cols), &mut errs);
-                for (h, single) in self.singles.iter_mut().enumerate() {
-                    if self.frozen[h] {
-                        continue;
+                self.list.process_block(&units, &fed);
+                for (single, col) in self.singles.iter_mut().zip(&fed) {
+                    if let Some(col) = col {
+                        single.process_block(&units, &[Some(col)]);
                     }
-                    let err = feed(single.as_mut(), &units, &cols[h]);
+                }
+                let list_errors = errors(self.list.as_ref(), n_hyps);
+                for (h, single) in self.singles.iter().enumerate() {
                     let what = &self.what;
-                    assert_eq!(errs[h].to_bits(), err.to_bits(), "{what}: error of {h}");
+                    let single_error = errors(single.as_ref(), 1);
+                    assert_eq!(
+                        list_errors[h..h + 1],
+                        single_error[..],
+                        "{what}: error of {h}"
+                    );
                 }
             }
             start
         }
 
-        /// Freezes member `h` of the list and stops feeding its single.
-        fn freeze(&mut self, h: usize) {
-            assert!(self.list.freeze(h), "{}: freeze {h}", self.what);
-            self.frozen[h] = true;
+        /// Stops feeding member `h` of the list and its single.
+        fn stop(&mut self, h: usize) {
+            self.stopped[h] = true;
         }
 
         /// Folds `other` into `self` on both sides.
@@ -2250,40 +2181,44 @@ mod tests {
         }
     }
 
-    /// A frozen member of a `corr`, `diff_means` or baseline list stays at
-    /// its single's state — scores, error and bytes — from the block it
-    /// froze on, through later blocks and a merge, while the other members
-    /// go on.
+    /// A member a `corr`, `diff_means` or baseline list is no longer fed
+    /// stays at its single's state — scores, error and bytes — from the
+    /// block it stopped on, through later blocks and a merge, while the
+    /// other members go on.
     #[test]
-    fn a_frozen_member_keeps_the_state_of_its_unfed_single() {
+    fn a_stopped_member_keeps_the_state_of_its_unfed_single() {
         let mut measures = per_member_measures();
         measures.push(Box::new(CorrelationMeasure));
         for (measure, n_units) in measures.iter().flat_map(|m| [(m, 3), (m, 9)]) {
+            assert!(measure.pairwise(), "{}", measure.id());
             let new = || ListAndSingletons::new(measure.as_ref(), n_units, 3);
             let (mut both, mut tail) = (new(), new());
             let next = both.feed(0, &[10, 7]);
-            both.freeze(1);
-            both.assert_equal("at the freeze");
+            both.stop(1);
+            both.assert_equal("at the stop");
             let next = both.feed(next, &[20, 0, 13]);
-            both.assert_equal("after the freeze");
+            both.assert_equal("after the stop");
             tail.feed(next, &[9]);
             both.merge_from(&tail);
-            both.assert_equal("merged after the freeze");
+            both.assert_equal("merged after the stop");
         }
     }
 
-    /// A pairwise state is a grid of independent pairs: fed three blocks
-    /// pair by pair, its projection onto non-contiguous units and a list
-    /// that repeats a column serializes to the bytes of a state over those
-    /// units and that list fed the demuxed blocks, each member's error is
-    /// the widest of its pairs', and embedding a projection then projecting
-    /// it back is the identity. Other states are no grid.
+    /// A pairwise state is a grid of independent pairs: fed three blocks,
+    /// its projection onto non-contiguous units and a list that repeats a
+    /// column serializes to the bytes of a state over those units and that
+    /// list fed the demuxed blocks, each member's error is the widest of
+    /// its pairs', and embedding a projection then projecting it back is
+    /// the identity. Other states are no grid.
     #[test]
     fn a_projected_grid_is_the_state_over_its_pairs() {
         let (n_units, n_hyps) = (9, 3);
         let (units, hyps) = ([7, 1, 4], [2, 0, 2]);
-        let measures: [Box<dyn Measure>; 2] =
-            [Box::new(CorrelationMeasure), Box::new(DiffMeansMeasure)];
+        let measures: [Box<dyn Measure>; 3] = [
+            Box::new(CorrelationMeasure),
+            Box::new(DiffMeansMeasure),
+            Box::new(MAJORITY_BASELINE),
+        ];
         for measure in &measures {
             let id = measure.id();
             assert!(measure.pairwise(), "{id}");
@@ -2293,12 +2228,14 @@ mod tests {
             for rows in [13, 40, 7] {
                 let (block, cols) = stream_block(start, rows, n_units, n_hyps);
                 start += rows;
+                grid.process_block(&block, &refs(&cols));
                 let mut pair_errs = vec![f32::NAN; n_units * n_hyps];
-                assert!(grid.process_pairs(&block, &refs(&cols), &mut pair_errs));
+                assert!(grid.pair_errors(&mut pair_errs), "{id}");
                 let demuxed = Matrix::from_fn(rows, units.len(), |r, i| block.get(r, units[i]));
-                let picked: Vec<&[f32]> = hyps.iter().map(|&h| cols[h].as_slice()).collect();
+                let picked: Vec<_> = hyps.iter().map(|&h| Some(cols[h].as_slice())).collect();
+                subset.process_block(&demuxed, &picked);
                 let mut errs = vec![f32::NAN; hyps.len()];
-                subset.process_block(&demuxed, &picked, &mut errs);
+                subset.convergence_errors(&mut errs);
                 for (err, &h) in errs.iter().zip(&hyps) {
                     let widths = units.iter().map(|&u| pair_errs[h * n_units + u]);
                     let widest = widths.fold(0.0f32, f32::max);
@@ -2340,7 +2277,8 @@ mod tests {
         for measure in standard_library().iter().filter(|m| !m.pairwise()) {
             let mut state = measure.new_state(2, 1);
             let (units, cols) = stream_block(0, 10, 2, 1);
-            assert!(!state.process_pairs(&units, &refs(&cols), &mut [0.0; 2]));
+            state.process_block(&units, &refs(&cols));
+            assert!(!state.pair_errors(&mut [0.0; 2]), "{}", measure.id());
             assert!(state.project(&[0], &[0]).is_none(), "{}", measure.id());
         }
     }
@@ -2435,9 +2373,9 @@ mod tests {
         for measure in buffered_measures(cap) {
             let mut list = measure.new_state(n_units, n_hyps);
             for range in [0..50, 50..130] {
-                let cols: Vec<&[f32]> = hyps.iter().map(|c| &c[range.clone()]).collect();
+                let cols: Vec<_> = hyps.iter().map(|c| Some(&c[range.clone()])).collect();
                 let block = units.slice_rows(range.start, range.end);
-                list.process_block(&block, &cols, &mut [0.0; 2]);
+                list.process_block(&block, &cols);
             }
             for (h, got) in list.final_scores().iter().enumerate() {
                 let hyp = capped(&hyps[h]);
@@ -2494,14 +2432,23 @@ mod tests {
     }
 
     /// Every list state of every library measure refuses a mis-shaped
-    /// block loudly — these are hard asserts, so in release builds too —
-    /// instead of accumulating a shortened or shuffled sample.
+    /// block, and an error read into the wrong number of slots, loudly —
+    /// these are hard asserts, so in release builds too — instead of
+    /// accumulating a shortened or shuffled sample. A member with no column
+    /// is a pairwise state's unfed member and a mis-shaped block to every
+    /// other state.
     #[test]
     fn every_measure_panics_on_a_mis_shaped_block() {
-        let message = |panic: Box<dyn std::any::Any + Send>| -> String {
-            (panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| panic.downcast_ref::<&str>().unwrap().to_string())
-        };
+        fn panics(id: &str, what: &str, expect: &str, f: &mut dyn FnMut()) {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let panic = outcome.expect_err(&format!("{id}: {what} was taken"));
+            let message = (panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| panic.downcast_ref::<&str>().unwrap().to_string());
+            assert!(
+                message.contains(expect),
+                "{id}: {what} panicked with {message:?}"
+            );
+        }
         let (units, cols) = stream_block(0, 10, 2, 4);
         let (wide, _) = stream_block(0, 10, 3, 0);
         let cut = |cols: &[Vec<f32>]| -> Vec<Vec<f32>> {
@@ -2509,58 +2456,76 @@ mod tests {
         };
         let n = 3;
         for measure in standard_library() {
+            let id = measure.id();
             let mut last_short = cols[..n].to_vec();
             last_short[n - 1].pop();
-            // (what, units, hypothesis columns, error slots, panic message)
+            // (what, units, hypothesis columns, panic message)
             let cases = [
                 (
                     "a drifted unit count",
                     &wide,
                     cols[..n].to_vec(),
-                    n,
                     "unit-count",
                 ),
-                ("short columns", &units, cut(&cols[..n]), n, "row"),
-                ("a short last column", &units, last_short, n, "row"),
+                ("short columns", &units, cut(&cols[..n]), "row"),
+                ("a short last column", &units, last_short, "row"),
                 (
                     "a missing column",
                     &units,
                     cols[..n - 1].to_vec(),
-                    n,
                     "hypothesis-count",
                 ),
                 (
                     "an extra column",
                     &units,
                     cols[..n + 1].to_vec(),
-                    n,
-                    "hypothesis-count",
-                ),
-                (
-                    "a missing error slot",
-                    &units,
-                    cols[..n].to_vec(),
-                    n - 1,
                     "hypothesis-count",
                 ),
             ];
-            for (what, units, hyps, n_errs, expect) in cases {
+            for (what, units, hyps, expect) in cases {
                 let mut state = measure.new_state(2, n);
-                let mut errs = vec![f32::NAN; n_errs];
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    state.process_block(units, &refs(&hyps), &mut errs)
-                }));
-                let panic = outcome.expect_err(&format!("{}: {what} was taken", measure.id()));
-                let message = message(panic);
-                assert!(
-                    message.contains(&format!("block {expect} mismatch")),
-                    "{}: {what} panicked with {message:?}",
-                    measure.id()
+                let expect = format!("block {expect} mismatch");
+                panics(id, what, &expect, &mut || {
+                    state.process_block(units, &refs(&hyps))
+                });
+            }
+            let mut unfed = refs(&cols[..n]);
+            unfed[1] = None;
+            let mut state = measure.new_state(2, n);
+            if measure.pairwise() {
+                // Member 1 stays a fresh state; the others are fed.
+                state.process_block(&units, &unfed);
+                let mut fresh = measure.new_state(2, 1);
+                assert_eq!(state.serialize_state(1), fresh.serialize_state(0), "{id}");
+                feed(fresh.as_mut(), &units, &cols[2]);
+                assert_eq!(state.serialize_state(2), fresh.serialize_state(0), "{id}");
+            } else {
+                panics(
+                    id,
+                    "a member with no column",
+                    "block column mismatch",
+                    &mut || state.process_block(&units, &unfed),
                 );
             }
             let mut state = measure.new_state(2, n);
-            state.process_block(&units, &refs(&cols[..n]), &mut vec![f32::NAN; n]);
+            state.process_block(&units, &refs(&cols[..n]));
             assert_eq!(state.final_scores().len(), n);
+            panics(
+                id,
+                "a missing error slot",
+                "error-slot count mismatch",
+                &mut || state.convergence_errors(&mut [f32::NAN; 2]),
+            );
+            if measure.pairwise() {
+                panics(
+                    id,
+                    "a missing pair-error slot",
+                    "error-slot count mismatch",
+                    &mut || {
+                        state.pair_errors(&mut [f32::NAN; 5]);
+                    },
+                );
+            }
         }
     }
 

@@ -576,8 +576,8 @@ PhysicalPlan: 6 queries, 1 shared group, block_records=24
 /// Layer 0 tracks `is_a` closely and layer 1 is noise, `is_b` and
 /// position, so at `corr`'s default ε the layer-0 group stops reading
 /// `is_a` within a few blocks while the other two statements read it for
-/// dozens more: the snapshot a consumer takes when it freezes is what keeps
-/// its scores those of a state of its own.
+/// dozens more: the snapshot a consumer takes when a member stops is what
+/// keeps its scores those of a state of its own.
 fn warm_scan_catalog(segments: usize) -> Catalog {
     const UNITS: usize = 8;
     const RECORDS: usize = 1536;
@@ -673,10 +673,11 @@ fn warm_scan_statements(measure: &str) -> Vec<String> {
 /// `warm_scan` batch, whose four slots (the layer groups are two) read
 /// their pairs out of it — and every table is bit-identical to its
 /// statement alone in a bare session, the grouped one also to its two
-/// groups run as statements of their own: for `corr` and `diff_means`, at
-/// the measure's default ε (members stop early, the same hypothesis at
-/// different blocks for different slots) and at 1e-12, on both devices,
-/// on one segment and folded over two.
+/// groups run as statements of their own: for `corr`, `diff_means` and
+/// `majority_baseline`, at the measure's default ε (members stop early,
+/// for `corr` the same hypothesis at different blocks for different
+/// slots) and at 1e-12, on both devices, on one segment and folded over
+/// two.
 #[test]
 fn a_shared_pairwise_grid_answers_like_each_statement_alone() {
     let statements = warm_scan_statements("corr");
@@ -695,7 +696,7 @@ PhysicalPlan: 3 queries, 1 shared group, block_records=512
    └─ admission: 1 wave (unbounded)
 "
     );
-    for measure in ["corr", "diff_means"] {
+    for measure in ["corr", "diff_means", "majority_baseline"] {
         let statements = warm_scan_statements(measure);
         let (queries, layers) = statements.split_at(3);
         let queries: Vec<&str> = queries.iter().map(String::as_str).collect();

@@ -346,6 +346,66 @@ fn bad_unit_groups_are_rejected() {
     ));
 }
 
+/// ε must be finite and positive wherever a config is taken: a state
+/// reports ∞ before it can estimate anything, so under an infinite ε a
+/// pass would stop after its first block and call itself converged.
+#[test]
+fn epsilon_validation_refuses_zero_negative_nan_and_infinite_epsilons() {
+    let (dataset, behaviors) = fixture(64);
+    let extractor = PrecomputedExtractor::new(behaviors.clone(), dataset.ns);
+    let hyps = vec![ones_hypothesis()];
+    let corr = CorrelationMeasure;
+    let req = request(&extractor, &dataset, &hyps, vec![&corr]);
+    let mut catalog = Catalog::new();
+    catalog.add_model_with_units(
+        "m1",
+        0,
+        Arc::new(PrecomputedExtractor::new(behaviors, dataset.ns)),
+        (0..4).map(|uid| UnitMeta { uid, layer: 0 }).collect(),
+    );
+    catalog.add_hypotheses(
+        "h",
+        vec![Arc::new(ones_hypothesis()) as Arc<dyn HypothesisFn>],
+    );
+    catalog.add_dataset("seq", Arc::new(dataset.clone()));
+    let statement = "SELECT S.uid, S.unit_score INSPECT U.uid AND H.h USING corr OVER D.seq \
+                     AS S FROM models M, units U, hypotheses H, inputs D";
+    for epsilon in [0.0, -1.0, f32::NAN, f32::INFINITY, 0.5] {
+        let config = InspectionConfig {
+            epsilon: Some(epsilon),
+            block_records: 8,
+            ..Default::default()
+        };
+        let session = || {
+            let mut session = Session::with_config(
+                catalog.clone(),
+                SessionConfig {
+                    inspection: config.clone(),
+                    ..SessionConfig::default()
+                },
+            );
+            session.run(statement).map(|_| ())
+        };
+        let outcomes = [
+            ("inspect", inspect(&req, &config).map(|_| ())),
+            (
+                "inspect_as(PyBase)",
+                inspect_as(EngineKind::PyBase, &req, &config).map(|_| ()),
+            ),
+            ("Session::run", session()),
+        ];
+        for (path, outcome) in outcomes {
+            match epsilon {
+                0.5 => assert!(outcome.is_ok(), "{path}: ε {epsilon}: {outcome:?}"),
+                _ => assert!(
+                    matches!(outcome, Err(DniError::BadConfig(_))),
+                    "{path}: ε {epsilon}: {outcome:?}"
+                ),
+            }
+        }
+    }
+}
+
 #[test]
 fn zero_symbol_records_survive_the_parallel_device() {
     // ns == 0 means zero-size extraction buffers; the parallel chunking

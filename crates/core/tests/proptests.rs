@@ -142,9 +142,9 @@ proptest! {
         threads in 2usize..6,
     ) {
         // The parallel device only changes *where* deterministic chunks
-        // run, so results must be bit-identical to SingleCore — for the
-        // independent measure (hypothesis fan-out + parallel extraction)
-        // and the joint merged measure (parallel extraction + pool matmul).
+        // run, so results must be bit-identical to SingleCore — for a
+        // pairwise measure (parallel extraction) and the joint merged
+        // measure (parallel extraction + pool matmul).
         let (dataset, behaviors) = world(n, signal, seed);
         let extractor = PrecomputedExtractor::new(behaviors, dataset.ns);
         let h = hyp();

@@ -343,7 +343,8 @@ deepbase_tensor::simd_kernel! {
     /// `accs` holds `ys.len() × width` accumulators, hypothesis-major (the
     /// accumulator of unit `u` and hypothesis `h` is `accs[h * width + u]`);
     /// `ys[h]` is hypothesis `h`'s column of `rows` values, or `None` for a
-    /// frozen member, whose accumulators are left untouched.
+    /// member that is not fed this block, whose accumulators are left
+    /// untouched.
     ///
     /// Each live hypothesis's column is widened to f64 and its `y` moments
     /// summed once. The units advance `TILE` (8) abreast and the live

@@ -14,7 +14,7 @@
 //!   blocked mat-mul kernels.
 //! * [`runtime`] — `fan_out`, the one scoped fan-out behind every parallel
 //!   path (the CUDA stand-in). `Device::Parallel(n)` in the engine splits
-//!   extraction, independent measures' hypothesis lists, segment streams
+//!   extraction, the reference designs' hypothesis lists, segment streams
 //!   and plan groups into at most `n` contiguous chunks, one scoped
 //!   thread each; chunk bounds never depend on scheduling, so parallel
 //!   results are always identical to `Device::SingleCore`.
