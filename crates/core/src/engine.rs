@@ -11,9 +11,10 @@
 //!
 //! There is one measure-state interface ([`MeasureState`], over an ordered
 //! hypothesis list), and every measure is handed a member's whole list in
-//! one state (`logreg` trains one multi-output model, the buffered
-//! measures keep one unit sample, `corr` sums each unit's moments once,
-//! `diff_means` and the baselines hold one accumulator per member). A
+//! one state, of one of three types: `logreg` trains one multi-output
+//! model, the buffered measures keep one unit sample, and every pairwise
+//! measure holds one member per hypothesis (`corr`'s list still sums each
+//! unit's moments once per block). A
 //! state is fed one way — a block, with one column per member, or none
 //! for a member that is no longer fed — and read one way: its member
 //! errors ([`MeasureState::convergence_errors`]), and a grid's pair
@@ -907,7 +908,7 @@ fn grid_over(slots: &[Slot<'_>], part: &[usize]) -> (Vec<usize>, Vec<usize>) {
 
 /// Identity of a measure within a pass: where it lives, plus its id. The
 /// id alone would conflate two differently configured measures answering
-/// to one name (two `JaccardMeasure` quantiles); the address alone would
+/// to one name (two Jaccard quantiles); the address alone would
 /// conflate distinct zero-sized measures, which may all sit at one
 /// dangling address. Arc-shared catalog measures still collapse.
 type MeasureKey = (usize, String);

@@ -372,8 +372,11 @@
 //! * `measure` — the standard measure library behind one state
 //!   interface, fed one way (`process_block`: one column per member, none
 //!   for a member a pairwise state no longer feeds) and read one way
-//!   (member errors, and a grid's pair errors): merged (multi-output)
-//!   states and pairwise accumulator grids (§4.3, §5.2).
+//!   (member errors, and a grid's pair errors), with one state type per
+//!   family: the merged (multi-output) logreg probe, one capped sample
+//!   behind [`prelude::BufferedMeasure`] (`jaccard`, `mutual_info`,
+//!   `group_mi`), and a `PerMember` grid for every pairwise measure
+//!   (`corr`, `diff_means`, the baselines) (§4.3, §5.2).
 //! * `engine` — streaming extraction, early stopping, the parallel
 //!   device (§5): the one streaming pass (public face:
 //!   [`engine::inspect_shared`]) that every plan wave, view build and view
@@ -446,8 +449,7 @@ pub mod prelude {
         PrecomputedExtractor, Seq2SeqEncoderExtractor,
     };
     pub use crate::measure::{
-        standard_library, CorrelationMeasure, JaccardMeasure, LogRegMeasure, Measure,
-        MutualInfoMeasure,
+        standard_library, BufferedMeasure, CorrelationMeasure, LogRegMeasure, Measure,
     };
     pub use crate::model::{
         Dataset, FnHypothesis, HypothesisFn, ParseCache, ParseHypothesis, Record, UnitGroup,

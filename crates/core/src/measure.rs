@@ -8,22 +8,24 @@
 //! engine compares against the user's convergence threshold (§5.2.2,
 //! early stopping). Every state is a list, handed a member's whole
 //! hypothesis list at once; the per-pair state is the list with one
-//! member. What a list shares (model merging, §5.2.1) is exact, because
-//! it does not depend on the hypothesis:
+//! member. There is one state type per measure family, and what a list
+//! shares (model merging, §5.2.1) is exact, because it does not depend
+//! on the hypothesis:
 //!
-//! * the logistic-regression probes train all hypotheses as one
-//!   multi-output model (per-hypothesis losses and parameters are
+//! * `LogRegMerged`: the logistic-regression probes train all hypotheses
+//!   as one multi-output model (per-hypothesis losses and parameters are
 //!   independent);
-//! * the buffered measures (`jaccard`, `mutual_info`, `group_mi`) keep the
-//!   capped unit sample **once**, next to one column per hypothesis, and
-//!   derive the per-unit half of a score — the Jaccard threshold and
-//!   bitset, the MI bin assignment — once per unit instead of once per
-//!   pair;
-//! * `corr` keeps one Pearson accumulator per (unit, hypothesis) and sums
-//!   each unit's `x` moments once per block for the whole list, in the
-//!   same row order a one-hypothesis state would;
-//! * `diff_means` and the baselines share nothing: their list holds one
-//!   accumulator per member (`PerMember`).
+//! * `BufferedSample`, behind the one [`BufferedMeasure`] (`jaccard`,
+//!   `jaccard_q95`, `mutual_info`, `group_mi`): the capped unit sample is
+//!   kept **once**, next to one column per hypothesis, and the per-unit
+//!   half of a score — the Jaccard threshold and bitset, the MI bin
+//!   assignment — is derived once per unit instead of once per pair;
+//! * `PerMember<S>`, one `Member` per hypothesis, for every pairwise
+//!   measure: `corr` (a member is one Pearson accumulator per unit, and
+//!   its list hook, `Member::feed`, runs the block kernel that sums each
+//!   unit's `x` moments once per block for the whole list, in the same
+//!   row order a one-hypothesis state would), `diff_means` and the
+//!   baselines (whose members share nothing and are pushed one by one).
 //!
 //! `corr`, `diff_means` and the baselines are **pairwise**
 //! ([`Measure::pairwise`]): their state is a grid of independent
@@ -224,11 +226,10 @@ impl Measure for CorrelationMeasure {
     }
 
     fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        Box::new(CorrState {
+        PerMember::boxed(
             n_units,
-            n_hyps,
-            accs: vec![StreamingPearson::new(); n_units * n_hyps],
-        })
+            vec![vec![StreamingPearson::new(); n_units]; n_hyps],
+        )
     }
 
     fn default_epsilon(&self) -> f32 {
@@ -243,21 +244,17 @@ impl Measure for CorrelationMeasure {
         true
     }
 
-    /// One blob per hypothesis, each the bytes of a one-hypothesis state.
     fn deserialize_state(
         &self,
         n_units: usize,
         per_hyp_blobs: &[&[u8]],
     ) -> Option<Box<dyn MeasureState>> {
-        if per_hyp_blobs.is_empty() {
-            return None;
-        }
-        let mut accs = Vec::with_capacity(n_units * per_hyp_blobs.len());
-        for bytes in per_hyp_blobs {
+        PerMember::revive(n_units, per_hyp_blobs, |bytes| {
             let mut cur = ByteReader::new(bytes);
             if cur.u32()? != STATE_TAG_CORR || cur.u32()? as usize != n_units {
                 return None;
             }
+            let mut accs = Vec::with_capacity(n_units);
             for _ in 0..n_units {
                 let mut bits = [0u64; 10];
                 for b in &mut bits {
@@ -265,15 +262,8 @@ impl Measure for CorrelationMeasure {
                 }
                 accs.push(StreamingPearson::from_state_bits(bits));
             }
-            if !cur.done() {
-                return None;
-            }
-        }
-        Some(Box::new(CorrState {
-            n_units,
-            n_hyps: per_hyp_blobs.len(),
-            accs,
-        }))
+            cur.done().then_some(accs)
+        })
     }
 }
 
@@ -285,224 +275,132 @@ const STATE_TAG_DIFF_MEANS: u32 = 3;
 const STATE_TAG_BASELINE: u32 = 4;
 const STATE_TAG_GROUP_MI: u32 = 5;
 
-/// `n_units` Pearson accumulators per hypothesis, hypothesis-major: the
-/// block kernel ([`corr::accumulate_list`]) sums each unit's `x` moments
-/// once for the whole list and leaves an unfed member untouched.
-struct CorrState {
-    n_units: usize,
-    n_hyps: usize,
-    accs: Vec<StreamingPearson>,
-}
-
-impl CorrState {
-    /// Hypothesis `h`'s accumulators, one per unit.
-    fn member(&self, h: usize) -> &[StreamingPearson] {
-        &self.accs[h * self.n_units..(h + 1) * self.n_units]
+/// One hypothesis's Pearson accumulators, one per unit. A list is fed by
+/// the block kernel ([`corr::accumulate_list`]), which sums each unit's
+/// `x` moments once for the whole list and leaves an unfed member
+/// untouched.
+impl Member for Vec<StreamingPearson> {
+    fn push(&mut self, units: &Matrix, hyp: &[f32]) {
+        corr::accumulate_list(std::slice::from_mut(self), units.as_slice(), &[Some(hyp)]);
     }
 
-    /// The widest Fisher interval over hypothesis `h`'s units.
-    fn error(&self, h: usize) -> f32 {
-        let widths = self.member(h).iter().map(|a| a.fisher_half_width(Z_95));
+    fn feed(members: &mut [Self], units: &Matrix, hyps: &[Option<&[f32]>]) {
+        corr::accumulate_list(members, units.as_slice(), hyps);
+    }
+
+    fn scores(&self) -> (Vec<f32>, f32) {
+        let unit_scores: Vec<f32> = self.iter().map(|a| a.correlation()).collect();
+        let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
+        (unit_scores, group_score)
+    }
+
+    /// The widest Fisher interval over the units.
+    fn error(&self) -> f32 {
+        let widths = self.iter().map(|a| a.fisher_half_width(Z_95));
         widths.fold(0.0f32, f32::max)
     }
-}
 
-impl MeasureState for CorrState {
-    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
-        check_block(units, hyps, self.n_units, self.n_hyps);
-        corr::accumulate_list(&mut self.accs, units.as_slice(), hyps);
-    }
-
-    fn pair_errors(&self, pair_errs: &mut [f32]) -> bool {
-        check_errs(pair_errs, self.accs.len());
-        for (err, acc) in pair_errs.iter_mut().zip(&self.accs) {
+    fn pair_errors(&self, errs: &mut [f32]) {
+        for (err, acc) in errs.iter_mut().zip(self) {
             *err = acc.fisher_half_width(Z_95);
         }
-        true
     }
 
-    fn project(&self, units: &[usize], hyps: &[usize]) -> Option<Box<dyn MeasureState>> {
-        let accs = (hyps.iter())
-            .flat_map(|&h| units.iter().map(move |&u| (h, u)))
-            .map(|(h, u)| self.member(h)[u].clone())
-            .collect();
-        Some(Box::new(CorrState {
-            n_units: units.len(),
-            n_hyps: hyps.len(),
-            accs,
-        }))
-    }
-
-    fn embed(&mut self, part: &dyn MeasureState, units: &[usize], hyps: &[usize]) -> bool {
-        let Some(part) = part.as_any().downcast_ref::<CorrState>() else {
-            return false;
-        };
-        let fits = units.iter().all(|&u| u < self.n_units)
-            && hyps.iter().all(|&h| h < self.n_hyps)
-            && (part.n_units, part.n_hyps) == (units.len(), hyps.len());
-        if !fits {
-            return false;
-        }
-        for (j, &h) in hyps.iter().enumerate() {
-            for (acc, &u) in part.member(j).iter().zip(units) {
-                self.accs[h * self.n_units + u] = acc.clone();
-            }
-        }
-        true
-    }
-
-    fn final_scores(&self) -> Vec<(Vec<f32>, f32)> {
-        (0..self.n_hyps)
-            .map(|h| {
-                let unit_scores: Vec<f32> =
-                    self.member(h).iter().map(|a| a.correlation()).collect();
-                let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
-                (unit_scores, group_score)
-            })
-            .collect()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn merge_from(&mut self, other: &dyn MeasureState) -> bool {
-        let Some(other) = other.as_any().downcast_ref::<CorrState>() else {
-            return false;
-        };
-        if (other.n_units, other.n_hyps) != (self.n_units, self.n_hyps) {
-            return false;
-        }
-        for (a, b) in self.accs.iter_mut().zip(other.accs.iter()) {
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.iter_mut().zip(other) {
             a.merge(b);
         }
-        true
     }
 
-    fn convergence_errors(&self, errs: &mut [f32]) {
-        check_errs(errs, self.n_hyps);
-        for (h, err) in errs.iter_mut().enumerate() {
-            *err = self.error(h);
-        }
-    }
-
-    fn serialize_state(&self, hyp: usize) -> Option<Vec<u8>> {
-        if hyp >= self.n_hyps {
-            return None;
-        }
+    fn serialize(&self) -> Vec<u8> {
         let mut out = ByteWriter::default();
         out.u32(STATE_TAG_CORR);
-        out.u32(self.n_units as u32);
-        for acc in self.member(hyp) {
+        out.u32(self.len() as u32);
+        for acc in self {
             for b in acc.state_bits() {
                 out.u64(b);
             }
         }
-        Some(out.0)
+        out.0
     }
-}
 
-// ---------------------------------------------------------------------
-// Mutual information
-// ---------------------------------------------------------------------
+    fn project(&self, units: &[usize]) -> Option<Self> {
+        units.iter().map(|&u| self.get(u).cloned()).collect()
+    }
 
-/// Binned mutual information per unit (Morcos et al.-style). Buffers up to
-/// `max_buffer` symbols (quantile binning needs the sample); the error
-/// estimate is the standard `1/sqrt(n)` Monte-Carlo rate.
-pub struct MutualInfoMeasure {
-    /// Quantile bins for discretization.
-    pub bins: usize,
-    /// Buffer cap in symbols.
-    pub max_buffer: usize,
-}
-
-impl Default for MutualInfoMeasure {
-    fn default() -> Self {
-        MutualInfoMeasure {
-            bins: mi::DEFAULT_BINS,
-            max_buffer: 65_536,
+    fn embed(&mut self, part: &Self, units: &[usize]) -> bool {
+        let fits = units.iter().all(|&u| u < self.len()) && part.len() == units.len();
+        if fits {
+            for (acc, &u) in part.iter().zip(units) {
+                self[u] = acc.clone();
+            }
         }
-    }
-}
-
-impl MutualInfoMeasure {
-    fn sample(&self, n_units: usize, n_hyps: usize) -> BufferedSample {
-        let score = BufferedScore::Mi(self.bins);
-        BufferedSample::new(n_units, n_hyps, self.max_buffer, score)
-    }
-}
-
-impl Measure for MutualInfoMeasure {
-    fn id(&self) -> &str {
-        "mutual_info"
-    }
-
-    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        Box::new(self.sample(n_units, n_hyps))
-    }
-
-    fn default_epsilon(&self) -> f32 {
-        0.01
-    }
-
-    fn supports_segment_merge(&self) -> bool {
-        true
-    }
-
-    fn deserialize_state(
-        &self,
-        n_units: usize,
-        per_hyp_blobs: &[&[u8]],
-    ) -> Option<Box<dyn MeasureState>> {
-        self.sample(n_units, per_hyp_blobs.len())
-            .revive(per_hyp_blobs)
+        fits
     }
 }
 
 // ---------------------------------------------------------------------
-// Jaccard (NetDissect-style IoU)
+// The buffered measures: mutual information, Jaccard, group MI
 // ---------------------------------------------------------------------
 
-/// Jaccard coefficient between the unit's top-quantile activations and a
-/// binary hypothesis mask (NetDissect's IoU, Appendix E).
-pub struct JaccardMeasure {
-    /// Identifier — distinguishes the quantile variants: the library
-    /// registers 0.995 as `jaccard` and 0.95 as `jaccard_q95`.
-    pub name: String,
-    /// Activations above this quantile count as "on" (NetDissect uses
-    /// a high quantile such as 0.95–0.995).
-    pub top_quantile: f32,
-    /// Buffer cap in symbols.
-    pub max_buffer: usize,
+/// A measure scored from a capped sample of the stream rather than from
+/// moments of it (`BufferedSample`): binned mutual information per unit
+/// (Morcos et al.-style), the Jaccard coefficient of a unit's
+/// top-quantile activations with a binary hypothesis mask (NetDissect's
+/// IoU, Appendix E), or multivariate MI over the whole unit group (paper
+/// §4.3). It buffers up to `max_buffer` rows — quantile binning and
+/// thresholds need the sample — and its error estimate is the standard
+/// `1/sqrt(n)` Monte-Carlo rate.
+pub struct BufferedMeasure {
+    /// Identifier — distinguishes the Jaccard quantile variants: the
+    /// library registers 0.995 as `jaccard` and 0.95 as `jaccard_q95`.
+    name: String,
+    score: BufferedScore,
+    /// Buffer cap in rows.
+    max_buffer: usize,
 }
 
-impl Default for JaccardMeasure {
-    fn default() -> Self {
-        JaccardMeasure {
-            name: "jaccard_q95".into(),
-            top_quantile: 0.95,
-            max_buffer: 65_536,
-        }
+impl BufferedMeasure {
+    /// `mutual_info`: binned MI per unit over `bins` quantile bins; the
+    /// group score is the best unit's. Panics when `bins` is 0.
+    pub fn mutual_info(bins: usize, max_buffer: usize) -> Self {
+        assert!(bins > 0, "mutual_info needs at least one bin, got bins = 0");
+        Self::new("mutual_info", BufferedScore::Mi(bins), max_buffer)
     }
-}
 
-impl JaccardMeasure {
-    /// NetDissect's own 0.995 quantile: the library's `jaccard`.
-    pub(crate) fn netdissect() -> Self {
-        JaccardMeasure {
-            name: "jaccard".into(),
-            top_quantile: 0.995,
-            ..Default::default()
+    /// `group_mi`: [`BufferedMeasure::mutual_info`]'s unit scores, and the
+    /// multivariate MI of the whole unit group as the group score. Panics
+    /// when `bins` is 0.
+    pub fn group_mi(bins: usize, max_buffer: usize) -> Self {
+        assert!(bins > 0, "group_mi needs at least one bin, got bins = 0");
+        Self::new("group_mi", BufferedScore::GroupMi(bins), max_buffer)
+    }
+
+    /// Jaccard under the id `name`: activations above the `top_quantile`
+    /// of a unit's sample count as "on" (NetDissect uses a high quantile
+    /// such as 0.95–0.995). Panics when `top_quantile` is outside [0, 1].
+    pub fn jaccard(name: impl Into<String>, top_quantile: f32, max_buffer: usize) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&top_quantile),
+            "jaccard top_quantile must lie in [0, 1], got {top_quantile}"
+        );
+        Self::new(name, BufferedScore::Jaccard(top_quantile), max_buffer)
+    }
+
+    fn new(name: impl Into<String>, score: BufferedScore, max_buffer: usize) -> Self {
+        BufferedMeasure {
+            name: name.into(),
+            score,
+            max_buffer,
         }
     }
 
     fn sample(&self, n_units: usize, n_hyps: usize) -> BufferedSample {
-        let score = BufferedScore::Jaccard(self.top_quantile);
-        BufferedSample::new(n_units, n_hyps, self.max_buffer, score)
+        BufferedSample::new(n_units, n_hyps, self.max_buffer, self.score)
     }
 }
 
-impl Measure for JaccardMeasure {
+impl Measure for BufferedMeasure {
     fn id(&self) -> &str {
         &self.name
     }
@@ -528,10 +426,6 @@ impl Measure for JaccardMeasure {
             .revive(per_hyp_blobs)
     }
 }
-
-// ---------------------------------------------------------------------
-// The shared sample behind the buffered measures
-// ---------------------------------------------------------------------
 
 /// What a buffered state computes from its sample. The group score is
 /// the best unit score, except for group MI.
@@ -751,22 +645,39 @@ impl MeasureState for BufferedSample {
 }
 
 // ---------------------------------------------------------------------
-// Lists of one accumulator per member
+// The pairwise state: one member per hypothesis
 // ---------------------------------------------------------------------
 
-/// The state of one hypothesis of a pairwise measure whose hypotheses
-/// share no work; [`PerMember`] makes a list of them.
+/// The state of one hypothesis of a pairwise measure: one accumulator
+/// per unit, or one the units share; [`PerMember`] makes a list of them.
 trait Member: Send + Sized + 'static {
     /// Consumes a block: `rows x n_units` behaviors and this member's
     /// column of `rows` values, both already checked.
     fn push(&mut self, units: &Matrix, hyp: &[f32]);
 
+    /// Consumes a block for a whole list: each member fed its column, and
+    /// one with none left as it is. The default pushes each fed member; a
+    /// member type whose list shares work per block overrides it.
+    fn feed(members: &mut [Self], units: &Matrix, hyps: &[Option<&[f32]>]) {
+        for (member, hyp) in members.iter_mut().zip(hyps) {
+            if let Some(hyp) = hyp {
+                member.push(units, hyp);
+            }
+        }
+    }
+
     /// `(unit scores, group score)`.
     fn scores(&self) -> (Vec<f32>, f32);
 
     /// The convergence error of what was consumed so far (`∞` until
-    /// estimable): every one of its pairs' error.
+    /// estimable): the widest of its pairs' errors.
     fn error(&self) -> f32;
+
+    /// Each unit's pair error, one slot per unit. The default gives every
+    /// pair the member's error.
+    fn pair_errors(&self, errs: &mut [f32]) {
+        errs.fill(self.error());
+    }
 
     /// False when `other` was built under another configuration of the
     /// measure, so the two must not merge.
@@ -791,8 +702,8 @@ trait Member: Send + Sized + 'static {
 }
 
 /// One [`Member`] per hypothesis of the list, each fed its own column, or
-/// left as it is when it has none: the list state of `diff_means` and the
-/// baselines.
+/// left as it is when it has none: the list state of every pairwise
+/// measure (`corr`, `diff_means`, the baselines).
 struct PerMember<S> {
     n_units: usize,
     members: Vec<S>,
@@ -821,18 +732,14 @@ impl<S: Member> PerMember<S> {
 impl<S: Member> MeasureState for PerMember<S> {
     fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
         check_block(units, hyps, self.n_units, self.members.len());
-        for (member, hyp) in self.members.iter_mut().zip(hyps) {
-            if let Some(hyp) = hyp {
-                member.push(units, hyp);
-            }
-        }
+        S::feed(&mut self.members, units, hyps);
     }
 
     fn pair_errors(&self, pair_errs: &mut [f32]) -> bool {
         let n = self.n_units;
         check_errs(pair_errs, n * self.members.len());
         for (h, member) in self.members.iter().enumerate() {
-            pair_errs[h * n..(h + 1) * n].fill(member.error());
+            member.pair_errors(&mut pair_errs[h * n..(h + 1) * n]);
         }
         true
     }
@@ -1440,71 +1347,18 @@ impl Member for BaselineState {
 pub fn standard_library() -> Vec<Box<dyn Measure>> {
     vec![
         Box::new(CorrelationMeasure),
-        Box::new(MutualInfoMeasure::default()),
-        Box::new(JaccardMeasure::netdissect()),
-        Box::new(JaccardMeasure::default()),
+        Box::new(BufferedMeasure::mutual_info(mi::DEFAULT_BINS, 65_536)),
+        Box::new(BufferedMeasure::jaccard("jaccard", 0.995, 65_536)),
+        Box::new(BufferedMeasure::jaccard("jaccard_q95", 0.95, 65_536)),
         Box::new(DiffMeansMeasure),
         Box::new(LogRegMeasure::l1(0.01)),
         Box::new(LogRegMeasure::l2(0.01)),
-        Box::new(GroupMiMeasure::default()),
+        Box::new(BufferedMeasure::group_mi(4, 16_384)),
         Box::new(BaselineMeasure { random_seed: None }),
         Box::new(BaselineMeasure {
             random_seed: Some(0),
         }),
     ]
-}
-
-/// Multivariate mutual information over the whole unit group (paper §4.3:
-/// "a multivariate implementation of mutual information"). Unit scores
-/// are the per-unit MI the independent measure would report.
-pub(crate) struct GroupMiMeasure {
-    /// Quantile bins.
-    pub bins: usize,
-    /// Buffer cap.
-    pub max_buffer: usize,
-}
-
-impl Default for GroupMiMeasure {
-    fn default() -> Self {
-        GroupMiMeasure {
-            bins: 4,
-            max_buffer: 16_384,
-        }
-    }
-}
-
-impl GroupMiMeasure {
-    fn sample(&self, n_units: usize, n_hyps: usize) -> BufferedSample {
-        let score = BufferedScore::GroupMi(self.bins);
-        BufferedSample::new(n_units, n_hyps, self.max_buffer, score)
-    }
-}
-
-impl Measure for GroupMiMeasure {
-    fn id(&self) -> &str {
-        "group_mi"
-    }
-
-    fn new_state(&self, n_units: usize, n_hyps: usize) -> Box<dyn MeasureState> {
-        Box::new(self.sample(n_units, n_hyps))
-    }
-
-    fn default_epsilon(&self) -> f32 {
-        0.01
-    }
-
-    fn supports_segment_merge(&self) -> bool {
-        true
-    }
-
-    fn deserialize_state(
-        &self,
-        n_units: usize,
-        per_hyp_blobs: &[&[u8]],
-    ) -> Option<Box<dyn MeasureState>> {
-        self.sample(n_units, per_hyp_blobs.len())
-            .revive(per_hyp_blobs)
-    }
 }
 
 #[cfg(test)]
@@ -1517,6 +1371,12 @@ mod tests {
         BaselineMeasure {
             random_seed: Some(seed),
         }
+    }
+
+    /// The library's measure registered as `id`.
+    fn library(id: &str) -> Box<dyn Measure> {
+        let mut lib = standard_library().into_iter();
+        lib.find(|m| m.id() == id).expect("registered")
     }
 
     /// Block where unit 0 mirrors the hypothesis and unit 1 is noise.
@@ -1620,10 +1480,9 @@ mod tests {
         for (a, b) in expect.iter_mut().zip(reference(&[40..41, 41..90])) {
             a.merge(&b);
         }
-        let expect = CorrState {
+        let expect = PerMember {
             n_units: width,
-            n_hyps: 1,
-            accs: expect,
+            members: vec![expect],
         };
         assert_eq!(first.serialize_state(0), expect.serialize_state(0));
         assert_eq!(
@@ -1647,7 +1506,7 @@ mod tests {
 
     #[test]
     fn mutual_info_state_ranks_dependent_unit_higher() {
-        let m = MutualInfoMeasure::default();
+        let m = library("mutual_info");
         let mut state = m.new_state(2, 1);
         let (units, hyp) = block(400);
         feed(state.as_mut(), &units, &hyp);
@@ -1657,17 +1516,37 @@ mod tests {
 
     #[test]
     fn jaccard_state_scores_overlapping_unit() {
-        let m = JaccardMeasure {
-            top_quantile: 0.5,
-            max_buffer: 10_000,
-            ..Default::default()
-        };
+        let m = BufferedMeasure::jaccard("jaccard_q50", 0.5, 10_000);
         let mut state = m.new_state(2, 1);
         let (units, hyp) = block(200);
         feed(state.as_mut(), &units, &hyp);
         let (scores, _) = pair_scores(state.as_ref());
         assert!(scores[0] > 0.8, "unit 0 jaccard {}", scores[0]);
         assert!(scores[0] > scores[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "jaccard top_quantile must lie in [0, 1], got 1.5")]
+    fn a_jaccard_quantile_above_one_is_refused_when_built() {
+        BufferedMeasure::jaccard("jaccard", 1.5, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "jaccard top_quantile must lie in [0, 1], got NaN")]
+    fn a_nan_jaccard_quantile_is_refused_when_built() {
+        BufferedMeasure::jaccard("jaccard", f32::NAN, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "mutual_info needs at least one bin, got bins = 0")]
+    fn mutual_info_over_zero_bins_is_refused_when_built() {
+        BufferedMeasure::mutual_info(0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "group_mi needs at least one bin, got bins = 0")]
+    fn group_mi_over_zero_bins_is_refused_when_built() {
+        BufferedMeasure::group_mi(0, 100);
     }
 
     #[test]
@@ -1777,10 +1656,7 @@ mod tests {
             units.set(r, 0, u0[r]);
             units.set(r, 1, u1[r]);
         }
-        let m = GroupMiMeasure {
-            bins: 2,
-            max_buffer: 10_000,
-        };
+        let m = BufferedMeasure::group_mi(2, 10_000);
         let mut state = m.new_state(2, 1);
         feed(state.as_mut(), &units, &hyp);
         let (singles, group) = pair_scores(state.as_ref());
@@ -1796,10 +1672,10 @@ mod tests {
     fn mergeable_states_serialize_and_revive_bit_exactly() {
         let measures: Vec<Box<dyn Measure>> = vec![
             Box::new(CorrelationMeasure),
-            Box::new(MutualInfoMeasure::default()),
-            Box::new(JaccardMeasure::default()),
+            library("mutual_info"),
+            library("jaccard_q95"),
             Box::new(DiffMeansMeasure),
-            Box::new(GroupMiMeasure::default()),
+            library("group_mi"),
             Box::new(MAJORITY_BASELINE),
             Box::new(random_baseline(9)),
         ];
@@ -1851,7 +1727,7 @@ mod tests {
         feed(corr.as_mut(), &units, &hyp);
         let bytes = corr.serialize_state(0).unwrap();
         // Wrong measure family.
-        assert!(MutualInfoMeasure::default()
+        assert!(library("mutual_info")
             .deserialize_state(2, &[&bytes])
             .is_none());
         // Wrong unit count.
@@ -1867,10 +1743,10 @@ mod tests {
             .deserialize_state(2, &[&padded])
             .is_none());
         // Different jaccard quantile rejects the other's buffers.
-        let mut j95 = JaccardMeasure::default().new_state(2, 1);
+        let mut j95 = library("jaccard_q95").new_state(2, 1);
         feed(j95.as_mut(), &units, &hyp);
         let jb = j95.serialize_state(0).unwrap();
-        let j995 = JaccardMeasure::netdissect();
+        let j995 = library("jaccard");
         assert!(j995.deserialize_state(2, &[&jb]).is_none());
         // Mismatched baseline seed rejects.
         let mut rnd = random_baseline(1).new_state(2, 1);
@@ -1959,16 +1835,16 @@ mod tests {
         for (id, same, other) in [
             (
                 "jaccard",
-                JaccardMeasure::netdissect(),
-                JaccardMeasure::default(),
+                BufferedMeasure::jaccard("jaccard", 0.995, 65_536),
+                BufferedMeasure::jaccard("jaccard_q95", 0.95, 65_536),
             ),
             (
                 "jaccard_q95",
-                JaccardMeasure::default(),
-                JaccardMeasure::netdissect(),
+                BufferedMeasure::jaccard("jaccard_q95", 0.95, 65_536),
+                BufferedMeasure::jaccard("jaccard", 0.995, 65_536),
             ),
         ] {
-            let bytes_of = |m: &JaccardMeasure| {
+            let bytes_of = |m: &BufferedMeasure| {
                 let mut state = m.new_state(2, 1);
                 feed(state.as_mut(), &units, &hyp);
                 state.serialize_state(0).unwrap()
@@ -1989,19 +1865,9 @@ mod tests {
     /// The three buffered measures with a small cap, so blocks cross it.
     fn buffered_measures(max_buffer: usize) -> Vec<Box<dyn Measure>> {
         vec![
-            Box::new(JaccardMeasure {
-                top_quantile: 0.8,
-                max_buffer,
-                ..Default::default()
-            }),
-            Box::new(MutualInfoMeasure {
-                bins: 4,
-                max_buffer,
-            }),
-            Box::new(GroupMiMeasure {
-                bins: 3,
-                max_buffer,
-            }),
+            Box::new(BufferedMeasure::jaccard("jaccard_q95", 0.8, max_buffer)),
+            Box::new(BufferedMeasure::mutual_info(4, max_buffer)),
+            Box::new(BufferedMeasure::group_mi(3, max_buffer)),
         ]
     }
 
@@ -2610,12 +2476,12 @@ mod tests {
         let (units, hyp) = block(10);
         let goldens: Vec<(Box<dyn Measure>, &[u8])> = vec![
             (Box::new(CorrelationMeasure), GOLDEN_STATE_CORR),
-            (Box::new(MutualInfoMeasure::default()), GOLDEN_STATE_MI),
-            (Box::new(JaccardMeasure::default()), GOLDEN_STATE_JACCARD),
+            (library("mutual_info"), GOLDEN_STATE_MI),
+            (library("jaccard_q95"), GOLDEN_STATE_JACCARD),
             (Box::new(DiffMeansMeasure), GOLDEN_STATE_DIFF_MEANS),
             (Box::new(MAJORITY_BASELINE), GOLDEN_STATE_MAJORITY),
             (Box::new(random_baseline(7)), GOLDEN_STATE_RANDOM),
-            (Box::new(GroupMiMeasure::default()), GOLDEN_STATE_GROUP_MI),
+            (library("group_mi"), GOLDEN_STATE_GROUP_MI),
         ];
         for (measure, golden) in goldens {
             let id = measure.id().to_string();

@@ -772,6 +772,14 @@ impl Session {
                 "cannot materialize a view over an empty dataset".into(),
             ));
         }
+        // A view is its fold point, so every measure must have one. On a
+        // segmented dataset `bind` has refused such a measure already.
+        if let Some(measure) = plan.measures.iter().find(|m| !m.supports_segment_merge()) {
+            return Err(DniError::Query(format!(
+                "measure {} has no durable state; it cannot back a view",
+                measure.id()
+            )));
+        }
         // The pass is a one-item plan (the optimizer's per-segment store
         // source and wave widths, no score-cache lookup, no view probe)
         // whose one wave runs through the batch wave runner; the fold

@@ -284,17 +284,13 @@ pub fn deepbase_cnn_scores(
     top_quantile: f32,
 ) -> Result<Vec<(usize, String, f32)>, crate::error::DniError> {
     use crate::engine::{inspect_as, EngineKind, InspectionConfig, InspectionRequest};
-    use crate::measure::JaccardMeasure;
+    use crate::measure::BufferedMeasure;
     use crate::model::UnitGroup;
 
     let dataset = pixel_dataset(images, size);
     let hypotheses = concept_hypotheses(images);
     let extractor = CnnPixelExtractor::new(cnn, images, size);
-    let measure = JaccardMeasure {
-        name: "jaccard".into(),
-        top_quantile,
-        max_buffer: usize::MAX,
-    };
+    let measure = BufferedMeasure::jaccard("jaccard", top_quantile, usize::MAX);
     let hyp_refs: Vec<&dyn crate::model::HypothesisFn> = hypotheses
         .iter()
         .map(|h| h as &dyn crate::model::HypothesisFn)

@@ -490,11 +490,7 @@ fn identity_dedup_is_what_explain_counts_and_the_batch_matches_bare_sessions() {
         vec![Arc::new(FnHypothesis::char_class("dup", |c| c == 'c'))],
     );
     let jaccard = |top_quantile: f32| -> Arc<dyn Measure> {
-        Arc::new(JaccardMeasure {
-            name: "jaccard".into(),
-            top_quantile,
-            max_buffer: 65_536,
-        })
+        Arc::new(BufferedMeasure::jaccard("jaccard", top_quantile, 65_536))
     };
     catalog.add_measure("jaccard_lo", jaccard(0.5));
     catalog.add_measure("jaccard_hi", jaccard(0.9));
@@ -771,7 +767,7 @@ fn shared_inspection_engine_level_parity() {
     let is_a = FnHypothesis::char_class("is_a", |c| c == 'a');
     let is_b = FnHypothesis::char_class("is_b", |c| c == 'b');
     let corr = CorrelationMeasure;
-    let mi = MutualInfoMeasure::default();
+    let mi = BufferedMeasure::mutual_info(8, 65_536);
 
     let requests = vec![
         InspectionRequest {

@@ -374,11 +374,7 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
     let dataset = Dataset::new("seq", NS, records(0, TOTAL)).unwrap();
     let hyps = hypotheses();
     let hyp_refs = || hyps.iter().map(|h| h.as_ref()).collect::<Vec<_>>();
-    let quantile = |top_quantile: f32| JaccardMeasure {
-        name: "jaccard".into(),
-        top_quantile,
-        max_buffer: 65_536,
-    };
+    let quantile = |top_quantile: f32| BufferedMeasure::jaccard("jaccard", top_quantile, 65_536);
     let (low, high) = (quantile(0.5), quantile(0.9));
     // Two batch members of one streaming pass naming one each: no slot is
     // shared, and each scores what every design below scores standalone.
@@ -388,7 +384,7 @@ fn two_measures_answering_to_one_id_are_each_scored_on_their_own() {
     ];
     let shared = inspect_shared(&members, &config()).unwrap();
     for engine in [EngineKind::PyBase, EngineKind::Merged, EngineKind::DeepBase] {
-        let alone = |measure: &JaccardMeasure| {
+        let alone = |measure: &BufferedMeasure| {
             let req = request(&extractor, &dataset, hyp_refs(), vec![measure]);
             frame_bits(&inspect_as(engine, &req, &config()).unwrap().0)
         };

@@ -299,7 +299,7 @@ fn madlib_rejects_unsupported_measures() {
     let (dataset, behaviors) = fixture(8);
     let extractor = PrecomputedExtractor::new(behaviors, dataset.ns);
     let hyps = vec![ones_hypothesis()];
-    let mi = MutualInfoMeasure::default();
+    let mi = BufferedMeasure::mutual_info(8, 65_536);
     let req = request(&extractor, &dataset, &hyps, vec![&mi]);
     let err = inspect_as(EngineKind::Madlib, &req, &InspectionConfig::default()).unwrap_err();
     assert!(matches!(err, DniError::BadConfig(_)));

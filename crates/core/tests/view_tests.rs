@@ -763,6 +763,37 @@ fn view_error_paths_are_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A measure with no durable state (the order-dependent SGD probes) cannot
+/// back a view: on one segment the view write refuses it before any pass,
+/// and on two segments `bind` refuses it for the segments.
+#[test]
+fn a_measure_with_no_durable_state_is_refused_a_view_before_any_pass() {
+    let device = Device::SingleCore;
+    let sgd = Q.replace("corr", "logreg_l1");
+    for (segments, want) in [
+        (
+            1,
+            "measure logreg_l1 has no durable state; it cannot back a view",
+        ),
+        (2, "measure logreg_l1 cannot run on segmented datasets"),
+    ] {
+        let dir = tmp_dir(&format!("no-durable-state-{segments}"));
+        let (mut session, counting) =
+            session_at(&dir, device, segments, MaterializationPolicy::ReadWrite);
+        counting.reset();
+        match session.create_view("sgd", &sgd) {
+            Err(DniError::Query(msg)) => assert_eq!(msg, want, "{segments} segments"),
+            other => panic!("{segments} segments: expected Query, got {other:?}"),
+        }
+        assert_eq!(counting.calls(), 0, "{segments} segments");
+        assert!(
+            session.list_views().unwrap().is_empty(),
+            "{segments} segments"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A statement whose WHERE keeps no unit plans no wave: its view builds
 /// without a pass and replays the empty table a cold run returns.
 #[test]

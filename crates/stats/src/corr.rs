@@ -340,10 +340,10 @@ deepbase_tensor::simd_kernel! {
     /// Folds one row-major `rows × width` unit block into the accumulators
     /// of a hypothesis list — the block kernel of the correlation measure.
     ///
-    /// `accs` holds `ys.len() × width` accumulators, hypothesis-major (the
-    /// accumulator of unit `u` and hypothesis `h` is `accs[h * width + u]`);
-    /// `ys[h]` is hypothesis `h`'s column of `rows` values, or `None` for a
-    /// member that is not fed this block, whose accumulators are left
+    /// `accs` holds one row per hypothesis, each of `width` accumulators
+    /// (row `h`, entry `u` is the accumulator of unit `u` and hypothesis
+    /// `h`); `ys[h]` is hypothesis `h`'s column of `rows` values, or `None`
+    /// for a member that is not fed this block, whose row is left
     /// untouched.
     ///
     /// Each live hypothesis's column is widened to f64 and its `y` moments
@@ -367,19 +367,19 @@ deepbase_tensor::simd_kernel! {
     /// copy, whatever the list's length; the `width % TILE` trailing units
     /// are swept one at a time.
     pub fn accumulate_list(
-        accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<&[f32]>]
+        accs: &mut [Vec<StreamingPearson>], xs: &[f32], ys: &[Option<&[f32]>]
     ) = accumulate_list_body;
 }
 
 /// Body of [`accumulate_list`].
 #[inline(always)]
-fn accumulate_list_body(accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<&[f32]>]) {
+fn accumulate_list_body(accs: &mut [Vec<StreamingPearson>], xs: &[f32], ys: &[Option<&[f32]>]) {
     let shape = "pearson block shape mismatch";
-    let Some(width) = accs.len().checked_div(ys.len()) else {
-        assert!(accs.is_empty(), "{shape}");
+    assert_eq!(accs.len(), ys.len(), "{shape}");
+    let Some(width) = accs.first().map(Vec::len) else {
         return;
     };
-    assert_eq!(accs.len(), width * ys.len(), "{shape}");
+    assert!(accs.iter().all(|row| row.len() == width), "{shape}");
     let rows = xs.len().checked_div(width).unwrap_or(0);
     assert_eq!(xs.len(), rows * width, "{shape}");
     // The live members in list order, each with its `y` moments.
@@ -427,7 +427,7 @@ fn accumulate_list_body(accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<
         }
     }
     for (l, hyp) in live.iter().enumerate() {
-        let accs = &mut accs[hyp.h * width..][..width];
+        let accs = &mut accs[hyp.h];
         let xy = &sums.xy[l * width..][..width];
         for (u, acc) in accs.iter_mut().enumerate() {
             acc.accumulate(rows as u64, sums.x[u], hyp.sy, sums.xx[u], hyp.syy, xy[u]);
@@ -689,16 +689,20 @@ mod tests {
     /// What [`accumulate_list`] computes, walked one `(unit, hypothesis)`
     /// pair at a time: one strided pass per pair, one dependent sum chain
     /// per moment.
-    fn accumulate_pair_by_pair(accs: &mut [StreamingPearson], xs: &[f32], ys: &[Option<&[f32]>]) {
-        let width = accs.len() / ys.len();
-        for (h, y) in ys.iter().enumerate() {
+    fn accumulate_pair_by_pair(
+        accs: &mut [Vec<StreamingPearson>],
+        xs: &[f32],
+        ys: &[Option<&[f32]>],
+    ) {
+        for (row, y) in accs.iter_mut().zip(ys) {
             let Some(y) = y else { continue };
+            let width = row.len();
             let (mut sy, mut syy) = (0.0f64, 0.0);
             for &v in *y {
                 sy += v as f64;
                 syy += v as f64 * v as f64;
             }
-            for u in 0..width {
+            for (u, acc) in row.iter_mut().enumerate() {
                 let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
                 let mut idx = u;
                 for &v in *y {
@@ -708,14 +712,14 @@ mod tests {
                     sxy += x * v as f64;
                     idx += width;
                 }
-                accs[h * width + u].accumulate(y.len() as u64, sx, sy, sxx, syy, sxy);
+                acc.accumulate(y.len() as u64, sx, sy, sxx, syy, sxy);
             }
         }
     }
 
     /// State bits with every NaN as one class: Rust leaves a NaN's sign and
     /// payload unspecified, and the two compiled copies may differ there.
-    fn state(accs: &[StreamingPearson]) -> Vec<[u64; 10]> {
+    fn state(accs: &[Vec<StreamingPearson>]) -> Vec<[u64; 10]> {
         let class = |b: u64| {
             if f64::from_bits(b).is_nan() {
                 u64::MAX
@@ -723,7 +727,10 @@ mod tests {
                 b
             }
         };
-        accs.iter().map(|a| a.state_bits().map(class)).collect()
+        accs.iter()
+            .flatten()
+            .map(|a| a.state_bits().map(class))
+            .collect()
     }
 
     #[test]
@@ -766,7 +773,7 @@ mod tests {
                 // frozen from the fourth block (the one of 3 rows) on.
                 for frozen in [None, Some(n_hyps / 2)] {
                     let what = format!("width {width} hyps {n_hyps} frozen {frozen:?}");
-                    let fresh = || vec![StreamingPearson::new(); width * n_hyps];
+                    let fresh = || vec![vec![StreamingPearson::new(); width]; n_hyps];
                     let (mut tiled, mut body, mut walked) = (fresh(), fresh(), fresh());
                     let mut start = 0;
                     for (b, len) in blocks.into_iter().enumerate() {
@@ -787,7 +794,7 @@ mod tests {
                     assert_eq!(state(&tiled), state(&walked), "{what}");
                     if let Some(h) = frozen {
                         // The frozen member holds the first three blocks' rows.
-                        let counts = tiled[h * width..(h + 1) * width].iter().map(|a| a.count());
+                        let counts = tiled[h].iter().map(|a| a.count());
                         assert!(counts.into_iter().all(|n| n == 65), "{what}");
                     }
                     // ...and after folding a second segment's states in.
@@ -795,14 +802,14 @@ mod tests {
                     let ys: Vec<Option<&[f32]>> = cols.iter().map(|c| Some(&c[..40])).collect();
                     accumulate_list(&mut tiled_b, &xs[..40 * width], &ys);
                     accumulate_pair_by_pair(&mut walked_b, &xs[..40 * width], &ys);
-                    for (a, b) in tiled.iter_mut().zip(&tiled_b) {
+                    for (a, b) in tiled.iter_mut().flatten().zip(tiled_b.iter().flatten()) {
                         a.merge(b);
                     }
-                    for (a, b) in walked.iter_mut().zip(&walked_b) {
+                    for (a, b) in walked.iter_mut().flatten().zip(walked_b.iter().flatten()) {
                         a.merge(b);
                     }
                     assert_eq!(state(&tiled), state(&walked), "{what} merged");
-                    for (a, b) in tiled.iter().zip(&walked) {
+                    for (a, b) in tiled.iter().flatten().zip(walked.iter().flatten()) {
                         assert_eq!(a.correlation().to_bits(), b.correlation().to_bits());
                     }
                 }
@@ -813,25 +820,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "pearson block shape mismatch")]
     fn block_kernel_rejects_a_unit_block_of_the_wrong_length() {
-        let mut accs = vec![StreamingPearson::new(); 3];
+        let mut accs = vec![vec![StreamingPearson::new(); 3]];
         accumulate_list(&mut accs, &[0.0; 7], &[Some(&[0.0, 1.0])]);
     }
 
     #[test]
     #[should_panic(expected = "pearson block shape mismatch")]
     fn block_kernel_rejects_a_live_column_of_the_wrong_length() {
-        let mut accs = vec![StreamingPearson::new(); 6];
+        let mut accs = vec![vec![StreamingPearson::new(); 3]; 2];
         let ys: [Option<&[f32]>; 2] = [None, Some(&[0.0, 1.0, 2.0])];
         accumulate_list(&mut accs, &[0.0; 6], &ys);
     }
 
     #[test]
+    #[should_panic(expected = "pearson block shape mismatch")]
+    fn block_kernel_rejects_rows_of_unequal_width() {
+        let mut accs = vec![
+            vec![StreamingPearson::new(); 3],
+            vec![StreamingPearson::new(); 2],
+        ];
+        let ys: [Option<&[f32]>; 2] = [Some(&[0.0, 1.0]), Some(&[1.0, 0.0])];
+        accumulate_list(&mut accs, &[0.0; 6], &ys);
+    }
+
+    #[test]
     fn block_kernel_leaves_a_frozen_member_untouched_whatever_its_column() {
-        let mut accs = vec![StreamingPearson::new(); 6];
+        let mut accs = vec![vec![StreamingPearson::new(); 3]; 2];
         let ys: [Option<&[f32]>; 2] = [Some(&[0.0, 1.0]), None];
         accumulate_list(&mut accs, &[1.0, 2.0, 3.0, 5.0, 4.0, 9.0], &ys);
-        assert!(accs[..3].iter().all(|a| a.count() == 2));
-        assert!(accs[3..].iter().all(|a| a.count() == 0));
+        assert!(accs[0].iter().all(|a| a.count() == 2));
+        assert!(accs[1].iter().all(|a| a.count() == 0));
     }
 
     #[test]
