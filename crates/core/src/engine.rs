@@ -101,13 +101,14 @@
 //!    output is the identity. Then every slot's own state is projected out
 //!    of its grid ([`MeasureState::project`]), bit for bit the state a
 //!    slot of its own would hold, and its errors are read off it.
-//! 4. **One tail**: pairs that never met epsilon are listed as pending,
-//!    every unique pair is emitted once into a merged [`ResultFrame`]
-//!    ([`MeasureState::final_scores`], on the inspection clock), member
-//!    frames are reassembled from row spans ([`ResultFrame::demux`]), and
-//!    a view pass serializes the fold point — per slot and hypothesis, so
-//!    the stored bytes do not depend on how hypotheses were grouped into
-//!    states.
+//! 4. **One tail**, one walk over the slots: each slot lists its pairs
+//!    that never met epsilon as pending, a view pass serializes its fold
+//!    point — per slot and hypothesis, so the stored bytes do not depend on
+//!    how hypotheses were grouped into states — and its final scores are
+//!    taken once ([`MeasureState::final_scores`]). Each member's
+//!    [`ResultFrame`] is then emitted straight from its slots' scores, in
+//!    its own (group, measure, hypothesis) order and under its own model
+//!    and group ids, on the inspection clock.
 //!
 //! The single-request engine is the one-member case, and the unsegmented
 //! pass the one-segment, one-stream case, of this implementation. What
@@ -172,7 +173,7 @@ use crate::error::DniError;
 use crate::extract::{ColumnDemux, Extractor};
 use crate::measure::{Measure, MeasureState};
 use crate::model::{validate_behavior, Dataset, HypothesisFn, Record, UnitGroup};
-use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, RowSpan, ScoreRow};
+use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, ScoreRow};
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
 use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewDoc, ViewHypState};
@@ -591,26 +592,28 @@ fn shuffled_records(dataset: &Dataset, seed: u64) -> (Vec<usize>, Vec<&Record>) 
     (positions, records)
 }
 
-/// Emits the result rows of one scored `(group, measure, hypothesis)`.
+/// One hypothesis's scores over a unit group: per unit, and the group's.
+type PairResult = (Vec<f32>, f32);
+
+/// Emits the result rows of one scored `(group, measure, hypothesis)`, one
+/// per unit of the group: the one place the engine builds a [`ScoreRow`],
+/// for every design.
 fn emit_rows(
     frame: &mut ResultFrame,
-    req: &InspectionRequest<'_>,
-    group: &UnitGroup,
-    measure_id: &str,
-    hyp_id: &str,
-    unit_scores: &[f32],
-    group_score: f32,
+    (model_id, group_id, units): (&str, &str, &[usize]),
+    (measure_id, hyp_id): (&str, &str),
+    (unit_scores, group_score): &PairResult,
 ) {
-    debug_assert_eq!(unit_scores.len(), group.units.len());
-    for (&unit, &score) in group.units.iter().zip(unit_scores.iter()) {
+    debug_assert_eq!(unit_scores.len(), units.len());
+    for (&unit, &unit_score) in units.iter().zip(unit_scores) {
         frame.rows.push(ScoreRow {
-            model_id: req.model_id.clone(),
-            group_id: group.id.clone(),
+            model_id: model_id.to_string(),
+            group_id: group_id.to_string(),
             measure_id: measure_id.to_string(),
             hyp_id: hyp_id.to_string(),
             unit,
-            unit_score: score,
-            group_score,
+            unit_score,
+            group_score: *group_score,
         });
     }
 }
@@ -705,15 +708,12 @@ fn inspect_materialized(
             let results = deepbase_runtime::fan_out(threads, &lists, |list| score_list(list));
             for (list, (scores, blocks)) in lists.iter().zip(results) {
                 profile.blocks_processed += blocks;
-                for (&h, (unit_scores, group_score)) in list.iter().zip(scores) {
+                for (&h, pair) in list.iter().zip(&scores) {
                     emit_rows(
                         &mut frame,
-                        req,
-                        group,
-                        measure.id(),
-                        req.hypotheses[h].id(),
-                        &unit_scores,
-                        group_score,
+                        (&req.model_id, &group.id, &group.units),
+                        (measure.id(), req.hypotheses[h].id()),
+                        pair,
                     );
                 }
             }
@@ -723,8 +723,6 @@ fn inspect_materialized(
     profile.total = t_start.elapsed();
     Ok((frame, profile))
 }
-
-type PairResult = (Vec<f32>, f32);
 
 // ---------------------------------------------------------------------
 // The streaming engine
@@ -749,13 +747,10 @@ pub fn inspect_shared(
 pub struct SharedOutcome {
     /// Per-member score frames and profiles, in request order. A member's
     /// frame and scores are bit-identical to what a standalone
-    /// [`inspect`] call would produce for the same request.
+    /// [`inspect`] call would produce for the same request: each frame is
+    /// emitted once, straight from the final scores of the slots it reads,
+    /// under the member's own model and group ids.
     pub results: Vec<(ResultFrame, Profile)>,
-    /// Every unique `(group units, measure, hypothesis)` pair, emitted
-    /// once (the frame member frames are demuxed from). Left empty for a
-    /// single-member batch whose frame would equal it verbatim —
-    /// populating it would only duplicate the `results` allocation.
-    pub merged: ResultFrame,
     /// Accounting for the shared streaming pass itself: the union stream's
     /// records/blocks and phase timings.
     pub pass: Profile,
@@ -807,9 +802,9 @@ struct Selection {
 struct Slot<'a> {
     eps: f32,
     measure: &'a dyn Measure,
-    /// Canonical ids for merged-frame rows (first registrant; members
-    /// rebrand during demux).
-    model_id: String,
+    /// The first registrant's group label: what the slot's pending pairs
+    /// and a view's fold point name it by. Each member's rows carry the
+    /// label of its own entry ([`MemberEntry`]).
     group_id: String,
     /// The group's units, in its order.
     units: Vec<usize>,
@@ -1051,7 +1046,6 @@ impl<'a> PassLayout<'a> {
                         slots.push(Slot {
                             eps: epsilon_for(*measure, config),
                             measure: *measure,
-                            model_id: req.model_id.clone(),
                             group_id: group.id.clone(),
                             units: group.units.clone(),
                             hyps: cols.clone(),
@@ -1715,10 +1709,10 @@ pub(crate) fn run_pass<'a>(
 }
 
 impl PassLayout<'_> {
-    /// The tail of a pass: list pending pairs, emit every unique pair once
-    /// into the merged frame from each slot's own state ([`PassLayout::slot_states`]),
-    /// serialize the fold point (view passes), and demux the merged frame
-    /// into per-member frames.
+    /// The tail of a pass: one walk over the slots — list each slot's
+    /// pending pairs, serialize its fold point (view passes) and take its
+    /// final scores once, off its own state ([`PassLayout::slot_states`]) —
+    /// then each member's frame, emitted straight from those scores.
     fn finish(
         &self,
         reqs: &[InspectionRequest<'_>],
@@ -1742,31 +1736,22 @@ impl PassLayout<'_> {
                 ),
             });
         }
-        // One walk over the unique pairs. A pair whose convergence error
-        // never met its epsilon is listed as pending — also after a
-        // naturally exhausted stream, where the scores are the full-data
-        // scores but the epsilon target was missed. Every pair is emitted
-        // once, its final scores taken from the folded state (which for a
-        // converged pair has not moved since the block it converged on),
-        // and its row span remembered for the per-member demux. Final
-        // scores can be the expensive part of a measure (a buffered state
-        // reads its thresholds or bins off the whole sample here), so they
-        // are taken once per slot and the walk is charged to the
-        // inspection clock.
+        // One walk over the slots. A pair whose convergence error never
+        // met its epsilon is listed as pending — also after a naturally
+        // exhausted stream, where the scores are the full-data scores but
+        // the epsilon target was missed. Final scores come from the folded
+        // state (which for a converged pair has not moved since the block
+        // it converged on). They can be the expensive part of a measure (a
+        // buffered state reads its thresholds or bins off the whole sample
+        // here), so they are taken once per slot, and the walk and the
+        // emission are charged to the inspection clock.
         let t_emit = Instant::now();
         let mut pending: Vec<PendingPair> = Vec::new();
         let mut captures: Vec<ViewHypState> = Vec::new();
-        let mut merged = ResultFrame::default();
-        let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(self.slots.len());
+        let mut scores: Vec<Vec<PairResult>> = Vec::with_capacity(self.slots.len());
         for ((slot, run), state) in self.slots.iter().zip(&folded.slots).zip(&states) {
-            let units = &slot.units;
             let measure_id = slot.measure.id();
-            let mut slot_spans = Vec::with_capacity(slot.hyps.len());
-            let scores = state.final_scores();
-            debug_assert_eq!(scores.len(), slot.hyps.len());
-            for (pos, ((&c, &error), (unit_scores, group_score))) in
-                slot.hyps.iter().zip(&run.errs).zip(scores).enumerate()
-            {
+            for (pos, (&c, &error)) in slot.hyps.iter().zip(&run.errs).enumerate() {
                 let hyp_id = self.union_hyps[c].id();
                 if !slot.met(error) {
                     pending.push(PendingPair {
@@ -1775,19 +1760,6 @@ impl PassLayout<'_> {
                         hyp_id: hyp_id.to_string(),
                         error,
                         epsilon: slot.eps,
-                    });
-                }
-                debug_assert_eq!(unit_scores.len(), units.len());
-                slot_spans.push((merged.rows.len(), units.len()));
-                for (&unit, &unit_score) in units.iter().zip(unit_scores.iter()) {
-                    merged.rows.push(ScoreRow {
-                        model_id: slot.model_id.clone(),
-                        group_id: slot.group_id.clone(),
-                        measure_id: measure_id.to_string(),
-                        hyp_id: hyp_id.to_string(),
-                        unit,
-                        unit_score,
-                        group_score,
                     });
                 }
                 if capture_states && slot.first_mention(pos).is_none() {
@@ -1803,8 +1775,27 @@ impl PassLayout<'_> {
                     });
                 }
             }
-            spans.push(slot_spans);
+            let slot_scores = state.final_scores();
+            debug_assert_eq!(slot_scores.len(), slot.hyps.len());
+            scores.push(slot_scores);
         }
+        // Each member's frame, in its canonical (group, measure,
+        // hypothesis) order, under its own model id and its entry's group
+        // label.
+        let frames: Vec<ResultFrame> = (reqs.iter().zip(&self.members))
+            .map(|(req, entries)| {
+                let mut frame = ResultFrame::default();
+                for entry in entries {
+                    let slot = &self.slots[entry.slot];
+                    let group = (&*req.model_id, &*entry.group_id, &*slot.units);
+                    for (&c, pair) in slot.hyps.iter().zip(&scores[entry.slot]) {
+                        let ids = (slot.measure.id(), self.union_hyps[c].id());
+                        emit_rows(&mut frame, group, ids, pair);
+                    }
+                }
+                frame
+            })
+            .collect();
         let d_emit = t_emit.elapsed();
         folded.profile.inspection += d_emit;
         let completion = Completion {
@@ -1812,55 +1803,23 @@ impl PassLayout<'_> {
             rows_read: folded.profile.records_read,
             pending,
         };
-
-        // Demux the merged frame into per-member frames, in each member's
-        // canonical (group, measure, hypothesis) order.
         let total = t_start.elapsed();
         folded.profile.total = total;
-        let mut results = Vec::with_capacity(reqs.len());
-        for ((member, entries), req) in folded.members.iter_mut().zip(&self.members).zip(reqs) {
-            let mut member_spans: Vec<RowSpan> = Vec::new();
-            for entry in entries {
-                for &(start, len) in &spans[entry.slot] {
-                    member_spans.push(RowSpan {
-                        start,
-                        len,
-                        model_id: req.model_id.clone(),
-                        group_id: entry.group_id.clone(),
-                    });
+        let results = (folded.members.into_iter().zip(frames))
+            .map(|(mut member, frame)| {
+                member.profile.inspection += d_emit;
+                if member.live {
+                    // Never converged: this member consumed the whole pass.
+                    member.profile.total = total;
+                } else {
+                    member.profile.total += d_emit;
                 }
-            }
-            member.profile.inspection += d_emit;
-            if member.live {
-                // Never converged: this member consumed the whole pass.
-                member.profile.total = total;
-            } else {
-                member.profile.total += d_emit;
-            }
-            // A sole member whose spans tile the merged frame in order
-            // (no dedup-induced repeats) would demux into an exact copy;
-            // move the frame instead of cloning every row — this is the
-            // standalone `inspect` hot path. Id overrides are no-ops for a
-            // sole member (every slot's canonical ids came from it).
-            let sole_member_tiles = reqs.len() == 1 && {
-                let mut cursor = 0usize;
-                member_spans.iter().all(|s| {
-                    let aligned = s.start == cursor;
-                    cursor += s.len;
-                    aligned
-                }) && cursor == merged.len()
-            };
-            let frame = if sole_member_tiles {
-                std::mem::take(&mut merged)
-            } else {
-                merged.demux(&member_spans)
-            };
-            results.push((frame, member.profile.clone()));
-        }
+                (frame, member.profile)
+            })
+            .collect();
         Ok((
             SharedOutcome {
                 results,
-                merged,
                 pass: folded.profile,
                 extraction_passes,
                 store: folded.stats,
@@ -1951,12 +1910,9 @@ fn inspect_madlib(
                         let group_score = unit_scores.iter().map(|s| s.abs()).fold(0.0, f32::max);
                         emit_rows(
                             &mut frame,
-                            req,
-                            group,
-                            measure.id(),
-                            hyp.id(),
-                            &unit_scores,
-                            group_score,
+                            (&req.model_id, &group.id, &group.units),
+                            (measure.id(), hyp.id()),
+                            &(unit_scores, group_score),
                         );
                     }
                 }
@@ -1990,12 +1946,9 @@ fn inspect_madlib(
                         let f1 = model.f1_per_output(&x, &y)[0];
                         emit_rows(
                             &mut frame,
-                            req,
-                            group,
-                            measure.id(),
-                            hyp.id(),
-                            &unit_scores,
-                            f1,
+                            (&req.model_id, &group.id, &group.units),
+                            (measure.id(), hyp.id()),
+                            &(unit_scores, f1),
                         );
                     }
                 }

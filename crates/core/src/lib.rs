@@ -391,7 +391,8 @@
 //!   once and a grouped unit selection is never copied out of the union
 //!   block. A grid's members stop on their own under early stopping, any
 //!   other list as a whole. Each slot's scores, errors and stored bytes
-//!   are those of a state of its own, bit for bit.
+//!   are those of a state of its own, bit for bit, and each request's
+//!   frame is emitted once, straight from its slots' final scores.
 //! * `cache` — hypothesis-behavior cache (§5.1.2, Fig. 9): one column of
 //!   `ns`-wide rows per `(hypothesis, dataset)` catalog identity, indexed
 //!   by record position, looked up a block at a time and evicted whole,

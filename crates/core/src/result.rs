@@ -2,6 +2,12 @@
 //! frame the paper's `deepbase.inspect()` returns, with the relational
 //! post-processing hooks users apply afterwards (filtering, score lookups,
 //! export to the relational engine).
+//!
+//! The engine computes rows through one row emitter: one per unit of each
+//! scored `(group, measure, hypothesis)`, under the asking request's own
+//! model and group ids. A pass that serves several requests emits each
+//! one's frame once, from the scores they share; a stored view's frame is
+//! decoded from its file.
 
 use deepbase_relational::{ColType, Schema, Table, Value};
 use serde::{Deserialize, Serialize};
@@ -125,29 +131,6 @@ impl Completion {
     }
 }
 
-/// One contiguous slice of a merged shared-pass frame, as claimed by a
-/// member query during demultiplexing.
-///
-/// The shared batch engine emits every unique `(group, measure,
-/// hypothesis)` pair exactly once into a merged [`ResultFrame`]; each
-/// member query then reassembles its own frame from row spans, in its own
-/// canonical order. Because deduplication is keyed on unit *contents* (two
-/// queries may name the same units under different GROUP BY labels, and
-/// both always name their own model), the span carries the member's
-/// `model_id`/`group_id`, which overwrite the merged rows' canonical ids
-/// on the way out.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RowSpan {
-    /// First row of the span within the merged frame.
-    pub start: usize,
-    /// Number of rows (one per unit of the pair's group).
-    pub len: usize,
-    /// Model id the member query binds these rows to.
-    pub model_id: String,
-    /// Group id under which the member query addressed these units.
-    pub group_id: String,
-}
-
 impl ResultFrame {
     /// Number of rows.
     pub fn len(&self) -> usize {
@@ -157,24 +140,6 @@ impl ResultFrame {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Demultiplexes a merged shared-pass frame into one member query's
-    /// frame: concatenates the given row spans (cloning score values
-    /// bit-for-bit) while rebranding each span with the member's own
-    /// model/group ids. Spans may overlap and repeat — several queries can
-    /// claim the same deduplicated pair.
-    pub(crate) fn demux(&self, spans: &[RowSpan]) -> ResultFrame {
-        let mut rows = Vec::with_capacity(spans.iter().map(|s| s.len).sum());
-        for span in spans {
-            for row in &self.rows[span.start..span.start + span.len] {
-                let mut row = row.clone();
-                row.model_id.clone_from(&span.model_id);
-                row.group_id.clone_from(&span.group_id);
-                rows.push(row);
-            }
-        }
-        ResultFrame { rows }
     }
 
     /// Rows for one measure.
@@ -287,127 +252,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.value(0, "score_id"), Some(Value::Str("corr".into())));
         assert_eq!(t.value(3, "hyp_id"), Some(Value::Str("kw:FROM".into())));
-    }
-
-    #[test]
-    fn demux_reassembles_spans_with_member_ids() {
-        let f = frame();
-        let spans = vec![
-            RowSpan {
-                start: 3,
-                len: 1,
-                model_id: "m2".into(),
-                group_id: "layer1".into(),
-            },
-            RowSpan {
-                start: 0,
-                len: 3,
-                model_id: "m2".into(),
-                group_id: "layer1".into(),
-            },
-            // Overlapping claim of the same pair by a second "query".
-            RowSpan {
-                start: 0,
-                len: 3,
-                model_id: "m3".into(),
-                group_id: "all".into(),
-            },
-        ];
-        let out = f.demux(&spans);
-        assert_eq!(out.len(), 7);
-        assert_eq!(out.rows[0].measure_id, "logreg_l1");
-        assert_eq!(out.rows[0].model_id, "m2");
-        assert_eq!(out.rows[0].group_id, "layer1");
-        // Scores are cloned bit-for-bit from the merged frame.
-        assert_eq!(out.rows[1].unit_score, f.rows[0].unit_score);
-        assert_eq!(out.rows[4].model_id, "m3");
-        assert_eq!(out.rows[4].group_id, "all");
-        assert_eq!(out.rows[4].unit_score, f.rows[0].unit_score);
-        // Empty span list -> empty frame.
-        assert!(f.demux(&[]).is_empty());
-    }
-
-    #[test]
-    fn demux_empty_spans_contribute_nothing() {
-        let f = frame();
-        // A zero-length span is legal (a converged pair with an empty
-        // claim) and must contribute no rows, wherever it sits.
-        let spans = vec![
-            RowSpan {
-                start: 0,
-                len: 0,
-                model_id: "m2".into(),
-                group_id: "g".into(),
-            },
-            RowSpan {
-                start: 1,
-                len: 2,
-                model_id: "m2".into(),
-                group_id: "g".into(),
-            },
-            RowSpan {
-                start: 4,
-                len: 0,
-                model_id: "m2".into(),
-                group_id: "g".into(),
-            },
-        ];
-        let out = f.demux(&spans);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.rows[0].unit, 1);
-        assert_eq!(out.rows[1].unit, 2);
-        // A span list of only empty spans demuxes to an empty frame.
-        let empties = vec![
-            RowSpan {
-                start: 2,
-                len: 0,
-                model_id: "m".into(),
-                group_id: "g".into(),
-            };
-            3
-        ];
-        assert!(f.demux(&empties).is_empty());
-    }
-
-    #[test]
-    fn demux_out_of_order_spans_preserve_member_order() {
-        let f = frame();
-        // Members claim spans in their own canonical order, which need
-        // not follow merged-frame order: the output must follow the span
-        // list, not the source offsets.
-        let spans = vec![
-            RowSpan {
-                start: 2,
-                len: 1,
-                model_id: "mx".into(),
-                group_id: "g1".into(),
-            },
-            RowSpan {
-                start: 3,
-                len: 1,
-                model_id: "mx".into(),
-                group_id: "g2".into(),
-            },
-            RowSpan {
-                start: 0,
-                len: 2,
-                model_id: "mx".into(),
-                group_id: "g3".into(),
-            },
-        ];
-        let out = f.demux(&spans);
-        assert_eq!(out.len(), 4);
-        // Span order, not source order.
-        assert_eq!(out.rows[0].unit, 2);
-        assert_eq!(out.rows[0].unit_score, f.rows[2].unit_score);
-        assert_eq!(out.rows[1].measure_id, "logreg_l1");
-        assert_eq!(out.rows[2].unit, 0);
-        assert_eq!(out.rows[3].unit, 1);
-        // Rebranding applies per span.
-        assert_eq!(out.rows[0].group_id, "g1");
-        assert_eq!(out.rows[1].group_id, "g2");
-        assert_eq!(out.rows[3].group_id, "g3");
-        assert!(out.rows.iter().all(|r| r.model_id == "mx"));
     }
 
     #[test]

@@ -789,6 +789,17 @@ fn shared_inspection_engine_level_parity() {
             hypotheses: vec![&is_b],
             measures: vec![&corr, &mi],
         },
+        // Request 0's units, measure and hypotheses under another model id
+        // and group label: it shares request 0's slot, and its rows must
+        // carry its own ids.
+        InspectionRequest {
+            model_id: "m2".into(),
+            extractor: &extractor,
+            groups: vec![UnitGroup::new("every", vec![0, 1, 2, 3, 4])],
+            dataset: &dataset,
+            hypotheses: vec![&is_a, &is_b],
+            measures: vec![&corr],
+        },
     ];
     let config = InspectionConfig {
         block_records: 16,
@@ -796,31 +807,25 @@ fn shared_inspection_engine_level_parity() {
     };
     let outcome = inspect_shared(&requests, &config).unwrap();
     assert_eq!(outcome.extraction_passes, 1);
-    assert_eq!(outcome.results.len(), 2);
+    assert_eq!(outcome.results.len(), 3);
+    let score_bits = |frame: &ResultFrame| -> Vec<_> {
+        (frame.rows.iter())
+            .map(|r| (r.unit_score.to_bits(), r.group_score.to_bits()))
+            .collect()
+    };
     for (req, (shared_frame, _)) in requests.iter().zip(&outcome.results) {
         let (solo_frame, _) = inspect(req, &config).unwrap();
         assert_eq!(
             shared_frame, &solo_frame,
             "member frame must be bit-identical"
         );
+        assert_eq!(score_bits(shared_frame), score_bits(&solo_frame));
     }
-    // The merged frame deduplicates: request 0's (all, corr, is_b) and the
-    // per-group variants of request 1 are distinct pairs, but nothing is
-    // emitted twice.
-    let unique: std::collections::BTreeSet<(String, String, String, usize)> = outcome
-        .merged
-        .rows
-        .iter()
-        .map(|r| {
-            (
-                r.group_id.clone(),
-                r.measure_id.clone(),
-                r.hyp_id.clone(),
-                r.unit,
-            )
-        })
-        .collect();
-    assert_eq!(unique.len(), outcome.merged.len());
+    // Request 2 reads request 0's slot: the same score bits, under its own
+    // ids.
+    let (first, renamed) = (&outcome.results[0].0, &outcome.results[2].0);
+    assert_eq!(score_bits(renamed), score_bits(first));
+    assert!((renamed.rows.iter()).all(|r| (&*r.model_id, &*r.group_id) == ("m2", "every")));
 }
 
 #[test]

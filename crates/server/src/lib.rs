@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use deepbase::prelude::{
     freshness_label, AdmissionScheduler, BehaviorStore, CancelToken, Catalog, CompletionStatus,
-    DniError, Record, SchedulerStats, Session, SessionConfig, ViewRefresh,
+    DniError, Record, RunBudget, SchedulerStats, Session, SessionConfig, ViewRefresh,
 };
 
 use crate::wire::{Request, Response};
@@ -129,7 +129,8 @@ struct Shared {
     /// runs a statement itself.
     template: Session,
     shutting_down: AtomicBool,
-    /// Drain token attached to every request's run budget: cancelling it
+    /// Drain token attached to the run budget of every request that runs
+    /// a pass (INSPECT, BATCH, VIEW_CREATE, VIEW_REFRESH): cancelling it
     /// interrupts in-flight passes at their next block boundary.
     drain: CancelToken,
     idle_timeout: Option<Duration>,
@@ -148,13 +149,24 @@ impl Shared {
     }
 
     /// Answers one request on this connection's session, whose catalog
-    /// is first replaced by a copy of the master catalog.
+    /// is first replaced by a copy of the master catalog and whose run
+    /// budget is set for this request alone: an INSPECT or BATCH frame's
+    /// own budget plus the drain token, the drain token alone for a view
+    /// build or refresh, and no bound for anything else (an EXPLAIN
+    /// renders the plan as a fresh connection would).
     fn serve(&self, req: Request, session: &mut Session) -> Response {
         *session.catalog_mut() = self.master.lock().expect("master lock").clone();
+        session.set_budget(match &req {
+            Request::Inspect { budget, .. } | Request::Batch { budget, .. } => {
+                budget.to_run_budget(Some(self.drain.clone()))
+            }
+            Request::ViewCreate { .. } | Request::ViewRefresh { .. } => {
+                RunBudget::with_cancel(self.drain.clone())
+            }
+            _ => RunBudget::default(),
+        });
         match req {
-            Request::Inspect { statement, budget } => {
-                let drain = self.drain.clone();
-                session.set_budget(budget.to_run_budget(Some(drain)));
+            Request::Inspect { statement, .. } => {
                 match session.run_batch(&[statement.as_str()]) {
                     Err(e) => self.error_response(e),
                     Ok(mut out) => {
@@ -175,9 +187,7 @@ impl Shared {
                     }
                 }
             }
-            Request::Batch { statements, budget } => {
-                let drain = self.drain.clone();
-                session.set_budget(budget.to_run_budget(Some(drain)));
+            Request::Batch { statements, .. } => {
                 let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
                 match session.run_batch(&refs) {
                     Err(e) => self.error_response(e),

@@ -589,6 +589,43 @@ fn per_request_budgets_tag_interrupted_answers() {
     assert_eq!(full.table, reference_tables()[0]);
 }
 
+/// A request's run budget is its own: after a budgeted INSPECT, the same
+/// connection explains like a fresh one and builds a view with a
+/// complete pass.
+#[test]
+fn a_request_budget_does_not_outlive_its_request() {
+    let dir = temp_dir("budget-scope");
+    let passes = Arc::new(AtomicUsize::new(0));
+    let handle = start_server(
+        demo::catalog_sized(ND, NS, UNITS, &passes),
+        session_config(Some(store_config(&dir))),
+    );
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let one_block = wire::WireBudget {
+        deadline_ms: 0,
+        max_records: 0,
+        max_blocks: 1,
+    };
+    let capped = client
+        .inspect_with_budget(demo::QUERIES[0], one_block)
+        .expect("budgeted inspect");
+    assert_eq!(capped.status, wire::STATUS_BUDGET);
+
+    let explain = client.explain(demo::QUERIES[0]).expect("explain");
+    let mut fresh = Client::connect(handle.addr()).expect("connect fresh");
+    let fresh_explain = fresh.explain(demo::QUERIES[0]).expect("fresh explain");
+    assert_eq!(explain, fresh_explain);
+    assert!(!explain.contains("budget:"), "{explain}");
+
+    client
+        .create_view("v", demo::QUERIES[0])
+        .expect("create view");
+    let view = client.read_view("v").expect("read view");
+    assert_eq!(view, reference_tables()[0]);
+    drop(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// 16 fresh demo records extending the `ND`-record dataset by one
 /// sealed segment, as wire records (offset by `extra` prior appends).
 fn wire_segment(extra: usize) -> Vec<wire::WireRecord> {
