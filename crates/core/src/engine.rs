@@ -1203,7 +1203,7 @@ impl<'a> PassLayout<'a> {
             .collect();
         // The stream's store state: which union columns can be scanned vs
         // must be extracted, plus write-back capture for the misses.
-        let mut store_pass = source.map(|p| ColumnPass::new(p, &self.union_units, seg.len, ns));
+        let mut store_pass = source.map(|p| ColumnPass::new(p, &self.union_units, &order, ns));
 
         let mut states: Vec<StateRun> = (self.states.iter())
             .map(|plan| {
@@ -1295,13 +1295,9 @@ impl<'a> PassLayout<'a> {
                     if scanned.rows() != rows {
                         scanned = Matrix::zeros(rows, self.union_units.len());
                     }
-                    pass.fetch_block(
-                        &order[block_start..block_end],
-                        scanned.as_mut_slice(),
-                        |units| {
-                            extract_records(self.extractor, block, units, device, ns).into_vec()
-                        },
-                    );
+                    pass.fetch_block(block_start..block_end, scanned.as_mut_slice(), |units| {
+                        extract_records(self.extractor, block, units, device, ns).into_vec()
+                    });
                     &scanned
                 }
                 None => {

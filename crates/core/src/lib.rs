@@ -71,11 +71,19 @@
 //! union stream; under `MaterializationPolicy::ReadWrite` the missing
 //! columns are persisted at the end of a fully streamed pass.
 //!
+//! **Stream-ordered columns.** A pass writes each column it extracts in
+//! the order it streamed the segment, with a checksummed section naming
+//! the record of every stored row (`crates/store/src/format.rs`). A later
+//! pass with the same seed
+//! reads each of its blocks as one contiguous row range of every stored
+//! column, takes each column's pages once, and writes the columns into
+//! its block eight at a time; a pass in another order maps its records
+//! through the column's inverse row map instead, with the same answers.
+//!
 //! **Partial columns.** An early-stopped (converged) pass no longer
 //! throws its extraction work away: the fully streamed prefix is
-//! persisted as a *partial column* — the valid records densely packed
-//! with a completed-record **watermark** and a checksummed coverage
-//! bitmap (`crates/store/src/format.rs`). The watermark in the header,
+//! persisted as a *partial column* — the stream's first records, with a
+//! completed-record **watermark** (`crates/store/src/format.rs`). The watermark in the header,
 //! not the file name, tells a partial column from a complete one: a key
 //! has one column file either way. The optimizer's per-segment
 //! [`ScanPlan`](deepbase_store::ScanPlan) lists partials beside complete hits, and the
@@ -96,7 +104,7 @@
 //! waves. [`plan::PlanStats::scan_charged_columns`] and `explain()`
 //! surface the distinction.
 //!
-//! **Pushdown, compression & disk budget.** Column files (format v3)
+//! **Pushdown, compression & disk budget.** Column files (format v4)
 //! carry a NaN-safe **zone map**: per-block min/max, a non-finite flag,
 //! and a codec tag — blocks are stored `Raw`, `Constant` (a single
 //! 4-byte bit pattern), or `Dict` (bit-packed small-alphabet indices),

@@ -1023,11 +1023,12 @@ fn a_partial_column_extended_mid_pass_is_read_through_its_new_row_map() {
         for unit in 0..UNITS {
             let (key, path) = stored_column(&extended, unit);
             let file = deepbase_store::format::read_meta(&mut std::fs::File::open(&path).unwrap());
-            let covered = file.unwrap().covered.expect("a partial column");
+            let stored = file.unwrap().positions;
+            assert!(stored.len() < ND, "a partial column");
             // The prefix plus the first half of the records: still
-            // partial, with every row repacked.
+            // partial, with every row moved (record order now).
             let filled: Vec<bool> = (0..ND)
-                .map(|p| p < ND / 2 || covered[p / 8] & (1 << (p % 8)) != 0)
+                .map(|p| p < ND / 2 || stored.contains(&(p as u32)))
                 .collect();
             let mut data = column_values(unit);
             for (i, v) in data.iter_mut().enumerate() {

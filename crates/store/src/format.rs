@@ -1,28 +1,39 @@
 //! The self-describing column file format.
 //!
 //! One file persists one unit-behavior column: the behaviors of a single
-//! hidden unit over every record of a dataset, `nd * ns` f32 values in
-//! record-position-major order. The v3 layout (all integers
-//! little-endian):
+//! hidden unit over the records of a dataset (or segment), `ns` f32 values
+//! per stored row and one row per record, the rows in the order they were
+//! written. A pass writes its own stream order, so the rows a later pass
+//! with the same order reads for one streamed block are one contiguous
+//! row range. The v4 layout (all integers little-endian):
 //!
 //! ```text
-//! header   magic "DBSBCOL\0" (8) | version u16 | flags u16 | crc32 u32
-//! schema   model_fp u64 | dataset_fp u64 | unit u64 | nd u64 | ns u64
-//!          | block_records u64 | completed_records u64 | crc32 u32
-//!          | access_stamp u64 (NOT covered by the crc — see below)
-//! zones    per data block: min f32 | max f32 | rows u32 | codec u8
-//!          | flags u8 (bit0 = has_non_finite) | reserved u16 (zero)
-//!          | comp_len u32 | payload crc32 u32
-//!          then crc32 u32 over the zone table
-//! coverage (only when completed_records < nd)
-//!          ceil(nd / 8) bitmap bytes (bit p set = record position p is
-//!          valid) | crc32 u32
-//! data     per block: `comp_len` bytes of encoded payload, blocks
-//!          back-to-back in index order (offsets are the prefix sums of
-//!          the zone table's `comp_len` fields)
+//! header    magic "DBSBCOL\0" (8) | version u16 | flags u16 | crc32 u32
+//! schema    model_fp u64 | dataset_fp u64 | unit u64 | nd u64 | ns u64
+//!           | block_records u64 | completed_records u64 | crc32 u32
+//!           | access_stamp u64 (NOT covered by the crc — see below)
+//! zones     per data block: min f32 | max f32 | rows u32 | codec u8
+//!           | flags u8 (bit0 = has_non_finite) | reserved u16 (zero)
+//!           | comp_len u32 | payload crc32 u32
+//!           then crc32 u32 over the zone table
+//! positions rows u64 (== completed_records) | rows × u32 record position
+//!           (stored row i holds record position `positions[i]`)
+//!           | crc32 u32 over the count and the positions
+//! data      per block: `comp_len` bytes of encoded payload, blocks
+//!           back-to-back in index order (offsets are the prefix sums of
+//!           the zone table's `comp_len` fields)
 //! ```
 //!
-//! ## Per-block codecs (v3)
+//! ## Stored order
+//!
+//! The positions section names the record behind every stored row: each
+//! is below `nd` and none repeats. A streamed pass writes its stream
+//! order (a column of `W` rows is always the first `W` records of that
+//! stream); `BehaviorStore::write_column` writes record order. A pass
+//! compares a column's positions with its own order once, and reads the
+//! column as contiguous row ranges when they are its prefix.
+//!
+//! ## Per-block codecs
 //!
 //! Each block is stored under the smallest of three encodings, named by
 //! the zone entry's codec tag:
@@ -68,25 +79,23 @@
 //!
 //! ## Partial columns (the watermark)
 //!
-//! `completed_records` is the column's **watermark**: how many record
-//! positions hold real extractor output. A *complete* column has
-//! `completed_records == nd` and no coverage section. A *partial* column —
-//! the persisted prefix of an early-stopped streaming pass — declares
-//! `completed_records < nd` and carries a coverage bitmap naming exactly
-//! which positions are valid (streaming passes visit records in shuffled
-//! order, so the valid set is not a positional prefix). The data region
-//! holds **only** the valid records, densely packed in ascending position
-//! order: a record's data row is its rank among the covered positions.
-//! The watermark is the only record of completeness: a partial column
-//! and a complete one share the file name `u<unit>.col`, and extending or
-//! completing a partial column replaces that one file.
+//! `completed_records` is the column's **watermark**: how many rows hold
+//! real extractor output. A *complete* column has `completed_records ==
+//! nd`; a *partial* column — the persisted prefix of an early-stopped
+//! streaming pass — holds fewer rows, and its positions section names
+//! exactly which records they are: the first `completed_records` of the
+//! stream that wrote it. The watermark is the only record of
+//! completeness: a partial column and a complete one share the file name
+//! `u<unit>.col`, and extending or completing a partial column replaces
+//! that one file.
 //!
 //! ## Other versions
 //!
-//! Only version 3 is read. A file declaring any other version (the
-//! pre-codec versions 1 and 2 included) reads as corrupt, is quarantined
-//! under a read-write policy, and re-materializes from live extraction —
-//! the store is a cache of recomputable data, so there is no migration.
+//! Only version 4 is read. A file declaring any other version (the
+//! record-ordered version 3 with its coverage bitmap included) reads as
+//! corrupt, is quarantined under a read-write policy, and re-materializes
+//! from live extraction — the store is a cache of recomputable data, so
+//! there is no migration.
 
 use crate::StoreError;
 use std::fs::File;
@@ -95,11 +104,11 @@ use std::path::Path;
 
 /// File magic for behavior-column files.
 pub(crate) const MAGIC: [u8; 8] = *b"DBSBCOL\0";
-/// The one format version written and read (3 added per-block codecs,
-/// NaN-safe zone flags and access stamps; 2 added the completed-record
-/// watermark + coverage bitmap; files of other versions read as corrupt
-/// and re-materialize).
-pub(crate) const VERSION: u16 = 3;
+/// The one format version written and read (4 stores rows in the writer's
+/// order with a positions section; 3 added per-block codecs, NaN-safe
+/// zone flags and access stamps; 2 added the completed-record watermark;
+/// files of other versions read as corrupt and re-materialize).
+pub(crate) const VERSION: u16 = 4;
 
 const HEADER_LEN: u64 = 8 + 2 + 2 + 4;
 /// The CRC-covered schema fields (7 u64).
@@ -116,6 +125,9 @@ const ZONE_ENTRY_LEN: u64 = 4 + 4 + 4 + 1 + 1 + 2 + 4 + 4;
 const ZONE_FLAG_NON_FINITE: u8 = 0x01;
 /// Largest dictionary [`Codec::Dict`] can name (a one-byte size field).
 const DICT_MAX_ENTRIES: usize = 255;
+/// Slots of the encoder's dictionary hash table: a power of two over
+/// twice [`DICT_MAX_ENTRIES`], so a probe ends within a few slots.
+const DICT_SLOTS: usize = 512;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — implemented here so the crate stays
@@ -307,21 +319,20 @@ pub struct ColumnMeta {
     pub ns: u64,
     /// Records per data block (the zone-map / checksum granularity).
     pub block_records: u64,
-    /// The watermark: record positions holding real extractor output.
-    /// `== nd` for a complete column; `< nd` for the persisted prefix of
-    /// an early-stopped pass (the coverage bitmap names which positions).
+    /// The watermark: stored rows holding real extractor output, one per
+    /// record. `== nd` for a complete column; `< nd` for the persisted
+    /// prefix of an early-stopped pass (the positions section names which
+    /// records).
     pub completed_records: u64,
 }
 
 impl ColumnMeta {
-    /// True when every record position is valid (no coverage section).
+    /// True when every record has a stored row.
     pub(crate) fn is_complete(&self) -> bool {
         self.completed_records == self.nd
     }
 
-    /// Records actually stored in the data region (`nd` for a complete
-    /// column, the watermark for a partial one — valid records are
-    /// densely packed).
+    /// Rows stored in the data region (the watermark).
     pub(crate) fn data_records(&self) -> u64 {
         self.completed_records
     }
@@ -341,21 +352,15 @@ impl ColumnMeta {
         (self.data_records().saturating_sub(start)).min(self.block_records) as usize
     }
 
-    /// Block holding data row `row` (for a complete column the row *is*
-    /// the record position; for a partial column it is the position's
-    /// rank among the covered positions).
+    /// Block holding stored row `row`.
     pub fn block_of(&self, row: usize) -> usize {
         row / self.block_records as usize
     }
 
-    /// Bytes of the coverage section (bitmap + crc32), zero when
-    /// complete.
-    fn coverage_len(&self) -> u64 {
-        if self.is_complete() {
-            0
-        } else {
-            coverage_bytes(self.nd as usize) as u64 + 4
-        }
+    /// Bytes of the positions section (count, positions, crc32), or
+    /// `None` when they overflow.
+    fn positions_len(&self) -> Option<u64> {
+        self.completed_records.checked_mul(4)?.checked_add(8 + 4)
     }
 
     /// The CRC-covered schema fields plus their checksum (60 bytes; the
@@ -517,27 +522,49 @@ fn dict_bit_width(entries: usize) -> usize {
     (usize::BITS - (entries - 1).leading_zeros()) as usize
 }
 
+/// The home slot of a bit pattern in the encoder's dictionary table
+/// (Fibonacci hashing: the top bits of the pattern times 2^32 / φ).
+fn dict_slot(bits: u32) -> usize {
+    (bits.wrapping_mul(0x9e37_79b9) >> (32 - DICT_SLOTS.trailing_zeros())) as usize
+}
+
+/// The dictionary of a block's bit patterns in first-seen order and each
+/// value's entry number, or `None` past [`DICT_MAX_ENTRIES`] patterns.
+/// A value is found in O(1): an open-addressing table on the stack maps a
+/// pattern's slot (linear probing from [`dict_slot`]) to its entry number
+/// plus one, 0 marking an empty slot.
+fn dict_entries(values: &[f32]) -> Option<(Vec<u32>, Vec<u8>)> {
+    let mut table = [0u16; DICT_SLOTS];
+    let mut dict: Vec<u32> = Vec::new();
+    let mut indices: Vec<u8> = Vec::with_capacity(values.len());
+    for &v in values {
+        let bits = v.to_bits();
+        let mut slot = dict_slot(bits);
+        let idx = loop {
+            match table[slot] {
+                0 => {
+                    if dict.len() == DICT_MAX_ENTRIES {
+                        return None;
+                    }
+                    dict.push(bits);
+                    table[slot] = dict.len() as u16;
+                    break dict.len() - 1;
+                }
+                e if dict[e as usize - 1] == bits => break e as usize - 1,
+                _ => slot = (slot + 1) % DICT_SLOTS,
+            }
+        };
+        indices.push(idx as u8);
+    }
+    Some((dict, indices))
+}
+
 /// Dictionary-encodes a block when it is strictly smaller than raw:
 /// `[entries u8][entries * 4B f32 bits, first-seen order][bit-packed
 /// indices, zero slack]`. `None` when the block has too many distinct
 /// patterns or the encoding would not shrink it.
 fn try_dict_encode(values: &[f32]) -> Option<Vec<u8>> {
-    let mut dict: Vec<u32> = Vec::new();
-    let mut indices: Vec<u8> = Vec::with_capacity(values.len());
-    for &v in values {
-        let bits = v.to_bits();
-        let idx = match dict.iter().position(|&d| d == bits) {
-            Some(i) => i,
-            None => {
-                if dict.len() == DICT_MAX_ENTRIES {
-                    return None;
-                }
-                dict.push(bits);
-                dict.len() - 1
-            }
-        };
-        indices.push(idx as u8);
-    }
+    let (dict, indices) = dict_entries(values)?;
     if dict.len() < 2 {
         return None; // a one-pattern block is Codec::Constant's job
     }
@@ -723,62 +750,6 @@ fn decode_block(
 }
 
 // ---------------------------------------------------------------------
-// Coverage bitmaps
-// ---------------------------------------------------------------------
-
-/// Bytes needed for an `nd`-position coverage bitmap.
-pub(crate) fn coverage_bytes(nd: usize) -> usize {
-    nd.div_ceil(8)
-}
-
-/// Whether position `pos` is set in a coverage bitmap.
-pub(crate) fn coverage_covers(bits: &[u8], pos: usize) -> bool {
-    bits.get(pos / 8).is_some_and(|b| b & (1 << (pos % 8)) != 0)
-}
-
-/// Packs a per-position validity slice into a bitmap.
-pub fn coverage_from_filled(filled: &[bool]) -> Vec<u8> {
-    let mut bits = vec![0u8; coverage_bytes(filled.len())];
-    for (pos, &f) in filled.iter().enumerate() {
-        if f {
-            bits[pos / 8] |= 1 << (pos % 8);
-        }
-    }
-    bits
-}
-
-fn coverage_popcount(bits: &[u8]) -> u64 {
-    bits.iter().map(|b| b.count_ones() as u64).sum()
-}
-
-/// Packs the filled rows of a full `nd * ns` record-major buffer into
-/// the dense ascending-position layout a partial column stores.
-pub fn pack_rows(data: &[f32], filled: &[bool], ns: usize) -> Vec<f32> {
-    let mut packed = Vec::with_capacity(filled.iter().filter(|&&f| f).count() * ns);
-    for (pos, &f) in filled.iter().enumerate() {
-        if f {
-            packed.extend_from_slice(&data[pos * ns..(pos + 1) * ns]);
-        }
-    }
-    packed
-}
-
-/// Rank table of a coverage bitmap: `ranks[pos]` is the data row of
-/// position `pos` (its rank among covered positions; meaningful only
-/// when `pos` is covered).
-pub(crate) fn coverage_ranks(bits: &[u8], nd: usize) -> Vec<u32> {
-    let mut ranks = Vec::with_capacity(nd);
-    let mut rank = 0u32;
-    for pos in 0..nd {
-        ranks.push(rank);
-        if coverage_covers(bits, pos) {
-            rank += 1;
-        }
-    }
-    ranks
-}
-
-// ---------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------
 
@@ -793,26 +764,21 @@ pub struct WriteSummary {
     pub stored_data_bytes: u64,
 }
 
-/// Serializes a column into `w` in the v3 format above. `data` holds the
-/// **packed** valid records in ascending position order
-/// (`data.len() == completed_records * ns`; see [`pack_rows`]). A
-/// complete column (`meta.completed_records == meta.nd`) passes
-/// `covered: None`; a partial column passes its coverage bitmap, whose
-/// population count must equal the watermark. `access_stamp` seeds the
-/// uncovered eviction hint (milliseconds since the Unix epoch).
+/// Serializes a column into `w` in the v4 format above. Stored row `i`
+/// holds record position `positions[i]` and the values
+/// `data[i * ns..(i + 1) * ns]`; there is one position per stored row
+/// (`positions.len() == completed_records`), each below `nd` and none
+/// repeated. `access_stamp` seeds the uncovered eviction hint (milliseconds since
+/// the Unix epoch).
 pub(crate) fn write_column<W: Write>(
     w: &mut W,
     meta: &ColumnMeta,
     data: &[f32],
-    covered: Option<&[u8]>,
+    positions: &[u32],
     access_stamp: u64,
 ) -> Result<WriteSummary, StoreError> {
     debug_assert_eq!(data.len() as u64, meta.data_records() * meta.ns);
-    debug_assert_eq!(
-        covered.is_some(),
-        !meta.is_complete(),
-        "coverage bitmap iff partial"
-    );
+    debug_assert_eq!(positions.len() as u64, meta.completed_records);
     let mut header = Vec::with_capacity(HEADER_LEN as usize);
     header.extend_from_slice(&MAGIC);
     header.extend_from_slice(&VERSION.to_le_bytes());
@@ -844,30 +810,31 @@ pub(crate) fn write_column<W: Write>(
     let zone_crc = crc32(&zone_bytes);
     zone_bytes.extend_from_slice(&zone_crc.to_le_bytes());
     w.write_all(&zone_bytes)?;
-    if let Some(bits) = covered {
-        debug_assert_eq!(bits.len(), coverage_bytes(meta.nd as usize));
-        debug_assert_eq!(coverage_popcount(bits), meta.completed_records);
-        w.write_all(bits)?;
-        w.write_all(&crc32(bits).to_le_bytes())?;
+    let mut section = Vec::with_capacity(8 + positions.len() * 4 + 4);
+    section.extend_from_slice(&(positions.len() as u64).to_le_bytes());
+    for &p in positions {
+        section.extend_from_slice(&p.to_le_bytes());
     }
+    let section_crc = crc32(&section);
+    section.extend_from_slice(&section_crc.to_le_bytes());
+    w.write_all(&section)?;
     for payload in &payloads {
         w.write_all(payload)?;
     }
     Ok(summary)
 }
 
-/// Writes a column file atomically (`crate::durable::publish`).
-/// `covered` follows `write_column`'s contract (None iff the column is
-/// complete).
+/// Writes a column file atomically (`crate::durable::publish`), under
+/// `write_column`'s contract.
 pub fn write_column_file(
     path: &Path,
     meta: &ColumnMeta,
     data: &[f32],
-    covered: Option<&[u8]>,
+    positions: &[u32],
     access_stamp: u64,
 ) -> Result<WriteSummary, StoreError> {
     crate::durable::publish(path, |file| {
-        write_column(file, meta, data, covered, access_stamp)
+        write_column(file, meta, data, positions, access_stamp)
     })
 }
 
@@ -908,16 +875,15 @@ pub(crate) fn read_access_stamp(path: &Path) -> Result<Option<u64>, StoreError> 
 // ---------------------------------------------------------------------
 
 /// Everything [`read_meta`] validates up front: the schema, the zone
-/// table with per-block payload offsets, and (for partial columns) the
-/// coverage bitmap.
+/// table with per-block payload offsets, and the positions section.
 #[derive(Debug, Clone)]
 pub struct ColumnFile {
     /// The schema section.
     pub meta: ColumnMeta,
     /// The zone table (one entry per data block).
     pub zones: Vec<ZoneEntry>,
-    /// Coverage bitmap; `None` for complete columns.
-    pub covered: Option<Vec<u8>>,
+    /// The record position of every stored row, in stored order.
+    pub positions: Vec<u32>,
     /// Last-access stamp (ms since the Unix epoch).
     pub access_stamp: u64,
     /// Per-block payload offsets (prefix sums of `comp_len`).
@@ -960,11 +926,11 @@ impl ColumnFile {
     }
 }
 
-/// Reads and validates the header, schema, zone table and (for partial
-/// columns) coverage bitmap of a column file. Any mismatch
-/// (magic, version, checksum, truncation, trailing bytes,
-/// watermark/bitmap disagreement)
-/// is [`StoreError::Corrupt`].
+/// Reads and validates the header, schema, zone table and positions
+/// section of a column file. Any mismatch (magic, version, checksum,
+/// truncation, trailing bytes, a positions section that disagrees with
+/// the watermark or the record count, or that names a record twice) is
+/// [`StoreError::Corrupt`].
 pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     file.seek(SeekFrom::Start(0))?;
     let mut header = [0u8; HEADER_LEN as usize];
@@ -992,7 +958,7 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         .map_err(|_| StoreError::Corrupt("file too small for access stamp".into()))?;
     let access_stamp = u64::from_le_bytes(stamp);
     let n_blocks = meta.n_blocks();
-    // Bound the zone-table and coverage allocations by the actual file
+    // Bound the zone-table and positions allocations by the actual file
     // length before trusting the declared shape: a schema whose CRC
     // happens to validate but declares an absurd `nd` must surface as
     // corruption, not as a giant allocation.
@@ -1000,15 +966,18 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         .checked_mul(ZONE_ENTRY_LEN)
         .and_then(|z| z.checked_add(4))
         .ok_or_else(|| StoreError::Corrupt("zone table size overflows".into()))?;
+    let positions_len = meta
+        .positions_len()
+        .ok_or_else(|| StoreError::Corrupt("positions section size overflows".into()))?;
     let sections = zone_len
-        .checked_add(meta.coverage_len())
+        .checked_add(positions_len)
         .and_then(|s| s.checked_add(HEADER_LEN + SCHEMA_LEN))
         .ok_or_else(|| StoreError::Corrupt("section sizes overflow".into()))?;
     let file_len = file.metadata()?.len();
     if sections > file_len {
         return Err(StoreError::Corrupt(format!(
             "declared shape needs {sections} bytes of zone table and \
-             coverage but the file holds {file_len} bytes"
+             positions but the file holds {file_len} bytes"
         )));
     }
     let mut zone_bytes = vec![0u8; zone_len as usize];
@@ -1024,39 +993,10 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         .enumerate()
         .map(|(b, e)| ZoneEntry::from_bytes(e, b))
         .collect::<Result<Vec<_>, _>>()?;
-    // Coverage bitmap: present exactly when the watermark is short of nd.
-    let covered = if meta.is_complete() {
-        None
-    } else {
-        let n_bits_bytes = coverage_bytes(meta.nd as usize);
-        let mut section = vec![0u8; n_bits_bytes + 4];
-        file.read_exact(&mut section)
-            .map_err(|_| StoreError::Corrupt("file too small for coverage bitmap".into()))?;
-        let (bits, crc_bytes) = section.split_at(n_bits_bytes);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(bits) != stored {
-            return Err(StoreError::Corrupt(
-                "coverage bitmap checksum mismatch".into(),
-            ));
-        }
-        if coverage_popcount(bits) != meta.completed_records {
-            return Err(StoreError::Corrupt(format!(
-                "coverage bitmap covers {} positions but the watermark says {}",
-                coverage_popcount(bits),
-                meta.completed_records
-            )));
-        }
-        // Slack bits past nd must be zero so the bitmap has one canonical
-        // encoding (and any flip in the slack is detected, not ignored).
-        for pos in meta.nd as usize..n_bits_bytes * 8 {
-            if coverage_covers(bits, pos) {
-                return Err(StoreError::Corrupt(
-                    "coverage bitmap sets a position past the record count".into(),
-                ));
-            }
-        }
-        Some(bits.to_vec())
-    };
+    let mut section = vec![0u8; positions_len as usize];
+    file.read_exact(&mut section)
+        .map_err(|_| StoreError::Corrupt("file too small for positions".into()))?;
+    let positions = decode_positions(&section, &meta)?;
     // Per-block payload offsets: prefix sums of the (CRC-protected)
     // comp_len fields. The declared data region must end exactly where
     // the file does: a short file is a truncation, and no writer leaves
@@ -1079,10 +1019,63 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     Ok(ColumnFile {
         meta,
         zones,
-        covered,
+        positions,
         access_stamp,
         offsets,
     })
+}
+
+/// Decodes and validates a positions section (count, positions, crc32):
+/// the count is the watermark, every position is below `nd` and none
+/// repeats.
+fn decode_positions(section: &[u8], meta: &ColumnMeta) -> Result<Vec<u32>, StoreError> {
+    let repeated = |p: u32| StoreError::Corrupt(format!("record position {p} is stored twice"));
+    let (body, crc_bytes) = section.split_at(section.len() - 4);
+    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+        return Err(StoreError::Corrupt(
+            "positions section checksum mismatch".into(),
+        ));
+    }
+    let rows = u64::from_le_bytes(body[..8].try_into().unwrap());
+    if rows != meta.completed_records {
+        return Err(StoreError::Corrupt(format!(
+            "positions section holds {rows} rows but the watermark says {}",
+            meta.completed_records
+        )));
+    }
+    // Repeats are caught by a bitmap over the records when it takes no
+    // more words than there are stored rows (every complete column, and
+    // a partial one over more than a 64th of its records), else by a
+    // sort: the check allocates per stored row, never per declared
+    // record.
+    let words = (meta.nd as usize).div_ceil(64);
+    let mut seen = vec![0u64; if words <= rows as usize { words } else { 0 }];
+    let mut positions = Vec::with_capacity(rows as usize);
+    for c in body[8..].chunks_exact(4) {
+        let p = u32::from_le_bytes(c.try_into().unwrap());
+        if p as u64 >= meta.nd {
+            return Err(StoreError::Corrupt(format!(
+                "a stored row names record position {p} of {}",
+                meta.nd
+            )));
+        }
+        if let Some(word) = seen.get_mut(p as usize / 64) {
+            let bit = 1u64 << (p % 64);
+            if *word & bit != 0 {
+                return Err(repeated(p));
+            }
+            *word |= bit;
+        }
+        positions.push(p);
+    }
+    if seen.is_empty() {
+        let mut sorted = positions.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(repeated(w[0]));
+        }
+    }
+    Ok(positions)
 }
 
 /// Reads the data blocks `blocks` (ascending, distinct) through one
@@ -1169,6 +1162,17 @@ mod tests {
         }
     }
 
+    /// Record order: stored row `i` holds record `i`.
+    fn record_order(rows: u64) -> Vec<u32> {
+        (0..rows as u32).collect()
+    }
+
+    /// Writes `data` as `m`'s rows in record order.
+    fn write_ordered(path: &Path, m: &ColumnMeta, data: &[f32], stamp: u64) -> WriteSummary {
+        let positions = record_order(m.completed_records);
+        write_column_file(path, m, data, &positions, stamp).unwrap()
+    }
+
     fn column_data(m: &ColumnMeta) -> Vec<f32> {
         (0..(m.nd * m.ns) as usize)
             .map(|i| (i as f32) * 0.5 - 3.0)
@@ -1187,7 +1191,7 @@ mod tests {
     fn write_read(name: &str, m: &ColumnMeta, data: &[f32]) -> (ColumnFile, Vec<Vec<f32>>) {
         let dir = test_dir(name);
         let path = dir.join("u.col");
-        write_column_file(&path, m, data, None, 7).unwrap();
+        write_ordered(&path, m, data, 7);
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         let blocks = (0..col.meta.n_blocks())
@@ -1286,7 +1290,7 @@ mod tests {
             .collect();
         let dir = test_dir("read-blocks");
         let path = dir.join("u.col");
-        write_column_file(&path, &m, &data, None, 7).unwrap();
+        write_ordered(&path, &m, &data, 7);
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         let n = col.meta.n_blocks();
@@ -1321,14 +1325,14 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("roundtrip");
         let path = dir.join("u3.col");
-        let summary = write_column_file(&path, &m, &data, None, 42).unwrap();
+        let summary = write_ordered(&path, &m, &data, 42);
         assert_eq!(summary.n_blocks, 3);
         assert_eq!(summary.raw_data_bytes, data.len() as u64 * 4);
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta, m);
         assert_eq!(col.access_stamp, 42);
-        assert!(col.covered.is_none(), "complete columns carry no bitmap");
+        assert_eq!(col.positions, record_order(10), "one position per row");
         assert_eq!(col.zones.len(), 3, "10 records at 4/block = 3 blocks");
         assert_eq!(col.zones[0].rows, 4);
         assert_eq!(col.zones[2].rows, 2, "tail block is short");
@@ -1454,7 +1458,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("stamp");
         let path = dir.join("u3.col");
-        write_column_file(&path, &m, &data, None, 1000).unwrap();
+        write_ordered(&path, &m, &data, 1000);
         assert_eq!(read_access_stamp(&path).unwrap(), Some(1000));
         // Through the same read-write handle a metadata read used.
         let mut rw = std::fs::OpenOptions::new()
@@ -1493,7 +1497,7 @@ mod tests {
         let data = vec![0.25f32; 8]; // constant: both blocks prunable
         let dir = test_dir("codec-flip");
         let path = dir.join("u.col");
-        write_column_file(&path, &m, &data, None, 0).unwrap();
+        write_ordered(&path, &m, &data, 0);
         let pristine = std::fs::read(&path).unwrap();
         // Flip the codec tag of block 0 (byte 12 of the first zone entry):
         // the zone-table checksum must refuse it.
@@ -1516,63 +1520,127 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn partial_column_roundtrips_watermark_and_bitmap() {
-        // Positions 0, 3, 7 valid (watermark 3 of 10), densely packed
-        // into a single data block.
+    /// A 3-of-10 stream prefix: the records at positions 7, 0 and 3, in
+    /// that order, written as the stream met them.
+    fn stream_prefix() -> (ColumnMeta, Vec<u32>, Vec<f32>) {
+        let positions = vec![7u32, 0, 3];
         let m = ColumnMeta {
             completed_records: 3,
             ..meta()
         };
         let ns = m.ns as usize;
-        let mut filled = vec![false; m.nd as usize];
-        for p in [0usize, 3, 7] {
-            filled[p] = true;
-        }
-        let bits = coverage_from_filled(&filled);
-        let mut full = vec![0.0f32; (m.nd * m.ns) as usize];
-        for p in [0usize, 3, 7] {
-            for t in 0..ns {
-                full[p * ns + t] = (p * 10 + t) as f32;
-            }
-        }
-        let packed = pack_rows(&full, &filled, ns);
-        assert_eq!(packed.len(), 3 * ns, "only valid rows are stored");
+        let rows = positions
+            .iter()
+            .flat_map(|&p| (0..ns).map(move |t| (p as usize * 10 + t) as f32))
+            .collect();
+        (m, positions, rows)
+    }
+
+    #[test]
+    fn partial_column_roundtrips_watermark_and_positions() {
+        let (m, positions, rows) = stream_prefix();
         let dir = test_dir("partial");
         let path = dir.join("u3.col");
-        write_column_file(&path, &m, &packed, Some(&bits), 0).unwrap();
+        write_column_file(&path, &m, &rows, &positions, 0).unwrap();
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta, m);
         assert!(!col.meta.is_complete());
-        assert_eq!(col.meta.n_blocks(), 1, "3 packed rows at 4/block = 1 block");
-        let covered = col.covered.clone().expect("partial columns carry a bitmap");
-        for (p, &f) in filled.iter().enumerate() {
-            assert_eq!(coverage_covers(&covered, p), f, "position {p}");
+        assert_eq!(col.meta.n_blocks(), 1, "3 stored rows at 4/block = 1 block");
+        assert_eq!(col.positions, positions, "stored order, not record order");
+        assert_eq!(read_block(&mut f, &col, 0).unwrap(), rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// File offset of the positions section of a `meta`-shaped file.
+    fn positions_offset(m: &ColumnMeta) -> usize {
+        (HEADER_LEN + SCHEMA_LEN + m.n_blocks() as u64 * ZONE_ENTRY_LEN + 4) as usize
+    }
+
+    /// Replaces a file's positions section with `count` and `positions`
+    /// under a checksum that validates, the rest of the file as written.
+    fn forge_positions(bytes: &[u8], m: &ColumnMeta, count: u64, positions: &[u32]) -> Vec<u8> {
+        let at = positions_offset(m);
+        let old_len = 8 + m.completed_records as usize * 4 + 4;
+        let mut section = count.to_le_bytes().to_vec();
+        for p in positions {
+            section.extend_from_slice(&p.to_le_bytes());
         }
-        // The rank table maps positions to packed rows; the stored rows
-        // are bit-identical to the originals.
-        let ranks = coverage_ranks(&covered, m.nd as usize);
-        assert_eq!(ranks[0], 0);
-        assert_eq!(ranks[3], 1);
-        assert_eq!(ranks[7], 2);
-        let block = read_block(&mut f, &col, 0).unwrap();
-        for p in [0usize, 3, 7] {
-            let row = ranks[p] as usize;
+        let crc = crc32(&section);
+        section.extend_from_slice(&crc.to_le_bytes());
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&section);
+        out.extend_from_slice(&bytes[at + old_len..]);
+        out
+    }
+
+    #[test]
+    fn repeats_are_refused_by_the_bitmap_and_by_the_sort() {
+        let section = |positions: &[u32]| {
+            let mut out = (positions.len() as u64).to_le_bytes().to_vec();
+            positions.iter().for_each(|p| out.extend(p.to_le_bytes()));
+            let crc = crc32(&out);
+            out.extend(crc.to_le_bytes());
+            out
+        };
+        // 3 rows of 130 records take the bitmap (3 words), of 1,000 the
+        // sort (16 words).
+        for nd in [130, 1000] {
+            let m = ColumnMeta {
+                nd,
+                completed_records: 3,
+                ..meta()
+            };
+            let ok = decode_positions(&section(&[129, 0, 64]), &m).unwrap();
+            assert_eq!(ok, [129, 0, 64]);
+            let err = decode_positions(&section(&[64, 0, 64]), &m).unwrap_err();
             assert_eq!(
-                &block[row * ns..(row + 1) * ns],
-                &full[p * ns..(p + 1) * ns],
-                "position {p}"
+                err.to_string(),
+                "store corruption: record position 64 is stored twice"
             );
         }
-        // Corrupting the bitmap (set an extra bit) is detected: either
-        // the checksum disagrees or the popcount/watermark check fires.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let cov_offset = (HEADER_LEN + SCHEMA_LEN + ZONE_ENTRY_LEN + 4) as usize;
-        bytes[cov_offset] ^= 0x02; // flip position 1
-        std::fs::write(&path, &bytes).unwrap();
-        let mut f = File::open(&path).unwrap();
-        assert!(matches!(read_meta(&mut f), Err(StoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_positions_section_that_disagrees_with_the_schema_is_corrupt() {
+        let (m, positions, rows) = stream_prefix();
+        let dir = test_dir("positions");
+        let path = dir.join("u3.col");
+        write_column_file(&path, &m, &rows, &positions, 0).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        assert_eq!(
+            forge_positions(&pristine, &m, 3, &positions),
+            pristine,
+            "the forger rewrites the section the writer wrote"
+        );
+        let read = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            read_meta(&mut File::open(&path).unwrap()).map(|col| col.positions)
+        };
+        let corrupt = |bytes: Vec<u8>, what: &str| {
+            let err = read(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(msg) if msg.contains(what)),
+                "{what}: got {err:?}"
+            );
+        };
+        // A count other than the watermark, with the file's length kept.
+        corrupt(forge_positions(&pristine, &m, 2, &positions), "watermark");
+        // A position past the record count.
+        corrupt(forge_positions(&pristine, &m, 3, &[7, 10, 3]), "of 10");
+        // A record stored twice.
+        corrupt(forge_positions(&pristine, &m, 3, &[7, 0, 7]), "twice");
+        // A valid section of another order reads: which order a column
+        // is stored in is the pass's question, not the decoder's.
+        assert_eq!(
+            read(&forge_positions(&pristine, &m, 3, &[0, 3, 7])).unwrap(),
+            [0, 3, 7]
+        );
+        // A flipped position byte fails the section's checksum.
+        let mut flipped = pristine.clone();
+        flipped[positions_offset(&m) + 8] ^= 0x01;
+        corrupt(flipped, "positions section checksum");
+        assert_eq!(read(&pristine).unwrap(), positions);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1582,7 +1650,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("watermark");
         let path = dir.join("u3.col");
-        write_column_file(&path, &m, &data, None, 0).unwrap();
+        write_ordered(&path, &m, &data, 0);
         // Rewrite the schema with completed_records > nd and a valid CRC.
         let mut bytes = std::fs::read(&path).unwrap();
         let bad = ColumnMeta {
@@ -1605,7 +1673,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("corrupt");
         let path = dir.join("u3.col");
-        write_column_file(&path, &m, &data, None, 0).unwrap();
+        write_ordered(&path, &m, &data, 0);
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         // Flip one byte inside block 1's payload.
@@ -1625,24 +1693,16 @@ mod tests {
     #[test]
     fn one_trailing_byte_is_corrupt_on_complete_and_partial_columns() {
         let complete = meta();
-        let partial = ColumnMeta {
-            completed_records: 3,
-            ..meta()
-        };
-        let mut filled = vec![false; partial.nd as usize];
-        for p in [0usize, 3, 7] {
-            filled[p] = true;
-        }
-        let bits = coverage_from_filled(&filled);
         let full = column_data(&complete);
-        let packed = pack_rows(&full, &filled, partial.ns as usize);
+        let (partial, prefix, rows) = stream_prefix();
+        let order = record_order(complete.nd);
         let dir = test_dir("tail");
-        for (name, m, data, covered) in [
-            ("u3.col", &complete, &full, None),
-            ("u4.col", &partial, &packed, Some(&bits[..])),
+        for (name, m, data, positions) in [
+            ("u3.col", &complete, &full, &order),
+            ("u4.col", &partial, &rows, &prefix),
         ] {
             let path = dir.join(name);
-            write_column_file(&path, m, data, covered, 0).unwrap();
+            write_column_file(&path, m, data, positions, 0).unwrap();
             let mut f = File::open(&path).unwrap();
             assert_eq!(&read_meta(&mut f).unwrap().meta, m, "{name} as written");
             let mut bytes = std::fs::read(&path).unwrap();
@@ -1664,7 +1724,7 @@ mod tests {
         let data = column_data(&m);
         let dir = test_dir("trunc");
         let path = dir.join("u3.col");
-        write_column_file(&path, &m, &data, None, 0).unwrap();
+        write_ordered(&path, &m, &data, 0);
         let bytes = std::fs::read(&path).unwrap();
         // Truncate inside the last data block: v3 validates the declared
         // data region against the file length up front.
@@ -1687,16 +1747,19 @@ mod tests {
         std::fs::write(&path, &evil).unwrap();
         let mut f = File::open(&path).unwrap();
         assert!(matches!(read_meta(&mut f), Err(StoreError::Corrupt(_))));
-        // A well-formed header of the previous format version: refused
-        // by version, exactly like version 1.
-        let mut old = bytes.clone();
-        old[8..10].copy_from_slice(&2u16.to_le_bytes());
-        let crc = crc32(&old[..12]);
-        old[12..16].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &old).unwrap();
-        let mut f = File::open(&path).unwrap();
-        let err = read_meta(&mut f).unwrap_err();
-        assert_eq!(err, StoreError::Corrupt("unsupported version 2".into()));
+        // A well-formed header of an earlier format version: refused by
+        // version.
+        for version in [2u16, 3] {
+            let mut old = bytes.clone();
+            old[8..10].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&old[..12]);
+            old[12..16].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            let mut f = File::open(&path).unwrap();
+            let err = read_meta(&mut f).unwrap_err();
+            let want = format!("unsupported version {version}");
+            assert_eq!(err, StoreError::Corrupt(want));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1750,18 +1813,20 @@ mod tests {
         };
         let dir = test_dir("empty");
         let path = dir.join("u.col");
-        write_column_file(&path, &m, &[], None, 0).unwrap();
+        write_ordered(&path, &m, &[], 0);
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta.n_blocks(), 0);
         assert!(col.zones.is_empty());
-        assert!(col.covered.is_none(), "nd == 0 is complete by definition");
+        assert!(col.positions.is_empty());
+        assert!(col.meta.is_complete(), "nd == 0 is complete by definition");
         assert_eq!(col.prunable_blocks(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    /// A 5-of-10 partial column (positions 0, 2, 3, 7, 9; `ns` 1, 4-record
-    /// blocks, stamp 7) as the parent commit's `write_column` wrote it.
-    const GOLDEN_PARTIAL_COLUMN: &[u8] = &[
+    /// A 5-of-10 partial column (positions 0, 2, 3, 7, 9 in record order;
+    /// `ns` 1, 4-record blocks, stamp 7, a coverage bitmap) as the
+    /// version 3 writer wrote it.
+    const GOLDEN_V3_PARTIAL_COLUMN: &[u8] = &[
         0x44, 0x42, 0x53, 0x42, 0x43, 0x4f, 0x4c, 0x00, 0x03, 0x00, 0x00, 0x00, 0x63, 0x59, 0xad,
         0x1b, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xcd, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00,
@@ -1776,22 +1841,45 @@ mod tests {
     ];
 
     #[test]
+    fn a_version_3_column_reads_as_corrupt() {
+        let dir = test_dir("v3");
+        let path = dir.join("u3.col");
+        std::fs::write(&path, GOLDEN_V3_PARTIAL_COLUMN).unwrap();
+        let err = read_meta(&mut File::open(&path).unwrap()).unwrap_err();
+        assert_eq!(err, StoreError::Corrupt("unsupported version 3".into()));
+        assert_eq!(read_access_stamp(&path).unwrap(), None, "coldest");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 5-of-10 stream prefix (positions 9, 2, 7, 0, 3; `ns` 1, 4-record
+    /// blocks, stamp 7) as the version 4 writer writes it.
+    const GOLDEN_PARTIAL_COLUMN: &[u8] = &[
+        0x44, 0x42, 0x53, 0x42, 0x43, 0x4f, 0x4c, 0x00, 0x04, 0x00, 0x00, 0x00, 0xda, 0x61, 0x7a,
+        0x86, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xcd, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xb9, 0x34, 0x09,
+        0xa8, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x00, 0x00,
+        0x38, 0x41, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0xdf,
+        0x6e, 0x06, 0x11, 0x00, 0x00, 0x20, 0x40, 0x00, 0x00, 0x20, 0x40, 0x01, 0x00, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x2e, 0xba, 0x1c, 0xc2, 0x5f, 0x65, 0x7e,
+        0x78, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x76,
+        0xf0, 0x23, 0x9e, 0x00, 0x00, 0x38, 0x41, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x08, 0x41,
+        0x00, 0x00, 0x00, 0xc0, 0x00, 0x00, 0x20, 0x40,
+    ];
+
+    #[test]
     fn the_partial_column_bytes_did_not_move() {
+        let positions = [9u32, 2, 7, 0, 3];
         let m = ColumnMeta {
             ns: 1,
             completed_records: 5,
             ..meta()
         };
-        let mut filled = vec![false; 10];
-        let mut full = vec![0.0f32; 10];
-        for p in [0usize, 2, 3, 7, 9] {
-            filled[p] = true;
-            full[p] = p as f32 * 1.5 - 2.0;
-        }
-        let bits = coverage_from_filled(&filled);
-        let packed = pack_rows(&full, &filled, 1);
+        let rows: Vec<f32> = positions.iter().map(|&p| p as f32 * 1.5 - 2.0).collect();
         let mut out = Vec::new();
-        write_column(&mut out, &m, &packed, Some(&bits), 7).unwrap();
+        write_column(&mut out, &m, &rows, &positions, 7).unwrap();
         assert_eq!(out, GOLDEN_PARTIAL_COLUMN);
 
         let dir = test_dir("golden");
@@ -1800,11 +1888,11 @@ mod tests {
         let mut f = File::open(&path).unwrap();
         let col = read_meta(&mut f).unwrap();
         assert_eq!(col.meta, m);
-        assert_eq!(col.covered.as_deref(), Some(&bits[..]));
+        assert_eq!(col.positions, positions);
         assert_eq!(col.access_stamp, 7);
-        assert_eq!(read_block(&mut f, &col, 0).unwrap(), packed[..4]);
-        assert_eq!(read_block(&mut f, &col, 1).unwrap(), packed[4..]);
-        // Every truncation — header, schema, zones, coverage, data — is
+        assert_eq!(read_block(&mut f, &col, 0).unwrap(), rows[..4]);
+        assert_eq!(read_block(&mut f, &col, 1).unwrap(), rows[4..]);
+        // Every truncation — header, schema, zones, positions, data — is
         // corruption at validation time, never a panic.
         for cut in 0..GOLDEN_PARTIAL_COLUMN.len() {
             std::fs::write(&path, &GOLDEN_PARTIAL_COLUMN[..cut]).unwrap();
@@ -1815,5 +1903,99 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The dictionary search the hashed table replaced: a linear scan of
+    /// the entries.
+    fn dict_entries_linear(values: &[f32]) -> Option<(Vec<u32>, Vec<u8>)> {
+        let mut dict: Vec<u32> = Vec::new();
+        let mut indices: Vec<u8> = Vec::with_capacity(values.len());
+        for &v in values {
+            let bits = v.to_bits();
+            let idx = match dict.iter().position(|&d| d == bits) {
+                Some(i) => i,
+                None => {
+                    if dict.len() == DICT_MAX_ENTRIES {
+                        return None;
+                    }
+                    dict.push(bits);
+                    dict.len() - 1
+                }
+            };
+            indices.push(idx as u8);
+        }
+        Some((dict, indices))
+    }
+
+    /// The bit patterns over a 1,024-value block, each first seen in a
+    /// scattered order, then repeated.
+    fn block_of_distinct(patterns: &[u32]) -> Vec<f32> {
+        (0..1024)
+            .map(|i| f32::from_bits(patterns[(i * 37) % patterns.len()]))
+            .collect()
+    }
+
+    #[test]
+    fn the_hashed_dictionary_equals_the_linear_search() {
+        // Patterns whose home slots all collide: probing chains of up to
+        // 255 entries.
+        let colliding: Vec<u32> = (0u32..)
+            .map(|i| i.wrapping_mul(0x0101_0101) ^ 0x3f00_0000)
+            .filter(|&b| dict_slot(b) == dict_slot(0x3f00_0000))
+            .take(256)
+            .collect();
+        let spread: Vec<u32> = (0..256u32)
+            .map(|i| (i as f32 * 0.37 - 9.0).to_bits())
+            .collect();
+        for patterns in [&colliding, &spread] {
+            for distinct in [2, 17, 254, 255, 256] {
+                let values = block_of_distinct(&patterns[..distinct]);
+                let hashed = dict_entries(&values);
+                assert_eq!(hashed, dict_entries_linear(&values), "{distinct}");
+                assert_eq!(hashed.is_none(), distinct > DICT_MAX_ENTRIES);
+                assert_eq!(
+                    try_dict_encode(&values).is_some(),
+                    distinct <= DICT_MAX_ENTRIES,
+                    "{distinct} patterns over 1,024 values pack below raw"
+                );
+            }
+        }
+        // ±0.0 and NaN payloads are distinct patterns.
+        let signed = [0.0f32, -0.0, f32::NAN, f32::from_bits(0x7fc0_0001), 1.0];
+        let values: Vec<f32> = (0..64).map(|i| signed[i % 5]).collect();
+        assert_eq!(dict_entries(&values), dict_entries_linear(&values));
+    }
+
+    #[test]
+    fn dict_blocks_round_trip_at_the_dictionary_edges() {
+        let colliding: Vec<u32> = (0u32..)
+            .map(|i| (i << 9) | 0x4000_0000)
+            .filter(|&b| dict_slot(b) < 4)
+            .take(256)
+            .collect();
+        let m = ColumnMeta {
+            nd: 1024,
+            ns: 1,
+            block_records: 1024,
+            completed_records: 1024,
+            ..meta()
+        };
+        let spread: Vec<u32> = (0..256u32)
+            .map(|i| (i as f32 * 0.37 - 9.0).to_bits())
+            .collect();
+        for (name, patterns) in [("collide", &colliding), ("spread", &spread)] {
+            for distinct in [254, 255, 256] {
+                let data = block_of_distinct(&patterns[..distinct]);
+                let (col, blocks) = write_read(&format!("dict-{name}-{distinct}"), &m, &data);
+                let codec = if distinct <= DICT_MAX_ENTRIES {
+                    Codec::Dict
+                } else {
+                    Codec::Raw
+                };
+                assert_eq!(col.zones[0].codec, codec, "{name} {distinct}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&blocks[0]), bits(&data), "{name} {distinct}");
+            }
+        }
     }
 }

@@ -7,14 +7,16 @@
 //!
 //! The store is deliberately database-shaped:
 //!
-//! * [`format`](mod@format) — the self-describing column file format (v3): a
+//! * [`format`](mod@format) — the self-describing column file format (v4): a
 //!   checksummed header, a schema section naming the column's key and
-//!   shape plus a persisted **access stamp** for disk-budget LRU, a
-//!   per-block **zone map** (NaN-safe min/max, row count, codec tag,
-//!   non-finite flag, encoded size) with a CRC32 checksum per encoded
-//!   data block, then the per-block encoded payloads (raw f32, constant,
-//!   or bit-packed dictionary). A file of any other version reads as
-//!   corrupt and re-materializes.
+//!   shape plus a persisted **access stamp** for
+//!   disk-budget LRU, a per-block **zone map** (NaN-safe min/max, row
+//!   count, codec tag, non-finite flag, encoded size) with a CRC32
+//!   checksum per encoded data block, a checksummed **positions**
+//!   section naming the record of every stored row, then the per-block
+//!   encoded payloads (raw f32, constant, or bit-packed dictionary). A
+//!   pass stores a column in its own stream order. A file of any other
+//!   version reads as corrupt and re-materializes.
 //! * [`durable`] — how bytes become durable, stated once for every
 //!   artifact (columns and views): atomic publish of a group of files
 //!   through uniquely named temps (all written, then synced four at a
@@ -40,11 +42,13 @@
 //!   [`BehaviorStore::plan_scan`] decides, per dataset segment, which
 //!   unit columns scan, which resume at a partial column's watermark and
 //!   which must be computed live ([`ScanPlan`]); a [`ColumnPass`] executes
-//!   that plan block by block — scan order, the pages it keeps so each
-//!   stored page is read once per pass (within one store-wide
+//!   that plan block by block — scan order, the aligned read of columns
+//!   stored in the pass's own stream order (one contiguous row range per
+//!   stream block, gathered eight columns at a time), the pages it keeps
+//!   so each stored page is read once per pass (within one store-wide
 //!   reservation of the pool budget), demote-on-failure, quarantine of
-//!   proven corruption (only under a read-write policy) and write-back
-//!   capture all live there.
+//!   proven corruption (only under a read-write policy) and stream-order
+//!   write-back capture all live there.
 //!   The caller supplies live columns through a closure, so this crate
 //!   never sees a model, an extractor or a record.
 //! * `views` ([`ViewCatalog`]) — the materialized-view catalog under `<root>/views/`.
@@ -66,7 +70,7 @@ mod views;
 
 pub use pass::{ColumnPass, ScanPlan};
 pub use pool::{BufferPool, ColumnFetch};
-pub use store::{BehaviorStore, ColumnKey, Coverage, MaterializationPolicy, StoreConfig};
+pub use store::{BehaviorStore, ColumnKey, MaterializationPolicy, StoreConfig};
 pub use views::{ViewCatalog, ViewDoc, ViewFreshness, ViewHypState, ViewRow};
 
 use std::fmt;
@@ -188,8 +192,17 @@ counters! {
         /// Blocks the scan never fetched because their zone map proved the
         /// contents (a finite constant block is reconstructed from the zone
         /// entry alone — no read, no checksum). Counted once per distinct
-        /// block per scan call.
+        /// block per column fetch, so a pass over columns stored in its own
+        /// stream order counts each prunable block once per stream block
+        /// that reads from it (once per pass when the block sizes match).
         pub blocks_pruned: usize,
+        /// Column fetches that mapped record positions to stored rows
+        /// through the column's inverse row map: a pass over a column not
+        /// stored in its stream order (another seed, or a column written by
+        /// `write_column` / `write_partial_column`), and every
+        /// [`BehaviorStore::scan_into`]. 0 on a pass over the columns it
+        /// wrote itself, which reads each stream block as one row range.
+        pub inverse_map_fetches: usize,
         /// Pool lookups served from memory: pages resident in the pool that
         /// the pass did not already hold.
         pub pool_hits: usize,

@@ -6,23 +6,37 @@
 //! store handle so it can only execute against the store it was probed
 //! on) and carried out block by block by a [`ColumnPass`].
 //!
-//! Per streamed block the pass makes one **column fetch** per stored
-//! column ([`BehaviorStore::scan_into`]): the positions are validated,
-//! the pages the pass already holds served from its page table, the other
-//! resident pages taken under one pool lock, the misses loaded through
-//! one file handle and installed together, and the rows gathered. A
-//! streamed block holds shuffled positions and touches nearly every
-//! stored block, so the pass keeps the pages it fetched (their immutable
-//! `Arc`s) and reads each stored page through the pool once per pass. The pages every live
-//! pass keeps count against one store-wide reservation of
-//! `StoreConfig::pool_bytes`; a page past it serves its fetch and is
-//! dropped, as if no table existed. A column's table is used only while
-//! the store's column info is the one its pages were read under, so a
-//! purge, a rewrite or a corruption retry drops it first. Nothing the
-//! pass holds stops the pool evicting a frame or compaction deleting a
-//! file: a held page serves on, and a later load from a deleted file
-//! demotes the column to live extraction. The held pages go back when the
-//! pass ends — at `finish`, and when it is dropped early or unwound.
+//! A pass streams its segment in one seeded order and writes the columns
+//! it extracts back **in that order**: stored row `i` is the `i`-th
+//! record of the stream, and a partial column of `W` rows is the stream's
+//! first `W` records. So when a later pass streams the same order — the
+//! column's stored positions, compared with the pass's order once per
+//! pass, are its first `W` records — stream block `[a, b)` is stored rows
+//! `[a, b)`: one
+//! contiguous range in ⌈(b − a) / B⌉ stored blocks of `B` rows, plus one
+//! when the range does not start on a block edge, whatever the two block
+//! sizes are. Its first fetch of a column takes the rest of the column
+//! through the pool in the same read (as far as the pass's page
+//! reservation holds it), so the file is opened once per pass, and every
+//! block after it serves from the pages the pass holds. The scanned
+//! columns are written into the union block eight at a time, as 8 × 8
+//! tiles transposed straight from the page slices; a pruned constant
+//! block serves its zone value.
+//!
+//! Every other fetch — a column stored in another order (another seed,
+//! or a column `write_column` wrote in record order) — maps the block's
+//! record positions through the column's inverse row map and gathers them
+//! one position at a time ([`BehaviorStore::scan_into`] reads that way
+//! too). The pages every live pass keeps count against one store-wide
+//! reservation of `StoreConfig::pool_bytes`; a page past it serves its
+//! fetch and is dropped, as if no table existed. A column's table is used
+//! only while the store's column info is the one its pages were read
+//! under, so a purge, a rewrite or a corruption retry drops it first.
+//! Nothing the pass holds stops the pool evicting a frame or compaction
+//! deleting a file: a held page serves on, and a later load from a
+//! deleted file demotes the column to live extraction. The held pages go
+//! back when the pass ends — at `finish`, and when it is dropped early or
+//! unwound.
 //!
 //! The pass's `live` closure is the whole interface to the engine: the
 //! store never sees an extractor, a record or a device — only "these
@@ -30,8 +44,9 @@
 //! exactly what the extractor produced, so every mix of scanned and live
 //! columns is bit-identical to a full live extraction.
 
-use crate::store::{BehaviorStore, ColumnKey, Coverage, FetchScratch};
+use crate::store::{BehaviorStore, ColumnKey, FetchScratch, Fetched, Piece, Span, StreamBlock};
 use crate::{StoreError, StoreStats};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The store decision for one stream: the column key fingerprints, the
@@ -123,29 +138,30 @@ struct ScanColumn {
     unit: usize,
     /// The unit's column index in the union matrix.
     col: usize,
-    /// Validated coverage of a partial column; `None` for a complete one.
-    partial: Option<Coverage>,
+    /// A partial column at pass start (scanned up to its watermark and
+    /// captured for write-back); a complete one otherwise.
+    partial: bool,
     /// Produced at least one scanned block this pass.
     scanned: bool,
 }
 
 /// Write-back capture: one column buffer per miss or partial unit,
 /// assembled from the union stream (scanned and live-extracted blocks
-/// alike) in shuffled order. A fully streamed pass commits complete
+/// alike) in stream order. A fully streamed pass commits complete
 /// columns; an early-stopped pass commits the streamed prefix as partial
 /// columns with a watermark.
 struct WriteBack {
     units: Vec<WbUnit>,
-    /// Which record positions the pass has streamed.
-    filled: Vec<bool>,
-    n_filled: usize,
+    /// The stream prefix captured so far: its first `captured` records.
+    captured: usize,
 }
 
 struct WbUnit {
     unit: usize,
     /// The unit's column index in the union matrix (capture source).
     union_col: usize,
-    /// The `nd * ns` column buffer (unstreamed positions stay 0.0).
+    /// The `nd * ns` column buffer in stream order (rows past `captured`
+    /// stay 0.0).
     col: Vec<f32>,
 }
 
@@ -156,23 +172,24 @@ struct WbUnit {
 /// intersected units are scanned from stored columns through the buffer
 /// pool (checksums verified per block), the rest are computed live in a
 /// single narrowed closure call per block and merged into the union
-/// stream. With `write` set, the live columns are buffered and persisted
-/// when the stream ends: complete columns after a fully streamed pass,
-/// and after an early stop or a budget interruption the streamed prefix
-/// as *partial* columns whose watermark a later pass resumes from
-/// (written only where that extends what the store already holds). A
-/// column that fails a checksum mid-pass is quarantined and demoted to
-/// live extraction for the remaining blocks — results stay bit-identical
-/// because stored columns hold exactly what the extractor would produce.
+/// stream. With `write` set, the live columns are buffered in stream
+/// order and persisted when the stream ends: complete columns after a
+/// fully streamed pass, and after an early stop or a budget interruption
+/// the streamed prefix as *partial* columns whose watermark a later pass
+/// resumes from (written only where that extends what the store already
+/// holds). A column that fails a checksum mid-pass is quarantined and
+/// demoted to live extraction for the remaining blocks — results stay
+/// bit-identical because stored columns hold exactly what the extractor
+/// would produce.
 pub struct ColumnPass<'p> {
     plan: &'p ScanPlan,
     union_units: &'p [usize],
-    nd: usize,
+    /// The segment's records in stream order (a permutation of `0..nd`).
+    order: &'p [usize],
     ns: usize,
-    /// Union units servable from the store (complete hits first, then
-    /// partials with their validated coverage). A partial column is
-    /// scanned only for blocks whose record positions all fall under its
-    /// watermark; past it, the column extracts live for the block (the
+    /// Union units servable from the store, in union column order. A
+    /// partial column is scanned only for blocks whose records it holds;
+    /// past its watermark the column extracts live for the block (the
     /// resume-at-the-watermark path).
     scan_order: Vec<ScanColumn>,
     /// Per union column: extracted live on every block (a plan-time miss).
@@ -193,18 +210,20 @@ pub struct ColumnPass<'p> {
 }
 
 impl<'p> ColumnPass<'p> {
-    /// Starts a pass over a segment of `nd` records × `ns` symbols whose
-    /// union matrix carries `union_units` (ascending), one column each.
+    /// Starts a pass that streams a segment's records in `order` (a
+    /// permutation of the segment's `order.len()` record positions, each
+    /// record `ns` symbols) into a union matrix carrying `union_units`
+    /// (ascending), one column each.
     pub fn new(
         plan: &'p ScanPlan,
         union_units: &'p [usize],
-        nd: usize,
+        order: &'p [usize],
         ns: usize,
     ) -> ColumnPass<'p> {
         let store = &plan.store;
+        let nd = order.len();
         let mut stats = StoreStats::default();
-        let mut hits: Vec<ScanColumn> = Vec::new();
-        let mut partials: Vec<ScanColumn> = Vec::new();
+        let mut scan_order: Vec<ScanColumn> = Vec::new();
         let mut misses: Vec<usize> = Vec::new();
         for (col, &unit) in union_units.iter().enumerate() {
             let column = |partial| ScanColumn {
@@ -214,16 +233,16 @@ impl<'p> ColumnPass<'p> {
                 scanned: false,
             };
             if plan.hits.binary_search(&unit).is_ok() {
-                hits.push(column(None));
+                scan_order.push(column(false));
             } else if plan.partials.binary_search(&unit).is_ok() {
-                // Validate the partial's coverage up front; a column that
+                // Validate the partial's shape up front; a column that
                 // cannot be read (or whose shape disagrees) is a miss.
-                match store.coverage(&plan.key(unit)) {
-                    Ok(cov) if cov.nd() != nd => {
+                match store.column_meta(&plan.key(unit)) {
+                    Ok(meta) if meta.nd != nd as u64 => {
                         stats.record_error(format!(
-                            "unit {unit} partial column covers {} records but the dataset \
+                            "unit {unit} partial column holds {} records but the dataset \
                              has {nd}, extracting live",
-                            cov.nd()
+                            meta.nd
                         ));
                         if plan.write {
                             store.quarantine(&plan.key(unit));
@@ -232,8 +251,7 @@ impl<'p> ColumnPass<'p> {
                     }
                     // Another session may have completed the column since
                     // plan time; a full watermark scans like a hit.
-                    Ok(cov) if cov.is_complete() => hits.push(column(None)),
-                    Ok(cov) => partials.push(column(Some(cov))),
+                    Ok(meta) => scan_order.push(column(!meta.is_complete())),
                     Err(e) => {
                         stats.record_error(format!(
                             "unit {unit} partial column unusable, extracting live: {e}"
@@ -254,13 +272,19 @@ impl<'p> ColumnPass<'p> {
             .iter()
             .enumerate()
             .filter(|_| plan.write)
-            .filter(|&(_, unit)| {
-                misses.binary_search(unit).is_ok() || partials.iter().any(|p| p.unit == *unit)
+            .filter(|&(col, unit)| {
+                misses.binary_search(unit).is_ok()
+                    || scan_order.iter().any(|c| c.col == col && c.partial)
             })
             .map(|(col, &unit)| (unit, col))
             .collect();
         let bytes = captured.len() * nd * ns * std::mem::size_of::<f32>();
         let writeback = if captured.is_empty() {
+            None
+        } else if u32::try_from(nd).is_err() {
+            stats.record_error(format!(
+                "write-back skipped: {nd} records do not fit the format's u32 record positions"
+            ));
             None
         } else if bytes <= plan.writeback_limit_bytes {
             Some(WriteBack {
@@ -272,8 +296,7 @@ impl<'p> ColumnPass<'p> {
                         col: vec![0.0; nd * ns],
                     })
                     .collect(),
-                filled: vec![false; nd],
-                n_filled: 0,
+                captured: 0,
             })
         } else {
             stats.record_error(format!(
@@ -284,14 +307,13 @@ impl<'p> ColumnPass<'p> {
             ));
             None
         };
-        hits.append(&mut partials);
         let width = union_units.len();
         ColumnPass {
             plan,
             union_units,
-            nd,
+            order,
             ns,
-            scan_order: hits,
+            scan_order,
             miss: union_units
                 .iter()
                 .map(|unit| misses.binary_search(unit).is_ok())
@@ -306,32 +328,38 @@ impl<'p> ColumnPass<'p> {
         }
     }
 
-    /// Fills `out` — the row-major `(positions.len() * ns) × union width`
+    /// Fills `out` — the row-major `(block.len() * ns) × union width`
     /// behavior matrix of one streamed block; every cell is overwritten,
-    /// so the caller may reuse one buffer across blocks — for the
-    /// records at `positions` of the segment: stored columns are scanned
-    /// through the pool (partial columns only while the block stays under
-    /// their watermark), the rest come from one `live(units)` call, which
-    /// must return the row-major `rows × units.len()` behaviors of exactly
-    /// those units for this block, and are scattered into their union
-    /// column positions. `live` is not called when every column scanned.
+    /// so the caller may reuse one buffer across blocks — for the stream's
+    /// records `block` (`order[block]` are their record positions):
+    /// stored columns are scanned through the pool (partial columns only
+    /// while the block stays under their watermark), the rest come from
+    /// one `live(units)` call, which must return the row-major
+    /// `rows × units.len()` behaviors of exactly those units for this
+    /// block, and are scattered into their union column positions. `live`
+    /// is not called when every column scanned.
     pub fn fetch_block(
         &mut self,
-        positions: &[usize],
+        block: Range<usize>,
         out: &mut [f32],
         live: impl FnOnce(&[usize]) -> Vec<f32>,
     ) {
         let (plan, ns) = (self.plan, self.ns);
         let width = self.union_units.len();
-        let rows = positions.len() * ns;
+        let rows = block.len() * ns;
         debug_assert_eq!(out.len(), rows * width);
+        let positions = &self.order[block.clone()];
+        let stream = StreamBlock {
+            order: self.order,
+            start: block.start,
+            end: block.end,
+        };
 
-        // Scan the still-trusted stored columns — complete hits always,
-        // partial columns only when every position of this block falls
-        // under their watermark (past it, the column goes live for the
-        // block: that is the resume point). Any scan failure demotes the
-        // column to live extraction for this and every remaining block;
-        // only *corruption* (checksum/shape disagreement) additionally
+        // Scan the still-trusted stored columns; a partial column whose
+        // watermark this block runs past goes live for the block (that
+        // is the resume point). Any scan failure demotes the column to
+        // live extraction for this and every remaining block; only
+        // *corruption* (checksum/shape disagreement) additionally
         // quarantines the file — a transient I/O error must not destroy
         // a valid column, and a read-only store must stay byte-identical
         // on disk short of proven corruption.
@@ -339,20 +367,13 @@ impl<'p> ColumnPass<'p> {
             if self.demoted[sc.col] {
                 continue;
             }
-            if sc
-                .partial
-                .as_ref()
-                .is_some_and(|c| !c.covers_all(positions))
-            {
-                self.past_watermark[sc.col] = true;
-                continue;
-            }
             let scan = plan.store.scan_with(
                 &mut self.fetch,
                 &plan.key(sc.unit),
-                self.nd,
+                self.order.len(),
                 ns,
                 positions,
+                Some(stream),
                 out,
                 width,
                 sc.col,
@@ -360,11 +381,12 @@ impl<'p> ColumnPass<'p> {
                 &mut self.stats,
             );
             match scan {
-                Ok(()) => {
+                Ok(Fetched::PastWatermark) => self.past_watermark[sc.col] = true,
+                Ok(Fetched::Scanned) => {
                     if !sc.scanned {
                         sc.scanned = true;
                         self.stats.columns_scanned += 1;
-                        if sc.partial.is_some() {
+                        if sc.partial {
                             self.stats.partial_columns_scanned += 1;
                         }
                     }
@@ -384,6 +406,9 @@ impl<'p> ColumnPass<'p> {
                 }
             }
         }
+        gather_spans(out, width, rows, &self.fetch.spans, &self.fetch.pieces);
+        self.fetch.spans.clear();
+        self.fetch.pieces.clear();
 
         // One narrowed live call covers the misses, any demoted units,
         // and the partial columns this block runs past. Column-wise
@@ -410,27 +435,27 @@ impl<'p> ColumnPass<'p> {
                 }
             }
         }
-        // Capture the streamed positions for write-back from the merged
-        // union matrix — scanned and live values alike, so partial
-        // columns can be completed (stored values are exactly what the
-        // extractor produced, so the written column stays bit-identical).
-        if let Some(wb) = &mut self.writeback {
-            for (pi, &pos) in positions.iter().enumerate() {
-                if wb.filled[pos] {
-                    continue;
-                }
-                wb.filled[pos] = true;
-                wb.n_filled += 1;
-                for wu in wb.units.iter_mut() {
-                    for t in 0..ns {
-                        wu.col[pos * ns + t] = out[(pi * ns + t) * width + wu.union_col];
-                    }
+        // Capture the block for write-back from the merged union matrix —
+        // scanned and live values alike, so partial columns can be
+        // completed (stored values are exactly what the extractor
+        // produced, so the written column stays bit-identical). Only a
+        // block that extends the captured stream prefix is kept.
+        if let Some(wb) = self
+            .writeback
+            .as_mut()
+            .filter(|wb| wb.captured == block.start)
+        {
+            for wu in wb.units.iter_mut() {
+                let dst = &mut wu.col[block.start * ns..block.end * ns];
+                for (r, cell) in dst.iter_mut().enumerate() {
+                    *cell = out[r * width + wu.union_col];
                 }
             }
+            wb.captured = block.end;
         }
     }
 
-    /// Ends the pass: persists the captured columns as one group
+    /// Ends the pass: persists the captured stream prefix as one group
     /// ([`BehaviorStore::write_partial_column`]'s rule per column; every
     /// file written, then synced, then renamed, under the store's write
     /// lock) — a fully streamed pass commits complete columns; an
@@ -440,30 +465,133 @@ impl<'p> ColumnPass<'p> {
     /// pass's accounting. Write failures are recorded per unit, never
     /// fatal.
     pub fn finish(mut self) -> StoreStats {
-        let (plan, nd, ns) = (self.plan, self.nd, self.ns);
+        let (plan, ns) = (self.plan, self.ns);
+        let nd = self.order.len();
         // The held pages go before the write-back buffers are encoded.
         self.fetch.release();
-        let Some(wb) = self.writeback.take().filter(|wb| wb.n_filled > 0) else {
+        let Some(wb) = self.writeback.take().filter(|wb| wb.captured > 0) else {
             return self.stats;
         };
+        let positions: Vec<u32> = self.order[..wb.captured]
+            .iter()
+            .map(|&p| p as u32)
+            .collect();
         let columns: Vec<(ColumnKey, &[f32])> = wb
             .units
             .iter()
-            .map(|wu| (plan.key(wu.unit), wu.col.as_slice()))
+            .map(|wu| (plan.key(wu.unit), &wu.col[..wb.captured * ns]))
             .collect();
-        let outcomes = plan.store.write_columns(nd, ns, &wb.filled, &columns);
+        let outcomes = plan.store.write_columns(nd, ns, &positions, &columns);
         for (wu, outcome) in wb.units.iter().zip(outcomes) {
             // A fully streamed fill is written as a complete column; a
             // partial one the store declined is an empty delta.
             match outcome {
                 Ok(delta) => self.stats.accumulate(&delta),
                 Err(e) => {
-                    let what = if wb.n_filled == nd { "" } else { "partial " };
+                    let what = if wb.captured == nd { "" } else { "partial " };
                     self.stats
                         .record_error(format!("unit {} {what}write-back failed: {e}", wu.unit));
                 }
             }
         }
         self.stats
+    }
+}
+
+/// One lane of a tile: a slice of a column's values, or a pruned
+/// block's constant.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    Values(&'a [f32]),
+    Constant(f32),
+}
+
+/// Writes the spanned columns of one stream block into the row-major
+/// union block `out` (`width` columns; each span supplies `values`
+/// values), eight columns at a time. Each group walks its spans' pieces
+/// in runs that no piece boundary of any lane splits, and writes each
+/// run by [`transpose_into`].
+fn gather_spans(out: &mut [f32], width: usize, values: usize, spans: &[Span], pieces: &[Piece]) {
+    for group in spans.chunks(8) {
+        let k = group.len();
+        let mut cols = [0usize; 8];
+        // Per lane: the piece it reads and the offset in it.
+        let mut at = [(0usize, 0usize); 8];
+        for (j, span) in group.iter().enumerate() {
+            cols[j] = span.col;
+            at[j] = (span.pieces.start, span.skip);
+        }
+        let mut done = 0;
+        while done < values {
+            let mut run = values - done;
+            for &(p, off) in &at[..k] {
+                run = run.min(pieces[p].len() - off);
+            }
+            let mut lanes = [Lane::Constant(0.0); 8];
+            for (lane, &(p, off)) in lanes.iter_mut().zip(&at[..k]) {
+                *lane = match &pieces[p] {
+                    Piece::Page(page) => Lane::Values(&page[off..off + run]),
+                    Piece::Constant { value, .. } => Lane::Constant(*value),
+                };
+            }
+            transpose_into(out, width, done, &cols[..k], &lanes[..k], run);
+            for (j, (p, off)) in at[..k].iter_mut().enumerate() {
+                *off += run;
+                if *off == pieces[*p].len() {
+                    (*p, *off) = (*p + 1, 0);
+                }
+                debug_assert!(done + run == values || *p < group[j].pieces.end);
+            }
+            done += run;
+        }
+    }
+}
+
+/// Writes `run` values of up to eight lanes into the row-major block
+/// `out` of `width` columns: value `i` of lane `j` goes to row
+/// `first + i`, column `cols[j]`. Eight rows at a time, the lanes are
+/// loaded into an 8 × 8 tile and stored transposed, a row's eight values
+/// as one contiguous write when the columns are adjacent.
+fn transpose_into(
+    out: &mut [f32],
+    width: usize,
+    first: usize,
+    cols: &[usize],
+    lanes: &[Lane<'_>],
+    run: usize,
+) {
+    let adjacent = cols.len() == 8 && cols.windows(2).all(|w| w[1] == w[0] + 1);
+    let mut i = 0;
+    while i + 8 <= run {
+        let mut tile = [[0.0f32; 8]; 8];
+        for (row, lane) in tile.iter_mut().zip(lanes) {
+            *row = match lane {
+                Lane::Values(v) => v[i..i + 8].try_into().expect("eight values"),
+                Lane::Constant(c) => [*c; 8],
+            };
+        }
+        for r in 0..8 {
+            let row = (first + i + r) * width;
+            if adjacent {
+                let dst = &mut out[row + cols[0]..row + cols[0] + 8];
+                for (cell, lane) in dst.iter_mut().zip(&tile) {
+                    *cell = lane[r];
+                }
+            } else {
+                for (&c, lane) in cols.iter().zip(&tile) {
+                    out[row + c] = lane[r];
+                }
+            }
+        }
+        i += 8;
+    }
+    for i in i..run {
+        let row = (first + i) * width;
+        for (&c, lane) in cols.iter().zip(lanes) {
+            out[row + c] = match lane {
+                Lane::Values(v) => v[i],
+                Lane::Constant(c) => *c,
+            };
+        }
     }
 }

@@ -16,9 +16,9 @@
 //! `part`; such files are ignored: never indexed, never read, and their
 //! units re-extract.) Opening a store walks the tree once into an
 //! in-memory index of the keys that have a file; writers update the index
-//! as they commit. Column metadata (shape + zone table + coverage) is
-//! cached after first validation so a warm scan touches the filesystem
-//! only on buffer-pool misses.
+//! as they commit. Column metadata (shape, zone table and the record
+//! position of every stored row) is cached after first validation so a
+//! warm scan touches the filesystem only on buffer-pool misses.
 //!
 //! Corruption handling is fail-soft: a block whose checksum disagrees
 //! surfaces a [`StoreError::Corrupt`] to the caller (who falls back to
@@ -35,16 +35,16 @@
 //! sweep, no quarantine renames, no compaction.
 
 use crate::durable::{self, retry_transient};
-use crate::format::{self, coverage_covers, ColumnMeta};
+use crate::format::{self, ColumnMeta};
 use crate::pool::BufferPool;
 use crate::{StoreError, StoreStats};
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::SystemTime;
 
 /// What a store-configured session is allowed to do with the store.
@@ -119,61 +119,6 @@ pub struct ColumnKey {
     pub unit: usize,
 }
 
-/// Validated position coverage of one stored column: which record
-/// positions hold real extractor output. Complete columns cover every
-/// position; partial columns cover exactly the watermarked set.
-#[derive(Debug, Clone)]
-pub struct Coverage {
-    nd: usize,
-    completed: usize,
-    /// `None` = complete (all positions valid).
-    bits: Option<Arc<Vec<u8>>>,
-}
-
-impl Coverage {
-    /// Total record positions in the column.
-    pub(crate) fn nd(&self) -> usize {
-        self.nd
-    }
-
-    /// The watermark: how many positions are valid.
-    pub(crate) fn completed_records(&self) -> usize {
-        self.completed
-    }
-
-    /// True when every position is valid.
-    pub(crate) fn is_complete(&self) -> bool {
-        self.completed == self.nd
-    }
-
-    /// Whether record position `pos` holds real data.
-    pub(crate) fn covers(&self, pos: usize) -> bool {
-        if pos >= self.nd {
-            return false;
-        }
-        match &self.bits {
-            None => true,
-            Some(bits) => coverage_covers(bits, pos),
-        }
-    }
-
-    /// Whether every position in `positions` holds real data.
-    pub(crate) fn covers_all(&self, positions: &[usize]) -> bool {
-        positions.iter().all(|&p| self.covers(p))
-    }
-
-    /// Whether every covered position is marked in `filled` — i.e. a
-    /// column rebuilt from `filled` would lose nothing this coverage
-    /// holds.
-    pub(crate) fn is_subset_of_filled(&self, filled: &[bool]) -> bool {
-        match &self.bits {
-            None => filled.iter().take(self.nd).all(|&f| f),
-            Some(bits) => (0..self.nd)
-                .all(|p| !coverage_covers(bits, p) || filled.get(p).copied().unwrap_or(false)),
-        }
-    }
-}
-
 /// Reusable buffers of a run of column fetches (see
 /// [`BehaviorStore::scan_with`]), and the **page table** of every stored
 /// column they fetched: the pages found resident in or loaded through the
@@ -186,6 +131,10 @@ impl Coverage {
 /// first. Its bytes count against the store-wide reservation of
 /// `StoreConfig::pool_bytes`; a page that would overrun it serves its
 /// fetch and is not kept. The scratch gives its bytes back when it drops.
+///
+/// A fetch of a stream block from a column stored in that stream's order
+/// gathers nothing itself: it leaves a [`Span`] of [`Piece`]s, which the
+/// pass writes into its block together with the other columns' spans.
 pub(crate) struct FetchScratch {
     /// Per requested position: its stored block and its row within it.
     rows: Vec<(usize, usize)>,
@@ -194,9 +143,65 @@ pub(crate) struct FetchScratch {
     block_use: Vec<u32>,
     /// The blocks this fetch takes through the pool, ascending.
     needed: Vec<u32>,
+    /// The spans of the current stream block, in fetch order.
+    pub(crate) spans: Vec<Span>,
+    /// Their pieces, each span's a contiguous run.
+    pub(crate) pieces: Vec<Piece>,
     /// The page table per stored column.
     held: HashMap<ColumnKey, HeldPages>,
     reservation: Arc<PageReservation>,
+}
+
+/// Where one stored block's values come from in a span.
+pub(crate) enum Piece {
+    /// A decoded page.
+    Page(Arc<Vec<f32>>),
+    /// A pruned block: `len` copies of its zone's constant.
+    Constant { value: f32, len: usize },
+}
+
+impl Piece {
+    /// Values in the block.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Piece::Page(page) => page.len(),
+            Piece::Constant { len, .. } => *len,
+        }
+    }
+}
+
+/// The stored values of one stream block in one column: its contiguous
+/// row range, as the stored blocks that hold it.
+pub(crate) struct Span {
+    /// The union column the values go to.
+    pub(crate) col: usize,
+    /// Values of the first piece before the block's first row.
+    pub(crate) skip: usize,
+    /// The stored blocks, in order, as a range of `FetchScratch::pieces`.
+    pub(crate) pieces: Range<usize>,
+}
+
+/// One block of a pass's stream, for a column fetch that may find the
+/// column stored in that stream's order.
+#[derive(Clone, Copy)]
+pub(crate) struct StreamBlock<'a> {
+    /// The stream's records, in order.
+    pub(crate) order: &'a [usize],
+    /// The block is stream records `start..end`.
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+}
+
+/// How a column fetch served its block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fetched {
+    /// Gathered into the output through the column's inverse row map, or
+    /// left as a span for the pass to gather (the column holds the
+    /// stream's prefix).
+    Scanned,
+    /// A requested record has no stored row (past a partial column's
+    /// watermark); nothing was read.
+    PastWatermark,
 }
 
 /// The pages one [`FetchScratch`] holds of one stored column.
@@ -207,6 +212,9 @@ struct HeldPages {
     pages: Vec<Option<Arc<Vec<f32>>>>,
     /// Their decoded size, charged to the store's reservation.
     bytes: usize,
+    /// Whether the stored positions are the fetching pass's stream
+    /// prefix, once a fetch with a stream has compared them.
+    in_order: Option<bool>,
 }
 
 impl FetchScratch {
@@ -215,6 +223,8 @@ impl FetchScratch {
             rows: Vec::new(),
             block_use: Vec::new(),
             needed: Vec::new(),
+            spans: Vec::new(),
+            pieces: Vec::new(),
             held: HashMap::new(),
             reservation: Arc::clone(&store.reservation),
         }
@@ -258,6 +268,11 @@ impl PageReservation {
             .is_ok()
     }
 
+    /// Bytes the reservation has room for now.
+    fn room(&self) -> usize {
+        self.limit.saturating_sub(self.held.load(Ordering::Relaxed))
+    }
+
     fn give_back(&self, bytes: usize) {
         if bytes > 0 {
             self.held.fetch_sub(bytes, Ordering::Relaxed);
@@ -273,15 +288,29 @@ const BLOCK_HELD: u32 = u32::MAX - 2;
 /// `needed` once the positions are classified.
 const BLOCK_NEEDED: u32 = u32::MAX - 3;
 
+/// An inverse row map entry: the record has no stored row.
+const NOT_STORED: u32 = u32::MAX;
+
 /// Validated column metadata: the parsed file (schema, zone table,
-/// payload offsets) with the coverage bitmap lifted into an `Arc` for
-/// cheap sharing.
+/// positions, payload offsets) and, once a fetch by record position needs
+/// it, the inverse of its positions.
 struct ColumnFileInfo {
     file: format::ColumnFile,
-    covered: Option<Arc<Vec<u8>>>,
-    /// Position → packed data row (rank among covered positions), for
-    /// partial columns.
-    ranks: Option<Vec<u32>>,
+    inverse: OnceLock<Vec<u32>>,
+}
+
+impl ColumnFileInfo {
+    /// Record position → stored row, [`NOT_STORED`] where the column holds
+    /// no row; built on first use.
+    fn inverse(&self) -> &[u32] {
+        self.inverse.get_or_init(|| {
+            let mut rows = vec![NOT_STORED; self.file.meta.nd as usize];
+            for (row, &p) in self.file.positions.iter().enumerate() {
+                rows[p as usize] = row as u32;
+            }
+            rows
+        })
+    }
 }
 
 type CachedInfo = Arc<ColumnFileInfo>;
@@ -419,7 +448,7 @@ impl BehaviorStore {
     /// True when a column is indexed and its header declares a full
     /// watermark (block contents are only validated when scanned).
     pub fn contains(&self, key: &ColumnKey) -> bool {
-        self.coverage(key).is_ok_and(|c| c.is_complete())
+        self.column_meta(key).is_ok_and(|m| m.is_complete())
     }
 
     /// Splits `units` by what the store holds for them under `(model_fp,
@@ -443,7 +472,7 @@ impl BehaviorStore {
             };
             if !self.index.lock().contains(&key) {
                 absent.push(unit);
-            } else if self.coverage(&key).is_ok_and(|c| !c.is_complete()) {
+            } else if self.column_meta(&key).is_ok_and(|m| !m.is_complete()) {
                 partial.push(unit);
             } else {
                 complete.push(unit);
@@ -462,7 +491,7 @@ impl BehaviorStore {
     /// atomically — replacing any partial column of the same key — and
     /// pushes its blocks through the pool so an immediate scan hits
     /// memory. Returns the write's accounting. A group of one
-    /// (`BehaviorStore::write_columns`).
+    /// (`BehaviorStore::write_columns`) in record order.
     pub fn write_column(
         &self,
         key: &ColumnKey,
@@ -470,17 +499,20 @@ impl BehaviorStore {
         ns: usize,
         data: &[f32],
     ) -> Result<StoreStats, StoreError> {
-        self.write_partial_column(key, nd, ns, data, &vec![true; nd])
+        let positions: Vec<u32> = (0..nd as u32).collect();
+        self.write_columns(nd, ns, &positions, &[(*key, data)])
+            .pop()
+            .expect("one outcome per column")
     }
 
-    /// Persists the completed prefix of an early-stopped pass: `data` is
-    /// a full `nd * ns` buffer whose positions marked in `filled` hold
-    /// real extractor output (the rest must be `0.0`). Writes a partial
-    /// column with watermark `filled.count(true)`; a fully filled buffer
-    /// is written as a complete column. An empty fill, or one that does
-    /// not strictly extend what the store already holds for the key, is a
-    /// no-op (an empty delta). A group of one
-    /// (`BehaviorStore::write_columns`).
+    /// Persists the completed part of an early-stopped pass: `data` is a
+    /// full `nd * ns` record-major buffer whose positions marked in
+    /// `filled` hold real extractor output. Writes those records' rows in
+    /// record order as a partial column with watermark
+    /// `filled.count(true)`; a fully filled buffer is written as a
+    /// complete column. An empty fill, or one that does not strictly
+    /// extend what the store already holds for the key, is a no-op (an
+    /// empty delta). A group of one (`BehaviorStore::write_columns`).
     pub fn write_partial_column(
         &self,
         key: &ColumnKey,
@@ -489,57 +521,82 @@ impl BehaviorStore {
         data: &[f32],
         filled: &[bool],
     ) -> Result<StoreStats, StoreError> {
-        self.write_columns(nd, ns, filled, &[(*key, data)])
+        if filled.len() != nd || data.len() != nd * ns {
+            return Err(StoreError::Io(format!(
+                "fill mask of {} entries over {} values for nd={nd} ns={ns}",
+                filled.len(),
+                data.len()
+            )));
+        }
+        let positions: Vec<u32> = (0..nd as u32).filter(|&p| filled[p as usize]).collect();
+        let rows: Vec<f32> = positions
+            .iter()
+            .flat_map(|&p| &data[p as usize * ns..(p as usize + 1) * ns])
+            .copied()
+            .collect();
+        self.write_columns(nd, ns, &positions, &[(*key, &rows)])
             .pop()
             .expect("one outcome per column")
     }
 
-    /// Persists `columns` — `(key, nd * ns record-major buffer)` pairs
-    /// that share one fill mask — as one group: the rule of
-    /// [`BehaviorStore::write_partial_column`] per column, every file
-    /// published by one [`durable`] group publish (all temps written,
-    /// then synced, then renamed in input order), and each renamed
-    /// column installed in the pool, the index and the caches. The write
-    /// lock is held from the first coverage decision through the last
-    /// install, so decision and rename stay atomic within this instance.
-    /// Returns each column's delta or error, in input order.
+    /// Persists `columns` — `(key, stored rows)` pairs whose row `i` holds
+    /// record position `positions[i]` (`positions.len() * ns` values per
+    /// column; the positions below `nd` and distinct) — as one group: a
+    /// complete column when every record has a row, else a partial one
+    /// that is written only where it strictly extends what the store holds
+    /// for its key (`fill_extends_stored`); every file published by one
+    /// [`durable`] group publish (all temps written, then synced, then
+    /// renamed in input order), and each renamed column installed in the
+    /// pool, the index and the caches. The write lock is held from the
+    /// first extension decision through the last install, so decision and
+    /// rename stay atomic within this instance. An empty partial fill is a
+    /// no-op, and an `nd` past the format's u32 record positions refuses
+    /// every column. Returns each column's delta or error, in input order.
     pub(crate) fn write_columns(
         &self,
         nd: usize,
         ns: usize,
-        filled: &[bool],
+        positions: &[u32],
         columns: &[(ColumnKey, &[f32])],
     ) -> Vec<Result<StoreStats, StoreError>> {
         let refuse = |e: StoreError| columns.iter().map(|_| Err(e.clone())).collect();
-        if filled.len() != nd {
+        if u32::try_from(nd).is_err() {
             return refuse(StoreError::Io(format!(
-                "fill mask has {} entries for nd={nd}",
-                filled.len()
+                "{nd} records do not fit the format's u32 record positions"
             )));
         }
-        let completed = filled.iter().filter(|&&f| f).count();
-        // `None` = a complete column, written whatever the store holds.
-        let partial = (completed < nd).then_some(filled);
-        if partial.is_some() && completed == 0 {
+        let mut in_fill = vec![false; nd];
+        for &p in positions {
+            match in_fill.get_mut(p as usize) {
+                Some(f) if !*f => *f = true,
+                _ => {
+                    return refuse(StoreError::Io(format!(
+                        "record position {p} is repeated or out of range (nd={nd})"
+                    )))
+                }
+            }
+        }
+        let completed = positions.len();
+        let complete = completed == nd;
+        if !complete && completed == 0 {
             return columns.iter().map(|_| Ok(StoreStats::default())).collect();
         }
         if self.read_only {
             return refuse(StoreError::Io("store opened read-only".into()));
         }
-        let bitmap = partial.map(format::coverage_from_filled);
         let _write = self.write_lock.lock();
         let mut outcomes = Vec::with_capacity(columns.len());
         let mut writes = Vec::with_capacity(columns.len());
         for (i, &(key, data)) in columns.iter().enumerate() {
             outcomes.push(Ok(StoreStats::default()));
-            if data.len() != nd * ns {
+            if data.len() != completed * ns {
                 outcomes[i] = Err(StoreError::Io(format!(
-                    "column shape mismatch: {} values for nd={nd} ns={ns}",
+                    "column shape mismatch: {} values for {completed} rows of ns={ns}",
                     data.len()
                 )));
                 continue;
             }
-            if partial.is_some_and(|filled| !self.fill_extends_stored(&key, filled, completed)) {
+            if !complete && !self.fill_extends_stored(&key, &in_fill, completed) {
                 continue;
             }
             let path = self.column_path(&key);
@@ -547,13 +604,6 @@ impl BehaviorStore {
                 outcomes[i] = Err(e.into());
                 continue;
             }
-            // Partial columns store only their valid rows, densely packed
-            // in ascending position order (a warm resume then reads
-            // exactly the prefix's bytes, not a mostly empty grid).
-            let stored = match partial {
-                Some(filled) => Cow::Owned(format::pack_rows(data, filled, ns)),
-                None => Cow::Borrowed(data),
-            };
             let meta = ColumnMeta {
                 model_fp: key.model_fp,
                 dataset_fp: key.dataset_fp,
@@ -563,24 +613,25 @@ impl BehaviorStore {
                 block_records: self.block_records as u64,
                 completed_records: completed as u64,
             };
-            writes.push((i, key, path, meta, stored));
+            writes.push((i, key, path, meta, data));
         }
-        let published = durable::publish_group(writes.iter().map(|(_, _, path, meta, stored)| {
-            let write = |file: &mut File| {
-                format::write_column(file, meta, stored, bitmap.as_deref(), now_stamp())
-            };
+        let published = durable::publish_group(writes.iter().map(|(_, _, path, meta, data)| {
+            let write =
+                |file: &mut File| format::write_column(file, meta, data, positions, now_stamp());
             (path.as_path(), write)
         }));
-        for ((i, key, _, meta, stored), summary) in writes.iter().zip(published) {
-            outcomes[*i] = summary.map(|summary| self.install(key, meta, stored, summary));
+        for ((i, key, _, meta, data), summary) in writes.iter().zip(published) {
+            outcomes[*i] = summary.map(|summary| self.install(key, meta, data, summary));
         }
         outcomes
     }
 
     /// The never-shrink rule of partial writes: true when a fill of
-    /// `completed` positions may replace what the store holds for `key`.
-    /// Callers hold `write_lock`.
-    fn fill_extends_stored(&self, key: &ColumnKey, filled: &[bool], completed: usize) -> bool {
+    /// `completed` records (`in_fill`, per record position) may replace
+    /// what the store holds for `key` — it holds every record the stored
+    /// column holds, in whatever order, and more. Callers hold
+    /// `write_lock`.
+    fn fill_extends_stored(&self, key: &ColumnKey, in_fill: &[bool], completed: usize) -> bool {
         // Freshen this instance's view from the filesystem before
         // deciding: the index and meta cache are instance-local, and a
         // concurrent store instance may have created, extended or
@@ -590,19 +641,22 @@ impl BehaviorStore {
             return true;
         }
         self.index.lock().insert(*key);
-        // Never shrink stored coverage: a stored column (complete, or
-        // partial) whose valid coverage is not strictly extended by this
-        // fill keeps its file (a pass that transiently failed to read it —
-        // or early-stopped sooner than a previous one — must not replace
-        // a larger prefix with a smaller one). Only a *provably corrupt*
-        // existing file is junk that may be overwritten; a transient I/O
-        // failure says nothing about the file, so the write is refused
-        // too. The write lock makes decision and rename atomic within
-        // this instance; a writer of another instance can still slip
-        // between them, which at worst loses re-computable coverage,
-        // never correctness.
-        match self.coverage(key) {
-            Ok(prior) => prior.is_subset_of_filled(filled) && completed > prior.completed_records(),
+        // Never shrink a stored column: one (complete, or partial) whose
+        // records are not strictly extended by this fill keeps its file
+        // (a pass that transiently failed to read it — or early-stopped
+        // sooner than a previous one, or streamed another order — must
+        // not replace a larger prefix with a smaller one). Only a
+        // *provably corrupt* existing file is junk that may be
+        // overwritten; a transient I/O failure says nothing about the
+        // file, so the write is refused too. The write lock makes
+        // decision and rename atomic within this instance; a writer of
+        // another instance can still slip between them, which at worst
+        // loses re-computable rows, never correctness.
+        match self.column_info(key) {
+            Ok(prior) => {
+                let held = |&p: &u32| in_fill.get(p as usize).copied().unwrap_or(false);
+                completed > prior.file.positions.len() && prior.file.positions.iter().all(held)
+            }
             // A provably corrupt (or deliberately evicted) prior file
             // protects nothing; overwrite it.
             Err(StoreError::Corrupt(_)) | Err(StoreError::Evicted(_)) => true,
@@ -676,20 +730,15 @@ impl BehaviorStore {
                 .open(&path)
                 .or_else(|_| File::open(&path))?
         };
-        let mut parsed = format::read_meta(&mut file)?;
+        let parsed = format::read_meta(&mut file)?;
         if !self.read_only {
             // Failure to bump the stamp never fails the read — the
             // column just stays cold in the eviction order.
             let _ = format::write_access_stamp(&mut file, now_stamp());
         }
-        let covered = parsed.covered.take().map(Arc::new);
-        let ranks = covered
-            .as_ref()
-            .map(|bits| format::coverage_ranks(bits, parsed.meta.nd as usize));
         let parsed = Arc::new(ColumnFileInfo {
             file: parsed,
-            covered,
-            ranks,
+            inverse: OnceLock::new(),
         });
         // A racing first read may have cached its own copy: hand out the
         // cached one, so every fetch sees one identity per cached info.
@@ -707,30 +756,25 @@ impl BehaviorStore {
         Some((info.file.prunable_blocks(), info.file.meta.n_blocks()))
     }
 
-    /// The validated position coverage of a column: complete columns
-    /// cover everything, partial columns exactly their watermarked set.
-    /// Reads (and caches) the file metadata; any validation failure is
-    /// the usual [`StoreError::Corrupt`].
-    pub(crate) fn coverage(&self, key: &ColumnKey) -> Result<Coverage, StoreError> {
-        let info = self.column_info(key)?;
-        Ok(Coverage {
-            nd: info.file.meta.nd as usize,
-            completed: info.file.meta.completed_records as usize,
-            bits: info.covered.clone(),
-        })
+    /// The validated schema of a column (its watermark says complete or
+    /// partial). Reads (and caches) the file metadata; any validation
+    /// failure is the usual [`StoreError::Corrupt`].
+    pub(crate) fn column_meta(&self, key: &ColumnKey) -> Result<ColumnMeta, StoreError> {
+        Ok(self.column_info(key)?.file.meta)
     }
 
     /// Scans one column for the given record positions, writing the `ns`
     /// values of position `positions[i]` into
     /// `out[(i * ns + t) * stride + col]` — i.e. straight into column
     /// `col` of a row-major `(positions.len() * ns) x stride` matrix.
-    /// Pages are fetched (and their checksums verified) through the pool;
+    /// Each position is mapped to its stored row through the column's
+    /// inverse row map (counted in `stats.inverse_map_fetches`). Pages
+    /// are fetched (and their checksums verified) through the pool;
     /// `stats` receives the per-call page accounting (`blocks_read`,
     /// pool hit/miss/eviction counters — `columns_scanned` is per-pass
-    /// and counted by the caller). Every requested position must be
-    /// covered by the column's watermark: serving a position a partial
-    /// column never filled would be a silent wrong score, so it is
-    /// refused as corruption.
+    /// and counted by the caller). Every requested position must have a
+    /// stored row: serving a position a partial column never filled would
+    /// be a silent wrong score, so it is refused as corruption.
     ///
     /// With `prune` set, blocks whose zone entry proves their exact
     /// contents — a finite `Constant` block is `zone.min` repeated — are
@@ -743,10 +787,10 @@ impl BehaviorStore {
     /// A validation failure is retried **once** against freshly read
     /// metadata (cached info and pooled pages dropped first): a
     /// concurrent store instance may have extended or completed a partial
-    /// column in place (atomic rename onto the same path repacks the rows), which
-    /// makes this instance's cached zone table stale — that is a valid
-    /// newer file, not corruption. Only a failure against the file's
-    /// current bytes surfaces as [`StoreError::Corrupt`].
+    /// column in place (atomic rename onto the same path rewrites the
+    /// rows), which makes this instance's cached zone table stale — that
+    /// is a valid newer file, not corruption. Only a failure against the
+    /// file's current bytes surfaces as [`StoreError::Corrupt`].
     #[allow(clippy::too_many_arguments)] // a scan is genuinely this wide
     pub fn scan_into(
         &self,
@@ -767,12 +811,14 @@ impl BehaviorStore {
             nd,
             ns,
             positions,
+            None,
             out,
             stride,
             col,
             prune,
             stats,
         )
+        .map(|_| ())
     }
 
     /// [`BehaviorStore::scan_into`] over caller-kept buffers and page
@@ -780,6 +826,15 @@ impl BehaviorStore {
     /// pass and keeps one [`FetchScratch`] for all of them, so each stored
     /// page is taken through the pool once per pass while the reservation
     /// has room for it). A failed fetch drops the column's page table.
+    ///
+    /// With `stream` given — `positions` are that stream block's records
+    /// — a column whose stored rows are the stream's prefix is not
+    /// gathered: its rows for the block are one contiguous range, which
+    /// the fetch leaves as a [`Span`] in the scratch, and a block past its
+    /// watermark is [`Fetched::PastWatermark`]. Any
+    /// other column maps the positions through its inverse row map; a
+    /// position it holds no row for is `PastWatermark` too. Without a
+    /// stream, such a position is corruption, as for `scan_into`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_with(
         &self,
@@ -788,16 +843,25 @@ impl BehaviorStore {
         nd: usize,
         ns: usize,
         positions: &[usize],
+        stream: Option<StreamBlock<'_>>,
         out: &mut [f32],
         stride: usize,
         col: usize,
         prune: bool,
         stats: &mut StoreStats,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Fetched, StoreError> {
         let mut attempt = |scratch: &mut FetchScratch, stats: &mut StoreStats| {
-            self.scan_attempt(
-                scratch, key, nd, ns, positions, out, stride, col, prune, stats,
-            )
+            let fetched = self.scan_attempt(
+                scratch, key, nd, ns, positions, stream, out, stride, col, prune, stats,
+            )?;
+            match (fetched, stream) {
+                (Fetched::PastWatermark, None) => Err(StoreError::Corrupt(format!(
+                    "a record position is past the column's watermark \
+                     ({} of {nd} records stored)",
+                    self.column_info(key)?.file.meta.completed_records
+                ))),
+                (fetched, _) => Ok(fetched),
+            }
         };
         let scanned = match attempt(scratch, stats) {
             Err(StoreError::Corrupt(_)) => {
@@ -814,17 +878,14 @@ impl BehaviorStore {
         scanned
     }
 
-    /// One column fetch, every cost per *column*: validate the positions
-    /// and sort the stored blocks they touch into pruned (served from the
-    /// zone map), held (served from the column's page table) and needed;
-    /// take the resident needed pages under one pool lock; load the misses
-    /// through one file handle in ascending block order and install them
-    /// under one more lock; keep the needed pages in the page table while
-    /// the reservation has room; gather. `stats` counts the fetch's pages
-    /// only once they are all in hand — a failed attempt reports its
-    /// retries and nothing else. A column file that vanished since its
-    /// info was cached — deleted by a disk-budget sweep of this instance
-    /// or another — is the typed [`StoreError::Evicted`].
+    /// One column fetch, every cost per *column*: sort the stored blocks
+    /// the fetch touches into pruned (served from the zone map), held
+    /// (served from the column's page table) and needed; take the needed
+    /// pages (`take_pages`); then gather through the inverse row map, or
+    /// leave a span when the column holds the stream's prefix. A column
+    /// file that vanished since its info was cached — deleted by a
+    /// disk-budget sweep of this instance or another — is the typed
+    /// [`StoreError::Evicted`].
     #[allow(clippy::too_many_arguments)]
     fn scan_attempt(
         &self,
@@ -833,12 +894,13 @@ impl BehaviorStore {
         nd: usize,
         ns: usize,
         positions: &[usize],
+        stream: Option<StreamBlock<'_>>,
         out: &mut [f32],
         stride: usize,
         col: usize,
         prune: bool,
         stats: &mut StoreStats,
-    ) -> Result<(), StoreError> {
+    ) -> Result<Fetched, StoreError> {
         let cached = retry_transient(&mut stats.io_retries, || self.column_info(key))?;
         let meta = &cached.file.meta;
         let zones = &cached.file.zones;
@@ -858,14 +920,12 @@ impl BehaviorStore {
         {
             scratch.drop_held(key);
         }
-        // Validate every position before touching the pool, and classify
-        // each stored block the fetch touches once: served from its zone
-        // entry (pruned), from the page table (held) or fetched. Positions
-        // are shuffled, so consecutive positions land on arbitrary blocks.
         let FetchScratch {
             rows,
             block_use,
             needed,
+            spans,
+            pieces,
             held,
             reservation,
         } = scratch;
@@ -873,33 +933,105 @@ impl BehaviorStore {
             info: Arc::clone(&cached),
             pages: vec![None; meta.n_blocks()],
             bytes: 0,
+            in_order: None,
         });
-        rows.clear();
+        let prunable = |b: usize| prune && zones[b].constant_value().is_some();
+        let stored = meta.completed_records as usize;
         needed.clear();
+
+        // A column holding the stream's prefix: the block is stored rows
+        // `start..end`, in stored blocks `first..last`. The pass's first
+        // fetch of the column compares the stored positions with its
+        // order.
+        let aligned = stream.filter(|s| {
+            *table.in_order.get_or_insert_with(|| {
+                let positions = &cached.file.positions;
+                s.order.len() >= stored
+                    && positions
+                        .iter()
+                        .zip(s.order)
+                        .all(|(&p, &o)| p as usize == o)
+            })
+        });
+        if let Some(block) = aligned {
+            if block.end > stored {
+                return Ok(Fetched::PastWatermark);
+            }
+            let block_records = meta.block_records as usize;
+            let first = block.start / block_records;
+            let last = block.end.div_ceil(block_records).max(first);
+            let pruned = (first..last).filter(|&b| prunable(b)).count();
+            needed.extend(
+                (first..last)
+                    .filter(|&b| !prunable(b) && table.pages[b].is_none())
+                    .map(|b| b as u32),
+            );
+            let now = needed.len();
+            let page_bytes = |b: usize| meta.rows_in_block(b) * ns * std::mem::size_of::<f32>();
+            if now > 0 {
+                // Read ahead: the rest of the column this pass will read,
+                // in the same run, as far as the reservation can hold it
+                // beside this block's pages — so the file is opened once
+                // per pass, not once per block.
+                let block_bytes: usize = needed.iter().map(|&b| page_bytes(b as usize)).sum();
+                let mut room = reservation.room().saturating_sub(block_bytes);
+                for b in last..meta.n_blocks() {
+                    if prunable(b) || table.pages[b].is_some() {
+                        continue;
+                    }
+                    let bytes = page_bytes(b);
+                    if bytes > room {
+                        break;
+                    }
+                    room -= bytes;
+                    needed.push(b as u32);
+                }
+            }
+            let mut taken = self.take_pages(key, &cached, table, reservation, needed, stats)?;
+            taken.truncate(now);
+            // The block's stored blocks in order: pruned, taken now (the
+            // first `now` of `needed`), or held from an earlier fetch.
+            let (start, mut taken) = (pieces.len(), needed.iter().zip(taken).peekable());
+            for (b, zone) in zones.iter().enumerate().take(last).skip(first) {
+                pieces.push(match zone.constant_value().filter(|_| prune) {
+                    Some(value) => Piece::Constant {
+                        value,
+                        len: meta.rows_in_block(b) * ns,
+                    },
+                    None => match taken.next_if(|&(&t, _)| t as usize == b) {
+                        Some((_, page)) => Piece::Page(page),
+                        None => Piece::Page(Arc::clone(table.pages[b].as_ref().expect("held"))),
+                    },
+                });
+            }
+            spans.push(Span {
+                col,
+                skip: (block.start - first * block_records) * ns,
+                pieces: start..pieces.len(),
+            });
+            stats.blocks_pruned += pruned;
+            return Ok(Fetched::Scanned);
+        }
+
+        // Any other fetch maps each position through the inverse row map
+        // and classifies each stored block it touches once. The rows are
+        // in no useful order, so consecutive positions land on arbitrary
+        // blocks.
+        let inverse = cached.inverse();
+        rows.clear();
         block_use.clear();
         block_use.resize(meta.n_blocks(), BLOCK_UNTOUCHED);
         let block_records = meta.block_records as usize;
         let mut pruned = 0;
         for &pos in positions {
-            if pos >= nd {
-                return Err(StoreError::Corrupt(format!(
-                    "record position {pos} out of range (nd={nd})"
-                )));
-            }
-            if let Some(bits) = &cached.covered {
-                if !coverage_covers(bits, pos) {
+            let row = match inverse.get(pos) {
+                None => {
                     return Err(StoreError::Corrupt(format!(
-                        "record position {pos} is past the column's watermark \
-                         ({} of {nd} records completed)",
-                        meta.completed_records
-                    )));
+                        "record position {pos} out of range (nd={nd})"
+                    )))
                 }
-            }
-            // A partial column stores its valid rows densely packed: the
-            // position's data row is its rank among covered positions.
-            let row = match &cached.ranks {
-                Some(ranks) => ranks[pos] as usize,
-                None => pos,
+                Some(&NOT_STORED) => return Ok(Fetched::PastWatermark),
+                Some(&row) => row as usize,
             };
             let b = meta.block_of(row);
             if block_use[b] == BLOCK_UNTOUCHED {
@@ -908,7 +1040,7 @@ impl BehaviorStore {
                 // served without touching its payload (no read, no
                 // checksum, no pool traffic). `constant_value` is `None`
                 // for non-finite-flagged blocks.
-                if prune && zones[b].constant_value().is_some() {
+                if prunable(b) {
                     block_use[b] = BLOCK_PRUNED;
                     pruned += 1;
                 } else if table.pages[b].is_some() {
@@ -925,44 +1057,9 @@ impl BehaviorStore {
                 needed.push(b as u32);
             }
         }
-
-        // Take what is resident, load and install the rest. A column whose
-        // touched blocks were all pruned never enters the pool.
-        let fetch = if needed.is_empty() {
-            None
-        } else {
-            let mut fetch = self.pool.fetch_column(key, needed);
-            let missing: Vec<usize> = fetch.missing().collect();
-            if !missing.is_empty() {
-                let blocks: Vec<u32> = missing.iter().map(|&i| needed[i]).collect();
-                let path = self.column_path(key);
-                let pages = retry_transient(&mut stats.io_retries, || {
-                    let mut file = File::open(&path).map_err(|e| match e.kind() {
-                        std::io::ErrorKind::NotFound => StoreError::Evicted(format!(
-                            "unit {} was deleted after it was looked up",
-                            key.unit
-                        )),
-                        _ => e.into(),
-                    })?;
-                    format::read_blocks(&mut file, &cached.file, &blocks)
-                })?;
-                fetch.install(missing.into_iter().zip(pages));
-            }
-            for (i, &b) in needed.iter().enumerate() {
-                let page = fetch.shared_page(i).expect("every needed page is in hand");
-                let bytes = page.len() * std::mem::size_of::<f32>();
-                if reservation.try_take(bytes) {
-                    table.pages[b as usize] = Some(Arc::clone(page));
-                    table.bytes += bytes;
-                }
-            }
-            stats.blocks_read += needed.len();
-            stats.pool_hits += fetch.hits;
-            stats.pool_misses += needed.len() - fetch.hits;
-            stats.pool_evictions += fetch.evictions;
-            Some(fetch)
-        };
+        let pages = self.take_pages(key, &cached, table, reservation, needed, stats)?;
         stats.blocks_pruned += pruned;
+        stats.inverse_map_fetches += 1;
 
         // Gather: the `ns` values of position `i` go down column `col` of
         // the row-major output, `stride` apart.
@@ -974,14 +1071,69 @@ impl BehaviorStore {
                     cells.take(ns).for_each(|cell| *cell = v);
                     continue;
                 }
-                BLOCK_HELD => table.pages[b].as_deref().map(Vec::as_slice),
-                page => fetch.as_ref().and_then(|f| f.page(page as usize)),
-            }
-            .expect("every touched page is held, resident or installed");
+                BLOCK_HELD => table.pages[b].as_deref().expect("a held page"),
+                page => &*pages[page as usize],
+            };
             let values = &page[local * ns..(local + 1) * ns];
             cells.zip(values).for_each(|(cell, &v)| *cell = v);
         }
-        Ok(())
+        Ok(Fetched::Scanned)
+    }
+
+    /// Takes the pages of `needed` (distinct stored blocks of one column,
+    /// ascending): the resident ones under one pool lock, the rest loaded
+    /// through one file handle in ascending block order — each run of
+    /// consecutive blocks one read — and installed under one more lock.
+    /// Keeps each page in the column's page table while the reservation
+    /// has room, and returns them in `needed` order. `stats` counts the
+    /// pages only once they are all in hand, so a failed fetch reports its
+    /// retries and nothing else.
+    fn take_pages(
+        &self,
+        key: &ColumnKey,
+        cached: &CachedInfo,
+        table: &mut HeldPages,
+        reservation: &PageReservation,
+        needed: &[u32],
+        stats: &mut StoreStats,
+    ) -> Result<Vec<Arc<Vec<f32>>>, StoreError> {
+        if needed.is_empty() {
+            // A column whose touched blocks were all pruned or held never
+            // enters the pool.
+            return Ok(Vec::new());
+        }
+        let mut fetch = self.pool.fetch_column(key, needed);
+        let missing: Vec<usize> = fetch.missing().collect();
+        if !missing.is_empty() {
+            let blocks: Vec<u32> = missing.iter().map(|&i| needed[i]).collect();
+            let path = self.column_path(key);
+            let pages = retry_transient(&mut stats.io_retries, || {
+                let mut file = File::open(&path).map_err(|e| match e.kind() {
+                    std::io::ErrorKind::NotFound => StoreError::Evicted(format!(
+                        "unit {} was deleted after it was looked up",
+                        key.unit
+                    )),
+                    _ => e.into(),
+                })?;
+                format::read_blocks(&mut file, &cached.file, &blocks)
+            })?;
+            fetch.install(missing.into_iter().zip(pages));
+        }
+        let mut pages = Vec::with_capacity(needed.len());
+        for (i, &b) in needed.iter().enumerate() {
+            let page = fetch.shared_page(i).expect("every needed page is in hand");
+            let bytes = page.len() * std::mem::size_of::<f32>();
+            if reservation.try_take(bytes) {
+                table.pages[b as usize] = Some(Arc::clone(page));
+                table.bytes += bytes;
+            }
+            pages.push(Arc::clone(page));
+        }
+        stats.blocks_read += needed.len();
+        stats.pool_hits += fetch.hits;
+        stats.pool_misses += needed.len() - fetch.hits;
+        stats.pool_evictions += fetch.evictions;
+        Ok(pages)
     }
 
     /// Quarantines a column that failed validation: renames the file
@@ -1145,7 +1297,7 @@ mod tests {
     fn partial_columns(store: &BehaviorStore) -> usize {
         let keys: Vec<ColumnKey> = store.index.lock().iter().copied().collect();
         keys.iter()
-            .filter(|key| store.coverage(key).is_ok_and(|c| !c.is_complete()))
+            .filter(|key| store.column_meta(key).is_ok_and(|m| !m.is_complete()))
             .count()
     }
 
@@ -1301,10 +1453,7 @@ mod tests {
         assert!(!store.contains(&key(0)), "partial is not a complete hit");
         assert_eq!(store.split_units(0x11, 0x22, &[0, 1]).1, vec![0]);
         assert_eq!(partial_columns(&store), 1);
-        let cov = store.coverage(&key(0)).unwrap();
-        assert_eq!(cov.completed_records(), 8);
-        assert!(cov.covers_all(&[0, 3, 7]));
-        assert!(!cov.covers(8));
+        assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // Covered positions scan bit-identically...
         let positions: Vec<usize> = (0..8).collect();
         let mut out = vec![0.0f32; 8 * ns];
@@ -1384,27 +1533,27 @@ mod tests {
         store
             .write_partial_column(&key(0), nd, ns, &col8, &filled8)
             .unwrap();
-        assert_eq!(store.coverage(&key(0)).unwrap().completed_records(), 8);
+        assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // A smaller prefix (an earlier early stop) is refused...
         let (col4, filled4) = fill(&(0..4).collect::<Vec<_>>());
         let report = store
             .write_partial_column(&key(0), nd, ns, &col4, &filled4)
             .unwrap();
         assert_eq!(report, StoreStats::default());
-        assert_eq!(store.coverage(&key(0)).unwrap().completed_records(), 8);
+        assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // ...as is a disjoint fill that would lose covered positions...
         let (col_d, filled_d) = fill(&[8, 9, 10, 11]);
         store
             .write_partial_column(&key(0), nd, ns, &col_d, &filled_d)
             .unwrap();
-        assert_eq!(store.coverage(&key(0)).unwrap().completed_records(), 8);
+        assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // ...while a strict extension goes through.
         let (col10, filled10) = fill(&(0..10).collect::<Vec<_>>());
         let report = store
             .write_partial_column(&key(0), nd, ns, &col10, &filled10)
             .unwrap();
         assert!(report.blocks_written > 0);
-        assert_eq!(store.coverage(&key(0)).unwrap().completed_records(), 10);
+        assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 10);
         let mut out = vec![0.0f32; 10 * ns];
         let mut stats = StoreStats::default();
         store
@@ -1427,7 +1576,7 @@ mod tests {
     #[test]
     fn concurrent_partial_extension_revalidates_instead_of_false_corruption() {
         // Two store instances over one path: B extends a partial column
-        // in place (rename onto the same file repacks the rows), which
+        // in place (rename onto the same file moves the rows), which
         // makes A's cached zone table stale. A's next pool-missing scan
         // must revalidate against the new file and serve correct values
         // — never report the valid newer file as corrupt.
@@ -1470,7 +1619,7 @@ mod tests {
         let (col_b, filled_b) = fill(&[0, 1, 4, 5, 8, 9]);
         b.write_partial_column(&key(0), nd, ns, &col_b, &filled_b)
             .unwrap();
-        assert_eq!(b.coverage(&key(0)).unwrap().completed_records(), 6);
+        assert_eq!(b.column_meta(&key(0)).unwrap().completed_records, 6);
         // A scans through its stale cache: must succeed bit-identically.
         let mut out = vec![0.0f32; 3 * ns];
         a.scan_into(
@@ -1537,6 +1686,22 @@ mod tests {
             .unwrap();
         assert_eq!(report, StoreStats::default());
         assert!(store.contains(&key(0)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Record positions are stored as u32, so a record count past them
+    /// is refused before anything is sized by it or written.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_record_count_past_u32_positions_is_refused() {
+        let (store, dir) = test_store("wide-nd", 1 << 20);
+        let nd = u32::MAX as usize + 1;
+        let outcomes = store.write_columns(nd, 1, &[0], &[(key(0), &[1.0]), (key(1), &[2.0])]);
+        for outcome in outcomes {
+            let err = outcome.unwrap_err();
+            assert!(err.to_string().contains("u32 record positions"), "{err}");
+        }
+        assert!(!store.contains(&key(0)) && !store.contains(&key(1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2144,7 +2309,7 @@ mod tests {
             });
             let reopened = BehaviorStore::open(&config).unwrap();
             for s in [&store, &reopened] {
-                assert!(s.coverage(&k).unwrap().is_complete(), "round {round}");
+                assert!(s.column_meta(&k).unwrap().is_complete(), "round {round}");
                 let mut out = vec![0.0f32; nd * ns];
                 let mut stats = StoreStats::default();
                 s.scan_into(&k, nd, ns, &positions, &mut out, 1, 0, false, &mut stats)

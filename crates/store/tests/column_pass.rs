@@ -55,62 +55,88 @@ fn block(units: &[usize], positions: &[usize]) -> Vec<u32> {
         .collect()
 }
 
-/// Streams the segment in position order, one `BLOCK` at a time, serving
-/// live requests with the true values and logging which units each block
+/// Record order, the order `write_column` stores: a pass streaming it
+/// reads each block of a column `write_column` wrote as one row range.
+fn record_order() -> Vec<usize> {
+    (0..ND).collect()
+}
+
+/// Streams the segment in `order`, one `BLOCK` at a time, serving live
+/// requests with the true values and logging which units each block
 /// asked for. Returns the log and the pass's stats; panics if any served
 /// block differs from the true behaviors.
-fn run_pass(store: &Arc<BehaviorStore>, write: bool) -> (Vec<Vec<usize>>, StoreStats) {
+fn run_pass(
+    store: &Arc<BehaviorStore>,
+    write: bool,
+    order: &[usize],
+) -> (Vec<Vec<usize>>, StoreStats) {
     let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, write, usize::MAX);
     assert_eq!(plan.hits, UNITS, "every column is a plan-time hit");
-    let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+    let mut pass = ColumnPass::new(&plan, &UNITS, order, NS);
     let mut asked: Vec<Vec<usize>> = Vec::new();
     for start in (0..ND).step_by(BLOCK) {
-        let positions: Vec<usize> = (start..start + BLOCK).collect();
+        let positions = &order[start..start + BLOCK];
         let mut out = vec![0.0f32; BLOCK * NS * UNITS.len()];
-        pass.fetch_block(&positions, &mut out, |units| {
+        pass.fetch_block(start..start + BLOCK, &mut out, |units| {
             asked.push(units.to_vec());
-            let live = block(units, &positions);
+            let live = block(units, positions);
             live.into_iter().map(f32::from_bits).collect()
         });
         let served: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(served, block(&UNITS, &positions), "block at {start}");
+        assert_eq!(served, block(&UNITS, positions), "block at {start}");
     }
     (asked, pass.finish())
 }
 
 /// A complete hit never calls the closure; a bit-flipped column demotes
-/// mid-pass, the closure is asked for exactly that unit, and the file is
-/// quarantined only when the plan may write.
+/// at the fetch that reads the flipped block, the closure is asked for
+/// exactly that unit from then on, and the file is quarantined only when
+/// the plan may write. A pass in the stored order reads the column's
+/// remaining blocks with its first fetch, so it finds the flip at once;
+/// a pass in another order meets it at the third block.
 #[test]
 fn hits_scan_and_a_flipped_column_demotes_mid_pass_quarantined_only_under_write() {
+    // The second stored block first: not the stored order.
+    let rotated: Vec<usize> = (4..8).chain(0..4).chain(8..ND).collect();
     for (flip, write) in [(false, false), (true, false), (true, true)] {
-        let config = config(&format!("flip{flip}-write{write}"));
-        populate(&config);
-        let file = config
-            .path
-            .join(format!("{MODEL_FP:016x}.{DATASET_FP:016x}"))
-            .join("u1.col");
-        if flip {
-            // One bit in the last byte of unit 1's file: the payload of its
-            // last stored block, which the third streamed block reads.
-            let mut bytes = std::fs::read(&file).unwrap();
-            *bytes.last_mut().unwrap() ^= 0x10;
-            std::fs::write(&file, &bytes).unwrap();
+        for (aligned, order) in [(true, record_order()), (false, rotated.clone())] {
+            let config = config(&format!("flip{flip}-write{write}-aligned{aligned}"));
+            populate(&config);
+            let file = config
+                .path
+                .join(format!("{MODEL_FP:016x}.{DATASET_FP:016x}"))
+                .join("u1.col");
+            if flip {
+                // One bit in the last byte of unit 1's file: the payload
+                // of its last stored block, which the third streamed block
+                // reads.
+                let mut bytes = std::fs::read(&file).unwrap();
+                *bytes.last_mut().unwrap() ^= 0x10;
+                std::fs::write(&file, &bytes).unwrap();
+            }
+            let store = BehaviorStore::open(&config).unwrap();
+            let (asked, stats) = run_pass(&store, write, &order);
+            let case = format!("flip={flip} write={write} aligned={aligned}");
+            // Clean blocks, then (if flipped) exactly the corrupt unit goes
+            // live, from the block that found it.
+            let clean = match (flip, aligned) {
+                (false, _) => 3,
+                (true, true) => 0,
+                (true, false) => 2,
+            };
+            assert_eq!(asked, vec![vec![1]; 3 - clean], "{case}");
+            assert_eq!(stats.forward_passes_avoided, clean, "{case}");
+            let scanned = UNITS.len() - usize::from(clean == 0);
+            assert_eq!(stats.columns_scanned, scanned, "{case}");
+            assert_eq!(stats.error_count, usize::from(flip), "{:?}", stats.errors);
+            assert_eq!(stats.columns_written, 0, "a demoted hit is not captured");
+            assert_eq!(stats.inverse_map_fetches == 0, aligned, "{case}");
+            // Quarantine renames the file aside; without `write` the pass
+            // leaves it where it is even though the store itself is
+            // writable.
+            assert_eq!(file.exists(), !(flip && write), "{case}");
+            let _ = std::fs::remove_dir_all(&config.path);
         }
-        let store = BehaviorStore::open(&config).unwrap();
-        let (asked, stats) = run_pass(&store, write);
-        // Two clean blocks, then (if flipped) exactly the corrupt unit
-        // goes live, for the block that found it.
-        let expect_asked: Vec<Vec<usize>> = if flip { vec![vec![1]] } else { vec![] };
-        assert_eq!(asked, expect_asked, "flip={flip} write={write}");
-        assert_eq!(stats.forward_passes_avoided, if flip { 2 } else { 3 });
-        assert_eq!(stats.columns_scanned, UNITS.len());
-        assert_eq!(stats.error_count, usize::from(flip), "{:?}", stats.errors);
-        assert_eq!(stats.columns_written, 0, "a demoted hit is not captured");
-        // Quarantine renames the file aside; without `write` the pass
-        // leaves it where it is even though the store itself is writable.
-        assert_eq!(file.exists(), !(flip && write), "flip={flip} write={write}");
-        let _ = std::fs::remove_dir_all(&config.path);
     }
 }
 
@@ -137,15 +163,16 @@ mod group_write_back {
             .join(format!("u{unit}.col"))
     }
 
-    /// Streams the first `blocks` blocks of `WIDE` with every column live
-    /// (a cold pass that writes back) and finishes it.
+    /// Streams the first `blocks` blocks of `WIDE` in record order with
+    /// every column live (a cold pass that writes back) and finishes it.
     fn write_back_pass(store: &Arc<BehaviorStore>, blocks: usize) -> StoreStats {
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &WIDE, true, usize::MAX);
-        let mut pass = ColumnPass::new(&plan, &WIDE, ND, NS);
+        let order = record_order();
+        let mut pass = ColumnPass::new(&plan, &WIDE, &order, NS);
         for start in (0..ND).step_by(BLOCK).take(blocks) {
             let positions: Vec<usize> = (start..start + BLOCK).collect();
             let mut out = vec![0.0f32; BLOCK * NS * WIDE.len()];
-            pass.fetch_block(&positions, &mut out, |units| {
+            pass.fetch_block(start..start + BLOCK, &mut out, |units| {
                 block(units, &positions)
                     .into_iter()
                     .map(f32::from_bits)
@@ -232,7 +259,7 @@ mod group_write_back {
         let read = |unit| {
             let file = format::read_meta(&mut File::open(column_file(&config, unit)).unwrap());
             let file = file.unwrap();
-            (file.meta.completed_records, file.covered)
+            (file.meta.completed_records, file.positions)
         };
         let before = read(larger);
 
@@ -402,7 +429,8 @@ mod shuffled {
         populate(&config);
         let store = BehaviorStore::open(&config).unwrap();
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
-        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+        let order = shuffled_positions(0xD1CE);
+        let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
 
         let reference_pool = BufferPool::new(pool_bytes);
         let mut reference_stats = StoreStats::default();
@@ -418,13 +446,13 @@ mod shuffled {
             })
             .collect();
 
-        let order = shuffled_positions(0xD1CE);
         let width = UNITS.len();
         // One buffer reused across blocks, never re-zeroed: the pass
         // overwrites every cell.
         let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
-        for positions in order.chunks(STREAM_BLOCK) {
-            pass.fetch_block(positions, &mut out, |units| {
+        for (b, positions) in order.chunks(STREAM_BLOCK).enumerate() {
+            let block = b * STREAM_BLOCK..(b + 1) * STREAM_BLOCK;
+            pass.fetch_block(block, &mut out, |units| {
                 panic!("every column is stored, yet {units:?} went live")
             });
             assert!(store.held_page_bytes() <= pool_bytes, "{name}: reservation");
@@ -465,6 +493,9 @@ mod shuffled {
         assert_eq!(stats.columns_scanned, UNITS.len());
         assert_eq!(stats.forward_passes_avoided, ND / STREAM_BLOCK);
         assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+        // Record-order columns under a shuffled stream: every fetch maps
+        // its positions through the inverse row map.
+        assert_eq!(stats.inverse_map_fetches, UNITS.len() * ND / STREAM_BLOCK);
         // The pool is within its budget and its books balance.
         assert!(store.pool().stats().resident_bytes <= pool_bytes);
         store.pool().verify_accounting().unwrap();
@@ -537,24 +568,28 @@ mod shuffled {
 
         let store = BehaviorStore::open(&config).unwrap();
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, true, usize::MAX);
-        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+        // Each streamed block's positions backwards: not the stored order,
+        // and the first streamed block (positions 47..=0) reads stored
+        // blocks 0..6 of every column in one run.
+        let order: Vec<usize> = (0..ND)
+            .map(|i| i / STREAM_BLOCK * STREAM_BLOCK + STREAM_BLOCK - 1 - i % STREAM_BLOCK)
+            .collect();
+        let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
         let width = UNITS.len();
         let mut asked = Vec::new();
-        // In position order, so the first streamed block (positions
-        // 0..48) reads stored blocks 0..6 of every column in one run.
         for start in (0..ND).step_by(STREAM_BLOCK) {
-            let positions: Vec<usize> = (start..start + STREAM_BLOCK).collect();
+            let positions = &order[start..start + STREAM_BLOCK];
             let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
-            pass.fetch_block(&positions, &mut out, |units| {
+            pass.fetch_block(start..start + STREAM_BLOCK, &mut out, |units| {
                 asked.push(units.to_vec());
-                truth(units, &positions)
+                truth(units, positions)
             });
             if start == 0 {
                 // Units 1, 3, 4, 6 and 7 hold stored blocks 0..6; units 0
                 // and 2 pruned theirs, and the demoted unit 5 let go.
                 assert_eq!(store.held_page_bytes(), 5 * 6 * PAGE_BYTES);
             }
-            assert_eq!(out, truth(&UNITS, &positions));
+            assert_eq!(out, truth(&UNITS, positions));
         }
         assert_eq!(asked, vec![vec![5]; 4], "unit 5 live from the failure on");
         let stats = pass.finish();
@@ -585,18 +620,18 @@ mod shuffled {
         populate(&config);
         let store = BehaviorStore::open(&config).unwrap();
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
-        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
+        // The even, then the odd positions of stored blocks 0..12, then
+        // stored blocks 12..18.
+        let order: Vec<usize> = (0..ND / 2)
+            .step_by(2)
+            .chain((1..ND / 2).step_by(2))
+            .chain(ND / 2..ND)
+            .collect();
+        let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
         let width = UNITS.len();
         let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
         let mut asked = Vec::new();
-        // The even, then the odd positions of stored blocks 0..12, then
-        // stored blocks 12..18.
-        let blocks: [Vec<usize>; 3] = [
-            (0..ND / 2).step_by(2).collect(),
-            (1..ND / 2).step_by(2).collect(),
-            (ND / 2..ND / 2 + STREAM_BLOCK).collect(),
-        ];
-        for (i, positions) in blocks.iter().enumerate() {
+        for (i, positions) in order.chunks(STREAM_BLOCK).take(3).enumerate() {
             if i == 1 {
                 let elsewhere = BehaviorStore::open(&StoreConfig {
                     disk_budget_bytes: 1,
@@ -606,7 +641,8 @@ mod shuffled {
                 let swept = elsewhere.compact(u64::MAX);
                 assert_eq!(swept.columns_evicted, UNITS.len(), "no delete refused");
             }
-            pass.fetch_block(positions, &mut out, |units| {
+            let block = i * STREAM_BLOCK..(i + 1) * STREAM_BLOCK;
+            pass.fetch_block(block, &mut out, |units| {
                 asked.push((i, units.to_vec()));
                 truth(units, positions)
             });
@@ -634,8 +670,8 @@ mod shuffled {
         let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
 
-        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
-        pass.fetch_block(&order[..STREAM_BLOCK], &mut out, |_| unreachable!());
+        let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
+        pass.fetch_block(0..STREAM_BLOCK, &mut out, |_| unreachable!());
         assert!(
             store.held_page_bytes() > 0,
             "the first block holds its pages"
@@ -649,9 +685,10 @@ mod shuffled {
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &with_miss, false, usize::MAX);
         let mut out = vec![0.0f32; STREAM_BLOCK * NS * with_miss.len()];
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut pass = ColumnPass::new(&plan, &with_miss, ND, NS);
+            let mut pass = ColumnPass::new(&plan, &with_miss, &order, NS);
             for (i, positions) in order.chunks(STREAM_BLOCK).enumerate() {
-                pass.fetch_block(positions, &mut out, |units| {
+                let block = i * STREAM_BLOCK..(i + 1) * STREAM_BLOCK;
+                pass.fetch_block(block, &mut out, |units| {
                     assert!(i == 0, "live extraction failed");
                     vec![0.0; positions.len() * NS * units.len()]
                 });
@@ -662,5 +699,315 @@ mod shuffled {
         assert_eq!(store.held_page_bytes(), 0, "unwound through the pass");
         store.pool().verify_accounting().unwrap();
         let _ = std::fs::remove_dir_all(&config.path);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Columns stored in a pass's own stream order
+// ---------------------------------------------------------------------
+
+mod stream_order {
+    use super::*;
+    use deepbase_store::{format, MaterializationPolicy};
+    use std::fs::File;
+    use std::ops::Range;
+
+    fn key(unit: usize) -> ColumnKey {
+        ColumnKey {
+            model_fp: MODEL_FP,
+            dataset_fp: DATASET_FP,
+            unit,
+        }
+    }
+
+    fn column_file(config: &StoreConfig, unit: usize) -> PathBuf {
+        config
+            .path
+            .join(format!("{MODEL_FP:016x}.{DATASET_FP:016x}"))
+            .join(format!("u{unit}.col"))
+    }
+
+    /// A seeded Fisher–Yates shuffle of the segment's positions.
+    fn shuffled(seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..ND).collect();
+        let mut state = seed | 1;
+        for i in (1..ND).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        order
+    }
+
+    /// The stored record positions and watermark of `unit`'s file.
+    fn stored(config: &StoreConfig, unit: usize) -> (u64, Vec<u32>) {
+        let file = format::read_meta(&mut File::open(column_file(config, unit)).unwrap());
+        let file = file.unwrap();
+        (file.meta.completed_records, file.positions)
+    }
+
+    /// Streams `order` in blocks of `stream_block` — the first `blocks`
+    /// of them — serving live requests with the true values, checks every
+    /// served block bit for bit and returns, per block, the units it
+    /// asked for, and the pass's stats.
+    fn stream(
+        store: &Arc<BehaviorStore>,
+        write: bool,
+        order: &[usize],
+        stream_block: usize,
+        blocks: usize,
+    ) -> (Vec<Vec<usize>>, StoreStats) {
+        let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, write, usize::MAX);
+        let mut pass = ColumnPass::new(&plan, &UNITS, order, NS);
+        let mut asked = Vec::new();
+        let ranges: Vec<Range<usize>> = (0..ND)
+            .step_by(stream_block)
+            .map(|start| start..(start + stream_block).min(ND))
+            .take(blocks)
+            .collect();
+        for range in ranges {
+            let positions = &order[range.clone()];
+            let mut out = vec![f32::NAN; range.len() * NS * UNITS.len()];
+            let mut units_asked = Vec::new();
+            pass.fetch_block(range.clone(), &mut out, |units| {
+                units_asked = units.to_vec();
+                block(units, positions)
+                    .into_iter()
+                    .map(f32::from_bits)
+                    .collect()
+            });
+            let served: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(served, block(&UNITS, positions), "block {range:?}");
+            asked.push(units_asked);
+        }
+        (asked, pass.finish())
+    }
+
+    /// A cold pass writes every column back in the order it streamed.
+    /// A pass in that order reads each block as a row range of every
+    /// column — with stream blocks the size of the stored ones and with
+    /// blocks that straddle them — takes each page once and maps nothing
+    /// through an inverse row map; a pass in another order reads the
+    /// same bits through the inverse map.
+    #[test]
+    fn a_pass_in_another_order_takes_the_inverse_map_and_reads_the_same_bits() {
+        let config = config("stream-order");
+        let order = shuffled(0x5EED);
+        let written = {
+            let store = BehaviorStore::open(&config).unwrap();
+            stream(&store, true, &order, BLOCK, usize::MAX).1
+        };
+        assert_eq!(written.columns_written, UNITS.len());
+        let positions: Vec<u32> = order.iter().map(|&p| p as u32).collect();
+        for unit in UNITS {
+            assert_eq!(stored(&config, unit), (ND as u64, positions.clone()));
+        }
+        for stream_block in [BLOCK, 6, 5] {
+            let store = BehaviorStore::open(&config).unwrap();
+            let (asked, stats) = stream(&store, false, &order, stream_block, usize::MAX);
+            assert!(asked.iter().all(Vec::is_empty), "{asked:?}");
+            assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+            assert_eq!(stats.inverse_map_fetches, 0, "block {stream_block}");
+            assert_eq!(stats.columns_scanned, UNITS.len());
+            // Raw values: no block prunes, and each stored page is taken
+            // through the pool once, all with the first fetch.
+            let pages = UNITS.len() * ND / BLOCK;
+            assert_eq!(stats.blocks_read, pages, "block {stream_block}");
+            assert_eq!(stats.pool_misses, pages, "block {stream_block}");
+            assert_eq!(store.held_page_bytes(), 0);
+        }
+        let store = BehaviorStore::open(&config).unwrap();
+        let (asked, stats) = stream(&store, false, &shuffled(0xB0B), BLOCK, usize::MAX);
+        assert!(asked.iter().all(Vec::is_empty), "{asked:?}");
+        assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+        assert_eq!(stats.inverse_map_fetches, UNITS.len() * ND / BLOCK);
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+
+    /// An early-stopped pass leaves its first `W` records as partial
+    /// columns. A pass in another order never shrinks them — not with a
+    /// shorter prefix, nor with a longer one that drops some of their
+    /// records. A resume in the stored order scans the prefix as row
+    /// ranges, extracts only past `W` and completes every column in the
+    /// stream's order.
+    #[test]
+    fn an_early_stopped_prefix_resumes_aligned_and_completes_the_column() {
+        let config = config("stream-resume");
+        let order = shuffled(0xACE);
+        let store = BehaviorStore::open(&config).unwrap();
+        let (_, stats) = stream(&store, true, &order, BLOCK, 2);
+        assert_eq!(stats.partial_columns_written, UNITS.len());
+        let prefix: Vec<u32> = order[..2 * BLOCK].iter().map(|&p| p as u32).collect();
+        for unit in UNITS {
+            assert_eq!(stored(&config, unit), (2 * BLOCK as u64, prefix.clone()));
+        }
+
+        // Another order: its first four records, then its first ten, which
+        // leave out the prefix's first two. Its first block holds records
+        // past the prefix and goes live; its second lies inside it.
+        let mut other: Vec<usize> = order[2..].iter().rev().copied().collect();
+        other.extend(&order[..2]);
+        for (stream_block, blocks) in [(BLOCK, 1), (5, 2)] {
+            let (asked, stats) = stream(&store, true, &other, stream_block, blocks);
+            let mut want = vec![UNITS.to_vec()];
+            want.resize(blocks, vec![]);
+            assert_eq!(asked, want, "{stream_block}");
+            let mapped = (blocks - 1) * UNITS.len();
+            assert_eq!(stats.inverse_map_fetches, mapped, "{stream_block}");
+            assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+            assert_eq!(stats.partial_columns_written, 0, "{stream_block}");
+            for unit in UNITS {
+                assert_eq!(stored(&config, unit), (2 * BLOCK as u64, prefix.clone()));
+            }
+        }
+
+        let (asked, stats) = stream(&store, true, &order, BLOCK, usize::MAX);
+        assert_eq!(
+            asked,
+            vec![vec![], vec![], UNITS.to_vec()],
+            "live past the watermark only"
+        );
+        assert_eq!(stats.error_count, 0, "{:?}", stats.errors);
+        assert_eq!(stats.inverse_map_fetches, 0);
+        assert_eq!(stats.partial_columns_scanned, UNITS.len());
+        assert_eq!(stats.columns_written, UNITS.len());
+        let positions: Vec<u32> = order.iter().map(|&p| p as u32).collect();
+        for unit in UNITS {
+            assert_eq!(stored(&config, unit), (ND as u64, positions.clone()));
+            assert!(store.contains(&key(unit)));
+        }
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+
+    /// `scan_into` by record positions over a column stored in a stream's
+    /// order equals the same scan over the column `write_column` stores
+    /// in record order, for any positions, through the inverse map.
+    #[test]
+    fn scan_into_over_a_stream_ordered_column_equals_the_record_order_reference() {
+        let config = config("stream-scan-into");
+        let reference_config = super::config("stream-scan-into-reference");
+        let store = BehaviorStore::open(&config).unwrap();
+        stream(&store, true, &shuffled(0xF00D), BLOCK, usize::MAX);
+        populate(&reference_config);
+        let reference = BehaviorStore::open(&reference_config).unwrap();
+        let queries: [Vec<usize>; 3] = [record_order(), shuffled(7), vec![11, 0, 5, 5, 3]];
+        for unit in UNITS {
+            for positions in &queries {
+                let scan = |store: &BehaviorStore, stats: &mut StoreStats| {
+                    let mut out = vec![f32::NAN; positions.len() * NS];
+                    store
+                        .scan_into(&key(unit), ND, NS, positions, &mut out, 1, 0, true, stats)
+                        .unwrap();
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let mut stats = StoreStats::default();
+                let got = scan(&store, &mut stats);
+                assert_eq!(got, scan(&reference, &mut StoreStats::default()));
+                assert_eq!(stats.inverse_map_fetches, 1);
+            }
+        }
+        for dir in [&config.path, &reference_config.path] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// A column file of the record-ordered version 3 reads as corrupt:
+    /// a read-write pass quarantines it and extracts the column live, and
+    /// the next pass re-materializes it, which the pass after scans.
+    #[test]
+    fn a_version_3_file_quarantines_and_re_materializes() {
+        let config = config("stream-v3");
+        populate(&config);
+        let file = column_file(&config, 1);
+        let mut bytes = std::fs::read(&file).unwrap();
+        bytes[8..10].copy_from_slice(&3u16.to_le_bytes());
+        // A header checksum that validates: only the version is wrong.
+        let reference = {
+            let mut h = bytes[..12].to_vec();
+            h.extend_from_slice(&[0; 4]);
+            h
+        };
+        let crc = deepbase_store_crc(&reference[..12]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&file, &bytes).unwrap();
+        let order = record_order();
+
+        let store = BehaviorStore::open(&config).unwrap();
+        let (asked, stats) = stream(&store, true, &order, BLOCK, usize::MAX);
+        assert_eq!(asked, vec![vec![1]; ND / BLOCK]);
+        assert_eq!(stats.error_count, 1, "{:?}", stats.errors);
+        assert!(stats.errors[0].contains("unsupported version 3"));
+        assert!(!file.exists(), "quarantined");
+        let (asked, stats) = stream(&store, true, &order, BLOCK, usize::MAX);
+        assert_eq!(asked, vec![vec![1]; ND / BLOCK]);
+        assert_eq!(stats.columns_written, 1, "re-materialized");
+        let (asked, stats) = stream(&store, true, &order, BLOCK, usize::MAX);
+        assert!(asked.iter().all(Vec::is_empty), "{asked:?}");
+        assert_eq!((stats.error_count, stats.inverse_map_fetches), (0, 0));
+        let _ = std::fs::remove_dir_all(&config.path);
+    }
+
+    /// CRC32 (IEEE), bit by bit.
+    fn deepbase_store_crc(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// One flipped byte of a stored position, or of the schema's
+    /// watermark, reads as corruption: a read-write pass quarantines the
+    /// column and extracts it live, and a pass over a read-only store
+    /// extracts it live and leaves every byte on disk as it was.
+    #[test]
+    fn a_flipped_position_or_watermark_byte_is_corrupt() {
+        // Header 16 bytes, schema 7 u64 + crc + stamp, 3 zone entries of
+        // 24 bytes + crc, the positions count, then the positions.
+        let watermark_byte = 16 + 6 * 8;
+        let position_byte = 16 + 7 * 8 + 4 + 8 + 3 * 24 + 4 + 8 + 4 * 5;
+        for (what, at) in [
+            ("positions section checksum", position_byte),
+            ("schema checksum", watermark_byte),
+        ] {
+            for read_only in [false, true] {
+                let config = config(&format!("stream-flip-{at}-{read_only}"));
+                let order = shuffled(0x0DD);
+                {
+                    let store = BehaviorStore::open(&config).unwrap();
+                    stream(&store, true, &order, BLOCK, usize::MAX);
+                }
+                let file = column_file(&config, 2);
+                let mut bytes = std::fs::read(&file).unwrap();
+                bytes[at] ^= 0x04;
+                std::fs::write(&file, &bytes).unwrap();
+                let store = BehaviorStore::open(&StoreConfig {
+                    policy: match read_only {
+                        true => MaterializationPolicy::ReadOnly,
+                        false => MaterializationPolicy::ReadWrite,
+                    },
+                    ..config.clone()
+                })
+                .unwrap();
+                let (asked, stats) = stream(&store, !read_only, &order, BLOCK, usize::MAX);
+                assert_eq!(asked, vec![vec![2]; ND / BLOCK], "{what}");
+                assert_eq!(stats.error_count, 1, "{:?}", stats.errors);
+                assert!(stats.errors[0].contains(what), "{:?}", stats.errors);
+                if read_only {
+                    assert_eq!(std::fs::read(&file).unwrap(), bytes, "{what}");
+                } else {
+                    assert!(!file.exists(), "{what}: quarantined");
+                }
+                let _ = std::fs::remove_dir_all(&config.path);
+            }
+        }
     }
 }

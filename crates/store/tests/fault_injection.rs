@@ -1,7 +1,7 @@
 //! Systematic fault injection over the column file format (ISSUE 5):
 //! every single-bit flip in a written column file — header, schema
-//! section, zone table (including v3 codec tags and non-finite flags),
-//! coverage bitmap, encoded data payloads, or any checksum byte — must
+//! section, zone table (codec tags and non-finite flags included),
+//! positions section, encoded data payloads, or any checksum byte — must
 //! be **detected** (a `StoreError::Corrupt` / `Io` from validation) or
 //! **provably harmless** (every subsequent read returns bytes
 //! bit-identical to the pristine file; a flipped access stamp only
@@ -16,7 +16,7 @@
 //! session-level suite in the core crate
 //! (`crates/core/tests/store_fault_tests.rs`).
 
-use deepbase_store::format::{self, coverage_from_filled, ColumnMeta};
+use deepbase_store::format::{self, ColumnMeta};
 use deepbase_store::{BehaviorStore, ColumnKey, StoreConfig, StoreError, StoreStats};
 use proptest::prelude::*;
 use std::fs::File;
@@ -32,7 +32,7 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 /// Deterministic column values, deliberately low-cardinality (five bit
-/// patterns plus a NaN sprinkle) so the v3 writer picks every codec —
+/// patterns plus a NaN sprinkle) so the writer picks every codec —
 /// Constant on single-pattern blocks, Dict on small-alphabet blocks, Raw
 /// on the rest — and the flip sweep covers all of their payloads.
 fn column_data(nd: usize, ns: usize) -> Vec<f32> {
@@ -47,9 +47,10 @@ fn column_data(nd: usize, ns: usize) -> Vec<f32> {
         .collect()
 }
 
-/// A deterministic `k`-element fill mask (an LCG permutation prefix, so
-/// watermarked sets are scattered like a real shuffled stream prefix).
-fn fill_mask(nd: usize, k: usize, salt: usize) -> Vec<bool> {
+/// A deterministic stream order (an LCG permutation), whose first `k`
+/// records a column of watermark `k` stores, in this order — scattered
+/// like a real shuffled stream prefix.
+fn stream_order(nd: usize, salt: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..nd).collect();
     let mut state = salt as u64 | 1;
     for i in (1..nd).rev() {
@@ -58,18 +59,14 @@ fn fill_mask(nd: usize, k: usize, salt: usize) -> Vec<bool> {
             .wrapping_add(1442695040888963407);
         order.swap(i, (state >> 33) as usize % (i + 1));
     }
-    let mut filled = vec![false; nd];
-    for &p in order.iter().take(k) {
-        filled[p] = true;
-    }
-    filled
+    order
 }
 
 /// Everything a consumer could read from a column file: the validated
-/// meta, the coverage bitmap, and every (decoded) data block. The access
-/// stamp is deliberately excluded: it is outside every checksum, and a
-/// flipped stamp only reorders disk-budget eviction.
-type FileContents = (ColumnMeta, Option<Vec<u8>>, Vec<Vec<u32>>);
+/// meta, the positions section, and every (decoded) data block. The
+/// access stamp is deliberately excluded: it is outside every checksum,
+/// and a flipped stamp only reorders disk-budget eviction.
+type FileContents = (ColumnMeta, Vec<u32>, Vec<Vec<u32>>);
 
 /// Reads a whole column file; `Err` means some validation step refused
 /// it (detection). Block values come back as f32 bit patterns so the
@@ -82,7 +79,7 @@ fn read_everything(path: &PathBuf) -> Result<FileContents, StoreError> {
         let page = format::read_block(&mut f, &col, b)?;
         blocks.push(page.iter().map(|v| v.to_bits()).collect());
     }
-    Ok((col.meta, col.covered, blocks))
+    Ok((col.meta, col.positions, blocks))
 }
 
 proptest! {
@@ -102,14 +99,15 @@ proptest! {
             1 => 0,
             _ => watermark_sel / 4 % (nd + 1),
         };
-        let filled = fill_mask(nd, k, watermark_sel);
+        let order = stream_order(nd, watermark_sel);
+        let stored: Vec<usize> = order[..k].to_vec();
         let full = column_data(nd, ns);
-        // Partial columns store only the valid rows, densely packed.
-        let data = if k < nd {
-            format::pack_rows(&full, &filled, ns)
-        } else {
-            full.clone()
-        };
+        // The column stores the stream prefix's rows, in stream order.
+        let data: Vec<f32> = stored
+            .iter()
+            .flat_map(|&p| full[p * ns..(p + 1) * ns].iter().copied())
+            .collect();
+        let positions: Vec<u32> = stored.iter().map(|&p| p as u32).collect();
         let meta = ColumnMeta {
             model_fp: 0x5EED,
             dataset_fp: 0xF00D,
@@ -117,12 +115,11 @@ proptest! {
             nd: nd as u64,
             ns: ns as u64,
             block_records: block_records as u64,
-            completed_records: if k < nd { k as u64 } else { nd as u64 },
+            completed_records: k as u64,
         };
-        let bitmap = (k < nd).then(|| coverage_from_filled(&filled));
         let dir = test_dir("flip");
         let path = dir.join("u1.col");
-        format::write_column_file(&path, &meta, &data, bitmap.as_deref(), 7)
+        format::write_column_file(&path, &meta, &data, &positions, 7)
             .unwrap();
         let pristine_bytes = std::fs::read(&path).unwrap();
         let pristine = read_everything(&path).expect("pristine file validates");
@@ -136,11 +133,11 @@ proptest! {
 
         match read_everything(&path) {
             Err(_) => {} // detected — the acceptable common outcome
-            Ok((meta, covered, blocks)) => {
+            Ok((meta, stored_positions, blocks)) => {
                 // Validation let the flip through: it must be provably
                 // harmless — everything served is bit-identical.
                 prop_assert_eq!(meta, pristine.0, "silent schema change");
-                prop_assert_eq!(covered, pristine.1.clone(), "silent coverage change");
+                prop_assert_eq!(stored_positions, pristine.1.clone(), "silent order change");
                 prop_assert_eq!(blocks, pristine.2.clone(), "silent data change");
             }
         }
@@ -153,7 +150,10 @@ proptest! {
         })
         .unwrap();
         let key = ColumnKey { model_fp: 0x5EED, dataset_fp: 0xF00D, unit: 1 };
-        let positions: Vec<usize> = (0..nd).filter(|&p| filled[p] || k == nd).collect();
+        // The stored records, in record order: every fetch maps them
+        // through the column's inverse row map.
+        let mut positions = stored.clone();
+        positions.sort_unstable();
         if !positions.is_empty() {
             let mut out = vec![f32::NAN; positions.len() * ns];
             let mut stats = StoreStats::default();

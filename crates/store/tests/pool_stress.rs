@@ -170,11 +170,11 @@ mod passes {
         (0..ND * NS).map(|i| value(unit, i / NS, i % NS)).collect()
     }
 
-    /// Threads running whole shuffled passes over one pool a sixth of
-    /// their working set, beside a writer rewriting columns under them:
-    /// every served value is right, the pages the passes hold never
-    /// exceed `pool_bytes` together, and at quiescence none are held and
-    /// the pool's books balance.
+    /// Threads running whole passes, shuffled and in stored order, over
+    /// one pool a sixth of their working set, beside a writer rewriting
+    /// columns under them: every served value is right, the pages the
+    /// passes hold never exceed `pool_bytes` together, and at quiescence
+    /// none are held and the pool's books balance.
     #[test]
     fn whole_passes_over_a_tight_pool_stay_within_the_reservation() {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -200,14 +200,19 @@ mod passes {
                     let plan = store.plan_scan(3, 5, &UNITS, false, usize::MAX);
                     let width = UNITS.len();
                     let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
-                    for _ in 0..PASSES {
+                    for p in 0..2 * PASSES {
+                        // `PASSES` shuffled passes, and between them as many
+                        // in record order, the order `write_column` stores:
+                        // those read each block as one row range and their
+                        // columns ahead.
                         let mut order: Vec<usize> = (0..ND).collect();
-                        for i in (1..ND).rev() {
+                        for i in (1..ND).rev().filter(|_| p % 2 == 0) {
                             order.swap(i, rng.below(i + 1));
                         }
-                        let mut pass = ColumnPass::new(&plan, &UNITS, ND, NS);
-                        for positions in order.chunks(STREAM_BLOCK) {
-                            pass.fetch_block(positions, &mut out, |_| unreachable!());
+                        let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
+                        for (b, positions) in order.chunks(STREAM_BLOCK).enumerate() {
+                            let block = b * STREAM_BLOCK..b * STREAM_BLOCK + positions.len();
+                            pass.fetch_block(block, &mut out, |_| unreachable!());
                             assert!(store.held_page_bytes() <= POOL_BYTES);
                             for (i, &pos) in positions.iter().enumerate() {
                                 for t in 0..NS {

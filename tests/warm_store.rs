@@ -1,11 +1,13 @@
 //! The warm store path in Tier-1: populate a store, then a *fresh* session
 //! over the same directory answers bit-identically to the store-less run
 //! with zero extractor calls — once with the buffer pool holding the whole
-//! working set and once at a quarter of it, where every column fetch
-//! evicts. Ten unit columns (one 8-wide Pearson tile plus a 2-column tail)
-//! mix a constant column (pruned from its zone map), ±1 columns
-//! (dictionary blocks) and raw ones, and each streamed block of 32
-//! shuffled records touches most of a column's 24 stored blocks.
+//! working set and once at a quarter of it, where the pool evicts. Ten
+//! unit columns (one 8-wide Pearson tile plus a 2-column tail) mix a
+//! constant column (pruned from its zone map), ±1 columns (dictionary
+//! blocks) and raw ones. The populating pass stores each
+//! column in its stream order, so each streamed block of 32 shuffled
+//! records is two of a column's 24 stored blocks, and a pass reads each
+//! stored page once, the pool fitting or not.
 //!
 //! And the store outlives the code that filled it: columns written from
 //! the char-LSTM's *training* forward (all a store could hold before the
@@ -164,20 +166,18 @@ fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_q
         // The constant column never enters the pool: every block of it a
         // fetch touches is served from the zone map.
         assert!(store.blocks_pruned >= RECORDS / STREAM_BLOCK, "{store:?}");
+        assert_eq!(store.inverse_map_fetches, 0, "{store:?}");
+        // Each stored page is loaded once per pass: a block is one row
+        // range of each column, and the pages the pass holds or reads
+        // ahead serve the blocks after it. At a quarter of the working
+        // set the pool evicts what the pass no longer needs.
         let stored_pages = (UNITS - 1) * (RECORDS / STORED_BLOCK);
-        if spills {
-            assert!(store.pool_evictions > 0, "{store:?}");
-            assert!(store.pool_misses > stored_pages, "{store:?}");
-        } else {
-            // Each stored page is loaded once per pass; later blocks
-            // serve it from the pass's page table.
-            assert_eq!(store.pool_evictions, 0);
-            assert_eq!(
-                (store.blocks_read, store.pool_misses),
-                (stored_pages, stored_pages),
-                "{store:?}"
-            );
-        }
+        assert_eq!(store.pool_evictions > 0, spills, "{store:?}");
+        assert_eq!(
+            (store.blocks_read, store.pool_misses),
+            (stored_pages, stored_pages),
+            "{store:?}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
