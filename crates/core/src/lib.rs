@@ -73,11 +73,12 @@
 //!
 //! **Stream-ordered columns.** A pass writes each column it extracts in
 //! the order it streamed the segment, with a checksummed section naming
-//! the record of every stored row (`crates/store/src/format.rs`). A later
-//! pass with the same seed
-//! reads each of its blocks as one contiguous row range of every stored
-//! column, takes each column's pages once, and writes the columns into
-//! its block eight at a time; a pass in another order maps its records
+//! the record of every stored row (`crates/store/src/format.rs`). Every
+//! column fetch reads a block's stored rows as runs and writes the
+//! columns into its block eight at a time through one tile gather. A
+//! later pass with the same seed reads each of its blocks as one run of
+//! every stored column and takes each column's pages once; a pass in
+//! another order, and every `BehaviorStore::scan_into`, finds its runs
 //! through the column's inverse row map instead, with the same answers.
 //!
 //! **Partial columns.** An early-stopped (converged) pass no longer

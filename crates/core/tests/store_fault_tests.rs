@@ -400,32 +400,24 @@ fn seed_partial_columns(dir: &Path, nd: usize, k: usize) {
         .unwrap()
         .content_fingerprint();
     let order = shuffled_indices(nd, 0);
-    let mut filled = vec![false; nd];
-    for &pos in order.iter().take(k) {
-        filled[pos] = true;
-    }
+    let mut filled: Vec<u32> = order.iter().take(k).map(|&pos| pos as u32).collect();
+    filled.sort_unstable();
     let store = BehaviorStore::open(&store_config(dir)).unwrap();
     for unit in 0..UNITS {
-        let mut col = vec![0.0f32; nd * NS];
-        for (pos, &f) in filled.iter().enumerate() {
-            if f {
-                for t in 0..NS {
-                    col[pos * NS + t] = m.get(pos * NS + t, unit);
-                }
-            }
-        }
+        let rows: Vec<f32> = filled
+            .iter()
+            .flat_map(|&pos| (0..NS).map(move |t| pos as usize * NS + t))
+            .map(|r| m.get(r, unit))
+            .collect();
+        let key = ColumnKey {
+            model_fp,
+            dataset_fp,
+            unit,
+        };
         store
-            .write_partial_column(
-                &ColumnKey {
-                    model_fp,
-                    dataset_fp,
-                    unit,
-                },
-                nd,
-                NS,
-                &col,
-                &filled,
-            )
+            .write_columns(nd, NS, &filled, &[(key, &rows)])
+            .pop()
+            .unwrap()
             .unwrap();
     }
 }

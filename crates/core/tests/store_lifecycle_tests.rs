@@ -1027,17 +1027,17 @@ fn a_partial_column_extended_mid_pass_is_read_through_its_new_row_map() {
             assert!(stored.len() < ND, "a partial column");
             // The prefix plus the first half of the records: still
             // partial, with every row moved (record order now).
-            let filled: Vec<bool> = (0..ND)
-                .map(|p| p < ND / 2 || stored.contains(&(p as u32)))
+            let filled: Vec<u32> = (0..ND as u32)
+                .filter(|&p| p < ND as u32 / 2 || stored.contains(&p))
                 .collect();
-            let mut data = column_values(unit);
-            for (i, v) in data.iter_mut().enumerate() {
-                if !filled[i / NS] {
-                    *v = 0.0;
-                }
-            }
-            let written = writer.write_partial_column(&key, ND, NS, &data, &filled);
-            assert_eq!(written.unwrap().partial_columns_written, 1);
+            let data = column_values(unit);
+            let rows: Vec<f32> = filled
+                .iter()
+                .flat_map(|&p| &data[p as usize * NS..(p as usize + 1) * NS])
+                .copied()
+                .collect();
+            let written = writer.write_columns(ND, NS, &filled, &[(key, &rows)]).pop();
+            assert_eq!(written.unwrap().unwrap().partial_columns_written, 1);
         }
     });
     let out = warm.run_batch(&[Q_ALL]).unwrap();

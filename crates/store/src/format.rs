@@ -29,9 +29,12 @@
 //! The positions section names the record behind every stored row: each
 //! is below `nd` and none repeats. A streamed pass writes its stream
 //! order (a column of `W` rows is always the first `W` records of that
-//! stream); `BehaviorStore::write_column` writes record order. A pass
-//! compares a column's positions with its own order once, and reads the
-//! column as contiguous row ranges when they are its prefix.
+//! stream); `BehaviorStore::write_column` writes record order, and
+//! `BehaviorStore::write_columns` whatever positions it is given. A
+//! column fetch reads a block's stored rows as runs: a pass compares a
+//! column's positions with its own order once, and when they are its
+//! prefix each stream block is one run; any other fetch inverts the
+//! positions and merges consecutive stored rows into runs.
 //!
 //! ## Per-block codecs
 //!

@@ -42,9 +42,12 @@
 //!   [`BehaviorStore::plan_scan`] decides, per dataset segment, which
 //!   unit columns scan, which resume at a partial column's watermark and
 //!   which must be computed live ([`ScanPlan`]); a [`ColumnPass`] executes
-//!   that plan block by block — scan order, the aligned read of columns
-//!   stored in the pass's own stream order (one contiguous row range per
-//!   stream block, gathered eight columns at a time), the pages it keeps
+//!   that plan block by block — scan order, the one column fetch (a
+//!   block's stored rows as runs, cut at stored-block edges into page
+//!   slices and pruned constants; one run per stream block for a column
+//!   stored in the pass's own stream order, runs through the inverse row
+//!   map otherwise; every fetch, [`BehaviorStore::scan_into`]'s too,
+//!   written eight columns at a time by one tile gather), the pages it keeps
 //!   so each stored page is read once per pass (within one store-wide
 //!   reservation of the pool budget), demote-on-failure, quarantine of
 //!   proven corruption (only under a read-write policy) and stream-order
@@ -192,16 +195,18 @@ counters! {
         /// Blocks the scan never fetched because their zone map proved the
         /// contents (a finite constant block is reconstructed from the zone
         /// entry alone — no read, no checksum). Counted once per distinct
-        /// block per column fetch, so a pass over columns stored in its own
-        /// stream order counts each prunable block once per stream block
-        /// that reads from it (once per pass when the block sizes match).
+        /// block per column fetch, however many of the fetch's runs cross
+        /// it, so a pass over columns stored in its own stream order counts
+        /// each prunable block once per stream block that reads from it
+        /// (once per pass when the block sizes match).
         pub blocks_pruned: usize,
-        /// Column fetches that mapped record positions to stored rows
-        /// through the column's inverse row map: a pass over a column not
-        /// stored in its stream order (another seed, or a column written by
-        /// `write_column` / `write_partial_column`), and every
-        /// [`BehaviorStore::scan_into`]. 0 on a pass over the columns it
-        /// wrote itself, which reads each stream block as one row range.
+        /// Column fetches whose stored rows came through the column's
+        /// inverse row map: a pass over a column not stored in its stream
+        /// order (another seed, or a column `write_column` wrote in record
+        /// order), and every [`BehaviorStore::scan_into`]. Counted once per
+        /// fetch that scanned, not per position. 0 on a pass over the
+        /// columns it wrote itself, which reads each stream block as one
+        /// run of stored rows.
         pub inverse_map_fetches: usize,
         /// Pool lookups served from memory: pages resident in the pool that
         /// the pass did not already hold.

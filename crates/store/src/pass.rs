@@ -9,25 +9,27 @@
 //! A pass streams its segment in one seeded order and writes the columns
 //! it extracts back **in that order**: stored row `i` is the `i`-th
 //! record of the stream, and a partial column of `W` rows is the stream's
-//! first `W` records. So when a later pass streams the same order — the
+//! first `W` records. Every column fetch is one path
+//! ([`BehaviorStore::scan_into`] takes it too): the block's stored rows
+//! as runs, cut at stored-block edges into pieces — a page slice or a
+//! pruned block's zone constant — and the scanned columns written into
+//! the union block eight at a time, as 8 × 8 tiles transposed straight
+//! from the pieces. When a later pass streams the same order — the
 //! column's stored positions, compared with the pass's order once per
-//! pass, are its first `W` records — stream block `[a, b)` is stored rows
-//! `[a, b)`: one
-//! contiguous range in ⌈(b − a) / B⌉ stored blocks of `B` rows, plus one
-//! when the range does not start on a block edge, whatever the two block
-//! sizes are. Its first fetch of a column takes the rest of the column
-//! through the pool in the same read (as far as the pass's page
-//! reservation holds it), so the file is opened once per pass, and every
-//! block after it serves from the pages the pass holds. The scanned
-//! columns are written into the union block eight at a time, as 8 × 8
-//! tiles transposed straight from the page slices; a pruned constant
-//! block serves its zone value.
+//! pass, are its first `W` records — stream block `[a, b)` is the one run
+//! of stored rows `[a, b)`, in ⌈(b − a) / B⌉ stored blocks of `B` rows,
+//! plus one when the range does not start on a block edge, whatever the
+//! two block sizes are, and no inverse row map is built. Its first fetch
+//! of a complete column takes the rest of the column through the pool in
+//! the same read (as far as the pass's page reservation holds it), so
+//! the file is opened once per pass, and every block after it serves
+//! from the pages the pass holds.
 //!
 //! Every other fetch — a column stored in another order (another seed,
 //! or a column `write_column` wrote in record order) — maps the block's
-//! record positions through the column's inverse row map and gathers them
-//! one position at a time ([`BehaviorStore::scan_into`] reads that way
-//! too). The pages every live pass keeps count against one store-wide
+//! record positions through the column's inverse row map, consecutive
+//! stored rows merged into one run, and takes only the pages it touches.
+//! The pages every live pass keeps count against one store-wide
 //! reservation of `StoreConfig::pool_bytes`; a page past it serves its
 //! fetch and is dropped, as if no table existed. A column's table is used
 //! only while the store's column info is the one its pages were read
@@ -347,7 +349,7 @@ impl<'p> ColumnPass<'p> {
         let (plan, ns) = (self.plan, self.ns);
         let width = self.union_units.len();
         let rows = block.len() * ns;
-        debug_assert_eq!(out.len(), rows * width);
+        assert_eq!(out.len(), rows * width, "union block shape");
         let positions = &self.order[block.clone()];
         let stream = StreamBlock {
             order: self.order,
@@ -374,8 +376,6 @@ impl<'p> ColumnPass<'p> {
                 ns,
                 positions,
                 Some(stream),
-                out,
-                width,
                 sc.col,
                 true, // a pass always consults the zone maps
                 &mut self.stats,
@@ -456,9 +456,9 @@ impl<'p> ColumnPass<'p> {
     }
 
     /// Ends the pass: persists the captured stream prefix as one group
-    /// ([`BehaviorStore::write_partial_column`]'s rule per column; every
-    /// file written, then synced, then renamed, under the store's write
-    /// lock) — a fully streamed pass commits complete columns; an
+    /// ([`BehaviorStore::write_columns`]: every file written, then
+    /// synced, then renamed, under the store's write lock) — a fully
+    /// streamed pass commits complete columns; an
     /// early-stopped (or interrupted) pass commits the streamed prefix as
     /// partial columns with a watermark, which the store keeps only where
     /// that strictly extends what it already holds — and returns the
@@ -506,12 +506,18 @@ enum Lane<'a> {
     Constant(f32),
 }
 
-/// Writes the spanned columns of one stream block into the row-major
-/// union block `out` (`width` columns; each span supplies `values`
-/// values), eight columns at a time. Each group walks its spans' pieces
-/// in runs that no piece boundary of any lane splits, and writes each
-/// run by [`transpose_into`].
-fn gather_spans(out: &mut [f32], width: usize, values: usize, spans: &[Span], pieces: &[Piece]) {
+/// Writes the spanned columns of one fetch round — a pass's stream block,
+/// or one `scan_into` — into the row-major block `out` (`width` columns;
+/// each span supplies exactly `values` values), eight columns at a time.
+/// Each group walks its spans' pieces in runs that no piece boundary of
+/// any lane splits, and writes each run by [`transpose_into`].
+pub(crate) fn gather_spans(
+    out: &mut [f32],
+    width: usize,
+    values: usize,
+    spans: &[Span],
+    pieces: &[Piece],
+) {
     for group in spans.chunks(8) {
         let k = group.len();
         let mut cols = [0usize; 8];
@@ -519,18 +525,20 @@ fn gather_spans(out: &mut [f32], width: usize, values: usize, spans: &[Span], pi
         let mut at = [(0usize, 0usize); 8];
         for (j, span) in group.iter().enumerate() {
             cols[j] = span.col;
-            at[j] = (span.pieces.start, span.skip);
+            at[j] = (span.pieces.start, 0);
         }
         let mut done = 0;
+        let mut lanes = [Lane::Constant(0.0); 8];
         while done < values {
             let mut run = values - done;
             for &(p, off) in &at[..k] {
                 run = run.min(pieces[p].len() - off);
             }
-            let mut lanes = [Lane::Constant(0.0); 8];
             for (lane, &(p, off)) in lanes.iter_mut().zip(&at[..k]) {
                 *lane = match &pieces[p] {
-                    Piece::Page(page) => Lane::Values(&page[off..off + run]),
+                    Piece::Page { page, values } => {
+                        Lane::Values(&page[values.start + off..values.start + off + run])
+                    }
                     Piece::Constant { value, .. } => Lane::Constant(*value),
                 };
             }
@@ -562,8 +570,10 @@ fn transpose_into(
 ) {
     let adjacent = cols.len() == 8 && cols.windows(2).all(|w| w[1] == w[0] + 1);
     let mut i = 0;
+    // Set once: a group of k lanes reads only the first k rows, and
+    // each tile overwrites them.
+    let mut tile = [[0.0f32; 8]; 8];
     while i + 8 <= run {
-        let mut tile = [[0.0f32; 8]; 8];
         for (row, lane) in tile.iter_mut().zip(lanes) {
             *row = match lane {
                 Lane::Values(v) => v[i..i + 8].try_into().expect("eight values"),

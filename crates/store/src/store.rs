@@ -132,15 +132,13 @@ pub struct ColumnKey {
 /// `StoreConfig::pool_bytes`; a page that would overrun it serves its
 /// fetch and is not kept. The scratch gives its bytes back when it drops.
 ///
-/// A fetch of a stream block from a column stored in that stream's order
-/// gathers nothing itself: it leaves a [`Span`] of [`Piece`]s, which the
-/// pass writes into its block together with the other columns' spans.
+/// A fetch gathers nothing itself: it leaves a [`Span`] of [`Piece`]s,
+/// which its caller writes into the output together with the other
+/// columns' spans (`pass::gather_spans`).
 pub(crate) struct FetchScratch {
-    /// Per requested position: its stored block and its row within it.
-    rows: Vec<(usize, usize)>,
-    /// Per stored block: `BLOCK_UNTOUCHED`, `BLOCK_PRUNED`, `BLOCK_HELD`,
-    /// or the block's index in `needed`.
-    block_use: Vec<u32>,
+    /// The current fetch's stored rows, as runs of consecutive rows in
+    /// the order the fetch's positions ask for them.
+    runs: Vec<Range<usize>>,
     /// The blocks this fetch takes through the pool, ascending.
     needed: Vec<u32>,
     /// The spans of the current stream block, in fetch order.
@@ -152,32 +150,35 @@ pub(crate) struct FetchScratch {
     reservation: Arc<PageReservation>,
 }
 
-/// Where one stored block's values come from in a span.
+/// Where one stretch of a span's values comes from: a run of stored
+/// rows inside one stored block.
 pub(crate) enum Piece {
-    /// A decoded page.
-    Page(Arc<Vec<f32>>),
-    /// A pruned block: `len` copies of its zone's constant.
+    /// Values `values` of a decoded page.
+    Page {
+        page: Arc<Vec<f32>>,
+        values: Range<usize>,
+    },
+    /// A pruned block's rows: `len` copies of its zone's constant.
     Constant { value: f32, len: usize },
 }
 
 impl Piece {
-    /// Values in the block.
+    /// Values in the piece.
     pub(crate) fn len(&self) -> usize {
         match self {
-            Piece::Page(page) => page.len(),
+            Piece::Page { values, .. } => values.len(),
             Piece::Constant { len, .. } => *len,
         }
     }
 }
 
-/// The stored values of one stream block in one column: its contiguous
-/// row range, as the stored blocks that hold it.
+/// The stored values of one fetch in one column: its runs of stored
+/// rows, cut at stored-block edges, in the order its positions ask for
+/// them.
 pub(crate) struct Span {
-    /// The union column the values go to.
+    /// The output column the values go to.
     pub(crate) col: usize,
-    /// Values of the first piece before the block's first row.
-    pub(crate) skip: usize,
-    /// The stored blocks, in order, as a range of `FetchScratch::pieces`.
+    /// The pieces, in order, as a range of `FetchScratch::pieces`.
     pub(crate) pieces: Range<usize>,
 }
 
@@ -195,9 +196,7 @@ pub(crate) struct StreamBlock<'a> {
 /// How a column fetch served its block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fetched {
-    /// Gathered into the output through the column's inverse row map, or
-    /// left as a span for the pass to gather (the column holds the
-    /// stream's prefix).
+    /// Left as a [`Span`] in the scratch for the caller to write.
     Scanned,
     /// A requested record has no stored row (past a partial column's
     /// watermark); nothing was read.
@@ -220,8 +219,7 @@ struct HeldPages {
 impl FetchScratch {
     pub(crate) fn new(store: &BehaviorStore) -> FetchScratch {
         FetchScratch {
-            rows: Vec::new(),
-            block_use: Vec::new(),
+            runs: Vec::new(),
             needed: Vec::new(),
             spans: Vec::new(),
             pieces: Vec::new(),
@@ -279,14 +277,6 @@ impl PageReservation {
         }
     }
 }
-
-const BLOCK_UNTOUCHED: u32 = u32::MAX;
-const BLOCK_PRUNED: u32 = u32::MAX - 1;
-/// Served from the column's page table.
-const BLOCK_HELD: u32 = u32::MAX - 2;
-/// Touched, not prunable and not held; replaced by the index into
-/// `needed` once the positions are classified.
-const BLOCK_NEEDED: u32 = u32::MAX - 3;
 
 /// An inverse row map entry: the record has no stored row.
 const NOT_STORED: u32 = u32::MAX;
@@ -491,7 +481,7 @@ impl BehaviorStore {
     /// atomically — replacing any partial column of the same key — and
     /// pushes its blocks through the pool so an immediate scan hits
     /// memory. Returns the write's accounting. A group of one
-    /// (`BehaviorStore::write_columns`) in record order.
+    /// ([`BehaviorStore::write_columns`]) in record order.
     pub fn write_column(
         &self,
         key: &ColumnKey,
@@ -501,40 +491,6 @@ impl BehaviorStore {
     ) -> Result<StoreStats, StoreError> {
         let positions: Vec<u32> = (0..nd as u32).collect();
         self.write_columns(nd, ns, &positions, &[(*key, data)])
-            .pop()
-            .expect("one outcome per column")
-    }
-
-    /// Persists the completed part of an early-stopped pass: `data` is a
-    /// full `nd * ns` record-major buffer whose positions marked in
-    /// `filled` hold real extractor output. Writes those records' rows in
-    /// record order as a partial column with watermark
-    /// `filled.count(true)`; a fully filled buffer is written as a
-    /// complete column. An empty fill, or one that does not strictly
-    /// extend what the store already holds for the key, is a no-op (an
-    /// empty delta). A group of one (`BehaviorStore::write_columns`).
-    pub fn write_partial_column(
-        &self,
-        key: &ColumnKey,
-        nd: usize,
-        ns: usize,
-        data: &[f32],
-        filled: &[bool],
-    ) -> Result<StoreStats, StoreError> {
-        if filled.len() != nd || data.len() != nd * ns {
-            return Err(StoreError::Io(format!(
-                "fill mask of {} entries over {} values for nd={nd} ns={ns}",
-                filled.len(),
-                data.len()
-            )));
-        }
-        let positions: Vec<u32> = (0..nd as u32).filter(|&p| filled[p as usize]).collect();
-        let rows: Vec<f32> = positions
-            .iter()
-            .flat_map(|&p| &data[p as usize * ns..(p as usize + 1) * ns])
-            .copied()
-            .collect();
-        self.write_columns(nd, ns, &positions, &[(*key, &rows)])
             .pop()
             .expect("one outcome per column")
     }
@@ -552,7 +508,7 @@ impl BehaviorStore {
     /// rename stay atomic within this instance. An empty partial fill is a
     /// no-op, and an `nd` past the format's u32 record positions refuses
     /// every column. Returns each column's delta or error, in input order.
-    pub(crate) fn write_columns(
+    pub fn write_columns(
         &self,
         nd: usize,
         ns: usize,
@@ -766,15 +722,18 @@ impl BehaviorStore {
     /// Scans one column for the given record positions, writing the `ns`
     /// values of position `positions[i]` into
     /// `out[(i * ns + t) * stride + col]` — i.e. straight into column
-    /// `col` of a row-major `(positions.len() * ns) x stride` matrix.
-    /// Each position is mapped to its stored row through the column's
-    /// inverse row map (counted in `stats.inverse_map_fetches`). Pages
-    /// are fetched (and their checksums verified) through the pool;
-    /// `stats` receives the per-call page accounting (`blocks_read`,
-    /// pool hit/miss/eviction counters — `columns_scanned` is per-pass
-    /// and counted by the caller). Every requested position must have a
-    /// stored row: serving a position a partial column never filled would
-    /// be a silent wrong score, so it is refused as corruption.
+    /// `col` of a row-major `(positions.len() * ns) x stride` matrix. A
+    /// `col` outside the stride, or an `out` too short for every
+    /// position, is refused before anything is read. It is the fetch a
+    /// pass makes, its rows found through the column's inverse row map
+    /// (counted in `stats.inverse_map_fetches`), written by the pass's
+    /// tile gather. Pages are fetched (and their checksums verified)
+    /// through the pool; `stats` receives the per-call page accounting
+    /// (`blocks_read`, pool hit/miss/eviction counters — `columns_scanned`
+    /// is per-pass and counted by the caller). Every requested position
+    /// must have a stored row: serving a position a partial column never
+    /// filled would be a silent wrong score, so it is refused as
+    /// corruption.
     ///
     /// With `prune` set, blocks whose zone entry proves their exact
     /// contents — a finite `Constant` block is `zone.min` repeated — are
@@ -804,6 +763,18 @@ impl BehaviorStore {
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<(), StoreError> {
+        let cells = positions
+            .len()
+            .checked_mul(ns)
+            .and_then(|v| v.checked_mul(stride));
+        if col >= stride || cells.is_none_or(|cells| out.len() < cells) {
+            return Err(StoreError::Io(format!(
+                "an output of {} cells cannot hold column {col} of {} positions x {ns} \
+                 values at stride {stride}",
+                out.len(),
+                positions.len()
+            )));
+        }
         let mut scratch = FetchScratch::new(self);
         self.scan_with(
             &mut scratch,
@@ -812,29 +783,28 @@ impl BehaviorStore {
             ns,
             positions,
             None,
-            out,
-            stride,
             col,
             prune,
             stats,
-        )
-        .map(|_| ())
+        )?;
+        let values = positions.len() * ns;
+        crate::pass::gather_spans(out, stride, values, &scratch.spans, &scratch.pieces);
+        Ok(())
     }
 
-    /// [`BehaviorStore::scan_into`] over caller-kept buffers and page
-    /// tables (a [`crate::ColumnPass`] makes thousands of fetches per
-    /// pass and keeps one [`FetchScratch`] for all of them, so each stored
-    /// page is taken through the pool once per pass while the reservation
-    /// has room for it). A failed fetch drops the column's page table.
+    /// One column fetch over caller-kept buffers and page tables (a
+    /// [`crate::ColumnPass`] makes thousands of fetches per pass and keeps
+    /// one [`FetchScratch`] for all of them, so each stored page is taken
+    /// through the pool once per pass while the reservation has room for
+    /// it): the `ns` values of each of `positions`, in order, left as a
+    /// [`Span`] for output column `col` in the scratch. A failed fetch
+    /// leaves no span and drops the column's page table; a corruption is
+    /// retried once, as for [`BehaviorStore::scan_into`].
     ///
     /// With `stream` given — `positions` are that stream block's records
-    /// — a column whose stored rows are the stream's prefix is not
-    /// gathered: its rows for the block are one contiguous range, which
-    /// the fetch leaves as a [`Span`] in the scratch, and a block past its
-    /// watermark is [`Fetched::PastWatermark`]. Any
-    /// other column maps the positions through its inverse row map; a
-    /// position it holds no row for is `PastWatermark` too. Without a
-    /// stream, such a position is corruption, as for `scan_into`.
+    /// — a position the column holds no row for makes the block
+    /// [`Fetched::PastWatermark`], and nothing is read. Without a stream,
+    /// such a position is corruption, as for `scan_into`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_with(
         &self,
@@ -844,16 +814,13 @@ impl BehaviorStore {
         ns: usize,
         positions: &[usize],
         stream: Option<StreamBlock<'_>>,
-        out: &mut [f32],
-        stride: usize,
         col: usize,
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<Fetched, StoreError> {
-        let mut attempt = |scratch: &mut FetchScratch, stats: &mut StoreStats| {
-            let fetched = self.scan_attempt(
-                scratch, key, nd, ns, positions, stream, out, stride, col, prune, stats,
-            )?;
+        let attempt = |scratch: &mut FetchScratch, stats: &mut StoreStats| {
+            let fetched =
+                self.scan_attempt(scratch, key, nd, ns, positions, stream, col, prune, stats)?;
             match (fetched, stream) {
                 (Fetched::PastWatermark, None) => Err(StoreError::Corrupt(format!(
                     "a record position is past the column's watermark \
@@ -878,13 +845,32 @@ impl BehaviorStore {
         scanned
     }
 
-    /// One column fetch, every cost per *column*: sort the stored blocks
-    /// the fetch touches into pruned (served from the zone map), held
-    /// (served from the column's page table) and needed; take the needed
-    /// pages (`take_pages`); then gather through the inverse row map, or
-    /// leave a span when the column holds the stream's prefix. A column
-    /// file that vanished since its info was cached — deleted by a
-    /// disk-budget sweep of this instance or another — is the typed
+    /// One column fetch, every cost per *column* and one path for every
+    /// fetch:
+    ///
+    /// 1. **Rows as runs.** When the column's stored positions are the
+    ///    stream's prefix — compared once per pass, kept in the page
+    ///    table — the stream block is the one run of stored rows
+    ///    `start..end`. Otherwise each position goes through the inverse
+    ///    row map (counted in `stats.inverse_map_fetches`), consecutive
+    ///    rows merged into one run.
+    /// 2. **Classify.** Each stored block the runs touch is classified
+    ///    once: pruned (served from the zone map), held (served from the
+    ///    column's page table) or needed.
+    /// 3. **Take.** The needed pages come through one `take_pages` call.
+    ///    A fetch of a complete column stored in the stream's order reads
+    ///    ahead: it also takes the column's later blocks that are neither
+    ///    held nor prunable, as far as the reservation holds them beside
+    ///    this fetch's pages, so the pass, which reads them next, opens
+    ///    the file once. Any other fetch takes only what it touched:
+    ///    nothing says which rows it reads next, and a partial column's
+    ///    last rows are read only by a stream block that ends at or
+    ///    before its watermark.
+    /// 4. **Cut.** Every run is cut at stored-block edges into pieces —
+    ///    a page slice or a pruned zone constant — and left as a span.
+    ///
+    /// A column file that vanished since its info was cached — deleted
+    /// by a disk-budget sweep of this instance or another — is the typed
     /// [`StoreError::Evicted`].
     #[allow(clippy::too_many_arguments)]
     fn scan_attempt(
@@ -895,8 +881,6 @@ impl BehaviorStore {
         ns: usize,
         positions: &[usize],
         stream: Option<StreamBlock<'_>>,
-        out: &mut [f32],
-        stride: usize,
         col: usize,
         prune: bool,
         stats: &mut StoreStats,
@@ -921,8 +905,7 @@ impl BehaviorStore {
             scratch.drop_held(key);
         }
         let FetchScratch {
-            rows,
-            block_use,
+            runs,
             needed,
             spans,
             pieces,
@@ -935,14 +918,10 @@ impl BehaviorStore {
             bytes: 0,
             in_order: None,
         });
-        let prunable = |b: usize| prune && zones[b].constant_value().is_some();
-        let stored = meta.completed_records as usize;
-        needed.clear();
 
-        // A column holding the stream's prefix: the block is stored rows
-        // `start..end`, in stored blocks `first..last`. The pass's first
-        // fetch of the column compares the stored positions with its
-        // order.
+        // 1. The stored rows, as runs.
+        runs.clear();
+        let stored = meta.completed_records as usize;
         let aligned = stream.filter(|s| {
             *table.in_order.get_or_insert_with(|| {
                 let positions = &cached.file.positions;
@@ -957,126 +936,101 @@ impl BehaviorStore {
             if block.end > stored {
                 return Ok(Fetched::PastWatermark);
             }
-            let block_records = meta.block_records as usize;
-            let first = block.start / block_records;
-            let last = block.end.div_ceil(block_records).max(first);
-            let pruned = (first..last).filter(|&b| prunable(b)).count();
-            needed.extend(
-                (first..last)
-                    .filter(|&b| !prunable(b) && table.pages[b].is_none())
-                    .map(|b| b as u32),
-            );
-            let now = needed.len();
-            let page_bytes = |b: usize| meta.rows_in_block(b) * ns * std::mem::size_of::<f32>();
-            if now > 0 {
-                // Read ahead: the rest of the column this pass will read,
-                // in the same run, as far as the reservation can hold it
-                // beside this block's pages — so the file is opened once
-                // per pass, not once per block.
-                let block_bytes: usize = needed.iter().map(|&b| page_bytes(b as usize)).sum();
-                let mut room = reservation.room().saturating_sub(block_bytes);
-                for b in last..meta.n_blocks() {
-                    if prunable(b) || table.pages[b].is_some() {
-                        continue;
+            if block.start < block.end {
+                runs.push(block.start..block.end);
+            }
+        } else {
+            let inverse = cached.inverse();
+            for &pos in positions {
+                let row = match inverse.get(pos) {
+                    None => {
+                        return Err(StoreError::Corrupt(format!(
+                            "record position {pos} out of range (nd={nd})"
+                        )))
                     }
-                    let bytes = page_bytes(b);
-                    if bytes > room {
-                        break;
-                    }
-                    room -= bytes;
-                    needed.push(b as u32);
+                    Some(&NOT_STORED) => return Ok(Fetched::PastWatermark),
+                    Some(&row) => row as usize,
+                };
+                match runs.last_mut() {
+                    Some(run) if run.end == row => run.end += 1,
+                    _ => runs.push(row..row + 1),
                 }
             }
-            let mut taken = self.take_pages(key, &cached, table, reservation, needed, stats)?;
-            taken.truncate(now);
-            // The block's stored blocks in order: pruned, taken now (the
-            // first `now` of `needed`), or held from an earlier fetch.
-            let (start, mut taken) = (pieces.len(), needed.iter().zip(taken).peekable());
-            for (b, zone) in zones.iter().enumerate().take(last).skip(first) {
-                pieces.push(match zone.constant_value().filter(|_| prune) {
-                    Some(value) => Piece::Constant {
-                        value,
-                        len: meta.rows_in_block(b) * ns,
-                    },
-                    None => match taken.next_if(|&(&t, _)| t as usize == b) {
-                        Some((_, page)) => Piece::Page(page),
-                        None => Piece::Page(Arc::clone(table.pages[b].as_ref().expect("held"))),
-                    },
-                });
-            }
-            spans.push(Span {
-                col,
-                skip: (block.start - first * block_records) * ns,
-                pieces: start..pieces.len(),
-            });
-            stats.blocks_pruned += pruned;
-            return Ok(Fetched::Scanned);
         }
 
-        // Any other fetch maps each position through the inverse row map
-        // and classifies each stored block it touches once. The rows are
-        // in no useful order, so consecutive positions land on arbitrary
-        // blocks.
-        let inverse = cached.inverse();
-        rows.clear();
-        block_use.clear();
-        block_use.resize(meta.n_blocks(), BLOCK_UNTOUCHED);
+        // 2. Every stored block the runs touch, once: pruned, held or
+        // needed.
         let block_records = meta.block_records as usize;
-        let mut pruned = 0;
-        for &pos in positions {
-            let row = match inverse.get(pos) {
-                None => {
-                    return Err(StoreError::Corrupt(format!(
-                        "record position {pos} out of range (nd={nd})"
-                    )))
-                }
-                Some(&NOT_STORED) => return Ok(Fetched::PastWatermark),
-                Some(&row) => row as usize,
-            };
-            let b = meta.block_of(row);
-            if block_use[b] == BLOCK_UNTOUCHED {
-                // Predicate pushdown: the zone entry of a finite constant
-                // block determines every value in it, so the block is
-                // served without touching its payload (no read, no
-                // checksum, no pool traffic). `constant_value` is `None`
-                // for non-finite-flagged blocks.
-                if prunable(b) {
-                    block_use[b] = BLOCK_PRUNED;
-                    pruned += 1;
-                } else if table.pages[b].is_some() {
-                    block_use[b] = BLOCK_HELD;
-                } else {
-                    block_use[b] = BLOCK_NEEDED;
-                }
-            }
-            rows.push((b, row - b * block_records));
+        needed.clear();
+        for run in runs.iter() {
+            let blocks = run.start / block_records..run.end.div_ceil(block_records);
+            needed.extend(blocks.map(|b| b as u32));
         }
-        for (b, block) in block_use.iter_mut().enumerate() {
-            if *block == BLOCK_NEEDED {
-                *block = needed.len() as u32;
+        needed.sort_unstable();
+        needed.dedup();
+        let after_touched = needed.last().map_or(0, |&b| b as usize + 1);
+        let prunable = |b: usize| prune && zones[b].constant_value().is_some();
+        let touched = needed.len();
+        needed.retain(|&b| !prunable(b as usize));
+        let pruned = touched - needed.len();
+        needed.retain(|&b| table.pages[b as usize].is_none());
+
+        // 3. Take the needed pages, and read ahead when the pass reads
+        // the whole column in stored order.
+        let now = needed.len();
+        if now > 0 && aligned.is_some() && meta.is_complete() {
+            let page_bytes = |b: usize| meta.rows_in_block(b) * ns * std::mem::size_of::<f32>();
+            let fetch_bytes: usize = needed.iter().map(|&b| page_bytes(b as usize)).sum();
+            let mut room = reservation.room().saturating_sub(fetch_bytes);
+            for b in after_touched..meta.n_blocks() {
+                if prunable(b) || table.pages[b].is_some() {
+                    continue;
+                }
+                let bytes = page_bytes(b);
+                if bytes > room {
+                    break;
+                }
+                room -= bytes;
                 needed.push(b as u32);
             }
         }
-        let pages = self.take_pages(key, &cached, table, reservation, needed, stats)?;
-        stats.blocks_pruned += pruned;
-        stats.inverse_map_fetches += 1;
+        let taken = self.take_pages(key, &cached, table, reservation, needed, stats)?;
+        let page = |b: usize| match &table.pages[b] {
+            Some(page) => Arc::clone(page),
+            None => {
+                let i = needed[..now].binary_search(&(b as u32));
+                Arc::clone(&taken[i.expect("a needed page was taken")])
+            }
+        };
 
-        // Gather: the `ns` values of position `i` go down column `col` of
-        // the row-major output, `stride` apart.
-        for (i, &(b, local)) in rows.iter().enumerate() {
-            let cells = out[i * ns * stride + col..].iter_mut().step_by(stride);
-            let page = match block_use[b] {
-                BLOCK_PRUNED => {
-                    let v = zones[b].constant_value().expect("classified prunable");
-                    cells.take(ns).for_each(|cell| *cell = v);
-                    continue;
-                }
-                BLOCK_HELD => table.pages[b].as_deref().expect("a held page"),
-                page => &*pages[page as usize],
-            };
-            let values = &page[local * ns..(local + 1) * ns];
-            cells.zip(values).for_each(|(cell, &v)| *cell = v);
+        // 4. Cut every run at stored-block edges.
+        let first = pieces.len();
+        for run in runs.iter() {
+            let mut row = run.start;
+            while row < run.end {
+                let b = row / block_records;
+                let base = b * block_records;
+                let end = run.end.min(base + block_records);
+                let values = (row - base) * ns..(end - base) * ns;
+                pieces.push(match zones[b].constant_value().filter(|_| prune) {
+                    Some(value) => Piece::Constant {
+                        value,
+                        len: values.len(),
+                    },
+                    None => Piece::Page {
+                        page: page(b),
+                        values,
+                    },
+                });
+                row = end;
+            }
         }
+        spans.push(Span {
+            col,
+            pieces: first..pieces.len(),
+        });
+        stats.blocks_pruned += pruned;
+        stats.inverse_map_fetches += usize::from(aligned.is_none());
         Ok(Fetched::Scanned)
     }
 
@@ -1294,6 +1248,28 @@ mod tests {
     use super::*;
     use crate::durable::age_file;
 
+    /// Writes the records `filled` marks, ascending, from a record-major
+    /// `nd * ns` buffer: one group of one through `write_columns`.
+    fn write_filled(
+        store: &BehaviorStore,
+        key: &ColumnKey,
+        nd: usize,
+        ns: usize,
+        data: &[f32],
+        filled: &[bool],
+    ) -> Result<StoreStats, StoreError> {
+        let positions: Vec<u32> = (0..nd as u32).filter(|&p| filled[p as usize]).collect();
+        let rows: Vec<f32> = positions
+            .iter()
+            .flat_map(|&p| &data[p as usize * ns..(p as usize + 1) * ns])
+            .copied()
+            .collect();
+        store
+            .write_columns(nd, ns, &positions, &[(*key, &rows)])
+            .pop()
+            .expect("one outcome per column")
+    }
+
     fn partial_columns(store: &BehaviorStore) -> usize {
         let keys: Vec<ColumnKey> = store.index.lock().iter().copied().collect();
         keys.iter()
@@ -1447,9 +1423,7 @@ mod tests {
         partial[..8 * ns].copy_from_slice(&data[..8 * ns]);
         let mut filled = vec![false; nd];
         filled[..8].fill(true);
-        store
-            .write_partial_column(&key(0), nd, ns, &partial, &filled)
-            .unwrap();
+        write_filled(&store, &key(0), nd, ns, &partial, &filled).unwrap();
         assert!(!store.contains(&key(0)), "partial is not a complete hit");
         assert_eq!(store.split_units(0x11, 0x22, &[0, 1]).1, vec![0]);
         assert_eq!(partial_columns(&store), 1);
@@ -1530,28 +1504,20 @@ mod tests {
             (col, filled)
         };
         let (col8, filled8) = fill(&(0..8).collect::<Vec<_>>());
-        store
-            .write_partial_column(&key(0), nd, ns, &col8, &filled8)
-            .unwrap();
+        write_filled(&store, &key(0), nd, ns, &col8, &filled8).unwrap();
         assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // A smaller prefix (an earlier early stop) is refused...
         let (col4, filled4) = fill(&(0..4).collect::<Vec<_>>());
-        let report = store
-            .write_partial_column(&key(0), nd, ns, &col4, &filled4)
-            .unwrap();
+        let report = write_filled(&store, &key(0), nd, ns, &col4, &filled4).unwrap();
         assert_eq!(report, StoreStats::default());
         assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // ...as is a disjoint fill that would lose covered positions...
         let (col_d, filled_d) = fill(&[8, 9, 10, 11]);
-        store
-            .write_partial_column(&key(0), nd, ns, &col_d, &filled_d)
-            .unwrap();
+        write_filled(&store, &key(0), nd, ns, &col_d, &filled_d).unwrap();
         assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 8);
         // ...while a strict extension goes through.
         let (col10, filled10) = fill(&(0..10).collect::<Vec<_>>());
-        let report = store
-            .write_partial_column(&key(0), nd, ns, &col10, &filled10)
-            .unwrap();
+        let report = write_filled(&store, &key(0), nd, ns, &col10, &filled10).unwrap();
         assert!(report.blocks_written > 0);
         assert_eq!(store.column_meta(&key(0)).unwrap().completed_records, 10);
         let mut out = vec![0.0f32; 10 * ns];
@@ -1594,8 +1560,7 @@ mod tests {
         };
         // Scattered coverage so the extension changes every row's rank.
         let (col_a, filled_a) = fill(&[1, 5, 9]);
-        a.write_partial_column(&key(0), nd, ns, &col_a, &filled_a)
-            .unwrap();
+        write_filled(&a, &key(0), nd, ns, &col_a, &filled_a).unwrap();
         let mut out = vec![0.0f32; 3 * ns];
         let mut stats = StoreStats::default();
         a.scan_into(
@@ -1617,8 +1582,7 @@ mod tests {
         })
         .unwrap();
         let (col_b, filled_b) = fill(&[0, 1, 4, 5, 8, 9]);
-        b.write_partial_column(&key(0), nd, ns, &col_b, &filled_b)
-            .unwrap();
+        write_filled(&b, &key(0), nd, ns, &col_b, &filled_b).unwrap();
         assert_eq!(b.column_meta(&key(0)).unwrap().completed_records, 6);
         // A scans through its stale cache: must succeed bit-identically.
         let mut out = vec![0.0f32; 3 * ns];
@@ -1664,28 +1628,85 @@ mod tests {
         let (nd, ns) = (8, 2);
         let data = column(nd, ns, 0);
         // Nothing filled: no file.
-        let report = store
-            .write_partial_column(&key(0), nd, ns, &vec![0.0; nd * ns], &vec![false; nd])
-            .unwrap();
+        let report = write_filled(
+            &store,
+            &key(0),
+            nd,
+            ns,
+            &vec![0.0; nd * ns],
+            &vec![false; nd],
+        )
+        .unwrap();
         assert_eq!(report, StoreStats::default());
         assert_eq!(partial_columns(&store), 0);
         // Everything filled: promoted to a complete column.
-        let report = store
-            .write_partial_column(&key(0), nd, ns, &data, &vec![true; nd])
-            .unwrap();
+        let report = write_filled(&store, &key(0), nd, ns, &data, &vec![true; nd]).unwrap();
         assert!(report.blocks_written > 0);
         assert!(store.contains(&key(0)));
         assert_eq!(partial_columns(&store), 0);
         // A partial write under an existing complete column is dropped.
-        let report = store
-            .write_partial_column(&key(0), nd, ns, &data, &{
-                let mut f = vec![false; nd];
-                f[0] = true;
-                f
-            })
-            .unwrap();
+        let report = write_filled(&store, &key(0), nd, ns, &data, &{
+            let mut f = vec![false; nd];
+            f[0] = true;
+            f
+        })
+        .unwrap();
         assert_eq!(report, StoreStats::default());
         assert!(store.contains(&key(0)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An output that cannot hold every position's values in its column
+    /// — one cell short, or a column outside the stride — is refused
+    /// before anything is read or written; the same call with room
+    /// writes every value in place.
+    #[test]
+    fn scan_into_refuses_an_output_that_does_not_hold_its_positions() {
+        let (store, dir) = test_store("scan-into-shape", 1 << 20);
+        let (nd, ns) = (8, 4);
+        let data = column(nd, ns, 0);
+        store.write_column(&key(0), nd, ns, &data).unwrap();
+        store.pool.purge_column(&key(0));
+        let positions: Vec<usize> = (0..nd).collect();
+        for (cells, stride, col) in [(nd * ns - 1, 1, 0), (nd * ns * 2, 2, 3), (0, 1, 0)] {
+            let mut out = vec![f32::NAN; cells];
+            let mut stats = StoreStats::default();
+            let scan = store.scan_into(
+                &key(0),
+                nd,
+                ns,
+                &positions,
+                &mut out,
+                stride,
+                col,
+                true,
+                &mut stats,
+            );
+            let case = format!("{cells} cells, stride {stride}, column {col}");
+            assert!(matches!(scan, Err(StoreError::Io(_))), "{case}: {scan:?}");
+            assert!(out.iter().all(|v| v.is_nan()), "{case}: nothing written");
+            assert_eq!(stats, StoreStats::default(), "{case}: nothing read");
+        }
+        let mut out = vec![f32::NAN; nd * ns * 2];
+        let mut stats = StoreStats::default();
+        store
+            .scan_into(
+                &key(0),
+                nd,
+                ns,
+                &positions,
+                &mut out,
+                2,
+                1,
+                true,
+                &mut stats,
+            )
+            .unwrap();
+        for (i, &v) in data.iter().enumerate() {
+            assert_eq!(out[i * 2 + 1].to_bits(), v.to_bits(), "value {i}");
+            assert!(out[i * 2].is_nan(), "column 0 untouched");
+        }
+        assert_eq!(stats.blocks_read, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2229,9 +2250,7 @@ mod tests {
         for unit in 0..3 {
             let mut prefix = column(nd, ns, unit);
             prefix[5 * ns..].fill(0.0);
-            store
-                .write_partial_column(&key(unit), nd, ns, &prefix, &filled)
-                .unwrap();
+            write_filled(&store, &key(unit), nd, ns, &prefix, &filled).unwrap();
         }
         assert_eq!(partial_columns(&store), 3);
         drop(store);
@@ -2289,9 +2308,7 @@ mod tests {
                     if forced && !partial_first {
                         handoff.wait();
                     }
-                    store
-                        .write_partial_column(&k, nd, ns, &prefix, &filled)
-                        .unwrap();
+                    write_filled(&store, &k, nd, ns, &prefix, &filled).unwrap();
                     if forced && partial_first {
                         handoff.wait();
                     }

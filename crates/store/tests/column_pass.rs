@@ -243,18 +243,14 @@ mod group_write_back {
         let config = config("group-early");
         let store = BehaviorStore::open(&config).unwrap();
         let larger = 8;
-        let filled: Vec<bool> = (0..ND).map(|pos| pos < 2 * BLOCK).collect();
-        let col: Vec<f32> = (0..ND * NS)
-            .map(|i| {
-                if filled[i / NS] {
-                    value(larger, i / NS, i % NS)
-                } else {
-                    0.0
-                }
-            })
+        let filled: Vec<u32> = (0..2 * BLOCK as u32).collect();
+        let rows: Vec<f32> = (0..filled.len() * NS)
+            .map(|i| value(larger, i / NS, i % NS))
             .collect();
         store
-            .write_partial_column(&key(larger), ND, NS, &col, &filled)
+            .write_columns(ND, NS, &filled, &[(key(larger), &rows)])
+            .pop()
+            .unwrap()
             .unwrap();
         let read = |unit| {
             let file = format::read_meta(&mut File::open(column_file(&config, unit)).unwrap());
@@ -363,8 +359,10 @@ mod shuffled {
     /// over a pool of its own: one pool round trip per touched page in
     /// first-touch order — look up, load and install on a miss, keep the
     /// fetch — and all of one column's fetches dropped together at the end.
+    /// Each record is found at its stored row through the file's
+    /// positions section.
     #[allow(clippy::too_many_arguments)]
-    fn per_page_scan(
+    pub(super) fn per_page_scan(
         pool: &BufferPool,
         file: &mut File,
         column: &ColumnFile,
@@ -379,15 +377,21 @@ mod shuffled {
         let mut pages: Vec<Option<deepbase_store::ColumnFetch<'_>>> =
             ids.iter().map(|_| None).collect();
         let mut pruned = vec![false; ids.len()];
+        let mut row_of = vec![usize::MAX; column.meta.nd as usize];
+        for (row, &pos) in column.positions.iter().enumerate() {
+            row_of[pos as usize] = row;
+        }
+        let ns = column.meta.ns as usize;
         for (i, &pos) in positions.iter().enumerate() {
-            let b = column.meta.block_of(pos);
+            let row = row_of[pos];
+            let b = column.meta.block_of(row);
             if let Some(v) = column.zones[b].constant_value() {
                 if !pruned[b] {
                     pruned[b] = true;
                     stats.blocks_pruned += 1;
                 }
-                for t in 0..NS {
-                    out[(i * NS + t) * stride + col] = v;
+                for t in 0..ns {
+                    out[(i * ns + t) * stride + col] = v;
                 }
                 continue;
             }
@@ -404,9 +408,9 @@ mod shuffled {
                 pages[b] = Some(page);
             }
             let page = pages[b].as_ref().unwrap().page(0).unwrap();
-            let local = pos - b * STORED_BLOCK;
-            for t in 0..NS {
-                out[(i * NS + t) * stride + col] = page[local * NS + t];
+            let local = row - b * column.meta.block_records as usize;
+            for t in 0..ns {
+                out[(i * ns + t) * stride + col] = page[local * ns + t];
             }
         }
     }
@@ -729,9 +733,14 @@ mod stream_order {
 
     /// A seeded Fisher–Yates shuffle of the segment's positions.
     fn shuffled(seed: u64) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..ND).collect();
+        shuffled_of(ND, seed)
+    }
+
+    /// A seeded Fisher–Yates shuffle of `0..nd`.
+    fn shuffled_of(nd: usize, seed: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..nd).collect();
         let mut state = seed | 1;
-        for i in (1..ND).rev() {
+        for i in (1..nd).rev() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -1007,6 +1016,183 @@ mod stream_order {
                     assert!(!file.exists(), "{what}: quarantined");
                 }
                 let _ = std::fs::remove_dir_all(&config.path);
+            }
+        }
+    }
+
+    /// Records of the fetch-shape table: five stored blocks of 64.
+    const SHAPE_ND: usize = 320;
+    const SHAPE_BLOCK: usize = 64;
+    const SHAPE_UNITS: [usize; 4] = [0, 1, 2, 3];
+    /// The partial columns' watermark, inside a stored block.
+    const SHAPE_PREFIX: usize = 212;
+
+    /// The value of `unit` at stored row `row`: unit 0 raw; unit 1
+    /// constant on stored blocks 1 and 2, so every run across them has
+    /// pruned pieces in its middle; unit 2 NaN on all of block 2 (a
+    /// constant never pruned) and on every fifth row of block 3; unit 3
+    /// ±1 (dictionary blocks).
+    fn shape_value(unit: usize, row: usize, t: usize) -> f32 {
+        match (unit, row / SHAPE_BLOCK) {
+            (1, 1 | 2) => 0.75,
+            (2, 2) => f32::NAN,
+            (2, 3) if row.is_multiple_of(5) => f32::NAN,
+            (3, _) => [1.0, -1.0][(row + t) % 2],
+            _ => ((row * NS + t) * 7 + unit * 1000) as f32 * 0.25,
+        }
+    }
+
+    /// Every fetch shape against the per-page loop: stream blocks of 48,
+    /// 64 and 100 over stored blocks of 64; a pass in the stored order
+    /// (one run per block), in another seed's order and in record order
+    /// (a run per record), and in a hand-built order whose blocks are
+    /// six-record runs of stored rows in reverse, some of them across a
+    /// stored-block edge; over complete columns and over partial ones
+    /// holding the stored order's first 212 records; with the pool
+    /// fitting and at a quarter of the working set. Every block a pass
+    /// scans carries the loop's bits, the pass prunes what the loop
+    /// prunes and never takes more pages, only a pass in another order
+    /// maps positions through the inverse row map, and the pass holds no
+    /// page once it ends.
+    #[test]
+    fn every_fetch_shape_equals_the_per_page_loop() {
+        let stored_order = shuffled_of(SHAPE_ND, 0x0DDBA11);
+        let mut rank = vec![0; SHAPE_ND];
+        for (row, &pos) in stored_order.iter().enumerate() {
+            rank[pos] = row;
+        }
+        let rank = &rank;
+        let truth = |units: &[usize], positions: &[usize]| -> Vec<f32> {
+            let cells = positions
+                .iter()
+                .flat_map(|&pos| (0..NS).map(move |t| (pos, t)));
+            cells
+                .flat_map(|(pos, t)| units.iter().map(move |&u| shape_value(u, rank[pos], t)))
+                .collect()
+        };
+        let chunks: Vec<&[usize]> = stored_order.chunks(6).collect();
+        let runs_order: Vec<usize> = chunks
+            .chunks(8)
+            .flat_map(|group| group.iter().rev())
+            .flat_map(|chunk| chunk.iter().copied())
+            .collect();
+        let orders = [
+            ("stored", stored_order.clone()),
+            ("another seed", shuffled_of(SHAPE_ND, 0xC0FFEE)),
+            ("record", (0..SHAPE_ND).collect()),
+            ("runs", runs_order),
+        ];
+        let working_set = SHAPE_UNITS.len() * SHAPE_ND * NS * 4;
+        for watermark in [SHAPE_ND, SHAPE_PREFIX] {
+            for pool_bytes in [1 << 20, working_set / 4] {
+                for stream_block in [48, 64, 100] {
+                    for (name, order) in &orders {
+                        let case = format!(
+                            "{name} order, blocks of {stream_block}, {watermark} records \
+                             stored, pool {pool_bytes}"
+                        );
+                        let config = StoreConfig {
+                            block_records: SHAPE_BLOCK,
+                            pool_bytes,
+                            ..config("fetch-shapes")
+                        };
+                        {
+                            let store = BehaviorStore::open(&config).unwrap();
+                            let positions: Vec<u32> = stored_order[..watermark]
+                                .iter()
+                                .map(|&p| p as u32)
+                                .collect();
+                            let rows: Vec<Vec<f32>> = SHAPE_UNITS
+                                .iter()
+                                .map(|&unit| {
+                                    (0..watermark * NS)
+                                        .map(|i| shape_value(unit, i / NS, i % NS))
+                                        .collect()
+                                })
+                                .collect();
+                            let columns: Vec<(ColumnKey, &[f32])> = SHAPE_UNITS
+                                .iter()
+                                .zip(&rows)
+                                .map(|(&unit, rows)| (key(unit), rows.as_slice()))
+                                .collect();
+                            for written in store.write_columns(SHAPE_ND, NS, &positions, &columns) {
+                                written.unwrap();
+                            }
+                        }
+                        let store = BehaviorStore::open(&config).unwrap();
+                        let plan =
+                            store.plan_scan(MODEL_FP, DATASET_FP, &SHAPE_UNITS, false, usize::MAX);
+                        let mut pass = ColumnPass::new(&plan, &SHAPE_UNITS, order, NS);
+                        let reference_pool = deepbase_store::BufferPool::new(pool_bytes);
+                        let mut reference = StoreStats::default();
+                        let mut files: Vec<(File, format::ColumnFile)> = SHAPE_UNITS
+                            .iter()
+                            .map(|&unit| {
+                                let mut file = File::open(column_file(&config, unit)).unwrap();
+                                let column = format::read_meta(&mut file).unwrap();
+                                (file, column)
+                            })
+                            .collect();
+                        let width = SHAPE_UNITS.len();
+                        let mut scanned_fetches = 0;
+                        for start in (0..SHAPE_ND).step_by(stream_block) {
+                            let range = start..(start + stream_block).min(SHAPE_ND);
+                            let positions = &order[range.clone()];
+                            let mut out = vec![f32::NAN; range.len() * NS * width];
+                            let mut asked = Vec::new();
+                            pass.fetch_block(range.clone(), &mut out, |units| {
+                                asked = units.to_vec();
+                                truth(units, positions)
+                            });
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            let expect = truth(&SHAPE_UNITS, positions);
+                            assert_eq!(bits(&out), bits(&expect), "{case}: block {range:?}");
+                            let held = positions.iter().all(|&pos| rank[pos] < watermark);
+                            if !held {
+                                assert_eq!(asked, SHAPE_UNITS, "{case}: block {range:?}");
+                                continue;
+                            }
+                            assert!(asked.is_empty(), "{case}: block {range:?}");
+                            scanned_fetches += width;
+                            let mut looped = vec![0.0f32; out.len()];
+                            for (col, (file, column)) in files.iter_mut().enumerate() {
+                                shuffled::per_page_scan(
+                                    &reference_pool,
+                                    file,
+                                    column,
+                                    &key(SHAPE_UNITS[col]),
+                                    positions,
+                                    &mut looped,
+                                    width,
+                                    col,
+                                    &mut reference,
+                                );
+                            }
+                            assert_eq!(bits(&out), bits(&looped), "{case}: block {range:?}");
+                        }
+                        let stats = pass.finish();
+                        assert_eq!(stats.error_count, 0, "{case}: {:?}", stats.errors);
+                        assert_eq!(stats.blocks_pruned, reference.blocks_pruned, "{case}");
+                        assert!(
+                            stats.blocks_read <= reference.blocks_read,
+                            "{case}: {stats:?} vs {reference:?}"
+                        );
+                        assert_eq!(stats.pool_hits + stats.pool_misses, stats.blocks_read);
+                        let mapped = if *name == "stored" {
+                            0
+                        } else {
+                            scanned_fetches
+                        };
+                        assert_eq!(stats.inverse_map_fetches, mapped, "{case}");
+                        assert!(
+                            scanned_fetches > 0 || watermark < SHAPE_ND,
+                            "{case}: a complete column scans"
+                        );
+                        assert_eq!(store.held_page_bytes(), 0, "{case}");
+                        let _ = std::fs::remove_dir_all(&config.path);
+                    }
+                }
             }
         }
     }
