@@ -49,10 +49,15 @@
 //!   reading the file at all (predicate pushdown).
 //! * [`Codec::Dict`] (2) — at most 255 distinct bit patterns: a one-byte
 //!   dictionary size, the dictionary (4 bytes per entry, first-seen
-//!   order), then bit-packed indices (`ceil(log2(entries))` bits each,
-//!   little-endian bit order, zero slack bits). Chosen only when
-//!   strictly smaller than raw — saturated activations (±1 under tanh)
-//!   pack 32x.
+//!   order), then bit-packed indices of `w = ceil(log2(entries))` bits
+//!   each. Index `i` sits at bit `(i·w) mod 8` of packed byte
+//!   `⌊i·w/8⌋`, least significant bit first, and may run on into the
+//!   next byte; the bits of the final byte past the last index (slack
+//!   bits) are zero. Chosen only when strictly smaller than raw —
+//!   saturated activations (±1 under tanh) pack 32x. A width that
+//!   divides 8 (1, 2, 4 or 8 bits) never splits an index across bytes,
+//!   so its blocks decode a whole byte per step; widths 3, 5, 6 and 7
+//!   decode through a bit accumulator.
 //!
 //! The per-block CRC32 covers the **encoded payload bytes**, so bit rot
 //! in compressed data is detected before decoding. Decoders additionally
@@ -619,11 +624,101 @@ fn decode_dict(payload: &[u8], n_values: usize, b: usize) -> Result<Vec<f32>, St
             payload.len()
         )));
     }
-    let dict: Vec<f32> = payload[1..dict_end]
-        .chunks_exact(4)
-        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-        .collect();
+    let table = dict_table(&payload[1..dict_end]);
     let packed = &payload[dict_end..];
+    // The byte-wise bodies report a fault as `None` and leave naming it
+    // to the accumulator, so every width names the same fault: the first
+    // out-of-range index, else set slack bits.
+    match unpack_bytes(width, packed, n_values, &table, entries) {
+        Some(values) => Ok(values),
+        None => unpack_bits(width, packed, n_values, &table, entries, b),
+    }
+}
+
+/// A lookup table over a dictionary section (4 bytes per entry): one slot
+/// for every index a width of at most 8 bits can hold, the slots past the
+/// dictionary 0.0 — a decoded index that lands there is refused.
+fn dict_table(dict: &[u8]) -> [f32; DICT_MAX_ENTRIES + 1] {
+    let mut table = [0f32; DICT_MAX_ENTRIES + 1];
+    for (slot, c) in table.iter_mut().zip(dict.chunks_exact(4)) {
+        *slot = f32::from_le_bytes(c.try_into().unwrap());
+    }
+    table
+}
+
+/// The indices of a dictionary block whose `width` divides 8, one packed
+/// byte per step, looked up in `table`: `None` when `width` does not
+/// divide 8, when a decoded index is `entries` or more, or when the
+/// final partial byte sets a slack bit.
+fn unpack_bytes(
+    width: usize,
+    packed: &[u8],
+    n_values: usize,
+    table: &[f32; DICT_MAX_ENTRIES + 1],
+    entries: usize,
+) -> Option<Vec<f32>> {
+    match width {
+        1 => unpack_bytes_of::<1>(packed, n_values, table, entries),
+        2 => unpack_bytes_of::<2>(packed, n_values, table, entries),
+        4 => unpack_bytes_of::<4>(packed, n_values, table, entries),
+        8 => unpack_bytes_of::<8>(packed, n_values, table, entries),
+        _ => None,
+    }
+}
+
+/// [`unpack_bytes`] for one width `W`: each full byte holds `8 / W`
+/// indices, lane `k` at bits `k * W..(k + 1) * W`, so a step has no
+/// refill branch. The range check is a running maximum over the decoded
+/// indices, read once at the end. At width 1 an index selects between
+/// the first two entries' bits, which vectorises where a table load per
+/// value does not.
+fn unpack_bytes_of<const W: usize>(
+    packed: &[u8],
+    n_values: usize,
+    table: &[f32; DICT_MAX_ENTRIES + 1],
+    entries: usize,
+) -> Option<Vec<f32>> {
+    let (lanes, mask) = (8 / W, ((1u32 << W) - 1) as u8);
+    let (full, tail) = (n_values / lanes, n_values % lanes);
+    if tail > 0 && packed[full] >> (tail * W) != 0 {
+        return None;
+    }
+    let first = table[0].to_bits();
+    let flip = first ^ table[1].to_bits();
+    let mut max = 0u8;
+    let mut unpack = |values: &mut [f32], byte: u8| {
+        for (lane, v) in values.iter_mut().enumerate() {
+            let idx = (byte >> (lane * W)) & mask;
+            max = max.max(idx);
+            *v = match W {
+                1 => f32::from_bits(first ^ (flip & u32::from(idx).wrapping_neg())),
+                _ => table[usize::from(idx)],
+            };
+        }
+    };
+    let mut out = vec![0f32; n_values];
+    let (body, rest) = out.split_at_mut(full * lanes);
+    for (values, &byte) in body.chunks_exact_mut(lanes).zip(packed) {
+        unpack(values, byte);
+    }
+    if tail > 0 {
+        unpack(rest, packed[full]);
+    }
+    (usize::from(max) < entries).then_some(out)
+}
+
+/// The indices of a dictionary block of any width through a refilling
+/// bit accumulator: the decoder of widths 3, 5, 6 and 7, and the one
+/// that names a fault [`unpack_bytes`] saw — the first index of
+/// `entries` or more, else set slack bits.
+fn unpack_bits(
+    width: usize,
+    packed: &[u8],
+    n_values: usize,
+    table: &[f32; DICT_MAX_ENTRIES + 1],
+    entries: usize,
+    b: usize,
+) -> Result<Vec<f32>, StoreError> {
     let mut out = Vec::with_capacity(n_values);
     let mask = (1u32 << width) - 1;
     let mut acc: u32 = 0;
@@ -638,10 +733,12 @@ fn decode_dict(payload: &[u8], n_values: usize, b: usize) -> Result<Vec<f32>, St
         let idx = (acc & mask) as usize;
         acc >>= width;
         nbits -= width;
-        let v = *dict.get(idx).ok_or_else(|| {
-            StoreError::Corrupt(format!("block {b} dict index {idx} out of range"))
-        })?;
-        out.push(v);
+        if idx >= entries {
+            return Err(StoreError::Corrupt(format!(
+                "block {b} dict index {idx} out of range"
+            )));
+        }
+        out.push(table[idx]);
     }
     if acc != 0 {
         return Err(StoreError::Corrupt(format!(
@@ -1729,8 +1826,8 @@ mod tests {
         let path = dir.join("u3.col");
         write_ordered(&path, &m, &data, 0);
         let bytes = std::fs::read(&path).unwrap();
-        // Truncate inside the last data block: v3 validates the declared
-        // data region against the file length up front.
+        // Truncate inside the last data block: `read_meta` validates the
+        // declared data region against the file length up front.
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let mut f = File::open(&path).unwrap();
         assert!(matches!(read_meta(&mut f), Err(StoreError::Corrupt(_))));
@@ -2000,5 +2097,297 @@ mod tests {
                 assert_eq!(bits(&blocks[0]), bits(&data), "{name} {distinct}");
             }
         }
+    }
+
+    /// Dictionary entry `k`'s pattern in the tests below.
+    fn dict_pattern(k: usize) -> f32 {
+        k as f32 * 0.25 - 1.0
+    }
+
+    /// `n` indices into an `entries`-entry dictionary: every entry in
+    /// order first, so the first-seen order is the entry order, then a
+    /// scattered sequence.
+    fn dict_indices(entries: usize, n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| if i < entries { i } else { (i * 7 + 3) % entries } as u8)
+            .collect()
+    }
+
+    /// The values of [`dict_indices`].
+    fn dict_values(entries: usize, n: usize) -> Vec<f32> {
+        dict_indices(entries, n)
+            .iter()
+            .map(|&k| dict_pattern(k as usize))
+            .collect()
+    }
+
+    /// A column of `n` one-value records stored as one block.
+    fn one_block_meta(n: usize) -> ColumnMeta {
+        ColumnMeta {
+            nd: n as u64,
+            ns: 1,
+            block_records: n as u64,
+            completed_records: n as u64,
+            ..meta()
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The packed indices the writer stores for one-block columns of
+    /// [`dict_indices`]: `(entries, values, packed)` at widths 1, 2, 3 and
+    /// 4, each value count leaving a final partial byte. Index `i` sits at
+    /// bit `(i·w) mod 8` of byte `⌊i·w/8⌋`, LSB first: the first width-1
+    /// byte, 0x56, holds the indices 0 1 1 0 1 0 1 0.
+    const GOLDEN_DICT_PACKED: [(usize, usize, &[u8]); 4] = [
+        (2, 13, &[0x56, 0x15]),
+        (3, 11, &[0x24, 0x49, 0x12]),
+        (5, 11, &[0x88, 0xc6, 0x41, 0xcc, 0x00]),
+        (
+            16,
+            21,
+            &[
+                0x10, 0x32, 0x54, 0x76, 0x98, 0xba, 0xdc, 0xfe, 0xa3, 0x81, 0x0f,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn the_dict_block_bytes_did_not_move() {
+        // Width 8: each packed byte is one index.
+        let wide = (129, 173, dict_indices(129, 173));
+        let cases = GOLDEN_DICT_PACKED
+            .iter()
+            .map(|&(entries, n, packed)| (entries, n, packed.to_vec()))
+            .chain([wide]);
+        let dir = test_dir("dict-golden");
+        for (entries, n, packed) in cases {
+            let values = dict_values(entries, n);
+            let mut file = Vec::new();
+            write_column(
+                &mut file,
+                &one_block_meta(n),
+                &values,
+                &record_order(n as u64),
+                7,
+            )
+            .unwrap();
+            let mut payload = vec![entries as u8];
+            for k in 0..entries {
+                payload.extend_from_slice(&dict_pattern(k).to_le_bytes());
+            }
+            payload.extend_from_slice(&packed);
+            assert!(file.ends_with(&payload), "{entries} entries");
+            let path = dir.join(format!("u{entries}.col"));
+            std::fs::write(&path, &file).unwrap();
+            let mut f = File::open(&path).unwrap();
+            let col = read_meta(&mut f).unwrap();
+            let zone = &col.zones[0];
+            assert_eq!(
+                (zone.codec, zone.comp_len as usize),
+                (Codec::Dict, payload.len())
+            );
+            assert_eq!(bits(&read_block(&mut f, &col, 0).unwrap()), bits(&values));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every dictionary size the format allows, with each entry used and
+    /// value counts that fill the last packed byte and that leave it
+    /// partial: the byte-wise body of each width dividing 8 and
+    /// `decode_dict` decode what the bit accumulator decodes, and no body
+    /// refuses an index below the dictionary size (a 3-entry block whose
+    /// lanes hold indices 1 and 2 must not read as index 3).
+    #[test]
+    fn every_dict_width_decodes_like_the_accumulator() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for entries in 2..=DICT_MAX_ENTRIES {
+            let width = dict_bit_width(entries);
+            for n in [1021, 1024] {
+                let values: Vec<f32> = (0..n)
+                    .map(|i| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let k = if i < entries {
+                            i
+                        } else {
+                            state as usize % entries
+                        };
+                        dict_pattern(k)
+                    })
+                    .collect();
+                let payload = try_dict_encode(&values).expect("smaller than raw");
+                let table = dict_table(&payload[1..1 + 4 * entries]);
+                let packed = &payload[1 + 4 * entries..];
+                let case = format!("{entries} entries, {n} values");
+                let reference = unpack_bits(width, packed, n, &table, entries, 0).unwrap();
+                assert_eq!(bits(&reference), bits(&values), "{case}");
+                let bytewise = unpack_bytes(width, packed, n, &table, entries);
+                assert_eq!(bytewise.is_some(), 8 % width == 0, "{case}");
+                if let Some(bytewise) = bytewise {
+                    assert_eq!(bits(&bytewise), bits(&values), "{case}");
+                }
+                let decoded = decode_dict(&payload, n, 0).unwrap();
+                assert_eq!(bits(&decoded), bits(&values), "{case}");
+            }
+        }
+    }
+
+    /// Writes index `i` of a `width`-bit packed index region as `idx`,
+    /// bit by bit, by the documented layout.
+    fn set_dict_index(packed: &mut [u8], width: usize, i: usize, idx: usize) {
+        for j in 0..width {
+            let bit = i * width + j;
+            if (idx >> j) & 1 == 1 {
+                packed[bit / 8] |= 1 << (bit % 8);
+            } else {
+                packed[bit / 8] &= !(1 << (bit % 8));
+            }
+        }
+    }
+
+    /// A dictionary payload of `n` values with one fault each, and the
+    /// error that names it: an out-of-range index in every lane of the
+    /// first packed bytes (every bit offset, for widths that do not
+    /// divide 8) and in each value with bits in the final byte, each
+    /// slack bit set, and one byte too many or too few.
+    fn forged_dict_payloads(payload: &[u8], entries: usize, n: usize) -> Vec<(Vec<u8>, String)> {
+        let width = dict_bit_width(entries);
+        let start = 1 + 4 * entries;
+        let packed_bits = 8 * (payload.len() - start);
+        let mut forged = Vec::new();
+        // The smallest and the largest index the width holds past the
+        // dictionary.
+        let slots = 1usize << width;
+        let bad: Vec<usize> = (entries..slots)
+            .filter(|&k| k == entries || k == slots - 1)
+            .collect();
+        for i in (0..n).filter(|&i| i < 8 || (i + 1) * width > packed_bits - 8) {
+            for &bad in &bad {
+                let mut p = payload.to_vec();
+                set_dict_index(&mut p[start..], width, i, bad);
+                forged.push((p, format!("block 0 dict index {bad} out of range")));
+            }
+        }
+        for bit in n * width..packed_bits {
+            let mut p = payload.to_vec();
+            p[start + bit / 8] |= 1 << (bit % 8);
+            forged.push((p, "block 0 dict payload has non-zero slack bits".into()));
+        }
+        let long = [payload, &[0]].concat();
+        let short = payload[..payload.len() - 1].to_vec();
+        for p in [long, short] {
+            let want = format!(
+                "block 0 dict payload length {} disagrees with its shape",
+                p.len()
+            );
+            forged.push((p, want));
+        }
+        forged
+    }
+
+    /// `file`, a one-block column, with its payload replaced by `payload`
+    /// and the zone entry's length and checksum and the zone table's
+    /// checksum recomputed: every check before the decoder passes.
+    fn with_dict_payload(file: &[u8], col: &ColumnFile, payload: &[u8]) -> Vec<u8> {
+        let zones = (HEADER_LEN + SCHEMA_LEN) as usize;
+        let table_end = zones + ZONE_ENTRY_LEN as usize;
+        let zone = ZoneEntry {
+            comp_len: payload.len() as u32,
+            crc: crc32(payload),
+            ..col.zones[0]
+        };
+        let mut out = file[..col.data_offset(0).unwrap() as usize].to_vec();
+        out[zones..table_end].copy_from_slice(&zone.to_bytes());
+        let crc = crc32(&out[zones..table_end]);
+        out[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Dictionary payloads forged at every width from 1 to 8 bits under a
+    /// valid checksum, so that only the decoder can refuse them, are
+    /// corrupt with the error that names the fault, through `read_blocks`
+    /// and through a column pass. The pass serves the column live; a
+    /// read-write store quarantines the file and a read-only one leaves
+    /// it byte-identical.
+    #[test]
+    fn a_forged_dict_payload_is_corrupt_through_read_blocks_and_a_column_pass() {
+        use crate::{BehaviorStore, ColumnPass, MaterializationPolicy, StoreConfig};
+        const N: usize = 201;
+        let m = one_block_meta(N);
+        let dir = test_dir("dict-forged");
+        let unit = [m.unit as usize];
+        let order: Vec<usize> = (0..N).collect();
+        for width in 1..=8 {
+            // The smallest dictionary of the width: the most indices out
+            // of range.
+            let entries = if width == 1 {
+                2
+            } else {
+                (1 << (width - 1)) + 1
+            };
+            let values = dict_values(entries, N);
+            let path = dir.join("pristine.col");
+            write_ordered(&path, &m, &values, 7);
+            let file = std::fs::read(&path).unwrap();
+            let col = read_meta(&mut File::open(&path).unwrap()).unwrap();
+            assert_eq!(col.zones[0].codec, Codec::Dict, "width {width}");
+            assert_eq!(dict_bit_width(entries), width);
+            let payload = &file[col.data_offset(0).unwrap() as usize..];
+            for (forged, want) in forged_dict_payloads(payload, entries, N) {
+                let bytes = with_dict_payload(&file, &col, &forged);
+                std::fs::write(&path, &bytes).unwrap();
+                let mut f = File::open(&path).unwrap();
+                let forged_col = read_meta(&mut f).unwrap();
+                let err = read_blocks(&mut f, &forged_col, &[0]).unwrap_err();
+                assert_eq!(err, StoreError::Corrupt(want.clone()), "width {width}");
+                for policy in [
+                    MaterializationPolicy::ReadWrite,
+                    MaterializationPolicy::ReadOnly,
+                ] {
+                    let root = dir.join(format!("{policy:?}"));
+                    let pair = root.join(format!("{:016x}.{:016x}", m.model_fp, m.dataset_fp));
+                    let column = pair.join(format!("u{}.col", m.unit));
+                    let _ = std::fs::remove_dir_all(&root);
+                    std::fs::create_dir_all(&pair).unwrap();
+                    std::fs::write(&column, &bytes).unwrap();
+                    let store = BehaviorStore::open(&StoreConfig {
+                        policy,
+                        ..StoreConfig::at(&root)
+                    })
+                    .unwrap();
+                    let write = policy == MaterializationPolicy::ReadWrite;
+                    let plan = store.plan_scan(m.model_fp, m.dataset_fp, &unit, write, usize::MAX);
+                    let mut pass = ColumnPass::new(&plan, &unit, &order, 1);
+                    let mut out = vec![f32::NAN; N];
+                    let mut asked = Vec::new();
+                    pass.fetch_block(0..N, &mut out, |units| {
+                        asked = units.to_vec();
+                        values.clone()
+                    });
+                    let stats = pass.finish();
+                    let case = format!("width {width}, {policy:?}: {want}");
+                    assert_eq!(asked, unit, "{case}");
+                    assert_eq!(bits(&out), bits(&values), "{case}");
+                    assert_eq!(stats.error_count, 1, "{case}");
+                    assert!(
+                        stats.errors[0].contains(&want),
+                        "{case}: {:?}",
+                        stats.errors
+                    );
+                    match policy {
+                        MaterializationPolicy::ReadOnly => {
+                            assert_eq!(std::fs::read(&column).unwrap(), bytes, "{case}")
+                        }
+                        _ => assert!(!column.exists(), "{case}: quarantined"),
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

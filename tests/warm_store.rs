@@ -7,7 +7,9 @@
 //! blocks) and raw ones. The populating pass stores each
 //! column in its stream order, so each streamed block of 32 shuffled
 //! records is two of a column's 24 stored blocks, and a pass reads each
-//! stored page once, the pool fitting or not.
+//! stored page once, the pool fitting or not. Columns of 2 to 255
+//! distinct values store dictionary blocks of 1, 2, 3, 4, 5 and 8 index
+//! bits, and a warm session answers from them as the cold pass did.
 //!
 //! And the store outlives the code that filled it: columns written from
 //! the char-LSTM's *training* forward (all a store could hold before the
@@ -179,6 +181,104 @@ fn a_fresh_session_answers_from_the_store_alone_with_the_pool_fitting_and_at_a_q
             "{store:?}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Distinct values of the dictionary-width columns, one column each:
+/// 1, 2, 2, 3, 4, 5 and 8 index bits.
+const DICT_LEVELS: [usize; 7] = [2, 3, 4, 5, 16, 17, 255];
+/// Records per stored block of the dictionary-width store: 1,024 values,
+/// so that a block of more than 128 levels still packs below raw.
+const DICT_STORED_BLOCK: usize = 64;
+
+/// Column `u` cycles through `DICT_LEVELS[u]` values; 37 is prime to
+/// every level count, so a record's 16 values are 16 distinct levels.
+fn dict_catalog() -> (Catalog, Arc<CountingExtractor>) {
+    let behaviors = Matrix::from_fn(RECORDS * NS, DICT_LEVELS.len(), |r, u| {
+        ((r * 37) % DICT_LEVELS[u]) as f32 * 0.125 - 1.0
+    });
+    catalog_over(
+        Arc::new(PrecomputedExtractor::new(behaviors, NS)),
+        records(),
+    )
+}
+
+/// The dictionary size of each stored block of a column file, `None` for
+/// a block of another codec, read by the v4 layout: a 16-byte header, a
+/// 68-byte schema, 24-byte zone entries (codec tag at byte 12, payload
+/// length at bytes 16..20) and their checksum, the positions section,
+/// then the payloads back to back, a dictionary's size its first byte.
+fn dict_sizes(file: &Path) -> Vec<Option<usize>> {
+    let bytes = std::fs::read(file).unwrap();
+    let blocks = RECORDS / DICT_STORED_BLOCK;
+    let zones = &bytes[16 + 68..][..blocks * 24];
+    let mut at = 16 + 68 + blocks * 24 + 4 + 8 + RECORDS * 4 + 4;
+    zones
+        .chunks_exact(24)
+        .map(|zone| {
+            let size = (zone[12] == 2).then_some(bytes[at] as usize);
+            at += u32::from_le_bytes(zone[16..20].try_into().unwrap()) as usize;
+            size
+        })
+        .collect()
+}
+
+#[test]
+fn every_dict_width_reads_back_warm_as_the_cold_pass_answered() {
+    let reference = bare(&dict_catalog().0, &inspection())
+        .run_batch(&QUERIES)
+        .unwrap()
+        .tables;
+    let dir = store_dir("dict-widths");
+    let session = |dir: &Path| {
+        let (catalog, counting) = dict_catalog();
+        let config = SessionConfig {
+            inspection: inspection(),
+            store: Some(StoreConfig {
+                block_records: DICT_STORED_BLOCK,
+                pool_bytes: 64 << 20,
+                ..StoreConfig::at(dir)
+            }),
+            ..SessionConfig::default()
+        };
+        (Session::with_config(catalog, config), counting)
+    };
+
+    let (mut cold, _) = session(&dir);
+    let out = cold.run_batch(&QUERIES).unwrap();
+    assert_eq!(out.tables, reference);
+    assert_eq!(out.report.store.columns_written, DICT_LEVELS.len());
+    drop(cold);
+    let pair = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.is_dir() && p.extension().is_some())
+        .expect("the column directory");
+    for (unit, levels) in DICT_LEVELS.into_iter().enumerate() {
+        // A block of 64 records holds every level, or for 255 levels more
+        // than 128: the width of its levels.
+        for size in dict_sizes(&pair.join(format!("u{unit}.col"))) {
+            let size = size.expect("every block is dictionary-coded");
+            assert!(
+                size == levels || (levels > 128 && size > 128),
+                "{levels}: {size}"
+            );
+        }
+    }
+
+    let (mut warm, extractor) = session(&dir);
+    let out = warm.run_batch(&QUERIES).unwrap();
+    assert_eq!(extractor.calls(), 0);
+    assert_eq!(out.tables, reference);
+    let store = &out.report.store;
+    assert_eq!(store.error_count, 0, "{:?}", store.errors);
+    assert_eq!(store.columns_scanned, DICT_LEVELS.len());
+    let stored_pages = DICT_LEVELS.len() * (RECORDS / DICT_STORED_BLOCK);
+    assert_eq!(
+        (store.blocks_read, store.pool_misses),
+        (stored_pages, stored_pages),
+        "{store:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
