@@ -54,10 +54,9 @@
 //!   `⌊i·w/8⌋`, least significant bit first, and may run on into the
 //!   next byte; the bits of the final byte past the last index (slack
 //!   bits) are zero. Chosen only when strictly smaller than raw —
-//!   saturated activations (±1 under tanh) pack 32x. A width that
-//!   divides 8 (1, 2, 4 or 8 bits) never splits an index across bytes,
-//!   so its blocks decode a whole byte per step; widths 3, 5, 6 and 7
-//!   decode through a bit accumulator.
+//!   saturated activations (±1 under tanh) pack 32x. A two-entry
+//!   dictionary (1-bit indices) decodes a whole packed byte per step;
+//!   wider indices decode through a bit accumulator.
 //!
 //! The per-block CRC32 covers the **encoded payload bytes**, so bit rot
 //! in compressed data is detected before decoding. Decoders additionally
@@ -624,99 +623,57 @@ fn decode_dict(payload: &[u8], n_values: usize, b: usize) -> Result<Vec<f32>, St
             payload.len()
         )));
     }
-    let table = dict_table(&payload[1..dict_end]);
     let packed = &payload[dict_end..];
-    // The byte-wise bodies report a fault as `None` and leave naming it
-    // to the accumulator, so every width names the same fault: the first
-    // out-of-range index, else set slack bits.
-    match unpack_bytes(width, packed, n_values, &table, entries) {
-        Some(values) => Ok(values),
-        None => unpack_bits(width, packed, n_values, &table, entries, b),
+    let entry = |k: usize| u32::from_le_bytes(payload[1 + 4 * k..5 + 4 * k].try_into().unwrap());
+    if width == 1 {
+        return unpack_one_bit(packed, n_values, [entry(0), entry(1)], b);
     }
+    let dict: Vec<f32> = (0..entries).map(|k| f32::from_bits(entry(k))).collect();
+    unpack_bits(width, packed, n_values, &dict, b)
 }
 
-/// A lookup table over a dictionary section (4 bytes per entry): one slot
-/// for every index a width of at most 8 bits can hold, the slots past the
-/// dictionary 0.0 — a decoded index that lands there is refused.
-fn dict_table(dict: &[u8]) -> [f32; DICT_MAX_ENTRIES + 1] {
-    let mut table = [0f32; DICT_MAX_ENTRIES + 1];
-    for (slot, c) in table.iter_mut().zip(dict.chunks_exact(4)) {
-        *slot = f32::from_le_bytes(c.try_into().unwrap());
-    }
-    table
-}
-
-/// The indices of a dictionary block whose `width` divides 8, one packed
-/// byte per step, looked up in `table`: `None` when `width` does not
-/// divide 8, when a decoded index is `entries` or more, or when the
-/// final partial byte sets a slack bit.
-fn unpack_bytes(
-    width: usize,
+/// The values of a two-entry (1-bit) dictionary block, one packed byte
+/// per step: bit `k` of byte `j` selects between the two entries' bit
+/// patterns for value `8j + k`, a select that vectorises where a table
+/// load per value does not. Every 1-bit index is in range, so the one
+/// fault left past the length check is a set slack bit in a final
+/// partial byte.
+fn unpack_one_bit(
     packed: &[u8],
     n_values: usize,
-    table: &[f32; DICT_MAX_ENTRIES + 1],
-    entries: usize,
-) -> Option<Vec<f32>> {
-    match width {
-        1 => unpack_bytes_of::<1>(packed, n_values, table, entries),
-        2 => unpack_bytes_of::<2>(packed, n_values, table, entries),
-        4 => unpack_bytes_of::<4>(packed, n_values, table, entries),
-        8 => unpack_bytes_of::<8>(packed, n_values, table, entries),
-        _ => None,
+    entries: [u32; 2],
+    b: usize,
+) -> Result<Vec<f32>, StoreError> {
+    let (full, tail) = (n_values / 8, n_values % 8);
+    if tail > 0 && packed[full] >> tail != 0 {
+        return Err(slack_bits(b));
     }
-}
-
-/// [`unpack_bytes`] for one width `W`: each full byte holds `8 / W`
-/// indices, lane `k` at bits `k * W..(k + 1) * W`, so a step has no
-/// refill branch. The range check is a running maximum over the decoded
-/// indices, read once at the end. At width 1 an index selects between
-/// the first two entries' bits, which vectorises where a table load per
-/// value does not.
-fn unpack_bytes_of<const W: usize>(
-    packed: &[u8],
-    n_values: usize,
-    table: &[f32; DICT_MAX_ENTRIES + 1],
-    entries: usize,
-) -> Option<Vec<f32>> {
-    let (lanes, mask) = (8 / W, ((1u32 << W) - 1) as u8);
-    let (full, tail) = (n_values / lanes, n_values % lanes);
-    if tail > 0 && packed[full] >> (tail * W) != 0 {
-        return None;
-    }
-    let first = table[0].to_bits();
-    let flip = first ^ table[1].to_bits();
-    let mut max = 0u8;
-    let mut unpack = |values: &mut [f32], byte: u8| {
-        for (lane, v) in values.iter_mut().enumerate() {
-            let idx = (byte >> (lane * W)) & mask;
-            max = max.max(idx);
-            *v = match W {
-                1 => f32::from_bits(first ^ (flip & u32::from(idx).wrapping_neg())),
-                _ => table[usize::from(idx)],
-            };
+    let (first, flip) = (entries[0], entries[0] ^ entries[1]);
+    let unpack = |values: &mut [f32], byte: u8| {
+        for (k, v) in values.iter_mut().enumerate() {
+            let bit = u32::from(byte >> k) & 1;
+            *v = f32::from_bits(first ^ (flip & bit.wrapping_neg()));
         }
     };
     let mut out = vec![0f32; n_values];
-    let (body, rest) = out.split_at_mut(full * lanes);
-    for (values, &byte) in body.chunks_exact_mut(lanes).zip(packed) {
+    let (body, rest) = out.split_at_mut(full * 8);
+    for (values, &byte) in body.chunks_exact_mut(8).zip(packed) {
         unpack(values, byte);
     }
     if tail > 0 {
         unpack(rest, packed[full]);
     }
-    (usize::from(max) < entries).then_some(out)
+    Ok(out)
 }
 
-/// The indices of a dictionary block of any width through a refilling
-/// bit accumulator: the decoder of widths 3, 5, 6 and 7, and the one
-/// that names a fault [`unpack_bytes`] saw — the first index of
-/// `entries` or more, else set slack bits.
+/// The values of a dictionary block of any width through a refilling bit
+/// accumulator, refusing the first index past the dictionary, then set
+/// slack bits.
 fn unpack_bits(
     width: usize,
     packed: &[u8],
     n_values: usize,
-    table: &[f32; DICT_MAX_ENTRIES + 1],
-    entries: usize,
+    dict: &[f32],
     b: usize,
 ) -> Result<Vec<f32>, StoreError> {
     let mut out = Vec::with_capacity(n_values);
@@ -733,19 +690,20 @@ fn unpack_bits(
         let idx = (acc & mask) as usize;
         acc >>= width;
         nbits -= width;
-        if idx >= entries {
-            return Err(StoreError::Corrupt(format!(
-                "block {b} dict index {idx} out of range"
-            )));
-        }
-        out.push(table[idx]);
+        let v = *dict.get(idx).ok_or_else(|| {
+            StoreError::Corrupt(format!("block {b} dict index {idx} out of range"))
+        })?;
+        out.push(v);
     }
     if acc != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "block {b} dict payload has non-zero slack bits"
-        )));
+        return Err(slack_bits(b));
     }
     Ok(out)
+}
+
+/// The error of a dictionary block whose final byte sets a slack bit.
+fn slack_bits(b: usize) -> StoreError {
+    StoreError::Corrupt(format!("block {b} dict payload has non-zero slack bits"))
 }
 
 /// Encodes one block: NaN-safe zone statistics plus the smallest payload
@@ -2196,10 +2154,8 @@ mod tests {
 
     /// Every dictionary size the format allows, with each entry used and
     /// value counts that fill the last packed byte and that leave it
-    /// partial: the byte-wise body of each width dividing 8 and
-    /// `decode_dict` decode what the bit accumulator decodes, and no body
-    /// refuses an index below the dictionary size (a 3-entry block whose
-    /// lanes hold indices 1 and 2 must not read as index 3).
+    /// partial: `decode_dict` — at width 1 the byte-wise body — decodes
+    /// what the bit accumulator decodes.
     #[test]
     fn every_dict_width_decodes_like_the_accumulator() {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -2220,18 +2176,13 @@ mod tests {
                     })
                     .collect();
                 let payload = try_dict_encode(&values).expect("smaller than raw");
-                let table = dict_table(&payload[1..1 + 4 * entries]);
+                let dict: Vec<f32> = (0..entries).map(dict_pattern).collect();
                 let packed = &payload[1 + 4 * entries..];
                 let case = format!("{entries} entries, {n} values");
-                let reference = unpack_bits(width, packed, n, &table, entries, 0).unwrap();
+                let reference = unpack_bits(width, packed, n, &dict, 0).unwrap();
                 assert_eq!(bits(&reference), bits(&values), "{case}");
-                let bytewise = unpack_bytes(width, packed, n, &table, entries);
-                assert_eq!(bytewise.is_some(), 8 % width == 0, "{case}");
-                if let Some(bytewise) = bytewise {
-                    assert_eq!(bits(&bytewise), bits(&values), "{case}");
-                }
                 let decoded = decode_dict(&payload, n, 0).unwrap();
-                assert_eq!(bits(&decoded), bits(&values), "{case}");
+                assert_eq!(bits(&decoded), bits(&reference), "{case}");
             }
         }
     }

@@ -27,6 +27,7 @@ use deepbase_repro::deepbase::prelude::*;
 use deepbase_repro::deepbase::query::UnitMeta;
 use deepbase_repro::nn::{CharLstmModel, OutputMode};
 use deepbase_repro::tensor::Matrix;
+use deepbase_store::format;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -192,7 +193,8 @@ const DICT_LEVELS: [usize; 7] = [2, 3, 4, 5, 16, 17, 255];
 const DICT_STORED_BLOCK: usize = 64;
 
 /// Column `u` cycles through `DICT_LEVELS[u]` values; 37 is prime to
-/// every level count, so a record's 16 values are 16 distinct levels.
+/// every level count, so a record's 16 values are min(16, levels)
+/// distinct levels and every 64-record block holds every level.
 fn dict_catalog() -> (Catalog, Arc<CountingExtractor>) {
     let behaviors = Matrix::from_fn(RECORDS * NS, DICT_LEVELS.len(), |r, u| {
         ((r * 37) % DICT_LEVELS[u]) as f32 * 0.125 - 1.0
@@ -203,22 +205,17 @@ fn dict_catalog() -> (Catalog, Arc<CountingExtractor>) {
     )
 }
 
-/// The dictionary size of each stored block of a column file, `None` for
-/// a block of another codec, read by the v4 layout: a 16-byte header, a
-/// 68-byte schema, 24-byte zone entries (codec tag at byte 12, payload
-/// length at bytes 16..20) and their checksum, the positions section,
-/// then the payloads back to back, a dictionary's size its first byte.
+/// The dictionary size of each stored block of a column file — a
+/// dictionary payload's first byte — `None` for a block of another codec.
 fn dict_sizes(file: &Path) -> Vec<Option<usize>> {
     let bytes = std::fs::read(file).unwrap();
-    let blocks = RECORDS / DICT_STORED_BLOCK;
-    let zones = &bytes[16 + 68..][..blocks * 24];
-    let mut at = 16 + 68 + blocks * 24 + 4 + 8 + RECORDS * 4 + 4;
-    zones
-        .chunks_exact(24)
-        .map(|zone| {
-            let size = (zone[12] == 2).then_some(bytes[at] as usize);
-            at += u32::from_le_bytes(zone[16..20].try_into().unwrap()) as usize;
-            size
+    let col = format::read_meta(&mut std::fs::File::open(file).unwrap()).unwrap();
+    col.zones
+        .iter()
+        .enumerate()
+        .map(|(b, zone)| {
+            let at = col.data_offset(b).unwrap() as usize;
+            (zone.codec == format::Codec::Dict).then_some(bytes[at] as usize)
         })
         .collect()
 }
