@@ -80,13 +80,16 @@
 //!    selection only grids read is never demuxed.
 //! 2. **One stream per dataset segment.** A seeded shuffle of the
 //!    segment's records (segment 0 keeps the session seed), a block at a
-//!    time: unit behaviors are fetched once per block — extracted live,
-//!    or, when the segment has a store [`ScanPlan`], through the store's
-//!    [`ColumnPass`], which scans what it holds and calls back for the
-//!    columns it needs computed — hypothesis columns are evaluated once
-//!    per block, only while some unconverged slot still reads them, and
-//!    every live state advances once. On an early-stopping stream a
-//!    state's errors are then read once per block: a grid's per pair
+//!    time: unit behaviors are fetched once per block, unit-major — one
+//!    slice per union column, which a state's unit selection picks from
+//!    without copying — extracted live (the extractor's row-major output
+//!    transposed once), or, when the segment has a store [`ScanPlan`],
+//!    through the store's [`ColumnPass`], which scans what it holds and
+//!    calls back for the columns it needs computed — hypothesis columns
+//!    are evaluated once per block, only while some unconverged slot
+//!    still reads them, and every live state advances once. On an
+//!    early-stopping stream a state's errors are then read once per
+//!    block: a grid's per pair
 //!    ([`MeasureState::pair_errors`]), each consumer's member error the
 //!    largest over its own units, what a state of its own reports; any
 //!    other state's per member ([`MeasureState::convergence_errors`]).
@@ -177,7 +180,7 @@ use crate::result::{Completion, CompletionStatus, PendingPair, ResultFrame, Scor
 use deepbase_relational as rel;
 use deepbase_stats::split::shuffled_indices;
 use deepbase_store::{ColumnPass, ScanPlan, StoreStats, ViewDoc, ViewHypState};
-use deepbase_tensor::Matrix;
+use deepbase_tensor::{column_runs, transpose_rows_into, Columns, Matrix};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -521,16 +524,26 @@ pub fn inspect_as(
 // Shared helpers
 // ---------------------------------------------------------------------
 
-/// Extracts unit behaviors for `records`: one extractor call on the
-/// single-core device; on the parallel device, one call per contiguous
-/// record chunk, the chunks run by `fan_out` and stacked in record order.
+/// Extracts unit behaviors for `records` into `out`, unit-major:
+/// `units.len()` columns of `rows = records.len() * ns` values, unit
+/// `i`'s at `[i * rows..(i + 1) * rows]` (a stream hands the same buffer
+/// in for every block, so a block allocates no column buffer). One
+/// extractor call on the single-core device; on the parallel device, one
+/// call per contiguous record chunk, the chunks run by `fan_out`. Each
+/// call's row-major output is transposed once, straight into its rows of
+/// every column, and returned: a stream keeps it to the end of the block.
+/// Freed right after the transpose, at the top of the heap, its pages
+/// went back to the system every block (glibc's trim), and the next
+/// extraction faulted them in again — 88 minor faults per block on the
+/// CNN benchmark.
 fn extract_records(
     extractor: &dyn Extractor,
     records: &[&Record],
     units: &[usize],
     device: Device,
     ns: usize,
-) -> Matrix {
+    out: &mut Vec<f32>,
+) -> Vec<Matrix> {
     // Fewer than two records per thread take one call.
     let threads = device.threads();
     let width = if records.len() < 2 * threads {
@@ -541,17 +554,27 @@ fn extract_records(
     let chunks: Vec<&[&Record]> = records
         .chunks(records.len().div_ceil(width).max(1))
         .collect();
-    let mut parts =
-        deepbase_runtime::fan_out(width, &chunks, |recs| extractor.extract(recs, units));
-    if parts.len() == 1 {
-        return parts.pop().expect("one part");
+    let parts = deepbase_runtime::fan_out(width, &chunks, |recs| extractor.extract(recs, units));
+    let rows = records.len() * ns;
+    out.clear();
+    out.resize(rows * units.len(), 0.0);
+    let mut first = 0;
+    for part in &parts {
+        assert_eq!(part.cols(), units.len(), "extractor output width");
+        transpose_rows_into(part.as_slice(), units.len(), out, rows, first);
+        first += part.rows();
     }
-    let data = parts
-        .iter()
-        .map(Matrix::as_slice)
-        .collect::<Vec<_>>()
-        .concat();
-    Matrix::from_vec(records.len() * ns, units.len(), data).expect("chunks stack to the block")
+    assert_eq!(first, rows, "chunks stack to the block");
+    parts
+}
+
+thread_local! {
+    /// The unit-major buffer the live path of a stream transposes its
+    /// blocks into, kept on the thread from one stream to the next. A
+    /// fresh buffer per stream made every one-stream op fault in a
+    /// block's worth of fresh pages (983 KB on the SQL benchmark: 3,840
+    /// rows × 64 units), which read 1.14× its parent's time per op.
+    static LIVE_BLOCK: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// Evaluates one hypothesis over the records at `positions` of `dataset`
@@ -635,10 +658,21 @@ fn inspect_materialized(
 
     // Materialize unit behaviors per group.
     let t0 = Instant::now();
-    let group_behaviors: Vec<Matrix> = req
+    let group_behaviors: Vec<Vec<f32>> = req
         .groups
         .iter()
-        .map(|g| extract_records(req.extractor, &records, &g.units, config.device, ns))
+        .map(|g| {
+            let mut values = Vec::new();
+            extract_records(
+                req.extractor,
+                &records,
+                &g.units,
+                config.device,
+                ns,
+                &mut values,
+            );
+            values
+        })
         .collect();
     profile.unit_extraction = t0.elapsed();
 
@@ -675,6 +709,7 @@ fn inspect_materialized(
             // scores are those of a one-hypothesis state; any other list
             // stops as a whole, once every member converged (the paper's
             // §5.2.1 caveat).
+            let columns = column_runs(behaviors, rows_total, group.units.len());
             let score_list = |list: &[usize]| -> (Vec<PairResult>, usize) {
                 let mut state = measure.new_state(group.units.len(), list.len());
                 let mut errs = vec![f32::INFINITY; list.len()];
@@ -688,7 +723,8 @@ fn inspect_materialized(
                         (list.iter().zip(&fed))
                             .map(|(&h, &fed)| fed.then(|| &hyp_cols[h][start..end])),
                     );
-                    state.process_block(&behaviors.slice_rows(start, end), &block);
+                    let units: Vec<&[f32]> = columns.iter().map(|c| &c[start..end]).collect();
+                    state.process_block(Columns::new(&units, end - start), &block);
                     blocks += 1;
                     if early_stop {
                         state.convergence_errors(&mut errs);
@@ -775,10 +811,10 @@ pub struct SharedOutcome {
 // ---------------------------------------------------------------------
 
 /// One unique unit selection a state is fed: its column demux out of the
-/// union matrix, with the identity check precomputed (a selection that
+/// unit-major union block, which picks the union's column slices without
+/// copying a value, with the identity check precomputed (a selection that
 /// covers the whole union in order — a grid state over every unit, the
-/// common single-query, one-group case — borrows the union matrix instead
-/// of copying it).
+/// common single-query, one-group case — reads the union block itself).
 struct Selection {
     units: Vec<usize>,
     demux: ColumnDemux,
@@ -1252,16 +1288,10 @@ impl<'a> PassLayout<'a> {
             })
             .collect();
 
-        // The store path's union block and each selection's demuxed block,
-        // one buffer each for the whole stream (every cell is overwritten
-        // per block; only the last, shorter block reallocates).
-        let mut scanned = Matrix::zeros(0, self.union_units.len());
-        let mut sel_blocks: Vec<Matrix> = self
-            .selections
-            .iter()
-            .map(|_| Matrix::zeros(0, 0))
-            .collect();
-        let mut demuxed = vec![false; self.selections.len()];
+        // The live path's unit-major block: the thread's buffer
+        // (`LIVE_BLOCK`), handed back when the stream ends.
+        let width = self.union_units.len();
+        let mut extracted = LIVE_BLOCK.take();
         let mut profile = Profile::default();
         let mut interrupted: Option<CompletionStatus> = None;
         let mut block_start = 0usize;
@@ -1285,34 +1315,29 @@ impl<'a> PassLayout<'a> {
             profile.records_read += block.len();
             profile.blocks_processed += 1;
 
-            // Source the union unit behaviors once, then demux the unit
+            // Source the union unit behaviors once — unit-major, one slice
+            // per union column — then pick the columns of the unit
             // selections still feeding a live state.
             let t0 = Instant::now();
-            let extracted;
-            let union_behaviors = match &mut store_pass {
-                Some(pass) => {
-                    let rows = block.len() * ns;
-                    if scanned.rows() != rows {
-                        scanned = Matrix::zeros(rows, self.union_units.len());
-                    }
-                    pass.fetch_block(block_start..block_end, scanned.as_mut_slice(), |units| {
-                        extract_records(self.extractor, block, units, device, ns).into_vec()
-                    });
-                    &scanned
-                }
+            let rows = block.len() * ns;
+            // The extractor's own output, kept to the end of the block.
+            let mut row_major: Vec<Matrix> = Vec::new();
+            let union_cols = match &mut store_pass {
+                Some(pass) => pass.fetch_block(block_start..block_end, |units, out| {
+                    row_major = extract_records(self.extractor, block, units, device, ns, out);
+                }),
                 None => {
-                    extracted =
-                        extract_records(self.extractor, block, &self.union_units, device, ns);
-                    &extracted
+                    let units = &self.union_units;
+                    row_major =
+                        extract_records(self.extractor, block, units, device, ns, &mut extracted);
+                    column_runs(&extracted, rows, width)
                 }
             };
-            demuxed.fill(false);
+            let mut sel_cols: Vec<Option<Vec<&[f32]>>> = vec![None; self.selections.len()];
             for plan in &self.states {
                 let sel = &self.selections[plan.sel];
-                if !sel.identity && !demuxed[plan.sel] && state_live(plan, &slots) {
-                    sel.demux
-                        .apply_into(union_behaviors, &mut sel_blocks[plan.sel]);
-                    demuxed[plan.sel] = true;
+                if !sel.identity && sel_cols[plan.sel].is_none() && state_live(plan, &slots) {
+                    sel_cols[plan.sel] = Some(sel.demux.pick(&union_cols));
                 }
             }
             let d0 = t0.elapsed();
@@ -1341,10 +1366,11 @@ impl<'a> PassLayout<'a> {
                 if !state_live(plan, &slots) {
                     continue;
                 }
-                let behaviors = match self.selections[plan.sel].identity {
-                    true => union_behaviors,
-                    false => &sel_blocks[plan.sel],
+                let cols = match self.selections[plan.sel].identity {
+                    true => &union_cols,
+                    false => sel_cols[plan.sel].as_ref().expect("a live state's units"),
                 };
+                let behaviors = Columns::new(cols, rows);
                 // A hypothesis nobody reads any more is not fed.
                 let col = |(&c, &readers): (&usize, &usize)| {
                     (readers > 0).then(|| hyp_cols[c].as_deref().expect("consumed column"))
@@ -1366,7 +1392,7 @@ impl<'a> PassLayout<'a> {
                 // state of its own reports — met epsilon, by keeping its
                 // pairs as they stand; a slot stops once all its errors
                 // have, so a list that is no grid stops as a whole.
-                let n = behaviors.cols();
+                let n = behaviors.width();
                 for consumer in &plan.consumers {
                     let (slot, slot_run) = (&self.slots[consumer.slot], &mut slots[consumer.slot]);
                     if slot_run.converged {
@@ -1428,6 +1454,7 @@ impl<'a> PassLayout<'a> {
         // design: an interrupted stream resumes at its watermark like any
         // other early-stopped one) — and detach the store accounting.
         let stats = store_pass.map(ColumnPass::finish).unwrap_or_default();
+        LIVE_BLOCK.set(extracted);
         Ok(StreamOutput {
             states: states.into_iter().map(|run| run.state).collect(),
             slots,
@@ -1846,7 +1873,17 @@ fn inspect_madlib(
         // Materialize the dense behavior relations (unitsb_dense /
         // hyposb_dense of §5.1.1), joined on symbolid.
         let t0 = Instant::now();
-        let behaviors = extract_records(req.extractor, &records, &group.units, config.device, ns);
+        let rows_total = records.len() * ns;
+        let mut values = Vec::new();
+        extract_records(
+            req.extractor,
+            &records,
+            &group.units,
+            config.device,
+            ns,
+            &mut values,
+        );
+        let columns = column_runs(&values, rows_total, group.units.len());
         profile.unit_extraction += t0.elapsed();
 
         let t1 = Instant::now();
@@ -1857,7 +1894,6 @@ fn inspect_madlib(
         profile.hypothesis_extraction += t1.elapsed();
 
         let t2 = Instant::now();
-        let rows_total = records.len() * ns;
         let unit_names: Vec<String> = (0..group.units.len()).map(|u| format!("u{u}")).collect();
         let hyp_names: Vec<String> = (0..hyp_cols.len()).map(|h| format!("h{h}")).collect();
         let mut cols: Vec<(&str, rel::ColType)> = vec![("symbolid", rel::ColType::Int)];
@@ -1872,7 +1908,7 @@ fn inspect_madlib(
             let mut row: Vec<rel::Value> =
                 Vec::with_capacity(1 + unit_names.len() + hyp_names.len());
             row.push(rel::Value::Int(r as i64));
-            row.extend(behaviors.row(r).iter().map(|&v| rel::Value::Float(v)));
+            row.extend(columns.iter().map(|column| rel::Value::Float(column[r])));
             row.extend(hyp_cols.iter().map(|c| rel::Value::Float(c[r])));
             table.push_row(row).expect("dense schema");
         }
@@ -1921,6 +1957,8 @@ fn inspect_madlib(
                         l2: if id.contains("l2") { 0.01 } else { 0.0 },
                         ..Default::default()
                     };
+                    // The behavior rows the training-set F1 scans.
+                    let x = Matrix::from_fn(rows_total, group.units.len(), |r, u| columns[u][r]);
                     for (h, hyp) in req.hypotheses.iter().enumerate() {
                         let model = rel::logreg_train_uda(
                             &table,
@@ -1933,10 +1971,8 @@ fn inspect_madlib(
                         .map_err(|e| DniError::BadConfig(e.msg))?;
                         let unit_scores = model.unit_scores(0);
                         // Group score: training-set F1 via one more scan.
-                        let mut x = Matrix::zeros(rows_total, group.units.len());
                         let mut y = Matrix::zeros(rows_total, 1);
                         for (r, &hv) in hyp_cols[h].iter().enumerate() {
-                            x.row_mut(r).copy_from_slice(behaviors.row(r));
                             y.set(r, 0, if hv > 0.0 { 1.0 } else { 0.0 });
                         }
                         let f1 = model.f1_per_output(&x, &y)[0];
@@ -1968,6 +2004,31 @@ mod tests {
     use crate::extract::PrecomputedExtractor;
     use crate::measure::CorrelationMeasure;
     use crate::model::FnHypothesis;
+
+    /// The live path's block is the extractor's row-major output
+    /// transposed once: one call on `SingleCore`, record chunks stacked in
+    /// order on `Parallel(3)` (evenly split, unevenly split, and too few
+    /// records to split), at 11 of 13 units, a width no multiple of 8.
+    #[test]
+    fn extracted_blocks_are_the_row_major_output_transposed_on_either_device() {
+        let (nd, ns, n_units) = (10, 3, 13);
+        let behaviors = Matrix::from_fn(nd * ns, n_units, |r, c| (r * 100 + c) as f32 * 0.5);
+        let extractor = PrecomputedExtractor::new(behaviors, ns);
+        let records: Vec<Record> = (0..nd)
+            .map(|i| Record::standalone(i, vec![0; ns], "abc".into()))
+            .collect();
+        let units: Vec<usize> = (0..n_units).filter(|&u| u != 3 && u != 8).collect();
+        for n in [nd, 9, 5, 1] {
+            let block: Vec<&Record> = records[..n].iter().rev().collect();
+            let expect = extractor.extract(&block, &units).transpose();
+            for device in [Device::SingleCore, Device::Parallel(3)] {
+                // A buffer of the wrong size and contents to start with.
+                let mut got = vec![f32::NAN; 7];
+                extract_records(&extractor, &block, &units, device, ns, &mut got);
+                assert_eq!(got, expect.as_slice(), "{n} records on {device:?}");
+            }
+        }
+    }
 
     /// One scan plan per dataset segment, or a typed error — never a
     /// silent live extraction.

@@ -235,19 +235,15 @@ impl Extractor for CountingExtractor {
 /// Column demultiplexer for shared extraction passes.
 ///
 /// The batch scheduler extracts the *union* of all unit columns that any
-/// member query needs, once per block, and then slices per-group behavior
-/// matrices out of the union instead of re-running the extractor. All
+/// member query needs, once per block, and then hands each group its unit
+/// columns of the union block instead of re-running the extractor. All
 /// in-tree extractors are column-wise consistent — `extract(r, A)` column
 /// `i` equals `extract(r, B)` column `j` whenever `A[i] == B[j]`, because
 /// each runs the whole forward pass and only then selects columns — so
-/// the demuxed matrix is bit-identical to a direct extraction.
+/// the demuxed block is bit-identical to a direct extraction.
 #[derive(Debug)]
 pub(crate) struct ColumnDemux {
     cols: Vec<usize>,
-    /// `cols` as runs of consecutive union columns: `(first union column,
-    /// first output column, length)`, each copied with one
-    /// `copy_from_slice` per row.
-    runs: Vec<(usize, usize, usize)>,
 }
 
 impl ColumnDemux {
@@ -271,14 +267,7 @@ impl ColumnDemux {
                 })
             })
             .collect::<Result<Vec<usize>, DniError>>()?;
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        for (dst, &src) in cols.iter().enumerate() {
-            match runs.last_mut() {
-                Some((start, _, len)) if *start + *len == src => *len += 1,
-                _ => runs.push((src, dst, 1)),
-            }
-        }
-        Ok(ColumnDemux { cols, runs })
+        Ok(ColumnDemux { cols })
     }
 
     /// True when this demux selects every column of a `union_width`-wide
@@ -287,27 +276,10 @@ impl ColumnDemux {
         self.cols.len() == union_width && self.cols.iter().enumerate().all(|(i, &c)| i == c)
     }
 
-    /// Selects this demux's columns out of a union behavior matrix.
-    #[cfg(test)]
-    pub(crate) fn apply(&self, union: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.apply_into(union, &mut out);
-        out
-    }
-
-    /// Writes this demux's columns of `union` into `out`, reallocating it
-    /// only when its shape differs (a stream keeps one per selection, so
-    /// only its last, shorter block does).
-    pub(crate) fn apply_into(&self, union: &Matrix, out: &mut Matrix) {
-        if out.shape() != (union.rows(), self.cols.len()) {
-            *out = Matrix::zeros(union.rows(), self.cols.len());
-        }
-        for r in 0..union.rows() {
-            let (src, dst) = (union.row(r), out.row_mut(r));
-            for &(from, to, len) in &self.runs {
-                dst[to..to + len].copy_from_slice(&src[from..from + len]);
-            }
-        }
+    /// This demux's columns of the union block's: the same slices, no
+    /// value copied.
+    pub(crate) fn pick<'a>(&self, union: &[&'a [f32]]) -> Vec<&'a [f32]> {
+        self.cols.iter().map(|&c| union[c]).collect()
     }
 }
 
@@ -316,6 +288,7 @@ mod tests {
     use super::*;
     use crate::model::Record;
     use deepbase_nn::OutputMode;
+    use deepbase_tensor::column_runs;
 
     fn records(n: usize, ns: usize) -> Vec<Record> {
         (0..n)
@@ -383,15 +356,12 @@ mod tests {
         let recs = records(6, 2);
         let refs: Vec<&Record> = recs.iter().collect();
         let union_units = vec![0, 2, 3, 4];
-        let union = ext.extract(&refs, &union_units);
+        let union = ext.extract(&refs, &union_units).transpose();
         let demux = ColumnDemux::new(&union_units, &[4, 2]).unwrap();
         assert_eq!(demux.cols.len(), 2);
-        let sliced = demux.apply(&union);
-        let direct = ext.extract(&refs, &[4, 2]);
-        assert_eq!(sliced.shape(), direct.shape());
-        for r in 0..direct.rows() {
-            assert_eq!(sliced.row(r), direct.row(r));
-        }
+        let picked = demux.pick(&column_runs(union.as_slice(), 12, 4)).concat();
+        let direct = ext.extract(&refs, &[4, 2]).transpose();
+        assert_eq!(picked, direct.as_slice());
     }
 
     #[test]

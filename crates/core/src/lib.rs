@@ -74,8 +74,9 @@
 //! **Stream-ordered columns.** A pass writes each column it extracts in
 //! the order it streamed the segment, with a checksummed section naming
 //! the record of every stored row (`crates/store/src/format.rs`). Every
-//! column fetch reads a block's stored rows as runs and writes the
-//! columns into its block eight at a time through one tile gather. A
+//! column fetch reads a block's stored rows as runs, and a block is
+//! unit-major: each column is the one slice of a held page it lies in,
+//! or its pieces copied into a run of its own. A
 //! later pass with the same seed reads each of its blocks as one run of
 //! every stored column and takes each column's pages once; a pass in
 //! another order, and every `BehaviorStore::scan_into`, finds its runs
@@ -379,8 +380,9 @@
 //!   hypothesis functions with execution-time validation (§3, §4.2).
 //! * `extract` — unit-behavior extractors for the NN substrate (§5.1.2).
 //! * `measure` — the standard measure library behind one state
-//!   interface, fed one way (`process_block`: one column per member, none
-//!   for a member a pairwise state no longer feeds) and read one way
+//!   interface, fed one way (`process_block`: a unit-major block — one
+//!   column per unit — and one column per member, none for a member a
+//!   pairwise state no longer feeds) and read one way
 //!   (member errors, and a grid's pair errors), with one state type per
 //!   family: the merged (multi-output) logreg probe, one capped sample
 //!   behind [`prelude::BufferedMeasure`] (`jaccard`, `mutual_info`,

@@ -47,7 +47,7 @@ use deepbase_stats::{
     LogRegConfig, MultiLogReg, Z_95,
 };
 use deepbase_store::durable::{ByteReader, ByteWriter};
-use deepbase_tensor::Matrix;
+use deepbase_tensor::{transpose_columns_into, Columns, Matrix};
 
 /// A statistical affinity measure.
 pub trait Measure: Send + Sync {
@@ -105,12 +105,13 @@ pub trait Measure: Send + Sync {
 
 /// Incremental state for one unit group and an ordered hypothesis list.
 pub trait MeasureState: Send {
-    /// Consumes a block: `rows x n_units` behaviors and, per hypothesis in
-    /// list order, its column of `rows` values — or `None` for a member
-    /// that is not fed this block, which a pairwise state
-    /// ([`Measure::pairwise`]) leaves as it is and every other state
-    /// refuses. A block of any other shape panics ([`check_block`]).
-    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]);
+    /// Consumes a block: the unit behaviors, unit-major — one column of
+    /// `rows` values per unit ([`Columns`]) — and, per hypothesis in list
+    /// order, its column of `rows` values — or `None` for a member that is
+    /// not fed this block, which a pairwise state ([`Measure::pairwise`])
+    /// leaves as it is and every other state refuses. A block of any other
+    /// shape panics ([`check_block`]).
+    fn process_block(&mut self, units: Columns<'_>, hyps: &[Option<&[f32]>]);
 
     /// Every hypothesis's current `(unit scores, group score)`, in list
     /// order — the one call the engines emit result rows from, so whatever
@@ -183,8 +184,13 @@ pub trait MeasureState: Send {
 /// release builds too, hence hard asserts. A `None` column passes; a
 /// state that feeds every member takes its columns through
 /// [`every_column`].
-pub(crate) fn check_block(units: &Matrix, hyps: &[Option<&[f32]>], n_units: usize, n_hyps: usize) {
-    assert_eq!(units.cols(), n_units, "block unit-count mismatch");
+pub(crate) fn check_block(
+    units: Columns<'_>,
+    hyps: &[Option<&[f32]>],
+    n_units: usize,
+    n_hyps: usize,
+) {
+    assert_eq!(units.width(), n_units, "block unit-count mismatch");
     assert_eq!(hyps.len(), n_hyps, "block hypothesis-count mismatch");
     for hyp in hyps.iter().flatten() {
         assert_eq!(hyp.len(), units.rows(), "block row mismatch");
@@ -194,7 +200,7 @@ pub(crate) fn check_block(units: &Matrix, hyps: &[Option<&[f32]>], n_units: usiz
 /// [`check_block`] for a state that is not pairwise: its members are fed
 /// together, so every one of them must have its column.
 fn every_column<'h>(
-    units: &Matrix,
+    units: Columns<'_>,
     hyps: &[Option<&'h [f32]>],
     n_units: usize,
     n_hyps: usize,
@@ -280,12 +286,12 @@ const STATE_TAG_GROUP_MI: u32 = 5;
 /// `x` moments once for the whole list and leaves an unfed member
 /// untouched.
 impl Member for Vec<StreamingPearson> {
-    fn push(&mut self, units: &Matrix, hyp: &[f32]) {
-        corr::accumulate_list(std::slice::from_mut(self), units.as_slice(), &[Some(hyp)]);
+    fn push(&mut self, units: Columns<'_>, hyp: &[f32]) {
+        corr::accumulate_list(std::slice::from_mut(self), units, &[Some(hyp)]);
     }
 
-    fn feed(members: &mut [Self], units: &Matrix, hyps: &[Option<&[f32]>]) {
-        corr::accumulate_list(members, units.as_slice(), hyps);
+    fn feed(members: &mut [Self], units: Columns<'_>, hyps: &[Option<&[f32]>]) {
+        corr::accumulate_list(members, units, hyps);
     }
 
     fn scores(&self) -> (Vec<f32>, f32) {
@@ -535,14 +541,12 @@ impl BufferedSample {
 }
 
 impl MeasureState for BufferedSample {
-    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
+    fn process_block(&mut self, units: Columns<'_>, hyps: &[Option<&[f32]>]) {
         let (n_units, n_hyps) = (self.unit_buffers.len(), self.hyp_buffers.len());
         let hyps = every_column(units, hyps, n_units, n_hyps);
         let take = self.room(units.rows());
-        let data = &units.as_slice()[..take * n_units];
-        for (u, buf) in self.unit_buffers.iter_mut().enumerate() {
-            buf.reserve(take);
-            buf.extend(data.iter().skip(u).step_by(n_units));
+        for (buf, column) in self.unit_buffers.iter_mut().zip(units.iter()) {
+            buf.extend_from_slice(&column[..take]);
         }
         for (buf, hyp) in self.hyp_buffers.iter_mut().zip(hyps) {
             buf.extend_from_slice(&hyp[..take]);
@@ -651,14 +655,14 @@ impl MeasureState for BufferedSample {
 /// The state of one hypothesis of a pairwise measure: one accumulator
 /// per unit, or one the units share; [`PerMember`] makes a list of them.
 trait Member: Send + Sized + 'static {
-    /// Consumes a block: `rows x n_units` behaviors and this member's
-    /// column of `rows` values, both already checked.
-    fn push(&mut self, units: &Matrix, hyp: &[f32]);
+    /// Consumes a block: the unit columns and this member's column of
+    /// `rows` values, both already checked.
+    fn push(&mut self, units: Columns<'_>, hyp: &[f32]);
 
     /// Consumes a block for a whole list: each member fed its column, and
     /// one with none left as it is. The default pushes each fed member; a
     /// member type whose list shares work per block overrides it.
-    fn feed(members: &mut [Self], units: &Matrix, hyps: &[Option<&[f32]>]) {
+    fn feed(members: &mut [Self], units: Columns<'_>, hyps: &[Option<&[f32]>]) {
         for (member, hyp) in members.iter_mut().zip(hyps) {
             if let Some(hyp) = hyp {
                 member.push(units, hyp);
@@ -730,7 +734,7 @@ impl<S: Member> PerMember<S> {
 }
 
 impl<S: Member> MeasureState for PerMember<S> {
-    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
+    fn process_block(&mut self, units: Columns<'_>, hyps: &[Option<&[f32]>]) {
         check_block(units, hyps, self.n_units, self.members.len());
         S::feed(&mut self.members, units, hyps);
     }
@@ -897,12 +901,16 @@ struct DiffMeansState {
 }
 
 impl Member for DiffMeansState {
-    fn push(&mut self, units: &Matrix, hyp: &[f32]) {
-        for (r, &h) in hyp.iter().enumerate() {
-            let row = units.row(r);
-            let side = if h > 0.5 { &mut self.on } else { &mut self.off };
-            for (m, &u) in side.iter_mut().zip(row.iter()) {
-                m.push(u);
+    /// Each unit's moments take its column's rows in row order.
+    fn push(&mut self, units: Columns<'_>, hyp: &[f32]) {
+        let sides = self.on.iter_mut().zip(&mut self.off);
+        for ((on, off), column) in sides.zip(units.iter()) {
+            for (&u, &h) in column.iter().zip(hyp) {
+                if h > 0.5 {
+                    on.push(u);
+                } else {
+                    off.push(u);
+                }
             }
         }
     }
@@ -1121,13 +1129,18 @@ impl LogRegMerged {
 }
 
 impl MeasureState for LogRegMerged {
-    fn process_block(&mut self, units: &Matrix, hyps: &[Option<&[f32]>]) {
+    fn process_block(&mut self, units: Columns<'_>, hyps: &[Option<&[f32]>]) {
         let hyps = every_column(units, hyps, self.n_units, self.n_hyps);
+        // The block's rows, gathered from its columns once.
+        let n = self.n_units;
+        let mut block = vec![0.0f32; units.rows() * n];
+        transpose_columns_into(units.as_slices(), &mut block);
+        let row = |r: usize| &block[r * n..(r + 1) * n];
         // Split rows into train / validation deterministically.
         let mut train_rows = Vec::with_capacity(units.rows());
         for r in 0..units.rows() {
             if self.row_counter.is_multiple_of(5) && self.val_units.len() < VAL_CAP {
-                self.val_units.push(units.row(r).to_vec());
+                self.val_units.push(row(r).to_vec());
                 self.val_hyps.push(hyps.iter().map(|col| col[r]).collect());
             } else {
                 train_rows.push(r);
@@ -1156,10 +1169,10 @@ impl MeasureState for LogRegMerged {
             self.model.set_pos_weights(weights);
         }
         if !train_rows.is_empty() {
-            let mut x = Matrix::zeros(train_rows.len(), self.n_units);
+            let mut x = Matrix::zeros(train_rows.len(), n);
             let mut y = Matrix::zeros(train_rows.len(), self.n_hyps);
             for (dst, &src) in train_rows.iter().enumerate() {
-                x.row_mut(dst).copy_from_slice(units.row(src));
+                x.row_mut(dst).copy_from_slice(row(src));
                 for (h, col) in hyps.iter().enumerate() {
                     // Binarize targets (>0 counts as active) so integer
                     // behaviors like nesting depth are probe-able.
@@ -1270,7 +1283,7 @@ struct BaselineState {
 }
 
 impl Member for BaselineState {
-    fn push(&mut self, _units: &Matrix, hyp: &[f32]) {
+    fn push(&mut self, _units: Columns<'_>, hyp: &[f32]) {
         self.labels
             .extend(hyp.iter().map(|&h| if h > 0.0 { 1.0 } else { 0.0 }));
     }
@@ -1392,9 +1405,18 @@ mod tests {
         (units, hyp)
     }
 
+    /// Feeds `state` a block written row-major (`rows × units`) as the
+    /// unit-major columns a pass hands it: every test block goes through
+    /// here.
+    fn process(state: &mut dyn MeasureState, units: &Matrix, hyps: &[Option<&[f32]>]) {
+        let columns = units.transpose();
+        let cols = deepbase_tensor::column_runs(columns.as_slice(), units.rows(), units.cols());
+        state.process_block(Columns::new(&cols, units.rows()), hyps);
+    }
+
     /// Feeds a one-hypothesis state one block and returns its error.
     fn feed(state: &mut dyn MeasureState, units: &Matrix, hyp: &[f32]) -> f32 {
-        state.process_block(units, &[Some(hyp)]);
+        process(state, units, &[Some(hyp)]);
         let mut err = [f32::NAN];
         state.convergence_errors(&mut err);
         err[0]
@@ -1607,7 +1629,7 @@ mod tests {
         let mut sep0 = measure.new_state(2, 1);
         let mut sep1 = measure.new_state(2, 1);
         for _ in 0..6 {
-            merged.process_block(&units, &[Some(&hyp), Some(&hyp2)]);
+            process(merged.as_mut(), &units, &[Some(&hyp), Some(&hyp2)]);
             feed(sep0.as_mut(), &units, &hyp);
             feed(sep1.as_mut(), &units, &hyp2);
         }
@@ -1769,7 +1791,7 @@ mod tests {
             let id = measure.id();
             let (units, cols) = stream_block(0, 40, 2, 3);
             let mut state = measure.new_state(2, 3);
-            state.process_block(&units, &refs(&cols));
+            process(state.as_mut(), &units, &refs(&cols));
             let blobs = [0, 1, 2].map(|h| state.serialize_state(h).unwrap());
             assert!(state.serialize_state(3).is_none(), "{id}");
             let revived = measure
@@ -1786,7 +1808,7 @@ mod tests {
             let id = measure.id();
             let (units, cols) = stream_block(0, 40, 2, 2);
             let mut state = measure.new_state(2, 2);
-            state.process_block(&units, &refs(&cols));
+            process(state.as_mut(), &units, &refs(&cols));
             let blobs = [0, 1].map(|h| state.serialize_state(h).unwrap());
             // A unit sample that disagrees in one bit of one value (here
             // its last), in either blob.
@@ -1945,10 +1967,10 @@ mod tests {
                         *col = None;
                     }
                 }
-                self.list.process_block(&units, &fed);
+                process(self.list.as_mut(), &units, &fed);
                 for (single, col) in self.singles.iter_mut().zip(&fed) {
                     if let Some(col) = col {
-                        single.process_block(&units, &[Some(col)]);
+                        process(single.as_mut(), &units, &[Some(col)]);
                     }
                 }
                 let list_errors = errors(self.list.as_ref(), n_hyps);
@@ -2094,12 +2116,12 @@ mod tests {
             for rows in [13, 40, 7] {
                 let (block, cols) = stream_block(start, rows, n_units, n_hyps);
                 start += rows;
-                grid.process_block(&block, &refs(&cols));
+                process(grid.as_mut(), &block, &refs(&cols));
                 let mut pair_errs = vec![f32::NAN; n_units * n_hyps];
                 assert!(grid.pair_errors(&mut pair_errs), "{id}");
                 let demuxed = Matrix::from_fn(rows, units.len(), |r, i| block.get(r, units[i]));
                 let picked: Vec<_> = hyps.iter().map(|&h| Some(cols[h].as_slice())).collect();
-                subset.process_block(&demuxed, &picked);
+                process(subset.as_mut(), &demuxed, &picked);
                 let mut errs = vec![f32::NAN; hyps.len()];
                 subset.convergence_errors(&mut errs);
                 for (err, &h) in errs.iter().zip(&hyps) {
@@ -2143,7 +2165,7 @@ mod tests {
         for measure in standard_library().iter().filter(|m| !m.pairwise()) {
             let mut state = measure.new_state(2, 1);
             let (units, cols) = stream_block(0, 10, 2, 1);
-            state.process_block(&units, &refs(&cols));
+            process(state.as_mut(), &units, &refs(&cols));
             assert!(!state.pair_errors(&mut [0.0; 2]), "{}", measure.id());
             assert!(state.project(&[0], &[0]).is_none(), "{}", measure.id());
         }
@@ -2241,7 +2263,7 @@ mod tests {
             for range in [0..50, 50..130] {
                 let cols: Vec<_> = hyps.iter().map(|c| Some(&c[range.clone()])).collect();
                 let block = units.slice_rows(range.start, range.end);
-                list.process_block(&block, &cols);
+                process(list.as_mut(), &block, &cols);
             }
             for (h, got) in list.final_scores().iter().enumerate() {
                 let hyp = capped(&hyps[h]);
@@ -2352,7 +2374,7 @@ mod tests {
                 let mut state = measure.new_state(2, n);
                 let expect = format!("block {expect} mismatch");
                 panics(id, what, &expect, &mut || {
-                    state.process_block(units, &refs(&hyps))
+                    process(state.as_mut(), units, &refs(&hyps))
                 });
             }
             let mut unfed = refs(&cols[..n]);
@@ -2360,7 +2382,7 @@ mod tests {
             let mut state = measure.new_state(2, n);
             if measure.pairwise() {
                 // Member 1 stays a fresh state; the others are fed.
-                state.process_block(&units, &unfed);
+                process(state.as_mut(), &units, &unfed);
                 let mut fresh = measure.new_state(2, 1);
                 assert_eq!(state.serialize_state(1), fresh.serialize_state(0), "{id}");
                 feed(fresh.as_mut(), &units, &cols[2]);
@@ -2370,11 +2392,11 @@ mod tests {
                     id,
                     "a member with no column",
                     "block column mismatch",
-                    &mut || state.process_block(&units, &unfed),
+                    &mut || process(state.as_mut(), &units, &unfed),
                 );
             }
             let mut state = measure.new_state(2, n);
-            state.process_block(&units, &refs(&cols[..n]));
+            process(state.as_mut(), &units, &refs(&cols[..n]));
             assert_eq!(state.final_scores().len(), n);
             panics(
                 id,

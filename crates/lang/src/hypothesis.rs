@@ -161,10 +161,11 @@ pub fn keyword_behavior(text: &str, keyword: &str) -> Vec<f32> {
 
 /// Character-class detector: 1 where the predicate holds. Used for
 /// low-level hypotheses like "whitespace", "period", "digit".
+/// Allocates once: a string has at most as many characters as bytes.
 pub fn char_class_behavior(text: &str, pred: impl Fn(char) -> bool) -> Vec<f32> {
-    text.chars()
-        .map(|c| if pred(c) { 1.0 } else { 0.0 })
-        .collect()
+    let mut out = Vec::with_capacity(text.len());
+    out.extend(text.chars().map(|c| if pred(c) { 1.0 } else { 0.0 }));
+    out
 }
 
 /// Position counter: the 0-based index of each character, the paper's

@@ -7,6 +7,8 @@
 //! estimate over a sample, and the Fisher-transform confidence interval
 //! tells the engine when the estimate has converged.
 
+use deepbase_tensor::{transpose_columns_into, Columns};
+
 /// Streaming accumulator for Pearson's r over a pair of variables.
 ///
 /// Maintains *shifted* co-moments in a single pass: the first observation
@@ -336,9 +338,18 @@ const TILE: usize = 8;
 /// Hypothesis columns [`accumulate_list`] advances per row sweep.
 const HYPS: usize = 4;
 
+/// Rows of the stack tile [`accumulate_list`] loads a band of unit columns
+/// into, at most: 8 KiB of unit values.
+const BAND_ROWS: usize = 256;
+
+/// Bytes of one band's tile and live hypothesis values together, at most:
+/// half an L1 data cache, so every sweep of a band reads them from L1.
+const BAND_BYTES: usize = 16 * 1024;
+
 deepbase_tensor::simd_kernel! {
-    /// Folds one row-major `rows × width` unit block into the accumulators
-    /// of a hypothesis list — the block kernel of the correlation measure.
+    /// Folds one unit block — `width` unit columns of `rows` values each,
+    /// one contiguous run per unit ([`Columns`]) — into the accumulators
+    /// of a hypothesis list: the block kernel of the correlation measure.
     ///
     /// `accs` holds one row per hypothesis, each of `width` accumulators
     /// (row `h`, entry `u` is the accumulator of unit `u` and hypothesis
@@ -348,40 +359,45 @@ deepbase_tensor::simd_kernel! {
     ///
     /// Each live hypothesis's column is widened to f64 and its `y` moments
     /// summed once. The units advance `TILE` (8) abreast and the live
-    /// hypotheses `HYPS` (4) at a time: one sweep over the rows loads
-    /// `TILE` adjacent values per row (contiguous) and feeds `TILE`
-    /// independent `Σxy` chains per hypothesis, and a tile's first sweep
-    /// also accumulates its `Σx` and `Σx²` — once for the whole list. A
-    /// list of more than `HYPS` live members takes the rows in bands of
-    /// `BAND_BYTES` of unit values, which stay in L1 while every sweep
-    /// reads them; a shorter one is one sweep per tile, so a one-member
-    /// list does the single-column walk's work. The sweep runs at
-    /// load/multiply throughput instead of one dependent f64 add per
-    /// element: two f64 lanes per register at the default x86-64 target,
-    /// four in the AVX2 copy the dispatcher picks at run time
-    /// (`deepbase_tensor::simd`).
+    /// hypotheses `HYPS` (4) at a time, over bands of rows whose tile and
+    /// `y` values fit `BAND_BYTES` (at most `BAND_ROWS` rows):
+    /// a band of a tile's eight unit columns is copied into a row-major
+    /// stack tile (`deepbase_tensor::transpose_columns_into`: an 8 × 8
+    /// transpose in registers when the CPU has AVX2), and one sweep over
+    /// its rows loads `TILE` adjacent
+    /// values per row and feeds `TILE` independent `Σxy` chains per
+    /// hypothesis; a tile's first sweep also accumulates its `Σx` and
+    /// `Σx²` — once for the whole list. Every sweep of the band reads the
+    /// tile from L1. The sweep runs at load/multiply throughput instead of
+    /// one dependent f64 add per element: two f64 lanes per register at
+    /// the default x86-64 target, four in the AVX2 copy the dispatcher
+    /// picks at run time (`deepbase_tensor::simd`).
     /// Every chain still adds the block's rows in row order, carried from
     /// band to band, and every `(unit, hypothesis)` accumulator receives
     /// the same five sums through [`StreamingPearson::accumulate`], so the
     /// result is bit-identical to walking each pair on its own, on either
     /// copy, whatever the list's length; the `width % TILE` trailing units
-    /// are swept one at a time.
+    /// are swept one at a time, straight from their columns.
     pub fn accumulate_list(
-        accs: &mut [Vec<StreamingPearson>], xs: &[f32], ys: &[Option<&[f32]>]
+        accs: &mut [Vec<StreamingPearson>], xs: Columns<'_>, ys: &[Option<&[f32]>]
     ) = accumulate_list_body;
 }
 
 /// Body of [`accumulate_list`].
 #[inline(always)]
-fn accumulate_list_body(accs: &mut [Vec<StreamingPearson>], xs: &[f32], ys: &[Option<&[f32]>]) {
+fn accumulate_list_body(
+    accs: &mut [Vec<StreamingPearson>],
+    xs: Columns<'_>,
+    ys: &[Option<&[f32]>],
+) {
     let shape = "pearson block shape mismatch";
     assert_eq!(accs.len(), ys.len(), "{shape}");
     let Some(width) = accs.first().map(Vec::len) else {
         return;
     };
     assert!(accs.iter().all(|row| row.len() == width), "{shape}");
-    let rows = xs.len().checked_div(width).unwrap_or(0);
-    assert_eq!(xs.len(), rows * width, "{shape}");
+    assert_eq!(xs.width(), width, "{shape}");
+    let rows = xs.rows();
     // The live members in list order, each with its `y` moments.
     let live: Vec<Live> = (ys.iter().enumerate())
         .filter_map(|(h, y)| y.map(|y| (h, y)))
@@ -399,31 +415,36 @@ fn accumulate_list_body(accs: &mut [Vec<StreamingPearson>], xs: &[f32], ys: &[Op
     if width == 0 || live.is_empty() {
         return;
     }
-    // Each chain's running sum is carried from band to band. A list of at
-    // most `HYPS` live members sweeps each tile once, so it gains nothing
-    // from bands and takes the block in one.
+    // Each chain's running sum is carried from band to band.
     let mut sums = Sums {
         x: vec![0.0; width],
         xx: vec![0.0; width],
         xy: vec![0.0; live.len() * width],
     };
-    let band = match live.len() > HYPS {
-        true => (BAND_BYTES / (4 * width)).max(1),
-        false => rows.max(1),
-    };
     let tiled = width - width % TILE;
+    let mut tile = [[0.0f32; TILE]; BAND_ROWS];
+    let band_bytes_per_row = 4 * TILE + 8 * live.len();
+    let band = (BAND_BYTES / band_bytes_per_row).clamp(TILE, BAND_ROWS) / TILE * TILE;
     for start in (0..rows).step_by(band) {
         let end = (start + band).min(rows);
-        let at = Band {
-            xs: &xs[start * width..end * width],
-            width,
-            rows: start..end,
-        };
         for u0 in (0..tiled).step_by(TILE) {
+            let cols: [&[f32]; TILE] = std::array::from_fn(|j| &xs.column(u0 + j)[start..end]);
+            let tile = &mut tile[..end - start];
+            transpose_columns_into(&cols, tile.as_flattened_mut());
+            let at = Band {
+                xs: tile.as_flattened(),
+                width,
+                rows: start..end,
+            };
             at.tile::<TILE>(u0, &live, &mut sums);
         }
-        for u0 in tiled..width {
-            at.tile::<1>(u0, &live, &mut sums);
+        for u in tiled..width {
+            let at = Band {
+                xs: &xs.column(u)[start..end],
+                width,
+                rows: start..end,
+            };
+            at.tile::<1>(u, &live, &mut sums);
         }
     }
     for (l, hyp) in live.iter().enumerate() {
@@ -434,9 +455,6 @@ fn accumulate_list_body(accs: &mut [Vec<StreamingPearson>], xs: &[f32], ys: &[Op
         }
     }
 }
-
-/// Bytes of unit values per band of rows [`accumulate_list`] sweeps.
-const BAND_BYTES: usize = 16 * 1024;
 
 /// A live hypothesis of [`accumulate_list`]: its list position, its
 /// column widened once to f64 (every sweep then broadcasts it straight
@@ -456,7 +474,8 @@ struct Sums {
     xy: Vec<f64>,
 }
 
-/// One band of a row-major block: rows `rows` of it, `width` units each.
+/// One band of a block: rows `rows` of `W` adjacent units, row-major (`W`
+/// values per row) in `xs`, of a block `width` units wide.
 struct Band<'a> {
     xs: &'a [f32],
     width: usize,
@@ -503,8 +522,8 @@ impl Band<'_> {
         let (mut sx, mut sxx) = (tile(&sums.x, u0), tile(&sums.xx, u0));
         let mut sxy: [[f64; W]; K] =
             std::array::from_fn(|k| tile(&sums.xy, (first + k) * self.width + u0));
-        for (r, row) in self.xs.chunks_exact(self.width).take(n).enumerate() {
-            let row: &[f32; W] = row[u0..u0 + W].try_into().expect("tile is W wide");
+        for (r, row) in self.xs.chunks_exact(W).take(n).enumerate() {
+            let row: &[f32; W] = row.try_into().expect("tile is W wide");
             for j in 0..W {
                 let x = row[j] as f64;
                 if FIRST {
@@ -687,30 +706,27 @@ mod tests {
     }
 
     /// What [`accumulate_list`] computes, walked one `(unit, hypothesis)`
-    /// pair at a time: one strided pass per pair, one dependent sum chain
-    /// per moment.
+    /// pair at a time: one pass over the unit's column per pair, one
+    /// dependent sum chain per moment.
     fn accumulate_pair_by_pair(
         accs: &mut [Vec<StreamingPearson>],
-        xs: &[f32],
+        xs: Columns<'_>,
         ys: &[Option<&[f32]>],
     ) {
         for (row, y) in accs.iter_mut().zip(ys) {
             let Some(y) = y else { continue };
-            let width = row.len();
             let (mut sy, mut syy) = (0.0f64, 0.0);
             for &v in *y {
                 sy += v as f64;
                 syy += v as f64 * v as f64;
             }
-            for (u, acc) in row.iter_mut().enumerate() {
+            for (acc, column) in row.iter_mut().zip(xs.iter()) {
                 let (mut sx, mut sxx, mut sxy) = (0.0f64, 0.0, 0.0);
-                let mut idx = u;
-                for &v in *y {
-                    let x = xs[idx] as f64;
+                for (&x, &v) in column.iter().zip(*y) {
+                    let x = x as f64;
                     sx += x;
                     sxx += x * x;
                     sxy += x * v as f64;
-                    idx += width;
                 }
                 acc.accumulate(y.len() as u64, sx, sy, sxx, syy, sxy);
             }
@@ -734,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn list_kernel_is_bit_identical_to_the_pair_by_pair_walk() {
+    fn list_kernel_on_columns_is_bit_identical_to_the_pair_by_pair_walk() {
         // Unit kinds cycle raw / constant / ±1 / raw-with-NaN-and-±Inf, so
         // every tile (and the scalar tail) holds each of them.
         let value = |r: usize, c: usize| -> f32 {
@@ -756,16 +772,24 @@ mod tests {
                 _ => ((r * (13 + 2 * h)) % 7) as f32 - 2.0,
             }
         };
-        let rows = 150;
-        let blocks = [1usize, 0, 64, 3, 50, 32];
+        // The 300-row block spans two bands of rows.
+        let rows = 450;
+        let blocks = [1usize, 0, 64, 3, 300, 50, 32];
         let path = deepbase_tensor::simd::path();
-        // At 96, 100 and 300 units the 64- and 50-row blocks span several
-        // bands of rows.
-        for width in [1usize, 7, 8, 9, 96, 100, 300] {
-            let xs: Vec<f32> = (0..rows * width)
-                .map(|i| value(i / width, i % width))
+        // Every `width % TILE` tail from 1 to 19 units, and wide blocks.
+        let widths = (1usize..=19).chain([96, 100, 300]);
+        for width in widths {
+            // Unit-major: unit `c`'s rows are one run of the buffer, and
+            // each block is a row range of every run.
+            let xs: Vec<f32> = (0..width * rows)
+                .map(|i| value(i % rows, i / rows))
                 .collect();
-            for n_hyps in [1usize, 2, 3, 4, 5, 8, 9, 16] {
+            let block = |range: std::ops::Range<usize>| -> Vec<&[f32]> {
+                let run = |c: usize| &xs[c * rows + range.start..c * rows + range.end];
+                (0..width).map(run).collect()
+            };
+            // Every band of `HYPS` live members from one to nine, and more.
+            for n_hyps in (1usize..=9).chain([16]) {
                 let cols: Vec<Vec<f32>> = (0..n_hyps)
                     .map(|h| (0..rows).map(|r| hyp(r, h)).collect())
                     .collect();
@@ -777,7 +801,8 @@ mod tests {
                     let (mut tiled, mut body, mut walked) = (fresh(), fresh(), fresh());
                     let mut start = 0;
                     for (b, len) in blocks.into_iter().enumerate() {
-                        let x = &xs[start * width..(start + len) * width];
+                        let units = block(start..start + len);
+                        let x = Columns::new(&units, len);
                         let ys: Vec<Option<&[f32]>> = (cols.iter().enumerate())
                             .map(|(h, c)| {
                                 let live = frozen != Some(h) || b < 3;
@@ -800,8 +825,9 @@ mod tests {
                     // ...and after folding a second segment's states in.
                     let (mut tiled_b, mut walked_b) = (fresh(), fresh());
                     let ys: Vec<Option<&[f32]>> = cols.iter().map(|c| Some(&c[..40])).collect();
-                    accumulate_list(&mut tiled_b, &xs[..40 * width], &ys);
-                    accumulate_pair_by_pair(&mut walked_b, &xs[..40 * width], &ys);
+                    let units = block(0..40);
+                    accumulate_list(&mut tiled_b, Columns::new(&units, 40), &ys);
+                    accumulate_pair_by_pair(&mut walked_b, Columns::new(&units, 40), &ys);
                     for (a, b) in tiled.iter_mut().flatten().zip(tiled_b.iter().flatten()) {
                         a.merge(b);
                     }
@@ -819,9 +845,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "pearson block shape mismatch")]
-    fn block_kernel_rejects_a_unit_block_of_the_wrong_length() {
+    fn block_kernel_rejects_a_unit_block_of_the_wrong_width() {
         let mut accs = vec![vec![StreamingPearson::new(); 3]];
-        accumulate_list(&mut accs, &[0.0; 7], &[Some(&[0.0, 1.0])]);
+        let xs = Columns::new(&[&[0.0; 2], &[0.0; 2]], 2);
+        accumulate_list(&mut accs, xs, &[Some(&[0.0, 1.0])]);
     }
 
     #[test]
@@ -829,7 +856,7 @@ mod tests {
     fn block_kernel_rejects_a_live_column_of_the_wrong_length() {
         let mut accs = vec![vec![StreamingPearson::new(); 3]; 2];
         let ys: [Option<&[f32]>; 2] = [None, Some(&[0.0, 1.0, 2.0])];
-        accumulate_list(&mut accs, &[0.0; 6], &ys);
+        accumulate_list(&mut accs, Columns::new(&[&[0.0f32; 2][..]; 3], 2), &ys);
     }
 
     #[test]
@@ -840,14 +867,15 @@ mod tests {
             vec![StreamingPearson::new(); 2],
         ];
         let ys: [Option<&[f32]>; 2] = [Some(&[0.0, 1.0]), Some(&[1.0, 0.0])];
-        accumulate_list(&mut accs, &[0.0; 6], &ys);
+        accumulate_list(&mut accs, Columns::new(&[&[0.0f32; 2][..]; 3], 2), &ys);
     }
 
     #[test]
     fn block_kernel_leaves_a_frozen_member_untouched_whatever_its_column() {
         let mut accs = vec![vec![StreamingPearson::new(); 3]; 2];
         let ys: [Option<&[f32]>; 2] = [Some(&[0.0, 1.0]), None];
-        accumulate_list(&mut accs, &[1.0, 2.0, 3.0, 5.0, 4.0, 9.0], &ys);
+        let xs = Columns::new(&[&[1.0, 5.0], &[2.0, 4.0], &[3.0, 9.0]], 2);
+        accumulate_list(&mut accs, xs, &ys);
         assert!(accs[0].iter().all(|a| a.count() == 2));
         assert!(accs[1].iter().all(|a| a.count() == 0));
     }

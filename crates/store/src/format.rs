@@ -985,15 +985,20 @@ impl ColumnFile {
 }
 
 /// Reads and validates the header, schema, zone table and positions
-/// section of a column file. Any mismatch (magic, version, checksum,
-/// truncation, trailing bytes, a positions section that disagrees with
-/// the watermark or the record count, or that names a record twice) is
-/// [`StoreError::Corrupt`].
+/// section of a column file, in two positional reads: the header, schema
+/// and access stamp, then the zone table and positions. Any mismatch
+/// (magic, version, checksum, truncation, trailing bytes, a positions
+/// section that disagrees with the watermark or the record count, or
+/// that names a record twice) is [`StoreError::Corrupt`].
 pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
-    file.seek(SeekFrom::Start(0))?;
-    let mut header = [0u8; HEADER_LEN as usize];
-    file.read_exact(&mut header)
-        .map_err(|_| StoreError::Corrupt("file too small for header".into()))?;
+    let too_small = |what: &str| StoreError::Corrupt(format!("file too small for {what}"));
+    let mut prefix = [0u8; (HEADER_LEN + SCHEMA_LEN) as usize];
+    let got = read_at_most(file, &mut prefix, 0);
+    let (header, rest) = prefix.split_at(HEADER_LEN as usize);
+    let (schema, stamp) = rest.split_at(SCHEMA_CHECKED_LEN as usize);
+    if got < header.len() {
+        return Err(too_small("header"));
+    }
     if header[..8] != MAGIC {
         return Err(StoreError::Corrupt("bad magic".into()));
     }
@@ -1007,14 +1012,14 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
     if crc32(&header[..12]) != stored {
         return Err(StoreError::Corrupt("header checksum mismatch".into()));
     }
-    let mut schema = [0u8; SCHEMA_CHECKED_LEN as usize];
-    file.read_exact(&mut schema)
-        .map_err(|_| StoreError::Corrupt("file too small for schema".into()))?;
-    let meta = ColumnMeta::from_bytes(&schema)?;
-    let mut stamp = [0u8; 8];
-    file.read_exact(&mut stamp)
-        .map_err(|_| StoreError::Corrupt("file too small for access stamp".into()))?;
-    let access_stamp = u64::from_le_bytes(stamp);
+    if got < header.len() + schema.len() {
+        return Err(too_small("schema"));
+    }
+    let meta = ColumnMeta::from_bytes(schema.try_into().expect("the schema's length"))?;
+    if got < prefix.len() {
+        return Err(too_small("access stamp"));
+    }
+    let access_stamp = u64::from_le_bytes(stamp.try_into().expect("eight stamp bytes"));
     let n_blocks = meta.n_blocks();
     // Bound the zone-table and positions allocations by the actual file
     // length before trusting the declared shape: a schema whose CRC
@@ -1038,9 +1043,12 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
              positions but the file holds {file_len} bytes"
         )));
     }
-    let mut zone_bytes = vec![0u8; zone_len as usize];
-    file.read_exact(&mut zone_bytes)
-        .map_err(|_| StoreError::Corrupt("file too small for zone table".into()))?;
+    let mut tail = vec![0u8; (zone_len + positions_len) as usize];
+    let got = read_at_most(file, &mut tail, HEADER_LEN + SCHEMA_LEN);
+    let (zone_bytes, section) = tail.split_at(zone_len as usize);
+    if got < zone_bytes.len() {
+        return Err(too_small("zone table"));
+    }
     let (table, crc_bytes) = zone_bytes.split_at(n_blocks * ZONE_ENTRY_LEN as usize);
     let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
     if crc32(table) != stored {
@@ -1051,10 +1059,10 @@ pub fn read_meta(file: &mut File) -> Result<ColumnFile, StoreError> {
         .enumerate()
         .map(|(b, e)| ZoneEntry::from_bytes(e, b))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut section = vec![0u8; positions_len as usize];
-    file.read_exact(&mut section)
-        .map_err(|_| StoreError::Corrupt("file too small for positions".into()))?;
-    let positions = decode_positions(&section, &meta)?;
+    if got < tail.len() {
+        return Err(too_small("positions"));
+    }
+    let positions = decode_positions(section, &meta)?;
     // Per-block payload offsets: prefix sums of the (CRC-protected)
     // comp_len fields. The declared data region must end exactly where
     // the file does: a short file is a truncation, and no writer leaves
@@ -1139,7 +1147,7 @@ fn decode_positions(section: &[u8], meta: &ColumnMeta) -> Result<Vec<u32>, Store
 /// Reads the data blocks `blocks` (ascending, distinct) through one
 /// handle, verifying each payload's checksum against its zone entry and
 /// decoding it per the zone's codec. Runs of consecutive block indices sit
-/// back to back in the file, so each run costs one seek and one read.
+/// back to back in the file, so each run costs one positional read.
 pub(crate) fn read_blocks(
     file: &mut File,
     col: &ColumnFile,
@@ -1176,9 +1184,9 @@ pub(crate) fn read_blocks(
         let first = run[0] as usize;
         let offset = col.offsets[first];
         payload.resize(run_len, 0);
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(&mut payload)
-            .map_err(|_| StoreError::Corrupt(format!("block {first} truncated")))?;
+        if read_at_most(file, &mut payload, offset) < run_len {
+            return Err(StoreError::Corrupt(format!("block {first} truncated")));
+        }
         let mut at = 0;
         for &b in run {
             let b = b as usize;
@@ -1194,6 +1202,33 @@ pub(crate) fn read_blocks(
         run_start = run_end;
     }
     Ok(pages)
+}
+
+/// Reads from byte `offset` until `buf` is full or the file ends, and
+/// returns how many bytes it read. A read error ends it as the end of the
+/// file does, so the caller's length check names what is missing.
+fn read_at_most(file: &File, buf: &mut [u8], offset: u64) -> usize {
+    let mut got = 0;
+    while got < buf.len() {
+        match read_at(file, &mut buf[got..], offset + got as u64) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    got
+}
+
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, offset)
+}
+
+#[cfg(not(unix))]
+fn read_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.read(buf)
 }
 
 /// Reads one data block: the one-block case of `read_blocks`.
@@ -2314,12 +2349,13 @@ mod tests {
                     let write = policy == MaterializationPolicy::ReadWrite;
                     let plan = store.plan_scan(m.model_fp, m.dataset_fp, &unit, write, usize::MAX);
                     let mut pass = ColumnPass::new(&plan, &unit, &order, 1);
-                    let mut out = vec![f32::NAN; N];
                     let mut asked = Vec::new();
-                    pass.fetch_block(0..N, &mut out, |units| {
-                        asked = units.to_vec();
-                        values.clone()
-                    });
+                    let out = pass
+                        .fetch_block(0..N, |units, out| {
+                            asked = units.to_vec();
+                            *out = values.clone();
+                        })
+                        .concat();
                     let stats = pass.finish();
                     let case = format!("width {width}, {policy:?}: {want}");
                     assert_eq!(asked, unit, "{case}");

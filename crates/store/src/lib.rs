@@ -47,7 +47,9 @@
 //!   slices and pruned constants; one run per stream block for a column
 //!   stored in the pass's own stream order, runs through the inverse row
 //!   map otherwise; every fetch, [`BehaviorStore::scan_into`]'s too,
-//!   written eight columns at a time by one tile gather), the pages it keeps
+//!   written piece by piece straight into its column, and a pass's column
+//!   that is one slice of a held page handed out as that slice; the
+//!   block a pass hands out is unit-major), the pages it keeps
 //!   so each stored page is read once per pass (within one store-wide
 //!   reservation of the pool budget), demote-on-failure, quarantine of
 //!   proven corruption (only under a read-write policy) and stream-order

@@ -9,14 +9,17 @@
 //! A pass streams its segment in one seeded order and writes the columns
 //! it extracts back **in that order**: stored row `i` is the `i`-th
 //! record of the stream, and a partial column of `W` rows is the stream's
-//! first `W` records. Every column fetch is one path
-//! ([`BehaviorStore::scan_into`] takes it too): the block's stored rows
-//! as runs, cut at stored-block edges into pieces — a page slice or a
-//! pruned block's zone constant — and the scanned columns written into
-//! the union block eight at a time, as 8 × 8 tiles transposed straight
-//! from the pieces. When a later pass streams the same order — the
-//! column's stored positions, compared with the pass's order once per
-//! pass, are its first `W` records — stream block `[a, b)` is the one run
+//! first `W` records. The block a pass hands out is **unit-major**: one
+//! contiguous slice of the block's `rows` values per union column. Every
+//! column fetch is one path ([`BehaviorStore::scan_into`] takes it too):
+//! the block's stored rows as runs, cut at stored-block edges, each piece
+//! one copy out of a page or one fill with a pruned block's zone constant,
+//! written straight into the column's run of the pass's buffer — except
+//! that a column whose block is one slice of a page the pass holds is
+//! handed out as that slice, with no copy at all. When a later pass
+//! streams the same order — the column's stored positions, compared with
+//! the pass's order once per pass, are its first `W` records — stream
+//! block `[a, b)` is the one run
 //! of stored rows `[a, b)`, in ⌈(b − a) / B⌉ stored blocks of `B` rows,
 //! plus one when the range does not start on a block edge, whatever the
 //! two block sizes are, and no inverse row map is built. Its first fetch
@@ -42,11 +45,12 @@
 //!
 //! The pass's `live` closure is the whole interface to the engine: the
 //! store never sees an extractor, a record or a device — only "these
-//! units, this block, row-major values please". Stored columns hold
-//! exactly what the extractor produced, so every mix of scanned and live
-//! columns is bit-identical to a full live extraction.
+//! units, this block, unit-major values please", whose columns the block
+//! then borrows. Stored columns hold exactly what the extractor produced,
+//! so every mix of scanned and live columns is bit-identical to a full
+//! live extraction.
 
-use crate::store::{BehaviorStore, ColumnKey, FetchScratch, Fetched, Piece, Span, StreamBlock};
+use crate::store::{BehaviorStore, ColumnKey, Dest, FetchScratch, Fetched, StreamBlock};
 use crate::{StoreError, StoreStats};
 use std::ops::Range;
 use std::sync::Arc;
@@ -138,13 +142,24 @@ impl BehaviorStore {
 /// One store-servable union column of a pass.
 struct ScanColumn {
     unit: usize,
-    /// The unit's column index in the union matrix.
+    /// The unit's column index in the union block.
     col: usize,
     /// A partial column at pass start (scanned up to its watermark and
     /// captured for write-back); a complete one otherwise.
     partial: bool,
     /// Produced at least one scanned block this pass.
     scanned: bool,
+}
+
+/// Where a union column's current block lies.
+#[derive(Clone)]
+enum Source {
+    /// Values `.0` of the pass's buffer of copied columns.
+    Copied(Range<usize>),
+    /// Values `.1` of the held page of stored block `.0`.
+    Page(usize, Range<usize>),
+    /// The `.0`-th of the block's live columns.
+    Live(usize),
 }
 
 /// Write-back capture: one column buffer per miss or partial unit,
@@ -160,7 +175,7 @@ struct WriteBack {
 
 struct WbUnit {
     unit: usize,
-    /// The unit's column index in the union matrix (capture source).
+    /// The unit's column index in the union block (capture source).
     union_col: usize,
     /// The `nd * ns` column buffer in stream order (rows past `captured`
     /// stay 0.0).
@@ -203,9 +218,16 @@ pub struct ColumnPass<'p> {
     /// Per union column: a partial column the current block runs past.
     past_watermark: Vec<bool>,
     /// The current block's live columns and their units (buffers kept
-    /// across blocks, like `fetch`, so a block allocates nothing here).
+    /// across blocks, like `fetch` and `copied`).
     live_cols: Vec<usize>,
     live_units: Vec<usize>,
+    /// The current block's unit-major live values, `live_cols` order (one
+    /// buffer for the pass).
+    live_values: Vec<f32>,
+    /// The current block's columns its fetches wrote, back to back.
+    copied: Vec<f32>,
+    /// Per union column: where its current block lies.
+    source: Vec<Source>,
     fetch: FetchScratch,
     writeback: Option<WriteBack>,
     stats: StoreStats,
@@ -214,7 +236,7 @@ pub struct ColumnPass<'p> {
 impl<'p> ColumnPass<'p> {
     /// Starts a pass that streams a segment's records in `order` (a
     /// permutation of the segment's `order.len()` record positions, each
-    /// record `ns` symbols) into a union matrix carrying `union_units`
+    /// record `ns` symbols) into a union block carrying `union_units`
     /// (ascending), one column each.
     pub fn new(
         plan: &'p ScanPlan,
@@ -324,32 +346,36 @@ impl<'p> ColumnPass<'p> {
             past_watermark: vec![false; width],
             live_cols: Vec::with_capacity(width),
             live_units: Vec::with_capacity(width),
+            live_values: Vec::new(),
+            copied: Vec::new(),
+            source: vec![Source::Live(0); width],
             fetch: FetchScratch::new(store),
             writeback,
             stats,
         }
     }
 
-    /// Fills `out` — the row-major `(block.len() * ns) × union width`
-    /// behavior matrix of one streamed block; every cell is overwritten,
-    /// so the caller may reuse one buffer across blocks — for the stream's
-    /// records `block` (`order[block]` are their record positions):
-    /// stored columns are scanned through the pool (partial columns only
-    /// while the block stays under their watermark), the rest come from
-    /// one `live(units)` call, which must return the row-major
-    /// `rows × units.len()` behaviors of exactly those units for this
-    /// block, and are scattered into their union column positions. `live`
-    /// is not called when every column scanned.
+    /// The unit-major behavior block of the stream's records `block`
+    /// (`order[block]` are their record positions): one slice of
+    /// `rows = block.len() * ns` values per union column, in union order.
+    /// Stored columns are scanned through the pool (partial columns only
+    /// while the block stays under their watermark) — a column whose block
+    /// is one slice of a held page is that slice, any other is written
+    /// into the pass's buffer — and the rest come from one
+    /// `live(units, out)` call, which must leave in `out` (a buffer the
+    /// pass keeps across blocks) the unit-major behaviors of exactly those
+    /// units for this block (`rows` values per unit, in `units` order),
+    /// whose columns the block borrows. `live` is not called when every
+    /// column scanned. The block borrows the pass until it is dropped.
     pub fn fetch_block(
         &mut self,
         block: Range<usize>,
-        out: &mut [f32],
-        live: impl FnOnce(&[usize]) -> Vec<f32>,
-    ) {
+        live: impl FnOnce(&[usize], &mut Vec<f32>),
+    ) -> Vec<&[f32]> {
         let (plan, ns) = (self.plan, self.ns);
         let width = self.union_units.len();
         let rows = block.len() * ns;
-        assert_eq!(out.len(), rows * width, "union block shape");
+        self.copied.clear();
         let positions = &self.order[block.clone()];
         let stream = StreamBlock {
             order: self.order,
@@ -369,6 +395,7 @@ impl<'p> ColumnPass<'p> {
             if self.demoted[sc.col] {
                 continue;
             }
+            let start = self.copied.len();
             let scan = plan.store.scan_with(
                 &mut self.fetch,
                 &plan.key(sc.unit),
@@ -376,13 +403,17 @@ impl<'p> ColumnPass<'p> {
                 ns,
                 positions,
                 Some(stream),
-                sc.col,
+                Dest::Append(&mut self.copied),
                 true, // a pass always consults the zone maps
                 &mut self.stats,
             );
             match scan {
                 Ok(Fetched::PastWatermark) => self.past_watermark[sc.col] = true,
-                Ok(Fetched::Scanned) => {
+                Ok(fetched) => {
+                    self.source[sc.col] = match fetched {
+                        Fetched::Page { block, values } => Source::Page(block, values),
+                        _ => Source::Copied(start..self.copied.len()),
+                    };
                     if !sc.scanned {
                         sc.scanned = true;
                         self.stats.columns_scanned += 1;
@@ -406,36 +437,41 @@ impl<'p> ColumnPass<'p> {
                 }
             }
         }
-        gather_spans(out, width, rows, &self.fetch.spans, &self.fetch.pieces);
-        self.fetch.spans.clear();
-        self.fetch.pieces.clear();
 
         // One narrowed live call covers the misses, any demoted units,
         // and the partial columns this block runs past. Column-wise
-        // consistency of extractors makes the merged matrix bit-identical
+        // consistency of extractors makes the merged block bit-identical
         // to a full live extraction of the union.
         self.live_cols.clear();
         self.live_units.clear();
         for col in 0..width {
             if self.miss[col] || self.demoted[col] || self.past_watermark[col] {
                 self.past_watermark[col] = false;
+                self.source[col] = Source::Live(self.live_cols.len());
                 self.live_cols.push(col);
                 self.live_units.push(self.union_units[col]);
             }
         }
+        self.live_values.clear();
         if self.live_cols.is_empty() {
             self.stats.forward_passes_avoided += 1;
         } else {
-            let n_live = self.live_cols.len();
-            let values = live(&self.live_units);
-            assert_eq!(values.len(), rows * n_live, "live block shape");
-            for (li, &col) in self.live_cols.iter().enumerate() {
-                for r in 0..rows {
-                    out[r * width + col] = values[r * n_live + li];
-                }
-            }
+            live(&self.live_units, &mut self.live_values);
+            let want = rows * self.live_cols.len();
+            assert_eq!(self.live_values.len(), want, "live block shape");
         }
-        // Capture the block for write-back from the merged union matrix —
+
+        // The block: each column borrowed from where it lies.
+        let column = |(c, source): (usize, &Source)| match source {
+            Source::Copied(values) => &self.copied[values.clone()],
+            Source::Page(b, values) => {
+                let key = plan.key(self.union_units[c]);
+                &self.fetch.page(&key, *b)[values.clone()]
+            }
+            Source::Live(li) => &self.live_values[li * rows..(li + 1) * rows],
+        };
+        let cols: Vec<&[f32]> = self.source.iter().enumerate().map(column).collect();
+        // Capture the block for write-back from the merged union block —
         // scanned and live values alike, so partial columns can be
         // completed (stored values are exactly what the extractor
         // produced, so the written column stays bit-identical). Only a
@@ -446,13 +482,11 @@ impl<'p> ColumnPass<'p> {
             .filter(|wb| wb.captured == block.start)
         {
             for wu in wb.units.iter_mut() {
-                let dst = &mut wu.col[block.start * ns..block.end * ns];
-                for (r, cell) in dst.iter_mut().enumerate() {
-                    *cell = out[r * width + wu.union_col];
-                }
+                wu.col[block.start * ns..block.end * ns].copy_from_slice(cols[wu.union_col]);
             }
             wb.captured = block.end;
         }
+        cols
     }
 
     /// Ends the pass: persists the captured stream prefix as one group
@@ -495,113 +529,5 @@ impl<'p> ColumnPass<'p> {
             }
         }
         self.stats
-    }
-}
-
-/// One lane of a tile: a slice of a column's values, or a pruned
-/// block's constant.
-#[derive(Clone, Copy)]
-enum Lane<'a> {
-    Values(&'a [f32]),
-    Constant(f32),
-}
-
-/// Writes the spanned columns of one fetch round — a pass's stream block,
-/// or one `scan_into` — into the row-major block `out` (`width` columns;
-/// each span supplies exactly `values` values), eight columns at a time.
-/// Each group walks its spans' pieces in runs that no piece boundary of
-/// any lane splits, and writes each run by [`transpose_into`].
-pub(crate) fn gather_spans(
-    out: &mut [f32],
-    width: usize,
-    values: usize,
-    spans: &[Span],
-    pieces: &[Piece],
-) {
-    for group in spans.chunks(8) {
-        let k = group.len();
-        let mut cols = [0usize; 8];
-        // Per lane: the piece it reads and the offset in it.
-        let mut at = [(0usize, 0usize); 8];
-        for (j, span) in group.iter().enumerate() {
-            cols[j] = span.col;
-            at[j] = (span.pieces.start, 0);
-        }
-        let mut done = 0;
-        let mut lanes = [Lane::Constant(0.0); 8];
-        while done < values {
-            let mut run = values - done;
-            for &(p, off) in &at[..k] {
-                run = run.min(pieces[p].len() - off);
-            }
-            for (lane, &(p, off)) in lanes.iter_mut().zip(&at[..k]) {
-                *lane = match &pieces[p] {
-                    Piece::Page { page, values } => {
-                        Lane::Values(&page[values.start + off..values.start + off + run])
-                    }
-                    Piece::Constant { value, .. } => Lane::Constant(*value),
-                };
-            }
-            transpose_into(out, width, done, &cols[..k], &lanes[..k], run);
-            for (j, (p, off)) in at[..k].iter_mut().enumerate() {
-                *off += run;
-                if *off == pieces[*p].len() {
-                    (*p, *off) = (*p + 1, 0);
-                }
-                debug_assert!(done + run == values || *p < group[j].pieces.end);
-            }
-            done += run;
-        }
-    }
-}
-
-/// Writes `run` values of up to eight lanes into the row-major block
-/// `out` of `width` columns: value `i` of lane `j` goes to row
-/// `first + i`, column `cols[j]`. Eight rows at a time, the lanes are
-/// loaded into an 8 × 8 tile and stored transposed, a row's eight values
-/// as one contiguous write when the columns are adjacent.
-fn transpose_into(
-    out: &mut [f32],
-    width: usize,
-    first: usize,
-    cols: &[usize],
-    lanes: &[Lane<'_>],
-    run: usize,
-) {
-    let adjacent = cols.len() == 8 && cols.windows(2).all(|w| w[1] == w[0] + 1);
-    let mut i = 0;
-    // Set once: a group of k lanes reads only the first k rows, and
-    // each tile overwrites them.
-    let mut tile = [[0.0f32; 8]; 8];
-    while i + 8 <= run {
-        for (row, lane) in tile.iter_mut().zip(lanes) {
-            *row = match lane {
-                Lane::Values(v) => v[i..i + 8].try_into().expect("eight values"),
-                Lane::Constant(c) => [*c; 8],
-            };
-        }
-        for r in 0..8 {
-            let row = (first + i + r) * width;
-            if adjacent {
-                let dst = &mut out[row + cols[0]..row + cols[0] + 8];
-                for (cell, lane) in dst.iter_mut().zip(&tile) {
-                    *cell = lane[r];
-                }
-            } else {
-                for (&c, lane) in cols.iter().zip(&tile) {
-                    out[row + c] = lane[r];
-                }
-            }
-        }
-        i += 8;
-    }
-    for i in i..run {
-        let row = (first + i) * width;
-        for (&c, lane) in cols.iter().zip(lanes) {
-            out[row + c] = match lane {
-                Lane::Values(v) => v[i],
-                Lane::Constant(c) => *c,
-            };
-        }
     }
 }

@@ -132,54 +132,64 @@ pub struct ColumnKey {
 /// `StoreConfig::pool_bytes`; a page that would overrun it serves its
 /// fetch and is not kept. The scratch gives its bytes back when it drops.
 ///
-/// A fetch gathers nothing itself: it leaves a [`Span`] of [`Piece`]s,
-/// which its caller writes into the output together with the other
-/// columns' spans (`pass::gather_spans`).
+/// A fetch writes its values straight into the caller's [`Dest`]: each
+/// run of stored rows, cut at stored-block edges, is one copy out of its
+/// page or one fill with a pruned block's zone constant. A pass's column
+/// that is one slice of a held page is not copied at all: the fetch leaves
+/// it in the page table ([`Fetched::Page`], read back by
+/// `FetchScratch::page`).
 pub(crate) struct FetchScratch {
     /// The current fetch's stored rows, as runs of consecutive rows in
     /// the order the fetch's positions ask for them.
     runs: Vec<Range<usize>>,
     /// The blocks this fetch takes through the pool, ascending.
     needed: Vec<u32>,
-    /// The spans of the current stream block, in fetch order.
-    pub(crate) spans: Vec<Span>,
-    /// Their pieces, each span's a contiguous run.
-    pub(crate) pieces: Vec<Piece>,
     /// The page table per stored column.
     held: HashMap<ColumnKey, HeldPages>,
     reservation: Arc<PageReservation>,
 }
 
-/// Where one stretch of a span's values comes from: a run of stored
-/// rows inside one stored block.
-pub(crate) enum Piece {
-    /// Values `values` of a decoded page.
-    Page {
-        page: Arc<Vec<f32>>,
-        values: Range<usize>,
+/// Where a column fetch writes its values: value `i` of the fetch — the
+/// `i % ns`-th value of position `i / ns` — is appended to a pass's
+/// buffer in order, or goes to row `i` of a row-major output's column.
+pub(crate) enum Dest<'a> {
+    /// A pass's buffer of copied columns: the fetch's values appended in
+    /// order — unless they are one slice of a held page, which the fetch
+    /// leaves where it is ([`Fetched::Page`]).
+    Append(&'a mut Vec<f32>),
+    /// Column `col` of a row-major output `stride` values wide
+    /// ([`BehaviorStore::scan_into`]).
+    Strided {
+        out: &'a mut [f32],
+        stride: usize,
+        col: usize,
     },
-    /// A pruned block's rows: `len` copies of its zone's constant.
-    Constant { value: f32, len: usize },
 }
 
-impl Piece {
-    /// Values in the piece.
-    pub(crate) fn len(&self) -> usize {
+impl Dest<'_> {
+    /// Writes `values` as fetch values `at..`.
+    fn copy(&mut self, at: usize, values: &[f32]) {
         match self {
-            Piece::Page { values, .. } => values.len(),
-            Piece::Constant { len, .. } => *len,
+            Dest::Append(buf) => buf.extend_from_slice(values),
+            Dest::Strided { out, stride, col } => {
+                for (i, &v) in values.iter().enumerate() {
+                    out[(at + i) * *stride + *col] = v;
+                }
+            }
         }
     }
-}
 
-/// The stored values of one fetch in one column: its runs of stored
-/// rows, cut at stored-block edges, in the order its positions ask for
-/// them.
-pub(crate) struct Span {
-    /// The output column the values go to.
-    pub(crate) col: usize,
-    /// The pieces, in order, as a range of `FetchScratch::pieces`.
-    pub(crate) pieces: Range<usize>,
+    /// Writes `len` copies of `value` as fetch values `at..`.
+    fn fill(&mut self, at: usize, len: usize, value: f32) {
+        match self {
+            Dest::Append(buf) => buf.resize(buf.len() + len, value),
+            Dest::Strided { out, stride, col } => {
+                for i in at..at + len {
+                    out[i * *stride + *col] = value;
+                }
+            }
+        }
+    }
 }
 
 /// One block of a pass's stream, for a column fetch that may find the
@@ -194,10 +204,13 @@ pub(crate) struct StreamBlock<'a> {
 }
 
 /// How a column fetch served its block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Fetched {
-    /// Left as a [`Span`] in the scratch for the caller to write.
+    /// Written into the fetch's [`Dest`].
     Scanned,
+    /// Values `values` of the held page of stored block `block`, left in
+    /// the page table unwritten (a pass's column only).
+    Page { block: usize, values: Range<usize> },
     /// A requested record has no stored row (past a partial column's
     /// watermark); nothing was read.
     PastWatermark,
@@ -221,8 +234,6 @@ impl FetchScratch {
         FetchScratch {
             runs: Vec::new(),
             needed: Vec::new(),
-            spans: Vec::new(),
-            pieces: Vec::new(),
             held: HashMap::new(),
             reservation: Arc::clone(&store.reservation),
         }
@@ -233,6 +244,16 @@ impl FetchScratch {
         if let Some(table) = self.held.remove(key) {
             self.reservation.give_back(table.bytes);
         }
+    }
+
+    /// The held page of `key`'s stored block `b`, which a fetch returned
+    /// as [`Fetched::Page`] and no later fetch of `key` has dropped.
+    pub(crate) fn page(&self, key: &ColumnKey, b: usize) -> &[f32] {
+        let held = self
+            .held
+            .get(key)
+            .and_then(|table| table.pages[b].as_deref());
+        held.expect("a fetched page is held")
     }
 
     /// Drops every page table.
@@ -726,8 +747,8 @@ impl BehaviorStore {
     /// `col` outside the stride, or an `out` too short for every
     /// position, is refused before anything is read. It is the fetch a
     /// pass makes, its rows found through the column's inverse row map
-    /// (counted in `stats.inverse_map_fetches`), written by the pass's
-    /// tile gather. Pages are fetched (and their checksums verified)
+    /// (counted in `stats.inverse_map_fetches`), each run of stored rows
+    /// written straight from its page. Pages are fetched (and their checksums verified)
     /// through the pool; `stats` receives the per-call page accounting
     /// (`blocks_read`, pool hit/miss/eviction counters — `columns_scanned`
     /// is per-pass and counted by the caller). Every requested position
@@ -775,6 +796,7 @@ impl BehaviorStore {
                 positions.len()
             )));
         }
+        let dest = Dest::Strided { out, stride, col };
         let mut scratch = FetchScratch::new(self);
         self.scan_with(
             &mut scratch,
@@ -783,12 +805,10 @@ impl BehaviorStore {
             ns,
             positions,
             None,
-            col,
+            dest,
             prune,
             stats,
         )?;
-        let values = positions.len() * ns;
-        crate::pass::gather_spans(out, stride, values, &scratch.spans, &scratch.pieces);
         Ok(())
     }
 
@@ -796,10 +816,10 @@ impl BehaviorStore {
     /// [`crate::ColumnPass`] makes thousands of fetches per pass and keeps
     /// one [`FetchScratch`] for all of them, so each stored page is taken
     /// through the pool once per pass while the reservation has room for
-    /// it): the `ns` values of each of `positions`, in order, left as a
-    /// [`Span`] for output column `col` in the scratch. A failed fetch
-    /// leaves no span and drops the column's page table; a corruption is
-    /// retried once, as for [`BehaviorStore::scan_into`].
+    /// it): the `ns` values of each of `positions`, in order, written to
+    /// `dest`. A failed fetch writes nothing and drops the column's page
+    /// table; a corruption is retried once, as for
+    /// [`BehaviorStore::scan_into`].
     ///
     /// With `stream` given — `positions` are that stream block's records
     /// — a position the column holds no row for makes the block
@@ -814,13 +834,14 @@ impl BehaviorStore {
         ns: usize,
         positions: &[usize],
         stream: Option<StreamBlock<'_>>,
-        col: usize,
+        mut dest: Dest<'_>,
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<Fetched, StoreError> {
-        let attempt = |scratch: &mut FetchScratch, stats: &mut StoreStats| {
-            let fetched =
-                self.scan_attempt(scratch, key, nd, ns, positions, stream, col, prune, stats)?;
+        let mut attempt = |scratch: &mut FetchScratch, stats: &mut StoreStats| {
+            let fetched = self.scan_attempt(
+                scratch, key, nd, ns, positions, stream, &mut dest, prune, stats,
+            )?;
             match (fetched, stream) {
                 (Fetched::PastWatermark, None) => Err(StoreError::Corrupt(format!(
                     "a record position is past the column's watermark \
@@ -866,8 +887,12 @@ impl BehaviorStore {
     ///    nothing says which rows it reads next, and a partial column's
     ///    last rows are read only by a stream block that ends at or
     ///    before its watermark.
-    /// 4. **Cut.** Every run is cut at stored-block edges into pieces —
-    ///    a page slice or a pruned zone constant — and left as a span.
+    /// 4. **Write.** A pass's column whose one run lies in one held,
+    ///    unpruned page is left there ([`Fetched::Page`]). Otherwise every
+    ///    run is cut at stored-block edges, and each piece is written to
+    ///    `dest` in order: a copy out of its page, or a fill with a pruned
+    ///    block's zone constant. Nothing is written before this step, so a
+    ///    failed fetch leaves `dest` as it was.
     ///
     /// A column file that vanished since its info was cached — deleted
     /// by a disk-budget sweep of this instance or another — is the typed
@@ -881,7 +906,7 @@ impl BehaviorStore {
         ns: usize,
         positions: &[usize],
         stream: Option<StreamBlock<'_>>,
-        col: usize,
+        dest: &mut Dest<'_>,
         prune: bool,
         stats: &mut StoreStats,
     ) -> Result<Fetched, StoreError> {
@@ -907,8 +932,6 @@ impl BehaviorStore {
         let FetchScratch {
             runs,
             needed,
-            spans,
-            pieces,
             held,
             reservation,
         } = scratch;
@@ -995,16 +1018,29 @@ impl BehaviorStore {
             }
         }
         let taken = self.take_pages(key, &cached, table, reservation, needed, stats)?;
-        let page = |b: usize| match &table.pages[b] {
-            Some(page) => Arc::clone(page),
-            None => {
-                let i = needed[..now].binary_search(&(b as u32));
-                Arc::clone(&taken[i.expect("a needed page was taken")])
+        let page = |b: usize| -> &[f32] {
+            match &table.pages[b] {
+                Some(page) => page,
+                None => {
+                    let i = needed[..now].binary_search(&(b as u32));
+                    &taken[i.expect("a needed page was taken")]
+                }
             }
         };
 
-        // 4. Cut every run at stored-block edges.
-        let first = pieces.len();
+        stats.blocks_pruned += pruned;
+        stats.inverse_map_fetches += usize::from(aligned.is_none());
+        // 4. Leave a pass's one-page column in its page, or write every
+        // run, cut at stored-block edges.
+        if let (Dest::Append(_), [run]) = (&*dest, &runs[..]) {
+            let b = run.start / block_records;
+            let base = b * block_records;
+            if run.end <= base + block_records && !prunable(b) && table.pages[b].is_some() {
+                let values = (run.start - base) * ns..(run.end - base) * ns;
+                return Ok(Fetched::Page { block: b, values });
+            }
+        }
+        let mut at = 0;
         for run in runs.iter() {
             let mut row = run.start;
             while row < run.end {
@@ -1012,25 +1048,15 @@ impl BehaviorStore {
                 let base = b * block_records;
                 let end = run.end.min(base + block_records);
                 let values = (row - base) * ns..(end - base) * ns;
-                pieces.push(match zones[b].constant_value().filter(|_| prune) {
-                    Some(value) => Piece::Constant {
-                        value,
-                        len: values.len(),
-                    },
-                    None => Piece::Page {
-                        page: page(b),
-                        values,
-                    },
-                });
+                let len = values.len();
+                match zones[b].constant_value().filter(|_| prune) {
+                    Some(value) => dest.fill(at, len, value),
+                    None => dest.copy(at, &page(b)[values]),
+                }
+                at += len;
                 row = end;
             }
         }
-        spans.push(Span {
-            col,
-            pieces: first..pieces.len(),
-        });
-        stats.blocks_pruned += pruned;
-        stats.inverse_map_fetches += usize::from(aligned.is_none());
         Ok(Fetched::Scanned)
     }
 

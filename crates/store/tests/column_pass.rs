@@ -46,13 +46,16 @@ fn populate(config: &StoreConfig) {
     }
 }
 
-/// The true row-major behaviors of `units` over the records at `positions`.
+/// The true unit-major behaviors of `units` over the records at
+/// `positions`: each unit's values, record by record, as one run.
 fn block(units: &[usize], positions: &[usize]) -> Vec<u32> {
-    let rows = positions
-        .iter()
-        .flat_map(|&pos| (0..NS).map(move |t| (pos, t)));
-    rows.flat_map(|(pos, t)| units.iter().map(move |&u| value(u, pos, t).to_bits()))
-        .collect()
+    let column = |u: usize| {
+        let cells = positions
+            .iter()
+            .flat_map(|&pos| (0..NS).map(move |t| (pos, t)));
+        cells.map(move |(pos, t)| value(u, pos, t).to_bits())
+    };
+    units.iter().flat_map(|&u| column(u)).collect()
 }
 
 /// Record order, the order `write_column` stores: a pass streaming it
@@ -76,12 +79,13 @@ fn run_pass(
     let mut asked: Vec<Vec<usize>> = Vec::new();
     for start in (0..ND).step_by(BLOCK) {
         let positions = &order[start..start + BLOCK];
-        let mut out = vec![0.0f32; BLOCK * NS * UNITS.len()];
-        pass.fetch_block(start..start + BLOCK, &mut out, |units| {
-            asked.push(units.to_vec());
-            let live = block(units, positions);
-            live.into_iter().map(f32::from_bits).collect()
-        });
+        let out = pass
+            .fetch_block(start..start + BLOCK, |units, out| {
+                asked.push(units.to_vec());
+                let live = block(units, positions);
+                *out = live.into_iter().map(f32::from_bits).collect();
+            })
+            .concat();
         let served: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(served, block(&UNITS, positions), "block at {start}");
     }
@@ -171,12 +175,11 @@ mod group_write_back {
         let mut pass = ColumnPass::new(&plan, &WIDE, &order, NS);
         for start in (0..ND).step_by(BLOCK).take(blocks) {
             let positions: Vec<usize> = (start..start + BLOCK).collect();
-            let mut out = vec![0.0f32; BLOCK * NS * WIDE.len()];
-            pass.fetch_block(start..start + BLOCK, &mut out, |units| {
-                block(units, &positions)
+            pass.fetch_block(start..start + BLOCK, |units, out| {
+                *out = block(units, &positions)
                     .into_iter()
                     .map(f32::from_bits)
-                    .collect()
+                    .collect();
             });
         }
         pass.finish()
@@ -316,13 +319,17 @@ mod shuffled {
         }
     }
 
-    /// The true row-major behaviors of `units` over the records at
-    /// `positions`.
+    /// The true unit-major behaviors of `units` over the records at
+    /// `positions`: one run per unit.
     fn truth(units: &[usize], positions: &[usize]) -> Vec<f32> {
-        positions
+        let cells = || {
+            positions
+                .iter()
+                .flat_map(|&pos| (0..NS).map(move |t| (pos, t)))
+        };
+        units
             .iter()
-            .flat_map(|&pos| (0..NS).map(move |t| (pos, t)))
-            .flat_map(|(pos, t)| units.iter().map(move |&u| value(u, pos, t)))
+            .flat_map(|&u| cells().map(move |(pos, t)| value(u, pos, t)))
             .collect()
     }
 
@@ -450,27 +457,31 @@ mod shuffled {
             })
             .collect();
 
-        let width = UNITS.len();
         // One buffer reused across blocks, never re-zeroed: the pass
         // overwrites every cell.
-        let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
         for (b, positions) in order.chunks(STREAM_BLOCK).enumerate() {
             let block = b * STREAM_BLOCK..(b + 1) * STREAM_BLOCK;
-            pass.fetch_block(block, &mut out, |units| {
-                panic!("every column is stored, yet {units:?} went live")
-            });
+            let out = pass
+                .fetch_block(block, |units, _| {
+                    panic!("every column is stored, yet {units:?} went live")
+                })
+                .concat();
             assert!(store.held_page_bytes() <= pool_bytes, "{name}: reservation");
+            // The per-page loop writes each unit's run of the block.
+            let rows = STREAM_BLOCK * NS;
             let mut expect = vec![0.0f32; out.len()];
-            for (col, (file, column)) in files.iter_mut().enumerate() {
+            for ((col, (file, column)), run) in
+                files.iter_mut().enumerate().zip(expect.chunks_mut(rows))
+            {
                 per_page_scan(
                     &reference_pool,
                     file,
                     column,
                     &key(UNITS[col]),
                     positions,
-                    &mut expect,
-                    width,
-                    col,
+                    run,
+                    1,
+                    0,
                     &mut reference_stats,
                 );
             }
@@ -479,7 +490,7 @@ mod shuffled {
             for (i, &pos) in positions.iter().enumerate() {
                 for t in 0..NS {
                     for (col, &unit) in UNITS.iter().enumerate() {
-                        assert_eq!(out[(i * NS + t) * width + col], value(unit, pos, t));
+                        assert_eq!(out[col * rows + i * NS + t], value(unit, pos, t));
                     }
                 }
             }
@@ -579,15 +590,15 @@ mod shuffled {
             .map(|i| i / STREAM_BLOCK * STREAM_BLOCK + STREAM_BLOCK - 1 - i % STREAM_BLOCK)
             .collect();
         let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
-        let width = UNITS.len();
         let mut asked = Vec::new();
         for start in (0..ND).step_by(STREAM_BLOCK) {
             let positions = &order[start..start + STREAM_BLOCK];
-            let mut out = vec![f32::NAN; STREAM_BLOCK * NS * width];
-            pass.fetch_block(start..start + STREAM_BLOCK, &mut out, |units| {
-                asked.push(units.to_vec());
-                truth(units, positions)
-            });
+            let out = pass
+                .fetch_block(start..start + STREAM_BLOCK, |units, out| {
+                    asked.push(units.to_vec());
+                    *out = truth(units, positions);
+                })
+                .concat();
             if start == 0 {
                 // Units 1, 3, 4, 6 and 7 hold stored blocks 0..6; units 0
                 // and 2 pruned theirs, and the demoted unit 5 let go.
@@ -632,8 +643,6 @@ mod shuffled {
             .chain(ND / 2..ND)
             .collect();
         let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
-        let width = UNITS.len();
-        let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
         let mut asked = Vec::new();
         for (i, positions) in order.chunks(STREAM_BLOCK).take(3).enumerate() {
             if i == 1 {
@@ -646,10 +655,12 @@ mod shuffled {
                 assert_eq!(swept.columns_evicted, UNITS.len(), "no delete refused");
             }
             let block = i * STREAM_BLOCK..(i + 1) * STREAM_BLOCK;
-            pass.fetch_block(block, &mut out, |units| {
-                asked.push((i, units.to_vec()));
-                truth(units, positions)
-            });
+            let out = pass
+                .fetch_block(block, |units, out| {
+                    asked.push((i, units.to_vec()));
+                    *out = truth(units, positions);
+                })
+                .concat();
             assert_eq!(out, truth(&UNITS, positions));
         }
         // Unit 0 prunes every block from its zone map and never needs
@@ -670,12 +681,10 @@ mod shuffled {
         populate(&config);
         let store = BehaviorStore::open(&config).unwrap();
         let order = shuffled_positions(0xBEEF);
-        let width = UNITS.len();
-        let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &UNITS, false, usize::MAX);
 
         let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
-        pass.fetch_block(0..STREAM_BLOCK, &mut out, |_| unreachable!());
+        pass.fetch_block(0..STREAM_BLOCK, |_, _| unreachable!());
         assert!(
             store.held_page_bytes() > 0,
             "the first block holds its pages"
@@ -687,14 +696,13 @@ mod shuffled {
         // second ask panics after the first block's pages are held.
         let with_miss = [0, 1, 2, 3, 4, 5, 6, 7, 8];
         let plan = store.plan_scan(MODEL_FP, DATASET_FP, &with_miss, false, usize::MAX);
-        let mut out = vec![0.0f32; STREAM_BLOCK * NS * with_miss.len()];
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut pass = ColumnPass::new(&plan, &with_miss, &order, NS);
             for (i, positions) in order.chunks(STREAM_BLOCK).enumerate() {
                 let block = i * STREAM_BLOCK..(i + 1) * STREAM_BLOCK;
-                pass.fetch_block(block, &mut out, |units| {
+                pass.fetch_block(block, |units, out| {
                     assert!(i == 0, "live extraction failed");
-                    vec![0.0; positions.len() * NS * units.len()]
+                    *out = vec![0.0; positions.len() * NS * units.len()];
                 });
                 assert!(store.held_page_bytes() > 0);
             }
@@ -777,15 +785,16 @@ mod stream_order {
             .collect();
         for range in ranges {
             let positions = &order[range.clone()];
-            let mut out = vec![f32::NAN; range.len() * NS * UNITS.len()];
             let mut units_asked = Vec::new();
-            pass.fetch_block(range.clone(), &mut out, |units| {
-                units_asked = units.to_vec();
-                block(units, positions)
-                    .into_iter()
-                    .map(f32::from_bits)
-                    .collect()
-            });
+            let out = pass
+                .fetch_block(range.clone(), |units, out| {
+                    units_asked = units.to_vec();
+                    *out = block(units, positions)
+                        .into_iter()
+                        .map(f32::from_bits)
+                        .collect();
+                })
+                .concat();
             let served: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(served, block(&UNITS, positions), "block {range:?}");
             asked.push(units_asked);
@@ -1048,12 +1057,17 @@ mod stream_order {
     /// (a run per record), and in a hand-built order whose blocks are
     /// six-record runs of stored rows in reverse, some of them across a
     /// stored-block edge; over complete columns and over partial ones
-    /// holding the stored order's first 212 records; with the pool
-    /// fitting and at a quarter of the working set. Every block a pass
-    /// scans carries the loop's bits, the pass prunes what the loop
-    /// prunes and never takes more pages, only a pass in another order
-    /// maps positions through the inverse row map, and the pass holds no
-    /// page once it ends.
+    /// holding the stored order's first 212 records beside a complete
+    /// unit 0, so a block past the watermark scans unit 0 and extracts
+    /// the rest; with unit 3's second stored block intact and with it
+    /// bit-flipped, which demotes unit 3 to live extraction from the fetch
+    /// that reads it on; with the pool fitting and at a quarter of the
+    /// working set. The unit-major block a pass fills equals the truth,
+    /// and every column it scanned equals the per-page loop's run of it,
+    /// pruned, constant-NaN and dictionary pieces included; the pass
+    /// prunes what the loop prunes and, without a demotion, never takes
+    /// more pages; only a pass in another order maps positions through the
+    /// inverse row map, and the pass holds no page once it ends.
     #[test]
     fn every_fetch_shape_equals_the_per_page_loop() {
         let stored_order = shuffled_of(SHAPE_ND, 0x0DDBA11);
@@ -1062,12 +1076,15 @@ mod stream_order {
             rank[pos] = row;
         }
         let rank = &rank;
+        // Unit-major: one run of the block's values per unit.
         let truth = |units: &[usize], positions: &[usize]| -> Vec<f32> {
-            let cells = positions
-                .iter()
-                .flat_map(|&pos| (0..NS).map(move |t| (pos, t)));
-            cells
-                .flat_map(|(pos, t)| units.iter().map(move |&u| shape_value(u, rank[pos], t)))
+            let cells = || {
+                positions
+                    .iter()
+                    .flat_map(|&pos| (0..NS).map(move |t| (pos, t)))
+            };
+            (units.iter())
+                .flat_map(|&u| cells().map(move |(pos, t)| shape_value(u, rank[pos], t)))
                 .collect()
         };
         let chunks: Vec<&[usize]> = stored_order.chunks(6).collect();
@@ -1083,116 +1100,156 @@ mod stream_order {
             ("runs", runs_order),
         ];
         let working_set = SHAPE_UNITS.len() * SHAPE_ND * NS * 4;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for watermark in [SHAPE_ND, SHAPE_PREFIX] {
-            for pool_bytes in [1 << 20, working_set / 4] {
-                for stream_block in [48, 64, 100] {
-                    for (name, order) in &orders {
-                        let case = format!(
-                            "{name} order, blocks of {stream_block}, {watermark} records \
-                             stored, pool {pool_bytes}"
-                        );
-                        let config = StoreConfig {
-                            block_records: SHAPE_BLOCK,
-                            pool_bytes,
-                            ..config("fetch-shapes")
-                        };
-                        {
+            for corrupt in [false, true] {
+                for pool_bytes in [1 << 20, working_set / 4] {
+                    for stream_block in [48, 64, 100] {
+                        for (name, order) in &orders {
+                            let case = format!(
+                                "{name} order, blocks of {stream_block}, {watermark} records \
+                                 stored, corrupt {corrupt}, pool {pool_bytes}"
+                            );
+                            let config = StoreConfig {
+                                block_records: SHAPE_BLOCK,
+                                pool_bytes,
+                                ..config("fetch-shapes")
+                            };
+                            write_shape_columns(&config, &stored_order, watermark);
+                            if corrupt {
+                                let path = column_file(&config, 3);
+                                let column = format::read_meta(&mut File::open(&path).unwrap());
+                                let at = column.unwrap().data_offset(1).unwrap() as usize;
+                                let mut bytes = std::fs::read(&path).unwrap();
+                                bytes[at] ^= 0x01;
+                                std::fs::write(&path, &bytes).unwrap();
+                            }
                             let store = BehaviorStore::open(&config).unwrap();
-                            let positions: Vec<u32> = stored_order[..watermark]
-                                .iter()
-                                .map(|&p| p as u32)
-                                .collect();
-                            let rows: Vec<Vec<f32>> = SHAPE_UNITS
+                            let plan = store.plan_scan(
+                                MODEL_FP,
+                                DATASET_FP,
+                                &SHAPE_UNITS,
+                                false,
+                                usize::MAX,
+                            );
+                            let mut pass = ColumnPass::new(&plan, &SHAPE_UNITS, order, NS);
+                            let reference_pool = deepbase_store::BufferPool::new(pool_bytes);
+                            let mut reference = StoreStats::default();
+                            let mut files: Vec<(File, format::ColumnFile)> = SHAPE_UNITS
                                 .iter()
                                 .map(|&unit| {
-                                    (0..watermark * NS)
-                                        .map(|i| shape_value(unit, i / NS, i % NS))
-                                        .collect()
+                                    let mut file = File::open(column_file(&config, unit)).unwrap();
+                                    let column = format::read_meta(&mut file).unwrap();
+                                    (file, column)
                                 })
                                 .collect();
-                            let columns: Vec<(ColumnKey, &[f32])> = SHAPE_UNITS
-                                .iter()
-                                .zip(&rows)
-                                .map(|(&unit, rows)| (key(unit), rows.as_slice()))
-                                .collect();
-                            for written in store.write_columns(SHAPE_ND, NS, &positions, &columns) {
-                                written.unwrap();
+                            let (mut scanned_fetches, mut demoted) = (0, false);
+                            for start in (0..SHAPE_ND).step_by(stream_block) {
+                                let range = start..(start + stream_block).min(SHAPE_ND);
+                                let positions = &order[range.clone()];
+                                let rows = range.len() * NS;
+                                let mut asked = Vec::new();
+                                let out = pass
+                                    .fetch_block(range.clone(), |units, out| {
+                                        asked = units.to_vec();
+                                        *out = truth(units, positions);
+                                    })
+                                    .concat();
+                                let at = format!("{case}: block {range:?}");
+                                let expect = truth(&SHAPE_UNITS, positions);
+                                assert_eq!(bits(&out), bits(&expect), "{at}");
+                                // Unit 0 is complete; the others hold the
+                                // block only when every record is under the
+                                // watermark.
+                                let held = positions.iter().all(|&pos| rank[pos] < watermark);
+                                let mut want: Vec<usize> = match held {
+                                    true => vec![],
+                                    false => vec![1, 2, 3],
+                                };
+                                if held && asked.contains(&3) {
+                                    assert!(corrupt, "{at}: unit 3 went live");
+                                    demoted = true;
+                                }
+                                if demoted && held {
+                                    want.push(3);
+                                }
+                                assert_eq!(asked, want, "{at}");
+                                for (col, &unit) in SHAPE_UNITS.iter().enumerate() {
+                                    if asked.contains(&unit) {
+                                        continue;
+                                    }
+                                    scanned_fetches += 1;
+                                    let (file, column) = &mut files[col];
+                                    let mut looped = vec![0.0f32; rows];
+                                    shuffled::per_page_scan(
+                                        &reference_pool,
+                                        file,
+                                        column,
+                                        &key(unit),
+                                        positions,
+                                        &mut looped,
+                                        1,
+                                        0,
+                                        &mut reference,
+                                    );
+                                    let run = &out[col * rows..(col + 1) * rows];
+                                    assert_eq!(bits(run), bits(&looped), "{at}: unit {unit}");
+                                }
                             }
+                            let stats = pass.finish();
+                            // A complete column reads every stored block.
+                            let reads_all = watermark == SHAPE_ND;
+                            assert!(demoted || !(corrupt && reads_all), "{case}: never demoted");
+                            let errors = usize::from(demoted);
+                            assert_eq!(stats.error_count, errors, "{case}: {:?}", stats.errors);
+                            assert_eq!(stats.blocks_pruned, reference.blocks_pruned, "{case}");
+                            // A demoted column's read-ahead pages were read
+                            // before the loop stopped reading it.
+                            assert!(
+                                demoted || stats.blocks_read <= reference.blocks_read,
+                                "{case}: {stats:?} vs {reference:?}"
+                            );
+                            assert_eq!(stats.pool_hits + stats.pool_misses, stats.blocks_read);
+                            let mapped = if *name == "stored" {
+                                0
+                            } else {
+                                scanned_fetches
+                            };
+                            assert_eq!(stats.inverse_map_fetches, mapped, "{case}");
+                            assert!(scanned_fetches > 0, "{case}: unit 0 scans");
+                            assert_eq!(store.held_page_bytes(), 0, "{case}");
+                            let _ = std::fs::remove_dir_all(&config.path);
                         }
-                        let store = BehaviorStore::open(&config).unwrap();
-                        let plan =
-                            store.plan_scan(MODEL_FP, DATASET_FP, &SHAPE_UNITS, false, usize::MAX);
-                        let mut pass = ColumnPass::new(&plan, &SHAPE_UNITS, order, NS);
-                        let reference_pool = deepbase_store::BufferPool::new(pool_bytes);
-                        let mut reference = StoreStats::default();
-                        let mut files: Vec<(File, format::ColumnFile)> = SHAPE_UNITS
-                            .iter()
-                            .map(|&unit| {
-                                let mut file = File::open(column_file(&config, unit)).unwrap();
-                                let column = format::read_meta(&mut file).unwrap();
-                                (file, column)
-                            })
-                            .collect();
-                        let width = SHAPE_UNITS.len();
-                        let mut scanned_fetches = 0;
-                        for start in (0..SHAPE_ND).step_by(stream_block) {
-                            let range = start..(start + stream_block).min(SHAPE_ND);
-                            let positions = &order[range.clone()];
-                            let mut out = vec![f32::NAN; range.len() * NS * width];
-                            let mut asked = Vec::new();
-                            pass.fetch_block(range.clone(), &mut out, |units| {
-                                asked = units.to_vec();
-                                truth(units, positions)
-                            });
-                            let bits =
-                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                            let expect = truth(&SHAPE_UNITS, positions);
-                            assert_eq!(bits(&out), bits(&expect), "{case}: block {range:?}");
-                            let held = positions.iter().all(|&pos| rank[pos] < watermark);
-                            if !held {
-                                assert_eq!(asked, SHAPE_UNITS, "{case}: block {range:?}");
-                                continue;
-                            }
-                            assert!(asked.is_empty(), "{case}: block {range:?}");
-                            scanned_fetches += width;
-                            let mut looped = vec![0.0f32; out.len()];
-                            for (col, (file, column)) in files.iter_mut().enumerate() {
-                                shuffled::per_page_scan(
-                                    &reference_pool,
-                                    file,
-                                    column,
-                                    &key(SHAPE_UNITS[col]),
-                                    positions,
-                                    &mut looped,
-                                    width,
-                                    col,
-                                    &mut reference,
-                                );
-                            }
-                            assert_eq!(bits(&out), bits(&looped), "{case}: block {range:?}");
-                        }
-                        let stats = pass.finish();
-                        assert_eq!(stats.error_count, 0, "{case}: {:?}", stats.errors);
-                        assert_eq!(stats.blocks_pruned, reference.blocks_pruned, "{case}");
-                        assert!(
-                            stats.blocks_read <= reference.blocks_read,
-                            "{case}: {stats:?} vs {reference:?}"
-                        );
-                        assert_eq!(stats.pool_hits + stats.pool_misses, stats.blocks_read);
-                        let mapped = if *name == "stored" {
-                            0
-                        } else {
-                            scanned_fetches
-                        };
-                        assert_eq!(stats.inverse_map_fetches, mapped, "{case}");
-                        assert!(
-                            scanned_fetches > 0 || watermark < SHAPE_ND,
-                            "{case}: a complete column scans"
-                        );
-                        assert_eq!(store.held_page_bytes(), 0, "{case}");
-                        let _ = std::fs::remove_dir_all(&config.path);
                     }
                 }
+            }
+        }
+    }
+
+    /// Writes the fetch-shape table's columns in `stored_order`: unit 0
+    /// complete, the others its first `watermark` records.
+    fn write_shape_columns(config: &StoreConfig, stored_order: &[usize], watermark: usize) {
+        let store = BehaviorStore::open(config).unwrap();
+        for (units, stored) in [
+            (&SHAPE_UNITS[..1], SHAPE_ND),
+            (&SHAPE_UNITS[1..], watermark),
+        ] {
+            let positions: Vec<u32> = stored_order[..stored].iter().map(|&p| p as u32).collect();
+            let rows: Vec<Vec<f32>> = units
+                .iter()
+                .map(|&unit| {
+                    (0..stored * NS)
+                        .map(|i| shape_value(unit, i / NS, i % NS))
+                        .collect()
+                })
+                .collect();
+            let columns: Vec<(ColumnKey, &[f32])> = units
+                .iter()
+                .zip(&rows)
+                .map(|(&unit, rows)| (key(unit), rows.as_slice()))
+                .collect();
+            for written in store.write_columns(SHAPE_ND, NS, &positions, &columns) {
+                written.unwrap();
             }
         }
     }

@@ -198,8 +198,6 @@ mod passes {
                 s.spawn(move || {
                     let mut rng = super::Lcg(0xA11 + t);
                     let plan = store.plan_scan(3, 5, &UNITS, false, usize::MAX);
-                    let width = UNITS.len();
-                    let mut out = vec![0.0f32; STREAM_BLOCK * NS * width];
                     for p in 0..2 * PASSES {
                         // `PASSES` shuffled passes, and between them as many
                         // in record order, the order `write_column` stores:
@@ -212,12 +210,14 @@ mod passes {
                         let mut pass = ColumnPass::new(&plan, &UNITS, &order, NS);
                         for (b, positions) in order.chunks(STREAM_BLOCK).enumerate() {
                             let block = b * STREAM_BLOCK..b * STREAM_BLOCK + positions.len();
-                            pass.fetch_block(block, &mut out, |_| unreachable!());
+                            let out = pass.fetch_block(block, |_, _| unreachable!()).concat();
                             assert!(store.held_page_bytes() <= POOL_BYTES);
+                            // Unit-major: each unit's values are one run.
+                            let rows = positions.len() * NS;
                             for (i, &pos) in positions.iter().enumerate() {
                                 for t in 0..NS {
                                     for (col, &unit) in UNITS.iter().enumerate() {
-                                        let got = out[(i * NS + t) * width + col];
+                                        let got = out[col * rows + i * NS + t];
                                         assert_eq!(got, value(unit, pos, t));
                                     }
                                 }

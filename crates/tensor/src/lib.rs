@@ -7,6 +7,11 @@
 //!
 //! * [`Matrix`] — row-major dense matrix with cache-blocked mat-mul
 //!   kernels,
+//! * [`Columns`] — a borrowed unit-major block, one slice per column (the
+//!   blocks the inspection engine streams), [`transpose_rows_into`],
+//!   which fills a unit-major buffer from row-major rows, and
+//!   [`transpose_columns_into`], which fills row-major rows from columns
+//!   (`deepbase-stats`' Pearson block kernel loads its tiles with it),
 //! * [`activation`] — the one `tanh` / `sigmoid` kernel every model and
 //!   probe calls: branch-free, with a vectorisable slice form, libm-free,
 //!   and versioned, because its output bits key stored behaviors,
@@ -23,9 +28,11 @@
 //! in `deepbase-core`) is built on these types.
 
 pub mod activation;
+mod columns;
 pub mod init;
 mod matrix;
 pub mod ops;
 pub mod simd;
 
+pub use columns::{column_runs, transpose_columns_into, transpose_rows_into, Columns};
 pub use matrix::Matrix;
